@@ -161,6 +161,12 @@ func run() (err error) {
 	}
 	fmt.Printf("instructions=%d groups=%d peak-mem=%d\n",
 		report.Instructions(), report.Groups(), report.PeakMemBytes())
+	final, peak := report.MemTerms(), report.PeakMemTerms()
+	fmt.Printf("mem-terms: final pages=%d overhead=%d", final.Pages, final.Overhead)
+	if peak != (sde.MemTerms{}) { // unknown when the peak predates a resume
+		fmt.Printf(" | peak pages=%d overhead=%d", peak.Pages, peak.Overhead)
+	}
+	fmt.Println()
 
 	for _, v := range report.Violations() {
 		fmt.Printf("VIOLATION node=%d t=%d: %s\n  witness: %v\n", v.Node, v.Time, v.Msg, v.Model)

@@ -251,6 +251,11 @@ type Result struct {
 	DScenarios  *big.Int
 	FinalMem    int64
 	PeakMem     int64
+	// FinalMemTerms and PeakMemTerms split FinalMem and PeakMem. Checkpoints
+	// carry the peak, not its split: PeakMemTerms is zero when a resumed
+	// run never exceeded the peak it inherited.
+	FinalMemTerms MemTerms
+	PeakMemTerms  MemTerms
 
 	Violations []*vm.Violation
 	Series     *metrics.Series
@@ -296,6 +301,7 @@ type Engine struct {
 	events     uint64
 	peakStates int
 	peakMem    int64
+	peakTerms  MemTerms // the split of peakMem, when this engine measured it
 	violations []*vm.Violation
 	series     metrics.Series
 	started    time.Time
@@ -310,6 +316,16 @@ type Engine struct {
 	suspended      bool
 	finished       bool
 	err            error
+
+	// Per-state overhead accounting (see modelBytes): overhead is the sum
+	// over the population as of the last sample, touched the states that
+	// may have changed theirs since. While overheadValid is false the next
+	// sample sums everything; mergeGen is the merge manager's fusion+split
+	// count as of the last sample.
+	overhead      int64
+	touched       []*vm.State
+	overheadValid bool
+	mergeGen      uint64
 
 	// Speculative-fork pipeline (see speculate.go). specPending holds the
 	// unresolved speculations of the currently executing state, in
@@ -525,6 +541,7 @@ func (e *Engine) scheduleHeap(s *vm.State) {
 
 // adopt integrates mapper- or failure-created states into the engine.
 func (e *Engine) adopt(states []*vm.State) {
+	e.touch(states...)
 	for _, s := range states {
 		e.states = append(e.states, s)
 		e.scheduleHeap(s)
@@ -611,6 +628,7 @@ func (e *Engine) Step() bool {
 			}
 			e.mergeTouched[s.NodeID()] = struct{}{}
 		}
+		e.touch(s)
 		e.processEvent(s)
 		if e.mergeMgr != nil && e.err == nil && !e.aborted {
 			e.maybeMergeScan()
@@ -674,15 +692,16 @@ func (e *Engine) Run() (*Result, error) {
 // once, after Step has returned false.
 func (e *Engine) Finish() *Result {
 	e.closeSpecPool()
-	e.sample()
+	terms := e.sample()
 	// Dissolve the merged frontier before result assembly: scenario
 	// explosion, test-case generation, and fingerprint collection must see
 	// the exact member states. The final sample above still captures the
 	// merged footprint; FinalMem below is comparable to a merge-off run.
-	if e.mergeMgr != nil {
+	if e.mergeMgr != nil && e.mergeMgr.HasReps() {
 		e.mergeMgr.SplitAllIdle()
+		terms = e.modelBytes()
 	}
-	mem := e.modelBytes()
+	mem := terms.Total()
 	res := &Result{
 		Algorithm:    e.cfg.Algorithm,
 		Topology:     e.cfg.Topo.Name(),
@@ -775,8 +794,9 @@ func (e *Engine) Finish() *Result {
 			Synthesized: synthesized,
 		}
 	}
+	res.FinalMemTerms, res.PeakMemTerms = terms, e.peakTerms
 	if res.PeakMem < mem {
-		res.PeakMem = mem
+		res.PeakMem, res.PeakMemTerms = mem, terms
 	}
 	return res
 }
@@ -797,8 +817,9 @@ func (e *Engine) capExceeded() string {
 	if c.MaxWall > 0 && e.priorWall+time.Since(e.started) > c.MaxWall {
 		return fmt.Sprintf("wall-time cap exceeded (%v)", c.MaxWall)
 	}
-	// The memory cap is checked on sampling ticks (see sample), since
-	// computing the modeled footprint walks all states.
+	// The memory cap is checked on sampling ticks (see sample): the
+	// footprint is cheap to read here too, but that would move the abort
+	// point, and so the state counts and digests, of every capped run.
 	return ""
 }
 
@@ -1076,6 +1097,7 @@ func (e *Engine) deliverUnicast(s *vm.State, dst int, payload []*expr.Expr) {
 	senderFP := s.Fingerprint()
 	senderPC := s.PathCond()
 	seq := s.RecordSend(uint32(dst), e.clock, payloadHash)
+	e.touch(del.Receivers...)
 	for _, r := range del.Receivers {
 		if e.mergeTouched != nil {
 			e.mergeTouched[r.NodeID()] = struct{}{}
@@ -1107,11 +1129,13 @@ func payloadDigest(payload []*expr.Expr) uint64 {
 	return h
 }
 
-// sample records a metrics point and enforces the memory cap.
-func (e *Engine) sample() {
-	mem := e.modelBytes()
+// sample records a metrics point, enforces the memory cap, and returns
+// the footprint.
+func (e *Engine) sample() MemTerms {
+	terms := e.modelBytes()
+	mem := terms.Total()
 	if mem > e.peakMem {
-		e.peakMem = mem
+		e.peakMem, e.peakTerms = mem, terms
 	}
 	st := e.ctx.Solver.Stats()
 	sm := metrics.Sample{
@@ -1143,6 +1167,7 @@ func (e *Engine) sample() {
 		e.abort(fmt.Sprintf("memory cap exceeded (%s > %s)",
 			metrics.FormatBytes(mem), metrics.FormatBytes(c)))
 	}
+	return terms
 }
 
 // nodeImageBytes models the per-node program image (the paper's runs
@@ -1150,31 +1175,70 @@ func (e *Engine) sample() {
 // growth).
 const nodeImageBytes = 64 << 10
 
-// modelBytes computes the modeled RAM footprint: every distinct COW page
+// MemTerms splits a modeled RAM footprint into its two terms: growth in
+// Pages is duplicated memory, growth in Overhead duplicated bookkeeping.
+type MemTerms struct {
+	Pages    int64 // node program images + every distinct COW page, once
+	Overhead int64 // Σ vm.State.OverheadBytes: paid even if all pages are shared
+}
+
+// Total returns the footprint the two terms add up to.
+func (m MemTerms) Total() int64 { return m.Pages + m.Overhead }
+
+// modelBytes returns the modeled RAM footprint: every distinct COW page
 // counted once plus per-state bookkeeping overhead. This mirrors what the
 // paper's RSS curves measure — the marginal cost of duplicate states.
-func (e *Engine) modelBytes() int64 {
-	pages := make(map[uint64]struct{}, 1024)
-	var total int64
-	count := func(s *vm.State) {
-		total += int64(s.OverheadBytes())
-		s.ForEachPage(func(id uint64, bytes int) {
-			if _, ok := pages[id]; !ok {
-				pages[id] = struct{}{}
-				total += int64(bytes)
-			}
-		})
-	}
-	for _, s := range e.states {
-		count(s)
-	}
-	// Merged reps live outside the state table but their machines are the
-	// footprint that replaces their members' (frozen shells share nothing).
+//
+// Neither term is recounted. The page term is the context's live-page
+// counter. The overhead term is a running total: only the states touched
+// since the previous call are re-measured, unless the merge manager fused
+// or split since — it rewrites members wholesale and moves reps in and out
+// of the population — and then everything is summed afresh.
+func (e *Engine) modelBytes() MemTerms {
 	if e.mergeMgr != nil {
-		e.mergeMgr.ForEachRep(count)
+		st := e.mergeMgr.Stats()
+		if gen := st.Merges + st.Splits; gen != e.mergeGen {
+			e.mergeGen, e.overheadValid = gen, false
+		}
 	}
-	total += int64(e.cfg.Topo.K()) * nodeImageBytes
-	return total
+	if e.overheadValid {
+		for _, s := range e.touched {
+			_, delta := s.SettleOverhead()
+			e.overhead += int64(delta)
+		}
+	} else {
+		e.overhead = 0
+		sum := func(s *vm.State) {
+			bytes, _ := s.SettleOverhead()
+			e.overhead += int64(bytes)
+		}
+		for _, s := range e.states {
+			sum(s)
+		}
+		// Merged reps live outside the state table but their machines are
+		// the footprint that replaces their members' (frozen shells share
+		// nothing).
+		if e.mergeMgr != nil {
+			e.mergeMgr.ForEachRep(sum)
+		}
+		e.overheadValid = true
+	}
+	e.touched = e.touched[:0]
+	return MemTerms{
+		Pages:    int64(e.cfg.Topo.K())*nodeImageBytes + e.ctx.LivePages()*vm.PageBytes,
+		Overhead: e.overhead,
+	}
+}
+
+// touch marks states whose overhead may change before the next sample.
+func (e *Engine) touch(states ...*vm.State) {
+	if !e.overheadValid {
+		return
+	}
+	e.touched = append(e.touched, states...)
+	if len(e.touched) > len(e.states) { // a full sum is cheaper now; bounds the list with sampling off
+		e.touched, e.overheadValid = e.touched[:0], false
+	}
 }
 
 // engineHooks adapts *Engine to vm.Hooks without exporting the methods on

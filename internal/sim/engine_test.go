@@ -10,7 +10,7 @@ import (
 	"sde/internal/vm"
 )
 
-func buildProg(t *testing.T, f func(b *isa.Builder)) *isa.Program {
+func buildProg(t testing.TB, f func(b *isa.Builder)) *isa.Program {
 	t.Helper()
 	b := isa.NewBuilder()
 	f(b)
@@ -32,7 +32,7 @@ const (
 	noDest        = 0xffffffff
 )
 
-func pingProg(t *testing.T) *isa.Program {
+func pingProg(t testing.TB) *isa.Program {
 	return buildProg(t, func(b *isa.Builder) {
 		boot := b.Func("boot")
 		boot.MovI(isa.R3, 0)

@@ -42,7 +42,7 @@ func (s *State) Reboot(bootFn int, t uint64) {
 		return
 	}
 	s.mem.release()
-	s.mem = newMemory()
+	s.mem = newMemory(s.ctx)
 	zero := s.ctx.Exprs.Const(0, WordBits)
 	for i := range s.regs {
 		s.regs[i] = zero

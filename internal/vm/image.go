@@ -19,18 +19,17 @@ import (
 const PageWords = pageWords
 
 // PageTable deduplicates memory pages across the states of one snapshot.
-// Shared pages (the COW fork case) are interned once, keyed by their
-// process-global identity but numbered densely in first-reference order —
-// a stable numbering that survives encode→decode→encode byte-identically,
-// which raw page ids (fresh per process) would not.
+// Shared pages (the COW fork case) are interned once, keyed by identity
+// but numbered densely in first-reference order — a stable numbering that
+// survives encode→decode→encode byte-identically.
 type PageTable struct {
-	index map[uint64]int // page identity -> dense index
+	index map[*page]int // page -> dense index
 	words [][]*expr.Expr
 }
 
 // NewPageTable returns an empty page table.
 func NewPageTable() *PageTable {
-	return &PageTable{index: make(map[uint64]int)}
+	return &PageTable{index: make(map[*page]int)}
 }
 
 // Pages returns the interned pages in dense index order. Each page is a
@@ -38,11 +37,11 @@ func NewPageTable() *PageTable {
 func (t *PageTable) Pages() [][]*expr.Expr { return t.words }
 
 func (t *PageTable) intern(p *page) int {
-	if i, ok := t.index[p.id]; ok {
+	if i, ok := t.index[p]; ok {
 		return i
 	}
 	i := len(t.words)
-	t.index[p.id] = i
+	t.index[p] = i
 	t.words = append(t.words, append([]*expr.Expr(nil), p.words[:]...))
 	return i
 }
@@ -143,10 +142,8 @@ func (s *State) Image(t *PageTable) StateImage {
 
 // RestoreStates rebuilds live states from images and the snapshot's page
 // table, preserving state ids and re-sharing pages referenced by several
-// states (with fresh process-local page identities, which fingerprints and
-// memory accounting are insensitive to). Each restored state gets a fresh
-// solver session re-warmed on its path condition — solver state is
-// deliberately never serialized.
+// states. Each restored state gets a fresh solver session re-warmed on its
+// path condition — solver state is deliberately never serialized.
 func RestoreStates(ctx *Context, prog *isa.Program, images []StateImage, pages [][]*expr.Expr) ([]*State, error) {
 	for i, pw := range pages {
 		if len(pw) != PageWords {
@@ -188,7 +185,7 @@ func restoreState(ctx *Context, prog *isa.Program, img *StateImage, pages [][]*e
 		prog:     prog,
 		id:       img.ID,
 		node:     img.Node,
-		mem:      newMemory(),
+		mem:      newMemory(ctx),
 		fn:       img.Fn,
 		pc:       img.PC,
 		status:   img.Status,
@@ -244,11 +241,12 @@ func restoreState(ctx *Context, prog *isa.Program, img *StateImage, pages [][]*e
 		prevIdx = int64(ref.MemIndex)
 		p := shared[ref.Page]
 		if p == nil {
-			p = &page{id: pageIDSeq.Add(1)}
+			p = s.mem.newPage()
 			copy(p.words[:], pages[ref.Page])
 			shared[ref.Page] = p
+		} else {
+			p.ref++
 		}
-		p.ref++
 		s.mem.pages[ref.MemIndex] = p
 	}
 	s.sess = ctx.Solver.NewSession()

@@ -432,7 +432,7 @@ func (s *State) AdoptMergedMachine(rep *State, sub, memo map[*expr.Expr]*expr.Ex
 	for i, r := range rep.regs {
 		s.regs[i] = subst(r)
 	}
-	s.mem = newMemory()
+	s.mem = newMemory(s.ctx)
 	for idx, p := range rep.mem.pages {
 		var words [pageWords]*expr.Expr
 		changed := false
@@ -451,7 +451,8 @@ func (s *State) AdoptMergedMachine(rep *State, sub, memo map[*expr.Expr]*expr.Ex
 			s.mem.pages[idx] = p
 			continue
 		}
-		np := &page{id: pageIDSeq.Add(1), ref: 1, words: words}
+		np := s.mem.newPage()
+		np.words = words
 		s.mem.pages[idx] = np
 	}
 	s.frames = append([]frame(nil), rep.frames...)

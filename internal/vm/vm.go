@@ -71,6 +71,12 @@ type Context struct {
 	instrCount  atomic.Uint64
 	forkCount   atomic.Uint64
 
+	// livePages counts the memory pages some state of this context still
+	// references — the page term of the modeled RAM, kept by memory.newPage
+	// and memory.release. States run on the engine's goroutine only, so it
+	// needs no synchronization.
+	livePages int64
+
 	// Fast-path telemetry: block executions taken by the concrete
 	// straight-line path, block entries that fell back to the
 	// interpreter, and instructions answered from load-time constant
@@ -132,6 +138,10 @@ func (c *Context) Instructions() uint64 { return c.instrCount.Load() }
 // Forks returns the total number of local symbolic branches taken.
 func (c *Context) Forks() uint64 { return c.forkCount.Load() }
 
+// LivePages returns the number of distinct memory pages referenced by at
+// least one state of this context that has not been Released.
+func (c *Context) LivePages() int64 { return c.livePages }
+
 func (c *Context) newStateID() uint64 { return c.nextStateID.Add(1) }
 
 // --- copy-on-write memory ---------------------------------------------------
@@ -150,24 +160,27 @@ const (
 // accounting that reproduces the paper's memory curves (4 bytes per word).
 const PageBytes = pageWords * 4
 
-// pageIDSeq hands out process-wide unique page identities so the metrics
-// layer can count shared pages once without comparing pointers.
-var pageIDSeq atomic.Uint64
-
 type page struct {
-	id    uint64
 	ref   int32
 	words [pageWords]*expr.Expr // nil = zero
 }
 
-// memory is a copy-on-write paged store of symbolic words. The zero value
-// is an empty memory where every word reads as concrete 0.
+// memory is a copy-on-write paged store of symbolic words; unwritten
+// words read as concrete 0. live is the context's live-page counter.
 type memory struct {
 	pages map[uint32]*page
+	live  *int64
 }
 
-func newMemory() memory {
-	return memory{pages: make(map[uint32]*page, 8)}
+func newMemory(ctx *Context) memory {
+	return memory{pages: make(map[uint32]*page, 8), live: &ctx.livePages}
+}
+
+// newPage returns a zeroed page holding one reference and counts it live;
+// every page is born here.
+func (m *memory) newPage() *page {
+	*m.live++
+	return &page{ref: 1}
 }
 
 func (m *memory) clone() memory {
@@ -176,7 +189,7 @@ func (m *memory) clone() memory {
 		p.ref++
 		pages[k] = p
 	}
-	return memory{pages: pages}
+	return memory{pages: pages, live: m.live}
 }
 
 func (m *memory) load(addr uint32) *expr.Expr {
@@ -192,10 +205,11 @@ func (m *memory) store(addr uint32, v *expr.Expr) {
 	p := m.pages[idx]
 	switch {
 	case p == nil:
-		p = &page{id: pageIDSeq.Add(1), ref: 1}
+		p = m.newPage()
 		m.pages[idx] = p
 	case p.ref > 1:
-		clone := &page{id: pageIDSeq.Add(1), ref: 1, words: p.words}
+		clone := m.newPage()
+		clone.words = p.words
 		p.ref--
 		m.pages[idx] = clone
 		p = clone
@@ -203,9 +217,13 @@ func (m *memory) store(addr uint32, v *expr.Expr) {
 	p.words[addr&pageMask] = v
 }
 
+// release drops this memory's page references; a page whose last reference
+// goes leaves the live count. A second release finds no pages: a no-op.
 func (m *memory) release() {
 	for _, p := range m.pages {
-		p.ref--
+		if p.ref--; p.ref == 0 {
+			*m.live--
+		}
 	}
 	m.pages = nil
 }
@@ -350,6 +368,8 @@ type State struct {
 
 	steps uint64 // instructions executed by this state (incl. inherited)
 
+	settled int // OverheadBytes as of the last SettleOverhead
+
 	// Speculative-execution bookkeeping (see spec.go). specRemoved counts
 	// provisional constraints removed from pathCond; specRewound marks a
 	// state restored onto a false-side snapshot that must be re-run.
@@ -375,7 +395,7 @@ func NewState(ctx *Context, prog *isa.Program, node int) *State {
 		prog:   prog,
 		id:     ctx.newStateID(),
 		node:   node,
-		mem:    newMemory(),
+		mem:    newMemory(ctx),
 		status: StatusIdle,
 		fn:     -1,
 		sess:   ctx.Solver.NewSession(),
@@ -424,7 +444,7 @@ func (s *State) Fork() *State {
 }
 
 // Release drops the state's references to shared memory pages. The state
-// must not be used afterwards.
+// must not be used afterwards; releasing it again is harmless.
 func (s *State) Release() { s.mem.release() }
 
 // --- event queue -------------------------------------------------------------
@@ -481,17 +501,6 @@ func (s *State) StoreWord(addr uint32, v *expr.Expr) { s.mem.store(addr, v) }
 // reception path that copies payloads into the RX buffer.
 func (s *State) LoadWord(addr uint32) *expr.Expr { return s.loadWord(addr) }
 
-// ForEachPage calls f once per resident memory page with a stable identity
-// and the page's modeled byte size. Shared pages yield the same identity
-// from every state that references them, which lets the metrics layer
-// count them once — reproducing how duplicate states share object memory
-// in KLEE while still paying per-state overhead.
-func (s *State) ForEachPage(f func(id uint64, bytes int)) {
-	for _, p := range s.mem.pages {
-		f(p.id, PageBytes)
-	}
-}
-
 // OverheadBytes models the per-state bookkeeping cost (registers, stack,
 // constraints, history, events) that exists even when all memory pages are
 // shared. This is what makes duplicate states expensive in the paper's RAM
@@ -505,6 +514,16 @@ func (s *State) OverheadBytes() int {
 		len(s.hist)*32 +
 		len(s.trace)*24 +
 		len(s.events)*48
+}
+
+// SettleOverhead returns OverheadBytes and its change since the previous
+// call on this state (all of it on the first; a fork starts unsettled), so
+// the engine can keep a running total without revisiting untouched states.
+func (s *State) SettleOverhead() (bytes, delta int) {
+	bytes = s.OverheadBytes()
+	delta = bytes - s.settled
+	s.settled = bytes
+	return bytes, delta
 }
 
 // RecordSend appends a sent-packet entry to the communication history and

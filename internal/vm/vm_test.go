@@ -751,6 +751,22 @@ func TestOverheadBytesGrows(t *testing.T) {
 	if s.OverheadBytes() <= base {
 		t.Error("overhead accounting ignores history/events/constraints")
 	}
+	// Settling reports the whole overhead once, then only what changed; a
+	// fork has settled nothing yet.
+	if b, d := s.SettleOverhead(); b != s.OverheadBytes() || d != b {
+		t.Errorf("first SettleOverhead = (%d, %d), want (%d, %d)", b, d, s.OverheadBytes(), s.OverheadBytes())
+	}
+	before := s.OverheadBytes()
+	s.RecordSend(1, 1, 0)
+	if _, d := s.SettleOverhead(); d != s.OverheadBytes()-before || d <= 0 {
+		t.Errorf("SettleOverhead delta = %d, want the growth %d", d, s.OverheadBytes()-before)
+	}
+	if _, d := s.SettleOverhead(); d != 0 {
+		t.Errorf("SettleOverhead delta with nothing changed = %d, want 0", d)
+	}
+	if b, d := s.Fork().SettleOverhead(); d != b {
+		t.Errorf("fork's first SettleOverhead = (%d, %d), want its whole overhead as delta", b, d)
+	}
 }
 
 func TestSharedPagesCountedOnce(t *testing.T) {
@@ -759,29 +775,56 @@ func TestSharedPagesCountedOnce(t *testing.T) {
 	s := NewState(ctx, prog, 0)
 	s.StoreWord(0, ctx.Exprs.Const(1, WordBits))
 	s.StoreWord(1000, ctx.Exprs.Const(2, WordBits))
+	if got := ctx.LivePages(); got != 2 {
+		t.Fatalf("live pages = %d, want 2", got)
+	}
 	sib := s.Fork()
-	ids := map[uint64]bool{}
-	count := 0
-	for _, st := range []*State{s, sib} {
-		st.ForEachPage(func(id uint64, bytes int) {
-			ids[id] = true
-			count++
-		})
+	if got := ctx.LivePages(); got != 2 {
+		t.Errorf("live pages after fork = %d, want 2 (pages shared after fork)", got)
 	}
-	if count != 4 {
-		t.Fatalf("page visits = %d, want 4 (2 pages x 2 states)", count)
-	}
-	if len(ids) != 2 {
-		t.Errorf("distinct page ids = %d, want 2 (pages shared after fork)", len(ids))
-	}
-	// Writing one page in the fork splits it.
+	// Writing one page in the fork splits it; writing it again does not.
 	sib.StoreWord(0, ctx.Exprs.Const(3, WordBits))
-	ids = map[uint64]bool{}
-	for _, st := range []*State{s, sib} {
-		st.ForEachPage(func(id uint64, bytes int) { ids[id] = true })
+	sib.StoreWord(1, ctx.Exprs.Const(4, WordBits))
+	if got := ctx.LivePages(); got != 3 {
+		t.Errorf("live pages after COW split = %d, want 3", got)
 	}
-	if len(ids) != 3 {
-		t.Errorf("distinct page ids after COW split = %d, want 3", len(ids))
+	// The original is now the split page's only holder: writing it in
+	// place must not copy.
+	s.StoreWord(0, ctx.Exprs.Const(5, WordBits))
+	if got := ctx.LivePages(); got != 3 {
+		t.Errorf("live pages after in-place write = %d, want 3", got)
+	}
+}
+
+// TestReleaseDropsLivePages: a page leaves the live count with its last
+// holder, and releasing a state twice takes nothing more off the count.
+func TestReleaseDropsLivePages(t *testing.T) {
+	prog := build(t, func(b *isa.Builder) { b.Func("f").Ret() })
+	ctx := NewContext()
+	s := NewState(ctx, prog, 0)
+	s.StoreWord(0, ctx.Exprs.Const(1, WordBits))
+	s.StoreWord(1000, ctx.Exprs.Const(2, WordBits))
+	sib := s.Fork()
+	sib.StoreWord(0, ctx.Exprs.Const(3, WordBits)) // private copy of page 0
+	sib.Release()
+	if got := ctx.LivePages(); got != 2 {
+		t.Fatalf("live pages after releasing the fork = %d, want 2 (its private copy is gone, the shared page stays)", got)
+	}
+	sib.Release()
+	if got := ctx.LivePages(); got != 2 {
+		t.Fatalf("live pages after a second Release = %d, want 2", got)
+	}
+	s.Release()
+	s.Release()
+	if got := ctx.LivePages(); got != 0 {
+		t.Fatalf("live pages after releasing every state = %d, want 0", got)
+	}
+	// Reboot discards volatile memory: the rebooted state's pages die.
+	r := NewState(ctx, prog, 1)
+	r.StoreWord(0, ctx.Exprs.Const(1, WordBits))
+	r.Reboot(0, 0)
+	if got := ctx.LivePages(); got != 0 {
+		t.Fatalf("live pages after reboot = %d, want 0", got)
 	}
 }
 

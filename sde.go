@@ -74,6 +74,10 @@ func FullMesh(k int) *sim.FullMesh { return sim.NewFullMesh(k) }
 // Env is a concrete assignment of symbolic inputs (a test case).
 type Env = expr.Env
 
+// MemTerms splits a modeled memory footprint into page bytes and per-state
+// overhead bytes.
+type MemTerms = sim.MemTerms
+
 // Violation is a failed assertion with its concrete witness.
 type Violation = vm.Violation
 
@@ -429,6 +433,15 @@ func (r *Report) MemBytes() int64 { return r.res.FinalMem }
 
 // PeakMemBytes returns the peak modeled memory footprint.
 func (r *Report) PeakMemBytes() int64 { return r.res.PeakMem }
+
+// MemTerms returns the two terms MemBytes is the sum of: growth in Pages
+// is duplicated memory, growth in Overhead is duplicated bookkeeping.
+func (r *Report) MemTerms() MemTerms { return r.res.FinalMemTerms }
+
+// PeakMemTerms returns the two terms PeakMemBytes is the sum of. It is
+// zero for a resumed run whose peak predates the checkpoint: snapshots
+// carry the peak, not its split.
+func (r *Report) PeakMemTerms() MemTerms { return r.res.PeakMemTerms }
 
 // Instructions returns the total number of instructions executed.
 func (r *Report) Instructions() uint64 { return r.res.Instructions }

@@ -63,6 +63,12 @@ func TestRunScenarioEndToEnd(t *testing.T) {
 			if report.Instructions() == 0 {
 				t.Error("no instructions recorded")
 			}
+			if m := report.MemTerms(); m.Pages <= 0 || m.Overhead <= 0 || m.Total() != report.MemBytes() {
+				t.Errorf("MemTerms %+v do not split MemBytes %d", m, report.MemBytes())
+			}
+			if m := report.PeakMemTerms(); m.Total() != report.PeakMemBytes() {
+				t.Errorf("PeakMemTerms %+v do not split PeakMemBytes %d", m, report.PeakMemBytes())
+			}
 			if !strings.Contains(report.Summary(), algo.String()) {
 				t.Errorf("summary %q lacks algorithm", report.Summary())
 			}
