@@ -75,7 +75,8 @@ func run() (err error) {
 	splitBits := flag.Int("split-bits", 0, "adaptive split depth cap for -sharded (0 = same as -shard-bits)")
 	splitThreshold := flag.Int("split-threshold", 0, "live-state straggler threshold for -sharded (0 = default)")
 	sharedCache := flag.Bool("shared-cache", true, "share one solver cache across shards in -sharded")
-	specWorkers := flag.Int("spec-workers", 0, "solver workers for the speculative-fork pipeline (0 = one per CPU)")
+	var layers sde.Layers
+	layers.RegisterFlags(flag.CommandLine, "spec-workers")
 	jsonBench := flag.Bool("json", false, "run the solver, query-optimizer, and speculation benches and write machine-readable results")
 	jsonOut := flag.String("out", "BENCH_solver.json", "output path for -json")
 	qoptOut := flag.String("qopt-out", "BENCH_qopt.json", "output path for the -json query-optimizer results")
@@ -98,7 +99,7 @@ func run() (err error) {
 	if err := validateWorkerFlag("-workers", *workers); err != nil {
 		return err
 	}
-	if err := validateWorkerFlag("-spec-workers", *specWorkers); err != nil {
+	if err := layers.Validate(); err != nil {
 		return err
 	}
 	stopProf, err := prof.Start(*cpuprofile, *memprofile)
@@ -141,7 +142,7 @@ func run() (err error) {
 		return err
 	}
 	if *sharded {
-		return runSharded(dims[0], uint32(*packets), *workers, *specWorkers, *shardBits,
+		return runSharded(dims[0], uint32(*packets), *workers, layers.SpecWorkers, *shardBits,
 			*splitBits, *splitThreshold, *sharedCache, *wallCap, *checkpoint)
 	}
 	if *table1 {
@@ -195,7 +196,7 @@ func runSharded(dim int, packets uint32, workers, specWorkers, shardBits, splitB
 	if err != nil {
 		return err
 	}
-	scenario = scenario.WithCaps(sde.Caps{MaxWall: wallCap})
+	scenario = scenario.WithCaps(sde.Caps{MaxWall: wallCap}).WithSpeculation(specWorkers)
 	if shardBits > scenario.MaxShardBits() {
 		shardBits = scenario.MaxShardBits()
 		fmt.Printf("(clamping -shard-bits to the scenario's %d shardable nodes)\n", shardBits)
@@ -229,9 +230,8 @@ func runSharded(dim int, packets uint32, workers, specWorkers, shardBits, splitB
 	row("unsharded", plain.Wall(), plain.States(), sde.SchedStats{Shards: 1})
 
 	static, err := sde.RunScenarioShardedWith(scenario, sde.ShardConfig{
-		ShardBits:   shardBits,
-		Workers:     workers,
-		SpecWorkers: specWorkers,
+		ShardBits: shardBits,
+		Workers:   workers,
 	})
 	if err != nil {
 		return err
@@ -240,7 +240,6 @@ func runSharded(dim int, packets uint32, workers, specWorkers, shardBits, splitB
 
 	adaptive, err := sde.RunScenarioShardedWith(scenario, sde.ShardConfig{
 		Workers:           workers,
-		SpecWorkers:       specWorkers,
 		MaxSplitBits:      splitBits,
 		SplitThreshold:    splitThreshold,
 		SharedSolverCache: sharedCache,

@@ -12,15 +12,10 @@
 // snapshots plus a progress journal) and continued after a crash with
 // -resume DIR; a resumed run is bit-identical to an uninterrupted one.
 //
-// Concrete straight-line code runs through a compiled basic-block fast
-// path by default; -merge fuses low-divergence sibling states into
-// ite-valued representatives (off by default); -reduce prunes orbit
-// duplicates under the topology's automorphism group (off by default,
-// violation-set-preserving rather than bit-identical); feasibility
-// solving overlaps with symbolic execution (-spec-workers N sizes the
-// solver pool, 0 = one per CPU). If a run ever looks wrong the triage
-// order is -compile=false first, then -merge=false, then -reduce=false,
-// then -speculate=false, then -qopt=false.
+// The optional execution layers are switched with -compile, -merge,
+// -reduce, -speculate (-spec-workers N sizes its solver pool) and -qopt;
+// sde.Layers documents what each preserves, and if a run ever looks wrong
+// that is also the order to flip them in.
 // -cpuprofile/-memprofile write pprof profiles for the whole run.
 package main
 
@@ -57,19 +52,15 @@ func run() (err error) {
 	analysis := flag.Bool("analysis", false, "print the state-population analysis block")
 	checkpoint := flag.String("checkpoint", "", "write periodic durable checkpoints into this directory")
 	resume := flag.String("resume", "", "resume from the checkpoint in this directory (or start fresh into it)")
-	compile := flag.Bool("compile", true, "basic-block compiled fast path for concrete straight-line code; -compile=false is the FIRST soundness-triage step")
-	merge := flag.Bool("merge", false, "ITE-based state merging (fuse low-divergence sibling states); off by default, triage after -compile")
-	reduce := flag.Bool("reduce", false, "symmetry + partial-order reduction (prune orbit-duplicate states); off by default, triage after -merge")
-	qoptFlag := flag.Bool("qopt", true, "query-optimization pipeline (slicing, rewriting, concretization); triage after -compile, -merge, -reduce, and -speculate")
-	speculate := flag.Bool("speculate", true, "speculative-fork solver pipeline (overlap execution with feasibility solving); triage after -compile, -merge, and -reduce")
-	specWorkers := flag.Int("spec-workers", 0, "solver workers for the speculative-fork pipeline (0 = one per CPU)")
+	var layers sde.Layers
+	layers.RegisterFlags(flag.CommandLine)
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
 
 	debug.SetGCPercent(600)
 
-	if err := validateWorkerFlag("-spec-workers", *specWorkers); err != nil {
+	if err := layers.Validate(); err != nil {
 		return err
 	}
 	stopProf, err := prof.Start(*cpuprofile, *memprofile)
@@ -93,22 +84,11 @@ func run() (err error) {
 		Drops:     *drops,
 		Failures:  *failures,
 		MaxStates: *maxStates,
+		Layers:    layers,
 	}
 	scenario, err := spec.Scenario()
 	if err != nil {
 		return err
-	}
-	if !*compile {
-		scenario = scenario.WithoutCompiledIR()
-	}
-	if *merge {
-		scenario = scenario.WithMerging()
-	}
-	if *reduce {
-		scenario = scenario.WithReduction()
-	}
-	if !*qoptFlag {
-		scenario = scenario.WithoutQueryOptimizer()
 	}
 	// The compiler's static taint pass knows which branches depend on
 	// symbolic input. If the program has such candidate shard points but
@@ -125,11 +105,6 @@ func run() (err error) {
 			// could spread it across a pool or fleet.
 			fmt.Fprintln(os.Stderr, "sde-run: note: with 0 shardable bits a multi-worker run would sit idle; depth-horizon partitioning (depth_horizon in the job API, DepthHorizon in ShardConfig) fans deep exploration out instead")
 		}
-	}
-	if !*speculate {
-		scenario = scenario.WithoutSpeculation()
-	} else if *specWorkers > 0 {
-		scenario = scenario.WithSpeculation(*specWorkers)
 	}
 	if *checkpoint != "" && *resume != "" {
 		return fmt.Errorf("-checkpoint and -resume are mutually exclusive (resume already checkpoints)")
@@ -187,15 +162,6 @@ func run() (err error) {
 		if err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// validateWorkerFlag rejects negative worker counts with a clear error
-// instead of letting them silently fall back to a default downstream.
-func validateWorkerFlag(name string, n int) error {
-	if n < 0 {
-		return fmt.Errorf("%s must be >= 0 (got %d); 0 means one per CPU", name, n)
 	}
 	return nil
 }

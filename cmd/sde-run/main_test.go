@@ -7,9 +7,10 @@ import (
 	"sde"
 )
 
-// The flag-to-scenario translation now lives in sde.ScenarioSpec (tested
-// in the root package); here we cover what remains local: flag validation
-// and the spec assembled from CLI defaults actually running.
+// The flag-to-scenario translation lives in sde.ScenarioSpec and the layer
+// flags in sde.Layers (both tested where they are defined); here we cover
+// what remains local: the spec assembled from CLI defaults actually
+// running, and the shardability note.
 
 func TestSpecFromFlagsRuns(t *testing.T) {
 	spec := sde.ScenarioSpec{
@@ -29,35 +30,6 @@ func TestSpecFromFlagsRuns(t *testing.T) {
 	}
 	if !strings.Contains(report.Summary(), "SDS") {
 		t.Errorf("summary = %q", report.Summary())
-	}
-}
-
-// TestValidateWorkerFlag: negative worker counts must be rejected with an
-// error naming the flag, not silently mapped to a default.
-func TestValidateWorkerFlag(t *testing.T) {
-	cases := []struct {
-		name string
-		n    int
-		ok   bool
-	}{
-		{"-spec-workers", 0, true},
-		{"-spec-workers", 1, true},
-		{"-spec-workers", 64, true},
-		{"-spec-workers", -1, false},
-		{"-spec-workers", -8, false},
-	}
-	for _, tt := range cases {
-		err := validateWorkerFlag(tt.name, tt.n)
-		if tt.ok && err != nil {
-			t.Errorf("validateWorkerFlag(%q, %d) = %v, want nil", tt.name, tt.n, err)
-		}
-		if !tt.ok {
-			if err == nil {
-				t.Errorf("validateWorkerFlag(%q, %d) accepted a negative count", tt.name, tt.n)
-			} else if !strings.Contains(err.Error(), tt.name) {
-				t.Errorf("error %q does not name the flag %q", err, tt.name)
-			}
-		}
 	}
 }
 

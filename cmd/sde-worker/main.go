@@ -11,6 +11,9 @@
 // mid-lease loses nothing (the coordinator requeues the lease, and a
 // worker restarted with the same -workdir resumes from its own
 // checkpoints). -retry makes it reconnect after coordinator restarts.
+// It has no layer flags: which layers a lease runs with is part of the job
+// (the "layers" field of its spec), so a job's result cannot depend on
+// which worker happened to execute which lease.
 //
 // -crash-after-checkpoints N is a chaos hook for recovery testing: the
 // process exits abruptly (code 3, no protocol goodbye) once the active
@@ -47,11 +50,6 @@ func run() error {
 	workdir := flag.String("workdir", "", "checkpoint work directory, required")
 	heartbeat := flag.Duration("heartbeat", 500*time.Millisecond, "heartbeat interval while executing a lease")
 	checkpointEvery := flag.Int("checkpoint-every", 0, "checkpoint interval in events (0 = engine default)")
-	compile := flag.Bool("compile", true, "basic-block compiled fast path; -compile=false is the first soundness-triage step")
-	merge := flag.Bool("merge", false, "ITE-based state merging; off by default, triage after -compile")
-	reduce := flag.Bool("reduce", false, "symmetry + partial-order reduction; off by default, triage after -merge")
-	speculate := flag.Bool("speculate", true, "speculative-fork solver pipeline")
-	specWorkers := flag.Int("spec-workers", 0, "solver workers for the speculative pipeline (0 = one per CPU)")
 	splitStates := flag.Int("split-states", 0, "self-split a lease above this many live states when the queue is starved (0 = never)")
 	splitAfter := flag.Duration("split-after", 2*time.Second, "minimum lease runtime before self-splitting")
 	crashAfter := flag.Int("crash-after-checkpoints", 0, "chaos hook: crash abruptly after observing the lease checkpoint N times")
@@ -64,9 +62,6 @@ func run() error {
 	}
 	if *workdir == "" {
 		return fmt.Errorf("-workdir is required")
-	}
-	if *specWorkers < 0 {
-		return fmt.Errorf("-spec-workers must be >= 0 (got %d)", *specWorkers)
 	}
 	if *name == "" {
 		host, _ := os.Hostname()
@@ -93,11 +88,6 @@ func run() error {
 		WorkDir:               *workdir,
 		HeartbeatEvery:        *heartbeat,
 		CheckpointEvery:       *checkpointEvery,
-		DisableSpeculation:    !*speculate,
-		SpecWorkers:           *specWorkers,
-		DisableCompiledIR:     !*compile,
-		EnableMerge:           *merge,
-		EnableReduce:          *reduce,
 		SplitStates:           *splitStates,
 		SplitAfter:            *splitAfter,
 		CrashAfterCheckpoints: *crashAfter,

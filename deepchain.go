@@ -14,7 +14,7 @@ import "fmt"
 type DeepChainOptions struct {
 	// K is the line length (source + K-1 relays; K >= 2).
 	K int
-	// Algorithm is the state mapping algorithm.
+	// Algorithm is the state mapping algorithm (default SDS).
 	Algorithm Algorithm
 	// Packets is how many packets the source emits (default 2; at least
 	// 2 keeps every relay's first reception feasible in every drop
@@ -44,6 +44,9 @@ const (
 func DeepChainScenario(opts DeepChainOptions) (Scenario, error) {
 	if opts.K < 2 {
 		return Scenario{}, fmt.Errorf("sde: deep chain needs K >= 2 (got %d)", opts.K)
+	}
+	if opts.Algorithm == 0 {
+		opts.Algorithm = SDS
 	}
 	if opts.Packets == 0 {
 		opts.Packets = 2

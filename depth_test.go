@@ -8,11 +8,11 @@ package sde_test
 // bit-for-bit under the same (horizon, fanout) pair.
 
 import (
-	"path/filepath"
 	"strings"
 	"testing"
 
 	"sde"
+	"sde/internal/shard"
 )
 
 func TestContinuationLabelAndDir(t *testing.T) {
@@ -124,53 +124,6 @@ func TestDepthHorizonDigestDeterministic(t *testing.T) {
 	}
 }
 
-// leaseAllDepth drives the worker path by hand: a queue of work items
-// executed through RunShardLease with the coordinator's exact fan-out
-// rule (clamp the configured fanout to the suspended frontier's units,
-// floor 1), collecting finished leaves for assembly.
-func leaseAllDepth(t *testing.T, s sde.Scenario, root string, horizon uint64, fanout int) []sde.ShardLeaf {
-	t.Helper()
-	type qitem struct {
-		item   sde.ShardItem
-		target uint64
-		parent []byte
-	}
-	queue := []qitem{{item: sde.ShardItem{}, target: horizon}}
-	var leaves []sde.ShardLeaf
-	for len(queue) > 0 {
-		q := queue[0]
-		queue = queue[1:]
-		out, err := sde.RunShardLease(s, q.item, sde.LeaseOptions{
-			CheckpointDir: filepath.Join(root, q.item.Dir()),
-			EventTarget:   q.target,
-			Continuation:  q.parent,
-		})
-		if err != nil {
-			t.Fatalf("lease %s: %v", q.item.Label(), err)
-		}
-		if !out.Suspended {
-			leaves = append(leaves, sde.ShardLeaf{Item: q.item, Snapshot: out.Snapshot})
-			continue
-		}
-		f := fanout
-		if f > out.Units {
-			f = out.Units
-		}
-		if f < 1 {
-			f = 1
-		}
-		for seg := 0; seg < f; seg++ {
-			cont := append(append([]sde.ContStep(nil), q.item.Cont...), sde.ContStep{Seg: seg, Of: f})
-			queue = append(queue, qitem{
-				item:   sde.ShardItem{Depth: q.item.Depth, Bits: q.item.Bits, Cont: cont},
-				target: out.Events + horizon,
-				parent: out.Snapshot,
-			})
-		}
-	}
-	return leaves
-}
-
 // TestDepthLeaseRoundTrip is the distributed half of the bit-identity
 // property for the depth dimension: executing the continuation tree
 // lease by lease (the worker path) and assembling the shipped leaves
@@ -191,7 +144,7 @@ func TestDepthLeaseRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			leaves := leaseAllDepth(t, scenario, t.TempDir(), horizon, 2)
+			leaves := leaseCover(t, scenario, t.TempDir(), shard.Partition{DepthHorizon: horizon}, nil)
 			if len(leaves) < 2 && algo == sde.COB {
 				t.Fatalf("COB lease tree produced %d leaves, want a fan-out", len(leaves))
 			}

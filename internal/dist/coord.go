@@ -9,6 +9,7 @@ import (
 
 	"sde"
 	"sde/internal/metrics"
+	"sde/internal/shard"
 	"sde/internal/snap"
 )
 
@@ -58,50 +59,27 @@ type Coordinator struct {
 }
 
 type job struct {
-	id            string
-	spec          sde.ScenarioSpec
-	shardBits     int
-	testCases     int
-	depthHorizon  uint64
-	horizonFanout int
-	scenario      sde.Scenario
-	state         string
-	queue         []queued
-	outstanding   map[uint64]bool
-	leaves        []sde.ShardLeaf
-	// conts holds suspended frontiers by id, reference-counted by the
-	// continuation items that still need them: a blob is freed when its
-	// last slice completes (or suspends again), and wholesale when the
-	// job reaches a terminal state.
-	conts    map[uint64]*contBlob
-	nextCont uint64
-	report   *sde.ShardedReport
-	digest   string
-	errMsg   string
-	done     chan struct{}
-}
-
-// queued is one queue entry: the item plus its depth-dimension context —
-// the absolute event count of its next horizon and, for continuation
-// items, the id of the suspended parent frontier it resumes from.
-type queued struct {
-	item   sde.ShardItem
-	target uint64
-	contID uint64
-}
-
-// contBlob is a suspended frontier held for its continuation items.
-type contBlob struct {
-	data []byte
-	refs int
+	id        string
+	spec      sde.ScenarioSpec
+	shardBits int
+	testCases int
+	scenario  sde.Scenario
+	state     string
+	// q is the job's shard queue: queued and leased tasks (each holding
+	// the suspended frontier it resumes from) and the leaves shipped so
+	// far. A frontier is freed when its last task completes or suspends
+	// again, and wholesale when the job is cancelled.
+	q      *shard.Queue[sde.ShardLeaf]
+	report *sde.ShardedReport
+	digest string
+	errMsg string
+	done   chan struct{}
 }
 
 type lease struct {
 	id       uint64
 	jobID    string
-	item     sde.ShardItem
-	target   uint64
-	contID   uint64
+	task     *shard.Task
 	worker   string
 	holder   *workerConn
 	lastBeat time.Time
@@ -232,15 +210,10 @@ type JobOptions struct {
 	// TestCases is the per-shard test-case budget the job digest is
 	// computed with.
 	TestCases int
-	// DepthHorizon, when non-zero, adds exploration depth as a second
-	// shard dimension (see sde.ShardConfig.DepthHorizon): leases suspend
-	// at multiples of the horizon and their frontiers fan out as
-	// continuation items. Part of the partition definition — in-process
-	// digest oracles must use the same value.
-	DepthHorizon uint64
-	// HorizonFanout is the continuation fan-out per suspension (default
-	// 2 when DepthHorizon is set; clamped per suspension to what the
-	// frontier supports). Never derived from fleet size.
+	// DepthHorizon and HorizonFanout are the depth dimension of the
+	// partition, exactly as in sde.ShardConfig: in-process digest oracles
+	// must use the same values.
+	DepthHorizon  uint64
 	HorizonFanout int
 }
 
@@ -258,18 +231,18 @@ func (c *Coordinator) AddJobWith(spec sde.ScenarioSpec, opts JobOptions) (string
 	if err != nil {
 		return "", err
 	}
-	shardBits := opts.ShardBits
-	if shardBits < 0 {
-		return "", fmt.Errorf("dist: shard bits must be >= 0 (got %d)", shardBits)
+	if opts.ShardBits < 0 {
+		return "", fmt.Errorf("dist: shard bits must be >= 0 (got %d)", opts.ShardBits)
 	}
-	if opts.HorizonFanout < 0 {
-		return "", fmt.Errorf("dist: horizon fanout must be >= 0 (got %d)", opts.HorizonFanout)
-	}
-	fanout := opts.HorizonFanout
-	if opts.DepthHorizon == 0 {
-		fanout = 0
-	} else if fanout == 0 {
-		fanout = 2
+	maxBits := scenario.MaxShardBits()
+	shardBits := min(opts.ShardBits, maxBits)
+	q, err := shard.New[sde.ShardLeaf](shard.Partition{
+		ShardBits:     shardBits,
+		DepthHorizon:  opts.DepthHorizon,
+		HorizonFanout: opts.HorizonFanout,
+	}, maxBits, maxBits)
+	if err != nil {
+		return "", fmt.Errorf("dist: %w", err)
 	}
 	// Same heads-up sde-run prints for flag-driven runs: a spec whose
 	// program has candidate shard points but no shardable nodes yields a
@@ -277,11 +250,8 @@ func (c *Coordinator) AddJobWith(spec sde.ScenarioSpec, opts JobOptions) (string
 	if note := scenario.ShardabilityNote(); note != "" {
 		c.logf("job spec %s: %s", spec, note)
 	}
-	if scenario.MaxShardBits() == 0 && opts.DepthHorizon == 0 {
+	if maxBits == 0 && opts.DepthHorizon == 0 {
 		c.logf("job spec %s: 0 shardable bits and no depth horizon — the job runs as a single lease and a multi-worker fleet sits idle; set a depth horizon to fan deep exploration out", spec)
-	}
-	if max := scenario.MaxShardBits(); shardBits > max {
-		shardBits = max
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -290,29 +260,20 @@ func (c *Coordinator) AddJobWith(spec sde.ScenarioSpec, opts JobOptions) (string
 	}
 	c.nextJobID++
 	j := &job{
-		id:            fmt.Sprintf("job-%d", c.nextJobID),
-		spec:          spec,
-		shardBits:     shardBits,
-		testCases:     opts.TestCases,
-		depthHorizon:  opts.DepthHorizon,
-		horizonFanout: fanout,
-		scenario:      scenario,
-		state:         JobRunning,
-		outstanding:   make(map[uint64]bool),
-		conts:         make(map[uint64]*contBlob),
-		done:          make(chan struct{}),
-	}
-	for bits := uint64(0); bits < 1<<uint(shardBits); bits++ {
-		j.queue = append(j.queue, queued{
-			item:   sde.ShardItem{Depth: shardBits, Bits: bits},
-			target: opts.DepthHorizon,
-		})
+		id:        fmt.Sprintf("job-%d", c.nextJobID),
+		spec:      spec,
+		shardBits: shardBits,
+		testCases: opts.TestCases,
+		scenario:  scenario,
+		state:     JobRunning,
+		q:         q,
+		done:      make(chan struct{}),
 	}
 	c.jobs[j.id] = j
 	c.order = append(c.order, j.id)
 	c.reg.Add("sde_jobs_submitted_total", nil, 1)
 	c.reg.Set("sde_jobs_active", nil, float64(c.activeJobsLocked()))
-	c.logf("job %s submitted: %s, %d initial shards", j.id, spec, len(j.queue))
+	c.logf("job %s submitted: %s, %d initial shards", j.id, spec, q.Queued())
 	return j.id, nil
 }
 
@@ -329,8 +290,7 @@ func (c *Coordinator) CancelJob(id string) error {
 		return nil
 	}
 	j.state = JobCancelled
-	j.queue = nil
-	j.conts = nil
+	j.q.Abandon()
 	c.reg.Set("sde_continuation_blobs", nil, float64(c.contBlobsLocked()))
 	close(j.done)
 	c.reg.Set("sde_jobs_active", nil, float64(c.activeJobsLocked()))
@@ -366,9 +326,9 @@ func (c *Coordinator) statusLocked(j *job) JobStatus {
 		State:       j.state,
 		Spec:        j.spec,
 		ShardBits:   j.shardBits,
-		Queued:      len(j.queue),
-		Outstanding: len(j.outstanding),
-		Completed:   len(j.leaves),
+		Queued:      j.q.Queued(),
+		Outstanding: j.q.InFlight(),
+		Completed:   len(j.q.Leaves()),
 		Digest:      j.digest,
 		Error:       j.errMsg,
 	}
@@ -424,27 +384,9 @@ func (c *Coordinator) activeJobsLocked() int {
 func (c *Coordinator) contBlobsLocked() int {
 	n := 0
 	for _, j := range c.jobs {
-		n += len(j.conts)
+		n += j.q.Frontiers()
 	}
 	return n
-}
-
-// releaseContLocked drops one reference to a suspended frontier; the
-// blob is freed when its last continuation item has completed or
-// suspended again.
-func (c *Coordinator) releaseContLocked(j *job, contID uint64) {
-	if contID == 0 || j.conts == nil {
-		return
-	}
-	b := j.conts[contID]
-	if b == nil {
-		return
-	}
-	b.refs--
-	if b.refs <= 0 {
-		delete(j.conts, contID)
-		c.reg.Set("sde_continuation_blobs", nil, float64(c.contBlobsLocked()))
-	}
 }
 
 // handleConn speaks the worker protocol on one connection.
@@ -553,20 +495,21 @@ func (c *Coordinator) handleConn(conn net.Conn) {
 	}
 }
 
-// grantLease answers a Ready: pop a work item round-robin across running
+// grantLease answers a Ready: take a task round-robin across running
 // jobs, or tell the worker to retry.
 func (c *Coordinator) grantLease(w *workerConn) error {
 	c.mu.Lock()
 	var (
-		j  *job
-		qi queued
+		j *job
+		t *shard.Task
 	)
 	for off := 0; off < len(c.order); off++ {
 		cand := c.jobs[c.order[(c.rr+off)%len(c.order)]]
-		if cand.state == JobRunning && len(cand.queue) > 0 {
+		if cand.state != JobRunning {
+			continue
+		}
+		if t = cand.q.Take(0); t != nil {
 			j = cand
-			qi = cand.queue[0]
-			cand.queue = cand.queue[1:]
 			c.rr = (c.rr + off + 1) % len(c.order)
 			break
 		}
@@ -580,39 +523,30 @@ func (c *Coordinator) grantLease(w *workerConn) error {
 	l := &lease{
 		id:       c.nextLease,
 		jobID:    j.id,
-		item:     qi.item,
-		target:   qi.target,
-		contID:   qi.contID,
+		task:     t,
 		worker:   w.name,
 		holder:   w,
 		lastBeat: time.Now(),
 	}
 	c.leases[l.id] = l
-	j.outstanding[l.id] = true
 	msg := Lease{
-		ID:            l.id,
-		Job:           j.id,
-		Spec:          j.spec,
-		Item:          qi.item,
-		MaxSplitDepth: j.scenario.MaxShardBits(),
-		EventTarget:   qi.target,
-	}
-	// Continuation items ship the suspended parent frontier with the
-	// lease; blobs are immutable once stored, so the bytes may be written
-	// outside the lock.
-	var parent []byte
-	if qi.contID != 0 {
-		if b := j.conts[qi.contID]; b != nil {
-			parent = b.data
-		}
+		ID:          l.id,
+		Job:         j.id,
+		Spec:        j.spec,
+		Item:        t.Item,
+		Splittable:  j.q.Splittable(t),
+		EventTarget: t.Target,
 	}
 	c.mu.Unlock()
 	c.reg.Add("sde_leases_issued_total", map[string]string{"worker": w.name}, 1)
 	c.reg.AddGauge("sde_worker_leases_active", map[string]string{"worker": w.name}, 1)
-	c.logf("lease %d: shard %s of %s -> %s", l.id, qi.item.Label(), j.id, w.name)
-	if qi.contID != 0 {
+	c.logf("lease %d: shard %s of %s -> %s", l.id, t.Item.Label(), j.id, w.name)
+	if len(t.Item.Cont) > 0 {
+		// A continuation item ships the suspended parent frontier with the
+		// lease; frontiers are immutable once stored, so the bytes may be
+		// written outside the lock.
 		c.reg.Add("sde_continuation_leases_total", nil, 1)
-		return writeContLease(w.conn, msg, parent)
+		return writeContLease(w.conn, msg, t.Parent)
 	}
 	return writeMsg(w.conn, MsgLease, msg)
 }
@@ -638,130 +572,95 @@ func (c *Coordinator) beat(w *workerConn, hb Heartbeat) HeartbeatAck {
 	}
 	queued := 0
 	for _, id := range c.order {
-		queued += len(c.jobs[id].queue)
+		queued += c.jobs[id].q.Queued()
 	}
 	ack.Starved = queued == 0
 	return ack
 }
 
-// split abandons a straggling lease and queues its two child sub-spaces.
-func (c *Coordinator) split(w *workerConn, leaseID uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	l, ok := c.leases[leaseID]
+// takeLeaseLocked closes the books on a lease a worker reported on: it
+// returns the lease and its job when the report is current — the lease is
+// still held by w and its job still running — and nils otherwise.
+func (c *Coordinator) takeLeaseLocked(w *workerConn, id uint64) (*lease, *job) {
+	l, ok := c.leases[id]
 	if !ok || l.holder != w {
-		return
+		c.logf("worker %s: report for unknown lease %d dropped", w.name, id)
+		return nil, nil
 	}
 	c.dropLeaseLocked(l)
 	j := c.jobs[l.jobID]
 	if j == nil || j.state != JobRunning {
+		return nil, nil
+	}
+	return l, j
+}
+
+// split abandons a straggling lease; the queue replaces the item with its
+// two child sub-spaces, or requeues it whole when it cannot be split.
+func (c *Coordinator) split(w *workerConn, leaseID uint64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	l, j := c.takeLeaseLocked(w, leaseID)
+	if l == nil {
 		return
 	}
-	it := l.item
-	if it.Depth >= j.scenario.MaxShardBits() || len(it.Cont) > 0 {
-		// Cannot split further — no bits left to pin, or a continuation
-		// item whose pinned decisions already materialised inside its
-		// parent frontier. Run it whole on the next worker.
-		j.queue = append(j.queue, queued{item: it, target: l.target, contID: l.contID})
+	if split, _ := j.q.Split(l.task); !split {
 		c.reg.Add("sde_lease_requeues_total", map[string]string{"reason": "unsplittable"}, 1)
 		return
 	}
-	j.queue = append(j.queue,
-		queued{item: sde.ShardItem{Depth: it.Depth + 1, Bits: it.Bits}, target: l.target},
-		queued{item: sde.ShardItem{Depth: it.Depth + 1, Bits: it.Bits | 1<<uint(it.Depth)}, target: l.target})
 	c.reg.Add("sde_lease_splits_total", nil, 1)
-	c.logf("lease %d: shard %s of %s split", leaseID, it.Label(), l.jobID)
+	c.logf("lease %d: shard %s of %s split", leaseID, l.task.Item.Label(), l.jobID)
 }
 
 // completeLease records a finished leaf and finalises the job when it
 // was the last one.
 func (c *Coordinator) completeLease(w *workerConn, hdr ResultHeader, snapshot []byte) {
 	c.mu.Lock()
-	l, ok := c.leases[hdr.Lease]
-	if !ok || l.holder != w {
-		c.mu.Unlock()
-		c.logf("worker %s: result for unknown lease %d dropped", w.name, hdr.Lease)
-		return
-	}
-	c.dropLeaseLocked(l)
-	j := c.jobs[l.jobID]
-	if j == nil || j.state != JobRunning {
+	l, j := c.takeLeaseLocked(w, hdr.Lease)
+	if l == nil {
 		c.mu.Unlock()
 		return
 	}
 	if hdr.Stopped {
 		// The worker honoured a cancellation that has since been
-		// rescinded, or stopped for its own reasons: requeue (keeping the
-		// parent-frontier reference — the item will run again).
-		c.requeueItemLocked(j, queued{item: l.item, target: l.target, contID: l.contID}, "stopped")
+		// rescinded, or stopped for its own reasons: the item runs again.
+		c.requeueTaskLocked(j, l.task, "stopped")
 		c.mu.Unlock()
 		return
 	}
-	j.leaves = append(j.leaves, sde.ShardLeaf{Item: l.item, Snapshot: snapshot})
-	c.releaseContLocked(j, l.contID)
+	j.q.Leaf(l.task, sde.ShardLeaf{Item: l.task.Item, Snapshot: snapshot})
 	c.reg.Add("sde_results_total", map[string]string{"worker": w.name}, 1)
-	finished := len(j.queue) == 0 && len(j.outstanding) == 0
+	if len(l.task.Parent) > 0 {
+		c.reg.Set("sde_continuation_blobs", nil, float64(c.contBlobsLocked()))
+	}
+	finished := j.q.Done()
 	c.mu.Unlock()
 	c.logf("lease %d: shard %s of %s complete (%d bytes)",
-		hdr.Lease, l.item.Label(), l.jobID, len(snapshot))
+		hdr.Lease, l.task.Item.Label(), l.jobID, len(snapshot))
 	if finished {
 		c.finalizeJob(j)
 	}
 }
 
-// suspendLease records a lease that hit its depth horizon: the shipped
-// frontier is stored and fanned out as continuation items — the job's
-// fan-out clamped to what the frontier supports — each targeting the
-// next horizon. The suspended item itself is done; its sub-space is now
-// exactly covered by its continuation children.
+// suspendLease records a lease that hit its depth horizon: the queue fans
+// the shipped frontier out as continuation items.
 func (c *Coordinator) suspendLease(w *workerConn, hdr SuspendHeader, frontier []byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	l, ok := c.leases[hdr.Lease]
-	if !ok || l.holder != w {
-		c.logf("worker %s: suspend for unknown lease %d dropped", w.name, hdr.Lease)
+	l, j := c.takeLeaseLocked(w, hdr.Lease)
+	if l == nil {
 		return
 	}
-	c.dropLeaseLocked(l)
-	j := c.jobs[l.jobID]
-	if j == nil || j.state != JobRunning {
-		return
-	}
-	if j.depthHorizon == 0 || hdr.Units < 1 {
-		// A suspension we never asked for (or an unusable one) would
-		// leave a hole in the cover: requeue the item to run again.
-		c.requeueItemLocked(j, queued{item: l.item, target: l.target, contID: l.contID}, "bad-suspend")
+	fanout, _ := j.q.Suspend(l.task, hdr.Units, hdr.Events, frontier)
+	if fanout == 0 {
+		c.reg.Add("sde_lease_requeues_total", map[string]string{"reason": "bad-suspend"}, 1)
 		c.logf("lease %d: unexpected suspend from %s requeued", hdr.Lease, w.name)
 		return
-	}
-	f := j.horizonFanout
-	if f > hdr.Units {
-		f = hdr.Units
-	}
-	if f < 1 {
-		f = 1
-	}
-	j.nextCont++
-	contID := j.nextCont
-	j.conts[contID] = &contBlob{data: frontier, refs: f}
-	// The parent frontier this lease resumed from is no longer needed by
-	// this item — its continuation work is now covered by the children.
-	c.releaseContLocked(j, l.contID)
-	target := hdr.Events + j.depthHorizon
-	for seg := 0; seg < f; seg++ {
-		cont := make([]sde.ContStep, len(l.item.Cont)+1)
-		copy(cont, l.item.Cont)
-		cont[len(l.item.Cont)] = sde.ContStep{Seg: seg, Of: f}
-		j.queue = append(j.queue, queued{
-			item:   sde.ShardItem{Depth: l.item.Depth, Bits: l.item.Bits, Cont: cont},
-			target: target,
-			contID: contID,
-		})
 	}
 	c.reg.Add("sde_lease_suspensions_total", nil, 1)
 	c.reg.Set("sde_continuation_blobs", nil, float64(c.contBlobsLocked()))
 	c.logf("lease %d: shard %s of %s suspended at %d events (%d units) -> %d continuations",
-		hdr.Lease, l.item.Label(), l.jobID, hdr.Events, hdr.Units, f)
+		hdr.Lease, l.task.Item.Label(), l.jobID, hdr.Events, hdr.Units, fanout)
 }
 
 // failLease requeues a lease whose execution errored worker-side.
@@ -779,26 +678,22 @@ func (c *Coordinator) failLease(w *workerConn, em ErrorMsg) {
 // dropLeaseLocked removes a lease from the books without requeueing.
 func (c *Coordinator) dropLeaseLocked(l *lease) {
 	delete(c.leases, l.id)
-	if j := c.jobs[l.jobID]; j != nil {
-		delete(j.outstanding, l.id)
-	}
 	c.reg.AddGauge("sde_worker_leases_active", map[string]string{"worker": l.worker}, -1)
 }
 
-// requeueLocked returns a lease's item to its job's queue.
+// requeueLocked returns a lost lease's task to its job's queue.
 func (c *Coordinator) requeueLocked(l *lease, reason string) {
 	c.dropLeaseLocked(l)
 	j := c.jobs[l.jobID]
 	if j == nil || j.state != JobRunning {
 		return
 	}
-	c.requeueItemLocked(j, queued{item: l.item, target: l.target, contID: l.contID}, reason)
-	c.logf("lease %d: shard %s of %s requeued (%s)", l.id, l.item.Label(), l.jobID, reason)
+	c.requeueTaskLocked(j, l.task, reason)
+	c.logf("lease %d: shard %s of %s requeued (%s)", l.id, l.task.Item.Label(), l.jobID, reason)
 }
 
-func (c *Coordinator) requeueItemLocked(j *job, qi queued, reason string) {
-	// Front of the queue: a recovered item is the oldest work we have.
-	j.queue = append([]queued{qi}, j.queue...)
+func (c *Coordinator) requeueTaskLocked(j *job, t *shard.Task, reason string) {
+	j.q.Requeue(t)
 	c.reg.Add("sde_lease_requeues_total", map[string]string{"reason": reason}, 1)
 }
 
@@ -810,7 +705,7 @@ func (c *Coordinator) finalizeJob(j *job) {
 		c.mu.Unlock()
 		return
 	}
-	leaves := j.leaves
+	leaves := j.q.Leaves()
 	scenario := j.scenario
 	testCases := j.testCases
 	c.mu.Unlock()
@@ -834,8 +729,6 @@ func (c *Coordinator) finalizeJob(j *job) {
 		j.report = report
 		j.digest = digest
 	}
-	j.conts = nil
-	c.reg.Set("sde_continuation_blobs", nil, float64(c.contBlobsLocked()))
 	close(j.done)
 	c.reg.Set("sde_jobs_active", nil, float64(c.activeJobsLocked()))
 	c.mu.Unlock()

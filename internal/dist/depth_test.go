@@ -168,15 +168,15 @@ func TestServiceDepthCrashRecovery(t *testing.T) {
 	}
 }
 
-// TestSplitWanted pins the straggler self-split predicate, in particular
-// that continuation leases never bit-split: their pinned decisions
-// already materialised inside the parent frontier, so the depth
-// dimension is the only way to subdivide them further.
+// TestSplitWanted pins the worker half of the straggler self-split
+// predicate. Whether an item can be subdivided at all — the depth cap,
+// continuation items never bit-splitting — is the queue's rule, tested in
+// internal/shard; the worker only honours the lease's Splittable flag.
 func TestSplitWanted(t *testing.T) {
 	armed := WorkerOptions{SplitStates: 10, SplitAfter: time.Second}
-	plain := Lease{Item: sde.ShardItem{Depth: 1, Bits: 0}, MaxSplitDepth: 4}
-	cont := plain
-	cont.Item.Cont = []sde.ContStep{{Seg: 0, Of: 2}}
+	plain := Lease{Item: sde.ShardItem{Depth: 1, Bits: 0}, Splittable: true}
+	fixed := plain
+	fixed.Splittable = false
 
 	cases := []struct {
 		name    string
@@ -192,12 +192,7 @@ func TestSplitWanted(t *testing.T) {
 		{"below state threshold", armed, plain, 10, 2 * time.Second, true, false},
 		{"inside grace period", armed, plain, 11, 500 * time.Millisecond, true, false},
 		{"queue not starved", armed, plain, 11, 2 * time.Second, false, false},
-		{"at split depth cap", armed, func() Lease {
-			l := plain
-			l.Item.Depth = 4
-			return l
-		}(), 11, 2 * time.Second, true, false},
-		{"continuation lease never splits", armed, cont, 11, 2 * time.Second, true, false},
+		{"item not splittable", armed, fixed, 11, 2 * time.Second, true, false},
 	}
 	for _, tc := range cases {
 		tc := tc

@@ -1,0 +1,234 @@
+package dist
+
+// A scenario's layer set must survive every way of running it. The layers
+// live on the scenario (in a fleet: in the job's spec) and nowhere else,
+// so no run path has anything to overwrite them with — these tests pin
+// that from the outside, through each layer's own activity counter.
+
+import (
+	"context"
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"sync"
+	"testing"
+	"time"
+
+	"sde"
+)
+
+// observer collects the live per-lease reports of a fleet run.
+type observer struct {
+	mu      sync.Mutex
+	reports []*sde.Report
+}
+
+func (o *observer) observe(_ Lease, out *sde.LeaseOutcome) {
+	o.mu.Lock()
+	o.reports = append(o.reports, out.Report)
+	o.mu.Unlock()
+}
+
+// runFleetJob runs one job on a fresh coordinator with two workers and
+// returns its final status plus every executed lease's report.
+func runFleetJob(t *testing.T, spec sde.ScenarioSpec, opts JobOptions) (JobStatus, *Coordinator, []*sde.Report) {
+	t.Helper()
+	c, addr := startCoordinator(t, Options{RetryMillis: 10})
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
+	var obs observer
+	startWorker(t, ctx, addr, WorkerOptions{Name: "w0", observe: obs.observe})
+	startWorker(t, ctx, addr, WorkerOptions{Name: "w1", observe: obs.observe})
+	id, err := c.AddJobWith(spec, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := waitJob(t, c, id, 60*time.Second)
+	if st.State != JobDone {
+		t.Fatalf("job state = %s (%s)", st.State, st.Error)
+	}
+	obs.mu.Lock()
+	defer obs.mu.Unlock()
+	return st, c, obs.reports
+}
+
+// TestLayersSurviveEveryRunPath: for each layer, on and off, the layer's
+// own counter is zero exactly when the scenario switched the layer off —
+// under RunScenario, the in-process shard pool, a single work lease, and a
+// coordinator with two workers.
+func TestLayersSurviveEveryRunPath(t *testing.T) {
+	collect := testSpec
+	collectCOB := testSpec
+	collectCOB.Algorithm = "cob"
+	threshold := sde.ScenarioSpec{Workload: "threshold", Topology: "line:4"}
+	// Speculation workers bypass the query optimizer, so its counters only
+	// move on synchronously solved branches.
+	thresholdSync := threshold
+	thresholdSync.Layers.NoSpeculate = true
+
+	layers := []struct {
+		name  string
+		spec  sde.ScenarioSpec
+		set   func(l *sde.Layers, on bool)
+		with  func(s sde.Scenario, on bool) sde.Scenario
+		count func(r *sde.Report) int64
+	}{
+		{"compile", collect,
+			func(l *sde.Layers, on bool) { l.NoCompile = !on },
+			func(s sde.Scenario, on bool) sde.Scenario {
+				if !on {
+					s = s.WithoutCompiledIR()
+				}
+				return s
+			},
+			func(r *sde.Report) int64 { return int64(r.VMStats().FastBlocks) }},
+		{"merge", collect,
+			func(l *sde.Layers, on bool) { l.Merge = on },
+			func(s sde.Scenario, on bool) sde.Scenario {
+				if on {
+					return s.WithMerging()
+				}
+				return s.WithoutMerging()
+			},
+			func(r *sde.Report) int64 { return int64(r.MergeStats().Candidates) }},
+		{"reduce", collectCOB,
+			func(l *sde.Layers, on bool) { l.Reduce = on },
+			func(s sde.Scenario, on bool) sde.Scenario {
+				if on {
+					return s.WithReduction()
+				}
+				return s.WithoutReduction()
+			},
+			func(r *sde.Report) int64 { return int64(r.ReduceStats().Checks) }},
+		{"speculate", threshold,
+			func(l *sde.Layers, on bool) { l.NoSpeculate = !on },
+			func(s sde.Scenario, on bool) sde.Scenario {
+				if on {
+					return s.WithSpeculation(1)
+				}
+				return s.WithoutSpeculation()
+			},
+			func(r *sde.Report) int64 { return r.SpecStats().Submitted }},
+		{"qopt", thresholdSync,
+			func(l *sde.Layers, on bool) { l.NoQopt = !on },
+			func(s sde.Scenario, on bool) sde.Scenario {
+				if !on {
+					s = s.WithoutQueryOptimizer()
+				}
+				return s
+			},
+			func(r *sde.Report) int64 {
+				st := r.SolverStats()
+				return st.SlicedQueries + st.RewriteHits + st.ConcretizedReads
+			}},
+	}
+	for _, layer := range layers {
+		for _, on := range []bool{true, false} {
+			layer, on := layer, on
+			t.Run(fmt.Sprintf("%s=%v", layer.name, on), func(t *testing.T) {
+				spec := layer.spec
+				base, err := spec.Scenario()
+				if err != nil {
+					t.Fatal(err)
+				}
+				s := layer.with(base, on)
+				check := func(path string, n int64) {
+					t.Helper()
+					if (n != 0) != on {
+						t.Errorf("%s: %s counter = %d with the layer on=%v", path, layer.name, n, on)
+					}
+				}
+
+				plain, err := sde.RunScenario(s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				check("RunScenario", layer.count(plain))
+
+				sharded, err := sde.RunScenarioShardedWith(s, sde.ShardConfig{Workers: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				check("RunScenarioShardedWith", layer.count(sharded.Shards[0].Report))
+
+				out, err := sde.RunShardLease(s, sde.ShardItem{}, sde.LeaseOptions{CheckpointDir: t.TempDir()})
+				if err != nil {
+					t.Fatal(err)
+				}
+				check("RunShardLease", layer.count(out.Report))
+
+				layer.set(&spec.Layers, on)
+				_, _, reports := runFleetJob(t, spec, JobOptions{ShardBits: 1})
+				if len(reports) < 2 && base.MaxShardBits() > 0 {
+					t.Fatalf("fleet executed %d leases, want one per bit shard", len(reports))
+				}
+				for _, r := range reports {
+					check("fleet lease", layer.count(r))
+				}
+			})
+		}
+	}
+}
+
+// TestServiceJobLayers: a job's layer set comes from its spec and from
+// nowhere else — a spec that turns merging and reduction on and speculation
+// off reaches every lease of a two-worker fleet (each layer's counter says
+// so), the fleet's digest equals the in-process run of spec.Scenario() at
+// the same partition, and the HTTP job status echoes the resolved layers.
+// (Merging under COB is left out: its leaf snapshots do not decode — see
+// ROADMAP.)
+func TestServiceJobLayers(t *testing.T) {
+	mergedSDS := testSpec
+	mergedSDS.Layers = sde.Layers{Merge: true, Reduce: true, NoSpeculate: true}
+	reducedCOB := testSpec
+	reducedCOB.Algorithm = "cob"
+	reducedCOB.Layers = sde.Layers{Reduce: true, NoSpeculate: true}
+
+	for _, tc := range []struct {
+		name  string
+		spec  sde.ScenarioSpec
+		acted func(r *sde.Report) uint64 // the counter of a layer the spec turned on
+	}{
+		{"sds-merge-reduce", mergedSDS, func(r *sde.Report) uint64 { return r.MergeStats().Candidates }},
+		{"cob-reduce", reducedCOB, func(r *sde.Report) uint64 { return r.ReduceStats().Checks }},
+	} {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			st, c, reports := runFleetJob(t, tc.spec, JobOptions{ShardBits: 2, TestCases: 8})
+			if want := oracleDigest(t, tc.spec, 2, 8); st.Digest != want {
+				t.Errorf("fleet digest %s != in-process digest %s at the same partition and layers", st.Digest, want)
+			}
+			if len(reports) != 4 {
+				t.Errorf("observed %d leases, want the 4 bit shards", len(reports))
+			}
+			for _, r := range reports {
+				if tc.acted(r) == 0 {
+					t.Error("a lease ran without a layer the job's spec turned on")
+				}
+				if n := r.SpecStats().Submitted; n != 0 {
+					t.Errorf("a lease speculated (%d submissions) in a no-speculate job", n)
+				}
+			}
+
+			srv := httptest.NewServer(c.HTTPHandler())
+			defer srv.Close()
+			resp, err := http.Get(srv.URL + "/api/v1/jobs/" + st.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			var echoed struct {
+				Spec struct {
+					Layers string `json:"layers"`
+				} `json:"spec"`
+			}
+			if err := json.NewDecoder(resp.Body).Decode(&echoed); err != nil {
+				t.Fatal(err)
+			}
+			if want := tc.spec.Layers.String(); echoed.Spec.Layers != want {
+				t.Errorf("job status echoes layers %q, want the resolved set %q", echoed.Spec.Layers, want)
+			}
+		})
+	}
+}

@@ -62,13 +62,11 @@ const (
 	// MsgError reports a failed lease execution.
 	MsgError
 	// MsgContLease grants a continuation work item: the Lease JSON plus
-	// the suspended parent frontier the worker slice-resumes from. (New
-	// in wire version 4 — the handshake's version check keeps pre-4
-	// peers from ever seeing it.)
+	// the suspended parent frontier the worker slice-resumes from.
 	MsgContLease
 	// MsgSuspend delivers a lease that hit its depth horizon: JSON
 	// header plus the surviving frontier — the continuation payload the
-	// coordinator fans out as new work items. (New in wire version 4.)
+	// coordinator fans out as new work items.
 	MsgSuspend
 )
 
@@ -85,22 +83,17 @@ type Welcome struct {
 }
 
 // Lease grants one work item. The spec travels with every lease: worker
-// and coordinator each materialise the scenario from it, which is what
-// keeps leases self-contained and workers stateless across jobs.
+// and coordinator each materialise the scenario — layers included — from
+// it, which is what keeps leases self-contained, workers stateless across
+// jobs, and a job's leaves independent of which worker ran them.
 type Lease struct {
-	ID                 uint64           `json:"id"`
-	Job                string           `json:"job"`
-	Spec               sde.ScenarioSpec `json:"spec"`
-	Item               sde.ShardItem    `json:"item"`
-	CheckpointEvery    int              `json:"checkpoint_every,omitempty"`
-	DisableSpeculation bool             `json:"disable_speculation,omitempty"`
-	SpecWorkers        int              `json:"spec_workers,omitempty"`
-	DisableCompiledIR  bool             `json:"disable_compile,omitempty"`
-	EnableMerge        bool             `json:"enable_merge,omitempty"`
-	EnableReduce       bool             `json:"enable_reduce,omitempty"`
-	// MaxSplitDepth caps straggler re-splitting for this job (the
-	// scenario's MaxShardBits at most); a worker never splits past it.
-	MaxSplitDepth int `json:"max_split_depth,omitempty"`
+	ID   uint64           `json:"id"`
+	Job  string           `json:"job"`
+	Spec sde.ScenarioSpec `json:"spec"`
+	Item sde.ShardItem    `json:"item"`
+	// Splittable says the job's queue would subdivide this item if the
+	// worker abandons it as a straggler; a worker never splits otherwise.
+	Splittable bool `json:"splittable,omitempty"`
 	// EventTarget is the job's next depth horizon for this item as an
 	// absolute cumulative processed-event count (0 = run to completion).
 	// Absolute, so a crashed-and-resumed lease suspends on exactly the

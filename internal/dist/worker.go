@@ -32,15 +32,10 @@ type WorkerOptions struct {
 	HeartbeatEvery time.Duration
 	// DialTimeout bounds the initial connection (default 5s).
 	DialTimeout time.Duration
-	// CheckpointEvery, DisableSpeculation, SpecWorkers,
-	// DisableCompiledIR, EnableMerge, and EnableReduce default the
-	// per-lease execution knobs when the lease does not set them.
-	CheckpointEvery    int
-	DisableSpeculation bool
-	SpecWorkers        int
-	DisableCompiledIR  bool
-	EnableMerge        bool
-	EnableReduce       bool
+	// CheckpointEvery is the per-lease checkpoint interval in processed
+	// events (0 = the engine default). How a lease executes beyond that —
+	// its layers — is the job's to say, never the worker's.
+	CheckpointEvery int
 	// SplitStates, when > 0, arms straggler self-splitting: a lease
 	// whose live state count exceeds it after SplitAfter, while the
 	// coordinator reports a starved queue, is abandoned with a Split so
@@ -55,6 +50,11 @@ type WorkerOptions struct {
 	CrashAfterCheckpoints int
 	// Logf, when non-nil, receives operational log lines.
 	Logf func(format string, args ...any)
+
+	// observe, when non-nil, sees every executed lease's outcome before it
+	// is reported — the only place a live per-lease Report exists in a
+	// fleet run, which is what the package's tests assert layers on.
+	observe func(Lease, *sde.LeaseOutcome)
 }
 
 type inMsg struct {
@@ -226,15 +226,6 @@ func executeLease(ctx context.Context, conn net.Conn, acks <-chan HeartbeatAck,
 	ckptPath := filepath.Join(dir, snap.CheckpointFile)
 	logf("lease %d: shard %s of %s -> %s", lease.ID, lease.Item.Label(), lease.Job, dir)
 
-	every := lease.CheckpointEvery
-	if every == 0 {
-		every = opts.CheckpointEvery
-	}
-	specWorkers := lease.SpecWorkers
-	if specWorkers == 0 {
-		specWorkers = opts.SpecWorkers
-	}
-
 	var (
 		ckptSeen  int
 		cancelled bool
@@ -291,17 +282,15 @@ func executeLease(ctx context.Context, conn net.Conn, acks <-chan HeartbeatAck,
 	}
 
 	out, err := sde.RunShardLease(scenario, lease.Item, sde.LeaseOptions{
-		CheckpointDir:      dir,
-		CheckpointEvery:    every,
-		DisableSpeculation: lease.DisableSpeculation || opts.DisableSpeculation,
-		SpecWorkers:        specWorkers,
-		DisableCompiledIR:  lease.DisableCompiledIR || opts.DisableCompiledIR,
-		EnableMerge:        lease.EnableMerge || opts.EnableMerge,
-		EnableReduce:       lease.EnableReduce || opts.EnableReduce,
-		Progress:           progress,
-		EventTarget:        lease.EventTarget,
-		Continuation:       parent,
+		CheckpointDir:   dir,
+		CheckpointEvery: opts.CheckpointEvery,
+		Progress:        progress,
+		EventTarget:     lease.EventTarget,
+		Continuation:    parent,
 	})
+	if err == nil && opts.observe != nil {
+		opts.observe(lease, out)
+	}
 	switch {
 	case *crashed:
 		return ErrCrashed
@@ -329,14 +318,10 @@ func executeLease(ctx context.Context, conn net.Conn, acks <-chan HeartbeatAck,
 // splitWanted decides whether a running lease should be abandoned for a
 // straggler re-split: self-splitting must be armed, the lease must look
 // heavy (live states over the threshold after the grace period), the
-// coordinator must be reporting a starved queue, and the item must still
-// be splittable — below the job's pin cap and not a continuation item,
-// whose pinned decisions already materialised inside its parent frontier
-// (the depth dimension subdivides those instead).
+// coordinator must be reporting a starved queue, and the job's queue must
+// be able to subdivide the item.
 func splitWanted(opts WorkerOptions, lease Lease, states int, elapsed time.Duration, starved bool) bool {
 	return opts.SplitStates > 0 && states > opts.SplitStates &&
 		elapsed >= opts.SplitAfter &&
-		starved &&
-		lease.Item.Depth < lease.MaxSplitDepth &&
-		len(lease.Item.Cont) == 0
+		starved && lease.Splittable
 }

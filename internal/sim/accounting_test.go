@@ -91,7 +91,7 @@ func TestModelBytesMatchesWalk(t *testing.T) {
 		{"merge", withMerging, true},
 		{"reduce", withReduction, false},
 		{"nospec", withoutSpeculation, true},
-		{"nocompile", func(c sim.Config) sim.Config { c.DisableCompiledIR = true; return c }, true},
+		{"nocompile", func(c sim.Config) sim.Config { c.Layers.NoCompile = true; return c }, true},
 	}
 	failures := []struct {
 		name string

@@ -19,7 +19,7 @@ import (
 )
 
 func withoutCompiledIR(cfg sim.Config) sim.Config {
-	cfg.DisableCompiledIR = true
+	cfg.Layers.NoCompile = true
 	return cfg
 }
 

@@ -151,67 +151,21 @@ type Config struct {
 	// (default 256). Only meaningful with CheckpointDir.
 	CheckpointEvery int
 
-	// DisableSpeculation turns the speculative-fork solver pipeline off:
-	// every branch feasibility query is then solved synchronously on the
-	// interpreter thread. Speculation preserves verdicts, fingerprints,
-	// and test cases bit-for-bit, so disabling it is the first triage step
-	// when a run looks wrong — if the output changes, the pipeline is the
-	// bug. Replay runs never speculate (they take no symbolic branches).
-	DisableSpeculation bool
-
-	// SpecWorkers is the solver worker count of the speculation pipeline:
-	// 0 picks one worker per available CPU; negative values are rejected.
-	SpecWorkers int
-
-	// DisableCompiledIR turns the basic-block compiled fast path off:
-	// every instruction then goes through the per-instruction symbolic
-	// interpreter. Compiled execution preserves fingerprints, forks,
-	// sends, and violations bit-for-bit, so disabling it is the FIRST
-	// triage step when a run looks wrong — before DisableSpeculation and
-	// the query-optimizer switch. The IR is derived at load time and
-	// never serialized, so this flag may differ between a checkpointed
-	// run and its resumption without affecting the outcome.
-	DisableCompiledIR bool
-
-	// EnableMerge turns on ITE-based state merging (internal/merge):
-	// sibling states of one node differing at a bounded number of
-	// locations are fused into one merged representative whose diverging
-	// values become ite(Δ, v1, v2) expressions, and split back into the
-	// exact members at the first non-uniform control decision or
-	// observable instruction. Merging preserves failure fingerprints,
-	// violations, solver queries, and generated test cases bit-for-bit —
-	// it reduces how many live machines exist, not what the run observes —
-	// so turning it OFF is a soundness-triage step ordered after -compile
-	// and before -speculate/-qopt. Off by default; replay runs never
-	// merge (they hold a single concrete path).
-	EnableMerge bool
+	// Layers selects the optional execution layers (compiled fast path,
+	// merging, reduction, speculation, query optimizer); see Layers for
+	// what each preserves and the triage order. Replay runs never
+	// speculate, merge or reduce: they hold a single concrete path.
+	Layers Layers
 
 	// MergeCost overrides the merge-vs-fork cost model (default
-	// merge.DefaultCostModel). Only meaningful with EnableMerge.
+	// merge.DefaultCostModel). Only meaningful with Layers.Merge.
 	MergeCost mergepkg.CostModel
-
-	// EnableReduce turns on symmetry and partial-order reduction
-	// (internal/reduce): the topology's automorphism group canonicalizes
-	// failure-decision branches so only one member of each symmetry orbit
-	// is explored (COB), and an activation-independence check lets merged
-	// representatives commute past foreign same-time activations
-	// (COW/SDS). Reduction preserves the violation set — pruned branches'
-	// violations are synthesized back onto concrete node ids at the end
-	// of the run — and per-orbit-representative test cases, but NOT
-	// bit-identity: fewer states are explored, so instruction counts,
-	// solver queries, and fingerprint populations shrink. Turning it OFF
-	// is therefore a soundness-triage step ordered after -merge and
-	// before -speculate/-qopt. Off by default; replay runs never reduce.
-	// Reduction state is derived (group recomputed, seen-set rebuilt
-	// empty on resume) and never serialized; the snapshot format is
-	// unchanged.
-	EnableReduce bool
 
 	// Symmetry declares the per-node asymmetries of the scenario (role
 	// labels, static routes) so reduction can be used with node-aware
 	// programs; see ReduceSymmetry. When nil, the automorphism group is
 	// applied automatically only to node-uniform programs. Only
-	// meaningful with EnableReduce.
+	// meaningful with Layers.Reduce.
 	Symmetry *ReduceSymmetry
 }
 
@@ -435,16 +389,22 @@ func newEngineShell(cfg Config) (*Engine, error) {
 	}
 	recvFn := cfg.Prog.FuncIndex(cfg.RecvFn) // may be -1: send-only programs
 
+	if err := cfg.Layers.Validate(); err != nil {
+		return nil, fmt.Errorf("sim: %w", err)
+	}
+	layers := cfg.Layers
 	sopts := cfg.Solver
 	if cfg.SharedSolverCache != nil {
 		sopts.SharedCache = cfg.SharedSolverCache
 	}
-	if cfg.SpecWorkers < 0 {
-		return nil, fmt.Errorf("sim: SpecWorkers must be >= 0 (got %d)", cfg.SpecWorkers)
+	if layers.NoQopt {
+		sopts.DisableSlicing = true
+		sopts.DisableRewrite = true
+		sopts.DisableConcretization = true
 	}
 	ctx := vm.NewContextWithSolver(sopts)
 	ctx.Replay = cfg.Replay
-	if cfg.DisableCompiledIR {
+	if layers.NoCompile {
 		ctx.SetCompiledIR(false)
 	} else {
 		// Compile eagerly so the (one-off) CREATE/BUILD cost is paid at
@@ -459,15 +419,15 @@ func newEngineShell(cfg Config) (*Engine, error) {
 		recvFn:   recvFn,
 		started:  time.Now(),
 	}
-	if !cfg.DisableSpeculation && cfg.Replay == nil {
-		workers := cfg.SpecWorkers
+	if !layers.NoSpeculate && cfg.Replay == nil {
+		workers := layers.SpecWorkers
 		if workers == 0 {
 			workers = runtime.GOMAXPROCS(0)
 		}
 		e.specPool = solver.NewSpecPool(ctx.Solver, workers)
 		ctx.SetSpecHooks((*engineHooks)(e))
 	}
-	if cfg.EnableMerge && cfg.Replay == nil {
+	if layers.Merge && cfg.Replay == nil {
 		e.mergeMgr = mergepkg.NewManager(ctx.Exprs, (*engineHooks)(e), mergepkg.Config{
 			Cost: cfg.MergeCost,
 			SliceStats: func() (uint64, uint64) {
@@ -478,7 +438,7 @@ func newEngineShell(cfg Config) (*Engine, error) {
 		ctx.SetMergeHooks(e.mergeMgr)
 		e.mergeTouched = make(map[int]struct{})
 	}
-	if cfg.EnableReduce && cfg.Replay == nil {
+	if layers.Reduce && cfg.Replay == nil {
 		if err := validateSymmetry(&cfg); err != nil {
 			return nil, err
 		}

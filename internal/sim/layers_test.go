@@ -1,0 +1,86 @@
+package sim
+
+import (
+	"flag"
+	"io"
+	"strings"
+	"testing"
+)
+
+func TestLayersText(t *testing.T) {
+	cases := []struct {
+		text string // accepted input
+		want Layers
+		full string // String() of want
+	}{
+		{"", Layers{}, "compile,no-merge,no-reduce,speculate,qopt"},
+		{"merge, no-speculate", Layers{Merge: true, NoSpeculate: true},
+			"compile,merge,no-reduce,no-speculate,qopt"},
+		{"no-compile,reduce,no-qopt,spec-workers=3",
+			Layers{NoCompile: true, Reduce: true, NoQopt: true, SpecWorkers: 3},
+			"no-compile,no-merge,reduce,speculate,no-qopt,spec-workers=3"},
+		{"merge,no-merge", Layers{}, "compile,no-merge,no-reduce,speculate,qopt"},
+	}
+	for _, c := range cases {
+		var got Layers
+		if err := got.UnmarshalText([]byte(c.text)); err != nil {
+			t.Errorf("UnmarshalText(%q): %v", c.text, err)
+			continue
+		}
+		if got != c.want {
+			t.Errorf("UnmarshalText(%q) = %+v, want %+v", c.text, got, c.want)
+		}
+		if got.String() != c.full {
+			t.Errorf("String() = %q, want %q", got.String(), c.full)
+		}
+		var back Layers
+		if err := back.UnmarshalText([]byte(c.full)); err != nil || back != c.want {
+			t.Errorf("round trip of %q = %+v, %v", c.full, back, err)
+		}
+	}
+	for _, bad := range []string{"turbo", "no-", "spec-workers=x", "spec-workers=-1", "compile=off"} {
+		l := Layers{Merge: true}
+		if err := l.UnmarshalText([]byte(bad)); err == nil {
+			t.Errorf("UnmarshalText(%q) accepted", bad)
+		}
+		if l != (Layers{Merge: true}) {
+			t.Errorf("failed UnmarshalText(%q) changed the value to %+v", bad, l)
+		}
+	}
+}
+
+// TestLayersFlags: the one flag helper maps -name / -name=false onto the
+// fields (inverted for default-on layers), registers only the named subset
+// when asked to, and Validate names the flag of a negative worker count.
+func TestLayersFlags(t *testing.T) {
+	parse := func(names []string, args ...string) (Layers, error) {
+		var l Layers
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		l.RegisterFlags(fs, names...)
+		return l, fs.Parse(args)
+	}
+	got, err := parse(nil, "-compile=false", "-merge", "-reduce=true", "-speculate=false", "-qopt=false", "-spec-workers", "4")
+	want := Layers{NoCompile: true, Merge: true, Reduce: true, NoSpeculate: true, NoQopt: true, SpecWorkers: 4}
+	if err != nil || got != want {
+		t.Errorf("all flags = %+v, %v; want %+v", got, err, want)
+	}
+	if got, err := parse(nil, "-compile", "-merge=false"); err != nil || got != (Layers{}) {
+		t.Errorf("default-valued flags = %+v, %v; want the zero value", got, err)
+	}
+	if _, err := parse([]string{"spec-workers"}, "-merge"); err == nil {
+		t.Error("-merge parsed although only spec-workers was registered")
+	}
+	l, err := parse([]string{"spec-workers"}, "-spec-workers=-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{0, 1, 64} {
+		if err := (Layers{SpecWorkers: n}).Validate(); err != nil {
+			t.Errorf("Validate(SpecWorkers=%d) = %v", n, err)
+		}
+	}
+	if err := l.Validate(); err == nil || !strings.Contains(err.Error(), "-spec-workers") {
+		t.Errorf("Validate of -spec-workers=-1 = %v, want an error naming the flag", err)
+	}
+}

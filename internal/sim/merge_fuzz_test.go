@@ -47,7 +47,7 @@ func FuzzMergeEquivalence(f *testing.F) {
 				NodeInit:        nodeInit,
 				Failures:        rs.failures,
 				CheckInvariants: true,
-				EnableMerge:     merge,
+				Layers:          sim.Layers{Merge: merge},
 				Caps:            sim.Caps{MaxStates: 100000},
 			})
 			if err != nil {

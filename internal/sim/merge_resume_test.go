@@ -21,7 +21,7 @@ import (
 
 // withMerging enables the ITE-based state-merging subsystem.
 func withMerging(cfg sim.Config) sim.Config {
-	cfg.EnableMerge = true
+	cfg.Layers.Merge = true
 	return cfg
 }
 
@@ -119,7 +119,7 @@ func TestMergeResumeWithMergingOff(t *testing.T) {
 	cfg.CheckpointEvery = 8
 	data := mergedCheckpoint(t, cfg)
 	offCfg := cfg
-	offCfg.EnableMerge = false
+	offCfg.Layers.Merge = false
 	resumed, err := sim.ResumeEngine(offCfg, data)
 	if err != nil {
 		t.Fatal(err)

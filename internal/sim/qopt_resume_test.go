@@ -22,9 +22,7 @@ import (
 
 // withoutOptimizer disables all three query-optimizer stages.
 func withoutOptimizer(cfg sim.Config) sim.Config {
-	cfg.Solver.DisableSlicing = true
-	cfg.Solver.DisableRewrite = true
-	cfg.Solver.DisableConcretization = true
+	cfg.Layers.NoQopt = true
 	return cfg
 }
 

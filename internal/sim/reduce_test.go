@@ -120,7 +120,7 @@ func floodConfig(t *testing.T, algo core.Algorithm) sim.Config {
 
 // withReduction enables the symmetry/partial-order reduction subsystem.
 func withReduction(cfg sim.Config) sim.Config {
-	cfg.EnableReduce = true
+	cfg.Layers.Reduce = true
 	return cfg
 }
 
@@ -296,7 +296,7 @@ func FuzzReductionEquivalence(f *testing.F) {
 				CheckInvariants: true,
 				Symmetry:        &sim.ReduceSymmetry{Labels: labels},
 				Caps:            sim.Caps{MaxStates: 100000},
-				EnableReduce:    reduce,
+				Layers:          sim.Layers{Reduce: reduce},
 			}
 			eng, err := sim.NewEngine(cfg)
 			if err != nil {

@@ -21,7 +21,7 @@ import (
 
 // withoutSpeculation turns the speculative-fork solver pipeline off.
 func withoutSpeculation(cfg sim.Config) sim.Config {
-	cfg.DisableSpeculation = true
+	cfg.Layers.NoSpeculate = true
 	return cfg
 }
 
@@ -82,7 +82,7 @@ func TestSpeculationKillAndResume(t *testing.T) {
 
 	dir := t.TempDir()
 	cfg := thresholdConfig(t, core.SDSAlgorithm)
-	cfg.SpecWorkers = 2
+	cfg.Layers.SpecWorkers = 2
 	cfg.CheckpointDir = dir
 	cfg.CheckpointEvery = 8
 	eng, err := sim.NewEngine(cfg)

@@ -11,8 +11,6 @@
 // builder variables in creation order, then reachable nodes in
 // first-visit post-order), and shared memory pages are numbered densely
 // in first-reference order rather than by their process-local identities.
-// (Decoding an older-version snapshot re-encodes at the current version —
-// a one-way upgrade; byte-identity holds per version.)
 //
 // Decoding treats its input as untrusted: every failure — truncation,
 // bit flips, impossible counts, malformed expression structure — returns
@@ -44,27 +42,11 @@ var ErrCorrupt = errors.New("snap: corrupt snapshot")
 
 var magic = []byte("SDEsnp\x00")
 
-// version 2 added the query-optimizer columns (QueriesSliced,
-// GatesElided) to metric samples. Optimizer state itself is derived and
-// never serialized — only the recorded time series changed shape.
-//
-// version 3 added the merged frontier (state-merging reps with their
-// member records, trailing the violations section) and the merge columns
-// (MergedStates, MergeCandidates, MergeRejects) to metric samples. A
-// version-3 reader still accepts version-2 snapshots; a version-2 blob
-// carrying merged-frontier bytes is rejected as corrupt — the old format
-// has no way to express a merged frontier.
-//
-// version 4 accompanies the depth-horizon continuation protocol: the
-// snapshot body is unchanged (a version-4 blob decodes exactly like a
-// version-3 one), but the exploration service grew continuation lease
-// and frontier-suspension message kinds, and WireVersion tracks this
-// constant — bumping it makes pre-4 peers reject the handshake instead
-// of misparsing frames they do not know.
-const version = 4
-
-// oldVersion is the oldest format this reader still decodes.
-const oldVersion = 2
+// version is the one format this build reads and writes; WireVersion
+// tracks it, so bumping it (for a snapshot or a protocol change alike)
+// makes older peers reject the handshake instead of misparsing what they
+// do not know. Version 5 moved a job's layer set into the lease's spec.
+const version = 5
 
 // Snapshot is the complete persistent form of an exploration frontier,
 // taken at an event boundary (no state mid-execution).
@@ -90,11 +72,11 @@ type Snapshot struct {
 	Samples    []metrics.Sample
 	Violations []*vm.Violation
 
-	// Merged is the state-merging subsystem's durable frontier (wire
-	// version 3): each rep's full machine plus, per member, the identity of
-	// its frozen shell (which lives in States like any frontier state), the
-	// step-accounting bases, and the substitution pairs mapping
-	// merge-introduced ite expressions back to the member's own values.
+	// Merged is the state-merging subsystem's durable frontier: each rep's
+	// full machine plus, per member, the identity of its frozen shell
+	// (which lives in States like any frontier state), the step-accounting
+	// bases, and the substitution pairs mapping merge-introduced ite
+	// expressions back to the member's own values.
 	Merged []MergedRep
 }
 
@@ -197,14 +179,6 @@ func (w *writer) ref(t *exprTable, e *expr.Expr) {
 	w.u64(t.idx[e] + 1)
 }
 
-// Encode serializes the snapshot. b must be the builder that produced
-// every expression in it; all of b's variables are serialized (reachable
-// or not) so the restored builder assigns future variable ids exactly as
-// the original would have.
-func (s *Snapshot) Encode(b *expr.Builder) ([]byte, error) {
-	return s.encodeAt(b, version)
-}
-
 func (t *exprTable) collectImage(img *vm.StateImage) {
 	for _, r := range img.Regs {
 		t.collect(r)
@@ -223,18 +197,13 @@ func (t *exprTable) collectImage(img *vm.StateImage) {
 	}
 }
 
-// encodeAt serializes at a specific format version. The public Encode
-// always writes the current version; the legacy path exists so tests can
-// exercise cross-version decoding against real old-format bytes.
-func (s *Snapshot) encodeAt(b *expr.Builder, ver byte) ([]byte, error) {
+// Encode serializes the snapshot. b must be the builder that produced
+// every expression in it; all of b's variables are serialized (reachable
+// or not) so the restored builder assigns future variable ids exactly as
+// the original would have.
+func (s *Snapshot) Encode(b *expr.Builder) ([]byte, error) {
 	if s.Mapper == nil {
 		return nil, fmt.Errorf("snap: snapshot without mapper")
-	}
-	if ver < oldVersion || ver > version {
-		return nil, fmt.Errorf("snap: cannot encode at version %d (supported: %d..%d)", ver, oldVersion, version)
-	}
-	if ver < 3 && len(s.Merged) > 0 {
-		return nil, fmt.Errorf("snap: merged-frontier snapshots require wire version 3 (asked for %d)", ver)
 	}
 	vars := b.Vars()
 	t := &exprTable{idx: make(map[*expr.Expr]uint64, 1024), nv: len(vars)}
@@ -268,7 +237,7 @@ func (s *Snapshot) encodeAt(b *expr.Builder, ver byte) ([]byte, error) {
 
 	w := &writer{buf: make([]byte, 0, 1<<16)}
 	w.buf = append(w.buf, magic...)
-	w.byte(ver)
+	w.byte(version)
 	w.u64(uint64(s.Algorithm))
 	w.u64(uint64(s.K))
 	w.str(s.Topology)
@@ -341,11 +310,9 @@ func (s *Snapshot) encodeAt(b *expr.Builder, ver byte) ([]byte, error) {
 		w.i64(sm.SolverQueries)
 		w.i64(sm.QueriesSliced)
 		w.i64(sm.GatesElided)
-		if ver >= 3 {
-			w.i64(int64(sm.MergedStates))
-			w.u64(sm.MergeCandidates)
-			w.u64(sm.MergeRejects)
-		}
+		w.i64(int64(sm.MergedStates))
+		w.u64(sm.MergeCandidates)
+		w.u64(sm.MergeRejects)
 	}
 
 	w.u64(uint64(len(s.Violations)))
@@ -367,26 +334,24 @@ func (s *Snapshot) encodeAt(b *expr.Builder, ver byte) ([]byte, error) {
 		}
 	}
 
-	if ver >= 3 {
-		w.u64(uint64(len(s.Merged)))
-		for mi := range s.Merged {
-			mr := &s.Merged[mi]
-			if len(mr.Members) < 2 {
-				return nil, fmt.Errorf("snap: merged rep %d with %d members", mr.Rep.ID, len(mr.Members))
-			}
-			if err := encodeState(w, t, &mr.Rep, len(s.Pages)); err != nil {
-				return nil, err
-			}
-			w.u64(uint64(len(mr.Members)))
-			for _, mm := range mr.Members {
-				w.u64(mm.ID)
-				w.u64(mm.StepsBase)
-				w.u64(mm.Carried)
-				w.u64(uint64(len(mm.Subs)))
-				for _, p := range mm.Subs {
-					w.ref(t, p.Key)
-					w.ref(t, p.Val)
-				}
+	w.u64(uint64(len(s.Merged)))
+	for mi := range s.Merged {
+		mr := &s.Merged[mi]
+		if len(mr.Members) < 2 {
+			return nil, fmt.Errorf("snap: merged rep %d with %d members", mr.Rep.ID, len(mr.Members))
+		}
+		if err := encodeState(w, t, &mr.Rep, len(s.Pages)); err != nil {
+			return nil, err
+		}
+		w.u64(uint64(len(mr.Members)))
+		for _, mm := range mr.Members {
+			w.u64(mm.ID)
+			w.u64(mm.StepsBase)
+			w.u64(mm.Carried)
+			w.u64(uint64(len(mm.Subs)))
+			for _, p := range mm.Subs {
+				w.ref(t, p.Key)
+				w.ref(t, p.Val)
 			}
 		}
 	}
@@ -654,8 +619,8 @@ func Decode(data []byte, b *expr.Builder) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	if ver < oldVersion || ver > version {
-		return nil, r.corrupt("unsupported version %d (this reader speaks %d..%d)", ver, oldVersion, version)
+	if ver != version {
+		return nil, r.corrupt("unsupported version %d (this reader speaks %d)", ver, version)
 	}
 
 	s := &Snapshot{}
@@ -823,16 +788,14 @@ func Decode(data []byte, b *expr.Builder) (*Snapshot, error) {
 		if sm.GatesElided, err = r.i64(); err != nil {
 			return nil, err
 		}
-		if ver >= 3 {
-			if sm.MergedStates, err = r.signedInt(); err != nil {
-				return nil, err
-			}
-			if sm.MergeCandidates, err = r.u64(); err != nil {
-				return nil, err
-			}
-			if sm.MergeRejects, err = r.u64(); err != nil {
-				return nil, err
-			}
+		if sm.MergedStates, err = r.signedInt(); err != nil {
+			return nil, err
+		}
+		if sm.MergeCandidates, err = r.u64(); err != nil {
+			return nil, err
+		}
+		if sm.MergeRejects, err = r.u64(); err != nil {
+			return nil, err
 		}
 		s.Samples = append(s.Samples, sm)
 	}
@@ -879,68 +842,63 @@ func Decode(data []byte, b *expr.Builder) (*Snapshot, error) {
 		s.Violations = append(s.Violations, v)
 	}
 
-	if ver >= 3 {
-		nreps, err := r.count()
+	nreps, err := r.count()
+	if err != nil {
+		return nil, err
+	}
+	s.Merged = make([]MergedRep, 0, nreps)
+	for i := 0; i < nreps; i++ {
+		rep, err := decodeState(r, getRef, mustRef, np)
 		if err != nil {
 			return nil, err
 		}
-		s.Merged = make([]MergedRep, 0, nreps)
-		for i := 0; i < nreps; i++ {
-			rep, err := decodeState(r, getRef, mustRef, np)
-			if err != nil {
-				return nil, err
-			}
-			mr := MergedRep{Rep: rep}
-			nmem, err := r.count()
-			if err != nil {
-				return nil, err
-			}
-			if nmem < 2 {
-				return nil, r.corrupt("merged rep %d with %d members", rep.ID, nmem)
-			}
-			var prev uint64
-			for j := 0; j < nmem; j++ {
-				var mm MergedMember
-				if mm.ID, err = r.u64(); err != nil {
-					return nil, err
-				}
-				if j == 0 && mm.ID != rep.ID {
-					return nil, r.corrupt("merged rep %d does not share its first member's id %d", rep.ID, mm.ID)
-				}
-				if j > 0 && mm.ID <= prev {
-					return nil, r.corrupt("merged rep %d member ids out of order", rep.ID)
-				}
-				prev = mm.ID
-				if mm.StepsBase, err = r.u64(); err != nil {
-					return nil, err
-				}
-				if mm.Carried, err = r.u64(); err != nil {
-					return nil, err
-				}
-				nsubs, err := r.count()
-				if err != nil {
-					return nil, err
-				}
-				for k := 0; k < nsubs; k++ {
-					var p SubPairImage
-					if p.Key, err = mustRef(); err != nil {
-						return nil, err
-					}
-					if p.Val, err = mustRef(); err != nil {
-						return nil, err
-					}
-					mm.Subs = append(mm.Subs, p)
-				}
-				mr.Members = append(mr.Members, mm)
-			}
-			s.Merged = append(s.Merged, mr)
+		mr := MergedRep{Rep: rep}
+		nmem, err := r.count()
+		if err != nil {
+			return nil, err
 		}
+		if nmem < 2 {
+			return nil, r.corrupt("merged rep %d with %d members", rep.ID, nmem)
+		}
+		var prev uint64
+		for j := 0; j < nmem; j++ {
+			var mm MergedMember
+			if mm.ID, err = r.u64(); err != nil {
+				return nil, err
+			}
+			if j == 0 && mm.ID != rep.ID {
+				return nil, r.corrupt("merged rep %d does not share its first member's id %d", rep.ID, mm.ID)
+			}
+			if j > 0 && mm.ID <= prev {
+				return nil, r.corrupt("merged rep %d member ids out of order", rep.ID)
+			}
+			prev = mm.ID
+			if mm.StepsBase, err = r.u64(); err != nil {
+				return nil, err
+			}
+			if mm.Carried, err = r.u64(); err != nil {
+				return nil, err
+			}
+			nsubs, err := r.count()
+			if err != nil {
+				return nil, err
+			}
+			for k := 0; k < nsubs; k++ {
+				var p SubPairImage
+				if p.Key, err = mustRef(); err != nil {
+					return nil, err
+				}
+				if p.Val, err = mustRef(); err != nil {
+					return nil, err
+				}
+				mm.Subs = append(mm.Subs, p)
+			}
+			mr.Members = append(mr.Members, mm)
+		}
+		s.Merged = append(s.Merged, mr)
 	}
 
 	if r.remaining() != 0 {
-		if ver < 3 {
-			return nil, r.corrupt("%d trailing bytes — merged-frontier snapshots require wire version 3, this snapshot claims version %d", r.remaining(), ver)
-		}
 		return nil, r.corrupt("%d trailing bytes", r.remaining())
 	}
 	return s, nil

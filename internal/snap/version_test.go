@@ -1,11 +1,9 @@
 package snap_test
 
-// Cross-version wire-format tests for the v2 → v3 bump (merged
-// frontiers). The format promises: a new reader decodes real v2 bytes
-// (old writer × new reader); a v2 writer cannot emit a merged frontier at
-// all; and a blob claiming v2 while carrying trailing merged-rep bytes is
-// rejected as corrupt with an error naming the version that could hold
-// them — not a panic, not a silent truncation.
+// Format-version tests. There is one version: the reader accepts exactly
+// the version this build writes, and a blob claiming any other — older or
+// from the future — is rejected as corrupt with an error naming both, not
+// a panic and not a silent misparse.
 
 import (
 	"bytes"
@@ -41,13 +39,13 @@ func mergedSnapshot(t *testing.T) (*snap.Snapshot, *expr.Builder) {
 		t.Fatal(err)
 	}
 	eng, err := sim.NewEngine(sim.Config{
-		Topo:        g,
-		Prog:        prog,
-		Algorithm:   core.SDSAlgorithm,
-		Horizon:     120,
-		NodeInit:    nodeInit,
-		Failures:    sim.FailurePlan{DropFirst: sim.NodeSet(route)},
-		EnableMerge: true,
+		Topo:      g,
+		Prog:      prog,
+		Algorithm: core.SDSAlgorithm,
+		Horizon:   120,
+		NodeInit:  nodeInit,
+		Failures:  sim.FailurePlan{DropFirst: sim.NodeSet(route)},
+		Layers:    sim.Layers{Merge: true},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -79,60 +77,10 @@ func reversion(t *testing.T, data []byte, ver byte) []byte {
 	return out
 }
 
-// TestCrossVersionOldWriterNewReader: real v2 bytes (written by this
-// build's version-parameterized encoder, identical to what a v2 writer
-// produced) must decode in the current reader, with no merged frontier
-// and all common fields intact — and re-encode at v2 byte-identically,
-// so per-version byte stability survives the bump.
-func TestCrossVersionOldWriterNewReader(t *testing.T) {
-	sp, b := liveSnapshot(t, core.SDSAlgorithm, 60)
-	old, err := sp.EncodeAt(b, snap.OldVersion)
-	if err != nil {
-		t.Fatalf("EncodeAt(%d): %v", snap.OldVersion, err)
-	}
-	cur, err := sp.Encode(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Equal(old, cur) {
-		t.Fatal("v2 and v3 encodings are byte-identical; version gate is dead")
-	}
-
-	b2 := expr.NewBuilder()
-	sp2, err := snap.Decode(old, b2)
-	if err != nil {
-		t.Fatalf("new reader rejects v2 bytes: %v", err)
-	}
-	if len(sp2.Merged) != 0 {
-		t.Fatalf("v2 decode produced %d merged reps, want 0", len(sp2.Merged))
-	}
-	if sp2.Events != sp.Events || sp2.Clock != sp.Clock || len(sp2.States) != len(sp.States) {
-		t.Fatalf("v2 decode lost fields: events %d/%d clock %d/%d states %d/%d",
-			sp2.Events, sp.Events, sp2.Clock, sp.Clock, len(sp2.States), len(sp.States))
-	}
-	old2, err := sp2.EncodeAt(b2, snap.OldVersion)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(old, old2) {
-		t.Fatal("v2 encode→decode→encode not byte-stable")
-	}
-}
-
-// TestCrossVersionMergedRequiresV3: the writer half of the gate — a
-// merged frontier cannot be serialized at the old version.
-func TestCrossVersionMergedRequiresV3(t *testing.T) {
+// TestMergedSnapshotRoundTrip: a snapshot holding merged representatives
+// round-trips byte-stably, representatives and members included.
+func TestMergedSnapshotRoundTrip(t *testing.T) {
 	sp, b := mergedSnapshot(t)
-	_, err := sp.EncodeAt(b, snap.OldVersion)
-	if err == nil {
-		t.Fatal("EncodeAt(v2) accepted a merged frontier")
-	}
-	if !strings.Contains(err.Error(), "wire version 3") {
-		t.Fatalf("error does not name the required version: %v", err)
-	}
-
-	// At the current version the same snapshot round-trips byte-stably,
-	// representatives included.
 	data, err := sp.Encode(b)
 	if err != nil {
 		t.Fatal(err)
@@ -160,56 +108,42 @@ func TestCrossVersionMergedRequiresV3(t *testing.T) {
 	}
 }
 
-// TestCrossVersionDecodeTable: the reader half of the gate, as a table
-// over version-byte corruptions of real blobs.
-func TestCrossVersionDecodeTable(t *testing.T) {
-	plain, pb := liveSnapshot(t, core.SDSAlgorithm, 60)
-	plainV3, err := plain.Encode(pb)
+// TestVersionGate: the reader's version check, as a table over
+// version-byte rewrites of a real blob.
+func TestVersionGate(t *testing.T) {
+	sp, b := liveSnapshot(t, core.SDSAlgorithm, 60)
+	cur, err := sp.Encode(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	merged, mb := mergedSnapshot(t)
-	mergedV3, err := merged.Encode(mb)
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	cases := []struct {
-		name    string
-		data    []byte
-		wantErr string // "" = must decode
+		name   string
+		data   []byte
+		reject bool
 	}{
-		// A merged v3 blob relabelled v2: the merged section becomes
-		// trailing garbage for a v2 parse — the clear-rejection case the
-		// version bump exists for.
-		{"merged-v3-claiming-v2", reversion(t, mergedV3, snap.OldVersion),
-			"merged-frontier snapshots require wire version 3"},
-		// A plain v3 blob relabelled v2 still fails (the v3 sample
-		// columns misalign the v2 parse), just with a less specific
-		// diagnosis — any ErrCorrupt is acceptable.
-		{"plain-v3-claiming-v2", reversion(t, plainV3, snap.OldVersion), "snap: corrupt"},
-		// A version from the future is refused up front, naming the
-		// range this reader speaks.
-		{"future-version", reversion(t, plainV3, snap.Version+1), "this reader speaks"},
-		{"current-version", plainV3, ""},
+		{"current-version", cur, false},
+		{"previous-version", reversion(t, cur, snap.WireVersion-1), true},
+		{"future-version", reversion(t, cur, snap.WireVersion+1), true},
+		{"version-zero", reversion(t, cur, 0), true},
+		{"version-255", reversion(t, cur, 255), true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := snap.Decode(tc.data, expr.NewBuilder())
-			if tc.wantErr == "" {
+			if !tc.reject {
 				if err != nil {
 					t.Fatalf("Decode: %v", err)
 				}
 				return
 			}
 			if err == nil {
-				t.Fatal("Decode accepted a corrupt blob")
+				t.Fatal("Decode accepted a blob of another version")
 			}
 			if !errors.Is(err, snap.ErrCorrupt) {
 				t.Fatalf("error does not wrap ErrCorrupt: %v", err)
 			}
-			if !strings.Contains(err.Error(), tc.wantErr) {
-				t.Fatalf("error %q does not contain %q", err, tc.wantErr)
+			if !strings.Contains(err.Error(), "this reader speaks") {
+				t.Fatalf("error %q does not name the version this reader speaks", err)
 			}
 		})
 	}

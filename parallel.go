@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"sde/internal/shard"
 	"sde/internal/solver"
 )
 
@@ -24,13 +25,14 @@ import (
 // aggregation.
 //
 // Scheduling is adaptive: a bounded worker pool pulls shard work items
-// from a shared queue, and when a shard turns out to be a straggler —
-// its live-state count or wall time crosses a threshold while other
-// workers starve — the worker stops it mid-run and splits it in place,
-// pinning one more drop decision to produce two child shards. Light
-// regions of the space stay coarse (one cheap run), heavy regions
-// subdivide until the pool is balanced, without anyone guessing the
-// skew up front. An optional cross-shard solver cache lets concurrent
+// from a shared queue (internal/shard — the same queue the exploration
+// service's coordinator runs per job), and when a shard turns out to be
+// a straggler — its live-state count or wall time crosses a threshold
+// while other workers starve — the worker stops it mid-run and the queue
+// splits it in place, pinning one more drop decision to produce two child
+// shards. Light regions of the space stay coarse (one cheap run), heavy
+// regions subdivide until the pool is balanced, without anyone guessing
+// the skew up front. An optional cross-shard solver cache lets concurrent
 // shards reuse each other's constraint verdicts.
 
 // MaxShardBits reports how many failure decisions of the scenario can be
@@ -84,33 +86,6 @@ type ShardConfig struct {
 	// events (0 = the engine default).
 	CheckpointEvery int
 
-	// DisableSpeculation turns the speculative-fork solver pipeline off
-	// in every shard (see Scenario.WithoutSpeculation).
-	DisableSpeculation bool
-
-	// SpecWorkers is the per-shard solver worker count of the speculation
-	// pipeline (0 = the engine default, one per CPU). In a sharded run the
-	// shard pool and the per-shard solver pools multiply, so bounding this
-	// to 1 or 2 avoids oversubscription on small machines. Negative values
-	// are rejected.
-	SpecWorkers int
-
-	// DisableCompiledIR turns the basic-block compiled fast path off in
-	// every shard (see Scenario.WithoutCompiledIR).
-	DisableCompiledIR bool
-
-	// EnableMerge turns ITE-based state merging on in every shard (see
-	// Scenario.WithMerging). Off by default.
-	EnableMerge bool
-
-	// EnableReduce turns symmetry and partial-order reduction on in every
-	// shard (see Scenario.WithReduction). Each shard's reducer keeps only
-	// the automorphisms preserving its pinned decisions, so orbit
-	// canonicalization stays inside the shard's sub-space; the aggregated
-	// report dedupes the synthesized orbit twins across leaves. Off by
-	// default.
-	EnableReduce bool
-
 	// DepthHorizon, when non-zero, adds exploration depth as a second
 	// shard dimension: every work item suspends once its cumulative
 	// processed-event count reaches the next multiple of the horizon and
@@ -136,13 +111,6 @@ type ShardConfig struct {
 const (
 	defaultSplitThreshold = 4096
 	defaultSplitAfter     = 2 * time.Second
-
-	// defaultHorizonFanout is how many continuation slices one suspension
-	// produces when DepthHorizon is set and HorizonFanout is not. Small
-	// and fixed: each horizon generation doubles the parallelism, so a
-	// deep run fans out geometrically without the fan-out ever depending
-	// on pool or fleet size (which would break digest stability).
-	defaultHorizonFanout = 2
 )
 
 // ShardReport is the outcome of one shard of a sharded run.
@@ -242,209 +210,87 @@ func (r *ShardedReport) Aborted() (bool, string) {
 	return false, ""
 }
 
-// workItem identifies one sub-space of the dscenario partition: bit i of
-// bits is the pinned value of the i-th shardable drop decision, depth
-// says how many bits are pinned, and cont narrows the item along the
-// depth dimension to one slice of a suspended ancestor's frontier. The
-// set of completed items always forms a prefix-free cover of the
-// two-dimensional space, so their union is exactly the unsharded
-// exploration regardless of how splitting and suspension unfolded.
-type workItem struct {
-	depth  int
-	bits   uint64
-	cont   []ContStep // continuation path (empty for a plain bit shard)
-	target uint64     // absolute event count of the next horizon (0 = none)
-	parent []byte     // suspended ancestor frontier to slice-resume from
-	origin int        // worker that enqueued it; -1 for the initial pre-split
-}
-
+// leafResult is one completed work item of an in-process run: the live
+// report, never a serialized snapshot.
 type leafResult struct {
-	item   workItem
-	pin    map[string]uint64
+	item   ShardItem
 	report *Report
 }
 
-// shardSched is the work-stealing pool: a shared LIFO queue drained by a
-// fixed set of workers. "Stealing" here is work-sharing through the
-// shared queue — a steal is counted whenever a worker executes an item
-// that a different worker enqueued (i.e. one half of someone else's
-// split).
-type shardSched struct {
+// shardPool is the in-process transport over the shard queue: a fixed set
+// of goroutines taking tasks under one mutex. The partition rules — what
+// a split or a suspension puts back in the queue — are the queue's; the
+// pool only runs items and decides when a straggler is worth stopping.
+type shardPool struct {
 	scenario Scenario
-	armed    []int
-	cfg      ShardConfig // normalised: all defaults applied
+	cfg      ShardConfig // Workers, SplitThreshold, SplitAfter normalised
 	cache    *solver.SharedCache
 
 	mu      sync.Mutex
 	cond    *sync.Cond
-	queue   []workItem
-	pending int // queued + in-flight items
-
-	leaves      []leafResult
-	errs        []error
-	steals      int
-	splits      int
-	resumed     int
-	suspensions int
-	busy        []time.Duration
+	q       *shard.Queue[leafResult]
+	errs    []error
+	resumed int
+	busy    []time.Duration
 }
-
-// exported converts the scheduler-internal work item to its public form
-// (the one the exploration service leases over the wire).
-func (it workItem) exported() ShardItem {
-	return ShardItem{Depth: it.depth, Bits: it.bits, Cont: it.cont}
-}
-
-func (sc *shardSched) pinFor(item workItem) map[string]uint64 {
-	return sc.scenario.shardPin(item.exported())
-}
-
-func bitLabel(item workItem) string { return item.exported().Label() }
-
-// shardDirName names a work item's checkpoint subdirectory; see
-// ShardItem.Dir.
-func shardDirName(item workItem) string { return item.exported().Dir() }
 
 // progressHook decides whether a running shard should stop and split: it
 // must look like a straggler (states or wall time over threshold) while
 // the queue is starving the pool. A full queue means splitting would
 // only add overhead; a starved one means idle capacity is waiting for
 // exactly this split.
-func (sc *shardSched) progressHook(states int, elapsed time.Duration) bool {
-	if states <= sc.cfg.SplitThreshold && elapsed < sc.cfg.SplitAfter {
+func (p *shardPool) progressHook(states int, elapsed time.Duration) bool {
+	if states <= p.cfg.SplitThreshold && elapsed < p.cfg.SplitAfter {
 		return false
 	}
-	sc.mu.Lock()
-	starved := len(sc.queue) < sc.cfg.Workers
-	sc.mu.Unlock()
+	p.mu.Lock()
+	starved := p.q.Queued() < p.cfg.Workers
+	p.mu.Unlock()
 	return starved
 }
 
-// runItem executes one shard run. Splittable items (depth below the
-// cap) get the progress hook installed so the scheduler can cut them
-// short — except continuation items: their pinned decisions already
-// materialised inside the parent frontier, so pinning more bits cannot
-// subdivide them (the depth dimension subdivides them instead). The
-// fourth return is the suspended frontier when the run hit its horizon.
-func (sc *shardSched) runItem(item workItem) (*Report, map[string]uint64, []byte, error) {
-	pin := sc.pinFor(item)
-	cfg := sc.scenario.cfg
-	cfg.Pin = pin
-	cfg.SharedSolverCache = sc.cache
-	if item.depth < sc.cfg.MaxSplitBits && len(item.cont) == 0 {
-		cfg.Progress = sc.progressHook
-	}
-	cfg.CheckpointEvery = sc.cfg.CheckpointEvery
-	cfg.EventBudget = item.target
-	cfg.DisableSpeculation = sc.cfg.DisableSpeculation
-	cfg.SpecWorkers = sc.cfg.SpecWorkers
-	cfg.DisableCompiledIR = cfg.DisableCompiledIR || sc.cfg.DisableCompiledIR
-	cfg.EnableMerge = cfg.EnableMerge || sc.cfg.EnableMerge
-	cfg.EnableReduce = cfg.EnableReduce || sc.cfg.EnableReduce
-	shard := sc.scenario
-	shard.cfg = cfg
-	shard.desc = fmt.Sprintf("%s [shard %s]", sc.scenario.desc, bitLabel(item))
-	dir := ""
-	if sc.cfg.CheckpointDir != "" {
-		dir = filepath.Join(sc.cfg.CheckpointDir, shardDirName(item))
-	}
-	report, suspend, err := runShardItem(shard, dir, item.cont, item.parent)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	// Scrub the run-time hooks from the stored scenario: a replay
-	// through this report must not be stopped by the (now stale)
-	// scheduler hook or event budget, write into the shared cache, or
-	// overwrite the shard's checkpoint.
-	scrubRunHooks(report)
-	return report, pin, suspend, nil
-}
-
-func (sc *shardSched) worker(id int) {
+func (p *shardPool) worker(id int) {
 	for {
-		sc.mu.Lock()
-		for len(sc.queue) == 0 && sc.pending > 0 {
-			sc.cond.Wait()
+		p.mu.Lock()
+		for p.q.Queued() == 0 && p.q.InFlight() > 0 {
+			p.cond.Wait()
 		}
-		if len(sc.queue) == 0 {
-			sc.mu.Unlock()
+		t := p.q.Take(id)
+		splittable := t != nil && p.q.Splittable(t)
+		p.mu.Unlock()
+		if t == nil {
 			return
 		}
-		item := sc.queue[len(sc.queue)-1]
-		sc.queue = sc.queue[:len(sc.queue)-1]
-		if item.origin >= 0 && item.origin != id {
-			sc.steals++
-		}
-		sc.mu.Unlock()
 
+		run := shardRun{task: t, every: p.cfg.CheckpointEvery, cache: p.cache}
+		if splittable {
+			run.progress = p.progressHook
+		}
+		if p.cfg.CheckpointDir != "" {
+			run.dir = filepath.Join(p.cfg.CheckpointDir, t.Item.Dir())
+		}
 		start := time.Now()
-		report, pin, suspend, err := sc.runItem(item)
+		report, frontier, err := runShardItem(p.scenario, run)
 		elapsed := time.Since(start)
 
-		sc.mu.Lock()
-		sc.busy[id] += elapsed
+		p.mu.Lock()
+		p.busy[id] += elapsed
 		if report != nil && report.Resumed() {
-			sc.resumed++
+			p.resumed++
 		}
 		switch {
 		case err != nil:
-			sc.errs = append(sc.errs,
-				fmt.Errorf("shard %s: %w", bitLabel(item), err))
-		case report.res.Stopped:
-			// Straggler: replace it with its two halves, one more drop
-			// decision pinned. The partial run is discarded — its states
-			// are not a sound cover of the sub-space.
-			sc.splits++
-			for b := uint64(0); b <= 1; b++ {
-				child := workItem{
-					depth:  item.depth + 1,
-					bits:   item.bits | b<<uint(item.depth),
-					target: item.target,
-					origin: id,
-				}
-				sc.queue = append(sc.queue, child)
-				sc.pending++
-				sc.cond.Signal()
-			}
-		case report.res.Suspended:
-			// Depth horizon: fan the surviving frontier out as continuation
-			// items. The fan-out is the configured one clamped to what the
-			// frontier supports (COW/SDS suspend as a single unit and
-			// continue as a chain) — never the worker count, which must not
-			// shape the partition.
-			sc.suspensions++
-			f := sc.cfg.HorizonFanout
-			if u := report.res.SuspendUnits; f > u {
-				f = u
-			}
-			if f < 1 {
-				f = 1
-			}
-			target := report.res.Events + sc.cfg.DepthHorizon
-			for seg := 0; seg < f; seg++ {
-				cont := make([]ContStep, len(item.cont)+1)
-				copy(cont, item.cont)
-				cont[len(item.cont)] = ContStep{Seg: seg, Of: f}
-				child := workItem{
-					depth:  item.depth,
-					bits:   item.bits,
-					cont:   cont,
-					target: target,
-					parent: suspend,
-					origin: id,
-				}
-				sc.queue = append(sc.queue, child)
-				sc.pending++
-				sc.cond.Signal()
-			}
+			p.errs = append(p.errs, fmt.Errorf("shard %s: %w", t.Item.Label(), err))
+			p.q.Drop(t)
+		case report.Stopped():
+			p.q.Split(t)
+		case report.Suspended():
+			p.q.Suspend(t, report.res.SuspendUnits, report.res.Events, frontier)
 		default:
-			sc.leaves = append(sc.leaves, leafResult{item: item, pin: pin, report: report})
+			p.q.Leaf(t, leafResult{item: t.Item, report: report})
 		}
-		sc.pending--
-		if sc.pending == 0 {
-			sc.cond.Broadcast()
-		}
-		sc.mu.Unlock()
+		p.cond.Broadcast()
+		p.mu.Unlock()
 	}
 }
 
@@ -458,34 +304,16 @@ func (sc *shardSched) worker(id int) {
 // might never materialise would replicate the sub-space in which it does
 // not, double-counting coverage; built-in scenario constructors compute
 // the safe set, and CustomConfig.ShardableNodes declares it for custom
-// workloads.)
+// workloads.) Every shard runs with the scenario's own layers.
 //
 // Shard errors do not cancel the run; every failed shard's error is
 // collected and the joined aggregate returned.
 func RunScenarioShardedWith(s Scenario, cfg ShardConfig) (*ShardedReport, error) {
-	if cfg.ShardBits < 0 {
-		return nil, fmt.Errorf("sde: negative shard bits")
-	}
 	if cfg.Workers < 0 {
 		return nil, fmt.Errorf("sde: Workers must be >= 0 (got %d); 0 means one per CPU", cfg.Workers)
 	}
-	if cfg.SpecWorkers < 0 {
-		return nil, fmt.Errorf("sde: SpecWorkers must be >= 0 (got %d); 0 means the engine default", cfg.SpecWorkers)
-	}
-	armed := append([]int(nil), s.shardable...)
-	sort.Ints(armed)
-	if cfg.ShardBits > len(armed) {
-		return nil, fmt.Errorf("sde: %d shard bits but only %d shardable drop nodes",
-			cfg.ShardBits, len(armed))
-	}
 	if cfg.Workers == 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
-	if cfg.MaxSplitBits < cfg.ShardBits {
-		cfg.MaxSplitBits = cfg.ShardBits
-	}
-	if cfg.MaxSplitBits > len(armed) {
-		cfg.MaxSplitBits = len(armed)
 	}
 	if cfg.SplitThreshold <= 0 {
 		cfg.SplitThreshold = defaultSplitThreshold
@@ -493,37 +321,19 @@ func RunScenarioShardedWith(s Scenario, cfg ShardConfig) (*ShardedReport, error)
 	if cfg.SplitAfter <= 0 {
 		cfg.SplitAfter = defaultSplitAfter
 	}
-	if cfg.HorizonFanout < 0 {
-		return nil, fmt.Errorf("sde: HorizonFanout must be >= 0 (got %d); 0 means the default", cfg.HorizonFanout)
+	q, err := shard.New[leafResult](shard.Partition{
+		ShardBits:     cfg.ShardBits,
+		DepthHorizon:  cfg.DepthHorizon,
+		HorizonFanout: cfg.HorizonFanout,
+	}, s.MaxShardBits(), cfg.MaxSplitBits)
+	if err != nil {
+		return nil, fmt.Errorf("sde: %w", err)
 	}
-	if cfg.HorizonFanout > maxContFanout {
-		return nil, fmt.Errorf("sde: HorizonFanout %d exceeds the maximum %d", cfg.HorizonFanout, maxContFanout)
-	}
-	if cfg.DepthHorizon == 0 {
-		cfg.HorizonFanout = 0
-	} else if cfg.HorizonFanout == 0 {
-		cfg.HorizonFanout = defaultHorizonFanout
-	}
-
-	sc := &shardSched{
-		scenario: s,
-		armed:    armed,
-		cfg:      cfg,
-		busy:     make([]time.Duration, cfg.Workers),
-	}
-	sc.cond = sync.NewCond(&sc.mu)
+	p := &shardPool{scenario: s, cfg: cfg, q: q, busy: make([]time.Duration, cfg.Workers)}
+	p.cond = sync.NewCond(&p.mu)
 	if cfg.SharedSolverCache {
-		sc.cache = solver.NewSharedCache()
+		p.cache = solver.NewSharedCache()
 	}
-	for shard := 0; shard < 1<<cfg.ShardBits; shard++ {
-		sc.queue = append(sc.queue, workItem{
-			depth:  cfg.ShardBits,
-			bits:   uint64(shard),
-			target: cfg.DepthHorizon,
-			origin: -1,
-		})
-	}
-	sc.pending = len(sc.queue)
 
 	start := time.Now()
 	var wg sync.WaitGroup
@@ -532,30 +342,30 @@ func RunScenarioShardedWith(s Scenario, cfg ShardConfig) (*ShardedReport, error)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sc.worker(id)
+			p.worker(id)
 		}()
 	}
 	wg.Wait()
 
-	if len(sc.errs) > 0 {
-		return nil, fmt.Errorf("sde: sharded run: %w", errors.Join(sc.errs...))
+	if len(p.errs) > 0 {
+		return nil, fmt.Errorf("sde: sharded run: %w", errors.Join(p.errs...))
 	}
 
 	sched := SchedStats{
 		Workers:     cfg.Workers,
-		Steals:      sc.steals,
-		Splits:      sc.splits,
-		Resumed:     sc.resumed,
-		Suspensions: sc.suspensions,
-		WorkerBusy:  sc.busy,
+		Steals:      q.Steals,
+		Splits:      q.Splits,
+		Resumed:     p.resumed,
+		Suspensions: q.Suspensions,
+		WorkerBusy:  p.busy,
 		Elapsed:     time.Since(start),
 	}
-	if sc.cache != nil {
-		st := sc.cache.Stats()
+	if p.cache != nil {
+		st := p.cache.Stats()
 		sched.SharedLookups = st.Lookups
 		sched.SharedHits = st.Hits
 	}
-	return finalizeSharded(s, sc.leaves, sched), nil
+	return finalizeSharded(s, q.Leaves(), sched), nil
 }
 
 // finalizeSharded orders completed leaves and aggregates their telemetry
@@ -571,39 +381,39 @@ func finalizeSharded(s Scenario, leaves []leafResult, sched SchedStats) *Sharded
 	// comparison with shorter-first tie-break is a total order.
 	sort.Slice(leaves, func(i, j int) bool {
 		a, b := leaves[i].item, leaves[j].item
-		n := a.depth
-		if b.depth < n {
-			n = b.depth
+		n := a.Depth
+		if b.Depth < n {
+			n = b.Depth
 		}
 		for bit := 0; bit < n; bit++ {
-			ab := (a.bits >> uint(bit)) & 1
-			bb := (b.bits >> uint(bit)) & 1
+			ab := (a.Bits >> uint(bit)) & 1
+			bb := (b.Bits >> uint(bit)) & 1
 			if ab != bb {
 				return ab < bb
 			}
 		}
-		if a.depth != b.depth {
-			return a.depth < b.depth
+		if a.Depth != b.Depth {
+			return a.Depth < b.Depth
 		}
-		m := len(a.cont)
-		if len(b.cont) < m {
-			m = len(b.cont)
+		m := len(a.Cont)
+		if len(b.Cont) < m {
+			m = len(b.Cont)
 		}
 		for k := 0; k < m; k++ {
-			if a.cont[k].Seg != b.cont[k].Seg {
-				return a.cont[k].Seg < b.cont[k].Seg
+			if a.Cont[k].Seg != b.Cont[k].Seg {
+				return a.Cont[k].Seg < b.Cont[k].Seg
 			}
-			if a.cont[k].Of != b.cont[k].Of {
-				return a.cont[k].Of < b.cont[k].Of
+			if a.Cont[k].Of != b.Cont[k].Of {
+				return a.Cont[k].Of < b.Cont[k].Of
 			}
 		}
-		return len(a.cont) < len(b.cont)
+		return len(a.Cont) < len(b.Cont)
 	})
 	shards := make([]ShardReport, len(leaves))
 	for i, leaf := range leaves {
 		leaf.report.scenario.desc = fmt.Sprintf("%s [shard %d/%d]",
 			s.desc, i, len(leaves))
-		shards[i] = ShardReport{Shard: i, Pin: leaf.pin, Report: leaf.report}
+		shards[i] = ShardReport{Shard: i, Pin: leaf.report.scenario.cfg.Pin, Report: leaf.report}
 	}
 	sched.Shards = len(shards)
 	for _, leaf := range leaves {

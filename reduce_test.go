@@ -133,10 +133,7 @@ func TestShardedReduction(t *testing.T) {
 	}
 
 	for _, bits := range []int{1, 2} {
-		sharded, err := sde.RunScenarioShardedWith(scenario, sde.ShardConfig{
-			ShardBits:    bits,
-			EnableReduce: true,
-		})
+		sharded, err := sde.RunScenarioSharded(scenario.WithReduction(), bits)
 		if err != nil {
 			t.Fatal(err)
 		}

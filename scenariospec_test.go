@@ -135,6 +135,7 @@ func TestScenarioSpecJSONRoundTrip(t *testing.T) {
 	spec := sde.ScenarioSpec{
 		Workload: "collect", Topology: "grid:3", Algorithm: "cow",
 		Packets: 2, Drops: "none", MaxStates: 100,
+		Layers: sde.Layers{Merge: true, NoSpeculate: true, SpecWorkers: 2},
 	}
 	data, err := json.Marshal(spec)
 	if err != nil {
@@ -154,5 +155,20 @@ func TestScenarioSpecJSONRoundTrip(t *testing.T) {
 	}
 	if _, err := min.Scenario(); err != nil {
 		t.Errorf("minimal spec does not materialise: %v", err)
+	}
+	if min.Layers != (sde.Layers{}) {
+		t.Errorf("omitted layers = %v, want the defaults", min.Layers)
+	}
+	// The layers field is Layers' textual form; unnamed layers keep their
+	// default and unknown ones are refused.
+	var some sde.ScenarioSpec
+	if err := json.Unmarshal([]byte(`{"topology":"grid:3","layers":"reduce,no-qopt"}`), &some); err != nil {
+		t.Fatal(err)
+	}
+	if want := (sde.Layers{Reduce: true, NoQopt: true}); some.Layers != want {
+		t.Errorf("layers = %v, want %v", some.Layers, want)
+	}
+	if err := json.Unmarshal([]byte(`{"topology":"grid:3","layers":"turbo"}`), &some); err == nil {
+		t.Error("unknown layer accepted")
 	}
 }

@@ -226,106 +226,74 @@ func (s Scenario) WithSolverOptions(o SolverOptions) Scenario {
 	return s
 }
 
-// WithoutQueryOptimizer returns a copy of the scenario with all three
-// query-optimizer stages (independence slicing, algebraic rewriting,
-// implied-value concretization) switched off. Optimized and unoptimized
-// runs produce identical test-case sets and state fingerprints, so this
-// switch — and the per-stage SolverOptions flags for finer bisection —
-// is the LAST triage step when a soundness bug is suspected, after
-// WithoutCompiledIR, WithoutMerging, WithoutReduction, and
-// WithoutSpeculation.
-func (s Scenario) WithoutQueryOptimizer() Scenario {
-	s.cfg.Solver.DisableSlicing = true
-	s.cfg.Solver.DisableRewrite = true
-	s.cfg.Solver.DisableConcretization = true
+// Layers is the set of optional execution layers of a run: what each
+// switch preserves, and the order to flip them in when a run looks wrong
+// (declaration order, bottom layer first), are documented once, on the
+// type. A Scenario carries exactly one Layers value — written by the
+// With*/Without* methods below or by ScenarioSpec.Layers — and every run
+// path (RunScenario, the sharded pool, a work lease, a fleet job) executes
+// with it unchanged.
+type Layers = sim.Layers
+
+// WithoutCompiledIR returns a copy of the scenario with Layers.NoCompile
+// set: every instruction goes through the symbolic interpreter.
+func (s Scenario) WithoutCompiledIR() Scenario {
+	s.cfg.Layers.NoCompile = true
+	return s
+}
+
+// WithMerging returns a copy of the scenario with Layers.Merge set:
+// ITE-based state merging, off by default.
+func (s Scenario) WithMerging() Scenario {
+	s.cfg.Layers.Merge = true
+	return s
+}
+
+// WithoutMerging returns a copy of the scenario with Layers.Merge cleared
+// (the default).
+func (s Scenario) WithoutMerging() Scenario {
+	s.cfg.Layers.Merge = false
+	return s
+}
+
+// WithReduction returns a copy of the scenario with Layers.Reduce set:
+// symmetry and partial-order reduction, off by default. Unlike the other
+// layers it is not bit-identical — it preserves the violation set and one
+// test case per orbit, and declared asymmetries come from SymmetrySpec.
+func (s Scenario) WithReduction() Scenario {
+	s.cfg.Layers.Reduce = true
+	return s
+}
+
+// WithoutReduction returns a copy of the scenario with Layers.Reduce
+// cleared (the default).
+func (s Scenario) WithoutReduction() Scenario {
+	s.cfg.Layers.Reduce = false
 	return s
 }
 
 // WithSpeculation returns a copy of the scenario with the speculative-fork
-// solver pipeline enabled and its worker-pool size set (0 = one worker per
-// CPU). Speculation is on by default; use this to tune the pool.
+// solver pipeline on (the default) and its worker pool sized (0 = one
+// worker per CPU).
 func (s Scenario) WithSpeculation(workers int) Scenario {
-	s.cfg.DisableSpeculation = false
-	s.cfg.SpecWorkers = workers
+	s.cfg.Layers.NoSpeculate = false
+	s.cfg.Layers.SpecWorkers = workers
 	return s
 }
 
-// WithoutSpeculation returns a copy of the scenario that resolves every
-// branch feasibility query synchronously, with no speculative execution.
-// Speculative and synchronous runs produce bit-identical state
-// fingerprints, dscenario sets, and test cases, so this switch is the
-// FOURTH triage step when a soundness bug is suspected — after
-// WithoutCompiledIR, WithoutMerging, and WithoutReduction, before
-// WithoutQueryOptimizer.
+// WithoutSpeculation returns a copy of the scenario with
+// Layers.NoSpeculate set: every branch feasibility query is solved
+// synchronously.
 func (s Scenario) WithoutSpeculation() Scenario {
-	s.cfg.DisableSpeculation = true
+	s.cfg.Layers.NoSpeculate = true
 	return s
 }
 
-// WithoutCompiledIR returns a copy of the scenario that executes every
-// instruction through the per-instruction symbolic interpreter, with no
-// basic-block fast path. Compiled and interpreted runs produce
-// bit-identical state fingerprints, dscenario sets, and test cases, so
-// this switch is the FIRST triage step when a soundness bug is suspected
-// — before WithoutMerging, WithoutReduction, WithoutSpeculation, and
-// WithoutQueryOptimizer, since the compiled path sits below all of them.
-func (s Scenario) WithoutCompiledIR() Scenario {
-	s.cfg.DisableCompiledIR = true
-	return s
-}
-
-// WithMerging returns a copy of the scenario with ITE-based state merging
-// enabled: at event boundaries, sibling states of a node whose memories
-// and registers differ at a bounded number of locations fuse into one
-// representative whose differing values become ite(pathΔ, v1, v2)
-// expressions over a disjoined path condition. The representative
-// executes shared events once and splits back into its exact members at
-// the first divergent or observable point, so merged and unmerged runs
-// produce bit-identical state fingerprints, dscenario sets, violations,
-// and test cases — only the instruction count shrinks. Merging is off by
-// default.
-func (s Scenario) WithMerging() Scenario {
-	s.cfg.EnableMerge = true
-	return s
-}
-
-// WithoutMerging returns a copy of the scenario with state merging
-// disabled (the default). Because merged and unmerged runs are
-// bit-identical, this switch is the SECOND triage step when a soundness
-// bug is suspected — after WithoutCompiledIR and before WithoutReduction,
-// WithoutSpeculation, and WithoutQueryOptimizer, since merging sits above
-// the compiled path but below the solver pipeline.
-func (s Scenario) WithoutMerging() Scenario {
-	s.cfg.EnableMerge = false
-	return s
-}
-
-// WithReduction returns a copy of the scenario with symmetry and
-// partial-order reduction enabled: the topology's automorphism group
-// (stabilized by the scenario's declared SymmetrySpec, if any)
-// canonicalizes failure-decision branches so only one representative of
-// each symmetry orbit is explored, and an activation-independence check
-// lets merged representatives commute past unrelated same-time
-// activations. Reduction preserves the violation set — violations of
-// pruned branches are synthesized back onto their concrete node ids at
-// the end of the run, marked Synthesized — and one test case per orbit,
-// but unlike merging it is NOT bit-identical: the explored state count,
-// instruction count, and fingerprint population shrink. Reduction is off
-// by default.
-func (s Scenario) WithReduction() Scenario {
-	s.cfg.EnableReduce = true
-	return s
-}
-
-// WithoutReduction returns a copy of the scenario with symmetry reduction
-// disabled (the default). Because reduction preserves the violation set
-// but not bit-identity, this switch is the THIRD triage step when a
-// soundness bug is suspected — after WithoutCompiledIR and WithoutMerging,
-// before WithoutSpeculation and WithoutQueryOptimizer: if turning
-// reduction off changes the VIOLATION SET, the reduction layer is the
-// bug; state-count differences alone are expected and benign.
-func (s Scenario) WithoutReduction() Scenario {
-	s.cfg.EnableReduce = false
+// WithoutQueryOptimizer returns a copy of the scenario with Layers.NoQopt
+// set: slicing, rewriting and concretization all off. SolverOptions has
+// the per-stage switches.
+func (s Scenario) WithoutQueryOptimizer() Scenario {
+	s.cfg.Layers.NoQopt = true
 	return s
 }
 

@@ -20,6 +20,41 @@ func TestGridCollectScenarioDefaults(t *testing.T) {
 	}
 }
 
+// TestScenarioConstructorsDefaultAlgorithm: every constructor documents
+// SDS as the zero-value algorithm, and the scenario it returns must
+// actually run with it rather than fail on Algorithm(0) inside the engine.
+func TestScenarioConstructorsDefaultAlgorithm(t *testing.T) {
+	build := map[string]func() (sde.Scenario, error){
+		"grid":      func() (sde.Scenario, error) { return sde.GridCollectScenario(sde.GridCollectOptions{Dim: 2}) },
+		"line":      func() (sde.Scenario, error) { return sde.LineCollectScenario(sde.LineCollectOptions{K: 2}) },
+		"runicast":  func() (sde.Scenario, error) { return sde.RunicastScenario(sde.RunicastOptions{K: 2}) },
+		"threshold": func() (sde.Scenario, error) { return sde.ThresholdScenario(sde.ThresholdOptions{K: 2}) },
+		"discovery": func() (sde.Scenario, error) {
+			return sde.DiscoveryScenario(sde.DiscoveryOptions{Topology: sde.Line(2)})
+		},
+		"flood": func() (sde.Scenario, error) { return sde.FloodScenario(sde.FloodOptions{K: 2}) },
+		"speculation": func() (sde.Scenario, error) {
+			return sde.SpeculationWorkloadScenario(sde.SpeculationWorkloadOptions{Depth: 2, Activations: 1})
+		},
+		"deepchain": func() (sde.Scenario, error) {
+			return sde.DeepChainScenario(sde.DeepChainOptions{K: 2, Ticks: 1, Iters: 1})
+		},
+	}
+	for name, fn := range build {
+		s, err := fn()
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+			continue
+		}
+		if s.Algorithm() != sde.SDS {
+			t.Errorf("%s: default algorithm = %v, want SDS", name, s.Algorithm())
+		}
+		if _, err := sde.RunScenario(s); err != nil {
+			t.Errorf("%s: zero-value algorithm does not run: %v", name, err)
+		}
+	}
+}
+
 func TestGridCollectScenarioValidation(t *testing.T) {
 	if _, err := sde.GridCollectScenario(sde.GridCollectOptions{Dim: 1}); err == nil {
 		t.Error("dim 1 accepted")

@@ -8,8 +8,10 @@ import (
 	"sort"
 	"time"
 
+	"sde/internal/shard"
 	"sde/internal/sim"
 	"sde/internal/snap"
+	"sde/internal/solver"
 )
 
 // Lease-granular execution: the building blocks of the multi-process
@@ -30,87 +32,14 @@ import (
 //   - Digest canonicalises the observable outputs so "bit-identical to an
 //     in-process run" is a string comparison.
 
-// ShardItem identifies one sub-space of the dscenario partition: bit i of
-// Bits is the pinned value of the i-th shardable drop decision, Depth
-// says how many decisions are pinned. Cont, when non-empty, narrows the
-// sub-space along the second shard dimension — exploration depth: each
-// ContStep records one depth-horizon suspension of the (depth, bits)
-// run's frontier and which slice of the fan-out this item continues. It
-// is the exported form of the shard scheduler's work item, and what a
-// work lease carries on the wire.
-type ShardItem struct {
-	Depth int
-	Bits  uint64
-	Cont  []ContStep `json:",omitempty"`
-}
-
-// ContStep is one generation of depth-horizon continuation identity:
-// the suspended frontier was partitioned Of ways and this item resumes
-// slice Seg. A chain of steps pins the item to one leaf of the
-// continuation tree, exactly as (Depth, Bits) pins it to one leaf of the
-// failure-decision tree.
-type ContStep struct {
-	Seg int
-	Of  int
-}
-
-// maxContFanout bounds one suspension's fan-out; maxContDepth bounds how
-// many horizon generations a single item may chain — both are sanity
-// limits on wire-supplied items, far above anything a real fleet forms.
-const (
-	maxContFanout = 4096
-	maxContDepth  = 64
+// ShardItem identifies one sub-space of the dscenario partition — pinned
+// failure decisions plus a depth-horizon continuation path — and ContStep
+// one generation of that path. They are the shard queue's item types, and
+// what a work lease carries on the wire.
+type (
+	ShardItem = shard.Item
+	ContStep  = shard.ContStep
 )
-
-// Label renders the item for logs: "root" or "bits/depth", with one
-// "~seg/of" suffix per continuation generation.
-func (it ShardItem) Label() string {
-	base := "root"
-	if it.Depth != 0 {
-		base = fmt.Sprintf("%0*b/%d", it.Depth, it.Bits, it.Depth)
-	}
-	for _, cs := range it.Cont {
-		base += fmt.Sprintf("~%d/%d", cs.Seg, cs.Of)
-	}
-	return base
-}
-
-// Dir names the item's checkpoint subdirectory. The full identity —
-// (depth, bits) plus the continuation path — names the sub-space, so a
-// re-issued lease finds the crashed worker's snapshot; completed items
-// form a prefix-free cover, so directories never collide.
-func (it ShardItem) Dir() string {
-	base := "root"
-	if it.Depth != 0 {
-		base = fmt.Sprintf("d%d-%0*b", it.Depth, it.Depth, it.Bits)
-	}
-	for _, cs := range it.Cont {
-		base += fmt.Sprintf("-c%d-%d", cs.Seg, cs.Of)
-	}
-	return base
-}
-
-// validate checks the item against the scenario's shardable set.
-func (it ShardItem) validate(s Scenario) error {
-	if it.Depth < 0 || it.Depth > s.MaxShardBits() {
-		return fmt.Errorf("sde: shard item depth %d outside [0, %d]", it.Depth, s.MaxShardBits())
-	}
-	if it.Depth < 64 && it.Bits >= 1<<uint(it.Depth) {
-		return fmt.Errorf("sde: shard item bits %b wider than depth %d", it.Bits, it.Depth)
-	}
-	if len(it.Cont) > maxContDepth {
-		return fmt.Errorf("sde: shard item chains %d continuations (max %d)", len(it.Cont), maxContDepth)
-	}
-	for i, cs := range it.Cont {
-		if cs.Of < 1 || cs.Of > maxContFanout {
-			return fmt.Errorf("sde: continuation step %d fan-out %d outside [1, %d]", i, cs.Of, maxContFanout)
-		}
-		if cs.Seg < 0 || cs.Seg >= cs.Of {
-			return fmt.Errorf("sde: continuation step %d slice %d outside [0, %d)", i, cs.Seg, cs.Of)
-		}
-	}
-	return nil
-}
 
 // shardPin maps the item's pinned bits onto the scenario's shardable drop
 // decisions (sorted by node id, LSB first).
@@ -132,21 +61,6 @@ type LeaseOptions struct {
 	// CheckpointEvery is the checkpoint interval in processed events
 	// (0 = the engine default).
 	CheckpointEvery int
-	// DisableSpeculation and SpecWorkers tune the per-lease speculative
-	// solver pipeline (see ShardConfig).
-	DisableSpeculation bool
-	SpecWorkers        int
-	// DisableCompiledIR turns the basic-block compiled fast path off for
-	// this lease (see Scenario.WithoutCompiledIR).
-	DisableCompiledIR bool
-	// EnableMerge turns ITE-based state merging on for this lease (see
-	// Scenario.WithMerging). Off by default.
-	EnableMerge bool
-	// EnableReduce turns symmetry and partial-order reduction on for this
-	// lease (see Scenario.WithReduction). The lease's reducer keeps only
-	// automorphisms preserving its pinned decisions, so canonicalization
-	// stays inside the leased sub-space. Off by default.
-	EnableReduce bool
 	// Progress, when non-nil, is polled during the run with the live
 	// state count and elapsed wall time; returning true stops the run
 	// (LeaseOutcome.Stopped) — how a worker honours a straggler re-split
@@ -202,33 +116,21 @@ type LeaseOutcome struct {
 // resuming a finished leaf replays nothing. This is the worker half of
 // the exploration service.
 func RunShardLease(s Scenario, it ShardItem, opts LeaseOptions) (*LeaseOutcome, error) {
-	if err := it.validate(s); err != nil {
-		return nil, err
+	if err := it.Validate(s.MaxShardBits()); err != nil {
+		return nil, fmt.Errorf("sde: %w", err)
 	}
 	if opts.CheckpointDir == "" {
 		return nil, fmt.Errorf("sde: RunShardLease needs a checkpoint directory")
 	}
-	if opts.SpecWorkers < 0 {
-		return nil, fmt.Errorf("sde: SpecWorkers must be >= 0 (got %d)", opts.SpecWorkers)
-	}
-	shard := s
-	cfg := s.cfg
-	cfg.Pin = s.shardPin(it)
-	cfg.Progress = opts.Progress
-	cfg.CheckpointEvery = opts.CheckpointEvery
-	cfg.EventBudget = opts.EventTarget
-	cfg.DisableSpeculation = opts.DisableSpeculation
-	cfg.SpecWorkers = opts.SpecWorkers
-	cfg.DisableCompiledIR = cfg.DisableCompiledIR || opts.DisableCompiledIR
-	cfg.EnableMerge = cfg.EnableMerge || opts.EnableMerge
-	cfg.EnableReduce = cfg.EnableReduce || opts.EnableReduce
-	shard.cfg = cfg
-	shard.desc = fmt.Sprintf("%s [shard %s]", s.desc, it.Label())
-	report, suspend, err := runShardItem(shard, opts.CheckpointDir, it.Cont, opts.Continuation)
+	report, frontier, err := runShardItem(s, shardRun{
+		task:     &shard.Task{Item: it, Target: opts.EventTarget, Parent: opts.Continuation},
+		dir:      opts.CheckpointDir,
+		every:    opts.CheckpointEvery,
+		progress: opts.Progress,
+	})
 	if err != nil {
 		return nil, err
 	}
-	scrubRunHooks(report)
 	if report.Stopped() {
 		return &LeaseOutcome{Stopped: true, Report: report}, nil
 	}
@@ -238,7 +140,7 @@ func RunShardLease(s Scenario, it ShardItem, opts LeaseOptions) (*LeaseOutcome, 
 			Units:     report.res.SuspendUnits,
 			Events:    report.res.Events,
 			Report:    report,
-			Snapshot:  suspend,
+			Snapshot:  frontier,
 		}, nil
 	}
 	data, err := snap.LoadBytes(opts.CheckpointDir)
@@ -248,31 +150,51 @@ func RunShardLease(s Scenario, it ShardItem, opts LeaseOptions) (*LeaseOutcome, 
 	return &LeaseOutcome{Report: report, Snapshot: data}, nil
 }
 
-// runShardItem executes one shard work item with direct engine access:
-// fresh, resumed from the item's own checkpoint in dir, or — for a
-// continuation item with no checkpoint of its own yet — resumed as slice
-// cont[last].Seg of the parent frontier partitioned cont[last].Of ways.
-// It returns the report plus, when the run suspended at its depth
-// horizon, the continuation snapshot bytes.
-func runShardItem(shard Scenario, dir string, cont []ContStep, parent []byte) (*Report, []byte, error) {
-	if dir != "" {
-		shard = shard.WithCheckpoints(dir, shard.cfg.CheckpointEvery)
+// shardRun is one execution of a queue task: the task plus the run-time
+// hooks its transport installs. Everything else — the layers included —
+// is the scenario's.
+type shardRun struct {
+	task     *shard.Task
+	dir      string // checkpoint directory ("" = not durable)
+	every    int    // checkpoint interval in events (0 = engine default)
+	progress func(states int, elapsed time.Duration) (stop bool)
+	cache    *solver.SharedCache
+}
+
+// runShardItem executes one work item — the single path both transports
+// run items through. The scenario is restricted to the item's sub-space
+// and starts fresh, resumed from the item's own checkpoint in r.dir, or —
+// for a continuation item with no checkpoint of its own yet — resumed as
+// slice Cont[last].Seg of the parent frontier partitioned Cont[last].Of
+// ways. It returns the report plus, when the run suspended at its depth
+// horizon, the frontier snapshot bytes.
+func runShardItem(s Scenario, r shardRun) (*Report, []byte, error) {
+	item := r.task.Item
+	sub := s
+	sub.desc = fmt.Sprintf("%s [shard %s]", s.desc, item.Label())
+	sub.cfg.Pin = s.shardPin(item)
+	sub.cfg.CheckpointDir, sub.cfg.CheckpointEvery = "", 0
+	// The report keeps sub; the hooks go on the engine's copy only, so a
+	// replay through the report is not stopped by a stale progress hook or
+	// event budget, does not write into the shared cache and does not
+	// overwrite the shard's checkpoint.
+	cfg := sub.cfg
+	cfg.Progress = r.progress
+	cfg.SharedSolverCache = r.cache
+	cfg.EventBudget = r.task.Target
+	cfg.CheckpointDir, cfg.CheckpointEvery = r.dir, r.every
+
+	var data []byte
+	err := snap.ErrNoCheckpoint
+	if r.dir != "" {
+		data, err = snap.LoadBytes(r.dir)
 	}
-	cfg := shard.cfg
 	var eng *sim.Engine
-	var err error
-	if dir != "" {
-		data, lerr := snap.LoadBytes(dir)
-		switch {
-		case lerr == nil:
-			eng, err = sim.ResumeEngine(cfg, data)
-		case errors.Is(lerr, snap.ErrNoCheckpoint):
-			eng, err = newShardEngine(cfg, cont, parent)
-		default:
-			return nil, nil, fmt.Errorf("sde: %w", lerr)
-		}
-	} else {
-		eng, err = newShardEngine(cfg, cont, parent)
+	switch {
+	case err == nil:
+		eng, err = sim.ResumeEngine(cfg, data)
+	case errors.Is(err, snap.ErrNoCheckpoint):
+		eng, err = newShardEngine(cfg, item.Cont, r.task.Parent)
 	}
 	if err != nil {
 		return nil, nil, fmt.Errorf("sde: %w", err)
@@ -281,12 +203,12 @@ func runShardItem(shard Scenario, dir string, cont []ContStep, parent []byte) (*
 	if err != nil {
 		return nil, nil, fmt.Errorf("sde: %w", err)
 	}
-	report := &Report{res: res, scenario: shard}
+	report := &Report{res: res, scenario: sub}
 	var suspend []byte
 	if res.Suspended {
-		if dir != "" {
+		if r.dir != "" {
 			// Run's final checkpoint write is the continuation payload.
-			suspend, err = snap.LoadBytes(dir)
+			suspend, err = snap.LoadBytes(r.dir)
 		} else {
 			var sp *snap.Snapshot
 			sp, err = eng.Snapshot()
@@ -315,18 +237,6 @@ func newShardEngine(cfg sim.Config, cont []ContStep, parent []byte) (*sim.Engine
 	return sim.ResumeEngineSlice(cfg, parent, last.Seg, last.Of)
 }
 
-// scrubRunHooks removes run-time hooks from a report's stored scenario: a
-// replay through the report must not be stopped by a stale progress hook
-// or event budget, write into a shared cache, or overwrite the shard's
-// checkpoint.
-func scrubRunHooks(r *Report) {
-	r.scenario.cfg.Progress = nil
-	r.scenario.cfg.SharedSolverCache = nil
-	r.scenario.cfg.CheckpointDir = ""
-	r.scenario.cfg.CheckpointEvery = 0
-	r.scenario.cfg.EventBudget = 0
-}
-
 // ShardLeaf is one completed leaf of a distributed run: the item and its
 // final checkpoint as shipped over the wire.
 type ShardLeaf struct {
@@ -348,22 +258,19 @@ func AssembleSharded(s Scenario, leaves []ShardLeaf) (*ShardedReport, error) {
 	}
 	items := make([]ShardItem, len(leaves))
 	for i, leaf := range leaves {
-		if err := leaf.Item.validate(s); err != nil {
-			return nil, err
+		if err := leaf.Item.Validate(s.MaxShardBits()); err != nil {
+			return nil, fmt.Errorf("sde: %w", err)
 		}
 		items[i] = leaf.Item
 	}
-	if err := verifyCover(items); err != nil {
-		return nil, err
+	if err := shard.VerifyCover(items); err != nil {
+		return nil, fmt.Errorf("sde: %w", err)
 	}
 	results := make([]leafResult, 0, len(leaves))
 	for _, leaf := range leaves {
-		pin := s.shardPin(leaf.Item)
-		shard := s
-		cfg := s.cfg
-		cfg.Pin = pin
-		shard.cfg = cfg
-		eng, err := sim.ResumeEngine(shard.cfg, leaf.Snapshot)
+		sub := s
+		sub.cfg.Pin = s.shardPin(leaf.Item)
+		eng, err := sim.ResumeEngine(sub.cfg, leaf.Snapshot)
 		if err != nil {
 			return nil, fmt.Errorf("sde: shard %s: %w", leaf.Item.Label(), err)
 		}
@@ -371,148 +278,9 @@ func AssembleSharded(s Scenario, leaves []ShardLeaf) (*ShardedReport, error) {
 		if err != nil {
 			return nil, fmt.Errorf("sde: shard %s: %w", leaf.Item.Label(), err)
 		}
-		results = append(results, leafResult{
-			item:   workItem{depth: leaf.Item.Depth, bits: leaf.Item.Bits, cont: leaf.Item.Cont},
-			pin:    pin,
-			report: &Report{res: res, scenario: shard},
-		})
+		results = append(results, leafResult{item: leaf.Item, report: &Report{res: res, scenario: sub}})
 	}
 	return finalizeSharded(s, results, SchedStats{Resumed: len(results)}), nil
-}
-
-// verifyCover checks that the items are a prefix-free, exact cover of the
-// two-dimensional shard space. Phase 1 telescopes each (depth, bits)
-// base's continuation tree: a suspended run's fan-out produced exactly one
-// item per slice, so merging sibling slices bottom-up must collapse each
-// base to a single item with an empty continuation path. Phase 2 then
-// telescopes the failure-decision tree exactly as before: merging sibling
-// bit sub-spaces bottom-up must reach the root exactly once.
-func verifyCover(items []ShardItem) error {
-	type base struct {
-		depth int
-		bits  uint64
-	}
-	// conts[b] maps contKey(path) -> path for every item of base b still
-	// uncollapsed.
-	conts := make(map[base]map[string][]ContStep)
-	for _, it := range items {
-		if it.Depth > 62 {
-			return fmt.Errorf("sde: shard item depth %d too deep to verify", it.Depth)
-		}
-		b := base{it.Depth, it.Bits}
-		if conts[b] == nil {
-			conts[b] = make(map[string][]ContStep)
-		}
-		key := contKey(it.Cont)
-		if _, dup := conts[b][key]; dup {
-			return fmt.Errorf("sde: shard %s appears twice", it.Label())
-		}
-		conts[b][key] = it.Cont
-	}
-	// Phase 1: collapse each base's continuation leaves to the empty path.
-	maxDepth := 0
-	set := make(map[base]bool, len(conts))
-	for b, paths := range conts {
-		if err := collapseContinuations(ShardItem{Depth: b.depth, Bits: b.bits}, paths); err != nil {
-			return err
-		}
-		set[b] = true
-		if b.depth > maxDepth {
-			maxDepth = b.depth
-		}
-	}
-	// Phase 2: bit telescoping over the collapsed bases.
-	for depth := maxDepth; depth > 0; depth-- {
-		for b := range set {
-			if b.depth != depth {
-				continue
-			}
-			sibling := base{depth, b.bits ^ 1<<uint(depth-1)}
-			if !set[sibling] {
-				return fmt.Errorf("sde: shard cover is missing the sibling of %s",
-					ShardItem{Depth: b.depth, Bits: b.bits}.Label())
-			}
-			delete(set, b)
-			delete(set, sibling)
-			parent := base{depth - 1, b.bits &^ (1 << uint(depth-1))}
-			if set[parent] {
-				return fmt.Errorf("sde: shard %s overlaps its covering prefix %s",
-					ShardItem{Depth: b.depth, Bits: b.bits}.Label(),
-					ShardItem{Depth: parent.depth, Bits: parent.bits}.Label())
-			}
-			set[parent] = true
-		}
-	}
-	if !set[base{}] || len(set) != 1 {
-		return fmt.Errorf("sde: shard leaves do not cover the space")
-	}
-	return nil
-}
-
-// collapseContinuations telescopes one base's continuation paths to the
-// empty path in place: for each path of maximal length, all Of siblings of
-// its last step must be present; they merge into their common prefix.
-// Anything left over — a missing sibling, or an item that is a prefix of
-// another (an overlap: the parent covers everything its slices do) — is an
-// invalid cover.
-func collapseContinuations(b ShardItem, paths map[string][]ContStep) error {
-	maxLen := 0
-	for _, p := range paths {
-		if len(p) > maxLen {
-			maxLen = len(p)
-		}
-	}
-	for l := maxLen; l > 0; l-- {
-		level := make([][]ContStep, 0, len(paths))
-		for _, p := range paths {
-			if len(p) == l {
-				level = append(level, p)
-			}
-		}
-		for _, p := range level {
-			if _, still := paths[contKey(p)]; !still {
-				continue // merged as a sibling of an earlier path this level
-			}
-			last := p[len(p)-1]
-			sib := append([]ContStep(nil), p...)
-			for seg := 0; seg < last.Of; seg++ {
-				sib[len(sib)-1] = ContStep{Seg: seg, Of: last.Of}
-				if _, ok := paths[contKey(sib)]; !ok {
-					b.Cont = sib
-					return fmt.Errorf("sde: shard cover is missing continuation slice %s", b.Label())
-				}
-			}
-			for seg := 0; seg < last.Of; seg++ {
-				sib[len(sib)-1] = ContStep{Seg: seg, Of: last.Of}
-				delete(paths, contKey(sib))
-			}
-			parent := p[:len(p)-1]
-			if _, overlap := paths[contKey(parent)]; overlap {
-				b.Cont = p
-				lbl := b.Label()
-				b.Cont = parent
-				return fmt.Errorf("sde: shard %s overlaps its covering continuation %s", lbl, b.Label())
-			}
-			paths[contKey(parent)] = append([]ContStep(nil), parent...)
-		}
-	}
-	if _, root := paths[contKey(nil)]; !root || len(paths) != 1 {
-		b.Cont = nil
-		return fmt.Errorf("sde: continuation leaves of shard %s do not cover its frontier", b.Label())
-	}
-	return nil
-}
-
-// contKey canonicalises a continuation path for map keying.
-func contKey(path []ContStep) string {
-	if len(path) == 0 {
-		return ""
-	}
-	var sb []byte
-	for _, cs := range path {
-		sb = fmt.Appendf(sb, "%d/%d;", cs.Seg, cs.Of)
-	}
-	return string(sb)
 }
 
 // Digest canonicalises the report's observable outputs — per-shard pins,

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"sde"
+	"sde/internal/shard"
 )
 
 func TestShardItemLabelAndDir(t *testing.T) {
@@ -30,27 +31,45 @@ func TestShardItemLabelAndDir(t *testing.T) {
 	}
 }
 
-// leaseAll executes every leaf of a prefix-free cover through
-// RunShardLease, returning the leaves AssembleSharded consumes.
-func leaseAll(t *testing.T, s sde.Scenario, items []sde.ShardItem, root string) []sde.ShardLeaf {
+// leaseCover drives the worker path over the shard queue, exactly as the
+// coordinator does minus the network: every task the partition's queue
+// hands out runs as an isolated RunShardLease, a suspended lease's
+// frontier goes back through Suspend, and a finished one's snapshot is
+// collected as a leaf. split, when non-nil, names the items to abandon
+// unrun as stragglers, which is how a mixed-depth cover comes about.
+func leaseCover(t *testing.T, s sde.Scenario, root string, part shard.Partition, split func(sde.ShardItem) bool) []sde.ShardLeaf {
 	t.Helper()
-	leaves := make([]sde.ShardLeaf, 0, len(items))
-	for _, it := range items {
+	q, err := shard.New[sde.ShardLeaf](part, s.MaxShardBits(), s.MaxShardBits())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for task := q.Take(0); task != nil; task = q.Take(0) {
+		it := task.Item
+		if split != nil && split(it) {
+			if did, _ := q.Split(task); !did {
+				t.Fatalf("lease %s cannot be split", it.Label())
+			}
+			continue
+		}
 		out, err := sde.RunShardLease(s, it, sde.LeaseOptions{
 			CheckpointDir: filepath.Join(root, it.Dir()),
+			EventTarget:   task.Target,
+			Continuation:  task.Parent,
 		})
-		if err != nil {
+		switch {
+		case err != nil:
 			t.Fatalf("lease %s: %v", it.Label(), err)
-		}
-		if out.Stopped {
+		case out.Stopped:
 			t.Fatalf("lease %s stopped without a progress hook", it.Label())
-		}
-		if len(out.Snapshot) == 0 {
+		case len(out.Snapshot) == 0:
 			t.Fatalf("lease %s returned an empty snapshot", it.Label())
+		case out.Suspended:
+			q.Suspend(task, out.Units, out.Events, out.Snapshot)
+		default:
+			q.Leaf(task, sde.ShardLeaf{Item: it, Snapshot: out.Snapshot})
 		}
-		leaves = append(leaves, sde.ShardLeaf{Item: it, Snapshot: out.Snapshot})
 	}
-	return leaves
+	return q.Leaves()
 }
 
 // TestAssembleShardedBitIdentical is the service's core soundness
@@ -68,13 +87,7 @@ func TestAssembleShardedBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	items := []sde.ShardItem{
-		{Depth: 2, Bits: 0b00},
-		{Depth: 2, Bits: 0b10},
-		{Depth: 2, Bits: 0b01},
-		{Depth: 2, Bits: 0b11},
-	}
-	leaves := leaseAll(t, scenario, items, t.TempDir())
+	leaves := leaseCover(t, scenario, t.TempDir(), shard.Partition{ShardBits: 2}, nil)
 	got, err := sde.AssembleSharded(scenario, leaves)
 	if err != nil {
 		t.Fatal(err)
@@ -90,8 +103,8 @@ func TestAssembleShardedBitIdentical(t *testing.T) {
 		t.Errorf("assembled states/dscenarios %d/%v != %d/%v",
 			got.States(), got.DScenarios(), ref.States(), ref.DScenarios())
 	}
-	if got.Sched.Shards != len(items) {
-		t.Errorf("Sched.Shards = %d, want %d", got.Sched.Shards, len(items))
+	if got.Sched.Shards != 4 {
+		t.Errorf("Sched.Shards = %d, want the 4 bit shards", got.Sched.Shards)
 	}
 }
 
@@ -103,12 +116,11 @@ func TestAssembleShardedMixedDepths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	items := []sde.ShardItem{
-		{Depth: 1, Bits: 0b0},
-		{Depth: 2, Bits: 0b01},
-		{Depth: 2, Bits: 0b11},
+	leaves := leaseCover(t, scenario, t.TempDir(), shard.Partition{ShardBits: 1},
+		func(it sde.ShardItem) bool { return it.Depth == 1 && it.Bits == 1 })
+	if len(leaves) != 3 {
+		t.Fatalf("%d leaves, want 0/1 whole plus the two quarters of 1/1", len(leaves))
 	}
-	leaves := leaseAll(t, scenario, items, t.TempDir())
 	got, err := sde.AssembleSharded(scenario, leaves)
 	if err != nil {
 		t.Fatal(err)
@@ -184,8 +196,11 @@ func TestLeaseCrashRecovery(t *testing.T) {
 	}
 
 	other := sde.ShardItem{Depth: 1, Bits: 1}
-	rest := leaseAll(t, scenario, []sde.ShardItem{other}, root)
-	leaves := append(rest, sde.ShardLeaf{Item: crashed, Snapshot: retry.Snapshot})
+	rest, err := sde.RunShardLease(scenario, other, sde.LeaseOptions{CheckpointDir: filepath.Join(root, other.Dir())})
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaves := []sde.ShardLeaf{{Item: other, Snapshot: rest.Snapshot}, {Item: crashed, Snapshot: retry.Snapshot}}
 	got, err := sde.AssembleSharded(scenario, leaves)
 	if err != nil {
 		t.Fatal(err)
@@ -216,7 +231,7 @@ func TestRunShardLeaseValidation(t *testing.T) {
 
 func TestAssembleShardedRejectsBadCovers(t *testing.T) {
 	scenario := shardScenario(t, sde.SDS)
-	whole := leaseAll(t, scenario, []sde.ShardItem{{}}, t.TempDir())
+	whole := leaseCover(t, scenario, t.TempDir(), shard.Partition{}, nil)
 
 	cases := []struct {
 		name  string

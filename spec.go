@@ -46,16 +46,17 @@ type ScenarioSpec struct {
 	Iters uint32 `json:"iters,omitempty"`
 	// MaxStates aborts the run when live states exceed it (0 = unlimited).
 	MaxStates int `json:"max_states,omitempty"`
-	// Reduce turns symmetry and partial-order reduction on for the run
-	// (Scenario.WithReduction). Reduction preserves the violation set and
-	// per-orbit-representative test cases but not bit-identity.
-	Reduce bool `json:"reduce,omitempty"`
+	// Layers is the run's layer set, in Layers' textual form — e.g.
+	// "merge,no-speculate"; unnamed layers keep their default. It is part
+	// of the job: every lease of a fleet job runs with exactly these
+	// layers, whichever worker executes it.
+	Layers Layers `json:"layers"`
 }
 
 // String renders the spec compactly for logs.
 func (sp ScenarioSpec) String() string {
-	return fmt.Sprintf("%s/%s algo=%s packets=%d drops=%s",
-		sp.Workload, sp.Topology, sp.Algorithm, sp.Packets, sp.Drops)
+	return fmt.Sprintf("%s/%s algo=%s packets=%d drops=%s layers=%s",
+		sp.Workload, sp.Topology, sp.Algorithm, sp.Packets, sp.Drops, sp.Layers)
 }
 
 // ParseAlgorithm maps a case-insensitive algorithm name (cob, cow, sds)
@@ -229,8 +230,9 @@ func (sp ScenarioSpec) Scenario() (Scenario, error) {
 	if sp.MaxStates > 0 {
 		s = s.WithCaps(Caps{MaxStates: sp.MaxStates})
 	}
-	if sp.Reduce {
-		s = s.WithReduction()
+	if err := sp.Layers.Validate(); err != nil {
+		return Scenario{}, fmt.Errorf("sde: %w", err)
 	}
+	s.cfg.Layers = sp.Layers
 	return s, nil
 }

@@ -114,7 +114,7 @@ func TestNegativeWorkerRejection(t *testing.T) {
 		!strings.Contains(err.Error(), "Workers") {
 		t.Errorf("sharded run with Workers=-2 returned %v", err)
 	}
-	if _, err := sde.RunScenarioShardedWith(s, sde.ShardConfig{SpecWorkers: -1}); err == nil ||
+	if _, err := sde.RunScenarioSharded(s.WithSpeculation(-1), 0); err == nil ||
 		!strings.Contains(err.Error(), "SpecWorkers") {
 		t.Errorf("sharded run with SpecWorkers=-1 returned %v", err)
 	}

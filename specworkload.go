@@ -4,9 +4,9 @@ import "fmt"
 
 // SpeculationWorkloadOptions parameterises SpeculationWorkloadScenario.
 type SpeculationWorkloadOptions struct {
-	// Algorithm is the state mapping algorithm (SDS when zero-valued
-	// COB is fine too — the workload sends no packets, so the mapper
-	// only sees local forks).
+	// Algorithm is the state mapping algorithm (default SDS; COB is fine
+	// too — the workload sends no packets, so the mapper only sees local
+	// forks).
 	Algorithm Algorithm
 
 	// Depth is the length of the entangled assume chain each activation
@@ -35,6 +35,9 @@ type SpeculationWorkloadOptions struct {
 // by SAT-superset subsumption. A symbolic boot branch adds one
 // both-feasible fork so the pair-speculation path is exercised too.
 func SpeculationWorkloadScenario(o SpeculationWorkloadOptions) (Scenario, error) {
+	if o.Algorithm == 0 {
+		o.Algorithm = SDS
+	}
 	if o.Depth <= 0 {
 		o.Depth = 10
 	}
