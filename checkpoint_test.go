@@ -8,7 +8,11 @@ package sde_test
 // from their per-shard checkpoints (with a different worker count).
 
 import (
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
+	"time"
 
 	"sde"
 )
@@ -75,6 +79,79 @@ func TestCheckpointResume(t *testing.T) {
 		if !set[fp] {
 			t.Fatal("resumed run is missing a dscenario of the original")
 		}
+	}
+}
+
+// TestPacedCheckpointBudget runs the benchmark's two built-in checkpoint
+// rows (discovery on a 3x3 grid, collect on 7x7; its third is a program of
+// its own) through sde.Checkpoint at the default schedule, on the real
+// clock. The budget is exact there too, not statistical: the pacer's gaps
+// and the costs in the journal are disjoint intervals of the same
+// monotonic clock inside the run's wall, and every periodic checkpoint but
+// the last is followed by a gap of at least eight times its cost.
+func TestPacedCheckpointBudget(t *testing.T) {
+	specs := map[string]sde.ScenarioSpec{
+		"nd-sds":  {Workload: "discovery", Topology: "grid:3", Packets: 2, Algorithm: "sds"},
+		"g49-sds": {Workload: "collect", Topology: "grid:7", Packets: 3, Drops: "route+neighbors", Algorithm: "sds"},
+	}
+	for name, spec := range specs {
+		t.Run(name, func(t *testing.T) {
+			scenario, err := spec.Scenario()
+			if err != nil {
+				t.Fatal(err)
+			}
+			dir := t.TempDir()
+			rep, err := sde.Checkpoint(scenario, dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data, err := os.ReadFile(filepath.Join(dir, "journal.log"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			lines := strings.Split(strings.TrimSpace(string(data)), "\n")
+			var costs []time.Duration
+			for _, line := range lines {
+				_, field, ok := strings.Cut(line, " cost=")
+				if !ok {
+					t.Fatalf("journal line without a cost: %q", line)
+				}
+				cost, err := time.ParseDuration(field)
+				if err != nil {
+					t.Fatalf("journal line %q: %v", line, err)
+				}
+				costs = append(costs, cost)
+			}
+			written, skipped, wall := rep.Checkpoints()
+			if written != len(lines) {
+				t.Errorf("Checkpoints() written = %d, journal has %d lines", written, len(lines))
+			}
+			if skipped == 0 {
+				t.Error("no grid boundary skipped: the run is many checkpoints long at every-256-events")
+			}
+			var sum time.Duration
+			for _, c := range costs {
+				sum += c
+			}
+			if wall != sum {
+				t.Errorf("Checkpoints() wall = %v, journal costs sum to %v", wall, sum)
+			}
+			// All lines but the last are periodic; the last periodic one may
+			// not have been followed by its gap before the run ended.
+			if len(costs) < 2 {
+				t.Fatalf("journal has %d lines, want the first boundary's and the final one", len(costs))
+			}
+			periodic := costs[:len(costs)-1]
+			var paid time.Duration
+			for _, c := range periodic[:len(periodic)-1] {
+				paid += c
+			}
+			if 8*paid > rep.Wall() {
+				t.Errorf("periodic checkpoints but the last cost %v of a %v run", paid, rep.Wall())
+			}
+			t.Logf("%s: wall %v, %d checkpoints (%v periodic + %v final), %d boundaries skipped",
+				name, rep.Wall(), written, sum-costs[len(costs)-1], costs[len(costs)-1], skipped)
+		})
 	}
 }
 

@@ -15,9 +15,17 @@
 // (the "layers" field of its spec), so a job's result cannot depend on
 // which worker happened to execute which lease.
 //
+// Periodic checkpoints are cost-paced by default: at most every 256 events,
+// and only once the lease has explored for 8 times what its last checkpoint
+// cost, so at most 1/8 of a lease goes into checkpoints and a crash costs
+// the re-issued lease at most 8 checkpoint costs plus 256 events of rework.
+// -checkpoint-every N checkpoints after every N events exactly instead.
+//
 // -crash-after-checkpoints N is a chaos hook for recovery testing: the
 // process exits abruptly (code 3, no protocol goodbye) once the active
-// lease's checkpoint file has been observed N times.
+// lease's checkpoint file has been observed N times. -crash-after-events N
+// does the same once a lease has processed N events — below 256 at the
+// default schedule, that is before the lease's first checkpoint.
 package main
 
 import (
@@ -49,10 +57,11 @@ func run() error {
 	name := flag.String("name", "", "worker name (default host-pid)")
 	workdir := flag.String("workdir", "", "checkpoint work directory, required")
 	heartbeat := flag.Duration("heartbeat", 500*time.Millisecond, "heartbeat interval while executing a lease")
-	checkpointEvery := flag.Int("checkpoint-every", 0, "checkpoint interval in events (0 = engine default)")
+	checkpointEvery := flag.Int("checkpoint-every", 0, "checkpoint after every n events exactly (0 = cost-paced: at most 1/8 of a lease goes into periodic checkpoints)")
 	splitStates := flag.Int("split-states", 0, "self-split a lease above this many live states when the queue is starved (0 = never)")
 	splitAfter := flag.Duration("split-after", 2*time.Second, "minimum lease runtime before self-splitting")
 	crashAfter := flag.Int("crash-after-checkpoints", 0, "chaos hook: crash abruptly after observing the lease checkpoint N times")
+	crashAfterEvents := flag.Int("crash-after-events", 0, "chaos hook: crash abruptly once a lease has processed N events")
 	retry := flag.Duration("retry", 0, "reconnect after connection loss, waiting this long (0 = exit)")
 	quiet := flag.Bool("quiet", false, "suppress per-lease logging")
 	flag.Parse()
@@ -91,6 +100,7 @@ func run() error {
 		SplitStates:           *splitStates,
 		SplitAfter:            *splitAfter,
 		CrashAfterCheckpoints: *crashAfter,
+		CrashAfterEvents:      *crashAfterEvents,
 		Logf:                  logf,
 	}
 

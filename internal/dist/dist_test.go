@@ -119,55 +119,73 @@ func TestServiceBitIdentical(t *testing.T) {
 	}
 }
 
-// TestServiceWorkerCrashRecovery kills one worker mid-lease — abrupt
-// connection drop right after its shard's first durable checkpoint, like
-// a SIGKILL — and requires the surviving fleet to finish the job with a
-// report bit-identical to an uninterrupted in-process run.
+// TestServiceWorkerCrashRecovery kills one worker mid-lease — an abrupt
+// connection drop, like a SIGKILL — and requires the surviving fleet to
+// finish the job with a report bit-identical to an uninterrupted
+// in-process run: once with a durable checkpoint of the lease on disk, and
+// once at the default schedule before the lease's first paced checkpoint.
 func TestServiceWorkerCrashRecovery(t *testing.T) {
-	c, addr := startCoordinator(t, Options{RetryMillis: 10})
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-
-	crashDir := t.TempDir()
-	crasher := startWorker(t, ctx, addr, WorkerOptions{
-		Name:    "crasher",
-		WorkDir: crashDir,
+	cases := []struct {
+		name    string
+		crasher WorkerOptions
+		// lost: the restarted crasher gets an empty work directory, as after
+		// a kill that left nothing durable. (The injected crash stops the
+		// engine, which writes its stop-point frontier on the way out; a
+		// SIGKILL before the first checkpoint would leave nothing.)
+		lost bool
+	}{
 		// Checkpoint every event so the crash provably happens with a
 		// durable checkpoint on disk, mid-lease.
-		CheckpointEvery:       1,
-		CrashAfterCheckpoints: 3,
-	})
+		{"after a checkpoint", WorkerOptions{CheckpointEvery: 1, CrashAfterCheckpoints: 3}, false},
+		{"before the first paced checkpoint", WorkerOptions{CrashAfterEvents: 20}, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c, addr := startCoordinator(t, Options{RetryMillis: 10})
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
 
-	id, err := c.AddJob(testSpec, 2, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case err := <-crasher:
-		if err != ErrCrashed {
-			t.Fatalf("crasher exited with %v, want ErrCrashed", err)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("crash hook never fired")
-	}
+			crashDir := t.TempDir()
+			opts := tc.crasher
+			opts.Name, opts.WorkDir = "crasher", crashDir
+			crasher := startWorker(t, ctx, addr, opts)
 
-	// The fleet that picks up the pieces: one fresh worker, plus the
-	// "restarted" crasher reusing its work directory — its re-issued
-	// lease resumes from the checkpoint the crash left behind.
-	startWorker(t, ctx, addr, WorkerOptions{Name: "w0"})
-	startWorker(t, ctx, addr, WorkerOptions{Name: "crasher", WorkDir: crashDir})
+			id, err := c.AddJob(testSpec, 2, 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case err := <-crasher:
+				if err != ErrCrashed {
+					t.Fatalf("crasher exited with %v, want ErrCrashed", err)
+				}
+			case <-time.After(30 * time.Second):
+				t.Fatal("crash hook never fired")
+			}
+			if tc.lost {
+				crashDir = t.TempDir()
+			}
 
-	st := waitJob(t, c, id, 60*time.Second)
-	if st.State != JobDone {
-		t.Fatalf("job state = %s (%s)", st.State, st.Error)
-	}
-	want := oracleDigest(t, testSpec, 2, 8)
-	if st.Digest != want {
-		t.Errorf("post-crash digest %s != in-process digest %s", st.Digest, want)
-	}
-	reg := c.Registry()
-	if n := reg.Value("sde_lease_requeues_total", map[string]string{"reason": "disconnect"}); n < 1 {
-		t.Errorf("disconnect requeues = %v, want >= 1", n)
+			// The fleet that picks up the pieces: one fresh worker, plus the
+			// "restarted" crasher reusing its work directory — its re-issued
+			// lease resumes from the checkpoint the crash left behind, or
+			// starts over when there is none.
+			startWorker(t, ctx, addr, WorkerOptions{Name: "w0"})
+			startWorker(t, ctx, addr, WorkerOptions{Name: "crasher", WorkDir: crashDir})
+
+			st := waitJob(t, c, id, 60*time.Second)
+			if st.State != JobDone {
+				t.Fatalf("job state = %s (%s)", st.State, st.Error)
+			}
+			want := oracleDigest(t, testSpec, 2, 8)
+			if st.Digest != want {
+				t.Errorf("post-crash digest %s != in-process digest %s", st.Digest, want)
+			}
+			reg := c.Registry()
+			if n := reg.Value("sde_lease_requeues_total", map[string]string{"reason": "disconnect"}); n < 1 {
+				t.Errorf("disconnect requeues = %v, want >= 1", n)
+			}
+		})
 	}
 }
 

@@ -32,9 +32,13 @@ type WorkerOptions struct {
 	HeartbeatEvery time.Duration
 	// DialTimeout bounds the initial connection (default 5s).
 	DialTimeout time.Duration
-	// CheckpointEvery is the per-lease checkpoint interval in processed
-	// events (0 = the engine default). How a lease executes beyond that —
-	// its layers — is the job's to say, never the worker's.
+	// CheckpointEvery selects the per-lease periodic checkpoint schedule
+	// (sde.LeaseOptions.CheckpointEvery): n > 0 is exact, every n processed
+	// events; 0 is cost-paced, so a worker spends at most 1/8 of a lease on
+	// checkpoints nobody may ever read and a crash costs the re-issued
+	// lease at most 8 checkpoint costs plus 256 events of rework. How a
+	// lease executes beyond that — its layers — is the job's to say, never
+	// the worker's.
 	CheckpointEvery int
 	// SplitStates, when > 0, arms straggler self-splitting: a lease
 	// whose live state count exceeds it after SplitAfter, while the
@@ -48,6 +52,11 @@ type WorkerOptions struct {
 	// ErrCrashed. The service end-to-end tests use this to kill a worker
 	// mid-lease at a moment when recovery provably has a checkpoint.
 	CrashAfterCheckpoints int
+	// CrashAfterEvents, when > 0, injects the same crash once a lease has
+	// processed that many events. Below the checkpoint grid (256 events)
+	// and without CheckpointEvery, that is a worker dying before its
+	// lease's first paced checkpoint.
+	CrashAfterEvents int
 	// Logf, when non-nil, receives operational log lines.
 	Logf func(format string, args ...any)
 
@@ -228,6 +237,7 @@ func executeLease(ctx context.Context, conn net.Conn, acks <-chan HeartbeatAck,
 
 	var (
 		ckptSeen  int
+		events    int // progress polls, one per processed event
 		cancelled bool
 		starved   bool
 		wantSplit bool
@@ -238,12 +248,14 @@ func executeLease(ctx context.Context, conn net.Conn, acks <-chan HeartbeatAck,
 		if opts.CrashAfterCheckpoints > 0 {
 			if _, err := os.Stat(ckptPath); err == nil {
 				ckptSeen++
-				if ckptSeen >= opts.CrashAfterCheckpoints {
-					*crashed = true
-					conn.Close() // abrupt: no goodbye frame, like a SIGKILL
-					return true
-				}
 			}
+		}
+		events++
+		if (opts.CrashAfterCheckpoints > 0 && ckptSeen >= opts.CrashAfterCheckpoints) ||
+			(opts.CrashAfterEvents > 0 && events > opts.CrashAfterEvents) {
+			*crashed = true
+			conn.Close() // abrupt: no goodbye frame, like a SIGKILL
+			return true
 		}
 		if ctx.Err() != nil {
 			cancelled = true

@@ -78,18 +78,36 @@ func (e *Engine) Snapshot() (*snap.Snapshot, error) {
 	}, nil
 }
 
+// checkpointDue decides, at a grid boundary reached at time now, whether
+// to cut a periodic checkpoint. An explicit interval always does. The
+// paced schedule does once the exploration since the last checkpoint
+// finished has taken checkpointPace times what that checkpoint cost: every
+// periodic checkpoint but the last is then followed by at least
+// checkpointPace times its cost in exploration, which is the whole
+// argument for the 1/checkpointPace budget and the loss bound.
+func (e *Engine) checkpointDue(now time.Time) bool {
+	return e.cfg.CheckpointEvery > 0 || e.ckptCost == 0 || now.Sub(e.ckptDone) >= checkpointPace*e.ckptCost
+}
+
 // writeCheckpoint snapshots the frontier and writes it durably into
-// cfg.CheckpointDir, updating the checkpoint watermark on success.
-func (e *Engine) writeCheckpoint() error {
+// cfg.CheckpointDir, updating the checkpoint watermark on success. begin
+// is when the checkpoint started; its cost runs from there to the moment
+// the snapshot is durable, and goes into the journal line.
+func (e *Engine) writeCheckpoint(begin time.Time) error {
 	sp, err := e.Snapshot()
 	if err != nil {
 		return err
 	}
-	if err := snap.Save(e.cfg.CheckpointDir, sp, e.ctx.Exprs); err != nil {
+	size, err := snap.Save(e.cfg.CheckpointDir, sp, e.ctx.Exprs)
+	if err != nil {
 		return err
 	}
 	e.lastCkpt = e.events
-	return nil
+	e.ckptWritten++ // before the clock read: a test clock charges per checkpoint written
+	e.ckptDone = e.now()
+	e.ckptCost = e.ckptDone.Sub(begin)
+	e.ckptWall += e.ckptCost
+	return snap.AppendJournal(e.cfg.CheckpointDir, sp, size, e.ckptCost)
 }
 
 // ResumeEngine rebuilds an engine from an encoded checkpoint. The config

@@ -70,6 +70,46 @@ func testCaseStrings(t *testing.T, res *sim.Result) []string {
 	return out
 }
 
+// requireSameRun fails the test unless res is indistinguishable from the
+// uninterrupted run ref: same state and dscenario counts, same violations,
+// same dscenario fingerprints, same generated test cases.
+func requireSameRun(t *testing.T, res, ref *sim.Result) {
+	t.Helper()
+	if res.FinalStates != ref.FinalStates {
+		t.Errorf("states = %d, uninterrupted run has %d", res.FinalStates, ref.FinalStates)
+	}
+	if res.DScenarios.Cmp(ref.DScenarios) != 0 {
+		t.Errorf("dscenarios = %v, uninterrupted run has %v", res.DScenarios, ref.DScenarios)
+	}
+	if len(res.Violations) != len(ref.Violations) {
+		t.Errorf("violations = %d, uninterrupted run has %d",
+			len(res.Violations), len(ref.Violations))
+	}
+	refSet := scenarioSet(ref)
+	set := scenarioSet(res)
+	if len(set) != len(refSet) {
+		t.Fatalf("%d distinct dscenario fingerprints, uninterrupted run has %d",
+			len(set), len(refSet))
+	}
+	for fp, n := range refSet {
+		if set[fp] != n {
+			t.Fatalf("dscenario fingerprint %x: count %d, uninterrupted run has %d",
+				fp, set[fp], n)
+		}
+	}
+	refCases := testCaseStrings(t, ref)
+	gotCases := testCaseStrings(t, res)
+	if len(gotCases) != len(refCases) {
+		t.Fatalf("%d test cases, uninterrupted run has %d", len(gotCases), len(refCases))
+	}
+	for i := range refCases {
+		if gotCases[i] != refCases[i] {
+			t.Fatalf("test case %d diverges:\n resumed: %s\n fresh:   %s",
+				i, gotCases[i], refCases[i])
+		}
+	}
+}
+
 func TestKillAndResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("crash-recovery sweep; CI runs it in a dedicated race step")
@@ -128,41 +168,7 @@ func TestKillAndResume(t *testing.T) {
 				t.Error("resume re-warmed no solver sessions")
 			}
 
-			// The resumed exploration must be indistinguishable from the
-			// uninterrupted one.
-			if res.FinalStates != ref.FinalStates {
-				t.Errorf("states = %d, uninterrupted run has %d", res.FinalStates, ref.FinalStates)
-			}
-			if res.DScenarios.Cmp(ref.DScenarios) != 0 {
-				t.Errorf("dscenarios = %v, uninterrupted run has %v", res.DScenarios, ref.DScenarios)
-			}
-			if len(res.Violations) != len(ref.Violations) {
-				t.Errorf("violations = %d, uninterrupted run has %d",
-					len(res.Violations), len(ref.Violations))
-			}
-			refSet := scenarioSet(ref)
-			set := scenarioSet(res)
-			if len(set) != len(refSet) {
-				t.Fatalf("%d distinct dscenario fingerprints, uninterrupted run has %d",
-					len(set), len(refSet))
-			}
-			for fp, n := range refSet {
-				if set[fp] != n {
-					t.Fatalf("dscenario fingerprint %x: count %d, uninterrupted run has %d",
-						fp, set[fp], n)
-				}
-			}
-			refCases := testCaseStrings(t, ref)
-			gotCases := testCaseStrings(t, res)
-			if len(gotCases) != len(refCases) {
-				t.Fatalf("%d test cases, uninterrupted run has %d", len(gotCases), len(refCases))
-			}
-			for i := range refCases {
-				if gotCases[i] != refCases[i] {
-					t.Fatalf("test case %d diverges:\n resumed: %s\n fresh:   %s",
-						i, gotCases[i], refCases[i])
-				}
-			}
+			requireSameRun(t, res, ref)
 		})
 	}
 }

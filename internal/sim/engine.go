@@ -142,13 +142,24 @@ type Config struct {
 
 	// CheckpointDir, when non-empty, makes the run durable: a snapshot of
 	// the full exploration frontier is written there (atomic
-	// write-rename, plus an append-only journal line) every
-	// CheckpointEvery processed events and once more on completion. A
-	// crashed run restarts from the last snapshot via ResumeEngine.
+	// write-rename, plus an append-only journal line) on the schedule
+	// CheckpointEvery selects and once more on completion or suspension.
+	// A crashed run restarts from the last snapshot via ResumeEngine.
 	CheckpointDir string
 
-	// CheckpointEvery is the checkpoint interval in processed events
-	// (default 256). Only meaningful with CheckpointDir.
+	// CheckpointEvery selects the periodic checkpoint schedule; it is only
+	// meaningful with CheckpointDir. n > 0 is exact: a checkpoint after
+	// every n processed events, whatever it costs. 0 (the default) is
+	// cost-paced: a checkpoint may be cut every checkpointGrid events, the
+	// first such boundary of a process (fresh or resumed: it has measured
+	// no cost yet) always is, and a later one only once the
+	// exploration since the previous checkpoint finished has taken at
+	// least checkpointPace times what that checkpoint cost (snapshot,
+	// encode, write and fsync, measured). Periodic checkpoints then take
+	// at most 1/checkpointPace of the wall time spent exploring, and a
+	// crash loses at most checkpointPace times the last checkpoint's cost
+	// plus one grid step of work. Either schedule writes the same bytes at
+	// the boundaries it picks; resuming is bit-identical from any of them.
 	CheckpointEvery int
 
 	// Layers selects the optional execution layers (compiled fast path,
@@ -214,6 +225,15 @@ type Result struct {
 	Violations []*vm.Violation
 	Series     *metrics.Series
 
+	// Checkpoints is the number of durable checkpoints this process wrote
+	// (periodic ones plus the final or suspension one), CheckpointWall the
+	// time they took in total, and CheckpointsSkipped the number of grid
+	// boundaries the cost-paced schedule passed without cutting one (see
+	// Config.CheckpointEvery). All zero without a CheckpointDir.
+	Checkpoints        int
+	CheckpointsSkipped int
+	CheckpointWall     time.Duration
+
 	// SolverStats snapshots the constraint-solver activity counters.
 	SolverStats solver.Stats
 
@@ -262,6 +282,17 @@ type Engine struct {
 	priorWall  time.Duration // wall time spent before a resume
 	lastCkpt   uint64        // events count at the last written checkpoint
 	resumed    bool
+
+	// Checkpoint schedule and cost (see Config.CheckpointEvery). ckptCost
+	// and ckptDone describe the last checkpoint this engine wrote; a zero
+	// cost means none yet, so the next boundary cuts one.
+	now         func() time.Time // time.Now; tests model checkpoint cost with it
+	ckptGrid    uint64           // events between boundaries a checkpoint may be cut at
+	ckptDone    time.Time
+	ckptCost    time.Duration
+	ckptWritten int
+	ckptSkipped int
+	ckptWall    time.Duration
 
 	bootFn, recvFn int
 	aborted        bool
@@ -316,9 +347,15 @@ type Engine struct {
 	porCommutes  uint64 // merged executions allowed by the independence check
 }
 
-// defaultCheckpointEvery is the checkpoint interval (in processed events)
-// when CheckpointDir is set but CheckpointEvery is not.
-const defaultCheckpointEvery = 256
+// The cost-paced checkpoint schedule (Config.CheckpointEvery == 0): a
+// periodic checkpoint may be cut every checkpointGrid processed events —
+// one clock read per boundary is the schedule's whole overhead — and is,
+// once exploration has run checkpointPace times as long as the previous
+// checkpoint took.
+const (
+	checkpointGrid = 256
+	checkpointPace = 8
+)
 
 // progressPollEvents is how often (in processed events) Step consults
 // the Progress hook. Events are coarse units of work — a single event
@@ -380,9 +417,6 @@ func newEngineShell(cfg Config) (*Engine, error) {
 	if cfg.SampleEvery == 0 {
 		cfg.SampleEvery = 64
 	}
-	if cfg.CheckpointEvery <= 0 {
-		cfg.CheckpointEvery = defaultCheckpointEvery
-	}
 	bootFn := cfg.Prog.FuncIndex(cfg.BootFn)
 	if bootFn < 0 {
 		return nil, fmt.Errorf("sim: program lacks boot function %q", cfg.BootFn)
@@ -418,6 +452,11 @@ func newEngineShell(cfg Config) (*Engine, error) {
 		bootFn:   bootFn,
 		recvFn:   recvFn,
 		started:  time.Now(),
+		now:      time.Now,
+		ckptGrid: checkpointGrid,
+	}
+	if cfg.CheckpointEvery > 0 {
+		e.ckptGrid = uint64(cfg.CheckpointEvery)
 	}
 	if !layers.NoSpeculate && cfg.Replay == nil {
 		workers := layers.SpecWorkers
@@ -598,10 +637,12 @@ func (e *Engine) Step() bool {
 			e.sample()
 		}
 		if e.err == nil && e.cfg.CheckpointDir != "" && e.events != e.lastCkpt &&
-			e.events%uint64(e.cfg.CheckpointEvery) == 0 {
+			e.events%e.ckptGrid == 0 {
 			// Between Steps every state is at an event boundary (idle,
 			// halted, or dead) — the only sound checkpoint point.
-			if cerr := e.writeCheckpoint(); cerr != nil {
+			if now := e.now(); !e.checkpointDue(now) {
+				e.ckptSkipped++
+			} else if cerr := e.writeCheckpoint(now); cerr != nil {
 				e.err = fmt.Errorf("sim: checkpoint: %w", cerr)
 			}
 		}
@@ -641,7 +682,7 @@ func (e *Engine) Run() (*Result, error) {
 	// suspended run this write is the continuation payload itself — the
 	// surviving frontier at the event-budget boundary.
 	if e.cfg.CheckpointDir != "" && e.events != e.lastCkpt {
-		if err := e.writeCheckpoint(); err != nil {
+		if err := e.writeCheckpoint(e.now()); err != nil {
 			return nil, fmt.Errorf("sim: checkpoint: %w", err)
 		}
 	}
@@ -685,6 +726,10 @@ func (e *Engine) Finish() *Result {
 		SolverStats:  e.ctx.Solver.Stats(),
 		Mapper:       e.mapper,
 		Ctx:          e.ctx,
+
+		Checkpoints:        e.ckptWritten,
+		CheckpointsSkipped: e.ckptSkipped,
+		CheckpointWall:     e.ckptWall,
 	}
 	if e.suspended {
 		// COB keeps every state in exactly one dscenario

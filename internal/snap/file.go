@@ -23,50 +23,55 @@ const JournalFile = "journal.log"
 // so resume-or-start logic can fall back to a fresh run).
 var ErrNoCheckpoint = errors.New("snap: no checkpoint found")
 
-// Save writes the snapshot durably into dir: encode, write to a temp
-// file, fsync, close, then rename over CheckpointFile — so a crash at any
-// point leaves either the previous checkpoint or the new one, never a
-// torn file. Every writer error return is checked; a checkpoint that
-// silently dropped bytes is worse than none.
-func Save(dir string, s *Snapshot, b *expr.Builder) error {
+// Save writes the snapshot durably into dir and returns its encoded
+// size: encode, write to a temp file, fsync, close, then rename over
+// CheckpointFile — so a crash at any point leaves either the previous
+// checkpoint or the new one, never a torn file. Every writer error return
+// is checked; a checkpoint that silently dropped bytes is worse than
+// none. The caller records the checkpoint with AppendJournal once it
+// knows what it cost.
+func Save(dir string, s *Snapshot, b *expr.Builder) (int, error) {
 	data, err := s.Encode(b)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
+		return 0, err
 	}
 	tmp := filepath.Join(dir, CheckpointFile+".tmp")
 	f, err := os.Create(tmp)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	if _, err := f.Write(data); err != nil {
 		f.Close()
-		return err
+		return 0, err
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
-		return err
+		return 0, err
 	}
 	if err := f.Close(); err != nil {
-		return err
+		return 0, err
 	}
 	if err := os.Rename(tmp, filepath.Join(dir, CheckpointFile)); err != nil {
-		return err
+		return 0, err
 	}
-	return appendJournal(dir, s, len(data))
+	return len(data), nil
 }
 
-func appendJournal(dir string, s *Snapshot, size int) error {
+// AppendJournal adds the line for a saved checkpoint to dir's journal:
+// where the run stood, how many bytes were written and what the
+// checkpoint cost from snapshot to durable file.
+func AppendJournal(dir string, s *Snapshot, size int, cost time.Duration) error {
 	f, err := os.OpenFile(filepath.Join(dir, JournalFile),
 		os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
 	if err != nil {
 		return err
 	}
-	_, werr := fmt.Fprintf(f, "%s algo=%s events=%d clock=%d states=%d bytes=%d\n",
+	_, werr := fmt.Fprintf(f, "%s algo=%s events=%d clock=%d states=%d bytes=%d cost=%s\n",
 		time.Now().UTC().Format(time.RFC3339),
-		s.Algorithm, s.Events, s.Clock, len(s.States), size)
+		s.Algorithm, s.Events, s.Clock, len(s.States), size, cost)
 	cerr := f.Close()
 	if werr != nil {
 		return werr

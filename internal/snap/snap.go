@@ -27,6 +27,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"sort"
 	"time"
 
@@ -197,16 +198,11 @@ func (t *exprTable) collectImage(img *vm.StateImage) {
 	}
 }
 
-// Encode serializes the snapshot. b must be the builder that produced
-// every expression in it; all of b's variables are serialized (reachable
-// or not) so the restored builder assigns future variable ids exactly as
-// the original would have.
-func (s *Snapshot) Encode(b *expr.Builder) ([]byte, error) {
-	if s.Mapper == nil {
-		return nil, fmt.Errorf("snap: snapshot without mapper")
-	}
-	vars := b.Vars()
-	t := &exprTable{idx: make(map[*expr.Expr]uint64, 1024), nv: len(vars)}
+// collectExprs numbers every expression the snapshot references (after
+// the builder's variables vars) and counts the memory words set over all
+// pages.
+func (s *Snapshot) collectExprs(vars []*expr.Expr) (t *exprTable, words int, err error) {
+	t = &exprTable{idx: make(map[*expr.Expr]uint64, 1024), nv: len(vars)}
 	for i, v := range vars {
 		t.idx[v] = uint64(i)
 	}
@@ -225,17 +221,36 @@ func (s *Snapshot) Encode(b *expr.Builder) ([]byte, error) {
 	}
 	for _, pw := range s.Pages {
 		if len(pw) != vm.PageWords {
-			return nil, fmt.Errorf("snap: page with %d words, want %d", len(pw), vm.PageWords)
+			return nil, 0, fmt.Errorf("snap: page with %d words, want %d", len(pw), vm.PageWords)
 		}
 		for _, wd := range pw {
-			t.collect(wd)
+			if wd != nil {
+				words++
+				t.collect(wd)
+			}
 		}
 	}
 	for _, v := range s.Violations {
 		t.collect(v.Cond)
 	}
+	return t, words, nil
+}
 
-	w := &writer{buf: make([]byte, 0, 1<<16)}
+// Encode serializes the snapshot. b must be the builder that produced
+// every expression in it; all of b's variables are serialized (reachable
+// or not) so the restored builder assigns future variable ids exactly as
+// the original would have.
+func (s *Snapshot) Encode(b *expr.Builder) ([]byte, error) {
+	if s.Mapper == nil {
+		return nil, fmt.Errorf("snap: snapshot without mapper")
+	}
+	vars := b.Vars()
+	t, words, err := s.collectExprs(vars)
+	if err != nil {
+		return nil, err
+	}
+
+	w := &writer{buf: make([]byte, 0, s.sizeHint(t, vars, words))}
 	w.buf = append(w.buf, magic...)
 	w.byte(version)
 	w.u64(uint64(s.Algorithm))
@@ -359,6 +374,118 @@ func (s *Snapshot) Encode(b *expr.Builder) ([]byte, error) {
 	var sum [8]byte
 	binary.LittleEndian.PutUint64(sum[:], fnv64a(w.buf))
 	return append(w.buf, sum[:]...), nil
+}
+
+// uvarLen, ivarLen and strLen are the encoded lengths of a uvarint, a
+// varint and a length-prefixed string.
+func uvarLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+func ivarLen(v int) int    { return uvarLen(uint64(v)<<1 ^ uint64(int64(v)>>63)) }
+func strLen(s string) int  { return uvarLen(uint64(len(s))) + len(s) }
+
+// sizeHint is the capacity Encode starts its buffer with, so that one
+// allocation serves the whole encode. It mirrors Encode section by section
+// from what is known before the first byte is written: scalar fields and
+// list lengths at their exact width, list elements at the widest their
+// kind can be in this snapshot (an expression reference, a state id, a
+// page number, a virtual time) without reading them, hashes and counters
+// at the widest a varint gets. An element wider than assumed costs a
+// regrowth, nothing else.
+func (s *Snapshot) sizeHint(t *exprTable, vars []*expr.Expr, words int) int {
+	const (
+		small = 3                     // a node, function, pc, slot or bucket length
+		seq   = 5                     // a 32-bit sequence number
+		wide  = binary.MaxVarintLen64 // a hash, counter or model value
+	)
+	ref := uvarLen(uint64(t.nv + len(t.nodes) + 1))
+	id := uvarLen(s.NextStateID)
+	page := uvarLen(uint64(len(s.Pages)))
+	past := uvarLen(s.Clock) // history and trace times
+	due := past + 1          // pending events lie a little ahead of the clock
+	listLen := func(n int) int { return uvarLen(uint64(n)) }
+
+	n := len(magic) + 1 + strLen(s.Topology) + 10*wide + 8 // header and checksum
+	n += listLen(len(vars))
+	for _, v := range vars {
+		n += strLen(v.VarName()) + 1
+	}
+	n += listLen(len(t.nodes))
+	for _, e := range t.nodes {
+		if e.IsConst() {
+			n += 2 + uvarLen(e.ConstVal())
+		} else {
+			n += 2 + 3*ref
+		}
+	}
+	n += listLen(len(s.Pages)) + len(s.Pages)*small + words*(small+ref)
+
+	state := func(img *vm.StateImage) int {
+		n := uvarLen(img.ID) + ivarLen(img.Node) + ivarLen(img.Fn) + ivarLen(img.PC) + 2 +
+			listLen(len(img.Frames)) + len(img.Frames)*2*small +
+			listLen(len(img.PathCond)) + len(img.PathCond)*ref +
+			listLen(len(img.Events)) + len(img.Events)*(due+1+small+ref+small+small) +
+			listLen(len(img.Hist)) + len(img.Hist)*(1+small+past+seq+2*wide) +
+			listLen(len(img.Trace)) + len(img.Trace)*(past+ref) +
+			3*seq + uvarLen(img.Steps) +
+			listLen(len(img.Pages)) + len(img.Pages)*(small+page)
+		for _, r := range img.Regs {
+			if r != nil {
+				n += ref - 1
+			}
+		}
+		n += len(img.Regs)
+		if img.HasErr {
+			n += strLen(img.ErrMsg)
+		}
+		for _, ev := range img.Events {
+			n += len(ev.Data) * ref
+		}
+		for _, tr := range img.Trace {
+			n += strLen(tr.Msg)
+		}
+		return n
+	}
+	n += listLen(len(s.States))
+	for si := range s.States {
+		n += state(&s.States[si])
+	}
+
+	buckets := func(byNode [][]uint64) int {
+		n := 0
+		for _, b := range byNode {
+			n += listLen(len(b)) + len(b)*id
+		}
+		return n
+	}
+	m := s.Mapper
+	n += 5 * small
+	n += len(m.Scenarios) * m.K * id
+	for _, ds := range m.DStates {
+		n += buckets(ds)
+	}
+	for _, d := range m.VDStates {
+		n += seq + buckets(d.ByNode)
+	}
+	for _, su := range m.Supers {
+		n += id + listLen(len(su.DStateIDs)) + len(su.DStateIDs)*uvarLen(uint64(m.NextDSID))
+	}
+
+	n += listLen(len(s.Samples)) + len(s.Samples)*12*6 // nanoseconds, bytes, instruction counts: six each
+	n += listLen(len(s.Violations))
+	for _, v := range s.Violations {
+		n += small + past + strLen(v.Msg) + id + ref + small
+		for name := range v.Model {
+			n += strLen(name) + wide
+		}
+	}
+	n += listLen(len(s.Merged))
+	for mi := range s.Merged {
+		mr := &s.Merged[mi]
+		n += state(&mr.Rep) + small
+		for _, mm := range mr.Members {
+			n += id + 2*wide + small + len(mm.Subs)*2*ref
+		}
+	}
+	return n
 }
 
 func encodeState(w *writer, t *exprTable, img *vm.StateImage, npages int) error {

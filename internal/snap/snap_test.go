@@ -6,10 +6,12 @@ package snap_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"sde/internal/core"
 	"sde/internal/expr"
@@ -145,12 +147,19 @@ func TestSaveLoad(t *testing.T) {
 	if _, err := snap.LoadBytes(dir); !errors.Is(err, snap.ErrNoCheckpoint) {
 		t.Fatalf("LoadBytes on empty dir: %v, want ErrNoCheckpoint", err)
 	}
-	if err := snap.Save(dir, sp, b); err != nil {
+	size, err := snap.Save(dir, sp, b)
+	if err != nil {
 		t.Fatalf("Save: %v", err)
 	}
 	want, err := sp.Encode(b)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if size != len(want) {
+		t.Fatalf("Save reported %d bytes, Encode has %d", size, len(want))
+	}
+	if err := snap.AppendJournal(dir, sp, size, 1500*time.Microsecond); err != nil {
+		t.Fatalf("AppendJournal: %v", err)
 	}
 	got, err := snap.LoadBytes(dir)
 	if err != nil {
@@ -170,9 +179,12 @@ func TestSaveLoad(t *testing.T) {
 		t.Fatal("temp file left behind after Save")
 	}
 
-	// A second Save overwrites the snapshot and appends a journal line.
-	if err := snap.Save(dir, sp, b); err != nil {
+	// A second checkpoint overwrites the snapshot and appends a journal line.
+	if _, err := snap.Save(dir, sp, b); err != nil {
 		t.Fatalf("second Save: %v", err)
+	}
+	if err := snap.AppendJournal(dir, sp, size, 1500*time.Microsecond); err != nil {
+		t.Fatalf("second AppendJournal: %v", err)
 	}
 	journal, err := os.ReadFile(filepath.Join(dir, snap.JournalFile))
 	if err != nil {
@@ -183,7 +195,8 @@ func TestSaveLoad(t *testing.T) {
 		t.Fatalf("journal has %d lines after two saves:\n%s", len(lines), journal)
 	}
 	for _, line := range lines {
-		if !strings.Contains(line, "algo=SDS") || !strings.Contains(line, "events=") {
+		if !strings.Contains(line, "algo=SDS") || !strings.Contains(line, "events=") ||
+			!strings.HasSuffix(line, fmt.Sprintf("bytes=%d cost=1.5ms", size)) {
 			t.Fatalf("malformed journal line: %q", line)
 		}
 	}
@@ -195,5 +208,32 @@ func TestEncodeWithoutMapper(t *testing.T) {
 	sp.Mapper = nil
 	if _, err := sp.Encode(b); err == nil {
 		t.Fatal("Encode accepted a snapshot without a mapper")
+	}
+}
+
+// TestEncodeSizedOnce: Encode sizes its buffer from the snapshot, so the
+// bytes it returns still sit in the allocation it started with (capacity
+// equal to the hint) and the hint is not wastefully above them.
+func TestEncodeSizedOnce(t *testing.T) {
+	for _, algo := range []core.Algorithm{core.COBAlgorithm, core.COWAlgorithm, core.SDSAlgorithm} {
+		for _, steps := range []int{0, 40, 1 << 20} {
+			sp, b := liveSnapshot(t, algo, steps)
+			hint, err := sp.SizeHint(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data, err := sp.Encode(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cap(data) != hint {
+				t.Errorf("%v after %d steps: %d bytes outgrew the hint %d (capacity now %d)",
+					algo, steps, len(data), hint, cap(data))
+			}
+			if hint > 2*len(data) {
+				t.Errorf("%v after %d steps: hint %d for %d bytes", algo, steps, hint, len(data))
+			}
+			t.Logf("%v after %d steps: %d bytes, hint %d", algo, steps, len(data), hint)
+		}
 	}
 }

@@ -82,8 +82,11 @@ type ShardConfig struct {
 	// the pool, defines the shards.
 	CheckpointDir string
 
-	// CheckpointEvery is the per-shard checkpoint interval in processed
-	// events (0 = the engine default).
+	// CheckpointEvery selects each shard's periodic checkpoint schedule,
+	// as Scenario.WithCheckpoints does: n > 0 is exact (every n processed
+	// events), 0 is cost-paced (at most 1/8 of a shard's exploration time
+	// goes into periodic checkpoints; a crash loses at most 8 checkpoint
+	// costs plus 256 events per shard).
 	CheckpointEvery int
 
 	// DepthHorizon, when non-zero, adds exploration depth as a second

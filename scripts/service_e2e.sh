@@ -2,7 +2,10 @@
 # End-to-end gauntlet for the exploration service: boot a coordinator and
 # two real worker processes, submit a job over the HTTP API, SIGKILL one
 # worker mid-run, and require the final report digest to be bit-identical
-# to an in-process sharded run of the same spec.
+# to an in-process sharded run of the same spec. The kill happens twice:
+# once under -checkpoint-every 1 right after a durable checkpoint, and once
+# at the default (cost-paced) schedule before the lease's first checkpoint,
+# where recovery has nothing but the requeued lease.
 #
 # Phase 2 exercises the second shard dimension: a deepchain job with zero
 # shardable decision sites is spread purely by depth-horizon continuation
@@ -77,7 +80,8 @@ PIDS+=($W0)
 "$BIN/sde-worker" -connect "$COORD_ADDR" -name w1 -workdir "$WORK/w1" \
   -heartbeat 50ms -retry 200ms \
   >"$LOGDIR/worker-w1.log" 2>&1 &
-PIDS+=($!)
+W1=$!
+PIDS+=($W1)
 
 say "submitting job"
 SUBMIT=$(curl -sf -X POST "$API/jobs" \
@@ -135,6 +139,60 @@ echo "$METRICS" | grep -q '^sde_results_total' || fail "no results recorded in m
 
 say "PASS phase 1: report survived a worker SIGKILL bit-identical (digest $DIGEST, $REQUEUES requeue(s))"
 
+# Phase 1b: the same job again, on a lone worker at the default checkpoint
+# schedule (no -checkpoint-every) that dies five events into its first
+# lease — long before the first paced checkpoint at 256 events. The lease
+# must be requeued and a replacement worker finish the job from scratch.
+# (w1 goes first: two idle workers would race for the four short leases.)
+say "phase 1b: worker w2 dies before its first paced checkpoint"
+kill "$W1" 2>/dev/null || true
+"$BIN/sde-worker" -connect "$COORD_ADDR" -name w2 -workdir "$WORK/w2" \
+  -crash-after-events 5 -heartbeat 50ms \
+  >"$LOGDIR/worker-w2.log" 2>&1 &
+W2=$!
+PIDS+=($W2)
+
+SUBMIT=$(curl -sf -X POST "$API/jobs" \
+  -d "{\"spec\":$SPEC,\"shard_bits\":$SHARD_BITS,\"test_cases\":$TEST_CASES}") \
+  || fail "job submission (1b)"
+JOB=$(echo "$SUBMIT" | sed -n 's/.*"id": *"\([^"]*\)".*/\1/p')
+[ -n "$JOB" ] || fail "no job id in response: $SUBMIT"
+
+CRASHED=0
+for _ in $(seq 1 100); do
+  if ! kill -0 "$W2" 2>/dev/null; then CRASHED=1; break; fi
+  sleep 0.1
+done
+[ "$CRASHED" = 1 ] || fail "w2 never crashed; it got no lease or the crash hook is broken"
+wait "$W2"
+RC=$?
+[ "$RC" = 3 ] || fail "w2 exited with $RC, want 3 (injected crash)"
+
+"$BIN/sde-worker" -connect "$COORD_ADDR" -name w3 -workdir "$WORK/w3" \
+  -heartbeat 50ms -retry 200ms \
+  >"$LOGDIR/worker-w3.log" 2>&1 &
+W3=$!
+PIDS+=($W3)
+
+STATE=""
+for _ in $(seq 1 300); do
+  STATUS=$(curl -sf "$API/jobs/$JOB") || fail "status poll (1b)"
+  STATE=$(echo "$STATUS" | sed -n 's/.*"state": *"\([^"]*\)".*/\1/p')
+  case "$STATE" in
+    done|failed|cancelled) break ;;
+  esac
+  sleep 0.2
+done
+[ "$STATE" = done ] || fail "job (1b) ended in state '$STATE': $STATUS"
+DIGEST=$(echo "$STATUS" | sed -n 's/.*"digest": *"\([^"]*\)".*/\1/p')
+[ "$DIGEST" = "$ORACLE" ] || fail "digest mismatch (1b): distributed $DIGEST != in-process $ORACLE"
+REQUEUES_B=$(curl -sf "http://$HTTP_ADDR/metrics" \
+  | sed -n 's/^sde_lease_requeues_total{reason="disconnect"} *//p')
+[ -n "$REQUEUES_B" ] && [ "$REQUEUES_B" -gt "$REQUEUES" ] 2>/dev/null \
+  || fail "expected a disconnect requeue for w2's lease, counter went $REQUEUES -> '$REQUEUES_B'"
+
+say "PASS phase 1b: a worker lost before its first paced checkpoint cost one requeue, digest $DIGEST"
+
 # ---------------------------------------------------------------------------
 # Phase 2: depth-horizon partitioning. The deepchain workload has zero
 # shardable decision sites (MaxShardBits() == 0), so without a depth
@@ -149,7 +207,7 @@ FANOUT=4
 
 # The surviving phase-1 worker would otherwise drain the new job; this
 # phase wants full control over who holds the continuation leases.
-kill "${PIDS[2]}" 2>/dev/null || true
+kill "$W3" 2>/dev/null || true
 sleep 0.3
 
 DORACLE=$("$BIN/sde-serve" -oracle "$DSPEC" -oracle-bits 0 -oracle-testcases $TEST_CASES \

@@ -297,10 +297,20 @@ func (s Scenario) WithoutQueryOptimizer() Scenario {
 	return s
 }
 
-// WithCheckpoints returns a copy of the scenario that writes a durable
-// snapshot of the exploration frontier into dir every `every` processed
-// events (0 = the engine default) and once more on completion. A crashed
-// run continues from the last snapshot via Resume.
+// WithCheckpoints returns a copy of the scenario that writes durable
+// snapshots of the exploration frontier into dir: periodic ones on the
+// schedule `every` selects and one more on completion. A crashed run
+// continues from the last snapshot via Resume.
+//
+// every > 0 is exact: a checkpoint after every `every` processed events,
+// whatever it costs. every == 0 is the cost-paced default: a checkpoint
+// may be cut every 256 events, the first such boundary always is, and a
+// later one only once exploration since the previous checkpoint finished
+// has taken at least 8 times what that checkpoint cost (snapshot, encode,
+// write and fsync, measured). Periodic checkpoints then take at most 1/8
+// of the time spent exploring, and a crash loses at most 8 times the last
+// checkpoint's cost plus 256 events of work. The snapshots and the resumed
+// run are the same under either schedule.
 func (s Scenario) WithCheckpoints(dir string, every int) Scenario {
 	s.cfg.CheckpointDir = dir
 	s.cfg.CheckpointEvery = every
@@ -328,7 +338,10 @@ func RunScenario(s Scenario) (*Report, error) {
 }
 
 // Checkpoint runs the scenario with periodic durable checkpoints written
-// into dir: RunScenario with WithCheckpoints applied.
+// into dir: RunScenario with WithCheckpoints applied, on the scenario's
+// schedule — cost-paced unless WithCheckpoints set an exact interval (see
+// there for the rule and the loss bound). Report.Checkpoints says what the
+// checkpoints cost.
 func Checkpoint(s Scenario, dir string) (*Report, error) {
 	return RunScenario(s.WithCheckpoints(dir, s.cfg.CheckpointEvery))
 }
@@ -370,6 +383,15 @@ func (r *Report) Aborted() (bool, string) { return r.res.Aborted, r.res.AbortRea
 // Resumed reports whether the run continued from a durable checkpoint
 // (see Resume). A resumed run's Wall includes the interrupted run's time.
 func (r *Report) Resumed() bool { return r.res.Resumed }
+
+// Checkpoints reports the durable checkpoints this process wrote for the
+// run (the periodic ones plus the final one), how many checkpoint-grid
+// boundaries the cost-paced schedule passed without writing one, and the
+// wall time the written ones took. All zero for a run without a
+// checkpoint directory.
+func (r *Report) Checkpoints() (written, skipped int, wall time.Duration) {
+	return r.res.Checkpoints, r.res.CheckpointsSkipped, r.res.CheckpointWall
+}
 
 // Stopped reports whether the run was cut short by a progress hook —
 // the adaptive shard scheduler stops straggling shards this way before

@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"sort"
+	"sync"
 	"time"
 
 	"sde/internal/shard"
@@ -58,8 +60,14 @@ type LeaseOptions struct {
 	// CheckpointDir is where the shard checkpoints and where its final
 	// snapshot — the lease's wire payload — is read from. Required.
 	CheckpointDir string
-	// CheckpointEvery is the checkpoint interval in processed events
-	// (0 = the engine default).
+	// CheckpointEvery selects the lease's periodic checkpoint schedule, as
+	// Scenario.WithCheckpoints does: n > 0 checkpoints after every n
+	// processed events exactly; 0 is cost-paced (at most every 256 events,
+	// and only once exploration has taken 8 times what the last checkpoint
+	// cost, so at most 1/8 of a lease goes into periodic checkpoints and a
+	// crash loses at most 8 checkpoint costs plus 256 events). The final
+	// snapshot — the lease's payload, or a suspension's frontier — is
+	// written under either.
 	CheckpointEvery int
 	// Progress, when non-nil, is polled during the run with the live
 	// state count and elapsed wall time; returning true stops the run
@@ -156,7 +164,7 @@ func RunShardLease(s Scenario, it ShardItem, opts LeaseOptions) (*LeaseOutcome, 
 type shardRun struct {
 	task     *shard.Task
 	dir      string // checkpoint directory ("" = not durable)
-	every    int    // checkpoint interval in events (0 = engine default)
+	every    int    // checkpoint interval in events (0 = cost-paced)
 	progress func(states int, elapsed time.Duration) (stop bool)
 	cache    *solver.SharedCache
 }
@@ -266,21 +274,45 @@ func AssembleSharded(s Scenario, leaves []ShardLeaf) (*ShardedReport, error) {
 	if err := shard.VerifyCover(items); err != nil {
 		return nil, fmt.Errorf("sde: %w", err)
 	}
-	results := make([]leafResult, 0, len(leaves))
-	for _, leaf := range leaves {
-		sub := s
-		sub.cfg.Pin = s.shardPin(leaf.Item)
-		eng, err := sim.ResumeEngine(sub.cfg, leaf.Snapshot)
+	// Each leaf resumes on an engine, builder and solver of its own, so the
+	// leaves restore side by side; results and errors keep leaf order, which
+	// makes the report and the error returned independent of which finishes
+	// first.
+	results := make([]leafResult, len(leaves))
+	errs := make([]error, len(leaves))
+	slots := make(chan struct{}, runtime.GOMAXPROCS(0))
+	var wg sync.WaitGroup
+	for i := range leaves {
+		wg.Add(1)
+		slots <- struct{}{}
+		go func() {
+			defer wg.Done()
+			defer func() { <-slots }()
+			results[i], errs[i] = resumeLeaf(s, leaves[i])
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("sde: shard %s: %w", leaf.Item.Label(), err)
+			return nil, err
 		}
-		res, err := eng.Run()
-		if err != nil {
-			return nil, fmt.Errorf("sde: shard %s: %w", leaf.Item.Label(), err)
-		}
-		results = append(results, leafResult{item: leaf.Item, report: &Report{res: res, scenario: sub}})
 	}
 	return finalizeSharded(s, results, SchedStats{Resumed: len(results)}), nil
+}
+
+// resumeLeaf rebuilds one finished leaf's report from its snapshot.
+func resumeLeaf(s Scenario, leaf ShardLeaf) (leafResult, error) {
+	sub := s
+	sub.cfg.Pin = s.shardPin(leaf.Item)
+	eng, err := sim.ResumeEngine(sub.cfg, leaf.Snapshot)
+	if err != nil {
+		return leafResult{}, fmt.Errorf("sde: shard %s: %w", leaf.Item.Label(), err)
+	}
+	res, err := eng.Run()
+	if err != nil {
+		return leafResult{}, fmt.Errorf("sde: shard %s: %w", leaf.Item.Label(), err)
+	}
+	return leafResult{item: leaf.Item, report: &Report{res: res, scenario: sub}}, nil
 }
 
 // Digest canonicalises the report's observable outputs — per-shard pins,

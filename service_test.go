@@ -2,6 +2,7 @@ package sde_test
 
 import (
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -141,6 +142,56 @@ func TestAssembleShardedMixedDepths(t *testing.T) {
 	for fp := range refSet {
 		if !gotSet[fp] {
 			t.Errorf("fingerprint %016x missing from assembled run", fp)
+		}
+	}
+}
+
+// TestAssembleShardedLeafOrder: AssembleSharded resumes the leaves side by
+// side, so neither the order they are handed in nor the order they finish
+// in may show — the report, its digest and the error for a bad leaf are
+// those of the leaves in partition order. Run under -race in CI.
+func TestAssembleShardedLeafOrder(t *testing.T) {
+	scenario := shardScenario(t, sde.SDS)
+	leaves := leaseCover(t, scenario, t.TempDir(), shard.Partition{ShardBits: 2}, nil)
+	assemble := func(leaves []sde.ShardLeaf) (string, []int) {
+		t.Helper()
+		rep, err := sde.AssembleSharded(scenario, leaves)
+		if err != nil {
+			t.Fatal(err)
+		}
+		digest, err := rep.Digest(8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		states := make([]int, len(rep.Shards))
+		for i, sh := range rep.Shards {
+			states[i] = sh.Report.States()
+		}
+		return digest, states
+	}
+	wantDigest, wantStates := assemble(leaves)
+	for rot := 1; rot < len(leaves); rot++ {
+		order := append(append([]sde.ShardLeaf(nil), leaves[rot:]...), leaves[:rot]...)
+		if rot%2 == 0 {
+			slices.Reverse(order)
+		}
+		digest, states := assemble(order)
+		if digest != wantDigest || !slices.Equal(states, wantStates) {
+			t.Errorf("leaves rotated by %d: digest %s, per-shard states %v; want %s, %v",
+				rot, digest, states, wantDigest, wantStates)
+		}
+	}
+
+	// Two leaves that do not decode: the error is the earlier leaf's,
+	// whichever goroutine gets there first.
+	bad := append([]sde.ShardLeaf(nil), leaves...)
+	for _, i := range []int{1, 3} {
+		bad[i].Snapshot = bad[i].Snapshot[:len(bad[i].Snapshot)/2]
+	}
+	for try := 0; try < 8; try++ {
+		_, err := sde.AssembleSharded(scenario, bad)
+		if err == nil || !strings.Contains(err.Error(), "shard "+bad[1].Item.Label()+":") {
+			t.Fatalf("error %v, want shard %s's", err, bad[1].Item.Label())
 		}
 	}
 }
