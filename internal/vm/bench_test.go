@@ -38,6 +38,7 @@ func runLoopBench(b *testing.B, compile bool) {
 	prog := benchLoop(b, iters)
 	ctx := NewContext()
 	ctx.SetCompiledIR(compile)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := NewState(ctx, prog, 0)
@@ -56,7 +57,7 @@ func runLoopBench(b *testing.B, compile bool) {
 // compiled fast path disabled, reported as ns per instruction.
 func BenchmarkInterpreterLoop(b *testing.B) { runLoopBench(b, false) }
 
-// BenchmarkCompiledLoop is the same loop through the basic-block compiled
+// BenchmarkCompiledLoop is the same loop through the chained compiled
 // fast path — the before/after pair for the load-time compiler.
 func BenchmarkCompiledLoop(b *testing.B) { runLoopBench(b, true) }
 

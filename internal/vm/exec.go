@@ -132,8 +132,8 @@ func (s *State) Run(now uint64, budget int, h Hooks) error {
 	eb := s.ctx.Exprs
 	var code *isa.ProgIR
 	// Merged reps stay on the per-instruction interpreter: the fast path
-	// commits whole blocks at once and would run straight through the
-	// merged-execution intercepts below.
+	// commits whole chains of blocks at once and would run straight through
+	// the merged-execution intercepts below.
 	if s.ctx.compile && !s.merged {
 		code = s.prog.IR()
 	}
@@ -146,19 +146,22 @@ func (s *State) Run(now uint64, budget int, h Hooks) error {
 			s.Kill(fmt.Errorf("vm: pc %d out of range in %s", s.pc, f.Name))
 			return s.runErr
 		}
-		// Compiled-IR fast path: at a concretizable block's leader with
-		// all live-in registers concrete, execute the whole block on raw
-		// uint64s (see fastpath.go) and skip the per-instruction loop.
-		if code != nil {
-			fir := &code.Funcs[s.fn]
-			if bi := fir.BlockIndex(s.pc); bi >= 0 {
-				if n := s.runFastBlock(f, fir, bi, budget-i, now); n > 0 {
-					s.ctx.fastBlocks.Add(1)
-					i += n - 1
-					continue
+		// Compiled-IR fast path: from a block leader, run the chain of
+		// concretizable blocks control stays on (see fastpath.go) and skip
+		// the per-instruction loop. A chain that hands off has stopped at
+		// the leader of a block only the interpreter can execute.
+		if code != nil && code.Funcs[s.fn].BlockIndex(s.pc) >= 0 {
+			n, handoff := s.runFastChain(code, budget-i, now)
+			if !handoff {
+				if s.status != StatusRunning {
+					return nil
 				}
-				s.ctx.slowBlocks.Add(1)
+				i += n - 1
+				continue
 			}
+			s.ctx.slowBlocks.Add(1)
+			i += n
+			f = s.prog.Func(s.fn)
 		}
 		in := &f.Instrs[s.pc]
 		// Merged-execution barrier: a rep must not execute an instruction
@@ -220,7 +223,7 @@ func (s *State) Run(now uint64, budget int, h Hooks) error {
 			s.pc = in.Target
 
 		case isa.OpBrNZ, isa.OpBrZ:
-			cond := eb.Ne(s.regs[in.Ra], eb.Const(0, WordBits))
+			cond := eb.Ne(s.regs[in.Ra], s.ctx.zeroWord)
 			if in.Op == isa.OpBrZ {
 				cond = eb.Not(cond)
 			}
@@ -284,7 +287,7 @@ func (s *State) Run(now uint64, budget int, h Hooks) error {
 			s.pc++
 
 		case isa.OpAssume:
-			cond := eb.Ne(s.regs[in.Ra], eb.Const(0, WordBits))
+			cond := eb.Ne(s.regs[in.Ra], s.ctx.zeroWord)
 			// Merged execution: an assume that substitutes to constant true
 			// for every member is a no-op on each of them (AddConstraint
 			// drops structurally-true conditions), so the rep just advances.

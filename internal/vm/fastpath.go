@@ -3,20 +3,28 @@ package vm
 // The compiled-IR concrete fast path. When execution reaches the leader
 // of a basic block the load-time compiler marked concretizable
 // (isa.Block.Fast) and every register in the block's use set holds a
-// concrete constant, the whole block runs here on raw uint64s — no
+// concrete constant, the block runs here on raw uint64s — no
 // expression-DAG consultation, no builder lock, no per-instruction
-// dispatch through the symbolic machinery. Expressions are materialized
-// only at block exit, for the block's def set and its buffered stores.
+// dispatch through the symbolic machinery — and so does every fast block
+// control reaches after it: the unit of commitment is the chain, not the
+// block.
 //
-// The execution is transactional: nothing on the state is mutated until
-// the block completes. If a load hits a symbolic (or non-word) memory
-// value mid-block, the whole attempt is abandoned with the state
-// untouched and the per-instruction interpreter re-executes the block
-// from its leader. Because the expression builder hash-conses, the
-// constants materialized at exit are pointer-identical to what the
-// interpreter would have produced, so fingerprints, forks, sends, and
-// violations are bit-for-bit unchanged — enforced by the differential
-// fuzzer in fastdiff_test.go and the on/off equivalence suite in
+// A chain keeps a pending commit (fastChain): a raw register file with
+// the sets of registers it knows and of registers it has written, and a
+// buffer of the words it has stored, one entry per address. At every
+// block boundary the pending commit laid over the state is exactly the
+// interpreter's state at that leader, so the chain may stop at any
+// boundary for any reason and materialize there: one Const per written
+// register, one per stored word. A block that cannot finish (a symbolic
+// word loaded mid-block, a store the buffer has no room for) is rolled
+// back to its leader alone; the blocks before it commit and the
+// interpreter takes the block from its first instruction. Because the
+// expression builder hash-conses, the constants that survive to the
+// commit are pointer-identical to what the interpreter would have left
+// behind, and the intermediate values it would have interned along the
+// way are unobservable: fingerprints, forks, sends and violations are
+// bit-for-bit unchanged — enforced by the differential fuzzer and budget
+// sweep in fastdiff_test.go and the on/off equivalence suite in
 // internal/sim.
 
 import (
@@ -25,171 +33,36 @@ import (
 
 const fastWordMask = 1<<WordBits - 1
 
-// fastStore is one buffered memory write of a fast-block transaction.
+// fastStoreCap bounds the chain's store buffer. A chain whose next store
+// would be to a seventeenth distinct word ends at the boundary before
+// that block; the buffer never grows on the heap.
+const fastStoreCap = 16
+
+// fastStore is one buffered memory write of a chain.
 type fastStore struct {
 	addr uint32
 	val  uint64
 }
 
-// runFastBlock attempts to execute the basic block bi of function f
-// entirely on concrete values. It returns the number of instructions
-// executed (with state committed), or 0 if the attempt was abandoned
-// with the state untouched. remaining is the caller's instruction
-// budget; blocks that would overrun it are left to the interpreter so
-// budget-kill behaviour stays identical.
-func (s *State) runFastBlock(f *isa.Func, fir *isa.FuncIR, bi, remaining int, now uint64) int {
-	blk := &fir.Blocks[bi]
-	if !blk.Fast || blk.Len() > remaining {
-		return 0
-	}
-
-	// Live-in check: every register the block reads must be concrete.
-	var vals [isa.NumRegs]uint64
-	for r := isa.Reg(0); r < isa.NumRegs; r++ {
-		if blk.Use.Has(r) {
-			e := s.regs[r]
-			if e == nil || !e.IsConst() {
-				return 0
-			}
-			vals[r] = e.ConstVal()
-		}
-	}
-
-	var storeArr [8]fastStore
-	stores := storeArr[:0]
-	folded := 0
-	consumed := 0
-
-	// Terminator disposition, applied at commit.
-	nextPC := blk.End
-	endActivation := false
-	popFrame := false
-
-	for idx := blk.Start; idx < blk.End; idx++ {
-		in := &f.Instrs[idx]
-		consumed++
-		if blk.Folded != nil && blk.Folded[idx-blk.Start].Known {
-			// Load-time constant folding already computed this result.
-			vals[in.Rd] = blk.Folded[idx-blk.Start].Val
-			folded++
-			continue
-		}
-		switch in.Op {
-		case isa.OpNop:
-
-		case isa.OpMovI:
-			vals[in.Rd] = uint64(in.Imm)
-
-		case isa.OpMov:
-			vals[in.Rd] = vals[in.Ra]
-
-		case isa.OpNot:
-			vals[in.Rd] = ^vals[in.Ra] & fastWordMask
-
-		case isa.OpLoad:
-			addr := uint32(vals[in.Ra]) + in.Imm
-			v, ok := s.fastLoad(stores, addr)
-			if !ok {
-				return 0 // symbolic word: abort, nothing committed
-			}
-			vals[in.Rd] = v
-
-		case isa.OpStore:
-			stores = append(stores, fastStore{
-				addr: uint32(vals[in.Ra]) + in.Imm,
-				val:  vals[in.Rb],
-			})
-
-		case isa.OpNodeID:
-			vals[in.Rd] = uint64(s.node) & fastWordMask
-
-		case isa.OpTime:
-			vals[in.Rd] = now & 0xffffffff
-
-		case isa.OpJmp:
-			nextPC = in.Target
-
-		case isa.OpBrNZ, isa.OpBrZ:
-			taken := vals[in.Ra] != 0
-			if in.Op == isa.OpBrZ {
-				taken = !taken
-			}
-			if taken {
-				nextPC = in.Target
-			} else {
-				nextPC = idx + 1
-			}
-
-		case isa.OpRet:
-			if len(s.frames) == 0 {
-				endActivation = true
-			} else {
-				popFrame = true
-			}
-
-		default:
-			if !in.Op.IsBinary() {
-				return 0 // not fast-eligible; compiler bug guard
-			}
-			b := uint64(in.Imm)
-			if !in.BImm {
-				b = vals[in.Rb]
-			}
-			vals[in.Rd] = isa.EvalALU(in.Op, vals[in.Ra], b)
-		}
-	}
-
-	// Collapse a Jmp-only chain at the landing point when the budget
-	// covers the (still counted) intermediate Jmp steps.
-	if !endActivation && !popFrame {
-		if to, hops := fir.ResolveJmp(nextPC); hops > 0 && consumed+hops <= remaining {
-			nextPC = to
-			consumed += hops
-		}
-	}
-
-	// Commit: materialize live-out registers and buffered stores. The
-	// builder hash-conses, so these are the same *expr.Expr pointers the
-	// interpreter would have written.
-	eb := s.ctx.Exprs
-	for r := isa.Reg(0); r < isa.NumRegs; r++ {
-		if blk.Def.Has(r) {
-			s.regs[r] = eb.Const(vals[r], WordBits)
-		}
-	}
-	for _, st := range stores {
-		s.mem.store(st.addr, eb.Const(st.val, WordBits))
-	}
-	s.steps += uint64(consumed)
-	s.ctx.instrCount.Add(uint64(consumed))
-	if folded > 0 {
-		s.ctx.foldedInstrs.Add(uint64(folded))
-	}
-	switch {
-	case endActivation:
-		s.status = StatusIdle
-		s.fn = -1
-		// The interpreter leaves pc at the Ret instruction (always the
-		// block's last instruction); match it so idle-state fingerprints
-		// are identical.
-		s.pc = blk.End - 1
-	case popFrame:
-		top := s.frames[len(s.frames)-1]
-		s.frames = s.frames[:len(s.frames)-1]
-		s.fn, s.pc = top.fn, top.pc
-	default:
-		s.pc = nextPC
-	}
-	return consumed
+// fastChain is the pending commit of a chain of fast blocks, valid at
+// block boundaries: vals[r] is register r's value for every r in known
+// (read from the state or written by the chain) and dirty ⊆ known is what
+// the chain wrote; stores[:nstores] holds the stored words, each address
+// once, oldest first.
+type fastChain struct {
+	vals         [isa.NumRegs]uint64
+	known, dirty isa.RegSet
+	stores       [fastStoreCap]fastStore
+	nstores      int
 }
 
-// fastLoad reads a word for the fast path: the transaction's own store
-// buffer first (newest wins), then the state's memory. ok is false when
-// the word is symbolic or not word-sized — the abort signal.
-func (s *State) fastLoad(stores []fastStore, addr uint32) (uint64, bool) {
-	for j := len(stores) - 1; j >= 0; j-- {
-		if stores[j].addr == addr {
-			return stores[j].val, true
+// load reads a word for the fast path: the chain's own stores first,
+// newest first, then the state's memory. ok is false when the word is
+// symbolic or not word-sized — the abort signal.
+func (c *fastChain) load(s *State, addr uint32) (uint64, bool) {
+	for j := c.nstores - 1; j >= 0; j-- {
+		if c.stores[j].addr == addr {
+			return c.stores[j].val, true
 		}
 	}
 	w := s.mem.load(addr)
@@ -200,4 +73,199 @@ func (s *State) fastLoad(stores []fastStore, addr uint32) (uint64, bool) {
 		return 0, false
 	}
 	return w.ConstVal(), true
+}
+
+// store buffers a write, replacing an earlier one to the same address.
+// ok is false when the buffer is full.
+func (c *fastChain) store(addr uint32, val uint64) bool {
+	for j := c.nstores - 1; j >= 0; j-- {
+		if c.stores[j].addr == addr {
+			c.stores[j].val = val
+			return true
+		}
+	}
+	if c.nstores == fastStoreCap {
+		return false
+	}
+	c.stores[c.nstores] = fastStore{addr: addr, val: val}
+	c.nstores++
+	return true
+}
+
+// runFastChain executes fast blocks from the leader at (s.fn, s.pc) for
+// as long as control stays on concretizable code, then commits what they
+// did. It returns the number of instructions executed; remaining is the
+// caller's instruction budget, which a chain never overruns — a block
+// larger than what is left of it goes to the interpreter, so budget-kill
+// behaviour is the interpreter's.
+//
+// handoff reports why the chain ended. True: the block now at s.pc cannot
+// run here (not fast, a non-concrete live-in, a symbolic word loaded, more
+// stores than the buffer holds, or longer than the budget left) and the
+// interpreter must execute it. False: the activation returned, or the
+// chain stopped where another chain may start (budget spent, buffer full,
+// pc outside the function).
+func (s *State) runFastChain(code *isa.ProgIR, remaining int, now uint64) (consumed int, handoff bool) {
+	var c, leader fastChain // leader: c as of the running block's leader
+	fn, pc := s.fn, s.pc
+	blocks, folded, popped := 0, 0, 0
+
+chain:
+	for consumed < remaining {
+		f := s.prog.Func(fn)
+		fir := &code.Funcs[fn]
+		bi := fir.BlockIndex(pc)
+		if bi < 0 {
+			break
+		}
+		blk := &fir.Blocks[bi]
+		if !blk.Fast || blk.Len() > remaining-consumed {
+			handoff = true
+			break
+		}
+
+		// Live-ins the chain does not hold yet come from the state and
+		// must be concrete.
+		if need := blk.Use &^ c.known; need != 0 {
+			for r := isa.Reg(0); r < isa.NumRegs; r++ {
+				if !need.Has(r) {
+					continue
+				}
+				e := s.regs[r]
+				if e == nil || !e.IsConst() {
+					handoff = true
+					break chain
+				}
+				c.vals[r] = e.ConstVal()
+			}
+			c.known |= need
+		}
+
+		// Only a load or a store can stop a block half-way.
+		if blk.TouchesMem {
+			leader = c
+		}
+		nextPC := blk.End
+		ret := false
+		blockFolded := 0
+		for idx := blk.Start; idx < blk.End; idx++ {
+			in := &f.Instrs[idx]
+			if blk.Folded != nil && blk.Folded[idx-blk.Start].Known {
+				// Load-time constant folding already computed this result.
+				c.vals[in.Rd] = blk.Folded[idx-blk.Start].Val
+				blockFolded++
+				continue
+			}
+			switch in.Op {
+			case isa.OpNop:
+
+			case isa.OpMovI:
+				c.vals[in.Rd] = uint64(in.Imm)
+
+			case isa.OpMov:
+				c.vals[in.Rd] = c.vals[in.Ra]
+
+			case isa.OpNot:
+				c.vals[in.Rd] = ^c.vals[in.Ra] & fastWordMask
+
+			case isa.OpLoad:
+				v, ok := c.load(s, uint32(c.vals[in.Ra])+in.Imm)
+				if !ok {
+					c = leader
+					handoff = true
+					break chain
+				}
+				c.vals[in.Rd] = v
+
+			case isa.OpStore:
+				if !c.store(uint32(c.vals[in.Ra])+in.Imm, c.vals[in.Rb]) {
+					// With earlier blocks' stores out of the way the block
+					// may fit; one that fills the buffer alone never will.
+					handoff = leader.nstores == 0
+					c = leader
+					break chain
+				}
+
+			case isa.OpNodeID:
+				c.vals[in.Rd] = uint64(s.node) & fastWordMask
+
+			case isa.OpTime:
+				c.vals[in.Rd] = now & 0xffffffff
+
+			case isa.OpJmp:
+				nextPC = in.Target
+
+			case isa.OpBrNZ, isa.OpBrZ:
+				if (c.vals[in.Ra] != 0) == (in.Op == isa.OpBrNZ) {
+					nextPC = in.Target
+				}
+
+			case isa.OpRet:
+				ret = true
+
+			default:
+				b := uint64(in.Imm)
+				if !in.BImm {
+					b = c.vals[in.Rb]
+				}
+				c.vals[in.Rd] = isa.EvalALU(in.Op, c.vals[in.Ra], b)
+			}
+		}
+
+		// The block is done: fold it into the pending commit.
+		c.known |= blk.Def
+		c.dirty |= blk.Def
+		consumed += blk.Len()
+		folded += blockFolded
+		blocks++
+		switch {
+		case !ret:
+			// Collapse a Jmp-only chain at the landing point when the
+			// budget covers the (still counted) intermediate Jmp steps.
+			if to, hops := fir.ResolveJmp(nextPC); hops > 0 && consumed+hops <= remaining {
+				nextPC = to
+				consumed += hops
+			}
+			pc = nextPC
+		case popped < len(s.frames):
+			popped++
+			top := s.frames[len(s.frames)-popped]
+			fn, pc = top.fn, top.pc
+		default:
+			// The activation returns. The interpreter leaves fn at -1 and
+			// pc at the Ret instruction (always the block's last); match
+			// it so idle-state fingerprints are identical.
+			fn, pc = -1, blk.End-1
+			break chain
+		}
+	}
+
+	if blocks == 0 {
+		return 0, handoff // nothing to commit
+	}
+
+	// Commit: materialize what the chain wrote. The builder hash-conses,
+	// so these are the same *expr.Expr pointers the interpreter would have
+	// left in the registers and in memory.
+	eb := s.ctx.Exprs
+	for r := isa.Reg(0); r < isa.NumRegs; r++ {
+		if c.dirty.Has(r) {
+			s.regs[r] = eb.Const(c.vals[r], WordBits)
+		}
+	}
+	for _, st := range c.stores[:c.nstores] {
+		s.mem.store(st.addr, eb.Const(st.val, WordBits))
+	}
+	s.frames = s.frames[:len(s.frames)-popped]
+	s.fn, s.pc = fn, pc
+	if fn < 0 {
+		s.status = StatusIdle
+	}
+	s.steps += uint64(consumed)
+	s.ctx.instrCount.Add(uint64(consumed))
+	s.ctx.fastBlocks.Add(uint64(blocks))
+	if folded > 0 {
+		s.ctx.foldedInstrs.Add(uint64(folded))
+	}
+	return consumed, handoff
 }
