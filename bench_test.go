@@ -1,6 +1,6 @@
 package sde_test
 
-// Benchmark harness regenerating every table and figure of the paper's
+// testing.B benchmarks regenerating every table and figure of the paper's
 // evaluation (§IV), plus the §III-E worst-case analysis and the §IV-C
 // limitation and explosion workloads. Each benchmark reports, next to the
 // usual ns/op, the quantities the paper tabulates: final execution states,
@@ -12,7 +12,9 @@ package sde_test
 // from the paper's Xeon/KLEE setup by construction; the reproduced shape —
 // SDS < COW < COB on states, RAM, and runtime, with COB aborting on the
 // big scenarios — is asserted by the test suite and visible in the
-// reported metrics. cmd/sde-bench runs the same sweeps with tunable scale.
+// reported metrics. cmd/sde-bench runs the same sweeps with tunable scale;
+// timings to compare across commits come from bench/ (bash bench/run.sh),
+// which checks digests and corrects for host drift, not from here.
 
 import (
 	"fmt"

@@ -9,33 +9,21 @@
 //	sde-bench -dims 5,7       # selected grid dimensions
 //	sde-bench -packets 10     # paper-scale traffic (slow on one core)
 //	sde-bench -table1         # only the 100-node Table I
+//	sde-bench -worstcase      # §III-E closed forms next to measured state counts
 //
 // The -sharded mode compares the parallel schedulers on one grid
 // scenario instead: an unsharded run, a static uniform 2^bits pre-split,
 // and the adaptive work-stealing scheduler, all at the same worker
-// count, with per-run scheduling telemetry (steals, splits, shared
-// solver-cache hit rate, worker utilization):
+// count, with per-run scheduling telemetry (steals, splits, worker
+// utilization):
 //
 //	sde-bench -sharded                        # defaults: 5x5 grid, GOMAXPROCS workers
 //	sde-bench -sharded -workers 8 -shard-bits 3
-//	sde-bench -sharded -split-bits 4 -split-threshold 2048 -shared-cache=false
+//	sde-bench -sharded -split-bits 4 -split-threshold 2048
 //
-// The -json mode benchmarks the constraint-solver pipeline on the
-// prefix-extension workload (incremental vs from-scratch solving, plus a
-// one-layer-at-a-time ablation) and writes machine-readable results:
-//
-//	sde-bench -json                           # writes BENCH_solver.json
-//	sde-bench -json -out results.json -depth 32 -reps 5
-//
-// -json also benchmarks the query-optimization pipeline (-qopt-out,
-// default BENCH_qopt.json), the speculative-fork solver pipeline
-// (-spec-out, default BENCH_spec.json; synchronous vs 1/2/4 async
-// solver workers on the entangled assume-chain workload), and the
-// compiled basic-block fast path (-vm-out, default BENCH_vm.json;
-// compiled vs interpreted on a concrete-heavy collect run, with
-// optional per-mode CPU profiles via -vm-profile-dir). -spec-workers
-// sizes the speculation pool for the table sweeps, and
-// -cpuprofile/-memprofile write pprof profiles for any mode.
+// -cpuprofile/-memprofile write pprof profiles for any mode. Performance
+// numbers for the system and its layers come from bench/ (bash
+// bench/run.sh), not from this command.
 //
 // Long sweeps can be made durable with -checkpoint DIR: every run (and,
 // in -sharded mode, every shard of the adaptive schedule) snapshots its
@@ -44,8 +32,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime/debug"
 	"strconv"
@@ -57,49 +47,35 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	// Batch tool: trade GC frequency for throughput on large state sets.
+	debug.SetGCPercent(600)
+
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "sde-bench:", err)
 		os.Exit(1)
 	}
 }
 
-func run() (err error) {
-	dimsFlag := flag.String("dims", "5,7,10", "comma-separated grid dimensions to evaluate")
-	packets := flag.Uint("packets", 0, "packets per run (0 = calibrated default of 3; the paper uses 10)")
-	table1 := flag.Bool("table1", false, "run only the 100-node Table I scenario")
-	worstCase := flag.Bool("worstcase", false, "run only the §III-E worst-case complexity table")
-	wallCap := flag.Duration("wall", 10*time.Minute, "wall-clock cap per run")
-	sharded := flag.Bool("sharded", false, "compare the parallel shard schedulers on one grid scenario")
-	workers := flag.Int("workers", 0, "worker pool size for -sharded (0 = GOMAXPROCS)")
-	shardBits := flag.Int("shard-bits", 2, "static pre-split depth for -sharded (2^bits shards)")
-	splitBits := flag.Int("split-bits", 0, "adaptive split depth cap for -sharded (0 = same as -shard-bits)")
-	splitThreshold := flag.Int("split-threshold", 0, "live-state straggler threshold for -sharded (0 = default)")
-	sharedCache := flag.Bool("shared-cache", true, "share one solver cache across shards in -sharded")
-	var layers sde.Layers
-	layers.RegisterFlags(flag.CommandLine, "spec-workers")
-	jsonBench := flag.Bool("json", false, "run the solver, query-optimizer, and speculation benches and write machine-readable results")
-	jsonOut := flag.String("out", "BENCH_solver.json", "output path for -json")
-	qoptOut := flag.String("qopt-out", "BENCH_qopt.json", "output path for the -json query-optimizer results")
-	specOut := flag.String("spec-out", "BENCH_spec.json", "output path for the -json speculative-pipeline results")
-	vmOut := flag.String("vm-out", "BENCH_vm.json", "output path for the -json compiled-fast-path results")
-	mergeOut := flag.String("merge-out", "BENCH_merge.json", "output path for the -json state-merging results")
-	reduceOut := flag.String("reduce-out", "BENCH_reduce.json", "output path for the -json symmetry-reduction results")
-	depthOut := flag.String("depth-out", "BENCH_depth.json", "output path for the -json depth-partitioning results")
-	vmProfileDir := flag.String("vm-profile-dir", "", "also write per-mode CPU profiles of the compiled-fast-path bench into this directory")
-	jsonDepth := flag.Int("depth", 24, "path-condition depth for -json")
-	jsonReps := flag.Int("reps", 3, "repetitions per configuration for -json (best is kept)")
-	checkpoint := flag.String("checkpoint", "", "checkpoint directory: make runs durable and resume interrupted ones")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	flag.Parse()
-
-	// Batch tool: trade GC frequency for throughput on large state sets.
-	debug.SetGCPercent(600)
-
-	if err := validateWorkerFlag("-workers", *workers); err != nil {
+func run(args []string, stdout io.Writer) (err error) {
+	fs := flag.NewFlagSet("sde-bench", flag.ContinueOnError)
+	fs.SetOutput(stdout) // -h prints the flag list where the tables go
+	dimsFlag := fs.String("dims", "5,7,10", "comma-separated grid dimensions to evaluate")
+	packets := fs.Uint("packets", 0, "packets per run (0 = calibrated default of 3; the paper uses 10)")
+	table1 := fs.Bool("table1", false, "run only the 100-node Table I scenario")
+	worstCase := fs.Bool("worstcase", false, "run only the §III-E worst-case complexity table")
+	wallCap := fs.Duration("wall", 10*time.Minute, "wall-clock cap per run")
+	sharded := fs.Bool("sharded", false, "compare the parallel shard schedulers on one grid scenario")
+	workers := fs.Int("workers", 0, "worker pool size for -sharded (0 = GOMAXPROCS)")
+	shardBits := fs.Int("shard-bits", 2, "static pre-split depth for -sharded (2^bits shards)")
+	splitBits := fs.Int("split-bits", 0, "adaptive split depth cap for -sharded (0 = same as -shard-bits)")
+	splitThreshold := fs.Int("split-threshold", 0, "live-state straggler threshold for -sharded (0 = default)")
+	checkpoint := fs.String("checkpoint", "", "checkpoint directory: make runs durable and resume interrupted ones")
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
+	memprofile := fs.String("memprofile", "", "write a heap profile to this file on exit")
+	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if err := layers.Validate(); err != nil {
+	if err := validateWorkerFlag("-workers", *workers); err != nil {
 		return err
 	}
 	stopProf, err := prof.Start(*cpuprofile, *memprofile)
@@ -112,29 +88,8 @@ func run() (err error) {
 		}
 	}()
 
-	if *jsonBench {
-		if err := runSolverBench(*jsonOut, *jsonDepth, *jsonReps); err != nil {
-			return err
-		}
-		if err := runQoptBench(*qoptOut, *jsonReps); err != nil {
-			return err
-		}
-		if err := runSpecBench(*specOut, *jsonReps); err != nil {
-			return err
-		}
-		if err := runVMBench(*vmOut, *vmProfileDir, *jsonReps); err != nil {
-			return err
-		}
-		if err := runMergeBench(*mergeOut, *jsonReps); err != nil {
-			return err
-		}
-		if err := runReduceBench(*reduceOut, *jsonReps); err != nil {
-			return err
-		}
-		return runDepthBench(*depthOut, *jsonReps)
-	}
 	if *worstCase {
-		return runWorstCase()
+		return runWorstCase(stdout)
 	}
 
 	dims, err := parseDims(*dimsFlag)
@@ -142,8 +97,8 @@ func run() (err error) {
 		return err
 	}
 	if *sharded {
-		return runSharded(dims[0], uint32(*packets), *workers, layers.SpecWorkers, *shardBits,
-			*splitBits, *splitThreshold, *sharedCache, *wallCap, *checkpoint)
+		return runSharded(stdout, dims[0], uint32(*packets), *workers, *shardBits,
+			*splitBits, *splitThreshold, *wallCap, *checkpoint)
 	}
 	if *table1 {
 		dims = []int{10}
@@ -159,7 +114,7 @@ func run() (err error) {
 			caps.MaxWall = *wallCap
 			opts.Caps[algo] = caps
 		}
-		fmt.Printf("Running %dx%d grid scenario (%d nodes, %d packets)...\n",
+		fmt.Fprintf(stdout, "Running %dx%d grid scenario (%d nodes, %d packets)...\n",
 			dim, dim, dim*dim, opts.Packets)
 		start := time.Now()
 		rows, err := sde.RunGridEvaluation(dim, opts)
@@ -170,11 +125,11 @@ func run() (err error) {
 		if dim != 10 {
 			title = fmt.Sprintf("Evaluation — %d node scenario with symbolic packet drops", dim*dim)
 		}
-		fmt.Println(sde.FormatTable(title, rows))
+		fmt.Fprintln(stdout, sde.FormatTable(title, rows))
 		if !*table1 {
-			fmt.Println(sde.FigureSeries(dim, rows))
+			fmt.Fprintln(stdout, sde.FigureSeries(dim, rows))
 		}
-		fmt.Printf("(sweep took %v)\n\n", time.Since(start).Round(time.Second))
+		fmt.Fprintf(stdout, "(sweep took %v)\n\n", time.Since(start).Round(time.Second))
 	}
 	return nil
 }
@@ -182,7 +137,7 @@ func run() (err error) {
 // runSharded compares an unsharded run, a static uniform pre-split, and
 // the adaptive work-stealing scheduler on the same grid scenario at the
 // same worker count.
-func runSharded(dim int, packets uint32, workers, specWorkers, shardBits, splitBits, splitThreshold int, sharedCache bool, wallCap time.Duration, checkpoint string) error {
+func runSharded(stdout io.Writer, dim int, packets uint32, workers, shardBits, splitBits, splitThreshold int, wallCap time.Duration, checkpoint string) error {
 	opts := sde.DefaultEvalOptions(dim)
 	if packets > 0 {
 		opts.Packets = packets
@@ -196,31 +151,27 @@ func runSharded(dim int, packets uint32, workers, specWorkers, shardBits, splitB
 	if err != nil {
 		return err
 	}
-	scenario = scenario.WithCaps(sde.Caps{MaxWall: wallCap}).WithSpeculation(specWorkers)
+	scenario = scenario.WithCaps(sde.Caps{MaxWall: wallCap})
 	if shardBits > scenario.MaxShardBits() {
 		shardBits = scenario.MaxShardBits()
-		fmt.Printf("(clamping -shard-bits to the scenario's %d shardable nodes)\n", shardBits)
+		fmt.Fprintf(stdout, "(clamping -shard-bits to the scenario's %d shardable nodes)\n", shardBits)
 	}
 	if splitBits <= 0 {
 		splitBits = shardBits
 	}
-	fmt.Printf("Sharded comparison: %dx%d grid, SDS, %d packets\n\n",
+	fmt.Fprintf(stdout, "Sharded comparison: %dx%d grid, SDS, %d packets\n\n",
 		dim, dim, opts.Packets)
-	fmt.Printf("%-9s | %10s %8s %7s %7s %7s %11s %6s\n",
-		"schedule", "wall", "states", "shards", "steals", "splits", "shared-hit", "util")
+	fmt.Fprintf(stdout, "%-9s | %10s %8s %7s %7s %7s %6s\n",
+		"schedule", "wall", "states", "shards", "steals", "splits", "util")
 
 	row := func(name string, wall time.Duration, states int, sched sde.SchedStats) {
-		shared := "off"
-		if sched.SharedLookups > 0 {
-			shared = fmt.Sprintf("%.0f%%", 100*sched.SharedHitRate())
-		}
 		util := "-"
 		if len(sched.WorkerBusy) > 0 {
 			util = fmt.Sprintf("%.0f%%", 100*sched.MeanUtilization())
 		}
-		fmt.Printf("%-9s | %10s %8d %7d %7d %7d %11s %6s\n",
+		fmt.Fprintf(stdout, "%-9s | %10s %8d %7d %7d %7d %6s\n",
 			name, wall.Round(time.Millisecond), states,
-			sched.Shards, sched.Steals, sched.Splits, shared, util)
+			sched.Shards, sched.Steals, sched.Splits, util)
 	}
 
 	plain, err := sde.RunScenario(scenario)
@@ -239,11 +190,10 @@ func runSharded(dim int, packets uint32, workers, specWorkers, shardBits, splitB
 	row("static", static.Sched.Elapsed, static.States(), static.Sched)
 
 	adaptive, err := sde.RunScenarioShardedWith(scenario, sde.ShardConfig{
-		Workers:           workers,
-		MaxSplitBits:      splitBits,
-		SplitThreshold:    splitThreshold,
-		SharedSolverCache: sharedCache,
-		CheckpointDir:     checkpoint,
+		Workers:        workers,
+		MaxSplitBits:   splitBits,
+		SplitThreshold: splitThreshold,
+		CheckpointDir:  checkpoint,
 	})
 	if err != nil {
 		return err
@@ -255,7 +205,7 @@ func runSharded(dim int, packets uint32, workers, specWorkers, shardBits, splitB
 		return fmt.Errorf("schedules disagree on dscenario count: unsharded %v static %v adaptive %v",
 			plain.DScenarios(), static.DScenarios(), adaptive.DScenarios())
 	}
-	fmt.Printf("\nAll schedules cover %s dscenarios; violations: %d unsharded, %d static, %d adaptive\n",
+	fmt.Fprintf(stdout, "\nAll schedules cover %s dscenarios; violations: %d unsharded, %d static, %d adaptive\n",
 		plain.DScenarios(), len(plain.Violations()),
 		len(static.Violations()), len(adaptive.Violations()))
 	return nil
@@ -264,9 +214,9 @@ func runSharded(dim int, packets uint32, workers, specWorkers, shardBits, splitB
 // runWorstCase regenerates the §III-E analysis: the all-branches input on
 // k nodes to depth u, comparing the measured COB and SDS state counts with
 // the closed forms k*2^(k*u) and k*2^u.
-func runWorstCase() error {
-	fmt.Println("§III-E worst-case complexity: every instruction of every node branches")
-	fmt.Printf("%3s %3s | %12s %12s %7s | %10s %10s %7s\n",
+func runWorstCase(stdout io.Writer) error {
+	fmt.Fprintln(stdout, "§III-E worst-case complexity: every instruction of every node branches")
+	fmt.Fprintf(stdout, "%3s %3s | %12s %12s %7s | %10s %10s %7s\n",
 		"k", "u", "COB states", "k*2^(k*u)", "match", "SDS states", "k*2^u", "match")
 	for _, tc := range []struct{ k, u int }{
 		{1, 2}, {1, 4}, {2, 2}, {2, 3}, {2, 4}, {3, 2}, {3, 3},
@@ -281,7 +231,7 @@ func runWorstCase() error {
 		}
 		wantCOB := tc.k * (1 << uint(tc.k*tc.u))
 		wantSDS := tc.k * (1 << uint(tc.u))
-		fmt.Printf("%3d %3d | %12d %12d %7v | %10d %10d %7v\n",
+		fmt.Fprintf(stdout, "%3d %3d | %12d %12d %7v | %10d %10d %7v\n",
 			tc.k, tc.u, cobStates, wantCOB, cobStates == wantCOB,
 			sdsStates, wantSDS, sdsStates == wantSDS)
 	}

@@ -166,12 +166,12 @@ func TestDecideGridCorners(t *testing.T) {
 	checkOrbitCoverage(t, r.Group(), names, survivors)
 }
 
-// TestDecideGridTwoRings mirrors the sde-bench symmetric workload: a 5x5
+// TestDecideGridTwoRings is the symmetric showcase for the layer: a 5x5
 // grid with drops armed on the two D4-invariant rings around the center
 // (edge-adjacent {7,11,13,17} and diagonal {6,8,16,18}), decided in the
 // order flood delivery reaches them. 256 assignments fall into 51 orbits;
-// the prefix rule must stay within a small factor of that floor for the
-// bench's ≥4x state reduction to hold (256/64 = 4x).
+// the prefix rule must stay within a small factor of that floor for a
+// ≥4x state reduction on such a flood to hold (256/64 = 4x).
 func TestDecideGridTwoRings(t *testing.T) {
 	topo := sim.NewGrid(5, 5)
 	armed := []int{7, 11, 13, 17, 6, 8, 16, 18}

@@ -145,23 +145,10 @@ tokens:
 }
 
 // RegisterFlags declares the layer flags on fs, writing into l: one
-// boolean per switch plus -spec-workers. With no names it declares all of
-// them; a command that exposes only some names those. Call Validate after
-// fs.Parse.
-func (l *Layers) RegisterFlags(fs *flag.FlagSet, names ...string) {
-	want := func(name string) bool {
-		for _, n := range names {
-			if n == name {
-				return true
-			}
-		}
-		return len(names) == 0
-	}
+// boolean per switch plus -spec-workers. Call Validate after fs.Parse.
+func (l *Layers) RegisterFlags(fs *flag.FlagSet) {
 	switches := l.switches()
 	for i, sw := range switches {
-		if !want(sw.name) {
-			continue
-		}
 		sw := sw
 		usage := fmt.Sprintf("%s; soundness-triage step %d of %d", sw.usage, i+1, len(switches))
 		fs.BoolFunc(sw.name, usage, func(s string) error {
@@ -172,7 +159,5 @@ func (l *Layers) RegisterFlags(fs *flag.FlagSet, names ...string) {
 			return err
 		})
 	}
-	if want(specWorkersName) {
-		fs.IntVar(&l.SpecWorkers, specWorkersName, 0, "solver workers for the speculative-fork pipeline (0 = one per CPU)")
-	}
+	fs.IntVar(&l.SpecWorkers, specWorkersName, 0, "solver workers for the speculative-fork pipeline (0 = one per CPU)")
 }

@@ -50,28 +50,25 @@ func TestLayersText(t *testing.T) {
 }
 
 // TestLayersFlags: the one flag helper maps -name / -name=false onto the
-// fields (inverted for default-on layers), registers only the named subset
-// when asked to, and Validate names the flag of a negative worker count.
+// fields (inverted for default-on layers), and Validate names the flag of
+// a negative worker count.
 func TestLayersFlags(t *testing.T) {
-	parse := func(names []string, args ...string) (Layers, error) {
+	parse := func(args ...string) (Layers, error) {
 		var l Layers
 		fs := flag.NewFlagSet("test", flag.ContinueOnError)
 		fs.SetOutput(io.Discard)
-		l.RegisterFlags(fs, names...)
+		l.RegisterFlags(fs)
 		return l, fs.Parse(args)
 	}
-	got, err := parse(nil, "-compile=false", "-merge", "-reduce=true", "-speculate=false", "-qopt=false", "-spec-workers", "4")
+	got, err := parse("-compile=false", "-merge", "-reduce=true", "-speculate=false", "-qopt=false", "-spec-workers", "4")
 	want := Layers{NoCompile: true, Merge: true, Reduce: true, NoSpeculate: true, NoQopt: true, SpecWorkers: 4}
 	if err != nil || got != want {
 		t.Errorf("all flags = %+v, %v; want %+v", got, err, want)
 	}
-	if got, err := parse(nil, "-compile", "-merge=false"); err != nil || got != (Layers{}) {
+	if got, err := parse("-compile", "-merge=false"); err != nil || got != (Layers{}) {
 		t.Errorf("default-valued flags = %+v, %v; want the zero value", got, err)
 	}
-	if _, err := parse([]string{"spec-workers"}, "-merge"); err == nil {
-		t.Error("-merge parsed although only spec-workers was registered")
-	}
-	l, err := parse([]string{"spec-workers"}, "-spec-workers=-1")
+	l, err := parse("-spec-workers=-1")
 	if err != nil {
 		t.Fatal(err)
 	}

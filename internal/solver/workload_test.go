@@ -17,9 +17,9 @@ type PrefixQuery struct {
 }
 
 // PrefixExtensionQueries builds the canonical exploration workload shared
-// by BenchmarkPrefixExtension and cmd/sde-bench -json: a path condition
-// grows one branch constraint at a time, and both branch directions are
-// queried at each step. Every step introduces a fresh multiplier circuit
+// by BenchmarkPrefixExtension and the incremental-session tests: a path
+// condition grows one branch constraint at a time, and both branch
+// directions are queried at each step. Every step introduces a fresh multiplier circuit
 // over the shared symbolic words, so a from-scratch solver re-encodes
 // O(depth²) multipliers over the stream while a persistent blast context
 // encodes O(depth); the probe queries (the untaken directions) force real

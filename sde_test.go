@@ -33,9 +33,6 @@ func TestScenarioConstructorsDefaultAlgorithm(t *testing.T) {
 			return sde.DiscoveryScenario(sde.DiscoveryOptions{Topology: sde.Line(2)})
 		},
 		"flood": func() (sde.Scenario, error) { return sde.FloodScenario(sde.FloodOptions{K: 2}) },
-		"speculation": func() (sde.Scenario, error) {
-			return sde.SpeculationWorkloadScenario(sde.SpeculationWorkloadOptions{Depth: 2, Activations: 1})
-		},
 		"deepchain": func() (sde.Scenario, error) {
 			return sde.DeepChainScenario(sde.DeepChainOptions{K: 2, Ticks: 1, Iters: 1})
 		},

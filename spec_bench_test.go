@@ -9,24 +9,13 @@ import (
 
 // BenchmarkSpeculativePipeline is the speculative-fork pipeline's
 // acceptance benchmark: the entangled assume-chain workload (see
-// SpeculationWorkloadScenario) run synchronously versus through the
+// speculationWorkload) run synchronously versus through the
 // asynchronous pipeline at several worker counts. The speedup is
 // algorithmic, not just parallel — deferring a chain of d assumes to one
 // barrier turns d incremental solves into one deep solve plus d-1
 // subsumption hits — so it survives single-core machines.
 func BenchmarkSpeculativePipeline(b *testing.B) {
-	build := func() sde.Scenario {
-		s, err := sde.SpeculationWorkloadScenario(sde.SpeculationWorkloadOptions{
-			Algorithm:   sde.SDS,
-			Depth:       32,
-			Activations: 2,
-			Width:       8,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		return s
-	}
+	build := func() sde.Scenario { return speculationWorkload(b, 32) }
 	modes := []struct {
 		name     string
 		scenario func() sde.Scenario

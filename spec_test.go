@@ -128,18 +128,7 @@ func TestSpeculationWorkloadSoundness(t *testing.T) {
 	if testing.Short() {
 		t.Skip("whole-run differential; CI runs it in a dedicated -count=10 step")
 	}
-	build := func() sde.Scenario {
-		s, err := sde.SpeculationWorkloadScenario(sde.SpeculationWorkloadOptions{
-			Algorithm:   sde.SDS,
-			Depth:       8,
-			Activations: 2,
-			Width:       8,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
+	build := func() sde.Scenario { return speculationWorkload(t, 8) }
 	on, onCases := runForDiff(t, build().WithSpeculation(2))
 	off, offCases := runForDiff(t, build().WithoutSpeculation())
 	if on.SpecStats().Submitted == 0 {
