@@ -122,19 +122,19 @@ func TestPacedCheckpointBudget(t *testing.T) {
 				}
 				costs = append(costs, cost)
 			}
-			written, skipped, wall := rep.Checkpoints()
-			if written != len(lines) {
-				t.Errorf("Checkpoints() written = %d, journal has %d lines", written, len(lines))
+			ck := rep.Stats().Checkpoint
+			if ck.Written != len(lines) {
+				t.Errorf("Stats().Checkpoint.Written = %d, journal has %d lines", ck.Written, len(lines))
 			}
-			if skipped == 0 {
+			if ck.Skipped == 0 {
 				t.Error("no grid boundary skipped: the run is many checkpoints long at every-256-events")
 			}
 			var sum time.Duration
 			for _, c := range costs {
 				sum += c
 			}
-			if wall != sum {
-				t.Errorf("Checkpoints() wall = %v, journal costs sum to %v", wall, sum)
+			if ck.Wall != sum {
+				t.Errorf("Stats().Checkpoint.Wall = %v, journal costs sum to %v", ck.Wall, sum)
 			}
 			// All lines but the last are periodic; the last periodic one may
 			// not have been followed by its gap before the run ended.
@@ -150,7 +150,7 @@ func TestPacedCheckpointBudget(t *testing.T) {
 				t.Errorf("periodic checkpoints but the last cost %v of a %v run", paid, rep.Wall())
 			}
 			t.Logf("%s: wall %v, %d checkpoints (%v periodic + %v final), %d boundaries skipped",
-				name, rep.Wall(), written, sum-costs[len(costs)-1], costs[len(costs)-1], skipped)
+				name, rep.Wall(), ck.Written, sum-costs[len(costs)-1], costs[len(costs)-1], ck.Skipped)
 		})
 	}
 }

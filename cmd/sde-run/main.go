@@ -13,7 +13,11 @@
 // -resume DIR; a resumed run is bit-identical to an uninterrupted one.
 // Periodic checkpoints are cost-paced — at most 1/8 of the time spent
 // exploring — and the report says how many were written, how many grid
-// boundaries were passed over, and what share of the wall they took.
+// boundaries were passed over, and how long they took.
+//
+// After the summary comes one line per layer that did anything — vm,
+// solver, spec, merge, reduce, checkpoints — with that layer's counters
+// (sde.RunStats; -json carries the same value under "stats").
 //
 // The optional execution layers are switched with -compile, -merge,
 // -reduce, -speculate (-spec-workers N sizes its solver pool) and -qopt;
@@ -27,7 +31,6 @@ import (
 	"fmt"
 	"os"
 	"runtime/debug"
-	"time"
 
 	"sde"
 	"sde/internal/prof"
@@ -117,7 +120,6 @@ func run() (err error) {
 		fmt.Println("Scenario:", scenario.Description())
 	}
 	var report *sde.Report
-	began := time.Now()
 	switch {
 	case *resume != "":
 		report, err = sde.Resume(scenario, *resume)
@@ -129,7 +131,6 @@ func run() (err error) {
 	if err != nil {
 		return err
 	}
-	elapsed := time.Since(began)
 	if *jsonOut {
 		return report.WriteJSON(os.Stdout, *testcases)
 	}
@@ -148,11 +149,7 @@ func run() (err error) {
 		fmt.Printf(" | peak pages=%d overhead=%d", peak.Pages, peak.Overhead)
 	}
 	fmt.Println()
-	if written, skipped, wall := report.Checkpoints(); written > 0 {
-		fmt.Printf("checkpoints: written=%d skipped=%d wall=%v (%.1f%% of %v)\n",
-			written, skipped, wall.Round(time.Microsecond),
-			100*wall.Seconds()/elapsed.Seconds(), elapsed.Round(time.Microsecond))
-	}
+	fmt.Print(report.Stats()) // what each layer did, one line per layer that did anything
 
 	for _, v := range report.Violations() {
 		fmt.Printf("VIOLATION node=%d t=%d: %s\n  witness: %v\n", v.Node, v.Time, v.Msg, v.Model)

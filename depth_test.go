@@ -302,3 +302,78 @@ func TestDepthHorizonComposesWithBits(t *testing.T) {
 		t.Fatalf("digest not deterministic:\n  %s\n  %s", da, db)
 	}
 }
+
+// TestContinuationLeavesCountWorkOnce pins the slice rule for counters: a
+// continuation leaf reports its ancestors' work only if it is slice 0 of
+// their frontier, so the depth dimension adds nothing to the sum over
+// leaves — in-process and through the lease path and AssembleSharded. On
+// deepchain (22 leaves, 11 suspensions at this partition) the sum is the
+// plain run's instruction count exactly; it was 3.3 times that while
+// every slice kept the snapshot header's counter.
+func TestContinuationLeavesCountWorkOnce(t *testing.T) {
+	deepchain, err := sde.ScenarioSpec{Workload: "deepchain", Topology: "line:7", Iters: 128, Algorithm: "cob"}.Scenario()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := func(rep *sde.ShardedReport) (n uint64) {
+		for _, sh := range rep.Shards {
+			n += sh.Report.Instructions()
+		}
+		if total := rep.Stats().VM.Instructions; total != n {
+			t.Errorf("ShardedReport.Stats() counts %d instructions, its leaves %d", total, n)
+		}
+		return n
+	}
+	for _, tc := range []struct {
+		name     string
+		scenario sde.Scenario
+		part     shard.Partition
+	}{
+		{"deepchain-depth", deepchain, shard.Partition{DepthHorizon: 400, HorizonFanout: 4}},
+		{"grid-bits-x-depth", shardScenario(t, sde.COB), shard.Partition{ShardBits: 2, DepthHorizon: 200, HorizonFanout: 3}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// The reference is the same bit partition without the depth
+			// dimension: the plain run when there are no bits (bit shards
+			// each re-run the prefix before their pinned decision, which
+			// is the bit partition's cost, not the depth one's).
+			flat, err := sde.RunScenarioShardedWith(tc.scenario, sde.ShardConfig{Workers: 2, ShardBits: tc.part.ShardBits})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := sum(flat)
+			if tc.part.ShardBits == 0 {
+				plain, err := sde.RunScenario(tc.scenario)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if plain.Instructions() != want {
+					t.Fatalf("plain run executed %d instructions, the one-shard run %d", plain.Instructions(), want)
+				}
+			}
+			got, err := sde.RunScenarioShardedWith(tc.scenario, sde.ShardConfig{
+				Workers: 2, ShardBits: tc.part.ShardBits,
+				DepthHorizon: tc.part.DepthHorizon, HorizonFanout: tc.part.HorizonFanout,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Sched.Suspensions == 0 || len(got.Shards) <= len(flat.Shards) {
+				t.Fatalf("%d suspensions, %d leaves: the horizon never fanned out", got.Sched.Suspensions, len(got.Shards))
+			}
+			if n := sum(got); n != want {
+				t.Errorf("in-process: %d leaves executed %d instructions, want %d (%.2fx)",
+					len(got.Shards), n, want, float64(n)/float64(want))
+			}
+			t.Logf("%d leaves, %d suspensions, %d instructions", len(got.Shards), got.Sched.Suspensions, want)
+			leased, err := sde.AssembleSharded(tc.scenario, leaseCover(t, tc.scenario, t.TempDir(), tc.part, nil))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := sum(leased); n != want || len(leased.Shards) != len(got.Shards) {
+				t.Errorf("leased and assembled: %d leaves executed %d instructions, want %d leaves and %d",
+					len(leased.Shards), n, len(got.Shards), want)
+			}
+		})
+	}
+}

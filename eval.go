@@ -172,10 +172,10 @@ func FigureSeries(dim int, rows []EvalRow) string {
 	}
 	fmt.Fprintf(&sb, "# Figure 10 (%d nodes): state growth over time\n", dim*dim)
 	sb.WriteString(metrics.AsciiChart("states (log scale)", bySeries,
-		func(s Sample) float64 { return float64(s.States) }, 60, 8))
+		func(s Sample) float64 { return float64(s.States) }, 60))
 	fmt.Fprintf(&sb, "\n# Figure 10 (%d nodes): memory growth over time\n", dim*dim)
 	sb.WriteString(metrics.AsciiChart("modeled RAM (log scale)", bySeries,
-		func(s Sample) float64 { return float64(s.MemBytes) }, 60, 8))
+		func(s Sample) float64 { return float64(s.MemBytes) }, 60))
 	sb.WriteString("\n# CSV series (downsampled)\n")
 	for _, r := range rows {
 		fmt.Fprintf(&sb, "## %s, final: states=%d mem=%s", r.Algorithm, r.States,

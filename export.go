@@ -28,17 +28,7 @@ type ReportJSON struct {
 	DScenarios   string          `json:"dscenarios"`
 	MemBytes     int64           `json:"mem_bytes"`
 	PeakMemBytes int64           `json:"peak_mem_bytes"`
-	FastBlocks   uint64          `json:"fast_blocks,omitempty"`
-	SlowBlocks   uint64          `json:"slow_blocks,omitempty"`
-	FoldedInstrs uint64          `json:"folded_instrs,omitempty"`
-	Merges       uint64          `json:"merges,omitempty"`
-	MergeCands   uint64          `json:"merge_candidates,omitempty"`
-	MergeRejects uint64          `json:"merge_rejects,omitempty"`
-	PeakMerged   int             `json:"peak_merged_states,omitempty"`
-	ReduceChecks uint64          `json:"reduce_checks,omitempty"`
-	ReducePins   uint64          `json:"reduce_pins,omitempty"`
-	PORCommutes  uint64          `json:"por_commutes,omitempty"`
-	Synthesized  int             `json:"synthesized_violations,omitempty"`
+	Stats        RunStats        `json:"stats"` // what each layer did; zero counters are left out
 	Violations   []ViolationJSON `json:"violations,omitempty"`
 	TestCases    []TestCaseJSON  `json:"test_cases,omitempty"`
 }
@@ -70,24 +60,14 @@ func (r *Report) JSON(maxTestCases int) (*ReportJSON, error) {
 		AbortReason:  r.res.AbortReason,
 		WallMS:       float64(r.res.Wall) / float64(time.Millisecond),
 		VirtualTime:  r.res.VirtualTime,
-		Instructions: r.res.Instructions,
+		Instructions: r.Instructions(),
 		States:       r.res.FinalStates,
 		Duplicates:   r.DuplicateStates(),
 		Groups:       r.res.Groups,
 		DScenarios:   r.res.DScenarios.String(),
 		MemBytes:     r.res.FinalMem,
 		PeakMemBytes: r.res.PeakMem,
-		FastBlocks:   r.res.VM.FastBlocks,
-		SlowBlocks:   r.res.VM.SlowBlocks,
-		FoldedInstrs: r.res.VM.FoldedInstrs,
-		Merges:       r.res.Merge.Merges,
-		MergeCands:   r.res.Merge.Candidates,
-		MergeRejects: r.res.Merge.Rejects,
-		PeakMerged:   r.res.Merge.PeakMerged,
-		ReduceChecks: r.res.Reduce.Checks,
-		ReducePins:   r.res.Reduce.Pins,
-		PORCommutes:  r.res.Reduce.PORCommutes,
-		Synthesized:  r.res.Reduce.Synthesized,
+		Stats:        r.res.Stats,
 	}
 	for _, v := range r.res.Violations {
 		out.Violations = append(out.Violations, ViolationJSON{
@@ -121,23 +101,19 @@ func (r *Report) WriteJSON(w io.Writer, maxTestCases int) error {
 }
 
 // WriteCSV streams the run's metrics time series (the Figure 10 data) to
-// w as CSV. Unlike metrics.Series.CSV — which builds a string and leaves
-// writing, and hence write-error handling, to the caller — every write
-// here is checked, so exporters piping into files see short writes as
-// errors instead of silently truncated series.
+// w as CSV, one sample per line under a header row. Every write is
+// checked, so exporters piping into files see short writes as errors
+// instead of silently truncated series.
 func (r *Report) WriteCSV(w io.Writer) error {
 	if _, err := io.WriteString(w,
-		"wall_ms,virtual_time,states,groups,mem_bytes,instructions,solver_queries,queries_sliced,gates_elided,fast_blocks,slow_blocks,folded_instrs,merged_states,merge_candidates,merge_rejects,reduce_checks,reduce_pins\n"); err != nil {
+		"wall_ms,virtual_time,states,groups,mem_bytes,instructions,solver_queries\n"); err != nil {
 		return err
 	}
 	for _, sm := range r.res.Series.Samples() {
-		if _, err := fmt.Fprintf(w, "%.3f,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d\n",
+		if _, err := fmt.Fprintf(w, "%.3f,%d,%d,%d,%d,%d,%d\n",
 			float64(sm.Wall.Microseconds())/1000.0,
 			sm.VirtualTime, sm.States, sm.Groups, sm.MemBytes,
-			sm.Instructions, sm.SolverQueries, sm.QueriesSliced,
-			sm.GatesElided, sm.FastBlocks, sm.SlowBlocks,
-			sm.FoldedInstrs, sm.MergedStates, sm.MergeCandidates,
-			sm.MergeRejects, sm.ReduceChecks, sm.ReducePins); err != nil {
+			sm.Instructions, sm.SolverQueries); err != nil {
 			return err
 		}
 	}

@@ -103,7 +103,10 @@ type JobStatus struct {
 	States      int              `json:"states,omitempty"`
 	DScenarios  string           `json:"dscenarios,omitempty"`
 	Digest      string           `json:"digest,omitempty"`
-	Error       string           `json:"error,omitempty"`
+	// Stats is what every layer did across a finished job: the sum of its
+	// leaves' counters, each carried home in the leaf's snapshot.
+	Stats *sde.RunStats `json:"stats,omitempty"`
+	Error string        `json:"error,omitempty"`
 }
 
 // NewCoordinator builds a coordinator and starts its lease-expiry
@@ -335,6 +338,8 @@ func (c *Coordinator) statusLocked(j *job) JobStatus {
 	if j.report != nil {
 		st.States = j.report.States()
 		st.DScenarios = j.report.DScenarios().String()
+		total := j.report.Stats()
+		st.Stats = &total
 	}
 	return st
 }
@@ -469,14 +474,14 @@ func (c *Coordinator) handleConn(conn net.Conn) {
 			}
 			c.split(w, sp.Lease)
 		case MsgResult:
-			hdr, snapshot, err := parseResult(payload)
+			hdr, snapshot, err := parseHdrBlob[ResultHeader](payload)
 			if err != nil {
 				c.logf("worker %s: bad result: %v", w.name, err)
 				return
 			}
 			c.completeLease(w, hdr, snapshot)
 		case MsgSuspend:
-			hdr, frontier, err := parseSuspend(payload)
+			hdr, frontier, err := parseHdrBlob[SuspendHeader](payload)
 			if err != nil {
 				c.logf("worker %s: bad suspend: %v", w.name, err)
 				return
@@ -542,13 +547,12 @@ func (c *Coordinator) grantLease(w *workerConn) error {
 	c.reg.AddGauge("sde_worker_leases_active", map[string]string{"worker": w.name}, 1)
 	c.logf("lease %d: shard %s of %s -> %s", l.id, t.Item.Label(), j.id, w.name)
 	if len(t.Item.Cont) > 0 {
-		// A continuation item ships the suspended parent frontier with the
-		// lease; frontiers are immutable once stored, so the bytes may be
-		// written outside the lock.
 		c.reg.Add("sde_continuation_leases_total", nil, 1)
-		return writeContLease(w.conn, msg, t.Parent)
 	}
-	return writeMsg(w.conn, MsgLease, msg)
+	// A continuation item ships the suspended parent frontier with the
+	// lease; frontiers are immutable once stored, so the bytes may be
+	// written outside the lock.
+	return writeHdrBlob(w.conn, MsgLease, msg, t.Parent)
 }
 
 // beat refreshes a lease and answers with cancel/starvation flags.

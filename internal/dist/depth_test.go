@@ -2,9 +2,9 @@ package dist
 
 // Depth-horizon partitioning over the wire: jobs with a depth horizon
 // suspend leases at event boundaries, ship frontiers back as MsgSuspend,
-// and fan continuation leases (MsgContLease) out to the fleet. The
-// assembled report must match the in-process horizon-partitioned oracle
-// bit-for-bit, including across a worker crash mid-continuation.
+// and fan continuation leases (MsgLease with a frontier) out to the fleet.
+// The assembled report must match the in-process horizon-partitioned
+// oracle bit-for-bit, including across a worker crash mid-continuation.
 
 import (
 	"context"

@@ -219,8 +219,8 @@ func TestServiceLeaseExpiry(t *testing.T) {
 	if err != nil || typ != MsgLease {
 		t.Fatalf("expected a lease, got type %d, %v", typ, err)
 	}
-	if _, err := decode[Lease](payload); err != nil {
-		t.Fatal(err)
+	if _, parent, err := parseHdrBlob[Lease](payload); err != nil || len(parent) != 0 {
+		t.Fatalf("lease: %v, %d frontier bytes on a bit-shard item", err, len(parent))
 	}
 	// ... and now the zombie says nothing, forever.
 

@@ -44,6 +44,7 @@ type shardedReportJSON struct {
 	Digest     string            `json:"digest"`
 	States     int               `json:"states"`
 	DScenarios string            `json:"dscenarios"`
+	Stats      sde.RunStats      `json:"stats"` // the shards' stats, summed
 	Shards     []shardReportJSON `json:"shards"`
 }
 
@@ -104,6 +105,7 @@ func (c *Coordinator) HTTPHandler() http.Handler {
 			Digest:     digest,
 			States:     report.States(),
 			DScenarios: report.DScenarios().String(),
+			Stats:      report.Stats(),
 		}
 		for _, sh := range report.Shards {
 			rj, err := sh.Report.JSON(testCases)

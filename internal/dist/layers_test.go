@@ -11,35 +11,24 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"sync"
 	"testing"
 	"time"
 
 	"sde"
 )
 
-// observer collects the live per-lease reports of a fleet run.
-type observer struct {
-	mu      sync.Mutex
-	reports []*sde.Report
-}
-
-func (o *observer) observe(_ Lease, out *sde.LeaseOutcome) {
-	o.mu.Lock()
-	o.reports = append(o.reports, out.Report)
-	o.mu.Unlock()
-}
-
 // runFleetJob runs one job on a fresh coordinator with two workers and
-// returns its final status plus every executed lease's report.
+// returns its final status plus the leaves of the report the coordinator
+// assembled from the snapshots the workers shipped — no live per-lease
+// report exists coordinator-side; the counters are the ones the snapshots
+// carried home.
 func runFleetJob(t *testing.T, spec sde.ScenarioSpec, opts JobOptions) (JobStatus, *Coordinator, []*sde.Report) {
 	t.Helper()
 	c, addr := startCoordinator(t, Options{RetryMillis: 10})
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)
-	var obs observer
-	startWorker(t, ctx, addr, WorkerOptions{Name: "w0", observe: obs.observe})
-	startWorker(t, ctx, addr, WorkerOptions{Name: "w1", observe: obs.observe})
+	startWorker(t, ctx, addr, WorkerOptions{Name: "w0"})
+	startWorker(t, ctx, addr, WorkerOptions{Name: "w1"})
 	id, err := c.AddJobWith(spec, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -48,15 +37,25 @@ func runFleetJob(t *testing.T, spec sde.ScenarioSpec, opts JobOptions) (JobStatu
 	if st.State != JobDone {
 		t.Fatalf("job state = %s (%s)", st.State, st.Error)
 	}
-	obs.mu.Lock()
-	defer obs.mu.Unlock()
-	return st, c, obs.reports
+	report, _, _, err := c.JobReport(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var leaves []*sde.Report
+	for _, sh := range report.Shards {
+		leaves = append(leaves, sh.Report)
+	}
+	if st.Stats == nil || *st.Stats != report.Stats() {
+		t.Errorf("job status stats = %v, want the assembled report's sum", st.Stats)
+	}
+	return st, c, leaves
 }
 
 // TestLayersSurviveEveryRunPath: for each layer, on and off, the layer's
 // own counter is zero exactly when the scenario switched the layer off —
-// under RunScenario, the in-process shard pool, a single work lease, and a
-// coordinator with two workers.
+// under RunScenario, the in-process shard pool, a single work lease, and on
+// every leaf of the report a coordinator assembles from what two workers
+// shipped.
 func TestLayersSurviveEveryRunPath(t *testing.T) {
 	collect := testSpec
 	collectCOB := testSpec
@@ -159,12 +158,12 @@ func TestLayersSurviveEveryRunPath(t *testing.T) {
 				check("RunShardLease", layer.count(out.Report))
 
 				layer.set(&spec.Layers, on)
-				_, _, reports := runFleetJob(t, spec, JobOptions{ShardBits: 1})
-				if len(reports) < 2 && base.MaxShardBits() > 0 {
-					t.Fatalf("fleet executed %d leases, want one per bit shard", len(reports))
+				_, _, leaves := runFleetJob(t, spec, JobOptions{ShardBits: 1})
+				if len(leaves) < 2 && base.MaxShardBits() > 0 {
+					t.Fatalf("fleet report has %d leaves, want one per bit shard", len(leaves))
 				}
-				for _, r := range reports {
-					check("fleet lease", layer.count(r))
+				for _, r := range leaves {
+					check("fleet leaf", layer.count(r))
 				}
 			})
 		}
@@ -173,8 +172,8 @@ func TestLayersSurviveEveryRunPath(t *testing.T) {
 
 // TestServiceJobLayers: a job's layer set comes from its spec and from
 // nowhere else — a spec that turns merging and reduction on and speculation
-// off reaches every lease of a two-worker fleet (each layer's counter says
-// so), the fleet's digest equals the in-process run of spec.Scenario() at
+// off reaches every lease of a two-worker fleet (each layer's counter on the
+// job report's leaves says so), the fleet's digest equals the in-process run of spec.Scenario() at
 // the same partition, and the HTTP job status echoes the resolved layers.
 // (Merging under COB is left out: its leaf snapshots do not decode — see
 // ROADMAP.)
@@ -195,19 +194,19 @@ func TestServiceJobLayers(t *testing.T) {
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			st, c, reports := runFleetJob(t, tc.spec, JobOptions{ShardBits: 2, TestCases: 8})
+			st, c, leaves := runFleetJob(t, tc.spec, JobOptions{ShardBits: 2, TestCases: 8})
 			if want := oracleDigest(t, tc.spec, 2, 8); st.Digest != want {
 				t.Errorf("fleet digest %s != in-process digest %s at the same partition and layers", st.Digest, want)
 			}
-			if len(reports) != 4 {
-				t.Errorf("observed %d leases, want the 4 bit shards", len(reports))
+			if len(leaves) != 4 {
+				t.Errorf("report has %d leaves, want the 4 bit shards", len(leaves))
 			}
-			for _, r := range reports {
+			for _, r := range leaves {
 				if tc.acted(r) == 0 {
-					t.Error("a lease ran without a layer the job's spec turned on")
+					t.Error("a leaf ran without a layer the job's spec turned on")
 				}
 				if n := r.SpecStats().Submitted; n != 0 {
-					t.Errorf("a lease speculated (%d submissions) in a no-speculate job", n)
+					t.Errorf("a leaf speculated (%d submissions) in a no-speculate job", n)
 				}
 			}
 
@@ -222,12 +221,16 @@ func TestServiceJobLayers(t *testing.T) {
 				Spec struct {
 					Layers string `json:"layers"`
 				} `json:"spec"`
+				Stats *sde.RunStats `json:"stats"`
 			}
 			if err := json.NewDecoder(resp.Body).Decode(&echoed); err != nil {
 				t.Fatal(err)
 			}
 			if want := tc.spec.Layers.String(); echoed.Spec.Layers != want {
 				t.Errorf("job status echoes layers %q, want the resolved set %q", echoed.Spec.Layers, want)
+			}
+			if echoed.Stats == nil || *echoed.Stats != *st.Stats {
+				t.Errorf("HTTP job status stats = %v, want %v", echoed.Stats, st.Stats)
 			}
 		})
 	}

@@ -8,9 +8,9 @@
 // frames of internal/snap (one frame per message, the frame type byte
 // naming the message kind), so transport corruption and version skew are
 // detected by the same code that guards on-disk snapshots. Messages are
-// JSON payloads — small control messages dominated by the one exception,
-// Result, whose payload is a JSON header followed by the raw snapshot
-// bytes of the finished shard.
+// JSON payloads — small control messages — except the three that move a
+// snapshot (Lease, Result, Suspend), whose payload is a JSON header
+// followed by the raw snapshot bytes.
 //
 // The protocol is deliberately coordinator-passive: workers pull. A
 // worker sends Ready when idle and receives a Lease or NoWork; while
@@ -43,7 +43,9 @@ const (
 	MsgWelcome
 	// MsgReady asks for work; the reply is MsgLease or MsgNoWork.
 	MsgReady
-	// MsgLease grants one shard sub-space to the worker.
+	// MsgLease grants one work item: the Lease JSON plus, for a
+	// continuation item, the suspended parent frontier the worker
+	// slice-resumes from (empty otherwise).
 	MsgLease
 	// MsgNoWork tells an idle worker to retry later.
 	MsgNoWork
@@ -61,9 +63,6 @@ const (
 	MsgResult
 	// MsgError reports a failed lease execution.
 	MsgError
-	// MsgContLease grants a continuation work item: the Lease JSON plus
-	// the suspended parent frontier the worker slice-resumes from.
-	MsgContLease
 	// MsgSuspend delivers a lease that hit its depth horizon: JSON
 	// header plus the surviving frontier — the continuation payload the
 	// coordinator fans out as new work items.
@@ -164,8 +163,8 @@ func writeMsg(w io.Writer, typ byte, v any) error {
 }
 
 // writeHdrBlob sends one frame carrying a JSON header followed by raw
-// bytes: uvarint header length, JSON header, blob. MsgResult, MsgSuspend,
-// and MsgContLease all use this shape.
+// bytes: uvarint header length, JSON header, blob. MsgLease, MsgResult
+// and MsgSuspend all use this shape.
 func writeHdrBlob(w io.Writer, typ byte, hdr any, blob []byte) error {
 	hj, err := json.Marshal(hdr)
 	if err != nil {
@@ -189,40 +188,6 @@ func parseHdrBlob[T any](payload []byte) (T, []byte, error) {
 		return hdr, nil, fmt.Errorf("dist: decoding header: %w", err)
 	}
 	return hdr, payload[sz+int(n):], nil
-}
-
-// writeResult sends a MsgResult frame: uvarint header length, JSON
-// header, raw snapshot bytes.
-func writeResult(w io.Writer, hdr ResultHeader, snapshot []byte) error {
-	return writeHdrBlob(w, MsgResult, hdr, snapshot)
-}
-
-// parseResult splits a MsgResult payload back into header and snapshot.
-func parseResult(payload []byte) (ResultHeader, []byte, error) {
-	return parseHdrBlob[ResultHeader](payload)
-}
-
-// writeSuspend sends a MsgSuspend frame: header plus the suspended
-// frontier bytes.
-func writeSuspend(w io.Writer, hdr SuspendHeader, frontier []byte) error {
-	return writeHdrBlob(w, MsgSuspend, hdr, frontier)
-}
-
-// parseSuspend splits a MsgSuspend payload back into header and frontier.
-func parseSuspend(payload []byte) (SuspendHeader, []byte, error) {
-	return parseHdrBlob[SuspendHeader](payload)
-}
-
-// writeContLease sends a MsgContLease frame: the lease plus the suspended
-// parent frontier the worker slice-resumes from.
-func writeContLease(w io.Writer, lease Lease, parent []byte) error {
-	return writeHdrBlob(w, MsgContLease, lease, parent)
-}
-
-// parseContLease splits a MsgContLease payload back into lease and
-// parent frontier.
-func parseContLease(payload []byte) (Lease, []byte, error) {
-	return parseHdrBlob[Lease](payload)
 }
 
 // decode unmarshals a JSON message payload.

@@ -59,11 +59,6 @@ type WorkerOptions struct {
 	CrashAfterEvents int
 	// Logf, when non-nil, receives operational log lines.
 	Logf func(format string, args ...any)
-
-	// observe, when non-nil, sees every executed lease's outcome before it
-	// is reported — the only place a live per-lease Report exists in a
-	// fleet run, which is what the package's tests assert layers on.
-	observe func(Lease, *sde.LeaseOutcome)
 }
 
 type inMsg struct {
@@ -192,18 +187,7 @@ func RunWorker(ctx context.Context, addr string, opts WorkerOptions) error {
 			case <-time.After(time.Duration(nw.RetryMillis) * time.Millisecond):
 			}
 		case MsgLease:
-			lease, err := decode[Lease](m.payload)
-			if err != nil {
-				return err
-			}
-			if err := executeLease(ctx, conn, acks, lease, nil, opts, logf, &crashed); err != nil {
-				if ctx.Err() != nil && !crashed {
-					return nil
-				}
-				return err
-			}
-		case MsgContLease:
-			lease, parent, err := parseContLease(m.payload)
+			lease, parent, err := parseHdrBlob[Lease](m.payload)
 			if err != nil {
 				return err
 			}
@@ -224,7 +208,7 @@ func RunWorker(ctx context.Context, addr string, opts WorkerOptions) error {
 
 // executeLease runs one lease and reports its outcome (result, suspend,
 // split, or error) back to the coordinator. parent is the suspended
-// ancestor frontier shipped with a continuation lease (nil otherwise).
+// ancestor frontier shipped with a continuation lease (empty otherwise).
 func executeLease(ctx context.Context, conn net.Conn, acks <-chan HeartbeatAck,
 	lease Lease, parent []byte, opts WorkerOptions, logf func(string, ...any), crashed *bool) error {
 	scenario, err := lease.Spec.Scenario()
@@ -300,9 +284,6 @@ func executeLease(ctx context.Context, conn net.Conn, acks <-chan HeartbeatAck,
 		EventTarget:     lease.EventTarget,
 		Continuation:    parent,
 	})
-	if err == nil && opts.observe != nil {
-		opts.observe(lease, out)
-	}
 	switch {
 	case *crashed:
 		return ErrCrashed
@@ -314,16 +295,16 @@ func executeLease(ctx context.Context, conn net.Conn, acks <-chan HeartbeatAck,
 		return writeMsg(conn, MsgSplit, Split{Lease: lease.ID})
 	case out.Stopped:
 		logf("lease %d: stopped", lease.ID)
-		return writeResult(conn, ResultHeader{Lease: lease.ID, Stopped: true}, nil)
+		return writeHdrBlob(conn, MsgResult, ResultHeader{Lease: lease.ID, Stopped: true}, nil)
 	case out.Suspended:
 		logf("lease %d: suspended at %d events (%d units, %d frontier bytes)",
 			lease.ID, out.Events, out.Units, len(out.Snapshot))
-		return writeSuspend(conn, SuspendHeader{
+		return writeHdrBlob(conn, MsgSuspend, SuspendHeader{
 			Lease: lease.ID, Units: out.Units, Events: out.Events,
 		}, out.Snapshot)
 	default:
 		logf("lease %d: done, %d snapshot bytes", lease.ID, len(out.Snapshot))
-		return writeResult(conn, ResultHeader{Lease: lease.ID}, out.Snapshot)
+		return writeHdrBlob(conn, MsgResult, ResultHeader{Lease: lease.ID}, out.Snapshot)
 	}
 }
 

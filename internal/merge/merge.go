@@ -33,6 +33,7 @@ import (
 	"sort"
 
 	"sde/internal/expr"
+	"sde/internal/metrics"
 	"sde/internal/vm"
 )
 
@@ -63,16 +64,6 @@ type Config struct {
 	// estimate how much entangling member values through shared ite nodes
 	// would hurt future queries.
 	SliceStats func() (queries, factors uint64)
-}
-
-// Stats are the manager's cumulative counters.
-type Stats struct {
-	Merges     uint64 // accepted fusions (each hides one more live state)
-	Candidates uint64 // structurally mergeable pairs considered
-	Rejects    uint64 // candidates declined by the cost model
-	Splits     uint64 // rep dissolutions (any cause)
-	MaxMembers int    // largest member count any rep reached
-	PeakMerged int    // peak number of states hidden inside reps
 }
 
 // SubPair is one substitution entry (merge-introduced ite node → this
@@ -118,7 +109,7 @@ type Manager struct {
 	cfg   Config
 	reps  map[*vm.State]*repRec // by rep state
 	byMem map[*vm.State]*repRec // frozen member → its rep
-	stats Stats
+	stats metrics.MergeStats    // all but ScansSkipped, which is the engine's
 }
 
 // NewManager returns a manager wired to the given builder and driver.
@@ -141,8 +132,9 @@ func NewManager(eb *expr.Builder, drv Driver, cfg Config) *Manager {
 	}
 }
 
-// Stats returns the cumulative counters.
-func (m *Manager) Stats() Stats { return m.stats }
+// Stats returns the cumulative counters: the manager's share of the run's
+// Merge part.
+func (m *Manager) Stats() metrics.MergeStats { return m.stats }
 
 // MergedAway returns how many states are currently hidden inside reps
 // (Σ members − reps).

@@ -12,7 +12,8 @@ import (
 	"time"
 )
 
-// Sample is one measurement point.
+// Sample is one measurement point: the columns of Figure 10. What each
+// layer did by then is not sampled; RunStats has the totals.
 type Sample struct {
 	Wall          time.Duration // wall-clock time since the run started
 	VirtualTime   uint64        // engine virtual clock (ticks)
@@ -21,29 +22,6 @@ type Sample struct {
 	MemBytes      int64         // modeled RAM (deduplicated pages + overheads)
 	Instructions  uint64        // instructions executed so far
 	SolverQueries int64         // constraint-solver queries issued so far
-	QueriesSliced int64         // queries shrunk by constraint independence slicing
-	GatesElided   int64         // encoding work avoided by the query optimizer (DAG nodes)
-
-	// Compiled-IR fast-path counters (see VMStats). Derived state: these
-	// columns are not part of the snapshot format, so a resumed run's
-	// series counts from zero again — like the IR itself, they are
-	// recomputed, never serialized.
-	FastBlocks   uint64 // block executions taken by the concrete fast path
-	SlowBlocks   uint64 // block entries interpreted instruction by instruction
-	FoldedInstrs uint64 // fast-path instructions answered by load-time folding
-
-	// State-merging counters (see MergeStats). MergedStates is a gauge —
-	// how many states are hidden inside merged representatives right now,
-	// so States − MergedStates is the live frontier the scheduler actually
-	// drives; the other two are cumulative. All zero with merging off.
-	MergedStates    int    // states currently fused away into reps
-	MergeCandidates uint64 // structurally mergeable pairs considered so far
-	MergeRejects    uint64 // candidates declined by the cost model so far
-
-	// Symmetry-reduction counters (see ReduceStats), cumulative. All zero
-	// with reduction off.
-	ReduceChecks uint64 // failure decisions the reducer was consulted on
-	ReducePins   uint64 // decisions pinned instead of forked (pruned branches)
 }
 
 // Series accumulates samples in order.
@@ -111,146 +89,237 @@ func (s *Series) Downsample(n int) []Sample {
 	return out
 }
 
-// CSV renders the series with a header row, one sample per line.
-func (s *Series) CSV() string {
-	var sb strings.Builder
-	sb.WriteString("wall_ms,virtual_time,states,groups,mem_bytes,instructions,solver_queries,queries_sliced,gates_elided,fast_blocks,slow_blocks,folded_instrs,merged_states,merge_candidates,merge_rejects,reduce_checks,reduce_pins\n")
-	for _, sm := range s.samples {
-		fmt.Fprintf(&sb, "%.3f,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d\n",
-			float64(sm.Wall.Microseconds())/1000.0,
-			sm.VirtualTime, sm.States, sm.Groups, sm.MemBytes, sm.Instructions,
-			sm.SolverQueries, sm.QueriesSliced, sm.GatesElided,
-			sm.FastBlocks, sm.SlowBlocks, sm.FoldedInstrs,
-			sm.MergedStates, sm.MergeCandidates, sm.MergeRejects,
-			sm.ReduceChecks, sm.ReducePins)
-	}
-	return sb.String()
+// RunStats is the one carrier of a run's cumulative counters: what every
+// layer did, in one part per layer. Each layer counts into its part
+// directly, the engine reads the parts through one function, a snapshot
+// carries the value, and a resumed engine reports the snapshot's value plus
+// its own — so the counters cover the work done on the run by every process
+// that had a hand in it, once. Add is the only way two values are combined.
+type RunStats struct {
+	Solver     SolverStats     `json:"solver"`
+	Spec       SpecStats       `json:"spec"`
+	VM         VMStats         `json:"vm"`
+	Merge      MergeStats      `json:"merge"`
+	Reduce     ReduceStats     `json:"reduce"`
+	Checkpoint CheckpointStats `json:"checkpoint"`
 }
 
-// SpecStats summarises one run's speculative-fork solver pipeline
-// activity: how many branch decisions overlapped with execution, how the
-// speculation resolved, and how much time resolution barriers spent
-// waiting on verdicts. All zero when speculation is disabled.
+// SolverStats counts constraint-solver activity (internal/solver). Reads
+// are only consistent when the solver is quiescent.
+type SolverStats struct {
+	Queries         int64 `json:"queries,omitempty"`          // total Feasible/Model calls
+	CacheHits       int64 `json:"cache_hits,omitempty"`       // answered from the exact-key query cache
+	SubsumptionHits int64 `json:"subsumption_hits,omitempty"` // answered by an UNSAT-subset / SAT-superset entry
+	SharedHits      int64 `json:"shared_hits,omitempty"`      // answered from the cross-solver shared cache
+	PoolHits        int64 `json:"pool_hits,omitempty"`        // answered by re-using a previous model
+	FastPath        int64 `json:"fast_path,omitempty"`        // answered by the syntactic literal scan
+	Partitions      int64 `json:"partitions,omitempty"`       // queries split into independent components
+	SATCalls        int64 `json:"sat_calls,omitempty"`        // CDCL runs (incremental and from-scratch)
+	IncSolves       int64 `json:"inc_solves,omitempty"`       // CDCL runs answered by a persistent instance
+	Conflicts       int64 `json:"conflicts,omitempty"`        // CDCL conflicts across all runs
+	Decisions       int64 `json:"decisions,omitempty"`        // CDCL decisions across all runs
+	AssumeReuses    int64 `json:"assume_reuses,omitempty"`    // assumption literals reused from session prefixes
+	EncodeSkips     int64 `json:"encode_skips,omitempty"`     // constraint encodes served by a persistent blast memo
+	Gates           int64 `json:"gates,omitempty"`            // Tseitin gate variables allocated across all runs
+	LearnedRetained int64 `json:"learned_retained,omitempty"` // learned clauses alive in the main persistent instance (gauge; Add keeps the max)
+	RewarmSessions  int64 `json:"rewarm_sessions,omitempty"`  // sessions re-synced after a checkpoint resume
+	RewarmEncodes   int64 `json:"rewarm_encodes,omitempty"`   // constraints re-encoded during those re-warms
+
+	// Query-optimizer pipeline counters (internal/qopt). The last three
+	// are owned by the Optimizer and merged in by Solver.Stats.
+	SlicedQueries    int64 `json:"sliced_queries,omitempty"`    // feasibility queries shrunk by independence slicing
+	SlicedFactors    int64 `json:"sliced_factors,omitempty"`    // independent factor groups dropped across those queries
+	RewriteHits      int64 `json:"rewrite_hits,omitempty"`      // constraints changed by the algebraic rewriter
+	ConcretizedReads int64 `json:"concretized_reads,omitempty"` // VM reads/branches decided from implied bindings
+	GatesElided      int64 `json:"gates_elided,omitempty"`      // DAG nodes removed from queries before encoding (proxy for gates)
+}
+
+// SpecStats counts the speculative-fork solver pipeline: how many branch
+// decisions overlapped with execution, how the speculation resolved, and
+// how long resolution barriers waited on verdicts. The solver's SpecPool
+// counts the first block, the engine the second. All zero when speculation
+// is disabled.
 type SpecStats struct {
-	Workers int // solver worker count of the pipeline
+	Workers int `json:"workers,omitempty"` // solver worker count of the pipeline (a size: Add keeps the max)
 
-	Submitted    int64 // speculations submitted (a branch pair counts once)
-	Pairs        int64 // two-sided branch speculations
-	Assumes      int64 // single-query assume speculations
-	Solves       int64 // feasibility queries the workers actually issued
-	Elided       int64 // false-side verdicts answered by complement elision
-	InflightPeak int64 // high-water mark of unresolved speculations
+	Submitted    int64 `json:"submitted,omitempty"`     // speculations submitted (a branch pair counts once)
+	Pairs        int64 `json:"pairs,omitempty"`         // two-sided branch speculations
+	Assumes      int64 `json:"assumes,omitempty"`       // single-query assume speculations
+	Solves       int64 `json:"solves,omitempty"`        // feasibility queries the workers actually issued
+	Elided       int64 `json:"elided,omitempty"`        // false-side verdicts answered by complement elision
+	InflightPeak int64 `json:"inflight_peak,omitempty"` // high-water mark of unresolved speculations (max)
 
-	Rewinds   int64 // speculative executions rewound onto the false side
-	SpecKills int64 // states killed at resolution (infeasible assume, solver error)
-	Removed   int64 // provisional constraints removed (one-sided-true branches)
-
-	Barriers      int64 // resolution barriers that found a non-empty pipeline
-	BarrierWaitNs int64 // total nanoseconds barriers spent draining verdicts
+	Rewinds       int64 `json:"rewinds,omitempty"`         // speculative executions rewound onto the false side
+	SpecKills     int64 `json:"spec_kills,omitempty"`      // states killed at resolution (infeasible assume, solver error)
+	Removed       int64 `json:"removed,omitempty"`         // provisional constraints removed (one-sided-true branches)
+	Barriers      int64 `json:"barriers,omitempty"`        // resolution barriers that found a non-empty pipeline
+	BarrierWaitNs int64 `json:"barrier_wait_ns,omitempty"` // total nanoseconds barriers spent draining verdicts
 }
 
-// String renders a one-line speculation summary.
-func (s SpecStats) String() string {
-	if s.Submitted == 0 {
-		return "speculation: off"
-	}
-	return fmt.Sprintf("spec: workers=%d submitted=%d (pairs=%d assumes=%d) solves=%d elided=%d rewinds=%d kills=%d barrier-wait=%s",
-		s.Workers, s.Submitted, s.Pairs, s.Assumes, s.Solves, s.Elided,
-		s.Rewinds, s.SpecKills, time.Duration(s.BarrierWaitNs).Round(time.Microsecond))
-}
-
-// VMStats summarises one run's compiled-IR fast-path activity: how many
-// basic-block executions ran on the concrete straight-line fast path
-// versus falling back to the per-instruction interpreter, and how many
-// fast-path instructions were answered by load-time constant folding.
-// All zero when compiled execution is disabled.
+// VMStats counts the VM's work: instructions and local forks, and — zero
+// when compiled execution is disabled — how many basic-block executions ran
+// on the concrete straight-line fast path versus falling back to the
+// per-instruction interpreter, and how many fast-path instructions were
+// answered by load-time constant folding.
 type VMStats struct {
-	FastBlocks   uint64 // block executions taken by the concrete fast path
-	SlowBlocks   uint64 // block entries that fell back to the interpreter
-	FoldedInstrs uint64 // fast-path instructions answered by load-time folding
+	Instructions uint64 `json:"instructions,omitempty"`  // instructions executed by all states
+	Forks        uint64 `json:"forks,omitempty"`         // local symbolic branches taken
+	FastBlocks   uint64 `json:"fast_blocks,omitempty"`   // block executions taken by the concrete fast path
+	SlowBlocks   uint64 `json:"slow_blocks,omitempty"`   // block entries that fell back to the interpreter
+	FoldedInstrs uint64 `json:"folded_instrs,omitempty"` // fast-path instructions answered by load-time folding
 }
 
-// FastRate returns the fraction of block entries executed on the fast
-// path (0 when compiled execution was off or the program never ran).
-func (v VMStats) FastRate() float64 {
-	total := v.FastBlocks + v.SlowBlocks
-	if total == 0 {
-		return 0
-	}
-	return float64(v.FastBlocks) / float64(total)
-}
-
-// String renders a one-line compiled-execution summary.
-func (v VMStats) String() string {
-	if v.FastBlocks == 0 && v.SlowBlocks == 0 {
-		return "compile: off"
-	}
-	return fmt.Sprintf("compile: fast-blocks=%d slow-blocks=%d (%.0f%% fast) folded=%d",
-		v.FastBlocks, v.SlowBlocks, 100*v.FastRate(), v.FoldedInstrs)
-}
-
-// MergeStats summarises one run's state-merging activity (internal/merge):
-// how many sibling-state fusions the scan performed, how the cost model
-// filtered candidates, and how large the merged frontier got. All zero
-// when merging is disabled.
+// MergeStats counts state merging: how many sibling-state fusions the scan
+// performed, how the cost model filtered candidates, and how large the
+// merged frontier got. The merge manager counts all but ScansSkipped, which
+// is the engine's. All zero when merging is disabled.
 type MergeStats struct {
-	Merges     uint64 // accepted fusions (each hides one more live state)
-	Candidates uint64 // structurally mergeable pairs considered
-	Rejects    uint64 // candidates declined by the cost model
-	Splits     uint64 // rep dissolutions back into exact members
-	MaxMembers int    // largest member count any rep reached
-	PeakMerged int    // peak number of states hidden inside reps
+	Merges     uint64 `json:"merges,omitempty"`      // accepted fusions (each hides one more live state)
+	Candidates uint64 `json:"candidates,omitempty"`  // structurally mergeable pairs considered
+	Rejects    uint64 `json:"rejects,omitempty"`     // candidates declined by the cost model
+	Splits     uint64 `json:"splits,omitempty"`      // rep dissolutions back into exact members
+	MaxMembers int    `json:"max_members,omitempty"` // largest member count any rep reached (max)
+	PeakMerged int    `json:"peak_merged,omitempty"` // peak number of states hidden inside reps (max)
 
 	// ScansSkipped counts end-of-event merge scans elided by the barren-
 	// workload backoff: after a run of consecutive scans that produced no
 	// fusion, the engine scans only every 2^i-th eligible Step (capped),
 	// resetting on the next fusion. Candidate nodes accumulate across the
 	// skipped scans, so no merge opportunity is lost — only deferred.
-	ScansSkipped uint64
+	ScansSkipped uint64 `json:"scans_skipped,omitempty"`
 }
 
-// String renders a one-line merging summary.
-func (m MergeStats) String() string {
-	if m.Candidates == 0 && m.Merges == 0 {
-		return "merge: off"
-	}
-	return fmt.Sprintf("merge: merges=%d candidates=%d rejects=%d splits=%d max-members=%d peak-merged=%d scans-skipped=%d",
-		m.Merges, m.Candidates, m.Rejects, m.Splits, m.MaxMembers, m.PeakMerged, m.ScansSkipped)
-}
-
-// ReduceStats summarises one run's symmetry/partial-order reduction
-// activity (internal/reduce): the effective automorphism group the
-// reducer pruned with, how often it was consulted, and how many failure
-// decisions it pinned instead of forking (each pin halves that lineage's
-// subtree). All zero when reduction is disabled.
+// ReduceStats counts symmetry/partial-order reduction: the effective
+// automorphism group the reducer pruned with, how often it was consulted,
+// and how many failure decisions it pinned instead of forking (each pin
+// halves that lineage's subtree). The first block and Synthesized describe
+// the finished run rather than count work: Finish sets them, and Add keeps
+// the larger (Truncated: either). All zero when reduction is disabled.
 type ReduceStats struct {
-	GroupOrder int  // order of the effective (filtered) automorphism group
-	Truncated  bool // automorphism search overflowed; fell back to trivial
-	Decisions  int  // size of the armed failure-decision universe
+	GroupOrder int  `json:"group_order,omitempty"` // order of the effective (filtered) automorphism group
+	Truncated  bool `json:"truncated,omitempty"`   // automorphism search overflowed; fell back to trivial
+	Decisions  int  `json:"decisions,omitempty"`   // size of the armed failure-decision universe
 
-	Checks      uint64 // failure decisions the reducer was consulted on
-	Pins        uint64 // decisions pinned instead of forked
-	PORCommutes uint64 // merged executions allowed by the independence check
-	Synthesized int    // violations synthesized by witness expansion
+	Checks      uint64 `json:"checks,omitempty"`       // failure decisions the reducer was consulted on
+	Pins        uint64 `json:"pins,omitempty"`         // decisions pinned instead of forked
+	PORCommutes uint64 `json:"por_commutes,omitempty"` // merged executions allowed by the independence check
+	Synthesized int    `json:"synthesized,omitempty"`  // violations synthesized by witness expansion
 }
 
-// String renders a one-line reduction summary.
-func (r ReduceStats) String() string {
-	if r.Checks == 0 && r.GroupOrder <= 1 {
-		return "reduce: off"
+// CheckpointStats counts durable checkpoints (periodic ones plus the final
+// or suspension one): how many were written, how many grid boundaries the
+// cost-paced schedule passed without cutting one, and the wall time the
+// written ones took from snapshot to durable file. A snapshot cannot count
+// itself: a resumed run reports the checkpoints before the one it resumed
+// from, plus its own. All zero without a checkpoint directory.
+type CheckpointStats struct {
+	Written int           `json:"written,omitempty"`
+	Skipped int           `json:"skipped,omitempty"`
+	Wall    time.Duration `json:"wall_ns,omitempty"`
+}
+
+// Add returns s + o: counters summed, peaks, sizes and the values Finish
+// derives from the finished run kept at the larger of the two.
+func (s RunStats) Add(o RunStats) RunStats {
+	s.Solver.Queries += o.Solver.Queries
+	s.Solver.CacheHits += o.Solver.CacheHits
+	s.Solver.SubsumptionHits += o.Solver.SubsumptionHits
+	s.Solver.SharedHits += o.Solver.SharedHits
+	s.Solver.PoolHits += o.Solver.PoolHits
+	s.Solver.FastPath += o.Solver.FastPath
+	s.Solver.Partitions += o.Solver.Partitions
+	s.Solver.SATCalls += o.Solver.SATCalls
+	s.Solver.IncSolves += o.Solver.IncSolves
+	s.Solver.Conflicts += o.Solver.Conflicts
+	s.Solver.Decisions += o.Solver.Decisions
+	s.Solver.AssumeReuses += o.Solver.AssumeReuses
+	s.Solver.EncodeSkips += o.Solver.EncodeSkips
+	s.Solver.Gates += o.Solver.Gates
+	s.Solver.LearnedRetained = max(s.Solver.LearnedRetained, o.Solver.LearnedRetained)
+	s.Solver.RewarmSessions += o.Solver.RewarmSessions
+	s.Solver.RewarmEncodes += o.Solver.RewarmEncodes
+	s.Solver.SlicedQueries += o.Solver.SlicedQueries
+	s.Solver.SlicedFactors += o.Solver.SlicedFactors
+	s.Solver.RewriteHits += o.Solver.RewriteHits
+	s.Solver.ConcretizedReads += o.Solver.ConcretizedReads
+	s.Solver.GatesElided += o.Solver.GatesElided
+
+	s.Spec.Workers = max(s.Spec.Workers, o.Spec.Workers)
+	s.Spec.Submitted += o.Spec.Submitted
+	s.Spec.Pairs += o.Spec.Pairs
+	s.Spec.Assumes += o.Spec.Assumes
+	s.Spec.Solves += o.Spec.Solves
+	s.Spec.Elided += o.Spec.Elided
+	s.Spec.InflightPeak = max(s.Spec.InflightPeak, o.Spec.InflightPeak)
+	s.Spec.Rewinds += o.Spec.Rewinds
+	s.Spec.SpecKills += o.Spec.SpecKills
+	s.Spec.Removed += o.Spec.Removed
+	s.Spec.Barriers += o.Spec.Barriers
+	s.Spec.BarrierWaitNs += o.Spec.BarrierWaitNs
+
+	s.VM.Instructions += o.VM.Instructions
+	s.VM.Forks += o.VM.Forks
+	s.VM.FastBlocks += o.VM.FastBlocks
+	s.VM.SlowBlocks += o.VM.SlowBlocks
+	s.VM.FoldedInstrs += o.VM.FoldedInstrs
+
+	s.Merge.Merges += o.Merge.Merges
+	s.Merge.Candidates += o.Merge.Candidates
+	s.Merge.Rejects += o.Merge.Rejects
+	s.Merge.Splits += o.Merge.Splits
+	s.Merge.MaxMembers = max(s.Merge.MaxMembers, o.Merge.MaxMembers)
+	s.Merge.PeakMerged = max(s.Merge.PeakMerged, o.Merge.PeakMerged)
+	s.Merge.ScansSkipped += o.Merge.ScansSkipped
+
+	s.Reduce.GroupOrder = max(s.Reduce.GroupOrder, o.Reduce.GroupOrder)
+	s.Reduce.Truncated = s.Reduce.Truncated || o.Reduce.Truncated
+	s.Reduce.Decisions = max(s.Reduce.Decisions, o.Reduce.Decisions)
+	s.Reduce.Checks += o.Reduce.Checks
+	s.Reduce.Pins += o.Reduce.Pins
+	s.Reduce.PORCommutes += o.Reduce.PORCommutes
+	s.Reduce.Synthesized = max(s.Reduce.Synthesized, o.Reduce.Synthesized)
+
+	s.Checkpoint.Written += o.Checkpoint.Written
+	s.Checkpoint.Skipped += o.Checkpoint.Skipped
+	s.Checkpoint.Wall += o.Checkpoint.Wall
+	return s
+}
+
+// String renders what each layer did, one line per part that did anything.
+func (s RunStats) String() string {
+	var sb strings.Builder
+	if v := s.VM; v != (VMStats{}) {
+		fmt.Fprintf(&sb, "vm: instructions=%d forks=%d fast-blocks=%d slow-blocks=%d folded=%d\n",
+			v.Instructions, v.Forks, v.FastBlocks, v.SlowBlocks, v.FoldedInstrs)
 	}
-	trunc := ""
-	if r.Truncated {
-		trunc = " (truncated)"
+	if q := s.Solver; q != (SolverStats{}) {
+		fmt.Fprintf(&sb, "solver: queries=%d sat-calls=%d cache-hits=%d subsumption-hits=%d fast-path=%d conflicts=%d gates=%d rewarmed=%d | qopt: sliced=%d rewrites=%d concretized=%d gates-elided=%d\n",
+			q.Queries, q.SATCalls, q.CacheHits, q.SubsumptionHits, q.FastPath, q.Conflicts, q.Gates, q.RewarmSessions,
+			q.SlicedQueries, q.RewriteHits, q.ConcretizedReads, q.GatesElided)
 	}
-	return fmt.Sprintf("reduce: group=%d%s decisions=%d checks=%d pins=%d por-commutes=%d synthesized=%d",
-		r.GroupOrder, trunc, r.Decisions, r.Checks, r.Pins, r.PORCommutes, r.Synthesized)
+	if p := s.Spec; p.Submitted != 0 {
+		fmt.Fprintf(&sb, "spec: workers=%d submitted=%d (pairs=%d assumes=%d) solves=%d elided=%d rewinds=%d kills=%d barrier-wait=%s\n",
+			p.Workers, p.Submitted, p.Pairs, p.Assumes, p.Solves, p.Elided, p.Rewinds, p.SpecKills,
+			time.Duration(p.BarrierWaitNs).Round(time.Microsecond))
+	}
+	if m := s.Merge; m != (MergeStats{}) {
+		fmt.Fprintf(&sb, "merge: merges=%d candidates=%d rejects=%d splits=%d max-members=%d peak-merged=%d scans-skipped=%d\n",
+			m.Merges, m.Candidates, m.Rejects, m.Splits, m.MaxMembers, m.PeakMerged, m.ScansSkipped)
+	}
+	if r := s.Reduce; r != (ReduceStats{}) {
+		fmt.Fprintf(&sb, "reduce: group=%d truncated=%v decisions=%d checks=%d pins=%d por-commutes=%d synthesized=%d\n",
+			r.GroupOrder, r.Truncated, r.Decisions, r.Checks, r.Pins, r.PORCommutes, r.Synthesized)
+	}
+	if c := s.Checkpoint; c != (CheckpointStats{}) {
+		fmt.Fprintf(&sb, "checkpoints: written=%d skipped=%d wall=%v\n", c.Written, c.Skipped, c.Wall.Round(time.Microsecond))
+	}
+	return sb.String()
 }
 
 // SchedStats summarises one parallel scheduler run: how the adaptive
-// work-stealing shard scheduler spent its worker pool. It is the
-// scheduling counterpart of the per-run Sample series — per-worker
+// work-stealing shard scheduler spent its worker pool — per-worker
 // utilisation, steal/split activity, and cross-shard solver-cache reuse.
+// What the shards themselves did is the sum of their RunStats.
 type SchedStats struct {
 	Workers     int // worker pool size
 	Shards      int // leaf shards that ran to completion
@@ -261,38 +330,6 @@ type SchedStats struct {
 
 	SharedLookups int64 // cross-shard solver cache lookups
 	SharedHits    int64 // lookups answered from the cross-shard cache
-
-	// Per-shard solver activity, summed over the leaf shards: how much
-	// of the constraint-solving work the incremental pipeline absorbed.
-	IncrementalSolves int64 // CDCL runs on the persistent per-shard instances
-	SubsumptionHits   int64 // queries answered by subset/superset cache entries
-	EncodeSkips       int64 // constraint encodes served by persistent blast memos
-	QueriesSliced     int64 // queries shrunk by constraint independence slicing
-	GatesElided       int64 // encoding work the query optimizer avoided (DAG nodes)
-
-	// Per-shard speculative-fork pipeline activity, summed over the leaf
-	// shards (see SpecStats).
-	SpecSubmitted int64 // speculations submitted across shards
-	SpecSolves    int64 // feasibility queries issued by speculation workers
-	SpecElided    int64 // false-side verdicts answered by complement elision
-	SpecRewinds   int64 // speculative executions rewound onto the false side
-
-	// Per-shard compiled-IR fast-path activity, summed over the leaf
-	// shards (see VMStats).
-	FastBlocks   uint64 // block executions taken by the concrete fast path
-	SlowBlocks   uint64 // block entries that fell back to the interpreter
-	FoldedInstrs uint64 // fast-path instructions answered by load-time folding
-
-	// Per-shard state-merging activity, summed over the leaf shards (see
-	// MergeStats).
-	MergeMerges     uint64 // accepted state fusions across shards
-	MergeCandidates uint64 // structurally mergeable pairs considered
-	MergeRejects    uint64 // candidates declined by the cost model
-
-	// Per-shard symmetry-reduction activity, summed over the leaf shards
-	// (see ReduceStats).
-	ReduceChecks uint64 // failure decisions the reducers were consulted on
-	ReducePins   uint64 // decisions pinned instead of forked across shards
 
 	WorkerBusy []time.Duration // per-worker time spent running shards
 	Elapsed    time.Duration   // scheduler wall time (the makespan)
@@ -364,7 +401,7 @@ func FormatBytes(b int64) string {
 
 // AsciiChart renders a crude log-scale chart of one column over sample
 // index — enough to eyeball the Figure 10 curve shapes in a terminal.
-func AsciiChart(title string, series map[string][]Sample, value func(Sample) float64, width, height int) string {
+func AsciiChart(title string, series map[string][]Sample, value func(Sample) float64, width int) string {
 	var sb strings.Builder
 	sb.WriteString(title)
 	sb.WriteByte('\n')
@@ -396,7 +433,6 @@ func AsciiChart(title string, series map[string][]Sample, value func(Sample) flo
 		}
 		fmt.Fprintf(&sb, "| final %.4g\n", last)
 	}
-	_ = height
 	return sb.String()
 }
 

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -83,18 +84,92 @@ func TestDownsample(t *testing.T) {
 	}
 }
 
-func TestCSV(t *testing.T) {
-	s := sampleSeries(2)
-	csv := s.CSV()
-	lines := strings.Split(strings.TrimSpace(csv), "\n")
+// withCounter returns a RunStats whose i-th counter — the leaf fields of
+// its parts, in declaration order — is n (true for a bool), all others
+// zero, and the counter's path; the path is empty past the last counter.
+func withCounter(i int, n int64) (st RunStats, path string) {
+	var walk func(p string, v reflect.Value)
+	walk = func(p string, v reflect.Value) {
+		if v.Kind() == reflect.Struct {
+			for f := 0; f < v.NumField(); f++ {
+				walk(p+"."+v.Type().Field(f).Name, v.Field(f))
+			}
+			return
+		}
+		if i--; i != -1 {
+			return
+		}
+		path = p
+		switch {
+		case v.Kind() == reflect.Bool:
+			v.SetBool(true)
+		case v.CanInt():
+			v.SetInt(n)
+		default:
+			v.SetUint(uint64(n))
+		}
+	}
+	walk("RunStats", reflect.ValueOf(&st).Elem())
+	return st, path
+}
+
+// TestAddCarriesEveryCounter is the guard for the one merge function: a
+// counter declared on any part of RunStats but not merged by Add fails
+// here, from either side, and so does one merged by neither sum nor max.
+func TestAddCarriesEveryCounter(t *testing.T) {
+	n := 0
+	for ; ; n++ {
+		b, path := withCounter(n, 7)
+		if path == "" {
+			break
+		}
+		if got := (RunStats{}).Add(b); got != b {
+			t.Errorf("%s: zero.Add(b) lost it: %+v", path, got)
+		}
+		if got := b.Add(RunStats{}); got != b {
+			t.Errorf("%s: b.Add(zero) lost it: %+v", path, got)
+		}
+		a, _ := withCounter(n, 5)
+		sum, _ := withCounter(n, 12)
+		if got := a.Add(b); got != sum && got != b {
+			t.Errorf("%s: 5 + 7 is neither summed nor the larger: %+v", path, got)
+		}
+	}
+	if n < 50 {
+		t.Fatalf("walked %d counters; RunStats has more than that", n)
+	}
+}
+
+// TestAddSumsAndPeaks pins which is which for one counter of each kind.
+func TestAddSumsAndPeaks(t *testing.T) {
+	a := RunStats{VM: VMStats{Instructions: 5}, Merge: MergeStats{PeakMerged: 5}, Spec: SpecStats{Workers: 2}}
+	b := RunStats{VM: VMStats{Instructions: 7}, Merge: MergeStats{PeakMerged: 7}, Spec: SpecStats{Workers: 2}}
+	got := a.Add(b)
+	if got.VM.Instructions != 12 || got.Merge.PeakMerged != 7 || got.Spec.Workers != 2 {
+		t.Errorf("Add = %+v, want instructions summed, peak and workers kept at the larger", got)
+	}
+}
+
+func TestRunStatsString(t *testing.T) {
+	if s := (RunStats{}).String(); s != "" {
+		t.Errorf("zero value renders %q, want nothing", s)
+	}
+	st := RunStats{
+		VM:         VMStats{Instructions: 205, FastBlocks: 23, SlowBlocks: 20},
+		Reduce:     ReduceStats{GroupOrder: 8, Pins: 3},
+		Checkpoint: CheckpointStats{Written: 2, Wall: 3 * time.Millisecond},
+	}
+	lines := strings.Split(strings.TrimSuffix(st.String(), "\n"), "\n")
 	if len(lines) != 3 {
-		t.Fatalf("CSV lines = %d, want 3 (header + 2)", len(lines))
+		t.Fatalf("String() = %q, want one line per non-zero part (3)", st.String())
 	}
-	if !strings.HasPrefix(lines[0], "wall_ms,") {
-		t.Errorf("header = %q", lines[0])
+	for i, want := range []string{"vm: instructions=205", "reduce: group=8", "checkpoints: written=2"} {
+		if !strings.HasPrefix(lines[i], want) {
+			t.Errorf("line %d = %q, want prefix %q", i, lines[i], want)
+		}
 	}
-	if !strings.Contains(lines[2], ",2,") {
-		t.Errorf("second sample line = %q", lines[2])
+	if !strings.Contains(lines[0], "fast-blocks=23 slow-blocks=20") || !strings.Contains(lines[1], "pins=3") {
+		t.Errorf("String() = %q lacks a counter", st.String())
 	}
 }
 
@@ -120,7 +195,7 @@ func TestAsciiChart(t *testing.T) {
 		"COB": sampleSeries(50).Samples(),
 		"SDS": sampleSeries(10).Samples(),
 	}
-	chart := AsciiChart("states", series, func(s Sample) float64 { return float64(s.States) }, 40, 8)
+	chart := AsciiChart("states", series, func(s Sample) float64 { return float64(s.States) }, 40)
 	if !strings.Contains(chart, "COB") || !strings.Contains(chart, "SDS") {
 		t.Errorf("chart lacks series labels:\n%s", chart)
 	}
@@ -135,7 +210,7 @@ func TestAsciiChart(t *testing.T) {
 
 func TestAsciiChartEmpty(t *testing.T) {
 	chart := AsciiChart("empty", map[string][]Sample{"X": nil},
-		func(s Sample) float64 { return 0 }, 10, 4)
+		func(s Sample) float64 { return 0 }, 10)
 	if !strings.Contains(chart, "X") {
 		t.Errorf("chart lacks label for empty series:\n%s", chart)
 	}

@@ -403,12 +403,3 @@ func (r *Reducer) ExpandViolations(vs []*vm.Violation) []*vm.Violation {
 	out = append(out, vs...)
 	return append(out, synth...)
 }
-
-// Stats counts the reducer's work for telemetry.
-type Stats struct {
-	GroupOrder int
-	Truncated  bool
-	Decisions  int
-	Checks     uint64 // Decide consultations
-	Pins       uint64 // decisions pinned instead of forked
-}

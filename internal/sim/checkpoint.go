@@ -58,23 +58,24 @@ func (e *Engine) Snapshot() (*snap.Snapshot, error) {
 		}
 	}
 	return &snap.Snapshot{
-		Algorithm:    e.cfg.Algorithm,
-		K:            e.cfg.Topo.K(),
-		Topology:     e.cfg.Topo.Name(),
-		Clock:        e.clock,
-		Events:       e.events,
-		PeakStates:   e.peakStates,
-		PeakMem:      e.peakMem,
-		PriorWall:    e.priorWall + time.Since(e.started),
-		NextStateID:  e.ctx.StateIDSeq(),
-		Instructions: e.ctx.Instructions(),
-		Forks:        e.ctx.Forks(),
-		States:       images,
-		Pages:        pt.Pages(),
-		Mapper:       mapper,
-		Samples:      append([]metrics.Sample(nil), e.series.Samples()...),
-		Violations:   append([]*vm.Violation(nil), e.violations...),
-		Merged:       merged,
+		Algorithm:   e.cfg.Algorithm,
+		K:           e.cfg.Topo.K(),
+		Topology:    e.cfg.Topo.Name(),
+		Clock:       e.clock,
+		Events:      e.events,
+		NextStateID: e.ctx.StateIDSeq(),
+		Carried: snap.Carried{
+			Stats:      e.stats(),
+			PeakStates: e.peakStates,
+			PeakMem:    e.peakMem,
+			PriorWall:  e.priorWall + time.Since(e.started),
+			Samples:    append([]metrics.Sample(nil), e.series.Samples()...),
+			Violations: append([]*vm.Violation(nil), e.violations...),
+		},
+		States: images,
+		Pages:  pt.Pages(),
+		Mapper: mapper,
+		Merged: merged,
 	}, nil
 }
 
@@ -103,10 +104,10 @@ func (e *Engine) writeCheckpoint(begin time.Time) error {
 		return err
 	}
 	e.lastCkpt = e.events
-	e.ckptWritten++ // before the clock read: a test clock charges per checkpoint written
+	e.own.Checkpoint.Written++ // before the clock read: a test clock charges per checkpoint written
 	e.ckptDone = e.now()
 	e.ckptCost = e.ckptDone.Sub(begin)
-	e.ckptWall += e.ckptCost
+	e.own.Checkpoint.Wall += e.ckptCost
 	return snap.AppendJournal(e.cfg.CheckpointDir, sp, size, e.ckptCost)
 }
 
@@ -129,9 +130,10 @@ func ResumeEngine(cfg Config, data []byte) (*Engine, error) {
 // reference. COB's invariant that every state belongs to exactly one
 // dscenario makes the slices disjoint; their union is the whole frontier.
 // COW and SDS frontiers are not sliceable (states share buckets), so for
-// them only of == 1 is accepted. Slice 0 is the carrier: it keeps the
-// snapshot's accumulated violations, samples, and peak/wall telemetry,
-// which the other slices zero so sharded assembly sums each exactly once.
+// them only of == 1 is accepted. Slice 0 is the carrier: it keeps what the
+// snapshot carried (snap.Carried: counters, violations, samples, peaks,
+// wall), the other slices start from the zero value, so sharded assembly
+// sums each exactly once.
 func ResumeEngineSlice(cfg Config, data []byte, seg, of int) (*Engine, error) {
 	if of < 1 || seg < 0 || seg >= of {
 		return nil, fmt.Errorf("sim: slice %d/%d out of range", seg, of)
@@ -161,9 +163,10 @@ func resumeSnapshot(cfg Config, data []byte, seg, of int) (*Engine, error) {
 			return nil, err
 		}
 	}
-	// Counters first: restored sessions and future forks must draw ids
-	// after every id the snapshot already handed out.
-	e.ctx.RestoreCounters(sp.NextStateID, sp.Instructions, sp.Forks)
+	// The id sequence first: restored sessions and future forks must draw
+	// ids after every id the snapshot already handed out.
+	e.ctx.RestoreStateIDSeq(sp.NextStateID)
+	e.base = sp.Stats
 	// Reps restore in the same call as the frontier: page interning is
 	// per-call, so a rep re-shares the pages its members' shells reference.
 	images := sp.States
@@ -302,13 +305,10 @@ func sliceSnapshot(sp *snap.Snapshot, seg, of int) error {
 	sp.States = kept
 	if seg != 0 {
 		// Slice 0 is the carrier of everything accumulated before the
-		// suspension — violations, samples, wall time, peaks — so sharded
-		// assembly sums each contribution exactly once.
-		sp.Violations = nil
-		sp.Samples = nil
-		sp.PriorWall = 0
-		sp.PeakStates = 0
-		sp.PeakMem = 0
+		// suspension, so sharded assembly sums each contribution exactly
+		// once. The position (clock, events, next state id) is every
+		// slice's.
+		sp.Carried = snap.Carried{}
 	}
 	return nil
 }

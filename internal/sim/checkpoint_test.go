@@ -164,7 +164,7 @@ func TestKillAndResume(t *testing.T) {
 			if !res.Resumed {
 				t.Error("resumed result does not report Resumed")
 			}
-			if res.SolverStats.RewarmSessions == 0 {
+			if res.Stats.Solver.RewarmSessions == 0 {
 				t.Error("resume re-warmed no solver sessions")
 			}
 

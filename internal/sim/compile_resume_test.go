@@ -32,14 +32,14 @@ func TestCompiledIROnOffEquivalence(t *testing.T) {
 		t.Run(algo.String(), func(t *testing.T) {
 			on := runQoptCfg(t, collectConfig(t, algo))
 			off := runQoptCfg(t, withoutCompiledIR(collectConfig(t, algo)))
-			if on.VM.FastBlocks == 0 {
+			if on.Stats.VM.FastBlocks == 0 {
 				t.Error("compiled run executed no fast blocks; the fast path never engaged")
 			}
-			if off.VM.FastBlocks != 0 || off.VM.SlowBlocks != 0 || off.VM.FoldedInstrs != 0 {
-				t.Errorf("compile-off run recorded block counters: %+v", off.VM)
+			if off.Stats.VM.FastBlocks != 0 || off.Stats.VM.SlowBlocks != 0 || off.Stats.VM.FoldedInstrs != 0 {
+				t.Errorf("compile-off run recorded block counters: %+v", off.Stats.VM)
 			}
-			t.Logf("fast=%d slow=%d folded=%d (%.0f%% fast)",
-				on.VM.FastBlocks, on.VM.SlowBlocks, on.VM.FoldedInstrs, 100*on.VM.FastRate())
+			t.Logf("fast=%d slow=%d folded=%d",
+				on.Stats.VM.FastBlocks, on.Stats.VM.SlowBlocks, on.Stats.VM.FoldedInstrs)
 			compareRuns(t, on, off)
 		})
 	}
@@ -86,7 +86,7 @@ func TestCompiledIRKillAndResume(t *testing.T) {
 	if !res.Resumed {
 		t.Error("resumed result does not report Resumed")
 	}
-	if res.VM.FastBlocks == 0 {
+	if res.Stats.VM.FastBlocks == 0 {
 		t.Error("resumed compile-on run executed no fast blocks")
 	}
 	compareRuns(t, res, ref)

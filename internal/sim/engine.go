@@ -205,10 +205,9 @@ type Result struct {
 	// across the whole frontier and yield a single unit.
 	SuspendUnits int
 
-	Wall         time.Duration
-	VirtualTime  uint64
-	Instructions uint64
-	Events       uint64
+	Wall        time.Duration
+	VirtualTime uint64
+	Events      uint64
 
 	FinalStates int
 	PeakStates  int
@@ -225,33 +224,10 @@ type Result struct {
 	Violations []*vm.Violation
 	Series     *metrics.Series
 
-	// Checkpoints is the number of durable checkpoints this process wrote
-	// (periodic ones plus the final or suspension one), CheckpointWall the
-	// time they took in total, and CheckpointsSkipped the number of grid
-	// boundaries the cost-paced schedule passed without cutting one (see
-	// Config.CheckpointEvery). All zero without a CheckpointDir.
-	Checkpoints        int
-	CheckpointsSkipped int
-	CheckpointWall     time.Duration
-
-	// SolverStats snapshots the constraint-solver activity counters.
-	SolverStats solver.Stats
-
-	// Spec summarises the speculative-fork solver pipeline's activity
-	// (zero when speculation was disabled).
-	Spec metrics.SpecStats
-
-	// VM summarises the compiled-IR fast path's activity (zero when
-	// compiled execution was disabled).
-	VM metrics.VMStats
-
-	// Merge summarises the state-merging subsystem's activity (zero when
-	// merging was disabled).
-	Merge metrics.MergeStats
-
-	// Reduce summarises the symmetry/partial-order reduction activity
-	// (zero when reduction was disabled).
-	Reduce metrics.ReduceStats
+	// Stats is what every layer did, cumulative over the processes that
+	// worked on the run: a resumed run reports what its snapshot carried
+	// plus its own (see Engine.stats). A part is zero when its layer was off.
+	Stats metrics.RunStats
 
 	// Mapper and Ctx expose the final symbolic state population for
 	// post-processing: dscenario explosion, test-case generation.
@@ -286,13 +262,18 @@ type Engine struct {
 	// Checkpoint schedule and cost (see Config.CheckpointEvery). ckptCost
 	// and ckptDone describe the last checkpoint this engine wrote; a zero
 	// cost means none yet, so the next boundary cuts one.
-	now         func() time.Time // time.Now; tests model checkpoint cost with it
-	ckptGrid    uint64           // events between boundaries a checkpoint may be cut at
-	ckptDone    time.Time
-	ckptCost    time.Duration
-	ckptWritten int
-	ckptSkipped int
-	ckptWall    time.Duration
+	now      func() time.Time // time.Now; tests model checkpoint cost with it
+	ckptGrid uint64           // events between boundaries a checkpoint may be cut at
+	ckptDone time.Time
+	ckptCost time.Duration
+
+	// Counters (see stats). base is what the snapshot this engine resumed
+	// from carried: zero for a fresh run and for every slice of a frontier
+	// but slice 0. own is the engine's share of the live ones — speculation
+	// resolution, merge-scan backoff, reduction, checkpoints; the solver,
+	// the VM context, the speculation pool and the merge manager count the
+	// rest themselves.
+	base, own metrics.RunStats
 
 	bootFn, recvFn int
 	aborted        bool
@@ -315,13 +296,8 @@ type Engine struct {
 	// Speculative-fork pipeline (see speculate.go). specPending holds the
 	// unresolved speculations of the currently executing state, in
 	// creation order.
-	specPool        *solver.SpecPool
-	specPending     []specEntry
-	specRewinds     int64
-	specKills       int64
-	specRemoved     int64
-	specBarriers    int64
-	specBarrierWait time.Duration
+	specPool    *solver.SpecPool
+	specPending []specEntry
 
 	// State merging (see merge.go). mergeMgr owns the merged frontier;
 	// mergeTouched collects the nodes whose quiescent states changed
@@ -334,17 +310,13 @@ type Engine struct {
 	// scans back the scan frequency off exponentially; touched nodes
 	// accumulate across the skipped scans, so candidates are deferred,
 	// never lost.
-	mergeBarren       int    // consecutive scans without a fusion
-	mergeInterval     int    // current skip interval (0 = scan every Step)
-	mergeSkip         int    // scans left to skip before the next real one
-	mergeScansSkipped uint64 // total scans elided by the backoff
+	mergeBarren   int // consecutive scans without a fusion
+	mergeInterval int // current skip interval (0 = scan every Step)
+	mergeSkip     int // scans left to skip before the next real one
 
 	// Symmetry/partial-order reduction (see reduce.go in this package).
-	reducer      *reducepkg.Reducer
-	porCls       *reducepkg.Classifier
-	reduceChecks uint64 // failure decisions the reducer was consulted on
-	reducePins   uint64 // decisions pinned instead of forked
-	porCommutes  uint64 // merged executions allowed by the independence check
+	reducer *reducepkg.Reducer
+	porCls  *reducepkg.Classifier
 }
 
 // The cost-paced checkpoint schedule (Config.CheckpointEvery == 0): a
@@ -641,7 +613,7 @@ func (e *Engine) Step() bool {
 			// Between Steps every state is at an event boundary (idle,
 			// halted, or dead) — the only sound checkpoint point.
 			if now := e.now(); !e.checkpointDue(now) {
-				e.ckptSkipped++
+				e.own.Checkpoint.Skipped++
 			} else if cerr := e.writeCheckpoint(now); cerr != nil {
 				e.err = fmt.Errorf("sim: checkpoint: %w", cerr)
 			}
@@ -673,8 +645,10 @@ func (e *Engine) hasLiveWork() bool {
 func (e *Engine) Run() (*Result, error) {
 	for e.Step() {
 	}
+	// Nothing executes any more: stop the solver workers now, so the final
+	// checkpoint below carries the counters Finish reports.
+	e.closeSpecPool()
 	if e.err != nil {
-		e.closeSpecPool()
 		return nil, e.err
 	}
 	// A final checkpoint makes completed runs durable too: resuming a
@@ -704,32 +678,27 @@ func (e *Engine) Finish() *Result {
 	}
 	mem := terms.Total()
 	res := &Result{
-		Algorithm:    e.cfg.Algorithm,
-		Topology:     e.cfg.Topo.Name(),
-		Aborted:      e.aborted,
-		AbortReason:  e.abortReason,
-		Stopped:      e.stopped,
-		Suspended:    e.suspended,
-		Resumed:      e.resumed,
-		Wall:         e.priorWall + time.Since(e.started),
-		VirtualTime:  e.clock,
-		Instructions: e.ctx.Instructions(),
-		Events:       e.events,
-		FinalStates:  e.mapper.NumStates(),
-		PeakStates:   e.peakStates,
-		Groups:       e.mapper.NumGroups(),
-		DScenarios:   e.mapper.DScenarioCount(),
-		FinalMem:     mem,
-		PeakMem:      e.peakMem,
-		Violations:   e.violations,
-		Series:       &e.series,
-		SolverStats:  e.ctx.Solver.Stats(),
-		Mapper:       e.mapper,
-		Ctx:          e.ctx,
-
-		Checkpoints:        e.ckptWritten,
-		CheckpointsSkipped: e.ckptSkipped,
-		CheckpointWall:     e.ckptWall,
+		Algorithm:   e.cfg.Algorithm,
+		Topology:    e.cfg.Topo.Name(),
+		Aborted:     e.aborted,
+		AbortReason: e.abortReason,
+		Stopped:     e.stopped,
+		Suspended:   e.suspended,
+		Resumed:     e.resumed,
+		Wall:        e.priorWall + time.Since(e.started),
+		VirtualTime: e.clock,
+		Events:      e.events,
+		FinalStates: e.mapper.NumStates(),
+		PeakStates:  e.peakStates,
+		Groups:      e.mapper.NumGroups(),
+		DScenarios:  e.mapper.DScenarioCount(),
+		FinalMem:    mem,
+		PeakMem:     e.peakMem,
+		Violations:  e.violations,
+		Series:      &e.series,
+		Stats:       e.stats(),
+		Mapper:      e.mapper,
+		Ctx:         e.ctx,
 	}
 	if e.suspended {
 		// COB keeps every state in exactly one dscenario
@@ -740,40 +709,6 @@ func (e *Engine) Finish() *Result {
 			res.SuspendUnits = e.mapper.NumGroups()
 		} else {
 			res.SuspendUnits = 1
-		}
-	}
-	if e.specPool != nil {
-		ps := e.specPool.Stats()
-		res.Spec = metrics.SpecStats{
-			Workers:       e.specPool.Workers(),
-			Submitted:     ps.Submitted,
-			Pairs:         ps.Pairs,
-			Assumes:       ps.Assumes,
-			Solves:        ps.Solves,
-			Elided:        ps.Elided,
-			InflightPeak:  ps.InflightPeak,
-			Rewinds:       e.specRewinds,
-			SpecKills:     e.specKills,
-			Removed:       e.specRemoved,
-			Barriers:      e.specBarriers,
-			BarrierWaitNs: e.specBarrierWait.Nanoseconds(),
-		}
-	}
-	res.VM = metrics.VMStats{
-		FastBlocks:   e.ctx.FastBlocks(),
-		SlowBlocks:   e.ctx.SlowBlocks(),
-		FoldedInstrs: e.ctx.FoldedInstrs(),
-	}
-	if e.mergeMgr != nil {
-		ms := e.mergeMgr.Stats()
-		res.Merge = metrics.MergeStats{
-			Merges:       ms.Merges,
-			Candidates:   ms.Candidates,
-			Rejects:      ms.Rejects,
-			Splits:       ms.Splits,
-			MaxMembers:   ms.MaxMembers,
-			PeakMerged:   ms.PeakMerged,
-			ScansSkipped: e.mergeScansSkipped,
 		}
 	}
 	if e.reducer != nil {
@@ -787,17 +722,11 @@ func (e *Engine) Finish() *Result {
 		// expansion here is what recovers them during sharded assembly.
 		before := len(res.Violations)
 		res.Violations = e.reducer.ExpandViolations(res.Violations)
-		synthesized := len(res.Violations) - before
-		g := e.reducer.Group()
-		res.Reduce = metrics.ReduceStats{
-			GroupOrder:  g.Order(),
-			Truncated:   g.Truncated,
-			Decisions:   e.reducer.Decisions(),
-			Checks:      e.reduceChecks,
-			Pins:        e.reducePins,
-			PORCommutes: e.porCommutes,
-			Synthesized: synthesized,
-		}
+		// These describe the finished run; they are set, whatever the
+		// snapshot carried, never counted up.
+		g, rd := e.reducer.Group(), &res.Stats.Reduce
+		rd.GroupOrder, rd.Truncated, rd.Decisions = g.Order(), g.Truncated, e.reducer.Decisions()
+		rd.Synthesized = len(res.Violations) - before
 	}
 	res.FinalMemTerms, res.PeakMemTerms = terms, e.peakTerms
 	if res.PeakMem < mem {
@@ -816,8 +745,10 @@ func (e *Engine) capExceeded() string {
 	if c.MaxStates > 0 && len(e.states) > c.MaxStates {
 		return fmt.Sprintf("state cap exceeded (%d > %d)", len(e.states), c.MaxStates)
 	}
-	if c.MaxInstructions > 0 && e.ctx.Instructions() > c.MaxInstructions {
-		return fmt.Sprintf("instruction cap exceeded (%d)", e.ctx.Instructions())
+	if c.MaxInstructions > 0 {
+		if n := e.base.VM.Instructions + e.ctx.Instructions(); n > c.MaxInstructions {
+			return fmt.Sprintf("instruction cap exceeded (%d)", n)
+		}
 	}
 	if c.MaxWall > 0 && e.priorWall+time.Since(e.started) > c.MaxWall {
 		return fmt.Sprintf("wall-time cap exceeded (%v)", c.MaxWall)
@@ -1134,6 +1065,23 @@ func payloadDigest(payload []*expr.Expr) uint64 {
 	return h
 }
 
+// stats is the one place a run's counters are read — by every sample, by
+// every snapshot and by Finish: what the run carried when this engine took
+// it over, plus what each layer has counted since.
+func (e *Engine) stats() metrics.RunStats {
+	live := e.own
+	live.Solver = e.ctx.Solver.Stats()
+	live.VM = e.ctx.Stats()
+	var shared metrics.RunStats // parts the engine counts into as well
+	if e.specPool != nil {
+		shared.Spec = e.specPool.Stats()
+	}
+	if e.mergeMgr != nil {
+		shared.Merge = e.mergeMgr.Stats()
+	}
+	return e.base.Add(live).Add(shared)
+}
+
 // sample records a metrics point, enforces the memory cap, and returns
 // the footprint.
 func (e *Engine) sample() MemTerms {
@@ -1142,32 +1090,16 @@ func (e *Engine) sample() MemTerms {
 	if mem > e.peakMem {
 		e.peakMem, e.peakTerms = mem, terms
 	}
-	st := e.ctx.Solver.Stats()
-	sm := metrics.Sample{
+	st := e.stats()
+	e.series.Add(metrics.Sample{
 		Wall:          e.priorWall + time.Since(e.started),
 		VirtualTime:   e.clock,
 		States:        e.mapper.NumStates(),
 		Groups:        e.mapper.NumGroups(),
 		MemBytes:      mem,
-		Instructions:  e.ctx.Instructions(),
-		SolverQueries: st.Queries,
-		QueriesSliced: st.SlicedQueries,
-		GatesElided:   st.GatesElided,
-		FastBlocks:    e.ctx.FastBlocks(),
-		SlowBlocks:    e.ctx.SlowBlocks(),
-		FoldedInstrs:  e.ctx.FoldedInstrs(),
-	}
-	if e.mergeMgr != nil {
-		ms := e.mergeMgr.Stats()
-		sm.MergedStates = e.mergeMgr.MergedAway()
-		sm.MergeCandidates = ms.Candidates
-		sm.MergeRejects = ms.Rejects
-	}
-	if e.reducer != nil {
-		sm.ReduceChecks = e.reduceChecks
-		sm.ReducePins = e.reducePins
-	}
-	e.series.Add(sm)
+		Instructions:  st.VM.Instructions,
+		SolverQueries: st.Solver.Queries,
+	})
 	if c := e.cfg.Caps.MaxMemBytes; c > 0 && mem > c {
 		e.abort(fmt.Sprintf("memory cap exceeded (%s > %s)",
 			metrics.FormatBytes(mem), metrics.FormatBytes(c)))

@@ -505,7 +505,7 @@ func TestEngineDeterminism(t *testing.T) {
 	}
 	a, b := run(), run()
 	if a.FinalStates != b.FinalStates || a.Events != b.Events ||
-		a.Instructions != b.Instructions || a.DScenarios.Cmp(b.DScenarios) != 0 {
+		a.Stats.VM.Instructions != b.Stats.VM.Instructions || a.DScenarios.Cmp(b.DScenarios) != 0 {
 		t.Errorf("runs differ: %+v vs %+v", a, b)
 	}
 	fpa := scenarioFingerprints(a)

@@ -17,7 +17,7 @@ func (e *Engine) SetModelClock(perEvent time.Duration, cost func(states int) tim
 	var charged int
 	var spent time.Duration
 	e.now = func() time.Time {
-		for ; charged < e.ckptWritten; charged++ {
+		for ; charged < e.own.Checkpoint.Written; charged++ {
 			spent += cost(len(e.states))
 		}
 		return time.Unix(0, 0).Add(time.Duration(e.events)*perEvent + spent)

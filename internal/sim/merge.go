@@ -51,7 +51,7 @@ func (e *Engine) mergeExecOK(s *vm.State, t uint64) bool {
 		// commutes with it, so the unmerged interleaving is observably
 		// identical and the rep may stay merged.
 		if e.porCanCommute(s, ent.state) {
-			e.porCommutes++
+			e.own.Reduce.PORCommutes++
 			continue
 		}
 		return false
@@ -97,7 +97,7 @@ func (e *Engine) mergeWake() {
 func (e *Engine) maybeMergeScan() {
 	if e.mergeSkip > 0 {
 		e.mergeSkip--
-		e.mergeScansSkipped++
+		e.own.Merge.ScansSkipped++
 		return
 	}
 	before := e.mergeMgr.Stats()

@@ -65,8 +65,8 @@ func FuzzMergeEquivalence(f *testing.F) {
 		on := run(true)
 		off := run(false)
 		compareRuns(t, on, off)
-		if off.Merge.Merges != 0 {
-			t.Errorf("merge-off run reports %d merges", off.Merge.Merges)
+		if off.Stats.Merge.Merges != 0 {
+			t.Errorf("merge-off run reports %d merges", off.Stats.Merge.Merges)
 		}
 	})
 }

@@ -108,9 +108,9 @@ func TestCheckpointPacing(t *testing.T) {
 			name: "cheap checkpoints are cut at every boundary",
 			cost: flat(gridStep / sim.CheckpointPace),
 			check: func(t *testing.T, res *sim.Result, periodic []journalLine) {
-				if want := int(res.Events / sim.CheckpointGrid); len(periodic) != want || res.CheckpointsSkipped != 0 {
+				if want := int(res.Events / sim.CheckpointGrid); len(periodic) != want || res.Stats.Checkpoint.Skipped != 0 {
 					t.Errorf("%d periodic checkpoints, %d boundaries skipped; want %d and 0",
-						len(periodic), res.CheckpointsSkipped, want)
+						len(periodic), res.Stats.Checkpoint.Skipped, want)
 				}
 			},
 		},
@@ -125,7 +125,7 @@ func TestCheckpointPacing(t *testing.T) {
 						t.Errorf("periodic checkpoint %d at %d events, want %d", i, l.events, want)
 					}
 				}
-				if res.CheckpointsSkipped == 0 {
+				if res.Stats.Checkpoint.Skipped == 0 {
 					t.Error("no boundary skipped")
 				}
 			},
@@ -139,9 +139,9 @@ func TestCheckpointPacing(t *testing.T) {
 			every: 100,
 			cost:  flat(100 * gridStep),
 			check: func(t *testing.T, res *sim.Result, periodic []journalLine) {
-				if want := int(res.Events / 100); len(periodic) != want || res.CheckpointsSkipped != 0 {
+				if want := int(res.Events / 100); len(periodic) != want || res.Stats.Checkpoint.Skipped != 0 {
 					t.Fatalf("%d periodic checkpoints, %d skipped; want %d and 0",
-						len(periodic), res.CheckpointsSkipped, want)
+						len(periodic), res.Stats.Checkpoint.Skipped, want)
 				}
 				for i, l := range periodic {
 					if l.events != uint64(100*(i+1)) {
@@ -210,8 +210,8 @@ func TestCheckpointPacing(t *testing.T) {
 				if sp.Events != res.Events {
 					t.Fatalf("snapshot on disk at %d events, run ended at %d", sp.Events, res.Events)
 				}
-				if res.Checkpoints != len(lines) {
-					t.Errorf("Result.Checkpoints = %d, journal has %d lines", res.Checkpoints, len(lines))
+				if res.Stats.Checkpoint.Written != len(lines) {
+					t.Errorf("Stats.Checkpoint.Written = %d, journal has %d lines", res.Stats.Checkpoint.Written, len(lines))
 				}
 				var sum time.Duration
 				for _, l := range lines {
@@ -220,8 +220,8 @@ func TestCheckpointPacing(t *testing.T) {
 					}
 					sum += l.cost
 				}
-				if res.CheckpointWall != sum {
-					t.Errorf("Result.CheckpointWall = %v, journal costs sum to %v", res.CheckpointWall, sum)
+				if res.Stats.Checkpoint.Wall != sum {
+					t.Errorf("Stats.Checkpoint.Wall = %v, journal costs sum to %v", res.Stats.Checkpoint.Wall, sum)
 				}
 				if tc.every == 0 {
 					checkPaced(t, res, periodic, perEvent)
@@ -255,8 +255,8 @@ func checkPaced(t *testing.T, res *sim.Result, periodic []journalLine, perEvent 
 	if len(periodic) == 0 || periodic[0].events != sim.CheckpointGrid {
 		t.Fatalf("first boundary not cut: periodic checkpoints %v", periodic)
 	}
-	if got := len(periodic) + res.CheckpointsSkipped; got != boundaries {
-		t.Errorf("%d cut + %d skipped != %d boundaries", len(periodic), res.CheckpointsSkipped, boundaries)
+	if got := len(periodic) + res.Stats.Checkpoint.Skipped; got != boundaries {
+		t.Errorf("%d cut + %d skipped != %d boundaries", len(periodic), res.Stats.Checkpoint.Skipped, boundaries)
 	}
 	var paid time.Duration
 	for i := 1; i < len(periodic); i++ {

@@ -126,12 +126,12 @@ func TestOptimizerKillAndResume(t *testing.T) {
 	if !res.Resumed {
 		t.Error("resumed result does not report Resumed")
 	}
-	if res.SolverStats.RewarmSessions == 0 {
+	if res.Stats.Solver.RewarmSessions == 0 {
 		t.Error("resume re-warmed no solver sessions")
 	}
 	t.Logf("resumed optimizer counters: sliced=%d rewrites=%d concretized=%d elided=%d",
-		res.SolverStats.SlicedQueries, res.SolverStats.RewriteHits,
-		res.SolverStats.ConcretizedReads, res.SolverStats.GatesElided)
+		res.Stats.Solver.SlicedQueries, res.Stats.Solver.RewriteHits,
+		res.Stats.Solver.ConcretizedReads, res.Stats.Solver.GatesElided)
 	compareRuns(t, res, ref)
 }
 
@@ -142,10 +142,10 @@ func TestOptimizerStageSwitches(t *testing.T) {
 	cfg := collectConfig(t, core.SDSAlgorithm)
 	cfg.Solver = solver.Options{DisableSlicing: true, DisableRewrite: true}
 	res := runQoptCfg(t, cfg)
-	if res.SolverStats.SlicedQueries != 0 {
-		t.Errorf("DisableSlicing still sliced %d queries", res.SolverStats.SlicedQueries)
+	if res.Stats.Solver.SlicedQueries != 0 {
+		t.Errorf("DisableSlicing still sliced %d queries", res.Stats.Solver.SlicedQueries)
 	}
-	if res.SolverStats.RewriteHits != 0 {
-		t.Errorf("DisableRewrite still rewrote %d constraints", res.SolverStats.RewriteHits)
+	if res.Stats.Solver.RewriteHits != 0 {
+		t.Errorf("DisableRewrite still rewrote %d constraints", res.Stats.Solver.RewriteHits)
 	}
 }

@@ -122,12 +122,12 @@ func (e *Engine) decideFailure(s *vm.State, name string) (uint64, bool) {
 	if !useSym {
 		return 0, false
 	}
-	e.reduceChecks++
+	e.own.Reduce.Checks++
 	val, pruned := e.reducer.Decide(e.reduceContext(s), name)
 	if !pruned {
 		return 0, false
 	}
-	e.reducePins++
+	e.own.Reduce.Pins++
 	v := e.ctx.Exprs.Var(name, 1)
 	if val == 0 {
 		s.AddConstraint(e.ctx.Exprs.Not(v))

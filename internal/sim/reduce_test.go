@@ -167,30 +167,30 @@ func TestReductionOnOffEquivalence(t *testing.T) {
 		t.Run(algo.String(), func(t *testing.T) {
 			on := runQoptCfg(t, withReduction(floodConfig(t, algo)))
 			off := runQoptCfg(t, floodConfig(t, algo))
-			if off.Reduce.Checks != 0 || off.Reduce.Pins != 0 {
-				t.Errorf("reduce-disabled run reports reduction activity: %+v", off.Reduce)
+			if off.Stats.Reduce.Checks != 0 || off.Stats.Reduce.Pins != 0 {
+				t.Errorf("reduce-disabled run reports reduction activity: %+v", off.Stats.Reduce)
 			}
 			if len(off.Violations) == 0 {
 				t.Fatal("workload produced no violations; the oracle proves nothing")
 			}
 			compareViolationSets(t, on, off)
 			if algo == core.COBAlgorithm {
-				if on.Reduce.Pins == 0 {
+				if on.Stats.Reduce.Pins == 0 {
 					t.Error("reduce-enabled COB run pinned nothing; workload no longer exercises pruning")
 				}
 				if on.FinalStates >= off.FinalStates {
 					t.Errorf("reduced COB run explored %d states, unreduced %d — nothing pruned",
 						on.FinalStates, off.FinalStates)
 				}
-				if on.Reduce.Synthesized == 0 {
+				if on.Stats.Reduce.Synthesized == 0 {
 					t.Error("reduced COB run synthesized no violations; witness expansion unexercised")
 				}
 			} else {
 				// COW/SDS: the symmetry consultation is off and no merging
 				// is configured, so reduction must be fully invisible.
-				if on.Reduce.Pins != 0 {
+				if on.Stats.Reduce.Pins != 0 {
 					t.Errorf("%v run pinned %d decisions; symmetry pruning must be COB-only",
-						algo, on.Reduce.Pins)
+						algo, on.Stats.Reduce.Pins)
 				}
 				compareRuns(t, on, off)
 			}
@@ -410,10 +410,10 @@ func TestReductionPOR(t *testing.T) {
 			plain := runQoptCfg(t, porCfg(algo))
 			mergeOnly := runQoptCfg(t, withMerging(porCfg(algo)))
 			both := runQoptCfg(t, withReduction(withMerging(porCfg(algo))))
-			if both.Merge.Merges == 0 {
+			if both.Stats.Merge.Merges == 0 {
 				t.Error("merge+reduce run merged nothing; workload no longer exercises merging")
 			}
-			if both.Reduce.PORCommutes == 0 {
+			if both.Stats.Reduce.PORCommutes == 0 {
 				t.Error("merge+reduce run commuted nothing; workload no longer exercises the partial-order layer")
 			}
 			compareRuns(t, both, mergeOnly)
@@ -429,7 +429,7 @@ func TestReductionPOR(t *testing.T) {
 func TestMergeScanBackoff(t *testing.T) {
 	on := runQoptCfg(t, withMerging(collectConfig(t, core.SDSAlgorithm)))
 	off := runQoptCfg(t, collectConfig(t, core.SDSAlgorithm))
-	if on.Merge.ScansSkipped == 0 {
+	if on.Stats.Merge.ScansSkipped == 0 {
 		t.Error("merge-enabled run skipped no scans; workload no longer exercises the backoff")
 	}
 	compareRuns(t, on, off)

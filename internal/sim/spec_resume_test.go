@@ -57,11 +57,11 @@ func TestSpeculationOnOffEquivalence(t *testing.T) {
 		t.Run(algo.String(), func(t *testing.T) {
 			on := runQoptCfg(t, thresholdConfig(t, algo))
 			off := runQoptCfg(t, withoutSpeculation(thresholdConfig(t, algo)))
-			if on.Spec.Submitted == 0 {
+			if on.Stats.Spec.Submitted == 0 {
 				t.Error("speculation-on run submitted no speculations")
 			}
-			if off.Spec.Submitted != 0 {
-				t.Errorf("speculation-off run submitted %d speculations", off.Spec.Submitted)
+			if off.Stats.Spec.Submitted != 0 {
+				t.Errorf("speculation-off run submitted %d speculations", off.Stats.Spec.Submitted)
 			}
 			compareRuns(t, on, off)
 		})
@@ -114,9 +114,9 @@ func TestSpeculationKillAndResume(t *testing.T) {
 	if !res.Resumed {
 		t.Error("resumed result does not report Resumed")
 	}
-	if res.Spec.Submitted == 0 {
+	if res.Stats.Spec.Submitted == 0 {
 		t.Error("resumed run submitted no speculations")
 	}
-	t.Logf("resumed speculation counters: %s", res.Spec.String())
+	t.Logf("resumed counters:\n%s", res.Stats)
 	compareRuns(t, res, ref)
 }

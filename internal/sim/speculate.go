@@ -67,13 +67,13 @@ func (e *Engine) drainSpec() {
 		return
 	}
 	start := time.Now()
-	e.specBarriers++
+	e.own.Spec.Barriers++
 	for len(e.specPending) > 0 {
 		ent := e.specPending[0]
 		e.specPending = e.specPending[1:]
 		e.resolveSpec(ent)
 	}
-	e.specBarrierWait += time.Since(start)
+	e.own.Spec.BarrierWaitNs += time.Since(start).Nanoseconds()
 }
 
 // discardSpecRest abandons every still-pending speculation: the state was
@@ -101,11 +101,11 @@ func (e *Engine) resolveSpec(ent specEntry) {
 		switch {
 		case errT != nil:
 			s.Kill(errT)
-			e.specKills++
+			e.own.Spec.SpecKills++
 			e.discardSpecRest()
 		case !satT:
 			s.Kill(errors.New("vm: infeasible assume"))
-			e.specKills++
+			e.own.Spec.SpecKills++
 			e.discardSpecRest()
 		}
 		return
@@ -117,12 +117,12 @@ func (e *Engine) resolveSpec(ent specEntry) {
 	case errT != nil:
 		sib.Release()
 		s.Kill(errT)
-		e.specKills++
+		e.own.Spec.SpecKills++
 		e.discardSpecRest()
 	case satT && errF != nil:
 		sib.Release()
 		s.Kill(errF)
-		e.specKills++
+		e.own.Spec.SpecKills++
 		e.discardSpecRest()
 	case satT && satF:
 		// Both feasible: materialize the sibling exactly as OnFork would
@@ -143,7 +143,7 @@ func (e *Engine) resolveSpec(ent specEntry) {
 				rest.sib.RemoveConstraintAt(idx)
 			}
 		}
-		e.specRemoved++
+		e.own.Spec.Removed++
 		sib.Release()
 	default:
 		// True side infeasible: the speculative execution since this
@@ -153,7 +153,7 @@ func (e *Engine) resolveSpec(ent specEntry) {
 		// no constraint). Everything speculated after this point is moot.
 		keep := ent.condIdx - (s.SpecRemovedCount() - ent.removedSnap)
 		s.RestoreFromSpec(sib, keep)
-		e.specRewinds++
+		e.own.Spec.Rewinds++
 		e.discardSpecRest()
 	}
 }

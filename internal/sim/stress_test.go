@@ -67,7 +67,7 @@ func TestSameTimeEventDeterminism(t *testing.T) {
 		res.Mapper.ForEachState(func(s *vm.State) {
 			orders = append(orders, s.LoadWord(0x60).ConstVal())
 		})
-		return res.Instructions, orders
+		return res.Stats.VM.Instructions, orders
 	}
 	i1, o1 := run()
 	i2, o2 := run()
@@ -227,7 +227,7 @@ func TestSolverStatsExposed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.SolverStats.Queries == 0 {
+	if res.Stats.Solver.Queries == 0 {
 		t.Error("no solver queries recorded despite symbolic branches")
 	}
 }

@@ -28,6 +28,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"reflect"
 	"sort"
 	"time"
 
@@ -46,8 +47,9 @@ var magic = []byte("SDEsnp\x00")
 // version is the one format this build reads and writes; WireVersion
 // tracks it, so bumping it (for a snapshot or a protocol change alike)
 // makes older peers reject the handshake instead of misparsing what they
-// do not know. Version 5 moved a job's layer set into the lease's spec.
-const version = 5
+// do not know. Version 6 carries the run's counters as one stats section
+// (out of the header and the samples) and has one lease message.
+const version = 6
 
 // Snapshot is the complete persistent form of an exploration frontier,
 // taken at an event boundary (no state mid-execution).
@@ -56,22 +58,17 @@ type Snapshot struct {
 	K         int
 	Topology  string // topology name, to reject mismatched resumes
 
-	Clock      uint64 // engine virtual clock
-	Events     uint64 // events processed so far
-	PeakStates int
-	PeakMem    int64
-	PriorWall  time.Duration // wall time already spent before this point
+	// Position: where the exploration stands. A resumed engine — any slice
+	// of it — continues from exactly here.
+	Clock       uint64 // engine virtual clock
+	Events      uint64 // events processed so far
+	NextStateID uint64 // state ids handed out, so resumed ids continue exactly
 
-	NextStateID  uint64 // context counters, so resumed ids continue exactly
-	Instructions uint64
-	Forks        uint64
+	Carried
 
 	States []vm.StateImage
 	Pages  [][]*expr.Expr // dense page table, vm.PageWords words each
 	Mapper *core.MapperSnapshot
-
-	Samples    []metrics.Sample
-	Violations []*vm.Violation
 
 	// Merged is the state-merging subsystem's durable frontier: each rep's
 	// full machine plus, per member, the identity of its frozen shell
@@ -79,6 +76,20 @@ type Snapshot struct {
 	// bases, and the substitution pairs mapping merge-introduced ite
 	// expressions back to the member's own values.
 	Merged []MergedRep
+}
+
+// Carried is what a run has accumulated on the way to its position: the
+// work done and what it found. It is a snapshot's one non-positional
+// section — a resumed engine reports it plus its own, and when a frontier is
+// cut into slices exactly one of them carries it (the others the zero
+// value), so an assembly of the slices counts everything once.
+type Carried struct {
+	Stats      metrics.RunStats // cumulative counters of every layer
+	PeakStates int
+	PeakMem    int64
+	PriorWall  time.Duration // wall time already spent before this point
+	Samples    []metrics.Sample
+	Violations []*vm.Violation
 }
 
 // SubPairImage is one substitution pair of a merged member, in creation
@@ -262,8 +273,17 @@ func (s *Snapshot) Encode(b *expr.Builder) ([]byte, error) {
 	w.i64(s.PeakMem)
 	w.i64(int64(s.PriorWall))
 	w.u64(s.NextStateID)
-	w.u64(s.Instructions)
-	w.u64(s.Forks)
+	walkStats(reflect.ValueOf(s.Stats), func(v reflect.Value) error {
+		switch {
+		case v.Kind() == reflect.Bool:
+			w.bool(v.Bool())
+		case v.CanInt():
+			w.i64(v.Int())
+		default:
+			w.u64(v.Uint())
+		}
+		return nil
+	})
 
 	w.u64(uint64(len(vars)))
 	for _, v := range vars {
@@ -323,11 +343,6 @@ func (s *Snapshot) Encode(b *expr.Builder) ([]byte, error) {
 		w.i64(sm.MemBytes)
 		w.u64(sm.Instructions)
 		w.i64(sm.SolverQueries)
-		w.i64(sm.QueriesSliced)
-		w.i64(sm.GatesElided)
-		w.i64(int64(sm.MergedStates))
-		w.u64(sm.MergeCandidates)
-		w.u64(sm.MergeRejects)
 	}
 
 	w.u64(uint64(len(s.Violations)))
@@ -376,6 +391,22 @@ func (s *Snapshot) Encode(b *expr.Builder) ([]byte, error) {
 	return append(w.buf, sum[:]...), nil
 }
 
+// walkStats calls leaf on every counter of a metrics.RunStats (or of a
+// pointer's worth of it, to set them), parts and fields in declaration
+// order: the stats section is whatever the type declares, one varint — or
+// one byte for a bool — per counter.
+func walkStats(v reflect.Value, leaf func(reflect.Value) error) error {
+	if v.Kind() != reflect.Struct {
+		return leaf(v)
+	}
+	for i := 0; i < v.NumField(); i++ {
+		if err := walkStats(v.Field(i), leaf); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // uvarLen, ivarLen and strLen are the encoded lengths of a uvarint, a
 // varint and a length-prefixed string.
 func uvarLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
@@ -387,9 +418,9 @@ func strLen(s string) int  { return uvarLen(uint64(len(s))) + len(s) }
 // from what is known before the first byte is written: scalar fields and
 // list lengths at their exact width, list elements at the widest their
 // kind can be in this snapshot (an expression reference, a state id, a
-// page number, a virtual time) without reading them, hashes and counters
-// at the widest a varint gets. An element wider than assumed costs a
-// regrowth, nothing else.
+// page number, a virtual time) without reading them, hashes and header
+// counters at the widest a varint gets, the stats section exactly. An
+// element wider than assumed costs a regrowth, nothing else.
 func (s *Snapshot) sizeHint(t *exprTable, vars []*expr.Expr, words int) int {
 	const (
 		small = 3                     // a node, function, pc, slot or bucket length
@@ -403,7 +434,18 @@ func (s *Snapshot) sizeHint(t *exprTable, vars []*expr.Expr, words int) int {
 	due := past + 1          // pending events lie a little ahead of the clock
 	listLen := func(n int) int { return uvarLen(uint64(n)) }
 
-	n := len(magic) + 1 + strLen(s.Topology) + 10*wide + 8 // header and checksum
+	n := len(magic) + 1 + strLen(s.Topology) + 8*wide + 8 // header and checksum
+	walkStats(reflect.ValueOf(s.Stats), func(v reflect.Value) error {
+		switch {
+		case v.Kind() == reflect.Bool:
+			n++
+		case v.CanInt():
+			n += ivarLen(int(v.Int()))
+		default:
+			n += uvarLen(v.Uint())
+		}
+		return nil
+	})
 	n += listLen(len(vars))
 	for _, v := range vars {
 		n += strLen(v.VarName()) + 1
@@ -469,7 +511,7 @@ func (s *Snapshot) sizeHint(t *exprTable, vars []*expr.Expr, words int) int {
 		n += id + listLen(len(su.DStateIDs)) + len(su.DStateIDs)*uvarLen(uint64(m.NextDSID))
 	}
 
-	n += listLen(len(s.Samples)) + len(s.Samples)*12*6 // nanoseconds, bytes, instruction counts: six each
+	n += listLen(len(s.Samples)) + len(s.Samples)*7*6 // nanoseconds, bytes, instruction counts: six each
 	n += listLen(len(s.Violations))
 	for _, v := range s.Violations {
 		n += small + past + strLen(v.Msg) + id + ref + small
@@ -795,10 +837,26 @@ func Decode(data []byte, b *expr.Builder) (*Snapshot, error) {
 	if s.NextStateID, err = r.u64(); err != nil {
 		return nil, err
 	}
-	if s.Instructions, err = r.u64(); err != nil {
-		return nil, err
-	}
-	if s.Forks, err = r.u64(); err != nil {
+	err = walkStats(reflect.ValueOf(&s.Stats).Elem(), func(v reflect.Value) error {
+		switch {
+		case v.Kind() == reflect.Bool:
+			x, err := r.bool()
+			v.SetBool(x)
+			return err
+		case v.CanInt():
+			x, err := r.i64()
+			if v.OverflowInt(x) {
+				return r.corrupt("counter %d out of range", x)
+			}
+			v.SetInt(x)
+			return err
+		default:
+			x, err := r.u64()
+			v.SetUint(x)
+			return err
+		}
+	})
+	if err != nil {
 		return nil, err
 	}
 
@@ -907,21 +965,6 @@ func Decode(data []byte, b *expr.Builder) (*Snapshot, error) {
 			return nil, err
 		}
 		if sm.SolverQueries, err = r.i64(); err != nil {
-			return nil, err
-		}
-		if sm.QueriesSliced, err = r.i64(); err != nil {
-			return nil, err
-		}
-		if sm.GatesElided, err = r.i64(); err != nil {
-			return nil, err
-		}
-		if sm.MergedStates, err = r.signedInt(); err != nil {
-			return nil, err
-		}
-		if sm.MergeCandidates, err = r.u64(); err != nil {
-			return nil, err
-		}
-		if sm.MergeRejects, err = r.u64(); err != nil {
 			return nil, err
 		}
 		s.Samples = append(s.Samples, sm)

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -95,6 +96,56 @@ func TestRoundTripByteStable(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestStatsSectionCarriesEveryCounter is the guard for the stats section:
+// every counter declared on any part of metrics.RunStats — each given a
+// distinct non-zero value here — survives encode → decode, so a counter
+// added without being serialised fails (the section is a walk over the
+// type, so it cannot be; this pins that), and the encode is still sized
+// exactly once with the section full.
+func TestStatsSectionCarriesEveryCounter(t *testing.T) {
+	sp, b := liveSnapshot(t, core.SDSAlgorithm, 40)
+	n := int64(0)
+	var fill func(v reflect.Value)
+	fill = func(v reflect.Value) {
+		switch {
+		case v.Kind() == reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				fill(v.Field(i))
+			}
+		case v.Kind() == reflect.Bool:
+			v.SetBool(true)
+		case v.CanInt():
+			n++
+			v.SetInt(n << 20) // several varint bytes each
+		default:
+			n++
+			v.SetUint(uint64(n << 20))
+		}
+	}
+	fill(reflect.ValueOf(&sp.Stats).Elem())
+	if n < 50 {
+		t.Fatalf("filled %d counters; RunStats has more than that", n)
+	}
+	hint, err := sp.SizeHint(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := sp.Encode(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cap(data) != hint {
+		t.Errorf("%d bytes outgrew the hint %d with a full stats section", len(data), hint)
+	}
+	got, err := snap.Decode(data, expr.NewBuilder())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Stats != sp.Stats {
+		t.Errorf("stats section did not round-trip:\n got %#v\nwant %#v", got.Stats, sp.Stats)
 	}
 }
 

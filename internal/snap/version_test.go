@@ -123,6 +123,7 @@ func TestVersionGate(t *testing.T) {
 	}{
 		{"current-version", cur, false},
 		{"previous-version", reversion(t, cur, snap.WireVersion-1), true},
+		{"version-5", reversion(t, cur, 5), true}, // the last format without a stats section: counters in the header and the samples
 		{"future-version", reversion(t, cur, snap.WireVersion+1), true},
 		{"version-zero", reversion(t, cur, 0), true},
 		{"version-255", reversion(t, cur, 255), true},

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"sde/internal/expr"
+	"sde/internal/metrics"
 )
 
 // SpecTask is a pending-verdict token for one speculative feasibility
@@ -52,17 +53,6 @@ func (t *SpecTask) Elided() bool { return t.elided }
 // the solve entirely. The submitter must not Wait on a canceled task.
 func (t *SpecTask) Cancel() { t.canceled.Store(true) }
 
-// SpecPoolStats counts SpecPool activity. Reads are only consistent when
-// the pool is quiescent.
-type SpecPoolStats struct {
-	Submitted    int64 // tasks submitted (a pair counts once)
-	Pairs        int64 // two-sided branch tasks
-	Assumes      int64 // single-query tasks
-	Elided       int64 // false-side verdicts answered by complement elision
-	Solves       int64 // feasibility queries actually issued by workers
-	InflightPeak int64 // high-water mark of unresolved tasks
-}
-
 // SpecPool runs speculative feasibility queries on a pool of solver
 // workers. Each worker owns a private incremental CDCL instance and blast
 // context (a Solver slot); workers share only the Solver's striped exact
@@ -81,10 +71,9 @@ type SpecPool struct {
 	stack    []*SpecTask
 	closed   bool
 	inflight int64
-	stats    SpecPoolStats
+	stats    metrics.SpecStats // the pool's share: workers, submissions, solves, elisions, in-flight peak
 
-	wg      sync.WaitGroup
-	workers int
+	wg sync.WaitGroup
 }
 
 // NewSpecPool starts workers goroutines, each with its own solver slot.
@@ -93,7 +82,7 @@ func NewSpecPool(s *Solver, workers int) *SpecPool {
 	if workers < 1 {
 		workers = 1
 	}
-	p := &SpecPool{s: s, workers: workers}
+	p := &SpecPool{s: s, stats: metrics.SpecStats{Workers: workers}}
 	p.cond = sync.NewCond(&p.mu)
 	for i := 0; i < workers; i++ {
 		slot := s.NewWorkerSlot()
@@ -102,9 +91,6 @@ func NewSpecPool(s *Solver, workers int) *SpecPool {
 	}
 	return p
 }
-
-// Workers returns the pool's worker count.
-func (p *SpecPool) Workers() int { return p.workers }
 
 // SubmitPair queues a two-sided branch speculation: decide
 // prefix ∧ cond and (unless elided) prefix ∧ notCond. The prefix slice
@@ -141,8 +127,9 @@ func (p *SpecPool) submit(t *SpecTask, pair bool) {
 	p.cond.Signal()
 }
 
-// Stats returns a snapshot of the pool's counters.
-func (p *SpecPool) Stats() SpecPoolStats {
+// Stats returns a snapshot of the pool's counters; the resolution-side
+// fields of the part are the engine's and stay zero here.
+func (p *SpecPool) Stats() metrics.SpecStats {
 	p.mu.Lock()
 	st := p.stats
 	p.mu.Unlock()

@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"sde/internal/expr"
+	"sde/internal/metrics"
 	"sde/internal/qopt"
 )
 
@@ -14,35 +15,9 @@ import (
 // before a definite answer is found.
 var ErrBudget = errors.New("solver: conflict budget exhausted")
 
-// Stats counts solver activity since construction. Reads are only
-// consistent when the solver is quiescent.
-type Stats struct {
-	Queries         int64 // total Feasible/Model calls
-	CacheHits       int64 // answered from the exact-key query cache
-	SubsumptionHits int64 // answered by an UNSAT-subset / SAT-superset entry
-	SharedHits      int64 // answered from the cross-solver shared cache
-	PoolHits        int64 // answered by re-using a previous model
-	FastPath        int64 // answered by the syntactic literal scan
-	Partitions      int64 // queries split into independent components
-	SATCalls        int64 // CDCL runs (incremental and from-scratch)
-	IncSolves       int64 // CDCL runs answered by a persistent instance
-	Conflicts       int64 // CDCL conflicts across all runs
-	Decisions       int64 // CDCL decisions across all runs
-	AssumeReuses    int64 // assumption literals reused from session prefixes
-	EncodeSkips     int64 // constraint encodes served by a persistent blast memo
-	Gates           int64 // Tseitin gate variables allocated across all runs
-	LearnedRetained int64 // learned clauses alive in the main persistent instance (gauge)
-	RewarmSessions  int64 // sessions re-synced after a checkpoint resume
-	RewarmEncodes   int64 // constraints re-encoded during those re-warms
-
-	// Query-optimizer pipeline counters (internal/qopt). The last three
-	// are owned by the Optimizer and merged into snapshots by Stats().
-	SlicedQueries    int64 // feasibility queries shrunk by independence slicing
-	SlicedFactors    int64 // independent factor groups dropped across those queries
-	RewriteHits      int64 // constraints changed by the algebraic rewriter
-	ConcretizedReads int64 // VM reads/branches decided from implied bindings
-	GatesElided      int64 // DAG nodes removed from queries before encoding (proxy for gates)
-}
+// Stats counts solver activity since construction: the Solver part of a
+// run's metrics.RunStats, declared there.
+type Stats = metrics.SolverStats
 
 type cacheEntry struct {
 	hashes []uint64 // sorted constraint hashes, to guard against collisions

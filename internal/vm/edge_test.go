@@ -202,8 +202,8 @@ func TestContextCounters(t *testing.T) {
 	if ctx.Instructions() == 0 {
 		t.Error("instruction counter not advanced")
 	}
-	if ctx.Forks() != 1 {
-		t.Errorf("fork counter = %d, want 1", ctx.Forks())
+	if forks := ctx.Stats().Forks; forks != 1 {
+		t.Errorf("fork counter = %d, want 1", forks)
 	}
 	if s.Steps() == 0 {
 		t.Error("per-state step counter not advanced")

@@ -326,15 +326,16 @@ func diffExplore(tb testing.TB, prog *isa.Program, compile bool, budget int) dif
 	}
 	res.Sends = h.sends
 	res.Violations = h.violations
-	res.Instructions = ctx.Instructions()
-	res.Forks = ctx.Forks()
+	st := ctx.Stats()
+	res.Instructions = st.Instructions
+	res.Forks = st.Forks
 	if compile {
-		if ctx.SlowBlocks() == 0 && ctx.FastBlocks() == 0 {
+		if st.SlowBlocks == 0 && st.FastBlocks == 0 {
 			tb.Errorf("compiled run recorded no block executions at all")
 		}
-	} else if ctx.FastBlocks() != 0 || ctx.SlowBlocks() != 0 || ctx.FoldedInstrs() != 0 {
+	} else if st.FastBlocks != 0 || st.SlowBlocks != 0 || st.FoldedInstrs != 0 {
 		tb.Errorf("compile-off run recorded block counters: fast=%d slow=%d folded=%d",
-			ctx.FastBlocks(), ctx.SlowBlocks(), ctx.FoldedInstrs())
+			st.FastBlocks, st.SlowBlocks, st.FoldedInstrs)
 	}
 	return res
 }

@@ -260,15 +260,13 @@ func restoreState(ctx *Context, prog *isa.Program, img *StateImage, pages [][]*e
 	return s, nil
 }
 
-// RestoreCounters overwrites the context's global counters with values
+// RestoreStateIDSeq sets the number of state ids handed out to the value
 // recovered from a checkpoint, so ids assigned after a resume continue
 // exactly where the interrupted run stopped — the property that makes a
-// resumed exploration bit-identical to an uninterrupted one.
-func (c *Context) RestoreCounters(nextStateID, instructions, forks uint64) {
-	c.nextStateID.Store(nextStateID)
-	c.instrCount.Store(instructions)
-	c.forkCount.Store(forks)
-}
+// resumed exploration bit-identical to an uninterrupted one. The work
+// counters (Stats) are not restored: a resumed context counts its own work
+// and the engine adds what the snapshot carried.
+func (c *Context) RestoreStateIDSeq(n uint64) { c.nextStateID.Store(n) }
 
 // StateIDSeq returns the number of state ids handed out so far.
 func (c *Context) StateIDSeq() uint64 { return c.nextStateID.Load() }

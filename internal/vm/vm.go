@@ -13,6 +13,7 @@ import (
 
 	"sde/internal/expr"
 	"sde/internal/isa"
+	"sde/internal/metrics"
 	"sde/internal/qopt"
 	"sde/internal/solver"
 )
@@ -118,25 +119,21 @@ func (c *Context) SetCompiledIR(on bool) { c.compile = on }
 // CompiledIR reports whether the concrete fast path is enabled.
 func (c *Context) CompiledIR() bool { return c.compile }
 
-// FastBlocks returns how many basic-block executions ran on the
-// concrete straight-line fast path.
-func (c *Context) FastBlocks() uint64 { return c.fastBlocks.Load() }
-
-// SlowBlocks returns how many basic-block entries fell back to the
-// per-instruction interpreter (non-concretizable block, symbolic
-// live-in register, or a symbolic word loaded mid-block).
-func (c *Context) SlowBlocks() uint64 { return c.slowBlocks.Load() }
-
-// FoldedInstrs returns how many fast-path instructions were answered
-// from load-time constant folding instead of being computed.
-func (c *Context) FoldedInstrs() uint64 { return c.foldedInstrs.Load() }
-
 // Instructions returns the total number of instructions executed by all
 // states of this context.
 func (c *Context) Instructions() uint64 { return c.instrCount.Load() }
 
-// Forks returns the total number of local symbolic branches taken.
-func (c *Context) Forks() uint64 { return c.forkCount.Load() }
+// Stats returns the context's counters: the VM part of the run's
+// metrics.RunStats.
+func (c *Context) Stats() metrics.VMStats {
+	return metrics.VMStats{
+		Instructions: c.instrCount.Load(),
+		Forks:        c.forkCount.Load(),
+		FastBlocks:   c.fastBlocks.Load(),
+		SlowBlocks:   c.slowBlocks.Load(),
+		FoldedInstrs: c.foldedInstrs.Load(),
+	}
+}
 
 // LivePages returns the number of distinct memory pages referenced by at
 // least one state of this context that has not been Released.

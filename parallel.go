@@ -191,6 +191,17 @@ func (r *ShardedReport) Violations() []*Violation {
 	return out
 }
 
+// Stats returns what every layer did across the run: the leaves' RunStats
+// summed. A leaf that continued a suspended frontier reports its ancestors'
+// work only if it is slice 0 of it, so nothing is counted twice.
+func (r *ShardedReport) Stats() RunStats {
+	var total RunStats
+	for _, sh := range r.Shards {
+		total = total.Add(sh.Report.Stats())
+	}
+	return total
+}
+
 // Wall returns the longest shard wall time (the critical-path lower
 // bound on the makespan; Sched.Elapsed is the realised makespan).
 func (r *ShardedReport) Wall() time.Duration {
@@ -371,10 +382,9 @@ func RunScenarioShardedWith(s Scenario, cfg ShardConfig) (*ShardedReport, error)
 	return finalizeSharded(s, q.Leaves(), sched), nil
 }
 
-// finalizeSharded orders completed leaves and aggregates their telemetry
-// into the final report. It is shared between the in-process scheduler
-// and AssembleSharded, so a distributed run's report is assembled exactly
-// like a local one.
+// finalizeSharded orders completed leaves into the final report. It is
+// shared between the in-process scheduler and AssembleSharded, so a
+// distributed run's report is assembled exactly like a local one.
 func finalizeSharded(s Scenario, leaves []leafResult, sched SchedStats) *ShardedReport {
 	// Order the leaves deterministically — lexicographically by pinned
 	// bit string, LSB (first shardable decision) first, then by
@@ -419,30 +429,6 @@ func finalizeSharded(s Scenario, leaves []leafResult, sched SchedStats) *Sharded
 		shards[i] = ShardReport{Shard: i, Pin: leaf.report.scenario.cfg.Pin, Report: leaf.report}
 	}
 	sched.Shards = len(shards)
-	for _, leaf := range leaves {
-		st := leaf.report.res.SolverStats
-		sched.IncrementalSolves += st.IncSolves
-		sched.SubsumptionHits += st.SubsumptionHits
-		sched.EncodeSkips += st.EncodeSkips
-		sched.QueriesSliced += st.SlicedQueries
-		sched.GatesElided += st.GatesElided
-		sp := leaf.report.res.Spec
-		sched.SpecSubmitted += sp.Submitted
-		sched.SpecSolves += sp.Solves
-		sched.SpecElided += sp.Elided
-		sched.SpecRewinds += sp.Rewinds
-		vmst := leaf.report.res.VM
-		sched.FastBlocks += vmst.FastBlocks
-		sched.SlowBlocks += vmst.SlowBlocks
-		sched.FoldedInstrs += vmst.FoldedInstrs
-		mg := leaf.report.res.Merge
-		sched.MergeMerges += mg.Merges
-		sched.MergeCandidates += mg.Candidates
-		sched.MergeRejects += mg.Rejects
-		rd := leaf.report.res.Reduce
-		sched.ReduceChecks += rd.Checks
-		sched.ReducePins += rd.Pins
-	}
 	return &ShardedReport{Shards: shards, Sched: sched}
 }
 

@@ -99,27 +99,20 @@ type Sample = metrics.Sample
 // See ShardedReport.Sched.
 type SchedStats = metrics.SchedStats
 
-// SpecStats is the speculative-fork solver pipeline's telemetry:
-// speculations submitted, complement elisions, rewinds, and barrier wait
-// time. See Report.SpecStats.
-type SpecStats = metrics.SpecStats
-
-// VMStats is the compiled-IR fast path's telemetry: basic blocks executed
-// on the concrete straight-line fast path versus interpreted, and
-// instructions answered by load-time constant folding. See Report.VMStats.
-type VMStats = metrics.VMStats
-
-// MergeStats is the state-merging subsystem's telemetry: fusions
-// accepted, candidates considered, cost-model rejections, rep splits, and
-// the peak number of states hidden inside merged representatives. See
-// Report.MergeStats.
-type MergeStats = metrics.MergeStats
-
-// ReduceStats is the symmetry/partial-order reduction telemetry: the
-// effective automorphism-group order, decisions pinned instead of forked,
-// independence commutes, and violations synthesized by witness expansion.
-// See Report.ReduceStats.
-type ReduceStats = metrics.ReduceStats
+// RunStats is the one value a run's cumulative counters travel in: one part
+// per layer, carried by snapshots, so a resumed run, a continuation slice
+// and an assembled fleet report each count the work that was done, once.
+// See Report.Stats and ShardedReport.Stats. The other types are its parts
+// (plus Checkpoint); Report has an accessor for each, and the fields are
+// documented where they are declared, in internal/metrics.
+type (
+	RunStats    = metrics.RunStats
+	SolverStats = metrics.SolverStats // queries, caches, CDCL work, query optimizer
+	SpecStats   = metrics.SpecStats   // speculative-fork pipeline: submissions, elisions, rewinds, barrier wait
+	VMStats     = metrics.VMStats     // instructions, forks, fast vs interpreted blocks, folded instructions
+	MergeStats  = metrics.MergeStats  // fusions, candidates, rejects, splits, peak merged
+	ReduceStats = metrics.ReduceStats // group order, pins, independence commutes, synthesized violations
+)
 
 // SymmetrySpec declares a scenario's per-node asymmetries (role labels,
 // static routes) so symmetry reduction can be applied to node-aware
@@ -135,10 +128,6 @@ type SymmetrySpec = sim.ReduceSymmetry
 // slicing, rewriting, concretization) and the CDCL conflict budget. The
 // zero value enables every optimisation.
 type SolverOptions = solver.Options
-
-// SolverStats is a snapshot of a run's constraint-solver activity
-// counters. See Report.SolverStats.
-type SolverStats = solver.Stats
 
 // Scenario is a fully specified SDE run. Build one with a constructor
 // (GridCollectScenario, FloodScenario, CustomScenario) and pass it to
@@ -340,8 +329,8 @@ func RunScenario(s Scenario) (*Report, error) {
 // Checkpoint runs the scenario with periodic durable checkpoints written
 // into dir: RunScenario with WithCheckpoints applied, on the scenario's
 // schedule — cost-paced unless WithCheckpoints set an exact interval (see
-// there for the rule and the loss bound). Report.Checkpoints says what the
-// checkpoints cost.
+// there for the rule and the loss bound). Report.Stats().Checkpoint says
+// what the checkpoints cost.
 func Checkpoint(s Scenario, dir string) (*Report, error) {
 	return RunScenario(s.WithCheckpoints(dir, s.cfg.CheckpointEvery))
 }
@@ -384,15 +373,6 @@ func (r *Report) Aborted() (bool, string) { return r.res.Aborted, r.res.AbortRea
 // (see Resume). A resumed run's Wall includes the interrupted run's time.
 func (r *Report) Resumed() bool { return r.res.Resumed }
 
-// Checkpoints reports the durable checkpoints this process wrote for the
-// run (the periodic ones plus the final one), how many checkpoint-grid
-// boundaries the cost-paced schedule passed without writing one, and the
-// wall time the written ones took. All zero for a run without a
-// checkpoint directory.
-func (r *Report) Checkpoints() (written, skipped int, wall time.Duration) {
-	return r.res.Checkpoints, r.res.CheckpointsSkipped, r.res.CheckpointWall
-}
-
 // Stopped reports whether the run was cut short by a progress hook —
 // the adaptive shard scheduler stops straggling shards this way before
 // re-partitioning them. A stopped run's results cover only part of its
@@ -434,7 +414,7 @@ func (r *Report) MemTerms() MemTerms { return r.res.FinalMemTerms }
 func (r *Report) PeakMemTerms() MemTerms { return r.res.PeakMemTerms }
 
 // Instructions returns the total number of instructions executed.
-func (r *Report) Instructions() uint64 { return r.res.Instructions }
+func (r *Report) Instructions() uint64 { return r.res.Stats.VM.Instructions }
 
 // Violations returns the assertion failures found, each with a concrete
 // witness test case.
@@ -443,25 +423,30 @@ func (r *Report) Violations() []*Violation { return r.res.Violations }
 // Samples returns the metrics time series (state and memory growth).
 func (r *Report) Samples() []Sample { return r.res.Series.Samples() }
 
+// Stats returns what every layer did on the run, cumulative over the
+// processes that worked on it: a resumed run (Resume, a re-issued lease, a
+// leaf rebuilt by AssembleSharded) reports what its checkpoint carried plus
+// its own work. Its String is what sde-run prints. The accessors below
+// return its parts; a part is all zero when its layer was off or the run
+// was a replay.
+func (r *Report) Stats() RunStats { return r.res.Stats }
+
 // SolverStats returns the run's constraint-solver activity counters
 // (queries, cache and subsumption hits, incremental solves, conflicts).
-func (r *Report) SolverStats() SolverStats { return r.res.SolverStats }
+func (r *Report) SolverStats() SolverStats { return r.res.Stats.Solver }
 
-// SpecStats returns the run's speculative-fork pipeline counters (all
-// zero when speculation is disabled or the run was a replay).
-func (r *Report) SpecStats() SpecStats { return r.res.Spec }
+// SpecStats returns the run's speculative-fork pipeline counters.
+func (r *Report) SpecStats() SpecStats { return r.res.Stats.Spec }
 
-// VMStats returns the run's compiled-IR fast-path counters (all zero
-// when compiled execution is disabled).
-func (r *Report) VMStats() VMStats { return r.res.VM }
+// VMStats returns the run's VM counters (the block counters are zero when
+// compiled execution is disabled).
+func (r *Report) VMStats() VMStats { return r.res.Stats.VM }
 
-// ReduceStats returns the run's symmetry/partial-order reduction
-// counters (all zero when reduction was disabled).
-func (r *Report) ReduceStats() ReduceStats { return r.res.Reduce }
+// ReduceStats returns the run's symmetry/partial-order reduction counters.
+func (r *Report) ReduceStats() ReduceStats { return r.res.Stats.Reduce }
 
-// MergeStats returns the run's state-merging counters (all zero when
-// merging is disabled or the run was a replay).
-func (r *Report) MergeStats() MergeStats { return r.res.Merge }
+// MergeStats returns the run's state-merging counters.
+func (r *Report) MergeStats() MergeStats { return r.res.Stats.Merge }
 
 // TestCases explodes up to limit dscenarios (limit <= 0 = all) and solves
 // one concrete test case per dscenario (§IV-C).

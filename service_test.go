@@ -109,6 +109,43 @@ func TestAssembleShardedBitIdentical(t *testing.T) {
 	}
 }
 
+// TestAssembledLeafCarriesLeaseCounters: the report AssembleSharded builds
+// from a lease's shipped snapshot says what the lease did — the counters
+// travel in the snapshot, so the coordinator of a fleet, which only ever
+// sees snapshots, reports them. (Before the snapshot carried them this
+// leaf read "compile: off", 0 queries, 0 speculations next to a correct
+// instruction count.) The final checkpoint cannot count itself, and the
+// rebuilt leaf re-warms its solver sessions, which encodes again; what the
+// exploration did is equal.
+func TestAssembledLeafCarriesLeaseCounters(t *testing.T) {
+	scenario, err := sde.ScenarioSpec{Workload: "threshold", Topology: "line:4"}.Scenario()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := sde.RunShardLease(scenario, sde.ShardItem{}, sde.LeaseOptions{CheckpointDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := sde.AssembleSharded(scenario, []sde.ShardLeaf{{Snapshot: out.Snapshot}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lease, leaf := out.Report.Stats(), rep.Shards[0].Report.Stats()
+	if lease.VM.FastBlocks == 0 || lease.Solver.Queries == 0 || lease.Spec.Submitted == 0 {
+		t.Fatalf("the lease itself did not compile, query and speculate:\n%s", lease)
+	}
+	if lease.Checkpoint.Written != leaf.Checkpoint.Written+1 {
+		t.Errorf("lease wrote %d checkpoints, its last one carries %d", lease.Checkpoint.Written, leaf.Checkpoint.Written)
+	}
+	if leaf.VM != lease.VM || leaf.Spec != lease.Spec || leaf.Merge != lease.Merge || leaf.Reduce != lease.Reduce ||
+		leaf.Solver.Queries != lease.Solver.Queries || leaf.Solver.SATCalls != lease.Solver.SATCalls {
+		t.Errorf("assembled leaf's counters differ from the lease's:\n%s\nlease:\n%s", leaf, lease)
+	}
+	if rep.Stats() != rep.Shards[0].Report.Stats() {
+		t.Error("a one-leaf report's Stats() is not its leaf's")
+	}
+}
+
 // TestAssembleShardedMixedDepths covers the uneven partition a straggler
 // re-split produces: one half explored whole, the other as two quarters.
 func TestAssembleShardedMixedDepths(t *testing.T) {
