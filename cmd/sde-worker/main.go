@@ -42,29 +42,33 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
-		if errors.Is(err, dist.ErrCrashed) {
-			fmt.Fprintln(os.Stderr, "sde-worker:", err)
-			os.Exit(3)
-		}
-		fmt.Fprintln(os.Stderr, "sde-worker:", err)
-		os.Exit(1)
+	err := run(os.Args[1:])
+	if err == nil || errors.Is(err, flag.ErrHelp) {
+		return
 	}
+	fmt.Fprintln(os.Stderr, "sde-worker:", err)
+	if errors.Is(err, dist.ErrCrashed) {
+		os.Exit(3)
+	}
+	os.Exit(1)
 }
 
-func run() error {
-	connect := flag.String("connect", "", "coordinator address (host:port), required")
-	name := flag.String("name", "", "worker name (default host-pid)")
-	workdir := flag.String("workdir", "", "checkpoint work directory, required")
-	heartbeat := flag.Duration("heartbeat", 500*time.Millisecond, "heartbeat interval while executing a lease")
-	checkpointEvery := flag.Int("checkpoint-every", 0, "checkpoint after every n events exactly (0 = cost-paced: at most 1/8 of a lease goes into periodic checkpoints)")
-	splitStates := flag.Int("split-states", 0, "self-split a lease above this many live states when the queue is starved (0 = never)")
-	splitAfter := flag.Duration("split-after", 2*time.Second, "minimum lease runtime before self-splitting")
-	crashAfter := flag.Int("crash-after-checkpoints", 0, "chaos hook: crash abruptly after observing the lease checkpoint N times")
-	crashAfterEvents := flag.Int("crash-after-events", 0, "chaos hook: crash abruptly once a lease has processed N events")
-	retry := flag.Duration("retry", 0, "reconnect after connection loss, waiting this long (0 = exit)")
-	quiet := flag.Bool("quiet", false, "suppress per-lease logging")
-	flag.Parse()
+func run(args []string) error {
+	fs := flag.NewFlagSet(os.Args[0], flag.ContinueOnError)
+	connect := fs.String("connect", "", "coordinator address (host:port), required")
+	name := fs.String("name", "", "worker name (default host-pid)")
+	workdir := fs.String("workdir", "", "checkpoint work directory, required")
+	heartbeat := fs.Duration("heartbeat", 500*time.Millisecond, "heartbeat interval while executing a lease")
+	checkpointEvery := fs.Int("checkpoint-every", 0, "checkpoint after every n events exactly (0 = cost-paced: at most 1/8 of a lease goes into periodic checkpoints)")
+	splitStates := fs.Int("split-states", 0, "self-split a lease above this many live states when the queue is starved (0 = never)")
+	splitAfter := fs.Duration("split-after", 2*time.Second, "minimum lease runtime before self-splitting")
+	crashAfter := fs.Int("crash-after-checkpoints", 0, "chaos hook: crash abruptly after observing the lease checkpoint N times")
+	crashAfterEvents := fs.Int("crash-after-events", 0, "chaos hook: crash abruptly once a lease has processed N events")
+	retry := fs.Duration("retry", 0, "reconnect after connection loss, waiting this long (0 = exit)")
+	quiet := fs.Bool("quiet", false, "suppress per-lease logging")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *connect == "" {
 		return fmt.Errorf("-connect is required")

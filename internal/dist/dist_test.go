@@ -3,7 +3,9 @@ package dist
 import (
 	"context"
 	"fmt"
+	"io/fs"
 	"net"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -128,16 +130,15 @@ func TestServiceWorkerCrashRecovery(t *testing.T) {
 	cases := []struct {
 		name    string
 		crasher WorkerOptions
-		// lost: the restarted crasher gets an empty work directory, as after
-		// a kill that left nothing durable. (The injected crash stops the
-		// engine, which writes its stop-point frontier on the way out; a
-		// SIGKILL before the first checkpoint would leave nothing.)
-		lost bool
+		// durable: the crash leaves a checkpoint of the lease behind. The
+		// injected crash stops the engine, and a stopped run writes nothing
+		// on its way out — like the kill it stands for.
+		durable bool
 	}{
 		// Checkpoint every event so the crash provably happens with a
 		// durable checkpoint on disk, mid-lease.
-		{"after a checkpoint", WorkerOptions{CheckpointEvery: 1, CrashAfterCheckpoints: 3}, false},
-		{"before the first paced checkpoint", WorkerOptions{CrashAfterEvents: 20}, true},
+		{"after a checkpoint", WorkerOptions{CheckpointEvery: 1, CrashAfterCheckpoints: 3}, true},
+		{"before the first paced checkpoint", WorkerOptions{CrashAfterEvents: 20}, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -162,8 +163,8 @@ func TestServiceWorkerCrashRecovery(t *testing.T) {
 			case <-time.After(30 * time.Second):
 				t.Fatal("crash hook never fired")
 			}
-			if tc.lost {
-				crashDir = t.TempDir()
+			if n := checkpointFiles(t, crashDir); (n > 0) != tc.durable {
+				t.Fatalf("the crash left %d checkpoint files in the crasher's work directory, durable = %v", n, tc.durable)
 			}
 
 			// The fleet that picks up the pieces: one fresh worker, plus the
@@ -187,6 +188,22 @@ func TestServiceWorkerCrashRecovery(t *testing.T) {
 			}
 		})
 	}
+}
+
+// checkpointFiles counts the checkpoints under a worker's work directory.
+func checkpointFiles(t *testing.T, dir string) int {
+	t.Helper()
+	n := 0
+	err := filepath.WalkDir(dir, func(_ string, d fs.DirEntry, err error) error {
+		if err == nil && d.Name() == snap.CheckpointFile {
+			n++
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
 }
 
 // TestServiceLeaseExpiry: a worker that takes a lease and then hangs

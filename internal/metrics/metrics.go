@@ -107,7 +107,13 @@ type RunStats struct {
 // SolverStats counts constraint-solver activity (internal/solver). Reads
 // are only consistent when the solver is quiescent.
 type SolverStats struct {
-	Queries         int64 `json:"queries,omitempty"`          // total Feasible/Model calls
+	// Queries counts entries into the solver pipeline: every Feasible/Model
+	// call and, when a call is partitioned, each of its independent
+	// components again (they recurse through the whole pipeline so that
+	// each is cached on its own). Where path conditions mix failure
+	// literals with data constraints it is a multiple of the calls made,
+	// and the components are what FastPath mostly answers.
+	Queries         int64 `json:"queries,omitempty"`
 	CacheHits       int64 `json:"cache_hits,omitempty"`       // answered from the exact-key query cache
 	SubsumptionHits int64 `json:"subsumption_hits,omitempty"` // answered by an UNSAT-subset / SAT-superset entry
 	SharedHits      int64 `json:"shared_hits,omitempty"`      // answered from the cross-solver shared cache
@@ -118,12 +124,9 @@ type SolverStats struct {
 	IncSolves       int64 `json:"inc_solves,omitempty"`       // CDCL runs answered by a persistent instance
 	Conflicts       int64 `json:"conflicts,omitempty"`        // CDCL conflicts across all runs
 	Decisions       int64 `json:"decisions,omitempty"`        // CDCL decisions across all runs
-	AssumeReuses    int64 `json:"assume_reuses,omitempty"`    // assumption literals reused from session prefixes
 	EncodeSkips     int64 `json:"encode_skips,omitempty"`     // constraint encodes served by a persistent blast memo
 	Gates           int64 `json:"gates,omitempty"`            // Tseitin gate variables allocated across all runs
 	LearnedRetained int64 `json:"learned_retained,omitempty"` // learned clauses alive in the main persistent instance (gauge; Add keeps the max)
-	RewarmSessions  int64 `json:"rewarm_sessions,omitempty"`  // sessions re-synced after a checkpoint resume
-	RewarmEncodes   int64 `json:"rewarm_encodes,omitempty"`   // constraints re-encoded during those re-warms
 
 	// Query-optimizer pipeline counters (internal/qopt). The last three
 	// are owned by the Optimizer and merged in by Solver.Stats.
@@ -232,12 +235,9 @@ func (s RunStats) Add(o RunStats) RunStats {
 	s.Solver.IncSolves += o.Solver.IncSolves
 	s.Solver.Conflicts += o.Solver.Conflicts
 	s.Solver.Decisions += o.Solver.Decisions
-	s.Solver.AssumeReuses += o.Solver.AssumeReuses
 	s.Solver.EncodeSkips += o.Solver.EncodeSkips
 	s.Solver.Gates += o.Solver.Gates
 	s.Solver.LearnedRetained = max(s.Solver.LearnedRetained, o.Solver.LearnedRetained)
-	s.Solver.RewarmSessions += o.Solver.RewarmSessions
-	s.Solver.RewarmEncodes += o.Solver.RewarmEncodes
 	s.Solver.SlicedQueries += o.Solver.SlicedQueries
 	s.Solver.SlicedFactors += o.Solver.SlicedFactors
 	s.Solver.RewriteHits += o.Solver.RewriteHits
@@ -293,8 +293,8 @@ func (s RunStats) String() string {
 			v.Instructions, v.Forks, v.FastBlocks, v.SlowBlocks, v.FoldedInstrs)
 	}
 	if q := s.Solver; q != (SolverStats{}) {
-		fmt.Fprintf(&sb, "solver: queries=%d sat-calls=%d cache-hits=%d subsumption-hits=%d fast-path=%d conflicts=%d gates=%d rewarmed=%d | qopt: sliced=%d rewrites=%d concretized=%d gates-elided=%d\n",
-			q.Queries, q.SATCalls, q.CacheHits, q.SubsumptionHits, q.FastPath, q.Conflicts, q.Gates, q.RewarmSessions,
+		fmt.Fprintf(&sb, "solver: queries=%d sat-calls=%d cache-hits=%d subsumption-hits=%d fast-path=%d conflicts=%d gates=%d | qopt: sliced=%d rewrites=%d concretized=%d gates-elided=%d\n",
+			q.Queries, q.SATCalls, q.CacheHits, q.SubsumptionHits, q.FastPath, q.Conflicts, q.Gates,
 			q.SlicedQueries, q.RewriteHits, q.ConcretizedReads, q.GatesElided)
 	}
 	if p := s.Spec; p.Submitted != 0 {

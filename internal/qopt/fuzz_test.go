@@ -169,7 +169,7 @@ func FuzzRewriteEquivalence(f *testing.F) {
 		for i, c := range cs {
 			rewritten[i] = o.Rewrite(c)
 		}
-		out, _, unsat := o.OptimizeSet(cs)
+		out, unsat := o.OptimizeSet(cs)
 
 		for trial := 0; trial < 16; trial++ {
 			env := randomEnv(eb, rng)

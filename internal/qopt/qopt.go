@@ -435,17 +435,14 @@ func log2(v uint64) uint64 {
 // dropped. The returned set's conjunction is equivalent to the input's —
 // defining constraints are kept, so no model is lost or gained.
 //
-// subChanged reports whether cross-constraint substitution (as opposed to
-// per-constraint rewriting) modified the set; callers use it to decide
-// whether per-constraint session caches still apply. unsat is true when
-// some constraint reduced to constant false, deciding the whole
-// conjunction.
-func (o *Optimizer) OptimizeSet(active []*expr.Expr) (out []*expr.Expr, subChanged, unsat bool) {
+// unsat is true when some constraint reduced to constant false, deciding
+// the whole conjunction.
+func (o *Optimizer) OptimizeSet(active []*expr.Expr) (out []*expr.Expr, unsat bool) {
 	out = make([]*expr.Expr, 0, len(active))
 	for _, c := range active {
 		r := o.Rewrite(c)
 		if r.IsFalse() {
-			return nil, subChanged, true
+			return nil, true
 		}
 		if r.IsTrue() {
 			continue
@@ -456,7 +453,7 @@ func (o *Optimizer) OptimizeSet(active []*expr.Expr) (out []*expr.Expr, subChang
 	for round := 0; round < maxRewriteRounds; round++ {
 		bind, defines := impliedBindings(out)
 		if len(bind) == 0 {
-			return out, subChanged, false
+			return out, false
 		}
 		changedRound := false
 		next := out[:0]
@@ -465,14 +462,13 @@ func (o *Optimizer) OptimizeSet(active []*expr.Expr) (out []*expr.Expr, subChang
 			if sub != c {
 				sub = o.Rewrite(sub)
 				changedRound = true
-				subChanged = true
 				o.rewriteHits.Add(1)
 				if d := o.NodeCount(c) - o.NodeCount(sub); d > 0 {
 					o.gatesElided.Add(int64(d))
 				}
 			}
 			if sub.IsFalse() {
-				return nil, subChanged, true
+				return nil, true
 			}
 			if sub.IsTrue() {
 				continue
@@ -484,7 +480,7 @@ func (o *Optimizer) OptimizeSet(active []*expr.Expr) (out []*expr.Expr, subChang
 			break
 		}
 	}
-	return out, subChanged, false
+	return out, false
 }
 
 // impliedBindings scans a constraint set for constraints that force a

@@ -125,9 +125,9 @@ func TestOptimizeSetSubstitution(t *testing.T) {
 	y := eb.Var("y", 8)
 	def := eb.Eq(x, eb.Const(3, 8))
 	use := eb.Ult(eb.Add(x, y), eb.Const(10, 8))
-	out, subChanged, unsat := o.OptimizeSet([]*expr.Expr{def, use})
-	if unsat || !subChanged {
-		t.Fatalf("unsat=%v subChanged=%v, want false/true", unsat, subChanged)
+	out, unsat := o.OptimizeSet([]*expr.Expr{def, use})
+	if unsat {
+		t.Fatal("x==3 ∧ x+y<10 reported unsat")
 	}
 	// The defining constraint stays; the use site sees x=3.
 	wantUse := eb.Ult(eb.Add(eb.Const(3, 8), y), eb.Const(10, 8))
@@ -145,7 +145,7 @@ func TestOptimizeSetDetectsUnsat(t *testing.T) {
 		eb.Eq(x, eb.Const(3, 8)),
 		eb.Ult(x, eb.Const(2, 8)), // x=3 makes this false
 	}
-	if _, _, unsat := o.OptimizeSet(cs); !unsat {
+	if _, unsat := o.OptimizeSet(cs); !unsat {
 		t.Fatal("substitution should expose the contradiction")
 	}
 }
@@ -157,10 +157,9 @@ func TestOptimizeSetKeepsDefiningConstraint(t *testing.T) {
 	o := New(eb)
 	x := eb.Var("x", 8)
 	def := eb.Eq(x, eb.Const(3, 8))
-	out, subChanged, unsat := o.OptimizeSet([]*expr.Expr{def})
-	if unsat || subChanged || len(out) != 1 || out[0] != def {
-		t.Fatalf("OptimizeSet({x==3}) = %v (sub=%v unsat=%v), want unchanged",
-			out, subChanged, unsat)
+	out, unsat := o.OptimizeSet([]*expr.Expr{def})
+	if unsat || len(out) != 1 || out[0] != def {
+		t.Fatalf("OptimizeSet({x==3}) = %v (unsat=%v), want unchanged", out, unsat)
 	}
 }
 

@@ -2,8 +2,8 @@
 // frontier between Steps; ResumeEngine rebuilds a live engine from a
 // decoded snapshot so the resumed run is bit-identical to an
 // uninterrupted one (same state ids, same mapper structure, same future
-// forks). Solver state is deliberately absent from snapshots — each
-// restored state's session is re-warmed from its path condition.
+// forks). Solver state is deliberately absent from snapshots, and a
+// resume makes no solver call: the solver keeps nothing per state.
 package sim
 
 import (
@@ -163,8 +163,8 @@ func resumeSnapshot(cfg Config, data []byte, seg, of int) (*Engine, error) {
 			return nil, err
 		}
 	}
-	// The id sequence first: restored sessions and future forks must draw
-	// ids after every id the snapshot already handed out.
+	// The id sequence first: future forks must draw ids after every id the
+	// snapshot already handed out.
 	e.ctx.RestoreStateIDSeq(sp.NextStateID)
 	e.base = sp.Stats
 	// Reps restore in the same call as the frontier: page interning is

@@ -654,8 +654,11 @@ func (e *Engine) Run() (*Result, error) {
 	// A final checkpoint makes completed runs durable too: resuming a
 	// finished run replays zero events and reports the same result. For a
 	// suspended run this write is the continuation payload itself — the
-	// surviving frontier at the event-budget boundary.
-	if e.cfg.CheckpointDir != "" && e.events != e.lastCkpt {
+	// surviving frontier at the event-budget boundary. A run its Progress
+	// hook stopped writes none: its result is discarded by contract
+	// (straggler split, cancel), and the injected worker crash that stops
+	// a run this way must leave behind only what a kill would.
+	if e.cfg.CheckpointDir != "" && !e.stopped && e.events != e.lastCkpt {
 		if err := e.writeCheckpoint(e.now()); err != nil {
 			return nil, fmt.Errorf("sim: checkpoint: %w", err)
 		}

@@ -5,9 +5,8 @@ package sim_test
 // fingerprints, generated test cases — both between optimizer-on and
 // optimizer-off runs and across a kill-and-resume of an optimizer-enabled
 // run. Optimizer state is derived from the path conditions, never
-// serialized, so a resumed run must rebuild it (and re-encode the
-// rewritten constraints, pinned in the solver package's
-// TestWarmSessionEncodesRewritten) from the snapshot alone.
+// serialized, so a resumed run rebuilds it query by query from the
+// snapshot alone.
 
 import (
 	"os"
@@ -125,9 +124,6 @@ func TestOptimizerKillAndResume(t *testing.T) {
 	}
 	if !res.Resumed {
 		t.Error("resumed result does not report Resumed")
-	}
-	if res.Stats.Solver.RewarmSessions == 0 {
-		t.Error("resume re-warmed no solver sessions")
 	}
 	t.Logf("resumed optimizer counters: sliced=%d rewrites=%d concretized=%d elided=%d",
 		res.Stats.Solver.SlicedQueries, res.Stats.Solver.RewriteHits,

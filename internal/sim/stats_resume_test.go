@@ -19,7 +19,9 @@ import (
 // in the middle and late, each a few events past an exact-interval
 // checkpoint — resumes it, and requires the deterministic counters of the
 // report to equal the uninterrupted run's field for field. Speculation is
-// off: with it the solver's counters depend on worker timing.
+// off: with it the solver's counters depend on worker timing. Resuming the
+// finished checkpoint the resumed run leaves then replays nothing and
+// makes no solver call: its Solver part is that run's, whole.
 func TestStatsSurviveResume(t *testing.T) {
 	const every = 8
 	for _, tc := range []struct {
@@ -74,6 +76,21 @@ func TestStatsSurviveResume(t *testing.T) {
 				}
 				if want := int(ref.Events / every); res.Stats.Checkpoint.Written < want {
 					t.Errorf("killed at %d: %d checkpoints counted, the run crossed %d boundaries", at, res.Stats.Checkpoint.Written, want)
+				}
+				if data, err = snap.LoadBytes(cfg.CheckpointDir); err != nil {
+					t.Fatal(err)
+				}
+				finished, err := sim.ResumeEngine(cfg, data)
+				if err != nil {
+					t.Fatal(err)
+				}
+				again, err := finished.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if again.Events != res.Events || again.Stats.Solver != res.Stats.Solver {
+					t.Errorf("killed at %d: resuming the finished checkpoint replayed %d events and reports\n%+v, the run that wrote it\n%+v",
+						at, again.Events-res.Events, again.Stats.Solver, res.Stats.Solver)
 				}
 			}
 		})

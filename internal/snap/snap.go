@@ -18,9 +18,10 @@
 // rejects most corruption before parsing begins; the structural checks
 // behind it make the decoder total anyway (the fuzz target's contract).
 //
-// Solver state is deliberately absent from snapshots: it is derived data,
-// rebuilt on resume by re-warming each state's session from its path
-// condition (see solver.WarmSession).
+// Solver state is deliberately absent from snapshots: it is derived data
+// that belongs to the solver, not to any execution state, so a restore
+// rebuilds none of it and the resumed run's first queries encode what they
+// need.
 package snap
 
 import (
@@ -47,9 +48,10 @@ var magic = []byte("SDEsnp\x00")
 // version is the one format this build reads and writes; WireVersion
 // tracks it, so bumping it (for a snapshot or a protocol change alike)
 // makes older peers reject the handshake instead of misparsing what they
-// do not know. Version 6 carries the run's counters as one stats section
-// (out of the header and the samples) and has one lease message.
-const version = 6
+// do not know. Version 7 is version 6 (the run's counters as one stats
+// section, one lease message) minus the three solver-session counters the
+// section used to carry.
+const version = 7
 
 // Snapshot is the complete persistent form of an exploration frontier,
 // taken at an event boundary (no state mid-execution).

@@ -124,6 +124,7 @@ func TestVersionGate(t *testing.T) {
 		{"current-version", cur, false},
 		{"previous-version", reversion(t, cur, snap.WireVersion-1), true},
 		{"version-5", reversion(t, cur, 5), true}, // the last format without a stats section: counters in the header and the samples
+		{"version-6", reversion(t, cur, 6), true}, // its stats section carried three solver-session counters more
 		{"future-version", reversion(t, cur, snap.WireVersion+1), true},
 		{"version-zero", reversion(t, cur, 0), true},
 		{"version-255", reversion(t, cur, 255), true},

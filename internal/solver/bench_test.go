@@ -136,9 +136,8 @@ func BenchmarkPrefixExtension(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				s := NewWithOptions(opts)
-				sess := s.NewSession()
 				for j, q := range queries {
-					if _, err := s.FeasibleWith(sess, q.Prefix, q.Extra); err != nil {
+					if _, err := s.FeasibleWith(nil, q.Prefix, q.Extra); err != nil {
 						b.Fatalf("query %d: %v", j, err)
 					}
 				}
@@ -212,9 +211,8 @@ func BenchmarkQueryOptimizer(b *testing.B) {
 					mode.mutate(&opts)
 				}
 				s := NewWithOptions(opts)
-				sess := s.NewSession()
 				for j, q := range queries {
-					if _, err := s.FeasibleWith(sess, q.Prefix, q.Extra); err != nil {
+					if _, err := s.FeasibleWith(nil, q.Prefix, q.Extra); err != nil {
 						b.Fatalf("query %d: %v", j, err)
 					}
 				}

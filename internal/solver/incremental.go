@@ -2,11 +2,11 @@ package solver
 
 import "sde/internal/expr"
 
-// incContext is the persistent incremental solving context: one long-lived
-// satSolver + blaster pair shared by every SAT-core query of an
-// exploration. Each expression DAG node is Tseitin-encoded once per
-// exploration rather than once per query, and learned clauses, variable
-// activities, and saved phases survive between queries.
+// incContext is the persistent incremental solving context of one slot:
+// a long-lived satSolver + blaster pair shared by every SAT-core query the
+// slot decides. Each expression DAG node is Tseitin-encoded once per slot
+// rather than once per query, and learned clauses, variable activities,
+// and saved phases survive between queries.
 //
 // Path constraints are never asserted as unit clauses on this instance —
 // each constraint is encoded once and its output literal is passed to
@@ -21,95 +21,17 @@ type incContext struct {
 	gatesSeen int64 // blaster gate count already flushed into Stats.Gates
 }
 
-// Session pins a monotonically growing path condition (a VM state's
-// pathCond) to the solver's persistent incremental context. It caches the
-// assumption literal of each prefix constraint, so a prefix-extension
-// query costs one encode (of the new constraint) instead of a walk over
-// the whole prefix. Forking a state is a cheap session branch: the child
-// copies the cached literals and diverges independently.
-//
-// A Session is owned by one execution state and must not be used from
-// multiple goroutines at once; distinct Sessions of the same Solver may
-// be used concurrently (the Solver serialises access to the underlying
-// instance).
-type Session struct {
-	exprs []*expr.Expr // the synced prefix, for append-only validation
-	lits  []Lit        // assumption literal of each synced constraint
-}
-
-// NewSession returns a session handle for prefix-extension queries
-// (FeasibleWith/ModelWith), or nil when incremental solving is disabled.
-// A nil Session is valid everywhere and falls back to stateless solving.
-func (s *Solver) NewSession() *Session {
-	if s.opts.DisableIncremental {
-		return nil
-	}
-	return &Session{}
-}
-
-// Branch returns an independent copy of the session for a forked state.
-// Branching a nil session returns nil.
-func (sess *Session) Branch() *Session {
-	if sess == nil {
-		return nil
-	}
-	return &Session{
-		exprs: append([]*expr.Expr(nil), sess.exprs...),
-		lits:  append([]Lit(nil), sess.lits...),
-	}
-}
-
-// sync extends the session's cached assumption literals to cover prefix.
-// It returns how many cached literals were reused and how many of the
-// newly encoded constraints were already in the persistent blast memo.
-// Path conditions are append-only, so the common case is a pure
-// extension; if the prefix diverged anyway, the session resyncs from the
-// divergence point — correct, just slower.
-//
-// rw, when non-nil, maps each constraint to an equivalent (rewritten)
-// form before encoding: the session's assumption literal then asserts
-// the rewritten constraint, so the persistent blast context only ever
-// sees post-rewrite gates. sess.exprs still records the original
-// constraints — prefix identity, not encoding, drives resync.
-func (sess *Session) sync(ic *incContext, prefix []*expr.Expr, rw func(*expr.Expr) *expr.Expr) (reused, skips int64) {
-	n := len(sess.lits)
-	if n > len(prefix) {
-		n = 0
-	}
-	for i := 0; i < n; i++ {
-		if sess.exprs[i] != prefix[i] {
-			n = i
-			break
-		}
-	}
-	sess.exprs = sess.exprs[:n]
-	sess.lits = sess.lits[:n]
-	reused = int64(n)
-	for _, c := range prefix[n:] {
-		ec := c
-		if rw != nil {
-			ec = rw(c)
-		}
-		if _, ok := ic.bl.memo[ec]; ok {
-			skips++
-		}
-		sess.exprs = append(sess.exprs, c)
-		sess.lits = append(sess.lits, ic.bl.encode(ec)[0])
-	}
-	return reused, skips
-}
-
-// solveIncremental decides active (the constant-folded form of
-// prefix ∧ extra) on the persistent instance of qc's slot. All encoding
+// solveIncremental decides active — the constant-folded, optimized
+// constraint set of one query — on slot's persistent instance, passing each constraint's output literal as an assumption. All encoding
 // happens at decision level 0 — the instance is backtracked before any
 // blasting — so new gate clauses and their unit consequences are
 // installed as permanent level-0 facts.
 //
 // Each slot owns a private CDCL instance and blast memo, so concurrent
-// solves on distinct slots never contend here; a session is only ever
-// pinned to slot 0 (the interpreter thread).
-func (s *Solver) solveIncremental(qc queryCtx, sess *Session, prefix []*expr.Expr, extra *expr.Expr, active []*expr.Expr) (bool, expr.Env, error) {
-	slot := qc.slot
+// solves on distinct slots never contend here. A constraint the slot has
+// met before costs one memo lookup (counted in Stats.EncodeSkips); nothing
+// per query or per execution state is kept beside the slot.
+func (s *Solver) solveIncremental(slot *solverSlot, active []*expr.Expr) (bool, expr.Env, error) {
 	slot.mu.Lock()
 	defer slot.mu.Unlock()
 	if slot.ic == nil {
@@ -120,40 +42,13 @@ func (s *Solver) solveIncremental(qc queryCtx, sess *Session, prefix []*expr.Exp
 	ic.sat.maxConfl = s.opts.MaxConflicts
 	ic.sat.backtrackTo(0)
 
-	// Speculation workers bypass the rewrite hook along with the rest of
-	// the optimizer: its memo tables are not built for concurrent access.
-	rw := s.rewriteFn()
-	if qc.skipOpt {
-		rw = nil
-	}
-	var assumptions []Lit
-	var reused, skips int64
-	memoed := func(c *expr.Expr) {
+	assumptions := make([]Lit, 0, len(active))
+	var skips int64
+	for _, c := range active {
 		if _, ok := ic.bl.memo[c]; ok {
 			skips++
 		}
-	}
-	if sess != nil {
-		reused, skips = sess.sync(ic, prefix, rw)
-		assumptions = make([]Lit, 0, len(sess.lits)+1)
-		assumptions = append(assumptions, sess.lits...)
-		if extra != nil && !extra.IsTrue() {
-			ec := extra
-			if rw != nil {
-				ec = rw(ec)
-			}
-			memoed(ec)
-			assumptions = append(assumptions, ic.bl.encode(ec)[0])
-		}
-	} else {
-		// Sessionless queries receive active already optimized (the
-		// checkQuery pipeline runs before the solve); rw here is a no-op
-		// on already-rewritten constraints via the rewrite memo.
-		assumptions = make([]Lit, 0, len(active))
-		for _, c := range active {
-			memoed(c)
-			assumptions = append(assumptions, ic.bl.encode(c)[0])
-		}
+		assumptions = append(assumptions, ic.bl.encode(c)[0])
 	}
 
 	confl0, dec0 := ic.sat.conflicts, ic.sat.decisions
@@ -163,7 +58,6 @@ func (s *Solver) solveIncremental(qc queryCtx, sess *Session, prefix []*expr.Exp
 		st.Conflicts += ic.sat.conflicts - confl0
 		st.Decisions += ic.sat.decisions - dec0
 		st.Gates += ic.bl.gates - ic.gatesSeen
-		st.AssumeReuses += reused
 		st.EncodeSkips += skips
 		if mainSlot {
 			st.LearnedRetained = ic.sat.learned

@@ -9,14 +9,6 @@ import (
 	"sde/internal/expr"
 )
 
-// diffBranch is one live branch of the randomized differential
-// exploration: a path condition plus the incremental sessions tracking it.
-type diffBranch struct {
-	pc       []*expr.Expr
-	sessFull *Session // session on the full default pipeline
-	sessBare *Session // session on the bare incremental solver
-}
-
 func randomTerm(eb *expr.Builder, rng *rand.Rand, vars []*expr.Expr, depth int) *expr.Expr {
 	if depth == 0 || rng.Intn(3) == 0 {
 		if rng.Intn(3) == 0 {
@@ -73,12 +65,12 @@ func randomConstraint(eb *expr.Builder, rng *rand.Rand, vars, bools []*expr.Expr
 
 // TestIncrementalDifferential is the soundness guard for the incremental
 // pipeline: a randomized exploration — monotonically growing path
-// conditions with fork points that branch sessions — is decided three
-// ways in lockstep, and all must agree on every query:
+// conditions with fork points whose siblings diverge from a shared prefix
+// — is decided three ways in lockstep, and all must agree on every query:
 //
 //   - oracle: from-scratch solving with every cache disabled;
 //   - bare:   the persistent incremental instance, every cache disabled;
-//   - full:   the default pipeline (caches, pool, subsumption, sessions).
+//   - full:   the default pipeline (caches, pool, subsumption, partition).
 //
 // Models returned by the incremental solvers are validated against the
 // ground-truth evaluator. Well over 1000 prefix-extension queries run.
@@ -102,29 +94,29 @@ func TestIncrementalDifferential(t *testing.T) {
 	bare := NewWithOptions(bareOpts)
 	oracle := NewWithOptions(oracleOpts)
 
-	ask := func(br *diffBranch, c *expr.Expr, step int) bool {
-		want, err := oracle.FeasibleWith(nil, br.pc, c)
+	ask := func(pc []*expr.Expr, c *expr.Expr, step int) bool {
+		want, err := oracle.FeasibleWith(nil, pc, c)
 		if err != nil {
 			t.Fatalf("step %d: oracle: %v", step, err)
 		}
-		gotBare, err := bare.FeasibleWith(br.sessBare, br.pc, c)
+		gotBare, err := bare.FeasibleWith(nil, pc, c)
 		if err != nil {
 			t.Fatalf("step %d: bare incremental: %v", step, err)
 		}
-		gotFull, err := full.FeasibleWith(br.sessFull, br.pc, c)
+		gotFull, err := full.FeasibleWith(nil, pc, c)
 		if err != nil {
 			t.Fatalf("step %d: full pipeline: %v", step, err)
 		}
 		if gotBare != want || gotFull != want {
 			t.Fatalf("step %d: verdicts disagree: oracle=%v bare=%v full=%v (|pc|=%d)",
-				step, want, gotBare, gotFull, len(br.pc))
+				step, want, gotBare, gotFull, len(pc))
 		}
 		if want && rng.Intn(3) == 0 {
-			model, sat, err := bare.ModelWith(br.sessBare, br.pc, c)
+			model, sat, err := bare.ModelWith(pc, c)
 			if err != nil || !sat {
 				t.Fatalf("step %d: bare ModelWith: sat=%v err=%v", step, sat, err)
 			}
-			for _, q := range br.pc {
+			for _, q := range pc {
 				if expr.Eval(q, model) == 0 {
 					t.Fatalf("step %d: incremental model %v violates prefix constraint", step, model)
 				}
@@ -142,33 +134,30 @@ func TestIncrementalDifferential(t *testing.T) {
 	if testing.Short() {
 		target = 250
 	}
-	branches := []*diffBranch{{sessFull: full.NewSession(), sessBare: bare.NewSession()}}
+	// branches holds the path condition of every live branch.
+	branches := [][]*expr.Expr{nil}
 	queries := 0
 	for step := 0; queries < target; step++ {
-		br := branches[rng.Intn(len(branches))]
+		i := rng.Intn(len(branches))
+		pc := branches[i]
 		c := randomConstraint(eb, rng, vars, bools)
 		notC := eb.Not(c)
-		feasC := ask(br, c, step)
+		feasC := ask(pc, c, step)
 		queries++
-		feasNot := ask(br, notC, step)
+		feasNot := ask(pc, notC, step)
 		queries++
 		switch {
 		case feasC && feasNot:
-			// Fork: the sibling takes the negated side on branched
-			// sessions, mirroring vm.State.Fork + AddConstraint.
+			// Fork: the sibling takes the negated side on a copy of the
+			// prefix, mirroring vm.State.Fork + AddConstraint.
 			if len(branches) < 24 && rng.Intn(2) == 0 {
-				sib := &diffBranch{
-					pc:       append(append([]*expr.Expr(nil), br.pc...), notC),
-					sessFull: br.sessFull.Branch(),
-					sessBare: br.sessBare.Branch(),
-				}
-				branches = append(branches, sib)
+				branches = append(branches, append(append([]*expr.Expr(nil), pc...), notC))
 			}
-			br.pc = append(br.pc, c)
+			branches[i] = append(pc, c)
 		case feasC:
-			br.pc = append(br.pc, c)
+			branches[i] = append(pc, c)
 		case feasNot:
-			br.pc = append(br.pc, notC)
+			branches[i] = append(pc, notC)
 		default:
 			t.Fatalf("step %d: both sides infeasible under a feasible prefix", step)
 		}
@@ -176,62 +165,56 @@ func TestIncrementalDifferential(t *testing.T) {
 
 	if st := bare.Stats(); st.IncSolves == 0 {
 		t.Error("bare incremental solver never used the persistent instance")
-	} else if st.AssumeReuses == 0 {
-		t.Error("bare incremental solver never reused a session assumption literal")
+	} else if st.EncodeSkips == 0 {
+		t.Error("bare incremental solver never found a prefix constraint in its blast memo")
 	}
-	// The full pipeline answers most of this workload from its caches and
-	// splits the rest into independent components (which are decided with a
-	// nil session), so only assert it reached the persistent instance.
+	// The full pipeline answers most of this workload from its caches, so
+	// only assert it reached the persistent instance.
 	if st := full.Stats(); st.IncSolves == 0 {
 		t.Error("full pipeline never used the persistent instance")
 	}
 }
 
-// TestSessionBranchIndependence: after a fork, parent and child sessions
-// extend divergently; both must stay sound (a shared backing array would
-// corrupt one of them).
-func TestSessionBranchIndependence(t *testing.T) {
+// TestFailureLiteralBesideDataConstraint is the traffic shape every SDE
+// scenario has: a failure model's boolean decision literal next to a data
+// constraint. The two are variable-disjoint, so the query partitions; the
+// literal is answered by the scan and the data component goes to the
+// slot's persistent instance — where the second query finds it already
+// blasted: one memo lookup, no new gate. Cache and pool are off so that
+// the second query reaches the instance at all.
+func TestFailureLiteralBesideDataConstraint(t *testing.T) {
 	eb := expr.NewBuilder()
-	x := eb.Var("x", 8)
-	s := NewWithOptions(Options{
-		DisableCache:    true,
-		DisablePool:     true,
-		DisableFastPath: true,
-	})
-
-	pc := []*expr.Expr{eb.Ult(x, eb.Const(100, 8))}
-	parent := s.NewSession()
-	if sat, err := s.FeasibleWith(parent, pc, nil); err != nil || !sat {
-		t.Fatalf("prefix: sat=%v err=%v", sat, err)
+	pc := []*expr.Expr{
+		eb.Var("drop0", 1),
+		eb.Ult(eb.Var("reading", 16), eb.Const(500, 16)),
 	}
-	child := parent.Branch()
-
-	parentPC := append(append([]*expr.Expr(nil), pc...), eb.Ult(x, eb.Const(10, 8)))
-	childPC := append(append([]*expr.Expr(nil), pc...), eb.Ult(eb.Const(50, 8), x))
-
-	// Interleave divergent extensions on both sessions.
-	for i := 0; i < 4; i++ {
-		pq := eb.Ult(x, eb.Const(uint64(9-i), 8))
-		cq := eb.Ult(eb.Const(uint64(50+i), 8), x)
-		if sat, err := s.FeasibleWith(parent, parentPC, pq); err != nil || !sat {
-			t.Fatalf("parent step %d: sat=%v err=%v", i, sat, err)
+	s := NewWithOptions(Options{DisableCache: true, DisablePool: true})
+	query := func() Stats {
+		t.Helper()
+		if sat, err := s.Feasible(pc); err != nil || !sat {
+			t.Fatalf("sat=%v err=%v", sat, err)
 		}
-		if sat, err := s.FeasibleWith(child, childPC, cq); err != nil || !sat {
-			t.Fatalf("child step %d: sat=%v err=%v", i, sat, err)
-		}
-		parentPC = append(parentPC, pq)
-		childPC = append(childPC, cq)
+		return s.Stats()
 	}
-	// The combination of the two diverged paths is UNSAT (x<10 ∧ 50<x).
-	combined := append(append([]*expr.Expr(nil), parentPC...), childPC...)
-	if sat, err := s.FeasibleWith(nil, combined, nil); err != nil || sat {
-		t.Fatalf("diverged paths should conflict: sat=%v err=%v", sat, err)
+	first := query()
+	if first.Partitions != 1 || first.FastPath != 1 || first.IncSolves != 1 || first.Gates == 0 || first.EncodeSkips != 0 {
+		t.Fatalf("first query: %+v, want one partition, one literal scan, one first-time encode on the persistent instance", first)
+	}
+	st := query()
+	if st.IncSolves != 2 {
+		t.Errorf("IncSolves = %d after the second query, want 2 (the data component solved on the persistent instance)", st.IncSolves)
+	}
+	if st.EncodeSkips != 1 {
+		t.Errorf("EncodeSkips = %d after the second query, want 1 (the data constraint served by the blast memo)", st.EncodeSkips)
+	}
+	if st.Gates != first.Gates {
+		t.Errorf("second query allocated %d new gates, want 0", st.Gates-first.Gates)
 	}
 }
 
 // TestIncrementalConcurrentSessions exercises the documented concurrency
-// contract under -race: one Solver, many goroutines, each with its own
-// Session replaying the prefix-extension workload.
+// contract under -race: one Solver, many goroutines, each replaying the
+// prefix-extension workload against the one slot-0 instance.
 func TestIncrementalConcurrentSessions(t *testing.T) {
 	eb := expr.NewBuilder()
 	queries := PrefixExtensionQueries(eb, 8)
@@ -242,9 +225,8 @@ func TestIncrementalConcurrentSessions(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sess := s.NewSession()
 			for i, q := range queries {
-				if _, err := s.FeasibleWith(sess, q.Prefix, q.Extra); err != nil {
+				if _, err := s.FeasibleWith(nil, q.Prefix, q.Extra); err != nil {
 					errs <- fmt.Errorf("query %d: %w", i, err)
 					return
 				}

@@ -83,7 +83,7 @@ func (s *Solver) checkPartitioned(qc queryCtx, constraints []*expr.Expr, needMod
 	s.bumpStat(func(st *Stats) { st.Partitions++ })
 	merged := expr.Env{}
 	for _, comp := range comps {
-		sat, model, err := s.checkQuery(qc, nil, comp, nil, needModel)
+		sat, model, err := s.checkQuery(qc, comp, nil, needModel)
 		if err != nil {
 			return false, nil, true, err
 		}

@@ -25,13 +25,12 @@ func TestOptimizerFeasibilityAgreement(t *testing.T) {
 	sb := NewWithOptions(Options{})
 	qa := RunicastPrefixQueries(ebA, 3, 6)
 	qb := RunicastPrefixQueries(ebB, 3, 6)
-	sessA, sessB := sa.NewSession(), sb.NewSession()
 	for i := range qa {
-		gotA, err := sa.FeasibleWith(sessA, qa[i].Prefix, qa[i].Extra)
+		gotA, err := sa.FeasibleWith(nil, qa[i].Prefix, qa[i].Extra)
 		if err != nil {
 			t.Fatalf("query %d (optimized): %v", i, err)
 		}
-		gotB, err := sb.FeasibleWith(sessB, qb[i].Prefix, qb[i].Extra)
+		gotB, err := sb.FeasibleWith(nil, qb[i].Prefix, qb[i].Extra)
 		if err != nil {
 			t.Fatalf("query %d (baseline): %v", i, err)
 		}
@@ -55,57 +54,12 @@ func TestOptimizerFeasibilityAgreement(t *testing.T) {
 	}
 }
 
-// TestWarmSessionEncodesRewritten pins the resume contract: re-warming a
-// session encodes the rewritten constraints into the persistent blast
-// context, never the originals — a resumed run's instance is built
-// exactly like the killed run's.
-func TestWarmSessionEncodesRewritten(t *testing.T) {
-	eb := expr.NewBuilder()
-	opts, o := optimizedOptions(eb)
-	s := NewWithOptions(opts)
-
-	x := eb.Var("x", 12)
-	orig := eb.Ult(eb.Mul(x, eb.Const(8, 12)), eb.Const(100, 12))
-	rewritten := o.Rewrite(orig)
-	if rewritten == orig {
-		t.Fatal("workload constraint unexpectedly not rewritable")
-	}
-
-	sess := s.NewSession()
-	s.WarmSession(sess, []*expr.Expr{orig})
-
-	s.slot0.mu.Lock()
-	memo := s.slot0.ic.bl.memo
-	_, hasRewritten := memo[rewritten]
-	_, hasOrig := memo[orig]
-	s.slot0.mu.Unlock()
-	if !hasRewritten {
-		t.Error("re-warm did not encode the rewritten constraint")
-	}
-	if hasOrig {
-		t.Error("re-warm encoded the original (unrewritten) constraint")
-	}
-	if st := s.Stats(); st.RewarmSessions != 1 {
-		t.Errorf("RewarmSessions = %d, want 1", st.RewarmSessions)
-	}
-
-	// The warmed literal must actually decide follow-up queries: the
-	// session path reuses it as an assumption.
-	ok, err := s.FeasibleWith(sess, []*expr.Expr{orig}, eb.Ult(x, eb.Const(5, 12)))
-	if err != nil || !ok {
-		t.Fatalf("warmed session query: ok=%v err=%v", ok, err)
-	}
-	if st := s.Stats(); st.AssumeReuses == 0 {
-		t.Error("warmed assumption literal was not reused")
-	}
-}
-
-// TestWarmSessionGateReduction compares re-warm encoding cost with the
-// optimizer on and off on the same prefix: the rewritten constraints must
-// produce at least 2x fewer Tseitin gates (the restoring-division loops
-// behind the modulo-window terms become mask wiring).
-func TestWarmSessionGateReduction(t *testing.T) {
-	warmGates := func(withOpt bool) int64 {
+// TestOptimizerGateReduction compares the encoding cost of one prefix
+// with the optimizer on and off: the rewritten constraints must produce at
+// least 2x fewer Tseitin gates (the restoring-division loops behind the
+// modulo-window terms become mask wiring).
+func TestOptimizerGateReduction(t *testing.T) {
+	gates := func(withOpt bool) int64 {
 		eb := expr.NewBuilder()
 		var opts Options
 		if withOpt {
@@ -119,12 +73,14 @@ func TestWarmSessionGateReduction(t *testing.T) {
 				eb.Ult(eb.URem(eb.Add(x, eb.Const(uint64(i+1), 12)), eb.Const(32, 12)),
 					eb.Const(31, 12)))
 		}
-		s.WarmSession(s.NewSession(), prefix)
+		if ok, err := s.Feasible(prefix); err != nil || !ok {
+			t.Fatalf("prefix: ok=%v err=%v", ok, err)
+		}
 		return s.Stats().Gates
 	}
-	with, without := warmGates(true), warmGates(false)
+	with, without := gates(true), gates(false)
 	if with*2 > without {
-		t.Errorf("optimized re-warm allocated %d gates, baseline %d — want at least 2x fewer", with, without)
+		t.Errorf("optimized encode allocated %d gates, baseline %d — want at least 2x fewer", with, without)
 	}
 }
 
@@ -140,16 +96,15 @@ func TestModelQueriesUnaffectedByOptimizer(t *testing.T) {
 		}
 		s := NewWithOptions(opts)
 		queries := RunicastPrefixQueries(eb, 2, 5)
-		sess := s.NewSession()
 		var models []expr.Env
 		for i, q := range queries {
-			if _, err := s.FeasibleWith(sess, q.Prefix, q.Extra); err != nil {
+			if _, err := s.FeasibleWith(nil, q.Prefix, q.Extra); err != nil {
 				t.Fatalf("query %d: %v", i, err)
 			}
 			// Interleave model queries the way assert/test-case
 			// generation does.
 			if i%3 == 0 {
-				model, ok, err := s.ModelWith(sess, q.Prefix, q.Extra)
+				model, ok, err := s.ModelWith(q.Prefix, q.Extra)
 				if err != nil {
 					t.Fatalf("model query %d: %v", i, err)
 				}

@@ -88,10 +88,10 @@ type cacheStripe struct {
 }
 
 // solverSlot is one persistent incremental solving context plus the mutex
-// that serialises it. The Solver owns slot 0 (session-pinned queries from
-// the interpreter thread); the speculation pool allocates one extra slot
-// per worker so feasibility queries never share a CDCL instance — only
-// the read-mostly caches — across goroutines.
+// that serialises it. The Solver owns slot 0 (queries from the interpreter
+// thread); the speculation pool allocates one extra slot per worker so
+// feasibility queries never share a CDCL instance — only the read-mostly
+// caches — across goroutines.
 type solverSlot struct {
 	mu sync.Mutex
 	ic *incContext
@@ -99,9 +99,8 @@ type solverSlot struct {
 
 // queryCtx routes one query through the pipeline: which incremental slot
 // decides it, and whether the query-optimizer stage is bypassed.
-// Speculative workers bypass the optimizer (and the rewrite hook): the
-// optimizer is a pure optimisation, and bypassing it keeps its internal
-// memo tables off the concurrent path.
+// Speculative workers bypass the optimizer: it is a pure optimisation,
+// and bypassing it keeps its internal memo tables off the concurrent path.
 type queryCtx struct {
 	slot    *solverSlot
 	skipOpt bool
@@ -131,8 +130,8 @@ type Solver struct {
 	statsMu sync.Mutex
 	stats   Stats
 
-	// slot0 is the main incremental context: all session-pinned queries
-	// (the interpreter thread) and session re-warms land here.
+	// slot0 is the main incremental context: every query that does not
+	// name a worker slot (the interpreter thread's) lands here.
 	slot0 solverSlot
 }
 
@@ -164,11 +163,10 @@ type SolverSlot struct {
 }
 
 // FeasibleOn decides prefix ∧ extra on the given worker slot, bypassing
-// the query optimizer and any session. This is the speculation-worker
-// entry point: it shares the Solver's caches but never its slot-0 CDCL
+// the query optimizer. This is the speculation-worker entry point: it shares the Solver's caches but never its slot-0 CDCL
 // instance, so it is safe to call concurrently with every other method.
 func (s *Solver) FeasibleOn(slot *SolverSlot, prefix []*expr.Expr, extra *expr.Expr) (bool, error) {
-	sat, _, err := s.checkQuery(queryCtx{slot: &slot.slot, skipOpt: true}, nil, prefix, extra, false)
+	sat, _, err := s.checkQuery(queryCtx{slot: &slot.slot, skipOpt: true}, prefix, extra, false)
 	return sat, err
 }
 
@@ -184,16 +182,6 @@ func (s *Solver) Stats() Stats {
 		st.GatesElided = o.GatesElided()
 	}
 	return st
-}
-
-// rewriteFn returns the per-constraint rewrite hook for encoding, or nil
-// when rewriting is off. Sessions and re-warms encode through this hook,
-// so the persistent blast context only ever sees rewritten constraints.
-func (s *Solver) rewriteFn() func(*expr.Expr) *expr.Expr {
-	if o := s.opts.Optimizer; o != nil && !s.opts.DisableRewrite {
-		return o.Rewrite
-	}
-	return nil
 }
 
 // Feasible reports whether the conjunction of the constraints is
@@ -214,23 +202,31 @@ func (s *Solver) Model(constraints []*expr.Expr) (expr.Env, bool, error) {
 
 // FeasibleWith is Feasible for prefix-extension queries — the shape every
 // branch decision takes: decide prefix ∧ extra without the caller
-// materialising the combined slice. sess, when non-nil, pins the query to
-// an incremental solving session whose cached assumption literals grow
-// with the (append-only) prefix; a nil sess (or nil extra) is always
-// valid and falls back to stateless solving.
-func (s *Solver) FeasibleWith(sess *Session, prefix []*expr.Expr, extra *expr.Expr) (bool, error) {
-	sat, _, err := s.checkQuery(queryCtx{slot: &s.slot0}, sess, prefix, extra, false)
+// materialising the combined slice. A nil extra is valid.
+//
+// The first parameter is ignored; callers pass nil. It, Session and
+// NewSession are a stub of the deleted per-state literal cache, kept only
+// because bench/layers.go — which only a benchmark PR may edit — compiles
+// against sv.NewSession() and FeasibleWith(sess, …). Once that calls
+// Feasible, delete all three.
+func (s *Solver) FeasibleWith(_ *Session, prefix []*expr.Expr, extra *expr.Expr) (bool, error) {
+	sat, _, err := s.checkQuery(queryCtx{slot: &s.slot0}, prefix, extra, false)
 	return sat, err
 }
 
+// Session is the stub FeasibleWith describes; NewSession returns nil.
+type Session struct{}
+
+func (s *Solver) NewSession() *Session { return nil }
+
 // ModelWith is Model for prefix-extension queries; see FeasibleWith.
-func (s *Solver) ModelWith(sess *Session, prefix []*expr.Expr, extra *expr.Expr) (expr.Env, bool, error) {
-	sat, model, err := s.checkQuery(queryCtx{slot: &s.slot0}, sess, prefix, extra, true)
+func (s *Solver) ModelWith(prefix []*expr.Expr, extra *expr.Expr) (expr.Env, bool, error) {
+	sat, model, err := s.checkQuery(queryCtx{slot: &s.slot0}, prefix, extra, true)
 	return model, sat, err
 }
 
 func (s *Solver) check(constraints []*expr.Expr, needModel bool) (bool, expr.Env, error) {
-	return s.checkQuery(queryCtx{slot: &s.slot0}, nil, constraints, nil, needModel)
+	return s.checkQuery(queryCtx{slot: &s.slot0}, constraints, nil, needModel)
 }
 
 func (s *Solver) bumpStat(f func(*Stats)) {
@@ -243,7 +239,7 @@ func (s *Solver) stripe(key uint64) *cacheStripe {
 	return &s.cache[key&(cacheStripes-1)]
 }
 
-func (s *Solver) checkQuery(qc queryCtx, sess *Session, prefix []*expr.Expr, extra *expr.Expr, needModel bool) (bool, expr.Env, error) {
+func (s *Solver) checkQuery(qc queryCtx, prefix []*expr.Expr, extra *expr.Expr, needModel bool) (bool, expr.Env, error) {
 	s.bumpStat(func(st *Stats) { st.Queries++ })
 
 	// Constant-fold the constraint set.
@@ -289,7 +285,6 @@ func (s *Solver) checkQuery(qc queryCtx, sess *Session, prefix []*expr.Expr, ext
 	// an exploration emits cannot depend on optimizer history.
 	// Speculation workers skip it too (qc.skipOpt): the optimizer is an
 	// optimisation, never a soundness requirement.
-	bypassSession := false
 	if o := s.opts.Optimizer; o != nil && !needModel && !qc.skipOpt {
 		// Independence slicing: drop the factor groups of the path
 		// condition not variable-connected to the query expression. Every
@@ -300,10 +295,6 @@ func (s *Solver) checkQuery(qc queryCtx, sess *Session, prefix []*expr.Expr, ext
 			kept, dropped := o.Slice(active, extra)
 			if len(dropped) > 0 {
 				active = kept
-				// The session's assumption literals cover the whole
-				// prefix; answering with them would re-assert the dropped
-				// factors, so a sliced query solves sessionless.
-				bypassSession = true
 				o.NoteSliced(dropped)
 				s.bumpStat(func(st *Stats) {
 					st.SlicedQueries++
@@ -313,16 +304,11 @@ func (s *Solver) checkQuery(qc queryCtx, sess *Session, prefix []*expr.Expr, ext
 		}
 		// Algebraic rewriting: per-constraint fixpoint rules plus
 		// cross-constraint substitution of implied constants. The result
-		// set's conjunction is equivalent to the input's; substitution
-		// results are not per-constraint session literals, so they also
-		// solve sessionless.
+		// set's conjunction is equivalent to the input's.
 		if !s.opts.DisableRewrite {
-			out, subChanged, unsat := o.OptimizeSet(active)
+			out, unsat := o.OptimizeSet(active)
 			if unsat {
 				return false, nil, nil
-			}
-			if subChanged {
-				bypassSession = true
 			}
 			active = out
 			if len(active) == 0 {
@@ -431,11 +417,7 @@ func (s *Solver) checkQuery(qc queryCtx, sess *Session, prefix []*expr.Expr, ext
 	var err error
 	incremental := !s.opts.DisableIncremental && !needModel
 	if incremental {
-		useSess := sess
-		if bypassSession {
-			useSess = nil
-		}
-		sat, model, err = s.solveIncremental(qc, useSess, prefix, extra, active)
+		sat, model, err = s.solveIncremental(qc.slot, active)
 	} else {
 		// Model queries always bit-blast the original constraints on a
 		// throwaway instance: the persistent instance's saved phases and

@@ -291,8 +291,8 @@ func (s *State) Run(now uint64, budget int, h Hooks) error {
 			// Merged execution: an assume that substitutes to constant true
 			// for every member is a no-op on each of them (AddConstraint
 			// drops structurally-true conditions), so the rep just advances.
-			// Anything else splits; the members re-run the assume with their
-			// own sessions and may die individually.
+			// Anything else splits; the members re-run the assume on their
+			// own path conditions and may die individually.
 			if s.merged && !cond.IsTrue() && !cond.IsFalse() {
 				if s.ctx.merge.MergedCheck(s, cond) == MergeFoldTrue {
 					s.pc++
@@ -499,7 +499,8 @@ func (s *State) assert(in *isa.Instr, now uint64, h Hooks) error {
 	// Merged execution: an assertion that substitutes to constant true for
 	// every member passes structurally on each of them — the rep advances
 	// with no witness query. Anything else splits so each member runs the
-	// assert against its own session (violation witnesses are per member).
+	// assert against its own path condition (violation witnesses are per
+	// member).
 	if s.merged {
 		s.ctx.merge.MergedCheck(s, cond)
 		return nil
@@ -512,7 +513,7 @@ func (s *State) assert(in *isa.Instr, now uint64, h Hooks) error {
 		return nil
 	}
 	notCond := eb.Not(cond)
-	model, canFail, err := s.ctx.Solver.ModelWith(s.sess, s.pathCond, notCond)
+	model, canFail, err := s.ctx.Solver.ModelWith(s.pathCond, notCond)
 	if err != nil {
 		s.Kill(err)
 		return err
@@ -558,7 +559,7 @@ func (s *State) feasibleWith(c *expr.Expr) (bool, error) {
 	if v, ok := s.impliedValue(c); ok {
 		return v != 0, nil
 	}
-	return s.ctx.Solver.FeasibleWith(s.sess, s.pathCond, c)
+	return s.ctx.Solver.FeasibleWith(nil, s.pathCond, c)
 }
 
 // impliedValue evaluates c under the state's implied bindings, reporting

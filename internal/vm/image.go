@@ -1,9 +1,10 @@
 // State images: a plain-data, exported mirror of the VM state used by the
 // checkpoint subsystem. Image flattens a State (and deduplicates its COW
 // memory pages through a PageTable); RestoreStates rebuilds live states —
-// with the original ids, shared pages, and re-warmed solver sessions —
-// from images that have already survived a round-trip through untrusted
-// bytes, so every structural assumption is validated rather than assumed.
+// with the original ids and shared pages, and without touching the solver,
+// which keeps no per-state data — from images that have already survived a
+// round-trip through untrusted bytes, so every structural assumption is
+// validated rather than assumed.
 package vm
 
 import (
@@ -142,8 +143,8 @@ func (s *State) Image(t *PageTable) StateImage {
 
 // RestoreStates rebuilds live states from images and the snapshot's page
 // table, preserving state ids and re-sharing pages referenced by several
-// states. Each restored state gets a fresh solver session re-warmed on its
-// path condition — solver state is deliberately never serialized.
+// states. No solver call is made: solver state is never serialized, and
+// the first query after a resume encodes what it needs.
 func RestoreStates(ctx *Context, prog *isa.Program, images []StateImage, pages [][]*expr.Expr) ([]*State, error) {
 	for i, pw := range pages {
 		if len(pw) != PageWords {
@@ -249,8 +250,6 @@ func restoreState(ctx *Context, prog *isa.Program, img *StateImage, pages [][]*e
 		}
 		s.mem.pages[ref.MemIndex] = p
 	}
-	s.sess = ctx.Solver.NewSession()
-	ctx.Solver.WarmSession(s.sess, s.pathCond)
 	// Implied bindings are derived from the path condition and never
 	// serialized; replay the restored constraints through the same
 	// recording the live run used.

@@ -367,7 +367,7 @@ func FuseStates(a, b *State, delta *expr.Expr, d *MergeDiff) (rep *State, subA, 
 
 // MergeSetPathCond installs the rep's path condition (common member prefix
 // plus the disjoined deltas). Reps never query the solver, so this exists
-// for representation, snapshots, and session re-warm on restore.
+// for representation and snapshots.
 func (s *State) MergeSetPathCond(pc []*expr.Expr) {
 	s.pathCond = pc
 	s.rebuildBound()
@@ -379,7 +379,7 @@ func (s *State) MarkMergedRep() { s.merged = true }
 // MergeFreeze dissolves a member's machine after it has been fused into a
 // rep: memory pages are released and the value-bearing structures cleared,
 // so the frozen member costs only its bookkeeping (path condition,
-// history, solver session) while the rep carries the one shared machine.
+// history) while the rep carries the one shared machine.
 // The member's path condition, history, and counters stay — they are
 // frozen facts the split does not need to reconstruct. With no pending
 // events the scheduler never picks a frozen member up.
@@ -412,8 +412,8 @@ func (s *State) MergeDiscard() {
 // memory (pages the substitution leaves untouched are re-shared with the
 // rep; changed pages are rebuilt), pending events, and the trace. Control
 // position, status, and counters are copied from the rep; the member's
-// own path condition, history, and solver session were never dissolved
-// and remain in place. extraSteps is the member's share of instructions
+// own path condition and history were never dissolved and remain in
+// place. extraSteps is the member's share of instructions
 // the rep executed on its behalf.
 //
 // Substitution rebuilds through the expression builder's smart

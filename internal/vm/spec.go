@@ -56,7 +56,6 @@ func (s *State) SpecFork() *State {
 		pc:       s.pc,
 		status:   s.status,
 		pathCond: append([]*expr.Expr(nil), s.pathCond...),
-		sess:     s.sess.Branch(),
 		eventSeq: s.eventSeq,
 		hist:     append([]HistEntry(nil), s.hist...),
 		trace:    append([]TraceEntry(nil), s.trace...),
@@ -92,8 +91,7 @@ func (s *State) AdoptFreshID() {
 // the path condition: the branch turned out one-sided-true, and a
 // synchronous run would never have added it. The slice is rebuilt, never
 // edited in place — solver workers still hold prefix snapshots aliasing
-// the old backing array. The state's session resyncs from the divergence
-// point on its next query.
+// the old backing array.
 func (s *State) RemoveConstraintAt(idx int) {
 	n := make([]*expr.Expr, 0, len(s.pathCond)-1)
 	n = append(n, s.pathCond[:idx]...)
@@ -118,8 +116,8 @@ func (s *State) SpecRemovedCount() int { return s.specRemoved }
 // copy predates (a one-sided-false branch records no constraint of its
 // own). The prefix is copied into a fresh slice so solver workers still
 // scanning abandoned prefix snapshots never observe later appends. The
-// state keeps its identity and session and is marked rewound so the
-// driver re-runs it. sib is consumed.
+// state keeps its identity and is marked rewound so the driver re-runs
+// it. sib is consumed.
 func (s *State) RestoreFromSpec(sib *State, keep int) {
 	s.mem.release()
 	s.regs = sib.regs

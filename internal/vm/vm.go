@@ -349,11 +349,7 @@ type State struct {
 	// restore — and drives implied-value concretization: conditions
 	// fully covered by bound are decided without the solver.
 	bound map[uint32]uint64
-	// sess pins the append-only pathCond to the solver's persistent
-	// incremental context, so each branch decision solves under cached
-	// assumption literals instead of re-encoding the whole prefix. Nil
-	// when incremental solving is disabled.
-	sess     *solver.Session
+
 	events   []*Event
 	eventSeq uint64
 
@@ -395,7 +391,6 @@ func NewState(ctx *Context, prog *isa.Program, node int) *State {
 		mem:    newMemory(ctx),
 		status: StatusIdle,
 		fn:     -1,
-		sess:   ctx.Solver.NewSession(),
 	}
 	return s
 }
