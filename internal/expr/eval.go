@@ -19,7 +19,15 @@ type Env map[string]uint64
 // tests check that every satisfying model the solver returns makes the
 // query evaluate to true.
 func Eval(e *Expr, env Env) uint64 {
-	memo := make(map[*Expr]uint64)
+	return EvalMemo(e, env, make(map[*Expr]uint64))
+}
+
+// EvalMemo is Eval over a memo table the caller owns, so that several
+// expressions evaluated under one env — the constraints of a path
+// condition — share their common subterms and one allocation. Every entry
+// of memo must have been computed under env: clear it before evaluating
+// under another.
+func EvalMemo(e *Expr, env Env, memo map[*Expr]uint64) uint64 {
 	return evalMemo(e, func(v *Expr) uint64 { return env[v.name] }, memo)
 }
 

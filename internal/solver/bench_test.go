@@ -160,6 +160,7 @@ func BenchmarkModelGeneration(b *testing.B) {
 		eb.Ult(x, y),
 		eb.Ult(eb.Const(10, 32), x),
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := NewWithOptions(Options{DisableCache: true, DisablePool: true})
@@ -168,6 +169,32 @@ func BenchmarkModelGeneration(b *testing.B) {
 			b.Fatal(ok, err)
 		}
 		if (model["x"]+model["y"])&0xffffffff != 1000 {
+			b.Fatalf("bad model: %v", model)
+		}
+	}
+}
+
+// BenchmarkModelQueryStream is a stream of reconcile-shaped model queries
+// (see ReconcileModelQuery) on one Solver, 256 distinct constants so no
+// cache layer answers: every iteration bit-blasts and searches one
+// from-scratch instance, the path every witness and test case takes. A unit
+// reading of that layer; the end-to-end number is bench/'s reconcile wall_s.
+func BenchmarkModelQueryStream(b *testing.B) {
+	eb := expr.NewBuilder()
+	queries := make([][]*expr.Expr, 256)
+	for i := range queries {
+		queries[i] = ReconcileModelQuery(eb, uint64(i)<<12|0x55)
+	}
+	s := NewWithOptions(Options{DisableCache: true, DisablePool: true})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q := queries[i%len(queries)]
+		model, ok, err := s.Model(q)
+		if err != nil || !ok {
+			b.Fatal(ok, err)
+		}
+		if model["ts_a"] <= model["ts_b"] {
 			b.Fatalf("bad model: %v", model)
 		}
 	}

@@ -12,9 +12,9 @@ import (
 // shifter) build and discard one transient word per stage; on constraint-
 // heavy runs those made the blaster the dominant allocator. Only buffers
 // that never escape are pooled — memoised encode outputs live as long as
-// the blaster. satSolver.addClause copies its literals, so a recycled
-// buffer never aliases a stored clause, and the pool is shared safely by
-// the per-slot blasters of concurrent speculation workers.
+// the blaster. satSolver.addClause copies its literals into the clause
+// arena, so a recycled buffer never aliases a stored clause, and the pool is
+// shared safely by the per-slot blasters of concurrent speculation workers.
 var litScratch = sync.Pool{
 	New: func() any {
 		s := make([]Lit, 0, 64)
@@ -51,15 +51,35 @@ type blaster struct {
 	gates int64
 }
 
+// newBlaster attaches a blaster to a new satSolver instance.
 func newBlaster(sat *satSolver) *blaster {
 	b := &blaster{
 		sat:  sat,
 		memo: make(map[*expr.Expr][]Lit),
 		vars: make(map[*expr.Expr][]Lit),
 	}
-	b.litTrue = sat.newVar()
-	sat.addClause(b.litTrue)
+	b.defineTrue()
 	return b
+}
+
+// defineTrue allocates litTrue and asserts it: the first variable and the
+// first level-0 fact of every instance.
+func (b *blaster) defineTrue() {
+	b.litTrue = b.sat.newVar()
+	b.sat.addClause(b.litTrue)
+}
+
+// reset returns the blaster and its instance to the state
+// newBlaster(newSatSolver()) produces, keeping their allocations: the
+// instance is reset, the memo tables are cleared (which also drops their
+// references to expression nodes and encoded words), and litTrue is defined
+// again — as variable 1, like the first time.
+func (b *blaster) reset() {
+	b.sat.reset()
+	clear(b.memo)
+	clear(b.vars)
+	b.gates = 0
+	b.defineTrue()
 }
 
 func (b *blaster) litFalse() Lit { return -b.litTrue }

@@ -8,6 +8,22 @@
 // learning, VSIDS branching, phase saving, and Luby restarts. A query cache
 // and a counterexample (model reuse) cache sit in front, mirroring KLEE's
 // solver stack at a small scale.
+//
+// Memory layout of the SAT core. Building and indexing an instance's state,
+// not searching it, used to be most of what a solve cost, so the instance
+// keeps everything in flat slices it can recycle:
+// every per-variable attribute (assignment, level, reason, phase, activity,
+// the VSIDS heap's position index) is a dense slice indexed by variable;
+// every clause's literals live in one arena ([]Lit) addressed by {off, n}
+// records, so adding a clause is two appends and never a heap object of its
+// own; the two watch lists of a variable keep their capacity when the
+// instance is reset. reset returns an instance to exactly the state
+// newSatSolver produces — every slice at length zero with its capacity kept,
+// phases false, activities 0, varInc 1, heap empty, counters 0 — so a
+// recycled instance makes the same propagations, decisions and conflicts as
+// a fresh one and returns the same assignment: nothing in the search reads
+// an address, a capacity or a map order. The throwaway instance of every
+// model query (Solver.solveSAT) is such a recycled one.
 package solver
 
 // Lit is a CNF literal: +v asserts variable v, -v asserts its negation.
@@ -38,8 +54,17 @@ const (
 	valFalse      int8 = -1
 )
 
+// clause locates one clause's literals in satSolver.lits: lits[off:off+n].
+// Literal order inside that window is the clause's own (the two watched
+// literals first) and is permuted in place by propagate.
+//
+// off is a uint32: one instance's arena is bounded at 2^32 literals (16 GiB
+// of Lit), as int32 clause indices (watcher.clauseIdx, reason) bound its
+// clauses at 2^31. Neither bound is checked at run time — store is on the
+// hot path and memory runs out first: the largest persistent instance of the
+// reconcile workload holds 4·10^4 literals in 7·10^3 clauses.
 type clause struct {
-	lits []Lit
+	off, n uint32
 }
 
 type watcher struct {
@@ -55,6 +80,7 @@ type watcher struct {
 // calls.
 type satSolver struct {
 	clauses []clause
+	lits    []Lit       // clause arena; see clause
 	watches [][]watcher // indexed by Lit.index()
 
 	assign  []int8  // per var: valTrue/valFalse/valUnassigned
@@ -69,7 +95,8 @@ type satSolver struct {
 	varInc   float64
 	heap     varHeap
 
-	seen []bool // scratch for conflict analysis
+	seen   []bool // scratch for conflict analysis
+	learnt []Lit  // analyze's result buffer; recordLearned copies out of it
 
 	conflicts int64
 	decisions int64
@@ -79,9 +106,39 @@ type satSolver struct {
 }
 
 func newSatSolver() *satSolver {
-	s := &satSolver{varInc: 1.0}
-	s.addVarsUpTo(0)
+	s := &satSolver{}
+	s.reset()
 	return s
+}
+
+// reset returns s to the state of a new instance while keeping every
+// allocation it has made: all slices are cut to length zero (the
+// per-variable ones are refilled with their initial values by addVarsUpTo as
+// variables are created again), the watch lists are emptied one by one so
+// addVarsUpTo can hand their capacity to the next life's variables, and the
+// scalar state — varInc, the counters solveSAT adds to Stats wholesale, the
+// propagation head, the budget — is that of newSatSolver.
+func (s *satSolver) reset() {
+	s.clauses = s.clauses[:0]
+	s.lits = s.lits[:0]
+	for i := range s.watches {
+		s.watches[i] = s.watches[i][:0]
+	}
+	s.watches = s.watches[:0]
+	s.assign = s.assign[:0]
+	s.level = s.level[:0]
+	s.reason = s.reason[:0]
+	s.phase = s.phase[:0]
+	s.trail = s.trail[:0]
+	s.trailAt = s.trailAt[:0]
+	s.qhead = 0
+	s.activity = s.activity[:0]
+	s.varInc = 1.0
+	s.heap.data = s.heap.data[:0]
+	s.heap.pos = s.heap.pos[:0]
+	s.seen = s.seen[:0]
+	s.conflicts, s.decisions, s.propags, s.learned, s.maxConfl = 0, 0, 0, 0, 0
+	s.addVarsUpTo(0)
 }
 
 func (s *satSolver) numVars() int { return len(s.assign) - 1 }
@@ -101,7 +158,15 @@ func (s *satSolver) addVarsUpTo(v int) {
 		s.phase = append(s.phase, valFalse)
 		s.activity = append(s.activity, 0)
 		s.seen = append(s.seen, false)
-		s.watches = append(s.watches, nil, nil)
+		s.heap.pos = append(s.heap.pos, -1)
+		// Within capacity the two lists left behind by a previous life are
+		// empty (reset) or nil (append's zeroed tail): take them with their
+		// capacity instead of overwriting them with nil.
+		if n := len(s.watches) + 2; n <= cap(s.watches) {
+			s.watches = s.watches[:n]
+		} else {
+			s.watches = append(s.watches, nil, nil)
+		}
 		if len(s.assign) > 1 {
 			s.heap.push(int32(len(s.assign)-1), s.activity)
 		}
@@ -157,12 +222,27 @@ func (s *satSolver) addClause(lits ...Lit) bool {
 		}
 		return s.propagate() == -1
 	}
-	cl := clause{lits: append([]Lit(nil), out...)}
-	idx := int32(len(s.clauses))
-	s.clauses = append(s.clauses, cl)
-	s.watch(cl.lits[0], idx, cl.lits[1])
-	s.watch(cl.lits[1], idx, cl.lits[0])
+	s.store(out)
 	return true
+}
+
+// store copies a clause of at least two literals into the arena, watches
+// its first two literals and returns its index. It is the one place a
+// clause is created, for problem and learned clauses alike.
+func (s *satSolver) store(lits []Lit) int32 {
+	idx := int32(len(s.clauses))
+	s.clauses = append(s.clauses, clause{off: uint32(len(s.lits)), n: uint32(len(lits))})
+	s.lits = append(s.lits, lits...)
+	s.watch(lits[0], idx, lits[1])
+	s.watch(lits[1], idx, lits[0])
+	return idx
+}
+
+// clauseLits returns the arena window of clause idx. The slice is valid
+// until the next store.
+func (s *satSolver) clauseLits(idx int32) []Lit {
+	c := s.clauses[idx]
+	return s.lits[c.off : c.off+c.n]
 }
 
 func (s *satSolver) watch(l Lit, cl int32, blocker Lit) {
@@ -200,8 +280,7 @@ func (s *satSolver) propagate() int32 {
 				kept = append(kept, w)
 				continue
 			}
-			cl := &s.clauses[w.clauseIdx]
-			lits := cl.lits
+			lits := s.clauseLits(w.clauseIdx)
 			// Normalise so lits[0] is the other watched literal.
 			if lits[0] == -p {
 				lits[0], lits[1] = lits[1], lits[0]
@@ -280,14 +359,13 @@ func (s *satSolver) bumpVar(v int32) {
 // analyze performs first-UIP conflict analysis, returning the learned
 // clause (asserting literal first) and the backjump level.
 func (s *satSolver) analyze(conflIdx int32) ([]Lit, int32) {
-	learned := []Lit{0} // placeholder for the asserting literal
+	learned := append(s.learnt[:0], 0) // placeholder for the asserting literal
 	counter := 0
 	var p Lit
 	idx := len(s.trail) - 1
 	cl := conflIdx
 	for {
-		lits := s.clauses[cl].lits
-		for _, q := range lits {
+		for _, q := range s.clauseLits(cl) {
 			if q == p {
 				continue
 			}
@@ -332,6 +410,7 @@ func (s *satSolver) analyze(conflIdx int32) ([]Lit, int32) {
 		learned[1], learned[maxI] = learned[maxI], learned[1]
 		backLvl = s.level[learned[1].v()]
 	}
+	s.learnt = learned
 	return learned, backLvl
 }
 
@@ -341,12 +420,7 @@ func (s *satSolver) recordLearned(lits []Lit) {
 		s.enqueue(lits[0], -1)
 		return
 	}
-	cl := clause{lits: append([]Lit(nil), lits...)}
-	idx := int32(len(s.clauses))
-	s.clauses = append(s.clauses, cl)
-	s.watch(cl.lits[0], idx, cl.lits[1])
-	s.watch(cl.lits[1], idx, cl.lits[0])
-	s.enqueue(cl.lits[0], idx)
+	s.enqueue(lits[0], s.store(lits))
 }
 
 func (s *satSolver) pickBranchVar() int32 {
@@ -458,16 +532,12 @@ func (s *satSolver) solveUnder(assumptions []Lit) int8 {
 }
 
 // varHeap is a max-heap of variables ordered by activity, with lazy
-// deletion (popped variables may be re-pushed on backtrack).
+// deletion (popped variables may be re-pushed on backtrack). pos is the
+// dense position index: pos[v] is v's index in data, -1 while v is not in
+// the heap. The owner grows pos with its variables (addVarsUpTo).
 type varHeap struct {
 	data []int32
-	pos  map[int32]int
-}
-
-func (h *varHeap) init() {
-	if h.pos == nil {
-		h.pos = make(map[int32]int)
-	}
+	pos  []int32
 }
 
 func (h *varHeap) less(i, j int, act []float64) bool {
@@ -476,8 +546,8 @@ func (h *varHeap) less(i, j int, act []float64) bool {
 
 func (h *varHeap) swap(i, j int) {
 	h.data[i], h.data[j] = h.data[j], h.data[i]
-	h.pos[h.data[i]] = i
-	h.pos[h.data[j]] = j
+	h.pos[h.data[i]] = int32(i)
+	h.pos[h.data[j]] = int32(j)
 }
 
 func (h *varHeap) up(i int, act []float64) {
@@ -510,18 +580,15 @@ func (h *varHeap) down(i int, act []float64) {
 }
 
 func (h *varHeap) push(v int32, act []float64) {
-	h.init()
 	h.data = append(h.data, v)
-	h.pos[v] = len(h.data) - 1
+	h.pos[v] = int32(len(h.data) - 1)
 	h.up(len(h.data)-1, act)
 }
 
 func (h *varHeap) pushIfAbsent(v int32, act []float64) {
-	h.init()
-	if _, ok := h.pos[v]; ok {
-		return
+	if h.pos[v] < 0 {
+		h.push(v, act)
 	}
-	h.push(v, act)
 }
 
 func (h *varHeap) pop(act []float64) (int32, bool) {
@@ -532,7 +599,7 @@ func (h *varHeap) pop(act []float64) (int32, bool) {
 	last := len(h.data) - 1
 	h.swap(0, last)
 	h.data = h.data[:last]
-	delete(h.pos, v)
+	h.pos[v] = -1
 	if last > 0 {
 		h.down(0, act)
 	}
@@ -540,7 +607,7 @@ func (h *varHeap) pop(act []float64) (int32, bool) {
 }
 
 func (h *varHeap) update(v int32, act []float64) {
-	if i, ok := h.pos[v]; ok {
-		h.up(i, act)
+	if i := h.pos[v]; i >= 0 {
+		h.up(int(i), act)
 	}
 }

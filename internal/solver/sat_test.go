@@ -47,28 +47,39 @@ func TestSATContradiction(t *testing.T) {
 func TestSATPigeonhole(t *testing.T) {
 	// 4 pigeons, 3 holes: classic small UNSAT instance requiring real
 	// conflict analysis.
-	const pigeons, holes = 4, 3
+	nVars, clauses := pigeonhole(4, 3)
 	s := newSatSolver()
-	var v [pigeons][holes]Lit
-	for p := 0; p < pigeons; p++ {
-		for h := 0; h < holes; h++ {
-			v[p][h] = s.newVar()
-		}
-	}
-	for p := 0; p < pigeons; p++ {
-		s.addClause(v[p][0], v[p][1], v[p][2])
+	for i := 0; i < nVars; i++ {
+		s.newVar()
 	}
 	ok := true
-	for h := 0; h < holes; h++ {
-		for p1 := 0; p1 < pigeons; p1++ {
-			for p2 := p1 + 1; p2 < pigeons; p2++ {
-				ok = s.addClause(-v[p1][h], -v[p2][h]) && ok
-			}
-		}
+	for _, cl := range clauses {
+		ok = s.addClause(cl...) && ok
 	}
 	if ok && s.solve() != valFalse {
 		t.Error("pigeonhole(4,3) should be UNSAT")
 	}
+}
+
+// pigeonhole builds the CNF "pigeons fit into holes, one per hole": variable
+// 1+p*holes+h puts pigeon p in hole h. UNSAT iff pigeons > holes.
+func pigeonhole(pigeons, holes int) (nVars int, clauses [][]Lit) {
+	v := func(p, h int) Lit { return Lit(1 + p*holes + h) }
+	for p := 0; p < pigeons; p++ {
+		var cl []Lit
+		for h := 0; h < holes; h++ {
+			cl = append(cl, v(p, h))
+		}
+		clauses = append(clauses, cl)
+	}
+	for h := 0; h < holes; h++ {
+		for p1 := 0; p1 < pigeons; p1++ {
+			for p2 := p1 + 1; p2 < pigeons; p2++ {
+				clauses = append(clauses, []Lit{-v(p1, h), -v(p2, h)})
+			}
+		}
+	}
+	return pigeons * holes, clauses
 }
 
 func TestSATTautologyDropped(t *testing.T) {
@@ -107,25 +118,31 @@ func bruteForceSAT(nVars int, clauses [][]Lit) bool {
 	return false
 }
 
+// random3CNF draws a 3-CNF over 5..13 variables around the phase-transition
+// density.
+func random3CNF(rng *rand.Rand) (nVars int, clauses [][]Lit) {
+	nVars = 5 + rng.Intn(9) // 5..13
+	nClauses := int(float64(nVars) * (3.0 + rng.Float64()*2.5))
+	for i := 0; i < nClauses; i++ {
+		cl := make([]Lit, 3)
+		for j := range cl {
+			v := Lit(1 + rng.Intn(nVars))
+			if rng.Intn(2) == 0 {
+				v = -v
+			}
+			cl[j] = v
+		}
+		clauses = append(clauses, cl)
+	}
+	return nVars, clauses
+}
+
 // TestSATRandom3CNF cross-checks CDCL against brute force on random 3-CNF
 // instances around the phase-transition density.
 func TestSATRandom3CNF(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 300; trial++ {
-		nVars := 5 + rng.Intn(9) // 5..13
-		nClauses := int(float64(nVars) * (3.0 + rng.Float64()*2.5))
-		var clauses [][]Lit
-		for i := 0; i < nClauses; i++ {
-			cl := make([]Lit, 3)
-			for j := range cl {
-				v := Lit(1 + rng.Intn(nVars))
-				if rng.Intn(2) == 0 {
-					v = -v
-				}
-				cl[j] = v
-			}
-			clauses = append(clauses, cl)
-		}
+		nVars, clauses := random3CNF(rng)
 		want := bruteForceSAT(nVars, clauses)
 
 		s := newSatSolver()
@@ -147,7 +164,7 @@ func TestSATRandom3CNF(t *testing.T) {
 		}
 		if got != want {
 			t.Fatalf("trial %d (n=%d, m=%d): CDCL=%v brute=%v",
-				trial, nVars, nClauses, got, want)
+				trial, nVars, len(clauses), got, want)
 		}
 		// When SAT, the assignment must satisfy every clause.
 		if got {
@@ -179,28 +196,14 @@ func TestLubySequence(t *testing.T) {
 func TestConflictBudget(t *testing.T) {
 	// A hard UNSAT instance with a tiny budget must report unknown
 	// (valUnassigned), not a wrong answer.
-	const pigeons, holes = 7, 6
+	nVars, clauses := pigeonhole(7, 6)
 	s := newSatSolver()
 	s.maxConfl = 3
-	var v [pigeons][holes]Lit
-	for p := 0; p < pigeons; p++ {
-		for h := 0; h < holes; h++ {
-			v[p][h] = s.newVar()
-		}
+	for i := 0; i < nVars; i++ {
+		s.newVar()
 	}
-	for p := 0; p < pigeons; p++ {
-		cl := make([]Lit, holes)
-		for h := 0; h < holes; h++ {
-			cl[h] = v[p][h]
-		}
+	for _, cl := range clauses {
 		s.addClause(cl...)
-	}
-	for h := 0; h < holes; h++ {
-		for p1 := 0; p1 < pigeons; p1++ {
-			for p2 := p1 + 1; p2 < pigeons; p2++ {
-				s.addClause(-v[p1][h], -v[p2][h])
-			}
-		}
 	}
 	if got := s.solve(); got == valTrue {
 		t.Error("budgeted run of an UNSAT instance returned SAT")

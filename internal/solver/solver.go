@@ -3,7 +3,7 @@ package solver
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"sde/internal/expr"
@@ -381,8 +381,22 @@ func (s *Solver) checkQuery(qc queryCtx, prefix []*expr.Expr, extra *expr.Expr, 
 		}
 	}
 
+	// One memo table serves the whole scan: a model's constraints share it
+	// (evaluation is pure per model) and it is cleared between models.
+	var memo map[*expr.Expr]uint64
+	if len(pool) > 0 {
+		memo = make(map[*expr.Expr]uint64)
+	}
 	for i := len(pool) - 1; i >= 0; i-- {
-		if satisfies(pool[i], active) {
+		clear(memo)
+		holds := true
+		for _, c := range active {
+			if expr.EvalMemo(c, pool[i], memo) == 0 {
+				holds = false
+				break
+			}
+		}
+		if holds {
 			// Verdict-only caching: pool models never become cache or
 			// shared-cache models, so a later model query cannot observe
 			// a model whose origin depended on optimizer history.
@@ -476,46 +490,60 @@ func (s *Solver) remember(key uint64, hashes []uint64, sat bool, model expr.Env)
 	}
 }
 
+// scratchBlasters recycles the instance + blaster pair of solveSAT. A pair
+// in the pool is always in the state newBlaster(newSatSolver()) produces
+// (blaster.reset), so which pair a query gets — a new one or one that has
+// decided any number of other queries, on any goroutine — cannot be told
+// from its search or its model; what a recycled pair brings is the memory
+// its predecessors already allocated.
+var scratchBlasters = sync.Pool{
+	New: func() any { return newBlaster(newSatSolver()) },
+}
+
 // solveSAT runs a full bit-blast + CDCL query on a throwaway instance.
 func (s *Solver) solveSAT(constraints []*expr.Expr) (bool, expr.Env, error) {
-	sat := newSatSolver()
-	sat.maxConfl = s.opts.MaxConflicts
-	bl := newBlaster(sat)
+	bl := scratchBlasters.Get().(*blaster)
+	bl.sat.maxConfl = s.opts.MaxConflicts
+	sat, model, err := bl.decide(constraints)
+	s.bumpStat(func(st *Stats) {
+		st.Conflicts += bl.sat.conflicts
+		st.Decisions += bl.sat.decisions
+		st.Gates += bl.gates
+	})
+	// The pair's counters are in Stats and decide has read the model off
+	// the assignment into a map built for the caller: nothing returned
+	// aliases the pair's memory, so it is wiped and handed to the next query.
+	bl.reset()
+	scratchBlasters.Put(bl)
+	return sat, model, err
+}
+
+// decide asserts every constraint on b, which is in its initial state, and
+// solves: the verdict, a model of the constraints' variables when SAT, and
+// ErrBudget when the instance's conflict budget ran out.
+func (b *blaster) decide(constraints []*expr.Expr) (bool, expr.Env, error) {
 	for _, c := range constraints {
-		lits := bl.encode(c)
-		if !bl.assertTrue(lits[0]) {
-			s.addRunStats(sat, bl)
+		if !b.assertTrue(b.encode(c)[0]) {
 			return false, nil, nil
 		}
 	}
-	switch sat.solve() {
+	switch b.sat.solve() {
 	case valFalse:
-		s.addRunStats(sat, bl)
 		return false, nil, nil
 	case valUnassigned:
-		s.addRunStats(sat, bl)
 		return false, nil, ErrBudget
 	}
-	s.addRunStats(sat, bl)
-	model := make(expr.Env, len(bl.vars))
-	for v, lits := range bl.vars {
+	model := make(expr.Env, len(b.vars))
+	for v, lits := range b.vars {
 		var val uint64
 		for i, l := range lits {
-			if sat.litValue(l) == valTrue {
+			if b.sat.litValue(l) == valTrue {
 				val |= uint64(1) << uint(i)
 			}
 		}
 		model[v.VarName()] = val
 	}
 	return true, model, nil
-}
-
-func (s *Solver) addRunStats(sat *satSolver, bl *blaster) {
-	s.bumpStat(func(st *Stats) {
-		st.Conflicts += sat.conflicts
-		st.Decisions += sat.decisions
-		st.Gates += bl.gates
-	})
 }
 
 // literalScan handles constraint sets consisting solely of boolean
@@ -552,22 +580,12 @@ func literalScan(constraints []*expr.Expr, needModel bool) (bool, expr.Env, bool
 	return true, model, true
 }
 
-// satisfies reports whether env makes every constraint true.
-func satisfies(env expr.Env, constraints []*expr.Expr) bool {
-	for _, c := range constraints {
-		if expr.Eval(c, env) == 0 {
-			return false
-		}
-	}
-	return true
-}
-
 func queryKey(constraints []*expr.Expr) (uint64, []uint64) {
 	hashes := make([]uint64, len(constraints))
 	for i, c := range constraints {
 		hashes[i] = c.Hash()
 	}
-	sort.Slice(hashes, func(i, j int) bool { return hashes[i] < hashes[j] })
+	slices.Sort(hashes)
 	// Deduplicate: the same constraint asserted twice is one constraint.
 	uniq := hashes[:0]
 	for i, h := range hashes {

@@ -8,6 +8,17 @@ import (
 	"sde/internal/expr"
 )
 
+// satisfies reports whether env makes every constraint true, by expr.Eval:
+// the tests' oracle for a returned model.
+func satisfies(env expr.Env, constraints []*expr.Expr) bool {
+	for _, c := range constraints {
+		if expr.Eval(c, env) == 0 {
+			return false
+		}
+	}
+	return true
+}
+
 func feasible(t *testing.T, s *Solver, cs []*expr.Expr) bool {
 	t.Helper()
 	ok, err := s.Feasible(cs)

@@ -99,3 +99,20 @@ func RunicastPrefixQueries(eb *expr.Builder, pairs, depth int) []PrefixQuery {
 	}
 	return out
 }
+
+// ReconcileModelQuery is the shape of the model queries the reconcile
+// workload's assert, witness and test-case paths emit: two 8-bit symbolic
+// timestamps widened to a word and offset by a constant base, the
+// last-writer-wins order compare, its tie-break disequality, and one boolean
+// failure literal (which partitions off). Distinct bases give structurally
+// distinct queries, so no cache answers a stream of them.
+func ReconcileModelQuery(eb *expr.Builder, base uint64) []*expr.Expr {
+	const w = 32
+	a := eb.Add(eb.ZExt(eb.Var("ts_a", 8), w), eb.Const(base, w))
+	b := eb.Add(eb.ZExt(eb.Var("ts_b", 8), w), eb.Const(base, w))
+	return []*expr.Expr{
+		eb.Not(eb.Ult(a, b)),
+		eb.Ne(a, b),
+		eb.Not(eb.Var("drop_1", 1)),
+	}
+}
