@@ -204,6 +204,14 @@ func (m *SDS[S]) MapSend(sender S, dst int) (Delivery[S], error) {
 	// virtual targets attach to the receiving original target; copies of
 	// bystander virtual states attach to the same actual state — this is
 	// precisely what avoids duplicating bystanders.
+	//
+	// The copies of one split are counted first and carved out of two
+	// allocations — the virtual states and the bucket entries pointing at
+	// them — instead of one object per virtual state and one slice per
+	// node. Every bucket is a sub-slice capped at its own length, so a
+	// later add to it reallocates that bucket alone. The trade: the
+	// virtual states of a fresh dstate live and die as one object, so one
+	// of them still linked into a super-dstate keeps the whole block.
 	for vs := senderList.head; vs != nil; vs = vs.next {
 		d := vs.ds
 		if !hasRivals(d) {
@@ -212,16 +220,28 @@ func (m *SDS[S]) MapSend(sender S, dst int) (Delivery[S], error) {
 		fresh := m.newDState()
 		d.remove(vs)
 		fresh.add(vs)
-		for node := 0; node < m.k; node++ {
+		total := 0
+		for node, bucket := range d.byNode {
+			if node != senderNode {
+				total += len(bucket)
+			}
+		}
+		copies := make([]vstate[S], total)
+		ptrs := make([]*vstate[S], total)
+		off := 0
+		for node, bucket := range d.byNode {
 			if node == senderNode {
 				continue // direct rivals stay behind
 			}
-			fresh.byNode[node] = make([]*vstate[S], 0, len(d.byNode[node]))
-			for _, v := range d.byNode[node] {
-				v2 := &vstate[S]{actual: v.actual}
-				fresh.add(v2)
+			n := len(bucket)
+			for i, v := range bucket {
+				v2 := &copies[off+i]
+				v2.actual, v2.ds = v.actual, fresh
+				ptrs[off+i] = v2
 				m.virtuals[v.actual].prepend(v2)
 			}
+			fresh.byNode[node] = ptrs[off : off+n : off+n]
+			off += n
 		}
 		m.dstates = append(m.dstates, fresh)
 	}

@@ -2,6 +2,7 @@ package expr
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -28,6 +29,57 @@ func TestConstMasking(t *testing.T) {
 		}
 		if c.Width() != tt.width {
 			t.Errorf("Const(%#x, %d).Width() = %d", tt.v, tt.width, c.Width())
+		}
+	}
+}
+
+// TestConstCacheKeepsIdentity: the read cache in front of Const only ever
+// hands out interned nodes. Goroutines asking for constants that collide in
+// its slots (far more distinct constants than slots, at three widths, one of
+// them masking) get, every time, the node a cold Builder interns for that
+// value and width — same pointer per builder, same hash across builders —
+// and the table ends up with one node per distinct constant.
+func TestConstCacheKeepsIdentity(t *testing.T) {
+	b := NewBuilder()
+	const values, workers = 5000, 4
+	widths := []int{1, 8, 32}
+	want := make(map[[2]uint64]*Expr)
+	var mu sync.Mutex
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			for i := 0; i < 4*values; i++ {
+				v, w := uint64(rng.Intn(values)), widths[rng.Intn(len(widths))]
+				e := b.Const(v, w)
+				if e.Width() != w || e.ConstVal() != v&mask(uint8(w)) {
+					t.Errorf("Const(%d, %d) = %v", v, w, e)
+					return
+				}
+				key := [2]uint64{e.ConstVal(), uint64(w)}
+				mu.Lock()
+				first, seen := want[key]
+				if !seen {
+					want[key] = e
+				}
+				mu.Unlock()
+				if seen && first != e {
+					t.Errorf("Const(%d, %d) returned two different nodes", v, w)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if got := b.NumNodes(); got != len(want) {
+		t.Errorf("NumNodes = %d after interning %d distinct constants", got, len(want))
+	}
+	cold := NewBuilder()
+	for key, e := range want {
+		if c := cold.intern(exprKey{kind: KindConst, width: uint8(key[1]), val: key[0]}); c.Hash() != e.Hash() {
+			t.Errorf("Const(%d, %d) hashes %#x through the cache, %#x interned directly", key[0], key[1], e.Hash(), c.Hash())
 		}
 	}
 }

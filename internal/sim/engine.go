@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"math/big"
@@ -344,23 +343,65 @@ type heapEntry struct {
 	state   *vm.State
 }
 
+// entryHeap is the engine's event heap: a binary min-heap on (time,
+// stateID). push and pop are the standard library's heap.Push and heap.Pop
+// written for the element type — the same comparisons and the same swaps,
+// without boxing every entry in an interface on the way in and on the way
+// out. The exact algorithm matters: less ties between a state's live entry
+// and its stale duplicates, so another correct heap could pop them in
+// another order (TestEntryHeapDifferential holds the two together).
 type entryHeap []heapEntry
 
-func (h entryHeap) Len() int { return len(h) }
-func (h entryHeap) Less(i, j int) bool {
+func (h entryHeap) less(i, j int) bool {
 	if h[i].time != h[j].time {
 		return h[i].time < h[j].time
 	}
 	return h[i].stateID < h[j].stateID
 }
-func (h entryHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *entryHeap) Push(x any)   { *h = append(*h, x.(heapEntry)) }
-func (h *entryHeap) Pop() any {
+
+func (h *entryHeap) push(e heapEntry) {
+	*h = append(*h, e)
+	h.up(len(*h) - 1)
+}
+
+func (h *entryHeap) pop() heapEntry {
 	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+	n := len(old) - 1
+	old[0], old[n] = old[n], old[0]
+	old.down(0, n)
+	e := old[n]
+	old[n] = heapEntry{} // the spare capacity must not keep the state alive
+	*h = old[:n]
+	return e
+}
+
+func (h entryHeap) up(j int) {
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !h.less(j, i) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+func (h entryHeap) down(i, n int) {
+	for {
+		j1 := 2*i + 1
+		if j1 >= n {
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && h.less(j2, j1) {
+			j = j2 // right child
+		}
+		if !h.less(j, i) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
 }
 
 // newEngineShell validates the configuration, applies defaults, and
@@ -507,7 +548,7 @@ func (e *Engine) scheduleHeap(s *vm.State) {
 		return
 	}
 	e.entrySeq[s]++
-	heap.Push(&e.evHeap, heapEntry{time: t, stateID: s.ID(), seq: e.entrySeq[s], state: s})
+	e.evHeap.push(heapEntry{time: t, stateID: s.ID(), seq: e.entrySeq[s], state: s})
 }
 
 // adopt integrates mapper- or failure-created states into the engine.
@@ -564,11 +605,11 @@ func (e *Engine) Step() bool {
 		}
 	}
 	for {
-		if e.evHeap.Len() == 0 {
+		if len(e.evHeap) == 0 {
 			e.finished = true
 			return false
 		}
-		entry := heap.Pop(&e.evHeap).(heapEntry)
+		entry := e.evHeap.pop()
 		s := entry.state
 		if entry.seq != e.entrySeq[s] || s.Status() != vm.StatusIdle {
 			continue // stale

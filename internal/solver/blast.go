@@ -101,8 +101,6 @@ func (b *blaster) assertTrue(l Lit) bool {
 
 // --- gates ---------------------------------------------------------------
 
-func (b *blaster) notGate(a Lit) Lit { return -a }
-
 func (b *blaster) andGate(x, y Lit) Lit {
 	switch {
 	case b.isFalse(x) || b.isFalse(y):

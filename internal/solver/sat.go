@@ -141,8 +141,6 @@ func (s *satSolver) reset() {
 	s.addVarsUpTo(0)
 }
 
-func (s *satSolver) numVars() int { return len(s.assign) - 1 }
-
 // newVar allocates a fresh variable and returns its positive literal.
 func (s *satSolver) newVar() Lit {
 	v := int32(len(s.assign))

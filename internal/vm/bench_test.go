@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"fmt"
 	"testing"
 
 	"sde/internal/isa"
@@ -75,6 +76,42 @@ func BenchmarkFork(b *testing.B) {
 		s.RecordSend(1, uint64(i), uint64(i))
 	}
 	s.PushEvent(Event{Time: 1, Kind: EventTimer, Fn: 0})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Fork().Release()
+	}
+}
+
+// measuredState builds a state of the shape the benchmark's workloads fork:
+// 3 pages, 4 constraints, 4 history entries, 1 pending event (the averages
+// counted at every fork of every row are at or below this).
+func measuredState(tb testing.TB) (*Context, *State) {
+	pb := isa.NewBuilder()
+	pb.Func("f").Ret()
+	prog, err := pb.Build()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ctx := NewContext()
+	eb := ctx.Exprs
+	s := NewState(ctx, prog, 0)
+	for i := uint32(0); i < 3; i++ {
+		s.StoreWord(i*0x100, eb.Const(uint64(i)+1, WordBits))
+	}
+	for i := 0; i < 4; i++ {
+		s.AddConstraint(eb.Var(fmt.Sprintf("d%d", i), 1))
+		s.RecordRecv(1, uint64(i), uint32(i), uint64(i), uint64(i))
+	}
+	s.PushEvent(Event{Time: 9, Kind: EventTimer, Fn: 0})
+	return ctx, s
+}
+
+// BenchmarkForkMeasured is BenchmarkFork on the shape the workloads fork;
+// BenchmarkFork's 17 pages and 20 sends are five times what any row holds.
+func BenchmarkForkMeasured(b *testing.B) {
+	_, s := measuredState(b)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Fork().Release()
@@ -91,6 +128,7 @@ func BenchmarkForkWriteCOW(b *testing.B) {
 	for i := uint32(0); i < 8; i++ {
 		s.StoreWord(i*100, v)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cp := s.Fork()
@@ -133,6 +171,7 @@ func BenchmarkFingerprint(b *testing.B) {
 	for i := 0; i < 30; i++ {
 		s.RecordRecv(2, uint64(i), uint32(i), uint64(i), uint64(i))
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = s.Fingerprint()

@@ -2,7 +2,6 @@ package vm
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -21,17 +20,12 @@ func (s *State) Dump() string {
 			fmt.Fprintf(&sb, "  r%-2d = %v\n", i, r)
 		}
 	}
-	var addrs []uint32
-	for pageIdx, p := range s.mem.pages {
-		for wi, w := range p.words {
+	for _, sl := range s.mem.slots {
+		for wi, w := range sl.p.words {
 			if w != nil && !(w.IsConst() && w.ConstVal() == 0) {
-				addrs = append(addrs, pageIdx<<pageShift|uint32(wi))
+				fmt.Fprintf(&sb, "  mem[%#06x] = %v\n", sl.idx<<pageShift|uint32(wi), w)
 			}
 		}
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	for _, a := range addrs {
-		fmt.Fprintf(&sb, "  mem[%#06x] = %v\n", a, s.mem.load(a))
 	}
 	for _, c := range s.pathCond {
 		fmt.Fprintf(&sb, "  constraint %v\n", c)

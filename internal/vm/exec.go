@@ -59,7 +59,7 @@ func (NopHooks) OnViolation(*State, *Violation) {}
 // execute its handler: the clock is the event's time, handler arguments
 // are loaded into registers, and received payloads are copied into the RX
 // buffer region. It returns the event. The state must be idle.
-func (s *State) BeginEvent(rxBufAddr uint32) *Event {
+func (s *State) BeginEvent(rxBufAddr uint32) Event {
 	if s.status != StatusIdle {
 		panic("vm: BeginEvent on non-idle " + s.String())
 	}
@@ -565,7 +565,13 @@ func (s *State) feasibleWith(c *expr.Expr) (bool, error) {
 // impliedValue evaluates c under the state's implied bindings, reporting
 // ok=false when concretization is off or some variable of c is unbound.
 func (s *State) impliedValue(c *expr.Expr) (uint64, bool) {
-	if !s.ctx.concretize || len(s.bound) == 0 {
+	if !s.ctx.concretize {
+		return 0, false
+	}
+	if s.bound == nil {
+		s.deriveBound()
+	}
+	if len(s.bound) == 0 {
 		return 0, false
 	}
 	v, ok := expr.EvalBound(c, s.bound)

@@ -6,12 +6,15 @@ package vm
 // moment a reception event fires. These hooks are deliberately minimal —
 // the policy lives in package sim.
 
-// PeekEvent returns the earliest pending event without consuming it.
+// PeekEvent returns the earliest pending event without consuming it. The
+// pointer is into the state's queue and is good until the next PushEvent,
+// BeginEvent, DropEvent or DuplicateEvent on the state, which move the
+// queue's elements; every caller reads the event's fields before then.
 func (s *State) PeekEvent() (*Event, bool) {
 	if len(s.events) == 0 {
 		return nil, false
 	}
-	return s.events[0], true
+	return &s.events[0], true
 }
 
 // DropEvent consumes the earliest pending event without executing its
@@ -29,7 +32,7 @@ func (s *State) DuplicateEvent() {
 	if len(s.events) == 0 {
 		panic("vm: DuplicateEvent on empty queue")
 	}
-	s.PushEvent(*s.events[0])
+	s.PushEvent(s.events[0])
 }
 
 // Reboot models a node crash-and-restart at virtual time t: volatile state
@@ -43,7 +46,7 @@ func (s *State) Reboot(bootFn int, t uint64) {
 	}
 	s.mem.release()
 	s.mem = newMemory(s.ctx)
-	zero := s.ctx.Exprs.Const(0, WordBits)
+	zero := s.ctx.zeroWord
 	for i := range s.regs {
 		s.regs[i] = zero
 	}

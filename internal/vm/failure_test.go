@@ -67,8 +67,6 @@ func TestDropEventEmptyPanics(t *testing.T) {
 
 func TestDuplicateEvent(t *testing.T) {
 	ctx, s := failureTestState(t)
-	payload := []*Event{}
-	_ = payload
 	s.PushEvent(Event{Time: 5, Kind: EventRecv, Fn: 1, Src: 0,
 		Data: nil})
 	s.DuplicateEvent()

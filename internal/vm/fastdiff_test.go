@@ -284,10 +284,10 @@ func captureDiffState(s *State, err error) diffState {
 			d.Regs[r] = e.Hash()
 		}
 	}
-	for idx, p := range s.mem.pages {
-		for wi, w := range p.words {
+	for _, sl := range s.mem.slots {
+		for wi, w := range sl.p.words {
 			if w != nil {
-				d.Mem[idx<<pageShift|uint32(wi)] = w.Hash()
+				d.Mem[sl.idx<<pageShift|uint32(wi)] = w.Hash()
 			}
 		}
 	}

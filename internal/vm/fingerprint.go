@@ -1,7 +1,5 @@
 package vm
 
-import "sort"
-
 // Fingerprint returns a structural hash of the state's full configuration:
 // program position, registers, memory, path condition, communication
 // history, and pending events. Two states with equal fingerprints are
@@ -50,7 +48,8 @@ func (s *State) Fingerprint() uint64 {
 		mix(e.Payload)
 		mix(e.SenderFP)
 	}
-	for _, ev := range s.events {
+	for i := range s.events {
+		ev := &s.events[i]
 		mix(ev.Time)
 		mix(uint64(ev.Kind))
 		mix(uint64(int64(ev.Fn)))
@@ -89,16 +88,10 @@ func (s *State) HistoryHash() uint64 {
 }
 
 func (s *State) memoryHash() uint64 {
-	idxs := make([]uint32, 0, len(s.mem.pages))
-	for idx := range s.mem.pages {
-		idxs = append(idxs, idx)
-	}
-	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
 	h := uint64(14695981039346656037)
-	for _, idx := range idxs {
-		p := s.mem.pages[idx]
+	for _, sl := range s.mem.slots { // in page order
 		ph := uint64(0)
-		for wi, w := range p.words {
+		for wi, w := range sl.p.words {
 			if w == nil {
 				continue
 			}
@@ -115,7 +108,7 @@ func (s *State) memoryHash() uint64 {
 		if ph == 0 {
 			continue
 		}
-		h ^= uint64(idx)
+		h ^= uint64(sl.idx)
 		h *= 1099511628211
 		h ^= ph
 		h *= 1099511628211

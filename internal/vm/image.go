@@ -10,7 +10,6 @@ package vm
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"sde/internal/expr"
 	"sde/internal/isa"
@@ -130,13 +129,8 @@ func (s *State) Image(t *PageTable) StateImage {
 			Data: append([]*expr.Expr(nil), ev.Data...),
 		})
 	}
-	idxs := make([]uint32, 0, len(s.mem.pages))
-	for idx := range s.mem.pages {
-		idxs = append(idxs, idx)
-	}
-	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
-	for _, idx := range idxs {
-		img.Pages = append(img.Pages, PageRef{MemIndex: idx, Page: t.intern(s.mem.pages[idx])})
+	for _, sl := range s.mem.slots {
+		img.Pages = append(img.Pages, PageRef{MemIndex: sl.idx, Page: t.intern(sl.p)})
 	}
 	return img
 }
@@ -220,7 +214,7 @@ func restoreState(ctx *Context, prog *isa.Program, img *StateImage, pages [][]*e
 			return nil, fmt.Errorf("event %d out of time order", i)
 		}
 		prevTime = ev.Time
-		s.events = append(s.events, &Event{
+		s.events = append(s.events, Event{
 			Time: ev.Time,
 			Kind: ev.Kind,
 			Fn:   ev.Fn,
@@ -232,6 +226,7 @@ func restoreState(ctx *Context, prog *isa.Program, img *StateImage, pages [][]*e
 	}
 	s.eventSeq = uint64(len(img.Events))
 	var prevIdx int64 = -1
+	s.mem.slots = make([]pageSlot, 0, len(img.Pages))
 	for _, ref := range img.Pages {
 		if ref.Page < 0 || ref.Page >= len(shared) {
 			return nil, fmt.Errorf("page ref %d outside table", ref.Page)
@@ -248,13 +243,9 @@ func restoreState(ctx *Context, prog *isa.Program, img *StateImage, pages [][]*e
 		} else {
 			p.ref++
 		}
-		s.mem.pages[ref.MemIndex] = p
-	}
-	// Implied bindings are derived from the path condition and never
-	// serialized; replay the restored constraints through the same
-	// recording the live run used.
-	for _, c := range s.pathCond {
-		s.noteBinding(c)
+		// Strictly ascending page numbers (checked above) keep the table
+		// sorted.
+		s.mem.slots = append(s.mem.slots, pageSlot{idx: ref.MemIndex, p: p})
 	}
 	return s, nil
 }

@@ -125,7 +125,8 @@ func (s *State) MergeClassHash() uint64 {
 	}
 	mix(nilMask)
 	mix(s.eventSeq)
-	for _, ev := range s.events {
+	for i := range s.events {
+		ev := &s.events[i]
 		mix(ev.Time)
 		mix(uint64(ev.Kind))
 		mix(uint64(int64(ev.Fn)))
@@ -196,8 +197,8 @@ func DiffMergeable(a, b *State, maxSites int) (*MergeDiff, bool) {
 		d.Sites = append(d.Sites, site)
 		return true
 	}
-	for i, ea := range a.events {
-		eb := b.events[i]
+	for i := range a.events {
+		ea, eb := &a.events[i], &b.events[i]
 		if ea.Time != eb.Time || ea.Kind != eb.Kind || ea.Fn != eb.Fn ||
 			ea.Src != eb.Src || ea.seq != eb.seq || len(ea.Data) != len(eb.Data) {
 			return nil, false
@@ -255,9 +256,9 @@ func DiffMergeable(a, b *State, maxSites int) (*MergeDiff, bool) {
 	return d, true
 }
 
-// diffMemory walks the union of both states' COW pages. Pages shared by
-// pointer are identical by construction; distinct pages are compared
-// word-wise with nil ≡ const 0.
+// diffMemory walks the union of both states' COW pages, in page order.
+// Pages shared by pointer are identical by construction; distinct pages are
+// compared word-wise with nil ≡ const 0.
 func diffMemory(a, b *State, d *MergeDiff, maxSites int) bool {
 	zero := a.ctx.zeroWord
 	norm := func(w *expr.Expr) *expr.Expr {
@@ -266,9 +267,9 @@ func diffMemory(a, b *State, d *MergeDiff, maxSites int) bool {
 		}
 		return w
 	}
-	seen := make(map[uint32]struct{}, len(a.mem.pages))
-	diffPage := func(idx uint32) bool {
-		pa, pb := a.mem.pages[idx], b.mem.pages[idx]
+	// diffPage compares page idx of both sides; nil stands for a page one
+	// side does not have.
+	diffPage := func(idx uint32, pa, pb *page) bool {
 		if pa == pb {
 			return true
 		}
@@ -296,17 +297,21 @@ func diffMemory(a, b *State, d *MergeDiff, maxSites int) bool {
 		}
 		return true
 	}
-	for idx := range a.mem.pages {
-		seen[idx] = struct{}{}
-		if !diffPage(idx) {
-			return false
+	sa, sb := a.mem.slots, b.mem.slots
+	for len(sa) > 0 || len(sb) > 0 {
+		var ok bool
+		switch {
+		case len(sb) == 0 || (len(sa) > 0 && sa[0].idx < sb[0].idx):
+			ok = diffPage(sa[0].idx, sa[0].p, nil)
+			sa = sa[1:]
+		case len(sa) == 0 || sb[0].idx < sa[0].idx:
+			ok = diffPage(sb[0].idx, nil, sb[0].p)
+			sb = sb[1:]
+		default:
+			ok = diffPage(sa[0].idx, sa[0].p, sb[0].p)
+			sa, sb = sa[1:], sb[1:]
 		}
-	}
-	for idx := range b.mem.pages {
-		if _, ok := seen[idx]; ok {
-			continue
-		}
-		if !diffPage(idx) {
+		if !ok {
 			return false
 		}
 	}
@@ -333,6 +338,9 @@ func FuseStates(a, b *State, delta *expr.Expr, d *MergeDiff) (rep *State, subA, 
 	subA = make(map[*expr.Expr]*expr.Expr, len(d.Sites))
 	subB = make(map[*expr.Expr]*expr.Expr, len(d.Sites))
 	dataCopied := make(map[int]bool)
+	// SpecFork shares the trace with a (and a's other forks); the rep
+	// rewrites entries, so it takes its own copy first.
+	rep.trace = append([]TraceEntry(nil), rep.trace...)
 	for _, site := range d.Sites {
 		ite := eb.Ite(delta, site.A, site.B)
 		// A fold (delta constant or equal arms) cannot happen for a real
@@ -353,7 +361,7 @@ func FuseStates(a, b *State, delta *expr.Expr, d *MergeDiff) (rep *State, subA, 
 			// SpecFork copies the event structs but shares their payload
 			// slices with a; detach before mutating.
 			if !dataCopied[site.Index] {
-				ev := rep.events[site.Index]
+				ev := &rep.events[site.Index]
 				ev.Data = append([]*expr.Expr(nil), ev.Data...)
 				dataCopied[site.Index] = true
 			}
@@ -370,7 +378,7 @@ func FuseStates(a, b *State, delta *expr.Expr, d *MergeDiff) (rep *State, subA, 
 // for representation and snapshots.
 func (s *State) MergeSetPathCond(pc []*expr.Expr) {
 	s.pathCond = pc
-	s.rebuildBound()
+	s.forgetBound()
 }
 
 // MarkMergedRep flags a checkpoint-restored state as a live merged rep.
@@ -433,7 +441,9 @@ func (s *State) AdoptMergedMachine(rep *State, sub, memo map[*expr.Expr]*expr.Ex
 		s.regs[i] = subst(r)
 	}
 	s.mem = newMemory(s.ctx)
-	for idx, p := range rep.mem.pages {
+	s.mem.slots = make([]pageSlot, 0, len(rep.mem.slots))
+	for _, sl := range rep.mem.slots {
+		p := sl.p
 		var words [pageWords]*expr.Expr
 		changed := false
 		for wi, w := range p.words {
@@ -446,31 +456,29 @@ func (s *State) AdoptMergedMachine(rep *State, sub, memo map[*expr.Expr]*expr.Ex
 				changed = true
 			}
 		}
-		if !changed {
+		if changed {
+			p = s.mem.newPage()
+			p.words = words
+		} else {
 			p.ref++
-			s.mem.pages[idx] = p
-			continue
 		}
-		np := s.mem.newPage()
-		np.words = words
-		s.mem.pages[idx] = np
+		s.mem.slots = append(s.mem.slots, pageSlot{idx: sl.idx, p: p})
 	}
 	s.frames = append([]frame(nil), rep.frames...)
 	s.fn, s.pc = rep.fn, rep.pc
 	s.status = rep.status
 	s.runErr = rep.runErr
-	s.events = make([]*Event, len(rep.events))
+	s.events = make([]Event, len(rep.events))
 	for i, ev := range rep.events {
-		cp := *ev
-		cp.Arg = subst(ev.Arg)
+		ev.Arg = subst(ev.Arg)
 		if len(ev.Data) > 0 {
 			data := make([]*expr.Expr, len(ev.Data))
 			for j, w := range ev.Data {
 				data[j] = subst(w)
 			}
-			cp.Data = data
+			ev.Data = data
 		}
-		s.events[i] = &cp
+		s.events[i] = ev
 	}
 	s.eventSeq = rep.eventSeq
 	s.trace = make([]TraceEntry, len(rep.trace))

@@ -39,11 +39,23 @@ type SpecHooks interface {
 // synchronous branch resolution.
 func (c *Context) SetSpecHooks(h SpecHooks) { c.spec = h }
 
-// SpecFork deep-copies the state exactly like Fork but allocates no state
-// id and counts no fork: the copy is a frozen speculative snapshot. The
+// SpecFork copies the state exactly like Fork but allocates no state id
+// and counts no fork: the copy is a frozen speculative snapshot. The
 // driver later either materializes it with AdoptFreshID (both sides
 // feasible) or consumes it as a rewind target (true side infeasible); in
 // the remaining cases it must be Released.
+//
+// A fork allocates the state, its page table and its event queue, and
+// shares the rest of its parent's past. The copy's path condition, history
+// and trace are views of the parent's arrays cut to their length, capacity
+// included: the lists only ever grow by append (RemoveConstraintAt,
+// RestoreFromSpec, MergeSetPathCond and FuseStates install fresh slices), so
+// the one holder that can append in place is the one that had spare capacity
+// before the fork, and it writes beyond every other holder's length — the
+// aliasing the speculation workers' prefix snapshots already rely on. The
+// call stack is copied: BeginEvent, StartCall and Reboot cut it to [:0] and
+// append, which would overwrite a sharer's frames. Implied bindings are not
+// copied; the copy derives its own if it is ever asked (see State.bound).
 func (s *State) SpecFork() *State {
 	n := &State{
 		ctx:      s.ctx,
@@ -55,25 +67,20 @@ func (s *State) SpecFork() *State {
 		fn:       s.fn,
 		pc:       s.pc,
 		status:   s.status,
-		pathCond: append([]*expr.Expr(nil), s.pathCond...),
+		pathCond: s.pathCond[:len(s.pathCond):len(s.pathCond)],
 		eventSeq: s.eventSeq,
-		hist:     append([]HistEntry(nil), s.hist...),
-		trace:    append([]TraceEntry(nil), s.trace...),
+		hist:     s.hist[:len(s.hist):len(s.hist)],
+		trace:    s.trace[:len(s.trace):len(s.trace)],
 		sendSeq:  s.sendSeq,
 		recvSeq:  s.recvSeq,
 		symSeq:   s.symSeq,
 		steps:    s.steps,
 	}
-	if len(s.bound) > 0 {
-		n.bound = make(map[uint32]uint64, len(s.bound))
-		for id, v := range s.bound {
-			n.bound[id] = v
-		}
-	}
-	n.events = make([]*Event, len(s.events))
-	for i, ev := range s.events {
-		cp := *ev
-		n.events[i] = &cp
+	if len(s.events) > 0 {
+		// Payload slices stay shared with the parent's events; nothing
+		// writes through them (FuseStates detaches first).
+		n.events = make([]Event, len(s.events))
+		copy(n.events, s.events)
 	}
 	return n
 }
@@ -98,7 +105,7 @@ func (s *State) RemoveConstraintAt(idx int) {
 	n = append(n, s.pathCond[idx+1:]...)
 	s.pathCond = n
 	s.specRemoved++
-	s.rebuildBound()
+	s.forgetBound()
 }
 
 // SpecRemovedCount returns how many provisional constraints have been
@@ -127,7 +134,7 @@ func (s *State) RestoreFromSpec(sib *State, keep int) {
 	s.status = StatusRunning
 	s.runErr = nil
 	s.pathCond = append([]*expr.Expr(nil), s.pathCond[:keep]...)
-	s.rebuildBound()
+	s.forgetBound()
 	s.events = sib.events
 	s.eventSeq = sib.eventSeq
 	s.hist = sib.hist
@@ -145,17 +152,6 @@ func (s *State) SpecRewound() bool { return s.specRewound }
 
 // ClearSpecRewound acknowledges a rewind before re-running the state.
 func (s *State) ClearSpecRewound() { s.specRewound = false }
-
-// rebuildBound recomputes the implied-binding map from the path condition
-// after a non-append edit. Bindings are applied in path-condition order,
-// so later constraints overwrite earlier ones exactly as the incremental
-// noteBinding calls of a synchronous run would have.
-func (s *State) rebuildBound() {
-	s.bound = nil
-	for _, c := range s.pathCond {
-		s.noteBinding(c)
-	}
-}
 
 // specBranch forks a symbolic branch speculatively: the sibling freezes
 // the false side, the state takes the true side, and both feasibility

@@ -7,7 +7,6 @@
 package vm
 
 import (
-	"sort"
 	"strconv"
 	"sync/atomic"
 
@@ -162,15 +161,26 @@ type page struct {
 	words [pageWords]*expr.Expr // nil = zero
 }
 
+// pageSlot is one entry of a state's page table.
+type pageSlot struct {
+	idx uint32 // page number within the address space
+	p   *page
+}
+
 // memory is a copy-on-write paged store of symbolic words; unwritten
-// words read as concrete 0. live is the context's live-page counter.
+// words read as concrete 0. slots is the page table, sorted by page number
+// and owned by this memory alone (only the pages behind it are shared): a
+// state holds a handful of pages, so a fork copies one small slice, a lookup
+// is a short binary search, and the fingerprint and the snapshot walk the
+// pages in address order with nothing to sort. live is the context's
+// live-page counter.
 type memory struct {
-	pages map[uint32]*page
+	slots []pageSlot
 	live  *int64
 }
 
 func newMemory(ctx *Context) memory {
-	return memory{pages: make(map[uint32]*page, 8), live: &ctx.livePages}
+	return memory{live: &ctx.livePages}
 }
 
 // newPage returns a zeroed page holding one reference and counts it live;
@@ -180,36 +190,59 @@ func (m *memory) newPage() *page {
 	return &page{ref: 1}
 }
 
-func (m *memory) clone() memory {
-	pages := make(map[uint32]*page, len(m.pages))
-	for k, p := range m.pages {
-		p.ref++
-		pages[k] = p
+// find returns the position of page idx in the table, or the position it
+// would be inserted at and false.
+func (m *memory) find(idx uint32) (int, bool) {
+	lo, hi := 0, len(m.slots)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if m.slots[mid].idx < idx {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
 	}
-	return memory{pages: pages, live: m.live}
+	return lo, lo < len(m.slots) && m.slots[lo].idx == idx
+}
+
+func (m *memory) clone() memory {
+	if len(m.slots) == 0 {
+		return memory{live: m.live}
+	}
+	slots := make([]pageSlot, len(m.slots))
+	copy(slots, m.slots)
+	for _, sl := range slots {
+		sl.p.ref++
+	}
+	return memory{slots: slots, live: m.live}
 }
 
 func (m *memory) load(addr uint32) *expr.Expr {
-	p := m.pages[addr>>pageShift]
-	if p == nil {
+	i, ok := m.find(addr >> pageShift)
+	if !ok {
 		return nil
 	}
-	return p.words[addr&pageMask]
+	return m.slots[i].p.words[addr&pageMask]
 }
 
 func (m *memory) store(addr uint32, v *expr.Expr) {
 	idx := addr >> pageShift
-	p := m.pages[idx]
+	i, ok := m.find(idx)
+	var p *page
 	switch {
-	case p == nil:
+	case !ok:
 		p = m.newPage()
-		m.pages[idx] = p
-	case p.ref > 1:
-		clone := m.newPage()
-		clone.words = p.words
-		p.ref--
-		m.pages[idx] = clone
-		p = clone
+		m.slots = append(m.slots, pageSlot{})
+		copy(m.slots[i+1:], m.slots[i:])
+		m.slots[i] = pageSlot{idx: idx, p: p}
+	case m.slots[i].p.ref > 1:
+		shared := m.slots[i].p
+		p = m.newPage()
+		p.words = shared.words
+		shared.ref--
+		m.slots[i].p = p
+	default:
+		p = m.slots[i].p
 	}
 	p.words[addr&pageMask] = v
 }
@@ -217,12 +250,12 @@ func (m *memory) store(addr uint32, v *expr.Expr) {
 // release drops this memory's page references; a page whose last reference
 // goes leaves the live count. A second release finds no pages: a no-op.
 func (m *memory) release() {
-	for _, p := range m.pages {
-		if p.ref--; p.ref == 0 {
+	for _, sl := range m.slots {
+		if sl.p.ref--; sl.p.ref == 0 {
 			*m.live--
 		}
 	}
-	m.pages = nil
+	m.slots = nil
 }
 
 // --- events -----------------------------------------------------------------
@@ -327,7 +360,8 @@ const (
 // State is one symbolic execution state of one node: registers, memory,
 // call stack, path condition, pending events, and communication history.
 // States are forked on symbolic branches and by the state-mapping
-// algorithms; forks share memory pages copy-on-write.
+// algorithms; forks share memory pages copy-on-write and their past — path
+// condition, history, trace — until one of them appends to it (see SpecFork).
 type State struct {
 	ctx  *Context
 	prog *isa.Program
@@ -340,17 +374,22 @@ type State struct {
 	frames []frame // return addresses; the active (fn, pc) is separate
 	fn, pc int
 
-	status   Status
-	runErr   error
+	status Status
+	runErr error
+	// pathCond, hist and trace are append-only lists a fork shares with
+	// its parent (see SpecFork): elements below len are never written, and
+	// every edit that is not an append installs a fresh slice.
 	pathCond []*expr.Expr
 	// bound maps variables the path condition forces to a constant
-	// (var == c, or a pinned 1-bit decision) to that constant. It is
-	// derived from pathCond — never serialized, rebuilt on checkpoint
-	// restore — and drives implied-value concretization: conditions
-	// fully covered by bound are decided without the solver.
+	// (var == c, or a pinned 1-bit decision) to that constant, applied in
+	// path-condition order. It is a pure function of pathCond, derived by
+	// impliedValue the first time the state is asked (nil = not derived:
+	// never copied by a fork, never serialized) and kept current by
+	// noteBinding from then on; it drives implied-value concretization:
+	// conditions fully covered by bound are decided without the solver.
 	bound map[uint32]uint64
 
-	events   []*Event
+	events   []Event // sorted by (Time, seq); owned by this state alone
 	eventSeq uint64
 
 	hist    []HistEntry
@@ -426,8 +465,8 @@ func (s *State) Trace() []TraceEntry { return s.trace }
 // Reg returns the current value of a register.
 func (s *State) Reg(r isa.Reg) *expr.Expr { return s.regs[r] }
 
-// Fork deep-copies the state (memory is shared copy-on-write) and returns
-// the copy. The copy receives a fresh id; everything else, including the
+// Fork copies the state (sharing what SpecFork shares) and returns the
+// copy. The copy receives a fresh id; everything else, including the
 // pending event queue and the communication history, is identical.
 func (s *State) Fork() *State {
 	n := s.SpecFork()
@@ -441,20 +480,19 @@ func (s *State) Release() { s.mem.release() }
 
 // --- event queue -------------------------------------------------------------
 
-// PushEvent schedules an event on this state.
+// PushEvent schedules an event on this state. The queue is ordered by
+// (Time, seq) and the new event carries the largest seq, so it goes behind
+// every event that is not later than it.
 func (s *State) PushEvent(ev Event) {
 	ev.seq = s.eventSeq
 	s.eventSeq++
-	cp := ev
-	i := sort.Search(len(s.events), func(i int) bool {
-		if s.events[i].Time != cp.Time {
-			return s.events[i].Time > cp.Time
-		}
-		return s.events[i].seq > cp.seq
-	})
-	s.events = append(s.events, nil)
+	i := len(s.events)
+	for i > 0 && s.events[i-1].Time > ev.Time {
+		i--
+	}
+	s.events = append(s.events, Event{})
 	copy(s.events[i+1:], s.events[i:])
-	s.events[i] = &cp
+	s.events[i] = ev
 }
 
 // NextEventTime returns the time of the earliest pending event.
@@ -468,11 +506,13 @@ func (s *State) NextEventTime() (uint64, bool) {
 // PendingEvents returns the number of queued events.
 func (s *State) PendingEvents() int { return len(s.events) }
 
-// popEvent removes and returns the earliest event.
-func (s *State) popEvent() *Event {
+// popEvent removes and returns the earliest event. The vacated slot is
+// zeroed so the queue's spare capacity does not keep a payload alive.
+func (s *State) popEvent() Event {
 	ev := s.events[0]
-	copy(s.events, s.events[1:])
-	s.events = s.events[:len(s.events)-1]
+	n := copy(s.events, s.events[1:])
+	s.events[n] = Event{}
+	s.events = s.events[:n]
 	return ev
 }
 
@@ -482,7 +522,7 @@ func (s *State) loadWord(addr uint32) *expr.Expr {
 	if v := s.mem.load(addr); v != nil {
 		return v
 	}
-	return s.ctx.Exprs.Const(0, WordBits)
+	return s.ctx.zeroWord
 }
 
 // StoreWord writes a word; exported for runtime initialisation (routing
@@ -558,19 +598,32 @@ func (s *State) AddConstraint(c *expr.Expr) {
 	s.noteBinding(c)
 }
 
-// noteBinding records the implied variable binding of a constraint that
-// forces a variable to a constant, feeding implied-value concretization.
+// noteBinding keeps a derived bound map current across an append to the
+// path condition: a constraint that forces a variable to a constant records
+// that binding. A state whose bindings were never asked for has nothing to
+// maintain — deriveBound will read c from the path condition.
 func (s *State) noteBinding(c *expr.Expr) {
-	if !s.ctx.concretize {
+	if s.bound == nil {
 		return
 	}
 	if v, val, ok := qopt.ImpliedBinding(c); ok {
-		if s.bound == nil {
-			s.bound = make(map[uint32]uint64, 4)
-		}
 		s.bound[v.VarID()] = val
 	}
 }
+
+// deriveBound computes the implied bindings of the whole path condition, in
+// order, so later constraints overwrite earlier ones exactly as noteBinding
+// would have applied them one append at a time.
+func (s *State) deriveBound() {
+	s.bound = make(map[uint32]uint64)
+	for _, c := range s.pathCond {
+		s.noteBinding(c)
+	}
+}
+
+// forgetBound drops the derived bindings after an edit of the path
+// condition that is not an append; the next impliedValue derives them again.
+func (s *State) forgetBound() { s.bound = nil }
 
 // InheritConstraints merges the sender's path condition into this state's
 // at packet delivery, skipping constraints already present. Receiving a
