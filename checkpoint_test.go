@@ -139,7 +139,7 @@ func TestPacedCheckpointBudget(t *testing.T) {
 			// All lines but the last are periodic; the last periodic one may
 			// not have been followed by its gap before the run ended.
 			if len(costs) < 2 {
-				t.Fatalf("journal has %d lines, want the first boundary's and the final one", len(costs))
+				t.Fatalf("journal has %d lines, want a periodic one and the final one", len(costs))
 			}
 			periodic := costs[:len(costs)-1]
 			var paid time.Duration

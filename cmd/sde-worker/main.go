@@ -1,7 +1,9 @@
 // Command sde-worker is one member of an exploration-service fleet: it
-// connects to an sde-serve coordinator, leases shard work items, executes
-// them with durable checkpoints, and streams each finished leaf's
-// snapshot back.
+// connects to an sde-serve coordinator and asks for work — a request the
+// coordinator holds until it has a lease to answer with, so an idle worker
+// polls nothing — executes each leased shard work item with periodic
+// durable checkpoints, and streams the finished leaf's snapshot back from
+// memory.
 //
 // Usage:
 //
@@ -17,15 +19,18 @@
 //
 // Periodic checkpoints are cost-paced by default: at most every 256 events,
 // and only once the lease has explored for 8 times what its last checkpoint
-// cost, so at most 1/8 of a lease goes into checkpoints and a crash costs
-// the re-issued lease at most 8 checkpoint costs plus 256 events of rework.
-// -checkpoint-every N checkpoints after every N events exactly instead.
+// cost (a 2 ms floor before its first), so at most 1/8 of a lease goes into
+// checkpoints, a lease shorter than 16 ms writes no file at all, and a
+// crash costs the re-issued lease at most 8 checkpoint costs plus 256
+// events of rework. -checkpoint-every N checkpoints after every N events
+// exactly instead.
 //
 // -crash-after-checkpoints N is a chaos hook for recovery testing: the
 // process exits abruptly (code 3, no protocol goodbye) once the active
-// lease's checkpoint file has been observed N times. -crash-after-events N
-// does the same once a lease has processed N events — below 256 at the
-// default schedule, that is before the lease's first checkpoint.
+// lease's checkpoint file has been observed N times (periodic checkpoints
+// only: pair it with -checkpoint-every). -crash-after-events N does the
+// same once a lease has processed N events — below 256 at the default
+// schedule, that is before the lease's first checkpoint.
 package main
 
 import (

@@ -38,7 +38,7 @@ func TestRequiredFlags(t *testing.T) {
 // and a worker — run itself, with the given extra flags — connected to it.
 func startJob(t *testing.T, workdir string, flags ...string) (c *dist.Coordinator, job string, worker <-chan error) {
 	t.Helper()
-	c = dist.NewCoordinator(dist.Options{RetryMillis: 10})
+	c = dist.NewCoordinator(dist.Options{})
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -3,6 +3,7 @@ package dist
 import (
 	"fmt"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -29,8 +30,11 @@ type Options struct {
 	// (default 15s). The item is requeued; determinism makes the
 	// re-issued lease produce the identical leaf.
 	LeaseTTL time.Duration
-	// RetryMillis is the idle-worker backoff sent in NoWork
-	// (default 200).
+	// RetryMillis is vestigial and ignored: it was the idle-worker poll
+	// interval of wire version 7, and an idle worker's Ready is now held
+	// until there is a lease to answer it with. The field remains only
+	// because the benchmark harness, which a change that claims a gain may
+	// not edit, still sets it.
 	RetryMillis int
 	// Registry receives service metrics (created if nil).
 	Registry *metrics.PromRegistry
@@ -41,14 +45,23 @@ type Options struct {
 // Coordinator owns the shard queues of submitted jobs and leases work to
 // connected workers. Work-stealing across jobs is inherent: any idle
 // worker serves whichever job has queued items, round-robin.
+//
+// Workers pull, and the coordinator holds what it cannot answer: a Ready
+// that finds every queue empty parks its worker in idle, and whatever
+// queues a task next — a submission, a suspension's fan-out, a split, a
+// requeue — hands it to the longest-parked worker before it returns.
+// Every method that can queue a task therefore releases the lock through
+// unlockAndDispatch.
 type Coordinator struct {
 	opts Options
 	reg  *metrics.PromRegistry
 
 	mu        sync.Mutex
 	jobs      map[string]*job
-	order     []string // job ids, submission order
-	rr        int      // round-robin cursor into order
+	order     []string       // job ids, submission order
+	rr        int            // round-robin cursor into order
+	idle      []*workerConn  // parked Readys, oldest first
+	bg        sync.WaitGroup // the sweeper and the connection handlers
 	nextJobID int
 	nextLease uint64
 	leases    map[uint64]*lease
@@ -85,9 +98,28 @@ type lease struct {
 	lastBeat time.Time
 }
 
+// workerConn is one worker's connection. Frames reach it from its own
+// handler (heartbeat acks) and from whichever goroutine queued the task
+// that answers its parked Ready, so every write goes through send.
 type workerConn struct {
 	name string
 	conn net.Conn
+	wmu  sync.Mutex
+}
+
+// send runs one frame write with the connection to itself. A peer that
+// does not take the frame within a lease TTL is as dead as one that stopped
+// heartbeating: the connection is closed, and its handler's teardown
+// requeues whatever it held — including a lease this write was granting.
+func (w *workerConn) send(ttl time.Duration, write func(net.Conn) error) error {
+	w.wmu.Lock()
+	defer w.wmu.Unlock()
+	w.conn.SetWriteDeadline(time.Now().Add(ttl))
+	err := write(w.conn)
+	if err != nil {
+		w.conn.Close()
+	}
+	return err
 }
 
 // JobStatus is a point-in-time snapshot of one job, JSON-ready for the
@@ -115,9 +147,6 @@ func NewCoordinator(opts Options) *Coordinator {
 	if opts.LeaseTTL <= 0 {
 		opts.LeaseTTL = 15 * time.Second
 	}
-	if opts.RetryMillis <= 0 {
-		opts.RetryMillis = 200
-	}
 	if opts.Name == "" {
 		opts.Name = "sde-serve"
 	}
@@ -126,6 +155,7 @@ func NewCoordinator(opts Options) *Coordinator {
 		reg = metrics.NewPromRegistry()
 	}
 	reg.Declare("sde_workers_connected", "currently connected workers", metrics.PromGauge)
+	reg.Declare("sde_workers_idle", "connected workers whose request for work is held, waiting for a task", metrics.PromGauge)
 	reg.Declare("sde_jobs_submitted_total", "jobs accepted by the job API", metrics.PromCounter)
 	reg.Declare("sde_jobs_active", "jobs not yet done, failed, or cancelled", metrics.PromGauge)
 	reg.Declare("sde_leases_issued_total", "work leases granted to workers", metrics.PromCounter)
@@ -145,6 +175,7 @@ func NewCoordinator(opts Options) *Coordinator {
 		stop:   make(chan struct{}),
 		conns:  make(map[net.Conn]bool),
 	}
+	c.bg.Add(1)
 	go c.sweepLoop()
 	return c
 }
@@ -158,7 +189,9 @@ func (c *Coordinator) logf(format string, args ...any) {
 	}
 }
 
-// Close stops the sweeper, closes all listeners and worker connections.
+// Close stops the sweeper, closes all listeners and worker connections,
+// and returns once the sweeper and every connection's handler have exited:
+// nothing of the coordinator runs, or logs, after it.
 func (c *Coordinator) Close() error {
 	c.mu.Lock()
 	if c.closed {
@@ -179,6 +212,7 @@ func (c *Coordinator) Close() error {
 	for _, conn := range conns {
 		conn.Close()
 	}
+	c.bg.Wait()
 	return nil
 }
 
@@ -201,7 +235,22 @@ func (c *Coordinator) Serve(l net.Listener) error {
 				return err
 			}
 		}
-		go c.handleConn(conn)
+		// On the books before its handler starts, so Close finds the
+		// connection to close — a peer silent since accept included — and
+		// the handler to wait for.
+		c.mu.Lock()
+		if c.closed {
+			c.mu.Unlock()
+			conn.Close()
+			return nil
+		}
+		c.conns[conn] = true
+		c.bg.Add(1)
+		c.mu.Unlock()
+		go func() {
+			defer c.bg.Done()
+			c.handleConn(conn)
+		}()
 	}
 }
 
@@ -228,7 +277,8 @@ func (c *Coordinator) AddJob(spec sde.ScenarioSpec, shardBits, testCases int) (s
 
 // AddJobWith accepts a job: the spec is materialised (validating it), the
 // initial shard queue is enumerated at opts.ShardBits (clamped to the
-// scenario's MaxShardBits), and workers start leasing immediately.
+// scenario's MaxShardBits), and idle workers have their leases by the time
+// it returns.
 func (c *Coordinator) AddJobWith(spec sde.ScenarioSpec, opts JobOptions) (string, error) {
 	scenario, err := spec.Scenario()
 	if err != nil {
@@ -257,7 +307,7 @@ func (c *Coordinator) AddJobWith(spec sde.ScenarioSpec, opts JobOptions) (string
 		c.logf("job spec %s: 0 shardable bits and no depth horizon — the job runs as a single lease and a multi-worker fleet sits idle; set a depth horizon to fan deep exploration out", spec)
 	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	defer c.unlockAndDispatch()
 	if c.closed {
 		return "", fmt.Errorf("dist: coordinator closed")
 	}
@@ -396,7 +446,12 @@ func (c *Coordinator) contBlobsLocked() int {
 
 // handleConn speaks the worker protocol on one connection.
 func (c *Coordinator) handleConn(conn net.Conn) {
-	defer conn.Close()
+	defer func() {
+		conn.Close()
+		c.mu.Lock()
+		delete(c.conns, conn)
+		c.mu.Unlock()
+	}()
 	typ, payload, err := snap.ReadFrame(conn)
 	if err != nil || typ != MsgHello {
 		c.logf("conn %s: bad handshake: %v", conn.RemoteAddr(), err)
@@ -420,20 +475,17 @@ func (c *Coordinator) handleConn(conn net.Conn) {
 	w := &workerConn{name: hello.Name, conn: conn}
 	workerLabel := map[string]string{"worker": w.name}
 
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return
-	}
-	c.conns[conn] = true
-	c.mu.Unlock()
 	c.reg.AddGauge("sde_workers_connected", nil, 1)
 	c.reg.Set("sde_worker_leases_active", workerLabel, 0)
 	c.logf("worker %s connected from %s", w.name, conn.RemoteAddr())
 
 	defer func() {
 		c.mu.Lock()
-		delete(c.conns, conn)
+		// Out of the idle list first: nothing queued from here on, the
+		// requeues below included, may be granted to this connection.
+		if i := slices.Index(c.idle, w); i >= 0 {
+			c.idle = slices.Delete(c.idle, i, i+1)
+		}
 		var held []*lease
 		for _, l := range c.leases {
 			if l.holder == w {
@@ -443,7 +495,7 @@ func (c *Coordinator) handleConn(conn net.Conn) {
 		for _, l := range held {
 			c.requeueLocked(l, "disconnect")
 		}
-		c.mu.Unlock()
+		c.unlockAndDispatch()
 		c.reg.AddGauge("sde_workers_connected", nil, -1)
 		c.reg.DeleteSeries("sde_worker_leases_active", workerLabel)
 		c.logf("worker %s disconnected (%d leases requeued)", w.name, len(held))
@@ -456,15 +508,16 @@ func (c *Coordinator) handleConn(conn net.Conn) {
 		}
 		switch typ {
 		case MsgReady:
-			if err := c.grantLease(w); err != nil {
-				return
-			}
+			c.park(w)
 		case MsgHeartbeat:
 			hb, err := decode[Heartbeat](payload)
 			if err != nil {
 				return
 			}
-			if err := writeMsg(conn, MsgHeartbeatAck, c.beat(w, hb)); err != nil {
+			ack := c.beat(w, hb)
+			if err := w.send(c.opts.LeaseTTL, func(conn net.Conn) error {
+				return writeMsg(conn, MsgHeartbeatAck, ack)
+			}); err != nil {
 				return
 			}
 		case MsgSplit:
@@ -500,59 +553,91 @@ func (c *Coordinator) handleConn(conn net.Conn) {
 	}
 }
 
-// grantLease answers a Ready: take a task round-robin across running
-// jobs, or tell the worker to retry.
-func (c *Coordinator) grantLease(w *workerConn) error {
+// park records a worker's Ready. It is answered at once when a task is
+// queued, and otherwise by whoever queues the next one.
+func (c *Coordinator) park(w *workerConn) {
 	c.mu.Lock()
-	var (
-		j *job
-		t *shard.Task
-	)
+	defer c.unlockAndDispatch()
+	if !slices.Contains(c.idle, w) { // a second Ready buys no second lease
+		c.idle = append(c.idle, w)
+	}
+}
+
+// takeTaskLocked takes the next task round-robin across running jobs.
+func (c *Coordinator) takeTaskLocked() (*job, *shard.Task) {
 	for off := 0; off < len(c.order); off++ {
-		cand := c.jobs[c.order[(c.rr+off)%len(c.order)]]
-		if cand.state != JobRunning {
+		j := c.jobs[c.order[(c.rr+off)%len(c.order)]]
+		if j.state != JobRunning {
 			continue
 		}
-		if t = cand.q.Take(0); t != nil {
-			j = cand
+		if t := j.q.Take(0); t != nil {
 			c.rr = (c.rr + off + 1) % len(c.order)
-			break
+			return j, t
 		}
 	}
-	if j == nil {
-		retry := c.opts.RetryMillis
-		c.mu.Unlock()
-		return writeMsg(w.conn, MsgNoWork, NoWork{RetryMillis: retry})
+	return nil, nil
+}
+
+// grant is a lease on the books and not yet on the wire.
+type grant struct {
+	w      *workerConn
+	msg    Lease
+	parent []byte
+}
+
+// unlockAndDispatch pairs parked workers with queued tasks, oldest Ready
+// first, releases the lock and writes the leases. It is how the lock is
+// released wherever a task may have been queued or a worker parked, so no
+// task waits while a worker idles — and the one place sde_workers_idle is
+// published. The lease is registered before the lock drops: a worker that
+// disconnects before its frame is written finds the lease among those it
+// holds and requeues it.
+func (c *Coordinator) unlockAndDispatch() {
+	var grants []grant
+	for len(c.idle) > 0 && !c.closed {
+		j, t := c.takeTaskLocked()
+		if j == nil {
+			break
+		}
+		w := c.idle[0]
+		c.idle = c.idle[1:]
+		c.nextLease++
+		l := &lease{
+			id:       c.nextLease,
+			jobID:    j.id,
+			task:     t,
+			worker:   w.name,
+			holder:   w,
+			lastBeat: time.Now(),
+		}
+		c.leases[l.id] = l
+		grants = append(grants, grant{w: w, parent: t.Parent, msg: Lease{
+			ID:          l.id,
+			Job:         j.id,
+			Spec:        j.spec,
+			Item:        t.Item,
+			Splittable:  j.q.Splittable(t),
+			EventTarget: t.Target,
+		}})
 	}
-	c.nextLease++
-	l := &lease{
-		id:       c.nextLease,
-		jobID:    j.id,
-		task:     t,
-		worker:   w.name,
-		holder:   w,
-		lastBeat: time.Now(),
-	}
-	c.leases[l.id] = l
-	msg := Lease{
-		ID:          l.id,
-		Job:         j.id,
-		Spec:        j.spec,
-		Item:        t.Item,
-		Splittable:  j.q.Splittable(t),
-		EventTarget: t.Target,
-	}
+	c.reg.Set("sde_workers_idle", nil, float64(len(c.idle)))
 	c.mu.Unlock()
-	c.reg.Add("sde_leases_issued_total", map[string]string{"worker": w.name}, 1)
-	c.reg.AddGauge("sde_worker_leases_active", map[string]string{"worker": w.name}, 1)
-	c.logf("lease %d: shard %s of %s -> %s", l.id, t.Item.Label(), j.id, w.name)
-	if len(t.Item.Cont) > 0 {
-		c.reg.Add("sde_continuation_leases_total", nil, 1)
+	for _, g := range grants {
+		label := map[string]string{"worker": g.w.name}
+		c.reg.Add("sde_leases_issued_total", label, 1)
+		c.reg.AddGauge("sde_worker_leases_active", label, 1)
+		c.logf("lease %d: shard %s of %s -> %s", g.msg.ID, g.msg.Item.Label(), g.msg.Job, g.w.name)
+		if len(g.msg.Item.Cont) > 0 {
+			c.reg.Add("sde_continuation_leases_total", nil, 1)
+		}
+		// A continuation item ships the suspended parent frontier with the
+		// lease; frontiers are immutable once stored, so the bytes are
+		// written outside the lock. A failed write closes the connection,
+		// which is what requeues the lease.
+		_ = g.w.send(c.opts.LeaseTTL, func(conn net.Conn) error {
+			return writeHdrBlob(conn, MsgLease, g.msg, g.parent)
+		})
 	}
-	// A continuation item ships the suspended parent frontier with the
-	// lease; frontiers are immutable once stored, so the bytes may be
-	// written outside the lock.
-	return writeHdrBlob(w.conn, MsgLease, msg, t.Parent)
 }
 
 // beat refreshes a lease and answers with cancel/starvation flags.
@@ -603,7 +688,7 @@ func (c *Coordinator) takeLeaseLocked(w *workerConn, id uint64) (*lease, *job) {
 // two child sub-spaces, or requeues it whole when it cannot be split.
 func (c *Coordinator) split(w *workerConn, leaseID uint64) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	defer c.unlockAndDispatch()
 	l, j := c.takeLeaseLocked(w, leaseID)
 	if l == nil {
 		return
@@ -629,7 +714,7 @@ func (c *Coordinator) completeLease(w *workerConn, hdr ResultHeader, snapshot []
 		// The worker honoured a cancellation that has since been
 		// rescinded, or stopped for its own reasons: the item runs again.
 		c.requeueTaskLocked(j, l.task, "stopped")
-		c.mu.Unlock()
+		c.unlockAndDispatch()
 		return
 	}
 	j.q.Leaf(l.task, sde.ShardLeaf{Item: l.task.Item, Snapshot: snapshot})
@@ -650,7 +735,7 @@ func (c *Coordinator) completeLease(w *workerConn, hdr ResultHeader, snapshot []
 // the shipped frontier out as continuation items.
 func (c *Coordinator) suspendLease(w *workerConn, hdr SuspendHeader, frontier []byte) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	defer c.unlockAndDispatch()
 	l, j := c.takeLeaseLocked(w, hdr.Lease)
 	if l == nil {
 		return
@@ -670,7 +755,7 @@ func (c *Coordinator) suspendLease(w *workerConn, hdr SuspendHeader, frontier []
 // failLease requeues a lease whose execution errored worker-side.
 func (c *Coordinator) failLease(w *workerConn, em ErrorMsg) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	defer c.unlockAndDispatch()
 	l, ok := c.leases[em.Lease]
 	if !ok || l.holder != w {
 		return
@@ -745,6 +830,7 @@ func (c *Coordinator) finalizeJob(j *job) {
 
 // sweepLoop expires leases whose worker stopped heartbeating.
 func (c *Coordinator) sweepLoop() {
+	defer c.bg.Done()
 	interval := c.opts.LeaseTTL / 4
 	if interval < 10*time.Millisecond {
 		interval = 10 * time.Millisecond
@@ -767,7 +853,7 @@ func (c *Coordinator) sweepLoop() {
 			for _, l := range expired {
 				c.requeueLocked(l, "expired")
 			}
-			c.mu.Unlock()
+			c.unlockAndDispatch()
 		}
 	}
 }

@@ -60,7 +60,7 @@ func TestServiceDepthPartition(t *testing.T) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			c, addr := startCoordinator(t, Options{RetryMillis: 10})
+			c, addr := startCoordinator(t, Options{})
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			startWorker(t, ctx, addr, WorkerOptions{Name: "w0"})
@@ -105,7 +105,7 @@ func TestServiceDepthCrashRecovery(t *testing.T) {
 	spec.Algorithm = "cob"
 	const horizon = 300
 
-	c, addr := startCoordinator(t, Options{RetryMillis: 10})
+	c, addr := startCoordinator(t, Options{})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 

@@ -95,7 +95,7 @@ func waitJob(t *testing.T, c *Coordinator, id string, timeout time.Duration) Job
 // service: two workers lease shards of a submitted job over TCP and the
 // assembled report's digest equals the in-process sharded run's.
 func TestServiceBitIdentical(t *testing.T) {
-	c, addr := startCoordinator(t, Options{RetryMillis: 10})
+	c, addr := startCoordinator(t, Options{})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	startWorker(t, ctx, addr, WorkerOptions{Name: "w0"})
@@ -142,7 +142,7 @@ func TestServiceWorkerCrashRecovery(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			c, addr := startCoordinator(t, Options{RetryMillis: 10})
+			c, addr := startCoordinator(t, Options{})
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 
@@ -210,7 +210,7 @@ func checkpointFiles(t *testing.T, dir string) int {
 // (connection open, no heartbeats) must lose it to TTL expiry, and the
 // job must still finish bit-identically on a healthy worker.
 func TestServiceLeaseExpiry(t *testing.T) {
-	c, addr := startCoordinator(t, Options{RetryMillis: 10, LeaseTTL: 300 * time.Millisecond})
+	c, addr := startCoordinator(t, Options{LeaseTTL: 300 * time.Millisecond})
 
 	// A hand-rolled zombie worker: handshake, take one lease, go silent.
 	conn, err := net.Dial("tcp", addr)
@@ -263,7 +263,7 @@ func TestServiceLeaseExpiry(t *testing.T) {
 // the coordinator reports a starved queue, and the assembled mixed-depth
 // cover must still explore the exact dscenario space.
 func TestServiceStragglerSplit(t *testing.T) {
-	c, addr := startCoordinator(t, Options{RetryMillis: 10})
+	c, addr := startCoordinator(t, Options{})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	startWorker(t, ctx, addr, WorkerOptions{
@@ -337,7 +337,7 @@ func TestServiceVersionNegotiation(t *testing.T) {
 // TestServiceCancel: cancelling a queued job flips it to cancelled and
 // leaves nothing for workers.
 func TestServiceCancel(t *testing.T) {
-	c, addr := startCoordinator(t, Options{RetryMillis: 10})
+	c, addr := startCoordinator(t, Options{})
 	id, err := c.AddJob(testSpec, 2, 0)
 	if err != nil {
 		t.Fatal(err)

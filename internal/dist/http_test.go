@@ -18,7 +18,7 @@ import (
 // the digest against the in-process oracle; then exercise /metrics,
 // /healthz, cancellation, and the 404 paths.
 func TestServiceHTTPAPI(t *testing.T) {
-	c, addr := startCoordinator(t, Options{RetryMillis: 10})
+	c, addr := startCoordinator(t, Options{})
 	srv := httptest.NewServer(c.HTTPHandler())
 	defer srv.Close()
 	ctx, cancel := context.WithCancel(context.Background())

@@ -24,7 +24,7 @@ import (
 // carried home.
 func runFleetJob(t *testing.T, spec sde.ScenarioSpec, opts JobOptions) (JobStatus, *Coordinator, []*sde.Report) {
 	t.Helper()
-	c, addr := startCoordinator(t, Options{RetryMillis: 10})
+	c, addr := startCoordinator(t, Options{})
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)
 	startWorker(t, ctx, addr, WorkerOptions{Name: "w0"})

@@ -2,7 +2,7 @@
 // coordinator that owns the shard queue of submitted jobs and a fleet of
 // workers that lease (depth, bits) sub-spaces, execute them with the same
 // machinery the in-process shard scheduler uses, and stream back each
-// leaf's final durable checkpoint.
+// leaf's final snapshot.
 //
 // The wire protocol rides the length-prefixed, versioned, checksummed
 // frames of internal/snap (one frame per message, the frame type byte
@@ -13,10 +13,13 @@
 // followed by the raw snapshot bytes.
 //
 // The protocol is deliberately coordinator-passive: workers pull. A
-// worker sends Ready when idle and receives a Lease or NoWork; while
-// executing it streams Heartbeat messages (which double as progress
-// reports) and reads HeartbeatAck replies carrying the cancellation flag
-// and the queue-starvation hint that drives straggler re-splitting. A
+// worker sends Ready when idle and the answer is a Lease — at once when a
+// task is queued, otherwise as soon as one is: the coordinator holds the
+// request rather than refusing it, so an idle worker waits on its
+// connection and polls nothing. While executing it streams Heartbeat
+// messages (which double as progress reports) and reads HeartbeatAck
+// replies carrying the cancellation flag and the queue-starvation hint
+// that drives straggler re-splitting. A
 // worker that decides to split sends Split and abandons the lease; the
 // coordinator re-issues the two child sub-spaces. A worker that vanishes
 // mid-lease — crash, SIGKILL, network partition — is detected by lease
@@ -41,14 +44,12 @@ const (
 	MsgHello byte = iota + 1
 	// MsgWelcome is the coordinator's handshake reply.
 	MsgWelcome
-	// MsgReady asks for work; the reply is MsgLease or MsgNoWork.
+	// MsgReady asks for work; the reply is MsgLease, when there is work.
 	MsgReady
 	// MsgLease grants one work item: the Lease JSON plus, for a
 	// continuation item, the suspended parent frontier the worker
 	// slice-resumes from (empty otherwise).
 	MsgLease
-	// MsgNoWork tells an idle worker to retry later.
-	MsgNoWork
 	// MsgHeartbeat is the worker's periodic liveness + progress report
 	// while executing a lease.
 	MsgHeartbeat
@@ -59,7 +60,7 @@ const (
 	// its two child sub-spaces.
 	MsgSplit
 	// MsgResult delivers a finished (or stopped) lease: JSON header plus
-	// the shard's final checkpoint bytes.
+	// the shard's final snapshot bytes.
 	MsgResult
 	// MsgError reports a failed lease execution.
 	MsgError
@@ -98,11 +99,6 @@ type Lease struct {
 	// Absolute, so a crashed-and-resumed lease suspends on exactly the
 	// same event boundary.
 	EventTarget uint64 `json:"event_target,omitempty"`
-}
-
-// NoWork tells an idle worker when to ask again.
-type NoWork struct {
-	RetryMillis int `json:"retry_millis"`
 }
 
 // Heartbeat is the worker's periodic report while holding a lease.

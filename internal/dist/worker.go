@@ -23,8 +23,9 @@ type WorkerOptions struct {
 	// metrics). Required.
 	Name string
 	// WorkDir holds per-lease checkpoint directories
-	// (WorkDir/<job>/<item dir>). Required. A worker restarted with the
-	// same WorkDir resumes re-issued leases from its own checkpoints.
+	// (WorkDir/<job>/<item dir>), each created by its lease's first periodic
+	// checkpoint. Required. A worker restarted with the same WorkDir
+	// resumes re-issued leases from its own checkpoints.
 	WorkDir string
 	// HeartbeatEvery is the progress/liveness reporting interval while
 	// executing a lease (default 500ms). It must be well under the
@@ -35,10 +36,10 @@ type WorkerOptions struct {
 	// CheckpointEvery selects the per-lease periodic checkpoint schedule
 	// (sde.LeaseOptions.CheckpointEvery): n > 0 is exact, every n processed
 	// events; 0 is cost-paced, so a worker spends at most 1/8 of a lease on
-	// checkpoints nobody may ever read and a crash costs the re-issued
-	// lease at most 8 checkpoint costs plus 256 events of rework. How a
-	// lease executes beyond that — its layers — is the job's to say, never
-	// the worker's.
+	// checkpoints nobody may ever read, a lease under 16 ms writes none,
+	// and a crash costs the re-issued lease at most 8 checkpoint costs
+	// plus 256 events of rework. How a lease executes beyond that — its
+	// layers — is the job's to say, never the worker's.
 	CheckpointEvery int
 	// SplitStates, when > 0, arms straggler self-splitting: a lease
 	// whose live state count exceeds it after SplitAfter, while the
@@ -50,7 +51,9 @@ type WorkerOptions struct {
 	// lease's checkpoint file has been observed that many times, the
 	// worker abruptly closes its connection and RunWorker returns
 	// ErrCrashed. The service end-to-end tests use this to kill a worker
-	// mid-lease at a moment when recovery provably has a checkpoint.
+	// mid-lease at a moment when recovery provably has a checkpoint. Only
+	// periodic checkpoints reach the file, so a lease too short for its
+	// schedule to cut one never trips the hook.
 	CrashAfterCheckpoints int
 	// CrashAfterEvents, when > 0, injects the same crash once a lease has
 	// processed that many events. Below the checkpoint grid (256 events)
@@ -154,6 +157,9 @@ func RunWorker(ctx context.Context, addr string, opts WorkerOptions) error {
 		}
 	}()
 
+	// One Ready per lease: the coordinator holds it until it has a lease to
+	// answer with, so an idle worker waits here on the connection, not on a
+	// timer.
 	crashed := false
 	for {
 		if err := writeMsg(conn, MsgReady, struct{}{}); err != nil {
@@ -176,16 +182,6 @@ func RunWorker(ctx context.Context, addr string, opts WorkerOptions) error {
 			}
 		}
 		switch m.typ {
-		case MsgNoWork:
-			nw, err := decode[NoWork](m.payload)
-			if err != nil {
-				return err
-			}
-			select {
-			case <-ctx.Done():
-				return nil
-			case <-time.After(time.Duration(nw.RetryMillis) * time.Millisecond):
-			}
 		case MsgLease:
 			lease, parent, err := parseHdrBlob[Lease](m.payload)
 			if err != nil {

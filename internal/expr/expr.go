@@ -218,10 +218,18 @@ type Builder struct {
 // builds a Builder, so the cache stays at 2 KB.
 const constCacheBits = 8
 
+// internTableHint pre-sizes Builder.table. Every engine builds a Builder —
+// a fleet job one per lease and one per assembled leaf, most of which
+// intern a few dozen nodes — so the table starts small and grows by
+// doubling: a run that interns tens of thousands of nodes pays a handful
+// of rehashes once, where a 1,024-entry table cost each short-lived engine
+// ~100 KB of zeroed buckets.
+const internTableHint = 64
+
 // NewBuilder returns an empty expression builder.
 func NewBuilder() *Builder {
 	return &Builder{
-		table: make(map[exprKey]*Expr, 1024),
+		table: make(map[exprKey]*Expr, internTableHint),
 		vars:  make(map[string]*Expr, 64),
 	}
 }

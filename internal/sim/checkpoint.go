@@ -82,25 +82,49 @@ func (e *Engine) Snapshot() (*snap.Snapshot, error) {
 // checkpointDue decides, at a grid boundary reached at time now, whether
 // to cut a periodic checkpoint. An explicit interval always does. The
 // paced schedule does once the exploration since the last checkpoint
-// finished has taken checkpointPace times what that checkpoint cost: every
-// periodic checkpoint but the last is then followed by at least
-// checkpointPace times its cost in exploration, which is the whole
-// argument for the 1/checkpointPace budget and the loss bound.
+// finished — since the engine was built, before the first — has taken
+// checkpointPace times what that checkpoint cost: every periodic
+// checkpoint but the last is then followed by at least checkpointPace
+// times its cost in exploration, which is the whole argument for the
+// 1/checkpointPace budget and the loss bound. Before the first the cost is
+// unknown and taken to be checkpointFloor, so a run shorter than
+// checkpointPace floors writes no periodic checkpoint at all.
 func (e *Engine) checkpointDue(now time.Time) bool {
-	return e.cfg.CheckpointEvery > 0 || e.ckptCost == 0 || now.Sub(e.ckptDone) >= checkpointPace*e.ckptCost
+	if e.cfg.CheckpointEvery > 0 {
+		return true
+	}
+	cost := e.ckptCost
+	if cost == 0 {
+		cost = checkpointFloor
+	}
+	return now.Sub(e.ckptDone) >= checkpointPace*cost
+}
+
+// encodeSnapshot snapshots the frontier and encodes it.
+func (e *Engine) encodeSnapshot() (*snap.Snapshot, []byte, error) {
+	sp, err := e.Snapshot()
+	if err != nil {
+		return nil, nil, err
+	}
+	data, err := sp.Encode(e.ctx.Exprs)
+	return sp, data, err
 }
 
 // writeCheckpoint snapshots the frontier and writes it durably into
-// cfg.CheckpointDir, updating the checkpoint watermark on success. begin
-// is when the checkpoint started; its cost runs from there to the moment
-// the snapshot is durable, and goes into the journal line.
+// cfg.CheckpointDir. begin is when the checkpoint started.
 func (e *Engine) writeCheckpoint(begin time.Time) error {
-	sp, err := e.Snapshot()
+	sp, data, err := e.encodeSnapshot()
 	if err != nil {
 		return err
 	}
-	size, err := snap.Save(e.cfg.CheckpointDir, sp, e.ctx.Exprs)
-	if err != nil {
+	return e.saveCheckpoint(sp, data, begin)
+}
+
+// saveCheckpoint makes an encoded snapshot the directory's checkpoint,
+// updating the checkpoint watermark on success. Its cost runs from begin
+// to the moment the snapshot is durable, and goes into the journal line.
+func (e *Engine) saveCheckpoint(sp *snap.Snapshot, data []byte, begin time.Time) error {
+	if err := snap.Save(e.cfg.CheckpointDir, data); err != nil {
 		return err
 	}
 	e.lastCkpt = e.events
@@ -108,7 +132,7 @@ func (e *Engine) writeCheckpoint(begin time.Time) error {
 	e.ckptDone = e.now()
 	e.ckptCost = e.ckptDone.Sub(begin)
 	e.own.Checkpoint.Wall += e.ckptCost
-	return snap.AppendJournal(e.cfg.CheckpointDir, sp, size, e.ckptCost)
+	return snap.AppendJournal(e.cfg.CheckpointDir, sp, len(data), e.ckptCost)
 }
 
 // ResumeEngine rebuilds an engine from an encoded checkpoint. The config

@@ -142,23 +142,24 @@ type Config struct {
 	// CheckpointDir, when non-empty, makes the run durable: a snapshot of
 	// the full exploration frontier is written there (atomic
 	// write-rename, plus an append-only journal line) on the schedule
-	// CheckpointEvery selects and once more on completion or suspension.
+	// CheckpointEvery selects and — by Run — once more on completion or
+	// suspension (a RunItem that ships its outcome skips that last write).
 	// A crashed run restarts from the last snapshot via ResumeEngine.
 	CheckpointDir string
 
 	// CheckpointEvery selects the periodic checkpoint schedule; it is only
 	// meaningful with CheckpointDir. n > 0 is exact: a checkpoint after
 	// every n processed events, whatever it costs. 0 (the default) is
-	// cost-paced: a checkpoint may be cut every checkpointGrid events, the
-	// first such boundary of a process (fresh or resumed: it has measured
-	// no cost yet) always is, and a later one only once the
-	// exploration since the previous checkpoint finished has taken at
-	// least checkpointPace times what that checkpoint cost (snapshot,
-	// encode, write and fsync, measured). Periodic checkpoints then take
-	// at most 1/checkpointPace of the wall time spent exploring, and a
-	// crash loses at most checkpointPace times the last checkpoint's cost
-	// plus one grid step of work. Either schedule writes the same bytes at
-	// the boundaries it picks; resuming is bit-identical from any of them.
+	// cost-paced: a checkpoint may be cut every checkpointGrid events, and
+	// is only once the exploration since the previous checkpoint finished
+	// has taken at least checkpointPace times what that checkpoint cost
+	// (snapshot, encode, write and fsync, measured; checkpointFloor before
+	// a process, fresh or resumed, has written its first). Periodic
+	// checkpoints then take at most 1/checkpointPace of the wall time spent
+	// exploring, and a crash loses at most checkpointPace times the last
+	// checkpoint's cost — checkpointPace floors before the first — plus one
+	// grid step of work. Either schedule writes the same bytes at the
+	// boundaries it picks; resuming is bit-identical from any of them.
 	CheckpointEvery int
 
 	// Layers selects the optional execution layers (compiled fast path,
@@ -260,7 +261,7 @@ type Engine struct {
 
 	// Checkpoint schedule and cost (see Config.CheckpointEvery). ckptCost
 	// and ckptDone describe the last checkpoint this engine wrote; a zero
-	// cost means none yet, so the next boundary cuts one.
+	// cost means none yet, and ckptDone is then when the engine was built.
 	now      func() time.Time // time.Now; tests model checkpoint cost with it
 	ckptGrid uint64           // events between boundaries a checkpoint may be cut at
 	ckptDone time.Time
@@ -322,10 +323,13 @@ type Engine struct {
 // periodic checkpoint may be cut every checkpointGrid processed events —
 // one clock read per boundary is the schedule's whole overhead — and is,
 // once exploration has run checkpointPace times as long as the previous
-// checkpoint took.
+// checkpoint took. checkpointFloor stands in for that cost before the
+// first checkpoint: what the smallest durable write (create, fsync,
+// rename, journal line) measured on the reference host.
 const (
-	checkpointGrid = 256
-	checkpointPace = 8
+	checkpointGrid  = 256
+	checkpointPace  = 8
+	checkpointFloor = 2 * time.Millisecond
 )
 
 // progressPollEvents is how often (in processed events) Step consults
@@ -468,6 +472,7 @@ func newEngineShell(cfg Config) (*Engine, error) {
 		now:      time.Now,
 		ckptGrid: checkpointGrid,
 	}
+	e.ckptDone = e.started
 	if cfg.CheckpointEvery > 0 {
 		e.ckptGrid = uint64(cfg.CheckpointEvery)
 	}
@@ -682,29 +687,50 @@ func (e *Engine) hasLiveWork() bool {
 	return false
 }
 
-// Run drives the engine to completion and returns the result.
+// Run drives the engine to completion and returns the result. With a
+// CheckpointDir the run ends durable: its final snapshot is written there.
 func (e *Engine) Run() (*Result, error) {
+	res, _, err := e.RunItem(false)
+	return res, err
+}
+
+// RunItem is Run for one work item of a partitioned run, whose transport
+// says what becomes of the final snapshot — the frontier the run ended at,
+// taken before Finish dissolves a merged one. Without ship it goes to
+// CheckpointDir, as Run's does: someone reads that directory after this
+// process (a checkpointed run, a durable sharded run). With ship — a lease —
+// it is returned instead, and the directory holds only the periodic
+// checkpoints a re-issued lease resumes from. A suspended run returns it
+// either way: its continuations have no other source. The snapshot is
+// taken and encoded at most once, and nothing written is read back. A run
+// its Progress hook stopped has none: its result is discarded by contract
+// (straggler split, cancel), and the injected worker crash that stops a run
+// this way must leave behind only what a kill would.
+func (e *Engine) RunItem(ship bool) (*Result, []byte, error) {
 	for e.Step() {
 	}
 	// Nothing executes any more: stop the solver workers now, so the final
-	// checkpoint below carries the counters Finish reports.
+	// snapshot below carries the counters Finish reports.
 	e.closeSpecPool()
 	if e.err != nil {
-		return nil, e.err
+		return nil, nil, e.err
 	}
 	// A final checkpoint makes completed runs durable too: resuming a
-	// finished run replays zero events and reports the same result. For a
-	// suspended run this write is the continuation payload itself — the
-	// surviving frontier at the event-budget boundary. A run its Progress
-	// hook stopped writes none: its result is discarded by contract
-	// (straggler split, cancel), and the injected worker crash that stops
-	// a run this way must leave behind only what a kill would.
-	if e.cfg.CheckpointDir != "" && !e.stopped && e.events != e.lastCkpt {
-		if err := e.writeCheckpoint(e.now()); err != nil {
-			return nil, fmt.Errorf("sim: checkpoint: %w", err)
+	// finished run replays zero events and reports the same result.
+	keep := !ship && e.cfg.CheckpointDir != "" && e.events != e.lastCkpt
+	var final []byte
+	if !e.stopped && (keep || ship || e.suspended) {
+		begin := e.now()
+		sp, data, err := e.encodeSnapshot()
+		if err == nil && keep {
+			err = e.saveCheckpoint(sp, data, begin)
 		}
+		if err != nil {
+			return nil, nil, fmt.Errorf("sim: final snapshot: %w", err)
+		}
+		final = data
 	}
-	return e.Finish(), nil
+	return e.Finish(), final, nil
 }
 
 // Finish finalises metrics and assembles the result. It may be called

@@ -2,10 +2,12 @@ package sim
 
 import "time"
 
-// CheckpointGrid and CheckpointPace are the paced schedule's constants.
+// CheckpointGrid, CheckpointPace and CheckpointFloor are the paced
+// schedule's constants.
 const (
-	CheckpointGrid = checkpointGrid
-	CheckpointPace = checkpointPace
+	CheckpointGrid  = checkpointGrid
+	CheckpointPace  = checkpointPace
+	CheckpointFloor = checkpointFloor
 )
 
 // SetModelClock replaces the checkpoint pacer's clock with a model of the
@@ -22,4 +24,5 @@ func (e *Engine) SetModelClock(perEvent time.Duration, cost func(states int) tim
 		}
 		return time.Unix(0, 0).Add(time.Duration(e.events)*perEvent + spent)
 	}
+	e.ckptDone = e.now() // the engine was built at this clock's present
 }

@@ -2,9 +2,9 @@ package sim_test
 
 // The cost-paced checkpoint schedule (Config.CheckpointEvery == 0) against
 // a model clock: which grid boundaries are cut, what the journal says they
-// cost, and that an explicit interval, a short run and a suspension are
-// untouched by pacing. Kill-and-resume at the default schedule is at the
-// end.
+// cost, that nothing is cut under the floor, and that an explicit interval,
+// a short run and a suspension are untouched by pacing. Kill-and-resume at
+// the default schedule is at the end.
 
 import (
 	"errors"
@@ -87,19 +87,24 @@ func readJournal(t *testing.T, dir string) []journalLine {
 }
 
 func TestCheckpointPacing(t *testing.T) {
+	// At slowEvent one grid step of exploration (25.6ms) is longer than
+	// CheckpointPace floors (16ms), so the first boundary is due like any
+	// later one; at fastEvent it takes seven.
 	const (
-		perEvent = 10 * time.Microsecond
-		gridStep = sim.CheckpointGrid * perEvent // 2.56ms of exploration
+		slowEvent = 100 * time.Microsecond
+		fastEvent = 10 * time.Microsecond
+		gridStep  = sim.CheckpointGrid * slowEvent
 	)
 	flat := func(d time.Duration) func(int) time.Duration {
 		return func(int) time.Duration { return d }
 	}
 	cases := []struct {
-		name   string
-		small  bool // the 3x3 two-packet run, shorter than one grid step
-		every  int
-		budget uint64
-		cost   func(states int) time.Duration
+		name     string
+		small    bool          // the 3x3 two-packet run, shorter than one grid step
+		perEvent time.Duration // 0 = slowEvent
+		every    int
+		budget   uint64
+		cost     func(states int) time.Duration
 		// check, when non-nil, asserts what the case adds to the common
 		// checks below; periodic is the journal without its last line.
 		check func(t *testing.T, res *sim.Result, periodic []journalLine)
@@ -111,6 +116,31 @@ func TestCheckpointPacing(t *testing.T) {
 				if want := int(res.Events / sim.CheckpointGrid); len(periodic) != want || res.Stats.Checkpoint.Skipped != 0 {
 					t.Errorf("%d periodic checkpoints, %d boundaries skipped; want %d and 0",
 						len(periodic), res.Stats.Checkpoint.Skipped, want)
+				}
+			},
+		},
+		{
+			// 2.56ms of exploration per grid step: the floor holds the first
+			// checkpoint back to the seventh boundary (17.92ms >= 16ms), and
+			// the measured cost — an eighth of a step — every one after it.
+			name:     "cheap checkpoints wait for the floor, then are cut at every boundary",
+			perEvent: fastEvent,
+			cost:     flat(sim.CheckpointGrid * fastEvent / sim.CheckpointPace),
+			check: func(t *testing.T, res *sim.Result, periodic []journalLine) {
+				const first = 7
+				if res.Events < (first+1)*sim.CheckpointGrid {
+					if len(periodic) != 0 {
+						t.Errorf("%d periodic checkpoints in a run of %d events, under the floor", len(periodic), res.Events)
+					}
+					return
+				}
+				for i, l := range periodic {
+					if want := uint64(first+i) * sim.CheckpointGrid; l.events != want {
+						t.Errorf("periodic checkpoint %d at %d events, want %d", i, l.events, want)
+					}
+				}
+				if res.Stats.Checkpoint.Skipped != first-1 {
+					t.Errorf("%d boundaries skipped, want the %d under the floor", res.Stats.Checkpoint.Skipped, first-1)
 				}
 			},
 		},
@@ -132,7 +162,7 @@ func TestCheckpointPacing(t *testing.T) {
 		},
 		{
 			name: "cost growing with the frontier",
-			cost: func(states int) time.Duration { return time.Duration(states) * 2 * time.Microsecond },
+			cost: func(states int) time.Duration { return time.Duration(states) * 20 * time.Microsecond },
 		},
 		{
 			name:  "an explicit interval is exact whatever it costs",
@@ -188,6 +218,10 @@ func TestCheckpointPacing(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				perEvent := tc.perEvent
+				if perEvent == 0 {
+					perEvent = slowEvent
+				}
 				eng.SetModelClock(perEvent, tc.cost)
 				res, err := eng.Run()
 				if err != nil {
@@ -235,12 +269,12 @@ func TestCheckpointPacing(t *testing.T) {
 }
 
 // checkPaced asserts the pacing rule on a paced run's periodic journal
-// lines: the first boundary is cut, every later checkpoint waits until the
-// exploration since the previous one has taken CheckpointPace times its
-// cost and is then cut at the first boundary, every boundary is either
-// cut or counted as skipped, and the budget follows — all periodic
-// checkpoints but the last cost at most 1/CheckpointPace of the time spent
-// exploring.
+// lines: the first checkpoint is cut at the first boundary CheckpointPace
+// floors into the run, every later one waits until the exploration since
+// the previous one has taken CheckpointPace times its cost and is then cut
+// at the first boundary, every boundary is either cut or counted as
+// skipped, and the budget follows — all periodic checkpoints but the last
+// cost at most 1/CheckpointPace of the time spent exploring.
 func checkPaced(t *testing.T, res *sim.Result, periodic []journalLine, perEvent time.Duration) {
 	t.Helper()
 	boundaries := int(res.Events / sim.CheckpointGrid)
@@ -249,14 +283,21 @@ func checkPaced(t *testing.T, res *sim.Result, periodic []journalLine, perEvent 
 		// the journal's last and not in periodic.
 		boundaries--
 	}
-	if boundaries <= 0 {
+	if got := len(periodic) + res.Stats.Checkpoint.Skipped; got != max(boundaries, 0) {
+		t.Errorf("%d cut + %d skipped != %d boundaries", len(periodic), res.Stats.Checkpoint.Skipped, boundaries)
+	}
+	first := 1 // the first boundary at or past the floor
+	for time.Duration(first*sim.CheckpointGrid)*perEvent < sim.CheckpointPace*sim.CheckpointFloor {
+		first++
+	}
+	if boundaries < first {
+		if len(periodic) != 0 {
+			t.Errorf("periodic checkpoints %v in a run that never got past the floor", periodic)
+		}
 		return
 	}
-	if len(periodic) == 0 || periodic[0].events != sim.CheckpointGrid {
-		t.Fatalf("first boundary not cut: periodic checkpoints %v", periodic)
-	}
-	if got := len(periodic) + res.Stats.Checkpoint.Skipped; got != boundaries {
-		t.Errorf("%d cut + %d skipped != %d boundaries", len(periodic), res.Stats.Checkpoint.Skipped, boundaries)
+	if len(periodic) == 0 || periodic[0].events != uint64(first*sim.CheckpointGrid) {
+		t.Fatalf("first checkpoint not at boundary %d: periodic checkpoints %v", first, periodic)
 	}
 	var paid time.Duration
 	for i := 1; i < len(periodic); i++ {
@@ -280,8 +321,56 @@ func checkPaced(t *testing.T, res *sim.Result, periodic []journalLine, perEvent 
 	}
 }
 
+// TestShortLeaseWritesNothing: a lease's run (RunItem that ships) that
+// ends inside CheckpointPace floors of exploration passes every grid
+// boundary over, leaves its directory without a checkpoint or a journal,
+// and hands its outcome back in memory — finished or suspended.
+func TestShortLeaseWritesNothing(t *testing.T) {
+	for _, algo := range allAlgorithms {
+		for _, budget := range []uint64{0, 3*sim.CheckpointGrid + 44} {
+			name := algo.String() + "/finished"
+			if budget != 0 {
+				name = algo.String() + "/suspended"
+			}
+			t.Run(name, func(t *testing.T) {
+				cfg := pacedConfig(t, algo)
+				cfg.CheckpointDir = filepath.Join(t.TempDir(), "lease")
+				cfg.EventBudget = budget
+				eng, err := sim.NewEngine(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// 3 200 events at 1us each: the whole run is a fifth of the floor.
+				eng.SetModelClock(time.Microsecond, func(int) time.Duration { return time.Millisecond })
+				res, final, err := eng.RunItem(true)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Suspended != (budget != 0) {
+					t.Fatalf("suspended=%v with budget %d", res.Suspended, budget)
+				}
+				if _, err := os.Stat(cfg.CheckpointDir); !errors.Is(err, os.ErrNotExist) {
+					t.Errorf("lease directory exists after a run under the floor (stat: %v)", err)
+				}
+				ck := res.Stats.Checkpoint
+				if want := int(res.Events / sim.CheckpointGrid); ck.Written != 0 || ck.Skipped != want {
+					t.Errorf("%d checkpoints written, %d boundaries skipped; want 0 and %d", ck.Written, ck.Skipped, want)
+				}
+				sp, err := snap.Decode(final, eng.Ctx().Exprs)
+				if err != nil {
+					t.Fatalf("shipped snapshot: %v", err)
+				}
+				if sp.Events != res.Events {
+					t.Errorf("shipped snapshot at %d events, run ended at %d", sp.Events, res.Events)
+				}
+			})
+		}
+	}
+}
+
 // TestKillAndResumeDefaultSchedule: a run at the default (paced) schedule
-// is abandoned — the crash — before its first checkpoint and after it.
+// is abandoned — the crash — before its first checkpoint and after it (on a
+// model clock slow enough that the first grid boundary is past the floor).
 // Resume-or-start from the directory then starts fresh or resumes, and
 // either way ends exactly where the uninterrupted run does.
 func TestKillAndResumeDefaultSchedule(t *testing.T) {
@@ -298,6 +387,7 @@ func TestKillAndResumeDefaultSchedule(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				eng.SetModelClock(100*time.Microsecond, func(int) time.Duration { return time.Millisecond })
 				for i := 0; i < killAt; i++ {
 					if !eng.Step() {
 						t.Fatalf("run ended after %d events, before the kill", i)

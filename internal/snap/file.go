@@ -23,41 +23,33 @@ const JournalFile = "journal.log"
 // so resume-or-start logic can fall back to a fresh run).
 var ErrNoCheckpoint = errors.New("snap: no checkpoint found")
 
-// Save writes the snapshot durably into dir and returns its encoded
-// size: encode, write to a temp file, fsync, close, then rename over
-// CheckpointFile — so a crash at any point leaves either the previous
-// checkpoint or the new one, never a torn file. Every writer error return
-// is checked; a checkpoint that silently dropped bytes is worse than
-// none. The caller records the checkpoint with AppendJournal once it
-// knows what it cost.
-func Save(dir string, s *Snapshot, b *expr.Builder) (int, error) {
-	data, err := s.Encode(b)
-	if err != nil {
-		return 0, err
-	}
+// Save writes an encoded snapshot durably into dir: write to a temp file,
+// fsync, close, then rename over CheckpointFile — so a crash at any point
+// leaves either the previous checkpoint or the new one, never a torn file.
+// Every writer error return is checked; a checkpoint that silently dropped
+// bytes is worse than none. The caller records the checkpoint with
+// AppendJournal once it knows what it cost.
+func Save(dir string, data []byte) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return 0, err
+		return err
 	}
 	tmp := filepath.Join(dir, CheckpointFile+".tmp")
 	f, err := os.Create(tmp)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	if _, err := f.Write(data); err != nil {
 		f.Close()
-		return 0, err
+		return err
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
-		return 0, err
+		return err
 	}
 	if err := f.Close(); err != nil {
-		return 0, err
+		return err
 	}
-	if err := os.Rename(tmp, filepath.Join(dir, CheckpointFile)); err != nil {
-		return 0, err
-	}
-	return len(data), nil
+	return os.Rename(tmp, filepath.Join(dir, CheckpointFile))
 }
 
 // AppendJournal adds the line for a saved checkpoint to dir's journal:

@@ -48,10 +48,10 @@ var magic = []byte("SDEsnp\x00")
 // version is the one format this build reads and writes; WireVersion
 // tracks it, so bumping it (for a snapshot or a protocol change alike)
 // makes older peers reject the handshake instead of misparsing what they
-// do not know. Version 7 is version 6 (the run's counters as one stats
-// section, one lease message) minus the three solver-session counters the
-// section used to carry.
-const version = 7
+// do not know. Version 8 is version 7 (the run's counters as one stats
+// section, one lease message) minus the NoWork message of the worker
+// protocol: the snapshot bytes are unchanged, the message numbering is not.
+const version = 8
 
 // Snapshot is the complete persistent form of an exploration frontier,
 // taken at an event boundary (no state mid-execution).

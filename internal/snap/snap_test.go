@@ -198,17 +198,14 @@ func TestSaveLoad(t *testing.T) {
 	if _, err := snap.LoadBytes(dir); !errors.Is(err, snap.ErrNoCheckpoint) {
 		t.Fatalf("LoadBytes on empty dir: %v, want ErrNoCheckpoint", err)
 	}
-	size, err := snap.Save(dir, sp, b)
-	if err != nil {
-		t.Fatalf("Save: %v", err)
-	}
 	want, err := sp.Encode(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if size != len(want) {
-		t.Fatalf("Save reported %d bytes, Encode has %d", size, len(want))
+	if err := snap.Save(dir, want); err != nil {
+		t.Fatalf("Save: %v", err)
 	}
+	size := len(want)
 	if err := snap.AppendJournal(dir, sp, size, 1500*time.Microsecond); err != nil {
 		t.Fatalf("AppendJournal: %v", err)
 	}
@@ -231,7 +228,7 @@ func TestSaveLoad(t *testing.T) {
 	}
 
 	// A second checkpoint overwrites the snapshot and appends a journal line.
-	if _, err := snap.Save(dir, sp, b); err != nil {
+	if err := snap.Save(dir, want); err != nil {
 		t.Fatalf("second Save: %v", err)
 	}
 	if err := snap.AppendJournal(dir, sp, size, 1500*time.Microsecond); err != nil {

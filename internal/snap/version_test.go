@@ -125,6 +125,7 @@ func TestVersionGate(t *testing.T) {
 		{"previous-version", reversion(t, cur, snap.WireVersion-1), true},
 		{"version-5", reversion(t, cur, 5), true}, // the last format without a stats section: counters in the header and the samples
 		{"version-6", reversion(t, cur, 6), true}, // its stats section carried three solver-session counters more
+		{"version-7", reversion(t, cur, 7), true}, // same snapshot bytes, but its worker protocol still had NoWork
 		{"future-version", reversion(t, cur, snap.WireVersion+1), true},
 		{"version-zero", reversion(t, cur, 0), true},
 		{"version-255", reversion(t, cur, 255), true},

@@ -112,134 +112,16 @@ func diffStates(a, b *State) string {
 // — runs on the live family and on a shadow that shares nothing, and after
 // every step every state must equal its shadow.
 func TestForkAliasing(t *testing.T) {
-	prog := shareProg(t)
-	ctx := NewContext()
-	eb := ctx.Exprs
-	tick, recv, boot := prog.FuncIndex("tick"), prog.FuncIndex("on_recv"), prog.FuncIndex("boot")
-	rng := rand.New(rand.NewSource(22))
-
-	// Constraints never contradict one another: booleans only positively,
-	// each word pinned to one constant.
-	var pool []*expr.Expr
-	for i := 0; i < 12; i++ {
-		pool = append(pool, eb.Var(fmt.Sprintf("b%d", i), 1))
-	}
-	for i := 0; i < 6; i++ {
-		pool = append(pool, eb.Eq(eb.Var(fmt.Sprintf("w%d", i), 8), eb.Const(uint64(i+1), 8)))
-	}
-
+	d := newAliasDriver(t, 22)
 	live, shadow := &world{}, &world{deep: true}
-	worlds := []*world{live, shadow}
+	d.worlds = []*world{live, shadow}
 	for node := 0; node < 3; node++ {
-		for _, w := range worlds {
-			w.adopt(NewState(ctx, prog, node))
+		for _, w := range d.worlds {
+			w.adopt(NewState(d.ctx, d.prog, node))
 		}
 	}
-	const maxLive = 40
-	now := uint64(0)
-	var rewinds, reboots int // coverage of the rare shapes
-
 	for step := 0; step < 4000; step++ {
-		now++
-		var alive []int
-		for i, s := range live.states {
-			if s != nil {
-				alive = append(alive, i)
-			}
-		}
-		i := alive[rng.Intn(len(alive))]
-		other := alive[rng.Intn(len(alive))]
-		op, r := rng.Intn(16), rng.Intn(1<<16)
-		st := live.states[i].Status()
-		if len(alive) >= maxLive && op <= 1 {
-			op = 15 // full house: release instead of forking
-		}
-		for _, w := range worlds {
-			s := w.states[i]
-			switch op {
-			case 0:
-				w.adopt(s.Fork())
-			case 1:
-				n := s.SpecFork()
-				n.AdoptFreshID()
-				w.adopt(n)
-			case 2, 3:
-				s.AddConstraint(pool[r%len(pool)])
-			case 4:
-				if o := w.states[other]; o.NodeID() != s.NodeID() {
-					s.InheritConstraints(o.PathCond())
-				}
-			case 5:
-				s.RecordSend(uint32(r%3), now, uint64(r))
-			case 6:
-				s.RecordRecv(uint32(r%3), now, uint32(r), uint64(r), uint64(r)*31)
-			case 7:
-				s.PushEvent(Event{Time: now + uint64(r%4), Kind: EventTimer, Fn: tick, Arg: eb.Const(uint64(r), WordBits)})
-			case 8:
-				s.PushEvent(Event{Time: now + uint64(r%4), Kind: EventRecv, Fn: recv, Src: uint32(r % 3),
-					Data: []*expr.Expr{eb.Const(uint64(r%7), WordBits)}})
-			case 9, 10: // run: finish a suspended activation, or start the next event
-				if s.Status() == StatusIdle && s.PendingEvents() > 0 {
-					s.BeginEvent(0x200)
-				}
-				if s.Status() == StatusRunning {
-					if err := s.Run(now, 0, w); err != nil {
-						t.Fatalf("step %d: Run: %v", step, err)
-					}
-				}
-			case 11:
-				if s.PendingEvents() > 0 {
-					if r%2 == 0 {
-						s.DropEvent()
-					} else {
-						s.DuplicateEvent()
-					}
-				}
-			case 12:
-				if n := len(s.PathCond()); n > 0 {
-					s.RemoveConstraintAt(r % n)
-				}
-			case 13: // a speculative branch whose true side turns out infeasible
-				before := s.Status()
-				keep := len(s.PathCond())
-				sib := s.SpecFork()
-				w.detach(sib)
-				c := pool[r%len(pool)]
-				sib.AddConstraint(eb.Not(c))
-				s.AddConstraint(c)
-				s.RecordSend(1, now, uint64(r))
-				s.PushEvent(Event{Time: now, Kind: EventTimer, Fn: tick})
-				w.adopt(s.Fork()) // a fork made on the doomed side keeps its view
-				s.AddConstraint(pool[(r+1)%len(pool)])
-				s.RestoreFromSpec(sib, keep)
-				s.ClearSpecRewound()
-				s.status = before
-			case 14:
-				s.Reboot(boot, now)
-			case 15:
-				if len(alive) > 3 {
-					s.Release()
-					w.states[i] = nil
-				}
-			}
-		}
-		switch {
-		case op == 13:
-			rewinds++
-		case op == 14 && st != StatusHalted && st != StatusDead:
-			reboots++
-		}
-		if len(live.states) != len(shadow.states) {
-			t.Fatalf("step %d: op %d left %d live states, %d shadows", step, op, len(live.states), len(shadow.states))
-		}
-		for j, s := range live.states {
-			if s == nil {
-				continue
-			}
-			if d := diffStates(s, shadow.states[j]); d != "" {
-				t.Fatalf("step %d: after op %d on state %d, state %d differs from its shadow: %s", step, op, i, j, d)
-			}
-		}
+		d.step(step)
 	}
 	dead := 0
 	for _, s := range live.states {
@@ -248,9 +130,236 @@ func TestForkAliasing(t *testing.T) {
 		}
 	}
 	t.Logf("%d states made (%d dead at the end), %d forks at a branch inside a call, %d rewinds, %d reboots",
-		len(live.states), dead, live.branched, rewinds, reboots)
-	if live.branched == 0 || rewinds == 0 || reboots == 0 {
+		len(live.states), dead, live.branched, d.rewinds, d.reboots)
+	if live.branched == 0 || d.rewinds == 0 || d.reboots == 0 {
 		t.Error("the sequence must make some forks inside a call, some rewinds and some reboots")
+	}
+}
+
+// aliasDriver applies one seeded sequence of list-touching operations to
+// every world it is given, index for index, and after each step holds every
+// state of the first world to the same state of each other world.
+type aliasDriver struct {
+	t                *testing.T
+	ctx              *Context
+	prog             *isa.Program
+	tick, recv, boot int
+	rng              *rand.Rand
+	pool             []*expr.Expr // constraints that never contradict one another
+	worlds           []*world
+	now              uint64
+	rewinds, reboots int // coverage of the rare shapes
+}
+
+func newAliasDriver(t *testing.T, seed int64) *aliasDriver {
+	prog := shareProg(t)
+	d := &aliasDriver{
+		t: t, ctx: NewContext(), prog: prog, rng: rand.New(rand.NewSource(seed)),
+		tick: prog.FuncIndex("tick"), recv: prog.FuncIndex("on_recv"), boot: prog.FuncIndex("boot"),
+	}
+	// Booleans only positively, each word pinned to one constant.
+	eb := d.ctx.Exprs
+	for i := 0; i < 12; i++ {
+		d.pool = append(d.pool, eb.Var(fmt.Sprintf("b%d", i), 1))
+	}
+	for i := 0; i < 6; i++ {
+		d.pool = append(d.pool, eb.Eq(eb.Var(fmt.Sprintf("w%d", i), 8), eb.Const(uint64(i+1), 8)))
+	}
+	return d
+}
+
+func (d *aliasDriver) step(step int) {
+	const maxLive = 40
+	t, eb, rng, pool, live := d.t, d.ctx.Exprs, d.rng, d.pool, d.worlds[0]
+	d.now++
+	now := d.now
+	var alive []int
+	for i, s := range live.states {
+		if s != nil {
+			alive = append(alive, i)
+		}
+	}
+	i := alive[rng.Intn(len(alive))]
+	other := alive[rng.Intn(len(alive))]
+	op, r := rng.Intn(16), rng.Intn(1<<16)
+	st := live.states[i].Status()
+	if len(alive) >= maxLive && op <= 1 {
+		op = 15 // full house: release instead of forking
+	}
+	for _, w := range d.worlds {
+		s := w.states[i]
+		switch op {
+		case 0:
+			w.adopt(s.Fork())
+		case 1:
+			n := s.SpecFork()
+			n.AdoptFreshID()
+			w.adopt(n)
+		case 2, 3:
+			s.AddConstraint(pool[r%len(pool)])
+		case 4:
+			if o := w.states[other]; o.NodeID() != s.NodeID() {
+				s.InheritConstraints(o.PathCond())
+			}
+		case 5:
+			s.RecordSend(uint32(r%3), now, uint64(r))
+		case 6:
+			s.RecordRecv(uint32(r%3), now, uint32(r), uint64(r), uint64(r)*31)
+		case 7:
+			s.PushEvent(Event{Time: now + uint64(r%4), Kind: EventTimer, Fn: d.tick, Arg: eb.Const(uint64(r), WordBits)})
+		case 8:
+			s.PushEvent(Event{Time: now + uint64(r%4), Kind: EventRecv, Fn: d.recv, Src: uint32(r % 3),
+				Data: []*expr.Expr{eb.Const(uint64(r%7), WordBits)}})
+		case 9, 10: // run: finish a suspended activation, or start the next event
+			if s.Status() == StatusIdle && s.PendingEvents() > 0 {
+				s.BeginEvent(0x200)
+			}
+			if s.Status() == StatusRunning {
+				if err := s.Run(now, 0, w); err != nil {
+					t.Fatalf("step %d: Run: %v", step, err)
+				}
+			}
+		case 11:
+			if s.PendingEvents() > 0 {
+				if r%2 == 0 {
+					s.DropEvent()
+				} else {
+					s.DuplicateEvent()
+				}
+			}
+		case 12:
+			if n := len(s.PathCond()); n > 0 {
+				s.RemoveConstraintAt(r % n)
+			}
+		case 13: // a speculative branch whose true side turns out infeasible
+			before := s.Status()
+			keep := len(s.PathCond())
+			sib := s.SpecFork()
+			w.detach(sib)
+			c := pool[r%len(pool)]
+			sib.AddConstraint(eb.Not(c))
+			s.AddConstraint(c)
+			s.RecordSend(1, now, uint64(r))
+			s.PushEvent(Event{Time: now, Kind: EventTimer, Fn: d.tick})
+			w.adopt(s.Fork()) // a fork made on the doomed side keeps its view
+			s.AddConstraint(pool[(r+1)%len(pool)])
+			s.RestoreFromSpec(sib, keep)
+			s.ClearSpecRewound()
+			s.status = before
+		case 14:
+			s.Reboot(d.boot, now)
+		case 15:
+			if len(alive) > 3 {
+				s.Release()
+				w.states[i] = nil
+			}
+		}
+	}
+	switch {
+	case op == 13:
+		d.rewinds++
+	case op == 14 && st != StatusHalted && st != StatusDead:
+		d.reboots++
+	}
+	for _, w := range d.worlds[1:] {
+		if len(live.states) != len(w.states) {
+			t.Fatalf("step %d: op %d left %d live states, %d shadows", step, op, len(live.states), len(w.states))
+		}
+		for j, s := range live.states {
+			if s == nil {
+				continue
+			}
+			if diff := diffStates(s, w.states[j]); diff != "" {
+				t.Fatalf("step %d: after op %d on state %d, state %d differs from its shadow: %s", step, op, i, j, diff)
+			}
+		}
+	}
+}
+
+// TestRestoreAliasing is TestForkAliasing for RestoreStates, which adopts
+// its images' path condition, history, trace and event payloads instead of
+// copying them: two families restored from the same images — with the spare
+// capacity an append-grown decode leaves behind every list — are driven
+// through different operation sequences, turn about, and each must stay
+// equal to a shadow restored from deep copies that shares nothing. An
+// append by one family that reached the arrays they both started from
+// would surface in the other.
+func TestRestoreAliasing(t *testing.T) {
+	warm := newAliasDriver(t, 23)
+	seedWorld := &world{}
+	warm.worlds = []*world{seedWorld}
+	for node := 0; node < 3; node++ {
+		seedWorld.adopt(NewState(warm.ctx, warm.prog, node))
+	}
+	for step := 0; step < 400; step++ {
+		warm.step(step)
+	}
+	pt := NewPageTable()
+	var images []StateImage
+	var lists int
+	for _, s := range seedWorld.states {
+		if s == nil {
+			continue
+		}
+		if s.Status() == StatusRunning { // a snapshot is taken at an event boundary
+			if err := s.Run(warm.now, 0, seedWorld); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, s := range seedWorld.states {
+		if s == nil {
+			continue
+		}
+		img := s.Image(pt)
+		img.PathCond = slices.Grow(img.PathCond, 4)
+		img.Hist = slices.Grow(img.Hist, 4)
+		img.Trace = slices.Grow(img.Trace, 4)
+		for i := range img.Events {
+			img.Events[i].Data = slices.Grow(img.Events[i].Data, 4)
+		}
+		lists += len(img.PathCond) + len(img.Hist) + len(img.Trace)
+		images = append(images, img)
+	}
+	if lists == 0 {
+		t.Fatal("the warm-up left nothing in any list")
+	}
+	deepCopy := func() []StateImage {
+		out := slices.Clone(images)
+		for i := range out {
+			out[i].PathCond = slices.Clone(out[i].PathCond)
+			out[i].Hist = slices.Clone(out[i].Hist)
+			out[i].Trace = slices.Clone(out[i].Trace)
+			out[i].Events = slices.Clone(out[i].Events)
+			for j := range out[i].Events {
+				out[i].Events[j].Data = slices.Clone(out[i].Events[j].Data)
+			}
+		}
+		return out
+	}
+	restore := func(d *aliasDriver, images []StateImage, deep bool) *world {
+		states, err := RestoreStates(d.ctx, d.prog, images, pt.Pages())
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := &world{deep: deep}
+		for _, s := range states {
+			w.adopt(s)
+		}
+		return w
+	}
+	var families []*aliasDriver
+	for seed := int64(31); seed < 33; seed++ {
+		d := newAliasDriver(t, seed)
+		d.ctx, d.pool, d.now = warm.ctx, warm.pool, warm.now
+		// Both families restore from the same images; each shadow from its own copy.
+		d.worlds = []*world{restore(d, slices.Clone(images), false), restore(d, deepCopy(), true)}
+		families = append(families, d)
+	}
+	for step := 0; step < 1500; step++ {
+		for _, d := range families {
+			d.step(step)
+		}
 	}
 }
 

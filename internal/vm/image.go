@@ -138,7 +138,11 @@ func (s *State) Image(t *PageTable) StateImage {
 // RestoreStates rebuilds live states from images and the snapshot's page
 // table, preserving state ids and re-sharing pages referenced by several
 // states. No solver call is made: solver state is never serialized, and
-// the first query after a resume encodes what it needs.
+// the first query after a resume encodes what it needs. The images are
+// consumed: a restored state adopts its image's path condition, history,
+// trace and event payloads as capped views — the arrays a fork would share
+// with its parent, under the same rule: nothing writes them in place, and
+// the first append copies. Pages are copied; a page holds an array.
 func RestoreStates(ctx *Context, prog *isa.Program, images []StateImage, pages [][]*expr.Expr) ([]*State, error) {
 	for i, pw := range pages {
 		if len(pw) != PageWords {
@@ -184,9 +188,9 @@ func restoreState(ctx *Context, prog *isa.Program, img *StateImage, pages [][]*e
 		fn:       img.Fn,
 		pc:       img.PC,
 		status:   img.Status,
-		pathCond: append([]*expr.Expr(nil), img.PathCond...),
-		hist:     append([]HistEntry(nil), img.Hist...),
-		trace:    append([]TraceEntry(nil), img.Trace...),
+		pathCond: img.PathCond[:len(img.PathCond):len(img.PathCond)],
+		hist:     img.Hist[:len(img.Hist):len(img.Hist)],
+		trace:    img.Trace[:len(img.Trace):len(img.Trace)],
 		sendSeq:  img.SendSeq,
 		recvSeq:  img.RecvSeq,
 		symSeq:   img.SymSeq,
@@ -220,7 +224,7 @@ func restoreState(ctx *Context, prog *isa.Program, img *StateImage, pages [][]*e
 			Fn:   ev.Fn,
 			Arg:  ev.Arg,
 			Src:  ev.Src,
-			Data: append([]*expr.Expr(nil), ev.Data...),
+			Data: ev.Data[:len(ev.Data):len(ev.Data)],
 			seq:  uint64(i),
 		})
 	}

@@ -86,7 +86,7 @@ type ShardConfig struct {
 	// as Scenario.WithCheckpoints does: n > 0 is exact (every n processed
 	// events), 0 is cost-paced (at most 1/8 of a shard's exploration time
 	// goes into periodic checkpoints; a crash loses at most 8 checkpoint
-	// costs plus 256 events per shard).
+	// costs — 16 ms before a shard's first — plus 256 events per shard).
 	CheckpointEvery int
 
 	// DepthHorizon, when non-zero, adds exploration depth as a second

@@ -4,8 +4,9 @@
 # worker mid-run, and require the final report digest to be bit-identical
 # to an in-process sharded run of the same spec. The kill happens twice:
 # once under -checkpoint-every 1 right after a durable checkpoint, and once
-# at the default (cost-paced) schedule before the lease's first checkpoint,
-# where recovery has nothing but the requeued lease.
+# at the default (cost-paced) schedule before the lease's first checkpoint
+# (none is cut in a lease's first 16 ms), where recovery has nothing but the
+# requeued lease.
 #
 # Phase 2 exercises the second shard dimension: a deepchain job with zero
 # shardable decision sites is spread purely by depth-horizon continuation
@@ -141,9 +142,11 @@ say "PASS phase 1: report survived a worker SIGKILL bit-identical (digest $DIGES
 
 # Phase 1b: the same job again, on a lone worker at the default checkpoint
 # schedule (no -checkpoint-every) that dies five events into its first
-# lease — long before the first paced checkpoint at 256 events. The lease
-# must be requeued and a replacement worker finish the job from scratch.
-# (w1 goes first: two idle workers would race for the four short leases.)
+# lease — long before the first paced checkpoint, which waits for the first
+# 256-event boundary 16 ms into the lease; these leases end sooner and write
+# no file at all. The lease must be requeued and a replacement worker finish
+# the job from scratch. (w1 goes first: two parked workers would both be
+# handed one of the four short leases the moment the job is submitted.)
 say "phase 1b: worker w2 dies before its first paced checkpoint"
 kill "$W1" 2>/dev/null || true
 "$BIN/sde-worker" -connect "$COORD_ADDR" -name w2 -workdir "$WORK/w2" \

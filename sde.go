@@ -293,13 +293,14 @@ func (s Scenario) WithoutQueryOptimizer() Scenario {
 //
 // every > 0 is exact: a checkpoint after every `every` processed events,
 // whatever it costs. every == 0 is the cost-paced default: a checkpoint
-// may be cut every 256 events, the first such boundary always is, and a
-// later one only once exploration since the previous checkpoint finished
-// has taken at least 8 times what that checkpoint cost (snapshot, encode,
-// write and fsync, measured). Periodic checkpoints then take at most 1/8
-// of the time spent exploring, and a crash loses at most 8 times the last
-// checkpoint's cost plus 256 events of work. The snapshots and the resumed
-// run are the same under either schedule.
+// may be cut every 256 events, and is only once exploration since the
+// previous checkpoint finished has taken at least 8 times what that
+// checkpoint cost (snapshot, encode, write and fsync, measured; before the
+// first, a 2 ms floor stands in, so a run shorter than 16 ms writes only
+// its final snapshot). Periodic checkpoints then take at most 1/8 of the
+// time spent exploring, and a crash loses at most 8 times the last
+// checkpoint's cost — 16 ms before the first — plus 256 events of work. The
+// snapshots and the resumed run are the same under either schedule.
 func (s Scenario) WithCheckpoints(dir string, every int) Scenario {
 	s.cfg.CheckpointDir = dir
 	s.cfg.CheckpointEvery = every

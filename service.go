@@ -2,10 +2,13 @@ package sde
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -14,20 +17,22 @@ import (
 	"sde/internal/sim"
 	"sde/internal/snap"
 	"sde/internal/solver"
+	"sde/internal/vm"
 )
 
 // Lease-granular execution: the building blocks of the multi-process
 // exploration service (cmd/sde-serve, cmd/sde-worker, internal/dist).
 // The unit of distribution is the same unit the in-process shard
 // scheduler uses — a (depth, bits) sub-space of the dscenario partition —
-// and the wire payload of a finished lease is the shard's final durable
-// checkpoint, so crash recovery and result shipping both fall out of the
-// existing snapshot + resume machinery:
+// and the wire payload of a finished lease is the shard's final snapshot
+// in the checkpoint format, so crash recovery and result shipping both fall
+// out of the existing snapshot + resume machinery:
 //
-//   - a worker executes a lease with RunShardLease, checkpointing into a
-//     directory; if it crashes, the re-issued lease resumes from that
-//     directory (or, without shared storage, re-runs the deterministic
-//     shard from scratch) — either way the leaf is bit-identical;
+//   - a worker executes a lease with RunShardLease, checkpointing
+//     periodically into a directory; if it crashes, the re-issued lease
+//     resumes from that directory (or, without shared storage or before the
+//     first checkpoint, re-runs the deterministic shard from scratch) —
+//     either way the leaf is bit-identical;
 //   - the coordinator collects the leaf checkpoints and rebuilds a full
 //     ShardedReport with AssembleSharded, which resumes each finished
 //     snapshot in-process (replaying zero events);
@@ -57,17 +62,19 @@ func (s Scenario) shardPin(it ShardItem) map[string]uint64 {
 
 // LeaseOptions parameterises RunShardLease.
 type LeaseOptions struct {
-	// CheckpointDir is where the shard checkpoints and where its final
-	// snapshot — the lease's wire payload — is read from. Required.
+	// CheckpointDir receives the lease's periodic checkpoints, and is where
+	// a re-issued lease looks for one to resume from. Nothing else is
+	// written there: the lease's outcome — leaf or suspended frontier — is
+	// encoded once and returned in memory, so a lease shorter than the
+	// schedule's first checkpoint leaves the directory empty. Required.
 	CheckpointDir string
 	// CheckpointEvery selects the lease's periodic checkpoint schedule, as
 	// Scenario.WithCheckpoints does: n > 0 checkpoints after every n
 	// processed events exactly; 0 is cost-paced (at most every 256 events,
 	// and only once exploration has taken 8 times what the last checkpoint
 	// cost, so at most 1/8 of a lease goes into periodic checkpoints and a
-	// crash loses at most 8 checkpoint costs plus 256 events). The final
-	// snapshot — the lease's payload, or a suspension's frontier — is
-	// written under either.
+	// crash loses at most 8 checkpoint costs — 16 ms before the first
+	// checkpoint — plus 256 events).
 	CheckpointEvery int
 	// Progress, when non-nil, is polled during the run with the live
 	// state count and elapsed wall time; returning true stops the run
@@ -111,18 +118,17 @@ type LeaseOutcome struct {
 	Events uint64
 	// Report is the shard's report (partial when Stopped or Suspended).
 	Report *Report
-	// Snapshot is the shard's final durable checkpoint — the bytes a
-	// worker streams back to the coordinator. For a suspended lease it is
-	// the live frontier rather than a finished leaf.
+	// Snapshot is the shard's final snapshot, encoded — the bytes a worker
+	// streams back to the coordinator. For a suspended lease it is the
+	// live frontier rather than a finished leaf.
 	Snapshot []byte
 }
 
 // RunShardLease executes one work lease: the scenario restricted to the
-// item's sub-space, checkpointing into opts.CheckpointDir. A directory
-// that already holds a checkpoint — a crashed worker's, or a finished
-// run's — is resumed, replaying only what the snapshot does not cover;
-// resuming a finished leaf replays nothing. This is the worker half of
-// the exploration service.
+// item's sub-space, checkpointing periodically into opts.CheckpointDir. A
+// directory that already holds a checkpoint — a crashed worker's — is
+// resumed, replaying only what the snapshot does not cover. This is the
+// worker half of the exploration service.
 func RunShardLease(s Scenario, it ShardItem, opts LeaseOptions) (*LeaseOutcome, error) {
 	if err := it.Validate(s.MaxShardBits()); err != nil {
 		return nil, fmt.Errorf("sde: %w", err)
@@ -130,41 +136,40 @@ func RunShardLease(s Scenario, it ShardItem, opts LeaseOptions) (*LeaseOutcome, 
 	if opts.CheckpointDir == "" {
 		return nil, fmt.Errorf("sde: RunShardLease needs a checkpoint directory")
 	}
-	report, frontier, err := runShardItem(s, shardRun{
+	report, final, err := runShardItem(s, shardRun{
 		task:     &shard.Task{Item: it, Target: opts.EventTarget, Parent: opts.Continuation},
 		dir:      opts.CheckpointDir,
+		lease:    true,
 		every:    opts.CheckpointEvery,
 		progress: opts.Progress,
 	})
 	if err != nil {
 		return nil, err
 	}
-	if report.Stopped() {
-		return &LeaseOutcome{Stopped: true, Report: report}, nil
+	out := &LeaseOutcome{Report: report, Snapshot: final}
+	switch {
+	case report.Stopped():
+		out.Stopped = true
+	case report.Suspended():
+		out.Suspended = true
+		out.Units = report.res.SuspendUnits
+		out.Events = report.res.Events
 	}
-	if report.Suspended() {
-		return &LeaseOutcome{
-			Suspended: true,
-			Units:     report.res.SuspendUnits,
-			Events:    report.res.Events,
-			Report:    report,
-			Snapshot:  frontier,
-		}, nil
-	}
-	data, err := snap.LoadBytes(opts.CheckpointDir)
-	if err != nil {
-		return nil, fmt.Errorf("sde: reading leaf checkpoint: %w", err)
-	}
-	return &LeaseOutcome{Report: report, Snapshot: data}, nil
+	return out, nil
 }
 
 // shardRun is one execution of a queue task: the task plus the run-time
 // hooks its transport installs. Everything else — the layers included —
 // is the scenario's.
 type shardRun struct {
-	task     *shard.Task
-	dir      string // checkpoint directory ("" = not durable)
-	every    int    // checkpoint interval in events (0 = cost-paced)
+	task *shard.Task
+	dir  string // checkpoint directory ("" = not durable)
+	// lease: the outcome leaves with the caller — the final snapshot is
+	// returned whatever the run ended as, and dir is for periodic
+	// checkpoints only. Otherwise dir ends holding the final snapshot, for
+	// whoever resumes the sharded run, and only a suspension's is returned.
+	lease    bool
+	every    int // checkpoint interval in events (0 = cost-paced)
 	progress func(states int, elapsed time.Duration) (stop bool)
 	cache    *solver.SharedCache
 }
@@ -174,8 +179,9 @@ type shardRun struct {
 // and starts fresh, resumed from the item's own checkpoint in r.dir, or —
 // for a continuation item with no checkpoint of its own yet — resumed as
 // slice Cont[last].Seg of the parent frontier partitioned Cont[last].Of
-// ways. It returns the report plus, when the run suspended at its depth
-// horizon, the frontier snapshot bytes.
+// ways. It returns the report plus the encoded final snapshot: the
+// frontier when the run suspended at its depth horizon, the leaf when a
+// lease finished, nil otherwise.
 func runShardItem(s Scenario, r shardRun) (*Report, []byte, error) {
 	item := r.task.Item
 	sub := s
@@ -207,28 +213,11 @@ func runShardItem(s Scenario, r shardRun) (*Report, []byte, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("sde: %w", err)
 	}
-	res, err := eng.Run()
+	res, final, err := eng.RunItem(r.lease)
 	if err != nil {
 		return nil, nil, fmt.Errorf("sde: %w", err)
 	}
-	report := &Report{res: res, scenario: sub}
-	var suspend []byte
-	if res.Suspended {
-		if r.dir != "" {
-			// Run's final checkpoint write is the continuation payload.
-			suspend, err = snap.LoadBytes(r.dir)
-		} else {
-			var sp *snap.Snapshot
-			sp, err = eng.Snapshot()
-			if err == nil {
-				suspend, err = sp.Encode(eng.Ctx().Exprs)
-			}
-		}
-		if err != nil {
-			return nil, nil, fmt.Errorf("sde: continuation snapshot: %w", err)
-		}
-	}
-	return report, suspend, nil
+	return &Report{res: res, scenario: sub}, final, nil
 }
 
 // newShardEngine builds the engine for an item starting from scratch: a
@@ -366,20 +355,31 @@ func writeSortedPin(w io.Writer, m map[string]uint64) {
 
 // writeDScenarioFingerprints hashes each represented dscenario — the
 // FNV-1a of its per-node state fingerprints — in sorted order, the same
-// canonicalisation the sharded-equivalence tests use.
+// canonicalisation the sharded-equivalence tests use. A state stands in
+// many dscenarios (COW and SDS exist to make it so), so each is
+// fingerprinted once, into a table keyed by state, and the dscenarios
+// stream past it without being materialised.
 func writeDScenarioFingerprints(w io.Writer, rep *Report) {
-	fps := make([]uint64, 0, 64)
-	for _, sc := range rep.res.Mapper.Explode(0) {
+	m := rep.res.Mapper
+	stateFP := make(map[*vm.State]uint64, m.NumStates())
+	m.ForEachState(func(s *vm.State) { stateFP[s] = s.Fingerprint() })
+	var fps []uint64
+	m.ExplodeFunc(0, func(sc []*vm.State) bool {
 		fp := uint64(14695981039346656037)
 		for _, s := range sc {
-			fp ^= s.Fingerprint()
+			fp ^= stateFP[s]
 			fp *= 1099511628211
 		}
 		fps = append(fps, fp)
-	}
-	sort.Slice(fps, func(i, j int) bool { return fps[i] < fps[j] })
+		return true
+	})
+	slices.Sort(fps)
+	line := []byte("fp 0000000000000000\n") // fmt's "fp %016x\n", 852 k times
+	var word [8]byte
 	for _, fp := range fps {
-		fmt.Fprintf(w, "fp %016x\n", fp)
+		binary.BigEndian.PutUint64(word[:], fp)
+		hex.Encode(line[3:], word[:])
+		w.Write(line)
 	}
 }
 
