@@ -16,11 +16,11 @@
 // boundaries were passed over, and how long they took.
 //
 // After the summary comes one line per layer that did anything — vm,
-// solver, spec, merge, reduce, checkpoints — with that layer's counters
+// solver, spec, reduce, checkpoints — with that layer's counters
 // (sde.RunStats; -json carries the same value under "stats").
 //
-// The optional execution layers are switched with -compile, -merge,
-// -reduce, -speculate (-spec-workers N sizes its solver pool) and -qopt;
+// The optional execution layers are switched with -compile, -reduce (COB
+// only), -speculate (-spec-workers N sizes its solver pool) and -qopt;
 // sde.Layers documents what each preserves, and if a run ever looks wrong
 // that is also the order to flip them in.
 // -cpuprofile/-memprofile write pprof profiles for the whole run.

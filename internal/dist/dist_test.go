@@ -310,27 +310,39 @@ func TestServiceStragglerSplit(t *testing.T) {
 // versions.
 func TestServiceVersionNegotiation(t *testing.T) {
 	_, addr := startCoordinator(t, Options{})
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if err := writeMsg(conn, MsgHello, Hello{Name: "future", Wire: snap.WireVersion + 1}); err != nil {
-		t.Fatal(err)
-	}
-	typ, payload, err := snap.ReadFrame(conn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if typ != MsgError {
-		t.Fatalf("expected MsgError, got type %d", typ)
-	}
-	em, err := decode[ErrorMsg](payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(em.Msg, "version") {
-		t.Errorf("rejection %q does not mention the version", em.Msg)
+	for _, tc := range []struct {
+		name string
+		wire int
+	}{
+		{"future", snap.WireVersion + 1},
+		{"wire-8", 8}, // the last version whose snapshots and stats carried state merging
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			conn, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			if err := writeMsg(conn, MsgHello, Hello{Name: tc.name, Wire: tc.wire}); err != nil {
+				t.Fatal(err)
+			}
+			typ, payload, err := snap.ReadFrame(conn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if typ != MsgError {
+				t.Fatalf("expected MsgError, got type %d", typ)
+			}
+			em, err := decode[ErrorMsg](payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, want := range []string{"version", fmt.Sprint(tc.wire), fmt.Sprint(snap.WireVersion)} {
+				if !strings.Contains(em.Msg, want) {
+					t.Errorf("rejection %q does not mention %q", em.Msg, want)
+				}
+			}
+		})
 	}
 }
 

@@ -175,15 +175,21 @@ func TestServiceHTTPAPI(t *testing.T) {
 		}
 	}
 
-	// Bad submissions are rejected.
-	for _, bad := range []string{`{not json`, `{"spec":{"workload":"collect","topology":"ring:4"}}`} {
-		resp, err := http.Post(srv.URL+"/api/v1/jobs", "application/json", strings.NewReader(bad))
+	// Bad submissions are rejected, with the reason in the body.
+	for _, bad := range []struct{ body, reason string }{
+		{`{not json`, "bad request"},
+		{`{"spec":{"workload":"collect","topology":"ring:4"}}`, "ring"},
+		// A deleted layer is an unknown layer, not a default.
+		{`{"spec":{"workload":"collect","topology":"grid:3","layers":"merge"}}`, `layers: unknown layer "merge"`},
+	} {
+		resp, err := http.Post(srv.URL+"/api/v1/jobs", "application/json", strings.NewReader(bad.body))
 		if err != nil {
 			t.Fatal(err)
 		}
+		msg, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("submit %q status = %d, want 400", bad, resp.StatusCode)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), bad.reason) {
+			t.Errorf("submit %q = %d %q, want 400 saying %q", bad.body, resp.StatusCode, msg, bad.reason)
 		}
 	}
 }

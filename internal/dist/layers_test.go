@@ -82,15 +82,6 @@ func TestLayersSurviveEveryRunPath(t *testing.T) {
 				return s
 			},
 			func(r *sde.Report) int64 { return int64(r.VMStats().FastBlocks) }},
-		{"merge", collect,
-			func(l *sde.Layers, on bool) { l.Merge = on },
-			func(s sde.Scenario, on bool) sde.Scenario {
-				if on {
-					return s.WithMerging()
-				}
-				return s.WithoutMerging()
-			},
-			func(r *sde.Report) int64 { return int64(r.MergeStats().Candidates) }},
 		{"reduce", collectCOB,
 			func(l *sde.Layers, on bool) { l.Reduce = on },
 			func(s sde.Scenario, on bool) sde.Scenario {
@@ -171,39 +162,43 @@ func TestLayersSurviveEveryRunPath(t *testing.T) {
 }
 
 // TestServiceJobLayers: a job's layer set comes from its spec and from
-// nowhere else — a spec that turns merging and reduction on and speculation
-// off reaches every lease of a two-worker fleet (each layer's counter on the
-// job report's leaves says so), the fleet's digest equals the in-process run of spec.Scenario() at
-// the same partition, and the HTTP job status echoes the resolved layers.
-// (Merging under COB is left out: its leaf snapshots do not decode — see
-// ROADMAP.)
+// nowhere else — a spec that turns reduction on, or the query optimizer off,
+// and speculation off reaches every lease of a two-worker fleet (the layers'
+// counters on the job report's leaves say so), the fleet's digest equals the
+// in-process run of spec.Scenario() at the same partition, and the HTTP job
+// status echoes the resolved layers.
 func TestServiceJobLayers(t *testing.T) {
-	mergedSDS := testSpec
-	mergedSDS.Layers = sde.Layers{Merge: true, Reduce: true, NoSpeculate: true}
 	reducedCOB := testSpec
 	reducedCOB.Algorithm = "cob"
 	reducedCOB.Layers = sde.Layers{Reduce: true, NoSpeculate: true}
+	// The workload that queries the solver; it has no drop nodes to shard on.
+	rawSDS := sde.ScenarioSpec{Workload: "threshold", Topology: "line:4"}
+	rawSDS.Layers = sde.Layers{NoQopt: true, NoSpeculate: true}
 
 	for _, tc := range []struct {
-		name  string
-		spec  sde.ScenarioSpec
-		acted func(r *sde.Report) uint64 // the counter of a layer the spec turned on
+		name string
+		spec sde.ScenarioSpec
+		bits int
+		held func(r *sde.Report) bool // the leaf ran with the layers the spec chose
 	}{
-		{"sds-merge-reduce", mergedSDS, func(r *sde.Report) uint64 { return r.MergeStats().Candidates }},
-		{"cob-reduce", reducedCOB, func(r *sde.Report) uint64 { return r.ReduceStats().Checks }},
+		{"sds-no-qopt", rawSDS, 0, func(r *sde.Report) bool {
+			st := r.SolverStats()
+			return st.Queries != 0 && st.SlicedQueries+st.RewriteHits+st.ConcretizedReads == 0
+		}},
+		{"cob-reduce", reducedCOB, 2, func(r *sde.Report) bool { return r.ReduceStats().Checks != 0 }},
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			st, c, leaves := runFleetJob(t, tc.spec, JobOptions{ShardBits: 2, TestCases: 8})
-			if want := oracleDigest(t, tc.spec, 2, 8); st.Digest != want {
+			st, c, leaves := runFleetJob(t, tc.spec, JobOptions{ShardBits: tc.bits, TestCases: 8})
+			if want := oracleDigest(t, tc.spec, tc.bits, 8); st.Digest != want {
 				t.Errorf("fleet digest %s != in-process digest %s at the same partition and layers", st.Digest, want)
 			}
-			if len(leaves) != 4 {
-				t.Errorf("report has %d leaves, want the 4 bit shards", len(leaves))
+			if want := 1 << tc.bits; len(leaves) != want {
+				t.Errorf("report has %d leaves, want the %d bit shards", len(leaves), want)
 			}
 			for _, r := range leaves {
-				if tc.acted(r) == 0 {
-					t.Error("a leaf ran without a layer the job's spec turned on")
+				if !tc.held(r) {
+					t.Error("a leaf ran with other layers than the job's spec chose")
 				}
 				if n := r.SpecStats().Submitted; n != 0 {
 					t.Errorf("a leaf speculated (%d submissions) in a no-speculate job", n)

@@ -217,10 +217,6 @@ type Program struct {
 	// Programs are only constructed by pointer, so the sync.Once inside
 	// is never copied.
 	irc irCache
-
-	// effc caches the per-function transitive effect summaries
-	// (see effects.go), under the same pointer-only discipline.
-	effc effCache
 }
 
 // Func returns the function at index i.
@@ -235,6 +231,23 @@ func (p *Program) FuncIndex(name string) int {
 		return i
 	}
 	return -1
+}
+
+// UsesNodeID reports whether any function in the program reads the node
+// id. A program that never does — and has no per-node initial memory — is
+// node-uniform: every node runs the same computation over its inputs, so
+// topology automorphisms act on executions by pure relabeling. The
+// symmetry layer uses this to decide when reduction is automatically
+// applicable without a declared symmetry spec.
+func (p *Program) UsesNodeID() bool {
+	for fi := range p.funcs {
+		for i := range p.funcs[fi].Instrs {
+			if p.funcs[fi].Instrs[i].Op == OpNodeID {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // Disasm renders the whole program as assembly text for diagnostics.

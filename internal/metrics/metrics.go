@@ -99,7 +99,6 @@ type RunStats struct {
 	Solver     SolverStats     `json:"solver"`
 	Spec       SpecStats       `json:"spec"`
 	VM         VMStats         `json:"vm"`
-	Merge      MergeStats      `json:"merge"`
 	Reduce     ReduceStats     `json:"reduce"`
 	Checkpoint CheckpointStats `json:"checkpoint"`
 }
@@ -172,27 +171,7 @@ type VMStats struct {
 	FoldedInstrs uint64 `json:"folded_instrs,omitempty"` // fast-path instructions answered by load-time folding
 }
 
-// MergeStats counts state merging: how many sibling-state fusions the scan
-// performed, how the cost model filtered candidates, and how large the
-// merged frontier got. The merge manager counts all but ScansSkipped, which
-// is the engine's. All zero when merging is disabled.
-type MergeStats struct {
-	Merges     uint64 `json:"merges,omitempty"`      // accepted fusions (each hides one more live state)
-	Candidates uint64 `json:"candidates,omitempty"`  // structurally mergeable pairs considered
-	Rejects    uint64 `json:"rejects,omitempty"`     // candidates declined by the cost model
-	Splits     uint64 `json:"splits,omitempty"`      // rep dissolutions back into exact members
-	MaxMembers int    `json:"max_members,omitempty"` // largest member count any rep reached (max)
-	PeakMerged int    `json:"peak_merged,omitempty"` // peak number of states hidden inside reps (max)
-
-	// ScansSkipped counts end-of-event merge scans elided by the barren-
-	// workload backoff: after a run of consecutive scans that produced no
-	// fusion, the engine scans only every 2^i-th eligible Step (capped),
-	// resetting on the next fusion. Candidate nodes accumulate across the
-	// skipped scans, so no merge opportunity is lost — only deferred.
-	ScansSkipped uint64 `json:"scans_skipped,omitempty"`
-}
-
-// ReduceStats counts symmetry/partial-order reduction: the effective
+// ReduceStats counts symmetry reduction (COB only): the effective
 // automorphism group the reducer pruned with, how often it was consulted,
 // and how many failure decisions it pinned instead of forking (each pin
 // halves that lineage's subtree). The first block and Synthesized describe
@@ -203,10 +182,9 @@ type ReduceStats struct {
 	Truncated  bool `json:"truncated,omitempty"`   // automorphism search overflowed; fell back to trivial
 	Decisions  int  `json:"decisions,omitempty"`   // size of the armed failure-decision universe
 
-	Checks      uint64 `json:"checks,omitempty"`       // failure decisions the reducer was consulted on
-	Pins        uint64 `json:"pins,omitempty"`         // decisions pinned instead of forked
-	PORCommutes uint64 `json:"por_commutes,omitempty"` // merged executions allowed by the independence check
-	Synthesized int    `json:"synthesized,omitempty"`  // violations synthesized by witness expansion
+	Checks      uint64 `json:"checks,omitempty"`      // failure decisions the reducer was consulted on
+	Pins        uint64 `json:"pins,omitempty"`        // decisions pinned instead of forked
+	Synthesized int    `json:"synthesized,omitempty"` // violations synthesized by witness expansion
 }
 
 // CheckpointStats counts durable checkpoints (periodic ones plus the final
@@ -263,20 +241,11 @@ func (s RunStats) Add(o RunStats) RunStats {
 	s.VM.SlowBlocks += o.VM.SlowBlocks
 	s.VM.FoldedInstrs += o.VM.FoldedInstrs
 
-	s.Merge.Merges += o.Merge.Merges
-	s.Merge.Candidates += o.Merge.Candidates
-	s.Merge.Rejects += o.Merge.Rejects
-	s.Merge.Splits += o.Merge.Splits
-	s.Merge.MaxMembers = max(s.Merge.MaxMembers, o.Merge.MaxMembers)
-	s.Merge.PeakMerged = max(s.Merge.PeakMerged, o.Merge.PeakMerged)
-	s.Merge.ScansSkipped += o.Merge.ScansSkipped
-
 	s.Reduce.GroupOrder = max(s.Reduce.GroupOrder, o.Reduce.GroupOrder)
 	s.Reduce.Truncated = s.Reduce.Truncated || o.Reduce.Truncated
 	s.Reduce.Decisions = max(s.Reduce.Decisions, o.Reduce.Decisions)
 	s.Reduce.Checks += o.Reduce.Checks
 	s.Reduce.Pins += o.Reduce.Pins
-	s.Reduce.PORCommutes += o.Reduce.PORCommutes
 	s.Reduce.Synthesized = max(s.Reduce.Synthesized, o.Reduce.Synthesized)
 
 	s.Checkpoint.Written += o.Checkpoint.Written
@@ -302,13 +271,9 @@ func (s RunStats) String() string {
 			p.Workers, p.Submitted, p.Pairs, p.Assumes, p.Solves, p.Elided, p.Rewinds, p.SpecKills,
 			time.Duration(p.BarrierWaitNs).Round(time.Microsecond))
 	}
-	if m := s.Merge; m != (MergeStats{}) {
-		fmt.Fprintf(&sb, "merge: merges=%d candidates=%d rejects=%d splits=%d max-members=%d peak-merged=%d scans-skipped=%d\n",
-			m.Merges, m.Candidates, m.Rejects, m.Splits, m.MaxMembers, m.PeakMerged, m.ScansSkipped)
-	}
 	if r := s.Reduce; r != (ReduceStats{}) {
-		fmt.Fprintf(&sb, "reduce: group=%d truncated=%v decisions=%d checks=%d pins=%d por-commutes=%d synthesized=%d\n",
-			r.GroupOrder, r.Truncated, r.Decisions, r.Checks, r.Pins, r.PORCommutes, r.Synthesized)
+		fmt.Fprintf(&sb, "reduce: group=%d truncated=%v decisions=%d checks=%d pins=%d synthesized=%d\n",
+			r.GroupOrder, r.Truncated, r.Decisions, r.Checks, r.Pins, r.Synthesized)
 	}
 	if c := s.Checkpoint; c != (CheckpointStats{}) {
 		fmt.Fprintf(&sb, "checkpoints: written=%d skipped=%d wall=%v\n", c.Written, c.Skipped, c.Wall.Round(time.Microsecond))

@@ -135,17 +135,17 @@ func TestAddCarriesEveryCounter(t *testing.T) {
 			t.Errorf("%s: 5 + 7 is neither summed nor the larger: %+v", path, got)
 		}
 	}
-	if n < 50 {
+	if n < 45 {
 		t.Fatalf("walked %d counters; RunStats has more than that", n)
 	}
 }
 
 // TestAddSumsAndPeaks pins which is which for one counter of each kind.
 func TestAddSumsAndPeaks(t *testing.T) {
-	a := RunStats{VM: VMStats{Instructions: 5}, Merge: MergeStats{PeakMerged: 5}, Spec: SpecStats{Workers: 2}}
-	b := RunStats{VM: VMStats{Instructions: 7}, Merge: MergeStats{PeakMerged: 7}, Spec: SpecStats{Workers: 2}}
+	a := RunStats{VM: VMStats{Instructions: 5}, Spec: SpecStats{InflightPeak: 5, Workers: 2}}
+	b := RunStats{VM: VMStats{Instructions: 7}, Spec: SpecStats{InflightPeak: 7, Workers: 2}}
 	got := a.Add(b)
-	if got.VM.Instructions != 12 || got.Merge.PeakMerged != 7 || got.Spec.Workers != 2 {
+	if got.VM.Instructions != 12 || got.Spec.InflightPeak != 7 || got.Spec.Workers != 2 {
 		t.Errorf("Add = %+v, want instructions summed, peak and workers kept at the larger", got)
 	}
 }

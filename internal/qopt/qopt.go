@@ -381,10 +381,10 @@ func (o *Optimizer) peephole(e *expr.Expr) *expr.Expr {
 				return eb.Eq(eb.Const(^c.ConstVal(), yw), y.Arg(0))
 			case y.Kind() == expr.KindIte &&
 				y.Arg(1).IsConst() && y.Arg(2).IsConst():
-				// (k == ite(d, c1, c2)) with constant arms — the shape
-				// every branch on a merged value takes — collapses to a
-				// predicate on the merge condition alone: d, ¬d, or
-				// false. (c1 == c2 cannot reach here: hash-consing makes
+				// (k == ite(d, c1, c2)) with constant arms — the shape a
+				// compare against an oversized arithmetic shift takes —
+				// collapses to a predicate on the ite condition alone: d,
+				// ¬d, or false. (c1 == c2 cannot reach here: hash-consing makes
 				// equal constants one node and Builder.Ite folds t==f.)
 				switch {
 				case c.ConstVal() == y.Arg(1).ConstVal():
@@ -397,10 +397,9 @@ func (o *Optimizer) peephole(e *expr.Expr) *expr.Expr {
 			}
 		}
 	case expr.KindIte:
-		// Merge-produced ite chains: re-merging substitutes members'
-		// sub-mapped values back in, nesting ites that often share the
-		// same path-delta condition. (Constant conditions and equal arms
-		// never reach here — Builder.Ite folds those at construction.)
+		// Nested ites that share a condition. (Constant conditions and
+		// equal arms never reach here — Builder.Ite folds those at
+		// construction.)
 		cond, tv, fv := e.Arg(0), e.Arg(1), e.Arg(2)
 		if cond.Kind() == expr.KindNot {
 			// ite(¬d, a, b) = ite(d, b, a): sheds the negation.

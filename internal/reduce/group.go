@@ -1,18 +1,12 @@
-// Package reduce implements symmetry and partial-order reduction for
-// symmetric-topology exploration.
+// Package reduce implements symmetry reduction for symmetric-topology
+// exploration.
 //
-// The symmetry layer computes the automorphism group of a topology at load
+// It computes the automorphism group of a topology at load
 // time (line reversal, grid rotations/reflections, mesh permutations) and
 // prunes failure-decision branches whose outcome is a symmetric image of an
 // assignment the exploration already covers, keeping only one representative
 // per orbit. A witness map rewrites the reduced run's violations back to
 // concrete node ids at the end, so reports stay concrete.
-//
-// The partial-order layer classifies handler activations by their effect
-// footprint (internal/isa FuncEffects) and lets merged representatives
-// execute through same-virtual-time activations of provably independent
-// foreign states, so commuting orderings of independent activations are
-// explored once.
 //
 // Everything here is derived from the immutable scenario configuration —
 // nothing is ever serialized, so the snapshot wire format is unchanged.

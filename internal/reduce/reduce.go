@@ -66,9 +66,8 @@ func DecisionName(kind, node int) string {
 // COB, where a dscenario's members share one path condition and the
 // context is the union over the dscenario. COW and SDS states carry only
 // their own node's decisions; cross-node contexts are incomparable there
-// and the chain argument fails, so the engine consults the symmetry layer
-// for COB only (the partial-order layer is what reduction contributes to
-// COW/SDS runs).
+// and the chain argument fails, so the engine builds a Reducer for COB
+// only and reduction does nothing under COW and SDS.
 //
 // The Reducer is stateful (the registered-canon set) and must only be
 // used from the engine's single-threaded event loop.

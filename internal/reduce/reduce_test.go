@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"sde/internal/expr"
-	"sde/internal/isa"
 	"sde/internal/reduce"
 	"sde/internal/sim"
 )
@@ -280,70 +279,4 @@ func TestRelabelName(t *testing.T) {
 	if out["drop_n2_r0"] != 1 || out["sensor_n1_0"] != 77 || len(out) != 2 {
 		t.Errorf("RelabelEnv = %v", out)
 	}
-}
-
-// TestClassifier checks the effect-based purity classification on a
-// program with a pure helper, an impure handler, and a call chain.
-func TestClassifier(t *testing.T) {
-	prog := buildClassifierProgram()
-	c := reduce.NewClassifier(prog)
-	cases := []struct {
-		fn      string
-		pure    bool
-		maySend bool
-	}{
-		{"mix", true, false},
-		{"tick", true, false},      // calls mix only
-		{"sender", false, true},    // contains Send
-		{"relay", false, true},     // calls sender
-		{"brancher", false, false}, // conditional branch forks
-	}
-	for _, tc := range cases {
-		fn := prog.FuncIndex(tc.fn)
-		if fn < 0 {
-			t.Fatalf("function %s not found", tc.fn)
-		}
-		if got := c.Pure(fn); got != tc.pure {
-			t.Errorf("Pure(%s) = %v, want %v", tc.fn, got, tc.pure)
-		}
-		if got := c.MaySend(fn); got != tc.maySend {
-			t.Errorf("MaySend(%s) = %v, want %v", tc.fn, got, tc.maySend)
-		}
-	}
-	if !c.Pure(-1) || c.MaySend(-1) {
-		t.Error("absent handler must be pure and sendless")
-	}
-}
-
-func buildClassifierProgram() *isa.Program {
-	b := isa.NewBuilder()
-	mix := b.Func("mix")
-	mix.Load(isa.R1, isa.R0, 0x40)
-	mix.AddI(isa.R1, isa.R1, 7)
-	mix.XorI(isa.R1, isa.R1, 0x5a)
-	mix.Store(isa.R0, 0x40, isa.R1)
-	mix.Ret()
-	tick := b.Func("tick")
-	tick.MovI(isa.R0, 0)
-	tick.Call("mix")
-	tick.Ret()
-	sender := b.Func("sender")
-	sender.MovI(isa.R2, 1)
-	sender.MovI(isa.R3, 0x80)
-	sender.Send(isa.R2, isa.R3, 4)
-	sender.Ret()
-	relay := b.Func("relay")
-	relay.Call("sender")
-	relay.Ret()
-	brancher := b.Func("brancher")
-	brancher.Load(isa.R1, isa.R0, 0x40)
-	brancher.BrNZ(isa.R1, "done")
-	brancher.AddI(isa.R1, isa.R1, 1)
-	brancher.Label("done")
-	brancher.Ret()
-	prog, err := b.Build()
-	if err != nil {
-		panic(err)
-	}
-	return prog
 }

@@ -14,21 +14,15 @@ import (
 )
 
 // modelBytesWalk recomputes the footprint from nothing: every state's
-// overhead, and every page of every state and merged rep interned into one
-// table so a shared page counts once. It is what modelBytes used to do on
+// overhead, and every page of every state interned into one table so a
+// shared page counts once. It is what modelBytes used to do on
 // every sample.
 func (e *Engine) modelBytesWalk() MemTerms {
 	pt := vm.NewPageTable()
 	var terms MemTerms
-	count := func(s *vm.State) {
+	for _, s := range e.states {
 		terms.Overhead += int64(s.OverheadBytes())
 		s.Image(pt)
-	}
-	for _, s := range e.states {
-		count(s)
-	}
-	if e.mergeMgr != nil {
-		e.mergeMgr.ForEachRep(count)
 	}
 	terms.Pages = int64(e.cfg.Topo.K())*nodeImageBytes + int64(len(pt.Pages()))*vm.PageBytes
 	return terms

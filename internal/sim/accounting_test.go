@@ -41,8 +41,8 @@ func checkedSteps(t *testing.T, eng *sim.Engine, stop func() bool) {
 	}
 }
 
-// checkedFinish finishes the run and checks the final sample (taken before
-// merged reps dissolve) and the reported final footprint (after).
+// checkedFinish finishes the run and checks the final sample and the
+// reported final footprint.
 func checkedFinish(t *testing.T, eng *sim.Engine) *sim.Result {
 	t.Helper()
 	before := eng.ModelBytesWalk()
@@ -72,7 +72,7 @@ func TestModelBytesMatchesWalk(t *testing.T) {
 		nodes  []int // where the failure model is armed; nil: where the workload drops
 	}
 	workloads := []workload{
-		// Forks come from the failure models; the workload that merges.
+		// Forks come from the failure models.
 		{"collect", collectConfig, nil},
 		// Forks come from symbolic branches: speculation, rewinds, solver.
 		{"threshold", thresholdConfig, []int{1, 2}},
@@ -88,7 +88,6 @@ func TestModelBytesMatchesWalk(t *testing.T) {
 		resumeExact bool
 	}{
 		{"default", func(c sim.Config) sim.Config { return c }, true},
-		{"merge", withMerging, true},
 		{"reduce", withReduction, false},
 		{"nospec", withoutSpeculation, true},
 		{"nocompile", func(c sim.Config) sim.Config { c.Layers.NoCompile = true; return c }, true},

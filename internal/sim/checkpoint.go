@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"sde/internal/core"
-	mergepkg "sde/internal/merge"
 	"sde/internal/metrics"
 	"sde/internal/snap"
 	"sde/internal/vm"
@@ -36,27 +35,6 @@ func (e *Engine) Snapshot() (*snap.Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The merged frontier serializes alongside the state table: reps as
-	// full machines (their pages interned into the same table), members by
-	// the id of their frozen shell in States.
-	var merged []snap.MergedRep
-	if e.mergeMgr != nil {
-		for _, re := range e.mergeMgr.Export() {
-			mr := snap.MergedRep{Rep: re.Rep.Image(pt)}
-			for _, me := range re.Members {
-				mm := snap.MergedMember{
-					ID:        me.St.ID(),
-					StepsBase: me.StepsBase,
-					Carried:   me.Carried,
-				}
-				for _, p := range me.Subs {
-					mm.Subs = append(mm.Subs, snap.SubPairImage{Key: p.Key, Val: p.Val})
-				}
-				mr.Members = append(mr.Members, mm)
-			}
-			merged = append(merged, mr)
-		}
-	}
 	return &snap.Snapshot{
 		Algorithm:   e.cfg.Algorithm,
 		K:           e.cfg.Topo.K(),
@@ -75,7 +53,6 @@ func (e *Engine) Snapshot() (*snap.Snapshot, error) {
 		States: images,
 		Pages:  pt.Pages(),
 		Mapper: mapper,
-		Merged: merged,
 	}, nil
 }
 
@@ -191,21 +168,10 @@ func resumeSnapshot(cfg Config, data []byte, seg, of int) (*Engine, error) {
 	// snapshot already handed out.
 	e.ctx.RestoreStateIDSeq(sp.NextStateID)
 	e.base = sp.Stats
-	// Reps restore in the same call as the frontier: page interning is
-	// per-call, so a rep re-shares the pages its members' shells reference.
-	images := sp.States
-	if len(sp.Merged) > 0 {
-		images = make([]vm.StateImage, 0, len(sp.States)+len(sp.Merged))
-		images = append(images, sp.States...)
-		for i := range sp.Merged {
-			images = append(images, sp.Merged[i].Rep)
-		}
-	}
-	restored, err := vm.RestoreStates(e.ctx, cfg.Prog, images, sp.Pages)
+	states, err := vm.RestoreStates(e.ctx, cfg.Prog, sp.States, sp.Pages)
 	if err != nil {
 		return nil, err
 	}
-	states, reps := restored[:len(sp.States)], restored[len(sp.States):]
 	byID := make(map[uint64]*vm.State, len(states))
 	for _, s := range states {
 		if _, dup := byID[s.ID()]; dup {
@@ -242,44 +208,6 @@ func resumeSnapshot(cfg Config, data []byte, seg, of int) (*Engine, error) {
 	for _, s := range states {
 		e.scheduleHeap(s)
 	}
-	// Re-link the merged frontier. A resume with merging disabled adopts
-	// the reps into a throwaway manager and splits them immediately — the
-	// members re-enter the heap as the exact states they always were.
-	if len(reps) > 0 {
-		mgr := e.mergeMgr
-		if mgr == nil {
-			mgr = mergepkg.NewManager(e.ctx.Exprs, (*engineHooks)(e), mergepkg.Config{})
-		}
-		for i, rep := range reps {
-			mr := &sp.Merged[i]
-			members := make([]mergepkg.MemberExport, 0, len(mr.Members))
-			for _, mm := range mr.Members {
-				st, ok := byID[mm.ID]
-				if !ok {
-					return nil, fmt.Errorf("sim: checkpoint rep %d references unknown member state %d", rep.ID(), mm.ID)
-				}
-				subs := make([]mergepkg.SubPair, 0, len(mm.Subs))
-				for _, p := range mm.Subs {
-					subs = append(subs, mergepkg.SubPair{Key: p.Key, Val: p.Val})
-				}
-				members = append(members, mergepkg.MemberExport{
-					St:        st,
-					StepsBase: mm.StepsBase,
-					Carried:   mm.Carried,
-					Subs:      subs,
-				})
-			}
-			if err := mgr.AdoptRestored(rep, members); err != nil {
-				return nil, err
-			}
-			if e.mergeMgr != nil {
-				e.scheduleHeap(rep)
-			}
-		}
-		if e.mergeMgr == nil {
-			mgr.SplitAllIdle()
-		}
-	}
 	return e, nil
 }
 
@@ -292,11 +220,6 @@ func resumeSnapshot(cfg Config, data []byte, seg, of int) (*Engine, error) {
 // consumer of the same snapshot cuts identical slices. Pages referenced
 // only by dropped states stay in the table; restoring ignores them.
 func sliceSnapshot(sp *snap.Snapshot, seg, of int) error {
-	if len(sp.Merged) > 0 {
-		// Suspension splits all merged reps before the snapshot is written,
-		// so a continuation payload never carries them.
-		return fmt.Errorf("sim: cannot slice a snapshot with merged representatives")
-	}
 	if sp.Mapper == nil {
 		return fmt.Errorf("sim: cannot slice a snapshot without a mapper")
 	}

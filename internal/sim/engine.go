@@ -10,7 +10,6 @@ import (
 	"sde/internal/core"
 	"sde/internal/expr"
 	"sde/internal/isa"
-	mergepkg "sde/internal/merge"
 	"sde/internal/metrics"
 	reducepkg "sde/internal/reduce"
 	"sde/internal/solver"
@@ -163,14 +162,10 @@ type Config struct {
 	CheckpointEvery int
 
 	// Layers selects the optional execution layers (compiled fast path,
-	// merging, reduction, speculation, query optimizer); see Layers for
-	// what each preserves and the triage order. Replay runs never
-	// speculate, merge or reduce: they hold a single concrete path.
+	// reduction, speculation, query optimizer); see Layers for what each
+	// preserves and the triage order. Replay runs never speculate or
+	// reduce: they hold a single concrete path.
 	Layers Layers
-
-	// MergeCost overrides the merge-vs-fork cost model (default
-	// merge.DefaultCostModel). Only meaningful with Layers.Merge.
-	MergeCost mergepkg.CostModel
 
 	// Symmetry declares the per-node asymmetries of the scenario (role
 	// labels, static routes) so reduction can be used with node-aware
@@ -270,9 +265,8 @@ type Engine struct {
 	// Counters (see stats). base is what the snapshot this engine resumed
 	// from carried: zero for a fresh run and for every slice of a frontier
 	// but slice 0. own is the engine's share of the live ones — speculation
-	// resolution, merge-scan backoff, reduction, checkpoints; the solver,
-	// the VM context, the speculation pool and the merge manager count the
-	// rest themselves.
+	// resolution, reduction, checkpoints; the solver, the VM context and the
+	// speculation pool count the rest themselves.
 	base, own metrics.RunStats
 
 	bootFn, recvFn int
@@ -286,12 +280,10 @@ type Engine struct {
 	// Per-state overhead accounting (see modelBytes): overhead is the sum
 	// over the population as of the last sample, touched the states that
 	// may have changed theirs since. While overheadValid is false the next
-	// sample sums everything; mergeGen is the merge manager's fusion+split
-	// count as of the last sample.
+	// sample sums everything.
 	overhead      int64
 	touched       []*vm.State
 	overheadValid bool
-	mergeGen      uint64
 
 	// Speculative-fork pipeline (see speculate.go). specPending holds the
 	// unresolved speculations of the currently executing state, in
@@ -299,24 +291,9 @@ type Engine struct {
 	specPool    *solver.SpecPool
 	specPending []specEntry
 
-	// State merging (see merge.go). mergeMgr owns the merged frontier;
-	// mergeTouched collects the nodes whose quiescent states changed
-	// during the current Step, the only merge candidates its end-of-event
-	// scan needs to look at.
-	mergeMgr     *mergepkg.Manager
-	mergeTouched map[int]struct{}
-
-	// Merge-scan backoff (see maybeMergeScan): consecutive fruitless
-	// scans back the scan frequency off exponentially; touched nodes
-	// accumulate across the skipped scans, so candidates are deferred,
-	// never lost.
-	mergeBarren   int // consecutive scans without a fusion
-	mergeInterval int // current skip interval (0 = scan every Step)
-	mergeSkip     int // scans left to skip before the next real one
-
-	// Symmetry/partial-order reduction (see reduce.go in this package).
+	// Symmetry reduction (see reduce.go in this package); nil unless the
+	// run is COB with Layers.Reduce.
 	reducer *reducepkg.Reducer
-	porCls  *reducepkg.Classifier
 }
 
 // The cost-paced checkpoint schedule (Config.CheckpointEvery == 0): a
@@ -484,23 +461,13 @@ func newEngineShell(cfg Config) (*Engine, error) {
 		e.specPool = solver.NewSpecPool(ctx.Solver, workers)
 		ctx.SetSpecHooks((*engineHooks)(e))
 	}
-	if layers.Merge && cfg.Replay == nil {
-		e.mergeMgr = mergepkg.NewManager(ctx.Exprs, (*engineHooks)(e), mergepkg.Config{
-			Cost: cfg.MergeCost,
-			SliceStats: func() (uint64, uint64) {
-				st := ctx.Solver.Stats()
-				return uint64(st.SlicedQueries), uint64(st.SlicedFactors)
-			},
-		})
-		ctx.SetMergeHooks(e.mergeMgr)
-		e.mergeTouched = make(map[int]struct{})
-	}
 	if layers.Reduce && cfg.Replay == nil {
 		if err := validateSymmetry(&cfg); err != nil {
 			return nil, err
 		}
-		e.reducer = buildReducer(&cfg)
-		e.porCls = reducepkg.NewClassifier(cfg.Prog)
+		if cfg.Algorithm == core.COBAlgorithm {
+			e.reducer = buildReducer(&cfg)
+		}
 	}
 	return e, nil
 }
@@ -562,14 +529,6 @@ func (e *Engine) adopt(states []*vm.State) {
 	for _, s := range states {
 		e.states = append(e.states, s)
 		e.scheduleHeap(s)
-		if e.mergeTouched != nil {
-			e.mergeTouched[s.NodeID()] = struct{}{}
-		}
-	}
-	if len(states) > 0 {
-		// Fresh forks are exactly what produces merge candidates: cancel
-		// any scan backoff so the end-of-event scan sees them immediately.
-		e.mergeWake()
 	}
 	if len(e.states) > e.peakStates {
 		e.peakStates = len(e.states)
@@ -584,15 +543,9 @@ func (e *Engine) Step() bool {
 		return false
 	}
 	if e.cfg.EventBudget > 0 && e.events >= e.cfg.EventBudget {
-		// Depth-horizon cutoff. Merged reps are split first: a continuation
-		// snapshot must carry exact member states so it can be sliced along
-		// dscenario boundaries (splitting is bit-neutral — Finish does the
-		// same before result assembly). The speculation pipeline needs no
-		// such treatment: it is fully drained at the end of every
-		// activation, so between Steps it is always empty.
-		if e.mergeMgr != nil {
-			e.mergeMgr.SplitAllIdle()
-		}
+		// Depth-horizon cutoff. The speculation pipeline is fully drained
+		// at the end of every activation, so between Steps it is always
+		// empty and the frontier can be snapshotted as it stands.
 		if e.hasLiveWork() {
 			e.suspended = true
 			return false
@@ -634,22 +587,8 @@ func (e *Engine) Step() bool {
 			return false
 		}
 		e.clock = t
-		// A merged rep may only execute through this event if no unrelated
-		// state due at the same timestamp would, unmerged, have run between
-		// its members; otherwise split and let the members pop in their
-		// exact heap order (see mergeExecOK).
-		if e.mergeMgr != nil {
-			if e.mergeMgr.IsRep(s) && !e.mergeExecOK(s, t) {
-				e.mergeMgr.SplitIdle(s)
-				continue
-			}
-			e.mergeTouched[s.NodeID()] = struct{}{}
-		}
 		e.touch(s)
 		e.processEvent(s)
-		if e.mergeMgr != nil && e.err == nil && !e.aborted {
-			e.maybeMergeScan()
-		}
 		e.events++
 		if e.cfg.SampleEvery > 0 && e.events%uint64(e.cfg.SampleEvery) == 0 {
 			e.sample()
@@ -695,17 +634,16 @@ func (e *Engine) Run() (*Result, error) {
 }
 
 // RunItem is Run for one work item of a partitioned run, whose transport
-// says what becomes of the final snapshot — the frontier the run ended at,
-// taken before Finish dissolves a merged one. Without ship it goes to
-// CheckpointDir, as Run's does: someone reads that directory after this
-// process (a checkpointed run, a durable sharded run). With ship — a lease —
-// it is returned instead, and the directory holds only the periodic
-// checkpoints a re-issued lease resumes from. A suspended run returns it
-// either way: its continuations have no other source. The snapshot is
-// taken and encoded at most once, and nothing written is read back. A run
-// its Progress hook stopped has none: its result is discarded by contract
-// (straggler split, cancel), and the injected worker crash that stops a run
-// this way must leave behind only what a kill would.
+// says what becomes of the final snapshot — the frontier the run ended at.
+// Without ship it goes to CheckpointDir, as Run's does: someone reads that
+// directory after this process (a checkpointed run, a durable sharded run).
+// With ship — a lease — it is returned instead, and the directory holds only
+// the periodic checkpoints a re-issued lease resumes from. A suspended run
+// returns it either way: its continuations have no other source. The
+// snapshot is taken and encoded at most once, and nothing written is read
+// back. A run its Progress hook stopped has none: its result is discarded by
+// contract (straggler split, cancel), and the injected worker crash that
+// stops a run this way must leave behind only what a kill would.
 func (e *Engine) RunItem(ship bool) (*Result, []byte, error) {
 	for e.Step() {
 	}
@@ -738,14 +676,6 @@ func (e *Engine) RunItem(ship bool) (*Result, []byte, error) {
 func (e *Engine) Finish() *Result {
 	e.closeSpecPool()
 	terms := e.sample()
-	// Dissolve the merged frontier before result assembly: scenario
-	// explosion, test-case generation, and fingerprint collection must see
-	// the exact member states. The final sample above still captures the
-	// merged footprint; FinalMem below is comparable to a merge-off run.
-	if e.mergeMgr != nil && e.mergeMgr.HasReps() {
-		e.mergeMgr.SplitAllIdle()
-		terms = e.modelBytes()
-	}
 	mem := terms.Total()
 	res := &Result{
 		Algorithm:   e.cfg.Algorithm,
@@ -887,23 +817,6 @@ func (e *Engine) runToCompletion(s *vm.State) {
 	if err == nil && s.Status() == vm.StatusDead {
 		err = s.Err() // killed by a hook (e.g. out-of-range unicast)
 	}
-	if err != nil && e.mergeMgr != nil {
-		// A rep can only die wholesale (step budget, pc out of range) —
-		// asserts and sends split before executing. Every member dies of
-		// the same cause; report them individually, in id order, exactly
-		// as their unmerged runs would have.
-		if members, ok := e.mergeMgr.SplitDead(s); ok {
-			for _, m := range members {
-				e.violations = append(e.violations, &vm.Violation{
-					Node:    m.NodeID(),
-					Time:    e.clock,
-					Msg:     fmt.Sprintf("state died: %v", m.Err()),
-					StateID: m.ID(),
-				})
-			}
-			return
-		}
-	}
 	if errors.Is(err, vm.ErrAssertFails) {
 		// Already surfaced through OnViolation; the dead state simply
 		// stops executing (the errored path terminates, as in KLEE).
@@ -1025,12 +938,6 @@ func (e *Engine) pinDecision(s *vm.State, name string) (uint64, bool) {
 // onLocalBranch notifies the mapper of a local fork and adopts whatever
 // it created in response.
 func (e *Engine) onLocalBranch(orig, sibling *vm.State) {
-	// COB's OnBranch forks every other member of the dscenario — any node,
-	// any state — so the whole merged frontier must be real first. COW and
-	// SDS react to local forks without touching third-party states.
-	if e.mergeMgr != nil && e.cfg.Algorithm == core.COBAlgorithm {
-		e.mergeMgr.SplitAllIdle()
-	}
 	extra := e.mapper.OnBranch(orig, sibling)
 	e.adopt(extra)
 	e.checkMapper()
@@ -1079,16 +986,6 @@ func (e *Engine) deliverUnicast(s *vm.State, dst int, payload []*expr.Expr) {
 	if e.err != nil {
 		return
 	}
-	// Deliveries mutate (and may fork) the destination node's states, and
-	// COW's rival handling forks bystanders on every node — those states
-	// must be real, not frozen merge members.
-	if e.mergeMgr != nil && e.mergeMgr.HasReps() {
-		if e.cfg.Algorithm == core.COWAlgorithm {
-			e.mergeMgr.SplitAllIdle()
-		} else {
-			e.mergeMgr.SplitNodeIdle(dst)
-		}
-	}
 	del, err := e.mapper.MapSend(s, dst)
 	if err != nil {
 		e.err = fmt.Errorf("sim: state mapping: %w", err)
@@ -1105,9 +1002,6 @@ func (e *Engine) deliverUnicast(s *vm.State, dst int, payload []*expr.Expr) {
 	seq := s.RecordSend(uint32(dst), e.clock, payloadHash)
 	e.touch(del.Receivers...)
 	for _, r := range del.Receivers {
-		if e.mergeTouched != nil {
-			e.mergeTouched[r.NodeID()] = struct{}{}
-		}
 		r.RecordRecv(uint32(s.NodeID()), e.clock, seq, payloadHash, senderFP)
 		// Receiving implies the sender's context (see
 		// vm.InheritConstraints); with symbolic payloads the receiver
@@ -1145,9 +1039,6 @@ func (e *Engine) stats() metrics.RunStats {
 	var shared metrics.RunStats // parts the engine counts into as well
 	if e.specPool != nil {
 		shared.Spec = e.specPool.Stats()
-	}
-	if e.mergeMgr != nil {
-		shared.Merge = e.mergeMgr.Stats()
 	}
 	return e.base.Add(live).Add(shared)
 }
@@ -1198,16 +1089,8 @@ func (m MemTerms) Total() int64 { return m.Pages + m.Overhead }
 //
 // Neither term is recounted. The page term is the context's live-page
 // counter. The overhead term is a running total: only the states touched
-// since the previous call are re-measured, unless the merge manager fused
-// or split since — it rewrites members wholesale and moves reps in and out
-// of the population — and then everything is summed afresh.
+// since the previous call are re-measured.
 func (e *Engine) modelBytes() MemTerms {
-	if e.mergeMgr != nil {
-		st := e.mergeMgr.Stats()
-		if gen := st.Merges + st.Splits; gen != e.mergeGen {
-			e.mergeGen, e.overheadValid = gen, false
-		}
-	}
 	if e.overheadValid {
 		for _, s := range e.touched {
 			_, delta := s.SettleOverhead()
@@ -1215,18 +1098,9 @@ func (e *Engine) modelBytes() MemTerms {
 		}
 	} else {
 		e.overhead = 0
-		sum := func(s *vm.State) {
+		for _, s := range e.states {
 			bytes, _ := s.SettleOverhead()
 			e.overhead += int64(bytes)
-		}
-		for _, s := range e.states {
-			sum(s)
-		}
-		// Merged reps live outside the state table but their machines are
-		// the footprint that replaces their members' (frozen shells share
-		// nothing).
-		if e.mergeMgr != nil {
-			e.mergeMgr.ForEachRep(sum)
 		}
 		e.overheadValid = true
 	}

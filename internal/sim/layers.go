@@ -9,37 +9,33 @@ import (
 
 // Layers is the set of optional execution layers of a run — the only
 // place the layer set is represented. The zero value is the default
-// stack: compiled fast path, speculation and query optimizer on, merging
-// and reduction off.
+// stack: compiled fast path, speculation and query optimizer on, reduction
+// off.
 //
 // Declaration order is the soundness-triage order, bottom layer first:
 // when a run looks wrong, flip the first switch whose output you distrust
-// and compare. Compile, Merge, Speculate and Qopt preserve state
-// fingerprints, dscenario sets, violations and test cases bit for bit, so
-// any change in output names the faulty layer. Reduce preserves the
+// and compare. Compile, Speculate and Qopt preserve state fingerprints,
+// dscenario sets, violations and test cases bit for bit, so any change in
+// output names the faulty layer. Reduce preserves the
 // violation set and one test case per symmetry orbit but explores fewer
 // states, so only a changed violation set indicts it.
 //
 // A Layers value is fixed when the engine is created (CREATE) and never
 // consulted again: newEngineShell turns it into the engine's pool, hooks
-// and managers, and exploration (BUILD) reads only those.
+// and reducer, and exploration (BUILD) reads only those.
 type Layers struct {
 	// NoCompile runs every instruction through the per-instruction
 	// symbolic interpreter instead of the basic-block compiled fast path.
 	// The IR is derived at load time and never serialized, so the switch
 	// may differ between a checkpointed run and its resumption.
 	NoCompile bool
-	// Merge fuses sibling states of a node that differ at a bounded number
-	// of locations into one representative with ite-valued differences,
-	// split back at the first divergent or observable point
-	// (internal/merge). Only the instruction count shrinks.
-	Merge bool
 	// Reduce canonicalizes failure-decision branches under the topology's
-	// automorphism group (stabilized by Config.Symmetry) and lets merged
-	// representatives commute past independent activations
-	// (internal/reduce). Violations of pruned branches are synthesized
-	// back onto concrete node ids, marked Synthesized. Reduction state is
-	// derived and never serialized.
+	// automorphism group (stabilized by Config.Symmetry; internal/reduce).
+	// It is COB-only: its pruning rule needs the decided context COB's
+	// shared per-dscenario path condition provides, so under COW and SDS
+	// the switch builds nothing and changes nothing. Violations of pruned
+	// branches are synthesized back onto concrete node ids, marked
+	// Synthesized. Reduction state is derived and never serialized.
 	Reduce bool
 	// NoSpeculate solves every branch feasibility query synchronously on
 	// the interpreter thread instead of overlapping it with execution.
@@ -66,8 +62,7 @@ type layerSwitch struct {
 func (l *Layers) switches() []layerSwitch {
 	return []layerSwitch{
 		{"compile", &l.NoCompile, true, "basic-block compiled fast path (default true)"},
-		{"merge", &l.Merge, false, "ITE-based state merging (default false)"},
-		{"reduce", &l.Reduce, false, "symmetry + partial-order reduction; preserves violations, not state counts (default false)"},
+		{"reduce", &l.Reduce, false, "symmetry reduction of failure decisions, COB only (a no-op under COW/SDS); preserves violations, not state counts (default false)"},
 		{"speculate", &l.NoSpeculate, true, "speculative-fork solver pipeline (default true)"},
 		{"qopt", &l.NoQopt, true, "query-optimization pipeline: slicing, rewriting, concretization (default true)"},
 	}
@@ -85,7 +80,7 @@ func (l Layers) Validate() error {
 }
 
 // String renders the full layer set in declaration order, e.g.
-// "compile,no-merge,no-reduce,speculate,qopt" for the zero value, with
+// "compile,no-reduce,speculate,qopt" for the zero value, with
 // ",spec-workers=N" appended when the pool is sized explicitly. It is the
 // one textual form: logs print it, JSON carries it, UnmarshalText reads it.
 func (l Layers) String() string {
@@ -109,7 +104,7 @@ func (l Layers) String() string {
 func (l Layers) MarshalText() ([]byte, error) { return []byte(l.String()), nil }
 
 // UnmarshalText parses String's form. Switches that are not named keep
-// their default, so "" is the zero value and "merge,no-speculate" changes
+// their default, so "" is the zero value and "reduce,no-speculate" changes
 // exactly two layers.
 func (l *Layers) UnmarshalText(text []byte) error {
 	var out Layers

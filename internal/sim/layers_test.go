@@ -13,13 +13,13 @@ func TestLayersText(t *testing.T) {
 		want Layers
 		full string // String() of want
 	}{
-		{"", Layers{}, "compile,no-merge,no-reduce,speculate,qopt"},
-		{"merge, no-speculate", Layers{Merge: true, NoSpeculate: true},
-			"compile,merge,no-reduce,no-speculate,qopt"},
+		{"", Layers{}, "compile,no-reduce,speculate,qopt"},
+		{"reduce, no-speculate", Layers{Reduce: true, NoSpeculate: true},
+			"compile,reduce,no-speculate,qopt"},
 		{"no-compile,reduce,no-qopt,spec-workers=3",
 			Layers{NoCompile: true, Reduce: true, NoQopt: true, SpecWorkers: 3},
-			"no-compile,no-merge,reduce,speculate,no-qopt,spec-workers=3"},
-		{"merge,no-merge", Layers{}, "compile,no-merge,no-reduce,speculate,qopt"},
+			"no-compile,reduce,speculate,no-qopt,spec-workers=3"},
+		{"reduce,no-reduce", Layers{}, "compile,no-reduce,speculate,qopt"},
 	}
 	for _, c := range cases {
 		var got Layers
@@ -38,13 +38,25 @@ func TestLayersText(t *testing.T) {
 			t.Errorf("round trip of %q = %+v, %v", c.full, back, err)
 		}
 	}
-	for _, bad := range []string{"turbo", "no-", "spec-workers=x", "spec-workers=-1", "compile=off"} {
-		l := Layers{Merge: true}
-		if err := l.UnmarshalText([]byte(bad)); err == nil {
-			t.Errorf("UnmarshalText(%q) accepted", bad)
+	bad := []struct{ text, want string }{
+		{"turbo", `layers: unknown layer "turbo"`},
+		{"no-", `layers: unknown layer "no-"`},
+		{"spec-workers=x", "bad worker count"},
+		{"spec-workers=-1", "must be >= 0"},
+		{"compile=off", `layers: unknown layer "compile=off"`},
+		// State merging is deleted, not defaulted off: its tokens, and the
+		// canonical string that carried one, are refused by name.
+		{"merge", `layers: unknown layer "merge"`},
+		{"no-merge", `layers: unknown layer "no-merge"`},
+		{"compile,no-merge,no-reduce,speculate,qopt", `layers: unknown layer "no-merge"`},
+	}
+	for _, c := range bad {
+		l := Layers{Reduce: true}
+		if err := l.UnmarshalText([]byte(c.text)); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("UnmarshalText(%q) = %v, want an error saying %s", c.text, err, c.want)
 		}
-		if l != (Layers{Merge: true}) {
-			t.Errorf("failed UnmarshalText(%q) changed the value to %+v", bad, l)
+		if l != (Layers{Reduce: true}) {
+			t.Errorf("failed UnmarshalText(%q) changed the value to %+v", c.text, l)
 		}
 	}
 }
@@ -60,13 +72,16 @@ func TestLayersFlags(t *testing.T) {
 		l.RegisterFlags(fs)
 		return l, fs.Parse(args)
 	}
-	got, err := parse("-compile=false", "-merge", "-reduce=true", "-speculate=false", "-qopt=false", "-spec-workers", "4")
-	want := Layers{NoCompile: true, Merge: true, Reduce: true, NoSpeculate: true, NoQopt: true, SpecWorkers: 4}
+	got, err := parse("-compile=false", "-reduce=true", "-speculate=false", "-qopt=false", "-spec-workers", "4")
+	want := Layers{NoCompile: true, Reduce: true, NoSpeculate: true, NoQopt: true, SpecWorkers: 4}
 	if err != nil || got != want {
 		t.Errorf("all flags = %+v, %v; want %+v", got, err, want)
 	}
-	if got, err := parse("-compile", "-merge=false"); err != nil || got != (Layers{}) {
+	if got, err := parse("-compile", "-reduce=false"); err != nil || got != (Layers{}) {
 		t.Errorf("default-valued flags = %+v, %v; want the zero value", got, err)
+	}
+	if _, err := parse("-merge"); err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -merge") {
+		t.Errorf("-merge = %v, want a flag-parse error: the layer is deleted", err)
 	}
 	l, err := parse("-spec-workers=-1")
 	if err != nil {

@@ -1,10 +1,8 @@
 package sim
 
-// Engine-side symmetry and partial-order reduction (tentpole of
-// internal/reduce): the automorphism-group construction at engine build
-// time, the failure-decision consultation that prunes symmetric branches,
-// and the independence check that lets merged representatives commute past
-// foreign same-time activations.
+// Engine-side symmetry reduction (tentpole of internal/reduce): the
+// automorphism-group construction at engine build time and the
+// failure-decision consultation that prunes symmetric branches.
 //
 // Everything here is derived state: the group is recomputed from the
 // topology, the seen-set starts empty on every (re)start, and the snapshot
@@ -12,12 +10,11 @@ package sim
 // (the pre-resume registrations are gone) but never differently in outcome:
 // pruning only ever pins a decision whose twin subtree is explored, so the
 // violation set and the per-orbit-representative test cases are preserved —
-// NOT bit-identity, which is why -reduce sits after -merge in triage order.
+// NOT bit-identity, which is why -reduce sits after -compile in triage order.
 
 import (
 	"fmt"
 
-	"sde/internal/core"
 	reducepkg "sde/internal/reduce"
 	"sde/internal/vm"
 )
@@ -46,7 +43,7 @@ type ReduceSymmetry struct {
 // a caller promise and is honored (after stabilizing by its labels and
 // routing); otherwise the full automorphism group applies only to
 // node-uniform programs, and everything else gets the trivial group —
-// reduction then prunes nothing but the partial-order layer still works.
+// reduction then prunes nothing.
 func buildReducer(cfg *Config) *reducepkg.Reducer {
 	group := reducepkg.Trivial(cfg.Topo.K())
 	switch {
@@ -100,27 +97,24 @@ func (e *Engine) reduceContext(s *vm.State) map[string]uint64 {
 
 // decideFailure resolves one armed failure decision for state s. A shard
 // pin (Config.Pin) always wins and is registered with the symmetry layer
-// so later consultations prune against its subtree too. Otherwise, for
-// COB runs with reduction on, the reducer may pin the decision instead of
-// forking when the pruned side's canonical form is already being explored
-// by a symmetric twin; the pin constraint is added to the path condition
-// so dscenario fingerprints and test cases stay complete.
+// so later consultations prune against its subtree too. Otherwise, with a
+// reducer, the decision may be pinned instead of forked when the pruned
+// side's canonical form is already being explored by a symmetric twin; the
+// pin constraint is added to the path condition so dscenario fingerprints
+// and test cases stay complete.
 //
-// The symmetry consultation is COB-only by design: its soundness argument
+// The reducer exists only for COB (newEngineShell): the soundness argument
 // needs decided contexts that grow along each lineage, which COB's shared
 // per-dscenario path condition provides. COW and SDS states carry only
-// their own node's decisions, so reduction contributes the partial-order
-// layer there instead (see porCanCommute).
+// their own node's decisions, so reduction does nothing there.
 func (e *Engine) decideFailure(s *vm.State, name string) (uint64, bool) {
-	useSym := e.reducer != nil && e.cfg.Algorithm == core.COBAlgorithm
-	if val, pinned := e.pinDecision(s, name); pinned {
-		if useSym {
-			e.reducer.RegisterPinned(e.reduceContext(s), name, val)
-		}
-		return val, true
+	val, pinned := e.pinDecision(s, name)
+	if e.reducer == nil {
+		return val, pinned
 	}
-	if !useSym {
-		return 0, false
+	if pinned {
+		e.reducer.RegisterPinned(e.reduceContext(s), name, val)
+		return val, true
 	}
 	e.own.Reduce.Checks++
 	val, pruned := e.reducer.Decide(e.reduceContext(s), name)
@@ -135,58 +129,6 @@ func (e *Engine) decideFailure(s *vm.State, name string) (uint64, bool) {
 		s.AddConstraint(v)
 	}
 	return val, true
-}
-
-// eventFn returns the handler function index a pending event will run:
-// receptions dispatch to the configured receive handler, boot and timer
-// events carry their own function index.
-func (e *Engine) eventFn(ev *vm.Event) int {
-	if ev.Kind == vm.EventRecv {
-		return e.recvFn
-	}
-	return ev.Fn
-}
-
-// porCanCommute is the partial-order relaxation of the merge-ordering
-// gate: merged representative rep, due now, may execute through its
-// shared event even though foreign state other (same timestamp, id inside
-// the member span) would, unmerged, have run between the members — when
-// the two activations are independent:
-//
-//   - rep's pending handler is Pure (no sends, branches, symbolic inputs,
-//     assertions, timers, or trace output, transitively through calls):
-//     it touches only rep's own registers and memory, so no fork, solver
-//     query, violation, or event it causes can interleave differently;
-//   - other's pending handler cannot deliver a packet to rep's node: it
-//     is sendless (transitively), or rep's node is not a radio neighbour
-//     of other's node.
-//
-// Under these conditions the two activations commute — running rep's
-// event once for all members before other is observably identical to the
-// unmerged interleaving — so the rep stays merged instead of splitting.
-// COB is excluded: its dscenario-wide forking makes any activation
-// ordering observable through the mapper.
-func (e *Engine) porCanCommute(rep, other *vm.State) bool {
-	if e.porCls == nil || e.cfg.Algorithm == core.COBAlgorithm {
-		return false
-	}
-	ev, ok := rep.PeekEvent()
-	if !ok || !e.porCls.Pure(e.eventFn(ev)) {
-		return false
-	}
-	oev, ok := other.PeekEvent()
-	if !ok {
-		return false
-	}
-	if !e.porCls.MaySend(e.eventFn(oev)) {
-		return true
-	}
-	for _, n := range e.cfg.Topo.Neighbors(other.NodeID()) {
-		if n == rep.NodeID() {
-			return false
-		}
-	}
-	return true
 }
 
 // validateSymmetry rejects malformed symmetry declarations at engine

@@ -1,6 +1,6 @@
 package sim_test
 
-// Symmetry/partial-order reduction regression tests at the whole-run
+// Symmetry reduction regression tests at the whole-run
 // level. Reduction (off by default) is violation-set-preserving but NOT
 // bit-identical: pruning orbit-duplicate branches shrinks state counts
 // and dscenario fingerprint populations by design, and pruned branches'
@@ -118,7 +118,7 @@ func floodConfig(t *testing.T, algo core.Algorithm) sim.Config {
 	}
 }
 
-// withReduction enables the symmetry/partial-order reduction subsystem.
+// withReduction enables the symmetry reduction subsystem.
 func withReduction(cfg sim.Config) sim.Config {
 	cfg.Layers.Reduce = true
 	return cfg
@@ -317,120 +317,4 @@ func FuzzReductionEquivalence(f *testing.F) {
 			compareRuns(t, on, off)
 		}
 	})
-}
-
-const (
-	porAddrNoise = 0x31 // written on one side of the symbolic fork
-	porAddrTicks = 0x32 // bumped by the pure tick handler
-)
-
-// porProgram builds the partial-order test workload: one broadcaster
-// beacons at t=1; every listener forks on a fresh symbolic bit when the
-// beacon arrives (two sibling states diverging at a single memory word —
-// ideal merge candidates), and every node runs one-shot "tick" timers
-// whose handler only bumps a counter. The tick handler is Pure and
-// sendless in the effect-summary sense, so when a merged representative
-// and a foreign state are both due at a tick, the two activations
-// commute — the partial-order layer's exact target.
-func porProgram(t *testing.T) *isa.Program {
-	t.Helper()
-	b := isa.NewBuilder()
-
-	boot := b.Func("boot")
-	boot.MovI(isa.R3, 0)
-	boot.Load(isa.R1, isa.R3, floodAddrRole)
-	boot.BrZ(isa.R1, "listener")
-	boot.MovI(isa.R2, 1)
-	boot.Timer("bcast", isa.R2, isa.R0)
-	boot.Label("listener")
-	boot.MovI(isa.R2, 5)
-	boot.Timer("tick", isa.R2, isa.R0)
-	boot.MovI(isa.R2, 9)
-	boot.Timer("tick", isa.R2, isa.R0)
-	boot.Ret()
-
-	bcast := b.Func("bcast")
-	bcast.MovI(isa.R4, floodTxBuf)
-	bcast.MovI(isa.R5, 0xF100)
-	bcast.Store(isa.R4, 0, isa.R5)
-	bcast.MovI(isa.R6, isa.BroadcastAddr)
-	bcast.Send(isa.R6, isa.R4, 1)
-	bcast.Ret()
-
-	tick := b.Func("tick")
-	tick.MovI(isa.R3, 0)
-	tick.Load(isa.R4, isa.R3, porAddrTicks)
-	tick.AddI(isa.R4, isa.R4, 1)
-	tick.Store(isa.R3, porAddrTicks, isa.R4)
-	tick.Ret()
-
-	recv := b.Func("on_recv")
-	// Registers are written identically on both sides of the fork so the
-	// sibling states diverge at exactly one memory word — the cheapest
-	// possible merge candidate.
-	recv.MovI(isa.R3, 0)
-	recv.MovI(isa.R6, 1)
-	recv.Sym(isa.R5, "noise", 1)
-	recv.BrZ(isa.R5, "quiet")
-	recv.Store(isa.R3, porAddrNoise, isa.R6)
-	recv.Label("quiet")
-	recv.Ret()
-
-	prog, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return prog
-}
-
-// TestReductionPOR: for COW and SDS the symmetry consultation is off and
-// reduction contributes the partial-order layer instead — merged
-// representatives commuting past independent foreign activations stay
-// merged where the plain merge-ordering gate would split them. The
-// merge+reduce run must actually commute, and must stay observably
-// identical to both a merge-only run and a plain run.
-func TestReductionPOR(t *testing.T) {
-	porCfg := func(algo core.Algorithm) sim.Config {
-		return sim.Config{
-			Topo:      sim.NewLine(3),
-			Prog:      porProgram(t),
-			Algorithm: algo,
-			Horizon:   12,
-			NodeInit: func(node int, s *vm.State, eb *expr.Builder) {
-				if node == 1 {
-					s.StoreWord(floodAddrRole, eb.Const(1, vm.WordBits))
-				}
-			},
-			CheckInvariants: true,
-		}
-	}
-	for _, algo := range []core.Algorithm{core.COWAlgorithm, core.SDSAlgorithm} {
-		algo := algo
-		t.Run(algo.String(), func(t *testing.T) {
-			plain := runQoptCfg(t, porCfg(algo))
-			mergeOnly := runQoptCfg(t, withMerging(porCfg(algo)))
-			both := runQoptCfg(t, withReduction(withMerging(porCfg(algo))))
-			if both.Stats.Merge.Merges == 0 {
-				t.Error("merge+reduce run merged nothing; workload no longer exercises merging")
-			}
-			if both.Stats.Reduce.PORCommutes == 0 {
-				t.Error("merge+reduce run commuted nothing; workload no longer exercises the partial-order layer")
-			}
-			compareRuns(t, both, mergeOnly)
-			compareRuns(t, both, plain)
-		})
-	}
-}
-
-// TestMergeScanBackoff: the merge layer's scan scheduler must go into
-// exponential backoff on barren stretches — skipped scans are counted —
-// without changing any observable output (the backoff only elides scans
-// that would have found nothing).
-func TestMergeScanBackoff(t *testing.T) {
-	on := runQoptCfg(t, withMerging(collectConfig(t, core.SDSAlgorithm)))
-	off := runQoptCfg(t, collectConfig(t, core.SDSAlgorithm))
-	if on.Stats.Merge.ScansSkipped == 0 {
-		t.Error("merge-enabled run skipped no scans; workload no longer exercises the backoff")
-	}
-	compareRuns(t, on, off)
 }

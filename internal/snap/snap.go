@@ -48,10 +48,10 @@ var magic = []byte("SDEsnp\x00")
 // version is the one format this build reads and writes; WireVersion
 // tracks it, so bumping it (for a snapshot or a protocol change alike)
 // makes older peers reject the handshake instead of misparsing what they
-// do not know. Version 8 is version 7 (the run's counters as one stats
-// section, one lease message) minus the NoWork message of the worker
-// protocol: the snapshot bytes are unchanged, the message numbering is not.
-const version = 8
+// do not know. Version 9 is version 8 minus what the layer DESIGN §9 deleted
+// had put there: one part and one reduction counter of the stats section,
+// and the snapshot's trailing section of ite-valued representative states.
+const version = 9
 
 // Snapshot is the complete persistent form of an exploration frontier,
 // taken at an event boundary (no state mid-execution).
@@ -71,13 +71,6 @@ type Snapshot struct {
 	States []vm.StateImage
 	Pages  [][]*expr.Expr // dense page table, vm.PageWords words each
 	Mapper *core.MapperSnapshot
-
-	// Merged is the state-merging subsystem's durable frontier: each rep's
-	// full machine plus, per member, the identity of its frozen shell
-	// (which lives in States like any frontier state), the step-accounting
-	// bases, and the substitution pairs mapping merge-introduced ite
-	// expressions back to the member's own values.
-	Merged []MergedRep
 }
 
 // Carried is what a run has accumulated on the way to its position: the
@@ -92,28 +85,6 @@ type Carried struct {
 	PriorWall  time.Duration // wall time already spent before this point
 	Samples    []metrics.Sample
 	Violations []*vm.Violation
-}
-
-// SubPairImage is one substitution pair of a merged member, in creation
-// order. Both expressions live in the snapshot's shared DAG table.
-type SubPairImage struct {
-	Key, Val *expr.Expr
-}
-
-// MergedMember identifies one member of a merged rep by the id of its
-// frozen shell in Snapshot.States.
-type MergedMember struct {
-	ID        uint64
-	StepsBase uint64
-	Carried   uint64
-	Subs      []SubPairImage
-}
-
-// MergedRep is one merged representative: a full state image (its id is
-// the first member's) plus the member records in ascending id order.
-type MergedRep struct {
-	Rep     vm.StateImage
-	Members []MergedMember
 }
 
 // --- encoding ----------------------------------------------------------------
@@ -221,16 +192,6 @@ func (s *Snapshot) collectExprs(vars []*expr.Expr) (t *exprTable, words int, err
 	}
 	for si := range s.States {
 		t.collectImage(&s.States[si])
-	}
-	for mi := range s.Merged {
-		mr := &s.Merged[mi]
-		t.collectImage(&mr.Rep)
-		for _, mm := range mr.Members {
-			for _, p := range mm.Subs {
-				t.collect(p.Key)
-				t.collect(p.Val)
-			}
-		}
 	}
 	for _, pw := range s.Pages {
 		if len(pw) != vm.PageWords {
@@ -366,28 +327,6 @@ func (s *Snapshot) Encode(b *expr.Builder) ([]byte, error) {
 		}
 	}
 
-	w.u64(uint64(len(s.Merged)))
-	for mi := range s.Merged {
-		mr := &s.Merged[mi]
-		if len(mr.Members) < 2 {
-			return nil, fmt.Errorf("snap: merged rep %d with %d members", mr.Rep.ID, len(mr.Members))
-		}
-		if err := encodeState(w, t, &mr.Rep, len(s.Pages)); err != nil {
-			return nil, err
-		}
-		w.u64(uint64(len(mr.Members)))
-		for _, mm := range mr.Members {
-			w.u64(mm.ID)
-			w.u64(mm.StepsBase)
-			w.u64(mm.Carried)
-			w.u64(uint64(len(mm.Subs)))
-			for _, p := range mm.Subs {
-				w.ref(t, p.Key)
-				w.ref(t, p.Val)
-			}
-		}
-	}
-
 	var sum [8]byte
 	binary.LittleEndian.PutUint64(sum[:], fnv64a(w.buf))
 	return append(w.buf, sum[:]...), nil
@@ -519,14 +458,6 @@ func (s *Snapshot) sizeHint(t *exprTable, vars []*expr.Expr, words int) int {
 		n += small + past + strLen(v.Msg) + id + ref + small
 		for name := range v.Model {
 			n += strLen(name) + wide
-		}
-	}
-	n += listLen(len(s.Merged))
-	for mi := range s.Merged {
-		mr := &s.Merged[mi]
-		n += state(&mr.Rep) + small
-		for _, mm := range mr.Members {
-			n += id + 2*wide + small + len(mm.Subs)*2*ref
 		}
 	}
 	return n
@@ -1012,62 +943,6 @@ func Decode(data []byte, b *expr.Builder) (*Snapshot, error) {
 			}
 		}
 		s.Violations = append(s.Violations, v)
-	}
-
-	nreps, err := r.count()
-	if err != nil {
-		return nil, err
-	}
-	s.Merged = make([]MergedRep, 0, nreps)
-	for i := 0; i < nreps; i++ {
-		rep, err := decodeState(r, getRef, mustRef, np)
-		if err != nil {
-			return nil, err
-		}
-		mr := MergedRep{Rep: rep}
-		nmem, err := r.count()
-		if err != nil {
-			return nil, err
-		}
-		if nmem < 2 {
-			return nil, r.corrupt("merged rep %d with %d members", rep.ID, nmem)
-		}
-		var prev uint64
-		for j := 0; j < nmem; j++ {
-			var mm MergedMember
-			if mm.ID, err = r.u64(); err != nil {
-				return nil, err
-			}
-			if j == 0 && mm.ID != rep.ID {
-				return nil, r.corrupt("merged rep %d does not share its first member's id %d", rep.ID, mm.ID)
-			}
-			if j > 0 && mm.ID <= prev {
-				return nil, r.corrupt("merged rep %d member ids out of order", rep.ID)
-			}
-			prev = mm.ID
-			if mm.StepsBase, err = r.u64(); err != nil {
-				return nil, err
-			}
-			if mm.Carried, err = r.u64(); err != nil {
-				return nil, err
-			}
-			nsubs, err := r.count()
-			if err != nil {
-				return nil, err
-			}
-			for k := 0; k < nsubs; k++ {
-				var p SubPairImage
-				if p.Key, err = mustRef(); err != nil {
-					return nil, err
-				}
-				if p.Val, err = mustRef(); err != nil {
-					return nil, err
-				}
-				mm.Subs = append(mm.Subs, p)
-			}
-			mr.Members = append(mr.Members, mm)
-		}
-		s.Merged = append(s.Merged, mr)
 	}
 
 	if r.remaining() != 0 {

@@ -66,10 +66,17 @@ func TestFrameVersionNegotiation(t *testing.T) {
 			}
 		})
 	}
-	// Frames at or below our version pass the version gate.
-	frame := frameBytes(t, 9, []byte("payload"))
-	if _, _, err := ReadFrame(bytes.NewReader(frame)); err != nil {
-		t.Errorf("current-version frame rejected: %v", err)
+	// Frames at or below our version pass the version gate: the frame
+	// layout has never changed, and a peer of another version — wire 8, the
+	// last with state merging in its snapshots, included — must be able to
+	// read the coordinator's refusal of its Hello.
+	for _, ver := range []byte{WireVersion, 8} {
+		frame := frameBytes(t, 9, []byte("payload"))
+		frame[len(frameMagic)] = ver
+		binary.LittleEndian.PutUint64(frame[len(frame)-frameSumLen:], fnv64a(frame[:len(frame)-frameSumLen]))
+		if _, _, err := ReadFrame(bytes.NewReader(frame)); err != nil {
+			t.Errorf("version-%d frame rejected: %v", ver, err)
+		}
 	}
 }
 

@@ -131,10 +131,7 @@ func (s *State) Run(now uint64, budget int, h Hooks) error {
 	}
 	eb := s.ctx.Exprs
 	var code *isa.ProgIR
-	// Merged reps stay on the per-instruction interpreter: the fast path
-	// commits whole chains of blocks at once and would run straight through
-	// the merged-execution intercepts below.
-	if s.ctx.compile && !s.merged {
+	if s.ctx.compile {
 		code = s.prog.IR()
 	}
 	for i := 0; i < budget; i++ {
@@ -164,15 +161,6 @@ func (s *State) Run(now uint64, budget int, h Hooks) error {
 			f = s.prog.Func(s.fn)
 		}
 		in := &f.Instrs[s.pc]
-		// Merged-execution barrier: a rep must not execute an instruction
-		// whose effects escape the state or that needs a concrete operand
-		// it may only hold as a member-dependent ite. Split back into the
-		// exact members first — they re-execute this instruction
-		// themselves, so it is gated before the step is counted.
-		if s.merged && s.mergedBarrierOp(in) {
-			s.ctx.merge.MergedBarrier(s)
-			return nil
-		}
 		// Resolution barrier: an instruction whose effects escape the state
 		// (a packet send, an assertion report) must not execute on an
 		// unconfirmed path. Drain the speculative pipeline first; the state
@@ -288,18 +276,6 @@ func (s *State) Run(now uint64, budget int, h Hooks) error {
 
 		case isa.OpAssume:
 			cond := eb.Ne(s.regs[in.Ra], s.ctx.zeroWord)
-			// Merged execution: an assume that substitutes to constant true
-			// for every member is a no-op on each of them (AddConstraint
-			// drops structurally-true conditions), so the rep just advances.
-			// Anything else splits; the members re-run the assume on their
-			// own path conditions and may die individually.
-			if s.merged && !cond.IsTrue() && !cond.IsFalse() {
-				if s.ctx.merge.MergedCheck(s, cond) == MergeFoldTrue {
-					s.pc++
-					continue
-				}
-				return nil
-			}
 			if sp := s.ctx.spec; sp != nil && !cond.IsTrue() && !cond.IsFalse() {
 				if _, ok := s.impliedValue(cond); !ok {
 					s.specAssume(sp, cond)
@@ -432,20 +408,6 @@ func (s *State) branch(cond *expr.Expr, target int, h Hooks) error {
 		s.pc++
 		return nil
 	}
-	// Merged execution: the rep may only continue while every member takes
-	// the same constant direction; each member's own run would then decide
-	// this branch structurally, with no constraint and no solver query. On
-	// disagreement (or a genuinely symbolic condition) the manager has
-	// split the rep — the members re-execute the branch individually.
-	if s.merged {
-		switch s.ctx.merge.MergedBranch(s, cond) {
-		case MergeFoldTrue:
-			s.pc = target
-		case MergeFoldFalse:
-			s.pc++
-		}
-		return nil
-	}
 	// Speculative path: fork both sides now, let the solver pipeline decide
 	// feasibility while execution continues on the true side. Conditions
 	// decided by implied-value concretization stay on the synchronous path —
@@ -494,15 +456,6 @@ func (s *State) assert(in *isa.Instr, now uint64, h Hooks) error {
 	eb := s.ctx.Exprs
 	cond := eb.Ne(s.regs[in.Ra], eb.Const(0, WordBits))
 	if cond.IsTrue() {
-		return nil
-	}
-	// Merged execution: an assertion that substitutes to constant true for
-	// every member passes structurally on each of them — the rep advances
-	// with no witness query. Anything else splits so each member runs the
-	// assert against its own path condition (violation witnesses are per
-	// member).
-	if s.merged {
-		s.ctx.merge.MergedCheck(s, cond)
 		return nil
 	}
 	// A condition forced true by the path condition cannot fail on this

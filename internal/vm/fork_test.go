@@ -363,38 +363,6 @@ func TestRestoreAliasing(t *testing.T) {
 	}
 }
 
-// TestFuseDetachesSharedTrace: FuseStates writes ite values into the rep's
-// trace, which SpecFork shares with the member it copied and with that
-// member's other forks; they must keep reading their own values.
-func TestFuseDetachesSharedTrace(t *testing.T) {
-	a, b, _ := forkedSiblings(t, func(pb *isa.Builder) {
-		f := pb.Func("main")
-		f.Sym(isa.R1, "x", 32)
-		f.UltI(isa.R2, isa.R1, 50)
-		f.BrNZ(isa.R2, "small")
-		f.AddI(isa.R3, isa.R1, 2)
-		f.Jmp("done")
-		f.Label("small")
-		f.AddI(isa.R3, isa.R1, 1)
-		f.Label("done")
-		f.Print("r3", isa.R3)
-		f.Ret()
-	})
-	bystander := a.Fork()
-	want := slices.Clone(a.Trace())
-	d, ok := DiffMergeable(a, b, 8)
-	if !ok {
-		t.Fatal("pair not mergeable")
-	}
-	rep, _, _ := FuseStates(a, b, a.PathCond()[0], d)
-	if rep.Trace()[0].Val == want[0].Val {
-		t.Fatal("the rep's trace value is not an ite: the program no longer diverges there")
-	}
-	if !slices.Equal(a.Trace(), want) || !slices.Equal(bystander.Trace(), want) {
-		t.Errorf("fusing changed a sharer's trace: member %v, its fork %v, want %v", a.Trace(), bystander.Trace(), want)
-	}
-}
-
 // eagerBound is the map the state used to carry and copy at every fork: the
 // implied bindings of the whole path condition, applied in order.
 func eagerBound(s *State) map[uint32]uint64 {

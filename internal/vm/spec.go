@@ -48,12 +48,11 @@ func (c *Context) SetSpecHooks(h SpecHooks) { c.spec = h }
 // A fork allocates the state, its page table and its event queue, and
 // shares the rest of its parent's past. The copy's path condition, history
 // and trace are views of the parent's arrays cut to their length, capacity
-// included: the lists only ever grow by append (RemoveConstraintAt,
-// RestoreFromSpec, MergeSetPathCond and FuseStates install fresh slices), so
-// the one holder that can append in place is the one that had spare capacity
-// before the fork, and it writes beyond every other holder's length — the
-// aliasing the speculation workers' prefix snapshots already rely on. The
-// call stack is copied: BeginEvent, StartCall and Reboot cut it to [:0] and
+// included: the lists only ever grow by append (RemoveConstraintAt and
+// RestoreFromSpec install fresh slices), so the one holder that can append
+// in place is the one that had spare capacity before the fork, and it writes
+// beyond every other holder's length — the aliasing the speculation workers'
+// prefix snapshots already rely on. The call stack is copied: BeginEvent, StartCall and Reboot cut it to [:0] and
 // append, which would overwrite a sharer's frames. Implied bindings are not
 // copied; the copy derives its own if it is ever asked (see State.bound).
 func (s *State) SpecFork() *State {
@@ -78,7 +77,7 @@ func (s *State) SpecFork() *State {
 	}
 	if len(s.events) > 0 {
 		// Payload slices stay shared with the parent's events; nothing
-		// writes through them (FuseStates detaches first).
+		// writes through them.
 		n.events = make([]Event, len(s.events))
 		copy(n.events, s.events)
 	}

@@ -49,12 +49,6 @@ type Context struct {
 	// continues on the true side until a resolution barrier (see spec.go).
 	spec SpecHooks
 
-	// merge, when non-nil, enables merged-representative execution: states
-	// fused by the merge manager (internal/merge) route every control
-	// decision through these hooks so a rep only continues while all its
-	// members agree (see merge.go).
-	merge MergeHooks
-
 	// compile gates the compiled-IR concrete fast path (see fastpath.go).
 	// The IR itself is always built — the event dispatcher's register
 	// read-set optimisation uses it unconditionally — but with compile
@@ -407,12 +401,6 @@ type State struct {
 	// state restored onto a false-side snapshot that must be re-run.
 	specRemoved int
 	specRewound bool
-
-	// merged marks a live merged representative (see merge.go): the state
-	// executes on behalf of several fused members, never forks, never
-	// touches the solver, and splits back into its members at the first
-	// non-uniform control decision or observable instruction.
-	merged bool
 }
 
 type frame struct {
@@ -583,10 +571,6 @@ func (s *State) NextRecvSeq() uint32 {
 	s.recvSeq++
 	return n
 }
-
-// RecvCount returns how many receptions this state has recorded via
-// NextRecvSeq.
-func (s *State) RecvCount() uint32 { return s.recvSeq }
 
 // AddConstraint appends a constraint to the path condition. The caller is
 // responsible for having checked feasibility.

@@ -135,7 +135,7 @@ func TestScenarioSpecJSONRoundTrip(t *testing.T) {
 	spec := sde.ScenarioSpec{
 		Workload: "collect", Topology: "grid:3", Algorithm: "cow",
 		Packets: 2, Drops: "none", MaxStates: 100,
-		Layers: sde.Layers{Merge: true, NoSpeculate: true, SpecWorkers: 2},
+		Layers: sde.Layers{Reduce: true, NoSpeculate: true, SpecWorkers: 2},
 	}
 	data, err := json.Marshal(spec)
 	if err != nil {

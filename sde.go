@@ -110,8 +110,7 @@ type (
 	SolverStats = metrics.SolverStats // queries, caches, CDCL work, query optimizer
 	SpecStats   = metrics.SpecStats   // speculative-fork pipeline: submissions, elisions, rewinds, barrier wait
 	VMStats     = metrics.VMStats     // instructions, forks, fast vs interpreted blocks, folded instructions
-	MergeStats  = metrics.MergeStats  // fusions, candidates, rejects, splits, peak merged
-	ReduceStats = metrics.ReduceStats // group order, pins, independence commutes, synthesized violations
+	ReduceStats = metrics.ReduceStats // group order, pins, synthesized violations
 )
 
 // SymmetrySpec declares a scenario's per-node asymmetries (role labels,
@@ -231,24 +230,11 @@ func (s Scenario) WithoutCompiledIR() Scenario {
 	return s
 }
 
-// WithMerging returns a copy of the scenario with Layers.Merge set:
-// ITE-based state merging, off by default.
-func (s Scenario) WithMerging() Scenario {
-	s.cfg.Layers.Merge = true
-	return s
-}
-
-// WithoutMerging returns a copy of the scenario with Layers.Merge cleared
-// (the default).
-func (s Scenario) WithoutMerging() Scenario {
-	s.cfg.Layers.Merge = false
-	return s
-}
-
 // WithReduction returns a copy of the scenario with Layers.Reduce set:
-// symmetry and partial-order reduction, off by default. Unlike the other
-// layers it is not bit-identical — it preserves the violation set and one
-// test case per orbit, and declared asymmetries come from SymmetrySpec.
+// symmetry reduction of failure decisions, off by default and COB-only (a
+// no-op under COW and SDS). Unlike the other layers it is not bit-identical
+// — it preserves the violation set and one test case per orbit, and
+// declared asymmetries come from SymmetrySpec.
 func (s Scenario) WithReduction() Scenario {
 	s.cfg.Layers.Reduce = true
 	return s
@@ -443,11 +429,27 @@ func (r *Report) SpecStats() SpecStats { return r.res.Stats.Spec }
 // compiled execution is disabled).
 func (r *Report) VMStats() VMStats { return r.res.Stats.VM }
 
-// ReduceStats returns the run's symmetry/partial-order reduction counters.
+// ReduceStats returns the run's symmetry reduction counters.
 func (r *Report) ReduceStats() ReduceStats { return r.res.Stats.Reduce }
 
-// MergeStats returns the run's state-merging counters.
-func (r *Report) MergeStats() MergeStats { return r.res.Stats.Merge }
+// WithMerging returns the scenario unchanged.
+//
+// Deprecated: state merging was deleted (DESIGN §9). WithMerging, MergeStats
+// and Report.MergeStats are inert stubs kept only because bench/ — which a
+// PR that touches the engine may not edit — compiles against
+// tr.scenario.WithMerging() and rep.MergeStats().Merges. Once bench/ drops
+// its merge.* rows, delete all three.
+func (s Scenario) WithMerging() Scenario { return s }
+
+// MergeStats has nothing to count.
+//
+// Deprecated: a stub for bench/; see Scenario.WithMerging.
+type MergeStats struct{ Merges uint64 }
+
+// MergeStats returns the zero value.
+//
+// Deprecated: a stub for bench/; see Scenario.WithMerging.
+func (r *Report) MergeStats() MergeStats { return MergeStats{} }
 
 // TestCases explodes up to limit dscenarios (limit <= 0 = all) and solves
 // one concrete test case per dscenario (§IV-C).

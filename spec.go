@@ -47,7 +47,7 @@ type ScenarioSpec struct {
 	// MaxStates aborts the run when live states exceed it (0 = unlimited).
 	MaxStates int `json:"max_states,omitempty"`
 	// Layers is the run's layer set, in Layers' textual form — e.g.
-	// "merge,no-speculate"; unnamed layers keep their default. It is part
+	// "no-qopt,no-speculate"; unnamed layers keep their default. It is part
 	// of the job: every lease of a fleet job runs with exactly these
 	// layers, whichever worker executes it.
 	Layers Layers `json:"layers"`
