@@ -193,7 +193,7 @@ func TestCIWorkflowNamesExistingTests(t *testing.T) {
 	// The check itself: a step naming a test that is gone must be caught,
 	// whichever form it is written in and wherever its package is.
 	for _, stale := range []struct{ step, want string }{
-		{"run: go test -race -run 'TestReductionOnOffEquivalence|TestMergeKillAndResume' -count=5 ./internal/sim",
+		{"run: go test -race -run 'TestSpeculationOnOffEquivalence|TestMergeKillAndResume' -count=5 ./internal/sim",
 			`-run "TestMergeKillAndResume" matches no Test/Fuzz function in ./internal/sim`},
 		{"go test ./internal/sim -run='^$' -fuzz=FuzzMergeEquivalence -fuzztime=20s",
 			`-fuzz "FuzzMergeEquivalence" matches no Fuzz function in ./internal/sim`},

@@ -16,13 +16,12 @@
 // boundaries were passed over, and how long they took.
 //
 // After the summary comes one line per layer that did anything — vm,
-// solver, spec, reduce, checkpoints — with that layer's counters
-// (sde.RunStats; -json carries the same value under "stats").
+// solver, spec, checkpoints — with that layer's counters (sde.RunStats;
+// -json carries the same value under "stats").
 //
-// The optional execution layers are switched with -compile, -reduce (COB
-// only), -speculate (-spec-workers N sizes its solver pool) and -qopt;
-// sde.Layers documents what each preserves, and if a run ever looks wrong
-// that is also the order to flip them in.
+// The optional execution layers are switched with -compile, -speculate
+// and -qopt; each preserves the output bit for bit, and if a run ever
+// looks wrong that is the order to flip them in (sde.Layers).
 // -cpuprofile/-memprofile write pprof profiles for the whole run.
 package main
 
@@ -67,9 +66,6 @@ func run() (err error) {
 
 	debug.SetGCPercent(600)
 
-	if err := layers.Validate(); err != nil {
-		return err
-	}
 	stopProf, err := prof.Start(*cpuprofile, *memprofile)
 	if err != nil {
 		return err

@@ -39,9 +39,6 @@ type ViolationJSON struct {
 	Time    uint64            `json:"time"`
 	Msg     string            `json:"msg"`
 	Witness map[string]uint64 `json:"witness"`
-	// Synthesized marks violations reconstructed by symmetry expansion
-	// rather than observed on an executed path (see README, Reduction).
-	Synthesized bool `json:"synthesized,omitempty"`
 }
 
 // TestCaseJSON is a serialisable concrete test case.
@@ -72,7 +69,6 @@ func (r *Report) JSON(maxTestCases int) (*ReportJSON, error) {
 	for _, v := range r.res.Violations {
 		out.Violations = append(out.Violations, ViolationJSON{
 			Node: v.Node, Time: v.Time, Msg: v.Msg, Witness: v.Model,
-			Synthesized: v.Synthesized,
 		})
 	}
 	if maxTestCases > 0 {

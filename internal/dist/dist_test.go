@@ -316,6 +316,7 @@ func TestServiceVersionNegotiation(t *testing.T) {
 	}{
 		{"future", snap.WireVersion + 1},
 		{"wire-8", 8}, // the last version whose snapshots and stats carried state merging
+		{"wire-9", 9}, // the last version whose stats carried symmetry reduction
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			conn, err := net.Dial("tcp", addr)

@@ -181,6 +181,8 @@ func TestServiceHTTPAPI(t *testing.T) {
 		{`{"spec":{"workload":"collect","topology":"ring:4"}}`, "ring"},
 		// A deleted layer is an unknown layer, not a default.
 		{`{"spec":{"workload":"collect","topology":"grid:3","layers":"merge"}}`, `layers: unknown layer "merge"`},
+		{`{"spec":{"workload":"collect","topology":"grid:3","layers":"reduce"}}`, `layers: unknown layer "reduce"`},
+		{`{"spec":{"workload":"collect","topology":"grid:3","layers":"spec-workers=2"}}`, `layers: unknown layer "spec-workers=2"`},
 	} {
 		resp, err := http.Post(srv.URL+"/api/v1/jobs", "application/json", strings.NewReader(bad.body))
 		if err != nil {

@@ -82,22 +82,23 @@ func TestLayersSurviveEveryRunPath(t *testing.T) {
 				return s
 			},
 			func(r *sde.Report) int64 { return int64(r.VMStats().FastBlocks) }},
-		{"reduce", collectCOB,
-			func(l *sde.Layers, on bool) { l.Reduce = on },
+		// COB frontiers are sliced per dscenario row, unlike COW/SDS ones.
+		{"compile-cob", collectCOB,
+			func(l *sde.Layers, on bool) { l.NoCompile = !on },
 			func(s sde.Scenario, on bool) sde.Scenario {
-				if on {
-					return s.WithReduction()
+				if !on {
+					s = s.WithoutCompiledIR()
 				}
-				return s.WithoutReduction()
+				return s
 			},
-			func(r *sde.Report) int64 { return int64(r.ReduceStats().Checks) }},
+			func(r *sde.Report) int64 { return int64(r.VMStats().FastBlocks) }},
 		{"speculate", threshold,
 			func(l *sde.Layers, on bool) { l.NoSpeculate = !on },
 			func(s sde.Scenario, on bool) sde.Scenario {
-				if on {
-					return s.WithSpeculation(1)
+				if !on {
+					s = s.WithoutSpeculation()
 				}
-				return s.WithoutSpeculation()
+				return s
 			},
 			func(r *sde.Report) int64 { return r.SpecStats().Submitted }},
 		{"qopt", thresholdSync,
@@ -162,15 +163,15 @@ func TestLayersSurviveEveryRunPath(t *testing.T) {
 }
 
 // TestServiceJobLayers: a job's layer set comes from its spec and from
-// nowhere else — a spec that turns reduction on, or the query optimizer off,
-// and speculation off reaches every lease of a two-worker fleet (the layers'
+// nowhere else — a spec that turns the compiled fast path or the query
+// optimizer off, and speculation off, reaches every lease of a two-worker fleet (the layers'
 // counters on the job report's leaves say so), the fleet's digest equals the
 // in-process run of spec.Scenario() at the same partition, and the HTTP job
 // status echoes the resolved layers.
 func TestServiceJobLayers(t *testing.T) {
-	reducedCOB := testSpec
-	reducedCOB.Algorithm = "cob"
-	reducedCOB.Layers = sde.Layers{Reduce: true, NoSpeculate: true}
+	interpretedCOB := testSpec
+	interpretedCOB.Algorithm = "cob"
+	interpretedCOB.Layers = sde.Layers{NoCompile: true, NoSpeculate: true}
 	// The workload that queries the solver; it has no drop nodes to shard on.
 	rawSDS := sde.ScenarioSpec{Workload: "threshold", Topology: "line:4"}
 	rawSDS.Layers = sde.Layers{NoQopt: true, NoSpeculate: true}
@@ -185,7 +186,10 @@ func TestServiceJobLayers(t *testing.T) {
 			st := r.SolverStats()
 			return st.Queries != 0 && st.SlicedQueries+st.RewriteHits+st.ConcretizedReads == 0
 		}},
-		{"cob-reduce", reducedCOB, 2, func(r *sde.Report) bool { return r.ReduceStats().Checks != 0 }},
+		{"cob-no-compile", interpretedCOB, 2, func(r *sde.Report) bool {
+			vs := r.VMStats()
+			return vs.Instructions != 0 && vs.FastBlocks == 0
+		}},
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {

@@ -233,23 +233,6 @@ func (p *Program) FuncIndex(name string) int {
 	return -1
 }
 
-// UsesNodeID reports whether any function in the program reads the node
-// id. A program that never does — and has no per-node initial memory — is
-// node-uniform: every node runs the same computation over its inputs, so
-// topology automorphisms act on executions by pure relabeling. The
-// symmetry layer uses this to decide when reduction is automatically
-// applicable without a declared symmetry spec.
-func (p *Program) UsesNodeID() bool {
-	for fi := range p.funcs {
-		for i := range p.funcs[fi].Instrs {
-			if p.funcs[fi].Instrs[i].Op == OpNodeID {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // Disasm renders the whole program as assembly text for diagnostics.
 func (p *Program) Disasm() string {
 	var sb strings.Builder

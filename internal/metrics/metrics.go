@@ -99,7 +99,6 @@ type RunStats struct {
 	Solver     SolverStats     `json:"solver"`
 	Spec       SpecStats       `json:"spec"`
 	VM         VMStats         `json:"vm"`
-	Reduce     ReduceStats     `json:"reduce"`
 	Checkpoint CheckpointStats `json:"checkpoint"`
 }
 
@@ -171,22 +170,6 @@ type VMStats struct {
 	FoldedInstrs uint64 `json:"folded_instrs,omitempty"` // fast-path instructions answered by load-time folding
 }
 
-// ReduceStats counts symmetry reduction (COB only): the effective
-// automorphism group the reducer pruned with, how often it was consulted,
-// and how many failure decisions it pinned instead of forking (each pin
-// halves that lineage's subtree). The first block and Synthesized describe
-// the finished run rather than count work: Finish sets them, and Add keeps
-// the larger (Truncated: either). All zero when reduction is disabled.
-type ReduceStats struct {
-	GroupOrder int  `json:"group_order,omitempty"` // order of the effective (filtered) automorphism group
-	Truncated  bool `json:"truncated,omitempty"`   // automorphism search overflowed; fell back to trivial
-	Decisions  int  `json:"decisions,omitempty"`   // size of the armed failure-decision universe
-
-	Checks      uint64 `json:"checks,omitempty"`      // failure decisions the reducer was consulted on
-	Pins        uint64 `json:"pins,omitempty"`        // decisions pinned instead of forked
-	Synthesized int    `json:"synthesized,omitempty"` // violations synthesized by witness expansion
-}
-
 // CheckpointStats counts durable checkpoints (periodic ones plus the final
 // or suspension one): how many were written, how many grid boundaries the
 // cost-paced schedule passed without cutting one, and the wall time the
@@ -199,8 +182,8 @@ type CheckpointStats struct {
 	Wall    time.Duration `json:"wall_ns,omitempty"`
 }
 
-// Add returns s + o: counters summed, peaks, sizes and the values Finish
-// derives from the finished run kept at the larger of the two.
+// Add returns s + o: counters summed, peaks and sizes kept at the larger
+// of the two.
 func (s RunStats) Add(o RunStats) RunStats {
 	s.Solver.Queries += o.Solver.Queries
 	s.Solver.CacheHits += o.Solver.CacheHits
@@ -241,13 +224,6 @@ func (s RunStats) Add(o RunStats) RunStats {
 	s.VM.SlowBlocks += o.VM.SlowBlocks
 	s.VM.FoldedInstrs += o.VM.FoldedInstrs
 
-	s.Reduce.GroupOrder = max(s.Reduce.GroupOrder, o.Reduce.GroupOrder)
-	s.Reduce.Truncated = s.Reduce.Truncated || o.Reduce.Truncated
-	s.Reduce.Decisions = max(s.Reduce.Decisions, o.Reduce.Decisions)
-	s.Reduce.Checks += o.Reduce.Checks
-	s.Reduce.Pins += o.Reduce.Pins
-	s.Reduce.Synthesized = max(s.Reduce.Synthesized, o.Reduce.Synthesized)
-
 	s.Checkpoint.Written += o.Checkpoint.Written
 	s.Checkpoint.Skipped += o.Checkpoint.Skipped
 	s.Checkpoint.Wall += o.Checkpoint.Wall
@@ -270,10 +246,6 @@ func (s RunStats) String() string {
 		fmt.Fprintf(&sb, "spec: workers=%d submitted=%d (pairs=%d assumes=%d) solves=%d elided=%d rewinds=%d kills=%d barrier-wait=%s\n",
 			p.Workers, p.Submitted, p.Pairs, p.Assumes, p.Solves, p.Elided, p.Rewinds, p.SpecKills,
 			time.Duration(p.BarrierWaitNs).Round(time.Microsecond))
-	}
-	if r := s.Reduce; r != (ReduceStats{}) {
-		fmt.Fprintf(&sb, "reduce: group=%d truncated=%v decisions=%d checks=%d pins=%d synthesized=%d\n",
-			r.GroupOrder, r.Truncated, r.Decisions, r.Checks, r.Pins, r.Synthesized)
 	}
 	if c := s.Checkpoint; c != (CheckpointStats{}) {
 		fmt.Fprintf(&sb, "checkpoints: written=%d skipped=%d wall=%v\n", c.Written, c.Skipped, c.Wall.Round(time.Microsecond))

@@ -135,7 +135,7 @@ func TestAddCarriesEveryCounter(t *testing.T) {
 			t.Errorf("%s: 5 + 7 is neither summed nor the larger: %+v", path, got)
 		}
 	}
-	if n < 45 {
+	if n < 39 {
 		t.Fatalf("walked %d counters; RunStats has more than that", n)
 	}
 }
@@ -156,19 +156,19 @@ func TestRunStatsString(t *testing.T) {
 	}
 	st := RunStats{
 		VM:         VMStats{Instructions: 205, FastBlocks: 23, SlowBlocks: 20},
-		Reduce:     ReduceStats{GroupOrder: 8, Pins: 3},
+		Spec:       SpecStats{Workers: 2, Submitted: 4, Rewinds: 3},
 		Checkpoint: CheckpointStats{Written: 2, Wall: 3 * time.Millisecond},
 	}
 	lines := strings.Split(strings.TrimSuffix(st.String(), "\n"), "\n")
 	if len(lines) != 3 {
 		t.Fatalf("String() = %q, want one line per non-zero part (3)", st.String())
 	}
-	for i, want := range []string{"vm: instructions=205", "reduce: group=8", "checkpoints: written=2"} {
+	for i, want := range []string{"vm: instructions=205", "spec: workers=2", "checkpoints: written=2"} {
 		if !strings.HasPrefix(lines[i], want) {
 			t.Errorf("line %d = %q, want prefix %q", i, lines[i], want)
 		}
 	}
-	if !strings.Contains(lines[0], "fast-blocks=23 slow-blocks=20") || !strings.Contains(lines[1], "pins=3") {
+	if !strings.Contains(lines[0], "fast-blocks=23 slow-blocks=20") || !strings.Contains(lines[1], "rewinds=3") {
 		t.Errorf("String() = %q lacks a counter", st.String())
 	}
 }

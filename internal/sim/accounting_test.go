@@ -76,21 +76,16 @@ func TestModelBytesMatchesWalk(t *testing.T) {
 		{"collect", collectConfig, nil},
 		// Forks come from symbolic branches: speculation, rewinds, solver.
 		{"threshold", thresholdConfig, []int{1, 2}},
-		// D4-symmetric flood: the workload reduction prunes.
+		// Every node relays: a fork per armed node on the flood's wavefront.
 		{"flood", floodConfig, nil},
 	}
 	layers := []struct {
 		name  string
 		apply func(sim.Config) sim.Config
-		// resumeExact: an interrupted run ends where the uninterrupted one
-		// does. Reduction's seen-set is rebuilt empty on resume, so a
-		// resumed run prunes less.
-		resumeExact bool
 	}{
-		{"default", func(c sim.Config) sim.Config { return c }, true},
-		{"reduce", withReduction, false},
-		{"nospec", withoutSpeculation, true},
-		{"nocompile", func(c sim.Config) sim.Config { c.Layers.NoCompile = true; return c }, true},
+		{"default", func(c sim.Config) sim.Config { return c }},
+		{"nospec", withoutSpeculation},
+		{"nocompile", func(c sim.Config) sim.Config { c.Layers.NoCompile = true; return c }},
 	}
 	failures := []struct {
 		name string
@@ -129,7 +124,7 @@ func TestModelBytesMatchesWalk(t *testing.T) {
 						name := fmt.Sprintf("%s/%v/%s/%s/%s", w.name, algo, l.name, f.name, in.name)
 						t.Run(name, func(t *testing.T) {
 							res := in.run(t, cfg)
-							if ref == nil || !l.resumeExact {
+							if ref == nil {
 								ref = res
 								return
 							}

@@ -11,7 +11,6 @@ import (
 	"sde/internal/expr"
 	"sde/internal/isa"
 	"sde/internal/metrics"
-	reducepkg "sde/internal/reduce"
 	"sde/internal/solver"
 	"sde/internal/vm"
 )
@@ -162,17 +161,9 @@ type Config struct {
 	CheckpointEvery int
 
 	// Layers selects the optional execution layers (compiled fast path,
-	// reduction, speculation, query optimizer); see Layers for what each
-	// preserves and the triage order. Replay runs never speculate or
-	// reduce: they hold a single concrete path.
+	// speculation, query optimizer); see Layers for the triage order.
+	// Replay runs never speculate: they hold a single concrete path.
 	Layers Layers
-
-	// Symmetry declares the per-node asymmetries of the scenario (role
-	// labels, static routes) so reduction can be used with node-aware
-	// programs; see ReduceSymmetry. When nil, the automorphism group is
-	// applied automatically only to node-uniform programs. Only
-	// meaningful with Layers.Reduce.
-	Symmetry *ReduceSymmetry
 }
 
 // Result summarises a finished (or aborted) run.
@@ -265,7 +256,7 @@ type Engine struct {
 	// Counters (see stats). base is what the snapshot this engine resumed
 	// from carried: zero for a fresh run and for every slice of a frontier
 	// but slice 0. own is the engine's share of the live ones — speculation
-	// resolution, reduction, checkpoints; the solver, the VM context and the
+	// resolution, checkpoints; the solver, the VM context and the
 	// speculation pool count the rest themselves.
 	base, own metrics.RunStats
 
@@ -290,10 +281,6 @@ type Engine struct {
 	// creation order.
 	specPool    *solver.SpecPool
 	specPending []specEntry
-
-	// Symmetry reduction (see reduce.go in this package); nil unless the
-	// run is COB with Layers.Reduce.
-	reducer *reducepkg.Reducer
 }
 
 // The cost-paced checkpoint schedule (Config.CheckpointEvery == 0): a
@@ -417,9 +404,6 @@ func newEngineShell(cfg Config) (*Engine, error) {
 	}
 	recvFn := cfg.Prog.FuncIndex(cfg.RecvFn) // may be -1: send-only programs
 
-	if err := cfg.Layers.Validate(); err != nil {
-		return nil, fmt.Errorf("sim: %w", err)
-	}
 	layers := cfg.Layers
 	sopts := cfg.Solver
 	if cfg.SharedSolverCache != nil {
@@ -454,20 +438,8 @@ func newEngineShell(cfg Config) (*Engine, error) {
 		e.ckptGrid = uint64(cfg.CheckpointEvery)
 	}
 	if !layers.NoSpeculate && cfg.Replay == nil {
-		workers := layers.SpecWorkers
-		if workers == 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		e.specPool = solver.NewSpecPool(ctx.Solver, workers)
+		e.specPool = solver.NewSpecPool(ctx.Solver, runtime.GOMAXPROCS(0))
 		ctx.SetSpecHooks((*engineHooks)(e))
-	}
-	if layers.Reduce && cfg.Replay == nil {
-		if err := validateSymmetry(&cfg); err != nil {
-			return nil, err
-		}
-		if cfg.Algorithm == core.COBAlgorithm {
-			e.reducer = buildReducer(&cfg)
-		}
 	}
 	return e, nil
 }
@@ -711,23 +683,6 @@ func (e *Engine) Finish() *Result {
 			res.SuspendUnits = 1
 		}
 	}
-	if e.reducer != nil {
-		// Pruned branches' violations are recovered by closing the
-		// observed set under the group: relabeled twins with concrete node
-		// ids, marked Synthesized, deduplicated against observed triples.
-		// The expansion runs unconditionally (not only when this engine
-		// pinned something): a resumed finished shard replays zero events
-		// and so records zero pins, yet its snapshot carries violations
-		// whose orbit twins were pruned before the checkpoint — the
-		// expansion here is what recovers them during sharded assembly.
-		before := len(res.Violations)
-		res.Violations = e.reducer.ExpandViolations(res.Violations)
-		// These describe the finished run; they are set, whatever the
-		// snapshot carried, never counted up.
-		g, rd := e.reducer.Group(), &res.Stats.Reduce
-		rd.GroupOrder, rd.Truncated, rd.Decisions = g.Order(), g.Truncated, e.reducer.Decisions()
-		rd.Synthesized = len(res.Violations) - before
-	}
 	res.FinalMemTerms, res.PeakMemTerms = terms, e.peakTerms
 	if res.PeakMem < mem {
 		res.PeakMem, res.PeakMemTerms = mem, terms
@@ -878,7 +833,7 @@ func (e *Engine) applyFailures(s *vm.State) {
 	}
 	if drop {
 		name := fmt.Sprintf("drop_n%d_r%d", node, idx)
-		if val, pinned := e.decideFailure(s, name); pinned {
+		if val, pinned := e.pinDecision(s, name); pinned {
 			if val == 0 {
 				s.DropEvent()
 			}
@@ -891,7 +846,7 @@ func (e *Engine) applyFailures(s *vm.State) {
 	}
 	if dup {
 		name := fmt.Sprintf("dup_n%d_r%d", node, idx)
-		if val, pinned := e.decideFailure(s, name); pinned {
+		if val, pinned := e.pinDecision(s, name); pinned {
 			if val == 0 {
 				if _, ok := s.PeekEvent(); ok {
 					s.DuplicateEvent()
@@ -906,7 +861,7 @@ func (e *Engine) applyFailures(s *vm.State) {
 	}
 	if reboot {
 		name := fmt.Sprintf("reboot_n%d_r%d", node, idx)
-		if val, pinned := e.decideFailure(s, name); pinned {
+		if val, pinned := e.pinDecision(s, name); pinned {
 			if val == 0 {
 				s.Reboot(e.bootFn, e.clock)
 			}

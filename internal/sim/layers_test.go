@@ -13,13 +13,13 @@ func TestLayersText(t *testing.T) {
 		want Layers
 		full string // String() of want
 	}{
-		{"", Layers{}, "compile,no-reduce,speculate,qopt"},
-		{"reduce, no-speculate", Layers{Reduce: true, NoSpeculate: true},
-			"compile,reduce,no-speculate,qopt"},
-		{"no-compile,reduce,no-qopt,spec-workers=3",
-			Layers{NoCompile: true, Reduce: true, NoQopt: true, SpecWorkers: 3},
-			"no-compile,reduce,speculate,no-qopt,spec-workers=3"},
-		{"reduce,no-reduce", Layers{}, "compile,no-reduce,speculate,qopt"},
+		{"", Layers{}, "compile,speculate,qopt"},
+		{"qopt, no-speculate", Layers{NoSpeculate: true},
+			"compile,no-speculate,qopt"},
+		{"no-compile,no-qopt",
+			Layers{NoCompile: true, NoQopt: true},
+			"no-compile,speculate,no-qopt"},
+		{"no-qopt,qopt", Layers{}, "compile,speculate,qopt"},
 	}
 	for _, c := range cases {
 		var got Layers
@@ -41,29 +41,32 @@ func TestLayersText(t *testing.T) {
 	bad := []struct{ text, want string }{
 		{"turbo", `layers: unknown layer "turbo"`},
 		{"no-", `layers: unknown layer "no-"`},
-		{"spec-workers=x", "bad worker count"},
-		{"spec-workers=-1", "must be >= 0"},
 		{"compile=off", `layers: unknown layer "compile=off"`},
-		// State merging is deleted, not defaulted off: its tokens, and the
-		// canonical string that carried one, are refused by name.
+		// State merging, symmetry reduction and the speculation pool's size
+		// are deleted, not defaulted: their tokens, and the canonical strings
+		// that carried one, are refused by name.
 		{"merge", `layers: unknown layer "merge"`},
 		{"no-merge", `layers: unknown layer "no-merge"`},
 		{"compile,no-merge,no-reduce,speculate,qopt", `layers: unknown layer "no-merge"`},
+		{"reduce", `layers: unknown layer "reduce"`},
+		{"no-reduce", `layers: unknown layer "no-reduce"`},
+		{"spec-workers=2", `layers: unknown layer "spec-workers=2"`},
+		{"compile,no-reduce,speculate,qopt", `layers: unknown layer "no-reduce"`},
 	}
 	for _, c := range bad {
-		l := Layers{Reduce: true}
+		l := Layers{NoQopt: true}
 		if err := l.UnmarshalText([]byte(c.text)); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("UnmarshalText(%q) = %v, want an error saying %s", c.text, err, c.want)
 		}
-		if l != (Layers{Reduce: true}) {
+		if l != (Layers{NoQopt: true}) {
 			t.Errorf("failed UnmarshalText(%q) changed the value to %+v", c.text, l)
 		}
 	}
 }
 
 // TestLayersFlags: the one flag helper maps -name / -name=false onto the
-// fields (inverted for default-on layers), and Validate names the flag of
-// a negative worker count.
+// fields (inverted: every layer is on by default), and registers nothing
+// for a deleted layer or knob.
 func TestLayersFlags(t *testing.T) {
 	parse := func(args ...string) (Layers, error) {
 		var l Layers
@@ -72,27 +75,17 @@ func TestLayersFlags(t *testing.T) {
 		l.RegisterFlags(fs)
 		return l, fs.Parse(args)
 	}
-	got, err := parse("-compile=false", "-reduce=true", "-speculate=false", "-qopt=false", "-spec-workers", "4")
-	want := Layers{NoCompile: true, Reduce: true, NoSpeculate: true, NoQopt: true, SpecWorkers: 4}
+	got, err := parse("-compile=false", "-speculate=false", "-qopt=false")
+	want := Layers{NoCompile: true, NoSpeculate: true, NoQopt: true}
 	if err != nil || got != want {
 		t.Errorf("all flags = %+v, %v; want %+v", got, err, want)
 	}
-	if got, err := parse("-compile", "-reduce=false"); err != nil || got != (Layers{}) {
+	if got, err := parse("-compile", "-speculate=true"); err != nil || got != (Layers{}) {
 		t.Errorf("default-valued flags = %+v, %v; want the zero value", got, err)
 	}
-	if _, err := parse("-merge"); err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -merge") {
-		t.Errorf("-merge = %v, want a flag-parse error: the layer is deleted", err)
-	}
-	l, err := parse("-spec-workers=-1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range []int{0, 1, 64} {
-		if err := (Layers{SpecWorkers: n}).Validate(); err != nil {
-			t.Errorf("Validate(SpecWorkers=%d) = %v", n, err)
+	for _, args := range [][]string{{"-merge"}, {"-reduce"}, {"-spec-workers", "2"}} {
+		if _, err := parse(args...); err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+args[0]) {
+			t.Errorf("%v = %v, want a flag-parse error: the layer or knob is deleted", args, err)
 		}
-	}
-	if err := l.Validate(); err == nil || !strings.Contains(err.Error(), "-spec-workers") {
-		t.Errorf("Validate of -spec-workers=-1 = %v, want an error naming the flag", err)
 	}
 }

@@ -82,7 +82,6 @@ func TestSpeculationKillAndResume(t *testing.T) {
 
 	dir := t.TempDir()
 	cfg := thresholdConfig(t, core.SDSAlgorithm)
-	cfg.Layers.SpecWorkers = 2
 	cfg.CheckpointDir = dir
 	cfg.CheckpointEvery = 8
 	eng, err := sim.NewEngine(cfg)

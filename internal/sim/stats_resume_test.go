@@ -33,9 +33,6 @@ func TestStatsSurviveResume(t *testing.T) {
 		{"sds", collectConfig(t, core.SDSAlgorithm), func(st metrics.RunStats) any {
 			return []any{st.VM, st.Solver.Queries}
 		}},
-		{"cob-reduce", withReduction(floodConfig(t, core.COBAlgorithm)), func(st metrics.RunStats) any {
-			return []any{st.VM, st.Reduce.Checks, st.Reduce.Pins}
-		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := withoutSpeculation(tc.cfg)

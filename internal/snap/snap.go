@@ -48,10 +48,9 @@ var magic = []byte("SDEsnp\x00")
 // version is the one format this build reads and writes; WireVersion
 // tracks it, so bumping it (for a snapshot or a protocol change alike)
 // makes older peers reject the handshake instead of misparsing what they
-// do not know. Version 9 is version 8 minus what the layer DESIGN §9 deleted
-// had put there: one part and one reduction counter of the stats section,
-// and the snapshot's trailing section of ite-valued representative states.
-const version = 9
+// do not know. Version 10 is version 9 minus the stats section's
+// symmetry-reduction part, which went with the layer (DESIGN §10).
+const version = 10
 
 // Snapshot is the complete persistent form of an exploration frontier,
 // taken at an event boundary (no state mid-execution).
@@ -164,24 +163,6 @@ func (w *writer) ref(t *exprTable, e *expr.Expr) {
 	w.u64(t.idx[e] + 1)
 }
 
-func (t *exprTable) collectImage(img *vm.StateImage) {
-	for _, r := range img.Regs {
-		t.collect(r)
-	}
-	for _, c := range img.PathCond {
-		t.collect(c)
-	}
-	for _, ev := range img.Events {
-		t.collect(ev.Arg)
-		for _, d := range ev.Data {
-			t.collect(d)
-		}
-	}
-	for _, tr := range img.Trace {
-		t.collect(tr.Val)
-	}
-}
-
 // collectExprs numbers every expression the snapshot references (after
 // the builder's variables vars) and counts the memory words set over all
 // pages.
@@ -191,7 +172,22 @@ func (s *Snapshot) collectExprs(vars []*expr.Expr) (t *exprTable, words int, err
 		t.idx[v] = uint64(i)
 	}
 	for si := range s.States {
-		t.collectImage(&s.States[si])
+		img := &s.States[si]
+		for _, r := range img.Regs {
+			t.collect(r)
+		}
+		for _, c := range img.PathCond {
+			t.collect(c)
+		}
+		for _, ev := range img.Events {
+			t.collect(ev.Arg)
+			for _, d := range ev.Data {
+				t.collect(d)
+			}
+		}
+		for _, tr := range img.Trace {
+			t.collect(tr.Val)
+		}
 	}
 	for _, pw := range s.Pages {
 		if len(pw) != vm.PageWords {
@@ -237,12 +233,9 @@ func (s *Snapshot) Encode(b *expr.Builder) ([]byte, error) {
 	w.i64(int64(s.PriorWall))
 	w.u64(s.NextStateID)
 	walkStats(reflect.ValueOf(s.Stats), func(v reflect.Value) error {
-		switch {
-		case v.Kind() == reflect.Bool:
-			w.bool(v.Bool())
-		case v.CanInt():
+		if v.CanInt() {
 			w.i64(v.Int())
-		default:
+		} else {
 			w.u64(v.Uint())
 		}
 		return nil
@@ -334,8 +327,8 @@ func (s *Snapshot) Encode(b *expr.Builder) ([]byte, error) {
 
 // walkStats calls leaf on every counter of a metrics.RunStats (or of a
 // pointer's worth of it, to set them), parts and fields in declaration
-// order: the stats section is whatever the type declares, one varint — or
-// one byte for a bool — per counter.
+// order: the stats section is whatever the type declares, one varint per
+// counter.
 func walkStats(v reflect.Value, leaf func(reflect.Value) error) error {
 	if v.Kind() != reflect.Struct {
 		return leaf(v)
@@ -377,12 +370,9 @@ func (s *Snapshot) sizeHint(t *exprTable, vars []*expr.Expr, words int) int {
 
 	n := len(magic) + 1 + strLen(s.Topology) + 8*wide + 8 // header and checksum
 	walkStats(reflect.ValueOf(s.Stats), func(v reflect.Value) error {
-		switch {
-		case v.Kind() == reflect.Bool:
-			n++
-		case v.CanInt():
+		if v.CanInt() {
 			n += ivarLen(int(v.Int()))
-		default:
+		} else {
 			n += uvarLen(v.Uint())
 		}
 		return nil
@@ -771,23 +761,17 @@ func Decode(data []byte, b *expr.Builder) (*Snapshot, error) {
 		return nil, err
 	}
 	err = walkStats(reflect.ValueOf(&s.Stats).Elem(), func(v reflect.Value) error {
-		switch {
-		case v.Kind() == reflect.Bool:
-			x, err := r.bool()
-			v.SetBool(x)
-			return err
-		case v.CanInt():
+		if v.CanInt() {
 			x, err := r.i64()
 			if v.OverflowInt(x) {
 				return r.corrupt("counter %d out of range", x)
 			}
 			v.SetInt(x)
 			return err
-		default:
-			x, err := r.u64()
-			v.SetUint(x)
-			return err
 		}
+		x, err := r.u64()
+		v.SetUint(x)
+		return err
 	})
 	if err != nil {
 		return nil, err

@@ -51,6 +51,7 @@ func TestVersionGate(t *testing.T) {
 		{"version-6", reversion(t, cur, 6), true}, // its stats section carried three solver-session counters more
 		{"version-7", reversion(t, cur, 7), true}, // same snapshot bytes as 8, but its worker protocol still had NoWork
 		{"version-8", reversion(t, cur, 8), true}, // its stats section and its tail carried state merging
+		{"version-9", reversion(t, cur, 9), true}, // its stats section carried symmetry reduction
 		{"future-version", reversion(t, cur, snap.WireVersion+1), true},
 		{"version-zero", reversion(t, cur, 0), true},
 		{"version-255", reversion(t, cur, 255), true},

@@ -329,13 +329,6 @@ type Violation struct {
 	// dscenario — re-solve Model over the combined constraints so the
 	// witness also fixes the other nodes' decisions.
 	Cond *expr.Expr
-	// Synthesized marks violations produced by the symmetry layer's
-	// witness expansion rather than observed directly: when reduction
-	// prunes a symmetric branch, the violations its orbit twin reports
-	// are relabeled back onto the pruned nodes' concrete ids at the end
-	// of the run. Synthesized violations carry a relabeled Model but no
-	// Cond (the constraint belongs to the representative's path).
-	Synthesized bool
 }
 
 // --- state -------------------------------------------------------------------

@@ -113,15 +113,6 @@ func GridCollectScenario(opts GridCollectOptions) (Scenario, error) {
 	if len(dropNodes) > 0 {
 		failures.DropFirst = sim.NodeSet(dropNodes)
 	}
-	// Declare the scenario's asymmetries honestly for symmetry reduction:
-	// source and sink have distinct roles and the staircase route is a
-	// static per-node function, so the stabilized automorphism group is
-	// (correctly) trivial — WithReduction prunes nothing here but the
-	// declaration documents why, and keeps the reduction layer from ever
-	// treating this node-aware workload as symmetric.
-	labels := make([]uint64, g.K())
-	labels[source] = 1
-	labels[sink] = 2
 	return Scenario{
 		shardable: shardableNodes(g, source, failures.DropFirst),
 		desc: fmt.Sprintf("grid %dx%d collect, %d packets, %s, drops=%v",
@@ -134,10 +125,6 @@ func GridCollectScenario(opts GridCollectOptions) (Scenario, error) {
 			NodeInit:  nodeInit,
 			Failures:  failures,
 			Caps:      opts.Caps,
-			Symmetry: &sim.ReduceSymmetry{
-				Labels:   labels,
-				NextHops: sim.NextHops(g.K(), route),
-			},
 		},
 	}, nil
 }

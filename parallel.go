@@ -153,40 +153,13 @@ func (r *ShardedReport) DScenarios() *big.Int {
 	return total
 }
 
-// Violations returns all violations found across shards, in shard order.
-// Observed violations are always kept (the same assertion failing in two
-// shards belongs to two disjoint sub-spaces); synthesized orbit twins
-// from symmetry reduction are deduplicated across leaves — a shard's
-// witness expansion covers whole orbits, so without the dedupe every
-// leaf touching an orbit would re-report it.
+// Violations returns all violations found across shards, in shard order:
+// the same assertion failing in two shards belongs to two disjoint
+// sub-spaces, so nothing is deduplicated.
 func (r *ShardedReport) Violations() []*Violation {
-	type vkey struct {
-		node int
-		time uint64
-		msg  string
-	}
 	var out []*Violation
-	seen := make(map[vkey]bool)
 	for _, sh := range r.Shards {
-		for _, v := range sh.Report.Violations() {
-			if !v.Synthesized {
-				out = append(out, v)
-				seen[vkey{v.Node, v.Time, v.Msg}] = true
-			}
-		}
-	}
-	for _, sh := range r.Shards {
-		for _, v := range sh.Report.Violations() {
-			if !v.Synthesized {
-				continue
-			}
-			k := vkey{v.Node, v.Time, v.Msg}
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
-			out = append(out, v)
-		}
+		out = append(out, sh.Report.Violations()...)
 	}
 	return out
 }

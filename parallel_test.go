@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"sde"
+	"sde/internal/expr"
+	"sde/internal/vm"
 )
 
 // shardScenario builds the reference workload for sharding tests.
@@ -144,6 +146,147 @@ func TestShardedViolationsFound(t *testing.T) {
 	}
 	if !found {
 		t.Error("no shard violation replayed successfully")
+	}
+}
+
+// floodScenario builds a 3x3 grid flood with a duplicate-beacon
+// assertion: the center originates one beacon at t=1 (marking itself as
+// served), every node relays its first reception, and a second reception
+// is a violation. Symbolic first-reception drops are armed on the
+// center's edge ring {1, 3, 5, 7}, each a radio neighbour of the
+// originator and so shardable, and the violation times depend on which
+// ring nodes dropped.
+func floodScenario(t *testing.T, algo sde.Algorithm) sde.Scenario {
+	t.Helper()
+	const (
+		addrRole = 0x40
+		addrSeen = 0x20
+		txBuf    = 0x100
+	)
+	b := sde.NewProgramBuilder()
+
+	boot := b.Func("boot")
+	boot.MovI(sde.R3, 0)
+	boot.Load(sde.R1, sde.R3, addrRole)
+	boot.BrZ(sde.R1, "silent")
+	boot.Timer("bcast", sde.R1, sde.R0)
+	boot.Label("silent")
+	boot.Ret()
+
+	bcast := b.Func("bcast")
+	bcast.MovI(sde.R3, 0)
+	bcast.MovI(sde.R5, 1)
+	bcast.Store(sde.R3, addrSeen, sde.R5)
+	bcast.MovI(sde.R4, txBuf)
+	bcast.MovI(sde.R5, 0xF100)
+	bcast.Store(sde.R4, 0, sde.R5)
+	bcast.MovI(sde.R6, sde.BroadcastAddr)
+	bcast.Send(sde.R6, sde.R4, 1)
+	bcast.Ret()
+
+	recv := b.Func("on_recv")
+	recv.MovI(sde.R3, 0)
+	recv.Load(sde.R4, sde.R3, addrSeen)
+	recv.AddI(sde.R4, sde.R4, 1)
+	recv.Store(sde.R3, addrSeen, sde.R4)
+	recv.NeI(sde.R5, sde.R4, 2)
+	recv.Assert(sde.R5, "flood: duplicate beacon")
+	recv.EqI(sde.R6, sde.R4, 1)
+	recv.BrZ(sde.R6, "norelay")
+	recv.MovI(sde.R7, txBuf)
+	recv.MovI(sde.R8, 0xF100)
+	recv.Store(sde.R7, 0, sde.R8)
+	recv.MovI(sde.R9, sde.BroadcastAddr)
+	recv.Send(sde.R9, sde.R7, 1)
+	recv.Label("norelay")
+	recv.Ret()
+
+	prog, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const center = 4
+	scenario, err := sde.CustomScenario("3x3 flood", sde.CustomConfig{
+		Topology:       sde.Grid(3, 3),
+		Program:        prog,
+		Algorithm:      algo,
+		HorizonTicks:   14,
+		Failures:       sde.FailurePlan{DropFirst: sde.NodeSet([]int{1, 3, 5, 7})},
+		ShardableNodes: []int{1, 3, 5, 7},
+		NodeInit: func(node int, s *vm.State, eb *expr.Builder) {
+			if node == center {
+				s.StoreWord(addrRole, eb.Const(1, vm.WordBits))
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return scenario
+}
+
+// violationTriples projects violations to their distinct (node, time,
+// msg) triples.
+func violationTriples(vs []*sde.Violation) map[string]bool {
+	set := make(map[string]bool, len(vs))
+	for _, v := range vs {
+		set[fmt.Sprintf("%d/%d/%s", v.Node, v.Time, v.Msg)] = true
+	}
+	return set
+}
+
+// TestShardedReduction: SDS's state sharing, cut into shards, still finds
+// exactly the violation triples of an unsharded COB run, and the sharded
+// report reduces its leaves' violations to their concatenation in shard
+// order — each one observed on a path its shard executed, so it replays
+// there.
+func TestShardedReduction(t *testing.T) {
+	ref, err := sde.RunScenario(floodScenario(t, sde.COB))
+	if err != nil {
+		t.Fatal(err)
+	}
+	refSet := violationTriples(ref.Violations())
+	if len(refSet) == 0 {
+		t.Fatal("reference run produced no violations; the oracle proves nothing")
+	}
+	for _, bits := range []int{1, 2} {
+		sharded, err := sde.RunScenarioSharded(floodScenario(t, sde.SDS), bits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if aborted, reason := sharded.Aborted(); aborted {
+			t.Fatalf("bits=%d: aborted: %s", bits, reason)
+		}
+		if sharded.DScenarios().Cmp(ref.DScenarios()) != 0 {
+			t.Errorf("bits=%d: dscenarios = %v, want %v", bits, sharded.DScenarios(), ref.DScenarios())
+		}
+		got := violationTriples(sharded.Violations())
+		if !maps.Equal(got, refSet) {
+			t.Errorf("bits=%d: violation triples %v, unsharded COB %v", bits, got, refSet)
+		}
+		var concat []*sde.Violation
+		for _, sh := range sharded.Shards {
+			for _, v := range sh.Report.Violations() {
+				concat = append(concat, v)
+				ok, _, err := sh.Report.ReplayViolation(v)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !ok {
+					t.Errorf("bits=%d: shard %d violation %d/%d/%s does not replay", bits, sh.Shard, v.Node, v.Time, v.Msg)
+				}
+			}
+		}
+		all := sharded.Violations()
+		if len(all) != len(concat) {
+			t.Fatalf("bits=%d: %d violations, the leaves hold %d", bits, len(all), len(concat))
+		}
+		for i := range all {
+			if all[i] != concat[i] {
+				t.Errorf("bits=%d: violation %d is not the leaves' in shard order", bits, i)
+				break
+			}
+		}
 	}
 }
 

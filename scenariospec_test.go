@@ -135,7 +135,7 @@ func TestScenarioSpecJSONRoundTrip(t *testing.T) {
 	spec := sde.ScenarioSpec{
 		Workload: "collect", Topology: "grid:3", Algorithm: "cow",
 		Packets: 2, Drops: "none", MaxStates: 100,
-		Layers: sde.Layers{Reduce: true, NoSpeculate: true, SpecWorkers: 2},
+		Layers: sde.Layers{NoCompile: true, NoSpeculate: true},
 	}
 	data, err := json.Marshal(spec)
 	if err != nil {
@@ -162,10 +162,10 @@ func TestScenarioSpecJSONRoundTrip(t *testing.T) {
 	// The layers field is Layers' textual form; unnamed layers keep their
 	// default and unknown ones are refused.
 	var some sde.ScenarioSpec
-	if err := json.Unmarshal([]byte(`{"topology":"grid:3","layers":"reduce,no-qopt"}`), &some); err != nil {
+	if err := json.Unmarshal([]byte(`{"topology":"grid:3","layers":"no-compile,no-qopt"}`), &some); err != nil {
 		t.Fatal(err)
 	}
-	if want := (sde.Layers{Reduce: true, NoQopt: true}); some.Layers != want {
+	if want := (sde.Layers{NoCompile: true, NoQopt: true}); some.Layers != want {
 		t.Errorf("layers = %v, want %v", some.Layers, want)
 	}
 	if err := json.Unmarshal([]byte(`{"topology":"grid:3","layers":"turbo"}`), &some); err == nil {

@@ -110,16 +110,7 @@ type (
 	SolverStats = metrics.SolverStats // queries, caches, CDCL work, query optimizer
 	SpecStats   = metrics.SpecStats   // speculative-fork pipeline: submissions, elisions, rewinds, barrier wait
 	VMStats     = metrics.VMStats     // instructions, forks, fast vs interpreted blocks, folded instructions
-	ReduceStats = metrics.ReduceStats // group order, pins, synthesized violations
 )
-
-// SymmetrySpec declares a scenario's per-node asymmetries (role labels,
-// static routes) so symmetry reduction can be applied to node-aware
-// programs: the topology's automorphism group is stabilized by the
-// declared labels and routing before it prunes anything. Without a spec,
-// reduction applies the full group only to node-uniform programs (no
-// node-id reads, no per-node initial memory) and is otherwise inert.
-type SymmetrySpec = sim.ReduceSymmetry
 
 // SolverOptions tunes a run's constraint solver: ablation switches for
 // each pipeline layer (caches, model pool, fast path, partitioning,
@@ -227,32 +218,6 @@ type Layers = sim.Layers
 // set: every instruction goes through the symbolic interpreter.
 func (s Scenario) WithoutCompiledIR() Scenario {
 	s.cfg.Layers.NoCompile = true
-	return s
-}
-
-// WithReduction returns a copy of the scenario with Layers.Reduce set:
-// symmetry reduction of failure decisions, off by default and COB-only (a
-// no-op under COW and SDS). Unlike the other layers it is not bit-identical
-// — it preserves the violation set and one test case per orbit, and
-// declared asymmetries come from SymmetrySpec.
-func (s Scenario) WithReduction() Scenario {
-	s.cfg.Layers.Reduce = true
-	return s
-}
-
-// WithoutReduction returns a copy of the scenario with Layers.Reduce
-// cleared (the default).
-func (s Scenario) WithoutReduction() Scenario {
-	s.cfg.Layers.Reduce = false
-	return s
-}
-
-// WithSpeculation returns a copy of the scenario with the speculative-fork
-// solver pipeline on (the default) and its worker pool sized (0 = one
-// worker per CPU).
-func (s Scenario) WithSpeculation(workers int) Scenario {
-	s.cfg.Layers.NoSpeculate = false
-	s.cfg.Layers.SpecWorkers = workers
 	return s
 }
 
@@ -429,9 +394,6 @@ func (r *Report) SpecStats() SpecStats { return r.res.Stats.Spec }
 // compiled execution is disabled).
 func (r *Report) VMStats() VMStats { return r.res.Stats.VM }
 
-// ReduceStats returns the run's symmetry reduction counters.
-func (r *Report) ReduceStats() ReduceStats { return r.res.Stats.Reduce }
-
 // WithMerging returns the scenario unchanged.
 //
 // Deprecated: state merging was deleted (DESIGN §9). WithMerging, MergeStats
@@ -450,6 +412,25 @@ type MergeStats struct{ Merges uint64 }
 //
 // Deprecated: a stub for bench/; see Scenario.WithMerging.
 func (r *Report) MergeStats() MergeStats { return MergeStats{} }
+
+// WithReduction returns the scenario unchanged.
+//
+// Deprecated: symmetry reduction was deleted (DESIGN §10). WithReduction,
+// ReduceStats and Report.ReduceStats are inert stubs kept only because
+// bench/ — which a PR that touches the engine may not edit — compiles
+// against rr.scenario.WithReduction() and rep.ReduceStats().Pins. Once
+// bench/ drops its reduce.* rows, delete all three.
+func (s Scenario) WithReduction() Scenario { return s }
+
+// ReduceStats has nothing to count.
+//
+// Deprecated: a stub for bench/; see Scenario.WithReduction.
+type ReduceStats struct{ Pins uint64 }
+
+// ReduceStats returns the zero value.
+//
+// Deprecated: a stub for bench/; see Scenario.WithReduction.
+func (r *Report) ReduceStats() ReduceStats { return ReduceStats{} }
 
 // TestCases explodes up to limit dscenarios (limit <= 0 = all) and solves
 // one concrete test case per dscenario (§IV-C).
@@ -555,7 +536,6 @@ func CustomScenario(desc string, cfg CustomConfig) (Scenario, error) {
 			Failures:  cfg.Failures,
 			NodeInit:  cfg.NodeInit,
 			Caps:      cfg.Caps,
-			Symmetry:  cfg.Symmetry,
 		},
 	}, nil
 }
@@ -578,10 +558,4 @@ type CustomConfig struct {
 	// whose reception is conditional makes sharded coverage unsound
 	// (the sub-space without the reception is explored by both halves).
 	ShardableNodes []int
-
-	// Symmetry declares the scenario's per-node asymmetries so symmetry
-	// reduction (Scenario.WithReduction) can be used with node-aware
-	// programs; see SymmetrySpec. Nil means: apply the automorphism
-	// group automatically only if the program is node-uniform.
-	Symmetry *SymmetrySpec
 }

@@ -230,9 +230,6 @@ func (sp ScenarioSpec) Scenario() (Scenario, error) {
 	if sp.MaxStates > 0 {
 		s = s.WithCaps(Caps{MaxStates: sp.MaxStates})
 	}
-	if err := sp.Layers.Validate(); err != nil {
-		return Scenario{}, fmt.Errorf("sde: %w", err)
-	}
 	s.cfg.Layers = sp.Layers
 	return s, nil
 }

@@ -98,25 +98,17 @@ func TestSpeculationSoundness(t *testing.T) {
 	}
 }
 
-// TestNegativeWorkerRejection: negative worker counts must be rejected
-// with a clear error at every public layer instead of silently falling
-// back to a default pool size.
+// TestNegativeWorkerRejection: a negative shard-pool size must be
+// rejected with a clear error instead of silently falling back to a
+// default pool size.
 func TestNegativeWorkerRejection(t *testing.T) {
 	s, err := sde.ThresholdScenario(sde.ThresholdOptions{K: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sde.RunScenario(s.WithSpeculation(-1)); err == nil ||
-		!strings.Contains(err.Error(), "SpecWorkers") {
-		t.Errorf("RunScenario with SpecWorkers=-1 returned %v", err)
-	}
 	if _, err := sde.RunScenarioShardedWith(s, sde.ShardConfig{Workers: -2}); err == nil ||
 		!strings.Contains(err.Error(), "Workers") {
 		t.Errorf("sharded run with Workers=-2 returned %v", err)
-	}
-	if _, err := sde.RunScenarioSharded(s.WithSpeculation(-1), 0); err == nil ||
-		!strings.Contains(err.Error(), "SpecWorkers") {
-		t.Errorf("sharded run with SpecWorkers=-1 returned %v", err)
 	}
 }
 
@@ -129,7 +121,7 @@ func TestSpeculationWorkloadSoundness(t *testing.T) {
 		t.Skip("whole-run differential; CI runs it in a dedicated -count=10 step")
 	}
 	build := func() sde.Scenario { return speculationWorkload(t, 8) }
-	on, onCases := runForDiff(t, build().WithSpeculation(2))
+	on, onCases := runForDiff(t, build())
 	off, offCases := runForDiff(t, build().WithoutSpeculation())
 	if on.SpecStats().Submitted == 0 {
 		t.Error("workload run submitted no speculations")
