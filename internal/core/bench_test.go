@@ -24,10 +24,38 @@ func benchNet(tb testing.TB, algo Algorithm, k, branches int) (Mapper[*mockState
 	return m, net
 }
 
+// wideNet prepares an SDS mapper on three nodes whose node-1 state sits in
+// 2*half+1 dstates, and returns half senders on node 0, each alone on its
+// node in a dstate of its own that also holds the node-1 state. Sending
+// from them in order to node 1 is a run of wide sends: the i-th finds its
+// target in 2*half+1-i dstates, receives in one and forks the rest off.
+func wideNet(tb testing.TB, half int) (Mapper[*mockState], []*mockState) {
+	tb.Helper()
+	m, net := benchNet(tb, SDSAlgorithm, 3, 0)
+	senders := []*mockState{net[0]}
+	for i := 0; i < 2*half; i++ {
+		sib, _ := doBranch(m, net[0])
+		senders = append(senders, sib)
+	}
+	// Each send from dstate 0, where every sender has rivals, splits the
+	// sender into a fresh dstate with a copy of the node-1 state.
+	for i, s := range senders[:2*half] {
+		if _, err := doSend(m, s, 2, uint64(i)); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if n := m.(*SDS[*mockState]).SuperDStateSize(net[1]); n != 2*half+1 {
+		tb.Fatalf("node-1 state in %d dstates, want %d", n, 2*half+1)
+	}
+	return m, senders[:half]
+}
+
 // BenchmarkMapSend measures one state-mapping resolution per algorithm on
 // a 32-node network where the sender has rivals — the hot operation of
 // every SDE run. COW pays for bystander forks, SDS only for virtual
-// bookkeeping.
+// bookkeeping. SDS-wide is the send that dominates SDS at paper traffic:
+// its target is in 258 to 513 dstates and only one holds the sender, so
+// every other virtual state of the target moves to the fork.
 func BenchmarkMapSend(b *testing.B) {
 	for _, algo := range []Algorithm{COWAlgorithm, SDSAlgorithm} {
 		algo := algo
@@ -43,6 +71,22 @@ func BenchmarkMapSend(b *testing.B) {
 			}
 		})
 	}
+	b.Run("SDS-wide", func(b *testing.B) {
+		b.ReportAllocs()
+		var m Mapper[*mockState]
+		var senders []*mockState
+		for i := 0; i < b.N; i++ {
+			if len(senders) == 0 {
+				b.StopTimer()
+				m, senders = wideNet(b, 256)
+				b.StartTimer()
+			}
+			if _, err := doSend(m, senders[0], 1, uint64(i)); err != nil {
+				b.Fatal(err)
+			}
+			senders = senders[1:]
+		}
+	})
 }
 
 // BenchmarkOnBranch measures the local-branch cost: free for COW/SDS,

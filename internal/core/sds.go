@@ -10,21 +10,29 @@ import (
 // or more virtual states; the set of dstates reachable through them is the
 // state's super-dstate. Virtual states of one actual state form an
 // intrusive singly-linked list (next) — appends during dstate splits are
-// the hottest operation of large runs and must not reallocate.
+// the hottest operation of large runs and must not reallocate. list points
+// back at that list, so a send reaches a virtual state's super-dstate
+// without looking its actual state up.
 type vstate[S StateHandle[S]] struct {
 	actual S
 	ds     *vDState[S]
 	next   *vstate[S]
+	list   *vlist[S]
+	mark   uint64 // == SDS.epoch: does not receive the current send
 }
 
 // vlist is the super-dstate of one actual state: its virtual states.
 type vlist[S StateHandle[S]] struct {
 	head *vstate[S]
 	n    int
+	seen uint64 // == SDS.epoch: already a target of the current send
 }
 
+// prepend makes v the head of l; every list insertion goes through here,
+// which keeps v.list right.
 func (l *vlist[S]) prepend(v *vstate[S]) {
 	v.next = l.head
+	v.list = l
 	l.head = v
 	l.n++
 }
@@ -33,6 +41,11 @@ func (l *vlist[S]) prepend(v *vstate[S]) {
 type vDState[S StateHandle[S]] struct {
 	id     int
 	byNode [][]*vstate[S] // indexed by node id
+	// While sendEpoch == SDS.epoch the dstate holds a virtual state of the
+	// current sender, and rivals says whether the sender's node has any
+	// other virtual state here.
+	sendEpoch uint64
+	rivals    bool
 }
 
 func (d *vDState[S]) add(v *vstate[S]) {
@@ -64,6 +77,10 @@ type SDS[S StateHandle[S]] struct {
 	virtuals  map[S]*vlist[S] // actual state -> its super-dstate
 	nRegister int
 	nextDSID  int
+	// epoch numbers the sends; a stamp equal to it was set by the current
+	// one. Stamps are transient: snapshots leave them out, and a restored
+	// mapper starts at epoch 0 with every stamp 0.
+	epoch uint64
 }
 
 // NewSDS returns an empty SDS mapper for a k-node network.
@@ -145,57 +162,45 @@ func (m *SDS[S]) MapSend(sender S, dst int) (Delivery[S], error) {
 		return Delivery[S]{}, fmt.Errorf("core: SDS.MapSend of unknown state %d", sender.ID())
 	}
 	senderNode := sender.NodeID()
+	m.epoch++
+	epoch := m.epoch
 
-	// Phase 1+2: sender dstates, their rivals, and the actual targets.
-	senderDS := make(map[*vDState[S]]*vstate[S], senderList.n)
-	for vs := senderList.head; vs != nil; vs = vs.next {
-		senderDS[vs.ds] = vs
-	}
-	hasRivals := func(d *vDState[S]) bool {
-		// Any virtual state of the sender's node other than the sending
-		// virtual state itself is a direct rival.
-		for _, v := range d.byNode[senderNode] {
-			if v != senderDS[d] {
-				return true
-			}
-		}
-		return false
-	}
-	var targets []S
-	targetSeen := make(map[S]bool)
-	for vs := senderList.head; vs != nil; vs = vs.next { // deterministic order
-		for _, vt := range vs.ds.byNode[dst] {
-			if !targetSeen[vt.actual] {
-				targetSeen[vt.actual] = true
-				targets = append(targets, vt.actual)
-			}
-		}
-	}
-
-	// Phase 3: classify each target's virtual states; a virtual state
-	// does not receive when its dstate lacks the sender (super-rival
-	// case) or will be split (direct-rival case).
-	nonRecv := make(map[*vstate[S]]bool)
+	// Phase 1+2: stamp every sender dstate and whether it holds direct
+	// rivals — any virtual state of the sender's node besides the sending
+	// one, which the bucket always holds — and collect the actual targets
+	// with their super-dstates, each once, in first-seen order.
 	var delivery Delivery[S]
-	forkOf := make(map[S]S, len(targets))
-	for _, t := range targets {
+	var targets []sendTarget[S]
+	for vs := senderList.head; vs != nil; vs = vs.next {
+		d := vs.ds
+		d.sendEpoch, d.rivals = epoch, len(d.byNode[senderNode]) > 1
+		for _, vt := range d.byNode[dst] {
+			if l := vt.list; l.seen != epoch {
+				l.seen = epoch
+				delivery.Receivers = append(delivery.Receivers, vt.actual)
+				targets = append(targets, sendTarget[S]{list: l})
+			}
+		}
+	}
+
+	// Phase 3: mark each target's non-receiving virtual states — those in
+	// a dstate without the sender (super-rival case) or in one that will be
+	// split (direct-rival case) — and fork every target that has one.
+	for i := range targets {
+		tg := &targets[i]
 		fork := false
-		for vt := m.virtuals[t].head; vt != nil; vt = vt.next {
-			if _, inSenderDS := senderDS[vt.ds]; !inSenderDS {
+		for vt := tg.list.head; vt != nil; vt = vt.next {
+			if d := vt.ds; d.sendEpoch != epoch || d.rivals {
+				vt.mark = epoch
 				fork = true
-				nonRecv[vt] = true
-			} else if hasRivals(vt.ds) {
-				fork = true
-				nonRecv[vt] = true
 			}
 		}
 		if fork {
-			tq := t.Fork()
-			forkOf[t] = tq
-			m.virtuals[tq] = &vlist[S]{}
-			delivery.Forked = append(delivery.Forked, tq)
+			tg.fork = delivery.Receivers[i].Fork()
+			tg.forkList = &vlist[S]{}
+			m.virtuals[tg.fork] = tg.forkList
+			delivery.Forked = append(delivery.Forked, tg.fork)
 		}
-		delivery.Receivers = append(delivery.Receivers, t)
 	}
 
 	// Phase 4a: split every sender dstate that has direct rivals, exactly
@@ -214,7 +219,7 @@ func (m *SDS[S]) MapSend(sender S, dst int) (Delivery[S], error) {
 	// of them still linked into a super-dstate keeps the whole block.
 	for vs := senderList.head; vs != nil; vs = vs.next {
 		d := vs.ds
-		if !hasRivals(d) {
+		if !d.rivals {
 			continue // virtual delivery in place; nothing to restructure
 		}
 		fresh := m.newDState()
@@ -238,7 +243,7 @@ func (m *SDS[S]) MapSend(sender S, dst int) (Delivery[S], error) {
 				v2 := &copies[off+i]
 				v2.actual, v2.ds = v.actual, fresh
 				ptrs[off+i] = v2
-				m.virtuals[v.actual].prepend(v2)
+				v.list.prepend(v2)
 			}
 			fresh.byNode[node] = ptrs[off : off+n : off+n]
 			off += n
@@ -249,28 +254,35 @@ func (m *SDS[S]) MapSend(sender S, dst int) (Delivery[S], error) {
 	// Phase 4b: reassign the non-receiving original virtual states of
 	// each forked target to the fork (Figure 7: "vt is only moved to t'
 	// without changing vt's dstate"), partitioning each target's list in
-	// one pass.
-	for _, t := range targets {
-		tq, forked := forkOf[t]
-		if !forked {
+	// one pass. The target keeps its vlist object; the unmarked virtual
+	// states are prepended back onto it.
+	for _, tg := range targets {
+		if tg.forkList == nil {
 			continue
 		}
-		keep := &vlist[S]{}
-		move := m.virtuals[tq] // empty list created above
-		list := m.virtuals[t]
-		var next *vstate[S]
-		for vt := list.head; vt != nil; vt = next {
-			next = vt.next
-			if nonRecv[vt] {
-				vt.actual = tq
-				move.prepend(vt)
+		list := tg.list
+		vt := list.head
+		list.head, list.n = nil, 0
+		for vt != nil {
+			next := vt.next
+			if vt.mark == epoch {
+				vt.actual = tg.fork
+				tg.forkList.prepend(vt)
 			} else {
-				keep.prepend(vt)
+				list.prepend(vt)
 			}
+			vt = next
 		}
-		m.virtuals[t] = keep
 	}
 	return delivery, nil
+}
+
+// sendTarget is one actual target of a send: its super-dstate and, if the
+// send forks it, the fork and the fork's super-dstate.
+type sendTarget[S StateHandle[S]] struct {
+	list     *vlist[S]
+	fork     S
+	forkList *vlist[S]
 }
 
 // ScenarioFor implements Mapper: s plus the first actual state of every
@@ -452,6 +464,9 @@ func (m *SDS[S]) CheckInvariants() error {
 		count := 0
 		for v := l.head; v != nil; v = v.next {
 			count++
+			if v.list != l {
+				return fmt.Errorf("core: SDS: virtual of state %d points at another super-dstate", s.ID())
+			}
 			if !attached[v] {
 				return fmt.Errorf("core: SDS: dangling virtual state of %d", s.ID())
 			}

@@ -191,12 +191,18 @@ func RestoreMapper[S StateHandle[S]](sp *MapperSnapshot, lookup func(uint64) (S,
 		}
 		return m, nil
 	case SDSAlgorithm:
-		m := &SDS[S]{k: k, virtuals: make(map[S]*vlist[S]), nRegister: k, nextDSID: sp.NextDSID}
+		m := &SDS[S]{k: k, virtuals: make(map[S]*vlist[S], len(sp.Supers)), nRegister: k, nextDSID: sp.NextDSID}
 		type vkey struct {
 			sid uint64
 			ds  int
 		}
-		vmap := make(map[vkey]*vstate[S])
+		nv := 0
+		for _, img := range sp.VDStates {
+			for _, ids := range img.ByNode {
+				nv += len(ids)
+			}
+		}
+		vmap := make(map[vkey]*vstate[S], nv)
 		seenDS := make(map[int]bool, len(sp.VDStates))
 		for _, img := range sp.VDStates {
 			if img.ID < 0 || img.ID >= sp.NextDSID {
@@ -233,7 +239,7 @@ func RestoreMapper[S StateHandle[S]](sp *MapperSnapshot, lookup func(uint64) (S,
 		if len(m.dstates) == 0 {
 			return nil, fmt.Errorf("core: SDS snapshot with no dstates")
 		}
-		attached := make(map[*vstate[S]]bool, len(vmap))
+		claimed := 0
 		for _, si := range sp.Supers {
 			s, ok := lookup(si.StateID)
 			if !ok {
@@ -251,17 +257,17 @@ func RestoreMapper[S StateHandle[S]](sp *MapperSnapshot, lookup func(uint64) (S,
 					return nil, fmt.Errorf("core: state %d's super-dstate names dstate %d it is not in",
 						si.StateID, si.DStateIDs[i])
 				}
-				if attached[v] {
+				if v.list != nil { // prepend sets it
 					return nil, fmt.Errorf("core: state %d lists dstate %d twice", si.StateID, si.DStateIDs[i])
 				}
-				attached[v] = true
+				claimed++
 				l.prepend(v)
 			}
 			m.virtuals[s] = l
 		}
-		if len(attached) != len(vmap) {
+		if claimed != len(vmap) {
 			return nil, fmt.Errorf("core: %d virtual states not claimed by any super-dstate",
-				len(vmap)-len(attached))
+				len(vmap)-claimed)
 		}
 		return m, nil
 	}
