@@ -15,6 +15,7 @@
 package expr
 
 import (
+	"math/bits"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -92,6 +93,7 @@ func (k Kind) String() string {
 type Expr struct {
 	kind  Kind
 	width uint8  // result width in bits, 1..64
+	id    uint32 // dense 1-based node id within the Builder (see Node)
 	val   uint64 // KindConst: value (masked); KindVar: variable id
 	name  string // KindVar only: symbolic input name
 	a     *Expr  // first operand (nil for leaves)
@@ -106,6 +108,16 @@ func (e *Expr) Kind() Kind { return e.kind }
 
 // Width returns the bit width of the expression's value (1..64).
 func (e *Expr) Width() int { return int(e.width) }
+
+// ID returns the node's id within its Builder: ids are dense, start at 1
+// and follow interning order, and Builder.Node maps them back. A nil
+// expression has id 0, which Node maps back to nil.
+func (e *Expr) ID() uint32 {
+	if e == nil {
+		return 0
+	}
+	return e.id
+}
 
 // Hash returns a structural hash of the expression. Pointer-identical
 // expressions always have equal hashes; distinct expressions collide only
@@ -210,7 +222,26 @@ type Builder struct {
 	// and every hash are what they are without it, and goroutines may race
 	// on a slot freely — whichever node ends up there is a valid one.
 	consts [1 << constCacheBits]atomic.Pointer[Expr]
+
+	// nodes maps ids to nodes: chunk k holds the nodeChunkBase<<k ids from
+	// nodeChunkBase<<k - nodeChunkBase + 1 on. A chunk is allocated whole
+	// under mu before the first id in it is handed out and never moves, and
+	// a slot is written under mu before its node leaves intern, so anyone
+	// holding an id — which came from a node intern returned — reads the
+	// slot and its chunk after they were written: Node takes no lock.
+	nodes    [nodeChunks][]*Expr
+	numNodes uint32
 }
+
+// nodeChunkBits sizes the first chunk of Builder.nodes (256 ids, 2 KB); each
+// further chunk doubles, so a run that interns n nodes holds at most 2n
+// slots in log2(n/256)+1 chunks and the short-lived Builder of a lease or an
+// assembled leaf starts as small as its intern table.
+const (
+	nodeChunkBits = 8
+	nodeChunkBase = 1 << nodeChunkBits
+	nodeChunks    = 32 - nodeChunkBits // ids up to 2^32 - nodeChunkBase
+)
 
 // constCacheBits sizes Builder.consts. The constants a run keeps producing
 // are few (node ids, small counters, a handful of addresses): 256 slots hit
@@ -239,7 +270,39 @@ func NewBuilder() *Builder {
 func (b *Builder) NumNodes() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return len(b.table)
+	return int(b.numNodes)
+}
+
+// Node returns the node with the given id, or nil for id 0. The id must be
+// one this Builder handed out (Expr.ID); Node takes no lock.
+func (b *Builder) Node(id uint32) *Expr {
+	if id == 0 {
+		return nil
+	}
+	k, i := nodeSlot(id)
+	return b.nodes[k][i]
+}
+
+// nodeSlot locates id (>= 1) in Builder.nodes: chunk k, index i.
+func nodeSlot(id uint32) (k int, i uint) {
+	x := uint(id) - 1 + nodeChunkBase
+	k = bits.Len(x) - 1 - nodeChunkBits
+	return k, x - nodeChunkBase<<k
+}
+
+// addNode assigns e the next id and publishes it in the node table. The
+// caller holds b.mu.
+func (b *Builder) addNode(e *Expr) {
+	if b.numNodes == 1<<32-nodeChunkBase {
+		panic("expr: node table full")
+	}
+	b.numNodes++
+	e.id = b.numNodes
+	k, i := nodeSlot(e.id)
+	if b.nodes[k] == nil {
+		b.nodes[k] = make([]*Expr, nodeChunkBase<<k)
+	}
+	b.nodes[k][i] = e
 }
 
 // NumVars returns the number of distinct symbolic variables created.
@@ -306,6 +369,7 @@ func (b *Builder) intern(k exprKey) *Expr {
 	} else {
 		e.vids = mergeVarIDs(k.a, k.b, k.c)
 	}
+	b.addNode(e)
 	b.table[k] = e
 	return e
 }

@@ -38,7 +38,10 @@ func TestConstMasking(t *testing.T) {
 // its slots (far more distinct constants than slots, at three widths, one of
 // them masking) get, every time, the node a cold Builder interns for that
 // value and width — same pointer per builder, same hash across builders —
-// and the table ends up with one node per distinct constant.
+// and the table ends up with one node per distinct constant. The node table
+// grows under them across several chunks: every node, whichever goroutine
+// interned it, resolves through Node by its id, and the ids are exactly
+// 1..NumNodes.
 func TestConstCacheKeepsIdentity(t *testing.T) {
 	b := NewBuilder()
 	const values, workers = 5000, 4
@@ -69,12 +72,32 @@ func TestConstCacheKeepsIdentity(t *testing.T) {
 					t.Errorf("Const(%d, %d) returned two different nodes", v, w)
 					return
 				}
+				if n := b.Node(e.ID()); n != e {
+					t.Errorf("Node(%d) = %v, want %v", e.ID(), n, e)
+					return
+				}
 			}
 		}(g)
 	}
 	wg.Wait()
 	if got := b.NumNodes(); got != len(want) {
 		t.Errorf("NumNodes = %d after interning %d distinct constants", got, len(want))
+	}
+	if len(want) <= 2*nodeChunkBase {
+		t.Fatalf("%d nodes fill fewer than three chunks of the node table", len(want))
+	}
+	ids := make([]bool, len(want)+1)
+	for _, e := range want {
+		if id := e.ID(); id == 0 || int(id) > len(want) || ids[id] {
+			t.Fatalf("Const(%d, %d) has id %d: not one of 1..%d, or taken twice", e.ConstVal(), e.Width(), id, len(want))
+		}
+		ids[e.ID()] = true
+		if b.Node(e.ID()) != e {
+			t.Errorf("Node(%d) does not resolve to Const(%d, %d)", e.ID(), e.ConstVal(), e.Width())
+		}
+	}
+	if b.Node(0) != nil {
+		t.Error("Node(0) is not nil")
 	}
 	cold := NewBuilder()
 	for key, e := range want {

@@ -21,8 +21,8 @@ func (s *State) Dump() string {
 		}
 	}
 	for _, sl := range s.mem.slots {
-		for wi, w := range sl.p.words {
-			if w != nil && !(w.IsConst() && w.ConstVal() == 0) {
+		for wi, id := range &sl.p.words {
+			if w := s.ctx.Exprs.Node(id); w != nil && !(w.IsConst() && w.ConstVal() == 0) {
 				fmt.Fprintf(&sb, "  mem[%#06x] = %v\n", sl.idx<<pageShift|uint32(wi), w)
 			}
 		}

@@ -95,7 +95,7 @@ func (s *State) BeginEvent(rxBufAddr uint32) Event {
 		s.regs[isa.R1] = s.ctx.Exprs.Const(uint64(rxBufAddr), WordBits)
 		s.regs[isa.R2] = s.ctx.Exprs.Const(uint64(len(ev.Data)), WordBits)
 		for i, w := range ev.Data {
-			s.mem.store(rxBufAddr+uint32(i), w)
+			s.mem.store(rxBufAddr+uint32(i), w.ID())
 		}
 	}
 	return ev
@@ -253,7 +253,7 @@ func (s *State) Run(now uint64, budget int, h Hooks) error {
 				s.Kill(err)
 				return err
 			}
-			s.mem.store(addr, s.regs[in.Rb])
+			s.mem.store(addr, s.regs[in.Rb].ID())
 			s.pc++
 
 		case isa.OpSym:

@@ -285,9 +285,9 @@ func captureDiffState(s *State, err error) diffState {
 		}
 	}
 	for _, sl := range s.mem.slots {
-		for wi, w := range sl.p.words {
-			if w != nil {
-				d.Mem[sl.idx<<pageShift|uint32(wi)] = w.Hash()
+		for wi, id := range sl.p.words {
+			if id != 0 {
+				d.Mem[sl.idx<<pageShift|uint32(wi)] = s.ctx.Exprs.Node(id).Hash()
 			}
 		}
 	}

@@ -65,10 +65,11 @@ func (c *fastChain) load(s *State, addr uint32) (uint64, bool) {
 			return c.stores[j].val, true
 		}
 	}
-	w := s.mem.load(addr)
-	if w == nil {
+	id := s.mem.load(addr)
+	if id == 0 {
 		return 0, true // untouched memory reads as concrete zero
 	}
+	w := s.ctx.Exprs.Node(id)
 	if !w.IsConst() || w.Width() != WordBits {
 		return 0, false
 	}
@@ -245,8 +246,8 @@ chain:
 	}
 
 	// Commit: materialize what the chain wrote. The builder hash-conses,
-	// so these are the same *expr.Expr pointers the interpreter would have
-	// left in the registers and in memory.
+	// so these are the same nodes the interpreter would have left in the
+	// registers and in memory.
 	eb := s.ctx.Exprs
 	for r := isa.Reg(0); r < isa.NumRegs; r++ {
 		if c.dirty.Has(r) {
@@ -254,7 +255,7 @@ chain:
 		}
 	}
 	for _, st := range c.stores[:c.nstores] {
-		s.mem.store(st.addr, eb.Const(st.val, WordBits))
+		s.mem.store(st.addr, eb.Const(st.val, WordBits).ID())
 	}
 	s.frames = s.frames[:len(s.frames)-popped]
 	s.fn, s.pc = fn, pc

@@ -88,13 +88,15 @@ func (s *State) HistoryHash() uint64 {
 }
 
 func (s *State) memoryHash() uint64 {
+	eb := s.ctx.Exprs
 	h := uint64(14695981039346656037)
 	for _, sl := range s.mem.slots { // in page order
 		ph := uint64(0)
-		for wi, w := range sl.p.words {
-			if w == nil {
+		for wi, id := range &sl.p.words {
+			if id == 0 {
 				continue
 			}
+			w := eb.Node(id)
 			// Words explicitly stored as 0 hash like untouched words, so
 			// layouts differing only in dirty-zero words match.
 			if w.IsConst() && w.ConstVal() == 0 {

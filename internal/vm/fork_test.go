@@ -307,6 +307,21 @@ func TestRestoreAliasing(t *testing.T) {
 			}
 		}
 	}
+	// One page holds the three zero words a page must keep apart: an
+	// untouched word, an explicit zero (a dirty zero, which Image keeps as
+	// a word), and the nil a never-written register stores, which stays
+	// untouched.
+	const zeroPage = 0x7f00
+	dirtyZero := warm.ctx.Exprs.Const(0, WordBits)
+	var zeroed *State
+	for _, s := range seedWorld.states {
+		if s != nil {
+			zeroed = s
+			s.StoreWord(zeroPage, dirtyZero)
+			s.StoreWord(zeroPage+1, nil)
+			break
+		}
+	}
 	for _, s := range seedWorld.states {
 		if s == nil {
 			continue
@@ -355,6 +370,35 @@ func TestRestoreAliasing(t *testing.T) {
 		// Both families restore from the same images; each shadow from its own copy.
 		d.worlds = []*world{restore(d, slices.Clone(images), false), restore(d, deepCopy(), true)}
 		families = append(families, d)
+	}
+	// Restored pages image back to exactly the pages they came from.
+	for _, d := range families {
+		for _, w := range d.worlds {
+			again := NewPageTable()
+			for _, s := range w.states {
+				s.Image(again)
+			}
+			if !slices.EqualFunc(again.Pages(), pt.Pages(), slices.Equal) {
+				t.Fatal("Image → RestoreStates → Image changed the pages")
+			}
+		}
+	}
+	zeroes := 0
+	for _, ref := range zeroed.Image(pt).Pages {
+		if ref.MemIndex != zeroPage/PageWords {
+			continue
+		}
+		zeroes++
+		if pw := pt.Pages()[ref.Page]; pw[0] != dirtyZero || pw[1] != nil || pw[2] != nil {
+			t.Errorf("the zero page images as %v, want a dirty zero, then nil twice", pw[:3])
+		}
+	}
+	if zeroes != 1 {
+		t.Fatalf("the zeroed state images %d pages at %#x, want 1", zeroes, zeroPage)
+	}
+	// Pages hold ids of one builder: words from another are refused.
+	if _, err := RestoreStates(NewContext(), warm.prog, slices.Clone(images), pt.Pages()); err == nil {
+		t.Error("RestoreStates accepted pages whose words belong to another context's builder")
 	}
 	for step := 0; step < 1500; step++ {
 		for _, d := range families {
@@ -488,10 +532,11 @@ func TestLazyBoundMatchesEager(t *testing.T) {
 // object per event (9 in all); a fork followed by one reception on the child
 // — a history entry and a queued event, each reallocating a shared or full
 // array — made 11; a fingerprint 3 (the page-number slice, the sort closure
-// and its swapper).
+// and its swapper). A write to a shared page costs the child one page.
 func TestForkAllocs(t *testing.T) {
 	ctx, s := measuredState(t)
 	payload := []*expr.Expr{ctx.Exprs.Const(7, WordBits)}
+	word := ctx.Exprs.Const(9, WordBits)
 	for _, tc := range []struct {
 		name  string
 		bound float64
@@ -502,6 +547,11 @@ func TestForkAllocs(t *testing.T) {
 			c := s.Fork()
 			c.RecordRecv(2, 10, 0, 1, 2)
 			c.PushEvent(Event{Time: 11, Kind: EventRecv, Fn: 0, Src: 2, Data: payload})
+			c.Release()
+		}},
+		{"fork + COW write", 4, func() {
+			c := s.Fork()
+			c.StoreWord(0, word)
 			c.Release()
 		}},
 		{"fingerprint", 0, func() { _ = s.Fingerprint() }},

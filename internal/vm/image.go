@@ -36,13 +36,19 @@ func NewPageTable() *PageTable {
 // PageWords-long slice with nil entries for unwritten (zero) words.
 func (t *PageTable) Pages() [][]*expr.Expr { return t.words }
 
-func (t *PageTable) intern(p *page) int {
+// intern numbers p, resolving its words through eb, the builder they are
+// ids of, the first time the table sees it.
+func (t *PageTable) intern(p *page, eb *expr.Builder) int {
 	if i, ok := t.index[p]; ok {
 		return i
 	}
 	i := len(t.words)
 	t.index[p] = i
-	t.words = append(t.words, append([]*expr.Expr(nil), p.words[:]...))
+	words := make([]*expr.Expr, pageWords)
+	for wi, id := range &p.words {
+		words[wi] = eb.Node(id)
+	}
+	t.words = append(t.words, words)
 	return i
 }
 
@@ -130,7 +136,7 @@ func (s *State) Image(t *PageTable) StateImage {
 		})
 	}
 	for _, sl := range s.mem.slots {
-		img.Pages = append(img.Pages, PageRef{MemIndex: sl.idx, Page: t.intern(sl.p)})
+		img.Pages = append(img.Pages, PageRef{MemIndex: sl.idx, Page: t.intern(sl.p, s.ctx.Exprs)})
 	}
 	return img
 }
@@ -142,11 +148,18 @@ func (s *State) Image(t *PageTable) StateImage {
 // consumed: a restored state adopts its image's path condition, history,
 // trace and event payloads as capped views — the arrays a fork would share
 // with its parent, under the same rule: nothing writes them in place, and
-// the first append copies. Pages are copied; a page holds an array.
+// the first append copies. Pages are translated to node ids, so every word
+// must be a node of ctx's builder — the one the snapshot was decoded through.
 func RestoreStates(ctx *Context, prog *isa.Program, images []StateImage, pages [][]*expr.Expr) ([]*State, error) {
+	nodes := uint32(ctx.Exprs.NumNodes())
 	for i, pw := range pages {
 		if len(pw) != PageWords {
 			return nil, fmt.Errorf("vm: restored page %d has %d words, want %d", i, len(pw), PageWords)
+		}
+		for wi, w := range pw {
+			if w != nil && (w.ID() > nodes || ctx.Exprs.Node(w.ID()) != w) {
+				return nil, fmt.Errorf("vm: restored page %d word %d is not a node of the context's builder", i, wi)
+			}
 		}
 	}
 	shared := make([]*page, len(pages))
@@ -242,7 +255,9 @@ func restoreState(ctx *Context, prog *isa.Program, img *StateImage, pages [][]*e
 		p := shared[ref.Page]
 		if p == nil {
 			p = s.mem.newPage()
-			copy(p.words[:], pages[ref.Page])
+			for wi, w := range pages[ref.Page] {
+				p.words[wi] = w.ID()
+			}
 			shared[ref.Page] = p
 		} else {
 			p.ref++

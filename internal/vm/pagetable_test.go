@@ -2,6 +2,7 @@ package vm
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -10,15 +11,21 @@ import (
 
 // refMemory is the page table memory had before it became a sorted slice —
 // a hash map from page number to page — kept as the reference the
-// differential test below drives beside the real one. It has its own pages
-// and its own live counter.
+// differential test below drives beside the real one. It has its own pages,
+// which hold expression pointers where the real ones hold node ids, and its
+// own live counter.
 type refMemory struct {
-	pages map[uint32]*page
+	pages map[uint32]*refPage
 	live  *int64
 }
 
+type refPage struct {
+	ref   int32
+	words [pageWords]*expr.Expr // nil = zero
+}
+
 func (m *refMemory) clone() refMemory {
-	pages := make(map[uint32]*page, len(m.pages))
+	pages := make(map[uint32]*refPage, len(m.pages))
 	for k, p := range m.pages {
 		p.ref++
 		pages[k] = p
@@ -40,11 +47,11 @@ func (m *refMemory) store(addr uint32, v *expr.Expr) {
 	switch {
 	case p == nil:
 		*m.live++
-		p = &page{ref: 1}
+		p = &refPage{ref: 1}
 		m.pages[idx] = p
 	case p.ref > 1:
 		*m.live++
-		clone := &page{ref: 1, words: p.words}
+		clone := &refPage{ref: 1, words: p.words}
 		p.ref--
 		m.pages[idx] = clone
 		p = clone
@@ -105,7 +112,8 @@ func (m *refMemory) hash() uint64 {
 // with 40 pages in descending order, far more than any workload's state
 // holds — and requires,
 // after every step, the same live-page count and, for the member touched,
-// the same loads, the pages in ascending order, and the same memory hash.
+// the same loads, the pages in ascending order, and the same memory hash;
+// the real memory's words are compared after resolving their node ids.
 func TestPageTableDifferential(t *testing.T) {
 	ctx := NewContext()
 	eb := ctx.Exprs
@@ -116,7 +124,7 @@ func TestPageTableDifferential(t *testing.T) {
 		ref refMemory
 	}
 	newPair := func() *pair {
-		return &pair{mem: newMemory(ctx), ref: refMemory{pages: map[uint32]*page{}, live: &refLive}}
+		return &pair{mem: newMemory(ctx), ref: refMemory{pages: map[uint32]*refPage{}, live: &refLive}}
 	}
 	// Two lineages: one starts large (filled below), one starts empty.
 	family := []*pair{newPair(), newPair()}
@@ -148,16 +156,22 @@ func TestPageTableDifferential(t *testing.T) {
 			if sl.idx != idxs[i] {
 				t.Fatalf("step %d: slot %d is page %d, reference order has %d", step, i, sl.idx, idxs[i])
 			}
-			if want := p.ref.pages[sl.idx]; sl.p.ref != want.ref || sl.p.words != want.words {
+			want := p.ref.pages[sl.idx]
+			if sl.p.ref != want.ref {
 				t.Fatalf("step %d: page %d differs from the reference (ref %d vs %d)", step, sl.idx, sl.p.ref, want.ref)
 			}
+			for wi, id := range sl.p.words {
+				if eb.Node(id) != want.words[wi] {
+					t.Fatalf("step %d: page %d word %d differs from the reference", step, sl.idx, wi)
+				}
+			}
 		}
-		if got, want := (&State{mem: p.mem}).memoryHash(), p.ref.hash(); got != want {
+		if got, want := (&State{ctx: ctx, mem: p.mem}).memoryHash(), p.ref.hash(); got != want {
 			t.Fatalf("step %d: memoryHash = %#x, reference %#x", step, got, want)
 		}
 	}
 	store := func(p *pair, addr uint32, v *expr.Expr) {
-		p.mem.store(addr, v)
+		p.mem.store(addr, v.ID())
 		p.ref.store(addr, v)
 		touched = append(touched, addr)
 	}
@@ -178,7 +192,7 @@ func TestPageTableDifferential(t *testing.T) {
 			store(p, randAddr(), v)
 		case op < 13:
 			addr := randAddr()
-			if got, want := p.mem.load(addr), p.ref.load(addr); got != want {
+			if got, want := eb.Node(p.mem.load(addr)), p.ref.load(addr); got != want {
 				t.Fatalf("step %d: load(%#x) = %v, reference %v", step, addr, got, want)
 			}
 		case op < 15:
@@ -213,5 +227,31 @@ func TestPageTableDifferential(t *testing.T) {
 	}
 	if ctx.LivePages() != 0 || refLive != 0 {
 		t.Errorf("after releasing every member: LivePages = %d, reference %d", ctx.LivePages(), refLive)
+	}
+}
+
+// TestPageIsPointerFree guards the page layout: a page holds node ids, no
+// pointers, so the garbage collector never scans one, a copy-on-write split
+// copies it without write barriers, and its words are the PageBytes the RAM
+// model charges. Nothing else fails if a pointer creeps back in.
+func TestPageIsPointerFree(t *testing.T) {
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map,
+			reflect.String, reflect.Interface, reflect.Func, reflect.Chan:
+			t.Errorf("%s is a %s: a page must hold no pointers", path, typ.Kind())
+		case reflect.Array:
+			walk(path+"[i]", typ.Elem())
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				f := typ.Field(i)
+				walk(path+"."+f.Name, f.Type)
+			}
+		}
+	}
+	walk("page", reflect.TypeOf(page{}))
+	if got := reflect.TypeOf(page{}.words).Size(); got != PageBytes {
+		t.Errorf("a page's words take %d bytes, the RAM model charges %d", got, PageBytes)
 	}
 }

@@ -137,22 +137,30 @@ func (c *Context) newStateID() uint64 { return c.nextStateID.Add(1) }
 // --- copy-on-write memory ---------------------------------------------------
 
 // Pages are small (64 words) because node memories are sparse — a node
-// touches a handful of config, packet-buffer, and counter regions — and
-// because every resident page is a pointer array the garbage collector
-// must scan; large pages made GC the dominant cost of big runs.
+// touches a handful of config, packet-buffer, and counter regions. A page
+// holds node ids of the context's expression builder, not pointers: every
+// node a page could point at is kept alive by the builder's intern table
+// for the whole run anyway, and a pointer-free page is one the garbage
+// collector never scans, though the resident pages of every forked state
+// are much of a big run's heap.
 const (
 	pageShift = 6
 	pageWords = 1 << pageShift // 64 words per page
 	pageMask  = pageWords - 1
 )
 
-// PageBytes is the modeled size of one memory page, used for the RAM
-// accounting that reproduces the paper's memory curves (4 bytes per word).
+// PageBytes is the size of one memory page, used for the RAM accounting
+// that reproduces the paper's memory curves: 4 bytes per word, which is
+// also what a page occupies.
 const PageBytes = pageWords * 4
 
+// page is a run of words, each an expr node id of the context's builder
+// (Builder.Node resolves it); 0 is an untouched word, which reads as
+// concrete zero. A word explicitly written to zero holds the id of its
+// constant, so an untouched word and a dirty zero stay distinguishable.
 type page struct {
 	ref   int32
-	words [pageWords]*expr.Expr // nil = zero
+	words [pageWords]uint32
 }
 
 // pageSlot is one entry of a state's page table.
@@ -211,15 +219,18 @@ func (m *memory) clone() memory {
 	return memory{slots: slots, live: m.live}
 }
 
-func (m *memory) load(addr uint32) *expr.Expr {
+// load returns the node id stored at addr, 0 if the word is untouched.
+func (m *memory) load(addr uint32) uint32 {
 	i, ok := m.find(addr >> pageShift)
 	if !ok {
-		return nil
+		return 0
 	}
 	return m.slots[i].p.words[addr&pageMask]
 }
 
-func (m *memory) store(addr uint32, v *expr.Expr) {
+// store writes node id v (0: back to untouched) at addr, splitting a shared
+// page first.
+func (m *memory) store(addr uint32, v uint32) {
 	idx := addr >> pageShift
 	i, ok := m.find(idx)
 	var p *page
@@ -500,15 +511,16 @@ func (s *State) popEvent() Event {
 // --- memory and register helpers ---------------------------------------------
 
 func (s *State) loadWord(addr uint32) *expr.Expr {
-	if v := s.mem.load(addr); v != nil {
-		return v
+	if id := s.mem.load(addr); id != 0 {
+		return s.ctx.Exprs.Node(id)
 	}
 	return s.ctx.zeroWord
 }
 
 // StoreWord writes a word; exported for runtime initialisation (routing
-// tables, node configuration) before execution starts.
-func (s *State) StoreWord(addr uint32, v *expr.Expr) { s.mem.store(addr, v) }
+// tables, node configuration) before execution starts. v must come from the
+// context's builder; nil leaves the word reading as untouched.
+func (s *State) StoreWord(addr uint32, v *expr.Expr) { s.mem.store(addr, v.ID()) }
 
 // LoadWord reads a word; exported for test inspection and for the
 // reception path that copies payloads into the RX buffer.
