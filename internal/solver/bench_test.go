@@ -110,6 +110,12 @@ func BenchmarkBitBlastMul(b *testing.B) {
 // on the persistent incremental instance versus from-scratch solving.
 // Every other pipeline layer is disabled in both modes so the comparison
 // isolates assumption-based solving + the persistent blast context.
+//
+// runicast replays the runicast prefix stream (see RunicastPrefixQueries)
+// with partitioning on: the reconcile shape, many small variable-disjoint
+// components decided on one growing instance, where restricting each solve
+// to its query's cone is what the persistent instance gains. In
+// incremental, by contrast, one path's cone is nearly the whole instance.
 func BenchmarkPrefixExtension(b *testing.B) {
 	base := Options{
 		DisableCache:       true,
@@ -118,24 +124,29 @@ func BenchmarkPrefixExtension(b *testing.B) {
 		DisablePartition:   true,
 		DisableSubsumption: true,
 	}
+	partitioned := base
+	partitioned.DisablePartition = false
+	fromScratch := base
+	fromScratch.DisableIncremental = true
+	prefix := func(eb *expr.Builder) []PrefixQuery { return PrefixExtensionQueries(eb, 24) }
 	for _, mode := range []struct {
-		name        string
-		fromScratch bool
+		name    string
+		opts    Options
+		queries func(*expr.Builder) []PrefixQuery
 	}{
-		{"incremental", false},
-		{"fromscratch", true},
+		{"incremental", base, prefix},
+		{"fromscratch", fromScratch, prefix},
+		{"runicast", partitioned, func(eb *expr.Builder) []PrefixQuery { return RunicastPrefixQueries(eb, 6, 8) }},
 	} {
 		mode := mode
 		b.Run(mode.name, func(b *testing.B) {
 			eb := expr.NewBuilder()
-			queries := PrefixExtensionQueries(eb, 24)
-			opts := base
-			opts.DisableIncremental = mode.fromScratch
+			queries := mode.queries(eb)
 			var last Stats
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				s := NewWithOptions(opts)
+				s := NewWithOptions(mode.opts)
 				for j, q := range queries {
 					if _, err := s.FeasibleWith(nil, q.Prefix, q.Extra); err != nil {
 						b.Fatalf("query %d: %v", j, err)

@@ -100,6 +100,12 @@ func (b *blaster) assertTrue(l Lit) bool {
 }
 
 // --- gates ---------------------------------------------------------------
+//
+// andGate, xorGate and muxGate are the only constructors that allocate a
+// variable (besides litTrue and a symbolic input's bits): each records its
+// output's fan-in and tags every clause of its definition with the output,
+// which is what lets a persistent instance restrict a solve to the cone of
+// its assumptions (satSolver.restrictTo).
 
 func (b *blaster) andGate(x, y Lit) Lit {
 	switch {
@@ -115,10 +121,10 @@ func (b *blaster) andGate(x, y Lit) Lit {
 		return b.litFalse()
 	}
 	b.gates++
-	o := b.sat.newVar()
-	b.sat.addClause(-o, x)
-	b.sat.addClause(-o, y)
-	b.sat.addClause(o, -x, -y)
+	o := b.sat.newGate(x, y, 0)
+	b.sat.addGateClause(o, -o, x)
+	b.sat.addGateClause(o, -o, y)
+	b.sat.addGateClause(o, o, -x, -y)
 	return o
 }
 
@@ -142,11 +148,11 @@ func (b *blaster) xorGate(x, y Lit) Lit {
 		return b.litTrue
 	}
 	b.gates++
-	o := b.sat.newVar()
-	b.sat.addClause(-o, x, y)
-	b.sat.addClause(-o, -x, -y)
-	b.sat.addClause(o, -x, y)
-	b.sat.addClause(o, x, -y)
+	o := b.sat.newGate(x, y, 0)
+	b.sat.addGateClause(o, -o, x, y)
+	b.sat.addGateClause(o, -o, -x, -y)
+	b.sat.addGateClause(o, o, -x, y)
+	b.sat.addGateClause(o, o, x, -y)
 	return o
 }
 
@@ -161,11 +167,11 @@ func (b *blaster) muxGate(c, x, y Lit) Lit {
 		return x
 	}
 	b.gates++
-	o := b.sat.newVar()
-	b.sat.addClause(-c, -x, o)
-	b.sat.addClause(-c, x, -o)
-	b.sat.addClause(c, -y, o)
-	b.sat.addClause(c, y, -o)
+	o := b.sat.newGate(c, x, y)
+	b.sat.addGateClause(o, -c, -x, o)
+	b.sat.addGateClause(o, -c, x, -o)
+	b.sat.addGateClause(o, c, -y, o)
+	b.sat.addGateClause(o, c, y, -o)
 	return o
 }
 

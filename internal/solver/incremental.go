@@ -14,7 +14,9 @@ import "sde/internal/expr"
 // constraint subset. Because the instance only ever contains gate
 // definitions (satisfiable by construction) and clauses learned from
 // them, a valFalse answer always means "UNSAT under the assumptions",
-// never a poisoned instance.
+// never a poisoned instance — and a solve may search only the fan-in cone
+// of its assumptions (satSolver.restrictTo), however much else the slot
+// has encoded.
 type incContext struct {
 	sat       *satSolver
 	bl        *blaster
@@ -52,6 +54,7 @@ func (s *Solver) solveIncremental(slot *solverSlot, active []*expr.Expr) (bool, 
 	}
 
 	confl0, dec0 := ic.sat.conflicts, ic.sat.decisions
+	ic.sat.restrictTo(assumptions)
 	res := ic.sat.solveUnder(assumptions)
 	mainSlot := slot == &s.slot0
 	s.bumpStat(func(st *Stats) {
@@ -67,15 +70,18 @@ func (s *Solver) solveIncremental(slot *solverSlot, active []*expr.Expr) (bool, 
 
 	switch res {
 	case valFalse:
-		ic.sat.backtrackTo(0)
+		ic.sat.release()
 		return false, nil, nil
 	case valUnassigned:
-		ic.sat.backtrackTo(0)
+		ic.sat.release()
 		return false, nil, ErrBudget
 	}
 	// SAT: read back a model for exactly the query's variables before
 	// releasing the trail. Variables outside the query stay don't-cares,
-	// matching from-scratch solving (missing entries default to 0).
+	// matching from-scratch solving (missing entries default to 0). The
+	// query's value is a function of its cone, which is fully assigned; a
+	// bit outside the cone (one no gate of the query reads) is a don't-care
+	// too, whatever the trail holds for it.
 	var qvars []*expr.Expr
 	for _, c := range active {
 		qvars = expr.CollectVars(c, qvars)
@@ -90,6 +96,6 @@ func (s *Solver) solveIncremental(slot *solverSlot, active []*expr.Expr) (bool, 
 		}
 		model[v.VarName()] = val
 	}
-	ic.sat.backtrackTo(0)
+	ic.sat.release()
 	return true, model, nil
 }

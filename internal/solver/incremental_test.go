@@ -12,13 +12,16 @@ import (
 func randomTerm(eb *expr.Builder, rng *rand.Rand, vars []*expr.Expr, depth int) *expr.Expr {
 	if depth == 0 || rng.Intn(3) == 0 {
 		if rng.Intn(3) == 0 {
-			return eb.Const(rng.Uint64()&0xff, 8)
+			w := vars[0].Width()
+			return eb.Const(rng.Uint64()&(1<<w-1), w)
 		}
 		return vars[rng.Intn(len(vars))]
 	}
 	x := randomTerm(eb, rng, vars, depth-1)
 	y := randomTerm(eb, rng, vars, depth-1)
-	switch rng.Intn(6) {
+	// Dividers and barrel shifters are built from three-input mux gates,
+	// so these four put a select input into the fan-in cones.
+	switch rng.Intn(10) {
 	case 0:
 		return eb.Add(x, y)
 	case 1:
@@ -29,9 +32,41 @@ func randomTerm(eb *expr.Builder, rng *rand.Rand, vars []*expr.Expr, depth int) 
 		return eb.And(x, y)
 	case 4:
 		return eb.Or(x, y)
+	case 5:
+		return eb.UDiv(x, y)
+	case 6:
+		return eb.URem(x, y)
+	case 7:
+		return eb.Shl(x, y)
+	case 8:
+		return eb.LShr(x, y)
 	default:
 		return eb.Xor(x, y)
 	}
+}
+
+// level0Open returns the first stored clause of s that level-0 propagation
+// left open — every literal but at most one false at level 0 and none true
+// there — or -1. A cone-restricted solve skips out-of-cone watchers only
+// above level 0, so on a persistent instance between solves there is none.
+func level0Open(s *satSolver) int32 {
+	at0 := func(l Lit, val int8) bool { return s.litValue(l) == val && s.level[l.v()] == 0 }
+	for i := range s.clauses {
+		open := 0
+		for _, l := range s.clauseLits(int32(i)) {
+			if at0(l, valTrue) {
+				open = 2
+				break
+			}
+			if !at0(l, valFalse) {
+				open++
+			}
+		}
+		if open < 2 {
+			return int32(i)
+		}
+	}
+	return -1
 }
 
 func randomConstraint(eb *expr.Builder, rng *rand.Rand, vars, bools []*expr.Expr) *expr.Expr {
@@ -72,13 +107,22 @@ func randomConstraint(eb *expr.Builder, rng *rand.Rand, vars, bools []*expr.Expr
 //   - bare:   the persistent incremental instance, every cache disabled;
 //   - full:   the default pipeline (caches, pool, subsumption, partition).
 //
-// Models returned by the incremental solvers are validated against the
-// ground-truth evaluator. Well over 1000 prefix-extension queries run.
+// Every model the bare persistent instance returns, and some from-scratch
+// models, are validated against the ground-truth evaluator. Well over 1000
+// prefix-extension queries run over one shared set of variables; then a
+// second phase explores variable-disjoint groups, one group per branch, so
+// that the persistent instance holds circuits a query does not reach and
+// its solves are restricted to a strict cone of it.
 func TestIncrementalDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	eb := expr.NewBuilder()
-	vars := []*expr.Expr{eb.Var("a", 8), eb.Var("b", 8), eb.Var("c", 8)}
-	bools := []*expr.Expr{eb.Var("d0", 1), eb.Var("d1", 1), eb.Var("d2", 1)}
+	type group struct{ vars, bools []*expr.Expr }
+	newGroup := func(tag string) group {
+		return group{
+			vars:  []*expr.Expr{eb.Var("a"+tag, 8), eb.Var("b"+tag, 8), eb.Var("c"+tag, 8)},
+			bools: []*expr.Expr{eb.Var("d0"+tag, 1), eb.Var("d1"+tag, 1), eb.Var("d2"+tag, 1)},
+		}
+	}
 
 	bareOpts := Options{
 		DisableCache:       true,
@@ -94,14 +138,45 @@ func TestIncrementalDifferential(t *testing.T) {
 	bare := NewWithOptions(bareOpts)
 	oracle := NewWithOptions(oracleOpts)
 
+	// closed fails the test if a clause of the persistent instance is open
+	// at level 0.
+	closed := func(when string) {
+		t.Helper()
+		if ic := bare.slot0.ic; ic != nil {
+			if i := level0Open(ic.sat); i >= 0 {
+				t.Fatalf("%s: clause %v of the persistent instance is open at level 0", when, ic.sat.clauseLits(i))
+			}
+		}
+	}
+	// holds fails the test unless model satisfies every constraint.
+	holds := func(model expr.Env, pc []*expr.Expr, c *expr.Expr, step int, who string) {
+		t.Helper()
+		for _, q := range pc {
+			if expr.Eval(q, model) == 0 {
+				t.Fatalf("step %d: %s model %v violates prefix constraint", step, who, model)
+			}
+		}
+		if expr.Eval(c, model) == 0 {
+			t.Fatalf("step %d: %s model %v violates the extension", step, who, model)
+		}
+	}
 	ask := func(pc []*expr.Expr, c *expr.Expr, step int) bool {
 		want, err := oracle.FeasibleWith(nil, pc, c)
 		if err != nil {
 			t.Fatalf("step %d: oracle: %v", step, err)
 		}
-		gotBare, err := bare.FeasibleWith(nil, pc, c)
+		// With every layer off, checkQuery hands the persistent instance's
+		// model straight back: it is the model solveIncremental read off
+		// the cone.
+		gotBare, bareModel, err := bare.checkQuery(queryCtx{slot: &bare.slot0}, pc, c, false)
 		if err != nil {
 			t.Fatalf("step %d: bare incremental: %v", step, err)
+		}
+		if gotBare {
+			holds(bareModel, pc, c, step, "persistent-instance")
+		}
+		if step%32 == 0 {
+			closed(fmt.Sprintf("step %d", step))
 		}
 		gotFull, err := full.FeasibleWith(nil, pc, c)
 		if err != nil {
@@ -116,53 +191,65 @@ func TestIncrementalDifferential(t *testing.T) {
 			if err != nil || !sat {
 				t.Fatalf("step %d: bare ModelWith: sat=%v err=%v", step, sat, err)
 			}
-			for _, q := range pc {
-				if expr.Eval(q, model) == 0 {
-					t.Fatalf("step %d: incremental model %v violates prefix constraint", step, model)
-				}
-			}
-			if expr.Eval(c, model) == 0 {
-				t.Fatalf("step %d: incremental model %v violates the extension", step, model)
-			}
+			holds(model, pc, c, step, "from-scratch")
 		}
 		return want
 	}
 
-	// The acceptance bar is ≥1000 prefix-extension queries; -short keeps
-	// race/smoke runs fast while the regular run covers the full count.
-	target := 1200
-	if testing.Short() {
-		target = 250
+	// explore runs target queries; each branch lives in one of groups, and
+	// a fork's sibling stays in its parent's group.
+	type branch struct {
+		pc []*expr.Expr
+		g  group
 	}
-	// branches holds the path condition of every live branch.
-	branches := [][]*expr.Expr{nil}
-	queries := 0
-	for step := 0; queries < target; step++ {
-		i := rng.Intn(len(branches))
-		pc := branches[i]
-		c := randomConstraint(eb, rng, vars, bools)
-		notC := eb.Not(c)
-		feasC := ask(pc, c, step)
-		queries++
-		feasNot := ask(pc, notC, step)
-		queries++
-		switch {
-		case feasC && feasNot:
-			// Fork: the sibling takes the negated side on a copy of the
-			// prefix, mirroring vm.State.Fork + AddConstraint.
-			if len(branches) < 24 && rng.Intn(2) == 0 {
-				branches = append(branches, append(append([]*expr.Expr(nil), pc...), notC))
+	step := 0
+	explore := func(target int, groups []group) {
+		var branches []branch // the path condition of every live branch
+		for _, g := range groups {
+			branches = append(branches, branch{g: g})
+		}
+		for queries := 0; queries < target; step++ {
+			i := rng.Intn(len(branches))
+			pc, g := branches[i].pc, branches[i].g
+			c := randomConstraint(eb, rng, g.vars, g.bools)
+			notC := eb.Not(c)
+			feasC := ask(pc, c, step)
+			queries++
+			feasNot := ask(pc, notC, step)
+			queries++
+			switch {
+			case feasC && feasNot:
+				// Fork: the sibling takes the negated side on a copy of the
+				// prefix, mirroring vm.State.Fork + AddConstraint.
+				if len(branches) < 24 && rng.Intn(2) == 0 {
+					branches = append(branches, branch{append(append([]*expr.Expr(nil), pc...), notC), g})
+				}
+				branches[i].pc = append(pc, c)
+			case feasC:
+				branches[i].pc = append(pc, c)
+			case feasNot:
+				branches[i].pc = append(pc, notC)
+			default:
+				t.Fatalf("step %d: both sides infeasible under a feasible prefix", step)
 			}
-			branches[i] = append(pc, c)
-		case feasC:
-			branches[i] = append(pc, c)
-		case feasNot:
-			branches[i] = append(pc, notC)
-		default:
-			t.Fatalf("step %d: both sides infeasible under a feasible prefix", step)
 		}
 	}
 
+	// The acceptance bar is ≥1000 prefix-extension queries; -short and the
+	// race detector (ten times slower here, and CI repeats this test under
+	// it) keep those runs fast while the regular run covers the full count.
+	target, disjoint := 1200, 600
+	if testing.Short() || raceEnabled {
+		target, disjoint = 250, 150
+	}
+	explore(target, []group{newGroup("")})
+	explore(disjoint, []group{newGroup("0"), newGroup("1"), newGroup("2"), newGroup("3")})
+
+	closed("end")
+	if sat := bare.slot0.ic.sat; sat.strictCones == 0 || sat.skipped == 0 {
+		t.Errorf("no solve of the persistent instance was restricted: %d strict cones, %d skipped watchers",
+			sat.strictCones, sat.skipped)
+	}
 	if st := bare.Stats(); st.IncSolves == 0 {
 		t.Error("bare incremental solver never used the persistent instance")
 	} else if st.EncodeSkips == 0 {

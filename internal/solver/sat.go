@@ -24,6 +24,16 @@
 // a fresh one and returns the same assignment: nothing in the search reads
 // an address, a capacity or a map order. The throwaway instance of every
 // model query (Solver.solveSAT) is such a recycled one.
+//
+// Cones. A persistent instance (incremental.go) holds every circuit its
+// slot has ever encoded, while one query's assumptions reach a fraction of
+// it. Every gate variable records its 2–3 input variables (fanin) and every
+// problem clause the gate it defines (gateOf), so restrictTo can stamp the
+// fan-in cone of a solve's assumptions: the decision heap then holds only
+// cone variables, and above level 0 propagate leaves the watchers of
+// out-of-cone gate clauses alone. An instance that never calls restrictTo —
+// every throwaway one — has epoch 0, every variable stamped 0, and searches
+// exactly as if cones did not exist.
 package solver
 
 // Lit is a CNF literal: +v asserts variable v, -v asserts its negation.
@@ -81,6 +91,7 @@ type watcher struct {
 type satSolver struct {
 	clauses []clause
 	lits    []Lit       // clause arena; see clause
+	gateOf  []int32     // per clause: the gate variable it defines, 0 if none (learned)
 	watches [][]watcher // indexed by Lit.index()
 
 	assign  []int8  // per var: valTrue/valFalse/valUnassigned
@@ -98,11 +109,26 @@ type satSolver struct {
 	seen   []bool // scratch for conflict analysis
 	learnt []Lit  // analyze's result buffer; recordLearned copies out of it
 
+	// fanin holds, per gate variable, the variables of its 2–3 inputs (0 =
+	// none; all zero for a symbolic input bit and litTrue). coneAt stamps a
+	// variable with the epoch of the last cone that contained it; variable
+	// 0 is stamped with every epoch, so a clause defining no gate is never
+	// outside a cone. See restrictTo.
+	fanin  [][3]int32
+	coneAt []uint32
+	epoch  uint32
+	stack  []int32 // restrictTo's DFS stack
+
 	conflicts int64
 	decisions int64
 	propags   int64
 	learned   int64 // learned clauses (incl. units) recorded so far
 	maxConfl  int64 // per-solve conflict budget, 0 = unlimited
+
+	// Cone counters, read by tests only: solves whose cone left some
+	// variable out, and out-of-cone watchers propagate passed over.
+	strictCones int64
+	skipped     int64
 }
 
 func newSatSolver() *satSolver {
@@ -121,6 +147,7 @@ func newSatSolver() *satSolver {
 func (s *satSolver) reset() {
 	s.clauses = s.clauses[:0]
 	s.lits = s.lits[:0]
+	s.gateOf = s.gateOf[:0]
 	for i := range s.watches {
 		s.watches[i] = s.watches[i][:0]
 	}
@@ -137,7 +164,11 @@ func (s *satSolver) reset() {
 	s.heap.data = s.heap.data[:0]
 	s.heap.pos = s.heap.pos[:0]
 	s.seen = s.seen[:0]
+	s.fanin = s.fanin[:0]
+	s.coneAt = s.coneAt[:0]
+	s.epoch = 0
 	s.conflicts, s.decisions, s.propags, s.learned, s.maxConfl = 0, 0, 0, 0, 0
+	s.strictCones, s.skipped = 0, 0
 	s.addVarsUpTo(0)
 }
 
@@ -148,6 +179,14 @@ func (s *satSolver) newVar() Lit {
 	return Lit(v)
 }
 
+// newGate allocates the output variable of a gate over inputs x, y and z
+// (z is 0 for a two-input gate) and records its fan-in.
+func (s *satSolver) newGate(x, y, z Lit) Lit {
+	o := s.newVar()
+	s.fanin[o] = [3]int32{x.v(), y.v(), z.v()}
+	return o
+}
+
 func (s *satSolver) addVarsUpTo(v int) {
 	for len(s.assign) <= v {
 		s.assign = append(s.assign, valUnassigned)
@@ -156,6 +195,8 @@ func (s *satSolver) addVarsUpTo(v int) {
 		s.phase = append(s.phase, valFalse)
 		s.activity = append(s.activity, 0)
 		s.seen = append(s.seen, false)
+		s.fanin = append(s.fanin, [3]int32{})
+		s.coneAt = append(s.coneAt, 0)
 		s.heap.pos = append(s.heap.pos, -1)
 		// Within capacity the two lists left behind by a previous life are
 		// empty (reset) or nil (append's zeroed tail): take them with their
@@ -165,7 +206,9 @@ func (s *satSolver) addVarsUpTo(v int) {
 		} else {
 			s.watches = append(s.watches, nil, nil)
 		}
-		if len(s.assign) > 1 {
+		// A variable created after a cone was stamped is outside it: the
+		// next restrictTo seeds the heap if a solve needs it.
+		if len(s.assign) > 1 && s.epoch == 0 {
 			s.heap.push(int32(len(s.assign)-1), s.activity)
 		}
 	}
@@ -179,10 +222,14 @@ func (s *satSolver) litValue(l Lit) int8 {
 	return v
 }
 
-// addClause installs a problem clause. It returns false if the clause set
-// is already trivially unsatisfiable (empty clause or conflicting units at
-// level 0).
-func (s *satSolver) addClause(lits ...Lit) bool {
+// addClause installs a problem clause that defines no gate. It returns
+// false if the clause set is already trivially unsatisfiable (empty clause
+// or conflicting units at level 0).
+func (s *satSolver) addClause(lits ...Lit) bool { return s.addGateClause(0, lits...) }
+
+// addGateClause is addClause for one clause of gate variable gate's
+// definition.
+func (s *satSolver) addGateClause(gate Lit, lits ...Lit) bool {
 	// Deduplicate and drop clauses with complementary literals.
 	out := lits[:0:len(lits)]
 	for _, l := range lits {
@@ -220,16 +267,18 @@ func (s *satSolver) addClause(lits ...Lit) bool {
 		}
 		return s.propagate() == -1
 	}
-	s.store(out)
+	s.store(out, gate.v())
 	return true
 }
 
 // store copies a clause of at least two literals into the arena, watches
 // its first two literals and returns its index. It is the one place a
-// clause is created, for problem and learned clauses alike.
-func (s *satSolver) store(lits []Lit) int32 {
+// clause is created, for problem and learned clauses alike; gate is the
+// variable the clause defines, 0 for a learned clause.
+func (s *satSolver) store(lits []Lit, gate int32) int32 {
 	idx := int32(len(s.clauses))
 	s.clauses = append(s.clauses, clause{off: uint32(len(s.lits)), n: uint32(len(lits))})
+	s.gateOf = append(s.gateOf, gate)
 	s.lits = append(s.lits, lits...)
 	s.watch(lits[0], idx, lits[1])
 	s.watch(lits[1], idx, lits[0])
@@ -262,7 +311,14 @@ func (s *satSolver) enqueue(l Lit, reason int32) {
 
 // propagate performs unit propagation; it returns the index of a
 // conflicting clause or -1 if no conflict arises.
+//
+// Above decision level 0 of a cone-restricted solve, a watcher of a clause
+// whose gate is outside the cone is kept but not visited: nothing in the
+// cone reads that gate, and backtracking to level 0 — where the next solve
+// starts — unassigns whatever the watcher missed. At level 0 everything
+// propagates, because a fact missed there would never be visited again.
 func (s *satSolver) propagate() int32 {
+	skip := s.epoch != 0 && s.decisionLevel() > 0
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead]
 		s.qhead++
@@ -275,6 +331,11 @@ func (s *satSolver) propagate() int32 {
 		for i := 0; i < len(ws); i++ {
 			w := ws[i]
 			if s.litValue(w.blocker) == valTrue {
+				kept = append(kept, w)
+				continue
+			}
+			if skip && s.coneAt[s.gateOf[w.clauseIdx]] != s.epoch {
+				s.skipped++
 				kept = append(kept, w)
 				continue
 			}
@@ -336,7 +397,9 @@ func (s *satSolver) backtrackTo(lvl int32) {
 		s.phase[v] = s.assign[v]
 		s.assign[v] = valUnassigned
 		s.reason[v] = -1
-		s.heap.pushIfAbsent(v, s.activity)
+		if s.coneAt[v] == s.epoch {
+			s.heap.pushIfAbsent(v, s.activity)
+		}
 	}
 	s.trail = s.trail[:bound]
 	s.trailAt = s.trailAt[:lvl]
@@ -418,7 +481,7 @@ func (s *satSolver) recordLearned(lits []Lit) {
 		s.enqueue(lits[0], -1)
 		return
 	}
-	s.enqueue(lits[0], s.store(lits))
+	s.enqueue(lits[0], s.store(lits, 0))
 }
 
 func (s *satSolver) pickBranchVar() int32 {
@@ -517,7 +580,7 @@ func (s *satSolver) solveUnder(assumptions []Lit) int8 {
 		}
 		v := s.pickBranchVar()
 		if v == 0 {
-			return valTrue // all variables assigned
+			return valTrue // every variable of the heap (the cone) assigned
 		}
 		s.decisions++
 		s.newDecisionLevel()
@@ -526,6 +589,70 @@ func (s *satSolver) solveUnder(assumptions []Lit) int8 {
 		} else {
 			s.enqueue(-Lit(v), -1)
 		}
+	}
+}
+
+// restrictTo makes the fan-in cone of assumptions the search space of the
+// next solveUnder: it stamps the cone with a new epoch by DFS over fanin and
+// reseeds the decision heap with the cone's unassigned variables. The
+// instance must be at decision level 0.
+//
+// The cone is closed under fan-in, so once every cone variable is assigned
+// without conflict every clause defining a cone gate is satisfied;
+// evaluating the remaining gates bottom-up extends that assignment to one
+// satisfying every definition, and with them every learned clause, which
+// the definitions imply. So an assigned cone is a model of the instance
+// under the assumptions, and solveUnder may answer SAT there.
+func (s *satSolver) restrictTo(assumptions []Lit) {
+	s.nextEpoch()
+	s.coneAt[0] = s.epoch
+	for _, v := range s.heap.data {
+		s.heap.pos[v] = -1
+	}
+	s.heap.data = s.heap.data[:0]
+	size := 0
+	stack := s.stack[:0]
+	for _, a := range assumptions {
+		stack = append(stack, a.v())
+		for len(stack) > 0 {
+			v := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			if s.coneAt[v] == s.epoch {
+				continue
+			}
+			s.coneAt[v] = s.epoch
+			size++
+			if s.assign[v] == valUnassigned {
+				s.heap.data = append(s.heap.data, v)
+			}
+			for _, u := range s.fanin[v] {
+				if s.coneAt[u] != s.epoch {
+					stack = append(stack, u)
+				}
+			}
+		}
+	}
+	s.stack = stack
+	s.heap.heapify(s.activity)
+	if size < len(s.assign)-1 {
+		s.strictCones++
+	}
+}
+
+// release ends a cone-restricted solve: it backtracks to level 0 without
+// refilling the decision heap — the next restrictTo reseeds it — by first
+// moving to an epoch no variable carries.
+func (s *satSolver) release() {
+	s.nextEpoch()
+	s.backtrackTo(0)
+}
+
+// nextEpoch starts an epoch no variable is stamped with.
+func (s *satSolver) nextEpoch() {
+	s.epoch++
+	if s.epoch == 0 { // wrapped: clear the stamps of 2^32 epochs ago
+		clear(s.coneAt)
+		s.epoch = 1
 	}
 }
 
@@ -581,6 +708,16 @@ func (h *varHeap) push(v int32, act []float64) {
 	h.data = append(h.data, v)
 	h.pos[v] = int32(len(h.data) - 1)
 	h.up(len(h.data)-1, act)
+}
+
+// heapify orders data, filled in any order, into a heap and indexes it.
+func (h *varHeap) heapify(act []float64) {
+	for i, v := range h.data {
+		h.pos[v] = int32(i)
+	}
+	for i := len(h.data)/2 - 1; i >= 0; i-- {
+		h.down(i, act)
+	}
 }
 
 func (h *varHeap) pushIfAbsent(v int32, act []float64) {
