@@ -18,8 +18,13 @@ import (
 
 // Snapshot flattens the engine's current frontier. It must be called
 // between Steps: every state is then at an event boundary (idle, halted,
-// or dead), the only point where a state image is well-defined.
+// or dead), the only point where a state image is well-defined. It joins
+// the witnesses in flight first, so the violations it carries have their
+// models.
 func (e *Engine) Snapshot() (*snap.Snapshot, error) {
+	if err := e.joinWitnesses(); err != nil {
+		return nil, err
+	}
 	if len(e.runnable) != 0 {
 		return nil, fmt.Errorf("sim: snapshot mid-event (%d runnable states)", len(e.runnable))
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/big"
 	"runtime"
+	"sync"
 	"time"
 
 	"sde/internal/core"
@@ -281,6 +282,14 @@ type Engine struct {
 	// creation order.
 	specPool    *solver.SpecPool
 	specPending []specEntry
+
+	// Violation witnesses in flight (see witness.go): witnessSlots bounds
+	// the solving goroutines to GOMAXPROCS, witnessJobs lists the
+	// violations reported since the last join, in report order.
+	witnessSlots chan struct{}
+	witnessWG    sync.WaitGroup
+	witnessJobs  []*witnessJob
+	witnessErr   error
 }
 
 // The cost-paced checkpoint schedule (Config.CheckpointEvery == 0): a
@@ -432,6 +441,8 @@ func newEngineShell(cfg Config) (*Engine, error) {
 		started:  time.Now(),
 		now:      time.Now,
 		ckptGrid: checkpointGrid,
+
+		witnessSlots: make(chan struct{}, runtime.GOMAXPROCS(0)),
 	}
 	e.ckptDone = e.started
 	if cfg.CheckpointEvery > 0 {
@@ -619,11 +630,16 @@ func (e *Engine) Run() (*Result, error) {
 func (e *Engine) RunItem(ship bool) (*Result, []byte, error) {
 	for e.Step() {
 	}
-	// Nothing executes any more: stop the solver workers now, so the final
-	// snapshot below carries the counters Finish reports.
+	// Nothing executes any more: stop the solver workers and wait for the
+	// witnesses now, so the final snapshot below carries the counters and
+	// models Finish reports.
 	e.closeSpecPool()
+	werr := e.joinWitnesses()
 	if e.err != nil {
 		return nil, nil, e.err
+	}
+	if werr != nil {
+		return nil, nil, werr
 	}
 	// A final checkpoint makes completed runs durable too: resuming a
 	// finished run replays zero events and reports the same result.
@@ -644,9 +660,11 @@ func (e *Engine) RunItem(ship bool) (*Result, []byte, error) {
 }
 
 // Finish finalises metrics and assembles the result. It may be called
-// once, after Step has returned false.
+// once, after Step has returned false. A witness that failed leaves its
+// violation without a model here; RunItem returns that failure instead.
 func (e *Engine) Finish() *Result {
 	e.closeSpecPool()
+	_ = e.joinWitnesses() // a failure is RunItem's to report
 	terms := e.sample()
 	mem := terms.Total()
 	res := &Result{
@@ -1094,29 +1112,6 @@ func (h *engineHooks) OnSend(s *vm.State, dst uint32, payload []*expr.Expr) {
 
 func (h *engineHooks) OnViolation(s *vm.State, v *vm.Violation) {
 	e := (*Engine)(h)
-	e.enrichWitness(s, v)
 	e.violations = append(e.violations, v)
-}
-
-// enrichWitness widens a violation's witness from the violating state's
-// local path condition to a full dscenario: the combined constraints of
-// one consistent state per node, so the test case also pins the failure
-// decisions taken on other nodes and replays deterministically.
-func (e *Engine) enrichWitness(s *vm.State, v *vm.Violation) {
-	members, ok := e.mapper.ScenarioFor(s)
-	if !ok {
-		return
-	}
-	var combined []*expr.Expr
-	for _, m := range members {
-		combined = append(combined, m.PathCond()...)
-	}
-	if v.Cond != nil {
-		combined = append(combined, v.Cond)
-	}
-	model, sat, err := e.ctx.Solver.Model(combined)
-	if err != nil || !sat {
-		return // keep the local witness
-	}
-	v.Model = model
+	e.solveWitness(s, v)
 }

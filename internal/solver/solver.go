@@ -133,6 +133,9 @@ type Solver struct {
 	// slot0 is the main incremental context: every query that does not
 	// name a worker slot (the interpreter thread's) lands here.
 	slot0 solverSlot
+
+	// witnesses memoises the component models of Witness (witness.go).
+	witnesses witnessMemo
 }
 
 // New returns a Solver with all optimisations enabled.
@@ -148,6 +151,7 @@ func NewWithOptions(opts Options) *Solver {
 	for i := range s.cache {
 		s.cache[i].m = make(map[uint64]cacheEntry, 8)
 	}
+	s.witnesses.m = make(map[uint64]*witnessEntry)
 	return s
 }
 

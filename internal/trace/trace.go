@@ -88,7 +88,7 @@ func Stream(m core.Mapper[*vm.State], ctx *vm.Context, limit int, fn func(tc Tes
 				Sends:       sent,
 			})
 		}
-		model, sat, err := ctx.Solver.Model(combined)
+		model, sat, err := ctx.Solver.Witness(combined)
 		if err != nil {
 			callbackErr = fmt.Errorf("trace: dscenario %d: %w", index, err)
 			return false

@@ -37,8 +37,11 @@ type Hooks interface {
 	// history recording — a broadcast is recorded as one send per
 	// neighbour (paper footnote 1), which the VM cannot know.
 	OnSend(s *State, dst uint32, payload []*expr.Expr)
-	// OnViolation is called when an assertion can fail; model is a
-	// concrete test case reaching the failure.
+	// OnViolation is called when an assertion can fail on s, before s
+	// takes the assertion's true side. v carries the violation constraint
+	// Cond and no Model: the implementation fills the model, solving Cond
+	// with whatever constraints its view adds — s's path condition at
+	// least — through solver.Solver.Witness.
 	OnViolation(s *State, v *Violation)
 }
 
@@ -450,23 +453,18 @@ func (s *State) branch(cond *expr.Expr, target int, h Hooks) error {
 }
 
 // assert checks an assertion. If the condition can be false, a violation
-// with a concrete witness model is reported; execution then continues on
-// the true side if that is feasible, otherwise the state dies.
+// carrying the violation constraint is reported — the hooks solve its
+// witness — and execution then continues on the true side if that is
+// feasible, otherwise the state dies. Both sides are decided like a
+// branch's, through feasibleWith.
 func (s *State) assert(in *isa.Instr, now uint64, h Hooks) error {
 	eb := s.ctx.Exprs
 	cond := eb.Ne(s.regs[in.Ra], eb.Const(0, WordBits))
 	if cond.IsTrue() {
 		return nil
 	}
-	// A condition forced true by the path condition cannot fail on this
-	// path: skip the (expensive, from-scratch) witness-model query. An
-	// implied-false condition falls through — the violation report needs
-	// the solver's concrete witness.
-	if v, ok := s.impliedValue(cond); ok && v != 0 {
-		return nil
-	}
 	notCond := eb.Not(cond)
-	model, canFail, err := s.ctx.Solver.ModelWith(s.pathCond, notCond)
+	canFail, err := s.feasibleWith(notCond)
 	if err != nil {
 		s.Kill(err)
 		return err
@@ -476,7 +474,6 @@ func (s *State) assert(in *isa.Instr, now uint64, h Hooks) error {
 			Node:    s.node,
 			Time:    now,
 			Msg:     in.Sym,
-			Model:   model,
 			StateID: s.id,
 			Cond:    notCond,
 		})

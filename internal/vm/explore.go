@@ -2,6 +2,7 @@ package vm
 
 import (
 	"fmt"
+	"slices"
 
 	"sde/internal/expr"
 	"sde/internal/isa"
@@ -51,7 +52,7 @@ func Explore(ctx *Context, prog *isa.Program, entry string, opts ExploreOptions)
 		ctx.SetCompiledIR(false)
 	}
 	report := &ExploreReport{}
-	collector := &exploreHooks{report: report}
+	collector := &exploreHooks{ctx: ctx, report: report}
 
 	root := NewState(ctx, prog, 0)
 	root.StartCall(fnIdx)
@@ -68,11 +69,14 @@ func Explore(ctx *Context, prog *isa.Program, entry string, opts ExploreOptions)
 		if err := s.Run(0, opts.StepBudget, collector); err != nil {
 			return nil, fmt.Errorf("vm: explore: %w", err)
 		}
+		if collector.err != nil {
+			return nil, fmt.Errorf("vm: explore: witness: %w", collector.err)
+		}
 		// Depth-first: siblings forked during this run are explored next.
 		stack = append(stack, collector.pending...)
 		switch s.Status() {
 		case StatusIdle, StatusHalted:
-			model, sat, err := ctx.Solver.Model(s.PathCond())
+			model, sat, err := ctx.Solver.Witness(s.PathCond())
 			if err != nil {
 				return nil, fmt.Errorf("vm: explore: test case: %w", err)
 			}
@@ -94,8 +98,10 @@ func Explore(ctx *Context, prog *isa.Program, entry string, opts ExploreOptions)
 }
 
 type exploreHooks struct {
+	ctx     *Context
 	report  *ExploreReport
 	pending []*State
+	err     error // the first witness solve that failed
 }
 
 func (h *exploreHooks) OnFork(_, sibling *State) {
@@ -106,6 +112,16 @@ func (h *exploreHooks) OnSend(*State, uint32, []*expr.Expr) {
 	// Single-node exploration has no network; transmissions vanish.
 }
 
-func (h *exploreHooks) OnViolation(_ *State, v *Violation) {
+// OnViolation solves the violation's witness over the violating path:
+// single-node exploration has no wider view.
+func (h *exploreHooks) OnViolation(s *State, v *Violation) {
+	model, sat, err := h.ctx.Solver.Witness(append(slices.Clip(s.PathCond()), v.Cond))
+	if err == nil && !sat {
+		err = fmt.Errorf("%q at t=%d: the violating path has no witness", v.Msg, v.Time)
+	}
+	if h.err == nil {
+		h.err = err
+	}
+	v.Model = model
 	h.report.Violations = append(h.report.Violations, v)
 }

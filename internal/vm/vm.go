@@ -329,16 +329,19 @@ type TraceEntry struct {
 // Violation records a failed assertion together with a concrete test case
 // reaching it.
 type Violation struct {
-	Node    int
-	Time    uint64
-	Msg     string
-	Model   expr.Env // concrete input values reproducing the violation
+	Node int
+	Time uint64
+	Msg  string
+	// Model holds concrete input values reproducing the violation. The VM
+	// leaves it nil; the hooks fill it (Hooks.OnViolation) with the
+	// witness of Cond and the path conditions it knows — the distributed
+	// engine uses the violating state's whole dscenario, so the witness
+	// also fixes the other nodes' decisions.
+	Model   expr.Env
 	StateID uint64
-	// Cond is the violation constraint (the negated assertion condition,
-	// nil when the assertion is concretely false). Drivers with a wider
-	// view — the distributed engine knows the violating state's whole
-	// dscenario — re-solve Model over the combined constraints so the
-	// witness also fixes the other nodes' decisions.
+	// Cond is the violation constraint: the negated assertion condition.
+	// It is nil on violations that record a dead state rather than an
+	// assertion.
 	Cond *expr.Expr
 }
 

@@ -2,6 +2,7 @@ package vm
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"sde/internal/expr"
@@ -228,6 +229,26 @@ func TestInfeasibleBranchDoesNotFork(t *testing.T) {
 	}
 }
 
+// witnessCollector fills each violation's model the way an engine does: the
+// VM reports the violation constraint, the hook solves its witness over the
+// violating path.
+type witnessCollector struct {
+	forkCollector
+	err error
+}
+
+func (c *witnessCollector) OnViolation(s *State, v *Violation) {
+	model, sat, err := s.ctx.Solver.Witness(append(slices.Clip(s.PathCond()), v.Cond))
+	if err == nil && !sat {
+		err = errors.New("violation constraint unsatisfiable on its path")
+	}
+	if c.err == nil {
+		c.err = err
+	}
+	v.Model = model
+	c.forkCollector.OnViolation(s, v)
+}
+
 func TestAssertViolation(t *testing.T) {
 	prog := build(t, func(b *isa.Builder) {
 		f := b.Func("main")
@@ -240,7 +261,7 @@ func TestAssertViolation(t *testing.T) {
 	ctx := NewContext()
 	s := NewState(ctx, prog, 3)
 	s.StartCall(prog.FuncIndex("main"))
-	h := &forkCollector{}
+	h := &witnessCollector{}
 	if err := s.Run(42, 0, h); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -250,6 +271,9 @@ func TestAssertViolation(t *testing.T) {
 	v := h.violations[0]
 	if v.Msg != "x must not be 7" || v.Node != 3 || v.Time != 42 {
 		t.Errorf("violation = %+v", v)
+	}
+	if h.err != nil {
+		t.Fatalf("witness: %v", h.err)
 	}
 	if v.Model["x_n3_0"] != 7 {
 		t.Errorf("witness model = %v, want x_n3_0=7", v.Model)
