@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"slices"
 	"sort"
 	"testing"
 
@@ -33,13 +34,13 @@ func trajectoryStats(st Stats) Stats {
 // TestGoldenTrajectory pins the search itself, not just its verdicts: each
 // of two query corpora is replayed twice, on a fresh solver each time.
 //
-// The model half decides ModelWith on every entry: each query solves from
-// scratch on a recycled instance, so the CDCL counters and a hash of every
-// witness model are fixed. The hash is the one recorded before the SAT
-// core's memory layout changed (a59e9f0) and the counters those of 33f1931;
-// witness models enter Digest(0), so a change that moves one of these
-// numbers has changed a decision. A solver change is search-preserving iff
-// this half (-run 'TestGoldenTrajectory/.*/model') passes unedited.
+// The witness half decides Witness(prefix ∧ extra) on every entry: each
+// component solves from scratch on a recycled instance (or is answered by
+// the solver's own witness memo), so the CDCL counters and a hash of every
+// witness model are fixed. Witness models enter Digest(0), so a change that
+// moves one of these numbers has changed a decision. A solver change is
+// search-preserving iff this half (-run 'TestGoldenTrajectory/.*/witness')
+// passes unedited.
 //
 // The incremental half decides FeasibleWith on every entry, on the slot's
 // persistent instance. Its verdicts (hashed) and gates are semantic or
@@ -52,14 +53,14 @@ func TestGoldenTrajectory(t *testing.T) {
 		name    string
 		queries func(*expr.Builder) []PrefixQuery
 		// Only the asserted fields of the Stats are set.
-		model, incremental Stats
-		models, verdicts   uint64
+		witness, incremental Stats
+		models, verdicts     uint64
 	}{
 		{
 			name:    "prefix",
 			queries: func(eb *expr.Builder) []PrefixQuery { return PrefixExtensionQueries(eb, 24) },
-			model:   Stats{Conflicts: 2221, Decisions: 6346, Gates: 314258, SATCalls: 48},
-			models:  0xc4161ec2bb2658cd,
+			witness: Stats{Conflicts: 2715, Decisions: 6442, Gates: 314258, SATCalls: 48},
+			models:  0x4257309545231674,
 			incremental: Stats{Conflicts: 173, Decisions: 1269, Gates: 12579,
 				SATCalls: 26, IncSolves: 26, LearnedRetained: 173},
 			verdicts: 0x6ba82f8b32cbbcd5,
@@ -67,27 +68,27 @@ func TestGoldenTrajectory(t *testing.T) {
 		{
 			name:    "runicast",
 			queries: func(eb *expr.Builder) []PrefixQuery { return RunicastPrefixQueries(eb, 3, 12) },
-			model:   Stats{Conflicts: 436, Decisions: 7566, Gates: 138580, SATCalls: 72},
-			models:  0x9bf46e2ead30d0d9,
+			witness: Stats{Conflicts: 341, Decisions: 7500, Gates: 138580, SATCalls: 72},
+			models:  0x78bd73cf706fd42c,
 			incremental: Stats{Conflicts: 210, Decisions: 1937, Gates: 10760,
 				SATCalls: 37, IncSolves: 37, LearnedRetained: 210},
 			verdicts: 0x5d54236765d7d0d1,
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			t.Run("model", func(t *testing.T) {
+			t.Run("witness", func(t *testing.T) {
 				eb := expr.NewBuilder()
 				s := New()
 				h := fnv.New64a()
 				for i, q := range tc.queries(eb) {
-					model, sat, err := s.ModelWith(q.Prefix, q.Extra)
+					model, sat, err := s.Witness(append(slices.Clip(q.Prefix), q.Extra))
 					if err != nil {
-						t.Fatalf("query %d: ModelWith: %v", i, err)
+						t.Fatalf("query %d: Witness: %v", i, err)
 					}
 					hashModel(h, sat, model)
 				}
-				if got := trajectoryStats(s.Stats()); got != tc.model {
-					t.Errorf("model trajectory moved:\n got  %+v\n want %+v", got, tc.model)
+				if got := trajectoryStats(s.Stats()); got != tc.witness {
+					t.Errorf("witness trajectory moved:\n got  %+v\n want %+v", got, tc.witness)
 				}
 				if sum := h.Sum64(); sum != tc.models {
 					t.Errorf("model hash %#x, want %#x", sum, tc.models)
