@@ -105,10 +105,11 @@ type RunStats struct {
 // SolverStats counts constraint-solver activity (internal/solver). Reads
 // are only consistent when the solver is quiescent.
 type SolverStats struct {
-	// Queries counts entries into the solver pipeline: every Feasible/Model
-	// call and, when a call is partitioned, each of its independent
-	// components again (they recurse through the whole pipeline so that
-	// each is cached on its own). Where path conditions mix failure
+	// Queries counts entries into the solver: every feasibility call
+	// (Feasible, FeasibleWith, FeasibleOn) and Witness call and, when a
+	// feasibility call is partitioned, each of its independent components
+	// again (they recurse through the whole pipeline so that each is
+	// cached on its own). Where path conditions mix failure
 	// literals with data constraints it is a multiple of the calls made,
 	// and the components are what FastPath mostly answers.
 	Queries         int64 `json:"queries,omitempty"`

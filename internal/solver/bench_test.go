@@ -2,6 +2,7 @@ package solver
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"sde/internal/expr"
@@ -105,11 +106,13 @@ func BenchmarkBitBlastMul(b *testing.B) {
 	}
 }
 
-// BenchmarkPrefixExtension is the tentpole's acceptance benchmark: the
-// shared prefix-extension workload (see PrefixExtensionQueries) replayed
-// on the persistent incremental instance versus from-scratch solving.
-// Every other pipeline layer is disabled in both modes so the comparison
-// isolates assumption-based solving + the persistent blast context.
+// BenchmarkPrefixExtension replays the shared prefix-extension workload
+// (see PrefixExtensionQueries) on the persistent incremental instance
+// versus from-scratch solving. Every other pipeline layer is disabled in
+// incremental, so the comparison isolates assumption-based solving + the
+// persistent blast context; witness solves each entry as
+// Witness(prefix ∧ extra), which bit-blasts it on a fresh instance (a
+// path condition is one component, so its memo never answers).
 //
 // runicast replays the runicast prefix stream (see RunicastPrefixQueries)
 // with partitioning on: the reconcile shape, many small variable-disjoint
@@ -126,17 +129,24 @@ func BenchmarkPrefixExtension(b *testing.B) {
 	}
 	partitioned := base
 	partitioned.DisablePartition = false
-	fromScratch := base
-	fromScratch.DisableIncremental = true
 	prefix := func(eb *expr.Builder) []PrefixQuery { return PrefixExtensionQueries(eb, 24) }
+	feasible := func(s *Solver, q PrefixQuery) error {
+		_, err := s.FeasibleWith(nil, q.Prefix, q.Extra)
+		return err
+	}
+	witness := func(s *Solver, q PrefixQuery) error {
+		_, _, err := s.Witness(append(slices.Clip(q.Prefix), q.Extra))
+		return err
+	}
 	for _, mode := range []struct {
 		name    string
 		opts    Options
 		queries func(*expr.Builder) []PrefixQuery
+		solve   func(*Solver, PrefixQuery) error
 	}{
-		{"incremental", base, prefix},
-		{"fromscratch", fromScratch, prefix},
-		{"runicast", partitioned, func(eb *expr.Builder) []PrefixQuery { return RunicastPrefixQueries(eb, 6, 8) }},
+		{"incremental", base, prefix, feasible},
+		{"witness", Options{}, prefix, witness},
+		{"runicast", partitioned, func(eb *expr.Builder) []PrefixQuery { return RunicastPrefixQueries(eb, 6, 8) }, feasible},
 	} {
 		mode := mode
 		b.Run(mode.name, func(b *testing.B) {
@@ -148,7 +158,7 @@ func BenchmarkPrefixExtension(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				s := NewWithOptions(mode.opts)
 				for j, q := range queries {
-					if _, err := s.FeasibleWith(nil, q.Prefix, q.Extra); err != nil {
+					if err := mode.solve(s, q); err != nil {
 						b.Fatalf("query %d: %v", j, err)
 					}
 				}
@@ -162,6 +172,8 @@ func BenchmarkPrefixExtension(b *testing.B) {
 	}
 }
 
+// BenchmarkModelGeneration solves one arithmetic witness on a fresh
+// Solver per pass.
 func BenchmarkModelGeneration(b *testing.B) {
 	eb := expr.NewBuilder()
 	x := eb.Var("x", 32)
@@ -174,8 +186,7 @@ func BenchmarkModelGeneration(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := NewWithOptions(Options{DisableCache: true, DisablePool: true})
-		model, ok, err := s.Model(q)
+		model, ok, err := New().Witness(q)
 		if err != nil || !ok {
 			b.Fatal(ok, err)
 		}
@@ -185,23 +196,23 @@ func BenchmarkModelGeneration(b *testing.B) {
 	}
 }
 
-// BenchmarkModelQueryStream is a stream of reconcile-shaped model queries
-// (see ReconcileModelQuery) on one Solver, 256 distinct constants so no
-// cache layer answers: every iteration bit-blasts and searches one
-// from-scratch instance, the path every witness and test case takes. A unit
-// reading of that layer; the end-to-end number is bench/'s reconcile wall_s.
+// BenchmarkModelQueryStream is a stream of reconcile-shaped witnesses
+// (see ReconcileModelQuery), 256 distinct constants, each on a fresh Solver
+// so its witness memo never answers: every iteration bit-blasts and
+// searches one from-scratch instance, the path every witness and test case
+// takes. A unit reading of that layer; the end-to-end number is bench/'s
+// reconcile wall_s.
 func BenchmarkModelQueryStream(b *testing.B) {
 	eb := expr.NewBuilder()
 	queries := make([][]*expr.Expr, 256)
 	for i := range queries {
 		queries[i] = ReconcileModelQuery(eb, uint64(i)<<12|0x55)
 	}
-	s := NewWithOptions(Options{DisableCache: true, DisablePool: true})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := queries[i%len(queries)]
-		model, ok, err := s.Model(q)
+		model, ok, err := New().Witness(q)
 		if err != nil || !ok {
 			b.Fatal(ok, err)
 		}

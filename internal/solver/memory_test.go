@@ -12,7 +12,7 @@ import (
 )
 
 // The tests of the SAT core's memory layout: the dense heap index, the
-// clause arena and the recycled model-query instances change where the
+// clause arena and the recycled from-scratch instances change where the
 // solver's data lives and must not change one decision it makes.
 // TestGoldenTrajectory (trajectory_test.go) pins the search end to end;
 // the tests here pin each piece against a reference.
@@ -282,36 +282,39 @@ func TestResetEqualsFreshBlast(t *testing.T) {
 	}
 }
 
-// modelQueryAllocBound is what one reconcile-shaped model query may
-// allocate in steady state. What is left to allocate is the partition of the
-// query, the model map and the per-node []Lit words of the blast memo: 34
-// when this bound was set, against 1,067 when every query built a new
-// instance (one slice per clause, seven appends per variable, two watch
-// lists per variable grown from nil, fresh memo tables).
+// modelQueryAllocBound is what one from-scratch solve (solveSAT) of a
+// reconcile-shaped query may allocate in steady state. What is left to
+// allocate is the model map and the per-node []Lit words of the blast memo:
+// 15 objects; 34 per model query, partition included, when this bound was
+// set, against
+// 1,067 when every query built a new instance (one slice per clause, seven
+// appends per variable, two watch lists per variable grown from nil, fresh
+// memo tables).
 const modelQueryAllocBound = 100
 
 // raceEnabled is set by race_test.go in a -race build.
 var raceEnabled bool
 
-// TestModelQueryAllocs: with the caches and the model pool off every Model
-// call reaches solveSAT, and the k-th call allocates nothing for its
-// instance that its predecessors already did.
+// TestModelQueryAllocs: the k-th from-scratch solve allocates nothing for
+// its instance that its predecessors already did. It calls solveSAT, the
+// solve behind every Witness component, directly: Witness's memo would
+// answer a repeated query.
 func TestModelQueryAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops a share of what is Put under the race detector")
 	}
 	eb := expr.NewBuilder()
 	q := ReconcileModelQuery(eb, 0x3055)
-	s := NewWithOptions(Options{DisableCache: true, DisablePool: true})
+	s := New()
 	allocs := testing.AllocsPerRun(200, func() {
-		if _, ok, err := s.Model(q); err != nil || !ok {
+		if ok, _, err := s.solveSAT(q); err != nil || !ok {
 			t.Fatal(ok, err)
 		}
 	})
-	if st := s.Stats(); st.SATCalls < 200 || st.Gates == 0 {
-		t.Fatalf("the query did not reach the SAT core every time: %d SAT calls, %d gates", st.SATCalls, st.Gates)
+	if st := s.Stats(); st.Gates < 200 {
+		t.Fatalf("the query was not bit-blasted every time: %d gates", st.Gates)
 	}
-	t.Logf("%v allocs per model query", allocs)
+	t.Logf("%v allocs per from-scratch solve", allocs)
 	if allocs > modelQueryAllocBound {
 		t.Errorf("a model query allocates %v objects in steady state, bound %d", allocs, modelQueryAllocBound)
 	}
@@ -321,7 +324,7 @@ func TestModelQueryAllocs(t *testing.T) {
 // goroutines at once (sharded runs, lease workers, TestCases beside an
 // exploration), all drawing on one pool of instances. Each goroutine here
 // has its own Solver and Builder and interleaves SAT, UNSAT and
-// budget-exhausted model queries; every model must satisfy its query and
+// budget-exhausted witnesses; every model must satisfy its query and
 // equal the one a lone solver returned for the same query, whichever
 // recycled instance produced it. Run under -race -count=10 in CI.
 func TestPooledInstancesConcurrent(t *testing.T) {
@@ -349,15 +352,15 @@ func TestPooledInstancesConcurrent(t *testing.T) {
 	}
 	run := func() []answer {
 		eb := expr.NewBuilder()
-		open := NewWithOptions(Options{DisableCache: true, DisablePool: true})
-		budgeted := NewWithOptions(Options{DisableCache: true, DisablePool: true, MaxConflicts: 2})
+		open := New()
+		budgeted := NewWithOptions(Options{MaxConflicts: 2})
 		var out []answer
 		for i, q := range build(eb) {
 			s := open
 			if q.limited {
 				s = budgeted
 			}
-			model, sat, err := s.Model(q.cs)
+			model, sat, err := s.Witness(q.cs)
 			if sat && !satisfies(model, q.cs) {
 				t.Errorf("query %d: model %v does not satisfy the query", i, model)
 			}

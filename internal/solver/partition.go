@@ -6,8 +6,8 @@ import (
 
 // Constraint-set partitioning: constraints that share no symbolic
 // variables are independent, so a conjunction splits into connected
-// components that can be decided (and cached) separately, with their
-// models merged. This mirrors KLEE's independent-constraint optimisation
+// components that can be decided (and cached) separately; Witness merges
+// their models. This mirrors KLEE's independent-constraint optimisation
 // and pays off heavily on distributed test-case queries, which union the
 // path conditions of k nodes whose decisions are largely disjoint.
 
@@ -75,35 +75,17 @@ func (s *Solver) partition(constraints []*expr.Expr) [][]*expr.Expr {
 // hit the cache. Returns ok=false when partitioning does not apply
 // (single component). Recursion stays on the caller's query context, so
 // a speculation worker's components solve on the worker's own slot.
-func (s *Solver) checkPartitioned(qc queryCtx, constraints []*expr.Expr, needModel bool) (bool, expr.Env, bool, error) {
+func (s *Solver) checkPartitioned(qc queryCtx, constraints []*expr.Expr) (bool, bool, error) {
 	comps := s.partition(constraints)
 	if len(comps) <= 1 {
-		return false, nil, false, nil
+		return false, false, nil
 	}
 	s.bumpStat(func(st *Stats) { st.Partitions++ })
-	merged := expr.Env{}
 	for _, comp := range comps {
-		sat, model, err := s.checkQuery(qc, comp, nil, needModel)
-		if err != nil {
-			return false, nil, true, err
-		}
-		if !sat {
-			return false, nil, true, nil
-		}
-		if needModel {
-			for name, v := range model {
-				merged[name] = v
-			}
+		sat, err := s.checkQuery(qc, comp, nil)
+		if err != nil || !sat {
+			return false, true, err
 		}
 	}
-	if !needModel {
-		// Without needModel the components may answer through paths that
-		// return no bindings (literal scan, verdict-only cache hits), so
-		// merged would be incomplete. Return no model at all — a non-nil
-		// partial model would be cached and later handed to a Model call,
-		// whose missing-means-zero convention could then violate the
-		// constraints.
-		return true, nil, true, nil
-	}
-	return true, merged, true, nil
+	return true, true, nil
 }

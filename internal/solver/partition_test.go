@@ -54,7 +54,7 @@ func TestPartitionedModelsMerge(t *testing.T) {
 		b.Eq(x, b.Const(42, 8)),
 		b.Eq(y, b.Const(7, 8)),
 	}
-	model, sat, err := s.Model(cs)
+	model, sat, err := s.Witness(cs)
 	if err != nil || !sat {
 		t.Fatalf("sat=%v err=%v", sat, err)
 	}
@@ -86,7 +86,8 @@ func TestPartitionedUnsatComponent(t *testing.T) {
 }
 
 // TestPartitionEquivalence: partitioning on and off must agree on random
-// multi-component queries, and every SAT model must satisfy the whole set.
+// multi-component queries, and so must the witness, whose merged model
+// must satisfy the whole set.
 func TestPartitionEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 120; trial++ {
@@ -115,19 +116,26 @@ func TestPartitionEquivalence(t *testing.T) {
 		}
 		on := New()
 		off := NewWithOptions(Options{DisablePartition: true})
-		mOn, satOn, err := on.Model(cs)
+		satOn, err := on.Feasible(cs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, satOff, err := off.Model(cs)
+		satOff, err := off.Feasible(cs)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if satOn != satOff {
 			t.Fatalf("trial %d: partitioned=%v, monolithic=%v", trial, satOn, satOff)
 		}
-		if satOn && !satisfies(mOn, cs) {
-			t.Fatalf("trial %d: merged model %v does not satisfy the query", trial, mOn)
+		model, satW, err := on.Witness(cs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if satW != satOn {
+			t.Fatalf("trial %d: witness=%v, feasible=%v", trial, satW, satOn)
+		}
+		if satW && !satisfies(model, cs) {
+			t.Fatalf("trial %d: merged model %v does not satisfy the query", trial, model)
 		}
 	}
 }
@@ -175,7 +183,7 @@ func BenchmarkPartitionedTestCaseQueries(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				s := NewWithOptions(Options{DisablePartition: disabled})
 				for _, q := range queries {
-					if _, sat, err := s.Model(q); err != nil || !sat {
+					if sat, err := s.Feasible(q); err != nil || !sat {
 						b.Fatal(sat, err)
 					}
 				}
@@ -186,10 +194,11 @@ func BenchmarkPartitionedTestCaseQueries(b *testing.B) {
 }
 
 // TestPartitionFeasibleThenModel is a regression test: a Feasible call
-// on a partitioned query used to cache a *partial* merged model (the
-// literal-scan component contributes no bindings when no model is
-// needed), and a later Model call returned it — an env whose
-// missing-means-zero defaults can violate the literal constraints.
+// on a partitioned query once cached a *partial* merged model (the
+// literal-scan component contributes no bindings to a verdict), which a
+// later model query returned — an env whose missing-means-zero defaults
+// can violate the literal constraints. A Witness after Feasible must
+// still satisfy the query.
 func TestPartitionFeasibleThenModel(t *testing.T) {
 	b := expr.NewBuilder()
 	d := b.Var("d", 1)
@@ -202,11 +211,11 @@ func TestPartitionFeasibleThenModel(t *testing.T) {
 	if sat, err := s.Feasible(q); err != nil || !sat {
 		t.Fatalf("Feasible: sat=%v err=%v", sat, err)
 	}
-	model, sat, err := s.Model(q)
+	model, sat, err := s.Witness(q)
 	if err != nil || !sat {
-		t.Fatalf("Model: sat=%v err=%v", sat, err)
+		t.Fatalf("Witness: sat=%v err=%v", sat, err)
 	}
 	if !satisfies(model, q) {
-		t.Fatalf("Model returned %v, which does not satisfy the query", model)
+		t.Fatalf("Witness returned %v, which does not satisfy the query", model)
 	}
 }

@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"slices"
 	"testing"
 
 	"sde/internal/expr"
@@ -84,9 +85,9 @@ func TestOptimizerGateReduction(t *testing.T) {
 	}
 }
 
-// TestModelQueriesUnaffectedByOptimizer requires the models of needModel
-// queries to be bit-identical with the optimizer on and off — the
-// property that makes optimized runs emit identical test cases.
+// TestModelQueriesUnaffectedByOptimizer requires witnesses interleaved with
+// feasibility queries to be bit-identical with the optimizer on and off —
+// the property that makes optimized runs emit identical test cases.
 func TestModelQueriesUnaffectedByOptimizer(t *testing.T) {
 	run := func(withOpt bool) []expr.Env {
 		eb := expr.NewBuilder()
@@ -101,12 +102,12 @@ func TestModelQueriesUnaffectedByOptimizer(t *testing.T) {
 			if _, err := s.FeasibleWith(nil, q.Prefix, q.Extra); err != nil {
 				t.Fatalf("query %d: %v", i, err)
 			}
-			// Interleave model queries the way assert/test-case
-			// generation does.
+			// Interleave witnesses the way assert/test-case generation
+			// does.
 			if i%3 == 0 {
-				model, ok, err := s.ModelWith(q.Prefix, q.Extra)
+				model, ok, err := s.Witness(append(slices.Clip(q.Prefix), q.Extra))
 				if err != nil {
-					t.Fatalf("model query %d: %v", i, err)
+					t.Fatalf("witness %d: %v", i, err)
 				}
 				if ok {
 					models = append(models, model)

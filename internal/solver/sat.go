@@ -23,7 +23,7 @@
 // recycled instance makes the same propagations, decisions and conflicts as
 // a fresh one and returns the same assignment: nothing in the search reads
 // an address, a capacity or a map order. The throwaway instance of every
-// model query (Solver.solveSAT) is such a recycled one.
+// witness component (Solver.solveSAT) is such a recycled one.
 //
 // Cones. A persistent instance (incremental.go) holds every circuit its
 // slot has ever encoded, while one query's assumptions reach a fraction of

@@ -1,10 +1,9 @@
 package solver
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
-
-	"sde/internal/expr"
 )
 
 // SharedCache is a concurrent query-result store shared by several
@@ -20,11 +19,8 @@ import (
 // independently locked segments, so concurrent shards rarely contend on
 // the same mutex. Entries are never evicted — a run's distinct query
 // population is bounded by its constraint structure, and the entries
-// (hash slices plus small models) are cheap relative to the states that
-// produced them.
-//
-// Cached models are aliased by every shard that hits them and must be
-// treated as read-only, like the models returned by Solver itself.
+// (a hash slice and a verdict) are cheap relative to the states that
+// produced them. The cache holds verdicts only: witnesses never read it.
 type SharedCache struct {
 	stripes [sharedStripes]sharedStripe
 
@@ -55,7 +51,7 @@ func NewSharedCache() *SharedCache {
 type SharedCacheStats struct {
 	Lookups int64 // queries that consulted the cache
 	Hits    int64 // lookups answered from the cache
-	Stores  int64 // entries inserted (or upgraded with a model)
+	Stores  int64 // entries inserted
 	Entries int64 // current number of cached verdicts
 }
 
@@ -92,41 +88,29 @@ func (c *SharedCache) stripe(key uint64) *sharedStripe {
 // lookup returns the cached verdict for a query key. The sorted
 // constraint hashes guard against key collisions, exactly as in the
 // private per-solver cache.
-func (c *SharedCache) lookup(key uint64, hashes []uint64) (cacheEntry, bool) {
+func (c *SharedCache) lookup(key uint64, hashes []uint64) (bool, bool) {
 	c.lookups.Add(1)
 	st := c.stripe(key)
 	st.mu.RLock()
 	ent, ok := st.m[key]
 	st.mu.RUnlock()
-	if !ok || !hashesEqual(ent.hashes, hashes) {
-		return cacheEntry{}, false
+	if !ok || !slices.Equal(ent.hashes, hashes) {
+		return false, false
 	}
 	c.hits.Add(1)
-	return ent, true
+	return ent.sat, true
 }
 
-// store publishes a verdict. The hashes and model are copied so the
-// cache shares no mutable structure with the storing solver. An existing
-// entry is only replaced to attach a model to a model-less sat verdict.
-func (c *SharedCache) store(key uint64, hashes []uint64, sat bool, model expr.Env) {
+// store publishes a verdict. The hashes are copied so the cache shares no
+// mutable structure with the storing solver. An existing entry is kept.
+func (c *SharedCache) store(key uint64, hashes []uint64, sat bool) {
 	st := c.stripe(key)
 	st.mu.Lock()
-	if prev, ok := st.m[key]; ok && (!prev.sat || prev.model != nil || model == nil) {
+	if _, ok := st.m[key]; ok {
 		st.mu.Unlock()
 		return
 	}
-	var mcopy expr.Env
-	if model != nil {
-		mcopy = make(expr.Env, len(model))
-		for k, v := range model {
-			mcopy[k] = v
-		}
-	}
-	st.m[key] = cacheEntry{
-		hashes: append([]uint64(nil), hashes...),
-		sat:    sat,
-		model:  mcopy,
-	}
+	st.m[key] = cacheEntry{hashes: slices.Clone(hashes), sat: sat}
 	st.mu.Unlock()
 	c.stores.Add(1)
 }

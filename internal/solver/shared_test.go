@@ -23,8 +23,9 @@ func TestSharedCacheCrossBuilder(t *testing.T) {
 	}
 
 	b1 := expr.NewBuilder()
+	q1 := mkQuery(b1)
 	s1 := NewWithOptions(Options{SharedCache: shared})
-	model1, sat, err := s1.Model(mkQuery(b1))
+	sat, err := s1.Feasible(q1)
 	if err != nil || !sat {
 		t.Fatalf("first solver: sat=%v err=%v", sat, err)
 	}
@@ -38,7 +39,7 @@ func TestSharedCacheCrossBuilder(t *testing.T) {
 	b2 := expr.NewBuilder()
 	q2 := mkQuery(b2)
 	s2 := NewWithOptions(Options{SharedCache: shared})
-	model2, sat, err := s2.Model(q2)
+	sat, err = s2.Feasible(q2)
 	if err != nil || !sat {
 		t.Fatalf("second solver: sat=%v err=%v", sat, err)
 	}
@@ -49,12 +50,18 @@ func TestSharedCacheCrossBuilder(t *testing.T) {
 	if st2.SATCalls != 0 {
 		t.Errorf("second solver ran %d SAT calls despite the shared verdict", st2.SATCalls)
 	}
-	// The cached model must satisfy the second builder's constraints.
-	if !satisfies(model2, q2) {
-		t.Errorf("shared model %v does not satisfy the query", model2)
+	// The cache holds verdicts only; each builder's witness is its own
+	// from-scratch solve, and the two agree.
+	model1, _, err := s1.Witness(q1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if model1["x"] != model2["x"] {
-		t.Errorf("models diverge: %v vs %v", model1, model2)
+	model2, _, err := s2.Witness(q2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !satisfies(model2, q2) || model1["x"] != model2["x"] {
+		t.Errorf("witnesses %v and %v: want equal models of the query", model1, model2)
 	}
 }
 
@@ -81,52 +88,19 @@ func TestSharedCacheUnsat(t *testing.T) {
 	}
 }
 
-// TestSharedCacheModelUpgrade: a Feasible verdict (no model) does not
-// starve a later Model call — the solver recomputes and upgrades the
-// shared entry with a model.
-func TestSharedCacheModelUpgrade(t *testing.T) {
-	shared := NewSharedCache()
-	mkQuery := func(b *expr.Builder) []*expr.Expr {
-		x := b.Var("x", 12)
-		return []*expr.Expr{b.Eq(b.Mul(x, x), b.Const(0x121, 12))}
-	}
-	s1 := NewWithOptions(Options{SharedCache: shared})
-	if sat, err := s1.Feasible(mkQuery(expr.NewBuilder())); err != nil || !sat {
-		t.Fatalf("sat=%v err=%v", sat, err)
-	}
-
-	b2 := expr.NewBuilder()
-	q2 := mkQuery(b2)
-	s2 := NewWithOptions(Options{SharedCache: shared})
-	model, sat, err := s2.Model(q2)
-	if err != nil || !sat {
-		t.Fatalf("sat=%v err=%v", sat, err)
-	}
-	if !satisfies(model, q2) {
-		t.Errorf("model %v does not satisfy the query", model)
-	}
-
-	// A third solver now gets the upgraded entry, model included.
-	b3 := expr.NewBuilder()
-	q3 := mkQuery(b3)
-	s3 := NewWithOptions(Options{SharedCache: shared})
-	model3, sat, err := s3.Model(q3)
-	if err != nil || !sat {
-		t.Fatalf("third solver: sat=%v err=%v", sat, err)
-	}
-	if st := s3.Stats(); st.SharedHits == 0 || st.SATCalls != 0 {
-		t.Errorf("third solver stats: %+v, want shared model hit", st)
-	}
-	if !satisfies(model3, q3) {
-		t.Errorf("shared model %v does not satisfy the query", model3)
-	}
-}
-
 // TestSharedCacheConcurrent hammers one cache from many solvers on
 // distinct builders; run under -race this is the scheduler's memory
-// model in miniature.
+// model in miniature. A solver that arrives afterwards finds every
+// verdict in the cache.
 func TestSharedCacheConcurrent(t *testing.T) {
 	shared := NewSharedCache()
+	query := func(b *expr.Builder, i int) []*expr.Expr {
+		x := b.Var(fmt.Sprintf("v%d", i%7), 16)
+		return []*expr.Expr{
+			b.Eq(b.Mul(x, x), b.Const(uint64((i%7)*(i%7)), 16)),
+			b.Ult(x, b.Const(200, 16)),
+		}
+	}
 	const workers = 8
 	var wg sync.WaitGroup
 	errs := make(chan error, workers)
@@ -138,22 +112,13 @@ func TestSharedCacheConcurrent(t *testing.T) {
 			b := expr.NewBuilder()
 			s := NewWithOptions(Options{SharedCache: shared})
 			for i := 0; i < 40; i++ {
-				x := b.Var(fmt.Sprintf("v%d", i%7), 16)
-				q := []*expr.Expr{
-					b.Eq(b.Mul(x, x), b.Const(uint64((i%7)*(i%7)), 16)),
-					b.Ult(x, b.Const(200, 16)),
-				}
-				model, sat, err := s.Model(q)
+				sat, err := s.Feasible(query(b, i))
 				if err != nil {
 					errs <- fmt.Errorf("worker %d query %d: %v", w, i, err)
 					return
 				}
 				if !sat {
 					errs <- fmt.Errorf("worker %d query %d: unexpectedly unsat", w, i)
-					return
-				}
-				if !satisfies(model, q) {
-					errs <- fmt.Errorf("worker %d query %d: bad model %v", w, i, model)
 					return
 				}
 			}
@@ -170,6 +135,16 @@ func TestSharedCacheConcurrent(t *testing.T) {
 	}
 	if st.Entries > st.Stores {
 		t.Errorf("entries %d exceed stores %d", st.Entries, st.Stores)
+	}
+	b := expr.NewBuilder()
+	late := NewWithOptions(Options{SharedCache: shared})
+	for i := 0; i < 7; i++ {
+		if sat, err := late.Feasible(query(b, i)); err != nil || !sat {
+			t.Fatalf("late query %d: sat=%v err=%v", i, sat, err)
+		}
+	}
+	if st := late.Stats(); st.SharedHits != 7 || st.SATCalls != 0 {
+		t.Errorf("late solver stats: %+v, want 7 shared hits and no SAT call", st)
 	}
 }
 

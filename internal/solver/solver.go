@@ -22,10 +22,10 @@ type Stats = metrics.SolverStats
 type cacheEntry struct {
 	hashes []uint64 // sorted constraint hashes, to guard against collisions
 	sat    bool
-	model  expr.Env // nil for unsat entries
 }
 
-// Options tunes a Solver. The zero value enables every optimisation;
+// Options tunes a Solver's feasibility pipeline (Witness ignores every
+// switch but MaxConflicts). The zero value enables every optimisation;
 // the Disable* switches exist for ablation benchmarks that quantify each
 // layer's contribution (see the solver benchmarks).
 type Options struct {
@@ -37,10 +37,6 @@ type Options struct {
 	DisableFastPath bool
 	// DisablePartition turns off independent-constraint partitioning.
 	DisablePartition bool
-	// DisableIncremental turns off the persistent assumption-based CDCL
-	// instance: every SAT-core query is bit-blasted and solved from
-	// scratch on a throwaway instance.
-	DisableIncremental bool
 	// DisableSubsumption turns off subset/superset reasoning in the
 	// private cache; exact-key lookups still work unless DisableCache is
 	// also set (DisableCache implies both off).
@@ -58,10 +54,10 @@ type Options struct {
 	// (internal/qopt) on feasibility queries: independence slicing and
 	// algebraic rewriting run between constant folding and every later
 	// stage, so caches, the shared cache, and the SAT core all see the
-	// shrunk query. Model queries are never optimized — they always
-	// solve the original constraints from scratch, which keeps witness
-	// models bit-identical whether the optimizer is on or off. The
-	// Optimizer must share the expr.Builder of the query expressions.
+	// shrunk query. Witness never consults it — a witness solves the
+	// original constraints from scratch, so its model is bit-identical
+	// whether the optimizer is on or off. The Optimizer must share the
+	// expr.Builder of the query expressions.
 	Optimizer *qopt.Optimizer
 	// DisableSlicing turns off independence slicing while keeping the
 	// rest of the optimizer. Per-stage switches exist because shutting
@@ -170,8 +166,7 @@ type SolverSlot struct {
 // the query optimizer. This is the speculation-worker entry point: it shares the Solver's caches but never its slot-0 CDCL
 // instance, so it is safe to call concurrently with every other method.
 func (s *Solver) FeasibleOn(slot *SolverSlot, prefix []*expr.Expr, extra *expr.Expr) (bool, error) {
-	sat, _, err := s.checkQuery(queryCtx{slot: &slot.slot, skipOpt: true}, prefix, extra, false)
-	return sat, err
+	return s.checkQuery(queryCtx{slot: &slot.slot, skipOpt: true}, prefix, extra)
 }
 
 // Stats returns a snapshot of the activity counters, merging in the
@@ -190,18 +185,9 @@ func (s *Solver) Stats() Stats {
 
 // Feasible reports whether the conjunction of the constraints is
 // satisfiable. Every constraint must be a 1-bit expression.
+// A concrete satisfying assignment comes from Witness.
 func (s *Solver) Feasible(constraints []*expr.Expr) (bool, error) {
-	sat, _, err := s.check(constraints, false)
-	return sat, err
-}
-
-// Model reports satisfiability and, when satisfiable, returns a concrete
-// assignment (a test case) under which every constraint evaluates to true.
-// Variables not mentioned in the model are don't-cares (any value works;
-// by convention they are 0).
-func (s *Solver) Model(constraints []*expr.Expr) (expr.Env, bool, error) {
-	sat, model, err := s.check(constraints, true)
-	return model, sat, err
+	return s.checkQuery(queryCtx{slot: &s.slot0}, constraints, nil)
 }
 
 // FeasibleWith is Feasible for prefix-extension queries — the shape every
@@ -214,24 +200,13 @@ func (s *Solver) Model(constraints []*expr.Expr) (expr.Env, bool, error) {
 // against sv.NewSession() and FeasibleWith(sess, …). Once that calls
 // Feasible, delete all three.
 func (s *Solver) FeasibleWith(_ *Session, prefix []*expr.Expr, extra *expr.Expr) (bool, error) {
-	sat, _, err := s.checkQuery(queryCtx{slot: &s.slot0}, prefix, extra, false)
-	return sat, err
+	return s.checkQuery(queryCtx{slot: &s.slot0}, prefix, extra)
 }
 
 // Session is the stub FeasibleWith describes; NewSession returns nil.
 type Session struct{}
 
 func (s *Solver) NewSession() *Session { return nil }
-
-// ModelWith is Model for prefix-extension queries; see FeasibleWith.
-func (s *Solver) ModelWith(prefix []*expr.Expr, extra *expr.Expr) (expr.Env, bool, error) {
-	sat, model, err := s.checkQuery(queryCtx{slot: &s.slot0}, prefix, extra, true)
-	return model, sat, err
-}
-
-func (s *Solver) check(constraints []*expr.Expr, needModel bool) (bool, expr.Env, error) {
-	return s.checkQuery(queryCtx{slot: &s.slot0}, constraints, nil, needModel)
-}
 
 func (s *Solver) bumpStat(f func(*Stats)) {
 	s.statsMu.Lock()
@@ -243,7 +218,7 @@ func (s *Solver) stripe(key uint64) *cacheStripe {
 	return &s.cache[key&(cacheStripes-1)]
 }
 
-func (s *Solver) checkQuery(qc queryCtx, prefix []*expr.Expr, extra *expr.Expr, needModel bool) (bool, expr.Env, error) {
+func (s *Solver) checkQuery(qc queryCtx, prefix []*expr.Expr, extra *expr.Expr) (bool, error) {
 	s.bumpStat(func(st *Stats) { st.Queries++ })
 
 	// Constant-fold the constraint set.
@@ -272,24 +247,21 @@ func (s *Solver) checkQuery(qc queryCtx, prefix []*expr.Expr, extra *expr.Expr, 
 	}
 	for _, c := range prefix {
 		if fold(c) {
-			return false, nil, foldErr
+			return false, foldErr
 		}
 	}
 	if extra != nil && fold(extra) {
-		return false, nil, foldErr
+		return false, foldErr
 	}
 	if len(active) == 0 {
-		return true, expr.Env{}, nil
+		return true, nil
 	}
 
-	// Query-optimization pipeline (internal/qopt): shrink feasibility
-	// queries before any cache key, cache lookup, or encoding sees them.
-	// Model queries skip the pipeline entirely — they are decided on the
-	// original constraints by a from-scratch SAT run below, so the models
-	// an exploration emits cannot depend on optimizer history.
-	// Speculation workers skip it too (qc.skipOpt): the optimizer is an
+	// Query-optimization pipeline (internal/qopt): shrink the query
+	// before any cache key, cache lookup, or encoding sees it.
+	// Speculation workers skip it (qc.skipOpt): the optimizer is an
 	// optimisation, never a soundness requirement.
-	if o := s.opts.Optimizer; o != nil && !needModel && !qc.skipOpt {
+	if o := s.opts.Optimizer; o != nil && !qc.skipOpt {
 		// Independence slicing: drop the factor groups of the path
 		// condition not variable-connected to the query expression. Every
 		// dropped group joined the path condition through a feasibility
@@ -312,11 +284,11 @@ func (s *Solver) checkQuery(qc queryCtx, prefix []*expr.Expr, extra *expr.Expr, 
 		if !s.opts.DisableRewrite {
 			out, unsat := o.OptimizeSet(active)
 			if unsat {
-				return false, nil, nil
+				return false, nil
 			}
 			active = out
 			if len(active) == 0 {
-				return true, expr.Env{}, nil
+				return true, nil
 			}
 		}
 	}
@@ -326,9 +298,9 @@ func (s *Solver) checkQuery(qc queryCtx, prefix []*expr.Expr, extra *expr.Expr, 
 	// the failure-model decision variables that dominate sensornet
 	// scenarios without touching the SAT core.
 	if !s.opts.DisableFastPath {
-		if sat, model, ok := literalScan(active, needModel); ok {
+		if _, sat, ok := literalScan(active); ok {
 			s.bumpStat(func(st *Stats) { st.FastPath++ })
-			return sat, model, nil
+			return sat, nil
 		}
 	}
 
@@ -337,37 +309,31 @@ func (s *Solver) checkQuery(qc queryCtx, prefix []*expr.Expr, extra *expr.Expr, 
 	if !s.opts.DisableCache {
 		str := s.stripe(key)
 		str.mu.Lock()
-		if ent, ok := str.m[key]; ok && hashesEqual(ent.hashes, hashes) {
-			if !ent.sat || !needModel || ent.model != nil {
-				model := ent.model
-				str.mu.Unlock()
-				s.bumpStat(func(st *Stats) { st.CacheHits++ })
-				return ent.sat, model, nil
-			}
+		if ent, ok := str.m[key]; ok && slices.Equal(ent.hashes, hashes) {
+			str.mu.Unlock()
+			s.bumpStat(func(st *Stats) { st.CacheHits++ })
+			return ent.sat, nil
 		}
 		str.mu.Unlock()
 		// Subsumption: a cached UNSAT subset of the query proves UNSAT, a
-		// cached SAT superset proves SAT (and donates its model).
+		// cached SAT superset proves SAT.
 		if !s.opts.DisableSubsumption {
 			s.subsMu.RLock()
-			ent, ok := s.subs.lookup(hashes, needModel)
+			sat, ok := s.subs.lookup(hashes)
 			s.subsMu.RUnlock()
 			if ok {
 				str.mu.Lock()
-				str.m[key] = cacheEntry{hashes: hashes, sat: ent.sat, model: ent.model}
+				str.m[key] = cacheEntry{hashes: hashes, sat: sat}
 				str.mu.Unlock()
 				s.bumpStat(func(st *Stats) { st.SubsumptionHits++ })
-				return ent.sat, ent.model, nil
+				return sat, nil
 			}
 		}
 	}
 	// Counterexample reuse: a recent model satisfying all constraints
-	// proves satisfiability without a SAT call. Pool models may come from
-	// optimized queries on a persistent instance, so they decide
-	// feasibility verdicts only — model queries always fall through to
-	// the deterministic from-scratch solve.
+	// proves satisfiability without a SAT call.
 	var pool []expr.Env
-	if !s.opts.DisablePool && !needModel {
+	if !s.opts.DisablePool {
 		s.poolMu.Lock()
 		pool = append(pool, s.pool...)
 		s.poolMu.Unlock()
@@ -376,12 +342,10 @@ func (s *Solver) checkQuery(qc queryCtx, prefix []*expr.Expr, extra *expr.Expr, 
 	// Cross-solver shared cache: another shard of a parallel run may
 	// already have decided this structural query.
 	if sc := s.opts.SharedCache; sc != nil {
-		if ent, ok := sc.lookup(key, hashes); ok && (!ent.sat || !needModel || ent.model != nil) {
+		if sat, ok := sc.lookup(key, hashes); ok {
 			s.bumpStat(func(st *Stats) { st.SharedHits++ })
-			if !s.opts.DisableCache {
-				s.remember(key, hashes, ent.sat, ent.model)
-			}
-			return ent.sat, ent.model, nil
+			s.remember(key, hashes, sat)
+			return sat, nil
 		}
 	}
 
@@ -401,68 +365,43 @@ func (s *Solver) checkQuery(qc queryCtx, prefix []*expr.Expr, extra *expr.Expr, 
 			}
 		}
 		if holds {
-			// Verdict-only caching: pool models never become cache or
-			// shared-cache models, so a later model query cannot observe
-			// a model whose origin depended on optimizer history.
 			s.bumpStat(func(st *Stats) { st.PoolHits++ })
-			s.remember(key, hashes, true, nil)
+			s.remember(key, hashes, true)
 			if sc := s.opts.SharedCache; sc != nil {
-				sc.store(key, hashes, true, nil)
+				sc.store(key, hashes, true)
 			}
-			return true, pool[i], nil
+			return true, nil
 		}
 	}
 
 	// Split into independent components when possible: each component is
 	// decided through the full pipeline and its result cached separately.
 	if !s.opts.DisablePartition {
-		if sat, model, handled, err := s.checkPartitioned(qc, active, needModel); handled {
+		if sat, handled, err := s.checkPartitioned(qc, active); handled {
 			if err != nil {
-				return false, nil, err
+				return false, err
 			}
 			if sat {
-				s.remember(key, hashes, true, model)
+				s.remember(key, hashes, true)
 				if sc := s.opts.SharedCache; sc != nil {
-					sc.store(key, hashes, true, model)
+					sc.store(key, hashes, true)
 				}
 			}
-			return sat, model, nil
+			return sat, nil
 		}
 	}
 
-	var sat bool
-	var model expr.Env
-	var err error
-	incremental := !s.opts.DisableIncremental && !needModel
-	if incremental {
-		sat, model, err = s.solveIncremental(qc.slot, active)
-	} else {
-		// Model queries always bit-blast the original constraints on a
-		// throwaway instance: the persistent instance's saved phases and
-		// activities depend on the whole query history (and so on the
-		// optimizer), which would leak into the concrete witnesses.
-		sat, model, err = s.solveSAT(active)
-	}
+	sat, model, err := s.solveIncremental(qc.slot, active)
 	if err != nil {
 		// Budget-exhausted verdicts are unknowns: they must never reach
 		// any cache (an unknown stored as UNSAT would be unsound).
-		return false, nil, err
-	}
-
-	// Only deterministic models (from the needModel path) enter the
-	// caches; feasibility-path models go to the pool, which never serves
-	// model queries.
-	cacheModel := model
-	if !needModel {
-		cacheModel = nil
+		return false, err
 	}
 	s.bumpStat(func(st *Stats) {
 		st.SATCalls++
-		if incremental {
-			st.IncSolves++
-		}
+		st.IncSolves++
 	})
-	s.remember(key, hashes, sat, cacheModel)
+	s.remember(key, hashes, sat)
 	if sat {
 		s.poolMu.Lock()
 		s.pool = append(s.pool, model)
@@ -472,24 +411,24 @@ func (s *Solver) checkQuery(qc queryCtx, prefix []*expr.Expr, extra *expr.Expr, 
 		s.poolMu.Unlock()
 	}
 	if sc := s.opts.SharedCache; sc != nil {
-		sc.store(key, hashes, sat, cacheModel)
+		sc.store(key, hashes, sat)
 	}
-	return sat, model, nil
+	return sat, nil
 }
 
 // remember records a decided query in the private caches. The caller must
 // never pass a budget-exhausted (ErrBudget) verdict.
-func (s *Solver) remember(key uint64, hashes []uint64, sat bool, model expr.Env) {
+func (s *Solver) remember(key uint64, hashes []uint64, sat bool) {
 	if s.opts.DisableCache {
 		return
 	}
 	str := s.stripe(key)
 	str.mu.Lock()
-	str.m[key] = cacheEntry{hashes: hashes, sat: sat, model: model}
+	str.m[key] = cacheEntry{hashes: hashes, sat: sat}
 	str.mu.Unlock()
 	if !s.opts.DisableSubsumption {
 		s.subsMu.Lock()
-		s.subs.store(key, hashes, sat, model)
+		s.subs.store(key, hashes, sat)
 		s.subsMu.Unlock()
 	}
 }
@@ -504,7 +443,8 @@ var scratchBlasters = sync.Pool{
 	New: func() any { return newBlaster(newSatSolver()) },
 }
 
-// solveSAT runs a full bit-blast + CDCL query on a throwaway instance.
+// solveSAT runs a full bit-blast + CDCL query on a throwaway instance: the
+// from-scratch solve behind every Witness component.
 func (s *Solver) solveSAT(constraints []*expr.Expr) (bool, expr.Env, error) {
 	bl := scratchBlasters.Get().(*blaster)
 	bl.sat.maxConfl = s.opts.MaxConflicts
@@ -552,36 +492,26 @@ func (b *blaster) decide(constraints []*expr.Expr) (bool, expr.Env, error) {
 
 // literalScan handles constraint sets consisting solely of boolean
 // variables and their negations. It returns ok=false when any constraint
-// has a different shape.
-func literalScan(constraints []*expr.Expr, needModel bool) (bool, expr.Env, bool) {
-	polarity := make(map[string]bool, len(constraints))
+// has a different shape; otherwise the verdict and, when satisfiable, the
+// model that sets each variable to its one polarity.
+func literalScan(constraints []*expr.Expr) (expr.Env, bool, bool) {
+	model := make(expr.Env, len(constraints))
 	for _, c := range constraints {
-		pos := true
+		val := uint64(1)
 		e := c
 		if e.Kind() == expr.KindNot {
-			pos = false
+			val = 0
 			e = e.Arg(0)
 		}
 		if e.Kind() != expr.KindVar || e.Width() != 1 {
-			return false, nil, false
+			return nil, false, false
 		}
-		if prev, seen := polarity[e.VarName()]; seen && prev != pos {
-			return false, nil, true // v ∧ ¬v
+		if prev, seen := model[e.VarName()]; seen && prev != val {
+			return nil, false, true // v ∧ ¬v
 		}
-		polarity[e.VarName()] = pos
+		model[e.VarName()] = val
 	}
-	if !needModel {
-		return true, nil, true
-	}
-	model := make(expr.Env, len(polarity))
-	for name, pos := range polarity {
-		if pos {
-			model[name] = 1
-		} else {
-			model[name] = 0
-		}
-	}
-	return true, model, true
+	return model, true, true
 }
 
 func queryKey(constraints []*expr.Expr) (uint64, []uint64) {
@@ -610,16 +540,4 @@ func hashCombine64(h, v uint64) uint64 {
 	h *= 1099511628211
 	h ^= h >> 29
 	return h
-}
-
-func hashesEqual(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -56,7 +56,7 @@ func TestSimpleRange(t *testing.T) {
 		b.Ult(x, b.Const(50, 32)),
 		b.Ult(b.Const(10, 32), x),
 	}
-	model, sat, err := s.Model(cs)
+	model, sat, err := s.Witness(cs)
 	if err != nil || !sat {
 		t.Fatalf("range query: sat=%v err=%v", sat, err)
 	}
@@ -92,7 +92,7 @@ func TestArithmeticModel(t *testing.T) {
 		b.Ult(x, y),
 		b.Ult(y, b.Const(30, 16)),
 	}
-	model, sat, err := s.Model(cs)
+	model, sat, err := s.Witness(cs)
 	if err != nil || !sat {
 		t.Fatalf("factorisation: sat=%v err=%v", sat, err)
 	}
@@ -130,7 +130,7 @@ func TestSignedComparisonModel(t *testing.T) {
 		b.Slt(x, b.Const(0, 8)),
 		b.Slt(b.Const(0xf6, 8), x), // -10
 	}
-	model, sat, err := s.Model(cs)
+	model, sat, err := s.Witness(cs)
 	if err != nil || !sat {
 		t.Fatalf("signed range: sat=%v err=%v", sat, err)
 	}
@@ -159,7 +159,7 @@ func TestLiteralScanFastPath(t *testing.T) {
 		t.Errorf("SATCalls = %d, want 0", st.SATCalls)
 	}
 	// Fast-path models must satisfy the constraints too.
-	model, sat, err := s.Model([]*expr.Expr{d1, b.Not(d2)})
+	model, sat, err := s.Witness([]*expr.Expr{d1, b.Not(d2)})
 	if err != nil || !sat {
 		t.Fatalf("model query: sat=%v err=%v", sat, err)
 	}
@@ -277,7 +277,7 @@ func TestModelsSatisfyQueries(t *testing.T) {
 		}
 
 		s := New()
-		model, sat, err := s.Model(cs)
+		model, sat, err := s.Witness(cs)
 		if err != nil {
 			t.Logf("seed %d: error %v", seed, err)
 			return false
@@ -305,7 +305,7 @@ func TestWidths(t *testing.T) {
 		x := b.Var("x", w)
 		hi := b.Const(mask(uint8(w)), w)
 		// x == all-ones is always satisfiable.
-		model, sat, err := s.Model([]*expr.Expr{b.Eq(x, hi)})
+		model, sat, err := s.Witness([]*expr.Expr{b.Eq(x, hi)})
 		if err != nil || !sat {
 			t.Fatalf("w=%d: sat=%v err=%v", w, sat, err)
 		}
@@ -331,7 +331,7 @@ func TestOverflowWraps(t *testing.T) {
 	s := New()
 	x := b.Var("x", 8)
 	// x + 1 == 0 forces x == 255 (wraparound).
-	model, sat, err := s.Model([]*expr.Expr{
+	model, sat, err := s.Witness([]*expr.Expr{
 		b.Eq(b.Add(x, b.Const(1, 8)), b.Const(0, 8)),
 	})
 	if err != nil || !sat {
@@ -348,7 +348,7 @@ func TestShiftBySymbolicAmount(t *testing.T) {
 	x := b.Var("x", 16)
 	n := b.Var("n", 16)
 	// (x << n) == 0x8000 with x == 1 forces n == 15.
-	model, sat, err := s.Model([]*expr.Expr{
+	model, sat, err := s.Witness([]*expr.Expr{
 		b.Eq(x, b.Const(1, 16)),
 		b.Eq(b.Shl(x, n), b.Const(0x8000, 16)),
 	})
@@ -374,7 +374,7 @@ func TestIteConstraint(t *testing.T) {
 	c := b.Var("c", 1)
 	x := b.Var("x", 8)
 	// ite(c, x, 0) == 7 forces c == 1 and x == 7.
-	model, sat, err := s.Model([]*expr.Expr{
+	model, sat, err := s.Witness([]*expr.Expr{
 		b.Eq(b.Ite(c, x, b.Const(0, 8)), b.Const(7, 8)),
 	})
 	if err != nil || !sat {

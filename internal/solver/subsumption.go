@@ -1,16 +1,13 @@
 package solver
 
-import "sde/internal/expr"
-
 // subsumptionIndex is a KLEE CexCache-style verdict store that answers
 // queries by set reasoning over sorted, deduplicated constraint-hash
 // sets instead of exact key equality:
 //
 //   - a stored UNSAT entry that is a *subset* of the query proves UNSAT
 //     (adding constraints cannot make an unsatisfiable core satisfiable);
-//   - a stored SAT entry that is a *superset* of the query proves SAT,
-//     and its model — satisfying every constraint of the superset — is a
-//     valid model for the query too.
+//   - a stored SAT entry that is a *superset* of the query proves SAT
+//     (any model of the superset satisfies every constraint of the query).
 //
 // Entries are reached through two inverted indexes so a lookup touches
 // only entries sharing a constraint with the query. The zero value is
@@ -32,41 +29,35 @@ type subsumptionIndex struct {
 type subsEntry struct {
 	hashes []uint64 // sorted, deduplicated constraint hashes
 	sat    bool
-	model  expr.Env // nil for UNSAT entries and model-less SAT verdicts
 }
 
 // lookup decides the query with hash set hs (sorted, deduplicated) by
-// subsumption. When needModel is set, SAT entries without a model are
-// skipped so the caller falls through to a model-producing layer.
-func (x *subsumptionIndex) lookup(hs []uint64, needModel bool) (subsEntry, bool) {
+// subsumption: the verdict, and whether an entry subsumes the query.
+func (x *subsumptionIndex) lookup(hs []uint64) (bool, bool) {
 	if len(x.entries) == 0 {
-		return subsEntry{}, false
+		return false, false
 	}
 	// UNSAT subsets: every candidate's minimum hash is one of ours.
 	for _, h := range hs {
 		for _, idx := range x.unsatByMin[h] {
 			if isSubsetOf(x.entries[idx].hashes, hs) {
-				return x.entries[idx], true
+				return false, true
 			}
 		}
 	}
 	// SAT supersets: every candidate contains our smallest hash.
 	for _, idx := range x.satByHash[hs[0]] {
-		ent := x.entries[idx]
-		if needModel && ent.model == nil {
-			continue
-		}
-		if isSubsetOf(hs, ent.hashes) {
-			return ent, true
+		if isSubsetOf(hs, x.entries[idx].hashes) {
+			return true, true
 		}
 	}
-	return subsEntry{}, false
+	return false, false
 }
 
 // store records a decided query. Budget-exhausted (ErrBudget) verdicts
 // must never reach here: an unknown stored as UNSAT would subsume — and
 // wrongly refute — every extension of the query.
-func (x *subsumptionIndex) store(key uint64, hs []uint64, sat bool, model expr.Env) {
+func (x *subsumptionIndex) store(key uint64, hs []uint64, sat bool) {
 	if x.seen == nil {
 		x.unsatByMin = make(map[uint64][]int32)
 		x.satByHash = make(map[uint64][]int32)
@@ -77,7 +68,7 @@ func (x *subsumptionIndex) store(key uint64, hs []uint64, sat bool, model expr.E
 	}
 	x.seen[key] = struct{}{}
 	idx := int32(len(x.entries))
-	x.entries = append(x.entries, subsEntry{hashes: hs, sat: sat, model: model})
+	x.entries = append(x.entries, subsEntry{hashes: hs, sat: sat})
 	if sat {
 		for _, h := range hs {
 			x.satByHash[h] = append(x.satByHash[h], idx)

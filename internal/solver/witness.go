@@ -95,7 +95,7 @@ func (s *Solver) witnessComponent(comp []*expr.Expr) (bool, expr.Env, error) {
 	w := &s.witnesses
 	w.mu.Lock()
 	ent, ok := w.m[key]
-	if ok && !hashesEqual(ent.hashes, hashes) {
+	if ok && !slices.Equal(ent.hashes, hashes) {
 		// A 64-bit key collision: solve this one unmemoised.
 		w.mu.Unlock()
 		return s.solveComponent(comp)
@@ -115,7 +115,7 @@ func (s *Solver) witnessComponent(comp []*expr.Expr) (bool, expr.Env, error) {
 
 // solveComponent decides one component from scratch.
 func (s *Solver) solveComponent(comp []*expr.Expr) (bool, expr.Env, error) {
-	if sat, model, ok := literalScan(comp, true); ok {
+	if model, sat, ok := literalScan(comp); ok {
 		s.bumpStat(func(st *Stats) { st.FastPath++ })
 		return sat, model, nil
 	}

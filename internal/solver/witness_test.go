@@ -52,13 +52,14 @@ func TestWitnessIsAFunctionOfTheSet(t *testing.T) {
 				t.Fatalf("set %d: model %v violates a constraint", i, want)
 			}
 		}
-		// History on the reused solver: every cache, the pool and the
-		// persistent instance see this set's prefixes first.
+		// History on the reused solver: every cache, the pool, the
+		// persistent instance and the witness memo see this set's
+		// prefixes and suffixes first.
 		for j := 1; j <= len(cs); j++ {
 			if _, err := used.Feasible(cs[:j]); err != nil {
 				t.Fatal(err)
 			}
-			if _, _, err := used.Model(cs[j-1:]); err != nil {
+			if _, _, err := used.Witness(cs[j-1:]); err != nil {
 				t.Fatal(err)
 			}
 		}

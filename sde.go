@@ -113,10 +113,10 @@ type (
 )
 
 // SolverOptions tunes a run's constraint solver: ablation switches for
-// each pipeline layer (caches, model pool, fast path, partitioning,
-// incremental solving, subsumption, and the query-optimizer stages —
-// slicing, rewriting, concretization) and the CDCL conflict budget. The
-// zero value enables every optimisation.
+// each feasibility-pipeline layer (caches, model pool, fast path,
+// partitioning, subsumption, and the query-optimizer stages — slicing,
+// rewriting, concretization) and the CDCL conflict budget. The zero value
+// enables every optimisation.
 type SolverOptions = solver.Options
 
 // Scenario is a fully specified SDE run. Build one with a constructor
