@@ -127,3 +127,52 @@ func EvalBound(e *Expr, bind map[uint32]uint64) (uint64, bool) {
 	v := evalMemo(e, func(v *Expr) uint64 { return bind[uint32(v.val)] }, memo)
 	return v, true
 }
+
+// Components labels each expression of es with its variable-connected
+// component: two expressions share a label iff a chain of shared variables
+// links them. Labels count up from 0 in order of each component's first
+// expression, and an expression without variables is a component of its
+// own. It is the one union-find behind constraint partitioning (solver)
+// and independence slicing (qopt).
+func Components(es []*Expr) []int {
+	parent := make([]int, len(es))
+	for i := range parent {
+		parent[i] = i
+	}
+	find := func(x int) int {
+		for parent[x] != x {
+			parent[x] = parent[parent[x]]
+			x = parent[x]
+		}
+		return x
+	}
+	owner := make(map[uint32]int, 2*len(es)) // variable id -> first expression seen
+	for i, e := range es {
+		for _, id := range e.vids {
+			j, ok := owner[id]
+			if !ok {
+				owner[id] = i
+				continue
+			}
+			if ri, rj := find(i), find(j); ri != rj {
+				parent[ri] = rj
+			}
+		}
+	}
+	// A component's label is stored at its root's index the first time one
+	// of its members is met; the root itself may come later in es.
+	labels := make([]int, len(es))
+	for i := range labels {
+		labels[i] = -1
+	}
+	next := 0
+	for i := range es {
+		r := find(i)
+		if labels[r] < 0 {
+			labels[r] = next
+			next++
+		}
+		labels[i] = labels[r]
+	}
+	return labels
+}

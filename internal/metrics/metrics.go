@@ -114,7 +114,7 @@ type SolverStats struct {
 	// and the components are what FastPath mostly answers.
 	Queries         int64 `json:"queries,omitempty"`
 	CacheHits       int64 `json:"cache_hits,omitempty"`       // answered from the exact-key query cache
-	SubsumptionHits int64 `json:"subsumption_hits,omitempty"` // answered by an UNSAT-subset / SAT-superset entry
+	SubsumptionHits int64 `json:"subsumption_hits,omitempty"` // always 0: the subsumption index is deleted; kept because bench/ reads it
 	SharedHits      int64 `json:"shared_hits,omitempty"`      // answered from the cross-solver shared cache
 	PoolHits        int64 `json:"pool_hits,omitempty"`        // answered by re-using a previous model
 	FastPath        int64 `json:"fast_path,omitempty"`        // answered by the syntactic literal scan
@@ -239,8 +239,8 @@ func (s RunStats) String() string {
 			v.Instructions, v.Forks, v.FastBlocks, v.SlowBlocks, v.FoldedInstrs)
 	}
 	if q := s.Solver; q != (SolverStats{}) {
-		fmt.Fprintf(&sb, "solver: queries=%d sat-calls=%d cache-hits=%d subsumption-hits=%d fast-path=%d conflicts=%d gates=%d | qopt: sliced=%d rewrites=%d concretized=%d gates-elided=%d\n",
-			q.Queries, q.SATCalls, q.CacheHits, q.SubsumptionHits, q.FastPath, q.Conflicts, q.Gates,
+		fmt.Fprintf(&sb, "solver: queries=%d sat-calls=%d cache-hits=%d fast-path=%d conflicts=%d gates=%d | qopt: sliced=%d rewrites=%d concretized=%d gates-elided=%d\n",
+			q.Queries, q.SATCalls, q.CacheHits, q.FastPath, q.Conflicts, q.Gates,
 			q.SlicedQueries, q.RewriteHits, q.ConcretizedReads, q.GatesElided)
 	}
 	if p := s.Spec; p.Submitted != 0 {

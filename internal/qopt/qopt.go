@@ -3,11 +3,11 @@
 // stages shrink a query before it reaches Tseitin encoding and the CDCL
 // core:
 //
-//  1. Independence slicing (Slice): union-find the constraint set into
-//     variable-connected factor groups and keep only the factors
-//     transitively connected to the query expression. The dropped
-//     factors are feasibility-irrelevant by construction — every prefix
-//     constraint was feasibility-checked when it joined the path
+//  1. Independence slicing (Slice): group the constraint set into
+//     variable-connected factor groups (expr.Components) and keep only
+//     the factors transitively connected to the query expression. The
+//     dropped factors are feasibility-irrelevant by construction — every
+//     prefix constraint was feasibility-checked when it joined the path
 //     condition, so a variable-disjoint factor is satisfiable on its
 //     own and SAT(A ∧ B) = SAT(A) ∧ SAT(B) for disjoint A, B.
 //  2. Algebraic rewriting (Rewrite / OptimizeSet): a fixpoint rewrite
@@ -24,8 +24,8 @@
 //
 // Optimizer state is derived from interned expressions and is never
 // serialized: checkpoints stay bit-identical, and a resumed run rebuilds
-// rewrite memos on demand. Each stage is independently toggleable via
-// solver.Options; disabling a stage is the first triage step when a
+// rewrite memos on demand. The stages run together or not at all: a run
+// without an optimizer (sim.Layers.NoQopt) is the first triage step when a
 // soundness bug is suspected.
 package qopt
 
@@ -88,64 +88,28 @@ func (o *Optimizer) Slice(constraints []*expr.Expr, query *expr.Expr) (kept []*e
 	if n == 0 || len(query.VarIDs()) == 0 {
 		return constraints, nil
 	}
-	// Union-find over n constraints plus the query (index n).
-	parent := make([]int, n+1)
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	union := func(a, b int) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			parent[ra] = rb
-		}
-	}
-	owner := make(map[uint32]int, 2*n)
-	link := func(i int, e *expr.Expr) {
-		for _, id := range e.VarIDs() {
-			if j, ok := owner[id]; ok {
-				union(i, j)
-			} else {
-				owner[id] = i
-			}
-		}
-	}
+	// Components over the constraints plus the query (index n). A label
+	// is at most its first member's index, so a constraint's is below n.
+	labels := expr.Components(append(constraints[:n:n], query))
+	var byLabel [][]*expr.Expr // dropped constraints, by component label
 	for i, c := range constraints {
-		link(i, c)
-	}
-	link(n, query)
-
-	root := find(n)
-	var groups map[int][]*expr.Expr
-	var order []int
-	for i, c := range constraints {
-		switch {
-		case len(c.VarIDs()) == 0 || find(i) == root:
+		l := labels[i]
+		if len(c.VarIDs()) == 0 || l == labels[n] {
 			kept = append(kept, c)
-		default:
-			if groups == nil {
-				groups = make(map[int][]*expr.Expr)
-			}
-			r := find(i)
-			if _, ok := groups[r]; !ok {
-				order = append(order, r)
-			}
-			groups[r] = append(groups[r], c)
+			continue
+		}
+		if byLabel == nil {
+			byLabel = make([][]*expr.Expr, n)
+		}
+		byLabel[l] = append(byLabel[l], c)
+	}
+	for _, g := range byLabel {
+		if g != nil {
+			dropped = append(dropped, g)
 		}
 	}
-	if len(order) == 0 {
+	if dropped == nil {
 		return constraints, nil
-	}
-	dropped = make([][]*expr.Expr, 0, len(order))
-	for _, r := range order {
-		dropped = append(dropped, groups[r])
 	}
 	return kept, dropped
 }

@@ -12,6 +12,7 @@ import (
 	"sde/internal/expr"
 	"sde/internal/isa"
 	"sde/internal/metrics"
+	"sde/internal/qopt"
 	"sde/internal/solver"
 	"sde/internal/vm"
 )
@@ -133,9 +134,9 @@ type Config struct {
 	// every shard).
 	SharedSolverCache *solver.SharedCache
 
-	// Solver tunes the run's constraint solver (ablation switches,
-	// conflict budget). The zero value enables every optimisation. A
-	// non-nil SharedSolverCache overrides Solver.SharedCache.
+	// Solver tunes the run's constraint solver: its conflict budget. A
+	// non-nil SharedSolverCache overrides Solver.SharedCache, and the
+	// engine sets Solver.Optimizer from Layers.NoQopt.
 	Solver solver.Options
 
 	// CheckpointDir, when non-empty, makes the run durable: a snapshot of
@@ -418,12 +419,13 @@ func newEngineShell(cfg Config) (*Engine, error) {
 	if cfg.SharedSolverCache != nil {
 		sopts.SharedCache = cfg.SharedSolverCache
 	}
-	if layers.NoQopt {
-		sopts.DisableSlicing = true
-		sopts.DisableRewrite = true
-		sopts.DisableConcretization = true
+	// The optimizer must share the context's builder; NoQopt runs without one.
+	eb := expr.NewBuilder()
+	sopts.Optimizer = nil
+	if !layers.NoQopt {
+		sopts.Optimizer = qopt.New(eb)
 	}
-	ctx := vm.NewContextWithSolver(sopts)
+	ctx := vm.NewContextWithSolver(eb, sopts)
 	ctx.Replay = cfg.Replay
 	if layers.NoCompile {
 		ctx.SetCompiledIR(false)

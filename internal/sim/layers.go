@@ -30,9 +30,9 @@ type Layers struct {
 	// the interpreter thread instead of overlapping it with execution.
 	// With speculation on, the solver pool has one worker per CPU.
 	NoSpeculate bool
-	// NoQopt switches off the three query-optimizer stages (independence
-	// slicing, algebraic rewriting, implied-value concretization);
-	// solver.Options has per-stage switches for finer bisection.
+	// NoQopt runs without a query optimizer: the context has none, so
+	// the solver neither slices nor rewrites a query and the VM does no
+	// implied-value concretization.
 	NoQopt bool
 }
 

@@ -19,7 +19,7 @@ import (
 	"sde/internal/solver"
 )
 
-// withoutOptimizer disables all three query-optimizer stages.
+// withoutOptimizer runs the config without a query optimizer.
 func withoutOptimizer(cfg sim.Config) sim.Config {
 	cfg.Layers.NoQopt = true
 	return cfg
@@ -72,7 +72,7 @@ func compareRuns(t *testing.T, got, want *sim.Result) {
 }
 
 // TestOptimizerOnOffEquivalence: the optimizer (on by default) must not
-// change any observable run output versus all stages disabled.
+// change any observable run output versus a run without one.
 func TestOptimizerOnOffEquivalence(t *testing.T) {
 	for _, algo := range allAlgorithms {
 		algo := algo
@@ -131,17 +131,25 @@ func TestOptimizerKillAndResume(t *testing.T) {
 	compareRuns(t, res, ref)
 }
 
-// TestOptimizerStageSwitches: a config that explicitly supplies solver
-// options still gets an optimizer attached, and disabling a stage zeroes
-// the corresponding counters.
+// TestOptimizerStageSwitches: a config that supplies its own solver
+// options still runs with an optimizer, and Layers.NoQopt runs without
+// one — no query sliced or rewritten, no read concretized — forking
+// exactly where the optimized run forks.
 func TestOptimizerStageSwitches(t *testing.T) {
-	cfg := collectConfig(t, core.SDSAlgorithm)
-	cfg.Solver = solver.Options{DisableSlicing: true, DisableRewrite: true}
-	res := runQoptCfg(t, cfg)
-	if res.Stats.Solver.SlicedQueries != 0 {
-		t.Errorf("DisableSlicing still sliced %d queries", res.Stats.Solver.SlicedQueries)
+	// Speculation workers bypass the optimizer, so the queries are
+	// solved on the interpreter thread where it runs.
+	cfg := withoutSpeculation(mixConfig(t, 4, core.SDSAlgorithm))
+	cfg.Solver = solver.Options{MaxConflicts: 1 << 20}
+	on := runQoptCfg(t, cfg)
+	off := runQoptCfg(t, withoutOptimizer(cfg))
+	if st := on.Stats.Solver; st.SlicedQueries == 0 || st.RewriteHits == 0 {
+		t.Fatalf("optimized run: sliced=%d rewrites=%d, want both > 0", st.SlicedQueries, st.RewriteHits)
 	}
-	if res.Stats.Solver.RewriteHits != 0 {
-		t.Errorf("DisableRewrite still rewrote %d constraints", res.Stats.Solver.RewriteHits)
+	if st := off.Stats.Solver; st.SlicedQueries != 0 || st.RewriteHits != 0 || st.ConcretizedReads != 0 {
+		t.Errorf("NoQopt: sliced=%d rewrites=%d concretized=%d, want all 0",
+			st.SlicedQueries, st.RewriteHits, st.ConcretizedReads)
+	}
+	if off.Stats.VM.Forks != on.Stats.VM.Forks {
+		t.Errorf("NoQopt forked %d times, the optimized run %d", off.Stats.VM.Forks, on.Stats.VM.Forks)
 	}
 }

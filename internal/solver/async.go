@@ -56,13 +56,13 @@ func (t *SpecTask) Cancel() { t.canceled.Store(true) }
 // SpecPool runs speculative feasibility queries on a pool of solver
 // workers. Each worker owns a private incremental CDCL instance and blast
 // context (a Solver slot); workers share only the Solver's striped exact
-// cache, subsumption index, and model pool — there is no global solver
+// cache, its model pool and its shared cache — there is no global solver
 // mutex on this path.
 //
 // The task queue is a single shared LIFO stack: the deepest outstanding
-// query — whose prefix subsumes every shallower one still queued — is
-// solved first, so shallower queries resolve by SAT-superset subsumption
-// instead of separate CDCL runs.
+// query — whose constraints include every shallower one still queued — is
+// solved first, so its model, pooled, answers each shallower query
+// instead of a separate CDCL run.
 type SpecPool struct {
 	s *Solver
 

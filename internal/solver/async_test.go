@@ -7,15 +7,8 @@ import (
 	"sde/internal/expr"
 )
 
-// specPoolOpts isolates the pool's own scheduling behaviour: the model
-// pool is off so every verdict is either a worker solve, an exact-cache
-// hit, or a subsumption hit.
-func specPoolOpts() Options {
-	return Options{DisablePool: true}
-}
-
 func TestSpecPoolSubmitOne(t *testing.T) {
-	s := NewWithOptions(specPoolOpts())
+	s := New()
 	p := NewSpecPool(s, 2)
 	defer p.Close()
 	b := expr.NewBuilder()
@@ -38,7 +31,7 @@ func TestSpecPoolSubmitOne(t *testing.T) {
 }
 
 func TestSpecPoolSubmitPair(t *testing.T) {
-	s := NewWithOptions(specPoolOpts())
+	s := New()
 	p := NewSpecPool(s, 2)
 	defer p.Close()
 	b := expr.NewBuilder()
@@ -60,7 +53,7 @@ func TestSpecPoolSubmitPair(t *testing.T) {
 }
 
 func TestSpecPoolComplementElision(t *testing.T) {
-	s := NewWithOptions(specPoolOpts())
+	s := New()
 	p := NewSpecPool(s, 1)
 	defer p.Close()
 	b := expr.NewBuilder()
@@ -91,25 +84,28 @@ func TestSpecPoolComplementElision(t *testing.T) {
 
 // TestSpecPoolLIFODrain pins the deepest-first drain order that the whole
 // pipeline's performance rests on: when a prefix chain is queued all at
-// once, the worker must pop the deepest query first so the shallower ones
-// are answered by SAT-superset subsumption instead of separate CDCL runs.
-// The queue is loaded under the pool lock so the single worker cannot
-// start until every level is in the stack.
+// once, the worker must pop the deepest query first, so that its model,
+// pooled, answers every shallower query instead of separate CDCL runs.
+// Each level adds a fresh k_i that a model of a shallower level lacks and
+// reads as 0, which falsifies acc < k_i: drained shallowest first, every
+// level would need a CDCL run of its own. The queue is loaded under the
+// pool lock so the single worker cannot start until every level is in the
+// stack.
 func TestSpecPoolLIFODrain(t *testing.T) {
 	const depth = 8
-	s := NewWithOptions(specPoolOpts())
+	s := New()
 	p := NewSpecPool(s, 1)
 	defer p.Close()
 	b := expr.NewBuilder()
 
-	// An entangled chain: level i asserts k_i <= sum of m_0..m_i.
+	// An entangled chain: level i asserts sum of m_0..m_i < k_i.
 	acc := b.Var("seed", 8)
 	prefix := make([]*expr.Expr, 0, depth)
 	tasks := make([]*SpecTask, 0, depth)
 	p.mu.Lock()
 	for i := 0; i < depth; i++ {
 		acc = b.Add(acc, b.Var(fmt.Sprintf("m%d", i), 8))
-		cond := b.Ule(b.Var(fmt.Sprintf("k%d", i), 8), acc)
+		cond := b.Ult(acc, b.Var(fmt.Sprintf("k%d", i), 8))
 		task := &SpecTask{prefix: prefix, cond: cond, done: make(chan struct{})}
 		prefix = append(prefix, cond)
 		p.stack = append(p.stack, task)
@@ -128,10 +124,10 @@ func TestSpecPoolLIFODrain(t *testing.T) {
 		}
 	}
 	if sat := s.Stats().SATCalls; sat != 1 {
-		t.Errorf("SATCalls = %d, want 1 (deepest-first drain + subsumption)", sat)
+		t.Errorf("SATCalls = %d, want 1 (deepest-first drain + model pool)", sat)
 	}
-	if hits := s.Stats().SubsumptionHits; hits != depth-1 {
-		t.Errorf("SubsumptionHits = %d, want %d", hits, depth-1)
+	if hits := s.Stats().PoolHits; hits != depth-1 {
+		t.Errorf("PoolHits = %d, want %d", hits, depth-1)
 	}
 }
 
@@ -140,7 +136,7 @@ func TestSpecPoolLIFODrain(t *testing.T) {
 // a solve. Cancellation racing a worker is inherently nondeterministic,
 // so the only hard assertions are no deadlock and conserved counters.
 func TestSpecPoolCancel(t *testing.T) {
-	s := NewWithOptions(specPoolOpts())
+	s := New()
 	p := NewSpecPool(s, 2)
 	b := expr.NewBuilder()
 	x := b.Var("x", 8)
@@ -167,7 +163,7 @@ func TestSpecPoolCancel(t *testing.T) {
 }
 
 func TestSpecPoolCloseTwice(t *testing.T) {
-	s := NewWithOptions(specPoolOpts())
+	s := New()
 	p := NewSpecPool(s, 1)
 	p.Close()
 	p.Close() // must not panic or hang

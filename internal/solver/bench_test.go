@@ -23,25 +23,51 @@ func branchQueries(b *expr.Builder, depth int) [][]*expr.Expr {
 	return queries
 }
 
+// decideOnInstance decides cs the way the pipeline's last stage does when
+// nothing in front of it answers: on slot 0's persistent instance, one
+// component after another when partition is set, stopping at the first
+// UNSAT one. It is the no-caches baseline of the benchmarks below.
+func decideOnInstance(s *Solver, cs []*expr.Expr, partition bool) (bool, error) {
+	comps := [][]*expr.Expr{cs}
+	if partition {
+		comps = s.partition(cs)
+	}
+	for _, comp := range comps {
+		sat, _, err := s.solveIncremental(&s.slot0, comp)
+		if err != nil {
+			return false, err
+		}
+		s.bumpStat(func(st *Stats) {
+			st.SATCalls++
+			st.IncSolves++
+		})
+		if !sat {
+			return false, nil
+		}
+	}
+	return true, nil
+}
+
+// BenchmarkBranchFeasibility quantifies the layers in front of the SAT
+// core on a branch-query stream: the whole pipeline (full) against every
+// query decided on the persistent instance (satcore).
 func BenchmarkBranchFeasibility(b *testing.B) {
-	for _, opts := range []struct {
-		name string
-		o    Options
+	for _, mode := range []struct {
+		name   string
+		decide func(*Solver, []*expr.Expr) (bool, error)
 	}{
-		{"full", Options{}},
-		{"noCache", Options{DisableCache: true}},
-		{"noPool", Options{DisablePool: true}},
-		{"noCacheNoPool", Options{DisableCache: true, DisablePool: true}},
+		{"full", (*Solver).Feasible},
+		{"satcore", func(s *Solver, q []*expr.Expr) (bool, error) { return decideOnInstance(s, q, false) }},
 	} {
-		opts := opts
-		b.Run(opts.name, func(b *testing.B) {
+		mode := mode
+		b.Run(mode.name, func(b *testing.B) {
 			eb := expr.NewBuilder()
 			queries := branchQueries(eb, 24)
-			s := NewWithOptions(opts.o)
+			s := New()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for _, q := range queries {
-					if ok, err := s.Feasible(q); err != nil || !ok {
+					if ok, err := mode.decide(s, q); err != nil || !ok {
 						b.Fatalf("query failed: ok=%v err=%v", ok, err)
 					}
 				}
@@ -72,14 +98,16 @@ func BenchmarkLiteralScan(b *testing.B) {
 					cs = append(cs, eb.Not(v))
 				}
 			}
-			s := NewWithOptions(Options{
-				DisableFastPath: !fast,
-				DisableCache:    true, // isolate per-query cost
-				DisablePool:     true,
-			})
+			// The fast path answers before any cache is consulted, so
+			// repeating one query measures its per-query cost.
+			decide := (*Solver).Feasible
+			if !fast {
+				decide = func(s *Solver, q []*expr.Expr) (bool, error) { return decideOnInstance(s, q, false) }
+			}
+			s := New()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if ok, err := s.Feasible(cs); err != nil || !ok {
+				if ok, err := decide(s, cs); err != nil || !ok {
 					b.Fatal(ok, err)
 				}
 			}
@@ -97,8 +125,7 @@ func BenchmarkBitBlastMul(b *testing.B) {
 			q := []*expr.Expr{eb.Eq(eb.Mul(x, y), eb.Const(143, width))}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				s := NewWithOptions(Options{DisableCache: true, DisablePool: true})
-				if ok, err := s.Feasible(q); err != nil || !ok {
+				if ok, err := New().Feasible(q); err != nil || !ok {
 					b.Fatal(ok, err)
 				}
 			}
@@ -108,31 +135,25 @@ func BenchmarkBitBlastMul(b *testing.B) {
 
 // BenchmarkPrefixExtension replays the shared prefix-extension workload
 // (see PrefixExtensionQueries) on the persistent incremental instance
-// versus from-scratch solving. Every other pipeline layer is disabled in
-// incremental, so the comparison isolates assumption-based solving + the
-// persistent blast context; witness solves each entry as
+// versus from-scratch solving. incremental decides every query on the
+// instance with no cache, pool or fast path in front of it
+// (decideOnInstance), so the comparison isolates assumption-based solving
+// + the persistent blast context; witness solves each entry as
 // Witness(prefix ∧ extra), which bit-blasts it on a fresh instance (a
 // path condition is one component, so its memo never answers).
 //
 // runicast replays the runicast prefix stream (see RunicastPrefixQueries)
-// with partitioning on: the reconcile shape, many small variable-disjoint
+// partitioned: the reconcile shape, many small variable-disjoint
 // components decided on one growing instance, where restricting each solve
 // to its query's cone is what the persistent instance gains. In
 // incremental, by contrast, one path's cone is nearly the whole instance.
 func BenchmarkPrefixExtension(b *testing.B) {
-	base := Options{
-		DisableCache:       true,
-		DisablePool:        true,
-		DisableFastPath:    true,
-		DisablePartition:   true,
-		DisableSubsumption: true,
-	}
-	partitioned := base
-	partitioned.DisablePartition = false
 	prefix := func(eb *expr.Builder) []PrefixQuery { return PrefixExtensionQueries(eb, 24) }
-	feasible := func(s *Solver, q PrefixQuery) error {
-		_, err := s.FeasibleWith(nil, q.Prefix, q.Extra)
-		return err
+	onInstance := func(partition bool) func(*Solver, PrefixQuery) error {
+		return func(s *Solver, q PrefixQuery) error {
+			_, err := decideOnInstance(s, append(slices.Clip(q.Prefix), q.Extra), partition)
+			return err
+		}
 	}
 	witness := func(s *Solver, q PrefixQuery) error {
 		_, _, err := s.Witness(append(slices.Clip(q.Prefix), q.Extra))
@@ -140,13 +161,12 @@ func BenchmarkPrefixExtension(b *testing.B) {
 	}
 	for _, mode := range []struct {
 		name    string
-		opts    Options
 		queries func(*expr.Builder) []PrefixQuery
 		solve   func(*Solver, PrefixQuery) error
 	}{
-		{"incremental", base, prefix, feasible},
-		{"witness", Options{}, prefix, witness},
-		{"runicast", partitioned, func(eb *expr.Builder) []PrefixQuery { return RunicastPrefixQueries(eb, 6, 8) }, feasible},
+		{"incremental", prefix, onInstance(false)},
+		{"witness", prefix, witness},
+		{"runicast", func(eb *expr.Builder) []PrefixQuery { return RunicastPrefixQueries(eb, 6, 8) }, onInstance(true)},
 	} {
 		mode := mode
 		b.Run(mode.name, func(b *testing.B) {
@@ -156,7 +176,7 @@ func BenchmarkPrefixExtension(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				s := NewWithOptions(mode.opts)
+				s := New()
 				for j, q := range queries {
 					if err := mode.solve(s, q); err != nil {
 						b.Fatalf("query %d: %v", j, err)
@@ -224,26 +244,20 @@ func BenchmarkModelQueryStream(b *testing.B) {
 
 // BenchmarkQueryOptimizer is the query-optimization pipeline's acceptance
 // benchmark: the runicast prefix stream (see RunicastPrefixQueries)
-// replayed with the full optimizer, with one stage ablated at a time, and
-// with the optimizer off. The caching layers are disabled in every mode
-// so the comparison isolates what the optimizer saves per encoded query.
+// replayed with the optimizer's two solver stages, with one of them left
+// out at a time, and with neither. No cache, pool or fast path sits in
+// front of the SAT core (decideOnInstance), so the comparison isolates
+// what the optimizer saves per encoded query. The stages run as
+// checkQuery runs them.
 func BenchmarkQueryOptimizer(b *testing.B) {
-	base := Options{
-		DisableCache:       true,
-		DisablePool:        true,
-		DisableFastPath:    true,
-		DisablePartition:   true,
-		DisableSubsumption: true,
-	}
 	for _, mode := range []struct {
-		name      string
-		optimized bool
-		mutate    func(*Options)
+		name           string
+		slice, rewrite bool
 	}{
-		{"optimized", true, nil},
-		{"no-slicing", true, func(o *Options) { o.DisableSlicing = true }},
-		{"no-rewrite", true, func(o *Options) { o.DisableRewrite = true }},
-		{"unoptimized", false, nil},
+		{"optimized", true, true},
+		{"no-slicing", false, true},
+		{"no-rewrite", true, false},
+		{"unoptimized", false, false},
 	} {
 		mode := mode
 		b.Run(mode.name, func(b *testing.B) {
@@ -252,16 +266,25 @@ func BenchmarkQueryOptimizer(b *testing.B) {
 			var last Stats
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				opts := base
-				if mode.optimized {
-					opts.Optimizer = qopt.New(eb)
-				}
-				if mode.mutate != nil {
-					mode.mutate(&opts)
-				}
-				s := NewWithOptions(opts)
+				o := qopt.New(eb)
+				s := NewWithOptions(Options{Optimizer: o})
 				for j, q := range queries {
-					if _, err := s.FeasibleWith(nil, q.Prefix, q.Extra); err != nil {
+					active := append(slices.Clip(q.Prefix), q.Extra)
+					if mode.slice && len(active) > 1 {
+						if kept, dropped := o.Slice(active, q.Extra); len(dropped) > 0 {
+							active = kept
+							o.NoteSliced(dropped)
+							s.bumpStat(func(st *Stats) { st.SlicedQueries++ })
+						}
+					}
+					if mode.rewrite {
+						out, unsat := o.OptimizeSet(active)
+						if unsat || len(out) == 0 {
+							continue
+						}
+						active = out
+					}
+					if _, err := decideOnInstance(s, active, false); err != nil {
 						b.Fatalf("query %d: %v", j, err)
 					}
 				}

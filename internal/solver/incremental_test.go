@@ -267,17 +267,22 @@ func TestIncrementalDifferential(t *testing.T) {
 // constraint. The two are variable-disjoint, so the query partitions; the
 // literal is answered by the scan and the data component goes to the
 // slot's persistent instance — where the second query finds it already
-// blasted: one memo lookup, no new gate. Cache and pool are off so that
-// the second query reaches the instance at all.
+// blasted: one memo lookup, no new gate. The exact cache and the model
+// pool are emptied before each query so that the second one reaches the
+// instance at all.
 func TestFailureLiteralBesideDataConstraint(t *testing.T) {
 	eb := expr.NewBuilder()
 	pc := []*expr.Expr{
 		eb.Var("drop0", 1),
 		eb.Ult(eb.Var("reading", 16), eb.Const(500, 16)),
 	}
-	s := NewWithOptions(Options{DisableCache: true, DisablePool: true})
+	s := New()
 	query := func() Stats {
 		t.Helper()
+		for i := range s.cache {
+			clear(s.cache[i].m)
+		}
+		s.pool = nil
 		if sat, err := s.Feasible(pc); err != nil || !sat {
 			t.Fatalf("sat=%v err=%v", sat, err)
 		}

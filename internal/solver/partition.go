@@ -11,60 +11,20 @@ import (
 // and pays off heavily on distributed test-case queries, which union the
 // path conditions of k nodes whose decisions are largely disjoint.
 
-// varsOf returns the ids of the variables in e. The id sets are memoised
-// eagerly on the hash-consed DAG at intern time (see expr.VarIDs), so
-// this is a field read, not a traversal.
-func (s *Solver) varsOf(e *expr.Expr) []uint32 { return e.VarIDs() }
-
 // partition groups the constraints into connected components linked by
-// shared variables. Constraints without any variable (non-constant-folded
-// tautologies cannot occur; guarded anyway) join the first component.
+// shared variables (expr.Components), in order of each component's first
+// constraint. A constraint without variables (constant folding removes
+// them first; guarded anyway) is a component of its own.
 func (s *Solver) partition(constraints []*expr.Expr) [][]*expr.Expr {
-	n := len(constraints)
-	if n <= 1 {
+	if len(constraints) <= 1 {
 		return [][]*expr.Expr{constraints}
 	}
-	// Union-find over constraint indices.
-	parent := make([]int, n)
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
+	var out [][]*expr.Expr
+	for i, l := range expr.Components(constraints) {
+		if l == len(out) {
+			out = append(out, nil)
 		}
-		return x
-	}
-	union := func(a, b int) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			parent[ra] = rb
-		}
-	}
-	owner := make(map[uint32]int) // variable id -> first constraint seen
-	for i, c := range constraints {
-		for _, id := range s.varsOf(c) {
-			if j, ok := owner[id]; ok {
-				union(i, j)
-			} else {
-				owner[id] = i
-			}
-		}
-	}
-	groups := make(map[int][]*expr.Expr)
-	var order []int
-	for i, c := range constraints {
-		r := find(i)
-		if _, ok := groups[r]; !ok {
-			order = append(order, r)
-		}
-		groups[r] = append(groups[r], c)
-	}
-	out := make([][]*expr.Expr, 0, len(order))
-	for _, r := range order {
-		out = append(out, groups[r])
+		out[l] = append(out[l], constraints[i])
 	}
 	return out
 }

@@ -85,7 +85,8 @@ func TestPartitionedUnsatComponent(t *testing.T) {
 	}
 }
 
-// TestPartitionEquivalence: partitioning on and off must agree on random
+// TestPartitionEquivalence: the default pipeline, which partitions, must
+// agree with a from-scratch solve of the whole unpartitioned set on random
 // multi-component queries, and so must the witness, whose merged model
 // must satisfy the whole set.
 func TestPartitionEquivalence(t *testing.T) {
@@ -115,12 +116,11 @@ func TestPartitionEquivalence(t *testing.T) {
 			}
 		}
 		on := New()
-		off := NewWithOptions(Options{DisablePartition: true})
 		satOn, err := on.Feasible(cs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		satOff, err := off.Feasible(cs)
+		satOff, _, err := New().solveSAT(cs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -172,18 +172,21 @@ func BenchmarkPartitionedTestCaseQueries(b *testing.B) {
 		}
 		return eb, queries
 	}
-	for _, disabled := range []bool{false, true} {
-		name := "partitioned"
-		if disabled {
-			name = "monolithic"
-		}
-		b.Run(name, func(b *testing.B) {
+	for _, mode := range []struct {
+		name   string
+		decide func(*Solver, []*expr.Expr) (bool, error)
+	}{
+		{"partitioned", (*Solver).Feasible},
+		{"monolithic", func(s *Solver, q []*expr.Expr) (bool, error) { return decideOnInstance(s, q, false) }},
+	} {
+		mode := mode
+		b.Run(mode.name, func(b *testing.B) {
 			_, queries := mk()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				s := NewWithOptions(Options{DisablePartition: disabled})
+				s := New()
 				for _, q := range queries {
-					if sat, err := s.Feasible(q); err != nil || !sat {
+					if sat, err := mode.decide(s, q); err != nil || !sat {
 						b.Fatal(sat, err)
 					}
 				}

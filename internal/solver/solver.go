@@ -24,23 +24,12 @@ type cacheEntry struct {
 	sat    bool
 }
 
-// Options tunes a Solver's feasibility pipeline (Witness ignores every
-// switch but MaxConflicts). The zero value enables every optimisation;
-// the Disable* switches exist for ablation benchmarks that quantify each
-// layer's contribution (see the solver benchmarks).
+// Options tunes a Solver. Every feasibility query takes one fixed path —
+// constant folding, the query optimizer (when set), the literal fast path,
+// the exact cache, the shared cache (when set), the model pool,
+// partitioning into independent components, and the slot's persistent
+// CDCL instance — and Witness ignores every field but MaxConflicts.
 type Options struct {
-	// DisableCache turns off the query-result cache.
-	DisableCache bool
-	// DisablePool turns off counterexample (model) reuse.
-	DisablePool bool
-	// DisableFastPath turns off the syntactic boolean-literal scan.
-	DisableFastPath bool
-	// DisablePartition turns off independent-constraint partitioning.
-	DisablePartition bool
-	// DisableSubsumption turns off subset/superset reasoning in the
-	// private cache; exact-key lookups still work unless DisableCache is
-	// also set (DisableCache implies both off).
-	DisableSubsumption bool
 	// MaxConflicts bounds a single CDCL run; zero means unlimited.
 	MaxConflicts int64
 	// SharedCache, when non-nil, is consulted after the private query
@@ -49,7 +38,6 @@ type Options struct {
 	// whose expressions come from different expr.Builders: query keys
 	// are structural constraint hashes, comparable across builders.
 	SharedCache *SharedCache
-
 	// Optimizer, when non-nil, enables the query-optimization pipeline
 	// (internal/qopt) on feasibility queries: independence slicing and
 	// algebraic rewriting run between constant folding and every later
@@ -59,18 +47,6 @@ type Options struct {
 	// whether the optimizer is on or off. The Optimizer must share the
 	// expr.Builder of the query expressions.
 	Optimizer *qopt.Optimizer
-	// DisableSlicing turns off independence slicing while keeping the
-	// rest of the optimizer. Per-stage switches exist because shutting
-	// stages off one at a time is the first triage step for a suspected
-	// optimizer soundness bug.
-	DisableSlicing bool
-	// DisableRewrite turns off the algebraic rewriter (both the
-	// per-constraint fixpoint pass and cross-constraint substitution).
-	DisableRewrite bool
-	// DisableConcretization turns off implied-value concretization in
-	// the VM. The solver itself ignores it; internal/vm consults it when
-	// wiring a Context.
-	DisableConcretization bool
 }
 
 // cacheStripes is the number of exact-cache segments. Striping lets
@@ -103,21 +79,14 @@ type queryCtx struct {
 }
 
 // Solver answers satisfiability queries over sets of 1-bit constraint
-// expressions. It is safe for concurrent use: the exact cache is striped,
-// the subsumption index sits behind a read-mostly RWMutex, and every
-// incremental CDCL instance lives in its own slot — there is no global
-// mutex on the query path. All constraint expressions passed to one
+// expressions. It is safe for concurrent use: the exact cache is striped
+// and every incremental CDCL instance lives in its own slot — there is no
+// global mutex on the query path. All constraint expressions passed to one
 // Solver must come from a single expr.Builder.
 type Solver struct {
 	opts Options
 
 	cache [cacheStripes]cacheStripe
-
-	// subsMu guards the subsumption index. One index (not striped):
-	// subset/superset lookups must see every stored entry to stay
-	// complete, so reads take the shared lock and stores the exclusive.
-	subsMu sync.RWMutex
-	subs   subsumptionIndex
 
 	poolMu  sync.Mutex
 	pool    []expr.Env // recent satisfying models, most recent last
@@ -267,7 +236,7 @@ func (s *Solver) checkQuery(qc queryCtx, prefix []*expr.Expr, extra *expr.Expr) 
 		// dropped group joined the path condition through a feasibility
 		// check, so it is satisfiable on its own, and being variable-
 		// disjoint from the kept factors it cannot flip the verdict.
-		if !s.opts.DisableSlicing && extra != nil && !extra.IsConst() && len(active) > 1 {
+		if extra != nil && !extra.IsConst() && len(active) > 1 {
 			kept, dropped := o.Slice(active, extra)
 			if len(dropped) > 0 {
 				active = kept
@@ -281,15 +250,13 @@ func (s *Solver) checkQuery(qc queryCtx, prefix []*expr.Expr, extra *expr.Expr) 
 		// Algebraic rewriting: per-constraint fixpoint rules plus
 		// cross-constraint substitution of implied constants. The result
 		// set's conjunction is equivalent to the input's.
-		if !s.opts.DisableRewrite {
-			out, unsat := o.OptimizeSet(active)
-			if unsat {
-				return false, nil
-			}
-			active = out
-			if len(active) == 0 {
-				return true, nil
-			}
+		out, unsat := o.OptimizeSet(active)
+		if unsat {
+			return false, nil
+		}
+		active = out
+		if len(active) == 0 {
+			return true, nil
 		}
 	}
 
@@ -297,47 +264,21 @@ func (s *Solver) checkQuery(qc queryCtx, prefix []*expr.Expr, extra *expr.Expr) 
 	// satisfiable iff no variable occurs with both polarities. This covers
 	// the failure-model decision variables that dominate sensornet
 	// scenarios without touching the SAT core.
-	if !s.opts.DisableFastPath {
-		if _, sat, ok := literalScan(active); ok {
-			s.bumpStat(func(st *Stats) { st.FastPath++ })
-			return sat, nil
-		}
+	if _, sat, ok := literalScan(active); ok {
+		s.bumpStat(func(st *Stats) { st.FastPath++ })
+		return sat, nil
 	}
 
 	key, hashes := queryKey(active)
 
-	if !s.opts.DisableCache {
-		str := s.stripe(key)
-		str.mu.Lock()
-		if ent, ok := str.m[key]; ok && slices.Equal(ent.hashes, hashes) {
-			str.mu.Unlock()
-			s.bumpStat(func(st *Stats) { st.CacheHits++ })
-			return ent.sat, nil
-		}
+	str := s.stripe(key)
+	str.mu.Lock()
+	if ent, ok := str.m[key]; ok && slices.Equal(ent.hashes, hashes) {
 		str.mu.Unlock()
-		// Subsumption: a cached UNSAT subset of the query proves UNSAT, a
-		// cached SAT superset proves SAT.
-		if !s.opts.DisableSubsumption {
-			s.subsMu.RLock()
-			sat, ok := s.subs.lookup(hashes)
-			s.subsMu.RUnlock()
-			if ok {
-				str.mu.Lock()
-				str.m[key] = cacheEntry{hashes: hashes, sat: sat}
-				str.mu.Unlock()
-				s.bumpStat(func(st *Stats) { st.SubsumptionHits++ })
-				return sat, nil
-			}
-		}
+		s.bumpStat(func(st *Stats) { st.CacheHits++ })
+		return ent.sat, nil
 	}
-	// Counterexample reuse: a recent model satisfying all constraints
-	// proves satisfiability without a SAT call.
-	var pool []expr.Env
-	if !s.opts.DisablePool {
-		s.poolMu.Lock()
-		pool = append(pool, s.pool...)
-		s.poolMu.Unlock()
-	}
+	str.mu.Unlock()
 
 	// Cross-solver shared cache: another shard of a parallel run may
 	// already have decided this structural query.
@@ -349,46 +290,24 @@ func (s *Solver) checkQuery(qc queryCtx, prefix []*expr.Expr, extra *expr.Expr) 
 		}
 	}
 
-	// One memo table serves the whole scan: a model's constraints share it
-	// (evaluation is pure per model) and it is cleared between models.
-	var memo map[*expr.Expr]uint64
-	if len(pool) > 0 {
-		memo = make(map[*expr.Expr]uint64)
-	}
-	for i := len(pool) - 1; i >= 0; i-- {
-		clear(memo)
-		holds := true
-		for _, c := range active {
-			if expr.EvalMemo(c, pool[i], memo) == 0 {
-				holds = false
-				break
-			}
-		}
-		if holds {
-			s.bumpStat(func(st *Stats) { st.PoolHits++ })
-			s.remember(key, hashes, true)
-			if sc := s.opts.SharedCache; sc != nil {
-				sc.store(key, hashes, true)
-			}
-			return true, nil
-		}
+	// Counterexample reuse: a recent model satisfying all constraints
+	// proves satisfiability without a SAT call.
+	if s.poolAnswers(active) {
+		s.bumpStat(func(st *Stats) { st.PoolHits++ })
+		s.record(key, hashes, true)
+		return true, nil
 	}
 
 	// Split into independent components when possible: each component is
-	// decided through the full pipeline and its result cached separately.
-	if !s.opts.DisablePartition {
-		if sat, handled, err := s.checkPartitioned(qc, active); handled {
-			if err != nil {
-				return false, err
-			}
-			if sat {
-				s.remember(key, hashes, true)
-				if sc := s.opts.SharedCache; sc != nil {
-					sc.store(key, hashes, true)
-				}
-			}
-			return sat, nil
+	// decided through the full pipeline and its result cached separately;
+	// the whole query's verdict is cached too, so an identical repeat is
+	// one exact-cache hit rather than a pool scan and a walk of its parts.
+	if sat, handled, err := s.checkPartitioned(qc, active); handled {
+		if err != nil {
+			return false, err
 		}
+		s.record(key, hashes, sat)
+		return sat, nil
 	}
 
 	sat, model, err := s.solveIncremental(qc.slot, active)
@@ -401,7 +320,6 @@ func (s *Solver) checkQuery(qc queryCtx, prefix []*expr.Expr, extra *expr.Expr) 
 		st.SATCalls++
 		st.IncSolves++
 	})
-	s.remember(key, hashes, sat)
 	if sat {
 		s.poolMu.Lock()
 		s.pool = append(s.pool, model)
@@ -410,26 +328,53 @@ func (s *Solver) checkQuery(qc queryCtx, prefix []*expr.Expr, extra *expr.Expr) 
 		}
 		s.poolMu.Unlock()
 	}
-	if sc := s.opts.SharedCache; sc != nil {
-		sc.store(key, hashes, sat)
-	}
+	s.record(key, hashes, sat)
 	return sat, nil
 }
 
-// remember records a decided query in the private caches. The caller must
-// never pass a budget-exhausted (ErrBudget) verdict.
-func (s *Solver) remember(key uint64, hashes []uint64, sat bool) {
-	if s.opts.DisableCache {
-		return
+// poolAnswers reports whether some model in the pool, most recent first,
+// satisfies every constraint of active.
+func (s *Solver) poolAnswers(active []*expr.Expr) bool {
+	s.poolMu.Lock()
+	pool := slices.Clone(s.pool)
+	s.poolMu.Unlock()
+	if len(pool) == 0 {
+		return false
 	}
+	// One memo table serves the whole scan: a model's constraints share it
+	// (evaluation is pure per model) and it is cleared between models.
+	memo := make(map[*expr.Expr]uint64)
+	for i := len(pool) - 1; i >= 0; i-- {
+		clear(memo)
+		holds := true
+		for _, c := range active {
+			if expr.EvalMemo(c, pool[i], memo) == 0 {
+				holds = false
+				break
+			}
+		}
+		if holds {
+			return true
+		}
+	}
+	return false
+}
+
+// remember records a decided query in the private exact cache. The caller
+// must never pass a budget-exhausted (ErrBudget) verdict.
+func (s *Solver) remember(key uint64, hashes []uint64, sat bool) {
 	str := s.stripe(key)
 	str.mu.Lock()
 	str.m[key] = cacheEntry{hashes: hashes, sat: sat}
 	str.mu.Unlock()
-	if !s.opts.DisableSubsumption {
-		s.subsMu.Lock()
-		s.subs.store(key, hashes, sat)
-		s.subsMu.Unlock()
+}
+
+// record is remember plus the shared cache: where a verdict this solver
+// computed goes. The same ErrBudget rule applies.
+func (s *Solver) record(key uint64, hashes []uint64, sat bool) {
+	s.remember(key, hashes, sat)
+	if sc := s.opts.SharedCache; sc != nil {
+		sc.store(key, hashes, sat)
 	}
 }
 

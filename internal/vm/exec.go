@@ -513,9 +513,10 @@ func (s *State) feasibleWith(c *expr.Expr) (bool, error) {
 }
 
 // impliedValue evaluates c under the state's implied bindings, reporting
-// ok=false when concretization is off or some variable of c is unbound.
+// ok=false when the context has no optimizer or some variable of c is
+// unbound.
 func (s *State) impliedValue(c *expr.Expr) (uint64, bool) {
-	if !s.ctx.concretize {
+	if s.ctx.qo == nil {
 		return 0, false
 	}
 	if s.bound == nil {

@@ -36,13 +36,12 @@ type Context struct {
 	// analysis.
 	Replay expr.Env
 
-	// qo is the query optimizer shared with the solver; the VM uses it
-	// to account concretized reads. concretize gates implied-value
-	// concretization: branch/assert/assume conditions whose variables
-	// are all forced to constants by the path condition are decided here
-	// instead of going to the solver.
-	qo         *qopt.Optimizer
-	concretize bool
+	// qo is the query optimizer shared with the solver, nil when the
+	// context has none. With one, the VM does implied-value
+	// concretization: branch/assert/assume conditions whose variables are
+	// all forced to constants by the path condition are decided here
+	// instead of going to the solver, and qo counts them.
+	qo *qopt.Optimizer
 
 	// spec, when non-nil, enables speculative branch forking: feasibility
 	// queries go to an asynchronous solver pipeline and execution
@@ -80,25 +79,26 @@ type Context struct {
 	foldedInstrs atomic.Uint64
 }
 
-// NewContext returns a fresh context with its own expression builder and
-// solver.
-func NewContext() *Context { return NewContextWithSolver(solver.Options{}) }
-
-// NewContextWithSolver returns a fresh context whose solver uses the
-// given tuning — the injection point for a cross-run solver.SharedCache
-// (parallel shards) or the ablation switches.
-func NewContextWithSolver(opts solver.Options) *Context {
+// NewContext returns a fresh context with its own expression builder, query
+// optimizer and solver.
+func NewContext() *Context {
 	eb := expr.NewBuilder()
-	if opts.Optimizer == nil {
-		opts.Optimizer = qopt.New(eb)
-	}
+	return NewContextWithSolver(eb, solver.Options{Optimizer: qopt.New(eb)})
+}
+
+// NewContextWithSolver returns a fresh context on expression builder eb
+// whose solver uses the given tuning — the injection point for a
+// cross-run solver.SharedCache (parallel shards), a conflict budget and
+// the query optimizer, which must be built on eb. With opts.Optimizer nil
+// the context has none: the solver neither slices nor rewrites a query
+// and the VM does no implied-value concretization.
+func NewContextWithSolver(eb *expr.Builder, opts solver.Options) *Context {
 	return &Context{
-		Exprs:      eb,
-		Solver:     solver.NewWithOptions(opts),
-		qo:         opts.Optimizer,
-		concretize: !opts.DisableConcretization,
-		compile:    true,
-		zeroWord:   eb.Const(0, WordBits),
+		Exprs:    eb,
+		Solver:   solver.NewWithOptions(opts),
+		qo:       opts.Optimizer,
+		compile:  true,
+		zeroWord: eb.Const(0, WordBits),
 	}
 }
 

@@ -894,18 +894,19 @@ func TestImpliedConcretization(t *testing.T) {
 	if st := ctx.Solver.Stats(); st.ConcretizedReads < 2 {
 		t.Errorf("ConcretizedReads = %d, want >= 2", st.ConcretizedReads)
 	}
-	// With concretization disabled the run is identical, minus the counter.
-	ctx2 := NewContextWithSolver(solver.Options{DisableConcretization: true})
+	// Without an optimizer the run is identical, minus the counter.
+	ctx2 := NewContextWithSolver(expr.NewBuilder(), solver.Options{})
 	s2 := NewState(ctx2, prog, 1)
 	s2.StartCall(prog.FuncIndex("main"))
 	h2 := &forkCollector{}
 	if err := s2.Run(0, 0, h2); err != nil {
-		t.Fatalf("Run (concretization off): %v", err)
+		t.Fatalf("Run (no optimizer): %v", err)
 	}
 	if len(h2.siblings) != 1 || constReg(t, s2, isa.R3) != 1 {
-		t.Fatalf("concretization-off run diverged: forks=%d r3=%v", len(h2.siblings), s2.Reg(isa.R3))
+		t.Fatalf("run without an optimizer diverged: forks=%d r3=%v", len(h2.siblings), s2.Reg(isa.R3))
 	}
-	if st := ctx2.Solver.Stats(); st.ConcretizedReads != 0 {
-		t.Errorf("DisableConcretization still concretized %d reads", st.ConcretizedReads)
+	if st := ctx2.Solver.Stats(); st.ConcretizedReads != 0 || st.SlicedQueries != 0 || st.RewriteHits != 0 {
+		t.Errorf("a context without an optimizer: concretized=%d sliced=%d rewrites=%d, want all 0",
+			st.ConcretizedReads, st.SlicedQueries, st.RewriteHits)
 	}
 }

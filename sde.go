@@ -38,7 +38,6 @@ import (
 	"sde/internal/metrics"
 	"sde/internal/sim"
 	"sde/internal/snap"
-	"sde/internal/solver"
 	"sde/internal/trace"
 	"sde/internal/vm"
 )
@@ -111,13 +110,6 @@ type (
 	SpecStats   = metrics.SpecStats   // speculative-fork pipeline: submissions, elisions, rewinds, barrier wait
 	VMStats     = metrics.VMStats     // instructions, forks, fast vs interpreted blocks, folded instructions
 )
-
-// SolverOptions tunes a run's constraint solver: ablation switches for
-// each feasibility-pipeline layer (caches, model pool, fast path,
-// partitioning, subsumption, and the query-optimizer stages — slicing,
-// rewriting, concretization) and the CDCL conflict budget. The zero value
-// enables every optimisation.
-type SolverOptions = solver.Options
 
 // Scenario is a fully specified SDE run. Build one with a constructor
 // (GridCollectScenario, FloodScenario, CustomScenario) and pass it to
@@ -197,14 +189,6 @@ func (s Scenario) WithSampling(n int) Scenario {
 	return s
 }
 
-// WithSolverOptions returns a copy of the scenario whose engine solver
-// uses the given tuning — the hook ablation sweeps use to quantify each
-// solver-pipeline layer's contribution.
-func (s Scenario) WithSolverOptions(o SolverOptions) Scenario {
-	s.cfg.Solver = o
-	return s
-}
-
 // Layers is the set of optional execution layers of a run: what each
 // switch preserves, and the order to flip them in when a run looks wrong
 // (declaration order, bottom layer first), are documented once, on the
@@ -230,8 +214,8 @@ func (s Scenario) WithoutSpeculation() Scenario {
 }
 
 // WithoutQueryOptimizer returns a copy of the scenario with Layers.NoQopt
-// set: slicing, rewriting and concretization all off. SolverOptions has
-// the per-stage switches.
+// set: the run has no query optimizer, so slicing, rewriting and
+// concretization are all off.
 func (s Scenario) WithoutQueryOptimizer() Scenario {
 	s.cfg.Layers.NoQopt = true
 	return s
@@ -384,7 +368,7 @@ func (r *Report) Samples() []Sample { return r.res.Series.Samples() }
 func (r *Report) Stats() RunStats { return r.res.Stats }
 
 // SolverStats returns the run's constraint-solver activity counters
-// (queries, cache and subsumption hits, incremental solves, conflicts).
+// (queries, cache and pool hits, incremental solves, conflicts).
 func (r *Report) SolverStats() SolverStats { return r.res.Stats.Solver }
 
 // SpecStats returns the run's speculative-fork pipeline counters.

@@ -10,10 +10,8 @@ import (
 // BenchmarkSpeculativePipeline is the speculative-fork pipeline's
 // acceptance benchmark: the entangled assume-chain workload (see
 // speculationWorkload) run synchronously versus through the
-// asynchronous pipeline (one solver worker per CPU). The speedup is
-// algorithmic, not just parallel — deferring a chain of d assumes to one
-// barrier turns d incremental solves into one deep solve plus d-1
-// subsumption hits — so it survives single-core machines.
+// asynchronous pipeline (one solver worker per CPU). The model pool is on
+// in both modes, as it is in every run.
 func BenchmarkSpeculativePipeline(b *testing.B) {
 	build := func() sde.Scenario { return speculationWorkload(b, 32) }
 	modes := []struct {

@@ -14,11 +14,9 @@ import (
 // multiply-accumulate, assuming a bound on the accumulator after every
 // step. The constraints are deliberately entangled — each assume mentions
 // every input drawn so far, so independence slicing cannot split the
-// queries and every synchronous feasibility check must solve the whole
-// chain so far. A synchronous run therefore pays depth incremental solves
-// per activation; the speculative pipeline defers them all to the
-// end-of-activation barrier, where the deepest query is solved once and
-// the shallower ones resolve by SAT-superset subsumption. A symbolic boot
+// queries. The speculative pipeline defers the chain's checks to the
+// end-of-activation barrier and drains the deepest query first; a
+// synchronous run checks each level as it is reached. A symbolic boot
 // branch adds one both-feasible fork so the pair-speculation path is
 // exercised too.
 func speculationWorkload(tb testing.TB, depth int) sde.Scenario {
@@ -51,11 +49,9 @@ func speculationWorkload(tb testing.TB, depth int) sde.Scenario {
 	// inputs (so slicing cannot split the queries), and the bound is
 	// satisfiable for any accumulator value (k_i = 0 works), so no
 	// assume ever kills a state. The all-zeros assignment satisfies the
-	// whole chain, which keeps every query nearly search-free — its
-	// solve cost is the per-call decision and bookkeeping sweep over
-	// however much of the chain it spans. A synchronous run pays that
-	// sweep at every level of a growing instance (quadratic in depth);
-	// the pipeline pays it once per barrier.
+	// whole chain, which keeps every query nearly search-free; and as a
+	// variable a pooled model lacks reads as 0, one level's model answers
+	// the later levels from the model pool in either mode.
 	step.Sym(sde.R6, "seed", width)
 	for i := 0; i < depth; i++ {
 		step.Sym(sde.R7, "m", width)
@@ -87,9 +83,5 @@ func speculationWorkload(tb testing.TB, depth int) sde.Scenario {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	// Counterexample reuse would answer the whole chain from the first
-	// model in both modes; it is disabled (uniformly) so the benchmark
-	// isolates what the pipeline schedules — the real per-solve cost of
-	// the query stream.
-	return s.WithSolverOptions(sde.SolverOptions{DisablePool: true})
+	return s
 }
