@@ -308,26 +308,6 @@ func TestEvalSigned(t *testing.T) {
 	}
 }
 
-func TestCollectVars(t *testing.T) {
-	b := NewBuilder()
-	x := b.Var("x", 32)
-	y := b.Var("y", 32)
-	e := b.Add(b.Mul(x, y), b.Ite(b.Eq(x, y), x, b.Var("z", 32)))
-	vars := CollectVars(e, nil)
-	if len(vars) != 3 {
-		t.Fatalf("CollectVars found %d vars, want 3", len(vars))
-	}
-	seen := map[string]bool{}
-	for _, v := range vars {
-		seen[v.VarName()] = true
-	}
-	for _, name := range []string{"x", "y", "z"} {
-		if !seen[name] {
-			t.Errorf("CollectVars missed %q", name)
-		}
-	}
-}
-
 // randomExpr builds a random expression over variables a, b (width w) and
 // simultaneously computes the semantically-correct value of the chosen
 // operator tree under env with plain Go arithmetic. Because the expected

@@ -1,5 +1,10 @@
 package expr
 
+import (
+	"slices"
+	"sync"
+)
+
 // Free-variable sets, memoised eagerly on the hash-consed DAG: every node
 // carries the sorted ids of the distinct variables reachable from it,
 // computed once at interning time from its (already interned) operands.
@@ -118,15 +123,29 @@ func unionSorted(a, b []uint32) []uint32 {
 // whose variables are all forced by the path condition evaluates here
 // instead of going to the solver.
 func EvalBound(e *Expr, bind map[uint32]uint64) (uint64, bool) {
+	ev := evaluators.Get().(*Evaluator)
+	defer evaluators.Put(ev)
+	ev.Reset()
 	for _, id := range e.vids {
-		if _, ok := bind[id]; !ok {
+		v, ok := bind[id]
+		if !ok {
 			return 0, false
 		}
+		ev.Bind(id, v)
 	}
-	memo := make(map[*Expr]uint64)
-	v := evalMemo(e, func(v *Expr) uint64 { return bind[uint32(v.val)] }, memo)
-	return v, true
+	return ev.Eval(e), true
 }
+
+// componentScratch is the working memory of one Components call: the
+// union-find forest over expression indices and, per variable id, the
+// first expression seen with it (stamped, so a call starts empty without
+// clearing what the last one wrote).
+type componentScratch struct {
+	parent []int
+	owner  stamped
+}
+
+var componentScratches = sync.Pool{New: func() any { return new(componentScratch) }}
 
 // Components labels each expression of es with its variable-connected
 // component: two expressions share a label iff a chain of shared variables
@@ -135,7 +154,10 @@ func EvalBound(e *Expr, bind map[uint32]uint64) (uint64, bool) {
 // own. It is the one union-find behind constraint partitioning (solver)
 // and independence slicing (qopt).
 func Components(es []*Expr) []int {
-	parent := make([]int, len(es))
+	sc := componentScratches.Get().(*componentScratch)
+	defer componentScratches.Put(sc)
+	parent := slices.Grow(sc.parent[:0], len(es))[:len(es)]
+	sc.parent = parent
 	for i := range parent {
 		parent[i] = i
 	}
@@ -146,15 +168,16 @@ func Components(es []*Expr) []int {
 		}
 		return x
 	}
-	owner := make(map[uint32]int, 2*len(es)) // variable id -> first expression seen
+	owner := &sc.owner
+	owner.reset()
 	for i, e := range es {
 		for _, id := range e.vids {
-			j, ok := owner[id]
+			j, ok := owner.get(id)
 			if !ok {
-				owner[id] = i
+				owner.set(id, uint64(i))
 				continue
 			}
-			if ri, rj := find(i), find(j); ri != rj {
+			if ri, rj := find(i), find(int(j)); ri != rj {
 				parent[ri] = rj
 			}
 		}

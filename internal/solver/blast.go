@@ -1,7 +1,9 @@
 package solver
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync"
 
 	"sde/internal/expr"
@@ -39,9 +41,9 @@ func scratchWord(w int) *[]Lit {
 type blaster struct {
 	sat  *satSolver
 	memo map[*expr.Expr][]Lit
-	// vars records, per symbolic variable, its bit literals so the model
-	// can be read back after solving.
-	vars map[*expr.Expr][]Lit
+	// vars records, by variable id, each encoded variable and its bit
+	// literals so the model can be read back after solving.
+	vars []blastVar
 	// litTrue is a variable constrained true; constants are expressed as
 	// ±litTrue so gate code never special-cases them.
 	litTrue Lit
@@ -56,7 +58,6 @@ func newBlaster(sat *satSolver) *blaster {
 	b := &blaster{
 		sat:  sat,
 		memo: make(map[*expr.Expr][]Lit),
-		vars: make(map[*expr.Expr][]Lit),
 	}
 	b.defineTrue()
 	return b
@@ -80,6 +81,56 @@ func (b *blaster) reset() {
 	clear(b.vars)
 	b.gates = 0
 	b.defineTrue()
+}
+
+// blastVar is one encoded symbolic variable: its node and its bits, least
+// significant first. The zero value stands for a variable not encoded.
+type blastVar struct {
+	v    *expr.Expr
+	lits []Lit
+}
+
+// value reads variable id's bits off the current assignment; an
+// unassigned bit reads as 0.
+func (b *blaster) value(id uint32) uint64 {
+	var val uint64
+	for i, l := range b.vars[id].lits {
+		if b.sat.litValue(l) == valTrue {
+			val |= uint64(1) << uint(i)
+		}
+	}
+	return val
+}
+
+// readModel reads the value of every variable of constraints, which are
+// encoded, off the current assignment: the union of their VarIDs, by
+// ascending id.
+func (b *blaster) readModel(constraints []*expr.Expr) poolModel {
+	n := 0
+	for _, c := range constraints {
+		n += len(c.VarIDs())
+	}
+	m := make(poolModel, 0, n)
+	for _, c := range constraints {
+		for _, id := range c.VarIDs() {
+			m = append(m, boundVar{id: id})
+		}
+	}
+	slices.SortFunc(m, func(x, y boundVar) int { return cmp.Compare(x.id, y.id) })
+	m = slices.CompactFunc(m, func(x, y boundVar) bool { return x.id == y.id })
+	for i := range m {
+		m[i].val = b.value(m[i].id)
+	}
+	return m
+}
+
+// env is m by variable name, the form of a witness.
+func (b *blaster) env(m poolModel) expr.Env {
+	env := make(expr.Env, len(m))
+	for _, x := range m {
+		env[b.vars[x.id].v.VarName()] = x.val
+	}
+	return env
 }
 
 func (b *blaster) litFalse() Lit { return -b.litTrue }
@@ -368,7 +419,10 @@ func (b *blaster) encode(e *expr.Expr) []Lit {
 		for i := range out {
 			out[i] = b.sat.newVar()
 		}
-		b.vars[e] = out
+		if id := int(e.VarID()); id >= len(b.vars) {
+			b.vars = append(b.vars, make([]blastVar, id+1-len(b.vars))...)
+		}
+		b.vars[e.VarID()] = blastVar{v: e, lits: out}
 	case expr.KindAdd:
 		out, _ = b.adder(b.encode(e.Arg(0)), b.encode(e.Arg(1)), b.litFalse())
 	case expr.KindSub:

@@ -23,7 +23,7 @@ type incContext struct {
 	gatesSeen int64 // blaster gate count already flushed into Stats.Gates
 }
 
-// solveIncremental decides active — the constant-folded, optimized
+// solveOnSlot decides active — the constant-folded, optimized
 // constraint set of one query — on slot's persistent instance, passing each constraint's output literal as an assumption. All encoding
 // happens at decision level 0 — the instance is backtracked before any
 // blasting — so new gate clauses and their unit consequences are
@@ -33,7 +33,7 @@ type incContext struct {
 // solves on distinct slots never contend here. A constraint the slot has
 // met before costs one memo lookup (counted in Stats.EncodeSkips); nothing
 // per query or per execution state is kept beside the slot.
-func (s *Solver) solveIncremental(slot *solverSlot, active []*expr.Expr) (bool, expr.Env, error) {
+func (s *Solver) solveOnSlot(slot *solverSlot, active []*expr.Expr) (bool, poolModel, error) {
 	slot.mu.Lock()
 	defer slot.mu.Unlock()
 	if slot.ic == nil {
@@ -76,26 +76,14 @@ func (s *Solver) solveIncremental(slot *solverSlot, active []*expr.Expr) (bool, 
 		ic.sat.release()
 		return false, nil, ErrBudget
 	}
-	// SAT: read back a model for exactly the query's variables before
-	// releasing the trail. Variables outside the query stay don't-cares,
-	// matching from-scratch solving (missing entries default to 0). The
+	// SAT: read back a model for exactly the query's variables — the union
+	// of the constraints' VarIDs — before releasing the trail. Variables
+	// outside the query stay don't-cares, matching from-scratch solving
+	// (unbound variables evaluate to 0). The
 	// query's value is a function of its cone, which is fully assigned; a
 	// bit outside the cone (one no gate of the query reads) is a don't-care
 	// too, whatever the trail holds for it.
-	var qvars []*expr.Expr
-	for _, c := range active {
-		qvars = expr.CollectVars(c, qvars)
-	}
-	model := make(expr.Env, len(qvars))
-	for _, v := range qvars {
-		var val uint64
-		for i, l := range ic.bl.vars[v] {
-			if ic.sat.litValue(l) == valTrue {
-				val |= uint64(1) << uint(i)
-			}
-		}
-		model[v.VarName()] = val
-	}
+	model := ic.bl.readModel(active)
 	ic.sat.release()
 	return true, model, nil
 }

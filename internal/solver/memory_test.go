@@ -284,8 +284,9 @@ func TestResetEqualsFreshBlast(t *testing.T) {
 
 // modelQueryAllocBound is what one from-scratch solve (solveSAT) of a
 // reconcile-shaped query may allocate in steady state. What is left to
-// allocate is the model map and the per-node []Lit words of the blast memo:
-// 15 objects; 34 per model query, partition included, when this bound was
+// allocate is the model (read by variable id, then keyed by name) and the
+// per-node []Lit words of the blast memo: 16 objects; 34 per model query,
+// partition included, when this bound was
 // set, against
 // 1,067 when every query built a new instance (one slice per clause, seven
 // appends per variable, two watch lists per variable grown from nil, fresh

@@ -88,9 +88,8 @@ type Solver struct {
 
 	cache [cacheStripes]cacheStripe
 
-	poolMu  sync.Mutex
-	pool    []expr.Env // recent satisfying models, most recent last
-	poolCap int
+	poolMu sync.Mutex
+	pool   []poolModel // recent satisfying models, most recent last
 
 	statsMu sync.Mutex
 	stats   Stats
@@ -109,10 +108,7 @@ func New() *Solver { return NewWithOptions(Options{}) }
 // NewWithOptions returns a Solver with the given tuning. Options is the
 // single source of truth for the conflict budget (Options.MaxConflicts).
 func NewWithOptions(opts Options) *Solver {
-	s := &Solver{
-		opts:    opts,
-		poolCap: 16,
-	}
+	s := &Solver{opts: opts}
 	for i := range s.cache {
 		s.cache[i].m = make(map[uint64]cacheEntry, 8)
 	}
@@ -264,7 +260,7 @@ func (s *Solver) checkQuery(qc queryCtx, prefix []*expr.Expr, extra *expr.Expr) 
 	// satisfiable iff no variable occurs with both polarities. This covers
 	// the failure-model decision variables that dominate sensornet
 	// scenarios without touching the SAT core.
-	if _, sat, ok := literalScan(active); ok {
+	if sat, ok := literalVerdict(active); ok {
 		s.bumpStat(func(st *Stats) { st.FastPath++ })
 		return sat, nil
 	}
@@ -310,7 +306,7 @@ func (s *Solver) checkQuery(qc queryCtx, prefix []*expr.Expr, extra *expr.Expr) 
 		return sat, nil
 	}
 
-	sat, model, err := s.solveIncremental(qc.slot, active)
+	sat, model, err := s.solveOnSlot(qc.slot, active)
 	if err != nil {
 		// Budget-exhausted verdicts are unknowns: they must never reach
 		// any cache (an unknown stored as UNSAT would be unsound).
@@ -323,8 +319,8 @@ func (s *Solver) checkQuery(qc queryCtx, prefix []*expr.Expr, extra *expr.Expr) 
 	if sat {
 		s.poolMu.Lock()
 		s.pool = append(s.pool, model)
-		if len(s.pool) > s.poolCap {
-			s.pool = s.pool[len(s.pool)-s.poolCap:]
+		if len(s.pool) > poolCap {
+			s.pool = s.pool[len(s.pool)-poolCap:]
 		}
 		s.poolMu.Unlock()
 	}
@@ -332,23 +328,46 @@ func (s *Solver) checkQuery(qc queryCtx, prefix []*expr.Expr, extra *expr.Expr) 
 	return sat, nil
 }
 
+// poolCap is how many recent models the counterexample pool keeps.
+const poolCap = 16
+
+// poolModel is one satisfying assignment in the counterexample pool: the
+// variables of the query it satisfied, by ascending id, with their values.
+type poolModel []boundVar
+
+type boundVar struct {
+	id  uint32
+	val uint64
+}
+
+// evaluators recycles the expr.Evaluators of poolAnswers and
+// literalVerdict. A query takes one for the length of a scan, so the
+// interpreter thread, speculation workers and witness goroutines never
+// share one.
+var evaluators = sync.Pool{New: func() any { return new(expr.Evaluator) }}
+
 // poolAnswers reports whether some model in the pool, most recent first,
-// satisfies every constraint of active.
+// satisfies every constraint of active. Each model is scattered into a
+// pooled evaluator's variable array; the model's constraints share that
+// evaluator's node-id memo, and Reset forgets both between models.
 func (s *Solver) poolAnswers(active []*expr.Expr) bool {
+	var buf [poolCap]poolModel
 	s.poolMu.Lock()
-	pool := slices.Clone(s.pool)
+	pool := buf[:copy(buf[:], s.pool)]
 	s.poolMu.Unlock()
 	if len(pool) == 0 {
 		return false
 	}
-	// One memo table serves the whole scan: a model's constraints share it
-	// (evaluation is pure per model) and it is cleared between models.
-	memo := make(map[*expr.Expr]uint64)
+	ev := evaluators.Get().(*expr.Evaluator)
+	defer evaluators.Put(ev)
 	for i := len(pool) - 1; i >= 0; i-- {
-		clear(memo)
+		ev.Reset()
+		for _, b := range pool[i] {
+			ev.Bind(b.id, b.val)
+		}
 		holds := true
 		for _, c := range active {
-			if expr.EvalMemo(c, pool[i], memo) == 0 {
+			if ev.Eval(c) == 0 {
 				holds = false
 				break
 			}
@@ -422,41 +441,62 @@ func (b *blaster) decide(constraints []*expr.Expr) (bool, expr.Env, error) {
 	case valUnassigned:
 		return false, nil, ErrBudget
 	}
-	model := make(expr.Env, len(b.vars))
-	for v, lits := range b.vars {
-		var val uint64
-		for i, l := range lits {
-			if b.sat.litValue(l) == valTrue {
-				val |= uint64(1) << uint(i)
-			}
-		}
-		model[v.VarName()] = val
-	}
-	return true, model, nil
+	return true, b.env(b.readModel(constraints)), nil
 }
 
-// literalScan handles constraint sets consisting solely of boolean
-// variables and their negations. It returns ok=false when any constraint
-// has a different shape; otherwise the verdict and, when satisfiable, the
-// model that sets each variable to its one polarity.
-func literalScan(constraints []*expr.Expr) (expr.Env, bool, bool) {
+// literalVerdict decides a conjunction of boolean literals (v / ¬v): it
+// is satisfiable iff no variable occurs with both polarities. ok is false
+// when some constraint has another shape. Constraints are taken in order
+// and the first conflict decides, so a set with a non-literal after a
+// conflicting pair is still refuted here. Polarities are bound by variable
+// id on a pooled evaluator: linear, and no map.
+func literalVerdict(constraints []*expr.Expr) (sat, ok bool) {
+	// A set whose first constraint is not a literal leaves before it takes
+	// an evaluator.
+	if len(constraints) > 0 {
+		if _, _, lit := literal(constraints[0]); !lit {
+			return false, false
+		}
+	}
+	ev := evaluators.Get().(*expr.Evaluator)
+	defer evaluators.Put(ev)
+	ev.Reset()
+	for _, c := range constraints {
+		v, pol, lit := literal(c)
+		if !lit {
+			return false, false
+		}
+		if prev, seen := ev.Bound(v.VarID()); seen && prev != pol {
+			return false, true // v ∧ ¬v
+		}
+		ev.Bind(v.VarID(), pol)
+	}
+	return true, true
+}
+
+// literal reports whether c is a boolean literal, and if so its variable
+// and the value the literal forces on it.
+func literal(c *expr.Expr) (v *expr.Expr, pol uint64, ok bool) {
+	pol = 1
+	if c.Kind() == expr.KindNot {
+		pol = 0
+		c = c.Arg(0)
+	}
+	if c.Kind() != expr.KindVar || c.Width() != 1 {
+		return nil, 0, false
+	}
+	return c, pol, true
+}
+
+// literalModel is the model of a satisfiable conjunction of literals
+// (literalVerdict): each variable set to its one polarity.
+func literalModel(constraints []*expr.Expr) expr.Env {
 	model := make(expr.Env, len(constraints))
 	for _, c := range constraints {
-		val := uint64(1)
-		e := c
-		if e.Kind() == expr.KindNot {
-			val = 0
-			e = e.Arg(0)
-		}
-		if e.Kind() != expr.KindVar || e.Width() != 1 {
-			return nil, false, false
-		}
-		if prev, seen := model[e.VarName()]; seen && prev != val {
-			return nil, false, true // v ∧ ¬v
-		}
-		model[e.VarName()] = val
+		v, pol, _ := literal(c)
+		model[v.VarName()] = pol
 	}
-	return model, true, true
+	return model
 }
 
 func queryKey(constraints []*expr.Expr) (uint64, []uint64) {

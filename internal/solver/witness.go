@@ -115,9 +115,12 @@ func (s *Solver) witnessComponent(comp []*expr.Expr) (bool, expr.Env, error) {
 
 // solveComponent decides one component from scratch.
 func (s *Solver) solveComponent(comp []*expr.Expr) (bool, expr.Env, error) {
-	if model, sat, ok := literalScan(comp); ok {
+	if sat, ok := literalVerdict(comp); ok {
 		s.bumpStat(func(st *Stats) { st.FastPath++ })
-		return sat, model, nil
+		if !sat {
+			return false, nil, nil
+		}
+		return true, literalModel(comp), nil
 	}
 	s.bumpStat(func(st *Stats) { st.SATCalls++ })
 	return s.solveSAT(comp)
