@@ -19,8 +19,8 @@
 // solver, spec, checkpoints — with that layer's counters (sde.RunStats;
 // -json carries the same value under "stats").
 //
-// The optional execution layers are switched with -compile, -speculate
-// and -qopt; each preserves the output bit for bit, and if a run ever
+// The optional execution layers are switched with -compile and
+// -speculate; each preserves the output bit for bit, and if a run ever
 // looks wrong that is the order to flip them in (sde.Layers).
 // -cpuprofile/-memprofile write pprof profiles for the whole run.
 package main

@@ -315,8 +315,9 @@ func TestServiceVersionNegotiation(t *testing.T) {
 		wire int
 	}{
 		{"future", snap.WireVersion + 1},
-		{"wire-8", 8}, // the last version whose snapshots and stats carried state merging
-		{"wire-9", 9}, // the last version whose stats carried symmetry reduction
+		{"wire-8", 8},   // the last version whose snapshots and stats carried state merging
+		{"wire-9", 9},   // the last version whose stats carried symmetry reduction
+		{"wire-10", 10}, // the last version whose stats carried the query optimizer's counters
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			conn, err := net.Dial("tcp", addr)

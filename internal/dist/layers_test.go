@@ -61,10 +61,6 @@ func TestLayersSurviveEveryRunPath(t *testing.T) {
 	collectCOB := testSpec
 	collectCOB.Algorithm = "cob"
 	threshold := sde.ScenarioSpec{Workload: "threshold", Topology: "line:4"}
-	// Speculation workers bypass the query optimizer, so its counters only
-	// move on synchronously solved branches.
-	thresholdSync := threshold
-	thresholdSync.Layers.NoSpeculate = true
 
 	layers := []struct {
 		name  string
@@ -101,18 +97,6 @@ func TestLayersSurviveEveryRunPath(t *testing.T) {
 				return s
 			},
 			func(r *sde.Report) int64 { return r.SpecStats().Submitted }},
-		{"qopt", thresholdSync,
-			func(l *sde.Layers, on bool) { l.NoQopt = !on },
-			func(s sde.Scenario, on bool) sde.Scenario {
-				if !on {
-					s = s.WithoutQueryOptimizer()
-				}
-				return s
-			},
-			func(r *sde.Report) int64 {
-				st := r.SolverStats()
-				return st.SlicedQueries + st.RewriteHits + st.ConcretizedReads
-			}},
 	}
 	for _, layer := range layers {
 		for _, on := range []bool{true, false} {
@@ -163,9 +147,9 @@ func TestLayersSurviveEveryRunPath(t *testing.T) {
 }
 
 // TestServiceJobLayers: a job's layer set comes from its spec and from
-// nowhere else — a spec that turns the compiled fast path or the query
-// optimizer off, and speculation off, reaches every lease of a two-worker fleet (the layers'
-// counters on the job report's leaves say so), the fleet's digest equals the
+// nowhere else — a spec that turns the compiled fast path or speculation
+// off reaches every lease of a two-worker fleet (the layers' counters on
+// the job report's leaves say so), the fleet's digest equals the
 // in-process run of spec.Scenario() at the same partition, and the HTTP job
 // status echoes the resolved layers.
 func TestServiceJobLayers(t *testing.T) {
@@ -173,8 +157,8 @@ func TestServiceJobLayers(t *testing.T) {
 	interpretedCOB.Algorithm = "cob"
 	interpretedCOB.Layers = sde.Layers{NoCompile: true, NoSpeculate: true}
 	// The workload that queries the solver; it has no drop nodes to shard on.
-	rawSDS := sde.ScenarioSpec{Workload: "threshold", Topology: "line:4"}
-	rawSDS.Layers = sde.Layers{NoQopt: true, NoSpeculate: true}
+	syncSDS := sde.ScenarioSpec{Workload: "threshold", Topology: "line:4"}
+	syncSDS.Layers = sde.Layers{NoSpeculate: true}
 
 	for _, tc := range []struct {
 		name string
@@ -182,9 +166,8 @@ func TestServiceJobLayers(t *testing.T) {
 		bits int
 		held func(r *sde.Report) bool // the leaf ran with the layers the spec chose
 	}{
-		{"sds-no-qopt", rawSDS, 0, func(r *sde.Report) bool {
-			st := r.SolverStats()
-			return st.Queries != 0 && st.SlicedQueries+st.RewriteHits+st.ConcretizedReads == 0
+		{"sds-no-speculate", syncSDS, 0, func(r *sde.Report) bool {
+			return r.SolverStats().Queries != 0 && r.SpecStats().Submitted == 0
 		}},
 		{"cob-no-compile", interpretedCOB, 2, func(r *sde.Report) bool {
 			vs := r.VMStats()

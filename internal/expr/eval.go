@@ -29,7 +29,7 @@ func Eval(e *Expr, env Env) uint64 {
 	return v
 }
 
-// evaluators recycles the Evaluators of Eval and EvalBound, so a call
+// evaluators recycles the Evaluators of Eval, so a call
 // allocates nothing once its pooled evaluator has grown to the Builder.
 var evaluators = sync.Pool{New: func() any { return new(Evaluator) }}
 
@@ -40,7 +40,7 @@ var evaluators = sync.Pool{New: func() any { return new(Evaluator) }}
 // indexed by node id and variable id, stamped with an epoch, so Reset
 // forgets both in O(1) and an Evaluator is reused across assignments
 // without clearing or allocating. It is the one evaluator of the package:
-// Eval and EvalBound are thin callers of it.
+// Eval is a thin caller of it.
 //
 // The zero Evaluator is ready once Reset starts its first assignment.
 // Between two Resets every expression must come from one Builder; an

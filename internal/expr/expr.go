@@ -362,8 +362,8 @@ func (b *Builder) intern(k exprKey) *Expr {
 	}
 	// Operands are interned before their parents, so the free-variable
 	// set is a sorted merge of already-computed child sets. Computing it
-	// eagerly here makes VarIDs O(1) for the optimizer's union-find
-	// slicing and the VM's implied-value checks.
+	// eagerly here makes VarIDs O(1) for the solver's partitioning
+	// union-find and its model-pool checks.
 	if k.kind == KindVar {
 		e.vids = []uint32{uint32(k.val)}
 	} else {

@@ -8,9 +8,9 @@ import (
 // Free-variable sets, memoised eagerly on the hash-consed DAG: every node
 // carries the sorted ids of the distinct variables reachable from it,
 // computed once at interning time from its (already interned) operands.
-// This is what makes constraint independence slicing cheap — grouping a
-// path condition into variable-connected factors is a walk over small
-// sorted id slices instead of repeated DAG traversals.
+// This is what makes constraint partitioning cheap — grouping a query into
+// variable-connected components is a walk over small sorted id slices
+// instead of repeated DAG traversals.
 
 // VarIDs returns the sorted ids of every distinct variable in e. The
 // slice is shared and must not be modified. Constants return nil.
@@ -116,26 +116,6 @@ func unionSorted(a, b []uint32) []uint32 {
 	return out
 }
 
-// EvalBound computes the concrete value of e when every variable it
-// references has a binding in bind (var id → value). ok is false — and
-// the value meaningless — when any variable is unbound. It is the
-// evaluation half of implied-value concretization: a branch condition
-// whose variables are all forced by the path condition evaluates here
-// instead of going to the solver.
-func EvalBound(e *Expr, bind map[uint32]uint64) (uint64, bool) {
-	ev := evaluators.Get().(*Evaluator)
-	defer evaluators.Put(ev)
-	ev.Reset()
-	for _, id := range e.vids {
-		v, ok := bind[id]
-		if !ok {
-			return 0, false
-		}
-		ev.Bind(id, v)
-	}
-	return ev.Eval(e), true
-}
-
 // componentScratch is the working memory of one Components call: the
 // union-find forest over expression indices and, per variable id, the
 // first expression seen with it (stamped, so a call starts empty without
@@ -151,8 +131,7 @@ var componentScratches = sync.Pool{New: func() any { return new(componentScratch
 // component: two expressions share a label iff a chain of shared variables
 // links them. Labels count up from 0 in order of each component's first
 // expression, and an expression without variables is a component of its
-// own. It is the one union-find behind constraint partitioning (solver)
-// and independence slicing (qopt).
+// own. It is the union-find behind constraint partitioning (solver).
 func Components(es []*Expr) []int {
 	sc := componentScratches.Get().(*componentScratch)
 	defer componentScratches.Put(sc)

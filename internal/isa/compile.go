@@ -310,8 +310,8 @@ func (s ShardSite) String() string {
 // abstract memory cell (all loads then read it), call sites merge the
 // caller's taint into the callee and return-site blocks merge every
 // callee exit. Sites it reports are candidates, not guarantees — a
-// branch may be concretized by the path condition at runtime — but a
-// branch it does NOT report never forks on symbolic program input.
+// branch may have one feasible side under the path condition at runtime —
+// but a branch it does NOT report never forks on symbolic program input.
 func (p *Program) ShardableSites() []ShardSite {
 	ir := p.IR()
 

@@ -127,13 +127,11 @@ type SolverStats struct {
 	Gates           int64 `json:"gates,omitempty"`            // Tseitin gate variables allocated across all runs
 	LearnedRetained int64 `json:"learned_retained,omitempty"` // learned clauses alive in the main persistent instance (gauge; Add keeps the max)
 
-	// Query-optimizer pipeline counters (internal/qopt). The last three
-	// are owned by the Optimizer and merged in by Solver.Stats.
-	SlicedQueries    int64 `json:"sliced_queries,omitempty"`    // feasibility queries shrunk by independence slicing
-	SlicedFactors    int64 `json:"sliced_factors,omitempty"`    // independent factor groups dropped across those queries
-	RewriteHits      int64 `json:"rewrite_hits,omitempty"`      // constraints changed by the algebraic rewriter
-	ConcretizedReads int64 `json:"concretized_reads,omitempty"` // VM reads/branches decided from implied bindings
-	GatesElided      int64 `json:"gates_elided,omitempty"`      // DAG nodes removed from queries before encoding (proxy for gates)
+	// Deprecated: always 0. The query optimizer that set them is deleted;
+	// they stay because bench/ reads them.
+	SlicedQueries int64 `json:"sliced_queries,omitempty"`
+	RewriteHits   int64 `json:"rewrite_hits,omitempty"`
+	GatesElided   int64 `json:"gates_elided,omitempty"`
 }
 
 // SpecStats counts the speculative-fork solver pipeline: how many branch
@@ -201,9 +199,7 @@ func (s RunStats) Add(o RunStats) RunStats {
 	s.Solver.Gates += o.Solver.Gates
 	s.Solver.LearnedRetained = max(s.Solver.LearnedRetained, o.Solver.LearnedRetained)
 	s.Solver.SlicedQueries += o.Solver.SlicedQueries
-	s.Solver.SlicedFactors += o.Solver.SlicedFactors
 	s.Solver.RewriteHits += o.Solver.RewriteHits
-	s.Solver.ConcretizedReads += o.Solver.ConcretizedReads
 	s.Solver.GatesElided += o.Solver.GatesElided
 
 	s.Spec.Workers = max(s.Spec.Workers, o.Spec.Workers)
@@ -239,9 +235,8 @@ func (s RunStats) String() string {
 			v.Instructions, v.Forks, v.FastBlocks, v.SlowBlocks, v.FoldedInstrs)
 	}
 	if q := s.Solver; q != (SolverStats{}) {
-		fmt.Fprintf(&sb, "solver: queries=%d sat-calls=%d cache-hits=%d fast-path=%d conflicts=%d gates=%d | qopt: sliced=%d rewrites=%d concretized=%d gates-elided=%d\n",
-			q.Queries, q.SATCalls, q.CacheHits, q.FastPath, q.Conflicts, q.Gates,
-			q.SlicedQueries, q.RewriteHits, q.ConcretizedReads, q.GatesElided)
+		fmt.Fprintf(&sb, "solver: queries=%d sat-calls=%d cache-hits=%d fast-path=%d conflicts=%d gates=%d\n",
+			q.Queries, q.SATCalls, q.CacheHits, q.FastPath, q.Conflicts, q.Gates)
 	}
 	if p := s.Spec; p.Submitted != 0 {
 		fmt.Fprintf(&sb, "spec: workers=%d submitted=%d (pairs=%d assumes=%d) solves=%d elided=%d rewinds=%d kills=%d barrier-wait=%s\n",

@@ -70,41 +70,56 @@ func testCaseStrings(t *testing.T, res *sim.Result) []string {
 	return out
 }
 
+// runCfg runs cfg to completion on a fresh engine.
+func runCfg(t *testing.T, cfg sim.Config) *sim.Result {
+	t.Helper()
+	eng, err := sim.NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := eng.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 // requireSameRun fails the test unless res is indistinguishable from the
-// uninterrupted run ref: same state and dscenario counts, same violations,
-// same dscenario fingerprints, same generated test cases.
+// reference run ref — an uninterrupted run, or one with a layer switched
+// the other way: same state and dscenario counts, same violations, same
+// dscenario fingerprints, same generated test cases.
 func requireSameRun(t *testing.T, res, ref *sim.Result) {
 	t.Helper()
 	if res.FinalStates != ref.FinalStates {
-		t.Errorf("states = %d, uninterrupted run has %d", res.FinalStates, ref.FinalStates)
+		t.Errorf("states = %d, reference run has %d", res.FinalStates, ref.FinalStates)
 	}
 	if res.DScenarios.Cmp(ref.DScenarios) != 0 {
-		t.Errorf("dscenarios = %v, uninterrupted run has %v", res.DScenarios, ref.DScenarios)
+		t.Errorf("dscenarios = %v, reference run has %v", res.DScenarios, ref.DScenarios)
 	}
 	if len(res.Violations) != len(ref.Violations) {
-		t.Errorf("violations = %d, uninterrupted run has %d",
+		t.Errorf("violations = %d, reference run has %d",
 			len(res.Violations), len(ref.Violations))
 	}
 	refSet := scenarioSet(ref)
 	set := scenarioSet(res)
 	if len(set) != len(refSet) {
-		t.Fatalf("%d distinct dscenario fingerprints, uninterrupted run has %d",
+		t.Fatalf("%d distinct dscenario fingerprints, reference run has %d",
 			len(set), len(refSet))
 	}
 	for fp, n := range refSet {
 		if set[fp] != n {
-			t.Fatalf("dscenario fingerprint %x: count %d, uninterrupted run has %d",
+			t.Fatalf("dscenario fingerprint %x: count %d, reference run has %d",
 				fp, set[fp], n)
 		}
 	}
 	refCases := testCaseStrings(t, ref)
 	gotCases := testCaseStrings(t, res)
 	if len(gotCases) != len(refCases) {
-		t.Fatalf("%d test cases, uninterrupted run has %d", len(gotCases), len(refCases))
+		t.Fatalf("%d test cases, reference run has %d", len(gotCases), len(refCases))
 	}
 	for i := range refCases {
 		if gotCases[i] != refCases[i] {
-			t.Fatalf("test case %d diverges:\n resumed: %s\n fresh:   %s",
+			t.Fatalf("test case %d diverges:\n got: %s\n ref: %s",
 				i, gotCases[i], refCases[i])
 		}
 	}

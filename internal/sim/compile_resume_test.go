@@ -30,8 +30,8 @@ func TestCompiledIROnOffEquivalence(t *testing.T) {
 	for _, algo := range allAlgorithms {
 		algo := algo
 		t.Run(algo.String(), func(t *testing.T) {
-			on := runQoptCfg(t, collectConfig(t, algo))
-			off := runQoptCfg(t, withoutCompiledIR(collectConfig(t, algo)))
+			on := runCfg(t, collectConfig(t, algo))
+			off := runCfg(t, withoutCompiledIR(collectConfig(t, algo)))
 			if on.Stats.VM.FastBlocks == 0 {
 				t.Error("compiled run executed no fast blocks; the fast path never engaged")
 			}
@@ -40,7 +40,7 @@ func TestCompiledIROnOffEquivalence(t *testing.T) {
 			}
 			t.Logf("fast=%d slow=%d folded=%d",
 				on.Stats.VM.FastBlocks, on.Stats.VM.SlowBlocks, on.Stats.VM.FoldedInstrs)
-			compareRuns(t, on, off)
+			requireSameRun(t, on, off)
 		})
 	}
 }
@@ -51,7 +51,7 @@ func TestCompiledIROnOffEquivalence(t *testing.T) {
 // transparency at once, proving the rebuilt (never serialized) IR does
 // not leak into outputs.
 func TestCompiledIRKillAndResume(t *testing.T) {
-	ref := runQoptCfg(t, withoutCompiledIR(collectConfig(t, core.SDSAlgorithm)))
+	ref := runCfg(t, withoutCompiledIR(collectConfig(t, core.SDSAlgorithm)))
 
 	dir := t.TempDir()
 	cfg := collectConfig(t, core.SDSAlgorithm)
@@ -89,5 +89,5 @@ func TestCompiledIRKillAndResume(t *testing.T) {
 	if res.Stats.VM.FastBlocks == 0 {
 		t.Error("resumed compile-on run executed no fast blocks")
 	}
-	compareRuns(t, res, ref)
+	requireSameRun(t, res, ref)
 }

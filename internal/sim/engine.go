@@ -12,7 +12,6 @@ import (
 	"sde/internal/expr"
 	"sde/internal/isa"
 	"sde/internal/metrics"
-	"sde/internal/qopt"
 	"sde/internal/solver"
 	"sde/internal/vm"
 )
@@ -135,8 +134,7 @@ type Config struct {
 	SharedSolverCache *solver.SharedCache
 
 	// Solver tunes the run's constraint solver: its conflict budget. A
-	// non-nil SharedSolverCache overrides Solver.SharedCache, and the
-	// engine sets Solver.Optimizer from Layers.NoQopt.
+	// non-nil SharedSolverCache overrides Solver.SharedCache.
 	Solver solver.Options
 
 	// CheckpointDir, when non-empty, makes the run durable: a snapshot of
@@ -163,7 +161,7 @@ type Config struct {
 	CheckpointEvery int
 
 	// Layers selects the optional execution layers (compiled fast path,
-	// speculation, query optimizer); see Layers for the triage order.
+	// speculation); see Layers for the triage order.
 	// Replay runs never speculate: they hold a single concrete path.
 	Layers Layers
 }
@@ -419,13 +417,7 @@ func newEngineShell(cfg Config) (*Engine, error) {
 	if cfg.SharedSolverCache != nil {
 		sopts.SharedCache = cfg.SharedSolverCache
 	}
-	// The optimizer must share the context's builder; NoQopt runs without one.
-	eb := expr.NewBuilder()
-	sopts.Optimizer = nil
-	if !layers.NoQopt {
-		sopts.Optimizer = qopt.New(eb)
-	}
-	ctx := vm.NewContextWithSolver(eb, sopts)
+	ctx := vm.NewContextWithSolver(expr.NewBuilder(), sopts)
 	ctx.Replay = cfg.Replay
 	if layers.NoCompile {
 		ctx.SetCompiledIR(false)

@@ -9,7 +9,7 @@ import (
 
 // Layers is the set of optional execution layers of a run — the only
 // place the layer set is represented. The zero value is the default
-// stack: compiled fast path, speculation and query optimizer all on.
+// stack: compiled fast path and speculation both on.
 //
 // Declaration order is the soundness-triage order, bottom layer first:
 // when a run looks wrong, flip the first switch whose output you distrust
@@ -30,10 +30,6 @@ type Layers struct {
 	// the interpreter thread instead of overlapping it with execution.
 	// With speculation on, the solver pool has one worker per CPU.
 	NoSpeculate bool
-	// NoQopt runs without a query optimizer: the context has none, so
-	// the solver neither slices nor rewrites a query and the VM does no
-	// implied-value concretization.
-	NoQopt bool
 }
 
 // layerSwitch is one on/off layer: its name in flags and the textual
@@ -50,12 +46,11 @@ func (l *Layers) switches() []layerSwitch {
 	return []layerSwitch{
 		{"compile", &l.NoCompile, "basic-block compiled fast path (default true)"},
 		{"speculate", &l.NoSpeculate, "speculative-fork solver pipeline, one solver worker per CPU (default true)"},
-		{"qopt", &l.NoQopt, "query-optimization pipeline: slicing, rewriting, concretization (default true)"},
 	}
 }
 
 // String renders the full layer set in declaration order, e.g.
-// "compile,speculate,qopt" for the zero value. It is the one textual
+// "compile,speculate" for the zero value. It is the one textual
 // form: logs print it, JSON carries it, UnmarshalText reads it.
 func (l Layers) String() string {
 	var b strings.Builder

@@ -147,18 +147,18 @@ func requireSameCoverage(t *testing.T, res, cob *sim.Result) {
 // as many dscenarios and the same violation triples come out of no more
 // states — of fewer under SDS.
 func TestReductionOnOffEquivalence(t *testing.T) {
-	off := runQoptCfg(t, floodConfig(t, core.COBAlgorithm))
+	off := runCfg(t, floodConfig(t, core.COBAlgorithm))
 	if len(off.Violations) == 0 {
 		t.Fatal("workload produced no violations; the oracle proves nothing")
 	}
 	for _, algo := range allAlgorithms {
 		algo := algo
 		t.Run(algo.String(), func(t *testing.T) {
-			on := runQoptCfg(t, floodConfig(t, algo))
+			on := runCfg(t, floodConfig(t, algo))
 			t.Logf("%v: %d states, %v dscenarios, %d violation triples",
 				algo, on.FinalStates, on.DScenarios, len(violationSet(on)))
 			if algo == core.COBAlgorithm {
-				compareRuns(t, on, off)
+				requireSameRun(t, on, off)
 				dsc := scenarioSet(on)
 				for fp, n := range dsc {
 					if n != 1 {
@@ -184,7 +184,7 @@ func TestReductionOnOffEquivalence(t *testing.T) {
 // checkpoint and resumes it: the resumed run is the uninterrupted SDS run,
 // and still covers COB's.
 func TestReductionKillAndResume(t *testing.T) {
-	ref := runQoptCfg(t, floodConfig(t, core.COBAlgorithm))
+	ref := runCfg(t, floodConfig(t, core.COBAlgorithm))
 
 	cfg := floodConfig(t, core.SDSAlgorithm)
 	cfg.CheckpointDir = t.TempDir()
@@ -220,7 +220,7 @@ func TestReductionKillAndResume(t *testing.T) {
 		t.Error("resumed run does not report Resumed")
 	}
 	requireSameCoverage(t, res, ref)
-	compareRuns(t, res, runQoptCfg(t, floodConfig(t, core.SDSAlgorithm)))
+	requireSameRun(t, res, runCfg(t, floodConfig(t, core.SDSAlgorithm)))
 }
 
 // FuzzReductionEquivalence: on random floods — a 3x3 grid or a 3..5-node
@@ -256,7 +256,7 @@ func FuzzReductionEquivalence(f *testing.F) {
 		}
 
 		run := func(algo core.Algorithm) *sim.Result {
-			res := runQoptCfg(t, floodOn(t, topo, bcaster, drops, algo))
+			res := runCfg(t, floodOn(t, topo, bcaster, drops, algo))
 			if res.Aborted {
 				t.Fatalf("%v aborted: %s", algo, res.AbortReason)
 			}

@@ -55,15 +55,15 @@ func TestSpeculationOnOffEquivalence(t *testing.T) {
 	for _, algo := range allAlgorithms {
 		algo := algo
 		t.Run(algo.String(), func(t *testing.T) {
-			on := runQoptCfg(t, thresholdConfig(t, algo))
-			off := runQoptCfg(t, withoutSpeculation(thresholdConfig(t, algo)))
+			on := runCfg(t, thresholdConfig(t, algo))
+			off := runCfg(t, withoutSpeculation(thresholdConfig(t, algo)))
 			if on.Stats.Spec.Submitted == 0 {
 				t.Error("speculation-on run submitted no speculations")
 			}
 			if off.Stats.Spec.Submitted != 0 {
 				t.Errorf("speculation-off run submitted %d speculations", off.Stats.Spec.Submitted)
 			}
-			compareRuns(t, on, off)
+			requireSameRun(t, on, off)
 		})
 	}
 }
@@ -78,7 +78,7 @@ func TestSpeculationKillAndResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("crash-recovery sweep; CI runs it in a dedicated -count=10 step")
 	}
-	ref := runQoptCfg(t, withoutSpeculation(thresholdConfig(t, core.SDSAlgorithm)))
+	ref := runCfg(t, withoutSpeculation(thresholdConfig(t, core.SDSAlgorithm)))
 
 	dir := t.TempDir()
 	cfg := thresholdConfig(t, core.SDSAlgorithm)
@@ -117,5 +117,5 @@ func TestSpeculationKillAndResume(t *testing.T) {
 		t.Error("resumed run submitted no speculations")
 	}
 	t.Logf("resumed counters:\n%s", res.Stats)
-	compareRuns(t, res, ref)
+	requireSameRun(t, res, ref)
 }

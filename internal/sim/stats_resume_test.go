@@ -36,7 +36,7 @@ func TestStatsSurviveResume(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := withoutSpeculation(tc.cfg)
-			ref := runQoptCfg(t, cfg)
+			ref := runCfg(t, cfg)
 			if ref.Events < 8*every {
 				t.Fatalf("the run is %d events long; too short for three crash points", ref.Events)
 			}

@@ -176,7 +176,7 @@ func mixConfig(t *testing.T, k int, algo core.Algorithm) sim.Config {
 func TestWitnessJoinedBeforeSnapshot(t *testing.T) {
 	for _, algo := range []core.Algorithm{core.COBAlgorithm, core.SDSAlgorithm} {
 		cfg := mixConfig(t, 4, algo)
-		ref := runQoptCfg(t, cfg)
+		ref := runCfg(t, cfg)
 		if len(ref.Violations) == 0 {
 			t.Fatal("the scenario reports no violation")
 		}

@@ -48,9 +48,10 @@ var magic = []byte("SDEsnp\x00")
 // version is the one format this build reads and writes; WireVersion
 // tracks it, so bumping it (for a snapshot or a protocol change alike)
 // makes older peers reject the handshake instead of misparsing what they
-// do not know. Version 10 is version 9 minus the stats section's
-// symmetry-reduction part, which went with the layer (DESIGN §10).
-const version = 10
+// do not know. Version 11 is version 10 minus the stats section's
+// SlicedFactors and ConcretizedReads counters, which went with the query
+// optimizer (DESIGN §4).
+const version = 11
 
 // Snapshot is the complete persistent form of an exploration frontier,
 // taken at an event boundary (no state mid-execution).

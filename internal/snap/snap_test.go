@@ -124,7 +124,7 @@ func TestStatsSectionCarriesEveryCounter(t *testing.T) {
 		}
 	}
 	fill(reflect.ValueOf(&sp.Stats).Elem())
-	if n < 39 {
+	if n < 37 {
 		t.Fatalf("filled %d counters; RunStats has more than that", n)
 	}
 	hint, err := sp.SizeHint(b)

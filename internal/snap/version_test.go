@@ -47,11 +47,12 @@ func TestVersionGate(t *testing.T) {
 	}{
 		{"current-version", cur, false},
 		{"previous-version", reversion(t, cur, snap.WireVersion-1), true},
-		{"version-5", reversion(t, cur, 5), true}, // the last format without a stats section: counters in the header and the samples
-		{"version-6", reversion(t, cur, 6), true}, // its stats section carried three solver-session counters more
-		{"version-7", reversion(t, cur, 7), true}, // same snapshot bytes as 8, but its worker protocol still had NoWork
-		{"version-8", reversion(t, cur, 8), true}, // its stats section and its tail carried state merging
-		{"version-9", reversion(t, cur, 9), true}, // its stats section carried symmetry reduction
+		{"version-5", reversion(t, cur, 5), true},   // the last format without a stats section: counters in the header and the samples
+		{"version-6", reversion(t, cur, 6), true},   // its stats section carried three solver-session counters more
+		{"version-7", reversion(t, cur, 7), true},   // same snapshot bytes as 8, but its worker protocol still had NoWork
+		{"version-8", reversion(t, cur, 8), true},   // its stats section and its tail carried state merging
+		{"version-9", reversion(t, cur, 9), true},   // its stats section carried symmetry reduction
+		{"version-10", reversion(t, cur, 10), true}, // its stats section carried two query-optimizer counters more
 		{"future-version", reversion(t, cur, snap.WireVersion+1), true},
 		{"version-zero", reversion(t, cur, 0), true},
 		{"version-255", reversion(t, cur, 255), true},

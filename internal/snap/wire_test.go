@@ -72,10 +72,11 @@ func TestFrameVersionNegotiation(t *testing.T) {
 	}
 	// Frames at or below our version pass the version gate: the frame
 	// layout has never changed, and a peer of another version — wire 8, the
-	// last with state merging in its snapshots, and wire 9, the last with
-	// symmetry reduction, included — must be able to read the coordinator's
-	// refusal of its Hello.
-	for _, ver := range []byte{WireVersion, 9, 8} {
+	// last with state merging in its snapshots, wire 9, the last with
+	// symmetry reduction, and wire 10, the last with the query optimizer's
+	// counters, included — must be able to read the coordinator's refusal
+	// of its Hello.
+	for _, ver := range []byte{WireVersion, 10, 9, 8} {
 		ver := ver
 		t.Run(fmt.Sprintf("v%d", ver), func(t *testing.T) {
 			frame := frameBytes(t, 9, []byte("payload"))

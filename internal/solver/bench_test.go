@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"sde/internal/expr"
-	"sde/internal/qopt"
 )
 
 // branchQueries builds the query stream a symbolic executor generates: a
@@ -239,62 +238,5 @@ func BenchmarkModelQueryStream(b *testing.B) {
 		if model["ts_a"] <= model["ts_b"] {
 			b.Fatalf("bad model: %v", model)
 		}
-	}
-}
-
-// BenchmarkQueryOptimizer is the query-optimization pipeline's acceptance
-// benchmark: the runicast prefix stream (see RunicastPrefixQueries)
-// replayed with the optimizer's two solver stages, with one of them left
-// out at a time, and with neither. No cache, pool or fast path sits in
-// front of the SAT core (decideOnInstance), so the comparison isolates
-// what the optimizer saves per encoded query. The stages run as
-// checkQuery runs them.
-func BenchmarkQueryOptimizer(b *testing.B) {
-	for _, mode := range []struct {
-		name           string
-		slice, rewrite bool
-	}{
-		{"optimized", true, true},
-		{"no-slicing", false, true},
-		{"no-rewrite", true, false},
-		{"unoptimized", false, false},
-	} {
-		mode := mode
-		b.Run(mode.name, func(b *testing.B) {
-			eb := expr.NewBuilder()
-			queries := RunicastPrefixQueries(eb, 4, 8)
-			var last Stats
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				o := qopt.New(eb)
-				s := NewWithOptions(Options{Optimizer: o})
-				for j, q := range queries {
-					active := append(slices.Clip(q.Prefix), q.Extra)
-					if mode.slice && len(active) > 1 {
-						if kept, dropped := o.Slice(active, q.Extra); len(dropped) > 0 {
-							active = kept
-							o.NoteSliced(dropped)
-							s.bumpStat(func(st *Stats) { st.SlicedQueries++ })
-						}
-					}
-					if mode.rewrite {
-						out, unsat := o.OptimizeSet(active)
-						if unsat || len(out) == 0 {
-							continue
-						}
-						active = out
-					}
-					if _, err := decideOnInstance(s, active, false); err != nil {
-						b.Fatalf("query %d: %v", j, err)
-					}
-				}
-				last = s.Stats()
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(last.Gates), "gates/op")
-			b.ReportMetric(float64(last.SATCalls), "satcalls/op")
-			b.ReportMetric(float64(last.SlicedQueries), "sliced/op")
-			b.ReportMetric(float64(last.GatesElided), "gateselided/op")
-		})
 	}
 }

@@ -23,11 +23,11 @@ type incContext struct {
 	gatesSeen int64 // blaster gate count already flushed into Stats.Gates
 }
 
-// solveOnSlot decides active — the constant-folded, optimized
-// constraint set of one query — on slot's persistent instance, passing each constraint's output literal as an assumption. All encoding
-// happens at decision level 0 — the instance is backtracked before any
-// blasting — so new gate clauses and their unit consequences are
-// installed as permanent level-0 facts.
+// solveOnSlot decides active — the constant-folded constraint set of one
+// query — on slot's persistent instance, passing each constraint's output
+// literal as an assumption. All encoding happens at decision level 0 — the
+// instance is backtracked before any blasting — so new gate clauses and
+// their unit consequences are installed as permanent level-0 facts.
 //
 // Each slot owns a private CDCL instance and blast memo, so concurrent
 // solves on distinct slots never contend here. A constraint the slot has

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"sde/internal/expr"
-	"sde/internal/qopt"
 )
 
 // TestOptionsPreserveAnswers: every configuration Options can express must
@@ -16,7 +15,6 @@ func TestOptionsPreserveAnswers(t *testing.T) {
 	configs := []Options{
 		{},
 		{SharedCache: NewSharedCache()},
-		{Optimizer: qopt.New(b)},
 	}
 	x := b.Var("x", 16)
 	y := b.Var("y", 16)

@@ -8,7 +8,6 @@ import (
 
 	"sde/internal/expr"
 	"sde/internal/metrics"
-	"sde/internal/qopt"
 )
 
 // ErrBudget is returned when a query exceeds the configured conflict budget
@@ -25,10 +24,10 @@ type cacheEntry struct {
 }
 
 // Options tunes a Solver. Every feasibility query takes one fixed path —
-// constant folding, the query optimizer (when set), the literal fast path,
-// the exact cache, the shared cache (when set), the model pool,
-// partitioning into independent components, and the slot's persistent
-// CDCL instance — and Witness ignores every field but MaxConflicts.
+// constant folding, the literal fast path, the exact cache, the shared
+// cache (when set), the model pool, partitioning into independent
+// components, and the slot's persistent CDCL instance — whichever slot
+// asks it, and Witness ignores every field but MaxConflicts.
 type Options struct {
 	// MaxConflicts bounds a single CDCL run; zero means unlimited.
 	MaxConflicts int64
@@ -38,15 +37,11 @@ type Options struct {
 	// whose expressions come from different expr.Builders: query keys
 	// are structural constraint hashes, comparable across builders.
 	SharedCache *SharedCache
-	// Optimizer, when non-nil, enables the query-optimization pipeline
-	// (internal/qopt) on feasibility queries: independence slicing and
-	// algebraic rewriting run between constant folding and every later
-	// stage, so caches, the shared cache, and the SAT core all see the
-	// shrunk query. Witness never consults it — a witness solves the
-	// original constraints from scratch, so its model is bit-identical
-	// whether the optimizer is on or off. The Optimizer must share the
-	// expr.Builder of the query expressions.
-	Optimizer *qopt.Optimizer
+
+	// Deprecated: ignored. The query optimizer is deleted; the field
+	// stays, with the internal/qopt stub whose nil *Optimizer it is
+	// given, only because bench/layers.go compiles against both.
+	Optimizer any
 }
 
 // cacheStripes is the number of exact-cache segments. Striping lets
@@ -67,15 +62,6 @@ type cacheStripe struct {
 type solverSlot struct {
 	mu sync.Mutex
 	ic *incContext
-}
-
-// queryCtx routes one query through the pipeline: which incremental slot
-// decides it, and whether the query-optimizer stage is bypassed.
-// Speculative workers bypass the optimizer: it is a pure optimisation,
-// and bypassing it keeps its internal memo tables off the concurrent path.
-type queryCtx struct {
-	slot    *solverSlot
-	skipOpt bool
 }
 
 // Solver answers satisfiability queries over sets of 1-bit constraint
@@ -127,32 +113,26 @@ type SolverSlot struct {
 	slot solverSlot
 }
 
-// FeasibleOn decides prefix ∧ extra on the given worker slot, bypassing
-// the query optimizer. This is the speculation-worker entry point: it shares the Solver's caches but never its slot-0 CDCL
+// FeasibleOn decides prefix ∧ extra on the given worker slot. This is the
+// speculation-worker entry point: the query takes the same pipeline as
+// Feasible and shares the Solver's caches, but never its slot-0 CDCL
 // instance, so it is safe to call concurrently with every other method.
 func (s *Solver) FeasibleOn(slot *SolverSlot, prefix []*expr.Expr, extra *expr.Expr) (bool, error) {
-	return s.checkQuery(queryCtx{slot: &slot.slot, skipOpt: true}, prefix, extra)
+	return s.checkQuery(&slot.slot, prefix, extra)
 }
 
-// Stats returns a snapshot of the activity counters, merging in the
-// counters owned by the attached query optimizer (if any).
+// Stats returns a snapshot of the activity counters.
 func (s *Solver) Stats() Stats {
 	s.statsMu.Lock()
-	st := s.stats
-	s.statsMu.Unlock()
-	if o := s.opts.Optimizer; o != nil {
-		st.RewriteHits = o.RewriteHits()
-		st.ConcretizedReads = o.ConcretizedReads()
-		st.GatesElided = o.GatesElided()
-	}
-	return st
+	defer s.statsMu.Unlock()
+	return s.stats
 }
 
 // Feasible reports whether the conjunction of the constraints is
 // satisfiable. Every constraint must be a 1-bit expression.
 // A concrete satisfying assignment comes from Witness.
 func (s *Solver) Feasible(constraints []*expr.Expr) (bool, error) {
-	return s.checkQuery(queryCtx{slot: &s.slot0}, constraints, nil)
+	return s.checkQuery(&s.slot0, constraints, nil)
 }
 
 // FeasibleWith is Feasible for prefix-extension queries — the shape every
@@ -165,7 +145,7 @@ func (s *Solver) Feasible(constraints []*expr.Expr) (bool, error) {
 // against sv.NewSession() and FeasibleWith(sess, …). Once that calls
 // Feasible, delete all three.
 func (s *Solver) FeasibleWith(_ *Session, prefix []*expr.Expr, extra *expr.Expr) (bool, error) {
-	return s.checkQuery(queryCtx{slot: &s.slot0}, prefix, extra)
+	return s.checkQuery(&s.slot0, prefix, extra)
 }
 
 // Session is the stub FeasibleWith describes; NewSession returns nil.
@@ -183,7 +163,7 @@ func (s *Solver) stripe(key uint64) *cacheStripe {
 	return &s.cache[key&(cacheStripes-1)]
 }
 
-func (s *Solver) checkQuery(qc queryCtx, prefix []*expr.Expr, extra *expr.Expr) (bool, error) {
+func (s *Solver) checkQuery(slot *solverSlot, prefix []*expr.Expr, extra *expr.Expr) (bool, error) {
 	s.bumpStat(func(st *Stats) { st.Queries++ })
 
 	// Constant-fold the constraint set.
@@ -220,40 +200,6 @@ func (s *Solver) checkQuery(qc queryCtx, prefix []*expr.Expr, extra *expr.Expr) 
 	}
 	if len(active) == 0 {
 		return true, nil
-	}
-
-	// Query-optimization pipeline (internal/qopt): shrink the query
-	// before any cache key, cache lookup, or encoding sees it.
-	// Speculation workers skip it (qc.skipOpt): the optimizer is an
-	// optimisation, never a soundness requirement.
-	if o := s.opts.Optimizer; o != nil && !qc.skipOpt {
-		// Independence slicing: drop the factor groups of the path
-		// condition not variable-connected to the query expression. Every
-		// dropped group joined the path condition through a feasibility
-		// check, so it is satisfiable on its own, and being variable-
-		// disjoint from the kept factors it cannot flip the verdict.
-		if extra != nil && !extra.IsConst() && len(active) > 1 {
-			kept, dropped := o.Slice(active, extra)
-			if len(dropped) > 0 {
-				active = kept
-				o.NoteSliced(dropped)
-				s.bumpStat(func(st *Stats) {
-					st.SlicedQueries++
-					st.SlicedFactors += int64(len(dropped))
-				})
-			}
-		}
-		// Algebraic rewriting: per-constraint fixpoint rules plus
-		// cross-constraint substitution of implied constants. The result
-		// set's conjunction is equivalent to the input's.
-		out, unsat := o.OptimizeSet(active)
-		if unsat {
-			return false, nil
-		}
-		active = out
-		if len(active) == 0 {
-			return true, nil
-		}
 	}
 
 	// Fast path: a pure conjunction of boolean literals (v / ¬v) is
@@ -298,7 +244,7 @@ func (s *Solver) checkQuery(qc queryCtx, prefix []*expr.Expr, extra *expr.Expr) 
 	// decided through the full pipeline and its result cached separately;
 	// the whole query's verdict is cached too, so an identical repeat is
 	// one exact-cache hit rather than a pool scan and a walk of its parts.
-	if sat, handled, err := s.checkPartitioned(qc, active); handled {
+	if sat, handled, err := s.checkPartitioned(slot, active); handled {
 		if err != nil {
 			return false, err
 		}
@@ -306,7 +252,7 @@ func (s *Solver) checkQuery(qc queryCtx, prefix []*expr.Expr, extra *expr.Expr) 
 		return sat, nil
 	}
 
-	sat, model, err := s.solveOnSlot(qc.slot, active)
+	sat, model, err := s.solveOnSlot(slot, active)
 	if err != nil {
 		// Budget-exhausted verdicts are unknowns: they must never reach
 		// any cache (an unknown stored as UNSAT would be unsound).

@@ -13,12 +13,11 @@ import (
 // a function of its constraint set — not of the order the constraints
 // arrive in, not of what this solver decided before, not of which goroutine
 // asks. Witness therefore touches none of the history-bearing layers: the
-// query cache, the counterexample pool, the shared cache, the optimizer
-// and the persistent instances are all bypassed; of Options only
-// MaxConflicts applies. What it keeps is
-// an exact-key memo of component models: the value stored under a key is
-// the one any later solve of that key would compute, so a hit is
-// indistinguishable from a miss except in cost.
+// query cache, the counterexample pool, the shared cache and the
+// persistent instances are all bypassed; of Options only MaxConflicts
+// applies. What it keeps is an exact-key memo of component models: the
+// value stored under a key is the one any later solve of that key would
+// compute, so a hit is indistinguishable from a miss except in cost.
 
 // witnessEntry is one memoised component. done is closed once sat, model
 // and err are final; until then concurrent askers of the key wait on it,

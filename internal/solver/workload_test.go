@@ -51,17 +51,14 @@ func PrefixExtensionQueries(eb *expr.Builder, depth int) []PrefixQuery {
 // rounds, its backoff epoch (seqᵢ + 16·round) ÷ 16, and then forks a
 // fresh 1-bit packet-drop decision variable into the path condition.
 //
-// The stream is the query-optimizer's acceptance workload, and each
-// pipeline stage has a distinct target in it:
+// What each part of the stream exercises:
 //   - the window and epoch terms divide by the constant power-of-two
-//     window width, which strength-reduces to a mask / constant shift.
-//     Unrewritten, each lands in the blaster's restoring-division loop —
-//     ~5·w² gates of comparators and conditional subtractors per
-//     constraint — where the rewritten mask costs none, and the probe
-//     queries' negated comparisons rewrite to the opposite comparison;
+//     window width, so each lands in the blaster's restoring-division
+//     loop — ~5·w² gates of comparators and conditional subtractors per
+//     constraint;
 //   - the drop literals and the other pairs' bounds are variable-disjoint
-//     from the queried pair, so independence slicing cuts each query to
-//     the one pair it concerns;
+//     from the queried pair, so partitioning splits each query into the
+//     pair it concerns and components the cache has already decided;
 //   - the drop literals mixed into the prefix keep the whole-prefix
 //     literal scan from short-circuiting the stream, exactly as in the
 //     real scenario where boolean failure pins and arithmetic sequence

@@ -280,10 +280,8 @@ func (s *State) Run(now uint64, budget int, h Hooks) error {
 		case isa.OpAssume:
 			cond := eb.Ne(s.regs[in.Ra], s.ctx.zeroWord)
 			if sp := s.ctx.spec; sp != nil && !cond.IsTrue() && !cond.IsFalse() {
-				if _, ok := s.impliedValue(cond); !ok {
-					s.specAssume(sp, cond)
-					continue
-				}
+				s.specAssume(sp, cond)
+				continue
 			}
 			feasible, err := s.feasibleWith(cond)
 			if err != nil {
@@ -412,14 +410,10 @@ func (s *State) branch(cond *expr.Expr, target int, h Hooks) error {
 		return nil
 	}
 	// Speculative path: fork both sides now, let the solver pipeline decide
-	// feasibility while execution continues on the true side. Conditions
-	// decided by implied-value concretization stay on the synchronous path —
-	// they never reach the solver anyway.
+	// feasibility while execution continues on the true side.
 	if sp := s.ctx.spec; sp != nil {
-		if _, ok := s.impliedValue(cond); !ok {
-			s.specBranch(sp, cond, target)
-			return nil
-		}
+		s.specBranch(sp, cond, target)
+		return nil
 	}
 	feasTrue, err := s.feasibleWith(cond)
 	if err != nil {
@@ -500,36 +494,7 @@ func (s *State) feasibleWith(c *expr.Expr) (bool, error) {
 	if c.IsFalse() {
 		return false, nil
 	}
-	// Implied-value concretization: when every variable of c is forced
-	// to a constant by the path condition, c has exactly one value on
-	// this path — the conjunction pathCond ∧ c is then feasible iff that
-	// value is true (path conditions are kept feasible by construction),
-	// with no solver query at all. This is what makes straight-line code
-	// after a determining branch effectively concrete.
-	if v, ok := s.impliedValue(c); ok {
-		return v != 0, nil
-	}
 	return s.ctx.Solver.FeasibleWith(nil, s.pathCond, c)
-}
-
-// impliedValue evaluates c under the state's implied bindings, reporting
-// ok=false when the context has no optimizer or some variable of c is
-// unbound.
-func (s *State) impliedValue(c *expr.Expr) (uint64, bool) {
-	if s.ctx.qo == nil {
-		return 0, false
-	}
-	if s.bound == nil {
-		s.deriveBound()
-	}
-	if len(s.bound) == 0 {
-		return 0, false
-	}
-	v, ok := expr.EvalBound(c, s.bound)
-	if ok {
-		s.ctx.qo.NoteConcretizedRead()
-	}
-	return v, ok
 }
 
 func (s *State) concreteAddr(base *expr.Expr, off uint32) (uint32, error) {

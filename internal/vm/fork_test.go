@@ -2,9 +2,8 @@ package vm
 
 // What a fork shares, derives and allocates: the aliasing property test
 // (forks share their parent's path condition, history and trace arrays; a
-// shadow family that deep-copies at every fork must stay equal to them), the
-// lazy-versus-eager check of the implied-binding map, and the allocation
-// guards that pin what one fork costs.
+// shadow family that deep-copies at every fork must stay equal to them) and
+// the allocation guards that pin what one fork costs.
 
 import (
 	"fmt"
@@ -14,7 +13,6 @@ import (
 
 	"sde/internal/expr"
 	"sde/internal/isa"
-	"sde/internal/qopt"
 )
 
 // shareProg has two handlers that call decide from different call sites, so
@@ -404,124 +402,6 @@ func TestRestoreAliasing(t *testing.T) {
 		for _, d := range families {
 			d.step(step)
 		}
-	}
-}
-
-// eagerBound is the map the state used to carry and copy at every fork: the
-// implied bindings of the whole path condition, applied in order.
-func eagerBound(s *State) map[uint32]uint64 {
-	m := map[uint32]uint64{}
-	for _, c := range s.PathCond() {
-		if v, val, ok := qopt.ImpliedBinding(c); ok {
-			m[v.VarID()] = val
-		}
-	}
-	return m
-}
-
-// TestLazyBoundMatchesEager: over random sequences of appends, removals,
-// rewinds and forks, impliedValue answers what a map rebuilt from scratch
-// answers — the first time a state is asked, again after the path condition
-// moved under a derived map, and on both sides of a fork — and a state that
-// is never asked never builds a map.
-func TestLazyBoundMatchesEager(t *testing.T) {
-	prog := build(t, func(b *isa.Builder) { b.Func("f").Ret() })
-	ctx := NewContext()
-	eb := ctx.Exprs
-	rng := rand.New(rand.NewSource(22))
-	var words, bools []*expr.Expr
-	for i := 0; i < 5; i++ {
-		words = append(words, eb.Var(fmt.Sprintf("w%d", i), 8))
-		bools = append(bools, eb.Var(fmt.Sprintf("b%d", i), 1))
-	}
-	randConstraint := func() *expr.Expr {
-		w, b := words[rng.Intn(len(words))], bools[rng.Intn(len(bools))]
-		switch rng.Intn(5) {
-		case 0, 1: // binds a word; a later one may bind it again, differently
-			return eb.Eq(w, eb.Const(uint64(rng.Intn(4)), 8))
-		case 2:
-			return b
-		case 3:
-			return eb.Not(b)
-		default: // binds nothing
-			return eb.Ult(w, eb.Const(uint64(100+rng.Intn(50)), 8))
-		}
-	}
-	var queries []*expr.Expr
-	for i := range words {
-		j := (i + 1) % len(words)
-		queries = append(queries,
-			eb.Ult(words[i], eb.Const(2, 8)),
-			eb.Eq(words[i], words[j]),
-			eb.And(bools[i], eb.Not(bools[j])))
-	}
-	// Silent states are never asked: they must get through every other
-	// operation without deriving a map.
-	silent := map[*State]bool{}
-	ask := func(step int, s *State) {
-		t.Helper()
-		ref := eagerBound(s)
-		for _, q := range queries {
-			got, gotOK := s.impliedValue(q)
-			var want uint64
-			wantOK := false
-			if len(ref) > 0 {
-				want, wantOK = expr.EvalBound(q, ref)
-			}
-			if got != want || gotOK != wantOK {
-				t.Fatalf("step %d: impliedValue(%v) = %d,%v under %v; a rebuilt map says %d,%v",
-					step, q, got, gotOK, s.PathCond(), want, wantOK)
-			}
-		}
-	}
-	family := []*State{NewState(ctx, prog, 0)}
-	for step := 0; step < 6000; step++ {
-		s := family[rng.Intn(len(family))]
-		op := rng.Intn(12)
-		if silent[s] && (op == 5 || op == 6 || op == 9) {
-			op = 0
-		}
-		switch {
-		case op < 5:
-			s.AddConstraint(randConstraint())
-		case op < 7:
-			ask(step, s)
-		case op == 7:
-			if n := len(s.PathCond()); n > 0 {
-				s.RemoveConstraintAt(rng.Intn(n))
-			}
-		case op == 8: // rewind onto a snapshot, keeping a prefix
-			keep := rng.Intn(len(s.PathCond()) + 1)
-			s.RestoreFromSpec(s.SpecFork(), keep)
-			s.ClearSpecRewound()
-			s.status = StatusIdle
-		case op == 9 && len(family) < 32: // asked before the fork, both sides after
-			ask(step, s)
-			child := s.Fork()
-			family = append(family, child)
-			ask(step, s)
-			ask(step, child)
-		case op == 10 && len(family) < 32:
-			child := s.Fork()
-			silent[child] = true
-			family = append(family, child)
-		}
-	}
-	if len(silent) == 0 {
-		t.Error("the sequence made no silent state")
-	}
-	for s := range silent {
-		if s.bound != nil {
-			t.Errorf("%v was never asked for an implied value and holds a bound map over %v", s, s.PathCond())
-		}
-	}
-	fresh := family[0].Fork()
-	if fresh.bound != nil {
-		t.Error("a fork starts with a bound map")
-	}
-	ask(-1, fresh)
-	if fresh.bound == nil {
-		t.Error("an asked state keeps no bound map: every query would derive it again")
 	}
 }
 

@@ -52,9 +52,9 @@ func (c *Context) SetSpecHooks(h SpecHooks) { c.spec = h }
 // RestoreFromSpec install fresh slices), so the one holder that can append
 // in place is the one that had spare capacity before the fork, and it writes
 // beyond every other holder's length — the aliasing the speculation workers'
-// prefix snapshots already rely on. The call stack is copied: BeginEvent, StartCall and Reboot cut it to [:0] and
-// append, which would overwrite a sharer's frames. Implied bindings are not
-// copied; the copy derives its own if it is ever asked (see State.bound).
+// prefix snapshots already rely on. The call stack is copied: BeginEvent,
+// StartCall and Reboot cut it to [:0] and append, which would overwrite a
+// sharer's frames.
 func (s *State) SpecFork() *State {
 	n := &State{
 		ctx:      s.ctx,
@@ -104,7 +104,6 @@ func (s *State) RemoveConstraintAt(idx int) {
 	n = append(n, s.pathCond[idx+1:]...)
 	s.pathCond = n
 	s.specRemoved++
-	s.forgetBound()
 }
 
 // SpecRemovedCount returns how many provisional constraints have been
@@ -133,7 +132,6 @@ func (s *State) RestoreFromSpec(sib *State, keep int) {
 	s.status = StatusRunning
 	s.runErr = nil
 	s.pathCond = append([]*expr.Expr(nil), s.pathCond[:keep]...)
-	s.forgetBound()
 	s.events = sib.events
 	s.eventSeq = sib.eventSeq
 	s.hist = sib.hist

@@ -13,7 +13,6 @@ import (
 	"sde/internal/expr"
 	"sde/internal/isa"
 	"sde/internal/metrics"
-	"sde/internal/qopt"
 	"sde/internal/solver"
 )
 
@@ -35,13 +34,6 @@ type Context struct {
 	// "concrete inputs and deterministic schedules" for post-mortem
 	// analysis.
 	Replay expr.Env
-
-	// qo is the query optimizer shared with the solver, nil when the
-	// context has none. With one, the VM does implied-value
-	// concretization: branch/assert/assume conditions whose variables are
-	// all forced to constants by the path condition are decided here
-	// instead of going to the solver, and qo counts them.
-	qo *qopt.Optimizer
 
 	// spec, when non-nil, enables speculative branch forking: feasibility
 	// queries go to an asynchronous solver pipeline and execution
@@ -79,24 +71,19 @@ type Context struct {
 	foldedInstrs atomic.Uint64
 }
 
-// NewContext returns a fresh context with its own expression builder, query
-// optimizer and solver.
+// NewContext returns a fresh context with its own expression builder and
+// solver.
 func NewContext() *Context {
-	eb := expr.NewBuilder()
-	return NewContextWithSolver(eb, solver.Options{Optimizer: qopt.New(eb)})
+	return NewContextWithSolver(expr.NewBuilder(), solver.Options{})
 }
 
 // NewContextWithSolver returns a fresh context on expression builder eb
 // whose solver uses the given tuning — the injection point for a
-// cross-run solver.SharedCache (parallel shards), a conflict budget and
-// the query optimizer, which must be built on eb. With opts.Optimizer nil
-// the context has none: the solver neither slices nor rewrites a query
-// and the VM does no implied-value concretization.
+// cross-run solver.SharedCache (parallel shards) and a conflict budget.
 func NewContextWithSolver(eb *expr.Builder, opts solver.Options) *Context {
 	return &Context{
 		Exprs:    eb,
 		Solver:   solver.NewWithOptions(opts),
-		qo:       opts.Optimizer,
 		compile:  true,
 		zeroWord: eb.Const(0, WordBits),
 	}
@@ -381,14 +368,6 @@ type State struct {
 	// its parent (see SpecFork): elements below len are never written, and
 	// every edit that is not an append installs a fresh slice.
 	pathCond []*expr.Expr
-	// bound maps variables the path condition forces to a constant
-	// (var == c, or a pinned 1-bit decision) to that constant, applied in
-	// path-condition order. It is a pure function of pathCond, derived by
-	// impliedValue the first time the state is asked (nil = not derived:
-	// never copied by a fork, never serialized) and kept current by
-	// noteBinding from then on; it drives implied-value concretization:
-	// conditions fully covered by bound are decided without the solver.
-	bound map[uint32]uint64
 
 	events   []Event // sorted by (Time, seq); owned by this state alone
 	eventSeq uint64
@@ -587,35 +566,7 @@ func (s *State) AddConstraint(c *expr.Expr) {
 		return
 	}
 	s.pathCond = append(s.pathCond, c)
-	s.noteBinding(c)
 }
-
-// noteBinding keeps a derived bound map current across an append to the
-// path condition: a constraint that forces a variable to a constant records
-// that binding. A state whose bindings were never asked for has nothing to
-// maintain — deriveBound will read c from the path condition.
-func (s *State) noteBinding(c *expr.Expr) {
-	if s.bound == nil {
-		return
-	}
-	if v, val, ok := qopt.ImpliedBinding(c); ok {
-		s.bound[v.VarID()] = val
-	}
-}
-
-// deriveBound computes the implied bindings of the whole path condition, in
-// order, so later constraints overwrite earlier ones exactly as noteBinding
-// would have applied them one append at a time.
-func (s *State) deriveBound() {
-	s.bound = make(map[uint32]uint64)
-	for _, c := range s.pathCond {
-		s.noteBinding(c)
-	}
-}
-
-// forgetBound drops the derived bindings after an edit of the path
-// condition that is not an append; the next impliedValue derives them again.
-func (s *State) forgetBound() { s.bound = nil }
 
 // InheritConstraints merges the sender's path condition into this state's
 // at packet delivery, skipping constraints already present. Receiving a
@@ -635,7 +586,6 @@ func (s *State) InheritConstraints(cs []*expr.Expr) {
 		}
 		if !present {
 			s.pathCond = append(s.pathCond, c)
-			s.noteBinding(c)
 		}
 	}
 }

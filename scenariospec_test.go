@@ -2,6 +2,7 @@ package sde_test
 
 import (
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"sde"
@@ -160,15 +161,21 @@ func TestScenarioSpecJSONRoundTrip(t *testing.T) {
 		t.Errorf("omitted layers = %v, want the defaults", min.Layers)
 	}
 	// The layers field is Layers' textual form; unnamed layers keep their
-	// default and unknown ones are refused.
+	// default and unknown ones — a deleted layer's too — are refused by name.
 	var some sde.ScenarioSpec
-	if err := json.Unmarshal([]byte(`{"topology":"grid:3","layers":"no-compile,no-qopt"}`), &some); err != nil {
+	if err := json.Unmarshal([]byte(`{"topology":"grid:3","layers":"no-compile"}`), &some); err != nil {
 		t.Fatal(err)
 	}
-	if want := (sde.Layers{NoCompile: true, NoQopt: true}); some.Layers != want {
+	if want := (sde.Layers{NoCompile: true}); some.Layers != want {
 		t.Errorf("layers = %v, want %v", some.Layers, want)
 	}
-	if err := json.Unmarshal([]byte(`{"topology":"grid:3","layers":"turbo"}`), &some); err == nil {
-		t.Error("unknown layer accepted")
+	for _, c := range []struct{ layers, refused string }{
+		{"turbo", `"turbo"`},
+		{"no-compile,no-qopt", `"no-qopt"`},
+	} {
+		err := json.Unmarshal([]byte(`{"topology":"grid:3","layers":"`+c.layers+`"}`), &some)
+		if err == nil || !strings.Contains(err.Error(), c.refused) {
+			t.Errorf("layers %q: err = %v, want a refusal naming %s", c.layers, err, c.refused)
+		}
 	}
 }

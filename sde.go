@@ -106,7 +106,7 @@ type SchedStats = metrics.SchedStats
 // documented where they are declared, in internal/metrics.
 type (
 	RunStats    = metrics.RunStats
-	SolverStats = metrics.SolverStats // queries, caches, CDCL work, query optimizer
+	SolverStats = metrics.SolverStats // queries, caches, CDCL work
 	SpecStats   = metrics.SpecStats   // speculative-fork pipeline: submissions, elisions, rewinds, barrier wait
 	VMStats     = metrics.VMStats     // instructions, forks, fast vs interpreted blocks, folded instructions
 )
@@ -210,14 +210,6 @@ func (s Scenario) WithoutCompiledIR() Scenario {
 // synchronously.
 func (s Scenario) WithoutSpeculation() Scenario {
 	s.cfg.Layers.NoSpeculate = true
-	return s
-}
-
-// WithoutQueryOptimizer returns a copy of the scenario with Layers.NoQopt
-// set: the run has no query optimizer, so slicing, rewriting and
-// concretization are all off.
-func (s Scenario) WithoutQueryOptimizer() Scenario {
-	s.cfg.Layers.NoQopt = true
 	return s
 }
 
@@ -415,6 +407,15 @@ type ReduceStats struct{ Pins uint64 }
 //
 // Deprecated: a stub for bench/; see Scenario.WithReduction.
 func (r *Report) ReduceStats() ReduceStats { return ReduceStats{} }
+
+// WithoutQueryOptimizer returns the scenario unchanged.
+//
+// Deprecated: the query optimizer was deleted (DESIGN §4); every run takes
+// the solver's one pipeline. It is an inert stub kept only because bench/
+// compiles against tr.scenario.WithoutQueryOptimizer(), as are the always-
+// zero SolverStats fields SlicedQueries, RewriteHits and GatesElided. Once
+// bench/ drops its qopt.* rows, delete them all.
+func (s Scenario) WithoutQueryOptimizer() Scenario { return s }
 
 // TestCases explodes up to limit dscenarios (limit <= 0 = all) and solves
 // one concrete test case per dscenario (§IV-C).

@@ -13,7 +13,7 @@ import (
 // depth fresh 8-bit symbolic inputs and thread them through a
 // multiply-accumulate, assuming a bound on the accumulator after every
 // step. The constraints are deliberately entangled — each assume mentions
-// every input drawn so far, so independence slicing cannot split the
+// every input drawn so far, so partitioning cannot split the
 // queries. The speculative pipeline defers the chain's checks to the
 // end-of-activation barrier and drains the deepest query first; a
 // synchronous run checks each level as it is reached. A symbolic boot
@@ -46,7 +46,7 @@ func speculationWorkload(tb testing.TB, depth int) sde.Scenario {
 	// Entangled assume chain. Every level adds a fresh symbolic input
 	// into the accumulator and assumes a bound k_i <= acc with k_i
 	// fresh: the running sum entangles every level with all earlier
-	// inputs (so slicing cannot split the queries), and the bound is
+	// inputs (so partitioning cannot split the queries), and the bound is
 	// satisfiable for any accumulator value (k_i = 0 works), so no
 	// assume ever kills a state. The all-zeros assignment satisfies the
 	// whole chain, which keeps every query nearly search-free; and as a
