@@ -334,16 +334,14 @@ func TestBenchScaleSanity(t *testing.T) {
 	}
 }
 
-// BenchmarkShardedSkewed compares static uniform sharding against the
-// adaptive work-stealing scheduler on a skewed workload at equal worker
-// count. The dscenario space is dominated by the all-delivered corner
-// (every reception forks a chain of symbolic branches; every drop
-// silences a receiver), so a uniform 2^3 pre-split wastes seven cheap
-// shards' worth of engine setup and re-execution while one shard does
-// nearly all the work. The adaptive run starts from a single coarse
-// shard and only subdivides what the pool observes to be heavy, with
-// the cross-shard solver cache absorbing the re-executed prefix work —
-// lower makespan from strictly less total work.
+// BenchmarkShardedSkewed sweeps the static partition of a skewed workload
+// at a fixed worker count: every ShardBits from 0 to MaxShardBits, with the
+// cross-shard solver cache off and on. The dscenario space is dominated by
+// the all-delivered corner (every reception forks a chain of symbolic
+// branches; every drop silences a receiver), so each extra bit adds shards
+// that mostly re-execute the heavy prefix; the shared cache absorbs part of
+// that re-executed solver work. makespan-us is the mean Sched.Elapsed per
+// run (EXPERIMENTS.md, "Straggler splitting is deleted", has a reading).
 func BenchmarkShardedSkewed(b *testing.B) {
 	const workers = 4
 	scenario := skewedScenario(b, 4, 6, sde.SDS)
@@ -351,37 +349,29 @@ func BenchmarkShardedSkewed(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, tc := range []struct {
-		name string
-		cfg  sde.ShardConfig
-	}{
-		{"static", sde.ShardConfig{ShardBits: 3, Workers: workers}},
-		{"adaptive", sde.ShardConfig{
-			Workers:           workers,
-			MaxSplitBits:      3,
-			SplitThreshold:    150,
-			SharedSolverCache: true,
-		}},
-	} {
-		tc := tc
-		b.Run(tc.name, func(b *testing.B) {
-			var rep *sde.ShardedReport
-			for i := 0; i < b.N; i++ {
-				rep, err = sde.RunScenarioShardedWith(scenario, tc.cfg)
-				if err != nil {
-					b.Fatal(err)
+	for bits := 0; bits <= scenario.MaxShardBits(); bits++ {
+		for _, cache := range []bool{false, true} {
+			cfg := sde.ShardConfig{ShardBits: bits, Workers: workers, SharedSolverCache: cache}
+			b.Run(fmt.Sprintf("bits=%d/cache=%t", bits, cache), func(b *testing.B) {
+				var rep *sde.ShardedReport
+				var elapsed time.Duration
+				for i := 0; i < b.N; i++ {
+					rep, err = sde.RunScenarioShardedWith(scenario, cfg)
+					if err != nil {
+						b.Fatal(err)
+					}
+					elapsed += rep.Sched.Elapsed
 				}
-			}
-			b.StopTimer()
-			// Both schedules must explore exactly the unsharded space.
-			if rep.DScenarios().Cmp(ref.DScenarios()) != 0 {
-				b.Fatalf("dscenarios = %v, want %v", rep.DScenarios(), ref.DScenarios())
-			}
-			b.ReportMetric(float64(rep.Sched.Elapsed.Microseconds())/float64(b.N), "makespan-us")
-			b.ReportMetric(float64(rep.Sched.Shards), "shards")
-			b.ReportMetric(float64(rep.Sched.Splits), "splits")
-			b.ReportMetric(float64(rep.States()), "states")
-			b.ReportMetric(100*rep.Sched.SharedHitRate(), "shared-hit-%")
-		})
+				b.StopTimer()
+				// Every partition must explore exactly the unsharded space.
+				if rep.DScenarios().Cmp(ref.DScenarios()) != 0 {
+					b.Fatalf("dscenarios = %v, want %v", rep.DScenarios(), ref.DScenarios())
+				}
+				b.ReportMetric(float64(elapsed.Microseconds())/float64(b.N), "makespan-us")
+				b.ReportMetric(float64(rep.Sched.Shards), "shards")
+				b.ReportMetric(float64(rep.States()), "states")
+				b.ReportMetric(100*rep.Sched.SharedHitRate(), "shared-hit-%")
+			})
+		}
 	}
 }

@@ -11,22 +11,19 @@
 //	sde-bench -table1         # only the 100-node Table I
 //	sde-bench -worstcase      # §III-E closed forms next to measured state counts
 //
-// The -sharded mode compares the parallel schedulers on one grid
-// scenario instead: an unsharded run, a static uniform 2^bits pre-split,
-// and the adaptive work-stealing scheduler, all at the same worker
-// count, with per-run scheduling telemetry (steals, splits, worker
-// utilization):
+// The -sharded mode compares one grid scenario run whole and as a
+// static uniform 2^bits pre-split on the worker pool, with the pool's
+// scheduling telemetry (steals, worker utilization):
 //
 //	sde-bench -sharded                        # defaults: 5x5 grid, GOMAXPROCS workers
 //	sde-bench -sharded -workers 8 -shard-bits 3
-//	sde-bench -sharded -split-bits 4 -split-threshold 2048
 //
 // -cpuprofile/-memprofile write pprof profiles for any mode. Performance
 // numbers for the system and its layers come from bench/ (bash
 // bench/run.sh), not from this command.
 //
 // Long sweeps can be made durable with -checkpoint DIR: every run (and,
-// in -sharded mode, every shard of the adaptive schedule) snapshots its
+// in -sharded mode, every shard of the pre-split) snapshots its
 // frontier into its own subdirectory, and re-invoking the same command
 // resumes each one from its last snapshot instead of starting over.
 package main
@@ -64,11 +61,9 @@ func run(args []string, stdout io.Writer) (err error) {
 	table1 := fs.Bool("table1", false, "run only the 100-node Table I scenario")
 	worstCase := fs.Bool("worstcase", false, "run only the §III-E worst-case complexity table")
 	wallCap := fs.Duration("wall", 10*time.Minute, "wall-clock cap per run")
-	sharded := fs.Bool("sharded", false, "compare the parallel shard schedulers on one grid scenario")
+	sharded := fs.Bool("sharded", false, "compare an unsharded and a pre-split run of one grid scenario")
 	workers := fs.Int("workers", 0, "worker pool size for -sharded (0 = GOMAXPROCS)")
 	shardBits := fs.Int("shard-bits", 2, "static pre-split depth for -sharded (2^bits shards)")
-	splitBits := fs.Int("split-bits", 0, "adaptive split depth cap for -sharded (0 = same as -shard-bits)")
-	splitThreshold := fs.Int("split-threshold", 0, "live-state straggler threshold for -sharded (0 = default)")
 	checkpoint := fs.String("checkpoint", "", "checkpoint directory: make runs durable and resume interrupted ones")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile to this file on exit")
@@ -97,8 +92,7 @@ func run(args []string, stdout io.Writer) (err error) {
 		return err
 	}
 	if *sharded {
-		return runSharded(stdout, dims[0], uint32(*packets), *workers, *shardBits,
-			*splitBits, *splitThreshold, *wallCap, *checkpoint)
+		return runSharded(stdout, dims[0], uint32(*packets), *workers, *shardBits, *wallCap, *checkpoint)
 	}
 	if *table1 {
 		dims = []int{10}
@@ -134,10 +128,9 @@ func run(args []string, stdout io.Writer) (err error) {
 	return nil
 }
 
-// runSharded compares an unsharded run, a static uniform pre-split, and
-// the adaptive work-stealing scheduler on the same grid scenario at the
-// same worker count.
-func runSharded(stdout io.Writer, dim int, packets uint32, workers, shardBits, splitBits, splitThreshold int, wallCap time.Duration, checkpoint string) error {
+// runSharded compares an unsharded run with a static uniform pre-split of
+// the same grid scenario on the worker pool.
+func runSharded(stdout io.Writer, dim int, packets uint32, workers, shardBits int, wallCap time.Duration, checkpoint string) error {
 	opts := sde.DefaultEvalOptions(dim)
 	if packets > 0 {
 		opts.Packets = packets
@@ -156,22 +149,19 @@ func runSharded(stdout io.Writer, dim int, packets uint32, workers, shardBits, s
 		shardBits = scenario.MaxShardBits()
 		fmt.Fprintf(stdout, "(clamping -shard-bits to the scenario's %d shardable nodes)\n", shardBits)
 	}
-	if splitBits <= 0 {
-		splitBits = shardBits
-	}
 	fmt.Fprintf(stdout, "Sharded comparison: %dx%d grid, SDS, %d packets\n\n",
 		dim, dim, opts.Packets)
-	fmt.Fprintf(stdout, "%-9s | %10s %8s %7s %7s %7s %6s\n",
-		"schedule", "wall", "states", "shards", "steals", "splits", "util")
+	fmt.Fprintf(stdout, "%-9s | %10s %8s %7s %7s %6s\n",
+		"schedule", "wall", "states", "shards", "steals", "util")
 
 	row := func(name string, wall time.Duration, states int, sched sde.SchedStats) {
 		util := "-"
 		if len(sched.WorkerBusy) > 0 {
 			util = fmt.Sprintf("%.0f%%", 100*sched.MeanUtilization())
 		}
-		fmt.Fprintf(stdout, "%-9s | %10s %8d %7d %7d %7d %6s\n",
+		fmt.Fprintf(stdout, "%-9s | %10s %8d %7d %7d %6s\n",
 			name, wall.Round(time.Millisecond), states,
-			sched.Shards, sched.Steals, sched.Splits, util)
+			sched.Shards, sched.Steals, util)
 	}
 
 	plain, err := sde.RunScenario(scenario)
@@ -181,33 +171,21 @@ func runSharded(stdout io.Writer, dim int, packets uint32, workers, shardBits, s
 	row("unsharded", plain.Wall(), plain.States(), sde.SchedStats{Shards: 1})
 
 	static, err := sde.RunScenarioShardedWith(scenario, sde.ShardConfig{
-		ShardBits: shardBits,
-		Workers:   workers,
+		ShardBits:     shardBits,
+		Workers:       workers,
+		CheckpointDir: checkpoint,
 	})
 	if err != nil {
 		return err
 	}
 	row("static", static.Sched.Elapsed, static.States(), static.Sched)
 
-	adaptive, err := sde.RunScenarioShardedWith(scenario, sde.ShardConfig{
-		Workers:        workers,
-		MaxSplitBits:   splitBits,
-		SplitThreshold: splitThreshold,
-		CheckpointDir:  checkpoint,
-	})
-	if err != nil {
-		return err
+	if static.DScenarios().Cmp(plain.DScenarios()) != 0 {
+		return fmt.Errorf("schedules disagree on dscenario count: unsharded %v static %v",
+			plain.DScenarios(), static.DScenarios())
 	}
-	row("adaptive", adaptive.Sched.Elapsed, adaptive.States(), adaptive.Sched)
-
-	if static.DScenarios().Cmp(plain.DScenarios()) != 0 ||
-		adaptive.DScenarios().Cmp(plain.DScenarios()) != 0 {
-		return fmt.Errorf("schedules disagree on dscenario count: unsharded %v static %v adaptive %v",
-			plain.DScenarios(), static.DScenarios(), adaptive.DScenarios())
-	}
-	fmt.Fprintf(stdout, "\nAll schedules cover %s dscenarios; violations: %d unsharded, %d static, %d adaptive\n",
-		plain.DScenarios(), len(plain.Violations()),
-		len(static.Violations()), len(adaptive.Violations()))
+	fmt.Fprintf(stdout, "\nAll schedules cover %s dscenarios; violations: %d unsharded, %d static\n",
+		plain.DScenarios(), len(plain.Violations()), len(static.Violations()))
 	return nil
 }
 

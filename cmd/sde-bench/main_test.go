@@ -90,10 +90,13 @@ func TestRun(t *testing.T) {
 		{name: "sharded", args: []string{"-sharded", "-dims", "4", "-workers", "2"}, check: func(t *testing.T, out string) {
 			// run fails if the schedules' dscenario counts differ; the
 			// closing line states the common count.
-			for _, schedule := range []string{"unsharded", "static", "adaptive"} {
+			for _, schedule := range []string{"unsharded", "static"} {
 				if !regexp.MustCompile(`(?m)^` + schedule + `\s+\|`).MatchString(out) {
 					t.Errorf("no %s row in:\n%s", schedule, out)
 				}
+			}
+			if regexp.MustCompile(`(?m)^adaptive\s+\|`).MatchString(out) {
+				t.Errorf("an adaptive row in:\n%s", out)
 			}
 			if !regexp.MustCompile(`All schedules cover [1-9]\d* dscenarios`).MatchString(out) {
 				t.Errorf("no common dscenario count in:\n%s", out)
@@ -101,13 +104,15 @@ func TestRun(t *testing.T) {
 		}},
 		{name: "flag list", args: []string{"-h"}, wantErr: flag.ErrHelp.Error(), check: func(t *testing.T, out string) {
 			want := []string{"checkpoint", "cpuprofile", "dims", "memprofile", "packets", "shard-bits", "sharded",
-				"split-bits", "split-threshold", "table1", "wall", "workers", "worstcase"}
+				"table1", "wall", "workers", "worstcase"}
 			if got := flagNames(out); !reflect.DeepEqual(got, want) {
 				t.Errorf("registered flags = %v, want %v", got, want)
 			}
 		}},
 		{name: "deleted -json", args: []string{"-json"}, wantErr: "-json"},
 		{name: "deleted -spec-workers", args: []string{"-spec-workers", "2"}, wantErr: "-spec-workers"},
+		{name: "deleted -split-bits", args: []string{"-sharded", "-split-bits", "2"}, wantErr: "-split-bits"},
+		{name: "deleted -split-threshold", args: []string{"-sharded", "-split-threshold", "64"}, wantErr: "-split-threshold"},
 		{name: "negative -workers", args: []string{"-workers", "-1"}, wantErr: "-workers"},
 	}
 	for _, tt := range cases {

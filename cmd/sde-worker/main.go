@@ -65,8 +65,6 @@ func run(args []string) error {
 	workdir := fs.String("workdir", "", "checkpoint work directory, required")
 	heartbeat := fs.Duration("heartbeat", 500*time.Millisecond, "heartbeat interval while executing a lease")
 	checkpointEvery := fs.Int("checkpoint-every", 0, "checkpoint after every n events exactly (0 = cost-paced: at most 1/8 of a lease goes into periodic checkpoints)")
-	splitStates := fs.Int("split-states", 0, "self-split a lease above this many live states when the queue is starved (0 = never)")
-	splitAfter := fs.Duration("split-after", 2*time.Second, "minimum lease runtime before self-splitting")
 	crashAfter := fs.Int("crash-after-checkpoints", 0, "chaos hook: crash abruptly after observing the lease checkpoint N times")
 	crashAfterEvents := fs.Int("crash-after-events", 0, "chaos hook: crash abruptly once a lease has processed N events")
 	retry := fs.Duration("retry", 0, "reconnect after connection loss, waiting this long (0 = exit)")
@@ -106,8 +104,6 @@ func run(args []string) error {
 		WorkDir:               *workdir,
 		HeartbeatEvery:        *heartbeat,
 		CheckpointEvery:       *checkpointEvery,
-		SplitStates:           *splitStates,
-		SplitAfter:            *splitAfter,
 		CrashAfterCheckpoints: *crashAfter,
 		CrashAfterEvents:      *crashAfterEvents,
 		Logf:                  logf,

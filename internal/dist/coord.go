@@ -48,8 +48,8 @@ type Options struct {
 //
 // Workers pull, and the coordinator holds what it cannot answer: a Ready
 // that finds every queue empty parks its worker in idle, and whatever
-// queues a task next — a submission, a suspension's fan-out, a split, a
-// requeue — hands it to the longest-parked worker before it returns.
+// queues a task next — a submission, a suspension's fan-out, a requeue —
+// hands it to the longest-parked worker before it returns.
 // Every method that can queue a task therefore releases the lock through
 // unlockAndDispatch.
 type Coordinator struct {
@@ -160,7 +160,6 @@ func NewCoordinator(opts Options) *Coordinator {
 	reg.Declare("sde_jobs_active", "jobs not yet done, failed, or cancelled", metrics.PromGauge)
 	reg.Declare("sde_leases_issued_total", "work leases granted to workers", metrics.PromCounter)
 	reg.Declare("sde_lease_requeues_total", "leases returned to the queue, by reason", metrics.PromCounter)
-	reg.Declare("sde_lease_splits_total", "straggler leases re-partitioned into child sub-spaces", metrics.PromCounter)
 	reg.Declare("sde_results_total", "shard-leaf results received from workers", metrics.PromCounter)
 	reg.Declare("sde_heartbeats_total", "worker heartbeats received", metrics.PromCounter)
 	reg.Declare("sde_worker_leases_active", "leases currently held, per worker", metrics.PromGauge)
@@ -256,8 +255,8 @@ func (c *Coordinator) Serve(l net.Listener) error {
 
 // JobOptions parameterises AddJobWith.
 type JobOptions struct {
-	// ShardBits is the initial static pre-split (clamped to the
-	// scenario's MaxShardBits).
+	// ShardBits is the job's pre-split into 2^ShardBits bit shards
+	// (clamped to the scenario's MaxShardBits).
 	ShardBits int
 	// TestCases is the per-shard test-case budget the job digest is
 	// computed with.
@@ -293,7 +292,7 @@ func (c *Coordinator) AddJobWith(spec sde.ScenarioSpec, opts JobOptions) (string
 		ShardBits:     shardBits,
 		DepthHorizon:  opts.DepthHorizon,
 		HorizonFanout: opts.HorizonFanout,
-	}, maxBits, maxBits)
+	}, maxBits)
 	if err != nil {
 		return "", fmt.Errorf("dist: %w", err)
 	}
@@ -520,12 +519,6 @@ func (c *Coordinator) handleConn(conn net.Conn) {
 			}); err != nil {
 				return
 			}
-		case MsgSplit:
-			sp, err := decode[Split](payload)
-			if err != nil {
-				return
-			}
-			c.split(w, sp.Lease)
 		case MsgResult:
 			hdr, snapshot, err := parseHdrBlob[ResultHeader](payload)
 			if err != nil {
@@ -616,7 +609,6 @@ func (c *Coordinator) unlockAndDispatch() {
 			Job:         j.id,
 			Spec:        j.spec,
 			Item:        t.Item,
-			Splittable:  j.q.Splittable(t),
 			EventTarget: t.Target,
 		}})
 	}
@@ -640,7 +632,7 @@ func (c *Coordinator) unlockAndDispatch() {
 	}
 }
 
-// beat refreshes a lease and answers with cancel/starvation flags.
+// beat refreshes a lease and answers with its cancel flag.
 func (c *Coordinator) beat(w *workerConn, hb Heartbeat) HeartbeatAck {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -654,16 +646,9 @@ func (c *Coordinator) beat(w *workerConn, hb Heartbeat) HeartbeatAck {
 		return ack
 	}
 	l.lastBeat = time.Now()
-	j := c.jobs[l.jobID]
-	if j == nil || j.state != JobRunning {
+	if j := c.jobs[l.jobID]; j == nil || j.state != JobRunning {
 		ack.Cancel = true
-		return ack
 	}
-	queued := 0
-	for _, id := range c.order {
-		queued += c.jobs[id].q.Queued()
-	}
-	ack.Starved = queued == 0
 	return ack
 }
 
@@ -682,23 +667,6 @@ func (c *Coordinator) takeLeaseLocked(w *workerConn, id uint64) (*lease, *job) {
 		return nil, nil
 	}
 	return l, j
-}
-
-// split abandons a straggling lease; the queue replaces the item with its
-// two child sub-spaces, or requeues it whole when it cannot be split.
-func (c *Coordinator) split(w *workerConn, leaseID uint64) {
-	c.mu.Lock()
-	defer c.unlockAndDispatch()
-	l, j := c.takeLeaseLocked(w, leaseID)
-	if l == nil {
-		return
-	}
-	if split, _ := j.q.Split(l.task); !split {
-		c.reg.Add("sde_lease_requeues_total", map[string]string{"reason": "unsplittable"}, 1)
-		return
-	}
-	c.reg.Add("sde_lease_splits_total", nil, 1)
-	c.logf("lease %d: shard %s of %s split", leaseID, l.task.Item.Label(), l.jobID)
 }
 
 // completeLease records a finished leaf and finalises the job when it

@@ -167,39 +167,3 @@ func TestServiceDepthCrashRecovery(t *testing.T) {
 		t.Errorf("post-crash digest %s != in-process digest %s", st.Digest, want)
 	}
 }
-
-// TestSplitWanted pins the worker half of the straggler self-split
-// predicate. Whether an item can be subdivided at all — the depth cap,
-// continuation items never bit-splitting — is the queue's rule, tested in
-// internal/shard; the worker only honours the lease's Splittable flag.
-func TestSplitWanted(t *testing.T) {
-	armed := WorkerOptions{SplitStates: 10, SplitAfter: time.Second}
-	plain := Lease{Item: sde.ShardItem{Depth: 1, Bits: 0}, Splittable: true}
-	fixed := plain
-	fixed.Splittable = false
-
-	cases := []struct {
-		name    string
-		opts    WorkerOptions
-		lease   Lease
-		states  int
-		elapsed time.Duration
-		starved bool
-		want    bool
-	}{
-		{"all conditions met", armed, plain, 11, 2 * time.Second, true, true},
-		{"disarmed", WorkerOptions{}, plain, 11, 2 * time.Second, true, false},
-		{"below state threshold", armed, plain, 10, 2 * time.Second, true, false},
-		{"inside grace period", armed, plain, 11, 500 * time.Millisecond, true, false},
-		{"queue not starved", armed, plain, 11, 2 * time.Second, false, false},
-		{"item not splittable", armed, fixed, 11, 2 * time.Second, true, false},
-	}
-	for _, tc := range cases {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			if got := splitWanted(tc.opts, tc.lease, tc.states, tc.elapsed, tc.starved); got != tc.want {
-				t.Errorf("splitWanted = %v, want %v", got, tc.want)
-			}
-		})
-	}
-}

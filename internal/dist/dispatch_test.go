@@ -9,6 +9,8 @@ package dist
 
 import (
 	"context"
+	"encoding/json"
+	"errors"
 	"net"
 	"testing"
 	"time"
@@ -220,5 +222,51 @@ func TestFleetJobWritesNoCheckpoints(t *testing.T) {
 	}
 	if ck.Skipped == 0 {
 		t.Error("no grid boundary passed over: the leases are not short")
+	}
+}
+
+// TestServiceRetiredMessageType: type byte 7 carried the deleted straggler
+// split. It stays reserved, so a worker that still sends it while holding a
+// lease has its connection closed like any peer speaking an unknown kind;
+// the lease goes back to the queue and the job still finishes with the
+// in-process digest.
+func TestServiceRetiredMessageType(t *testing.T) {
+	if msgReserved7 != 7 || MsgResult != 8 || MsgError != 9 || MsgSuspend != 10 {
+		t.Fatalf("message kinds moved: reserved %d, result %d, error %d, suspend %d",
+			msgReserved7, MsgResult, MsgError, MsgSuspend)
+	}
+	c, addr := startCoordinator(t, Options{LeaseTTL: time.Hour})
+	old := park(t, c, addr, "old", 1)
+	id, err := c.AddJob(testSpec, 1, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, _ := old.lease(t)
+	payload, err := json.Marshal(map[string]uint64{"lease": l.ID})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := snap.WriteFrame(old.conn, msgReserved7, payload); err != nil {
+		t.Fatal(err)
+	}
+	old.conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	var ne net.Error
+	if _, _, err := snap.ReadFrame(old.conn); err == nil || (errors.As(err, &ne) && ne.Timeout()) {
+		t.Fatalf("after a type-7 frame the connection is still open (read: %v)", err)
+	}
+	waitGauge(t, c, "sde_workers_connected", 0)
+	if n := c.Registry().Value("sde_lease_requeues_total", map[string]string{"reason": "disconnect"}); n != 1 {
+		t.Errorf("disconnect requeues = %v, want the held lease's 1", n)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	startWorker(t, ctx, addr, WorkerOptions{Name: "w0"})
+	st := waitJob(t, c, id, 60*time.Second)
+	if st.State != JobDone {
+		t.Fatalf("job state = %s (%s)", st.State, st.Error)
+	}
+	if want := oracleDigest(t, testSpec, 1, 8); st.Digest != want {
+		t.Errorf("digest %s != in-process digest %s", st.Digest, want)
 	}
 }

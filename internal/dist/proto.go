@@ -18,14 +18,13 @@
 // request rather than refusing it, so an idle worker waits on its
 // connection and polls nothing. While executing it streams Heartbeat
 // messages (which double as progress reports) and reads HeartbeatAck
-// replies carrying the cancellation flag and the queue-starvation hint
-// that drives straggler re-splitting. A
-// worker that decides to split sends Split and abandons the lease; the
-// coordinator re-issues the two child sub-spaces. A worker that vanishes
-// mid-lease — crash, SIGKILL, network partition — is detected by lease
-// TTL expiry or connection teardown, and its item is simply requeued:
-// shard execution is deterministic and resumable, so a re-issued lease
-// produces the exact same leaf.
+// replies carrying the cancellation flag. A lease ends in one Result,
+// Suspend or Error; the sub-space it covers is fixed by the job's
+// partition when it is granted. A worker that vanishes mid-lease — crash,
+// SIGKILL, network partition — is detected by lease TTL expiry or
+// connection teardown, and its item is simply requeued: shard execution
+// is deterministic and resumable, so a re-issued lease produces the exact
+// same leaf.
 package dist
 
 import (
@@ -53,12 +52,13 @@ const (
 	// MsgHeartbeat is the worker's periodic liveness + progress report
 	// while executing a lease.
 	MsgHeartbeat
-	// MsgHeartbeatAck answers a heartbeat with the cancel flag and the
-	// starvation hint.
+	// MsgHeartbeatAck answers a heartbeat with the cancel flag.
 	MsgHeartbeatAck
-	// MsgSplit abandons a straggling lease so the coordinator re-issues
-	// its two child sub-spaces.
-	MsgSplit
+	// msgReserved7 is the type byte of the deleted straggler-split
+	// message, reserved so the kinds after it keep their bytes and the
+	// wire keeps its version. The coordinator treats it like any unknown
+	// kind: it closes the connection and requeues the sender's leases.
+	msgReserved7
 	// MsgResult delivers a finished (or stopped) lease: JSON header plus
 	// the shard's final snapshot bytes.
 	MsgResult
@@ -91,9 +91,6 @@ type Lease struct {
 	Job  string           `json:"job"`
 	Spec sde.ScenarioSpec `json:"spec"`
 	Item sde.ShardItem    `json:"item"`
-	// Splittable says the job's queue would subdivide this item if the
-	// worker abandons it as a straggler; a worker never splits otherwise.
-	Splittable bool `json:"splittable,omitempty"`
 	// EventTarget is the job's next depth horizon for this item as an
 	// absolute cumulative processed-event count (0 = run to completion).
 	// Absolute, so a crashed-and-resumed lease suspends on exactly the
@@ -114,14 +111,6 @@ type HeartbeatAck struct {
 	// Cancel tells the worker to stop the lease: its job was cancelled
 	// or its lease already expired and was re-issued elsewhere.
 	Cancel bool `json:"cancel,omitempty"`
-	// Starved reports an empty work queue with idle capacity — the
-	// signal that makes splitting a straggler worthwhile.
-	Starved bool `json:"starved,omitempty"`
-}
-
-// Split abandons a lease for re-partitioning.
-type Split struct {
-	Lease uint64 `json:"lease"`
 }
 
 // ResultHeader precedes the snapshot bytes in a MsgResult payload.

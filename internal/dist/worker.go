@@ -41,12 +41,6 @@ type WorkerOptions struct {
 	// plus 256 events of rework. How a lease executes beyond that — its
 	// layers — is the job's to say, never the worker's.
 	CheckpointEvery int
-	// SplitStates, when > 0, arms straggler self-splitting: a lease
-	// whose live state count exceeds it after SplitAfter, while the
-	// coordinator reports a starved queue, is abandoned with a Split so
-	// the coordinator re-issues its two child sub-spaces.
-	SplitStates int
-	SplitAfter  time.Duration
 	// CrashAfterCheckpoints, when > 0, injects a crash: once the active
 	// lease's checkpoint file has been observed that many times, the
 	// worker abruptly closes its connection and RunWorker returns
@@ -72,8 +66,7 @@ type inMsg struct {
 // RunWorker connects to a coordinator and executes leases until the
 // context is cancelled (returns nil) or the connection fails (returns the
 // error). Each lease runs through sde.RunShardLease with a progress hook
-// that streams heartbeats and honours cancellation, splitting, and the
-// injected crash.
+// that streams heartbeats and honours cancellation and the injected crash.
 func RunWorker(ctx context.Context, addr string, opts WorkerOptions) error {
 	if opts.Name == "" {
 		return fmt.Errorf("dist: worker needs a name")
@@ -202,8 +195,8 @@ func RunWorker(ctx context.Context, addr string, opts WorkerOptions) error {
 	}
 }
 
-// executeLease runs one lease and reports its outcome (result, suspend,
-// split, or error) back to the coordinator. parent is the suspended
+// executeLease runs one lease and reports its outcome (result, suspend or
+// error) back to the coordinator. parent is the suspended
 // ancestor frontier shipped with a continuation lease (empty otherwise).
 func executeLease(ctx context.Context, conn net.Conn, acks <-chan HeartbeatAck,
 	lease Lease, parent []byte, opts WorkerOptions, logf func(string, ...any), crashed *bool) error {
@@ -219,10 +212,7 @@ func executeLease(ctx context.Context, conn net.Conn, acks <-chan HeartbeatAck,
 		ckptSeen  int
 		events    int // progress polls, one per processed event
 		cancelled bool
-		starved   bool
-		wantSplit bool
 		lastBeat  = time.Now()
-		started   = time.Now()
 	)
 	progress := func(states int, elapsed time.Duration) bool {
 		if opts.CrashAfterCheckpoints > 0 {
@@ -253,24 +243,14 @@ func executeLease(ctx context.Context, conn net.Conn, acks <-chan HeartbeatAck,
 		for {
 			select {
 			case ack := <-acks:
-				if ack.Lease == lease.ID {
-					if ack.Cancel {
-						cancelled = true
-					}
-					starved = ack.Starved
+				if ack.Lease == lease.ID && ack.Cancel {
+					cancelled = true
 				}
 			default:
 				break drain
 			}
 		}
-		if cancelled {
-			return true
-		}
-		if splitWanted(opts, lease, states, time.Since(started), starved) {
-			wantSplit = true
-			return true
-		}
-		return false
+		return cancelled
 	}
 
 	out, err := sde.RunShardLease(scenario, lease.Item, sde.LeaseOptions{
@@ -286,9 +266,6 @@ func executeLease(ctx context.Context, conn net.Conn, acks <-chan HeartbeatAck,
 	case err != nil:
 		logf("lease %d: failed: %v", lease.ID, err)
 		return writeMsg(conn, MsgError, ErrorMsg{Lease: lease.ID, Msg: err.Error()})
-	case wantSplit:
-		logf("lease %d: splitting straggler %s", lease.ID, lease.Item.Label())
-		return writeMsg(conn, MsgSplit, Split{Lease: lease.ID})
 	case out.Stopped:
 		logf("lease %d: stopped", lease.ID)
 		return writeHdrBlob(conn, MsgResult, ResultHeader{Lease: lease.ID, Stopped: true}, nil)
@@ -302,15 +279,4 @@ func executeLease(ctx context.Context, conn net.Conn, acks <-chan HeartbeatAck,
 		logf("lease %d: done, %d snapshot bytes", lease.ID, len(out.Snapshot))
 		return writeHdrBlob(conn, MsgResult, ResultHeader{Lease: lease.ID}, out.Snapshot)
 	}
-}
-
-// splitWanted decides whether a running lease should be abandoned for a
-// straggler re-split: self-splitting must be armed, the lease must look
-// heavy (live states over the threshold after the grace period), the
-// coordinator must be reporting a starved queue, and the job's queue must
-// be able to subdivide the item.
-func splitWanted(opts WorkerOptions, lease Lease, states int, elapsed time.Duration, starved bool) bool {
-	return opts.SplitStates > 0 && states > opts.SplitStates &&
-		elapsed >= opts.SplitAfter &&
-		starved && lease.Splittable
 }

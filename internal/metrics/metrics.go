@@ -249,15 +249,14 @@ func (s RunStats) String() string {
 	return sb.String()
 }
 
-// SchedStats summarises one parallel scheduler run: how the adaptive
-// work-stealing shard scheduler spent its worker pool — per-worker
-// utilisation, steal/split activity, and cross-shard solver-cache reuse.
+// SchedStats summarises one parallel scheduler run: how the shard pool
+// spent its workers on a fixed partition — per-worker utilisation, stolen
+// continuation items, suspensions, and cross-shard solver-cache reuse.
 // What the shards themselves did is the sum of their RunStats.
 type SchedStats struct {
 	Workers     int // worker pool size
 	Shards      int // leaf shards that ran to completion
-	Steals      int // work items executed by a worker other than their creator
-	Splits      int // straggling shards subdivided in place
+	Steals      int // continuation items run by a worker other than their parent's
 	Resumed     int // work items restored from durable checkpoints
 	Suspensions int // runs suspended at a depth horizon and fanned out as continuations
 
@@ -313,8 +312,8 @@ func (s SchedStats) String() string {
 	if s.SharedLookups > 0 {
 		shared = fmt.Sprintf("%.0f%%", 100*s.SharedHitRate())
 	}
-	return fmt.Sprintf("workers=%d shards=%d steals=%d splits=%d shared-hit=%s util=%.0f%% makespan=%s",
-		s.Workers, s.Shards, s.Steals, s.Splits, shared,
+	return fmt.Sprintf("workers=%d shards=%d steals=%d shared-hit=%s util=%.0f%% makespan=%s",
+		s.Workers, s.Shards, s.Steals, shared,
 		100*s.MeanUtilization(), s.Elapsed.Round(time.Millisecond))
 }
 

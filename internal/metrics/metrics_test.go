@@ -253,13 +253,13 @@ func TestSchedStatsUtilization(t *testing.T) {
 
 func TestSchedStatsString(t *testing.T) {
 	s := SchedStats{
-		Workers: 4, Shards: 9, Steals: 3, Splits: 2,
+		Workers: 4, Shards: 9, Steals: 3,
 		SharedLookups: 10, SharedHits: 5,
 		WorkerBusy: []time.Duration{time.Second, time.Second, time.Second, time.Second},
 		Elapsed:    2 * time.Second,
 	}
 	str := s.String()
-	for _, want := range []string{"workers=4", "shards=9", "steals=3", "splits=2", "shared-hit=50%", "util=50%"} {
+	for _, want := range []string{"workers=4", "shards=9", "steals=3", "shared-hit=50%", "util=50%"} {
 		if !strings.Contains(str, want) {
 			t.Errorf("String() = %q, missing %q", str, want)
 		}

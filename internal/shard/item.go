@@ -1,7 +1,7 @@
 // Package shard is the partition state machine of parallel SDE (paper §VI):
 // how the dscenario space is cut into independently executable work items,
-// and what happens to an item when its run finishes, straggles, suspends
-// at a depth horizon or is lost. It knows nothing about engines,
+// and what happens to an item when its run finishes, suspends at a depth
+// horizon or is lost. It knows nothing about engines,
 // goroutines, sockets or leases — the in-process worker pool (package sde)
 // and the coordinator (internal/dist) are two transports over the one
 // Queue, which is why a partition yields the same leaves whichever ran it.

@@ -68,28 +68,29 @@ type Task struct {
 // continuation tree, not its width. "Front" below means next to be taken.
 type Queue[L any] struct {
 	part     Partition
-	splitCap int
 	queue    []*Task // the front is the end of the slice
 	inflight map[*Task]struct{}
 	leaves   []L
 
-	// Steals counts tasks taken by a worker other than the one whose
-	// split or suspension created them; Splits, Suspensions and Requeues
-	// count the outcomes of the same name.
-	Steals, Splits, Suspensions, Requeues int
+	// Steals counts tasks taken by a worker other than the one that last
+	// held them or their suspended parent: a continuation item run away
+	// from its parent's worker, or a requeued task run by another. A root
+	// item is never stolen. Suspensions and Requeues count the outcomes of
+	// the same name.
+	Steals, Suspensions, Requeues int
 }
 
 // New builds the queue of a partition over a space with maxBits shardable
-// decisions, holding the 2^ShardBits root items. splitBits caps how many
-// decisions Split may pin in total; it is clamped to [ShardBits, maxBits].
-func New[L any](p Partition, maxBits, splitBits int) (*Queue[L], error) {
+// decisions, holding the 2^ShardBits root items. Nothing subdivides an
+// item afterwards except a suspension at the partition's depth horizon, so
+// the leaves are a function of the partition alone.
+func New[L any](p Partition, maxBits int) (*Queue[L], error) {
 	p, err := p.normalize(maxBits)
 	if err != nil {
 		return nil, err
 	}
 	q := &Queue[L]{
 		part:     p,
-		splitCap: min(max(splitBits, p.ShardBits), maxBits),
 		inflight: make(map[*Task]struct{}),
 	}
 	for bits := uint64(0); bits < 1<<uint(p.ShardBits); bits++ {
@@ -140,37 +141,6 @@ func (q *Queue[L]) Leaf(t *Task, leaf L) bool {
 	return true
 }
 
-// Splittable reports whether Split would subdivide the task: there must
-// be a decision left to pin under the cap, and the task must not be a
-// continuation item — its pinned decisions already materialised inside
-// the parent frontier, so only the depth dimension subdivides it further.
-func (q *Queue[L]) Splittable(t *Task) bool {
-	return t.Item.Depth < q.splitCap && len(t.Item.Cont) == 0
-}
-
-// Split handles a straggler that was stopped mid-run: the partial run is
-// discarded (its states are not a sound cover of the sub-space) and the
-// item is replaced by its two halves, one more decision pinned. An item
-// that is not Splittable goes back to the front whole instead; split says
-// which happened.
-func (q *Queue[L]) Split(t *Task) (split, ok bool) {
-	if !q.Splittable(t) {
-		return false, q.Requeue(t)
-	}
-	if !q.finish(t) {
-		return false, false
-	}
-	q.Splits++
-	for b := uint64(0); b <= 1; b++ {
-		q.queue = append(q.queue, &Task{
-			Item:   Item{Depth: t.Item.Depth + 1, Bits: t.Item.Bits | b<<uint(t.Item.Depth)},
-			Target: t.Target,
-			origin: t.origin,
-		})
-	}
-	return true, true
-}
-
 // Suspend handles a run that hit its depth horizon after events processed
 // events with live work remaining: the frontier fans out into continuation
 // items — the partition's fan-out clamped to the units the frontier can be
@@ -202,10 +172,9 @@ func (q *Queue[L]) Suspend(t *Task, units int, events uint64, frontier []byte) (
 	return fanout, true
 }
 
-// Requeue returns a task whose run was lost — failed, expired, stopped
-// for a reason other than a split — to the front: it is the oldest work
-// there is, and its execution is deterministic, so running it again
-// yields the identical outcome.
+// Requeue returns a task whose run was lost — failed, expired, stopped —
+// to the front: it is the oldest work there is, and its execution is
+// deterministic, so running it again yields the identical outcome.
 func (q *Queue[L]) Requeue(t *Task) bool {
 	if !q.finish(t) {
 		return false

@@ -8,9 +8,9 @@ import (
 	"testing"
 )
 
-func newQueue(t *testing.T, p Partition, maxBits, splitBits int) *Queue[Item] {
+func newQueue(t *testing.T, p Partition, maxBits int) *Queue[Item] {
 	t.Helper()
-	q, err := New[Item](p, maxBits, splitBits)
+	q, err := New[Item](p, maxBits)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestPartitionNormalisation(t *testing.T) {
 }
 
 func TestRootsAndTakeOrder(t *testing.T) {
-	q := newQueue(t, Partition{ShardBits: 2, DepthHorizon: 7}, 3, 0)
+	q := newQueue(t, Partition{ShardBits: 2, DepthHorizon: 7}, 3)
 	if q.Queued() != 4 || q.InFlight() != 0 || q.Done() {
 		t.Fatalf("fresh queue: queued %d, in flight %d, done %v", q.Queued(), q.InFlight(), q.Done())
 	}
@@ -84,69 +84,56 @@ func TestFinishRules(t *testing.T) {
 		name      string
 		part      Partition
 		maxBits   int
-		splitBits int
 		item      Item   // the item in flight (injected in place of the single root)
 		target    uint64 // its horizon target
 		finish    func(q *Queue[Item], t *Task) bool
 		wantFront []string // labels in Take order afterwards
 		wantTgt   uint64   // target of every task in wantFront
-		counters  [3]int   // splits, suspensions, requeues
+		counters  [2]int   // suspensions, requeues
 		leaves    int
 	}{
 		{name: "leaf", maxBits: 2, item: Item{},
 			finish:    func(q *Queue[Item], t *Task) bool { return q.Leaf(t, t.Item) },
 			wantFront: nil, leaves: 1},
-		{name: "split pins one more bit and keeps the target", part: Partition{DepthHorizon: 9}, maxBits: 2, splitBits: 2,
-			item: Item{Depth: 1, Bits: 1}, target: 9,
-			finish:    func(q *Queue[Item], t *Task) bool { s, ok := q.Split(t); return s && ok },
-			wantFront: []string{"11/2", "01/2"}, wantTgt: 9, counters: [3]int{1, 0, 0}},
-		{name: "item at the split cap requeues whole", maxBits: 2, splitBits: 1,
-			item:      Item{Depth: 1, Bits: 1},
-			finish:    func(q *Queue[Item], t *Task) bool { s, ok := q.Split(t); return !s && ok },
-			wantFront: []string{"1/1"}, counters: [3]int{0, 0, 1}},
-		{name: "item at MaxShardBits requeues whole", maxBits: 1, splitBits: 5,
-			item:      Item{Depth: 1, Bits: 0},
-			finish:    func(q *Queue[Item], t *Task) bool { s, ok := q.Split(t); return !s && ok },
-			wantFront: []string{"0/1"}, counters: [3]int{0, 0, 1}},
-		{name: "continuation item refuses to split", part: Partition{DepthHorizon: 5}, maxBits: 2, splitBits: 2,
+		{name: "requeued continuation keeps its target", part: Partition{DepthHorizon: 5}, maxBits: 2,
 			item: Item{Cont: cont(ContStep{0, 2})}, target: 10,
-			finish:    func(q *Queue[Item], t *Task) bool { s, ok := q.Split(t); return !s && ok },
-			wantFront: []string{"root~0/2"}, wantTgt: 10, counters: [3]int{0, 0, 1}},
+			finish:    func(q *Queue[Item], t *Task) bool { return q.Requeue(t) },
+			wantFront: []string{"root~0/2"}, wantTgt: 10, counters: [2]int{0, 1}},
 		{name: "suspension fans out at events + horizon", part: Partition{DepthHorizon: 50, HorizonFanout: 3}, maxBits: 1,
 			item: Item{Depth: 1, Bits: 1}, target: 50,
 			finish: func(q *Queue[Item], t *Task) bool {
 				f, ok := q.Suspend(t, 8, 53, []byte("frontier"))
 				return f == 3 && ok
 			},
-			wantFront: []string{"1/1~2/3", "1/1~1/3", "1/1~0/3"}, wantTgt: 103, counters: [3]int{0, 1, 0}},
+			wantFront: []string{"1/1~2/3", "1/1~1/3", "1/1~0/3"}, wantTgt: 103, counters: [2]int{1, 0}},
 		{name: "fan-out clamps to the frontier's units", part: Partition{DepthHorizon: 50, HorizonFanout: 4}, maxBits: 0,
 			item: Item{Cont: cont(ContStep{1, 2})}, target: 100,
 			finish: func(q *Queue[Item], t *Task) bool {
 				f, ok := q.Suspend(t, 2, 100, []byte("frontier"))
 				return f == 2 && ok
 			},
-			wantFront: []string{"root~1/2~1/2", "root~1/2~0/2"}, wantTgt: 150, counters: [3]int{0, 1, 0}},
+			wantFront: []string{"root~1/2~1/2", "root~1/2~0/2"}, wantTgt: 150, counters: [2]int{1, 0}},
 		{name: "single-unit frontier continues as a chain", part: Partition{DepthHorizon: 50}, maxBits: 0,
 			item: Item{}, target: 50,
 			finish: func(q *Queue[Item], t *Task) bool {
 				f, ok := q.Suspend(t, 1, 50, []byte("frontier"))
 				return f == 1 && ok
 			},
-			wantFront: []string{"root~0/1"}, wantTgt: 100, counters: [3]int{0, 1, 0}},
+			wantFront: []string{"root~0/1"}, wantTgt: 100, counters: [2]int{1, 0}},
 		{name: "suspension without units requeues", part: Partition{DepthHorizon: 50}, maxBits: 0,
 			item: Item{}, target: 50,
 			finish: func(q *Queue[Item], t *Task) bool {
 				f, ok := q.Suspend(t, 0, 50, []byte("frontier"))
 				return f == 0 && ok
 			},
-			wantFront: []string{"root"}, wantTgt: 50, counters: [3]int{0, 0, 1}},
+			wantFront: []string{"root"}, wantTgt: 50, counters: [2]int{0, 1}},
 		{name: "suspension nobody asked for requeues", maxBits: 0,
 			item: Item{},
 			finish: func(q *Queue[Item], t *Task) bool {
 				f, ok := q.Suspend(t, 4, 50, []byte("frontier"))
 				return f == 0 && ok
 			},
-			wantFront: []string{"root"}, counters: [3]int{0, 0, 1}},
+			wantFront: []string{"root"}, counters: [2]int{0, 1}},
 		{name: "drop leaves nothing", maxBits: 0, item: Item{},
 			finish:    func(q *Queue[Item], t *Task) bool { return q.Drop(t) },
 			wantFront: nil},
@@ -154,7 +141,7 @@ func TestFinishRules(t *testing.T) {
 	for _, c := range cases {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			q := newQueue(t, c.part, c.maxBits, c.splitBits)
+			q := newQueue(t, c.part, c.maxBits)
 			task := q.Take(0)
 			task.Item, task.Target = c.item, c.target
 			if !c.finish(q, task) {
@@ -166,8 +153,8 @@ func TestFinishRules(t *testing.T) {
 			if c.finish(q, task) {
 				t.Error("finishing a task twice was accepted")
 			}
-			if got := [3]int{q.Splits, q.Suspensions, q.Requeues}; got != c.counters {
-				t.Errorf("splits/suspensions/requeues = %v, want %v", got, c.counters)
+			if got := [2]int{q.Suspensions, q.Requeues}; got != c.counters {
+				t.Errorf("suspensions/requeues = %v, want %v", got, c.counters)
 			}
 			if len(q.Leaves()) != c.leaves {
 				t.Errorf("%d leaves, want %d", len(q.Leaves()), c.leaves)
@@ -190,7 +177,7 @@ func TestFinishRules(t *testing.T) {
 }
 
 func TestRequeueLandsAtTheFront(t *testing.T) {
-	q := newQueue(t, Partition{ShardBits: 2}, 2, 0)
+	q := newQueue(t, Partition{ShardBits: 2}, 2)
 	a, b := q.Take(0), q.Take(0) // 11/2, 10/2
 	q.Requeue(a)
 	if next := q.Take(0); next != a {
@@ -204,7 +191,7 @@ func TestRequeueLandsAtTheFront(t *testing.T) {
 }
 
 func TestDoneNeedsQueueAndFlightEmpty(t *testing.T) {
-	q := newQueue(t, Partition{ShardBits: 1}, 1, 0)
+	q := newQueue(t, Partition{ShardBits: 1}, 1)
 	a, b := q.Take(0), q.Take(0)
 	if q.Done() {
 		t.Error("done with two tasks in flight")
@@ -227,7 +214,7 @@ func TestDoneNeedsQueueAndFlightEmpty(t *testing.T) {
 }
 
 func TestStealsAndFrontiers(t *testing.T) {
-	q := newQueue(t, Partition{DepthHorizon: 10}, 0, 0)
+	q := newQueue(t, Partition{DepthHorizon: 10}, 0)
 	root := q.Take(3)
 	if q.Steals != 0 {
 		t.Error("taking a root counted as a steal")
@@ -255,7 +242,7 @@ func TestStealsAndFrontiers(t *testing.T) {
 }
 
 // TestRandomWalkAlwaysCovers feeds the queue arbitrary outcomes — leaf,
-// split, suspend with random units, requeue — from several interleaved
+// suspend with random units, requeue — from several interleaved
 // workers and requires the collected leaves to be an exact cover of the
 // space every time, with every take accounted for by exactly one outcome.
 func TestRandomWalkAlwaysCovers(t *testing.T) {
@@ -267,7 +254,7 @@ func TestRandomWalkAlwaysCovers(t *testing.T) {
 			p.DepthHorizon = uint64(1 + rng.Intn(100))
 			p.HorizonFanout = rng.Intn(5)
 		}
-		q := newQueue(t, p, maxBits, rng.Intn(maxBits+2))
+		q := newQueue(t, p, maxBits)
 		var flight []*Task
 		takes, events := 0, uint64(0)
 		for steps := 0; !q.Done(); steps++ {
@@ -288,10 +275,8 @@ func TestRandomWalkAlwaysCovers(t *testing.T) {
 				roll = 0
 			}
 			switch {
-			case roll < 4:
+			case roll < 5:
 				q.Leaf(task, task.Item)
-			case roll < 6:
-				q.Split(task)
 			case roll < 9:
 				events += uint64(rng.Intn(50))
 				q.Suspend(task, rng.Intn(6), events, []byte{1})
@@ -302,7 +287,7 @@ func TestRandomWalkAlwaysCovers(t *testing.T) {
 		if err := VerifyCover(q.Leaves()); err != nil {
 			t.Fatalf("seed %d (%+v, maxBits %d): %v\nleaves: %s", seed, p, maxBits, err, fmt.Sprint(q.Leaves()))
 		}
-		if got := len(q.Leaves()) + q.Splits + q.Suspensions + q.Requeues; got != takes {
+		if got := len(q.Leaves()) + q.Suspensions + q.Requeues; got != takes {
 			t.Fatalf("seed %d: %d takes but %d outcomes", seed, takes, got)
 		}
 	}

@@ -119,22 +119,15 @@ type Config struct {
 	// space on independent engines.
 	Pin map[string]uint64
 
-	// Progress, when non-nil, is polled between events (every
-	// progressPollEvents processed events) with the number of adopted
-	// states and the elapsed wall time. Returning true stops the run:
-	// Step returns false and the Result reports Stopped. The adaptive
-	// shard scheduler uses this to cut a straggling shard short and
-	// re-partition it instead of waiting it out.
+	// Progress, when non-nil, is polled before every event with the
+	// number of adopted states and the elapsed wall time. Returning true
+	// stops the run: Step returns false and the Result reports Stopped. A
+	// fleet worker uses this to honour a cancelled lease and to inject a
+	// crash; a stopped run's partial result is discarded.
 	Progress func(states int, elapsed time.Duration) (stop bool)
 
-	// SharedSolverCache, when non-nil, backs this run's solver with a
-	// cross-run query cache, so concurrent shards reuse each other's
-	// constraint verdicts (pin-independent query components recur in
-	// every shard).
-	SharedSolverCache *solver.SharedCache
-
-	// Solver tunes the run's constraint solver: its conflict budget. A
-	// non-nil SharedSolverCache overrides Solver.SharedCache.
+	// Solver tunes the run's constraint solver: its conflict budget, and
+	// the cross-run query cache concurrent shards share (SharedCache).
 	Solver solver.Options
 
 	// CheckpointDir, when non-empty, makes the run durable: a snapshot of
@@ -304,14 +297,6 @@ const (
 	checkpointFloor = 2 * time.Millisecond
 )
 
-// progressPollEvents is how often (in processed events) Step consults
-// the Progress hook. Events are coarse units of work — a single event
-// can fork hundreds of states in a heavily symbolic handler — so the
-// hook is polled on every event: a straggler is caught at the first
-// event boundary after its state population explodes, and the per-event
-// cost of the poll is invisible next to event processing itself.
-const progressPollEvents = 1
-
 type heapEntry struct {
 	time    uint64
 	stateID uint64
@@ -413,11 +398,7 @@ func newEngineShell(cfg Config) (*Engine, error) {
 	recvFn := cfg.Prog.FuncIndex(cfg.RecvFn) // may be -1: send-only programs
 
 	layers := cfg.Layers
-	sopts := cfg.Solver
-	if cfg.SharedSolverCache != nil {
-		sopts.SharedCache = cfg.SharedSolverCache
-	}
-	ctx := vm.NewContextWithSolver(expr.NewBuilder(), sopts)
+	ctx := vm.NewContextWithSolver(expr.NewBuilder(), cfg.Solver)
 	ctx.Replay = cfg.Replay
 	if layers.NoCompile {
 		ctx.SetCompiledIR(false)
@@ -533,7 +514,7 @@ func (e *Engine) Step() bool {
 		e.abort(reason)
 		return false
 	}
-	if e.cfg.Progress != nil && e.events%progressPollEvents == 0 {
+	if e.cfg.Progress != nil {
 		if e.cfg.Progress(len(e.states), time.Since(e.started)) {
 			e.stopped = true
 			return false
@@ -619,8 +600,8 @@ func (e *Engine) Run() (*Result, error) {
 // returns it either way: its continuations have no other source. The
 // snapshot is taken and encoded at most once, and nothing written is read
 // back. A run its Progress hook stopped has none: its result is discarded by
-// contract (straggler split, cancel), and the injected worker crash that
-// stops a run this way must leave behind only what a kill would.
+// contract (cancel), and the injected worker crash that stops a run this
+// way must leave behind only what a kill would.
 func (e *Engine) RunItem(ship bool) (*Result, []byte, error) {
 	for e.Step() {
 	}

@@ -68,7 +68,7 @@ func TestProgressHookStopsRun(t *testing.T) {
 		t.Errorf("polls = %d, want 3", polls)
 	}
 	// The run stopped well before the horizon's worth of events.
-	if res.Events > progressPollEvents*3 {
+	if res.Events > 3 {
 		t.Errorf("run processed %d events after the stop request", res.Events)
 	}
 	// A stopped engine stays stopped.
@@ -99,8 +99,8 @@ func TestProgressHookNilNeverPolled(t *testing.T) {
 	}
 }
 
-// TestSharedSolverCachePlumbing: a cache injected through the config
-// backs the engine's solver, so two engines share verdicts even though
+// TestSharedSolverCachePlumbing: a cache injected through the config's
+// solver options backs the engine's solver, so two engines share verdicts even though
 // each has its own expression builder.
 func TestSharedSolverCachePlumbing(t *testing.T) {
 	shared := solver.NewSharedCache()
@@ -119,11 +119,11 @@ func TestSharedSolverCachePlumbing(t *testing.T) {
 	mkEngine := func() *Engine {
 		t.Helper()
 		eng, err := NewEngine(Config{
-			Topo:              NewLine(2),
-			Algorithm:         core.SDSAlgorithm,
-			Prog:              chattyProgram(t),
-			Horizon:           50,
-			SharedSolverCache: shared,
+			Topo:      NewLine(2),
+			Algorithm: core.SDSAlgorithm,
+			Prog:      chattyProgram(t),
+			Horizon:   50,
+			Solver:    solver.Options{SharedCache: shared},
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -95,7 +95,7 @@ func TestWitnessErrorIsRunError(t *testing.T) {
 		boot.Ret()
 	})
 	cache := solver.NewSharedCache()
-	cfg := sim.Config{Topo: sim.NewLine(1), Prog: prog, Algorithm: core.COBAlgorithm, SharedSolverCache: cache}
+	cfg := sim.Config{Topo: sim.NewLine(1), Prog: prog, Algorithm: core.COBAlgorithm, Solver: solver.Options{SharedCache: cache}}
 	eng, err := sim.NewEngine(cfg)
 	if err != nil {
 		t.Fatal(err)

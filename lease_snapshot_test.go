@@ -56,7 +56,7 @@ func TestLeaseShipsWhatTheDirectoryHolds(t *testing.T) {
 			}
 
 			// The lease path, over the same queue.
-			q, err := shard.New[sde.ShardLeaf](part, scenario.MaxShardBits(), scenario.MaxShardBits())
+			q, err := shard.New[sde.ShardLeaf](part, scenario.MaxShardBits())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -24,24 +24,24 @@ import (
 // solver, and state population) and the results merge by simple
 // aggregation.
 //
-// Scheduling is adaptive: a bounded worker pool pulls shard work items
-// from a shared queue (internal/shard — the same queue the exploration
-// service's coordinator runs per job), and when a shard turns out to be
-// a straggler — its live-state count or wall time crosses a threshold
-// while other workers starve — the worker stops it mid-run and the queue
-// splits it in place, pinning one more drop decision to produce two child
-// shards. Light regions of the space stay coarse (one cheap run), heavy
-// regions subdivide until the pool is balanced, without anyone guessing
-// the skew up front. An optional cross-shard solver cache lets concurrent
-// shards reuse each other's constraint verdicts.
+// A bounded worker pool pulls shard work items from a shared queue
+// (internal/shard — the same queue the exploration service's coordinator
+// runs per job). The items are fixed by the partition: 2^ShardBits bit
+// shards, each suspending at every DepthHorizon processed events and
+// fanning its frontier out HorizonFanout ways. The pool decides only which
+// worker runs which item, never what the items are, so a run's leaves —
+// and its digest — are a function of the partition alone. An optional
+// cross-shard solver cache lets concurrent shards reuse each other's
+// constraint verdicts.
 
 // MaxShardBits reports how many failure decisions of the scenario can be
 // used for sharding: log2 of the maximum shard count.
 func (s Scenario) MaxShardBits() int { return len(s.shardable) }
 
 // ShardConfig parameterises RunScenarioShardedWith. The zero value runs
-// the whole scenario as a single work item on a GOMAXPROCS-sized pool
-// with adaptive splitting disabled.
+// the whole scenario as a single work item on a GOMAXPROCS-sized pool.
+// ShardBits, DepthHorizon and HorizonFanout are the partition; the other
+// fields change how it runs, never its leaves or its digest.
 type ShardConfig struct {
 	// ShardBits pre-splits the dscenario space into 2^ShardBits uniform
 	// initial shards. It must not exceed the scenario's MaxShardBits.
@@ -52,21 +52,6 @@ type ShardConfig struct {
 	// shard count and parallelism are independent: thousands of shards
 	// can drain through a small pool.
 	Workers int
-
-	// MaxSplitBits caps how many drop decisions a shard may pin in
-	// total, i.e. how deep adaptive splitting can subdivide. Values
-	// below ShardBits are raised to ShardBits (which disables
-	// splitting); values above MaxShardBits are clamped down to it.
-	MaxSplitBits int
-
-	// SplitThreshold is the live-state count beyond which a running
-	// shard is considered a straggler and eligible for splitting
-	// (default 4096).
-	SplitThreshold int
-
-	// SplitAfter is the wall-time analogue of SplitThreshold: a shard
-	// running longer than this is eligible for splitting (default 2s).
-	SplitAfter time.Duration
 
 	// SharedSolverCache backs all shards with one cross-shard solver
 	// query cache. Shards share pin-independent query components (the
@@ -111,11 +96,6 @@ type ShardConfig struct {
 	HorizonFanout int
 }
 
-const (
-	defaultSplitThreshold = 4096
-	defaultSplitAfter     = 2 * time.Second
-)
-
 // ShardReport is the outcome of one shard of a sharded run.
 type ShardReport struct {
 	Shard  int
@@ -127,8 +107,8 @@ type ShardReport struct {
 type ShardedReport struct {
 	Shards []ShardReport
 
-	// Sched is the scheduler's telemetry: worker utilisation, steal and
-	// split counts, and cross-shard solver-cache reuse.
+	// Sched is the scheduler's telemetry: worker utilisation, steals,
+	// suspensions, and cross-shard solver-cache reuse.
 	Sched SchedStats
 }
 
@@ -206,11 +186,11 @@ type leafResult struct {
 
 // shardPool is the in-process transport over the shard queue: a fixed set
 // of goroutines taking tasks under one mutex. The partition rules — what
-// a split or a suspension puts back in the queue — are the queue's; the
-// pool only runs items and decides when a straggler is worth stopping.
+// a suspension puts back in the queue — are the queue's; the pool only
+// runs items.
 type shardPool struct {
 	scenario Scenario
-	cfg      ShardConfig // Workers, SplitThreshold, SplitAfter normalised
+	cfg      ShardConfig // Workers normalised
 	cache    *solver.SharedCache
 
 	mu      sync.Mutex
@@ -221,21 +201,6 @@ type shardPool struct {
 	busy    []time.Duration
 }
 
-// progressHook decides whether a running shard should stop and split: it
-// must look like a straggler (states or wall time over threshold) while
-// the queue is starving the pool. A full queue means splitting would
-// only add overhead; a starved one means idle capacity is waiting for
-// exactly this split.
-func (p *shardPool) progressHook(states int, elapsed time.Duration) bool {
-	if states <= p.cfg.SplitThreshold && elapsed < p.cfg.SplitAfter {
-		return false
-	}
-	p.mu.Lock()
-	starved := p.q.Queued() < p.cfg.Workers
-	p.mu.Unlock()
-	return starved
-}
-
 func (p *shardPool) worker(id int) {
 	for {
 		p.mu.Lock()
@@ -243,16 +208,12 @@ func (p *shardPool) worker(id int) {
 			p.cond.Wait()
 		}
 		t := p.q.Take(id)
-		splittable := t != nil && p.q.Splittable(t)
 		p.mu.Unlock()
 		if t == nil {
 			return
 		}
 
 		run := shardRun{task: t, every: p.cfg.CheckpointEvery, cache: p.cache}
-		if splittable {
-			run.progress = p.progressHook
-		}
 		if p.cfg.CheckpointDir != "" {
 			run.dir = filepath.Join(p.cfg.CheckpointDir, t.Item.Dir())
 		}
@@ -269,8 +230,6 @@ func (p *shardPool) worker(id int) {
 		case err != nil:
 			p.errs = append(p.errs, fmt.Errorf("shard %s: %w", t.Item.Label(), err))
 			p.q.Drop(t)
-		case report.Stopped():
-			p.q.Split(t)
 		case report.Suspended():
 			p.q.Suspend(t, report.res.SuspendUnits, report.res.Events, frontier)
 		default:
@@ -302,17 +261,11 @@ func RunScenarioShardedWith(s Scenario, cfg ShardConfig) (*ShardedReport, error)
 	if cfg.Workers == 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
-	if cfg.SplitThreshold <= 0 {
-		cfg.SplitThreshold = defaultSplitThreshold
-	}
-	if cfg.SplitAfter <= 0 {
-		cfg.SplitAfter = defaultSplitAfter
-	}
 	q, err := shard.New[leafResult](shard.Partition{
 		ShardBits:     cfg.ShardBits,
 		DepthHorizon:  cfg.DepthHorizon,
 		HorizonFanout: cfg.HorizonFanout,
-	}, s.MaxShardBits(), cfg.MaxSplitBits)
+	}, s.MaxShardBits())
 	if err != nil {
 		return nil, fmt.Errorf("sde: %w", err)
 	}
@@ -341,7 +294,6 @@ func RunScenarioShardedWith(s Scenario, cfg ShardConfig) (*ShardedReport, error)
 	sched := SchedStats{
 		Workers:     cfg.Workers,
 		Steals:      q.Steals,
-		Splits:      q.Splits,
 		Resumed:     p.resumed,
 		Suspensions: q.Suspensions,
 		WorkerBusy:  p.busy,
@@ -407,7 +359,7 @@ func finalizeSharded(s Scenario, leaves []leafResult, sched SchedStats) *Sharded
 
 // RunScenarioSharded runs the scenario split into 2^shardBits static
 // partitions on a GOMAXPROCS-sized worker pool: RunScenarioShardedWith
-// with adaptive splitting and the shared solver cache disabled.
+// with no depth horizon and the shared solver cache disabled.
 //
 // shardBits must not exceed the scenario's shardable node count, which
 // MaxShardBits reports.

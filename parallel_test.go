@@ -314,127 +314,13 @@ func TestShardedWallIsMakespan(t *testing.T) {
 	}
 }
 
-// TestAdaptiveSplittingDeterministic: a work-stealing run that splits
-// aggressively must still explore exactly the unsharded dscenario set —
-// the leaf partition varies with scheduling, the union never does.
-func TestAdaptiveSplittingDeterministic(t *testing.T) {
-	scenario := shardScenario(t, sde.SDS)
-	ref, err := sde.RunScenario(scenario)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refSet := explodeFingerprints(ref)
-	sharded, err := sde.RunScenarioShardedWith(scenario, sde.ShardConfig{
-		ShardBits:         0,
-		MaxSplitBits:      2,
-		SplitThreshold:    1, // everything is a straggler: force splits
-		Workers:           2,
-		SharedSolverCache: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sharded.Sched.Splits == 0 {
-		t.Error("SplitThreshold=1 run recorded no splits")
-	}
-	if sharded.Sched.Shards != len(sharded.Shards) {
-		t.Errorf("Sched.Shards = %d, report has %d shards",
-			sharded.Sched.Shards, len(sharded.Shards))
-	}
-	if sharded.DScenarios().Cmp(ref.DScenarios()) != 0 {
-		t.Errorf("dscenarios = %v, want %v", sharded.DScenarios(), ref.DScenarios())
-	}
-	got := map[uint64]bool{}
-	for _, sh := range sharded.Shards {
-		for fp := range explodeFingerprints(sh.Report) {
-			if got[fp] {
-				t.Fatalf("dscenario %x appears in two shards", fp)
-			}
-			got[fp] = true
-		}
-	}
-	if len(got) != len(refSet) {
-		t.Fatalf("adaptive union has %d dscenarios, unsharded %d", len(got), len(refSet))
-	}
-	for fp := range refSet {
-		if !got[fp] {
-			t.Fatal("adaptive union is missing an unsharded dscenario")
-		}
-	}
-}
-
-// TestAdaptiveFindsSameViolations: the work-stealing scheduler finds the
-// same violation set as a static sharded run and an unsharded run, and
-// its witnesses replay. Violations are compared by (node, time, message)
-// — state ids and witness models legitimately vary across partitionings.
-func TestAdaptiveFindsSameViolations(t *testing.T) {
-	scenario, err := sde.LineCollectScenario(sde.LineCollectOptions{
-		K:         3,
-		Algorithm: sde.SDS,
-		Packets:   2,
-		Failures: sde.FailurePlan{
-			DropFirst:      map[int]bool{1: true},
-			DuplicateFirst: map[int]bool{0: true},
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	violationKeys := func(vs []*sde.Violation) map[string]int {
-		keys := map[string]int{}
-		for _, v := range vs {
-			keys[fmt.Sprintf("n%d t%d %s", v.Node, v.Time, v.Msg)]++
-		}
-		return keys
-	}
-	ref, err := sde.RunScenario(scenario)
-	if err != nil {
-		t.Fatal(err)
-	}
-	static, err := sde.RunScenarioSharded(scenario, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	adaptive, err := sde.RunScenarioShardedWith(scenario, sde.ShardConfig{
-		MaxSplitBits:   1,
-		SplitThreshold: 1,
-		Workers:        2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := violationKeys(ref.Violations())
-	if len(want) == 0 {
-		t.Fatal("reference run found no violations")
-	}
-	for name, got := range map[string]map[string]int{
-		"static":   violationKeys(static.Violations()),
-		"adaptive": violationKeys(adaptive.Violations()),
-	} {
-		if !maps.Equal(got, want) {
-			t.Errorf("%s violations = %v, want %v", name, got, want)
-		}
-	}
-	for _, sh := range adaptive.Shards {
-		for _, v := range sh.Report.Violations() {
-			ok, _, err := sh.Report.ReplayViolation(v)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !ok {
-				t.Errorf("adaptive shard %d violation did not replay", sh.Shard)
-			}
-		}
-	}
-}
-
 // skewedScenario is a workload with real solver traffic and a skewed
 // dscenario space: node 0 broadcasts once at boot, and every receiver
 // forks depth symbolic branches on compound conditions (each fork costs
 // two feasibility queries). Receivers are armed DropFirst and declared
 // shardable, so the sub-spaces where drops occur are cheap (on_recv
 // never runs) while the all-delivered sub-space pays 2^depth forks per
-// receiver — the load imbalance adaptive splitting is built for.
+// receiver — the load imbalance BenchmarkShardedSkewed sweeps partitions of.
 func skewedScenario(t testing.TB, k, depth int, algo sde.Algorithm) sde.Scenario {
 	pb := sde.NewProgramBuilder()
 	boot := pb.Func("boot")
@@ -502,8 +388,8 @@ func TestShardedSchedTelemetry(t *testing.T) {
 	if sched.Shards != 4 {
 		t.Errorf("Shards = %d, want 4", sched.Shards)
 	}
-	if sched.Splits != 0 {
-		t.Errorf("static run recorded %d splits", sched.Splits)
+	if sched.Steals != 0 {
+		t.Errorf("Steals = %d without a depth horizon: only continuation items can be stolen", sched.Steals)
 	}
 	if sched.Elapsed <= 0 {
 		t.Error("Elapsed not recorded")

@@ -93,9 +93,8 @@ func NodeSet(nodes []int) map[int]bool { return sim.NodeSet(nodes) }
 // Sample is one metrics measurement (states, modeled memory, time).
 type Sample = metrics.Sample
 
-// SchedStats is the adaptive shard scheduler's telemetry: worker
-// utilisation, steal/split counts, and cross-shard solver-cache reuse.
-// See ShardedReport.Sched.
+// SchedStats is the shard pool's telemetry: worker utilisation, steals,
+// suspensions, and cross-shard solver-cache reuse. See ShardedReport.Sched.
 type SchedStats = metrics.SchedStats
 
 // RunStats is the one value a run's cumulative counters travel in: one part
@@ -301,10 +300,9 @@ func (r *Report) Aborted() (bool, string) { return r.res.Aborted, r.res.AbortRea
 // (see Resume). A resumed run's Wall includes the interrupted run's time.
 func (r *Report) Resumed() bool { return r.res.Resumed }
 
-// Stopped reports whether the run was cut short by a progress hook —
-// the adaptive shard scheduler stops straggling shards this way before
-// re-partitioning them. A stopped run's results cover only part of its
-// space and are discarded by the scheduler.
+// Stopped reports whether the run was cut short by a progress hook — a
+// fleet worker stops a cancelled lease this way. A stopped run's results
+// cover only part of its space and are discarded.
 func (r *Report) Stopped() bool { return r.res.Stopped }
 
 // Suspended reports whether the run paused at a depth horizon (an event

@@ -76,10 +76,10 @@ type LeaseOptions struct {
 	// crash loses at most 8 checkpoint costs — 16 ms before the first
 	// checkpoint — plus 256 events).
 	CheckpointEvery int
-	// Progress, when non-nil, is polled during the run with the live
+	// Progress, when non-nil, is polled before every event with the live
 	// state count and elapsed wall time; returning true stops the run
-	// (LeaseOutcome.Stopped) — how a worker honours a straggler re-split
-	// or a job cancellation.
+	// (LeaseOutcome.Stopped) — how a worker honours a job cancellation or
+	// an injected crash.
 	Progress func(states int, elapsed time.Duration) (stop bool)
 	// EventTarget, when non-zero, is the depth horizon for this lease as
 	// an absolute cumulative processed-event count: the run suspends once
@@ -194,7 +194,7 @@ func runShardItem(s Scenario, r shardRun) (*Report, []byte, error) {
 	// overwrite the shard's checkpoint.
 	cfg := sub.cfg
 	cfg.Progress = r.progress
-	cfg.SharedSolverCache = r.cache
+	cfg.Solver.SharedCache = r.cache
 	cfg.EventBudget = r.task.Target
 	cfg.CheckpointDir, cfg.CheckpointEvery = r.dir, r.every
 

@@ -36,27 +36,22 @@ func TestShardItemLabelAndDir(t *testing.T) {
 // coordinator does minus the network: every task the partition's queue
 // hands out runs as an isolated RunShardLease, a suspended lease's
 // frontier goes back through Suspend, and a finished one's snapshot is
-// collected as a leaf. split, when non-nil, names the items to abandon
-// unrun as stragglers, which is how a mixed-depth cover comes about.
+// collected as a leaf. split, when non-nil, names bit shards to cover by
+// their two halves — one more decision pinned, each run whole — instead:
+// a mixed-depth cover, which AssembleSharded accepts like any exact cover.
 func leaseCover(t *testing.T, s sde.Scenario, root string, part shard.Partition, split func(sde.ShardItem) bool) []sde.ShardLeaf {
 	t.Helper()
-	q, err := shard.New[sde.ShardLeaf](part, s.MaxShardBits(), s.MaxShardBits())
+	q, err := shard.New[sde.ShardLeaf](part, s.MaxShardBits())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for task := q.Take(0); task != nil; task = q.Take(0) {
-		it := task.Item
-		if split != nil && split(it) {
-			if did, _ := q.Split(task); !did {
-				t.Fatalf("lease %s cannot be split", it.Label())
-			}
-			continue
+	run := func(it sde.ShardItem, task *shard.Task) *sde.LeaseOutcome {
+		t.Helper()
+		opts := sde.LeaseOptions{CheckpointDir: filepath.Join(root, it.Dir())}
+		if task != nil {
+			opts.EventTarget, opts.Continuation = task.Target, task.Parent
 		}
-		out, err := sde.RunShardLease(s, it, sde.LeaseOptions{
-			CheckpointDir: filepath.Join(root, it.Dir()),
-			EventTarget:   task.Target,
-			Continuation:  task.Parent,
-		})
+		out, err := sde.RunShardLease(s, it, opts)
 		switch {
 		case err != nil:
 			t.Fatalf("lease %s: %v", it.Label(), err)
@@ -64,13 +59,30 @@ func leaseCover(t *testing.T, s sde.Scenario, root string, part shard.Partition,
 			t.Fatalf("lease %s stopped without a progress hook", it.Label())
 		case len(out.Snapshot) == 0:
 			t.Fatalf("lease %s returned an empty snapshot", it.Label())
-		case out.Suspended:
+		}
+		return out
+	}
+	var halves []sde.ShardLeaf
+	for task := q.Take(0); task != nil; task = q.Take(0) {
+		it := task.Item
+		if split != nil && split(it) {
+			if len(it.Cont) > 0 || it.Depth >= s.MaxShardBits() {
+				t.Fatalf("lease %s cannot be split", it.Label())
+			}
+			q.Drop(task)
+			for b := uint64(0); b <= 1; b++ {
+				half := sde.ShardItem{Depth: it.Depth + 1, Bits: it.Bits | b<<uint(it.Depth)}
+				halves = append(halves, sde.ShardLeaf{Item: half, Snapshot: run(half, nil).Snapshot})
+			}
+			continue
+		}
+		if out := run(it, task); out.Suspended {
 			q.Suspend(task, out.Units, out.Events, out.Snapshot)
-		default:
+		} else {
 			q.Leaf(task, sde.ShardLeaf{Item: it, Snapshot: out.Snapshot})
 		}
 	}
-	return q.Leaves()
+	return append(q.Leaves(), halves...)
 }
 
 // TestAssembleShardedBitIdentical is the service's core soundness
