@@ -2,6 +2,8 @@ package sde_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -102,5 +104,47 @@ func TestLeaseShipsWhatTheDirectoryHolds(t *testing.T) {
 				t.Fatalf("%d suspended and %d finished leases: the partition must produce both", suspended, finished)
 			}
 		})
+	}
+}
+
+// TestLeaseBlobGolden pins the bytes a worker ships: the SHA-256 of the
+// first lease of a 1-bit SDS partition, decoded and re-encoded with its
+// wall-clock readings and run counters (some sized by the host's CPU
+// count) zeroed. A change to how snapshots are taken, cut or encoded that
+// alters a byte fails here, and must come with a wire version bump.
+func TestLeaseBlobGolden(t *testing.T) {
+	const want = "c8b5569f3631ff45e84583813bb32427f8d35c4cac70c917f5b6fa97ab5acd51"
+	scenario := shardScenario(t, sde.SDS)
+	part := shard.Partition{ShardBits: 1, DepthHorizon: horizonFor(sde.SDS)}
+	q, err := shard.New[sde.ShardLeaf](part, scenario.MaxShardBits())
+	if err != nil {
+		t.Fatal(err)
+	}
+	task := q.Take(0)
+	out, err := sde.RunShardLease(scenario, task.Item, sde.LeaseOptions{
+		CheckpointDir: t.TempDir(),
+		EventTarget:   task.Target,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := expr.NewBuilder()
+	sp, err := snap.Decode(out.Snapshot, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp.PriorWall = 0
+	sp.Stats = metrics.RunStats{}
+	for i := range sp.Samples {
+		sp.Samples[i].Wall = 0
+	}
+	data, err := sp.Encode(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(data)
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Errorf("lease %s (suspended=%v, %d bytes) hashes to %s, want %s",
+			task.Item.Label(), out.Suspended, len(data), got, want)
 	}
 }
