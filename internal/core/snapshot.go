@@ -9,8 +9,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // VDStateImage is one SDS dstate over virtual states, each virtual state
@@ -48,65 +49,88 @@ type MapperSnapshot struct {
 
 // SnapshotMapper flattens a mapper produced by New. It fails on a mapper
 // still in its registration phase — checkpoints are only taken between
-// engine steps, long after registration completes.
+// engine steps, long after registration completes. The id lists of a
+// snapshot are carved, each capped at its own length, from one allocation
+// per kind.
 func SnapshotMapper[S StateHandle[S]](m Mapper[S]) (*MapperSnapshot, error) {
 	switch mm := m.(type) {
 	case *COB[S]:
 		if mm.pending != nil {
 			return nil, fmt.Errorf("core: snapshot of COB mid-registration")
 		}
-		sp := &MapperSnapshot{Algorithm: COBAlgorithm, K: mm.k}
-		for _, sc := range mm.scenarios {
-			row := make([]uint64, len(sc.states))
+		sp := &MapperSnapshot{Algorithm: COBAlgorithm, K: mm.k, Scenarios: make([][]uint64, len(mm.scenarios))}
+		ids := make([]uint64, len(mm.scenarios)*mm.k)
+		for i, sc := range mm.scenarios {
+			row := ids[i*mm.k : (i+1)*mm.k : (i+1)*mm.k]
 			for node, s := range sc.states {
 				row[node] = s.ID()
 			}
-			sp.Scenarios = append(sp.Scenarios, row)
+			sp.Scenarios[i] = row
 		}
 		return sp, nil
 	case *COW[S]:
 		if mm.nRegister != mm.k {
 			return nil, fmt.Errorf("core: snapshot of COW mid-registration")
 		}
-		sp := &MapperSnapshot{Algorithm: COWAlgorithm, K: mm.k}
-		for _, d := range mm.dstates {
-			ds := make([][]uint64, mm.k)
+		sp := &MapperSnapshot{Algorithm: COWAlgorithm, K: mm.k, DStates: make([][][]uint64, len(mm.dstates))}
+		buckets := make([][]uint64, len(mm.dstates)*mm.k)
+		ids := make([]uint64, 0, len(mm.index))
+		for i, d := range mm.dstates {
+			ds := buckets[i*mm.k : (i+1)*mm.k : (i+1)*mm.k]
 			for node, bucket := range d.byNode {
-				ids := make([]uint64, len(bucket))
-				for i, s := range bucket {
-					ids[i] = s.ID()
+				for _, s := range bucket {
+					ids = append(ids, s.ID())
 				}
-				ds[node] = ids
+				ds[node] = ids[len(ids)-len(bucket) : len(ids) : len(ids)]
 			}
-			sp.DStates = append(sp.DStates, ds)
+			sp.DStates[i] = ds
 		}
 		return sp, nil
 	case *SDS[S]:
 		if mm.nRegister != mm.k {
 			return nil, fmt.Errorf("core: snapshot of SDS mid-registration")
 		}
-		sp := &MapperSnapshot{Algorithm: SDSAlgorithm, K: mm.k, NextDSID: mm.nextDSID}
-		for _, d := range mm.dstates {
-			img := VDStateImage{ID: d.id, ByNode: make([][]uint64, mm.k)}
+		sp := &MapperSnapshot{
+			Algorithm: SDSAlgorithm, K: mm.k, NextDSID: mm.nextDSID,
+			VDStates: make([]VDStateImage, len(mm.dstates)),
+			Supers:   make([]SuperImage, 0, len(mm.virtuals)),
+		}
+		nv := 0
+		for _, l := range mm.virtuals {
+			nv += l.n
+		}
+		buckets := make([][]uint64, len(mm.dstates)*mm.k)
+		ids := make([]uint64, 0, nv)
+		for i, d := range mm.dstates {
+			img := VDStateImage{ID: d.id, ByNode: buckets[i*mm.k : (i+1)*mm.k : (i+1)*mm.k]}
 			for node, bucket := range d.byNode {
-				ids := make([]uint64, len(bucket))
-				for i, v := range bucket {
-					ids[i] = v.actual.ID()
+				for _, v := range bucket {
+					ids = append(ids, v.actual.ID())
 				}
-				img.ByNode[node] = ids
+				img.ByNode[node] = ids[len(ids)-len(bucket) : len(ids) : len(ids)]
 			}
-			sp.VDStates = append(sp.VDStates, img)
+			sp.VDStates[i] = img
 		}
-		supers := make([]SuperImage, 0, len(mm.virtuals))
+		type super struct {
+			id uint64
+			l  *vlist[S]
+		}
+		order := make([]super, 0, len(mm.virtuals))
 		for s, l := range mm.virtuals {
-			si := SuperImage{StateID: s.ID()}
-			for v := l.head; v != nil; v = v.next {
-				si.DStateIDs = append(si.DStateIDs, v.ds.id)
-			}
-			supers = append(supers, si)
+			order = append(order, super{s.ID(), l})
 		}
-		sort.Slice(supers, func(i, j int) bool { return supers[i].StateID < supers[j].StateID })
-		sp.Supers = supers
+		slices.SortFunc(order, func(a, b super) int { return cmp.Compare(a.id, b.id) })
+		dsIDs := make([]int, nv)
+		for _, o := range order {
+			list := dsIDs[:o.l.n:o.l.n]
+			dsIDs = dsIDs[o.l.n:]
+			i := 0
+			for v := o.l.head; v != nil; v = v.next {
+				list[i] = v.ds.id
+				i++
+			}
+			sp.Supers = append(sp.Supers, SuperImage{StateID: o.id, DStateIDs: list})
+		}
 		return sp, nil
 	}
 	return nil, fmt.Errorf("core: cannot snapshot mapper %T", m)
@@ -138,12 +162,17 @@ func RestoreMapper[S StateHandle[S]](sp *MapperSnapshot, lookup func(uint64) (S,
 	}
 	switch sp.Algorithm {
 	case COBAlgorithm:
-		m := &COB[S]{k: k, index: make(map[S]*dscenario[S]), nRegister: k}
-		for _, row := range sp.Scenarios {
+		rows := len(sp.Scenarios)
+		m := &COB[S]{k: k, index: make(map[S]*dscenario[S], rows*k), nRegister: k}
+		m.scenarios = make([]*dscenario[S], 0, rows)
+		scenarios := make([]dscenario[S], rows)
+		states := make([]S, rows*k)
+		for i, row := range sp.Scenarios {
 			if len(row) != k {
 				return nil, fmt.Errorf("core: COB dscenario with %d nodes, want %d", len(row), k)
 			}
-			sc := &dscenario[S]{states: make([]S, k)}
+			sc := &scenarios[i]
+			sc.states = states[i*k : (i+1)*k : (i+1)*k]
 			for node, id := range row {
 				s, err := resolve(id, node)
 				if err != nil {
@@ -162,7 +191,15 @@ func RestoreMapper[S StateHandle[S]](sp *MapperSnapshot, lookup func(uint64) (S,
 		}
 		return m, nil
 	case COWAlgorithm:
-		m := &COW[S]{k: k, index: make(map[S]*dstate[S]), nRegister: k}
+		n := 0
+		for _, src := range sp.DStates {
+			for _, ids := range src {
+				n += len(ids)
+			}
+		}
+		m := &COW[S]{k: k, index: make(map[S]*dstate[S], n), nRegister: k}
+		m.dstates = make([]*dstate[S], 0, len(sp.DStates))
+		states := make([]S, n)
 		for di, src := range sp.DStates {
 			if len(src) != k {
 				return nil, fmt.Errorf("core: COW dstate %d with %d nodes, want %d", di, len(src), k)
@@ -172,7 +209,9 @@ func RestoreMapper[S StateHandle[S]](sp *MapperSnapshot, lookup func(uint64) (S,
 				if len(ids) == 0 {
 					return nil, fmt.Errorf("core: COW dstate %d has no states for node %d", di, node)
 				}
-				for _, id := range ids {
+				bucket := states[:len(ids):len(ids)]
+				states = states[len(ids):]
+				for i, id := range ids {
 					s, err := resolve(id, node)
 					if err != nil {
 						return nil, err
@@ -180,9 +219,10 @@ func RestoreMapper[S StateHandle[S]](sp *MapperSnapshot, lookup func(uint64) (S,
 					if _, dup := m.index[s]; dup {
 						return nil, fmt.Errorf("core: state %d in two COW dstates", id)
 					}
-					d.add(s)
+					bucket[i] = s
 					m.index[s] = d
 				}
+				d.byNode[node] = bucket
 			}
 			m.dstates = append(m.dstates, d)
 		}
@@ -191,85 +231,148 @@ func RestoreMapper[S StateHandle[S]](sp *MapperSnapshot, lookup func(uint64) (S,
 		}
 		return m, nil
 	case SDSAlgorithm:
-		m := &SDS[S]{k: k, virtuals: make(map[S]*vlist[S], len(sp.Supers)), nRegister: k, nextDSID: sp.NextDSID}
-		type vkey struct {
-			sid uint64
-			ds  int
-		}
-		nv := 0
-		for _, img := range sp.VDStates {
-			for _, ids := range img.ByNode {
-				nv += len(ids)
-			}
-		}
-		vmap := make(map[vkey]*vstate[S], nv)
-		seenDS := make(map[int]bool, len(sp.VDStates))
-		for _, img := range sp.VDStates {
-			if img.ID < 0 || img.ID >= sp.NextDSID {
-				return nil, fmt.Errorf("core: SDS dstate id %d outside [0,%d)", img.ID, sp.NextDSID)
-			}
-			if seenDS[img.ID] {
-				return nil, fmt.Errorf("core: SDS dstate id %d twice", img.ID)
-			}
-			seenDS[img.ID] = true
-			if len(img.ByNode) != k {
-				return nil, fmt.Errorf("core: SDS dstate %d with %d nodes, want %d", img.ID, len(img.ByNode), k)
-			}
-			d := &vDState[S]{id: img.ID, byNode: make([][]*vstate[S], k)}
-			for node, ids := range img.ByNode {
-				if len(ids) == 0 {
-					return nil, fmt.Errorf("core: SDS dstate %d has no states for node %d", img.ID, node)
-				}
-				for _, id := range ids {
-					s, err := resolve(id, node)
-					if err != nil {
-						return nil, err
-					}
-					key := vkey{sid: id, ds: img.ID}
-					if vmap[key] != nil {
-						return nil, fmt.Errorf("core: state %d twice in SDS dstate %d", id, img.ID)
-					}
-					v := &vstate[S]{actual: s}
-					d.add(v)
-					vmap[key] = v
-				}
-			}
-			m.dstates = append(m.dstates, d)
-		}
-		if len(m.dstates) == 0 {
-			return nil, fmt.Errorf("core: SDS snapshot with no dstates")
-		}
-		claimed := 0
-		for _, si := range sp.Supers {
-			s, ok := lookup(si.StateID)
-			if !ok {
-				return nil, fmt.Errorf("core: super-dstate of unknown state %d", si.StateID)
-			}
-			if _, dup := m.virtuals[s]; dup {
-				return nil, fmt.Errorf("core: state %d has two super-dstates", si.StateID)
-			}
-			l := &vlist[S]{}
-			// prepend builds the list back-to-front, so feed it the stored
-			// head-first order in reverse.
-			for i := len(si.DStateIDs) - 1; i >= 0; i-- {
-				v := vmap[vkey{sid: si.StateID, ds: si.DStateIDs[i]}]
-				if v == nil {
-					return nil, fmt.Errorf("core: state %d's super-dstate names dstate %d it is not in",
-						si.StateID, si.DStateIDs[i])
-				}
-				if v.list != nil { // prepend sets it
-					return nil, fmt.Errorf("core: state %d lists dstate %d twice", si.StateID, si.DStateIDs[i])
-				}
-				claimed++
-				l.prepend(v)
-			}
-			m.virtuals[s] = l
-		}
-		if claimed != len(vmap) {
-			return nil, fmt.Errorf("core: %d virtual states not claimed by any super-dstate",
-				len(vmap)-claimed)
-		}
-		return m, nil
+		return restoreSDS(sp, lookup)
 	}
 	return nil, fmt.Errorf("core: mapper snapshot with unknown algorithm %d", sp.Algorithm)
+}
+
+// restoreSDS is RestoreMapper for SDS. Virtual states are made dstate by
+// dstate, one block each as MapSend's splits make them, and queued on their
+// actual state's pending list, which the state's super-dstate image — found
+// by binary search, the images being in strictly ascending state id order —
+// names. Each super-dstate is then linked in its stored order through a
+// scratch slot per dstate id. SDS deletes no dstate, so a snapshot holds
+// every dstate id below NextDSID exactly once, and both tables by dstate id
+// are as long as the dstate list read.
+func restoreSDS[S StateHandle[S]](sp *MapperSnapshot, lookup func(uint64) (S, bool)) (Mapper[S], error) {
+	k := sp.K
+	nd := len(sp.VDStates)
+	if nd == 0 {
+		return nil, fmt.Errorf("core: SDS snapshot with no dstates")
+	}
+	if sp.NextDSID != nd {
+		return nil, fmt.Errorf("core: SDS snapshot holds %d dstates, but %d were created (SDS deletes none)",
+			nd, sp.NextDSID)
+	}
+	supers := sp.Supers
+	actual := make([]S, len(supers))
+	for j, si := range supers {
+		if j > 0 && si.StateID <= supers[j-1].StateID {
+			if si.StateID == supers[j-1].StateID {
+				return nil, fmt.Errorf("core: state %d has two super-dstates", si.StateID)
+			}
+			return nil, fmt.Errorf("core: super-dstate of state %d out of state id order", si.StateID)
+		}
+		s, ok := lookup(si.StateID)
+		if !ok {
+			return nil, fmt.Errorf("core: super-dstate of unknown state %d", si.StateID)
+		}
+		actual[j] = s
+	}
+	// superOf finds the super-dstate image of state id.
+	superOf := func(id uint64) (int, bool) {
+		lo, hi := 0, len(supers)
+		for lo < hi {
+			mid := int(uint(lo+hi) >> 1)
+			if supers[mid].StateID < id {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		return lo, lo < len(supers) && supers[lo].StateID == id
+	}
+
+	m := &SDS[S]{k: k, virtuals: make(map[S]*vlist[S], len(supers)), nRegister: k, nextDSID: sp.NextDSID}
+	m.dstates = make([]*vDState[S], 0, nd)
+	byID := make([]*vDState[S], nd)
+	// pending[j] heads the virtual states of supers[j]'s state made so far,
+	// newest first, linked through next until their list is built.
+	pending := make([]*vstate[S], len(supers))
+	for _, img := range sp.VDStates {
+		if img.ID < 0 || img.ID >= nd {
+			return nil, fmt.Errorf("core: SDS dstate id %d outside [0,%d)", img.ID, nd)
+		}
+		if byID[img.ID] != nil {
+			return nil, fmt.Errorf("core: SDS dstate id %d twice", img.ID)
+		}
+		if len(img.ByNode) != k {
+			return nil, fmt.Errorf("core: SDS dstate %d with %d nodes, want %d", img.ID, len(img.ByNode), k)
+		}
+		total := 0
+		for node, ids := range img.ByNode {
+			if len(ids) == 0 {
+				return nil, fmt.Errorf("core: SDS dstate %d has no states for node %d", img.ID, node)
+			}
+			total += len(ids)
+		}
+		d := &vDState[S]{id: img.ID, byNode: make([][]*vstate[S], k)}
+		block := make([]vstate[S], total)
+		ptrs := make([]*vstate[S], total)
+		off := 0
+		for node, ids := range img.ByNode {
+			for i, id := range ids {
+				j, ok := superOf(id)
+				if !ok {
+					if _, known := lookup(id); !known {
+						return nil, fmt.Errorf("core: mapper snapshot references unknown state %d", id)
+					}
+					return nil, fmt.Errorf("core: state %d in SDS dstate %d not claimed by any super-dstate", id, img.ID)
+				}
+				s := actual[j]
+				if s.NodeID() != node {
+					return nil, fmt.Errorf("core: state %d is on node %d, bucket says %d", id, s.NodeID(), node)
+				}
+				// A state's entries in one dstate are queued one after
+				// another, so a second one finds the first at the head.
+				if p := pending[j]; p != nil && p.ds == d {
+					return nil, fmt.Errorf("core: state %d twice in SDS dstate %d", id, img.ID)
+				}
+				v := &block[off+i]
+				v.actual, v.ds, v.next = s, d, pending[j]
+				pending[j] = v
+				ptrs[off+i] = v
+			}
+			d.byNode[node] = ptrs[off : off+len(ids) : off+len(ids)]
+			off += len(ids)
+		}
+		byID[img.ID] = d
+		m.dstates = append(m.dstates, d)
+	}
+
+	lists := make([]vlist[S], len(supers))
+	slot := make([]*vstate[S], nd) // by dstate id: the current state's virtual state there
+	for j, si := range supers {
+		queued := 0
+		for v := pending[j]; v != nil; v = v.next {
+			slot[v.ds.id] = v
+			queued++
+		}
+		l := &lists[j]
+		// prepend builds the list back-to-front, so feed it the stored
+		// head-first order in reverse.
+		for i := len(si.DStateIDs) - 1; i >= 0; i-- {
+			id := si.DStateIDs[i]
+			var v *vstate[S]
+			if id >= 0 && id < nd {
+				v = slot[id]
+			}
+			if v == nil {
+				return nil, fmt.Errorf("core: state %d's super-dstate names dstate %d it is not in", si.StateID, id)
+			}
+			if v.list != nil { // prepend sets it
+				return nil, fmt.Errorf("core: state %d lists dstate %d twice", si.StateID, id)
+			}
+			l.prepend(v)
+		}
+		if l.n != queued {
+			return nil, fmt.Errorf("core: %d virtual states of state %d not claimed by its super-dstate",
+				queued-l.n, si.StateID)
+		}
+		for v := l.head; v != nil; v = v.next {
+			slot[v.ds.id] = nil
+		}
+		m.virtuals[actual[j]] = l
+	}
+	return m, nil
 }

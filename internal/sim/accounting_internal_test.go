@@ -18,7 +18,7 @@ import (
 // shared page counts once. It is what modelBytes used to do on
 // every sample.
 func (e *Engine) modelBytesWalk() MemTerms {
-	pt := vm.NewPageTable()
+	pt := vm.NewPageTable(e.ctx)
 	var terms MemTerms
 	for _, s := range e.states {
 		terms.Overhead += int64(s.OverheadBytes())

@@ -7,7 +7,9 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"time"
 
 	"sde/internal/core"
@@ -28,7 +30,7 @@ func (e *Engine) Snapshot() (*snap.Snapshot, error) {
 	if len(e.runnable) != 0 {
 		return nil, fmt.Errorf("sim: snapshot mid-event (%d runnable states)", len(e.runnable))
 	}
-	pt := vm.NewPageTable()
+	pt := vm.NewPageTable(e.ctx)
 	images := make([]vm.StateImage, 0, len(e.states))
 	for _, s := range e.states {
 		if s.Status() == vm.StatusRunning {
@@ -177,21 +179,31 @@ func resumeSnapshot(cfg Config, data []byte, seg, of int) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	byID := make(map[uint64]*vm.State, len(states))
-	for _, s := range states {
-		if _, dup := byID[s.ID()]; dup {
+	// The mapper names states by id: look them up by binary search over
+	// the states in id order — the order an engine keeps them in, so
+	// sorting is a pass that finds nothing to do. Ids are sparse after a
+	// slice, so nothing is sized by them.
+	byID := states
+	if !slices.IsSortedFunc(byID, compareIDs) {
+		byID = slices.Clone(states)
+		slices.SortFunc(byID, compareIDs)
+	}
+	for i, s := range byID {
+		if i > 0 && s.ID() == byID[i-1].ID() {
 			return nil, fmt.Errorf("sim: checkpoint contains state id %d twice", s.ID())
 		}
-		// Ids are handed out with Add(1), so the counter equals the
-		// highest id already assigned.
-		if s.ID() > sp.NextStateID {
-			return nil, fmt.Errorf("sim: checkpoint state id %d beyond counter %d", s.ID(), sp.NextStateID)
-		}
-		byID[s.ID()] = s
+	}
+	// Ids are handed out with Add(1), so the counter equals the highest
+	// id already assigned.
+	if n := len(byID); n > 0 && byID[n-1].ID() > sp.NextStateID {
+		return nil, fmt.Errorf("sim: checkpoint state id %d beyond counter %d", byID[n-1].ID(), sp.NextStateID)
 	}
 	mapper, err := core.RestoreMapper[*vm.State](sp.Mapper, func(id uint64) (*vm.State, bool) {
-		s, ok := byID[id]
-		return s, ok
+		i, ok := slices.BinarySearchFunc(byID, id, func(s *vm.State, id uint64) int { return cmp.Compare(s.ID(), id) })
+		if !ok {
+			return nil, false
+		}
+		return byID[i], true
 	})
 	if err != nil {
 		return nil, err
@@ -264,3 +276,5 @@ func sliceSnapshot(sp *snap.Snapshot, seg, of int) error {
 	}
 	return nil
 }
+
+func compareIDs(a, b *vm.State) int { return cmp.Compare(a.ID(), b.ID()) }

@@ -5,7 +5,8 @@ import "sde/internal/expr"
 // SizeHint is the buffer capacity Encode would start with for s.
 func (s *Snapshot) SizeHint(b *expr.Builder) (int, error) {
 	vars := b.Vars()
-	t, words, err := s.collectExprs(vars)
+	t := new(exprTable)
+	words, err := s.collectExprs(t, b, vars)
 	if err != nil {
 		return 0, err
 	}

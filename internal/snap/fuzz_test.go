@@ -30,6 +30,11 @@ func FuzzDecode(f *testing.F) {
 		mut[len(mut)/3] ^= 0xff
 		f.Add(mut)
 	}
+	// Checksum-valid snapshots whose id counters lie (2^40).
+	_, _, hostile := hostileSnapshots(f)
+	for _, data := range hostile {
+		f.Add(data)
+	}
 	f.Add([]byte{})
 	f.Add([]byte("SDEsnp\x00"))
 

@@ -31,11 +31,11 @@ import (
 	"math/bits"
 	"reflect"
 	"sort"
+	"sync"
 	"time"
 
 	"sde/internal/core"
 	"sde/internal/expr"
-	"sde/internal/isa"
 	"sde/internal/metrics"
 	"sde/internal/vm"
 )
@@ -69,7 +69,7 @@ type Snapshot struct {
 	Carried
 
 	States []vm.StateImage
-	Pages  [][]*expr.Expr // dense page table, vm.PageWords words each
+	Pages  [][vm.PageWords]uint32 // dense page table: node ids of the encoding or decoding builder
 	Mapper *core.MapperSnapshot
 }
 
@@ -114,20 +114,78 @@ func (w *writer) bool(v bool) {
 // builder variables first (in creation order, so the decoder's var-id
 // sequence replays exactly), then reachable non-variable nodes in
 // first-visit post-order — every operand index precedes its user's, which
-// makes decoding a single forward pass with no cycle risk.
+// makes decoding a single forward pass with no cycle risk. The indexes are
+// kept in an array by node id (Expr.ID), stamped with an epoch, so a table
+// recycled through exprTables serves the next Encode without clearing.
 type exprTable struct {
-	idx   map[*expr.Expr]uint64
-	nodes []*expr.Expr
+	epoch uint32
+	slots []exprSlot   // node id → index, valid when stamped with epoch
+	last  uint32       // the builder's highest node id
+	nodes []*expr.Expr // the non-variable nodes, in index order
 	nv    int
+	err   error // the first node collect met that is not the builder's
 }
 
+type exprSlot struct {
+	epoch uint32
+	idx   uint32
+}
+
+// exprTables recycles the tables of Encode, so an encode allocates none
+// once its pooled table has grown to the builder.
+var exprTables = sync.Pool{New: func() any { return new(exprTable) }}
+
+// release returns t to exprTables, dropping its hold on the builder's nodes.
+func (t *exprTable) release() {
+	clear(t.nodes)
+	t.nodes = t.nodes[:0]
+	exprTables.Put(t)
+}
+
+// reset empties the table for the nodes of a builder of n nodes and numbers
+// its variables vars.
+func (t *exprTable) reset(n int, vars []*expr.Expr) {
+	t.last = uint32(n)
+	t.epoch++
+	if t.epoch == 0 { // wrapped: stamps of 2^32 encodes ago would match again
+		clear(t.slots)
+		t.epoch = 1
+	}
+	if n >= len(t.slots) {
+		t.slots = append(t.slots, make([]exprSlot, n+1-len(t.slots))...)
+	}
+	t.nodes = t.nodes[:0]
+	t.nv = len(vars)
+	t.err = nil
+	for i, v := range vars {
+		t.slots[v.ID()] = exprSlot{epoch: t.epoch, idx: uint32(i)}
+	}
+}
+
+// has reports whether node id is numbered; id must be a node of the builder.
+func (t *exprTable) has(id uint32) bool { return t.slots[id].epoch == t.epoch }
+
+// index returns the number of node id, which must be numbered.
+func (t *exprTable) index(id uint32) uint64 { return uint64(t.slots[id].idx) }
+
+// collect numbers root and every node below it that is not numbered yet.
+// A root the builder cannot have made — its id is past the builder's last
+// — is recorded in t.err instead.
 func (t *exprTable) collect(root *expr.Expr) {
 	if root == nil {
 		return
 	}
-	if _, ok := t.idx[root]; ok {
+	if root.ID() > t.last {
+		if t.err == nil {
+			t.err = fmt.Errorf("snap: expression %d is not a node of the encoding builder", root.ID())
+		}
 		return
 	}
+	if t.has(root.ID()) {
+		return
+	}
+	// Operands are interned before their users, so every node below root
+	// has a smaller id: the bound checked on root covers them all.
 	type frame struct {
 		e    *expr.Expr
 		next int
@@ -135,21 +193,19 @@ func (t *exprTable) collect(root *expr.Expr) {
 	stack := []frame{{e: root}}
 	for len(stack) > 0 {
 		f := &stack[len(stack)-1]
-		if _, done := t.idx[f.e]; done {
+		if t.has(f.e.ID()) {
 			stack = stack[:len(stack)-1]
 			continue
 		}
 		if f.next < 3 {
 			a := f.e.Arg(f.next)
 			f.next++
-			if a != nil {
-				if _, ok := t.idx[a]; !ok {
-					stack = append(stack, frame{e: a})
-				}
+			if a != nil && !t.has(a.ID()) {
+				stack = append(stack, frame{e: a})
 			}
 			continue
 		}
-		t.idx[f.e] = uint64(t.nv + len(t.nodes))
+		t.slots[f.e.ID()] = exprSlot{epoch: t.epoch, idx: uint32(t.nv + len(t.nodes))}
 		t.nodes = append(t.nodes, f.e)
 		stack = stack[:len(stack)-1]
 	}
@@ -157,21 +213,22 @@ func (t *exprTable) collect(root *expr.Expr) {
 
 // ref encodes a nilable expression reference: 0 for nil, index+1 otherwise.
 func (w *writer) ref(t *exprTable, e *expr.Expr) {
-	if e == nil {
-		w.u64(0)
-		return
+	w.u64(t.refID(e.ID()))
+}
+
+// refID is the encoded reference to node id (0 for none).
+func (t *exprTable) refID(id uint32) uint64 {
+	if id == 0 {
+		return 0
 	}
-	w.u64(t.idx[e] + 1)
+	return t.index(id) + 1
 }
 
 // collectExprs numbers every expression the snapshot references (after
-// the builder's variables vars) and counts the memory words set over all
+// the variables vars of b) into t and counts the memory words set over all
 // pages.
-func (s *Snapshot) collectExprs(vars []*expr.Expr) (t *exprTable, words int, err error) {
-	t = &exprTable{idx: make(map[*expr.Expr]uint64, 1024), nv: len(vars)}
-	for i, v := range vars {
-		t.idx[v] = uint64(i)
-	}
+func (s *Snapshot) collectExprs(t *exprTable, b *expr.Builder, vars []*expr.Expr) (words int, err error) {
+	t.reset(b.NumNodes(), vars)
 	for si := range s.States {
 		img := &s.States[si]
 		for _, r := range img.Regs {
@@ -190,21 +247,24 @@ func (s *Snapshot) collectExprs(vars []*expr.Expr) (t *exprTable, words int, err
 			t.collect(tr.Val)
 		}
 	}
-	for _, pw := range s.Pages {
-		if len(pw) != vm.PageWords {
-			return nil, 0, fmt.Errorf("snap: page with %d words, want %d", len(pw), vm.PageWords)
-		}
-		for _, wd := range pw {
-			if wd != nil {
-				words++
-				t.collect(wd)
+	for pi := range s.Pages {
+		for _, id := range &s.Pages[pi] {
+			if id == 0 {
+				continue
+			}
+			words++
+			if id > t.last {
+				return 0, fmt.Errorf("snap: page %d holds node %d of a %d-node builder", pi, id, t.last)
+			}
+			if !t.has(id) {
+				t.collect(b.Node(id))
 			}
 		}
 	}
 	for _, v := range s.Violations {
 		t.collect(v.Cond)
 	}
-	return t, words, nil
+	return words, t.err
 }
 
 // Encode serializes the snapshot. b must be the builder that produced
@@ -216,12 +276,14 @@ func (s *Snapshot) Encode(b *expr.Builder) ([]byte, error) {
 		return nil, fmt.Errorf("snap: snapshot without mapper")
 	}
 	vars := b.Vars()
-	t, words, err := s.collectExprs(vars)
+	t := exprTables.Get().(*exprTable)
+	defer t.release()
+	words, err := s.collectExprs(t, b, vars)
 	if err != nil {
 		return nil, err
 	}
 
-	w := &writer{buf: make([]byte, 0, s.sizeHint(t, vars, words))}
+	w := writer{buf: make([]byte, 0, s.sizeHint(t, vars, words))}
 	w.buf = append(w.buf, magic...)
 	w.byte(version)
 	w.u64(uint64(s.Algorithm))
@@ -260,34 +322,35 @@ func (s *Snapshot) Encode(b *expr.Builder) ([]byte, error) {
 			if a == nil {
 				break
 			}
-			w.u64(t.idx[a])
+			w.u64(t.index(a.ID()))
 		}
 	}
 
 	w.u64(uint64(len(s.Pages)))
-	for _, pw := range s.Pages {
+	for pi := range s.Pages {
+		pw := &s.Pages[pi]
 		nset := 0
-		for _, wd := range pw {
-			if wd != nil {
+		for _, id := range pw {
+			if id != 0 {
 				nset++
 			}
 		}
 		w.u64(uint64(nset))
-		for slot, wd := range pw {
-			if wd != nil {
+		for slot, id := range pw {
+			if id != 0 {
 				w.u64(uint64(slot))
-				w.ref(t, wd)
+				w.u64(t.refID(id))
 			}
 		}
 	}
 
 	w.u64(uint64(len(s.States)))
 	for si := range s.States {
-		if err := encodeState(w, t, &s.States[si], len(s.Pages)); err != nil {
+		if w, err = encodeState(w, t, &s.States[si], len(s.Pages)); err != nil {
 			return nil, err
 		}
 	}
-	if err := encodeMapper(w, s.Mapper); err != nil {
+	if w, err = encodeMapper(w, s.Mapper); err != nil {
 		return nil, err
 	}
 
@@ -454,10 +517,11 @@ func (s *Snapshot) sizeHint(t *exprTable, vars []*expr.Expr, words int) int {
 	return n
 }
 
-func encodeState(w *writer, t *exprTable, img *vm.StateImage, npages int) error {
-	if len(img.Regs) != isa.NumRegs {
-		return fmt.Errorf("snap: state %d with %d registers", img.ID, len(img.Regs))
-	}
+// encodeState and encodeMapper take the writer by value and hand it back:
+// the buffer then lives in their own frame, and the appends that grow it
+// store no pointer through one, which costs a write barrier each while the
+// collector runs.
+func encodeState(w writer, t *exprTable, img *vm.StateImage, npages int) (writer, error) {
 	w.u64(img.ID)
 	w.i64(int64(img.Node))
 	for _, r := range img.Regs {
@@ -513,15 +577,15 @@ func encodeState(w *writer, t *exprTable, img *vm.StateImage, npages int) error 
 	w.u64(uint64(len(img.Pages)))
 	for _, pr := range img.Pages {
 		if pr.Page < 0 || pr.Page >= npages {
-			return fmt.Errorf("snap: state %d references page %d of %d", img.ID, pr.Page, npages)
+			return w, fmt.Errorf("snap: state %d references page %d of %d", img.ID, pr.Page, npages)
 		}
 		w.u64(uint64(pr.MemIndex))
 		w.u64(uint64(pr.Page))
 	}
-	return nil
+	return w, nil
 }
 
-func encodeMapper(w *writer, m *core.MapperSnapshot) error {
+func encodeMapper(w writer, m *core.MapperSnapshot) (writer, error) {
 	w.u64(uint64(m.Algorithm))
 	w.u64(uint64(m.K))
 	switch m.Algorithm {
@@ -529,7 +593,7 @@ func encodeMapper(w *writer, m *core.MapperSnapshot) error {
 		w.u64(uint64(len(m.Scenarios)))
 		for _, row := range m.Scenarios {
 			if len(row) != m.K {
-				return fmt.Errorf("snap: COB dscenario with %d nodes, want %d", len(row), m.K)
+				return w, fmt.Errorf("snap: COB dscenario with %d nodes, want %d", len(row), m.K)
 			}
 			for _, id := range row {
 				w.u64(id)
@@ -539,7 +603,7 @@ func encodeMapper(w *writer, m *core.MapperSnapshot) error {
 		w.u64(uint64(len(m.DStates)))
 		for _, ds := range m.DStates {
 			if len(ds) != m.K {
-				return fmt.Errorf("snap: COW dstate with %d nodes, want %d", len(ds), m.K)
+				return w, fmt.Errorf("snap: COW dstate with %d nodes, want %d", len(ds), m.K)
 			}
 			for _, bucket := range ds {
 				w.u64(uint64(len(bucket)))
@@ -553,7 +617,7 @@ func encodeMapper(w *writer, m *core.MapperSnapshot) error {
 		w.u64(uint64(len(m.VDStates)))
 		for _, d := range m.VDStates {
 			if len(d.ByNode) != m.K {
-				return fmt.Errorf("snap: SDS dstate with %d nodes, want %d", len(d.ByNode), m.K)
+				return w, fmt.Errorf("snap: SDS dstate with %d nodes, want %d", len(d.ByNode), m.K)
 			}
 			w.u64(uint64(d.ID))
 			for _, bucket := range d.ByNode {
@@ -572,9 +636,9 @@ func encodeMapper(w *writer, m *core.MapperSnapshot) error {
 			}
 		}
 	default:
-		return fmt.Errorf("snap: mapper snapshot with unknown algorithm %d", m.Algorithm)
+		return w, fmt.Errorf("snap: mapper snapshot with unknown algorithm %d", m.Algorithm)
 	}
-	return nil
+	return w, nil
 }
 
 // --- decoding ----------------------------------------------------------------
@@ -582,6 +646,45 @@ func encodeMapper(w *writer, m *core.MapperSnapshot) error {
 type reader struct {
 	data []byte
 	pos  int
+
+	// Arenas for the lists a restore copies and drops: a state's frames,
+	// events and page references are copied into the live state, and the
+	// mapper's id lists into its buckets.
+	frames  arena[vm.FrameImage]
+	events  arena[vm.EventImage]
+	pages   arena[vm.PageRef]
+	ids     arena[uint64]
+	buckets arena[[]uint64]
+	dsIDs   arena[int]
+}
+
+// arena hands out capped sub-slices of shared chunks, so the many short
+// lists of a decode take a few allocations instead of one each. Chunks
+// double from arenaMin to arenaMax elements, and a list longer than that
+// gets a chunk of its own. A list must not outlive the use of its decoded
+// snapshot by much: it keeps its whole chunk alive.
+type arena[T any] struct {
+	free []T
+	next int
+}
+
+const (
+	arenaMin = 64
+	arenaMax = 4096
+)
+
+// take returns n zeroed elements, nil for none.
+func (a *arena[T]) take(n int) []T {
+	if n == 0 {
+		return nil
+	}
+	if len(a.free) < n {
+		a.next = min(max(2*a.next, arenaMin), arenaMax)
+		a.free = make([]T, max(n, a.next))
+	}
+	s := a.free[:n:n]
+	a.free = a.free[n:]
+	return s
 }
 
 func (r *reader) corrupt(format string, args ...any) error {
@@ -811,7 +914,7 @@ func Decode(data []byte, b *expr.Builder) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.Pages = make([][]*expr.Expr, np)
+	s.Pages = make([][vm.PageWords]uint32, np)
 	for i := range s.Pages {
 		nset, err := r.count()
 		if err != nil {
@@ -820,7 +923,7 @@ func Decode(data []byte, b *expr.Builder) (*Snapshot, error) {
 		if nset > vm.PageWords {
 			return nil, r.corrupt("page with %d set words", nset)
 		}
-		words := make([]*expr.Expr, vm.PageWords)
+		words := &s.Pages[i]
 		last := -1
 		for j := 0; j < nset; j++ {
 			slot, err := r.u64()
@@ -831,11 +934,12 @@ func Decode(data []byte, b *expr.Builder) (*Snapshot, error) {
 				return nil, r.corrupt("page slot %d out of order", slot)
 			}
 			last = int(slot)
-			if words[slot], err = mustRef(); err != nil {
+			e, err := mustRef()
+			if err != nil {
 				return nil, err
 			}
+			words[slot] = e.ID()
 		}
-		s.Pages[i] = words
 	}
 
 	ns, err := r.count()
@@ -1020,7 +1124,6 @@ func decodeState(r *reader, getRef, mustRef func() (*expr.Expr, error), npages i
 	if img.Node < 0 {
 		return img, r.corrupt("state %d on node %d", img.ID, img.Node)
 	}
-	img.Regs = make([]*expr.Expr, isa.NumRegs)
 	for i := range img.Regs {
 		if img.Regs[i], err = getRef(); err != nil {
 			return img, err
@@ -1030,15 +1133,17 @@ func decodeState(r *reader, getRef, mustRef func() (*expr.Expr, error), npages i
 	if err != nil {
 		return img, err
 	}
-	for i := 0; i < nframes; i++ {
-		var fr vm.FrameImage
+	if nframes > 0 {
+		img.Frames = r.frames.take(nframes)
+	}
+	for i := range img.Frames {
+		fr := &img.Frames[i]
 		if fr.Fn, err = r.signedInt(); err != nil {
 			return img, err
 		}
 		if fr.PC, err = r.signedInt(); err != nil {
 			return img, err
 		}
-		img.Frames = append(img.Frames, fr)
 	}
 	if img.Fn, err = r.signedInt(); err != nil {
 		return img, err
@@ -1063,7 +1168,10 @@ func decodeState(r *reader, getRef, mustRef func() (*expr.Expr, error), npages i
 	if err != nil {
 		return img, err
 	}
-	for i := 0; i < ncond; i++ {
+	if ncond > 0 {
+		img.PathCond = make([]*expr.Expr, ncond)
+	}
+	for i := range img.PathCond {
 		c, err := mustRef()
 		if err != nil {
 			return img, err
@@ -1071,14 +1179,17 @@ func decodeState(r *reader, getRef, mustRef func() (*expr.Expr, error), npages i
 		if c.Width() != 1 {
 			return img, r.corrupt("path constraint of width %d", c.Width())
 		}
-		img.PathCond = append(img.PathCond, c)
+		img.PathCond[i] = c
 	}
 	nevents, err := r.count()
 	if err != nil {
 		return img, err
 	}
-	for i := 0; i < nevents; i++ {
-		var ev vm.EventImage
+	if nevents > 0 {
+		img.Events = r.events.take(nevents)
+	}
+	for i := range img.Events {
+		ev := &img.Events[i]
 		if ev.Time, err = r.u64(); err != nil {
 			return img, err
 		}
@@ -1105,21 +1216,24 @@ func decodeState(r *reader, getRef, mustRef func() (*expr.Expr, error), npages i
 		if err != nil {
 			return img, err
 		}
-		for j := 0; j < ndata; j++ {
-			d, err := mustRef()
-			if err != nil {
+		if ndata > 0 {
+			ev.Data = make([]*expr.Expr, ndata)
+		}
+		for j := range ev.Data {
+			if ev.Data[j], err = mustRef(); err != nil {
 				return img, err
 			}
-			ev.Data = append(ev.Data, d)
 		}
-		img.Events = append(img.Events, ev)
 	}
 	nhist, err := r.count()
 	if err != nil {
 		return img, err
 	}
-	for i := 0; i < nhist; i++ {
-		var h vm.HistEntry
+	if nhist > 0 {
+		img.Hist = make([]vm.HistEntry, nhist)
+	}
+	for i := range img.Hist {
+		h := &img.Hist[i]
 		dir, err := r.byte()
 		if err != nil {
 			return img, err
@@ -1153,14 +1267,16 @@ func decodeState(r *reader, getRef, mustRef func() (*expr.Expr, error), npages i
 		if h.SenderFP, err = r.u64(); err != nil {
 			return img, err
 		}
-		img.Hist = append(img.Hist, h)
 	}
 	ntrace, err := r.count()
 	if err != nil {
 		return img, err
 	}
-	for i := 0; i < ntrace; i++ {
-		var tr vm.TraceEntry
+	if ntrace > 0 {
+		img.Trace = make([]vm.TraceEntry, ntrace)
+	}
+	for i := range img.Trace {
+		tr := &img.Trace[i]
 		if tr.Time, err = r.u64(); err != nil {
 			return img, err
 		}
@@ -1170,7 +1286,6 @@ func decodeState(r *reader, getRef, mustRef func() (*expr.Expr, error), npages i
 		if tr.Val, err = getRef(); err != nil {
 			return img, err
 		}
-		img.Trace = append(img.Trace, tr)
 	}
 	for _, dst := range []*uint32{&img.SendSeq, &img.RecvSeq, &img.SymSeq} {
 		v, err := r.u64()
@@ -1189,8 +1304,11 @@ func decodeState(r *reader, getRef, mustRef func() (*expr.Expr, error), npages i
 	if err != nil {
 		return img, err
 	}
-	for i := 0; i < nrefs; i++ {
-		var pr vm.PageRef
+	if nrefs > 0 {
+		img.Pages = r.pages.take(nrefs)
+	}
+	for i := range img.Pages {
+		pr := &img.Pages[i]
 		idx, err := r.u64()
 		if err != nil {
 			return img, err
@@ -1207,7 +1325,6 @@ func decodeState(r *reader, getRef, mustRef func() (*expr.Expr, error), npages i
 			return img, r.corrupt("page reference %d of %d", page, npages)
 		}
 		pr.Page = int(page)
-		img.Pages = append(img.Pages, pr)
 	}
 	return img, nil
 }
@@ -1232,13 +1349,11 @@ func decodeMapper(r *reader) (*core.MapperSnapshot, error) {
 		if err != nil {
 			return nil, err
 		}
-		ids := make([]uint64, 0, n)
-		for i := 0; i < n; i++ {
-			id, err := r.u64()
-			if err != nil {
+		ids := r.ids.take(n)
+		for i := range ids {
+			if ids[i], err = r.u64(); err != nil {
 				return nil, err
 			}
-			ids = append(ids, id)
 		}
 		return ids, nil
 	}
@@ -1248,8 +1363,9 @@ func decodeMapper(r *reader) (*core.MapperSnapshot, error) {
 		if err != nil {
 			return nil, err
 		}
+		m.Scenarios = make([][]uint64, 0, n)
 		for i := 0; i < n; i++ {
-			row := make([]uint64, k)
+			row := r.ids.take(k)
 			for node := range row {
 				if row[node], err = r.u64(); err != nil {
 					return nil, err
@@ -1262,8 +1378,9 @@ func decodeMapper(r *reader) (*core.MapperSnapshot, error) {
 		if err != nil {
 			return nil, err
 		}
+		m.DStates = make([][][]uint64, 0, n)
 		for i := 0; i < n; i++ {
-			ds := make([][]uint64, k)
+			ds := r.buckets.take(k)
 			for node := range ds {
 				if ds[node], err = readBucket(); err != nil {
 					return nil, err
@@ -1279,8 +1396,9 @@ func decodeMapper(r *reader) (*core.MapperSnapshot, error) {
 		if err != nil {
 			return nil, err
 		}
+		m.VDStates = make([]core.VDStateImage, 0, n)
 		for i := 0; i < n; i++ {
-			d := core.VDStateImage{ByNode: make([][]uint64, k)}
+			d := core.VDStateImage{ByNode: r.buckets.take(k)}
 			if d.ID, err = r.unsignedInt(); err != nil {
 				return nil, err
 			}
@@ -1295,6 +1413,7 @@ func decodeMapper(r *reader) (*core.MapperSnapshot, error) {
 		if err != nil {
 			return nil, err
 		}
+		m.Supers = make([]core.SuperImage, 0, nsup)
 		for i := 0; i < nsup; i++ {
 			var s core.SuperImage
 			if s.StateID, err = r.u64(); err != nil {
@@ -1304,12 +1423,11 @@ func decodeMapper(r *reader) (*core.MapperSnapshot, error) {
 			if err != nil {
 				return nil, err
 			}
-			for j := 0; j < nds; j++ {
-				id, err := r.unsignedInt()
-				if err != nil {
+			s.DStateIDs = r.dsIDs.take(nds)
+			for j := range s.DStateIDs {
+				if s.DStateIDs[j], err = r.unsignedInt(); err != nil {
 					return nil, err
 				}
-				s.DStateIDs = append(s.DStateIDs, id)
 			}
 			m.Supers = append(m.Supers, s)
 		}

@@ -292,7 +292,7 @@ func TestRestoreAliasing(t *testing.T) {
 	for step := 0; step < 400; step++ {
 		warm.step(step)
 	}
-	pt := NewPageTable()
+	pt := NewPageTable(warm.ctx)
 	var images []StateImage
 	var lists int
 	for _, s := range seedWorld.states {
@@ -372,11 +372,11 @@ func TestRestoreAliasing(t *testing.T) {
 	// Restored pages image back to exactly the pages they came from.
 	for _, d := range families {
 		for _, w := range d.worlds {
-			again := NewPageTable()
+			again := NewPageTable(d.ctx)
 			for _, s := range w.states {
 				s.Image(again)
 			}
-			if !slices.EqualFunc(again.Pages(), pt.Pages(), slices.Equal) {
+			if !slices.Equal(again.Pages(), pt.Pages()) {
 				t.Fatal("Image → RestoreStates → Image changed the pages")
 			}
 		}
@@ -387,8 +387,8 @@ func TestRestoreAliasing(t *testing.T) {
 			continue
 		}
 		zeroes++
-		if pw := pt.Pages()[ref.Page]; pw[0] != dirtyZero || pw[1] != nil || pw[2] != nil {
-			t.Errorf("the zero page images as %v, want a dirty zero, then nil twice", pw[:3])
+		if pw := pt.Pages()[ref.Page]; pw[0] != dirtyZero.ID() || pw[1] != 0 || pw[2] != 0 {
+			t.Errorf("the zero page images as %v, want a dirty zero's id, then 0 twice", pw[:3])
 		}
 	}
 	if zeroes != 1 {

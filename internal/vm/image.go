@@ -19,37 +19,39 @@ import (
 const PageWords = pageWords
 
 // PageTable deduplicates memory pages across the states of one snapshot.
-// Shared pages (the COW fork case) are interned once, keyed by identity
-// but numbered densely in first-reference order — a stable numbering that
-// survives encode→decode→encode byte-identically.
+// Shared pages (the COW fork case) are interned once, recognised by a stamp
+// the table leaves on each page and numbered densely in first-reference
+// order — a stable numbering that survives encode→decode→encode
+// byte-identically. A table covers the states of one context, whose pages
+// carry no other table's epoch.
 type PageTable struct {
-	index map[*page]int // page -> dense index
-	words [][]*expr.Expr
+	ctx   *Context
+	epoch uint64
+	pages [][PageWords]uint32
 }
 
-// NewPageTable returns an empty page table.
-func NewPageTable() *PageTable {
-	return &PageTable{index: make(map[*page]int)}
+// NewPageTable returns an empty page table for the states of ctx, with
+// room for every page they hold.
+func NewPageTable(ctx *Context) *PageTable {
+	ctx.pageTables++
+	return &PageTable{
+		ctx:   ctx,
+		epoch: ctx.pageTables,
+		pages: make([][PageWords]uint32, 0, ctx.livePages),
+	}
 }
 
-// Pages returns the interned pages in dense index order. Each page is a
-// PageWords-long slice with nil entries for unwritten (zero) words.
-func (t *PageTable) Pages() [][]*expr.Expr { return t.words }
+// Pages returns the interned pages in dense index order: per page its
+// words' node ids in the context's builder, 0 for an unwritten word.
+func (t *PageTable) Pages() [][PageWords]uint32 { return t.pages }
 
-// intern numbers p, resolving its words through eb, the builder they are
-// ids of, the first time the table sees it.
-func (t *PageTable) intern(p *page, eb *expr.Builder) int {
-	if i, ok := t.index[p]; ok {
-		return i
+// intern numbers p, copying its words the first time the table sees it.
+func (t *PageTable) intern(p *page) int {
+	if p.tableEpoch != t.epoch {
+		p.tableEpoch, p.tableIdx = t.epoch, uint32(len(t.pages))
+		t.pages = append(t.pages, p.words)
 	}
-	i := len(t.words)
-	t.index[p] = i
-	words := make([]*expr.Expr, pageWords)
-	for wi, id := range &p.words {
-		words[wi] = eb.Node(id)
-	}
-	t.words = append(t.words, words)
-	return i
+	return int(p.tableIdx)
 }
 
 // PageRef attaches one interned page to a state's address space.
@@ -76,12 +78,14 @@ type EventImage struct {
 	Data []*expr.Expr
 }
 
-// StateImage is the flattened form of a State.
+// StateImage is the flattened form of a State. Its lists alias the
+// state's: a capped view of an append-only array, as a fork holds (see
+// SpecFork), which nothing writes in place.
 type StateImage struct {
 	ID   uint64
 	Node int
 
-	Regs   []*expr.Expr // always isa.NumRegs entries; nil = never written
+	Regs   [isa.NumRegs]*expr.Expr // nil = never written
 	Frames []FrameImage
 	Fn, PC int
 
@@ -101,18 +105,22 @@ type StateImage struct {
 	Pages []PageRef // sorted by MemIndex
 }
 
-// Image flattens the state, interning its memory pages into t.
+// Image flattens the state, interning its memory pages into t, which must
+// be a table of the state's context.
 func (s *State) Image(t *PageTable) StateImage {
+	if t.ctx != s.ctx {
+		panic("vm: Image into another context's page table")
+	}
 	img := StateImage{
 		ID:       s.id,
 		Node:     s.node,
-		Regs:     append([]*expr.Expr(nil), s.regs[:]...),
+		Regs:     s.regs,
 		Fn:       s.fn,
 		PC:       s.pc,
 		Status:   s.status,
-		PathCond: append([]*expr.Expr(nil), s.pathCond...),
-		Hist:     append([]HistEntry(nil), s.hist...),
-		Trace:    append([]TraceEntry(nil), s.trace...),
+		PathCond: s.pathCond[:len(s.pathCond):len(s.pathCond)],
+		Hist:     s.hist[:len(s.hist):len(s.hist)],
+		Trace:    s.trace[:len(s.trace):len(s.trace)],
 		SendSeq:  s.sendSeq,
 		RecvSeq:  s.recvSeq,
 		SymSeq:   s.symSeq,
@@ -122,21 +130,30 @@ func (s *State) Image(t *PageTable) StateImage {
 		img.HasErr = true
 		img.ErrMsg = s.runErr.Error()
 	}
-	for _, fr := range s.frames {
-		img.Frames = append(img.Frames, FrameImage{Fn: fr.fn, PC: fr.pc})
+	if len(s.frames) > 0 {
+		img.Frames = make([]FrameImage, len(s.frames))
+		for i, fr := range s.frames {
+			img.Frames[i] = FrameImage{Fn: fr.fn, PC: fr.pc}
+		}
 	}
-	for _, ev := range s.events {
-		img.Events = append(img.Events, EventImage{
-			Time: ev.Time,
-			Kind: ev.Kind,
-			Fn:   ev.Fn,
-			Arg:  ev.Arg,
-			Src:  ev.Src,
-			Data: append([]*expr.Expr(nil), ev.Data...),
-		})
+	if len(s.events) > 0 {
+		img.Events = make([]EventImage, len(s.events))
+		for i, ev := range s.events {
+			img.Events[i] = EventImage{
+				Time: ev.Time,
+				Kind: ev.Kind,
+				Fn:   ev.Fn,
+				Arg:  ev.Arg,
+				Src:  ev.Src,
+				Data: ev.Data[:len(ev.Data):len(ev.Data)],
+			}
+		}
 	}
-	for _, sl := range s.mem.slots {
-		img.Pages = append(img.Pages, PageRef{MemIndex: sl.idx, Page: t.intern(sl.p, s.ctx.Exprs)})
+	if len(s.mem.slots) > 0 {
+		img.Pages = make([]PageRef, len(s.mem.slots))
+		for i, sl := range s.mem.slots {
+			img.Pages[i] = PageRef{MemIndex: sl.idx, Page: t.intern(sl.p)}
+		}
 	}
 	return img
 }
@@ -148,16 +165,14 @@ func (s *State) Image(t *PageTable) StateImage {
 // consumed: a restored state adopts its image's path condition, history,
 // trace and event payloads as capped views — the arrays a fork would share
 // with its parent, under the same rule: nothing writes them in place, and
-// the first append copies. Pages are translated to node ids, so every word
-// must be a node of ctx's builder — the one the snapshot was decoded through.
-func RestoreStates(ctx *Context, prog *isa.Program, images []StateImage, pages [][]*expr.Expr) ([]*State, error) {
+// the first append copies. Page words are node ids of ctx's builder — the
+// one the snapshot was decoded through, which built every node they name —
+// so each needs only to be one it has handed out.
+func RestoreStates(ctx *Context, prog *isa.Program, images []StateImage, pages [][PageWords]uint32) ([]*State, error) {
 	nodes := uint32(ctx.Exprs.NumNodes())
-	for i, pw := range pages {
-		if len(pw) != PageWords {
-			return nil, fmt.Errorf("vm: restored page %d has %d words, want %d", i, len(pw), PageWords)
-		}
-		for wi, w := range pw {
-			if w != nil && (w.ID() > nodes || ctx.Exprs.Node(w.ID()) != w) {
+	for i := range pages {
+		for wi, id := range &pages[i] {
+			if id > nodes {
 				return nil, fmt.Errorf("vm: restored page %d word %d is not a node of the context's builder", i, wi)
 			}
 		}
@@ -175,12 +190,9 @@ func RestoreStates(ctx *Context, prog *isa.Program, images []StateImage, pages [
 	return out, nil
 }
 
-func restoreState(ctx *Context, prog *isa.Program, img *StateImage, pages [][]*expr.Expr, shared []*page) (*State, error) {
+func restoreState(ctx *Context, prog *isa.Program, img *StateImage, pages [][PageWords]uint32, shared []*page) (*State, error) {
 	if img.Node < 0 {
 		return nil, fmt.Errorf("negative node id %d", img.Node)
-	}
-	if len(img.Regs) != isa.NumRegs {
-		return nil, fmt.Errorf("%d registers, want %d", len(img.Regs), isa.NumRegs)
 	}
 	switch img.Status {
 	case StatusIdle, StatusHalted, StatusDead:
@@ -197,6 +209,7 @@ func restoreState(ctx *Context, prog *isa.Program, img *StateImage, pages [][]*e
 		prog:     prog,
 		id:       img.ID,
 		node:     img.Node,
+		regs:     img.Regs,
 		mem:      newMemory(ctx),
 		fn:       img.Fn,
 		pc:       img.PC,
@@ -209,15 +222,20 @@ func restoreState(ctx *Context, prog *isa.Program, img *StateImage, pages [][]*e
 		symSeq:   img.SymSeq,
 		steps:    img.Steps,
 	}
-	copy(s.regs[:], img.Regs)
 	if img.HasErr {
 		s.runErr = errors.New(img.ErrMsg)
 	}
-	for _, fr := range img.Frames {
-		if fr.Fn < 0 || fr.Fn >= prog.NumFuncs() || fr.PC < 0 {
-			return nil, fmt.Errorf("frame (%d,%d) outside program", fr.Fn, fr.PC)
+	if len(img.Frames) > 0 {
+		s.frames = make([]frame, len(img.Frames))
+		for i, fr := range img.Frames {
+			if fr.Fn < 0 || fr.Fn >= prog.NumFuncs() || fr.PC < 0 {
+				return nil, fmt.Errorf("frame (%d,%d) outside program", fr.Fn, fr.PC)
+			}
+			s.frames[i] = frame{fn: fr.Fn, pc: fr.PC}
 		}
-		s.frames = append(s.frames, frame{fn: fr.Fn, pc: fr.PC})
+	}
+	if len(img.Events) > 0 {
+		s.events = make([]Event, len(img.Events))
 	}
 	var prevTime uint64
 	for i, ev := range img.Events {
@@ -231,7 +249,7 @@ func restoreState(ctx *Context, prog *isa.Program, img *StateImage, pages [][]*e
 			return nil, fmt.Errorf("event %d out of time order", i)
 		}
 		prevTime = ev.Time
-		s.events = append(s.events, Event{
+		s.events[i] = Event{
 			Time: ev.Time,
 			Kind: ev.Kind,
 			Fn:   ev.Fn,
@@ -239,7 +257,7 @@ func restoreState(ctx *Context, prog *isa.Program, img *StateImage, pages [][]*e
 			Src:  ev.Src,
 			Data: ev.Data[:len(ev.Data):len(ev.Data)],
 			seq:  uint64(i),
-		})
+		}
 	}
 	s.eventSeq = uint64(len(img.Events))
 	var prevIdx int64 = -1
@@ -255,9 +273,7 @@ func restoreState(ctx *Context, prog *isa.Program, img *StateImage, pages [][]*e
 		p := shared[ref.Page]
 		if p == nil {
 			p = s.mem.newPage()
-			for wi, w := range pages[ref.Page] {
-				p.words[wi] = w.ID()
-			}
+			p.words = pages[ref.Page]
 			shared[ref.Page] = p
 		} else {
 			p.ref++

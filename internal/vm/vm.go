@@ -62,6 +62,11 @@ type Context struct {
 	// needs no synchronization.
 	livePages int64
 
+	// pageTables counts the PageTables built over this context's states;
+	// each numbers the pages it sees with its own count as the epoch (see
+	// page.tableEpoch).
+	pageTables uint64
+
 	// Fast-path telemetry: block executions taken by the concrete
 	// straight-line path, block entries that fell back to the
 	// interpreter, and instructions answered from load-time constant
@@ -145,9 +150,14 @@ const PageBytes = pageWords * 4
 // (Builder.Node resolves it); 0 is an untouched word, which reads as
 // concrete zero. A word explicitly written to zero holds the id of its
 // constant, so an untouched word and a dirty zero stay distinguishable.
+// tableIdx is the page's number in the PageTable whose epoch is tableEpoch,
+// the one stamp a snapshot needs to share a page without a map; a copy-on-
+// write split copies the words only, so a fresh page carries no stamp.
 type page struct {
-	ref   int32
-	words [pageWords]uint32
+	ref        int32
+	tableIdx   uint32
+	tableEpoch uint64
+	words      [pageWords]uint32
 }
 
 // pageSlot is one entry of a state's page table.
