@@ -269,8 +269,16 @@ func restoreSDS[S StateHandle[S]](sp *MapperSnapshot, lookup func(uint64) (S, bo
 		}
 		actual[j] = s
 	}
-	// superOf finds the super-dstate image of state id.
+	// superOf finds the super-dstate image of state id. Where no state
+	// between the first and id is missing — every frontier no slice was
+	// cut from — it is at id's offset from the first.
 	superOf := func(id uint64) (int, bool) {
+		if len(supers) == 0 {
+			return 0, false
+		}
+		if g := id - supers[0].StateID; g < uint64(len(supers)) && supers[g].StateID == id {
+			return int(g), true
+		}
 		lo, hi := 0, len(supers)
 		for lo < hi {
 			mid := int(uint(lo+hi) >> 1)

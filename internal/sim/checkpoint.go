@@ -179,27 +179,37 @@ func resumeSnapshot(cfg Config, data []byte, seg, of int) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The mapper names states by id: look them up by binary search over
-	// the states in id order — the order an engine keeps them in, so
-	// sorting is a pass that finds nothing to do. Ids are sparse after a
-	// slice, so nothing is sized by them.
+	// The mapper names states by id: look them up in the states' ids in
+	// ascending order — the order an engine keeps its states in, so
+	// sorting is a pass that finds nothing to do. Nothing is sized by an
+	// id: ids go sparse once a frontier is sliced. Where none is missing
+	// between the first and the one looked up, it is found at its offset
+	// from the first; otherwise by binary search.
 	byID := states
 	if !slices.IsSortedFunc(byID, compareIDs) {
 		byID = slices.Clone(states)
 		slices.SortFunc(byID, compareIDs)
 	}
+	ids := make([]uint64, len(byID))
 	for i, s := range byID {
-		if i > 0 && s.ID() == byID[i-1].ID() {
-			return nil, fmt.Errorf("sim: checkpoint contains state id %d twice", s.ID())
+		ids[i] = s.ID()
+		if i > 0 && ids[i] == ids[i-1] {
+			return nil, fmt.Errorf("sim: checkpoint contains state id %d twice", ids[i])
 		}
 	}
 	// Ids are handed out with Add(1), so the counter equals the highest
 	// id already assigned.
-	if n := len(byID); n > 0 && byID[n-1].ID() > sp.NextStateID {
-		return nil, fmt.Errorf("sim: checkpoint state id %d beyond counter %d", byID[n-1].ID(), sp.NextStateID)
+	if n := len(ids); n > 0 && ids[n-1] > sp.NextStateID {
+		return nil, fmt.Errorf("sim: checkpoint state id %d beyond counter %d", ids[n-1], sp.NextStateID)
 	}
 	mapper, err := core.RestoreMapper[*vm.State](sp.Mapper, func(id uint64) (*vm.State, bool) {
-		i, ok := slices.BinarySearchFunc(byID, id, func(s *vm.State, id uint64) int { return cmp.Compare(s.ID(), id) })
+		if len(ids) == 0 {
+			return nil, false
+		}
+		if g := id - ids[0]; g < uint64(len(ids)) && ids[g] == id {
+			return byID[g], true
+		}
+		i, ok := slices.BinarySearch(ids, id)
 		if !ok {
 			return nil, false
 		}

@@ -694,6 +694,11 @@ func (r *reader) corrupt(format string, args ...any) error {
 func (r *reader) remaining() int { return len(r.data) - r.pos }
 
 func (r *reader) u64() (uint64, error) {
+	// Most fields fit in a byte: an index, a count, a node, a slot.
+	if r.pos < len(r.data) && r.data[r.pos] < 0x80 {
+		r.pos++
+		return uint64(r.data[r.pos-1]), nil
+	}
 	v, n := binary.Uvarint(r.data[r.pos:])
 	if n <= 0 {
 		return 0, r.corrupt("truncated uvarint")
