@@ -646,45 +646,6 @@ func encodeMapper(w writer, m *core.MapperSnapshot) (writer, error) {
 type reader struct {
 	data []byte
 	pos  int
-
-	// Arenas for the lists a restore copies and drops: a state's frames,
-	// events and page references are copied into the live state, and the
-	// mapper's id lists into its buckets.
-	frames  arena[vm.FrameImage]
-	events  arena[vm.EventImage]
-	pages   arena[vm.PageRef]
-	ids     arena[uint64]
-	buckets arena[[]uint64]
-	dsIDs   arena[int]
-}
-
-// arena hands out capped sub-slices of shared chunks, so the many short
-// lists of a decode take a few allocations instead of one each. Chunks
-// double from arenaMin to arenaMax elements, and a list longer than that
-// gets a chunk of its own. A list must not outlive the use of its decoded
-// snapshot by much: it keeps its whole chunk alive.
-type arena[T any] struct {
-	free []T
-	next int
-}
-
-const (
-	arenaMin = 64
-	arenaMax = 4096
-)
-
-// take returns n zeroed elements, nil for none.
-func (a *arena[T]) take(n int) []T {
-	if n == 0 {
-		return nil
-	}
-	if len(a.free) < n {
-		a.next = min(max(2*a.next, arenaMin), arenaMax)
-		a.free = make([]T, max(n, a.next))
-	}
-	s := a.free[:n:n]
-	a.free = a.free[n:]
-	return s
 }
 
 func (r *reader) corrupt(format string, args ...any) error {
@@ -1139,7 +1100,7 @@ func decodeState(r *reader, getRef, mustRef func() (*expr.Expr, error), npages i
 		return img, err
 	}
 	if nframes > 0 {
-		img.Frames = r.frames.take(nframes)
+		img.Frames = make([]vm.FrameImage, nframes)
 	}
 	for i := range img.Frames {
 		fr := &img.Frames[i]
@@ -1191,7 +1152,7 @@ func decodeState(r *reader, getRef, mustRef func() (*expr.Expr, error), npages i
 		return img, err
 	}
 	if nevents > 0 {
-		img.Events = r.events.take(nevents)
+		img.Events = make([]vm.EventImage, nevents)
 	}
 	for i := range img.Events {
 		ev := &img.Events[i]
@@ -1310,7 +1271,7 @@ func decodeState(r *reader, getRef, mustRef func() (*expr.Expr, error), npages i
 		return img, err
 	}
 	if nrefs > 0 {
-		img.Pages = r.pages.take(nrefs)
+		img.Pages = make([]vm.PageRef, nrefs)
 	}
 	for i := range img.Pages {
 		pr := &img.Pages[i]
@@ -1354,7 +1315,7 @@ func decodeMapper(r *reader) (*core.MapperSnapshot, error) {
 		if err != nil {
 			return nil, err
 		}
-		ids := r.ids.take(n)
+		ids := make([]uint64, n)
 		for i := range ids {
 			if ids[i], err = r.u64(); err != nil {
 				return nil, err
@@ -1370,7 +1331,7 @@ func decodeMapper(r *reader) (*core.MapperSnapshot, error) {
 		}
 		m.Scenarios = make([][]uint64, 0, n)
 		for i := 0; i < n; i++ {
-			row := r.ids.take(k)
+			row := make([]uint64, k)
 			for node := range row {
 				if row[node], err = r.u64(); err != nil {
 					return nil, err
@@ -1385,7 +1346,7 @@ func decodeMapper(r *reader) (*core.MapperSnapshot, error) {
 		}
 		m.DStates = make([][][]uint64, 0, n)
 		for i := 0; i < n; i++ {
-			ds := r.buckets.take(k)
+			ds := make([][]uint64, k)
 			for node := range ds {
 				if ds[node], err = readBucket(); err != nil {
 					return nil, err
@@ -1403,7 +1364,7 @@ func decodeMapper(r *reader) (*core.MapperSnapshot, error) {
 		}
 		m.VDStates = make([]core.VDStateImage, 0, n)
 		for i := 0; i < n; i++ {
-			d := core.VDStateImage{ByNode: r.buckets.take(k)}
+			d := core.VDStateImage{ByNode: make([][]uint64, k)}
 			if d.ID, err = r.unsignedInt(); err != nil {
 				return nil, err
 			}
@@ -1428,7 +1389,7 @@ func decodeMapper(r *reader) (*core.MapperSnapshot, error) {
 			if err != nil {
 				return nil, err
 			}
-			s.DStateIDs = r.dsIDs.take(nds)
+			s.DStateIDs = make([]int, nds)
 			for j := range s.DStateIDs {
 				if s.DStateIDs[j], err = r.unsignedInt(); err != nil {
 					return nil, err
