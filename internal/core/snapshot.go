@@ -236,14 +236,14 @@ func RestoreMapper[S StateHandle[S]](sp *MapperSnapshot, lookup func(uint64) (S,
 	return nil, fmt.Errorf("core: mapper snapshot with unknown algorithm %d", sp.Algorithm)
 }
 
-// restoreSDS is RestoreMapper for SDS. Virtual states are made dstate by
-// dstate, one block each as MapSend's splits make them, and queued on their
-// actual state's pending list, which the state's super-dstate image — found
-// by binary search, the images being in strictly ascending state id order —
-// names. Each super-dstate is then linked in its stored order through a
-// scratch slot per dstate id. SDS deletes no dstate, so a snapshot holds
-// every dstate id below NextDSID exactly once, and both tables by dstate id
-// are as long as the dstate list read.
+// restoreSDS is RestoreMapper for SDS. It makes each dstate's virtual
+// states as one block, as MapSend's splits do, and queues each on a
+// pending list of its actual state. That list is found through the state's
+// super-dstate image, by binary search: the images must be in strictly
+// ascending state id order. It then links each super-dstate in its stored
+// order, through a scratch slot per dstate id. SDS deletes no dstate, so a
+// snapshot must hold every dstate id below NextDSID exactly once; both
+// tables by dstate id are then as long as the dstate list.
 func restoreSDS[S StateHandle[S]](sp *MapperSnapshot, lookup func(uint64) (S, bool)) (Mapper[S], error) {
 	k := sp.K
 	nd := len(sp.VDStates)

@@ -254,3 +254,34 @@ func TestRestoreSDSRejectsMalformedSupers(t *testing.T) {
 		t.Fatalf("uncorrupted snapshot: %v", err)
 	}
 }
+
+// TestRestoreSDSSparseIDs: the state ids of a frontier have gaps once it
+// is sliced, and RestoreMapper then finds a state's super-dstate by binary
+// search, the guess at its offset from the first missing. A restore over
+// ids spread out rebuilds the mapper its snapshot came from.
+func TestRestoreSDSSparseIDs(t *testing.T) {
+	m := newRegistered(t, SDSAlgorithm, 4)
+	rng := rand.New(rand.NewSource(5))
+	for op := 0; op < 40; op++ {
+		mapperOp(t, m, 4, rng, uint64(op+1))
+	}
+	byID := map[uint64]*mockState{}
+	m.ForEachState(func(s *mockState) {
+		s.id = 3*s.id + 7
+		byID[s.id] = s
+	})
+	want := mustSnapshot(t, m)
+	restored, err := RestoreMapper[*mockState](want, func(id uint64) (*mockState, bool) {
+		s, ok := byID[id]
+		return s, ok
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := restored.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if got := mustSnapshot(t, restored); !reflect.DeepEqual(got, want) {
+		t.Error("restored over sparse ids, the mapper snapshots differently")
+	}
+}

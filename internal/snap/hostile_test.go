@@ -44,8 +44,8 @@ func hostileSnapshots(tb testing.TB) (cfg sim.Config, honest []byte, hostile map
 	return cfg, honest, hostile
 }
 
-// resumeAlloc resumes data and returns the error and the bytes allocated.
-func resumeAlloc(t *testing.T, cfg sim.Config, data []byte) (error, uint64) {
+// resumeAlloc resumes data and returns the bytes allocated doing so.
+func resumeAlloc(t *testing.T, cfg sim.Config, data []byte) (uint64, error) {
 	t.Helper()
 	var before, after runtime.MemStats
 	runtime.GC()
@@ -57,7 +57,7 @@ func resumeAlloc(t *testing.T, cfg sim.Config, data []byte) (error, uint64) {
 			t.Fatalf("resumed engine: %v", rerr)
 		}
 	}
-	return err, after.TotalAlloc - before.TotalAlloc
+	return after.TotalAlloc - before.TotalAlloc, err
 }
 
 // TestHostileCountsStayCheap: a snapshot whose NextStateID or NextDSID is
@@ -65,12 +65,12 @@ func resumeAlloc(t *testing.T, cfg sim.Config, data []byte) (error, uint64) {
 // honest resume does plus a few times its own length.
 func TestHostileCountsStayCheap(t *testing.T) {
 	cfg, honest, hostile := hostileSnapshots(t)
-	err, base := resumeAlloc(t, cfg, honest)
+	base, err := resumeAlloc(t, cfg, honest)
 	if err != nil {
 		t.Fatalf("honest snapshot: %v", err)
 	}
 	for name, data := range hostile {
-		err, alloc := resumeAlloc(t, cfg, data)
+		alloc, err := resumeAlloc(t, cfg, data)
 		t.Logf("%s = 2^40: %d bytes, honest %d, snapshot %d bytes: %v", name, alloc, base, len(data), err)
 		if alloc > base+4*uint64(len(data)) {
 			t.Errorf("%s = 2^40: resume allocated %d bytes, an honest one %d, the snapshot is %d bytes",
