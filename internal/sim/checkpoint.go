@@ -149,11 +149,16 @@ func ResumeEngineSlice(cfg Config, data []byte, seg, of int) (*Engine, error) {
 	return resumeSnapshot(cfg, data, seg, of)
 }
 
-func resumeSnapshot(cfg Config, data []byte, seg, of int) (*Engine, error) {
+func resumeSnapshot(cfg Config, data []byte, seg, of int) (_ *Engine, err error) {
 	e, err := newEngineShell(cfg)
 	if err != nil {
 		return nil, err
 	}
+	defer func() {
+		if err != nil { // a refused snapshot leaves no solver worker behind
+			e.closeSpecPool()
+		}
+	}()
 	cfg = e.cfg // with defaults applied
 	sp, err := snap.Decode(data, e.ctx.Exprs)
 	if err != nil {

@@ -3,6 +3,7 @@ package snap_test
 import (
 	"runtime"
 	"testing"
+	"time"
 
 	"sde/internal/core"
 	"sde/internal/expr"
@@ -76,5 +77,26 @@ func TestHostileCountsStayCheap(t *testing.T) {
 			t.Errorf("%s = 2^40: resume allocated %d bytes, an honest one %d, the snapshot is %d bytes",
 				name, alloc, base, len(data))
 		}
+	}
+}
+
+// TestRefusedResumeLeavesNoWorker: a resume that refuses its snapshot —
+// corrupt bytes, or a NextDSID that lies — stops the solver workers its
+// engine started before it read the snapshot.
+func TestRefusedResumeLeavesNoWorker(t *testing.T) {
+	cfg, honest, hostile := hostileSnapshots(t)
+	before := runtime.NumGoroutine()
+	for _, data := range [][]byte{honest[:len(honest)/2], hostile["NextDSID"]} {
+		if _, err := sim.ResumeEngine(cfg, data); err == nil {
+			t.Fatal("resume accepted a snapshot it must refuse")
+		}
+	}
+	// A stopped worker has signalled its pool; give it the moment it takes
+	// to return.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("%d goroutines after two refused resumes, %d before", n, before)
 	}
 }

@@ -152,12 +152,14 @@ const PageBytes = pageWords * 4
 // constant, so an untouched word and a dirty zero stay distinguishable.
 // tableIdx is the page's number in the PageTable whose epoch is tableEpoch,
 // the one stamp a snapshot needs to share a page without a map; a copy-on-
-// write split copies the words only, so a fresh page carries no stamp.
+// write split copies the words only, so a fresh page carries no stamp. The
+// stamp follows the words, which keep the offset the VM's loads and stores
+// have always used.
 type page struct {
 	ref        int32
+	words      [pageWords]uint32
 	tableIdx   uint32
 	tableEpoch uint64
-	words      [pageWords]uint32
 }
 
 // pageSlot is one entry of a state's page table.
