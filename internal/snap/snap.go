@@ -1099,9 +1099,7 @@ func decodeState(r *reader, getRef, mustRef func() (*expr.Expr, error), npages i
 	if err != nil {
 		return img, err
 	}
-	if nframes > 0 {
-		img.Frames = make([]vm.FrameImage, nframes)
-	}
+	img.Frames = make([]vm.FrameImage, nframes)
 	for i := range img.Frames {
 		fr := &img.Frames[i]
 		if fr.Fn, err = r.signedInt(); err != nil {
@@ -1134,9 +1132,7 @@ func decodeState(r *reader, getRef, mustRef func() (*expr.Expr, error), npages i
 	if err != nil {
 		return img, err
 	}
-	if ncond > 0 {
-		img.PathCond = make([]*expr.Expr, ncond)
-	}
+	img.PathCond = make([]*expr.Expr, ncond)
 	for i := range img.PathCond {
 		c, err := mustRef()
 		if err != nil {
@@ -1151,9 +1147,7 @@ func decodeState(r *reader, getRef, mustRef func() (*expr.Expr, error), npages i
 	if err != nil {
 		return img, err
 	}
-	if nevents > 0 {
-		img.Events = make([]vm.EventImage, nevents)
-	}
+	img.Events = make([]vm.EventImage, nevents)
 	for i := range img.Events {
 		ev := &img.Events[i]
 		if ev.Time, err = r.u64(); err != nil {
@@ -1182,9 +1176,7 @@ func decodeState(r *reader, getRef, mustRef func() (*expr.Expr, error), npages i
 		if err != nil {
 			return img, err
 		}
-		if ndata > 0 {
-			ev.Data = make([]*expr.Expr, ndata)
-		}
+		ev.Data = make([]*expr.Expr, ndata)
 		for j := range ev.Data {
 			if ev.Data[j], err = mustRef(); err != nil {
 				return img, err
@@ -1195,9 +1187,7 @@ func decodeState(r *reader, getRef, mustRef func() (*expr.Expr, error), npages i
 	if err != nil {
 		return img, err
 	}
-	if nhist > 0 {
-		img.Hist = make([]vm.HistEntry, nhist)
-	}
+	img.Hist = make([]vm.HistEntry, nhist)
 	for i := range img.Hist {
 		h := &img.Hist[i]
 		dir, err := r.byte()
@@ -1238,9 +1228,7 @@ func decodeState(r *reader, getRef, mustRef func() (*expr.Expr, error), npages i
 	if err != nil {
 		return img, err
 	}
-	if ntrace > 0 {
-		img.Trace = make([]vm.TraceEntry, ntrace)
-	}
+	img.Trace = make([]vm.TraceEntry, ntrace)
 	for i := range img.Trace {
 		tr := &img.Trace[i]
 		if tr.Time, err = r.u64(); err != nil {
@@ -1270,9 +1258,7 @@ func decodeState(r *reader, getRef, mustRef func() (*expr.Expr, error), npages i
 	if err != nil {
 		return img, err
 	}
-	if nrefs > 0 {
-		img.Pages = make([]vm.PageRef, nrefs)
-	}
+	img.Pages = make([]vm.PageRef, nrefs)
 	for i := range img.Pages {
 		pr := &img.Pages[i]
 		idx, err := r.u64()

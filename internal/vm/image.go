@@ -78,9 +78,10 @@ type EventImage struct {
 	Data []*expr.Expr
 }
 
-// StateImage is the flattened form of a State. Its lists alias the
-// state's: a capped view of an append-only array, as a fork holds (see
-// SpecFork), which nothing writes in place.
+// StateImage is the flattened form of a State. Its path condition,
+// history, trace and event payloads alias the state's: capped views of
+// append-only arrays, as a fork holds them (see SpecFork), which nothing
+// writes in place.
 type StateImage struct {
 	ID   uint64
 	Node int
@@ -130,30 +131,24 @@ func (s *State) Image(t *PageTable) StateImage {
 		img.HasErr = true
 		img.ErrMsg = s.runErr.Error()
 	}
-	if len(s.frames) > 0 {
-		img.Frames = make([]FrameImage, len(s.frames))
-		for i, fr := range s.frames {
-			img.Frames[i] = FrameImage{Fn: fr.fn, PC: fr.pc}
+	img.Frames = make([]FrameImage, len(s.frames))
+	for i, fr := range s.frames {
+		img.Frames[i] = FrameImage{Fn: fr.fn, PC: fr.pc}
+	}
+	img.Events = make([]EventImage, len(s.events))
+	for i, ev := range s.events {
+		img.Events[i] = EventImage{
+			Time: ev.Time,
+			Kind: ev.Kind,
+			Fn:   ev.Fn,
+			Arg:  ev.Arg,
+			Src:  ev.Src,
+			Data: ev.Data[:len(ev.Data):len(ev.Data)],
 		}
 	}
-	if len(s.events) > 0 {
-		img.Events = make([]EventImage, len(s.events))
-		for i, ev := range s.events {
-			img.Events[i] = EventImage{
-				Time: ev.Time,
-				Kind: ev.Kind,
-				Fn:   ev.Fn,
-				Arg:  ev.Arg,
-				Src:  ev.Src,
-				Data: ev.Data[:len(ev.Data):len(ev.Data)],
-			}
-		}
-	}
-	if len(s.mem.slots) > 0 {
-		img.Pages = make([]PageRef, len(s.mem.slots))
-		for i, sl := range s.mem.slots {
-			img.Pages[i] = PageRef{MemIndex: sl.idx, Page: t.intern(sl.p)}
-		}
+	img.Pages = make([]PageRef, len(s.mem.slots))
+	for i, sl := range s.mem.slots {
+		img.Pages[i] = PageRef{MemIndex: sl.idx, Page: t.intern(sl.p)}
 	}
 	return img
 }
@@ -225,18 +220,14 @@ func restoreState(ctx *Context, prog *isa.Program, img *StateImage, pages [][Pag
 	if img.HasErr {
 		s.runErr = errors.New(img.ErrMsg)
 	}
-	if len(img.Frames) > 0 {
-		s.frames = make([]frame, len(img.Frames))
-		for i, fr := range img.Frames {
-			if fr.Fn < 0 || fr.Fn >= prog.NumFuncs() || fr.PC < 0 {
-				return nil, fmt.Errorf("frame (%d,%d) outside program", fr.Fn, fr.PC)
-			}
-			s.frames[i] = frame{fn: fr.Fn, pc: fr.PC}
+	s.frames = make([]frame, len(img.Frames))
+	for i, fr := range img.Frames {
+		if fr.Fn < 0 || fr.Fn >= prog.NumFuncs() || fr.PC < 0 {
+			return nil, fmt.Errorf("frame (%d,%d) outside program", fr.Fn, fr.PC)
 		}
+		s.frames[i] = frame{fn: fr.Fn, pc: fr.PC}
 	}
-	if len(img.Events) > 0 {
-		s.events = make([]Event, len(img.Events))
-	}
+	s.events = make([]Event, len(img.Events))
 	var prevTime uint64
 	for i, ev := range img.Events {
 		if ev.Kind < EventBoot || ev.Kind > EventRecv {
