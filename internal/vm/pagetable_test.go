@@ -255,3 +255,13 @@ func TestPageIsPointerFree(t *testing.T) {
 		t.Errorf("a page's words take %d bytes, the RAM model charges %d", got, PageBytes)
 	}
 }
+
+// TestPageSizeClass: the snapshot's page-table stamp rides on the page, in
+// the slack of the allocator's 288-byte size class that 64 words and a
+// reference count already took; a page that outgrew it would cost every
+// copy-on-write split a bigger allocation.
+func TestPageSizeClass(t *testing.T) {
+	if got := reflect.TypeOf(page{}).Size(); got > 288 {
+		t.Errorf("a page takes %d bytes, more than its 288-byte size class", got)
+	}
+}
