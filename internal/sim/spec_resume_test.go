@@ -11,7 +11,9 @@ package sim_test
 import (
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
+	"time"
 
 	"sde/internal/core"
 	"sde/internal/rime"
@@ -118,4 +120,32 @@ func TestSpeculationKillAndResume(t *testing.T) {
 	}
 	t.Logf("resumed counters:\n%s", res.Stats)
 	requireSameRun(t, res, ref)
+}
+
+// TestDroppedEngineLeavesNoWorker: an engine that never reaches the end of
+// a run — refused by the mapper after its shell was built, or stepped and
+// dropped, as the snapshot tests' frontiers are — leaves no speculation
+// worker behind. The pool starts its workers with the first submission, and
+// collect submits none.
+func TestDroppedEngineLeavesNoWorker(t *testing.T) {
+	before := runtime.NumGoroutine()
+	bad := collectConfig(t, core.SDSAlgorithm)
+	bad.Algorithm = core.Algorithm(99)
+	if _, err := sim.NewEngine(bad); err == nil {
+		t.Fatal("NewEngine accepted an unknown algorithm")
+	}
+	for _, algo := range allAlgorithms {
+		eng, err := sim.NewEngine(collectConfig(t, algo))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 40 && eng.Step(); i++ {
+		}
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("%d goroutines after four dropped engines, %d before", n, before)
+	}
 }

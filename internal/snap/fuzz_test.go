@@ -35,6 +35,7 @@ func FuzzDecode(f *testing.F) {
 	for _, data := range hostile {
 		f.Add(data)
 	}
+	f.Add(hostilePeak(f)) // PeakStates = 2^63
 	f.Add([]byte{})
 	f.Add([]byte("SDEsnp\x00"))
 

@@ -1,6 +1,8 @@
 package snap_test
 
 import (
+	"errors"
+	"math"
 	"runtime"
 	"testing"
 	"time"
@@ -77,6 +79,32 @@ func TestHostileCountsStayCheap(t *testing.T) {
 			t.Errorf("%s = 2^40: resume allocated %d bytes, an honest one %d, the snapshot is %d bytes",
 				name, alloc, base, len(data))
 		}
+	}
+}
+
+// hostilePeak is a checksum-valid snapshot whose PeakStates field reads
+// 2^63: encoded from an int of math.MinInt, which the header writes as
+// the uvarint 1<<63.
+func hostilePeak(tb testing.TB) []byte {
+	tb.Helper()
+	sp, b := liveSnapshot(tb, core.SDSAlgorithm, 40)
+	sp.PeakStates = math.MinInt
+	data, err := sp.Encode(b)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return data
+}
+
+// TestHostilePeakStatesRefused: a PeakStates past the largest int is
+// refused as corrupt rather than restored as a negative peak.
+func TestHostilePeakStatesRefused(t *testing.T) {
+	sp, err := snap.Decode(hostilePeak(t), expr.NewBuilder())
+	if err == nil {
+		t.Fatalf("Decode accepted PeakStates = 2^63 as %d", sp.PeakStates)
+	}
+	if !errors.Is(err, snap.ErrCorrupt) {
+		t.Fatalf("error %v does not wrap ErrCorrupt", err)
 	}
 }
 

@@ -5,6 +5,12 @@
 // state-mapping structures of all three algorithms, the event queues, and
 // the virtual clock.
 //
+// The format is written down once. A coder appends a snapshot's fields
+// when encoding and reads them back into the same fields when decoding,
+// one method per section, so Encode and Decode cannot drift apart; only
+// the expression DAG has two halves, numbering nodes on the way out and
+// rebuilding them through the builder on the way in.
+//
 // The format is deterministic in the strong sense the resume guarantee
 // needs: encode→decode→encode is byte-identical. Two properties carry
 // that: expression nodes are numbered in a fixed traversal order (all
@@ -14,9 +20,11 @@
 //
 // Decoding treats its input as untrusted: every failure — truncation,
 // bit flips, impossible counts, malformed expression structure — returns
-// an error wrapping ErrCorrupt, never a panic. A trailing FNV-1a checksum
-// rejects most corruption before parsing begins; the structural checks
-// behind it make the decoder total anyway (the fuzz target's contract).
+// an error wrapping ErrCorrupt, never a panic. The decoder keeps the first
+// failure and reads zeros and empty lists after it, so a corrupt count
+// allocates nothing further. A trailing FNV-1a checksum rejects most
+// corruption before parsing begins; the structural checks behind it make
+// the decoder total anyway (the fuzz target's contract).
 //
 // Solver state is deliberately absent from snapshots: it is derived data
 // that belongs to the solver, not to any execution state, so a restore
@@ -28,8 +36,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math/bits"
+	"math"
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -87,59 +96,384 @@ type Carried struct {
 	Violations []*vm.Violation
 }
 
-// --- encoding ----------------------------------------------------------------
+// Encode serializes the snapshot. b must be the builder that produced
+// every expression in it; all of b's variables are serialized (reachable
+// or not) so the restored builder assigns future variable ids exactly as
+// the original would have.
+func (s *Snapshot) Encode(b *expr.Builder) ([]byte, error) {
+	if s.Mapper == nil {
+		return nil, fmt.Errorf("snap: snapshot without mapper")
+	}
+	sc := scratches.Get().(*scratch)
+	defer sc.release()
+	c := coder{buf: sc.buf[:0], b: b, vars: b.Vars(), t: &sc.t}
+	if c.number(s); c.err == nil {
+		c.snapshot(s)
+	}
+	if c.err != nil {
+		return nil, c.err
+	}
+	c.buf = binary.LittleEndian.AppendUint64(c.buf, fnv64a(c.buf))
+	sc.buf = c.buf
+	out := make([]byte, len(c.buf))
+	copy(out, c.buf)
+	return out, nil
+}
 
-type writer struct {
+// Decode parses a snapshot. b should be a fresh builder for the resumed
+// run's context: all of the snapshot's variables are recreated in their
+// original creation order, so variables created after the resume receive
+// the same ids they would have in an uninterrupted run. Any failure wraps
+// ErrCorrupt.
+func Decode(data []byte, b *expr.Builder) (*Snapshot, error) {
+	if len(data) < len(magic)+1+8 {
+		return nil, fmt.Errorf("%w: %d bytes is shorter than any snapshot", ErrCorrupt, len(data))
+	}
+	body := data[:len(data)-8]
+	if fnv64a(body) != binary.LittleEndian.Uint64(data[len(data)-8:]) {
+		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
+	}
+	c := coder{dec: true, buf: body, b: b}
+	s := &Snapshot{}
+	c.snapshot(s)
+	if left := len(c.buf) - c.pos; left != 0 {
+		c.corrupt("%d trailing bytes", left)
+	}
+	if c.err != nil {
+		return nil, c.err
+	}
+	return s, nil
+}
+
+// --- the coder ---------------------------------------------------------------
+
+// coder moves a snapshot to or from its bytes. Each method below codes one
+// part of the format through pointers to the snapshot's fields: encoding,
+// it appends what they hold; decoding, it reads into them, making every
+// list as long as its encoded count.
+//
+// The first failure sticks. Decoding, it wraps ErrCorrupt and names the
+// offset it was met at; every later read yields zero and every later count
+// none, so nothing more is allocated, and a check on a value that was never
+// read stays silent. Encoding, a snapshot the format cannot carry — a page
+// out of range, a per-node row of the wrong length, an unknown algorithm —
+// is a plain error, kept the same way.
+type coder struct {
+	dec bool
+	buf []byte // encoding: the bytes so far; decoding: the body to read
+	pos int    // decoding: the read offset
+	err error
+
+	b     *expr.Builder
+	vars  []*expr.Expr // encoding: the builder's variables, in creation order
+	t     *exprTable   // encoding: the expression numbering
+	exprs []*expr.Expr // decoding: the expressions read, by number
+}
+
+// scratch is what an Encode grows to the size of its snapshot — the
+// expression table and the buffer the bytes are appended to — recycled
+// through scratches, so an encode allocates its result and little else.
+type scratch struct {
+	t   exprTable
 	buf []byte
 }
 
-func (w *writer) u64(v uint64) { w.buf = binary.AppendUvarint(w.buf, v) }
-func (w *writer) i64(v int64)  { w.buf = binary.AppendVarint(w.buf, v) }
-func (w *writer) byte(v byte)  { w.buf = append(w.buf, v) }
+var scratches = sync.Pool{New: func() any { return new(scratch) }}
 
-func (w *writer) str(s string) {
-	w.u64(uint64(len(s)))
-	w.buf = append(w.buf, s...)
+// release returns sc to scratches, dropping its hold on the builder's nodes.
+func (sc *scratch) release() {
+	clear(sc.t.nodes)
+	sc.t.nodes = sc.t.nodes[:0]
+	scratches.Put(sc)
 }
 
-func (w *writer) bool(v bool) {
-	if v {
-		w.byte(1)
+func (c *coder) fail(err error) {
+	if c.err == nil {
+		c.err = err
+	}
+}
+
+// corrupt records a decoding failure at the current offset.
+func (c *coder) corrupt(format string, args ...any) {
+	c.fail(fmt.Errorf("%w: %s (offset %d)", ErrCorrupt, fmt.Sprintf(format, args...), c.pos))
+}
+
+func (c *coder) left() int { return len(c.buf) - c.pos }
+
+// put appends v as a uvarint. Unless the buffer grew, it stores back only
+// the length: storing a slice into c costs a write barrier each while the
+// collector runs.
+func (c *coder) put(v uint64) {
+	if b := binary.AppendUvarint(c.buf, v); cap(b) == cap(c.buf) {
+		c.buf = c.buf[:len(b)]
+	} else {
+		c.buf = b
+	}
+}
+
+// putSigned appends v as a varint, zig-zag encoded.
+func (c *coder) putSigned(v int64) { c.put(uint64(v<<1) ^ uint64(v>>63)) }
+
+// get reads a uvarint, or yields 0 after a failure.
+func (c *coder) get() uint64 {
+	if c.err != nil {
+		return 0
+	}
+	// Most fields fit in a byte: an index, a count, a node, a slot.
+	if c.pos < len(c.buf) && c.buf[c.pos] < 0x80 {
+		c.pos++
+		return uint64(c.buf[c.pos-1])
+	}
+	v, n := binary.Uvarint(c.buf[c.pos:])
+	if n <= 0 {
+		c.corrupt("truncated uvarint")
+		return 0
+	}
+	c.pos += n
+	return v
+}
+
+// u64 codes a uvarint. Encoding a value under 0x80 — most are: an index,
+// a count, a slot, a node — is inlined into the section.
+func (c *coder) u64(p *uint64) {
+	if !c.dec && *p < 0x80 {
+		c.buf = append(c.buf, byte(*p))
 		return
 	}
-	w.byte(0)
+	c.uvarint(p)
 }
+
+func (c *coder) uvarint(p *uint64) {
+	if c.dec {
+		*p = c.get()
+	} else {
+		c.put(*p)
+	}
+}
+
+// i64 codes a varint: a uvarint of the value zig-zag encoded.
+func (c *coder) i64(p *int64) {
+	if !c.dec {
+		c.putSigned(*p)
+		return
+	}
+	u := c.get()
+	*p = int64(u>>1) ^ -int64(u&1)
+}
+
+func (c *coder) byte(p *byte) {
+	if c.dec {
+		*p = c.getByte()
+		return
+	}
+	c.buf = append(c.buf, *p)
+}
+
+func (c *coder) getByte() byte {
+	if c.err != nil {
+		return 0
+	}
+	if c.left() < 1 {
+		c.corrupt("truncated byte")
+		return 0
+	}
+	c.pos++
+	return c.buf[c.pos-1]
+}
+
+func (c *coder) bool(p *bool) {
+	var b byte
+	if *p {
+		b = 1
+	}
+	c.byte(&b)
+	if c.dec {
+		if b > 1 {
+			c.corrupt("bool byte %d", b)
+		}
+		*p = b == 1
+	}
+}
+
+func (c *coder) str(p *string) {
+	if !c.dec {
+		c.put(uint64(len(*p)))
+		c.buf = append(c.buf, *p...)
+		return
+	}
+	n := c.get()
+	if n > uint64(c.left()) {
+		c.corrupt("string of %d bytes with %d left", n, c.left())
+		return
+	}
+	*p = string(c.buf[c.pos : c.pos+int(n)])
+	c.pos += int(n)
+}
+
+// count codes an element count: encoding, it writes n and returns it;
+// decoding, it returns the count read, bounded by the bytes remaining
+// (each element takes at least one encoded byte), so a corrupt count
+// cannot trigger a huge allocation.
+func (c *coder) count(n int) int {
+	if !c.dec {
+		c.reserve()
+		c.put(uint64(n))
+		return n
+	}
+	v := c.get()
+	if v > uint64(c.left()) {
+		c.corrupt("count %d with %d bytes left", v, c.left())
+		return 0
+	}
+	return int(v)
+}
+
+// reserve keeps room at the end of an encoding buffer for what a list
+// element appends, doubling the buffer when it runs short: the appends
+// themselves grow a large buffer by a quarter at a time, and an Encode that
+// finds its pooled buffer collected would copy the bytes four times over.
+func (c *coder) reserve() {
+	if cap(c.buf)-len(c.buf) < 1<<10 {
+		c.buf = slices.Grow(c.buf, len(c.buf)+1<<10)
+	}
+}
+
+// list codes the length of *p and returns *p, made that long when decoding.
+func list[T any](c *coder, p *[]T) []T {
+	n := c.count(len(*p))
+	if c.dec {
+		*p = make([]T, n)
+	}
+	return *p
+}
+
+// perNode returns *p, a list of one element per node whose length the
+// format leaves out: encoding, it must be k long; decoding, it is made so.
+func perNode[T any](c *coder, p *[]T, k int, what string) []T {
+	if !c.dec {
+		c.reserve()
+		if len(*p) != k {
+			c.fail(fmt.Errorf("snap: %s with %d nodes, want %d", what, len(*p), k))
+			return nil
+		}
+		return *p
+	}
+	if c.err == nil {
+		*p = make([]T, k)
+	}
+	return *p
+}
+
+// int codes an int as a varint; decoded, it must fit the platform int.
+func (c *coder) int(p *int) {
+	v := int64(*p)
+	c.i64(&v)
+	if c.dec {
+		if *p = int(v); int64(*p) != v {
+			c.corrupt("integer %d out of range", v)
+		}
+	}
+}
+
+// nat codes a non-negative int as a uvarint; decoded, it must fit an int.
+func (c *coder) nat(p *int) {
+	v := uint64(*p)
+	c.u64(&v)
+	if c.dec {
+		if *p = int(v); *p < 0 || uint64(*p) != v {
+			c.corrupt("integer %d out of range", v)
+		}
+	}
+}
+
+// u32 codes a uint32 as a uvarint; a decoded value past 32 bits is
+// refused, naming what it was.
+func (c *coder) u32(p *uint32, what string) {
+	if !c.dec && *p < 0x80 {
+		c.buf = append(c.buf, byte(*p))
+		return
+	}
+	c.uint32(p, what)
+}
+
+func (c *coder) uint32(p *uint32, what string) {
+	if !c.dec {
+		c.put(uint64(*p))
+		return
+	}
+	if v := c.get(); v <= math.MaxUint32 {
+		*p = uint32(v)
+	} else {
+		c.corrupt("%s %d", what, v)
+	}
+}
+
+// k codes a node count; decoded, it must be positive, or the failure is
+// reported through format.
+func (c *coder) k(p *int, format string) {
+	k := c.count(*p)
+	if c.dec {
+		if k <= 0 {
+			c.corrupt(format, k)
+		}
+		*p = k
+	}
+}
+
+// ref codes a nilable expression reference: 0 for nil, its number+1
+// otherwise. Encoding a nil one is inlined.
+func (c *coder) ref(p **expr.Expr) {
+	if !c.dec && *p == nil {
+		c.buf = append(c.buf, 0)
+		return
+	}
+	c.expr(p)
+}
+
+func (c *coder) expr(p **expr.Expr) {
+	if !c.dec {
+		c.put(c.t.refID((*p).ID()))
+		return
+	}
+	v := c.get()
+	if v == 0 {
+		return
+	}
+	if v-1 >= uint64(len(c.exprs)) {
+		c.corrupt("expression reference %d of %d", v-1, len(c.exprs))
+		return
+	}
+	*p = c.exprs[v-1]
+}
+
+// need codes an expression reference that must not be nil.
+func (c *coder) need(p **expr.Expr) {
+	c.ref(p)
+	if c.dec && *p == nil {
+		c.corrupt("nil expression where one is required")
+	}
+}
+
+// --- the expression DAG ------------------------------------------------------
 
 // exprTable assigns every serialized expression node a stable index:
 // builder variables first (in creation order, so the decoder's var-id
 // sequence replays exactly), then reachable non-variable nodes in
 // first-visit post-order — every operand index precedes its user's, which
 // makes decoding a single forward pass with no cycle risk. The indexes are
-// kept in an array by node id (Expr.ID), stamped with an epoch, so a table
-// recycled through exprTables serves the next Encode without clearing.
+// kept in an array by node id (Expr.ID), stamped with an epoch, so a
+// recycled table serves the next Encode without clearing.
 type exprTable struct {
 	epoch uint32
 	slots []exprSlot   // node id → index, valid when stamped with epoch
 	last  uint32       // the builder's highest node id
 	nodes []*expr.Expr // the non-variable nodes, in index order
 	nv    int
-	err   error // the first node collect met that is not the builder's
 }
 
 type exprSlot struct {
 	epoch uint32
 	idx   uint32
-}
-
-// exprTables recycles the tables of Encode, so an encode allocates none
-// once its pooled table has grown to the builder.
-var exprTables = sync.Pool{New: func() any { return new(exprTable) }}
-
-// release returns t to exprTables, dropping its hold on the builder's nodes.
-func (t *exprTable) release() {
-	clear(t.nodes)
-	t.nodes = t.nodes[:0]
-	exprTables.Put(t)
 }
 
 // reset empties the table for the nodes of a builder of n nodes and numbers
@@ -156,7 +490,6 @@ func (t *exprTable) reset(n int, vars []*expr.Expr) {
 	}
 	t.nodes = t.nodes[:0]
 	t.nv = len(vars)
-	t.err = nil
 	for i, v := range vars {
 		t.slots[v.ID()] = exprSlot{epoch: t.epoch, idx: uint32(i)}
 	}
@@ -168,17 +501,24 @@ func (t *exprTable) has(id uint32) bool { return t.slots[id].epoch == t.epoch }
 // index returns the number of node id, which must be numbered.
 func (t *exprTable) index(id uint32) uint64 { return uint64(t.slots[id].idx) }
 
+// refID is the encoded reference to node id (0 for none).
+func (t *exprTable) refID(id uint32) uint64 {
+	if id == 0 {
+		return 0
+	}
+	return t.index(id) + 1
+}
+
 // collect numbers root and every node below it that is not numbered yet.
 // A root the builder cannot have made — its id is past the builder's last
-// — is recorded in t.err instead.
-func (t *exprTable) collect(root *expr.Expr) {
+// — fails the encode instead.
+func (c *coder) collect(root *expr.Expr) {
+	t := c.t
 	if root == nil {
 		return
 	}
 	if root.ID() > t.last {
-		if t.err == nil {
-			t.err = fmt.Errorf("snap: expression %d is not a node of the encoding builder", root.ID())
-		}
+		c.fail(fmt.Errorf("snap: expression %d is not a node of the encoding builder", root.ID()))
 		return
 	}
 	if t.has(root.ID()) {
@@ -211,1182 +551,437 @@ func (t *exprTable) collect(root *expr.Expr) {
 	}
 }
 
-// ref encodes a nilable expression reference: 0 for nil, index+1 otherwise.
-func (w *writer) ref(t *exprTable, e *expr.Expr) {
-	w.u64(t.refID(e.ID()))
-}
-
-// refID is the encoded reference to node id (0 for none).
-func (t *exprTable) refID(id uint32) uint64 {
-	if id == 0 {
-		return 0
-	}
-	return t.index(id) + 1
-}
-
-// collectExprs numbers every expression the snapshot references (after
-// the variables vars of b) into t and counts the memory words set over all
-// pages.
-func (s *Snapshot) collectExprs(t *exprTable, b *expr.Builder, vars []*expr.Expr) (words int, err error) {
-	t.reset(b.NumNodes(), vars)
+// number numbers, after the builder's variables, every expression the
+// snapshot references.
+func (c *coder) number(s *Snapshot) {
+	t := c.t
+	t.reset(c.b.NumNodes(), c.vars)
 	for si := range s.States {
 		img := &s.States[si]
 		for _, r := range img.Regs {
-			t.collect(r)
+			c.collect(r)
 		}
-		for _, c := range img.PathCond {
-			t.collect(c)
+		for _, e := range img.PathCond {
+			c.collect(e)
 		}
 		for _, ev := range img.Events {
-			t.collect(ev.Arg)
+			c.collect(ev.Arg)
 			for _, d := range ev.Data {
-				t.collect(d)
+				c.collect(d)
 			}
 		}
 		for _, tr := range img.Trace {
-			t.collect(tr.Val)
+			c.collect(tr.Val)
 		}
 	}
 	for pi := range s.Pages {
 		for _, id := range &s.Pages[pi] {
-			if id == 0 {
-				continue
-			}
-			words++
 			if id > t.last {
-				return 0, fmt.Errorf("snap: page %d holds node %d of a %d-node builder", pi, id, t.last)
+				c.fail(fmt.Errorf("snap: page %d holds node %d of a %d-node builder", pi, id, t.last))
+				return
 			}
-			if !t.has(id) {
-				t.collect(b.Node(id))
+			if id != 0 && !t.has(id) {
+				c.collect(c.b.Node(id))
 			}
 		}
 	}
 	for _, v := range s.Violations {
-		t.collect(v.Cond)
+		c.collect(v.Cond)
 	}
-	return words, t.err
 }
 
-// Encode serializes the snapshot. b must be the builder that produced
-// every expression in it; all of b's variables are serialized (reachable
-// or not) so the restored builder assigns future variable ids exactly as
-// the original would have.
-func (s *Snapshot) Encode(b *expr.Builder) ([]byte, error) {
-	if s.Mapper == nil {
-		return nil, fmt.Errorf("snap: snapshot without mapper")
+// encodeExprs writes the builder's variables by name and width, then the
+// numbered nodes, each operand by its number.
+func (c *coder) encodeExprs() {
+	c.count(len(c.vars))
+	for _, v := range c.vars {
+		name, width := v.VarName(), byte(v.Width())
+		c.str(&name)
+		c.byte(&width)
 	}
-	vars := b.Vars()
-	t := exprTables.Get().(*exprTable)
-	defer t.release()
-	words, err := s.collectExprs(t, b, vars)
-	if err != nil {
-		return nil, err
-	}
-
-	w := writer{buf: make([]byte, 0, s.sizeHint(t, vars, words))}
-	w.buf = append(w.buf, magic...)
-	w.byte(version)
-	w.u64(uint64(s.Algorithm))
-	w.u64(uint64(s.K))
-	w.str(s.Topology)
-	w.u64(s.Clock)
-	w.u64(s.Events)
-	w.u64(uint64(s.PeakStates))
-	w.i64(s.PeakMem)
-	w.i64(int64(s.PriorWall))
-	w.u64(s.NextStateID)
-	walkStats(reflect.ValueOf(s.Stats), func(v reflect.Value) error {
-		if v.CanInt() {
-			w.i64(v.Int())
-		} else {
-			w.u64(v.Uint())
-		}
-		return nil
-	})
-
-	w.u64(uint64(len(vars)))
-	for _, v := range vars {
-		w.str(v.VarName())
-		w.byte(byte(v.Width()))
-	}
-	w.u64(uint64(len(t.nodes)))
-	for _, e := range t.nodes {
-		w.byte(byte(e.Kind()))
-		w.byte(byte(e.Width()))
+	c.count(len(c.t.nodes))
+	for _, e := range c.t.nodes {
+		c.buf = append(c.buf, byte(e.Kind()), byte(e.Width()))
 		if e.IsConst() {
-			w.u64(e.ConstVal())
+			c.put(e.ConstVal())
 			continue
 		}
-		for i := 0; i < 3; i++ {
-			a := e.Arg(i)
-			if a == nil {
-				break
+		for i := 0; i < 3 && e.Arg(i) != nil; i++ {
+			c.put(c.t.index(e.Arg(i).ID()))
+		}
+	}
+}
+
+// decodeExprs recreates the variables in b, then the nodes, every operand
+// before its user, into c.exprs.
+func (c *coder) decodeExprs() {
+	nv := c.count(0)
+	c.exprs = make([]*expr.Expr, 0, nv)
+	for i := 0; i < nv && c.err == nil; i++ {
+		var name string
+		var width byte
+		c.str(&name)
+		c.byte(&width)
+		if c.err != nil {
+			return
+		}
+		if width < 1 || width > 64 {
+			c.corrupt("variable %q of width %d", name, width)
+			return
+		}
+		if prev, ok := c.b.LookupVar(name); ok && prev.Width() != int(width) {
+			// Var would panic on a width conflict; a corrupt snapshot must
+			// not be able to trigger that.
+			c.corrupt("variable %q redeclared at width %d", name, width)
+			return
+		}
+		c.exprs = append(c.exprs, c.b.Var(name, int(width)))
+	}
+	nn := c.count(0)
+	for i := 0; i < nn && c.err == nil; i++ {
+		var kind, width byte
+		c.byte(&kind)
+		c.byte(&width)
+		if c.err != nil {
+			return
+		}
+		arity, ok := expr.KindArity(expr.Kind(kind))
+		if !ok || expr.Kind(kind) == expr.KindVar {
+			c.corrupt("node of kind %d", kind)
+			return
+		}
+		var val uint64
+		var args []*expr.Expr
+		if expr.Kind(kind) == expr.KindConst {
+			val = c.get()
+		} else {
+			args = make([]*expr.Expr, arity)
+			for j := range args {
+				// Topological order: operands strictly precede users.
+				ref := c.get()
+				if ref >= uint64(len(c.exprs)) {
+					c.corrupt("forward expression reference %d", ref)
+					return
+				}
+				args[j] = c.exprs[ref]
 			}
-			w.u64(t.index(a.ID()))
+		}
+		if c.err != nil {
+			return
+		}
+		e, err := c.b.RawNode(expr.Kind(kind), int(width), val, args...)
+		if err != nil {
+			c.corrupt("%v", err)
+			return
+		}
+		c.exprs = append(c.exprs, e)
+	}
+}
+
+// --- the sections ------------------------------------------------------------
+
+// snapshot codes s, all but the checksum.
+func (c *coder) snapshot(s *Snapshot) {
+	c.header(s)
+	if c.dec {
+		c.decodeExprs()
+	} else {
+		c.encodeExprs()
+	}
+	for i := range list(c, &s.Pages) {
+		c.page(&s.Pages[i])
+	}
+	for i := range list(c, &s.States) {
+		c.state(&s.States[i], len(s.Pages))
+	}
+	if c.dec {
+		s.Mapper = &core.MapperSnapshot{}
+	}
+	c.mapper(s.Mapper)
+	for i := range list(c, &s.Samples) {
+		c.sample(&s.Samples[i])
+	}
+	for i := range list(c, &s.Violations) {
+		if c.dec {
+			s.Violations[i] = &vm.Violation{}
+		}
+		c.violation(s.Violations[i])
+	}
+}
+
+// header codes the magic, the version, the scalar fields and the stats
+// section.
+func (c *coder) header(s *Snapshot) {
+	for _, want := range magic {
+		got := want
+		c.byte(&got)
+		if got != want {
+			c.corrupt("bad magic")
+			return
 		}
 	}
+	ver := byte(version)
+	c.byte(&ver)
+	if ver != version {
+		c.corrupt("unsupported version %d (this reader speaks %d)", ver, version)
+		return
+	}
+	c.nat((*int)(&s.Algorithm))
+	if c.dec && (s.Algorithm < core.COBAlgorithm || s.Algorithm > core.SDSAlgorithm) {
+		c.corrupt("algorithm %d", s.Algorithm)
+	}
+	c.k(&s.K, "k=%d")
+	c.str(&s.Topology)
+	c.u64(&s.Clock)
+	c.u64(&s.Events)
+	c.nat(&s.PeakStates)
+	c.i64(&s.PeakMem)
+	c.i64((*int64)(&s.PriorWall))
+	if c.dec && s.PriorWall < 0 {
+		c.corrupt("negative prior wall time")
+	}
+	c.u64(&s.NextStateID)
+	c.stats(reflect.ValueOf(&s.Stats).Elem())
+}
 
-	w.u64(uint64(len(s.Pages)))
-	for pi := range s.Pages {
-		pw := &s.Pages[pi]
-		nset := 0
-		for _, id := range pw {
-			if id != 0 {
-				nset++
+// stats codes every counter of a metrics.RunStats, parts and fields in
+// declaration order, one varint each: the stats section is whatever the
+// type declares.
+func (c *coder) stats(v reflect.Value) {
+	switch {
+	case v.Kind() == reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			c.stats(v.Field(i))
+		}
+	case v.CanInt():
+		x := v.Int()
+		c.i64(&x)
+		if !c.dec {
+			return
+		}
+		if v.OverflowInt(x) {
+			c.corrupt("counter %d out of range", x)
+			return
+		}
+		v.SetInt(x)
+	default:
+		x := v.Uint()
+		c.u64(&x)
+		if c.dec {
+			v.SetUint(x)
+		}
+	}
+}
+
+// page codes one page of the table: the number of set words, then each set
+// word's slot, ascending, and its expression.
+func (c *coder) page(words *[vm.PageWords]uint32) {
+	nset := 0
+	for _, id := range words {
+		if id != 0 {
+			nset++
+		}
+	}
+	if nset = c.count(nset); nset > vm.PageWords {
+		c.corrupt("page with %d set words", nset)
+		return
+	}
+	last := -1
+	for range nset {
+		slot := uint64(last + 1)
+		for !c.dec && words[slot] == 0 {
+			slot++
+		}
+		c.u64(&slot)
+		if c.dec && (slot >= vm.PageWords || int(slot) <= last) {
+			c.corrupt("page slot %d out of order", slot)
+			return
+		}
+		last = int(slot)
+		if !c.dec {
+			c.put(c.t.refID(words[slot]))
+			continue
+		}
+		var e *expr.Expr
+		c.need(&e)
+		words[slot] = e.ID()
+	}
+}
+
+// state codes one execution state; its pages index a table of npages.
+func (c *coder) state(img *vm.StateImage, npages int) {
+	c.u64(&img.ID)
+	c.int(&img.Node)
+	if c.dec && img.Node < 0 {
+		c.corrupt("state %d on node %d", img.ID, img.Node)
+	}
+	for i := range img.Regs {
+		c.ref(&img.Regs[i])
+	}
+	for i := range list(c, &img.Frames) {
+		c.int(&img.Frames[i].Fn)
+		c.int(&img.Frames[i].PC)
+	}
+	c.int(&img.Fn)
+	c.int(&img.PC)
+	c.byte((*byte)(&img.Status))
+	c.bool(&img.HasErr)
+	if img.HasErr {
+		c.str(&img.ErrMsg)
+	}
+	for i := range list(c, &img.PathCond) {
+		e := &img.PathCond[i]
+		c.need(e)
+		if c.dec && *e != nil && (*e).Width() != 1 {
+			c.corrupt("path constraint of width %d", (*e).Width())
+		}
+	}
+	for i := range list(c, &img.Events) {
+		ev := &img.Events[i]
+		c.u64(&ev.Time)
+		c.byte((*byte)(&ev.Kind))
+		c.int(&ev.Fn)
+		c.ref(&ev.Arg)
+		c.u32(&ev.Src, "event source")
+		for j := range list(c, &ev.Data) {
+			c.need(&ev.Data[j])
+		}
+	}
+	for i := range list(c, &img.Hist) {
+		h := &img.Hist[i]
+		c.byte((*byte)(&h.Dir))
+		if c.dec && (h.Dir < vm.DirSent || h.Dir > vm.DirRecv) {
+			c.corrupt("history direction %d", h.Dir)
+		}
+		c.u32(&h.Peer, "history peer")
+		c.u64(&h.Time)
+		c.u32(&h.Seq, "history sequence")
+		c.u64(&h.Payload)
+		c.u64(&h.SenderFP)
+	}
+	for i := range list(c, &img.Trace) {
+		tr := &img.Trace[i]
+		c.u64(&tr.Time)
+		c.str(&tr.Msg)
+		c.ref(&tr.Val)
+	}
+	c.u32(&img.SendSeq, "sequence counter")
+	c.u32(&img.RecvSeq, "sequence counter")
+	c.u32(&img.SymSeq, "sequence counter")
+	c.u64(&img.Steps)
+	for i := range list(c, &img.Pages) {
+		pr := &img.Pages[i]
+		c.u32(&pr.MemIndex, "page index")
+		if !c.dec && (pr.Page < 0 || pr.Page >= npages) {
+			c.fail(fmt.Errorf("snap: state %d references page %d of %d", img.ID, pr.Page, npages))
+		}
+		page := uint64(pr.Page)
+		c.u64(&page)
+		if c.dec {
+			if page >= uint64(npages) {
+				c.corrupt("page reference %d of %d", page, npages)
+			}
+			pr.Page = int(page)
+		}
+	}
+}
+
+// mapper codes the state-mapping structures of the snapshot's algorithm.
+func (c *coder) mapper(m *core.MapperSnapshot) {
+	c.nat((*int)(&m.Algorithm))
+	c.k(&m.K, "mapper with k=%d")
+	switch m.Algorithm {
+	case core.COBAlgorithm:
+		for i := range list(c, &m.Scenarios) {
+			row := perNode(c, &m.Scenarios[i], m.K, "COB dscenario")
+			for node := range row {
+				c.u64(&row[node])
 			}
 		}
-		w.u64(uint64(nset))
-		for slot, id := range pw {
-			if id != 0 {
-				w.u64(uint64(slot))
-				w.u64(t.refID(id))
+	case core.COWAlgorithm:
+		for i := range list(c, &m.DStates) {
+			ds := perNode(c, &m.DStates[i], m.K, "COW dstate")
+			for node := range ds {
+				c.ids(&ds[node])
 			}
 		}
-	}
-
-	w.u64(uint64(len(s.States)))
-	for si := range s.States {
-		if w, err = encodeState(w, t, &s.States[si], len(s.Pages)); err != nil {
-			return nil, err
+	case core.SDSAlgorithm:
+		c.nat(&m.NextDSID)
+		for i := range list(c, &m.VDStates) {
+			d := &m.VDStates[i]
+			c.nat(&d.ID)
+			for node := range perNode(c, &d.ByNode, m.K, "SDS dstate") {
+				c.ids(&d.ByNode[node])
+			}
+		}
+		for i := range list(c, &m.Supers) {
+			su := &m.Supers[i]
+			c.u64(&su.StateID)
+			for j := range list(c, &su.DStateIDs) {
+				c.nat(&su.DStateIDs[j])
+			}
+		}
+	default:
+		if c.dec {
+			c.corrupt("mapper algorithm %d", m.Algorithm)
+		} else {
+			c.fail(fmt.Errorf("snap: mapper snapshot with unknown algorithm %d", m.Algorithm))
 		}
 	}
-	if w, err = encodeMapper(w, s.Mapper); err != nil {
-		return nil, err
-	}
+}
 
-	w.u64(uint64(len(s.Samples)))
-	for _, sm := range s.Samples {
-		w.i64(int64(sm.Wall))
-		w.u64(sm.VirtualTime)
-		w.i64(int64(sm.States))
-		w.i64(int64(sm.Groups))
-		w.i64(sm.MemBytes)
-		w.u64(sm.Instructions)
-		w.i64(sm.SolverQueries)
+// ids codes a bucket of state ids.
+func (c *coder) ids(p *[]uint64) {
+	for i := range list(c, p) {
+		c.u64(&(*p)[i])
 	}
+}
 
-	w.u64(uint64(len(s.Violations)))
-	for _, v := range s.Violations {
-		w.i64(int64(v.Node))
-		w.u64(v.Time)
-		w.str(v.Msg)
-		w.u64(v.StateID)
-		w.ref(t, v.Cond)
-		names := make([]string, 0, len(v.Model))
+func (c *coder) sample(sm *metrics.Sample) {
+	c.i64((*int64)(&sm.Wall))
+	c.u64(&sm.VirtualTime)
+	c.int(&sm.States)
+	c.int(&sm.Groups)
+	c.i64(&sm.MemBytes)
+	c.u64(&sm.Instructions)
+	c.i64(&sm.SolverQueries)
+}
+
+// violation codes one violation, its model by variable name in ascending
+// order.
+func (c *coder) violation(v *vm.Violation) {
+	c.int(&v.Node)
+	c.u64(&v.Time)
+	c.str(&v.Msg)
+	c.u64(&v.StateID)
+	c.ref(&v.Cond)
+	n := c.count(len(v.Model))
+	var names []string
+	if c.dec {
+		v.Model = make(expr.Env, n)
+	} else {
+		names = make([]string, 0, n)
 		for name := range v.Model {
 			names = append(names, name)
 		}
 		sort.Strings(names)
-		w.u64(uint64(len(names)))
-		for _, name := range names {
-			w.str(name)
-			w.u64(v.Model[name])
+	}
+	for i := range n {
+		var name string
+		if !c.dec {
+			name = names[i]
 		}
-	}
-
-	var sum [8]byte
-	binary.LittleEndian.PutUint64(sum[:], fnv64a(w.buf))
-	return append(w.buf, sum[:]...), nil
-}
-
-// walkStats calls leaf on every counter of a metrics.RunStats (or of a
-// pointer's worth of it, to set them), parts and fields in declaration
-// order: the stats section is whatever the type declares, one varint per
-// counter.
-func walkStats(v reflect.Value, leaf func(reflect.Value) error) error {
-	if v.Kind() != reflect.Struct {
-		return leaf(v)
-	}
-	for i := 0; i < v.NumField(); i++ {
-		if err := walkStats(v.Field(i), leaf); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// uvarLen, ivarLen and strLen are the encoded lengths of a uvarint, a
-// varint and a length-prefixed string.
-func uvarLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
-func ivarLen(v int) int    { return uvarLen(uint64(v)<<1 ^ uint64(int64(v)>>63)) }
-func strLen(s string) int  { return uvarLen(uint64(len(s))) + len(s) }
-
-// sizeHint is the capacity Encode starts its buffer with, so that one
-// allocation serves the whole encode. It mirrors Encode section by section
-// from what is known before the first byte is written: scalar fields and
-// list lengths at their exact width, list elements at the widest their
-// kind can be in this snapshot (an expression reference, a state id, a
-// page number, a virtual time) without reading them, hashes and header
-// counters at the widest a varint gets, the stats section exactly. An
-// element wider than assumed costs a regrowth, nothing else.
-func (s *Snapshot) sizeHint(t *exprTable, vars []*expr.Expr, words int) int {
-	const (
-		small = 3                     // a node, function, pc, slot or bucket length
-		seq   = 5                     // a 32-bit sequence number
-		wide  = binary.MaxVarintLen64 // a hash, counter or model value
-	)
-	ref := uvarLen(uint64(t.nv + len(t.nodes) + 1))
-	id := uvarLen(s.NextStateID)
-	page := uvarLen(uint64(len(s.Pages)))
-	past := uvarLen(s.Clock) // history and trace times
-	due := past + 1          // pending events lie a little ahead of the clock
-	listLen := func(n int) int { return uvarLen(uint64(n)) }
-
-	n := len(magic) + 1 + strLen(s.Topology) + 8*wide + 8 // header and checksum
-	walkStats(reflect.ValueOf(s.Stats), func(v reflect.Value) error {
-		if v.CanInt() {
-			n += ivarLen(int(v.Int()))
-		} else {
-			n += uvarLen(v.Uint())
-		}
-		return nil
-	})
-	n += listLen(len(vars))
-	for _, v := range vars {
-		n += strLen(v.VarName()) + 1
-	}
-	n += listLen(len(t.nodes))
-	for _, e := range t.nodes {
-		if e.IsConst() {
-			n += 2 + uvarLen(e.ConstVal())
-		} else {
-			n += 2 + 3*ref
-		}
-	}
-	n += listLen(len(s.Pages)) + len(s.Pages)*small + words*(small+ref)
-
-	state := func(img *vm.StateImage) int {
-		n := uvarLen(img.ID) + ivarLen(img.Node) + ivarLen(img.Fn) + ivarLen(img.PC) + 2 +
-			listLen(len(img.Frames)) + len(img.Frames)*2*small +
-			listLen(len(img.PathCond)) + len(img.PathCond)*ref +
-			listLen(len(img.Events)) + len(img.Events)*(due+1+small+ref+small+small) +
-			listLen(len(img.Hist)) + len(img.Hist)*(1+small+past+seq+2*wide) +
-			listLen(len(img.Trace)) + len(img.Trace)*(past+ref) +
-			3*seq + uvarLen(img.Steps) +
-			listLen(len(img.Pages)) + len(img.Pages)*(small+page)
-		for _, r := range img.Regs {
-			if r != nil {
-				n += ref - 1
-			}
-		}
-		n += len(img.Regs)
-		if img.HasErr {
-			n += strLen(img.ErrMsg)
-		}
-		for _, ev := range img.Events {
-			n += len(ev.Data) * ref
-		}
-		for _, tr := range img.Trace {
-			n += strLen(tr.Msg)
-		}
-		return n
-	}
-	n += listLen(len(s.States))
-	for si := range s.States {
-		n += state(&s.States[si])
-	}
-
-	buckets := func(byNode [][]uint64) int {
-		n := 0
-		for _, b := range byNode {
-			n += listLen(len(b)) + len(b)*id
-		}
-		return n
-	}
-	m := s.Mapper
-	n += 5 * small
-	n += len(m.Scenarios) * m.K * id
-	for _, ds := range m.DStates {
-		n += buckets(ds)
-	}
-	for _, d := range m.VDStates {
-		n += seq + buckets(d.ByNode)
-	}
-	for _, su := range m.Supers {
-		n += id + listLen(len(su.DStateIDs)) + len(su.DStateIDs)*uvarLen(uint64(m.NextDSID))
-	}
-
-	n += listLen(len(s.Samples)) + len(s.Samples)*7*6 // nanoseconds, bytes, instruction counts: six each
-	n += listLen(len(s.Violations))
-	for _, v := range s.Violations {
-		n += small + past + strLen(v.Msg) + id + ref + small
-		for name := range v.Model {
-			n += strLen(name) + wide
-		}
-	}
-	return n
-}
-
-// encodeState and encodeMapper take the writer by value and hand it back:
-// the buffer then lives in their own frame, and the appends that grow it
-// store no pointer through one, which costs a write barrier each while the
-// collector runs.
-func encodeState(w writer, t *exprTable, img *vm.StateImage, npages int) (writer, error) {
-	w.u64(img.ID)
-	w.i64(int64(img.Node))
-	for _, r := range img.Regs {
-		w.ref(t, r)
-	}
-	w.u64(uint64(len(img.Frames)))
-	for _, fr := range img.Frames {
-		w.i64(int64(fr.Fn))
-		w.i64(int64(fr.PC))
-	}
-	w.i64(int64(img.Fn))
-	w.i64(int64(img.PC))
-	w.byte(byte(img.Status))
-	w.bool(img.HasErr)
-	if img.HasErr {
-		w.str(img.ErrMsg)
-	}
-	w.u64(uint64(len(img.PathCond)))
-	for _, c := range img.PathCond {
-		w.ref(t, c)
-	}
-	w.u64(uint64(len(img.Events)))
-	for _, ev := range img.Events {
-		w.u64(ev.Time)
-		w.byte(byte(ev.Kind))
-		w.i64(int64(ev.Fn))
-		w.ref(t, ev.Arg)
-		w.u64(uint64(ev.Src))
-		w.u64(uint64(len(ev.Data)))
-		for _, d := range ev.Data {
-			w.ref(t, d)
-		}
-	}
-	w.u64(uint64(len(img.Hist)))
-	for _, h := range img.Hist {
-		w.byte(byte(h.Dir))
-		w.u64(uint64(h.Peer))
-		w.u64(h.Time)
-		w.u64(uint64(h.Seq))
-		w.u64(h.Payload)
-		w.u64(h.SenderFP)
-	}
-	w.u64(uint64(len(img.Trace)))
-	for _, tr := range img.Trace {
-		w.u64(tr.Time)
-		w.str(tr.Msg)
-		w.ref(t, tr.Val)
-	}
-	w.u64(uint64(img.SendSeq))
-	w.u64(uint64(img.RecvSeq))
-	w.u64(uint64(img.SymSeq))
-	w.u64(img.Steps)
-	w.u64(uint64(len(img.Pages)))
-	for _, pr := range img.Pages {
-		if pr.Page < 0 || pr.Page >= npages {
-			return w, fmt.Errorf("snap: state %d references page %d of %d", img.ID, pr.Page, npages)
-		}
-		w.u64(uint64(pr.MemIndex))
-		w.u64(uint64(pr.Page))
-	}
-	return w, nil
-}
-
-func encodeMapper(w writer, m *core.MapperSnapshot) (writer, error) {
-	w.u64(uint64(m.Algorithm))
-	w.u64(uint64(m.K))
-	switch m.Algorithm {
-	case core.COBAlgorithm:
-		w.u64(uint64(len(m.Scenarios)))
-		for _, row := range m.Scenarios {
-			if len(row) != m.K {
-				return w, fmt.Errorf("snap: COB dscenario with %d nodes, want %d", len(row), m.K)
-			}
-			for _, id := range row {
-				w.u64(id)
-			}
-		}
-	case core.COWAlgorithm:
-		w.u64(uint64(len(m.DStates)))
-		for _, ds := range m.DStates {
-			if len(ds) != m.K {
-				return w, fmt.Errorf("snap: COW dstate with %d nodes, want %d", len(ds), m.K)
-			}
-			for _, bucket := range ds {
-				w.u64(uint64(len(bucket)))
-				for _, id := range bucket {
-					w.u64(id)
-				}
-			}
-		}
-	case core.SDSAlgorithm:
-		w.u64(uint64(m.NextDSID))
-		w.u64(uint64(len(m.VDStates)))
-		for _, d := range m.VDStates {
-			if len(d.ByNode) != m.K {
-				return w, fmt.Errorf("snap: SDS dstate with %d nodes, want %d", len(d.ByNode), m.K)
-			}
-			w.u64(uint64(d.ID))
-			for _, bucket := range d.ByNode {
-				w.u64(uint64(len(bucket)))
-				for _, id := range bucket {
-					w.u64(id)
-				}
-			}
-		}
-		w.u64(uint64(len(m.Supers)))
-		for _, s := range m.Supers {
-			w.u64(s.StateID)
-			w.u64(uint64(len(s.DStateIDs)))
-			for _, id := range s.DStateIDs {
-				w.u64(uint64(id))
-			}
-		}
-	default:
-		return w, fmt.Errorf("snap: mapper snapshot with unknown algorithm %d", m.Algorithm)
-	}
-	return w, nil
-}
-
-// --- decoding ----------------------------------------------------------------
-
-type reader struct {
-	data []byte
-	pos  int
-}
-
-func (r *reader) corrupt(format string, args ...any) error {
-	return fmt.Errorf("%w: %s (offset %d)", ErrCorrupt, fmt.Sprintf(format, args...), r.pos)
-}
-
-func (r *reader) remaining() int { return len(r.data) - r.pos }
-
-func (r *reader) u64() (uint64, error) {
-	// Most fields fit in a byte: an index, a count, a node, a slot.
-	if r.pos < len(r.data) && r.data[r.pos] < 0x80 {
-		r.pos++
-		return uint64(r.data[r.pos-1]), nil
-	}
-	v, n := binary.Uvarint(r.data[r.pos:])
-	if n <= 0 {
-		return 0, r.corrupt("truncated uvarint")
-	}
-	r.pos += n
-	return v, nil
-}
-
-func (r *reader) i64() (int64, error) {
-	v, n := binary.Varint(r.data[r.pos:])
-	if n <= 0 {
-		return 0, r.corrupt("truncated varint")
-	}
-	r.pos += n
-	return v, nil
-}
-
-func (r *reader) byte() (byte, error) {
-	if r.remaining() < 1 {
-		return 0, r.corrupt("truncated byte")
-	}
-	b := r.data[r.pos]
-	r.pos++
-	return b, nil
-}
-
-func (r *reader) bool() (bool, error) {
-	b, err := r.byte()
-	if err != nil {
-		return false, err
-	}
-	if b > 1 {
-		return false, r.corrupt("bool byte %d", b)
-	}
-	return b == 1, nil
-}
-
-func (r *reader) str() (string, error) {
-	n, err := r.u64()
-	if err != nil {
-		return "", err
-	}
-	if n > uint64(r.remaining()) {
-		return "", r.corrupt("string of %d bytes with %d left", n, r.remaining())
-	}
-	s := string(r.data[r.pos : r.pos+int(n)])
-	r.pos += int(n)
-	return s, nil
-}
-
-// count reads an element count and bounds it by the bytes remaining (each
-// element takes at least one encoded byte), so a corrupt count cannot
-// trigger a huge allocation.
-func (r *reader) count() (int, error) {
-	n, err := r.u64()
-	if err != nil {
-		return 0, err
-	}
-	if n > uint64(r.remaining()) {
-		return 0, r.corrupt("count %d with %d bytes left", n, r.remaining())
-	}
-	return int(n), nil
-}
-
-// signedInt reads a varint that must fit the platform int.
-func (r *reader) signedInt() (int, error) {
-	v, err := r.i64()
-	if err != nil {
-		return 0, err
-	}
-	if v < int64(minInt) || v > int64(maxInt) {
-		return 0, r.corrupt("integer %d out of range", v)
-	}
-	return int(v), nil
-}
-
-// unsignedInt reads a uvarint that must fit a non-negative int.
-func (r *reader) unsignedInt() (int, error) {
-	v, err := r.u64()
-	if err != nil {
-		return 0, err
-	}
-	if v > uint64(maxInt) {
-		return 0, r.corrupt("integer %d out of range", v)
-	}
-	return int(v), nil
-}
-
-const (
-	maxInt = int(^uint(0) >> 1)
-	minInt = -maxInt - 1
-)
-
-// Decode parses a snapshot. b should be a fresh builder for the resumed
-// run's context: all of the snapshot's variables are recreated in their
-// original creation order, so variables created after the resume receive
-// the same ids they would have in an uninterrupted run. Any failure wraps
-// ErrCorrupt.
-func Decode(data []byte, b *expr.Builder) (*Snapshot, error) {
-	if len(data) < len(magic)+1+8 {
-		return nil, fmt.Errorf("%w: %d bytes is shorter than any snapshot", ErrCorrupt, len(data))
-	}
-	body := data[:len(data)-8]
-	want := binary.LittleEndian.Uint64(data[len(data)-8:])
-	if fnv64a(body) != want {
-		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
-	}
-	r := &reader{data: body}
-	for _, c := range magic {
-		got, err := r.byte()
-		if err != nil {
-			return nil, err
-		}
-		if got != c {
-			return nil, r.corrupt("bad magic")
-		}
-	}
-	ver, err := r.byte()
-	if err != nil {
-		return nil, err
-	}
-	if ver != version {
-		return nil, r.corrupt("unsupported version %d (this reader speaks %d)", ver, version)
-	}
-
-	s := &Snapshot{}
-	if v, err := r.u64(); err != nil {
-		return nil, err
-	} else {
-		s.Algorithm = core.Algorithm(v)
-	}
-	if s.Algorithm < core.COBAlgorithm || s.Algorithm > core.SDSAlgorithm {
-		return nil, r.corrupt("algorithm %d", s.Algorithm)
-	}
-	k, err := r.count()
-	if err != nil {
-		return nil, err
-	}
-	if k <= 0 {
-		return nil, r.corrupt("k=%d", k)
-	}
-	s.K = k
-	if s.Topology, err = r.str(); err != nil {
-		return nil, err
-	}
-	if s.Clock, err = r.u64(); err != nil {
-		return nil, err
-	}
-	if s.Events, err = r.u64(); err != nil {
-		return nil, err
-	}
-	peakStates, err := r.u64()
-	if err != nil {
-		return nil, err
-	}
-	s.PeakStates = int(peakStates)
-	if s.PeakMem, err = r.i64(); err != nil {
-		return nil, err
-	}
-	wall, err := r.i64()
-	if err != nil {
-		return nil, err
-	}
-	if wall < 0 {
-		return nil, r.corrupt("negative prior wall time")
-	}
-	s.PriorWall = time.Duration(wall)
-	if s.NextStateID, err = r.u64(); err != nil {
-		return nil, err
-	}
-	err = walkStats(reflect.ValueOf(&s.Stats).Elem(), func(v reflect.Value) error {
-		if v.CanInt() {
-			x, err := r.i64()
-			if v.OverflowInt(x) {
-				return r.corrupt("counter %d out of range", x)
-			}
-			v.SetInt(x)
-			return err
-		}
-		x, err := r.u64()
-		v.SetUint(x)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	exprs, err := decodeExprs(r, b)
-	if err != nil {
-		return nil, err
-	}
-	// getRef resolves a nilable reference (0 = nil, otherwise index+1).
-	getRef := func() (*expr.Expr, error) {
-		v, err := r.u64()
-		if err != nil {
-			return nil, err
-		}
-		if v == 0 {
-			return nil, nil
-		}
-		if v-1 >= uint64(len(exprs)) {
-			return nil, r.corrupt("expression reference %d of %d", v-1, len(exprs))
-		}
-		return exprs[v-1], nil
-	}
-	mustRef := func() (*expr.Expr, error) {
-		e, err := getRef()
-		if err != nil {
-			return nil, err
-		}
-		if e == nil {
-			return nil, r.corrupt("nil expression where one is required")
-		}
-		return e, nil
-	}
-
-	np, err := r.count()
-	if err != nil {
-		return nil, err
-	}
-	s.Pages = make([][vm.PageWords]uint32, np)
-	for i := range s.Pages {
-		nset, err := r.count()
-		if err != nil {
-			return nil, err
-		}
-		if nset > vm.PageWords {
-			return nil, r.corrupt("page with %d set words", nset)
-		}
-		words := &s.Pages[i]
-		last := -1
-		for j := 0; j < nset; j++ {
-			slot, err := r.u64()
-			if err != nil {
-				return nil, err
-			}
-			if slot >= vm.PageWords || int(slot) <= last {
-				return nil, r.corrupt("page slot %d out of order", slot)
-			}
-			last = int(slot)
-			e, err := mustRef()
-			if err != nil {
-				return nil, err
-			}
-			words[slot] = e.ID()
-		}
-	}
-
-	ns, err := r.count()
-	if err != nil {
-		return nil, err
-	}
-	s.States = make([]vm.StateImage, 0, ns)
-	for i := 0; i < ns; i++ {
-		img, err := decodeState(r, getRef, mustRef, np)
-		if err != nil {
-			return nil, err
-		}
-		s.States = append(s.States, img)
-	}
-
-	if s.Mapper, err = decodeMapper(r); err != nil {
-		return nil, err
-	}
-
-	nsamples, err := r.count()
-	if err != nil {
-		return nil, err
-	}
-	s.Samples = make([]metrics.Sample, 0, nsamples)
-	for i := 0; i < nsamples; i++ {
-		var sm metrics.Sample
-		wall, err := r.i64()
-		if err != nil {
-			return nil, err
-		}
-		sm.Wall = time.Duration(wall)
-		if sm.VirtualTime, err = r.u64(); err != nil {
-			return nil, err
-		}
-		if sm.States, err = r.signedInt(); err != nil {
-			return nil, err
-		}
-		if sm.Groups, err = r.signedInt(); err != nil {
-			return nil, err
-		}
-		if sm.MemBytes, err = r.i64(); err != nil {
-			return nil, err
-		}
-		if sm.Instructions, err = r.u64(); err != nil {
-			return nil, err
-		}
-		if sm.SolverQueries, err = r.i64(); err != nil {
-			return nil, err
-		}
-		s.Samples = append(s.Samples, sm)
-	}
-
-	nviol, err := r.count()
-	if err != nil {
-		return nil, err
-	}
-	s.Violations = make([]*vm.Violation, 0, nviol)
-	for i := 0; i < nviol; i++ {
-		v := &vm.Violation{}
-		if v.Node, err = r.signedInt(); err != nil {
-			return nil, err
-		}
-		if v.Time, err = r.u64(); err != nil {
-			return nil, err
-		}
-		if v.Msg, err = r.str(); err != nil {
-			return nil, err
-		}
-		if v.StateID, err = r.u64(); err != nil {
-			return nil, err
-		}
-		if v.Cond, err = getRef(); err != nil {
-			return nil, err
-		}
-		nmodel, err := r.count()
-		if err != nil {
-			return nil, err
-		}
-		v.Model = make(expr.Env, nmodel)
-		for j := 0; j < nmodel; j++ {
-			name, err := r.str()
-			if err != nil {
-				return nil, err
-			}
+		c.str(&name)
+		val := v.Model[name]
+		c.u64(&val)
+		if c.dec {
 			if _, dup := v.Model[name]; dup {
-				return nil, r.corrupt("model variable %q twice", name)
+				c.corrupt("model variable %q twice", name)
+				return
 			}
-			if v.Model[name], err = r.u64(); err != nil {
-				return nil, err
-			}
-		}
-		s.Violations = append(s.Violations, v)
-	}
-
-	if r.remaining() != 0 {
-		return nil, r.corrupt("%d trailing bytes", r.remaining())
-	}
-	return s, nil
-}
-
-func decodeExprs(r *reader, b *expr.Builder) ([]*expr.Expr, error) {
-	nv, err := r.count()
-	if err != nil {
-		return nil, err
-	}
-	exprs := make([]*expr.Expr, 0, nv)
-	for i := 0; i < nv; i++ {
-		name, err := r.str()
-		if err != nil {
-			return nil, err
-		}
-		width, err := r.byte()
-		if err != nil {
-			return nil, err
-		}
-		if width < 1 || width > 64 {
-			return nil, r.corrupt("variable %q of width %d", name, width)
-		}
-		if prev, ok := b.LookupVar(name); ok && prev.Width() != int(width) {
-			// Var would panic on a width conflict; a corrupt snapshot must
-			// not be able to trigger that.
-			return nil, r.corrupt("variable %q redeclared at width %d", name, width)
-		}
-		exprs = append(exprs, b.Var(name, int(width)))
-	}
-	nn, err := r.count()
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < nn; i++ {
-		kb, err := r.byte()
-		if err != nil {
-			return nil, err
-		}
-		kind := expr.Kind(kb)
-		width, err := r.byte()
-		if err != nil {
-			return nil, err
-		}
-		arity, ok := expr.KindArity(kind)
-		if !ok || kind == expr.KindVar {
-			return nil, r.corrupt("node of kind %d", kind)
-		}
-		var val uint64
-		var args []*expr.Expr
-		if kind == expr.KindConst {
-			if val, err = r.u64(); err != nil {
-				return nil, err
-			}
-		} else {
-			args = make([]*expr.Expr, arity)
-			for j := range args {
-				ref, err := r.u64()
-				if err != nil {
-					return nil, err
-				}
-				// Topological order: operands strictly precede users.
-				if ref >= uint64(len(exprs)) {
-					return nil, r.corrupt("forward expression reference %d", ref)
-				}
-				args[j] = exprs[ref]
-			}
-		}
-		e, err := b.RawNode(kind, int(width), val, args...)
-		if err != nil {
-			return nil, r.corrupt("%v", err)
-		}
-		exprs = append(exprs, e)
-	}
-	return exprs, nil
-}
-
-func decodeState(r *reader, getRef, mustRef func() (*expr.Expr, error), npages int) (vm.StateImage, error) {
-	var img vm.StateImage
-	var err error
-	if img.ID, err = r.u64(); err != nil {
-		return img, err
-	}
-	if img.Node, err = r.signedInt(); err != nil {
-		return img, err
-	}
-	if img.Node < 0 {
-		return img, r.corrupt("state %d on node %d", img.ID, img.Node)
-	}
-	for i := range img.Regs {
-		if img.Regs[i], err = getRef(); err != nil {
-			return img, err
+			v.Model[name] = val
 		}
 	}
-	nframes, err := r.count()
-	if err != nil {
-		return img, err
-	}
-	img.Frames = make([]vm.FrameImage, nframes)
-	for i := range img.Frames {
-		fr := &img.Frames[i]
-		if fr.Fn, err = r.signedInt(); err != nil {
-			return img, err
-		}
-		if fr.PC, err = r.signedInt(); err != nil {
-			return img, err
-		}
-	}
-	if img.Fn, err = r.signedInt(); err != nil {
-		return img, err
-	}
-	if img.PC, err = r.signedInt(); err != nil {
-		return img, err
-	}
-	status, err := r.byte()
-	if err != nil {
-		return img, err
-	}
-	img.Status = vm.Status(status)
-	if img.HasErr, err = r.bool(); err != nil {
-		return img, err
-	}
-	if img.HasErr {
-		if img.ErrMsg, err = r.str(); err != nil {
-			return img, err
-		}
-	}
-	ncond, err := r.count()
-	if err != nil {
-		return img, err
-	}
-	img.PathCond = make([]*expr.Expr, ncond)
-	for i := range img.PathCond {
-		c, err := mustRef()
-		if err != nil {
-			return img, err
-		}
-		if c.Width() != 1 {
-			return img, r.corrupt("path constraint of width %d", c.Width())
-		}
-		img.PathCond[i] = c
-	}
-	nevents, err := r.count()
-	if err != nil {
-		return img, err
-	}
-	img.Events = make([]vm.EventImage, nevents)
-	for i := range img.Events {
-		ev := &img.Events[i]
-		if ev.Time, err = r.u64(); err != nil {
-			return img, err
-		}
-		kind, err := r.byte()
-		if err != nil {
-			return img, err
-		}
-		ev.Kind = vm.EventKind(kind)
-		if ev.Fn, err = r.signedInt(); err != nil {
-			return img, err
-		}
-		if ev.Arg, err = getRef(); err != nil {
-			return img, err
-		}
-		src, err := r.u64()
-		if err != nil {
-			return img, err
-		}
-		if src > uint64(^uint32(0)) {
-			return img, r.corrupt("event source %d", src)
-		}
-		ev.Src = uint32(src)
-		ndata, err := r.count()
-		if err != nil {
-			return img, err
-		}
-		ev.Data = make([]*expr.Expr, ndata)
-		for j := range ev.Data {
-			if ev.Data[j], err = mustRef(); err != nil {
-				return img, err
-			}
-		}
-	}
-	nhist, err := r.count()
-	if err != nil {
-		return img, err
-	}
-	img.Hist = make([]vm.HistEntry, nhist)
-	for i := range img.Hist {
-		h := &img.Hist[i]
-		dir, err := r.byte()
-		if err != nil {
-			return img, err
-		}
-		if dir < byte(vm.DirSent) || dir > byte(vm.DirRecv) {
-			return img, r.corrupt("history direction %d", dir)
-		}
-		h.Dir = vm.Dir(dir)
-		peer, err := r.u64()
-		if err != nil {
-			return img, err
-		}
-		if peer > uint64(^uint32(0)) {
-			return img, r.corrupt("history peer %d", peer)
-		}
-		h.Peer = uint32(peer)
-		if h.Time, err = r.u64(); err != nil {
-			return img, err
-		}
-		seq, err := r.u64()
-		if err != nil {
-			return img, err
-		}
-		if seq > uint64(^uint32(0)) {
-			return img, r.corrupt("history sequence %d", seq)
-		}
-		h.Seq = uint32(seq)
-		if h.Payload, err = r.u64(); err != nil {
-			return img, err
-		}
-		if h.SenderFP, err = r.u64(); err != nil {
-			return img, err
-		}
-	}
-	ntrace, err := r.count()
-	if err != nil {
-		return img, err
-	}
-	img.Trace = make([]vm.TraceEntry, ntrace)
-	for i := range img.Trace {
-		tr := &img.Trace[i]
-		if tr.Time, err = r.u64(); err != nil {
-			return img, err
-		}
-		if tr.Msg, err = r.str(); err != nil {
-			return img, err
-		}
-		if tr.Val, err = getRef(); err != nil {
-			return img, err
-		}
-	}
-	for _, dst := range []*uint32{&img.SendSeq, &img.RecvSeq, &img.SymSeq} {
-		v, err := r.u64()
-		if err != nil {
-			return img, err
-		}
-		if v > uint64(^uint32(0)) {
-			return img, r.corrupt("sequence counter %d", v)
-		}
-		*dst = uint32(v)
-	}
-	if img.Steps, err = r.u64(); err != nil {
-		return img, err
-	}
-	nrefs, err := r.count()
-	if err != nil {
-		return img, err
-	}
-	img.Pages = make([]vm.PageRef, nrefs)
-	for i := range img.Pages {
-		pr := &img.Pages[i]
-		idx, err := r.u64()
-		if err != nil {
-			return img, err
-		}
-		if idx > uint64(^uint32(0)) {
-			return img, r.corrupt("page index %d", idx)
-		}
-		pr.MemIndex = uint32(idx)
-		page, err := r.u64()
-		if err != nil {
-			return img, err
-		}
-		if page >= uint64(npages) {
-			return img, r.corrupt("page reference %d of %d", page, npages)
-		}
-		pr.Page = int(page)
-	}
-	return img, nil
-}
-
-func decodeMapper(r *reader) (*core.MapperSnapshot, error) {
-	m := &core.MapperSnapshot{}
-	algo, err := r.u64()
-	if err != nil {
-		return nil, err
-	}
-	m.Algorithm = core.Algorithm(algo)
-	k, err := r.count()
-	if err != nil {
-		return nil, err
-	}
-	if k <= 0 {
-		return nil, r.corrupt("mapper with k=%d", k)
-	}
-	m.K = k
-	readBucket := func() ([]uint64, error) {
-		n, err := r.count()
-		if err != nil {
-			return nil, err
-		}
-		ids := make([]uint64, n)
-		for i := range ids {
-			if ids[i], err = r.u64(); err != nil {
-				return nil, err
-			}
-		}
-		return ids, nil
-	}
-	switch m.Algorithm {
-	case core.COBAlgorithm:
-		n, err := r.count()
-		if err != nil {
-			return nil, err
-		}
-		m.Scenarios = make([][]uint64, 0, n)
-		for i := 0; i < n; i++ {
-			row := make([]uint64, k)
-			for node := range row {
-				if row[node], err = r.u64(); err != nil {
-					return nil, err
-				}
-			}
-			m.Scenarios = append(m.Scenarios, row)
-		}
-	case core.COWAlgorithm:
-		n, err := r.count()
-		if err != nil {
-			return nil, err
-		}
-		m.DStates = make([][][]uint64, 0, n)
-		for i := 0; i < n; i++ {
-			ds := make([][]uint64, k)
-			for node := range ds {
-				if ds[node], err = readBucket(); err != nil {
-					return nil, err
-				}
-			}
-			m.DStates = append(m.DStates, ds)
-		}
-	case core.SDSAlgorithm:
-		if m.NextDSID, err = r.unsignedInt(); err != nil {
-			return nil, err
-		}
-		n, err := r.count()
-		if err != nil {
-			return nil, err
-		}
-		m.VDStates = make([]core.VDStateImage, 0, n)
-		for i := 0; i < n; i++ {
-			d := core.VDStateImage{ByNode: make([][]uint64, k)}
-			if d.ID, err = r.unsignedInt(); err != nil {
-				return nil, err
-			}
-			for node := range d.ByNode {
-				if d.ByNode[node], err = readBucket(); err != nil {
-					return nil, err
-				}
-			}
-			m.VDStates = append(m.VDStates, d)
-		}
-		nsup, err := r.count()
-		if err != nil {
-			return nil, err
-		}
-		m.Supers = make([]core.SuperImage, 0, nsup)
-		for i := 0; i < nsup; i++ {
-			var s core.SuperImage
-			if s.StateID, err = r.u64(); err != nil {
-				return nil, err
-			}
-			nds, err := r.count()
-			if err != nil {
-				return nil, err
-			}
-			s.DStateIDs = make([]int, nds)
-			for j := range s.DStateIDs {
-				if s.DStateIDs[j], err = r.unsignedInt(); err != nil {
-					return nil, err
-				}
-			}
-			m.Supers = append(m.Supers, s)
-		}
-	default:
-		return nil, r.corrupt("mapper algorithm %d", m.Algorithm)
-	}
-	return m, nil
 }
 
 func fnv64a(data []byte) uint64 {

@@ -69,6 +69,7 @@ type SpecPool struct {
 	mu       sync.Mutex
 	cond     *sync.Cond
 	stack    []*SpecTask
+	started  bool // the workers run: the first submission starts them
 	closed   bool
 	inflight int64
 	stats    metrics.SpecStats // the pool's share: workers, submissions, solves, elisions, in-flight peak
@@ -76,19 +77,16 @@ type SpecPool struct {
 	wg sync.WaitGroup
 }
 
-// NewSpecPool starts workers goroutines, each with its own solver slot.
-// workers < 1 is treated as 1.
+// NewSpecPool returns a pool of workers goroutines, each with its own
+// solver slot; workers < 1 is treated as 1. The workers start with the
+// first submission, so a pool nothing was submitted to holds no goroutine
+// and needs no Close.
 func NewSpecPool(s *Solver, workers int) *SpecPool {
 	if workers < 1 {
 		workers = 1
 	}
 	p := &SpecPool{s: s, stats: metrics.SpecStats{Workers: workers}}
 	p.cond = sync.NewCond(&p.mu)
-	for i := 0; i < workers; i++ {
-		slot := s.NewWorkerSlot()
-		p.wg.Add(1)
-		go p.worker(slot)
-	}
 	return p
 }
 
@@ -112,6 +110,7 @@ func (p *SpecPool) SubmitOne(prefix []*expr.Expr, cond *expr.Expr) *SpecTask {
 
 func (p *SpecPool) submit(t *SpecTask, pair bool) {
 	p.mu.Lock()
+	p.start()
 	p.stack = append(p.stack, t)
 	p.inflight++
 	p.stats.Submitted++
@@ -125,6 +124,18 @@ func (p *SpecPool) submit(t *SpecTask, pair bool) {
 	}
 	p.mu.Unlock()
 	p.cond.Signal()
+}
+
+// start launches the workers unless they run already; p.mu is held.
+func (p *SpecPool) start() {
+	if p.started {
+		return
+	}
+	p.started = true
+	for i := 0; i < p.stats.Workers; i++ {
+		p.wg.Add(1)
+		go p.worker(p.s.NewWorkerSlot())
+	}
 }
 
 // Stats returns a snapshot of the pool's counters; the resolution-side

@@ -89,8 +89,8 @@ func TestSpecPoolComplementElision(t *testing.T) {
 // Each level adds a fresh k_i that a model of a shallower level lacks and
 // reads as 0, which falsifies acc < k_i: drained shallowest first, every
 // level would need a CDCL run of its own. The queue is loaded under the
-// pool lock so the single worker cannot start until every level is in the
-// stack.
+// pool lock, and the single worker started with it, so the worker cannot
+// take a task until every level is in the stack.
 func TestSpecPoolLIFODrain(t *testing.T) {
 	const depth = 8
 	s := New()
@@ -114,8 +114,8 @@ func TestSpecPoolLIFODrain(t *testing.T) {
 		p.stats.Assumes++
 		tasks = append(tasks, task)
 	}
+	p.start()
 	p.mu.Unlock()
-	p.cond.Signal()
 
 	for _, task := range tasks {
 		task.Wait()
