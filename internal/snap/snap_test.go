@@ -117,7 +117,7 @@ func TestConcurrentEncodes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fs = append(fs, frontier{sp, b, want})
+		fs = append(fs, frontier{sp, b, bytes.Clone(want)})
 	}
 	const workers, rounds = 4, 6
 	got := make([][]byte, workers*rounds)
