@@ -1,16 +1,23 @@
 package snap_test
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash/fnv"
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"sde/internal/core"
 	"sde/internal/expr"
+	"sde/internal/metrics"
 	"sde/internal/sim"
 	"sde/internal/snap"
+	"sde/internal/vm"
 )
 
 // hostileSnapshots are checksum-valid snapshots of a finished 3×3 SDS
@@ -126,5 +133,149 @@ func TestRefusedResumeLeavesNoWorker(t *testing.T) {
 	}
 	if n := runtime.NumGoroutine(); n > before {
 		t.Errorf("%d goroutines after two refused resumes, %d before", n, before)
+	}
+}
+
+// hostileCount is a checksum-valid snapshot of 1 MiB and a little more
+// that claims n elements of one list, the pages or the states: a live SDS
+// frontier's header and expressions (and pages, when the lie is the state
+// count), then the count, then zeros.
+func hostileCount(tb testing.TB, list string, n uint64) []byte {
+	tb.Helper()
+	sp, b := liveSnapshot(tb, core.SDSAlgorithm, 40)
+	sp.States = nil
+	if list == "pages" {
+		sp.Pages = nil
+	}
+	none, err := sp.Encode(b)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	// One element more, which references no new expression and, for a
+	// state, no page: the two encodings differ first at the count.
+	if list == "pages" {
+		var page [vm.PageWords]uint32
+		page[0] = b.Vars()[0].ID()
+		sp.Pages = [][vm.PageWords]uint32{page}
+	} else {
+		sp.States = make([]vm.StateImage, 1)
+	}
+	one, err := sp.Encode(b)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	at := 0
+	for none[at] == one[at] {
+		at++
+	}
+	data := binary.AppendUvarint(bytes.Clone(none[:at]), n)
+	data = append(data, make([]byte, 1<<20)...)
+	h := fnv.New64a()
+	h.Write(data)
+	return binary.LittleEndian.AppendUint64(data, h.Sum64())
+}
+
+// TestHostileCountsRefused: a count the bytes left cannot hold, at the
+// smallest encoding of its element, is refused before anything is made
+// that long, so Decode allocates a small multiple of the snapshot's length
+// at most.
+func TestHostileCountsRefused(t *testing.T) {
+	for _, list := range []string{"pages", "states"} {
+		data := hostileCount(t, list, 1<<20)
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		_, err := snap.Decode(data, expr.NewBuilder())
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, snap.ErrCorrupt) {
+			t.Fatalf("Decode of 2^20 %s in %d bytes: %v, want ErrCorrupt", list, len(data), err)
+		}
+		t.Logf("%s: %v", list, err)
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 2*uint64(len(data)) {
+			t.Errorf("Decode allocated %d bytes refusing a %d-byte snapshot of 2^20 %s", alloc, len(data), list)
+		}
+	}
+}
+
+// TestEmptyPageRefused: a page is made by a store, so one without a set
+// word is refused both ways — the encoder's error, the decoder's corrupt.
+func TestEmptyPageRefused(t *testing.T) {
+	sp, b := liveSnapshot(t, core.COBAlgorithm, 3)
+	sp.Pages = append(sp.Pages, [vm.PageWords]uint32{})
+	if _, err := sp.Encode(b); err == nil {
+		t.Error("Encode accepted a page with no set word")
+	}
+	_, err := snap.Decode(hostileCount(t, "pages", 1), expr.NewBuilder())
+	if !errors.Is(err, snap.ErrCorrupt) || !strings.Contains(err.Error(), "page with 0 set words") {
+		t.Errorf("Decode of a page with no set word: %v", err)
+	}
+}
+
+// repeat returns n copies of v.
+func repeat[T any](n int, v T) []T {
+	s := make([]T, n)
+	for i := range s {
+		s[i] = v
+	}
+	return s
+}
+
+// TestSmallestElementsDecode: a list of elements each at its smallest
+// encoding decodes, for every list of the format, so no bound on a count
+// refuses an honest snapshot. Each list is long and comes last but for a
+// few bytes, so a bound that took one byte more per element would refuse it.
+func TestSmallestElementsDecode(t *testing.T) {
+	const n = 1000
+	b := expr.NewBuilder()
+	x := b.Var("x", 1)
+	model := make(expr.Env, n)
+	for i := range n {
+		model[fmt.Sprint(i)] = 0
+	}
+	var one, full [vm.PageWords]uint32
+	for i := range full {
+		full[i] = x.ID()
+	}
+	one[vm.PageWords-1] = x.ID()
+	state := func(img vm.StateImage) func(*snap.Snapshot) {
+		return func(sp *snap.Snapshot) { sp.States = []vm.StateImage{img} }
+	}
+	mapper := func(m core.MapperSnapshot) func(*snap.Snapshot) {
+		return func(sp *snap.Snapshot) { m.K = sp.K; sp.Algorithm, sp.Mapper = m.Algorithm, &m }
+	}
+	for name, fill := range map[string]func(*snap.Snapshot){
+		"pages":          func(sp *snap.Snapshot) { sp.Pages = repeat(n, one) },
+		"page words":     func(sp *snap.Snapshot) { sp.Pages = [][vm.PageWords]uint32{full} },
+		"states":         func(sp *snap.Snapshot) { sp.States = make([]vm.StateImage, n) },
+		"frames":         state(vm.StateImage{Frames: make([]vm.FrameImage, n)}),
+		"path condition": state(vm.StateImage{PathCond: repeat(n, x)}),
+		"events":         state(vm.StateImage{Events: make([]vm.EventImage, n)}),
+		"event data":     state(vm.StateImage{Events: []vm.EventImage{{Data: repeat(n, x)}}}),
+		"history":        state(vm.StateImage{Hist: repeat(n, vm.HistEntry{Dir: vm.DirSent})}),
+		"trace":          state(vm.StateImage{Trace: make([]vm.TraceEntry, n)}),
+		"page references": func(sp *snap.Snapshot) {
+			sp.Pages = [][vm.PageWords]uint32{one}
+			state(vm.StateImage{Pages: make([]vm.PageRef, n)})(sp)
+		},
+		"samples":       func(sp *snap.Snapshot) { sp.Samples = make([]metrics.Sample, n) },
+		"violations":    func(sp *snap.Snapshot) { sp.Violations = repeat(n, &vm.Violation{}) },
+		"model":         func(sp *snap.Snapshot) { sp.Violations = []*vm.Violation{{Model: model}} },
+		"COB rows":      mapper(core.MapperSnapshot{Algorithm: core.COBAlgorithm, Scenarios: repeat(n, make([]uint64, 3))}),
+		"COW dstates":   mapper(core.MapperSnapshot{Algorithm: core.COWAlgorithm, DStates: repeat(n, make([][]uint64, 3))}),
+		"state ids":     mapper(core.MapperSnapshot{Algorithm: core.COWAlgorithm, DStates: [][][]uint64{{make([]uint64, n), nil, nil}}}),
+		"SDS dstates":   mapper(core.MapperSnapshot{Algorithm: core.SDSAlgorithm, VDStates: repeat(n, core.VDStateImage{ByNode: make([][]uint64, 3)})}),
+		"supers":        mapper(core.MapperSnapshot{Algorithm: core.SDSAlgorithm, Supers: make([]core.SuperImage, n)}),
+		"super dstates": mapper(core.MapperSnapshot{Algorithm: core.SDSAlgorithm, Supers: []core.SuperImage{{DStateIDs: make([]int, n)}}}),
+	} {
+		sp := &snap.Snapshot{Algorithm: core.COBAlgorithm, K: 3, Topology: "line:3",
+			Mapper: &core.MapperSnapshot{Algorithm: core.COBAlgorithm, K: 3}}
+		fill(sp)
+		data, err := sp.Encode(b)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if _, err := snap.Decode(data, expr.NewBuilder()); err != nil {
+			t.Errorf("%s: %d elements at their smallest encoding refused: %v", name, n, err)
+		}
 	}
 }

@@ -41,10 +41,12 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"sde/internal/core"
 	"sde/internal/expr"
+	"sde/internal/isa"
 	"sde/internal/metrics"
 	"sde/internal/vm"
 )
@@ -106,6 +108,10 @@ func (s *Snapshot) Encode(b *expr.Builder) ([]byte, error) {
 	}
 	sc := scratches.Get().(*scratch)
 	defer sc.release()
+	if sc.buf == nil {
+		n := lastEncode.Load()
+		sc.buf = make([]byte, 0, n+n/8)
+	}
 	c := coder{buf: sc.buf[:0], b: b, vars: b.Vars(), t: &sc.t}
 	if c.number(s); c.err == nil {
 		c.snapshot(s)
@@ -115,6 +121,7 @@ func (s *Snapshot) Encode(b *expr.Builder) ([]byte, error) {
 	}
 	c.buf = binary.LittleEndian.AppendUint64(c.buf, fnv64a(c.buf))
 	sc.buf = c.buf
+	lastEncode.Store(int64(len(c.buf)))
 	out := make([]byte, len(c.buf))
 	copy(out, c.buf)
 	return out, nil
@@ -179,6 +186,11 @@ type scratch struct {
 }
 
 var scratches = sync.Pool{New: func() any { return new(scratch) }}
+
+// lastEncode is the length of the latest encoding. A scratch the collector
+// took comes back without a buffer; the next encode starts one at that
+// length and an eighth, rather than growing one to it by doubling.
+var lastEncode atomic.Int64
 
 // release returns sc to scratches, dropping its hold on the builder's nodes.
 func (sc *scratch) release() {
@@ -311,22 +323,45 @@ func (c *coder) str(p *string) {
 }
 
 // count codes an element count: encoding, it writes n and returns it;
-// decoding, it returns the count read, bounded by the bytes remaining
-// (each element takes at least one encoded byte), so a corrupt count
-// cannot trigger a huge allocation.
-func (c *coder) count(n int) int {
+// decoding, it returns the count read, bounded by the elements the bytes
+// remaining can hold at least bytes each — the element's smallest encoding
+// — so a corrupt count is refused before anything is made that long.
+func (c *coder) count(n, least int) int {
 	if !c.dec {
 		c.reserve()
 		c.put(uint64(n))
 		return n
 	}
 	v := c.get()
-	if v > uint64(c.left()) {
-		c.corrupt("count %d with %d bytes left", v, c.left())
+	// A per-node row's least is the mapper's k, 0 after a failed read.
+	if v > uint64(c.left()/max(least, 1)) {
+		c.corrupt("count %d of %d-byte elements with %d bytes left", v, least, c.left())
 		return 0
 	}
 	return int(v)
 }
+
+// The smallest encodings of the list elements, in bytes: every field that
+// is coded at all takes at least one byte (a zero, a nil reference, an
+// empty list or string), and a per-node row one per node. A per-node row
+// of a mapper's list is k bytes at least, an SDS dstate 1+k.
+const (
+	minPage  = 3                // one set word: count, slot, expression
+	minWord  = 2                // slot, expression
+	minVar   = 2                // name, width
+	minNode  = 3                // kind, width, a constant or the first operand
+	minState = 16 + isa.NumRegs // 16 scalars and list counts, the registers
+	minFrame = 2
+	minRef   = 1 // an expression reference; a state id; a dstate id
+	minEvent = 6
+	minHist  = 6
+	minTrace = 3
+	minPRef  = 2 // a page reference: memory index, table index
+	minSuper = 2 // state id, dstate count
+	minModel = 2 // variable name, value
+	minSamp  = 7
+	minViol  = 6
+)
 
 // reserve keeps room at the end of an encoding buffer for what a list
 // element appends, doubling the buffer when it runs short: the appends
@@ -338,9 +373,10 @@ func (c *coder) reserve() {
 	}
 }
 
-// list codes the length of *p and returns *p, made that long when decoding.
-func list[T any](c *coder, p *[]T) []T {
-	n := c.count(len(*p))
+// list codes the length of *p and returns *p, made that long when decoding;
+// least is the smallest encoding of one element (see count).
+func list[T any](c *coder, p *[]T, least int) []T {
+	n := c.count(len(*p), least)
 	if c.dec {
 		*p = make([]T, n)
 	}
@@ -411,7 +447,7 @@ func (c *coder) uint32(p *uint32, what string) {
 // k codes a node count; decoded, it must be positive, or the failure is
 // reported through format.
 func (c *coder) k(p *int, format string) {
-	k := c.count(*p)
+	k := c.count(*p, 1)
 	if c.dec {
 		if k <= 0 {
 			c.corrupt(format, k)
@@ -593,13 +629,13 @@ func (c *coder) number(s *Snapshot) {
 // encodeExprs writes the builder's variables by name and width, then the
 // numbered nodes, each operand by its number.
 func (c *coder) encodeExprs() {
-	c.count(len(c.vars))
+	c.count(len(c.vars), minVar)
 	for _, v := range c.vars {
 		name, width := v.VarName(), byte(v.Width())
 		c.str(&name)
 		c.byte(&width)
 	}
-	c.count(len(c.t.nodes))
+	c.count(len(c.t.nodes), minNode)
 	for _, e := range c.t.nodes {
 		c.buf = append(c.buf, byte(e.Kind()), byte(e.Width()))
 		if e.IsConst() {
@@ -615,7 +651,7 @@ func (c *coder) encodeExprs() {
 // decodeExprs recreates the variables in b, then the nodes, every operand
 // before its user, into c.exprs.
 func (c *coder) decodeExprs() {
-	nv := c.count(0)
+	nv := c.count(0, minVar)
 	c.exprs = make([]*expr.Expr, 0, nv)
 	for i := 0; i < nv && c.err == nil; i++ {
 		var name string
@@ -637,7 +673,7 @@ func (c *coder) decodeExprs() {
 		}
 		c.exprs = append(c.exprs, c.b.Var(name, int(width)))
 	}
-	nn := c.count(0)
+	nn := c.count(0, minNode)
 	for i := 0; i < nn && c.err == nil; i++ {
 		var kind, width byte
 		c.byte(&kind)
@@ -688,20 +724,20 @@ func (c *coder) snapshot(s *Snapshot) {
 	} else {
 		c.encodeExprs()
 	}
-	for i := range list(c, &s.Pages) {
+	for i := range list(c, &s.Pages, minPage) {
 		c.page(&s.Pages[i])
 	}
-	for i := range list(c, &s.States) {
+	for i := range list(c, &s.States, minState) {
 		c.state(&s.States[i], len(s.Pages))
 	}
 	if c.dec {
 		s.Mapper = &core.MapperSnapshot{}
 	}
 	c.mapper(s.Mapper)
-	for i := range list(c, &s.Samples) {
+	for i := range list(c, &s.Samples, minSamp) {
 		c.sample(&s.Samples[i])
 	}
-	for i := range list(c, &s.Violations) {
+	for i := range list(c, &s.Violations, minViol) {
 		if c.dec {
 			s.Violations[i] = &vm.Violation{}
 		}
@@ -774,7 +810,8 @@ func (c *coder) stats(v reflect.Value) {
 }
 
 // page codes one page of the table: the number of set words, then each set
-// word's slot, ascending, and its expression.
+// word's slot, ascending, and its expression. A page is made by a store, so
+// it has a set word; one without is refused both ways.
 func (c *coder) page(words *[vm.PageWords]uint32) {
 	nset := 0
 	for _, id := range words {
@@ -782,7 +819,11 @@ func (c *coder) page(words *[vm.PageWords]uint32) {
 			nset++
 		}
 	}
-	if nset = c.count(nset); nset > vm.PageWords {
+	if !c.dec && nset == 0 {
+		c.fail(fmt.Errorf("snap: page with no set word"))
+		return
+	}
+	if nset = c.count(nset, minWord); nset == 0 || nset > vm.PageWords {
 		c.corrupt("page with %d set words", nset)
 		return
 	}
@@ -818,7 +859,7 @@ func (c *coder) state(img *vm.StateImage, npages int) {
 	for i := range img.Regs {
 		c.ref(&img.Regs[i])
 	}
-	for i := range list(c, &img.Frames) {
+	for i := range list(c, &img.Frames, minFrame) {
 		c.int(&img.Frames[i].Fn)
 		c.int(&img.Frames[i].PC)
 	}
@@ -829,25 +870,25 @@ func (c *coder) state(img *vm.StateImage, npages int) {
 	if img.HasErr {
 		c.str(&img.ErrMsg)
 	}
-	for i := range list(c, &img.PathCond) {
+	for i := range list(c, &img.PathCond, minRef) {
 		e := &img.PathCond[i]
 		c.need(e)
 		if c.dec && *e != nil && (*e).Width() != 1 {
 			c.corrupt("path constraint of width %d", (*e).Width())
 		}
 	}
-	for i := range list(c, &img.Events) {
+	for i := range list(c, &img.Events, minEvent) {
 		ev := &img.Events[i]
 		c.u64(&ev.Time)
 		c.byte((*byte)(&ev.Kind))
 		c.int(&ev.Fn)
 		c.ref(&ev.Arg)
 		c.u32(&ev.Src, "event source")
-		for j := range list(c, &ev.Data) {
+		for j := range list(c, &ev.Data, minRef) {
 			c.need(&ev.Data[j])
 		}
 	}
-	for i := range list(c, &img.Hist) {
+	for i := range list(c, &img.Hist, minHist) {
 		h := &img.Hist[i]
 		c.byte((*byte)(&h.Dir))
 		if c.dec && (h.Dir < vm.DirSent || h.Dir > vm.DirRecv) {
@@ -859,7 +900,7 @@ func (c *coder) state(img *vm.StateImage, npages int) {
 		c.u64(&h.Payload)
 		c.u64(&h.SenderFP)
 	}
-	for i := range list(c, &img.Trace) {
+	for i := range list(c, &img.Trace, minTrace) {
 		tr := &img.Trace[i]
 		c.u64(&tr.Time)
 		c.str(&tr.Msg)
@@ -869,7 +910,7 @@ func (c *coder) state(img *vm.StateImage, npages int) {
 	c.u32(&img.RecvSeq, "sequence counter")
 	c.u32(&img.SymSeq, "sequence counter")
 	c.u64(&img.Steps)
-	for i := range list(c, &img.Pages) {
+	for i := range list(c, &img.Pages, minPRef) {
 		pr := &img.Pages[i]
 		c.u32(&pr.MemIndex, "page index")
 		if !c.dec && (pr.Page < 0 || pr.Page >= npages) {
@@ -892,14 +933,14 @@ func (c *coder) mapper(m *core.MapperSnapshot) {
 	c.k(&m.K, "mapper with k=%d")
 	switch m.Algorithm {
 	case core.COBAlgorithm:
-		for i := range list(c, &m.Scenarios) {
+		for i := range list(c, &m.Scenarios, m.K) {
 			row := perNode(c, &m.Scenarios[i], m.K, "COB dscenario")
 			for node := range row {
 				c.u64(&row[node])
 			}
 		}
 	case core.COWAlgorithm:
-		for i := range list(c, &m.DStates) {
+		for i := range list(c, &m.DStates, m.K) {
 			ds := perNode(c, &m.DStates[i], m.K, "COW dstate")
 			for node := range ds {
 				c.ids(&ds[node])
@@ -907,17 +948,17 @@ func (c *coder) mapper(m *core.MapperSnapshot) {
 		}
 	case core.SDSAlgorithm:
 		c.nat(&m.NextDSID)
-		for i := range list(c, &m.VDStates) {
+		for i := range list(c, &m.VDStates, 1+m.K) {
 			d := &m.VDStates[i]
 			c.nat(&d.ID)
 			for node := range perNode(c, &d.ByNode, m.K, "SDS dstate") {
 				c.ids(&d.ByNode[node])
 			}
 		}
-		for i := range list(c, &m.Supers) {
+		for i := range list(c, &m.Supers, minSuper) {
 			su := &m.Supers[i]
 			c.u64(&su.StateID)
-			for j := range list(c, &su.DStateIDs) {
+			for j := range list(c, &su.DStateIDs, minRef) {
 				c.nat(&su.DStateIDs[j])
 			}
 		}
@@ -932,7 +973,7 @@ func (c *coder) mapper(m *core.MapperSnapshot) {
 
 // ids codes a bucket of state ids.
 func (c *coder) ids(p *[]uint64) {
-	for i := range list(c, p) {
+	for i := range list(c, p, minRef) {
 		c.u64(&(*p)[i])
 	}
 }
@@ -955,7 +996,7 @@ func (c *coder) violation(v *vm.Violation) {
 	c.str(&v.Msg)
 	c.u64(&v.StateID)
 	c.ref(&v.Cond)
-	n := c.count(len(v.Model))
+	n := c.count(len(v.Model), minModel)
 	var names []string
 	if c.dec {
 		v.Model = make(expr.Env, n)

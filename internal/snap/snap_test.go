@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -312,5 +313,41 @@ func TestEncodeSizedOnce(t *testing.T) {
 				t.Errorf("%v after %d steps: %d bytes with capacity %d", algo, steps, len(data), cap(data))
 			}
 		}
+	}
+}
+
+// TestEncodeAfterCollection: an encode whose pooled scratch the collector
+// took starts its buffer at the previous encode's length, so beside the
+// bytes it returns it allocates a quarter more than their length at most,
+// not the doubling series a buffer grown from empty costs (2.1× for this
+// frontier).
+func TestEncodeAfterCollection(t *testing.T) {
+	eng, _ := collectFrontier(t, core.COBAlgorithm, 4, 3)
+	sp, err := eng.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := eng.Ctx().Exprs
+	first, err := sp.Encode(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	for range 3 {
+		runtime.GC()
+	}
+	runtime.ReadMemStats(&before)
+	data, err := sp.Encode(b)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(data, first) {
+		t.Fatal("the second encode differs from the first")
+	}
+	scratch := after.TotalAlloc - before.TotalAlloc - uint64(len(data))
+	t.Logf("%d bytes; %d allocated beside them", len(data), scratch)
+	if scratch > uint64(len(data))*5/4 {
+		t.Errorf("an encode after three collections allocated %d bytes beside its %d", scratch, len(data))
 	}
 }
