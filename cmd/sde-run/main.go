@@ -20,8 +20,10 @@
 // -json carries the same value under "stats").
 //
 // The optional execution layers are switched with -compile and
-// -speculate; each preserves the output bit for bit, and if a run ever
-// looks wrong that is the order to flip them in (sde.Layers).
+// -speculate (run on past a symbolic branch and decide it at the next
+// send, assert or handler end, on the run's one solver); each preserves
+// the output bit for bit, and if a run ever looks wrong that is the order
+// to flip them in (sde.Layers).
 // -cpuprofile/-memprofile write pprof profiles for the whole run.
 package main
 

@@ -106,7 +106,7 @@ type RunStats struct {
 // are only consistent when the solver is quiescent.
 type SolverStats struct {
 	// Queries counts entries into the solver: every feasibility call
-	// (Feasible, FeasibleWith, FeasibleOn) and Witness call and, when a
+	// (Feasible, FeasibleWith) and Witness call and, when a
 	// feasibility call is partitioned, each of its independent components
 	// again (they recurse through the whole pipeline so that each is
 	// cached on its own). Where path conditions mix failure
@@ -125,7 +125,7 @@ type SolverStats struct {
 	Decisions       int64 `json:"decisions,omitempty"`        // CDCL decisions across all runs
 	EncodeSkips     int64 `json:"encode_skips,omitempty"`     // constraint encodes served by a persistent blast memo
 	Gates           int64 `json:"gates,omitempty"`            // Tseitin gate variables allocated across all runs
-	LearnedRetained int64 `json:"learned_retained,omitempty"` // learned clauses alive in the main persistent instance (gauge; Add keeps the max)
+	LearnedRetained int64 `json:"learned_retained,omitempty"` // learned clauses alive in the persistent instance (gauge; Add keeps the max)
 
 	// Deprecated: always 0. The query optimizer that set them is deleted;
 	// they stay because bench/ reads them.
@@ -134,26 +134,28 @@ type SolverStats struct {
 	GatesElided   int64 `json:"gates_elided,omitempty"`
 }
 
-// SpecStats counts the speculative-fork solver pipeline: how many branch
-// decisions overlapped with execution, how the speculation resolved, and
-// how long resolution barriers waited on verdicts. The solver's SpecPool
-// counts the first block, the engine the second. All zero when speculation
-// is disabled.
+// SpecStats counts speculative forking (internal/vm/spec.go): how many
+// branch and assume decisions ran on ahead of their verdicts, how they
+// resolved, and how long resolution took. The VM counts every field but
+// Workers. All zero when speculation is disabled.
 type SpecStats struct {
-	Workers int `json:"workers,omitempty"` // solver worker count of the pipeline (a size: Add keeps the max)
+	// Workers is no longer set: speculation has no solver workers. It stays
+	// so the snapshot format does not change, and leaves at the next
+	// format bump.
+	Workers int `json:"workers,omitempty"`
 
-	Submitted    int64 `json:"submitted,omitempty"`     // speculations submitted (a branch pair counts once)
+	Submitted    int64 `json:"submitted,omitempty"`     // speculations made (a branch pair counts once)
 	Pairs        int64 `json:"pairs,omitempty"`         // two-sided branch speculations
 	Assumes      int64 `json:"assumes,omitempty"`       // single-query assume speculations
-	Solves       int64 `json:"solves,omitempty"`        // feasibility queries the workers actually issued
+	Solves       int64 `json:"solves,omitempty"`        // feasibility queries resolution issued
 	Elided       int64 `json:"elided,omitempty"`        // false-side verdicts answered by complement elision
-	InflightPeak int64 `json:"inflight_peak,omitempty"` // high-water mark of unresolved speculations (max)
+	InflightPeak int64 `json:"inflight_peak,omitempty"` // most speculations pending at one resolution (max)
 
 	Rewinds       int64 `json:"rewinds,omitempty"`         // speculative executions rewound onto the false side
 	SpecKills     int64 `json:"spec_kills,omitempty"`      // states killed at resolution (infeasible assume, solver error)
 	Removed       int64 `json:"removed,omitempty"`         // provisional constraints removed (one-sided-true branches)
-	Barriers      int64 `json:"barriers,omitempty"`        // resolution barriers that found a non-empty pipeline
-	BarrierWaitNs int64 `json:"barrier_wait_ns,omitempty"` // total nanoseconds barriers spent draining verdicts
+	Barriers      int64 `json:"barriers,omitempty"`        // resolutions that found a speculation pending
+	BarrierWaitNs int64 `json:"barrier_wait_ns,omitempty"` // total nanoseconds spent resolving (solving included)
 }
 
 // VMStats counts the VM's work: instructions and local forks, and — zero
@@ -239,8 +241,8 @@ func (s RunStats) String() string {
 			q.Queries, q.SATCalls, q.CacheHits, q.FastPath, q.Conflicts, q.Gates)
 	}
 	if p := s.Spec; p.Submitted != 0 {
-		fmt.Fprintf(&sb, "spec: workers=%d submitted=%d (pairs=%d assumes=%d) solves=%d elided=%d rewinds=%d kills=%d barrier-wait=%s\n",
-			p.Workers, p.Submitted, p.Pairs, p.Assumes, p.Solves, p.Elided, p.Rewinds, p.SpecKills,
+		fmt.Fprintf(&sb, "spec: submitted=%d (pairs=%d assumes=%d) solves=%d elided=%d rewinds=%d kills=%d barrier-wait=%s\n",
+			p.Submitted, p.Pairs, p.Assumes, p.Solves, p.Elided, p.Rewinds, p.SpecKills,
 			time.Duration(p.BarrierWaitNs).Round(time.Microsecond))
 	}
 	if c := s.Checkpoint; c != (CheckpointStats{}) {

@@ -163,7 +163,7 @@ func TestRunStatsString(t *testing.T) {
 	if len(lines) != 3 {
 		t.Fatalf("String() = %q, want one line per non-zero part (3)", st.String())
 	}
-	for i, want := range []string{"vm: instructions=205", "spec: workers=2", "checkpoints: written=2"} {
+	for i, want := range []string{"vm: instructions=205", "spec: submitted=4", "checkpoints: written=2"} {
 		if !strings.HasPrefix(lines[i], want) {
 			t.Errorf("line %d = %q, want prefix %q", i, lines[i], want)
 		}

@@ -248,9 +248,8 @@ type Engine struct {
 
 	// Counters (see stats). base is what the snapshot this engine resumed
 	// from carried: zero for a fresh run and for every slice of a frontier
-	// but slice 0. own is the engine's share of the live ones — speculation
-	// resolution, checkpoints; the solver, the VM context and the
-	// speculation pool count the rest themselves.
+	// but slice 0. own is the engine's share of the live ones — checkpoints;
+	// the solver and the VM context count the rest themselves.
 	base, own metrics.RunStats
 
 	bootFn, recvFn int
@@ -268,12 +267,6 @@ type Engine struct {
 	overhead      int64
 	touched       []*vm.State
 	overheadValid bool
-
-	// Speculative-fork pipeline (see speculate.go). specPending holds the
-	// unresolved speculations of the currently executing state, in
-	// creation order.
-	specPool    *solver.SpecPool
-	specPending []specEntry
 
 	// Violation witnesses in flight (see witness.go): witnessSlots bounds
 	// the solving goroutines to GOMAXPROCS, witnessJobs lists the
@@ -423,10 +416,7 @@ func newEngineShell(cfg Config) (*Engine, error) {
 	if cfg.CheckpointEvery > 0 {
 		e.ckptGrid = uint64(cfg.CheckpointEvery)
 	}
-	if !layers.NoSpeculate && cfg.Replay == nil {
-		e.specPool = solver.NewSpecPool(ctx.Solver, runtime.GOMAXPROCS(0))
-		ctx.SetSpecHooks((*engineHooks)(e))
-	}
+	ctx.Speculate = !layers.NoSpeculate && cfg.Replay == nil
 	return e, nil
 }
 
@@ -501,9 +491,9 @@ func (e *Engine) Step() bool {
 		return false
 	}
 	if e.cfg.EventBudget > 0 && e.events >= e.cfg.EventBudget {
-		// Depth-horizon cutoff. The speculation pipeline is fully drained
-		// at the end of every activation, so between Steps it is always
-		// empty and the frontier can be snapshotted as it stands.
+		// Depth-horizon cutoff. State.Run resolves every speculation
+		// before it returns, so between Steps none is pending and the
+		// frontier can be snapshotted as it stands.
 		if e.hasLiveWork() {
 			e.suspended = true
 			return false
@@ -605,10 +595,8 @@ func (e *Engine) Run() (*Result, error) {
 func (e *Engine) RunItem(ship bool) (*Result, []byte, error) {
 	for e.Step() {
 	}
-	// Nothing executes any more: stop the solver workers and wait for the
-	// witnesses now, so the final snapshot below carries the counters and
-	// models Finish reports.
-	e.closeSpecPool()
+	// Nothing executes any more: wait for the witnesses now, so the final
+	// snapshot below carries the models Finish reports.
 	werr := e.joinWitnesses()
 	if e.err != nil {
 		return nil, nil, e.err
@@ -638,7 +626,6 @@ func (e *Engine) RunItem(ship bool) (*Result, []byte, error) {
 // once, after Step has returned false. A witness that failed leaves its
 // violation without a model here; RunItem returns that failure instead.
 func (e *Engine) Finish() *Result {
-	e.closeSpecPool()
 	_ = e.joinWitnesses() // a failure is RunItem's to report
 	terms := e.sample()
 	mem := terms.Total()
@@ -740,28 +727,8 @@ func (e *Engine) processEvent(s *vm.State) {
 }
 
 // runToCompletion drives one mid-event state until its handler returns.
-// With speculation on, the activation ends with a pipeline drain: an
-// infeasible-true-side verdict rewinds the state onto the false side and
-// re-runs it, so by the time this returns the state's path condition is
-// fully confirmed and the pipeline is empty.
 func (e *Engine) runToCompletion(s *vm.State) {
 	err := s.Run(e.clock, e.cfg.StepBudget, (*engineHooks)(e))
-	if e.specPool != nil {
-		for {
-			e.drainSpec()
-			if !s.SpecRewound() {
-				break
-			}
-			s.ClearSpecRewound()
-			err = s.Run(e.clock, e.cfg.StepBudget, (*engineHooks)(e))
-		}
-		if s.Status() == vm.StatusDead {
-			// A deferred verdict may have killed the state after (or
-			// regardless of) what Run returned; the resolution-time error
-			// is what a synchronous run would have died of first.
-			err = s.Err()
-		}
-	}
 	if err == nil && s.Status() == vm.StatusDead {
 		err = s.Err() // killed by a hook (e.g. out-of-range unicast)
 	}
@@ -984,11 +951,8 @@ func (e *Engine) stats() metrics.RunStats {
 	live := e.own
 	live.Solver = e.ctx.Solver.Stats()
 	live.VM = e.ctx.Stats()
-	var shared metrics.RunStats // parts the engine counts into as well
-	if e.specPool != nil {
-		shared.Spec = e.specPool.Stats()
-	}
-	return e.base.Add(live).Add(shared)
+	live.Spec = e.ctx.SpecStats()
+	return e.base.Add(live)
 }
 
 // sample records a metrics point, enforces the memory cap, and returns

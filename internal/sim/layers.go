@@ -18,17 +18,18 @@ import (
 // the faulty layer.
 //
 // A Layers value is fixed when the engine is created (CREATE) and never
-// consulted again: newEngineShell turns it into the engine's pool and
-// hooks, and exploration (BUILD) reads only those.
+// consulted again: newEngineShell turns it into the VM context's two
+// switches, and exploration (BUILD) reads only those.
 type Layers struct {
 	// NoCompile runs every instruction through the per-instruction
 	// symbolic interpreter instead of the basic-block compiled fast path.
 	// The IR is derived at load time and never serialized, so the switch
 	// may differ between a checkpointed run and its resumption.
 	NoCompile bool
-	// NoSpeculate solves every branch feasibility query synchronously on
-	// the interpreter thread instead of overlapping it with execution.
-	// With speculation on, the solver pool has one worker per CPU.
+	// NoSpeculate decides every symbolic branch and assume where it
+	// stands. With speculation on, a state runs on down the true side and
+	// the verdicts are decided, on the engine's solver, at the next send,
+	// assert or handler end (internal/vm/spec.go).
 	NoSpeculate bool
 }
 
@@ -45,7 +46,7 @@ type layerSwitch struct {
 func (l *Layers) switches() []layerSwitch {
 	return []layerSwitch{
 		{"compile", &l.NoCompile, "basic-block compiled fast path (default true)"},
-		{"speculate", &l.NoSpeculate, "speculative-fork solver pipeline, one solver worker per CPU (default true)"},
+		{"speculate", &l.NoSpeculate, "speculative forking: run on past a symbolic branch, decide it at the next send, assert or handler end (default true)"},
 	}
 }
 

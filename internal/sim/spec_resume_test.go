@@ -4,9 +4,9 @@ package sim_test
 // pipeline must be invisible in every observable output — state counts,
 // dscenario fingerprints, generated test cases — both between
 // speculation-on and speculation-off runs and across a kill-and-resume of
-// a speculation-enabled run. Speculation state is never serialized: every
-// checkpoint is taken at a resolution barrier with the pipeline drained,
-// so a resumed run simply starts a fresh pool.
+// a speculation-enabled run. Speculation state is never serialized:
+// State.Run resolves every speculation before it returns, so no checkpoint
+// can find one pending.
 
 import (
 	"os"
@@ -16,12 +16,13 @@ import (
 	"time"
 
 	"sde/internal/core"
+	"sde/internal/isa"
 	"sde/internal/rime"
 	"sde/internal/sim"
 	"sde/internal/snap"
 )
 
-// withoutSpeculation turns the speculative-fork solver pipeline off.
+// withoutSpeculation turns speculative forking off.
 func withoutSpeculation(cfg sim.Config) sim.Config {
 	cfg.Layers.NoSpeculate = true
 	return cfg
@@ -122,24 +123,27 @@ func TestSpeculationKillAndResume(t *testing.T) {
 	requireSameRun(t, res, ref)
 }
 
-// TestDroppedEngineLeavesNoWorker: an engine that never reaches the end of
-// a run — refused by the mapper after its shell was built, or stepped and
-// dropped, as the snapshot tests' frontiers are — leaves no speculation
-// worker behind. The pool starts its workers with the first submission, and
-// collect submits none.
+// TestDroppedEngineLeavesNoWorker: speculation resolves inside State.Run
+// on the engine's own solver, so an engine that speculates starts no solver
+// goroutine — one stepped and dropped, as the snapshot tests' frontiers
+// are, leaves nothing behind once its witnesses are solved. Neither does one
+// the mapper refused after its shell was built.
 func TestDroppedEngineLeavesNoWorker(t *testing.T) {
 	before := runtime.NumGoroutine()
-	bad := collectConfig(t, core.SDSAlgorithm)
+	bad := thresholdConfig(t, core.SDSAlgorithm)
 	bad.Algorithm = core.Algorithm(99)
 	if _, err := sim.NewEngine(bad); err == nil {
 		t.Fatal("NewEngine accepted an unknown algorithm")
 	}
 	for _, algo := range allAlgorithms {
-		eng, err := sim.NewEngine(collectConfig(t, algo))
+		eng, err := sim.NewEngine(thresholdConfig(t, algo))
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < 40 && eng.Step(); i++ {
+		}
+		if eng.Ctx().SpecStats().Submitted == 0 {
+			t.Errorf("%v: the engine speculated nothing in its first 40 events", algo)
 		}
 	}
 	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
@@ -148,4 +152,99 @@ func TestDroppedEngineLeavesNoWorker(t *testing.T) {
 	if n := runtime.NumGoroutine(); n > before {
 		t.Errorf("%d goroutines after four dropped engines, %d before", n, before)
 	}
+}
+
+// rewindConfig runs one boot handler under a 100-instruction budget. Node 0
+// assumes x < 10 and then branches on x >= 20: the true side is infeasible.
+// On it, doomed instructions lead to a send, the barrier that finds the
+// branch one-sided-false, or with send false to the handler's end. The false
+// side runs fill more instructions and returns.
+func rewindConfig(t *testing.T, doomed, fill int, send bool) sim.Config {
+	t.Helper()
+	prog := witnessProg(t, func(b *isa.Builder) {
+		boot := b.Func("boot")
+		boot.NodeID(isa.R1)
+		boot.BrNZ(isa.R1, "done")
+		boot.Sym(isa.R2, "x", 8)
+		boot.UltI(isa.R3, isa.R2, 10)
+		boot.Assume(isa.R3)
+		boot.UltI(isa.R3, isa.R2, 20)
+		boot.EqI(isa.R3, isa.R3, 0)
+		boot.BrNZ(isa.R3, "doomed")
+		for i := 0; i < fill; i++ {
+			boot.Nop()
+		}
+		boot.Label("done")
+		boot.Ret()
+		boot.Label("doomed")
+		for i := 0; i < doomed; i++ {
+			boot.Nop()
+		}
+		if send {
+			boot.MovI(isa.R4, 0x300)
+			boot.MovI(isa.R5, 1)
+			boot.Send(isa.R5, isa.R4, 1)
+		}
+		boot.Ret()
+	})
+	return sim.Config{
+		Topo:       sim.NewLine(2),
+		Prog:       prog,
+		Algorithm:  core.SDSAlgorithm,
+		Horizon:    50,
+		StepBudget: 100,
+	}
+}
+
+// TestSpeculationRewindKeepsBudget: a state rewound onto a branch's false
+// side runs on from the budget position of the branch, so a handler near its
+// budget lives or dies with speculation on exactly as with it off — whether
+// the rewind happens at a barrier (the doomed path's instructions must not be
+// charged) or at the handler's end (the false side must not get a fresh
+// budget).
+func TestSpeculationRewindKeepsBudget(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		send       bool
+		fill       int
+		wantDeaths int
+	}{
+		{"barrier", true, 70, 0},
+		{"end", false, 95, 1},
+	} {
+		for _, compile := range []bool{true, false} {
+			cfg := rewindConfig(t, 60, tc.fill, tc.send)
+			cfg.Layers.NoCompile = !compile
+			on := runCfg(t, cfg)
+			off := runCfg(t, withoutSpeculation(cfg))
+			if len(off.Violations) != tc.wantDeaths {
+				t.Fatalf("%s, compile=%v: %d violations without speculation, want %d", tc.name, compile, len(off.Violations), tc.wantDeaths)
+			}
+			if on.Stats.Spec.Rewinds == 0 {
+				t.Fatalf("%s, compile=%v: the speculating run rewound nothing: %+v", tc.name, compile, on.Stats.Spec)
+			}
+			if len(on.Violations) != len(off.Violations) {
+				t.Errorf("%s, compile=%v: %d violations with speculation, %d without", tc.name, compile, len(on.Violations), len(off.Violations))
+			}
+			requireSameRun(t, on, off)
+		}
+	}
+}
+
+// TestSpeculationElision: a one-sided-false branch is decided by one solve —
+// its true side is UNSAT, so its false side is known SAT (complement
+// elision) — and every other speculation takes one solve per query, with
+// the run's outcome that of synchronous solving.
+func TestSpeculationElision(t *testing.T) {
+	cfg := rewindConfig(t, 2, 2, true)
+	on := runCfg(t, cfg)
+	off := runCfg(t, withoutSpeculation(cfg))
+	sp := on.Stats.Spec
+	if sp.Elided < 1 {
+		t.Errorf("Elided = %d, want at least 1: %+v", sp.Elided, sp)
+	}
+	if want := 2*sp.Pairs + sp.Assumes - sp.Elided; sp.Solves != want {
+		t.Errorf("Solves = %d, want 2·Pairs + Assumes − Elided = %d: %+v", sp.Solves, want, sp)
+	}
+	requireSameRun(t, on, off)
 }

@@ -116,8 +116,8 @@ func TestHostilePeakStatesRefused(t *testing.T) {
 }
 
 // TestRefusedResumeLeavesNoWorker: a resume that refuses its snapshot —
-// corrupt bytes, or a NextDSID that lies — stops the solver workers its
-// engine started before it read the snapshot.
+// corrupt bytes, or a NextDSID that lies — leaves no goroutine of the
+// engine it built behind.
 func TestRefusedResumeLeavesNoWorker(t *testing.T) {
 	cfg, honest, hostile := hostileSnapshots(t)
 	before := runtime.NumGoroutine()
@@ -126,8 +126,7 @@ func TestRefusedResumeLeavesNoWorker(t *testing.T) {
 			t.Fatal("resume accepted a snapshot it must refuse")
 		}
 	}
-	// A stopped worker has signalled its pool; give it the moment it takes
-	// to return.
+	// Give a goroutine that is stopping the moment it takes to return.
 	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
 		time.Sleep(time.Millisecond)
 	}

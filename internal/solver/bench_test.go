@@ -23,7 +23,7 @@ func branchQueries(b *expr.Builder, depth int) [][]*expr.Expr {
 }
 
 // decideOnInstance decides cs the way the pipeline's last stage does when
-// nothing in front of it answers: on slot 0's persistent instance, one
+// nothing in front of it answers: on the persistent instance, one
 // component after another when partition is set, stopping at the first
 // UNSAT one. It is the no-caches baseline of the benchmarks below.
 func decideOnInstance(s *Solver, cs []*expr.Expr, partition bool) (bool, error) {
@@ -32,7 +32,7 @@ func decideOnInstance(s *Solver, cs []*expr.Expr, partition bool) (bool, error) 
 		comps = s.partition(cs)
 	}
 	for _, comp := range comps {
-		sat, _, err := s.solveIncremental(&s.slot0, comp)
+		sat, _, err := s.solveIncremental(comp)
 		if err != nil {
 			return false, err
 		}

@@ -16,7 +16,8 @@ import (
 // that never escape are pooled — memoised encode outputs live as long as
 // the blaster. satSolver.addClause copies its literals into the clause
 // arena, so a recycled buffer never aliases a stored clause, and the pool is
-// shared safely by the per-slot blasters of concurrent speculation workers.
+// shared safely by blasters on different goroutines (the persistent one, the
+// witness goroutines' scratch ones, other solvers').
 var litScratch = sync.Pool{
 	New: func() any {
 		s := make([]Lit, 0, 64)

@@ -2,10 +2,10 @@ package solver
 
 import "sde/internal/expr"
 
-// incContext is the persistent incremental solving context of one slot:
-// a long-lived satSolver + blaster pair shared by every SAT-core query the
-// slot decides. Each expression DAG node is Tseitin-encoded once per slot
-// rather than once per query, and learned clauses, variable activities,
+// incContext is a Solver's persistent incremental solving context: a
+// long-lived satSolver + blaster pair shared by every SAT-core query the
+// Solver decides. Each expression DAG node is Tseitin-encoded once per
+// Solver rather than once per query, and learned clauses, variable activities,
 // and saved phases survive between queries.
 //
 // Path constraints are never asserted as unit clauses on this instance —
@@ -15,32 +15,32 @@ import "sde/internal/expr"
 // definitions (satisfiable by construction) and clauses learned from
 // them, a valFalse answer always means "UNSAT under the assumptions",
 // never a poisoned instance — and a solve may search only the fan-in cone
-// of its assumptions (satSolver.restrictTo), however much else the slot
-// has encoded.
+// of its assumptions (satSolver.restrictTo), however much else the
+// instance has encoded.
 type incContext struct {
 	sat       *satSolver
 	bl        *blaster
 	gatesSeen int64 // blaster gate count already flushed into Stats.Gates
 }
 
-// solveOnSlot decides active — the constant-folded constraint set of one
-// query — on slot's persistent instance, passing each constraint's output
+// solveOnInstance decides active — the constant-folded constraint set of
+// one query — on the persistent instance, passing each constraint's output
 // literal as an assumption. All encoding happens at decision level 0 — the
 // instance is backtracked before any blasting — so new gate clauses and
 // their unit consequences are installed as permanent level-0 facts.
 //
-// Each slot owns a private CDCL instance and blast memo, so concurrent
-// solves on distinct slots never contend here. A constraint the slot has
-// met before costs one memo lookup (counted in Stats.EncodeSkips); nothing
-// per query or per execution state is kept beside the slot.
-func (s *Solver) solveOnSlot(slot *solverSlot, active []*expr.Expr) (bool, poolModel, error) {
-	slot.mu.Lock()
-	defer slot.mu.Unlock()
-	if slot.ic == nil {
+// Queries on the instance are serialised by incMu. A constraint the
+// instance has met before costs one memo lookup (counted in
+// Stats.EncodeSkips); nothing per query or per execution state is kept
+// beside it.
+func (s *Solver) solveOnInstance(active []*expr.Expr) (bool, poolModel, error) {
+	s.incMu.Lock()
+	defer s.incMu.Unlock()
+	if s.inc == nil {
 		sat := newSatSolver()
-		slot.ic = &incContext{sat: sat, bl: newBlaster(sat)}
+		s.inc = &incContext{sat: sat, bl: newBlaster(sat)}
 	}
-	ic := slot.ic
+	ic := s.inc
 	ic.sat.maxConfl = s.opts.MaxConflicts
 	ic.sat.backtrackTo(0)
 
@@ -56,15 +56,12 @@ func (s *Solver) solveOnSlot(slot *solverSlot, active []*expr.Expr) (bool, poolM
 	confl0, dec0 := ic.sat.conflicts, ic.sat.decisions
 	ic.sat.restrictTo(assumptions)
 	res := ic.sat.solveUnder(assumptions)
-	mainSlot := slot == &s.slot0
 	s.bumpStat(func(st *Stats) {
 		st.Conflicts += ic.sat.conflicts - confl0
 		st.Decisions += ic.sat.decisions - dec0
 		st.Gates += ic.bl.gates - ic.gatesSeen
 		st.EncodeSkips += skips
-		if mainSlot {
-			st.LearnedRetained = ic.sat.learned
-		}
+		st.LearnedRetained = ic.sat.learned
 	})
 	ic.gatesSeen = ic.bl.gates
 

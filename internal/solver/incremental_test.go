@@ -144,14 +144,14 @@ func TestIncrementalDifferential(t *testing.T) {
 		if len(active) == 0 {
 			return true, expr.Env{}, nil
 		}
-		return bare.solveIncremental(&bare.slot0, active)
+		return bare.solveIncremental(active)
 	}
 
 	// closed fails the test if a clause of the persistent instance is open
 	// at level 0.
 	closed := func(when string) {
 		t.Helper()
-		if ic := bare.slot0.ic; ic != nil {
+		if ic := bare.inc; ic != nil {
 			if i := level0Open(ic.sat); i >= 0 {
 				t.Fatalf("%s: clause %v of the persistent instance is open at level 0", when, ic.sat.clauseLits(i))
 			}
@@ -248,7 +248,7 @@ func TestIncrementalDifferential(t *testing.T) {
 	explore(disjoint, []group{newGroup("0"), newGroup("1"), newGroup("2"), newGroup("3")})
 
 	closed("end")
-	if sat := bare.slot0.ic.sat; sat.strictCones == 0 || sat.skipped == 0 {
+	if sat := bare.inc.sat; sat.strictCones == 0 || sat.skipped == 0 {
 		t.Errorf("no solve of the persistent instance was restricted: %d strict cones, %d skipped watchers",
 			sat.strictCones, sat.skipped)
 	}
@@ -266,7 +266,7 @@ func TestIncrementalDifferential(t *testing.T) {
 // scenario has: a failure model's boolean decision literal next to a data
 // constraint. The two are variable-disjoint, so the query partitions; the
 // literal is answered by the scan and the data component goes to the
-// slot's persistent instance — where the second query finds it already
+// persistent instance — where the second query finds it already
 // blasted: one memo lookup, no new gate. The exact cache and the model
 // pool are emptied before each query so that the second one reaches the
 // instance at all.
@@ -279,9 +279,7 @@ func TestFailureLiteralBesideDataConstraint(t *testing.T) {
 	s := New()
 	query := func() Stats {
 		t.Helper()
-		for i := range s.cache {
-			clear(s.cache[i].m)
-		}
+		clear(s.cache)
 		s.pool = nil
 		if sat, err := s.Feasible(pc); err != nil || !sat {
 			t.Fatalf("sat=%v err=%v", sat, err)
@@ -306,7 +304,7 @@ func TestFailureLiteralBesideDataConstraint(t *testing.T) {
 
 // TestIncrementalConcurrentSessions exercises the documented concurrency
 // contract under -race: one Solver, many goroutines, each replaying the
-// prefix-extension workload against the one slot-0 instance.
+// prefix-extension workload against the one persistent instance.
 func TestIncrementalConcurrentSessions(t *testing.T) {
 	eb := expr.NewBuilder()
 	queries := PrefixExtensionQueries(eb, 8)

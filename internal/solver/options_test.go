@@ -131,17 +131,14 @@ func TestPartitionedUnsatRepeatIsCacheHit(t *testing.T) {
 // cachedVerdicts counts the SAT and UNSAT entries of the solver's private
 // exact cache.
 func cachedVerdicts(s *Solver) (sat, unsat int) {
-	for i := range s.cache {
-		str := &s.cache[i]
-		str.mu.Lock()
-		for _, e := range str.m {
-			if e.sat {
-				sat++
-			} else {
-				unsat++
-			}
+	s.cacheMu.Lock()
+	defer s.cacheMu.Unlock()
+	for _, e := range s.cache {
+		if e.sat {
+			sat++
+		} else {
+			unsat++
 		}
-		str.mu.Unlock()
 	}
 	return sat, unsat
 }
@@ -180,10 +177,9 @@ func checkBudgetLeavesNoVerdict(t *testing.T, q []*expr.Expr) *Solver {
 		t.Fatalf("err = %v, want ErrBudget", err)
 	}
 	key, hashes := queryKey(q)
-	str := s.stripe(key)
-	str.mu.Lock()
-	_, cached := str.m[key]
-	str.mu.Unlock()
+	s.cacheMu.Lock()
+	_, cached := s.cache[key]
+	s.cacheMu.Unlock()
 	if cached {
 		t.Error("budget-exhausted query has an exact-cache entry")
 	}

@@ -33,16 +33,15 @@ func (s *Solver) partition(constraints []*expr.Expr) [][]*expr.Expr {
 // component goes through the full pipeline (fast path, cache, pool, SAT),
 // so repeated components — the common case across a run's many queries —
 // hit the cache. Returns ok=false when partitioning does not apply
-// (single component). Recursion stays on the caller's slot, so
-// a speculation worker's components solve on the worker's own slot.
-func (s *Solver) checkPartitioned(slot *solverSlot, constraints []*expr.Expr) (bool, bool, error) {
+// (single component).
+func (s *Solver) checkPartitioned(constraints []*expr.Expr) (bool, bool, error) {
 	comps := s.partition(constraints)
 	if len(comps) <= 1 {
 		return false, false, nil
 	}
 	s.bumpStat(func(st *Stats) { st.Partitions++ })
 	for _, comp := range comps {
-		sat, err := s.checkQuery(slot, comp, nil)
+		sat, err := s.checkQuery(comp, nil)
 		if err != nil || !sat {
 			return false, true, err
 		}

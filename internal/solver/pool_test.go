@@ -96,12 +96,13 @@ func TestPoolAnswersMatchesEval(t *testing.T) {
 	}
 }
 
-// TestPoolAnswersConcurrent: the interpreter thread, speculation workers
-// and witness goroutines scan the pool, partition constraint sets and take
-// the literal fast path at once, each on scratch of its own. Four
+// TestPoolAnswersConcurrent: an engine and its witness goroutines — or the
+// engines of a parallel run — scan the pool, partition constraint sets and
+// take the literal fast path at once, each on scratch of its own. Four
 // goroutines share one Solver with a fixed pool and must reproduce the
-// answers computed alone, while deciding queries on a second, live Solver
-// whose pool they fill and scan concurrently. Run under -race in CI.
+// answers computed alone, while deciding queries through Feasible on a
+// second, live Solver whose pool they fill and scan, and whose one
+// persistent instance they take turns on. Run under -race in CI.
 func TestPoolAnswersConcurrent(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	f := newPoolFixture()
@@ -138,7 +139,6 @@ func TestPoolAnswersConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			slot := live.NewWorkerSlot()
 			for rep := 0; rep < 5; rep++ {
 				for i := range queries {
 					q := &queries[(i*7+g*31+rep)%len(queries)]
@@ -154,9 +154,9 @@ func TestPoolAnswersConcurrent(t *testing.T) {
 						errs <- fmt.Errorf("goroutine %d: literalVerdict(%v) = %v,%v, alone %v,%v", g, q.cs, sat, ok, q.lsat, q.lok)
 						return
 					}
-					sat, err := live.FeasibleOn(slot, q.cs, nil)
+					sat, err := live.Feasible(q.cs)
 					if err != nil || sat != q.verdict {
-						errs <- fmt.Errorf("goroutine %d: FeasibleOn(%v) = %v, %v; Witness says %v", g, q.cs, sat, err, q.verdict)
+						errs <- fmt.Errorf("goroutine %d: Feasible(%v) = %v, %v; Witness says %v", g, q.cs, sat, err, q.verdict)
 						return
 					}
 				}

@@ -26,7 +26,7 @@
 // witness component (Solver.solveSAT) is such a recycled one.
 //
 // Cones. A persistent instance (incremental.go) holds every circuit its
-// slot has ever encoded, while one query's assumptions reach a fraction of
+// Solver has ever encoded, while one query's assumptions reach a fraction of
 // it. Every gate variable records its 2–3 input variables (fanin) and every
 // problem clause the gate it defines (gateOf), so restrictTo can stamp the
 // fan-in cone of a solve's assumptions: the decision heap then holds only

@@ -26,8 +26,8 @@ type cacheEntry struct {
 // Options tunes a Solver. Every feasibility query takes one fixed path —
 // constant folding, the literal fast path, the exact cache, the shared
 // cache (when set), the model pool, partitioning into independent
-// components, and the slot's persistent CDCL instance — whichever slot
-// asks it, and Witness ignores every field but MaxConflicts.
+// components, and the persistent CDCL instance — and Witness ignores every
+// field but MaxConflicts.
 type Options struct {
 	// MaxConflicts bounds a single CDCL run; zero means unlimited.
 	MaxConflicts int64
@@ -44,35 +44,16 @@ type Options struct {
 	Optimizer any
 }
 
-// cacheStripes is the number of exact-cache segments. Striping lets
-// speculation workers and the main thread decide disjoint queries without
-// contending on one map lock.
-const cacheStripes = 64
-
-type cacheStripe struct {
-	mu sync.Mutex
-	m  map[uint64]cacheEntry
-}
-
-// solverSlot is one persistent incremental solving context plus the mutex
-// that serialises it. The Solver owns slot 0 (queries from the interpreter
-// thread); the speculation pool allocates one extra slot per worker so
-// feasibility queries never share a CDCL instance — only the read-mostly
-// caches — across goroutines.
-type solverSlot struct {
-	mu sync.Mutex
-	ic *incContext
-}
-
 // Solver answers satisfiability queries over sets of 1-bit constraint
-// expressions. It is safe for concurrent use: the exact cache is striped
-// and every incremental CDCL instance lives in its own slot — there is no
-// global mutex on the query path. All constraint expressions passed to one
-// Solver must come from a single expr.Builder.
+// expressions. It is safe for concurrent use: the exact cache is one map
+// behind one lock, and the persistent incremental CDCL instance every
+// SAT-core query runs on sits behind its own mutex. All constraint
+// expressions passed to one Solver must come from a single expr.Builder.
 type Solver struct {
 	opts Options
 
-	cache [cacheStripes]cacheStripe
+	cacheMu sync.Mutex
+	cache   map[uint64]cacheEntry
 
 	poolMu sync.Mutex
 	pool   []poolModel // recent satisfying models, most recent last
@@ -80,9 +61,10 @@ type Solver struct {
 	statsMu sync.Mutex
 	stats   Stats
 
-	// slot0 is the main incremental context: every query that does not
-	// name a worker slot (the interpreter thread's) lands here.
-	slot0 solverSlot
+	// inc is the persistent incremental context (incremental.go), built by
+	// the first query that reaches the SAT core; incMu serialises it.
+	incMu sync.Mutex
+	inc   *incContext
 
 	// witnesses memoises the component models of Witness (witness.go).
 	witnesses witnessMemo
@@ -94,31 +76,9 @@ func New() *Solver { return NewWithOptions(Options{}) }
 // NewWithOptions returns a Solver with the given tuning. Options is the
 // single source of truth for the conflict budget (Options.MaxConflicts).
 func NewWithOptions(opts Options) *Solver {
-	s := &Solver{opts: opts}
-	for i := range s.cache {
-		s.cache[i].m = make(map[uint64]cacheEntry, 8)
-	}
+	s := &Solver{opts: opts, cache: make(map[uint64]cacheEntry, 64)}
 	s.witnesses.m = make(map[uint64]*witnessEntry)
 	return s
-}
-
-// NewWorkerSlot returns a fresh incremental solving slot with its own
-// CDCL instance and blast context. The speculation pool gives one to each
-// worker, so concurrent feasibility queries share only the caches.
-func (s *Solver) NewWorkerSlot() *SolverSlot { return &SolverSlot{} }
-
-// SolverSlot is the exported handle for a worker-owned incremental
-// context; see Solver.NewWorkerSlot.
-type SolverSlot struct {
-	slot solverSlot
-}
-
-// FeasibleOn decides prefix ∧ extra on the given worker slot. This is the
-// speculation-worker entry point: the query takes the same pipeline as
-// Feasible and shares the Solver's caches, but never its slot-0 CDCL
-// instance, so it is safe to call concurrently with every other method.
-func (s *Solver) FeasibleOn(slot *SolverSlot, prefix []*expr.Expr, extra *expr.Expr) (bool, error) {
-	return s.checkQuery(&slot.slot, prefix, extra)
 }
 
 // Stats returns a snapshot of the activity counters.
@@ -132,7 +92,7 @@ func (s *Solver) Stats() Stats {
 // satisfiable. Every constraint must be a 1-bit expression.
 // A concrete satisfying assignment comes from Witness.
 func (s *Solver) Feasible(constraints []*expr.Expr) (bool, error) {
-	return s.checkQuery(&s.slot0, constraints, nil)
+	return s.checkQuery(constraints, nil)
 }
 
 // FeasibleWith is Feasible for prefix-extension queries — the shape every
@@ -145,7 +105,7 @@ func (s *Solver) Feasible(constraints []*expr.Expr) (bool, error) {
 // against sv.NewSession() and FeasibleWith(sess, …). Once that calls
 // Feasible, delete all three.
 func (s *Solver) FeasibleWith(_ *Session, prefix []*expr.Expr, extra *expr.Expr) (bool, error) {
-	return s.checkQuery(&s.slot0, prefix, extra)
+	return s.checkQuery(prefix, extra)
 }
 
 // Session is the stub FeasibleWith describes; NewSession returns nil.
@@ -159,11 +119,7 @@ func (s *Solver) bumpStat(f func(*Stats)) {
 	s.statsMu.Unlock()
 }
 
-func (s *Solver) stripe(key uint64) *cacheStripe {
-	return &s.cache[key&(cacheStripes-1)]
-}
-
-func (s *Solver) checkQuery(slot *solverSlot, prefix []*expr.Expr, extra *expr.Expr) (bool, error) {
+func (s *Solver) checkQuery(prefix []*expr.Expr, extra *expr.Expr) (bool, error) {
 	s.bumpStat(func(st *Stats) { st.Queries++ })
 
 	// Constant-fold the constraint set.
@@ -213,14 +169,13 @@ func (s *Solver) checkQuery(slot *solverSlot, prefix []*expr.Expr, extra *expr.E
 
 	key, hashes := queryKey(active)
 
-	str := s.stripe(key)
-	str.mu.Lock()
-	if ent, ok := str.m[key]; ok && slices.Equal(ent.hashes, hashes) {
-		str.mu.Unlock()
+	s.cacheMu.Lock()
+	ent, ok := s.cache[key]
+	s.cacheMu.Unlock()
+	if ok && slices.Equal(ent.hashes, hashes) {
 		s.bumpStat(func(st *Stats) { st.CacheHits++ })
 		return ent.sat, nil
 	}
-	str.mu.Unlock()
 
 	// Cross-solver shared cache: another shard of a parallel run may
 	// already have decided this structural query.
@@ -244,7 +199,7 @@ func (s *Solver) checkQuery(slot *solverSlot, prefix []*expr.Expr, extra *expr.E
 	// decided through the full pipeline and its result cached separately;
 	// the whole query's verdict is cached too, so an identical repeat is
 	// one exact-cache hit rather than a pool scan and a walk of its parts.
-	if sat, handled, err := s.checkPartitioned(slot, active); handled {
+	if sat, handled, err := s.checkPartitioned(active); handled {
 		if err != nil {
 			return false, err
 		}
@@ -252,7 +207,7 @@ func (s *Solver) checkQuery(slot *solverSlot, prefix []*expr.Expr, extra *expr.E
 		return sat, nil
 	}
 
-	sat, model, err := s.solveOnSlot(slot, active)
+	sat, model, err := s.solveOnInstance(active)
 	if err != nil {
 		// Budget-exhausted verdicts are unknowns: they must never reach
 		// any cache (an unknown stored as UNSAT would be unsound).
@@ -287,9 +242,9 @@ type boundVar struct {
 }
 
 // evaluators recycles the expr.Evaluators of poolAnswers and
-// literalVerdict. A query takes one for the length of a scan, so the
-// interpreter thread, speculation workers and witness goroutines never
-// share one.
+// literalVerdict. A query takes one for the length of a scan, so queries on
+// different goroutines — an engine's and its witness goroutines', or the
+// shards' of a parallel run — never share one.
 var evaluators = sync.Pool{New: func() any { return new(expr.Evaluator) }}
 
 // poolAnswers reports whether some model in the pool, most recent first,
@@ -328,10 +283,9 @@ func (s *Solver) poolAnswers(active []*expr.Expr) bool {
 // remember records a decided query in the private exact cache. The caller
 // must never pass a budget-exhausted (ErrBudget) verdict.
 func (s *Solver) remember(key uint64, hashes []uint64, sat bool) {
-	str := s.stripe(key)
-	str.mu.Lock()
-	str.m[key] = cacheEntry{hashes: hashes, sat: sat}
-	str.mu.Unlock()
+	s.cacheMu.Lock()
+	s.cache[key] = cacheEntry{hashes: hashes, sat: sat}
+	s.cacheMu.Unlock()
 }
 
 // record is remember plus the shared cache: where a verdict this solver

@@ -128,16 +128,41 @@ func (s *State) StartCall(fn int, args ...*expr.Expr) {
 //
 // Forked siblings reported via Hooks.OnFork are left mid-event
 // (StatusRunning); the caller must Run them as well.
+//
+// With Context.Speculate set, Run resolves every speculation it made before
+// it returns (see spec.go). A state rewound onto a branch's false side runs
+// on from that branch's budget position, so the instructions run on the
+// abandoned path are not charged against the budget; a state a verdict
+// killed returns the error it died of.
 func (s *State) Run(now uint64, budget int, h Hooks) error {
 	if budget <= 0 {
 		budget = DefaultStepBudget
 	}
+	for from := 0; ; {
+		err := s.exec(now, from, budget, h)
+		if len(s.ctx.pending) == 0 {
+			return err
+		}
+		at, rewound := s.resolveSpec(h)
+		switch {
+		case rewound:
+			from = at + 1
+		case s.status == StatusDead:
+			return s.runErr
+		default:
+			return err
+		}
+	}
+}
+
+// exec is Run's interpreter loop from budget position from on.
+func (s *State) exec(now uint64, from, budget int, h Hooks) error {
 	eb := s.ctx.Exprs
 	var code *isa.ProgIR
 	if s.ctx.compile {
 		code = s.prog.IR()
 	}
-	for i := 0; i < budget; i++ {
+	for i := from; i < budget; i++ {
 		if s.status != StatusRunning {
 			return nil
 		}
@@ -166,16 +191,15 @@ func (s *State) Run(now uint64, budget int, h Hooks) error {
 		in := &f.Instrs[s.pc]
 		// Resolution barrier: an instruction whose effects escape the state
 		// (a packet send, an assertion report) must not execute on an
-		// unconfirmed path. Drain the speculative pipeline first; the state
-		// comes back confirmed, rewound onto the false side, or dead.
-		if s.ctx.spec != nil && (in.Op == isa.OpAssert || in.Op == isa.OpSend) {
-			s.ctx.spec.OnSpecBarrier(s)
-			if s.status != StatusRunning {
-				return nil
-			}
-			if s.specRewound {
-				s.ClearSpecRewound()
+		// unconfirmed path. Resolve every speculation first; the state
+		// comes back confirmed, rewound onto a false side, or dead.
+		if len(s.ctx.pending) > 0 && (in.Op == isa.OpAssert || in.Op == isa.OpSend) {
+			if at, rewound := s.resolveSpec(h); rewound {
+				i = at
 				continue
+			}
+			if s.status != StatusRunning {
+				return s.runErr
 			}
 		}
 		s.steps++
@@ -218,7 +242,7 @@ func (s *State) Run(now uint64, budget int, h Hooks) error {
 			if in.Op == isa.OpBrZ {
 				cond = eb.Not(cond)
 			}
-			if err := s.branch(cond, in.Target, h); err != nil {
+			if err := s.branch(cond, in.Target, i, h); err != nil {
 				return err
 			}
 
@@ -279,8 +303,8 @@ func (s *State) Run(now uint64, budget int, h Hooks) error {
 
 		case isa.OpAssume:
 			cond := eb.Ne(s.regs[in.Ra], s.ctx.zeroWord)
-			if sp := s.ctx.spec; sp != nil && !cond.IsTrue() && !cond.IsFalse() {
-				s.specAssume(sp, cond)
+			if s.ctx.Speculate && !cond.IsTrue() && !cond.IsFalse() {
+				s.specAssume(cond)
 				continue
 			}
 			feasible, err := s.feasibleWith(cond)
@@ -399,8 +423,9 @@ func (s *State) alu(op isa.Op, a, b *expr.Expr) *expr.Expr {
 // branch resolves a conditional branch, forking the state when both
 // directions are feasible. The original state takes the true direction;
 // the sibling takes the false direction — fixed so that exploration order
-// is deterministic and comparable across mapping algorithms.
-func (s *State) branch(cond *expr.Expr, target int, h Hooks) error {
+// is deterministic and comparable across mapping algorithms. at is the
+// branch's budget position.
+func (s *State) branch(cond *expr.Expr, target, at int, h Hooks) error {
 	if cond.IsTrue() {
 		s.pc = target
 		return nil
@@ -409,10 +434,10 @@ func (s *State) branch(cond *expr.Expr, target int, h Hooks) error {
 		s.pc++
 		return nil
 	}
-	// Speculative path: fork both sides now, let the solver pipeline decide
-	// feasibility while execution continues on the true side.
-	if sp := s.ctx.spec; sp != nil {
-		s.specBranch(sp, cond, target)
+	// Speculative path: fork both sides now and decide feasibility at the
+	// next resolution barrier, running on down the true side until then.
+	if s.ctx.Speculate {
+		s.specBranch(cond, target, at)
 		return nil
 	}
 	feasTrue, err := s.feasibleWith(cond)

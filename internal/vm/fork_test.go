@@ -43,7 +43,7 @@ func shareProg(t *testing.T) *isa.Program {
 
 // world is one family of states driven by the aliasing test. The live world
 // forks the way the engine does; the shadow world (deep) gives every fork
-// its own copy of every list the moment it is made — what SpecFork did
+// its own copy of every list the moment it is made — what a fork did
 // before lists were shared. Both worlds receive the same operations on the
 // same indices, so state i of one must always equal state i of the other.
 type world struct {
@@ -106,7 +106,7 @@ func diffStates(a, b *State) string {
 // every operation that touches the shared lists — forks (plain, speculative,
 // and the VM's own at a branch inside a call), appends (constraints, sends,
 // receptions, prints), the event queue, the three edits that are not appends
-// (RemoveConstraintAt, a RestoreFromSpec rewind, Reboot's reset) and Release
+// (removeConstraintAt, a restoreFrom rewind, Reboot's reset) and Release
 // — runs on the live family and on a shadow that shares nothing, and after
 // every step every state must equal its shadow.
 func TestForkAliasing(t *testing.T) {
@@ -190,8 +190,8 @@ func (d *aliasDriver) step(step int) {
 		case 0:
 			w.adopt(s.Fork())
 		case 1:
-			n := s.SpecFork()
-			n.AdoptFreshID()
+			n := s.clone()
+			n.adoptFreshID()
 			w.adopt(n)
 		case 2, 3:
 			s.AddConstraint(pool[r%len(pool)])
@@ -227,12 +227,12 @@ func (d *aliasDriver) step(step int) {
 			}
 		case 12:
 			if n := len(s.PathCond()); n > 0 {
-				s.RemoveConstraintAt(r % n)
+				s.removeConstraintAt(r % n)
 			}
 		case 13: // a speculative branch whose true side turns out infeasible
 			before := s.Status()
 			keep := len(s.PathCond())
-			sib := s.SpecFork()
+			sib := s.clone()
 			w.detach(sib)
 			c := pool[r%len(pool)]
 			sib.AddConstraint(eb.Not(c))
@@ -241,8 +241,7 @@ func (d *aliasDriver) step(step int) {
 			s.PushEvent(Event{Time: now, Kind: EventTimer, Fn: d.tick})
 			w.adopt(s.Fork()) // a fork made on the doomed side keeps its view
 			s.AddConstraint(pool[(r+1)%len(pool)])
-			s.RestoreFromSpec(sib, keep)
-			s.ClearSpecRewound()
+			s.restoreFrom(sib, keep)
 			s.status = before
 		case 14:
 			s.Reboot(d.boot, now)

@@ -80,7 +80,7 @@ type EventImage struct {
 
 // StateImage is the flattened form of a State. Its path condition,
 // history, trace and event payloads alias the state's: capped views of
-// append-only arrays, as a fork holds them (see SpecFork), which nothing
+// append-only arrays, as a fork holds them (see State.clone), which nothing
 // writes in place.
 type StateImage struct {
 	ID   uint64

@@ -1,61 +1,160 @@
 package vm
 
 import (
+	"errors"
+	"time"
+
 	"sde/internal/expr"
+	"sde/internal/metrics"
 )
 
-// Speculative-fork support: at a symbolic branch (or assume) the VM can
-// fork both sides immediately, submit the feasibility queries to an
-// asynchronous solver pipeline via SpecHooks, and keep executing the true
-// side speculatively. The driver resolves the pending verdicts at
-// resolution barriers (packet sends, asserts, end of activation) and uses
-// the State methods below to reconcile the speculative execution with the
-// verdicts: materialize the sibling, drop a provisional constraint, or
-// rewind the state onto the frozen false-side snapshot.
+// Speculative forking (Context.Speculate). At a symbolic branch the state
+// forks a frozen false-side snapshot and runs on down the true side without
+// asking the solver; at an assume it appends the constraint and runs on.
+// Each such decision is a pending entry on the Context. Run resolves the
+// entries on ctx.Solver, strictly in creation order, at a resolution barrier
+// — before an OpSend or OpAssert, whose effects leave the state — and before
+// it returns. Each verdict is turned into what a synchronous run would have
+// done with it: a both-sides branch becomes the fork a synchronous branch
+// makes (same id, same Hooks.OnFork call, same order), a one-sided-true
+// branch loses its provisional constraint, an infeasible true side rewinds
+// the state onto the snapshot and runs it again, and an infeasible assume
+// kills the state. Resolving in creation order means every verdict is read
+// with its prefix already confirmed feasible, which makes complement elision
+// sound: when prefix ∧ cond is UNSAT, prefix ∧ ¬cond is SAT and is not asked.
+//
+// Speculation changes no state, fork, dscenario or digest. It does change
+// the instruction count, which includes what ran on a path later rewound.
 
-// SpecHooks receives speculative branch decisions. It is implemented by
-// the distributed engine; when unset (SetSpecHooks never called) the VM
-// resolves every branch synchronously.
-type SpecHooks interface {
-	// OnSpecBranch is called after the VM forked a symbolic branch
-	// speculatively: orig has taken the true side (cond appended to its
-	// path condition), sib is the frozen false-side snapshot (notCond
-	// appended, fall-through pc, no state id yet). prefix is the shared
-	// path condition as of the branch, before either constraint.
-	OnSpecBranch(orig, sib *State, prefix []*expr.Expr, cond, notCond *expr.Expr)
-	// OnSpecAssume is called after the VM applied an assume
-	// speculatively: cond is already appended to s's path condition,
-	// prefix is the path condition before it.
-	OnSpecAssume(s *State, prefix []*expr.Expr, cond *expr.Expr)
-	// OnSpecBarrier is called before an instruction whose effects are
-	// observable outside the state (OpSend, OpAssert). The driver must
-	// resolve every pending verdict of s before returning: afterwards s
-	// is either confirmed (all provisional constraints final), rewound
-	// (SpecRewound reports true), or dead.
-	OnSpecBarrier(s *State)
+// specEntry is one unresolved speculation of the running state.
+type specEntry struct {
+	prefix        []*expr.Expr // the path condition before the decision
+	cond, notCond *expr.Expr   // notCond is nil for an assume
+	sib           *State       // frozen false side; nil for an assume
+	at            int          // Run's budget position at the branch
 }
 
-// SetSpecHooks installs the speculative-fork driver. Passing nil restores
-// synchronous branch resolution.
-func (c *Context) SetSpecHooks(h SpecHooks) { c.spec = h }
+// SpecStats returns the speculation counters: the Spec part of the run's
+// metrics.RunStats. All zero unless Speculate is set.
+func (c *Context) SpecStats() metrics.SpecStats { return c.specStats }
 
-// SpecFork copies the state exactly like Fork but allocates no state id
-// and counts no fork: the copy is a frozen speculative snapshot. The
-// driver later either materializes it with AdoptFreshID (both sides
-// feasible) or consumes it as a rewind target (true side infeasible); in
-// the remaining cases it must be Released.
+// specBranch forks a symbolic branch speculatively: the sibling freezes the
+// false side, the state takes the true side, and both constraints are
+// recorded as a synchronous both-sides fork records them. at is the budget
+// position of the branch instruction, which a rewind returns to.
+func (s *State) specBranch(cond *expr.Expr, target, at int) {
+	c := s.ctx
+	notCond := c.Exprs.Not(cond)
+	sib := s.clone()
+	sib.AddConstraint(notCond)
+	sib.pc++
+	c.pending = append(c.pending, specEntry{prefix: s.pathCond, cond: cond, notCond: notCond, sib: sib, at: at})
+	s.AddConstraint(cond)
+	s.pc = target
+	c.specStats.Submitted++
+	c.specStats.Pairs++
+}
+
+// specAssume applies an assume speculatively: the constraint is appended
+// provisionally, and an UNSAT verdict kills the state at resolution.
+func (s *State) specAssume(cond *expr.Expr) {
+	c := s.ctx
+	c.pending = append(c.pending, specEntry{prefix: s.pathCond, cond: cond})
+	s.AddConstraint(cond)
+	s.pc++
+	c.specStats.Submitted++
+	c.specStats.Assumes++
+}
+
+// resolveSpec decides every pending entry of s in creation order and
+// empties the list. The state comes back confirmed, dead, or rewound onto a
+// false side; rewound reports the last, with at the budget position of the
+// branch it was rewound to. Entries after a kill or a rewind describe a path
+// that no longer exists and are dropped unsolved.
+func (s *State) resolveSpec(h Hooks) (at int, rewound bool) {
+	c := s.ctx
+	st := &c.specStats
+	start := time.Now()
+	st.Barriers++
+	st.InflightPeak = max(st.InflightPeak, int64(len(c.pending)))
+	removed := 0 // provisional constraints removed so far in this drain
+	done := false
+	for i := range c.pending {
+		e := &c.pending[i]
+		if done {
+			if e.sib != nil {
+				e.sib.Release()
+			}
+			continue
+		}
+		satT, err := c.Solver.FeasibleWith(nil, e.prefix, e.cond)
+		st.Solves++
+		satF := true
+		if err == nil && e.sib != nil {
+			if satT {
+				satF, err = c.Solver.FeasibleWith(nil, e.prefix, e.notCond)
+				st.Solves++
+			} else {
+				st.Elided++
+			}
+		}
+		switch {
+		case err != nil || (e.sib == nil && !satT):
+			if err == nil {
+				err = errors.New("vm: infeasible assume")
+			}
+			if e.sib != nil {
+				e.sib.Release()
+			}
+			s.Kill(err)
+			st.SpecKills++
+			done = true
+		case e.sib == nil:
+			// A feasible assume keeps its constraint.
+		case satT && satF:
+			e.sib.adoptFreshID()
+			h.OnFork(s, e.sib)
+		case satT:
+			// A synchronous one-sided-true branch records no constraint.
+			// Later siblings carry their own copy of this one.
+			idx := len(e.prefix) - removed
+			s.removeConstraintAt(idx)
+			for _, rest := range c.pending[i+1:] {
+				if rest.sib != nil {
+					rest.sib.removeConstraintAt(idx)
+				}
+			}
+			removed++
+			st.Removed++
+			e.sib.Release()
+		default:
+			// The true side is infeasible: everything run since the
+			// branch was on a path that does not exist.
+			s.restoreFrom(e.sib, len(e.prefix)-removed)
+			st.Rewinds++
+			at, rewound, done = e.at, true, true
+		}
+	}
+	clear(c.pending)
+	c.pending = c.pending[:0]
+	st.BarrierWaitNs += time.Since(start).Nanoseconds()
+	return at, rewound
+}
+
+// clone copies the state exactly like Fork but allocates no state id and
+// counts no fork: a frozen speculative snapshot until adoptFreshID.
 //
 // A fork allocates the state, its page table and its event queue, and
 // shares the rest of its parent's past. The copy's path condition, history
 // and trace are views of the parent's arrays cut to their length, capacity
-// included: the lists only ever grow by append (RemoveConstraintAt and
-// RestoreFromSpec install fresh slices), so the one holder that can append
-// in place is the one that had spare capacity before the fork, and it writes
-// beyond every other holder's length — the aliasing the speculation workers'
-// prefix snapshots already rely on. The call stack is copied: BeginEvent,
-// StartCall and Reboot cut it to [:0] and append, which would overwrite a
-// sharer's frames.
-func (s *State) SpecFork() *State {
+// included: every edit of the lists that is not an append installs a fresh
+// or capped slice (removeConstraintAt, restoreFrom, Reboot), so the one
+// holder that can append in place is the one that had spare capacity before
+// the fork, and it writes beyond every other holder's length — the aliasing
+// pending entries' prefixes rely on too. The call stack is copied:
+// BeginEvent, StartCall and Reboot cut it to [:0] and append, which would
+// overwrite a sharer's frames.
+func (s *State) clone() *State {
 	n := &State{
 		ctx:      s.ctx,
 		prog:     s.prog,
@@ -84,46 +183,33 @@ func (s *State) SpecFork() *State {
 	return n
 }
 
-// AdoptFreshID turns a speculative snapshot into a real forked state,
-// drawing the same fork counter and id a synchronous Fork at the same
-// point would have drawn — resolution happens in branch creation order,
-// so the id stream is identical to a non-speculative run's.
-func (s *State) AdoptFreshID() {
+// adoptFreshID turns a snapshot into a real forked state, drawing the fork
+// counter and id a synchronous Fork at the same point would have drawn:
+// resolution runs in branch creation order, so the id stream is a
+// synchronous run's.
+func (s *State) adoptFreshID() {
 	s.ctx.forkCount.Add(1)
 	s.id = s.ctx.newStateID()
 }
 
-// RemoveConstraintAt deletes the provisional constraint at index idx from
-// the path condition: the branch turned out one-sided-true, and a
-// synchronous run would never have added it. The slice is rebuilt, never
-// edited in place — solver workers still hold prefix snapshots aliasing
-// the old backing array.
-func (s *State) RemoveConstraintAt(idx int) {
+// removeConstraintAt deletes the constraint at index idx from the path
+// condition into a fresh slice: pending prefixes and forks still view the
+// old array.
+func (s *State) removeConstraintAt(idx int) {
 	n := make([]*expr.Expr, 0, len(s.pathCond)-1)
 	n = append(n, s.pathCond[:idx]...)
-	n = append(n, s.pathCond[idx+1:]...)
-	s.pathCond = n
-	s.specRemoved++
+	s.pathCond = append(n, s.pathCond[idx+1:]...)
 }
 
-// SpecRemovedCount returns how many provisional constraints have been
-// removed from this state's path condition so far. The driver snapshots
-// it at submission time to adjust recorded constraint indices.
-func (s *State) SpecRemovedCount() int { return s.specRemoved }
-
-// RestoreFromSpec rewinds the state onto the frozen snapshot sib: the
-// speculatively executed true side turned out infeasible, so the state
-// resumes from the branch's fall-through exactly as a synchronous
-// one-sided-false branch would have. Machine state (registers, memory,
-// control, events, history) comes from the snapshot; the path condition
-// keeps the first keep constraints of the state's own current condition —
-// the confirmed prefix, which already reflects removals the snapshot's
-// copy predates (a one-sided-false branch records no constraint of its
-// own). The prefix is copied into a fresh slice so solver workers still
-// scanning abandoned prefix snapshots never observe later appends. The
-// state keeps its identity and is marked rewound so the driver re-runs
-// it. sib is consumed.
-func (s *State) RestoreFromSpec(sib *State, keep int) {
+// restoreFrom rewinds the state onto the frozen snapshot sib, which it
+// consumes: machine state, events, history and trace come from sib, so the
+// state resumes at the branch's fall-through as a synchronous
+// one-sided-false branch would. The path condition keeps the first keep
+// constraints of the state's own — the confirmed prefix, which reflects
+// removals sib's copy predates — capped, so the next append does not write
+// over what a fork made on the abandoned path still views. The state keeps
+// its identity.
+func (s *State) restoreFrom(sib *State, keep int) {
 	s.mem.release()
 	s.regs = sib.regs
 	s.mem = sib.mem
@@ -131,7 +217,7 @@ func (s *State) RestoreFromSpec(sib *State, keep int) {
 	s.fn, s.pc = sib.fn, sib.pc
 	s.status = StatusRunning
 	s.runErr = nil
-	s.pathCond = append([]*expr.Expr(nil), s.pathCond[:keep]...)
+	s.pathCond = s.pathCond[:keep:keep]
 	s.events = sib.events
 	s.eventSeq = sib.eventSeq
 	s.hist = sib.hist
@@ -140,39 +226,4 @@ func (s *State) RestoreFromSpec(sib *State, keep int) {
 	s.recvSeq = sib.recvSeq
 	s.symSeq = sib.symSeq
 	s.steps = sib.steps
-	s.specRewound = true
-}
-
-// SpecRewound reports whether the state was rewound by RestoreFromSpec
-// and must be re-run.
-func (s *State) SpecRewound() bool { return s.specRewound }
-
-// ClearSpecRewound acknowledges a rewind before re-running the state.
-func (s *State) ClearSpecRewound() { s.specRewound = false }
-
-// specBranch forks a symbolic branch speculatively: the sibling freezes
-// the false side, the state takes the true side, and both feasibility
-// queries go to the asynchronous pipeline. Constraint bookkeeping matches
-// the both-feasible synchronous case; the driver repairs the path
-// condition at resolution if the branch turns out one-sided.
-func (s *State) specBranch(sp SpecHooks, cond *expr.Expr, target int) {
-	notCond := s.ctx.Exprs.Not(cond)
-	prefix := s.pathCond
-	sib := s.SpecFork()
-	sib.AddConstraint(notCond)
-	sib.pc++
-	s.AddConstraint(cond)
-	s.pc = target
-	sp.OnSpecBranch(s, sib, prefix, cond, notCond)
-}
-
-// specAssume applies an assume speculatively: the constraint is appended
-// provisionally and the feasibility query goes to the pipeline; an UNSAT
-// verdict kills the state at resolution, exactly where a synchronous run
-// would have killed it.
-func (s *State) specAssume(sp SpecHooks, cond *expr.Expr) {
-	prefix := s.pathCond
-	s.AddConstraint(cond)
-	s.pc++
-	sp.OnSpecAssume(s, prefix, cond)
 }

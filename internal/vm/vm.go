@@ -35,10 +35,14 @@ type Context struct {
 	// analysis.
 	Replay expr.Env
 
-	// spec, when non-nil, enables speculative branch forking: feasibility
-	// queries go to an asynchronous solver pipeline and execution
-	// continues on the true side until a resolution barrier (see spec.go).
-	spec SpecHooks
+	// Speculate turns on speculative branch forking (see spec.go): at a
+	// symbolic branch or assume execution runs on down the true side, and
+	// the feasibility queries are decided at the next resolution barrier.
+	// pending lists the running state's unresolved speculations in creation
+	// order; specStats counts them.
+	Speculate bool
+	pending   []specEntry
+	specStats metrics.SpecStats
 
 	// compile gates the compiled-IR concrete fast path (see fastpath.go).
 	// The IR itself is always built — the event dispatcher's register
@@ -361,7 +365,7 @@ const (
 // call stack, path condition, pending events, and communication history.
 // States are forked on symbolic branches and by the state-mapping
 // algorithms; forks share memory pages copy-on-write and their past — path
-// condition, history, trace — until one of them appends to it (see SpecFork).
+// condition, history, trace — until one of them appends to it (see clone).
 type State struct {
 	ctx  *Context
 	prog *isa.Program
@@ -377,8 +381,8 @@ type State struct {
 	status Status
 	runErr error
 	// pathCond, hist and trace are append-only lists a fork shares with
-	// its parent (see SpecFork): elements below len are never written, and
-	// every edit that is not an append installs a fresh slice.
+	// its parent (see clone): elements below len are never written, and
+	// every edit that is not an append installs a fresh or capped slice.
 	pathCond []*expr.Expr
 
 	events   []Event // sorted by (Time, seq); owned by this state alone
@@ -393,12 +397,6 @@ type State struct {
 	steps uint64 // instructions executed by this state (incl. inherited)
 
 	settled int // OverheadBytes as of the last SettleOverhead
-
-	// Speculative-execution bookkeeping (see spec.go). specRemoved counts
-	// provisional constraints removed from pathCond; specRewound marks a
-	// state restored onto a false-side snapshot that must be re-run.
-	specRemoved int
-	specRewound bool
 }
 
 type frame struct {
@@ -451,12 +449,12 @@ func (s *State) Trace() []TraceEntry { return s.trace }
 // Reg returns the current value of a register.
 func (s *State) Reg(r isa.Reg) *expr.Expr { return s.regs[r] }
 
-// Fork copies the state (sharing what SpecFork shares) and returns the
+// Fork copies the state (sharing what clone shares) and returns the
 // copy. The copy receives a fresh id; everything else, including the
 // pending event queue and the communication history, is identical.
 func (s *State) Fork() *State {
-	n := s.SpecFork()
-	n.AdoptFreshID()
+	n := s.clone()
+	n.adoptFreshID()
 	return n
 }
 

@@ -106,7 +106,7 @@ type SchedStats = metrics.SchedStats
 type (
 	RunStats    = metrics.RunStats
 	SolverStats = metrics.SolverStats // queries, caches, CDCL work
-	SpecStats   = metrics.SpecStats   // speculative-fork pipeline: submissions, elisions, rewinds, barrier wait
+	SpecStats   = metrics.SpecStats   // speculative forking: speculations, elisions, rewinds, resolution time
 	VMStats     = metrics.VMStats     // instructions, forks, fast vs interpreted blocks, folded instructions
 )
 
@@ -205,8 +205,8 @@ func (s Scenario) WithoutCompiledIR() Scenario {
 }
 
 // WithoutSpeculation returns a copy of the scenario with
-// Layers.NoSpeculate set: every branch feasibility query is solved
-// synchronously.
+// Layers.NoSpeculate set: every symbolic branch and assume is decided
+// where it stands.
 func (s Scenario) WithoutSpeculation() Scenario {
 	s.cfg.Layers.NoSpeculate = true
 	return s
@@ -361,7 +361,7 @@ func (r *Report) Stats() RunStats { return r.res.Stats }
 // (queries, cache and pool hits, incremental solves, conflicts).
 func (r *Report) SolverStats() SolverStats { return r.res.Stats.Solver }
 
-// SpecStats returns the run's speculative-fork pipeline counters.
+// SpecStats returns the run's speculative-forking counters.
 func (r *Report) SpecStats() SpecStats { return r.res.Stats.Spec }
 
 // VMStats returns the run's VM counters (the block counters are zero when

@@ -7,11 +7,11 @@ import (
 	"sde"
 )
 
-// BenchmarkSpeculativePipeline is the speculative-fork pipeline's
-// acceptance benchmark: the entangled assume-chain workload (see
-// speculationWorkload) run synchronously versus through the
-// asynchronous pipeline (one solver worker per CPU). The model pool is on
-// in both modes, as it is in every run.
+// BenchmarkSpeculativePipeline measures speculative forking on the
+// entangled assume-chain workload (see speculationWorkload): decided where
+// each branch stands (sync) versus run on and decided at the resolution
+// barriers, on the same solver (spec). The model pool is on in both modes,
+// as it is in every run.
 func BenchmarkSpeculativePipeline(b *testing.B) {
 	build := func() sde.Scenario { return speculationWorkload(b, 32) }
 	modes := []struct {
