@@ -55,7 +55,9 @@ func wideNet(tb testing.TB, half int) (Mapper[*mockState], []*mockState) {
 // every SDE run. COW pays for bystander forks, SDS only for virtual
 // bookkeeping. SDS-wide is the send that dominates SDS at paper traffic:
 // its target is in 258 to 513 dstates and only one holds the sender, so
-// every other virtual state of the target moves to the fork.
+// every other virtual state of the target moves to the fork. SDS-wide-4096
+// is the same send on lists 16 times as long; the fork takes the target's
+// list whole, so it costs what SDS-wide does.
 func BenchmarkMapSend(b *testing.B) {
 	for _, algo := range []Algorithm{COWAlgorithm, SDSAlgorithm} {
 		algo := algo
@@ -71,22 +73,28 @@ func BenchmarkMapSend(b *testing.B) {
 			}
 		})
 	}
-	b.Run("SDS-wide", func(b *testing.B) {
-		b.ReportAllocs()
-		var m Mapper[*mockState]
-		var senders []*mockState
-		for i := 0; i < b.N; i++ {
-			if len(senders) == 0 {
-				b.StopTimer()
-				m, senders = wideNet(b, 256)
-				b.StartTimer()
-			}
-			if _, err := doSend(m, senders[0], 1, uint64(i)); err != nil {
-				b.Fatal(err)
-			}
-			senders = senders[1:]
+	for _, half := range []int{256, 4096} {
+		name := "SDS-wide"
+		if half != 256 {
+			name = fmt.Sprintf("SDS-wide-%d", half)
 		}
-	})
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			var m Mapper[*mockState]
+			var senders []*mockState
+			for i := 0; i < b.N; i++ {
+				if len(senders) == 0 {
+					b.StopTimer()
+					m, senders = wideNet(b, half)
+					b.StartTimer()
+				}
+				if _, err := doSend(m, senders[0], 1, uint64(i)); err != nil {
+					b.Fatal(err)
+				}
+				senders = senders[1:]
+			}
+		})
+	}
 }
 
 // BenchmarkOnBranch measures the local-branch cost: free for COW/SDS,

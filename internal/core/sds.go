@@ -1,60 +1,115 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math/big"
+	"slices"
 )
 
 // vstate is a virtual state (§III-C): a lightweight reference to an actual
 // execution state, living in exactly one dstate. An actual state has one
 // or more virtual states; the set of dstates reachable through them is the
 // state's super-dstate. Virtual states of one actual state form an
-// intrusive singly-linked list (next) — appends during dstate splits are
-// the hottest operation of large runs and must not reallocate. list points
-// back at that list, so a send reaches a virtual state's super-dstate
-// without looking its actual state up.
+// intrusive doubly-linked list — appends during dstate splits are the
+// hottest operation of large runs and must not reallocate. list points
+// back at that list, which holds the actual state: a send reaches a
+// virtual state's super-dstate and actual state without a lookup, and
+// hands a whole list to a fork by relabelling the list alone.
 type vstate[S StateHandle[S]] struct {
-	actual S
-	ds     *vDState[S]
-	next   *vstate[S]
-	list   *vlist[S]
-	mark   uint64 // == SDS.epoch: does not receive the current send
+	ds *vDState[S]
+	// link[0] points toward the list's end[0], link[1] toward its end[1];
+	// pos strictly ascends from end[0] to end[1].
+	link [2]*vstate[S]
+	list *vlist[S]
+	pos  int64
 }
 
-// vlist is the super-dstate of one actual state: its virtual states.
+// vlist is the super-dstate of one actual state: its virtual states,
+// head first from end[head]. Flipping head reverses the list in O(1).
 type vlist[S StateHandle[S]] struct {
-	head *vstate[S]
-	n    int
-	seen uint64 // == SDS.epoch: already a target of the current send
+	actual S
+	end    [2]*vstate[S]
+	seen   uint64 // == SDS.epoch: already a target of the current send
+	n      int32
+	// While seen == SDS.epoch: how many of the list's virtual states
+	// receive the current send, and the list's index among its targets.
+	recv int32
+	slot int32
+	head uint8
 }
 
-// prepend makes v the head of l; every list insertion goes through here,
-// which keeps v.list right.
+// first returns the head of l, nil if l is empty.
+func (l *vlist[S]) first() *vstate[S] { return l.end[l.head] }
+
+// next returns the virtual state after v in head-first order.
+func (l *vlist[S]) next(v *vstate[S]) *vstate[S] { return v.link[1^l.head] }
+
+// prepend makes v the head of l, one position beyond the old head; every
+// list insertion but a fork's receivers goes through here, which keeps
+// v.list right.
 func (l *vlist[S]) prepend(v *vstate[S]) {
-	v.next = l.head
+	h := l.head
+	old := l.end[h]
 	v.list = l
-	l.head = v
+	v.link[h], v.link[1^h] = nil, old
+	if old == nil {
+		v.pos = 0
+		l.end[1^h] = v
+	} else {
+		old.link[h] = v
+		v.pos = old.pos + int64(h)*2 - 1
+	}
+	l.end[h] = v
 	l.n++
+}
+
+// push links v at end[1] of l, keeping its position, which must be above
+// every position in l.
+func (l *vlist[S]) push(v *vstate[S]) {
+	v.list = l
+	v.link = [2]*vstate[S]{l.end[1], nil}
+	if l.end[1] != nil {
+		l.end[1].link[1] = v
+	} else {
+		l.end[0] = v
+	}
+	l.end[1] = v
+	l.n++
+}
+
+// unlink takes v out of l; v keeps its position.
+func (l *vlist[S]) unlink(v *vstate[S]) {
+	for e := range 2 {
+		if u := v.link[e]; u != nil {
+			u.link[1-e] = v.link[1-e]
+		} else {
+			l.end[e] = v.link[1-e]
+		}
+	}
+	v.link = [2]*vstate[S]{}
+	l.n--
 }
 
 // vDState is a dstate over virtual states.
 type vDState[S StateHandle[S]] struct {
 	id     int
 	byNode [][]*vstate[S] // indexed by node id
-	// While sendEpoch == SDS.epoch the dstate holds a virtual state of the
-	// current sender, and rivals says whether the sender's node has any
-	// other virtual state here.
-	sendEpoch uint64
-	rivals    bool
+	// rivals says, for a dstate holding a virtual state of the current
+	// sender, whether the sender's node has any other virtual state here.
+	// Phase 1 of each send sets it on every sender dstate before use.
+	rivals bool
 }
 
+// add files v under its actual state's node; v must be on its list.
 func (d *vDState[S]) add(v *vstate[S]) {
 	v.ds = d
-	d.byNode[v.actual.NodeID()] = append(d.byNode[v.actual.NodeID()], v)
+	node := v.list.actual.NodeID()
+	d.byNode[node] = append(d.byNode[node], v)
 }
 
 func (d *vDState[S]) remove(v *vstate[S]) bool {
-	node := v.actual.NodeID()
+	node := v.list.actual.NodeID()
 	bucket := d.byNode[node]
 	for i, u := range bucket {
 		if u == v {
@@ -81,6 +136,10 @@ type SDS[S StateHandle[S]] struct {
 	// one. Stamps are transient: snapshots leave them out, and a restored
 	// mapper starts at epoch 0 with every stamp 0.
 	epoch uint64
+	// Per-send scratch, reused across sends: the targets, and the virtual
+	// states that receive.
+	targets []sendTarget[S]
+	recvBuf []*vstate[S]
 }
 
 // NewSDS returns an empty SDS mapper for a k-node network.
@@ -112,10 +171,10 @@ func (m *SDS[S]) Register(s S) {
 	if len(d.byNode[node]) != 0 {
 		panic(fmt.Sprintf("core: SDS.Register node %d twice", node))
 	}
-	v := &vstate[S]{actual: s}
-	d.add(v)
-	l := &vlist[S]{}
+	v := &vstate[S]{}
+	l := &vlist[S]{actual: s}
 	l.prepend(v)
+	d.add(v)
 	m.virtuals[s] = l
 	m.nRegister++
 }
@@ -127,11 +186,11 @@ func (m *SDS[S]) OnBranch(orig, sibling S) []S {
 	if !ok {
 		panic(fmt.Sprintf("core: SDS.OnBranch of unknown state %d", orig.ID()))
 	}
-	sibList := &vlist[S]{}
-	for vs := origList.head; vs != nil; vs = vs.next {
-		v2 := &vstate[S]{actual: sibling}
-		vs.ds.add(v2)
+	sibList := &vlist[S]{actual: sibling}
+	for vs := origList.first(); vs != nil; vs = origList.next(vs) {
+		v2 := &vstate[S]{}
 		sibList.prepend(v2)
+		vs.ds.add(v2)
 	}
 	m.virtuals[sibling] = sibList
 	return nil
@@ -152,7 +211,11 @@ func (m *SDS[S]) OnBranch(orig, sibling S) []S {
 //     copies attach to the *same* actual state, so no bystander is ever
 //     duplicated.
 //
-// The original target receives the packet; its fork does not.
+// The original target receives the packet; its fork does not. A send
+// costs time in the sender's virtual states, the receiving virtual states
+// and the split copies, not in the length of the targets' super-dstates:
+// the fork takes a target's list whole and the target keeps only its
+// receivers.
 func (m *SDS[S]) MapSend(sender S, dst int) (Delivery[S], error) {
 	if err := validateSend[S](m.k, sender, dst); err != nil {
 		return Delivery[S]{}, err
@@ -165,40 +228,40 @@ func (m *SDS[S]) MapSend(sender S, dst int) (Delivery[S], error) {
 	m.epoch++
 	epoch := m.epoch
 
-	// Phase 1+2: stamp every sender dstate and whether it holds direct
-	// rivals — any virtual state of the sender's node besides the sending
-	// one, which the bucket always holds — and collect the actual targets
-	// with their super-dstates, each once, in first-seen order.
+	// Phase 1+2: note whether each sender dstate holds direct rivals —
+	// any virtual state of the sender's node besides the sending one,
+	// which the bucket always holds — and collect the actual targets with
+	// their super-dstates, each once, in first-seen order. A virtual target
+	// receives iff its dstate has no rivals: gather those and count them
+	// per target.
 	var delivery Delivery[S]
-	var targets []sendTarget[S]
-	for vs := senderList.head; vs != nil; vs = vs.next {
+	targets := m.targets[:0]
+	recv := m.recvBuf[:0]
+	for vs := senderList.first(); vs != nil; vs = senderList.next(vs) {
 		d := vs.ds
-		d.sendEpoch, d.rivals = epoch, len(d.byNode[senderNode]) > 1
+		d.rivals = len(d.byNode[senderNode]) > 1
 		for _, vt := range d.byNode[dst] {
-			if l := vt.list; l.seen != epoch {
-				l.seen = epoch
-				delivery.Receivers = append(delivery.Receivers, vt.actual)
+			l := vt.list
+			if l.seen != epoch {
+				l.seen, l.recv, l.slot = epoch, 0, int32(len(targets))
+				delivery.Receivers = append(delivery.Receivers, l.actual)
 				targets = append(targets, sendTarget[S]{list: l})
+			}
+			if !d.rivals {
+				l.recv++
+				recv = append(recv, vt)
 			}
 		}
 	}
 
-	// Phase 3: mark each target's non-receiving virtual states — those in
-	// a dstate without the sender (super-rival case) or in one that will be
-	// split (direct-rival case) — and fork every target that has one.
+	// Phase 3: fork every target with a virtual state that does not
+	// receive — one in a dstate without the sender (super-rival case) or
+	// in one that will be split (direct-rival case).
 	for i := range targets {
 		tg := &targets[i]
-		fork := false
-		for vt := tg.list.head; vt != nil; vt = vt.next {
-			if d := vt.ds; d.sendEpoch != epoch || d.rivals {
-				vt.mark = epoch
-				fork = true
-			}
-		}
-		if fork {
-			tg.fork = delivery.Receivers[i].Fork()
-			tg.forkList = &vlist[S]{}
-			m.virtuals[tg.fork] = tg.forkList
+		if l := tg.list; l.recv < l.n {
+			tg.fork = l.actual.Fork()
+			tg.kept = &vlist[S]{actual: l.actual, head: 1 ^ l.head}
 			delivery.Forked = append(delivery.Forked, tg.fork)
 		}
 	}
@@ -217,7 +280,7 @@ func (m *SDS[S]) MapSend(sender S, dst int) (Delivery[S], error) {
 	// later add to it reallocates that bucket alone. The trade: the
 	// virtual states of a fresh dstate live and die as one object, so one
 	// of them still linked into a super-dstate keeps the whole block.
-	for vs := senderList.head; vs != nil; vs = vs.next {
+	for vs := senderList.first(); vs != nil; vs = senderList.next(vs) {
 		d := vs.ds
 		if !d.rivals {
 			continue // virtual delivery in place; nothing to restructure
@@ -241,9 +304,12 @@ func (m *SDS[S]) MapSend(sender S, dst int) (Delivery[S], error) {
 			n := len(bucket)
 			for i, v := range bucket {
 				v2 := &copies[off+i]
-				v2.actual, v2.ds = v.actual, fresh
+				v2.ds = fresh
 				ptrs[off+i] = v2
 				v.list.prepend(v2)
+			}
+			if node == dst {
+				recv = append(recv, ptrs[off:off+n]...) // each of a forked target
 			}
 			fresh.byNode[node] = ptrs[off : off+n : off+n]
 			off += n
@@ -251,54 +317,66 @@ func (m *SDS[S]) MapSend(sender S, dst int) (Delivery[S], error) {
 		m.dstates = append(m.dstates, fresh)
 	}
 
-	// Phase 4b: reassign the non-receiving original virtual states of
-	// each forked target to the fork (Figure 7: "vt is only moved to t'
-	// without changing vt's dstate"), partitioning each target's list in
-	// one pass. The target keeps its vlist object; the unmarked virtual
-	// states are prepended back onto it.
-	for _, tg := range targets {
-		if tg.forkList == nil {
-			continue
-		}
-		list := tg.list
-		vt := list.head
-		list.head, list.n = nil, 0
-		for vt != nil {
-			next := vt.next
-			if vt.mark == epoch {
-				vt.actual = tg.fork
-				tg.forkList.prepend(vt)
-			} else {
-				list.prepend(vt)
-			}
-			vt = next
+	// Phase 4b: hand each forked target's non-receiving virtual states to
+	// the fork (Figure 7: "vt is only moved to t' without changing vt's
+	// dstate"). The fork takes the target's list object with them still
+	// in it; the receivers move to a fresh list for the target. Each side
+	// keeps the reverse of its order in the target's list (order is
+	// behaviour; TestMapperStructureGolden pins it): the fork's list is
+	// the remaining chain with its head flipped, the target's its
+	// receivers linked in position order under the flipped head. Sorting
+	// by position alone orders each target's receivers, whatever the
+	// positions of other lists.
+	n := 0
+	for _, v := range recv {
+		if targets[v.list.slot].kept != nil {
+			recv[n] = v
+			n++
 		}
 	}
+	recv = recv[:n]
+	slices.SortFunc(recv, func(a, b *vstate[S]) int { return cmp.Compare(a.pos, b.pos) })
+	for _, v := range recv {
+		l := v.list
+		l.unlink(v)
+		targets[l.slot].kept.push(v)
+	}
+	for _, tg := range targets {
+		if tg.kept == nil {
+			continue
+		}
+		l := tg.list
+		l.actual, l.head = tg.fork, 1^l.head
+		m.virtuals[tg.kept.actual] = tg.kept
+		m.virtuals[tg.fork] = l
+	}
+	m.targets, m.recvBuf = targets, recv
 	return delivery, nil
 }
 
 // sendTarget is one actual target of a send: its super-dstate and, if the
-// send forks it, the fork and the fork's super-dstate.
+// send forks it, the fork, which takes that list, and the fresh list of
+// the target's receiving virtual states.
 type sendTarget[S StateHandle[S]] struct {
-	list     *vlist[S]
-	fork     S
-	forkList *vlist[S]
+	list *vlist[S]
+	fork S
+	kept *vlist[S]
 }
 
 // ScenarioFor implements Mapper: s plus the first actual state of every
 // other node in the dstate of s's first virtual state.
 func (m *SDS[S]) ScenarioFor(s S) ([]S, bool) {
 	l, ok := m.virtuals[s]
-	if !ok || l.head == nil {
+	if !ok || l.n == 0 {
 		return nil, false
 	}
-	d := l.head.ds
+	d := l.first().ds
 	out := make([]S, m.k)
 	for node := 0; node < m.k; node++ {
 		if node == s.NodeID() {
 			out[node] = s
 		} else {
-			out[node] = d.byNode[node][0].actual
+			out[node] = d.byNode[node][0].list.actual
 		}
 	}
 	return out, true
@@ -312,7 +390,7 @@ func (m *SDS[S]) NumStates() int { return len(m.virtuals) }
 func (m *SDS[S]) NumVirtualStates() int {
 	n := 0
 	for _, l := range m.virtuals {
-		n += l.n
+		n += int(l.n)
 	}
 	return n
 }
@@ -323,7 +401,7 @@ func (m *SDS[S]) NumGroups() int { return len(m.dstates) }
 // SuperDStateSize returns how many dstates the state belongs to.
 func (m *SDS[S]) SuperDStateSize(s S) int {
 	if l, ok := m.virtuals[s]; ok {
-		return l.n
+		return int(l.n)
 	}
 	return 0
 }
@@ -362,7 +440,7 @@ func (m *SDS[S]) ExplodeFunc(limit int, fn func([]S) bool) {
 		for node, bucket := range d.byNode {
 			actuals := make([]S, len(bucket))
 			for i, v := range bucket {
-				actuals[i] = v.actual
+				actuals[i] = v.list.actual
 			}
 			byNode[node] = actuals
 		}
@@ -379,9 +457,9 @@ func (m *SDS[S]) ForEachState(f func(S)) {
 	for _, d := range m.dstates {
 		for _, bucket := range d.byNode {
 			for _, v := range bucket {
-				if !seen[v.actual] {
-					seen[v.actual] = true
-					f(v.actual)
+				if s := v.list.actual; !seen[s] {
+					seen[s] = true
+					f(s)
 				}
 			}
 		}
@@ -397,7 +475,7 @@ func (m *SDS[S]) DStateActuals() [][][]S {
 		ds := make([][]S, m.k)
 		for node, bucket := range d.byNode {
 			for _, v := range bucket {
-				ds[node] = append(ds[node], v.actual)
+				ds[node] = append(ds[node], v.list.actual)
 			}
 		}
 		out = append(out, ds)
@@ -407,9 +485,12 @@ func (m *SDS[S]) DStateActuals() [][][]S {
 
 // CheckInvariants implements Mapper: every dstate holds at least one
 // virtual state per node; no two virtual states of one dstate share an
-// actual state (Figure 8a caption); back-pointers are consistent; every
-// actual state has at least one virtual state; and same-node actual
-// states within a dstate have identical communication histories.
+// actual state (Figure 8a caption); back-pointers are consistent — a
+// virtual state's list is its actual state's super-dstate; every list's
+// links mirror each other and its positions strictly ascend from end[0]
+// to end[1]; every actual state has at least one virtual state; and
+// same-node actual states within a dstate have identical communication
+// histories.
 func (m *SDS[S]) CheckInvariants() error {
 	if m.nRegister != m.k {
 		return fmt.Errorf("core: SDS: registration incomplete (%d of %d)", m.nRegister, m.k)
@@ -422,59 +503,64 @@ func (m *SDS[S]) CheckInvariants() error {
 			}
 			actuals := make(map[S]bool, len(bucket))
 			for _, v := range bucket {
-				if v.actual.NodeID() != node {
+				if v.list == nil || m.virtuals[v.list.actual] != v.list {
+					return fmt.Errorf("core: SDS: virtual state in dstate %d is not on its actual state's super-dstate", d.id)
+				}
+				s := v.list.actual
+				if s.NodeID() != node {
 					return fmt.Errorf("core: SDS: dstate %d node %d holds virtual of node %d",
-						d.id, node, v.actual.NodeID())
+						d.id, node, s.NodeID())
 				}
 				if v.ds != d {
 					return fmt.Errorf("core: SDS: virtual state back-pointer stale in dstate %d", d.id)
 				}
-				if actuals[v.actual] {
-					return fmt.Errorf("core: SDS: dstate %d holds two virtuals of state %d",
-						d.id, v.actual.ID())
+				if actuals[s] {
+					return fmt.Errorf("core: SDS: dstate %d holds two virtuals of state %d", d.id, s.ID())
 				}
-				actuals[v.actual] = true
+				actuals[s] = true
 				attached[v] = true
-				found := false
-				for u := m.virtuals[v.actual].head; u != nil; u = u.next {
-					if u == v {
-						found = true
-						break
-					}
-				}
-				if !found {
-					return fmt.Errorf("core: SDS: virtual of state %d missing from its super-dstate",
-						v.actual.ID())
-				}
 			}
-			first := bucket[0].actual
+			first := bucket[0].list.actual
 			for _, v := range bucket[1:] {
-				if v.actual.HistoryHash() != first.HistoryHash() {
+				if s := v.list.actual; s.HistoryHash() != first.HistoryHash() {
 					return fmt.Errorf("core: SDS: dstate %d node %d holds conflicting states %d and %d",
-						d.id, node, first.ID(), v.actual.ID())
+						d.id, node, first.ID(), s.ID())
 				}
 			}
 		}
 	}
+	// Each list is walked from end[0]; the strictly ascending positions
+	// also stop a walk that a broken link would send round a cycle.
 	total := 0
 	for s, l := range m.virtuals {
-		if l.head == nil {
+		if l.actual != s {
+			return fmt.Errorf("core: SDS: super-dstate of state %d belongs to state %d", s.ID(), l.actual.ID())
+		}
+		if l.n == 0 {
 			return fmt.Errorf("core: SDS: state %d has no virtual states", s.ID())
 		}
 		count := 0
-		for v := l.head; v != nil; v = v.next {
-			count++
+		var prev *vstate[S]
+		for v := l.end[0]; v != nil; prev, v = v, v.link[1] {
+			if v.link[0] != prev {
+				return fmt.Errorf("core: SDS: super-dstate of state %d has links that do not mirror", s.ID())
+			}
+			if prev != nil && v.pos <= prev.pos {
+				return fmt.Errorf("core: SDS: super-dstate of state %d has position %d after %d",
+					s.ID(), v.pos, prev.pos)
+			}
 			if v.list != l {
 				return fmt.Errorf("core: SDS: virtual of state %d points at another super-dstate", s.ID())
 			}
 			if !attached[v] {
 				return fmt.Errorf("core: SDS: dangling virtual state of %d", s.ID())
 			}
-			if v.actual != s {
-				return fmt.Errorf("core: SDS: super-dstate of %d lists foreign virtual", s.ID())
-			}
+			count++
 		}
-		if count != l.n {
+		if prev != l.end[1] {
+			return fmt.Errorf("core: SDS: super-dstate of state %d does not end at its end[1]", s.ID())
+		}
+		if count != int(l.n) {
 			return fmt.Errorf("core: SDS: state %d list count %d != recorded %d", s.ID(), count, l.n)
 		}
 		total += count

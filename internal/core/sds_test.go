@@ -2,7 +2,9 @@ package core
 
 import (
 	"math/big"
+	"strings"
 	"testing"
+	"unsafe"
 )
 
 // TestSDSBranchJoinsAllDStates: after a branch, the sibling must appear in
@@ -201,12 +203,12 @@ func buildFigure8() (m *SDS[*mockState], sender *mockState, actual map[string]*m
 		d := m.newDState()
 		for _, n := range names {
 			s := actual[n]
-			v := &vstate[*mockState]{actual: s}
-			d.add(v)
+			v := &vstate[*mockState]{}
 			if m.virtuals[s] == nil {
-				m.virtuals[s] = &vlist[*mockState]{}
+				m.virtuals[s] = &vlist[*mockState]{actual: s}
 			}
 			m.virtuals[s].prepend(v)
+			d.add(v)
 		}
 		m.dstates = append(m.dstates, d)
 	}
@@ -378,5 +380,57 @@ func TestSDSForEachStateVisitsOnce(t *testing.T) {
 	}
 	if len(counts) != m.NumStates() {
 		t.Errorf("visited %d states, NumStates = %d", len(counts), m.NumStates())
+	}
+}
+
+// TestSDSInvariantsCatchBrokenLists: CheckInvariants reports a super-dstate
+// whose links do not mirror each other and one whose positions do not
+// ascend, and passes again once each is repaired.
+func TestSDSInvariantsCatchBrokenLists(t *testing.T) {
+	mm, _ := wideNet(t, 2)
+	m := mm.(*SDS[*mockState])
+	var l *vlist[*mockState]
+	for _, cand := range m.virtuals {
+		if cand.n >= 3 {
+			l = cand
+		}
+	}
+	if l == nil {
+		t.Fatal("no super-dstate with three virtual states")
+	}
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatalf("before any damage: %v", err)
+	}
+	mid := l.end[0].link[1]
+
+	saved := mid.link[0]
+	mid.link[0] = nil
+	if err := m.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "links that do not mirror") {
+		t.Errorf("a broken link reported as %v", err)
+	}
+	mid.link[0] = saved
+
+	after := mid.link[1]
+	mid.pos, after.pos = after.pos, mid.pos
+	if err := m.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "position") {
+		t.Errorf("an out-of-order position reported as %v", err)
+	}
+	mid.pos, after.pos = after.pos, mid.pos
+
+	if err := m.CheckInvariants(); err != nil {
+		t.Errorf("after repair: %v", err)
+	}
+}
+
+// TestVirtualStateSizes guards the size of SDS's per-virtual-state and
+// per-state records, of which a paper-scale run holds millions: a virtual
+// state is its dstate, two links, its list and a position; a list fits
+// its actual state, two ends, the send stamps and narrow counters.
+func TestVirtualStateSizes(t *testing.T) {
+	if got := unsafe.Sizeof(vstate[*mockState]{}); got > 40 {
+		t.Errorf("a virtual state takes %d bytes, want at most 40", got)
+	}
+	if got := unsafe.Sizeof(vlist[*mockState]{}); got > 64 {
+		t.Errorf("a super-dstate list takes %d bytes, want at most 64", got)
 	}
 }

@@ -97,7 +97,7 @@ func SnapshotMapper[S StateHandle[S]](m Mapper[S]) (*MapperSnapshot, error) {
 		}
 		nv := 0
 		for _, l := range mm.virtuals {
-			nv += l.n
+			nv += int(l.n)
 		}
 		buckets := make([][]uint64, len(mm.dstates)*mm.k)
 		ids := make([]uint64, 0, nv)
@@ -105,7 +105,7 @@ func SnapshotMapper[S StateHandle[S]](m Mapper[S]) (*MapperSnapshot, error) {
 			img := VDStateImage{ID: d.id, ByNode: buckets[i*mm.k : (i+1)*mm.k : (i+1)*mm.k]}
 			for node, bucket := range d.byNode {
 				for _, v := range bucket {
-					ids = append(ids, v.actual.ID())
+					ids = append(ids, v.list.actual.ID())
 				}
 				img.ByNode[node] = ids[len(ids)-len(bucket) : len(ids) : len(ids)]
 			}
@@ -125,7 +125,7 @@ func SnapshotMapper[S StateHandle[S]](m Mapper[S]) (*MapperSnapshot, error) {
 			list := dsIDs[:o.l.n:o.l.n]
 			dsIDs = dsIDs[o.l.n:]
 			i := 0
-			for v := o.l.head; v != nil; v = v.next {
+			for v := o.l.first(); v != nil; v = o.l.next(v) {
 				list[i] = v.ds.id
 				i++
 			}
@@ -295,7 +295,7 @@ func restoreSDS[S StateHandle[S]](sp *MapperSnapshot, lookup func(uint64) (S, bo
 	m.dstates = make([]*vDState[S], 0, nd)
 	byID := make([]*vDState[S], nd)
 	// pending[j] heads the virtual states of supers[j]'s state made so far,
-	// newest first, linked through next until their list is built.
+	// newest first, linked through link[0] until their list is built.
 	pending := make([]*vstate[S], len(supers))
 	for _, img := range sp.VDStates {
 		if img.ID < 0 || img.ID >= nd {
@@ -337,7 +337,7 @@ func restoreSDS[S StateHandle[S]](sp *MapperSnapshot, lookup func(uint64) (S, bo
 					return nil, fmt.Errorf("core: state %d twice in SDS dstate %d", id, img.ID)
 				}
 				v := &block[off+i]
-				v.actual, v.ds, v.next = s, d, pending[j]
+				v.ds, v.link[0] = d, pending[j]
 				pending[j] = v
 				ptrs[off+i] = v
 			}
@@ -352,11 +352,12 @@ func restoreSDS[S StateHandle[S]](sp *MapperSnapshot, lookup func(uint64) (S, bo
 	slot := make([]*vstate[S], nd) // by dstate id: the current state's virtual state there
 	for j, si := range supers {
 		queued := 0
-		for v := pending[j]; v != nil; v = v.next {
+		for v := pending[j]; v != nil; v = v.link[0] {
 			slot[v.ds.id] = v
 			queued++
 		}
 		l := &lists[j]
+		l.actual = actual[j]
 		// prepend builds the list back-to-front, so feed it the stored
 		// head-first order in reverse.
 		for i := len(si.DStateIDs) - 1; i >= 0; i-- {
@@ -373,11 +374,11 @@ func restoreSDS[S StateHandle[S]](sp *MapperSnapshot, lookup func(uint64) (S, bo
 			}
 			l.prepend(v)
 		}
-		if l.n != queued {
+		if int(l.n) != queued {
 			return nil, fmt.Errorf("core: %d virtual states of state %d not claimed by its super-dstate",
-				queued-l.n, si.StateID)
+				queued-int(l.n), si.StateID)
 		}
-		for v := l.head; v != nil; v = v.next {
+		for v := l.first(); v != nil; v = l.next(v) {
 			slot[v.ds.id] = nil
 		}
 		m.virtuals[actual[j]] = l

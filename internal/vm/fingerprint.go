@@ -1,5 +1,7 @@
 package vm
 
+import "sde/internal/expr"
+
 // Fingerprint returns a structural hash of the state's full configuration:
 // program position, registers, memory, path condition, communication
 // history, and pending events. Two states with equal fingerprints are
@@ -88,32 +90,41 @@ func (s *State) HistoryHash() uint64 {
 }
 
 func (s *State) memoryHash() uint64 {
-	eb := s.ctx.Exprs
 	h := uint64(14695981039346656037)
 	for _, sl := range s.mem.slots { // in page order
-		ph := uint64(0)
-		for wi, id := range &sl.p.words {
-			if id == 0 {
-				continue
-			}
-			w := eb.Node(id)
-			// Words explicitly stored as 0 hash like untouched words, so
-			// layouts differing only in dirty-zero words match.
-			if w.IsConst() && w.ConstVal() == 0 {
-				continue
-			}
-			ph ^= (uint64(wi) + 0x9e3779b97f4a7c15) * 1099511628211
-			ph ^= w.Hash() * 0x9e3779b97f4a7c15
+		p := sl.p
+		if !p.hashed {
+			p.hash, p.hashed = pageHash(s.ctx.Exprs, &p.words), true
 		}
 		// A page holding only zeros is indistinguishable from an absent
 		// page.
-		if ph == 0 {
+		if p.hash == 0 {
 			continue
 		}
 		h ^= uint64(sl.idx)
 		h *= 1099511628211
-		h ^= ph
+		h ^= p.hash
 		h *= 1099511628211
 	}
 	return h
+}
+
+// pageHash is one page's term of the memory hash, 0 for a page holding
+// only zeros.
+func pageHash(eb *expr.Builder, words *[pageWords]uint32) uint64 {
+	ph := uint64(0)
+	for wi, id := range words {
+		if id == 0 {
+			continue
+		}
+		w := eb.Node(id)
+		// Words explicitly stored as 0 hash like untouched words, so
+		// layouts differing only in dirty-zero words match.
+		if w.IsConst() && w.ConstVal() == 0 {
+			continue
+		}
+		ph ^= (uint64(wi) + 0x9e3779b97f4a7c15) * 1099511628211
+		ph ^= w.Hash() * 0x9e3779b97f4a7c15
+	}
+	return ph
 }

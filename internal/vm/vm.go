@@ -158,12 +158,18 @@ const PageBytes = pageWords * 4
 // the one stamp a snapshot needs to share a page without a map; a copy-on-
 // write split copies the words only, so a fresh page carries no stamp. The
 // stamp follows the words, which keep the offset the VM's loads and stores
-// have always used.
+// have always used. hash memoizes the page's term of the fingerprint while
+// hashed is set: a store clears it, and a page made by a split or a restore
+// starts without it, so a fingerprint rehashes only the pages written since
+// the last one. A page is written only while it is unshared, so the memo
+// holds for every state that shares it.
 type page struct {
 	ref        int32
 	words      [pageWords]uint32
 	tableIdx   uint32
 	tableEpoch uint64
+	hash       uint64
+	hashed     bool
 }
 
 // pageSlot is one entry of a state's page table.
@@ -253,6 +259,7 @@ func (m *memory) store(addr uint32, v uint32) {
 		p = m.slots[i].p
 	}
 	p.words[addr&pageMask] = v
+	p.hashed = false
 }
 
 // release drops this memory's page references; a page whose last reference
