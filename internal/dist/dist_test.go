@@ -285,6 +285,7 @@ func TestServiceVersionNegotiation(t *testing.T) {
 		{"wire-8", 8},   // the last version whose snapshots and stats carried state merging
 		{"wire-9", 9},   // the last version whose stats carried symmetry reduction
 		{"wire-10", 10}, // the last version whose stats carried the query optimizer's counters
+		{"wire-11", 11}, // the last version with a positional stats section and FNV-1a checksums
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			conn, err := net.Dial("tcp", addr)

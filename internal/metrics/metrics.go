@@ -139,9 +139,9 @@ type SolverStats struct {
 // resolved, and how long resolution took. The VM counts every field but
 // Workers. All zero when speculation is disabled.
 type SpecStats struct {
-	// Workers is no longer set: speculation has no solver workers. It stays
-	// so the snapshot format does not change, and leaves at the next
-	// format bump.
+	// Workers is no longer set: speculation has no solver workers. Always
+	// zero, it is left out of the snapshot's stats section (omitempty); it
+	// goes with SpecStats when speculation is deleted (ROADMAP item 2c).
 	Workers int `json:"workers,omitempty"`
 
 	Submitted    int64 `json:"submitted,omitempty"`     // speculations made (a branch pair counts once)

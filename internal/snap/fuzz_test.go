@@ -8,11 +8,38 @@ package snap_test
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
+	"sde/internal/core"
 	"sde/internal/expr"
+	"sde/internal/metrics"
 	"sde/internal/snap"
 )
+
+// everyCounter returns run stats with every counter set, each to a
+// distinct value.
+func everyCounter() metrics.RunStats {
+	var st metrics.RunStats
+	n := int64(0)
+	var fill func(v reflect.Value)
+	fill = func(v reflect.Value) {
+		switch {
+		case v.Kind() == reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				fill(v.Field(i))
+			}
+		case v.CanInt():
+			n++
+			v.SetInt(n * 1000003)
+		default:
+			n++
+			v.SetUint(uint64(n * 1000003))
+		}
+	}
+	fill(reflect.ValueOf(&st).Elem())
+	return st
+}
 
 func FuzzDecode(f *testing.F) {
 	// Seed with real snapshots from all three algorithms so the fuzzer
@@ -30,6 +57,14 @@ func FuzzDecode(f *testing.F) {
 		mut[len(mut)/3] ^= 0xff
 		f.Add(mut)
 	}
+	// A stats section with every counter named.
+	sp, b := liveSnapshot(f, core.SDSAlgorithm, 30)
+	sp.Stats = everyCounter()
+	data, err := sp.Encode(b)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(data)
 	// Checksum-valid snapshots whose id counters lie (2^40).
 	_, _, hostile := hostileSnapshots(f)
 	for _, data := range hostile {

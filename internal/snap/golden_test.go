@@ -29,12 +29,12 @@ func timeless(sp *snap.Snapshot) {
 // fails here, and must come with a format version bump and new hashes.
 func TestEncodeGolden(t *testing.T) {
 	want := map[string]string{
-		"COB/3":  "b1d1b60f62fdeda65d7a92f172a193a79a7e820f39febeda32602fc83cddecb4",
-		"COB/60": "7f0056b52231d2767d705eec860ac07bc3d97fbf523ff3b8d62ad55dc3f877d6",
-		"COW/3":  "54bbf24be1784efef021d4caa7a401c15d1f8e726c6372705dfed3b52c603e81",
-		"COW/60": "221f609bd6c8b8f2d22e8daabe682db717f0febb96d961b58900b838327c7d3b",
-		"SDS/3":  "9b39cb9d5dff88fd8c882f59fb213679de90fae4ed140d3d2bcadfb9340fbeaf",
-		"SDS/60": "f5beffdabc6f2a91be46a174e85eb0c6abdc3281baa90c22b802992242f31d94",
+		"COB/3":  "6a2d94e0d9ee8afdd9fe280057fdcce597b03dd1651ffa9b3771b413cf0c777e",
+		"COB/60": "68e44671f953c6ae4d506b943277c3e853edef2ad0e6e2fc2bc9b2132a848a7d",
+		"COW/3":  "19c719f3bfaea921679012fd201d9700d231b4450895487c87653d8025be6965",
+		"COW/60": "9b65a601503e644c6b83a1fcd2fe3393d2718bc92c01489b1c6acdec2f75684f",
+		"SDS/3":  "52436ff3077f50c2ca6be9fa3746f03c37f6e33494545073fcd5a957b7f6fc7e",
+		"SDS/60": "72c344125049a820d6cefa0d0bf96a8eff2407a26449f72aa09f105c20c2fff0",
 	}
 	for _, algo := range allAlgorithms {
 		for _, steps := range []int{3, 60} {

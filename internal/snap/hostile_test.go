@@ -5,7 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
+	"hash/crc32"
 	"math"
 	"runtime"
 	"strings"
@@ -169,9 +169,7 @@ func hostileCount(tb testing.TB, list string, n uint64) []byte {
 	}
 	data := binary.AppendUvarint(bytes.Clone(none[:at]), n)
 	data = append(data, make([]byte, 1<<20)...)
-	h := fnv.New64a()
-	h.Write(data)
-	return binary.LittleEndian.AppendUint64(data, h.Sum64())
+	return binary.LittleEndian.AppendUint32(data, crc32.Checksum(data, crc32.MakeTable(crc32.Castagnoli)))
 }
 
 // TestHostileCountsRefused: a count the bytes left cannot hold, at the

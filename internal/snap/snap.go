@@ -22,7 +22,7 @@
 // bit flips, impossible counts, malformed expression structure — returns
 // an error wrapping ErrCorrupt, never a panic. The decoder keeps the first
 // failure and reads zeros and empty lists after it, so a corrupt count
-// allocates nothing further. A trailing FNV-1a checksum rejects most
+// allocates nothing further. A trailing CRC-32C checksum rejects most
 // corruption before parsing begins; the structural checks behind it make
 // the decoder total anyway (the fuzz target's contract).
 //
@@ -34,12 +34,14 @@ package snap
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math"
-	"reflect"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -59,10 +61,17 @@ var magic = []byte("SDEsnp\x00")
 // version is the one format this build reads and writes; WireVersion
 // tracks it, so bumping it (for a snapshot or a protocol change alike)
 // makes older peers reject the handshake instead of misparsing what they
-// do not know. Version 11 is version 10 minus the stats section's
-// SlicedFactors and ConcretizedReads counters, which went with the query
-// optimizer (DESIGN §4).
-const version = 11
+// do not know. Version 12 writes the stats section as JSON, counters by
+// name, and ends in a CRC-32C where version 11 wrote a positional list of
+// varints and ended in an FNV-1a sum.
+const version = 12
+
+// castagnoli is the CRC-32C table of the checksums that end a snapshot and
+// a frame.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// sumLen is the length of a checksum: a little-endian CRC-32C.
+const sumLen = 4
 
 // Snapshot is the complete persistent form of an exploration frontier,
 // taken at an event boundary (no state mid-execution).
@@ -119,7 +128,7 @@ func (s *Snapshot) Encode(b *expr.Builder) ([]byte, error) {
 	if c.err != nil {
 		return nil, c.err
 	}
-	c.buf = binary.LittleEndian.AppendUint64(c.buf, fnv64a(c.buf))
+	c.buf = binary.LittleEndian.AppendUint32(c.buf, crc32.Checksum(c.buf, castagnoli))
 	sc.buf = c.buf
 	lastEncode.Store(int64(len(c.buf)))
 	out := make([]byte, len(c.buf))
@@ -133,11 +142,11 @@ func (s *Snapshot) Encode(b *expr.Builder) ([]byte, error) {
 // the same ids they would have in an uninterrupted run. Any failure wraps
 // ErrCorrupt.
 func Decode(data []byte, b *expr.Builder) (*Snapshot, error) {
-	if len(data) < len(magic)+1+8 {
+	if len(data) < len(magic)+1+sumLen {
 		return nil, fmt.Errorf("%w: %d bytes is shorter than any snapshot", ErrCorrupt, len(data))
 	}
-	body := data[:len(data)-8]
-	if fnv64a(body) != binary.LittleEndian.Uint64(data[len(data)-8:]) {
+	body := data[:len(data)-sumLen]
+	if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(data[len(body):]) {
 		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
 	}
 	c := coder{dec: true, buf: body, b: b}
@@ -777,35 +786,35 @@ func (c *coder) header(s *Snapshot) {
 		c.corrupt("negative prior wall time")
 	}
 	c.u64(&s.NextStateID)
-	c.stats(reflect.ValueOf(&s.Stats).Elem())
+	c.stats(&s.Stats)
 }
 
-// stats codes every counter of a metrics.RunStats, parts and fields in
-// declaration order, one varint each: the stats section is whatever the
-// type declares.
-func (c *coder) stats(v reflect.Value) {
-	switch {
-	case v.Kind() == reflect.Struct:
-		for i := 0; i < v.NumField(); i++ {
-			c.stats(v.Field(i))
-		}
-	case v.CanInt():
-		x := v.Int()
-		c.i64(&x)
-		if !c.dec {
+// stats codes the counters as the one JSON object ReportJSON and the job
+// API print, under the same names, in a length-prefixed string: a counter
+// added or removed changes the object, not the format. Decoding, a missing
+// counter reads as zero, and an unknown one, a value out of its counter's
+// range or anything after the object is refused.
+func (c *coder) stats(st *metrics.RunStats) {
+	if !c.dec {
+		js, err := json.Marshal(st)
+		if err != nil {
+			c.fail(fmt.Errorf("snap: stats: %w", err))
 			return
 		}
-		if v.OverflowInt(x) {
-			c.corrupt("counter %d out of range", x)
-			return
-		}
-		v.SetInt(x)
-	default:
-		x := v.Uint()
-		c.u64(&x)
-		if c.dec {
-			v.SetUint(x)
-		}
+		c.put(uint64(len(js)))
+		c.buf = append(c.buf, js...)
+		return
+	}
+	var js string
+	if c.str(&js); c.err != nil {
+		return
+	}
+	d := json.NewDecoder(strings.NewReader(js))
+	d.DisallowUnknownFields()
+	if err := d.Decode(st); err != nil {
+		c.corrupt("stats: %v", err)
+	} else if end := d.InputOffset(); end != int64(len(js)) {
+		c.corrupt("stats: %d bytes after the counters", int64(len(js))-end)
 	}
 }
 
@@ -1023,13 +1032,4 @@ func (c *coder) violation(v *vm.Violation) {
 			v.Model[name] = val
 		}
 	}
-}
-
-func fnv64a(data []byte) uint64 {
-	h := uint64(14695981039346656037)
-	for _, c := range data {
-		h ^= uint64(c)
-		h *= 1099511628211
-	}
-	return h
 }

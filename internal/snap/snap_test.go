@@ -5,8 +5,11 @@ package snap_test
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -18,6 +21,7 @@ import (
 
 	"sde/internal/core"
 	"sde/internal/expr"
+	"sde/internal/metrics"
 	"sde/internal/rime"
 	"sde/internal/sim"
 	"sde/internal/snap"
@@ -185,6 +189,69 @@ func TestStatsSectionCarriesEveryCounter(t *testing.T) {
 	}
 	if got.Stats != sp.Stats {
 		t.Errorf("stats section did not round-trip:\n got %#v\nwant %#v", got.Stats, sp.Stats)
+	}
+}
+
+// withStats returns data, a snapshot whose stats are all zero, with its
+// stats section replaced by js and its checksum repaired.
+func withStats(t *testing.T, data []byte, js string) []byte {
+	t.Helper()
+	zero, err := json.Marshal(metrics.RunStats{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	section := binary.AppendUvarint(nil, uint64(len(zero)))
+	section = append(section, zero...)
+	at := bytes.Index(data, section)
+	if at < 0 {
+		t.Fatal("no zero stats section in the snapshot")
+	}
+	out := append(binary.AppendUvarint(bytes.Clone(data[:at]), uint64(len(js))), js...)
+	out = append(out, data[at+len(section):len(data)-4]...)
+	return binary.LittleEndian.AppendUint32(out, crc32.Checksum(out, crc32.MakeTable(crc32.Castagnoli)))
+}
+
+// TestStatsSectionDecode: the stats section is the JSON object of the
+// counters by name. A counter it leaves out reads as zero; an unknown one
+// is refused by name, as are a value out of its counter's range and
+// anything after the object.
+func TestStatsSectionDecode(t *testing.T) {
+	sp, b := liveSnapshot(t, core.COWAlgorithm, 20)
+	sp.Stats = metrics.RunStats{}
+	data, err := sp.Encode(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		js   string
+		want metrics.RunStats
+		err  string // a part of the refusal; "" when the section is read
+	}{
+		{js: `{}`},
+		{js: `{"vm":{"instructions":5}}`, want: metrics.RunStats{VM: metrics.VMStats{Instructions: 5}}},
+		{js: `{"solver":{"queries":2,"gates":3},"checkpoint":{"wall_ns":4}}`,
+			want: metrics.RunStats{Solver: metrics.SolverStats{Queries: 2, Gates: 3}, Checkpoint: metrics.CheckpointStats{Wall: 4}}},
+		{js: `{"vm":{"instructions":5,"bogus_counter":1}}`, err: `"bogus_counter"`},
+		{js: `{"bogus_layer":{}}`, err: `"bogus_layer"`},
+		{js: `{"vm":{}} `, err: "1 bytes after the counters"},
+		{js: `{"vm":{}}{}`, err: "2 bytes after the counters"},
+		{js: `{"vm":{"instructions":-1}}`, err: "instructions"},
+		{js: `{"solver":{"queries":9223372036854775808}}`, err: "queries"},
+		{js: `{"checkpoint":{"written":1.5}}`, err: "written"},
+		{js: `{"vm":{"forks":1}`, err: "stats"},
+		{js: `[]`, err: "stats"},
+	} {
+		got, err := snap.Decode(withStats(t, data, tc.js), expr.NewBuilder())
+		switch {
+		case tc.err == "" && err != nil:
+			t.Errorf("%s: %v", tc.js, err)
+		case tc.err == "" && got.Stats != tc.want:
+			t.Errorf("%s: decoded %+v, want %+v", tc.js, got.Stats, tc.want)
+		case tc.err != "" && !errors.Is(err, snap.ErrCorrupt):
+			t.Errorf("%s: %v, want ErrCorrupt", tc.js, err)
+		case tc.err != "" && !strings.Contains(err.Error(), tc.err):
+			t.Errorf("%s: refusal %q does not name %s", tc.js, err, tc.err)
+		}
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
+	"hash/crc32"
 	"strings"
 	"testing"
 
@@ -19,16 +19,15 @@ import (
 )
 
 // reversion rewrites the format-version byte of an encoded snapshot and
-// repairs the trailing FNV-1a checksum, simulating a blob whose declared
-// version disagrees with its actual contents.
+// repairs the trailing CRC-32C, simulating a blob whose declared version
+// disagrees with its actual contents.
 func reversion(t *testing.T, data []byte, ver byte) []byte {
 	t.Helper()
 	const magicLen = 7 // "SDEsnp\x00"
 	out := append([]byte(nil), data...)
 	out[magicLen] = ver
-	h := fnv.New64a()
-	h.Write(out[:len(out)-8])
-	binary.LittleEndian.PutUint64(out[len(out)-8:], h.Sum64())
+	body := out[:len(out)-4]
+	binary.LittleEndian.PutUint32(out[len(body):], crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))
 	return out
 }
 
@@ -53,6 +52,7 @@ func TestVersionGate(t *testing.T) {
 		{"version-8", reversion(t, cur, 8), true},   // its stats section and its tail carried state merging
 		{"version-9", reversion(t, cur, 9), true},   // its stats section carried symmetry reduction
 		{"version-10", reversion(t, cur, 10), true}, // its stats section carried two query-optimizer counters more
+		{"version-11", reversion(t, cur, 11), true}, // its stats section was positional varints, its checksum FNV-1a
 		{"future-version", reversion(t, cur, snap.WireVersion+1), true},
 		{"version-zero", reversion(t, cur, 0), true},
 		{"version-255", reversion(t, cur, 255), true},

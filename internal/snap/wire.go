@@ -12,19 +12,21 @@
 //	type            (1 byte, application-defined)
 //	payload length  (4 bytes, little-endian)
 //	payload         (length bytes)
-//	checksum        (8 bytes, little-endian FNV-1a of everything above)
+//	checksum        (4 bytes, little-endian CRC-32C of everything above)
 //
 // Like the checkpoint decoder, the frame reader treats its input as
 // untrusted: truncation, oversized lengths, garbage magic, checksum
-// mismatches, and future versions all return errors wrapping ErrCorrupt,
-// never a panic. A reader at version v accepts frames of version <= v
-// (older minors are forward-decodable by construction; there are none
-// yet) and must reject version > v — it cannot know how to parse them.
+// mismatches, and other versions all return errors wrapping ErrCorrupt,
+// never a panic. A reader accepts frames of its own version only: it
+// cannot know how to parse a later one, and an earlier one (before 12)
+// ends in an 8-byte FNV-1a sum, so it is refused by its version before its
+// checksum is read and a mixed fleet's error names the version.
 package snap
 
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"io"
 )
 
@@ -43,8 +45,6 @@ var frameMagic = []byte("SDEfrm")
 // frameHeaderLen is magic + version + type + 4-byte length.
 const frameHeaderLen = len("SDEfrm") + 1 + 1 + 4
 
-const frameSumLen = 8
-
 // AppendFrame appends one version-WireVersion frame to dst and returns
 // the extended slice.
 func AppendFrame(dst []byte, typ byte, payload []byte) []byte {
@@ -53,7 +53,7 @@ func AppendFrame(dst []byte, typ byte, payload []byte) []byte {
 	dst = append(dst, WireVersion, typ)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
 	dst = append(dst, payload...)
-	return binary.LittleEndian.AppendUint64(dst, fnv64a(dst[start:]))
+	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(dst[start:], castagnoli))
 }
 
 // WriteFrame writes one frame to w.
@@ -62,14 +62,14 @@ func WriteFrame(w io.Writer, typ byte, payload []byte) error {
 		return fmt.Errorf("snap: frame payload of %d bytes exceeds the %d-byte cap",
 			len(payload), MaxFramePayload)
 	}
-	buf := AppendFrame(make([]byte, 0, frameHeaderLen+len(payload)+frameSumLen), typ, payload)
+	buf := AppendFrame(make([]byte, 0, frameHeaderLen+len(payload)+sumLen), typ, payload)
 	_, err := w.Write(buf)
 	return err
 }
 
 // ReadFrame reads one frame from r. Protocol-level damage — truncated
 // input, bad magic, an oversized length, a checksum mismatch — wraps
-// ErrCorrupt. A frame from a future format version also wraps ErrCorrupt
+// ErrCorrupt. A frame of another format version also wraps ErrCorrupt
 // and names the offending version, so a mixed-version fleet fails with a
 // diagnosable error instead of a parse explosion. Clean EOF before any
 // byte of a frame is returned as io.EOF (the peer hung up between
@@ -91,8 +91,8 @@ func ReadFrame(r io.Reader) (typ byte, payload []byte, err error) {
 		}
 	}
 	ver := header[len(frameMagic)]
-	if ver > WireVersion {
-		return 0, nil, fmt.Errorf("%w: frame has future wire version %d (this reader speaks <= %d)",
+	if ver != WireVersion {
+		return 0, nil, fmt.Errorf("%w: frame has wire version %d (this reader speaks %d)",
 			ErrCorrupt, ver, WireVersion)
 	}
 	typ = header[len(frameMagic)+1]
@@ -101,17 +101,12 @@ func ReadFrame(r io.Reader) (typ byte, payload []byte, err error) {
 		return 0, nil, fmt.Errorf("%w: frame payload length %d exceeds the %d-byte cap",
 			ErrCorrupt, n, MaxFramePayload)
 	}
-	body := make([]byte, int(n)+frameSumLen)
+	body := make([]byte, int(n)+sumLen)
 	if _, err := io.ReadFull(r, body); err != nil {
 		return 0, nil, fmt.Errorf("%w: truncated frame payload: %v", ErrCorrupt, err)
 	}
-	sum := binary.LittleEndian.Uint64(body[n:])
-	h := fnv64a(header)
-	for _, c := range body[:n] {
-		h ^= uint64(c)
-		h *= 1099511628211
-	}
-	if h != sum {
+	sum := crc32.Update(crc32.Checksum(header, castagnoli), castagnoli, body[:n])
+	if sum != binary.LittleEndian.Uint32(body[n:]) {
 		return 0, nil, fmt.Errorf("%w: frame checksum mismatch", ErrCorrupt)
 	}
 	return typ, body[:n:n], nil

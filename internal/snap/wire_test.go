@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"strings"
 	"testing"
@@ -41,51 +42,61 @@ func frameBytes(t *testing.T, typ byte, payload []byte) []byte {
 	return AppendFrame(nil, typ, payload)
 }
 
-// TestFrameVersionNegotiation: this reader speaks WireVersion; any frame
-// stamped with a later version must be rejected with an error that wraps
-// ErrCorrupt and names the offending version — the mixed-fleet diagnosis
-// depends on that number surfacing. Frames at or below it are read.
-func TestFrameVersionNegotiation(t *testing.T) {
-	futures := []byte{255}
-	for v := byte(WireVersion + 1); v <= WireVersion+7; v++ {
-		futures = append(futures, v)
-	}
-	for _, future := range futures {
-		future := future
-		t.Run(fmt.Sprintf("v%d", future), func(t *testing.T) {
-			frame := frameBytes(t, 9, []byte("payload"))
-			frame[len(frameMagic)] = future
-			// The version check happens before the checksum is read, so no
-			// re-stamping of the trailer is needed — but fix it up anyway to
-			// prove rejection is about the version, not collateral damage.
-			body := frame[:len(frame)-frameSumLen]
-			binary.LittleEndian.PutUint64(frame[len(frame)-frameSumLen:], fnv64a(body))
+// restamp rewrites a frame's trailing CRC-32C to match what precedes it,
+// so a damaged header reaches the reader with a valid checksum.
+func restamp(frame []byte) {
+	body := frame[:len(frame)-sumLen]
+	binary.LittleEndian.PutUint32(frame[len(body):], crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))
+}
 
-			_, _, err := ReadFrame(bytes.NewReader(frame))
-			if !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("future version %d: err = %v, want ErrCorrupt", future, err)
-			}
-			if !strings.Contains(err.Error(), fmt.Sprintf("%d", future)) {
-				t.Errorf("error %q does not name the offending version %d", err, future)
-			}
-		})
+// TestFrameVersionNegotiation: this reader speaks WireVersion; a frame
+// stamped with any other version must be rejected with an error that wraps
+// ErrCorrupt and names the offending version — the mixed-fleet diagnosis
+// depends on that number surfacing. A later version's layout is unknown to
+// it, and frames before version 12 end in an 8-byte FNV-1a sum where this
+// one reads a 4-byte CRC-32C.
+func TestFrameVersionNegotiation(t *testing.T) {
+	versions := []byte{WireVersion, 255, 0, 8, 9, 10, 11}
+	for v := byte(WireVersion + 1); v <= WireVersion+7; v++ {
+		versions = append(versions, v)
 	}
-	// Frames at or below our version pass the version gate: the frame
-	// layout has never changed, and a peer of another version — wire 8, the
-	// last with state merging in its snapshots, wire 9, the last with
-	// symmetry reduction, and wire 10, the last with the query optimizer's
-	// counters, included — must be able to read the coordinator's refusal
-	// of its Hello.
-	for _, ver := range []byte{WireVersion, 10, 9, 8} {
+	for _, ver := range versions {
 		ver := ver
 		t.Run(fmt.Sprintf("v%d", ver), func(t *testing.T) {
 			frame := frameBytes(t, 9, []byte("payload"))
 			frame[len(frameMagic)] = ver
-			binary.LittleEndian.PutUint64(frame[len(frame)-frameSumLen:], fnv64a(frame[:len(frame)-frameSumLen]))
-			if _, _, err := ReadFrame(bytes.NewReader(frame)); err != nil {
-				t.Errorf("version-%d frame rejected: %v", ver, err)
+			// The version check happens before the checksum is read, so no
+			// re-stamping of the trailer is needed — but fix it up anyway to
+			// prove rejection is about the version, not collateral damage.
+			restamp(frame)
+
+			_, _, err := ReadFrame(bytes.NewReader(frame))
+			if ver == WireVersion {
+				if err != nil {
+					t.Errorf("version-%d frame rejected: %v", ver, err)
+				}
+				return
+			}
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("version %d: err = %v, want ErrCorrupt", ver, err)
+			}
+			if !strings.Contains(err.Error(), fmt.Sprintf("version %d", ver)) {
+				t.Errorf("error %q does not name the offending version %d", err, ver)
 			}
 		})
+	}
+}
+
+// TestFrameChecksumIsCRC32C: the trailer is the CRC-32C of the header and
+// the payload, four bytes little-endian — the layout DESIGN §7 documents.
+func TestFrameChecksumIsCRC32C(t *testing.T) {
+	frame := frameBytes(t, 5, []byte("payload"))
+	if len(frame) != frameHeaderLen+len("payload")+4 {
+		t.Fatalf("frame of %d bytes, want header, payload and a 4-byte sum", len(frame))
+	}
+	body := frame[:len(frame)-4]
+	if got, want := binary.LittleEndian.Uint32(frame[len(body):]), crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)); got != want {
+		t.Errorf("trailer %#x, want CRC-32C %#x", got, want)
 	}
 }
 
@@ -126,6 +137,16 @@ func TestFrameCorruption(t *testing.T) {
 		{"flipped checksum bit", func() []byte {
 			f := append([]byte(nil), good...)
 			f[len(f)-1] ^= 0x01
+			return f
+		}},
+		{"flipped header bit", func() []byte {
+			f := append([]byte(nil), good...)
+			f[len(frameMagic)+1] ^= 0x10
+			return f
+		}},
+		{"flipped length bit", func() []byte {
+			f := append([]byte(nil), good...)
+			f[len(frameMagic)+2] ^= 0x01
 			return f
 		}},
 	}

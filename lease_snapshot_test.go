@@ -113,7 +113,7 @@ func TestLeaseShipsWhatTheDirectoryHolds(t *testing.T) {
 // count) zeroed. A change to how snapshots are taken, cut or encoded that
 // alters a byte fails here, and must come with a wire version bump.
 func TestLeaseBlobGolden(t *testing.T) {
-	const want = "c8b5569f3631ff45e84583813bb32427f8d35c4cac70c917f5b6fa97ab5acd51"
+	const want = "98001f557523896c4e8413213b43c189d4aea7a99a6e1af4cdbc0d8524e929dd"
 	scenario := shardScenario(t, sde.SDS)
 	part := shard.Partition{ShardBits: 1, DepthHorizon: horizonFor(sde.SDS)}
 	q, err := shard.New[sde.ShardLeaf](part, scenario.MaxShardBits())
