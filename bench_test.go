@@ -335,8 +335,8 @@ func TestBenchScaleSanity(t *testing.T) {
 }
 
 // BenchmarkShardedSkewed sweeps the static partition of a skewed workload
-// at a fixed worker count: every ShardBits from 0 to MaxShardBits, with the
-// cross-shard solver cache off and on. The dscenario space is dominated by
+// at a fixed worker count: every ShardBits from 0 to MaxShardBits, each run
+// with its cross-shard solver cache. The dscenario space is dominated by
 // the all-delivered corner (every reception forks a chain of symbolic
 // branches; every drop silences a receiver), so each extra bit adds shards
 // that mostly re-execute the heavy prefix; the shared cache absorbs part of
@@ -350,28 +350,26 @@ func BenchmarkShardedSkewed(b *testing.B) {
 		b.Fatal(err)
 	}
 	for bits := 0; bits <= scenario.MaxShardBits(); bits++ {
-		for _, cache := range []bool{false, true} {
-			cfg := sde.ShardConfig{ShardBits: bits, Workers: workers, SharedSolverCache: cache}
-			b.Run(fmt.Sprintf("bits=%d/cache=%t", bits, cache), func(b *testing.B) {
-				var rep *sde.ShardedReport
-				var elapsed time.Duration
-				for i := 0; i < b.N; i++ {
-					rep, err = sde.RunScenarioShardedWith(scenario, cfg)
-					if err != nil {
-						b.Fatal(err)
-					}
-					elapsed += rep.Sched.Elapsed
+		cfg := sde.ShardConfig{ShardBits: bits, Workers: workers}
+		b.Run(fmt.Sprintf("bits=%d", bits), func(b *testing.B) {
+			var rep *sde.ShardedReport
+			var elapsed time.Duration
+			for i := 0; i < b.N; i++ {
+				rep, err = sde.RunScenarioShardedWith(scenario, cfg)
+				if err != nil {
+					b.Fatal(err)
 				}
-				b.StopTimer()
-				// Every partition must explore exactly the unsharded space.
-				if rep.DScenarios().Cmp(ref.DScenarios()) != 0 {
-					b.Fatalf("dscenarios = %v, want %v", rep.DScenarios(), ref.DScenarios())
-				}
-				b.ReportMetric(float64(elapsed.Microseconds())/float64(b.N), "makespan-us")
-				b.ReportMetric(float64(rep.Sched.Shards), "shards")
-				b.ReportMetric(float64(rep.States()), "states")
-				b.ReportMetric(100*rep.Sched.SharedHitRate(), "shared-hit-%")
-			})
-		}
+				elapsed += rep.Sched.Elapsed
+			}
+			b.StopTimer()
+			// Every partition must explore exactly the unsharded space.
+			if rep.DScenarios().Cmp(ref.DScenarios()) != 0 {
+				b.Fatalf("dscenarios = %v, want %v", rep.DScenarios(), ref.DScenarios())
+			}
+			b.ReportMetric(float64(elapsed.Microseconds())/float64(b.N), "makespan-us")
+			b.ReportMetric(float64(rep.Sched.Shards), "shards")
+			b.ReportMetric(float64(rep.States()), "states")
+			b.ReportMetric(100*rep.Sched.SharedHitRate(), "shared-hit-%")
+		})
 	}
 }

@@ -55,16 +55,15 @@ func main() {
 	}
 
 	// A fixed partition on a bounded pool: 2^MaxShardBits pre-split
-	// shards drain through four workers, and a shared solver cache lets
-	// each shard reuse the verdicts of queries another already answered
+	// shards drain through four workers, and the run's shared solver cache
+	// lets each shard reuse the verdicts of queries another already answered
 	// (this grid workload branches on no symbolic data, so the cache
 	// reports shared-hit=off). The leaves, and so the report, depend on
 	// the partition only — not on the worker count or on which worker ran
 	// which shard.
 	pooled, err := sde.RunScenarioShardedWith(scenario, sde.ShardConfig{
-		ShardBits:         scenario.MaxShardBits(),
-		Workers:           4,
-		SharedSolverCache: true,
+		ShardBits: scenario.MaxShardBits(),
+		Workers:   4,
 	})
 	if err != nil {
 		log.Fatal(err)

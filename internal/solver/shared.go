@@ -38,14 +38,10 @@ type sharedStripe struct {
 	m  map[uint64]cacheEntry
 }
 
-// NewSharedCache returns an empty cache ready for concurrent use.
-func NewSharedCache() *SharedCache {
-	c := &SharedCache{}
-	for i := range c.stripes {
-		c.stripes[i].m = make(map[uint64]cacheEntry, 64)
-	}
-	return c
-}
+// NewSharedCache returns an empty cache ready for concurrent use. A
+// stripe's map is made by its first store, so a run that stores nothing —
+// one whose shards branch on no symbolic data — allocates none.
+func NewSharedCache() *SharedCache { return &SharedCache{} }
 
 // SharedCacheStats is a snapshot of the cache's activity counters.
 type SharedCacheStats struct {
@@ -109,6 +105,9 @@ func (c *SharedCache) store(key uint64, hashes []uint64, sat bool) {
 	if _, ok := st.m[key]; ok {
 		st.mu.Unlock()
 		return
+	}
+	if st.m == nil {
+		st.m = make(map[uint64]cacheEntry, 64)
 	}
 	st.m[key] = cacheEntry{hashes: slices.Clone(hashes), sat: sat}
 	st.mu.Unlock()

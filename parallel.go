@@ -30,8 +30,8 @@ import (
 // shards, each suspending at every DepthHorizon processed events and
 // fanning its frontier out HorizonFanout ways. The pool decides only which
 // worker runs which item, never what the items are, so a run's leaves —
-// and its digest — are a function of the partition alone. An optional
-// cross-shard solver cache lets concurrent shards reuse each other's
+// and its digest — are a function of the partition alone. One cross-shard
+// solver cache per run lets concurrent shards reuse each other's
 // constraint verdicts.
 
 // MaxShardBits reports how many failure decisions of the scenario can be
@@ -42,6 +42,12 @@ func (s Scenario) MaxShardBits() int { return len(s.shardable) }
 // the whole scenario as a single work item on a GOMAXPROCS-sized pool.
 // ShardBits, DepthHorizon and HorizonFanout are the partition; the other
 // fields change how it runs, never its leaves or its digest.
+//
+// Every in-process sharded run backs its shards with one cross-shard solver
+// query cache: shards share pin-independent query components (the bulk of
+// distributed test-case queries), so later shards skip SAT work the earlier
+// ones already did. A cache holds verdicts only, so it changes no report.
+// The fleet has none: a lease (RunShardLease) runs on its own solver.
 type ShardConfig struct {
 	// ShardBits pre-splits the dscenario space into 2^ShardBits uniform
 	// initial shards. It must not exceed the scenario's MaxShardBits.
@@ -52,12 +58,6 @@ type ShardConfig struct {
 	// shard count and parallelism are independent: thousands of shards
 	// can drain through a small pool.
 	Workers int
-
-	// SharedSolverCache backs all shards with one cross-shard solver
-	// query cache. Shards share pin-independent query components (the
-	// bulk of distributed test-case queries), so later shards skip SAT
-	// work the earlier ones already did.
-	SharedSolverCache bool
 
 	// CheckpointDir, when non-empty, makes the sharded run durable: each
 	// shard checkpoints into its own subdirectory (named by its pinned
@@ -269,11 +269,9 @@ func RunScenarioShardedWith(s Scenario, cfg ShardConfig) (*ShardedReport, error)
 	if err != nil {
 		return nil, fmt.Errorf("sde: %w", err)
 	}
-	p := &shardPool{scenario: s, cfg: cfg, q: q, busy: make([]time.Duration, cfg.Workers)}
+	p := &shardPool{scenario: s, cfg: cfg, q: q, cache: solver.NewSharedCache(),
+		busy: make([]time.Duration, cfg.Workers)}
 	p.cond = sync.NewCond(&p.mu)
-	if cfg.SharedSolverCache {
-		p.cache = solver.NewSharedCache()
-	}
 
 	start := time.Now()
 	var wg sync.WaitGroup
@@ -299,11 +297,8 @@ func RunScenarioShardedWith(s Scenario, cfg ShardConfig) (*ShardedReport, error)
 		WorkerBusy:  p.busy,
 		Elapsed:     time.Since(start),
 	}
-	if p.cache != nil {
-		st := p.cache.Stats()
-		sched.SharedLookups = st.Lookups
-		sched.SharedHits = st.Hits
-	}
+	st := p.cache.Stats()
+	sched.SharedLookups, sched.SharedHits = st.Lookups, st.Hits
 	return finalizeSharded(s, q.Leaves(), sched), nil
 }
 
@@ -359,7 +354,7 @@ func finalizeSharded(s Scenario, leaves []leafResult, sched SchedStats) *Sharded
 
 // RunScenarioSharded runs the scenario split into 2^shardBits static
 // partitions on a GOMAXPROCS-sized worker pool: RunScenarioShardedWith
-// with no depth horizon and the shared solver cache disabled.
+// with no depth horizon.
 //
 // shardBits must not exceed the scenario's shardable node count, which
 // MaxShardBits reports.

@@ -371,9 +371,8 @@ func TestShardedSchedTelemetry(t *testing.T) {
 		t.Fatalf("MaxShardBits = %d, want 2", scenario.MaxShardBits())
 	}
 	sharded, err := sde.RunScenarioShardedWith(scenario, sde.ShardConfig{
-		ShardBits:         2,
-		Workers:           3,
-		SharedSolverCache: true,
+		ShardBits: 2,
+		Workers:   3,
 	})
 	if err != nil {
 		t.Fatal(err)
