@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"math/big"
+	"math/bits"
+	"slices"
 )
 
 // dstate is COW's grouping unit (§III-B): a set of pairwise conflict-free
@@ -20,26 +22,65 @@ func newDState[S StateHandle[S]](k int) *dstate[S] {
 
 func (d *dstate[S]) add(s S) { d.byNode[s.NodeID()] = append(d.byNode[s.NodeID()], s) }
 
+// remove takes s out of its node's bucket in place, keeping the order of
+// the rest; as in vDState.remove, no other holder views a bucket.
 func (d *dstate[S]) remove(s S) bool {
 	node := s.NodeID()
-	bucket := d.byNode[node]
-	for i, st := range bucket {
-		if st == s {
-			d.byNode[node] = append(bucket[:i:i], bucket[i+1:]...)
-			return true
-		}
+	if i := slices.Index(d.byNode[node], s); i >= 0 {
+		d.byNode[node] = slices.Delete(d.byNode[node], i, i+1)
+		return true
 	}
 	return false
 }
 
-// scenarios returns the number of dscenarios this dstate represents: the
-// product of its per-node state counts.
-func (d *dstate[S]) scenarios() *big.Int {
-	n := big.NewInt(1)
-	for _, bucket := range d.byNode {
-		n.Mul(n, big.NewInt(int64(len(bucket))))
+// scenarioCount returns the number of dscenarios a mapper's dstates
+// represent — the sum over them of the product of their per-node bucket
+// sizes — exactly: in uint64 arithmetic, and in big.Int only for what does
+// not fit.
+func scenarioCount[D, T any](dstates []D, byNode func(D) [][]T) *big.Int {
+	var sum uint64
+	var rest *big.Int // the part of the total past sum
+	more := func(n *big.Int) {
+		if rest == nil {
+			rest = new(big.Int)
+		}
+		rest.Add(rest, n)
 	}
-	return n
+	for _, d := range dstates {
+		p, large := product(byNode(d))
+		if large != nil {
+			more(large)
+			continue
+		}
+		var carry uint64
+		if sum, carry = bits.Add64(sum, p, 0); carry != 0 {
+			more(new(big.Int).Lsh(big.NewInt(1), 64))
+		}
+	}
+	total := new(big.Int).SetUint64(sum)
+	if rest != nil {
+		total.Add(total, rest)
+	}
+	return total
+}
+
+// product returns the product of the bucket sizes: as a uint64 while it
+// fits, as a big.Int when it does not.
+func product[T any](byNode [][]T) (uint64, *big.Int) {
+	p := uint64(1)
+	for i, bucket := range byNode {
+		hi, lo := bits.Mul64(p, uint64(len(bucket)))
+		if hi == 0 {
+			p = lo
+			continue
+		}
+		n := new(big.Int).SetUint64(p)
+		for _, bucket := range byNode[i:] {
+			n.Mul(n, big.NewInt(int64(len(bucket))))
+		}
+		return 0, n
+	}
+	return p, nil
 }
 
 // COW implements the Copy On Write state mapping algorithm (§III-B).
@@ -167,11 +208,7 @@ func (m *COW[S]) NumGroups() int { return len(m.dstates) }
 // DScenarioCount implements Mapper: dstates represent disjoint dscenario
 // sets, each the cartesian product of its per-node buckets.
 func (m *COW[S]) DScenarioCount() *big.Int {
-	total := new(big.Int)
-	for _, d := range m.dstates {
-		total.Add(total, d.scenarios())
-	}
-	return total
+	return scenarioCount(m.dstates, func(d *dstate[S]) [][]S { return d.byNode })
 }
 
 // Explode implements Mapper: enumerate the per-node cartesian product of

@@ -108,14 +108,15 @@ func (d *vDState[S]) add(v *vstate[S]) {
 	d.byNode[node] = append(d.byNode[node], v)
 }
 
+// remove takes v out of its node's bucket in place, keeping the order of
+// the rest. No other holder views a bucket: a split's copies and a
+// restore's entries are sub-slices of one block each, capped at their own
+// length, so the shift stays inside the bucket's own slots.
 func (d *vDState[S]) remove(v *vstate[S]) bool {
 	node := v.list.actual.NodeID()
-	bucket := d.byNode[node]
-	for i, u := range bucket {
-		if u == v {
-			d.byNode[node] = append(bucket[:i:i], bucket[i+1:]...)
-			return true
-		}
+	if i := slices.Index(d.byNode[node], v); i >= 0 {
+		d.byNode[node] = slices.Delete(d.byNode[node], i, i+1)
+		return true
 	}
 	return false
 }
@@ -408,16 +409,7 @@ func (m *SDS[S]) SuperDStateSize(s S) int {
 
 // DScenarioCount implements Mapper.
 func (m *SDS[S]) DScenarioCount() *big.Int {
-	total := new(big.Int)
-	one := big.NewInt(1)
-	for _, d := range m.dstates {
-		n := new(big.Int).Set(one)
-		for _, bucket := range d.byNode {
-			n.Mul(n, big.NewInt(int64(len(bucket))))
-		}
-		total.Add(total, n)
-	}
-	return total
+	return scenarioCount(m.dstates, func(d *vDState[S]) [][]*vstate[S] { return d.byNode })
 }
 
 // Explode implements Mapper: the per-node cartesian product of every

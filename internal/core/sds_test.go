@@ -434,3 +434,102 @@ func TestVirtualStateSizes(t *testing.T) {
 		t.Errorf("a super-dstate list takes %d bytes, want at most 64", got)
 	}
 }
+
+// TestSplitRemovalAllocs: a split takes its sender out of its bucket in
+// place, keeping the order of the rest, so the removal allocates nothing —
+// filing the state back reuses the freed slot. A fresh copy of the rest of
+// the bucket per split made n successive splits of one bucket O(n²).
+func TestSplitRemovalAllocs(t *testing.T) {
+	const n = 64
+	net := newMockNet(1)
+	states := []*mockState{net[0]}
+	for len(states) < n {
+		states = append(states, net[0].Fork())
+	}
+	cow := newDState[*mockState](1)
+	sds := &vDState[*mockState]{byNode: make([][]*vstate[*mockState], 1)}
+	virtuals := make([]*vstate[*mockState], n)
+	for i, s := range states {
+		cow.add(s)
+		virtuals[i] = &vstate[*mockState]{list: &vlist[*mockState]{actual: s}}
+		sds.add(virtuals[i])
+	}
+	if a := testing.AllocsPerRun(100, func() {
+		cow.remove(states[n/2])
+		cow.add(states[n/2])
+		sds.remove(virtuals[n/2])
+		sds.add(virtuals[n/2])
+	}); a != 0 {
+		t.Errorf("a split's removal allocates %v times", a)
+	}
+	// The loop moved the middle state to the end; take out another and the
+	// rest keeps its order.
+	want := append(append(append([]*mockState(nil), states[:10]...), states[11:n/2]...), states[n/2+1:]...)
+	want = append(want, states[n/2])
+	if !cow.remove(states[10]) || !sds.remove(virtuals[10]) {
+		t.Fatal("remove missed a state in its bucket")
+	}
+	for i, s := range want {
+		if cow.byNode[0][i] != s || sds.byNode[0][i].list.actual != s {
+			t.Fatalf("bucket entry %d is state %d, want %d", i, cow.byNode[0][i].ID(), s.ID())
+		}
+	}
+	if len(cow.byNode[0]) != n-1 || len(sds.byNode[0]) != n-1 {
+		t.Fatalf("buckets of %d and %d after a removal, want %d", len(cow.byNode[0]), len(sds.byNode[0]), n-1)
+	}
+}
+
+// TestDScenarioCountPastUint64: the count stays exact where a dstate's
+// product passes 2^64 and where a sum of products that fit carries past it
+// — both mappers agree with a big.Int reference on every prefix of a list
+// of dstates that holds both cases.
+func TestDScenarioCountPastUint64(t *testing.T) {
+	const k = 80
+	sizes := func(counts ...int) []int { // pairs of (nodes, bucket size)
+		out := make([]int, 0, k)
+		for i := 0; i < len(counts); i += 2 {
+			for range counts[i] {
+				out = append(out, counts[i+1])
+			}
+		}
+		for len(out) < k {
+			out = append(out, 1)
+		}
+		return out
+	}
+	dstates := [][]int{
+		sizes(k, 1),
+		sizes(40, 3),          // 3^40 < 2^64
+		sizes(40, 3),          // a second one: the sum carries
+		sizes(70, 2),          // 2^70: the product overflows
+		sizes(70, 2, 1, 0),    // 0 after the product left uint64
+		sizes(63, 2, 1, 5),    // 5·2^63 overflows at the last node
+		sizes(1, 7, 60, 2),    // fits again
+		sizes(64, 2, 16, 255), // overflows by far
+	}
+	cow := &COW[*mockState]{k: k}
+	sds := &SDS[*mockState]{k: k}
+	want := new(big.Int)
+	for i, row := range dstates {
+		d := newDState[*mockState](k)
+		vd := &vDState[*mockState]{byNode: make([][]*vstate[*mockState], k)}
+		p := big.NewInt(1)
+		for node, n := range row {
+			d.byNode[node] = make([]*mockState, n)
+			vd.byNode[node] = make([]*vstate[*mockState], n)
+			p.Mul(p, big.NewInt(int64(n)))
+		}
+		cow.dstates = append(cow.dstates, d)
+		sds.dstates = append(sds.dstates, vd)
+		want.Add(want, p)
+		if got := cow.DScenarioCount(); got.Cmp(want) != 0 {
+			t.Errorf("COW, %d dstates: %v dscenarios, want %v", i+1, got, want)
+		}
+		if got := sds.DScenarioCount(); got.Cmp(want) != 0 {
+			t.Errorf("SDS, %d dstates: %v dscenarios, want %v", i+1, got, want)
+		}
+	}
+	if want.BitLen() <= 64 {
+		t.Fatalf("the total %v fits a uint64; the test wants one past it", want)
+	}
+}
