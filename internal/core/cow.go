@@ -35,52 +35,31 @@ func (d *dstate[S]) remove(s S) bool {
 
 // scenarioCount returns the number of dscenarios a mapper's dstates
 // represent — the sum over them of the product of their per-node bucket
-// sizes — exactly: in uint64 arithmetic, and in big.Int only for what does
-// not fit.
+// sizes — exactly: in uint64 arithmetic, and in big.Int only for a product
+// that does not fit and for the carries of the sum.
 func scenarioCount[D, T any](dstates []D, byNode func(D) [][]T) *big.Int {
-	var sum uint64
-	var rest *big.Int // the part of the total past sum
-	more := func(n *big.Int) {
-		if rest == nil {
-			rest = new(big.Int)
-		}
-		rest.Add(rest, n)
-	}
+	var sum, carries uint64
+	large := new(big.Int) // the sum of the products past uint64
 	for _, d := range dstates {
-		p, large := product(byNode(d))
-		if large != nil {
-			more(large)
-			continue
+		p := uint64(1)
+		for _, bucket := range byNode(d) {
+			hi, lo := bits.Mul64(p, uint64(len(bucket)))
+			if p = lo; hi != 0 {
+				n := big.NewInt(1)
+				for _, bucket := range byNode(d) {
+					n.Mul(n, big.NewInt(int64(len(bucket))))
+				}
+				large.Add(large, n)
+				p = 0
+				break
+			}
 		}
 		var carry uint64
-		if sum, carry = bits.Add64(sum, p, 0); carry != 0 {
-			more(new(big.Int).Lsh(big.NewInt(1), 64))
-		}
+		sum, carry = bits.Add64(sum, p, 0)
+		carries += carry
 	}
-	total := new(big.Int).SetUint64(sum)
-	if rest != nil {
-		total.Add(total, rest)
-	}
-	return total
-}
-
-// product returns the product of the bucket sizes: as a uint64 while it
-// fits, as a big.Int when it does not.
-func product[T any](byNode [][]T) (uint64, *big.Int) {
-	p := uint64(1)
-	for i, bucket := range byNode {
-		hi, lo := bits.Mul64(p, uint64(len(bucket)))
-		if hi == 0 {
-			p = lo
-			continue
-		}
-		n := new(big.Int).SetUint64(p)
-		for _, bucket := range byNode[i:] {
-			n.Mul(n, big.NewInt(int64(len(bucket))))
-		}
-		return 0, n
-	}
-	return p, nil
+	total := new(big.Int).Lsh(new(big.Int).SetUint64(carries), 64)
+	return total.Add(total.Add(total, new(big.Int).SetUint64(sum)), large)
 }
 
 // COW implements the Copy On Write state mapping algorithm (§III-B).

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/big"
 	"runtime"
+	"strings"
 	"sync"
 	"time"
 
@@ -31,6 +32,35 @@ type FailurePlan struct {
 	// RebootOnFirst: the node symbolically reboots upon its first
 	// reception, losing volatile state.
 	RebootOnFirst map[int]bool
+}
+
+// Failure is one kind of symbolic failure of a first reception. The
+// engine decides a node's armed kinds in this order.
+type Failure int
+
+const (
+	Drop Failure = iota
+	Duplicate
+	Reboot
+)
+
+var failureNames = [...]string{Drop: "drop", Duplicate: "dup", Reboot: "reboot"}
+
+// FailureVar names the symbolic boolean that decides failure f at node's
+// reception recv, such as "drop_n3_r0". Its value 0 selects the failure.
+func FailureVar(f Failure, node, recv int) string {
+	return fmt.Sprintf("%s_n%d_r%d", failureNames[f], node, recv)
+}
+
+// IsFailureVar reports whether name is a failure decision's variable, by
+// the prefix FailureVar gives it.
+func IsFailureVar(name string) bool {
+	for _, f := range failureNames {
+		if strings.HasPrefix(name, f+"_n") {
+			return true
+		}
+	}
+	return false
 }
 
 // NodeSet builds a membership map from a node list.
@@ -755,9 +785,10 @@ func (e *Engine) runToCompletion(s *vm.State) {
 }
 
 // applyFailures injects the configured symbolic failures for a pending
-// reception. Each failure forks the state via a fresh symbolic boolean —
-// a local branch, so the mapper's OnBranch runs (for COB this forks the
-// whole dscenario, exactly as in the paper's evaluation).
+// reception, one kind after another. A decision Replay or Pin does not fix
+// forks the state via a fresh symbolic boolean — a local branch, so the
+// mapper's OnBranch runs (for COB this forks the whole dscenario, exactly
+// as in the paper's evaluation).
 func (e *Engine) applyFailures(s *vm.State) {
 	ev, ok := s.PeekEvent()
 	if !ok || ev.Kind != vm.EventRecv {
@@ -765,78 +796,52 @@ func (e *Engine) applyFailures(s *vm.State) {
 	}
 	node := s.NodeID()
 	f := e.cfg.Failures
-	drop := f.DropFirst[node]
-	dup := f.DuplicateFirst[node]
-	reboot := f.RebootOnFirst[node]
-	if !drop && !dup && !reboot {
+	armed := [...]bool{Drop: f.DropFirst[node], Duplicate: f.DuplicateFirst[node], Reboot: f.RebootOnFirst[node]}
+	if armed == [len(armed)]bool{} {
 		return
 	}
 	idx := s.NextRecvSeq()
 	if idx != 0 {
 		return // only the first reception is symbolic
 	}
-	if e.cfg.Replay != nil {
-		// Concrete replay: follow the recorded failure decisions instead
-		// of forking (variable value 0 selects the failure branch).
-		if drop && e.cfg.Replay[fmt.Sprintf("drop_n%d_r%d", node, idx)] == 0 {
-			s.DropEvent()
+	for kind, on := range armed {
+		if !on {
+			continue
 		}
-		if dup && e.cfg.Replay[fmt.Sprintf("dup_n%d_r%d", node, idx)] == 0 {
-			if _, ok := s.PeekEvent(); ok {
-				s.DuplicateEvent()
-			}
-		}
-		if reboot && e.cfg.Replay[fmt.Sprintf("reboot_n%d_r%d", node, idx)] == 0 {
-			s.Reboot(e.bootFn, e.clock)
-		}
-		return
-	}
-	if drop {
-		name := fmt.Sprintf("drop_n%d_r%d", node, idx)
-		if val, pinned := e.pinDecision(s, name); pinned {
-			if val == 0 {
-				s.DropEvent()
-			}
-		} else {
-			sib := s.ForkOnFreshBool(name) // s: no drop; sib: dropped
+		name := FailureVar(Failure(kind), node, int(idx))
+		if val, decided := e.decision(s, name); !decided {
+			sib := s.ForkOnFreshBool(name) // s: no failure; sib: fails
 			e.onLocalBranch(s, sib)
-			sib.DropEvent()
+			e.fail(sib, Failure(kind))
 			e.adopt([]*vm.State{sib})
-		}
-	}
-	if dup {
-		name := fmt.Sprintf("dup_n%d_r%d", node, idx)
-		if val, pinned := e.pinDecision(s, name); pinned {
-			if val == 0 {
-				if _, ok := s.PeekEvent(); ok {
-					s.DuplicateEvent()
-				}
-			}
-		} else {
-			sib := s.ForkOnFreshBool(name) // s: normal; sib: duplicated
-			e.onLocalBranch(s, sib)
-			sib.DuplicateEvent()
-			e.adopt([]*vm.State{sib})
-		}
-	}
-	if reboot {
-		name := fmt.Sprintf("reboot_n%d_r%d", node, idx)
-		if val, pinned := e.pinDecision(s, name); pinned {
-			if val == 0 {
-				s.Reboot(e.bootFn, e.clock)
-			}
-		} else {
-			sib := s.ForkOnFreshBool(name) // s: normal; sib: reboots
-			e.onLocalBranch(s, sib)
-			sib.Reboot(e.bootFn, e.clock)
-			e.adopt([]*vm.State{sib})
+		} else if val == 0 {
+			e.fail(s, Failure(kind))
 		}
 	}
 }
 
-// pinDecision checks whether a failure decision is pinned by Config.Pin;
-// if so it adds the corresponding path constraint and returns the value.
-func (e *Engine) pinDecision(s *vm.State, name string) (uint64, bool) {
+// fail makes s undergo failure f. A duplication finds no event to
+// duplicate when a drop before it took the state's last.
+func (e *Engine) fail(s *vm.State, f Failure) {
+	switch f {
+	case Drop:
+		s.DropEvent()
+	case Duplicate:
+		if _, ok := s.PeekEvent(); ok {
+			s.DuplicateEvent()
+		}
+	case Reboot:
+		s.Reboot(e.bootFn, e.clock)
+	}
+}
+
+// decision returns the value of a failure decision the run fixes: Replay's
+// (concretely: no constraint, and a variable it lacks reads 0, the failure
+// side), or else Pin's, whose path constraint it adds to s.
+func (e *Engine) decision(s *vm.State, name string) (uint64, bool) {
+	if e.cfg.Replay != nil {
+		return e.cfg.Replay[name], true
+	}
 	val, ok := e.cfg.Pin[name]
 	if !ok {
 		return 0, false

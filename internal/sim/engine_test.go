@@ -416,6 +416,55 @@ func TestEngineRebootFailure(t *testing.T) {
 	}
 }
 
+// TestEnginePinnedDropThenDuplicate: a node armed for drop and duplicate
+// whose drop is pinned to the failure side has no reception left to
+// duplicate. Its duplicate decision still forks, and neither side
+// duplicates anything; the ping never arrives on either.
+func TestEnginePinnedDropThenDuplicate(t *testing.T) {
+	eng, err := NewEngine(Config{
+		Topo:      NewLine(2),
+		Prog:      pingProg(t),
+		Algorithm: core.SDSAlgorithm,
+		Horizon:   100,
+		NodeInit:  sendToInit(map[int]uint32{0: 1}),
+		Failures: FailurePlan{
+			DropFirst:      NodeSet([]int{1}),
+			DuplicateFirst: NodeSet([]int{1}),
+		},
+		Pin:             map[string]uint64{FailureVar(Drop, 1, 0): 0},
+		CheckInvariants: true,
+	})
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
+	}
+	res, err := eng.Run()
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	byNode := statesByNode(res, 2)
+	if len(byNode[1]) != 2 {
+		t.Fatalf("node 1 states = %d, want 2", len(byNode[1]))
+	}
+	for _, s := range byNode[1] {
+		if got := s.LoadWord(addrRecvCount).ConstVal(); got != 0 {
+			t.Errorf("a state of node 1 received %d pings; its only one was dropped", got)
+		}
+	}
+}
+
+// TestFailureVar: the failure decisions' variables are named by kind,
+// node and reception, and recognised by that name.
+func TestFailureVar(t *testing.T) {
+	for f, want := range map[Failure]string{Drop: "drop_n3_r0", Duplicate: "dup_n3_r0", Reboot: "reboot_n3_r0"} {
+		if got := FailureVar(f, 3, 0); got != want || !IsFailureVar(got) {
+			t.Errorf("FailureVar(%d, 3, 0) = %q (recognised: %v), want %q", f, got, IsFailureVar(got), want)
+		}
+	}
+	if IsFailureVar("pkt_len") {
+		t.Error("a program's input variable taken for a failure decision")
+	}
+}
+
 func TestEngineStateCapAborts(t *testing.T) {
 	// A program that forks unboundedly on fresh symbolic input.
 	prog := buildProg(t, func(b *isa.Builder) {

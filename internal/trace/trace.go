@@ -13,7 +13,6 @@ package trace
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"sde/internal/core"
 	"sde/internal/expr"
@@ -193,7 +192,7 @@ func MinimizeWitness(cfg sim.Config, v *vm.Violation) (minimal expr.Env, needed 
 	// Deterministic flip order.
 	names := make([]string, 0, len(current))
 	for name, val := range current {
-		if val == 0 && isFailureVar(name) {
+		if val == 0 && sim.IsFailureVar(name) {
 			names = append(names, name)
 		}
 	}
@@ -210,15 +209,4 @@ func MinimizeWitness(cfg sim.Config, v *vm.Violation) (minimal expr.Env, needed 
 		}
 	}
 	return current, needed, nil
-}
-
-// isFailureVar recognises the failure-model decision variables by their
-// engine-assigned name prefixes.
-func isFailureVar(name string) bool {
-	for _, prefix := range []string{"drop_n", "dup_n", "reboot_n"} {
-		if strings.HasPrefix(name, prefix) {
-			return true
-		}
-	}
-	return false
 }

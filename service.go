@@ -54,8 +54,7 @@ func (s Scenario) shardPin(it ShardItem) map[string]uint64 {
 	armed := sortedShardable(s)
 	pin := make(map[string]uint64, it.Depth)
 	for bit := 0; bit < it.Depth; bit++ {
-		name := fmt.Sprintf("drop_n%d_r0", armed[bit])
-		pin[name] = (it.Bits >> uint(bit)) & 1
+		pin[sim.FailureVar(sim.Drop, armed[bit], 0)] = (it.Bits >> uint(bit)) & 1
 	}
 	return pin
 }
