@@ -795,18 +795,12 @@ func (c *coder) header(s *Snapshot) {
 // counter reads as zero, and an unknown one, a value out of its counter's
 // range or anything after the object is refused.
 func (c *coder) stats(st *metrics.RunStats) {
-	if !c.dec {
-		js, err := json.Marshal(st)
-		if err != nil {
-			c.fail(fmt.Errorf("snap: stats: %w", err))
-			return
-		}
-		c.put(uint64(len(js)))
-		c.buf = append(c.buf, js...)
-		return
-	}
 	var js string
-	if c.str(&js); c.err != nil {
+	if !c.dec {
+		b, _ := json.Marshal(st) // a struct of integers: it cannot fail
+		js = string(b)
+	}
+	if c.str(&js); !c.dec || c.err != nil {
 		return
 	}
 	d := json.NewDecoder(strings.NewReader(js))
