@@ -161,3 +161,16 @@ func TestSharedCacheDisabledByDefault(t *testing.T) {
 		t.Errorf("SharedHits = %d without a shared cache", st.SharedHits)
 	}
 }
+
+// TestNewSharedCacheAllocatesOnce: every pooled sharded run makes a shared
+// cache, most of them for shards that make no solver query, so a new cache
+// is one allocation; a stripe's map is made by its first store.
+func TestNewSharedCacheAllocatesOnce(t *testing.T) {
+	var c *SharedCache
+	if a := testing.AllocsPerRun(10, func() { c = NewSharedCache() }); a > 1 {
+		t.Errorf("NewSharedCache allocates %v times", a)
+	}
+	if c.Stats() != (SharedCacheStats{}) {
+		t.Errorf("a new cache reports %+v", c.Stats())
+	}
+}
