@@ -19,8 +19,8 @@ type dscenario[S StateHandle[S]] struct {
 type COB[S StateHandle[S]] struct {
 	k         int
 	scenarios []*dscenario[S]
-	index     map[S]*dscenario[S]
-	pending   *dscenario[S] // initial dscenario under construction
+	index     IDIndex[*dscenario[S]] // by state id
+	pending   *dscenario[S]          // initial dscenario under construction
 	nRegister int
 }
 
@@ -31,11 +31,7 @@ func NewCOB[S StateHandle[S]](k int) *COB[S] {
 	for i := range init.states {
 		init.states[i] = zero
 	}
-	return &COB[S]{
-		k:       k,
-		index:   make(map[S]*dscenario[S], k),
-		pending: init,
-	}
+	return &COB[S]{k: k, pending: init}
 }
 
 // Algorithm implements Mapper.
@@ -51,7 +47,7 @@ func (m *COB[S]) Register(s S) {
 		panic("core: COB.Register after mapping started")
 	}
 	m.pending.states[node] = s
-	m.index[s] = m.pending
+	m.index.Set(s.ID(), m.pending)
 	m.nRegister++
 	if m.nRegister == m.k {
 		m.scenarios = append(m.scenarios, m.pending)
@@ -65,12 +61,13 @@ func (m *COB[S]) Register(s S) {
 // create two separate dscenarios as a direct response to the first
 // branch").
 func (m *COB[S]) OnBranch(orig, sibling S) []S {
-	n, ok := m.index[orig]
-	if !ok {
+	n := m.index.Get(orig.ID())
+	if n == nil {
 		panic(fmt.Sprintf("core: COB.OnBranch of unknown state %d", orig.ID()))
 	}
 	fresh := &dscenario[S]{states: make([]S, m.k)}
-	var forked []S
+	m.index.Set(sibling.ID(), fresh)
+	forked := make([]S, 0, m.k-1)
 	for node, st := range n.states {
 		if st == orig {
 			fresh.states[node] = sibling
@@ -78,10 +75,8 @@ func (m *COB[S]) OnBranch(orig, sibling S) []S {
 		}
 		cp := st.Fork()
 		fresh.states[node] = cp
+		m.index.Set(cp.ID(), fresh)
 		forked = append(forked, cp)
-	}
-	for _, st := range fresh.states {
-		m.index[st] = fresh
 	}
 	m.scenarios = append(m.scenarios, fresh)
 	return forked
@@ -95,8 +90,8 @@ func (m *COB[S]) MapSend(sender S, dst int) (Delivery[S], error) {
 	if err := validateSend[S](m.k, sender, dst); err != nil {
 		return Delivery[S]{}, err
 	}
-	n, ok := m.index[sender]
-	if !ok {
+	n := m.index.Get(sender.ID())
+	if n == nil {
 		return Delivery[S]{}, fmt.Errorf("core: COB.MapSend of unknown state %d", sender.ID())
 	}
 	return Delivery[S]{Receivers: []S{n.states[dst]}}, nil
@@ -104,15 +99,15 @@ func (m *COB[S]) MapSend(sender S, dst int) (Delivery[S], error) {
 
 // ScenarioFor implements Mapper: the state's own dscenario.
 func (m *COB[S]) ScenarioFor(s S) ([]S, bool) {
-	n, ok := m.index[s]
-	if !ok {
+	n := m.index.Get(s.ID())
+	if n == nil {
 		return nil, false
 	}
 	return append([]S(nil), n.states...), true
 }
 
 // NumStates implements Mapper.
-func (m *COB[S]) NumStates() int { return len(m.index) }
+func (m *COB[S]) NumStates() int { return m.index.Len() }
 
 // NumGroups implements Mapper.
 func (m *COB[S]) NumGroups() int { return len(m.scenarios) }
@@ -163,7 +158,7 @@ func (m *COB[S]) CheckInvariants() error {
 	if m.pending != nil {
 		return fmt.Errorf("core: COB: registration incomplete (%d of %d)", m.nRegister, m.k)
 	}
-	seen := make(map[S]bool, len(m.index))
+	seen := make(map[S]bool, m.index.Len())
 	for si, sc := range m.scenarios {
 		if len(sc.states) != m.k {
 			return fmt.Errorf("core: COB: dscenario %d has %d slots, want %d", si, len(sc.states), m.k)
@@ -177,13 +172,13 @@ func (m *COB[S]) CheckInvariants() error {
 				return fmt.Errorf("core: COB: state %d appears in two dscenarios", st.ID())
 			}
 			seen[st] = true
-			if m.index[st] != sc {
+			if m.index.Get(st.ID()) != sc {
 				return fmt.Errorf("core: COB: index of state %d is stale", st.ID())
 			}
 		}
 	}
-	if len(seen) != len(m.index) {
-		return fmt.Errorf("core: COB: index has %d states, scenarios have %d", len(m.index), len(seen))
+	if len(seen) != m.index.Len() {
+		return fmt.Errorf("core: COB: index has %d states, scenarios have %d", m.index.Len(), len(seen))
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/big"
+	"runtime"
 	"testing"
 )
 
@@ -322,5 +323,39 @@ func TestNewFactory(t *testing.T) {
 func TestAlgorithmString(t *testing.T) {
 	if COBAlgorithm.String() != "COB" || COWAlgorithm.String() != "COW" || SDSAlgorithm.String() != "SDS" {
 		t.Error("algorithm names wrong")
+	}
+}
+
+// TestCOWSplitAllocs: a split allocates the fresh dstate, its bucket table,
+// one block its buckets are carved from, the delivery's two lists and here
+// the dstate list's growth, at every network size; only the forks themselves
+// (one allocation each for a mock state) grow with k. It made one allocation
+// per node bucket and more for the delivery's lists before the block.
+func TestCOWSplitAllocs(t *testing.T) {
+	for _, k := range []int{4, 16, 64} {
+		m := NewCOW[*mockState](k)
+		net := newMockNet(k)
+		for _, s := range net {
+			m.Register(s)
+		}
+		doBranch(m, net[0]) // the sender gets a rival
+		// Grow the index past the ids the split draws, so its growth is not
+		// counted here.
+		far := net[0].alloc.next + uint64(k) + 1
+		m.index.Set(far, m.dstates[0])
+		m.index.Set(far, nil)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		del, err := m.MapSend(net[0], 1)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(del.Forked) != k-1 || len(del.Receivers) != 1 {
+			t.Fatalf("k=%d: %d forks and %d receivers, want %d and 1", k, len(del.Forked), len(del.Receivers), k-1)
+		}
+		if got := after.Mallocs - before.Mallocs - uint64(len(del.Forked)); got > 6 {
+			t.Errorf("k=%d: a split made %d allocations besides its forks, want at most 6", k, got)
+		}
 	}
 }

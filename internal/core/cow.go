@@ -23,7 +23,9 @@ func newDState[S StateHandle[S]](k int) *dstate[S] {
 func (d *dstate[S]) add(s S) { d.byNode[s.NodeID()] = append(d.byNode[s.NodeID()], s) }
 
 // remove takes s out of its node's bucket in place, keeping the order of
-// the rest; as in vDState.remove, no other holder views a bucket.
+// the rest; as in vDState.remove, no other holder views a bucket: a split's
+// buckets and a restore's are sub-slices of one block, each capped at its
+// own length.
 func (d *dstate[S]) remove(s S) bool {
 	node := s.NodeID()
 	if i := slices.Index(d.byNode[node], s); i >= 0 {
@@ -72,16 +74,13 @@ func scenarioCount[D, T any](dstates []D, byNode func(D) [][]T) *big.Int {
 type COW[S StateHandle[S]] struct {
 	k         int
 	dstates   []*dstate[S]
-	index     map[S]*dstate[S]
+	index     IDIndex[*dstate[S]] // by state id
 	nRegister int
 }
 
 // NewCOW returns an empty COW mapper for a k-node network.
 func NewCOW[S StateHandle[S]](k int) *COW[S] {
-	m := &COW[S]{
-		k:     k,
-		index: make(map[S]*dstate[S], k),
-	}
+	m := &COW[S]{k: k}
 	m.dstates = append(m.dstates, newDState[S](k))
 	return m
 }
@@ -100,7 +99,7 @@ func (m *COW[S]) Register(s S) {
 		panic(fmt.Sprintf("core: COW.Register node %d twice", node))
 	}
 	d.add(s)
-	m.index[s] = d
+	m.index.Set(s.ID(), d)
 	m.nRegister++
 }
 
@@ -108,12 +107,12 @@ func (m *COW[S]) Register(s S) {
 // will simply add the newly created state to the same dstate as its
 // predecessor without forking the rest of the dstate's states" (§III-B).
 func (m *COW[S]) OnBranch(orig, sibling S) []S {
-	d, ok := m.index[orig]
-	if !ok {
+	d := m.index.Get(orig.ID())
+	if d == nil {
 		panic(fmt.Sprintf("core: COW.OnBranch of unknown state %d", orig.ID()))
 	}
 	d.add(sibling)
-	m.index[sibling] = d
+	m.index.Set(sibling.ID(), d)
 	return nil
 }
 
@@ -125,8 +124,8 @@ func (m *COW[S]) MapSend(sender S, dst int) (Delivery[S], error) {
 	if err := validateSend[S](m.k, sender, dst); err != nil {
 		return Delivery[S]{}, err
 	}
-	d, ok := m.index[sender]
-	if !ok {
+	d := m.index.Get(sender.ID())
+	if d == nil {
 		return Delivery[S]{}, fmt.Errorf("core: COW.MapSend of unknown state %d", sender.ID())
 	}
 	senderNode := sender.NodeID()
@@ -136,25 +135,44 @@ func (m *COW[S]) MapSend(sender S, dst int) (Delivery[S], error) {
 		return Delivery[S]{Receivers: append([]S(nil), d.byNode[dst]...)}, nil
 	}
 	// Split: sender leaves d; targets and bystanders are forked into the
-	// fresh dstate; rivals stay behind with the originals.
-	fresh := newDState[S](m.k)
+	// fresh dstate; rivals stay behind with the originals. The fresh
+	// dstate's buckets are carved from one block, the sender's first, each
+	// capped at its own length, so a later add reallocates that bucket
+	// alone; the delivery's lists are made at their final size.
 	d.remove(sender)
-	fresh.add(sender)
-	m.index[sender] = fresh
-	var delivery Delivery[S]
+	total := 0
+	for node, bucket := range d.byNode {
+		if node != senderNode {
+			total += len(bucket)
+		}
+	}
+	fresh := newDState[S](m.k)
+	block := make([]S, 1+total)
+	block[0] = sender
+	fresh.byNode[senderNode] = block[:1:1]
+	m.index.Set(sender.ID(), fresh)
+	delivery := Delivery[S]{
+		Receivers: make([]S, 0, len(d.byNode[dst])),
+		Forked:    make([]S, 0, total),
+	}
+	off := 1
 	for node := 0; node < m.k; node++ {
 		if node == senderNode {
 			continue
 		}
-		for _, st := range d.byNode[node] {
+		n := len(d.byNode[node])
+		copies := block[off : off+n : off+n]
+		for i, st := range d.byNode[node] {
 			cp := st.Fork()
-			fresh.add(cp)
-			m.index[cp] = fresh
+			copies[i] = cp
+			m.index.Set(cp.ID(), fresh)
 			delivery.Forked = append(delivery.Forked, cp)
 			if node == dst {
 				delivery.Receivers = append(delivery.Receivers, cp)
 			}
 		}
+		fresh.byNode[node] = copies
+		off += n
 	}
 	m.dstates = append(m.dstates, fresh)
 	return delivery, nil
@@ -163,8 +181,8 @@ func (m *COW[S]) MapSend(sender S, dst int) (Delivery[S], error) {
 // ScenarioFor implements Mapper: s plus the first same-dstate state of
 // every other node (all selections within a dstate are conflict-free).
 func (m *COW[S]) ScenarioFor(s S) ([]S, bool) {
-	d, ok := m.index[s]
-	if !ok {
+	d := m.index.Get(s.ID())
+	if d == nil {
 		return nil, false
 	}
 	out := make([]S, m.k)
@@ -179,7 +197,7 @@ func (m *COW[S]) ScenarioFor(s S) ([]S, bool) {
 }
 
 // NumStates implements Mapper.
-func (m *COW[S]) NumStates() int { return len(m.index) }
+func (m *COW[S]) NumStates() int { return m.index.Len() }
 
 // NumGroups implements Mapper.
 func (m *COW[S]) NumGroups() int { return len(m.dstates) }
@@ -269,7 +287,7 @@ func (m *COW[S]) CheckInvariants() error {
 	if m.nRegister != m.k {
 		return fmt.Errorf("core: COW: registration incomplete (%d of %d)", m.nRegister, m.k)
 	}
-	seen := make(map[S]bool, len(m.index))
+	seen := make(map[S]bool, m.index.Len())
 	for di, d := range m.dstates {
 		if len(d.byNode) != m.k {
 			return fmt.Errorf("core: COW: dstate %d has %d nodes, want %d", di, len(d.byNode), m.k)
@@ -287,7 +305,7 @@ func (m *COW[S]) CheckInvariants() error {
 					return fmt.Errorf("core: COW: state %d appears in two dstates", st.ID())
 				}
 				seen[st] = true
-				if m.index[st] != d {
+				if m.index.Get(st.ID()) != d {
 					return fmt.Errorf("core: COW: index of state %d is stale", st.ID())
 				}
 			}
@@ -300,8 +318,8 @@ func (m *COW[S]) CheckInvariants() error {
 			}
 		}
 	}
-	if len(seen) != len(m.index) {
-		return fmt.Errorf("core: COW: index has %d states, dstates have %d", len(m.index), len(seen))
+	if len(seen) != m.index.Len() {
+		return fmt.Errorf("core: COW: index has %d states, dstates have %d", m.index.Len(), len(seen))
 	}
 	return nil
 }

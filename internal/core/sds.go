@@ -130,7 +130,7 @@ func (d *vDState[S]) remove(v *vstate[S]) bool {
 type SDS[S StateHandle[S]] struct {
 	k         int
 	dstates   []*vDState[S]
-	virtuals  map[S]*vlist[S] // actual state -> its super-dstate
+	virtuals  IDIndex[*vlist[S]] // actual state id -> its super-dstate
 	nRegister int
 	nextDSID  int
 	// epoch numbers the sends; a stamp equal to it was set by the current
@@ -145,10 +145,7 @@ type SDS[S StateHandle[S]] struct {
 
 // NewSDS returns an empty SDS mapper for a k-node network.
 func NewSDS[S StateHandle[S]](k int) *SDS[S] {
-	m := &SDS[S]{
-		k:        k,
-		virtuals: make(map[S]*vlist[S], k),
-	}
+	m := &SDS[S]{k: k}
 	m.dstates = append(m.dstates, m.newDState())
 	return m
 }
@@ -176,15 +173,15 @@ func (m *SDS[S]) Register(s S) {
 	l := &vlist[S]{actual: s}
 	l.prepend(v)
 	d.add(v)
-	m.virtuals[s] = l
+	m.virtuals.Set(s.ID(), l)
 	m.nRegister++
 }
 
 // OnBranch implements Mapper: the sibling joins every dstate of its
 // predecessor — COW's branch rule applied to each virtual state.
 func (m *SDS[S]) OnBranch(orig, sibling S) []S {
-	origList, ok := m.virtuals[orig]
-	if !ok {
+	origList := m.virtuals.Get(orig.ID())
+	if origList == nil {
 		panic(fmt.Sprintf("core: SDS.OnBranch of unknown state %d", orig.ID()))
 	}
 	sibList := &vlist[S]{actual: sibling}
@@ -193,7 +190,7 @@ func (m *SDS[S]) OnBranch(orig, sibling S) []S {
 		sibList.prepend(v2)
 		vs.ds.add(v2)
 	}
-	m.virtuals[sibling] = sibList
+	m.virtuals.Set(sibling.ID(), sibList)
 	return nil
 }
 
@@ -221,8 +218,8 @@ func (m *SDS[S]) MapSend(sender S, dst int) (Delivery[S], error) {
 	if err := validateSend[S](m.k, sender, dst); err != nil {
 		return Delivery[S]{}, err
 	}
-	senderList, ok := m.virtuals[sender]
-	if !ok {
+	senderList := m.virtuals.Get(sender.ID())
+	if senderList == nil {
 		return Delivery[S]{}, fmt.Errorf("core: SDS.MapSend of unknown state %d", sender.ID())
 	}
 	senderNode := sender.NodeID()
@@ -348,8 +345,8 @@ func (m *SDS[S]) MapSend(sender S, dst int) (Delivery[S], error) {
 		}
 		l := tg.list
 		l.actual, l.head = tg.fork, 1^l.head
-		m.virtuals[tg.kept.actual] = tg.kept
-		m.virtuals[tg.fork] = l
+		m.virtuals.Set(tg.kept.actual.ID(), tg.kept)
+		m.virtuals.Set(tg.fork.ID(), l)
 	}
 	m.targets, m.recvBuf = targets, recv
 	return delivery, nil
@@ -367,8 +364,8 @@ type sendTarget[S StateHandle[S]] struct {
 // ScenarioFor implements Mapper: s plus the first actual state of every
 // other node in the dstate of s's first virtual state.
 func (m *SDS[S]) ScenarioFor(s S) ([]S, bool) {
-	l, ok := m.virtuals[s]
-	if !ok || l.n == 0 {
+	l := m.virtuals.Get(s.ID())
+	if l == nil || l.n == 0 {
 		return nil, false
 	}
 	d := l.first().ds
@@ -384,15 +381,13 @@ func (m *SDS[S]) ScenarioFor(s S) ([]S, bool) {
 }
 
 // NumStates implements Mapper (actual execution states).
-func (m *SDS[S]) NumStates() int { return len(m.virtuals) }
+func (m *SDS[S]) NumStates() int { return m.virtuals.Len() }
 
 // NumVirtualStates returns the number of virtual states, the measure of
 // SDS's bookkeeping overhead.
 func (m *SDS[S]) NumVirtualStates() int {
 	n := 0
-	for _, l := range m.virtuals {
-		n += int(l.n)
-	}
+	m.virtuals.Each(func(_ uint64, l *vlist[S]) { n += int(l.n) })
 	return n
 }
 
@@ -401,7 +396,7 @@ func (m *SDS[S]) NumGroups() int { return len(m.dstates) }
 
 // SuperDStateSize returns how many dstates the state belongs to.
 func (m *SDS[S]) SuperDStateSize(s S) int {
-	if l, ok := m.virtuals[s]; ok {
+	if l := m.virtuals.Get(s.ID()); l != nil {
 		return int(l.n)
 	}
 	return 0
@@ -445,7 +440,7 @@ func (m *SDS[S]) ExplodeFunc(limit int, fn func([]S) bool) {
 // ForEachState implements Mapper; each actual state is visited once, in
 // (dstate creation, node, position) order of its first appearance.
 func (m *SDS[S]) ForEachState(f func(S)) {
-	seen := make(map[S]bool, len(m.virtuals))
+	seen := make(map[S]bool, m.virtuals.Len())
 	for _, d := range m.dstates {
 		for _, bucket := range d.byNode {
 			for _, v := range bucket {
@@ -495,7 +490,7 @@ func (m *SDS[S]) CheckInvariants() error {
 			}
 			actuals := make(map[S]bool, len(bucket))
 			for _, v := range bucket {
-				if v.list == nil || m.virtuals[v.list.actual] != v.list {
+				if v.list == nil || m.virtuals.Get(v.list.actual.ID()) != v.list {
 					return fmt.Errorf("core: SDS: virtual state in dstate %d is not on its actual state's super-dstate", d.id)
 				}
 				s := v.list.actual
@@ -524,41 +519,57 @@ func (m *SDS[S]) CheckInvariants() error {
 	// Each list is walked from end[0]; the strictly ascending positions
 	// also stop a walk that a broken link would send round a cycle.
 	total := 0
-	for s, l := range m.virtuals {
-		if l.actual != s {
-			return fmt.Errorf("core: SDS: super-dstate of state %d belongs to state %d", s.ID(), l.actual.ID())
+	var err error
+	m.virtuals.Each(func(id uint64, l *vlist[S]) {
+		if err == nil {
+			var n int
+			n, err = checkList(id, l, attached)
+			total += n
 		}
-		if l.n == 0 {
-			return fmt.Errorf("core: SDS: state %d has no virtual states", s.ID())
-		}
-		count := 0
-		var prev *vstate[S]
-		for v := l.end[0]; v != nil; prev, v = v, v.link[1] {
-			if v.link[0] != prev {
-				return fmt.Errorf("core: SDS: super-dstate of state %d has links that do not mirror", s.ID())
-			}
-			if prev != nil && v.pos <= prev.pos {
-				return fmt.Errorf("core: SDS: super-dstate of state %d has position %d after %d",
-					s.ID(), v.pos, prev.pos)
-			}
-			if v.list != l {
-				return fmt.Errorf("core: SDS: virtual of state %d points at another super-dstate", s.ID())
-			}
-			if !attached[v] {
-				return fmt.Errorf("core: SDS: dangling virtual state of %d", s.ID())
-			}
-			count++
-		}
-		if prev != l.end[1] {
-			return fmt.Errorf("core: SDS: super-dstate of state %d does not end at its end[1]", s.ID())
-		}
-		if count != int(l.n) {
-			return fmt.Errorf("core: SDS: state %d list count %d != recorded %d", s.ID(), count, l.n)
-		}
-		total += count
+	})
+	if err != nil {
+		return err
 	}
 	if total != len(attached) {
 		return fmt.Errorf("core: SDS: %d virtuals attached, %d listed", len(attached), total)
 	}
 	return nil
+}
+
+// checkList checks the super-dstate l listed under state id: it belongs to
+// that state, holds at least one virtual state, its links mirror each other,
+// its positions strictly ascend from end[0] and every virtual state on it
+// is attached to a dstate. It returns the list's length.
+func checkList[S StateHandle[S]](id uint64, l *vlist[S], attached map[*vstate[S]]bool) (int, error) {
+	if l.actual.ID() != id {
+		return 0, fmt.Errorf("core: SDS: super-dstate of state %d belongs to state %d", id, l.actual.ID())
+	}
+	if l.n == 0 {
+		return 0, fmt.Errorf("core: SDS: state %d has no virtual states", id)
+	}
+	count := 0
+	var prev *vstate[S]
+	for v := l.end[0]; v != nil; prev, v = v, v.link[1] {
+		if v.link[0] != prev {
+			return 0, fmt.Errorf("core: SDS: super-dstate of state %d has links that do not mirror", id)
+		}
+		if prev != nil && v.pos <= prev.pos {
+			return 0, fmt.Errorf("core: SDS: super-dstate of state %d has position %d after %d",
+				id, v.pos, prev.pos)
+		}
+		if v.list != l {
+			return 0, fmt.Errorf("core: SDS: virtual of state %d points at another super-dstate", id)
+		}
+		if !attached[v] {
+			return 0, fmt.Errorf("core: SDS: dangling virtual state of %d", id)
+		}
+		count++
+	}
+	if prev != l.end[1] {
+		return 0, fmt.Errorf("core: SDS: super-dstate of state %d does not end at its end[1]", id)
+	}
+	if count != int(l.n) {
+		return 0, fmt.Errorf("core: SDS: state %d list count %d != recorded %d", id, count, l.n)
+	}
+	return count, nil
 }

@@ -194,20 +194,16 @@ func buildFigure8() (m *SDS[*mockState], sender *mockState, actual map[string]*m
 	for _, name := range []string{"D1", "D2", "D3"} {
 		actual[name] = mk(3)
 	}
-	m = &SDS[*mockState]{
-		k:         4,
-		virtuals:  map[*mockState]*vlist[*mockState]{},
-		nRegister: 4,
-	}
+	m = &SDS[*mockState]{k: 4, nRegister: 4}
 	addDS := func(names ...string) {
 		d := m.newDState()
 		for _, n := range names {
 			s := actual[n]
 			v := &vstate[*mockState]{}
-			if m.virtuals[s] == nil {
-				m.virtuals[s] = &vlist[*mockState]{actual: s}
+			if m.virtuals.Get(s.ID()) == nil {
+				m.virtuals.Set(s.ID(), &vlist[*mockState]{actual: s})
 			}
-			m.virtuals[s].prepend(v)
+			m.virtuals.Get(s.ID()).prepend(v)
 			d.add(v)
 		}
 		m.dstates = append(m.dstates, d)
@@ -390,11 +386,11 @@ func TestSDSInvariantsCatchBrokenLists(t *testing.T) {
 	mm, _ := wideNet(t, 2)
 	m := mm.(*SDS[*mockState])
 	var l *vlist[*mockState]
-	for _, cand := range m.virtuals {
+	m.virtuals.Each(func(_ uint64, cand *vlist[*mockState]) {
 		if cand.n >= 3 {
 			l = cand
 		}
-	}
+	})
 	if l == nil {
 		t.Fatal("no super-dstate with three virtual states")
 	}

@@ -9,7 +9,6 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 )
@@ -74,7 +73,7 @@ func SnapshotMapper[S StateHandle[S]](m Mapper[S]) (*MapperSnapshot, error) {
 		}
 		sp := &MapperSnapshot{Algorithm: COWAlgorithm, K: mm.k, DStates: make([][][]uint64, len(mm.dstates))}
 		buckets := make([][]uint64, len(mm.dstates)*mm.k)
-		ids := make([]uint64, 0, len(mm.index))
+		ids := make([]uint64, 0, mm.index.Len())
 		for i, d := range mm.dstates {
 			ds := buckets[i*mm.k : (i+1)*mm.k : (i+1)*mm.k]
 			for node, bucket := range d.byNode {
@@ -93,12 +92,9 @@ func SnapshotMapper[S StateHandle[S]](m Mapper[S]) (*MapperSnapshot, error) {
 		sp := &MapperSnapshot{
 			Algorithm: SDSAlgorithm, K: mm.k, NextDSID: mm.nextDSID,
 			VDStates: make([]VDStateImage, len(mm.dstates)),
-			Supers:   make([]SuperImage, 0, len(mm.virtuals)),
+			Supers:   make([]SuperImage, 0, mm.virtuals.Len()),
 		}
-		nv := 0
-		for _, l := range mm.virtuals {
-			nv += int(l.n)
-		}
+		nv := mm.NumVirtualStates()
 		buckets := make([][]uint64, len(mm.dstates)*mm.k)
 		ids := make([]uint64, 0, nv)
 		for i, d := range mm.dstates {
@@ -111,26 +107,18 @@ func SnapshotMapper[S StateHandle[S]](m Mapper[S]) (*MapperSnapshot, error) {
 			}
 			sp.VDStates[i] = img
 		}
-		type super struct {
-			id uint64
-			l  *vlist[S]
-		}
-		order := make([]super, 0, len(mm.virtuals))
-		for s, l := range mm.virtuals {
-			order = append(order, super{s.ID(), l})
-		}
-		slices.SortFunc(order, func(a, b super) int { return cmp.Compare(a.id, b.id) })
+		// The index walks in state id order, the order Supers is kept in.
 		dsIDs := make([]int, nv)
-		for _, o := range order {
-			list := dsIDs[:o.l.n:o.l.n]
-			dsIDs = dsIDs[o.l.n:]
+		mm.virtuals.Each(func(_ uint64, l *vlist[S]) {
+			list := dsIDs[:l.n:l.n]
+			dsIDs = dsIDs[l.n:]
 			i := 0
-			for v := o.l.first(); v != nil; v = o.l.next(v) {
+			for v := l.first(); v != nil; v = l.next(v) {
 				list[i] = v.ds.id
 				i++
 			}
-			sp.Supers = append(sp.Supers, SuperImage{StateID: o.id, DStateIDs: list})
-		}
+			sp.Supers = append(sp.Supers, SuperImage{StateID: l.actual.ID(), DStateIDs: list})
+		})
 		return sp, nil
 	}
 	return nil, fmt.Errorf("core: cannot snapshot mapper %T", m)
@@ -163,7 +151,12 @@ func RestoreMapper[S StateHandle[S]](sp *MapperSnapshot, lookup func(uint64) (S,
 	switch sp.Algorithm {
 	case COBAlgorithm:
 		rows := len(sp.Scenarios)
-		m := &COB[S]{k: k, index: make(map[S]*dscenario[S], rows*k), nRegister: k}
+		m := &COB[S]{k: k, nRegister: k}
+		ids := make([]uint64, 0, rows*k)
+		for _, row := range sp.Scenarios {
+			ids = append(ids, row...)
+		}
+		m.index.Restored(sortedDistinct(ids))
 		m.scenarios = make([]*dscenario[S], 0, rows)
 		scenarios := make([]dscenario[S], rows)
 		states := make([]S, rows*k)
@@ -178,11 +171,11 @@ func RestoreMapper[S StateHandle[S]](sp *MapperSnapshot, lookup func(uint64) (S,
 				if err != nil {
 					return nil, err
 				}
-				if _, dup := m.index[s]; dup {
+				if m.index.Get(id) != nil {
 					return nil, fmt.Errorf("core: state %d in two COB dscenarios", id)
 				}
 				sc.states[node] = s
-				m.index[s] = sc
+				m.index.Set(id, sc)
 			}
 			m.scenarios = append(m.scenarios, sc)
 		}
@@ -197,7 +190,14 @@ func RestoreMapper[S StateHandle[S]](sp *MapperSnapshot, lookup func(uint64) (S,
 				n += len(ids)
 			}
 		}
-		m := &COW[S]{k: k, index: make(map[S]*dstate[S], n), nRegister: k}
+		m := &COW[S]{k: k, nRegister: k}
+		ids := make([]uint64, 0, n)
+		for _, src := range sp.DStates {
+			for _, bucket := range src {
+				ids = append(ids, bucket...)
+			}
+		}
+		m.index.Restored(sortedDistinct(ids))
 		m.dstates = make([]*dstate[S], 0, len(sp.DStates))
 		states := make([]S, n)
 		for di, src := range sp.DStates {
@@ -216,11 +216,11 @@ func RestoreMapper[S StateHandle[S]](sp *MapperSnapshot, lookup func(uint64) (S,
 					if err != nil {
 						return nil, err
 					}
-					if _, dup := m.index[s]; dup {
+					if m.index.Get(id) != nil {
 						return nil, fmt.Errorf("core: state %d in two COW dstates", id)
 					}
 					bucket[i] = s
-					m.index[s] = d
+					m.index.Set(id, d)
 				}
 				d.byNode[node] = bucket
 			}
@@ -291,7 +291,12 @@ func restoreSDS[S StateHandle[S]](sp *MapperSnapshot, lookup func(uint64) (S, bo
 		return lo, lo < len(supers) && supers[lo].StateID == id
 	}
 
-	m := &SDS[S]{k: k, virtuals: make(map[S]*vlist[S], len(supers)), nRegister: k, nextDSID: sp.NextDSID}
+	m := &SDS[S]{k: k, nRegister: k, nextDSID: sp.NextDSID}
+	ids := make([]uint64, len(supers))
+	for j, si := range supers {
+		ids[j] = si.StateID
+	}
+	m.virtuals.Restored(ids)
 	m.dstates = make([]*vDState[S], 0, nd)
 	byID := make([]*vDState[S], nd)
 	// pending[j] heads the virtual states of supers[j]'s state made so far,
@@ -381,7 +386,14 @@ func restoreSDS[S StateHandle[S]](sp *MapperSnapshot, lookup func(uint64) (S, bo
 		for v := l.first(); v != nil; v = l.next(v) {
 			slot[v.ds.id] = nil
 		}
-		m.virtuals[actual[j]] = l
+		m.virtuals.Set(si.StateID, l)
 	}
 	return m, nil
+}
+
+// sortedDistinct sorts ids in place and drops repeats: the ids a restore
+// declares to its index. A repeat is refused where the restore meets it.
+func sortedDistinct(ids []uint64) []uint64 {
+	slices.Sort(ids)
+	return slices.Compact(ids)
 }

@@ -285,3 +285,86 @@ func TestRestoreSDSSparseIDs(t *testing.T) {
 		t.Error("restored over sparse ids, the mapper snapshots differently")
 	}
 }
+
+// TestRestoreCOBSparseIDs is TestRestoreSDSSparseIDs for COB.
+func TestRestoreCOBSparseIDs(t *testing.T) { restoreSparseIDs(t, COBAlgorithm) }
+
+// TestRestoreCOWSparseIDs is TestRestoreSDSSparseIDs for COW.
+func TestRestoreCOWSparseIDs(t *testing.T) { restoreSparseIDs(t, COWAlgorithm) }
+
+// restoreSparseIDs restores a mapper of algo over state ids spread out as a
+// sliced frontier's are: it must rebuild the mapper its snapshot came from,
+// keep the restored ids in its index's sorted part, and index the states
+// forked after the restore densely from the first of them.
+func restoreSparseIDs(t *testing.T, algo Algorithm) {
+	m := newRegistered(t, algo, 4)
+	rng := rand.New(rand.NewSource(5))
+	for op := 0; op < 40; op++ {
+		mapperOp(t, m, 4, rng, uint64(op+1))
+	}
+	byID := map[uint64]*mockState{}
+	var alloc *mockAlloc
+	m.ForEachState(func(s *mockState) {
+		s.id = 1000*s.id + 7
+		byID[s.id] = s
+		alloc = s.alloc
+	})
+	want := mustSnapshot(t, m)
+	restored, err := RestoreMapper[*mockState](want, func(id uint64) (*mockState, bool) {
+		s, ok := byID[id]
+		return s, ok
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := restored.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if got := mustSnapshot(t, restored); !reflect.DeepEqual(got, want) {
+		t.Fatal("restored over sparse ids, the mapper snapshots differently")
+	}
+	index := func() *IDIndex[uint64] {
+		var x IDIndex[uint64]
+		switch r := restored.(type) {
+		case *COB[*mockState]:
+			r.index.Each(func(id uint64, _ *dscenario[*mockState]) { x.Set(id, 1) })
+			if len(r.index.ids) != len(byID) || len(r.index.at) != 0 {
+				t.Errorf("COB index holds %d restored ids and %d dense slots, want %d and 0",
+					len(r.index.ids), len(r.index.at), len(byID))
+			}
+		case *COW[*mockState]:
+			r.index.Each(func(id uint64, _ *dstate[*mockState]) { x.Set(id, 1) })
+			if len(r.index.ids) != len(byID) || len(r.index.at) != 0 {
+				t.Errorf("COW index holds %d restored ids and %d dense slots, want %d and 0",
+					len(r.index.ids), len(r.index.at), len(byID))
+			}
+		}
+		return &x
+	}
+	if x := index(); x.Len() != len(byID) {
+		t.Fatalf("the restored index holds %d states, the snapshot %d", x.Len(), len(byID))
+	}
+	// The run goes on: forks draw ids above every restored one.
+	for _, s := range byID {
+		alloc.next = max(alloc.next, s.id)
+	}
+	first := alloc.next + 1
+	for op := 0; op < 40; op++ {
+		mapperOp(t, restored, 4, rng, uint64(op+41))
+	}
+	if err := restored.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	switch r := restored.(type) {
+	case *COB[*mockState]:
+		if r.index.base != first || uint64(len(r.index.at)) != alloc.next-first+1 {
+			t.Errorf("COB dense part covers [%d, %d), want [%d, %d]",
+				r.index.base, r.index.base+uint64(len(r.index.at)), first, alloc.next)
+		}
+	case *COW[*mockState]:
+		if r.index.base != first || uint64(len(r.index.at)) > alloc.next-first+1 {
+			t.Errorf("COW dense part covers [%d, %d), want within [%d, %d]",
+				r.index.base, r.index.base+uint64(len(r.index.at)), first, alloc.next)
+		}
+	}
+}

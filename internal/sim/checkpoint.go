@@ -232,6 +232,9 @@ func resumeSnapshot(cfg Config, data []byte, seg, of int) (*Engine, error) {
 	e.violations = append([]*vm.Violation(nil), sp.Violations...)
 	e.series.Restore(sp.Samples)
 	e.resumed = true
+	// The same ids are the sorted part of the heap's seq index; the states
+	// forked from here on, all above them, go in its dense part.
+	e.entrySeq.Restored(ids)
 	for _, s := range states {
 		e.scheduleHeap(s)
 	}

@@ -254,7 +254,9 @@ type Engine struct {
 	states   []*vm.State
 	runnable []*vm.State // mid-event states (branch siblings), LIFO
 	evHeap   entryHeap
-	entrySeq map[*vm.State]uint64
+	// entrySeq is, by state id, the seq of the state's live heap entry;
+	// older entries of the state are stale.
+	entrySeq core.IDIndex[uint64]
 
 	clock      uint64
 	events     uint64
@@ -433,7 +435,6 @@ func newEngineShell(cfg Config) (*Engine, error) {
 	e := &Engine{
 		cfg:      cfg,
 		ctx:      ctx,
-		entrySeq: make(map[*vm.State]uint64),
 		bootFn:   bootFn,
 		recvFn:   recvFn,
 		started:  time.Now(),
@@ -497,8 +498,10 @@ func (e *Engine) scheduleHeap(s *vm.State) {
 	if !ok || s.Status() != vm.StatusIdle {
 		return
 	}
-	e.entrySeq[s]++
-	e.evHeap.push(heapEntry{time: t, stateID: s.ID(), seq: e.entrySeq[s], state: s})
+	id := s.ID()
+	seq := e.entrySeq.Get(id) + 1
+	e.entrySeq.Set(id, seq)
+	e.evHeap.push(heapEntry{time: t, stateID: id, seq: seq, state: s})
 }
 
 // adopt integrates mapper- or failure-created states into the engine.
@@ -547,7 +550,7 @@ func (e *Engine) Step() bool {
 		}
 		entry := e.evHeap.pop()
 		s := entry.state
-		if entry.seq != e.entrySeq[s] || s.Status() != vm.StatusIdle {
+		if entry.seq != e.entrySeq.Get(entry.stateID) || s.Status() != vm.StatusIdle {
 			continue // stale
 		}
 		t, ok := s.NextEventTime()

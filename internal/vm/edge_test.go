@@ -137,8 +137,10 @@ func TestForkPreservesTrace(t *testing.T) {
 	prog := build(t, func(b *isa.Builder) { b.Func("f").Ret() })
 	ctx := NewContext()
 	s := NewState(ctx, prog, 0)
+	s.own()
 	s.trace = append(s.trace, TraceEntry{Time: 1, Msg: "x"})
 	sib := s.Fork()
+	s.own()
 	s.trace = append(s.trace, TraceEntry{Time: 2, Msg: "y"})
 	if len(sib.Trace()) != 1 {
 		t.Errorf("sibling trace = %d entries, want 1", len(sib.Trace()))

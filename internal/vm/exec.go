@@ -66,6 +66,7 @@ func (s *State) BeginEvent(rxBufAddr uint32) Event {
 	if s.status != StatusIdle {
 		panic("vm: BeginEvent on non-idle " + s.String())
 	}
+	s.own()
 	ev := s.popEvent()
 	s.fn = ev.Fn
 	s.pc = 0
@@ -108,6 +109,7 @@ func (s *State) BeginEvent(rxBufAddr uint32) Event {
 // arguments, outside any event. Used for boot entry and by the single-node
 // explorer.
 func (s *State) StartCall(fn int, args ...*expr.Expr) {
+	s.own()
 	s.fn = fn
 	s.pc = 0
 	s.frames = s.frames[:0]
@@ -134,10 +136,14 @@ func (s *State) StartCall(fn int, args ...*expr.Expr) {
 // on from that branch's budget position, so the instructions run on the
 // abandoned path are not charged against the budget; a state a verdict
 // killed returns the error it died of.
+//
+// The interpreter writes the state's body in place, so Run owns it on entry
+// and again after every Hooks call: a hook may fork the running state.
 func (s *State) Run(now uint64, budget int, h Hooks) error {
 	if budget <= 0 {
 		budget = DefaultStepBudget
 	}
+	s.own()
 	for from := 0; ; {
 		err := s.exec(now, from, budget, h)
 		if len(s.ctx.pending) == 0 {
@@ -157,43 +163,49 @@ func (s *State) Run(now uint64, budget int, h Hooks) error {
 
 // exec is Run's interpreter loop from budget position from on.
 func (s *State) exec(now uint64, from, budget int, h Hooks) error {
-	eb := s.ctx.Exprs
+	ctx, prog := s.ctx, s.prog // every body of the state shares them
+	eb := ctx.Exprs
 	var code *isa.ProgIR
-	if s.ctx.compile {
-		code = s.prog.IR()
+	if ctx.compile {
+		code = prog.IR()
 	}
 	for i := from; i < budget; i++ {
-		if s.status != StatusRunning {
+		// Run owns the body. Only a call that may fork the state — a
+		// branch, an assertion, a send, a resolution — can replace it, so
+		// an instruction writes through b up to such a call and through s
+		// after it.
+		b := s.body
+		if b.status != StatusRunning {
 			return nil
 		}
-		f := s.prog.Func(s.fn)
-		if s.pc >= len(f.Instrs) {
-			s.Kill(fmt.Errorf("vm: pc %d out of range in %s", s.pc, f.Name))
+		f := prog.Func(b.fn)
+		if b.pc >= len(f.Instrs) {
+			s.Kill(fmt.Errorf("vm: pc %d out of range in %s", b.pc, f.Name))
 			return s.runErr
 		}
 		// Compiled-IR fast path: from a block leader, run the chain of
 		// concretizable blocks control stays on (see fastpath.go) and skip
 		// the per-instruction loop. A chain that hands off has stopped at
 		// the leader of a block only the interpreter can execute.
-		if code != nil && code.Funcs[s.fn].BlockIndex(s.pc) >= 0 {
+		if code != nil && code.Funcs[b.fn].BlockIndex(b.pc) >= 0 {
 			n, handoff := s.runFastChain(code, budget-i, now)
 			if !handoff {
-				if s.status != StatusRunning {
+				if b.status != StatusRunning {
 					return nil
 				}
 				i += n - 1
 				continue
 			}
-			s.ctx.slowBlocks.Add(1)
+			ctx.slowBlocks.Add(1)
 			i += n
-			f = s.prog.Func(s.fn)
+			f = prog.Func(b.fn)
 		}
-		in := &f.Instrs[s.pc]
+		in := &f.Instrs[b.pc]
 		// Resolution barrier: an instruction whose effects escape the state
 		// (a packet send, an assertion report) must not execute on an
 		// unconfirmed path. Resolve every speculation first; the state
 		// comes back confirmed, rewound onto a false side, or dead.
-		if len(s.ctx.pending) > 0 && (in.Op == isa.OpAssert || in.Op == isa.OpSend) {
+		if len(ctx.pending) > 0 && (in.Op == isa.OpAssert || in.Op == isa.OpSend) {
 			if at, rewound := s.resolveSpec(h); rewound {
 				i = at
 				continue
@@ -201,44 +213,45 @@ func (s *State) exec(now uint64, from, budget int, h Hooks) error {
 			if s.status != StatusRunning {
 				return s.runErr
 			}
+			b = s.body
 		}
-		s.steps++
-		s.ctx.instrCount.Add(1)
+		b.steps++
+		ctx.instrCount.Add(1)
 
 		switch in.Op {
 		case isa.OpNop:
-			s.pc++
+			b.pc++
 
 		case isa.OpMovI:
-			s.regs[in.Rd] = eb.Const(uint64(in.Imm), WordBits)
-			s.pc++
+			b.regs[in.Rd] = eb.Const(uint64(in.Imm), WordBits)
+			b.pc++
 
 		case isa.OpMov:
-			s.regs[in.Rd] = s.regs[in.Ra]
-			s.pc++
+			b.regs[in.Rd] = b.regs[in.Ra]
+			b.pc++
 
 		case isa.OpNot:
-			s.regs[in.Rd] = eb.Not(s.regs[in.Ra])
-			s.pc++
+			b.regs[in.Rd] = eb.Not(b.regs[in.Ra])
+			b.pc++
 
 		case isa.OpAdd, isa.OpSub, isa.OpMul, isa.OpUDiv, isa.OpURem,
 			isa.OpAnd, isa.OpOr, isa.OpXor, isa.OpShl, isa.OpLShr, isa.OpAShr,
 			isa.OpEq, isa.OpNe, isa.OpUlt, isa.OpUle, isa.OpSlt, isa.OpSle:
-			a := s.regs[in.Ra]
-			var b *expr.Expr
+			x := b.regs[in.Ra]
+			var y *expr.Expr
 			if in.BImm {
-				b = eb.Const(uint64(in.Imm), WordBits)
+				y = eb.Const(uint64(in.Imm), WordBits)
 			} else {
-				b = s.regs[in.Rb]
+				y = b.regs[in.Rb]
 			}
-			s.regs[in.Rd] = s.alu(in.Op, a, b)
-			s.pc++
+			b.regs[in.Rd] = s.alu(in.Op, x, y)
+			b.pc++
 
 		case isa.OpJmp:
-			s.pc = in.Target
+			b.pc = in.Target
 
 		case isa.OpBrNZ, isa.OpBrZ:
-			cond := eb.Ne(s.regs[in.Ra], s.ctx.zeroWord)
+			cond := eb.Ne(b.regs[in.Ra], ctx.zeroWord)
 			if in.Op == isa.OpBrZ {
 				cond = eb.Not(cond)
 			}
@@ -247,53 +260,53 @@ func (s *State) exec(now uint64, from, budget int, h Hooks) error {
 			}
 
 		case isa.OpCall:
-			s.frames = append(s.frames, frame{fn: s.fn, pc: s.pc + 1})
-			s.fn = in.Fn
-			s.pc = 0
+			b.frames = append(b.frames, frame{fn: b.fn, pc: b.pc + 1})
+			b.fn = in.Fn
+			b.pc = 0
 
 		case isa.OpRet:
-			if len(s.frames) == 0 {
+			if len(b.frames) == 0 {
 				s.status = StatusIdle
-				s.fn = -1
+				b.fn = -1
 				return nil
 			}
-			top := s.frames[len(s.frames)-1]
-			s.frames = s.frames[:len(s.frames)-1]
-			s.fn, s.pc = top.fn, top.pc
+			top := b.frames[len(b.frames)-1]
+			b.frames = b.frames[:len(b.frames)-1]
+			b.fn, b.pc = top.fn, top.pc
 
 		case isa.OpHalt:
 			s.Halt()
 			return nil
 
 		case isa.OpLoad:
-			addr, err := s.concreteAddr(s.regs[in.Ra], in.Imm)
+			addr, err := s.concreteAddr(b.regs[in.Ra], in.Imm)
 			if err != nil {
 				s.Kill(err)
 				return err
 			}
-			s.regs[in.Rd] = s.loadWord(addr)
-			s.pc++
+			b.regs[in.Rd] = s.loadWord(addr)
+			b.pc++
 
 		case isa.OpStore:
-			addr, err := s.concreteAddr(s.regs[in.Ra], in.Imm)
+			addr, err := s.concreteAddr(b.regs[in.Ra], in.Imm)
 			if err != nil {
 				s.Kill(err)
 				return err
 			}
-			s.mem.store(addr, s.regs[in.Rb].ID())
-			s.pc++
+			b.mem.store(addr, b.regs[in.Rb].ID())
+			b.pc++
 
 		case isa.OpSym:
-			name := fmt.Sprintf("%s_n%d_%d", in.Sym, s.node, s.symSeq)
-			s.symSeq++
-			if s.ctx.Replay != nil {
-				v := eb.Const(s.ctx.Replay[name], int(in.Imm))
-				s.regs[in.Rd] = eb.ZExt(v, WordBits)
+			name := fmt.Sprintf("%s_n%d_%d", in.Sym, s.node, b.symSeq)
+			b.symSeq++
+			if ctx.Replay != nil {
+				v := eb.Const(ctx.Replay[name], int(in.Imm))
+				b.regs[in.Rd] = eb.ZExt(v, WordBits)
 			} else {
 				v := eb.Var(name, int(in.Imm))
-				s.regs[in.Rd] = eb.ZExt(v, WordBits)
+				b.regs[in.Rd] = eb.ZExt(v, WordBits)
 			}
-			s.pc++
+			b.pc++
 
 		case isa.OpAssert:
 			if err := s.assert(in, now, h); err != nil {
@@ -302,8 +315,8 @@ func (s *State) exec(now uint64, from, budget int, h Hooks) error {
 			s.pc++
 
 		case isa.OpAssume:
-			cond := eb.Ne(s.regs[in.Ra], s.ctx.zeroWord)
-			if s.ctx.Speculate && !cond.IsTrue() && !cond.IsFalse() {
+			cond := eb.Ne(b.regs[in.Ra], ctx.zeroWord)
+			if ctx.Speculate && !cond.IsTrue() && !cond.IsFalse() {
 				s.specAssume(cond)
 				continue
 			}
@@ -320,13 +333,13 @@ func (s *State) exec(now uint64, from, budget int, h Hooks) error {
 			s.pc++
 
 		case isa.OpSend:
-			dst := s.regs[in.Ra]
+			dst := b.regs[in.Ra]
 			if !dst.IsConst() {
 				err := errors.New("vm: symbolic packet destination")
 				s.Kill(err)
 				return err
 			}
-			buf, err := s.concreteAddr(s.regs[in.Rb], 0)
+			buf, err := s.concreteAddr(b.regs[in.Rb], 0)
 			if err != nil {
 				s.Kill(err)
 				return err
@@ -338,11 +351,12 @@ func (s *State) exec(now uint64, from, budget int, h Hooks) error {
 			// Advance past the send before notifying, so a state-mapping
 			// fork of the sender (never done by the paper's algorithms,
 			// but allowed by the interface) resumes after the send.
-			s.pc++
+			b.pc++
 			h.OnSend(s, uint32(dst.ConstVal()), payload)
+			s.own()
 
 		case isa.OpTimer:
-			delay := s.regs[in.Ra]
+			delay := b.regs[in.Ra]
 			if !delay.IsConst() {
 				err := errors.New("vm: symbolic timer delay")
 				s.Kill(err)
@@ -352,21 +366,21 @@ func (s *State) exec(now uint64, from, budget int, h Hooks) error {
 				Time: now + delay.ConstVal(),
 				Kind: EventTimer,
 				Fn:   in.Fn,
-				Arg:  s.regs[in.Rb],
+				Arg:  b.regs[in.Rb],
 			})
 			s.pc++
 
 		case isa.OpNodeID:
-			s.regs[in.Rd] = eb.Const(uint64(s.node), WordBits)
-			s.pc++
+			b.regs[in.Rd] = eb.Const(uint64(s.node), WordBits)
+			b.pc++
 
 		case isa.OpTime:
-			s.regs[in.Rd] = eb.Const(now&0xffffffff, WordBits)
-			s.pc++
+			b.regs[in.Rd] = eb.Const(now&0xffffffff, WordBits)
+			b.pc++
 
 		case isa.OpPrint:
-			s.trace = append(s.trace, TraceEntry{Time: now, Msg: in.Sym, Val: s.regs[in.Ra]})
-			s.pc++
+			b.trace = append(b.trace, TraceEntry{Time: now, Msg: in.Sym, Val: b.regs[in.Ra]})
+			b.pc++
 
 		default:
 			err := fmt.Errorf("vm: invalid opcode %v", in.Op)
@@ -453,12 +467,15 @@ func (s *State) branch(cond *expr.Expr, target, at int, h Hooks) error {
 	}
 	switch {
 	case feasTrue && feasFalse:
+		// The running state writes first and so keeps the arrays it
+		// appends to; the sibling's first append copies its path condition.
 		sibling := s.Fork()
-		sibling.AddConstraint(notCond)
-		sibling.pc++
 		s.AddConstraint(cond)
 		s.pc = target
+		sibling.AddConstraint(notCond)
+		sibling.pc++
 		h.OnFork(s, sibling)
+		s.own()
 	case feasTrue:
 		s.pc = target
 	case feasFalse:
@@ -496,6 +513,7 @@ func (s *State) assert(in *isa.Instr, now uint64, h Hooks) error {
 			StateID: s.id,
 			Cond:    notCond,
 		})
+		s.own()
 	}
 	feasTrue, err := s.feasibleWith(cond)
 	if err != nil {

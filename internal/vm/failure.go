@@ -7,9 +7,9 @@ package vm
 // the policy lives in package sim.
 
 // PeekEvent returns the earliest pending event without consuming it. The
-// pointer is into the state's queue and is good until the next PushEvent,
-// BeginEvent, DropEvent or DuplicateEvent on the state, which move the
-// queue's elements; every caller reads the event's fields before then.
+// pointer is into the state's queue and is good until the next write through
+// the state, or through a state sharing its body, which may take the queue's
+// array over; every caller reads the event's fields before then.
 func (s *State) PeekEvent() (*Event, bool) {
 	if len(s.events) == 0 {
 		return nil, false
@@ -44,6 +44,7 @@ func (s *State) Reboot(bootFn int, t uint64) {
 	if s.status == StatusHalted || s.status == StatusDead {
 		return
 	}
+	s.own()
 	s.mem.release()
 	s.mem = newMemory(s.ctx)
 	zero := s.ctx.zeroWord

@@ -59,17 +59,17 @@ type fastChain struct {
 // load reads a word for the fast path: the chain's own stores first,
 // newest first, then the state's memory. ok is false when the word is
 // symbolic or not word-sized — the abort signal.
-func (c *fastChain) load(s *State, addr uint32) (uint64, bool) {
+func (c *fastChain) load(b *body, addr uint32) (uint64, bool) {
 	for j := c.nstores - 1; j >= 0; j-- {
 		if c.stores[j].addr == addr {
 			return c.stores[j].val, true
 		}
 	}
-	id := s.mem.load(addr)
+	id := b.mem.load(addr)
 	if id == 0 {
 		return 0, true // untouched memory reads as concrete zero
 	}
-	w := s.ctx.Exprs.Node(id)
+	w := b.ctx.Exprs.Node(id)
 	if !w.IsConst() || w.Width() != WordBits {
 		return 0, false
 	}
@@ -107,13 +107,16 @@ func (c *fastChain) store(addr uint32, val uint64) bool {
 // chain stopped where another chain may start (budget spent, buffer full,
 // pc outside the function).
 func (s *State) runFastChain(code *isa.ProgIR, remaining int, now uint64) (consumed int, handoff bool) {
+	// The chain reads and commits through the body Run owns; nothing here
+	// forks the state, so it stays the state's body throughout.
+	b := s.body
 	var c, leader fastChain // leader: c as of the running block's leader
-	fn, pc := s.fn, s.pc
+	fn, pc := b.fn, b.pc
 	blocks, folded, popped := 0, 0, 0
 
 chain:
 	for consumed < remaining {
-		f := s.prog.Func(fn)
+		f := b.prog.Func(fn)
 		fir := &code.Funcs[fn]
 		bi := fir.BlockIndex(pc)
 		if bi < 0 {
@@ -132,7 +135,7 @@ chain:
 				if !need.Has(r) {
 					continue
 				}
-				e := s.regs[r]
+				e := b.regs[r]
 				if e == nil || !e.IsConst() {
 					handoff = true
 					break chain
@@ -170,7 +173,7 @@ chain:
 				c.vals[in.Rd] = ^c.vals[in.Ra] & fastWordMask
 
 			case isa.OpLoad:
-				v, ok := c.load(s, uint32(c.vals[in.Ra])+in.Imm)
+				v, ok := c.load(b, uint32(c.vals[in.Ra])+in.Imm)
 				if !ok {
 					c = leader
 					handoff = true
@@ -205,11 +208,11 @@ chain:
 				ret = true
 
 			default:
-				b := uint64(in.Imm)
+				y := uint64(in.Imm)
 				if !in.BImm {
-					b = c.vals[in.Rb]
+					y = c.vals[in.Rb]
 				}
-				c.vals[in.Rd] = isa.EvalALU(in.Op, c.vals[in.Ra], b)
+				c.vals[in.Rd] = isa.EvalALU(in.Op, c.vals[in.Ra], y)
 			}
 		}
 
@@ -228,9 +231,9 @@ chain:
 				consumed += hops
 			}
 			pc = nextPC
-		case popped < len(s.frames):
+		case popped < len(b.frames):
 			popped++
-			top := s.frames[len(s.frames)-popped]
+			top := b.frames[len(b.frames)-popped]
 			fn, pc = top.fn, top.pc
 		default:
 			// The activation returns. The interpreter leaves fn at -1 and
@@ -248,25 +251,25 @@ chain:
 	// Commit: materialize what the chain wrote. The builder hash-conses,
 	// so these are the same nodes the interpreter would have left in the
 	// registers and in memory.
-	eb := s.ctx.Exprs
+	eb := b.ctx.Exprs
 	for r := isa.Reg(0); r < isa.NumRegs; r++ {
 		if c.dirty.Has(r) {
-			s.regs[r] = eb.Const(c.vals[r], WordBits)
+			b.regs[r] = eb.Const(c.vals[r], WordBits)
 		}
 	}
 	for _, st := range c.stores[:c.nstores] {
-		s.mem.store(st.addr, eb.Const(st.val, WordBits).ID())
+		b.mem.store(st.addr, eb.Const(st.val, WordBits).ID())
 	}
-	s.frames = s.frames[:len(s.frames)-popped]
-	s.fn, s.pc = fn, pc
+	b.frames = b.frames[:len(b.frames)-popped]
+	b.fn, b.pc = fn, pc
 	if fn < 0 {
-		s.status = StatusIdle
+		b.status = StatusIdle
 	}
-	s.steps += uint64(consumed)
-	s.ctx.instrCount.Add(uint64(consumed))
-	s.ctx.fastBlocks.Add(uint64(blocks))
+	b.steps += uint64(consumed)
+	b.ctx.instrCount.Add(uint64(consumed))
+	b.ctx.fastBlocks.Add(uint64(blocks))
 	if folded > 0 {
-		s.ctx.foldedInstrs.Add(uint64(folded))
+		b.ctx.foldedInstrs.Add(uint64(folded))
 	}
 	return consumed, handoff
 }

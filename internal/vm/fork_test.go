@@ -56,6 +56,7 @@ func (w *world) detach(s *State) {
 	if !w.deep {
 		return
 	}
+	s.own()
 	s.pathCond = slices.Clone(s.pathCond)
 	s.hist = slices.Clone(s.hist)
 	s.trace = slices.Clone(s.trace)
@@ -190,7 +191,7 @@ func (d *aliasDriver) step(step int) {
 		case 0:
 			w.adopt(s.Fork())
 		case 1:
-			n := s.clone()
+			n := s.fork()
 			n.adoptFreshID()
 			w.adopt(n)
 		case 2, 3:
@@ -232,7 +233,7 @@ func (d *aliasDriver) step(step int) {
 		case 13: // a speculative branch whose true side turns out infeasible
 			before := s.Status()
 			keep := len(s.PathCond())
-			sib := s.clone()
+			sib := s.fork()
 			w.detach(sib)
 			c := pool[r%len(pool)]
 			sib.AddConstraint(eb.Not(c))
@@ -404,14 +405,18 @@ func TestRestoreAliasing(t *testing.T) {
 	}
 }
 
-// TestForkAllocs pins what a fork costs on the measured shape: the state,
-// its page table and its event queue. Before lists were shared a fork also
-// allocated a hash map and a group for the page table, the same for the
+// TestForkAllocs pins what a fork costs on the measured shape: one header,
+// which shares its parent's body. Before bodies were shared a fork allocated
+// the state, its page table and its event queue (3), and before lists were
+// shared also a hash map and a group for the page table, the same for the
 // implied bindings, copies of the path condition and of the history, and an
-// object per event (9 in all); a fork followed by one reception on the child
-// — a history entry and a queued event, each reallocating a shared or full
-// array — made 11; a fingerprint 3 (the page-number slice, the sort closure
-// and its swapper). A write to a shared page costs the child one page.
+// object per event (9 in all). The first write to a shared body pays what the
+// fork used to, writer and sharers together: a body, a page table and an
+// event queue. So a fork followed by one reception on the child — a history
+// entry and a queued event, each reallocating a full array — makes 6 (5
+// before bodies were shared, 11 before lists were), and a fork followed by a
+// write to a shared page, which costs the child one page, 5 (4 before). A
+// fingerprint allocates nothing.
 func TestForkAllocs(t *testing.T) {
 	ctx, s := measuredState(t)
 	payload := []*expr.Expr{ctx.Exprs.Const(7, WordBits)}
@@ -421,14 +426,14 @@ func TestForkAllocs(t *testing.T) {
 		bound float64
 		f     func()
 	}{
-		{"fork", 3, func() { s.Fork().Release() }},
-		{"fork + reception", 5, func() {
+		{"fork", 1, func() { s.Fork().Release() }},
+		{"fork + reception", 6, func() {
 			c := s.Fork()
 			c.RecordRecv(2, 10, 0, 1, 2)
 			c.PushEvent(Event{Time: 11, Kind: EventRecv, Fn: 0, Src: 2, Data: payload})
 			c.Release()
 		}},
-		{"fork + COW write", 4, func() {
+		{"fork + COW write", 5, func() {
 			c := s.Fork()
 			c.StoreWord(0, word)
 			c.Release()

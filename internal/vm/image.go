@@ -80,8 +80,8 @@ type EventImage struct {
 
 // StateImage is the flattened form of a State. Its path condition,
 // history, trace and event payloads alias the state's: capped views of
-// append-only arrays, as a fork holds them (see State.clone), which nothing
-// writes in place.
+// append-only arrays, as a body that shared them holds them (see
+// State.own), which nothing writes in place.
 type StateImage struct {
 	ID   uint64
 	Node int
@@ -200,22 +200,25 @@ func restoreState(ctx *Context, prog *isa.Program, img *StateImage, pages [][Pag
 		return nil, fmt.Errorf("function %d outside program", img.Fn)
 	}
 	s := &State{
-		ctx:      ctx,
-		prog:     prog,
-		id:       img.ID,
-		node:     img.Node,
-		regs:     img.Regs,
-		mem:      newMemory(ctx),
-		fn:       img.Fn,
-		pc:       img.PC,
-		status:   img.Status,
-		pathCond: img.PathCond[:len(img.PathCond):len(img.PathCond)],
-		hist:     img.Hist[:len(img.Hist):len(img.Hist)],
-		trace:    img.Trace[:len(img.Trace):len(img.Trace)],
-		sendSeq:  img.SendSeq,
-		recvSeq:  img.RecvSeq,
-		symSeq:   img.SymSeq,
-		steps:    img.Steps,
+		id:   img.ID,
+		node: img.Node,
+		body: &body{
+			ctx:      ctx,
+			prog:     prog,
+			regs:     img.Regs,
+			mem:      newMemory(ctx),
+			fn:       img.Fn,
+			pc:       img.PC,
+			ref:      1,
+			status:   img.Status,
+			pathCond: img.PathCond[:len(img.PathCond):len(img.PathCond)],
+			hist:     img.Hist[:len(img.Hist):len(img.Hist)],
+			trace:    img.Trace[:len(img.Trace):len(img.Trace)],
+			sendSeq:  img.SendSeq,
+			recvSeq:  img.RecvSeq,
+			symSeq:   img.SymSeq,
+			steps:    img.Steps,
+		},
 	}
 	if img.HasErr {
 		s.runErr = errors.New(img.ErrMsg)

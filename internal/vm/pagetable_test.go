@@ -166,7 +166,7 @@ func TestPageTableDifferential(t *testing.T) {
 				}
 			}
 		}
-		if got, want := (&State{ctx: ctx, mem: p.mem}).memoryHash(), p.ref.hash(); got != want {
+		if got, want := (&State{body: &body{ctx: ctx, mem: p.mem}}).memoryHash(), p.ref.hash(); got != want {
 			t.Fatalf("step %d: memoryHash = %#x, reference %#x", step, got, want)
 		}
 	}

@@ -45,12 +45,12 @@ func (c *Context) SpecStats() metrics.SpecStats { return c.specStats }
 func (s *State) specBranch(cond *expr.Expr, target, at int) {
 	c := s.ctx
 	notCond := c.Exprs.Not(cond)
-	sib := s.clone()
-	sib.AddConstraint(notCond)
-	sib.pc++
+	sib := s.fork()
 	c.pending = append(c.pending, specEntry{prefix: s.pathCond, cond: cond, notCond: notCond, sib: sib, at: at})
 	s.AddConstraint(cond)
 	s.pc = target
+	sib.AddConstraint(notCond)
+	sib.pc++
 	c.specStats.Submitted++
 	c.specStats.Pairs++
 }
@@ -114,6 +114,7 @@ func (s *State) resolveSpec(h Hooks) (at int, rewound bool) {
 		case satT && satF:
 			e.sib.adoptFreshID()
 			h.OnFork(s, e.sib)
+			s.own()
 		case satT:
 			// A synchronous one-sided-true branch records no constraint.
 			// Later siblings carry their own copy of this one.
@@ -141,48 +142,6 @@ func (s *State) resolveSpec(h Hooks) (at int, rewound bool) {
 	return at, rewound
 }
 
-// clone copies the state exactly like Fork but allocates no state id and
-// counts no fork: a frozen speculative snapshot until adoptFreshID.
-//
-// A fork allocates the state, its page table and its event queue, and
-// shares the rest of its parent's past. The copy's path condition, history
-// and trace are views of the parent's arrays cut to their length, capacity
-// included: every edit of the lists that is not an append installs a fresh
-// or capped slice (removeConstraintAt, restoreFrom, Reboot), so the one
-// holder that can append in place is the one that had spare capacity before
-// the fork, and it writes beyond every other holder's length — the aliasing
-// pending entries' prefixes rely on too. The call stack is copied:
-// BeginEvent, StartCall and Reboot cut it to [:0] and append, which would
-// overwrite a sharer's frames.
-func (s *State) clone() *State {
-	n := &State{
-		ctx:      s.ctx,
-		prog:     s.prog,
-		node:     s.node,
-		regs:     s.regs,
-		mem:      s.mem.clone(),
-		frames:   append([]frame(nil), s.frames...),
-		fn:       s.fn,
-		pc:       s.pc,
-		status:   s.status,
-		pathCond: s.pathCond[:len(s.pathCond):len(s.pathCond)],
-		eventSeq: s.eventSeq,
-		hist:     s.hist[:len(s.hist):len(s.hist)],
-		trace:    s.trace[:len(s.trace):len(s.trace)],
-		sendSeq:  s.sendSeq,
-		recvSeq:  s.recvSeq,
-		symSeq:   s.symSeq,
-		steps:    s.steps,
-	}
-	if len(s.events) > 0 {
-		// Payload slices stay shared with the parent's events; nothing
-		// writes through them.
-		n.events = make([]Event, len(s.events))
-		copy(n.events, s.events)
-	}
-	return n
-}
-
 // adoptFreshID turns a snapshot into a real forked state, drawing the fork
 // counter and id a synchronous Fork at the same point would have drawn:
 // resolution runs in branch creation order, so the id stream is a
@@ -196,34 +155,27 @@ func (s *State) adoptFreshID() {
 // condition into a fresh slice: pending prefixes and forks still view the
 // old array.
 func (s *State) removeConstraintAt(idx int) {
+	s.own()
 	n := make([]*expr.Expr, 0, len(s.pathCond)-1)
 	n = append(n, s.pathCond[:idx]...)
 	s.pathCond = append(n, s.pathCond[idx+1:]...)
 }
 
 // restoreFrom rewinds the state onto the frozen snapshot sib, which it
-// consumes: machine state, events, history and trace come from sib, so the
-// state resumes at the branch's fall-through as a synchronous
-// one-sided-false branch would. The path condition keeps the first keep
-// constraints of the state's own — the confirmed prefix, which reflects
-// removals sib's copy predates — capped, so the next append does not write
-// over what a fork made on the abandoned path still views. The state keeps
-// its identity.
+// consumes: machine state, events, history and trace come from sib's body,
+// which the state takes over, so it resumes at the branch's fall-through as
+// a synchronous one-sided-false branch would. The path condition keeps the
+// first keep constraints of the state's own — the confirmed prefix, which
+// reflects removals sib's copy predates — capped, so the next append does
+// not write over what a fork made on the abandoned path still views. The
+// state keeps its identity; its old body goes to whatever forks still share
+// it.
 func (s *State) restoreFrom(sib *State, keep int) {
-	s.mem.release()
-	s.regs = sib.regs
-	s.mem = sib.mem
-	s.frames = sib.frames
-	s.fn, s.pc = sib.fn, sib.pc
+	pathCond := s.pathCond[:keep:keep]
+	s.Release()
+	s.body, sib.body = sib.body, nil
+	s.own()
 	s.status = StatusRunning
 	s.runErr = nil
-	s.pathCond = s.pathCond[:keep:keep]
-	s.events = sib.events
-	s.eventSeq = sib.eventSeq
-	s.hist = sib.hist
-	s.trace = sib.trace
-	s.sendSeq = sib.sendSeq
-	s.recvSeq = sib.recvSeq
-	s.symSeq = sib.symSeq
-	s.steps = sib.steps
+	s.pathCond = pathCond
 }

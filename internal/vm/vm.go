@@ -371,28 +371,41 @@ const (
 // State is one symbolic execution state of one node: registers, memory,
 // call stack, path condition, pending events, and communication history.
 // States are forked on symbolic branches and by the state-mapping
-// algorithms; forks share memory pages copy-on-write and their past — path
-// condition, history, trace — until one of them appends to it (see clone).
+// algorithms. A State is a header — its id, its node, its settled overhead
+// and a body — and the body holds everything else. A fork allocates only
+// the header and shares its parent's body, reference-counted; every write
+// goes through own, which gives the writer a body of its own first (see
+// own). Bodies in turn share memory pages copy-on-write, and their past —
+// path condition, history, trace — until one of them appends to it.
 type State struct {
+	id      uint64
+	node    int
+	settled int // OverheadBytes as of the last SettleOverhead
+	*body
+}
+
+// body is everything of a state but its identity. It is read by every
+// state that shares it and written only through a holder that owns it
+// alone (ref == 1).
+type body struct {
 	ctx  *Context
 	prog *isa.Program
-
-	id   uint64
-	node int
 
 	regs   [isa.NumRegs]*expr.Expr
 	mem    memory
 	frames []frame // return addresses; the active (fn, pc) is separate
 	fn, pc int
 
+	ref    int32 // the headers sharing this body
 	status Status
 	runErr error
-	// pathCond, hist and trace are append-only lists a fork shares with
-	// its parent (see clone): elements below len are never written, and
-	// every edit that is not an append installs a fresh or capped slice.
+	// pathCond, hist and trace are append-only lists a body shares with
+	// the bodies copied from it (see own): elements below len are never
+	// written, and every edit that is not an append installs a fresh or
+	// capped slice.
 	pathCond []*expr.Expr
 
-	events   []Event // sorted by (Time, seq); owned by this state alone
+	events   []Event // sorted by (Time, seq); owned by this body alone
 	eventSeq uint64
 
 	hist    []HistEntry
@@ -402,8 +415,6 @@ type State struct {
 	symSeq  uint32 // per-state symbolic-input counter (input naming)
 
 	steps uint64 // instructions executed by this state (incl. inherited)
-
-	settled int // OverheadBytes as of the last SettleOverhead
 }
 
 type frame struct {
@@ -413,16 +424,18 @@ type frame struct {
 // NewState creates the initial, quiescent state of a node running prog,
 // with a boot event scheduled at the given time if bootFn is non-negative.
 func NewState(ctx *Context, prog *isa.Program, node int) *State {
-	s := &State{
-		ctx:    ctx,
-		prog:   prog,
-		id:     ctx.newStateID(),
-		node:   node,
-		mem:    newMemory(ctx),
-		status: StatusIdle,
-		fn:     -1,
+	return &State{
+		id:   ctx.newStateID(),
+		node: node,
+		body: &body{
+			ctx:    ctx,
+			prog:   prog,
+			mem:    newMemory(ctx),
+			ref:    1,
+			status: StatusIdle,
+			fn:     -1,
+		},
 	}
-	return s
 }
 
 // ID returns the state's unique id within its context. Ids are assigned in
@@ -456,18 +469,85 @@ func (s *State) Trace() []TraceEntry { return s.trace }
 // Reg returns the current value of a register.
 func (s *State) Reg(r isa.Reg) *expr.Expr { return s.regs[r] }
 
-// Fork copies the state (sharing what clone shares) and returns the
-// copy. The copy receives a fresh id; everything else, including the
-// pending event queue and the communication history, is identical.
+// Fork returns a copy of the state with a fresh id; everything else,
+// including the pending event queue and the communication history, is
+// identical. The copy is one allocation, a header sharing the state's body:
+// whichever of them writes first takes a body of its own (own). A fork
+// starts without its parent's error, as a dead state's copy always has.
 func (s *State) Fork() *State {
-	n := s.clone()
+	n := s.fork()
 	n.adoptFreshID()
 	return n
 }
 
-// Release drops the state's references to shared memory pages. The state
-// must not be used afterwards; releasing it again is harmless.
-func (s *State) Release() { s.mem.release() }
+// fork is Fork without an id and without counting a fork: a frozen
+// speculative sibling until adoptFreshID.
+func (s *State) fork() *State {
+	s.ref++
+	n := &State{node: s.node, body: s.body}
+	if s.runErr != nil {
+		n.own()
+		n.runErr = nil
+	}
+	return n
+}
+
+// own gives s a body no other state shares, before s writes to it. A body
+// shared by other states is copied: the writer takes the copy, which keeps
+// the body's arrays and their spare capacity, and the states still sharing
+// the old body keep capped views of the path condition, history and trace
+// and fresh copies of the page table, call stack and event queue. This is
+// what keeps one appender per array: a capped view reallocates on its first
+// append, so only the writer can append in place, beyond the length of every
+// other view — the aliasing pending speculations' prefixes rely on too. The
+// call stack and event queue are written in place (BeginEvent, StartCall and
+// Reboot cut the stack to [:0] and append), so they are never shared.
+// Payload slices of queued events stay shared; nothing writes through them.
+func (s *State) own() {
+	if s.ref != 1 {
+		s.unshare()
+	}
+}
+
+// unshare is own's copy of a shared body, kept out of line so that own
+// inlines into every mutator.
+func (s *State) unshare() {
+	b := s.body
+	w := new(body)
+	*w = *b
+	w.ref = 1
+	b.ref--
+	b.pathCond = b.pathCond[:len(b.pathCond):len(b.pathCond)]
+	b.hist = b.hist[:len(b.hist):len(b.hist)]
+	b.trace = b.trace[:len(b.trace):len(b.trace)]
+	b.mem = b.mem.clone()
+	b.frames = detached(b.frames)
+	b.events = detached(b.events)
+	s.body = w
+}
+
+// detached returns a copy of xs that shares no array with it, nil if xs is
+// empty.
+func detached[T any](xs []T) []T {
+	if len(xs) == 0 {
+		return nil
+	}
+	return append([]T(nil), xs...)
+}
+
+// Release drops the state's reference to its body, and the body's to its
+// memory pages when it was the last. It never allocates. The state must not
+// be used afterwards; releasing it again is harmless.
+func (s *State) Release() {
+	b := s.body
+	if b == nil {
+		return
+	}
+	s.body = nil
+	if b.ref--; b.ref == 0 {
+		b.mem.release()
+	}
+}
 
 // --- event queue -------------------------------------------------------------
 
@@ -475,6 +555,7 @@ func (s *State) Release() { s.mem.release() }
 // (Time, seq) and the new event carries the largest seq, so it goes behind
 // every event that is not later than it.
 func (s *State) PushEvent(ev Event) {
+	s.own()
 	ev.seq = s.eventSeq
 	s.eventSeq++
 	i := len(s.events)
@@ -500,6 +581,7 @@ func (s *State) PendingEvents() int { return len(s.events) }
 // popEvent removes and returns the earliest event. The vacated slot is
 // zeroed so the queue's spare capacity does not keep a payload alive.
 func (s *State) popEvent() Event {
+	s.own()
 	ev := s.events[0]
 	n := copy(s.events, s.events[1:])
 	s.events[n] = Event{}
@@ -519,7 +601,10 @@ func (s *State) loadWord(addr uint32) *expr.Expr {
 // StoreWord writes a word; exported for runtime initialisation (routing
 // tables, node configuration) before execution starts. v must come from the
 // context's builder; nil leaves the word reading as untouched.
-func (s *State) StoreWord(addr uint32, v *expr.Expr) { s.mem.store(addr, v.ID()) }
+func (s *State) StoreWord(addr uint32, v *expr.Expr) {
+	s.own()
+	s.mem.store(addr, v.ID())
+}
 
 // LoadWord reads a word; exported for test inspection and for the
 // reception path that copies payloads into the RX buffer.
@@ -553,6 +638,7 @@ func (s *State) SettleOverhead() (bytes, delta int) {
 // RecordSend appends a sent-packet entry to the communication history and
 // returns the per-state sequence number identifying the transmission.
 func (s *State) RecordSend(peer uint32, t uint64, payloadHash uint64) uint32 {
+	s.own()
 	seq := s.sendSeq
 	s.sendSeq++
 	s.hist = append(s.hist, HistEntry{Dir: DirSent, Peer: peer, Time: t, Seq: seq, Payload: payloadHash})
@@ -563,6 +649,7 @@ func (s *State) RecordSend(peer uint32, t uint64, payloadHash uint64) uint32 {
 // senderFP is the sending state's Fingerprint at transmission time, making
 // the packet globally unique (see HistEntry).
 func (s *State) RecordRecv(peer uint32, t uint64, seq uint32, payloadHash, senderFP uint64) {
+	s.own()
 	s.hist = append(s.hist, HistEntry{
 		Dir: DirRecv, Peer: peer, Time: t, Seq: seq, Payload: payloadHash, SenderFP: senderFP,
 	})
@@ -571,6 +658,7 @@ func (s *State) RecordRecv(peer uint32, t uint64, seq uint32, payloadHash, sende
 // NextRecvSeq returns and consumes the per-state reception counter; the
 // failure models use it to name their decision variables deterministically.
 func (s *State) NextRecvSeq() uint32 {
+	s.own()
 	n := s.recvSeq
 	s.recvSeq++
 	return n
@@ -582,6 +670,7 @@ func (s *State) AddConstraint(c *expr.Expr) {
 	if c.IsTrue() {
 		return
 	}
+	s.own()
 	s.pathCond = append(s.pathCond, c)
 }
 
@@ -602,6 +691,7 @@ func (s *State) InheritConstraints(cs []*expr.Expr) {
 			}
 		}
 		if !present {
+			s.own()
 			s.pathCond = append(s.pathCond, c)
 		}
 	}
@@ -622,6 +712,7 @@ func (s *State) ForkOnFreshBool(name string) *State {
 
 // Kill marks the state dead with the given error.
 func (s *State) Kill(err error) {
+	s.own()
 	s.status = StatusDead
 	s.runErr = err
 	s.events = nil
@@ -629,6 +720,7 @@ func (s *State) Kill(err error) {
 
 // Halt marks the state halted.
 func (s *State) Halt() {
+	s.own()
 	s.status = StatusHalted
 	s.events = nil
 }
