@@ -210,23 +210,27 @@ func (m *COW[S]) DScenarioCount() *big.Int {
 
 // Explode implements Mapper: enumerate the per-node cartesian product of
 // every dstate (§IV-C "deliberate state explosion").
-func (m *COW[S]) Explode(limit int) [][]S {
-	var out [][]S
-	m.ExplodeFunc(limit, func(sc []S) bool {
-		out = append(out, sc)
-		return true
-	})
-	return out
-}
+func (m *COW[S]) Explode(limit int) [][]S { return explode(limit, m.ExplodeFunc) }
 
 // ExplodeFunc implements Mapper.
 func (m *COW[S]) ExplodeFunc(limit int, fn func([]S) bool) {
 	emitted := 0
 	for _, d := range m.dstates {
-		if !explodeDState(d.byNode, limit, &emitted, func(sc []S) bool { return fn(sc) }) {
+		if !explodeDState(d.byNode, limit, &emitted, fn) {
 			return
 		}
 	}
+}
+
+// explode is Explode for a mapper's ExplodeFunc: it collects what that
+// streams.
+func explode[S any](limit int, explodeFunc func(int, func([]S) bool)) [][]S {
+	var out [][]S
+	explodeFunc(limit, func(sc []S) bool {
+		out = append(out, sc)
+		return true
+	})
+	return out
 }
 
 // explodeDState streams the cartesian product of per-node buckets of

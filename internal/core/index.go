@@ -36,23 +36,26 @@ func (x *IDIndex[V]) Get(id uint64) V {
 	if i := id - x.base; i < uint64(len(x.at)) {
 		return x.at[i]
 	}
-	if j, ok := x.restored(id); ok {
+	if j, ok := SearchIDs(x.ids, id); ok {
 		return x.vals[j]
 	}
 	var zero V
 	return zero
 }
 
-// restored returns the position of id among the restored ids, or the one it
-// would be inserted at and false.
-func (x *IDIndex[V]) restored(id uint64) (int, bool) {
-	if len(x.ids) == 0 {
+// SearchIDs returns the position of id in ids, ascending and distinct, or
+// the position it would be inserted at and false, as slices.BinarySearch
+// does. Where no id between the first and id is missing — every list of
+// restored ids no slice was cut from — id is found at its offset from the
+// first, without a search.
+func SearchIDs(ids []uint64, id uint64) (int, bool) {
+	if len(ids) == 0 {
 		return 0, false
 	}
-	if g := id - x.ids[0]; g < uint64(len(x.ids)) && x.ids[g] == id {
+	if g := id - ids[0]; g < uint64(len(ids)) && ids[g] == id {
 		return int(g), true
 	}
-	return slices.BinarySearch(x.ids, id)
+	return slices.BinarySearch(ids, id)
 }
 
 // Set makes v the value of id; the zero value makes id absent.
@@ -60,7 +63,7 @@ func (x *IDIndex[V]) Set(id uint64, v V) {
 	var p *V
 	if i := id - x.base; i < uint64(len(x.at)) {
 		p = &x.at[i]
-	} else if j, ok := x.restored(id); ok {
+	} else if j, ok := SearchIDs(x.ids, id); ok {
 		p = &x.vals[j]
 	} else if j < len(x.ids) || len(x.at) > 0 && id < x.base {
 		// Below the dense part, which only an id a restore did not

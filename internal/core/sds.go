@@ -409,14 +409,7 @@ func (m *SDS[S]) DScenarioCount() *big.Int {
 
 // Explode implements Mapper: the per-node cartesian product of every
 // dstate, projected to actual states.
-func (m *SDS[S]) Explode(limit int) [][]S {
-	var out [][]S
-	m.ExplodeFunc(limit, func(sc []S) bool {
-		out = append(out, sc)
-		return true
-	})
-	return out
-}
+func (m *SDS[S]) Explode(limit int) [][]S { return explode(limit, m.ExplodeFunc) }
 
 // ExplodeFunc implements Mapper.
 func (m *SDS[S]) ExplodeFunc(limit int, fn func([]S) bool) {

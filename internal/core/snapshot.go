@@ -5,7 +5,8 @@
 // exactly — COW's ScenarioFor picks bucket heads and SDS's send phases
 // walk super-dstate lists in order, so a reordered restore would diverge
 // from the interrupted run. Snapshots cross a disk round-trip, so every
-// structural invariant is validated with errors, never panics.
+// structural invariant, and conflict-freedom (a node's states in one
+// dstate share their history), is validated with errors, never panics.
 package core
 
 import (
@@ -54,15 +55,15 @@ type MapperSnapshot struct {
 func SnapshotMapper[S StateHandle[S]](m Mapper[S]) (*MapperSnapshot, error) {
 	switch mm := m.(type) {
 	case *COB[S]:
-		if mm.pending != nil {
+		if mm.nRegister != mm.k {
 			return nil, fmt.Errorf("core: snapshot of COB mid-registration")
 		}
-		sp := &MapperSnapshot{Algorithm: COBAlgorithm, K: mm.k, Scenarios: make([][]uint64, len(mm.scenarios))}
-		ids := make([]uint64, len(mm.scenarios)*mm.k)
-		for i, sc := range mm.scenarios {
+		sp := &MapperSnapshot{Algorithm: COBAlgorithm, K: mm.k, Scenarios: make([][]uint64, len(mm.dstates))}
+		ids := make([]uint64, len(mm.dstates)*mm.k)
+		for i, d := range mm.dstates {
 			row := ids[i*mm.k : (i+1)*mm.k : (i+1)*mm.k]
-			for node, s := range sc.states {
-				row[node] = s.ID()
+			for node, bucket := range d.byNode {
+				row[node] = bucket[0].ID()
 			}
 			sp.Scenarios[i] = row
 		}
@@ -136,98 +137,33 @@ func RestoreMapper[S StateHandle[S]](sp *MapperSnapshot, lookup func(uint64) (S,
 	if k <= 0 {
 		return nil, fmt.Errorf("core: mapper snapshot with k=%d", k)
 	}
-	resolve := func(id uint64, node int) (S, error) {
-		s, ok := lookup(id)
-		if !ok {
-			var zero S
-			return zero, fmt.Errorf("core: mapper snapshot references unknown state %d", id)
-		}
-		if s.NodeID() != node {
-			var zero S
-			return zero, fmt.Errorf("core: state %d is on node %d, bucket says %d", id, s.NodeID(), node)
-		}
-		return s, nil
-	}
 	switch sp.Algorithm {
 	case COBAlgorithm:
-		rows := len(sp.Scenarios)
-		m := &COB[S]{k: k, nRegister: k}
-		ids := make([]uint64, 0, rows*k)
+		// A dscenario row is a dstate whose buckets hold one state each:
+		// one-element views of the row.
+		n := 0
 		for _, row := range sp.Scenarios {
-			ids = append(ids, row...)
+			n += len(row)
 		}
-		m.index.Restored(sortedDistinct(ids))
-		m.scenarios = make([]*dscenario[S], 0, rows)
-		scenarios := make([]dscenario[S], rows)
-		states := make([]S, rows*k)
+		buckets := make([][]uint64, n)
+		dstates := make([][][]uint64, len(sp.Scenarios))
 		for i, row := range sp.Scenarios {
-			if len(row) != k {
-				return nil, fmt.Errorf("core: COB dscenario with %d nodes, want %d", len(row), k)
+			ds := buckets[:len(row):len(row)]
+			buckets = buckets[len(row):]
+			for node := range row {
+				ds[node] = row[node : node+1 : node+1]
 			}
-			sc := &scenarios[i]
-			sc.states = states[i*k : (i+1)*k : (i+1)*k]
-			for node, id := range row {
-				s, err := resolve(id, node)
-				if err != nil {
-					return nil, err
-				}
-				if m.index.Get(id) != nil {
-					return nil, fmt.Errorf("core: state %d in two COB dscenarios", id)
-				}
-				sc.states[node] = s
-				m.index.Set(id, sc)
-			}
-			m.scenarios = append(m.scenarios, sc)
+			dstates[i] = ds
 		}
-		if len(m.scenarios) == 0 {
-			return nil, fmt.Errorf("core: COB snapshot with no dscenarios")
+		m := &COB[S]{}
+		if err := restoreDStates(&m.COW, k, dstates, lookup); err != nil {
+			return nil, err
 		}
 		return m, nil
 	case COWAlgorithm:
-		n := 0
-		for _, src := range sp.DStates {
-			for _, ids := range src {
-				n += len(ids)
-			}
-		}
-		m := &COW[S]{k: k, nRegister: k}
-		ids := make([]uint64, 0, n)
-		for _, src := range sp.DStates {
-			for _, bucket := range src {
-				ids = append(ids, bucket...)
-			}
-		}
-		m.index.Restored(sortedDistinct(ids))
-		m.dstates = make([]*dstate[S], 0, len(sp.DStates))
-		states := make([]S, n)
-		for di, src := range sp.DStates {
-			if len(src) != k {
-				return nil, fmt.Errorf("core: COW dstate %d with %d nodes, want %d", di, len(src), k)
-			}
-			d := newDState[S](k)
-			for node, ids := range src {
-				if len(ids) == 0 {
-					return nil, fmt.Errorf("core: COW dstate %d has no states for node %d", di, node)
-				}
-				bucket := states[:len(ids):len(ids)]
-				states = states[len(ids):]
-				for i, id := range ids {
-					s, err := resolve(id, node)
-					if err != nil {
-						return nil, err
-					}
-					if m.index.Get(id) != nil {
-						return nil, fmt.Errorf("core: state %d in two COW dstates", id)
-					}
-					bucket[i] = s
-					m.index.Set(id, d)
-				}
-				d.byNode[node] = bucket
-			}
-			m.dstates = append(m.dstates, d)
-		}
-		if len(m.dstates) == 0 {
-			return nil, fmt.Errorf("core: COW snapshot with no dstates")
+		m := &COW[S]{}
+		if err := restoreDStates(m, k, sp.DStates, lookup); err != nil {
+			return nil, err
 		}
 		return m, nil
 	case SDSAlgorithm:
@@ -236,10 +172,77 @@ func RestoreMapper[S StateHandle[S]](sp *MapperSnapshot, lookup func(uint64) (S,
 	return nil, fmt.Errorf("core: mapper snapshot with unknown algorithm %d", sp.Algorithm)
 }
 
+// restoreDStates fills m, an empty COW, with the dstates of a snapshot: per
+// dstate, per node, an ordered bucket of state ids. Every id must resolve,
+// to a state of its bucket's node, and appear once; every bucket must hold
+// a state, and its states must share their history (conflict-freedom,
+// §II-B). The buckets are sub-slices of one block, each capped at its own
+// length.
+func restoreDStates[S StateHandle[S]](m *COW[S], k int, dstates [][][]uint64, lookup func(uint64) (S, bool)) error {
+	if len(dstates) == 0 {
+		return fmt.Errorf("core: mapper snapshot with no dstates")
+	}
+	m.k, m.nRegister = k, k
+	n := 0
+	for _, src := range dstates {
+		for _, bucket := range src {
+			n += len(bucket)
+		}
+	}
+	ids := make([]uint64, 0, n)
+	for _, src := range dstates {
+		for _, bucket := range src {
+			ids = append(ids, bucket...)
+		}
+	}
+	states := make([]S, n)
+	m.index.Restored(sortedDistinct(ids))
+	m.dstates = make([]*dstate[S], 0, len(dstates))
+	for di, src := range dstates {
+		if len(src) != k {
+			return fmt.Errorf("core: dstate %d with %d nodes, want %d", di, len(src), k)
+		}
+		d := newDState[S](k)
+		for node, ids := range src {
+			if len(ids) == 0 {
+				return fmt.Errorf("core: dstate %d has no states for node %d", di, node)
+			}
+			bucket := states[:len(ids):len(ids)]
+			states = states[len(ids):]
+			for i, id := range ids {
+				s, ok := lookup(id)
+				if !ok {
+					return fmt.Errorf("core: mapper snapshot references unknown state %d", id)
+				}
+				if s.NodeID() != node {
+					return fmt.Errorf("core: state %d is on node %d, bucket says %d", id, s.NodeID(), node)
+				}
+				if m.index.Get(id) != nil {
+					return fmt.Errorf("core: state %d in two dstates", id)
+				}
+				bucket[i] = s
+				m.index.Set(id, d)
+			}
+			if len(bucket) > 1 {
+				h := bucket[0].HistoryHash()
+				for _, s := range bucket[1:] {
+					if s.HistoryHash() != h {
+						return fmt.Errorf("core: dstate %d node %d holds conflicting states %d and %d",
+							di, node, bucket[0].ID(), s.ID())
+					}
+				}
+			}
+			d.byNode[node] = bucket
+		}
+		m.dstates = append(m.dstates, d)
+	}
+	return nil
+}
+
 // restoreSDS is RestoreMapper for SDS. It makes each dstate's virtual
 // states as one block, as MapSend's splits do, and queues each on a
 // pending list of its actual state. That list is found through the state's
-// super-dstate image, by binary search: the images must be in strictly
+// super-dstate image, by SearchIDs: the images must be in strictly
 // ascending state id order. It then links each super-dstate in its stored
 // order, through a scratch slot per dstate id. SDS deletes no dstate, so a
 // snapshot must hold every dstate id below NextDSID exactly once; both
@@ -269,39 +272,22 @@ func restoreSDS[S StateHandle[S]](sp *MapperSnapshot, lookup func(uint64) (S, bo
 		}
 		actual[j] = s
 	}
-	// superOf finds the super-dstate image of state id. Where no state
-	// between the first and id is missing — every frontier no slice was
-	// cut from — it is at id's offset from the first.
-	superOf := func(id uint64) (int, bool) {
-		if len(supers) == 0 {
-			return 0, false
-		}
-		if g := id - supers[0].StateID; g < uint64(len(supers)) && supers[g].StateID == id {
-			return int(g), true
-		}
-		lo, hi := 0, len(supers)
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if supers[mid].StateID < id {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		return lo, lo < len(supers) && supers[lo].StateID == id
-	}
-
 	m := &SDS[S]{k: k, nRegister: k, nextDSID: sp.NextDSID}
-	ids := make([]uint64, len(supers))
+	// The super-dstate images' state ids, ascending: the virtual states'
+	// index, and the list each state id's image is found in (SearchIDs).
+	superIDs := make([]uint64, len(supers))
 	for j, si := range supers {
-		ids[j] = si.StateID
+		superIDs[j] = si.StateID
 	}
-	m.virtuals.Restored(ids)
+	m.virtuals.Restored(superIDs)
 	m.dstates = make([]*vDState[S], 0, nd)
 	byID := make([]*vDState[S], nd)
 	// pending[j] heads the virtual states of supers[j]'s state made so far,
 	// newest first, linked through link[0] until their list is built.
 	pending := make([]*vstate[S], len(supers))
+	// hist[j] is supers[j]'s state's history hash where hashed[j].
+	hist := make([]uint64, len(supers))
+	hashed := make([]bool, len(supers))
 	for _, img := range sp.VDStates {
 		if img.ID < 0 || img.ID >= nd {
 			return nil, fmt.Errorf("core: SDS dstate id %d outside [0,%d)", img.ID, nd)
@@ -324,8 +310,9 @@ func restoreSDS[S StateHandle[S]](sp *MapperSnapshot, lookup func(uint64) (S, bo
 		ptrs := make([]*vstate[S], total)
 		off := 0
 		for node, ids := range img.ByNode {
+			var h0 uint64 // the history of the bucket's first state
 			for i, id := range ids {
-				j, ok := superOf(id)
+				j, ok := SearchIDs(superIDs, id)
 				if !ok {
 					if _, known := lookup(id); !known {
 						return nil, fmt.Errorf("core: mapper snapshot references unknown state %d", id)
@@ -340,6 +327,19 @@ func restoreSDS[S StateHandle[S]](sp *MapperSnapshot, lookup func(uint64) (S, bo
 				// another, so a second one finds the first at the head.
 				if p := pending[j]; p != nil && p.ds == d {
 					return nil, fmt.Errorf("core: state %d twice in SDS dstate %d", id, img.ID)
+				}
+				// Conflict-freedom (§II-B), hashing each state's history
+				// once however many buckets it is in.
+				if len(ids) > 1 {
+					if !hashed[j] {
+						hist[j], hashed[j] = s.HistoryHash(), true
+					}
+					if i == 0 {
+						h0 = hist[j]
+					} else if hist[j] != h0 {
+						return nil, fmt.Errorf("core: SDS dstate %d node %d holds conflicting states %d and %d",
+							img.ID, node, ids[0], id)
+					}
 				}
 				v := &block[off+i]
 				v.ds, v.link[0] = d, pending[j]

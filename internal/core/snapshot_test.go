@@ -327,7 +327,7 @@ func restoreSparseIDs(t *testing.T, algo Algorithm) {
 		var x IDIndex[uint64]
 		switch r := restored.(type) {
 		case *COB[*mockState]:
-			r.index.Each(func(id uint64, _ *dscenario[*mockState]) { x.Set(id, 1) })
+			r.index.Each(func(id uint64, _ *dstate[*mockState]) { x.Set(id, 1) })
 			if len(r.index.ids) != len(byID) || len(r.index.at) != 0 {
 				t.Errorf("COB index holds %d restored ids and %d dense slots, want %d and 0",
 					len(r.index.ids), len(r.index.at), len(byID))

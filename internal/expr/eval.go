@@ -1,7 +1,6 @@
 package expr
 
 import (
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -266,10 +265,4 @@ func writeExpr(sb *strings.Builder, e *Expr, depth int) {
 		}
 		sb.WriteByte(')')
 	}
-}
-
-// SortByName orders variables by name; useful for deterministic test-case
-// output.
-func SortByName(vars []*Expr) {
-	sort.Slice(vars, func(i, j int) bool { return vars[i].name < vars[j].name })
 }

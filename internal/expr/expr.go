@@ -136,9 +136,6 @@ func (e *Expr) ConstVal() uint64 {
 	return e.val
 }
 
-// IsVar reports whether the expression is a symbolic variable leaf.
-func (e *Expr) IsVar() bool { return e.kind == KindVar }
-
 // VarID returns the variable's unique id within its Builder. It panics if
 // the expression is not a variable.
 func (e *Expr) VarID() uint32 {
@@ -303,13 +300,6 @@ func (b *Builder) addNode(e *Expr) {
 		b.nodes[k] = make([]*Expr, nodeChunkBase<<k)
 	}
 	b.nodes[k][i] = e
-}
-
-// NumVars returns the number of distinct symbolic variables created.
-func (b *Builder) NumVars() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.vars)
 }
 
 func checkWidth(width int) uint8 {

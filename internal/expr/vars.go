@@ -16,21 +16,6 @@ import (
 // slice is shared and must not be modified. Constants return nil.
 func (e *Expr) VarIDs() []uint32 { return e.vids }
 
-// HasVar reports whether variable id occurs in e, by binary search over
-// the memoised id set.
-func (e *Expr) HasVar(id uint32) bool {
-	lo, hi := 0, len(e.vids)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if e.vids[mid] < id {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo < len(e.vids) && e.vids[lo] == id
-}
-
 // mergeVarIDs unions up to three sorted id sets. When the union equals
 // one of the inputs, that input's slice is reused so deep DAGs over a
 // stable variable population share one set per subtree.

@@ -182,9 +182,7 @@ func resumeSnapshot(cfg Config, data []byte, seg, of int) (*Engine, error) {
 	// The mapper names states by id: look them up in the states' ids in
 	// ascending order — the order an engine keeps its states in, so
 	// sorting is a pass that finds nothing to do. Nothing is sized by an
-	// id: ids go sparse once a frontier is sliced. Where none is missing
-	// between the first and the one looked up, it is found at its offset
-	// from the first; otherwise by binary search.
+	// id: ids go sparse once a frontier is sliced (core.SearchIDs).
 	byID := states
 	if !slices.IsSortedFunc(byID, compareIDs) {
 		byID = slices.Clone(states)
@@ -203,17 +201,10 @@ func resumeSnapshot(cfg Config, data []byte, seg, of int) (*Engine, error) {
 		return nil, fmt.Errorf("sim: checkpoint state id %d beyond counter %d", ids[n-1], sp.NextStateID)
 	}
 	mapper, err := core.RestoreMapper[*vm.State](sp.Mapper, func(id uint64) (*vm.State, bool) {
-		if len(ids) == 0 {
-			return nil, false
+		if i, ok := core.SearchIDs(ids, id); ok {
+			return byID[i], true
 		}
-		if g := id - ids[0]; g < uint64(len(ids)) && ids[g] == id {
-			return byID[g], true
-		}
-		i, ok := slices.BinarySearch(ids, id)
-		if !ok {
-			return nil, false
-		}
-		return byID[i], true
+		return nil, false
 	})
 	if err != nil {
 		return nil, err

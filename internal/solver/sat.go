@@ -40,9 +40,6 @@ package solver
 // Variables are numbered starting at 1.
 type Lit int32
 
-// Neg returns the negated literal.
-func (l Lit) Neg() Lit { return -l }
-
 func (l Lit) v() int32 {
 	if l < 0 {
 		return int32(-l)

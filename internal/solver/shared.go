@@ -68,15 +68,6 @@ func (c *SharedCache) Stats() SharedCacheStats {
 	return s
 }
 
-// HitRate returns the fraction of lookups answered from the cache.
-func (c *SharedCache) HitRate() float64 {
-	l := c.lookups.Load()
-	if l == 0 {
-		return 0
-	}
-	return float64(c.hits.Load()) / float64(l)
-}
-
 func (c *SharedCache) stripe(key uint64) *sharedStripe {
 	return &c.stripes[key&(sharedStripes-1)]
 }

@@ -105,9 +105,6 @@ func NewContextWithSolver(eb *expr.Builder, opts solver.Options) *Context {
 // and test cases bit-for-bit.
 func (c *Context) SetCompiledIR(on bool) { c.compile = on }
 
-// CompiledIR reports whether the concrete fast path is enabled.
-func (c *Context) CompiledIR() bool { return c.compile }
-
 // Instructions returns the total number of instructions executed by all
 // states of this context.
 func (c *Context) Instructions() uint64 { return c.instrCount.Load() }
