@@ -37,7 +37,7 @@ func (m *COB[S]) OnBranch(orig, sibling S) []S {
 	if d == nil {
 		panic(fmt.Sprintf("core: COB.OnBranch of unknown state %d", orig.ID()))
 	}
-	fresh := newDState[S](m.k)
+	fresh := m.push()
 	block := make([]S, m.k)
 	m.index.Set(sibling.ID(), fresh)
 	forked := make([]S, 0, m.k-1)
@@ -51,7 +51,6 @@ func (m *COB[S]) OnBranch(orig, sibling S) []S {
 		}
 		fresh.byNode[node] = block[node : node+1 : node+1]
 	}
-	m.dstates = append(m.dstates, fresh)
 	return forked
 }
 

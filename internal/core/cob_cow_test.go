@@ -326,36 +326,55 @@ func TestAlgorithmString(t *testing.T) {
 	}
 }
 
-// TestCOWSplitAllocs: a split allocates the fresh dstate, its bucket table,
-// one block its buckets are carved from, the delivery's two lists and here
-// the dstate list's growth, at every network size; only the forks themselves
-// (one allocation each for a mock state) grow with k. It made one allocation
-// per node bucket and more for the delivery's lists before the block.
-func TestCOWSplitAllocs(t *testing.T) {
-	for _, k := range []int{4, 16, 64} {
-		m := NewCOW[*mockState](k)
-		net := newMockNet(k)
-		for _, s := range net {
-			m.Register(s)
-		}
-		doBranch(m, net[0]) // the sender gets a rival
-		// Grow the index past the ids the split draws, so its growth is not
-		// counted here.
-		far := net[0].alloc.next + uint64(k) + 1
-		m.index.Set(far, m.dstates[0])
-		m.index.Set(far, nil)
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		del, err := m.MapSend(net[0], 1)
-		runtime.ReadMemStats(&after)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(del.Forked) != k-1 || len(del.Receivers) != 1 {
-			t.Fatalf("k=%d: %d forks and %d receivers, want %d and 1", k, len(del.Forked), len(del.Receivers), k-1)
-		}
-		if got := after.Mallocs - before.Mallocs - uint64(len(del.Forked)); got > 6 {
-			t.Errorf("k=%d: a split made %d allocations besides its forks, want at most 6", k, got)
-		}
+// TestSplitAllocs: a split makes a constant number of allocations at every
+// network size besides the forks (one allocation each for a mock state),
+// the only thing that grows with k. For COW those are the fresh dstate, its
+// bucket table, the block its buckets are carved from, the delivery's two
+// lists and here the dstate list's growth; COW made one allocation per node
+// bucket and more for the delivery's lists before the block. SDS forks the
+// target alone and makes a split's virtual copies as one allocation, beside
+// the block the split carves every fresh bucket from, the sender's too.
+func TestSplitAllocs(t *testing.T) {
+	cases := []struct {
+		algo  Algorithm
+		forks func(k int) int
+		want  uint64
+	}{
+		{COWAlgorithm, func(k int) int { return k - 1 }, 6},
+		{SDSAlgorithm, func(int) int { return 1 }, 10},
+	}
+	for _, c := range cases {
+		t.Run(c.algo.String(), func(t *testing.T) {
+			for _, k := range []int{4, 16, 64} {
+				m := newRegistered(t, c.algo, k)
+				net := collectStates(m)
+				doBranch(m, net[0]) // the sender gets a rival
+				// Grow the index past the ids the split draws, so its
+				// growth is not counted here.
+				far := net[0].alloc.next + uint64(k) + 1
+				switch m := m.(type) {
+				case *COW[*mockState]:
+					m.index.Set(far, m.dstates[0])
+					m.index.Set(far, nil)
+				case *SDS[*mockState]:
+					m.virtuals.Set(far, m.virtuals.Get(net[0].ID()))
+					m.virtuals.Set(far, nil)
+				}
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				del, err := m.MapSend(net[0], 1)
+				runtime.ReadMemStats(&after)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(del.Forked) != c.forks(k) || len(del.Receivers) != 1 {
+					t.Fatalf("k=%d: %d forks and %d receivers, want %d and 1",
+						k, len(del.Forked), len(del.Receivers), c.forks(k))
+				}
+				if got := after.Mallocs - before.Mallocs - uint64(len(del.Forked)); got > c.want {
+					t.Errorf("k=%d: a split made %d allocations besides its forks, want at most %d", k, got, c.want)
+				}
+			}
+		})
 	}
 }

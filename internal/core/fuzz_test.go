@@ -3,6 +3,7 @@ package core
 import (
 	"math/big"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -20,7 +21,10 @@ func collectStates(m Mapper[*mockState]) []*mockState {
 //   - MapSend never changes the number of represented dscenarios (it only
 //     restructures how they are represented),
 //   - OnBranch strictly increases it, and
-//   - for SDS, no operation ever creates a duplicate state (§III-D).
+//   - for SDS, no operation ever creates a duplicate state (§III-D);
+//
+// and at the end that a restore of the mapper's snapshot over the same
+// states passes the invariants and snapshots equal.
 func fuzzMapper(t testing.TB, algo Algorithm, k, nOps int, seed int64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -74,6 +78,25 @@ func fuzzMapper(t testing.TB, algo Algorithm, k, nOps int, seed int64) {
 		if got := len(m.Explode(0)); big.NewInt(int64(got)).Cmp(count) != 0 {
 			t.Fatalf("Explode yields %d dscenarios, DScenarioCount says %v", got, count)
 		}
+	}
+	sp, err := SnapshotMapper(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byID := map[uint64]*mockState{}
+	m.ForEachState(func(s *mockState) { byID[s.id] = s })
+	restored, err := RestoreMapper(sp, func(id uint64) (*mockState, bool) {
+		s, ok := byID[id]
+		return s, ok
+	})
+	if err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	if err := restored.CheckInvariants(); err != nil {
+		t.Fatalf("restored mapper: %v", err)
+	}
+	if got, err := SnapshotMapper(restored); err != nil || !reflect.DeepEqual(got, sp) {
+		t.Fatalf("the restored mapper snapshots differently (err %v)", err)
 	}
 }
 

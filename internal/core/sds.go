@@ -3,7 +3,6 @@ package core
 import (
 	"cmp"
 	"fmt"
-	"math/big"
 	"slices"
 )
 
@@ -17,7 +16,7 @@ import (
 // virtual state's super-dstate and actual state without a lookup, and
 // hands a whole list to a fork by relabelling the list alone.
 type vstate[S StateHandle[S]] struct {
-	ds *vDState[S]
+	ds *dstate[*vstate[S]]
 	// link[0] points toward the list's end[0], link[1] toward its end[1];
 	// pos strictly ascends from end[0] to end[1].
 	link [2]*vstate[S]
@@ -91,35 +90,9 @@ func (l *vlist[S]) unlink(v *vstate[S]) {
 	l.n--
 }
 
-// vDState is a dstate over virtual states.
-type vDState[S StateHandle[S]] struct {
-	id     int
-	byNode [][]*vstate[S] // indexed by node id
-	// rivals says, for a dstate holding a virtual state of the current
-	// sender, whether the sender's node has any other virtual state here.
-	// Phase 1 of each send sets it on every sender dstate before use.
-	rivals bool
-}
-
-// add files v under its actual state's node; v must be on its list.
-func (d *vDState[S]) add(v *vstate[S]) {
-	v.ds = d
-	node := v.list.actual.NodeID()
-	d.byNode[node] = append(d.byNode[node], v)
-}
-
-// remove takes v out of its node's bucket in place, keeping the order of
-// the rest. No other holder views a bucket: a split's copies and a
-// restore's entries are sub-slices of one block each, capped at their own
-// length, so the shift stays inside the bucket's own slots.
-func (d *vDState[S]) remove(v *vstate[S]) bool {
-	node := v.list.actual.NodeID()
-	if i := slices.Index(d.byNode[node], v); i >= 0 {
-		d.byNode[node] = slices.Delete(d.byNode[node], i, i+1)
-		return true
-	}
-	return false
-}
+// actualOf is SDS's projection of an entry, a virtual state, to its
+// actual state.
+func actualOf[S StateHandle[S]](v *vstate[S]) S { return v.list.actual }
 
 // SDS implements the Super DStates mapping algorithm (§III-C):
 // conceptually COW executed on virtual states, so that a bystander's
@@ -128,11 +101,8 @@ func (d *vDState[S]) remove(v *vstate[S]) bool {
 // transmission — which yields the algorithm's non-duplication property
 // (§III-D).
 type SDS[S StateHandle[S]] struct {
-	k         int
-	dstates   []*vDState[S]
-	virtuals  IDIndex[*vlist[S]] // actual state id -> its super-dstate
-	nRegister int
-	nextDSID  int
+	dtable[S, *vstate[S]]
+	virtuals IDIndex[*vlist[S]] // actual state id -> its super-dstate
 	// epoch numbers the sends; a stamp equal to it was set by the current
 	// one. Stamps are transient: snapshots leave them out, and a restored
 	// mapper starts at epoch 0 with every stamp 0.
@@ -145,15 +115,9 @@ type SDS[S StateHandle[S]] struct {
 
 // NewSDS returns an empty SDS mapper for a k-node network.
 func NewSDS[S StateHandle[S]](k int) *SDS[S] {
-	m := &SDS[S]{k: k}
-	m.dstates = append(m.dstates, m.newDState())
+	m := &SDS[S]{dtable: dtable[S, *vstate[S]]{k: k, actual: actualOf[S]}}
+	m.push()
 	return m
-}
-
-func (m *SDS[S]) newDState() *vDState[S] {
-	d := &vDState[S]{id: m.nextDSID, byNode: make([][]*vstate[S], m.k)}
-	m.nextDSID++
-	return d
 }
 
 // Algorithm implements Mapper.
@@ -161,20 +125,11 @@ func (m *SDS[S]) Algorithm() Algorithm { return SDSAlgorithm }
 
 // Register implements Mapper.
 func (m *SDS[S]) Register(s S) {
-	node := s.NodeID()
-	if node < 0 || node >= m.k {
-		panic(fmt.Sprintf("core: SDS.Register node %d out of range", node))
-	}
-	d := m.dstates[0]
-	if len(d.byNode[node]) != 0 {
-		panic(fmt.Sprintf("core: SDS.Register node %d twice", node))
-	}
 	v := &vstate[S]{}
 	l := &vlist[S]{actual: s}
 	l.prepend(v)
-	d.add(v)
+	v.ds = m.register(s, v)
 	m.virtuals.Set(s.ID(), l)
-	m.nRegister++
 }
 
 // OnBranch implements Mapper: the sibling joins every dstate of its
@@ -185,10 +140,11 @@ func (m *SDS[S]) OnBranch(orig, sibling S) []S {
 		panic(fmt.Sprintf("core: SDS.OnBranch of unknown state %d", orig.ID()))
 	}
 	sibList := &vlist[S]{actual: sibling}
+	node := sibling.NodeID()
 	for vs := origList.first(); vs != nil; vs = origList.next(vs) {
-		v2 := &vstate[S]{}
+		v2 := &vstate[S]{ds: vs.ds}
 		sibList.prepend(v2)
-		vs.ds.add(v2)
+		vs.ds.add(node, v2)
 	}
 	m.virtuals.Set(sibling.ID(), sibList)
 	return nil
@@ -226,18 +182,17 @@ func (m *SDS[S]) MapSend(sender S, dst int) (Delivery[S], error) {
 	m.epoch++
 	epoch := m.epoch
 
-	// Phase 1+2: note whether each sender dstate holds direct rivals —
-	// any virtual state of the sender's node besides the sending one,
-	// which the bucket always holds — and collect the actual targets with
-	// their super-dstates, each once, in first-seen order. A virtual target
-	// receives iff its dstate has no rivals: gather those and count them
-	// per target.
+	// Phase 1+2: a sender dstate holds direct rivals iff its bucket of the
+	// sender's node holds more than the sending virtual state. Collect the
+	// actual targets with their super-dstates, each once, in first-seen
+	// order. A virtual target receives iff its dstate has no rivals: gather
+	// those and count them per target.
 	var delivery Delivery[S]
 	targets := m.targets[:0]
 	recv := m.recvBuf[:0]
 	for vs := senderList.first(); vs != nil; vs = senderList.next(vs) {
 		d := vs.ds
-		d.rivals = len(d.byNode[senderNode]) > 1
+		rivals := len(d.byNode[senderNode]) > 1
 		for _, vt := range d.byNode[dst] {
 			l := vt.list
 			if l.seen != epoch {
@@ -245,7 +200,7 @@ func (m *SDS[S]) MapSend(sender S, dst int) (Delivery[S], error) {
 				delivery.Receivers = append(delivery.Receivers, l.actual)
 				targets = append(targets, sendTarget[S]{list: l})
 			}
-			if !d.rivals {
+			if !rivals {
 				l.recv++
 				recv = append(recv, vt)
 			}
@@ -265,54 +220,42 @@ func (m *SDS[S]) MapSend(sender S, dst int) (Delivery[S], error) {
 	}
 
 	// Phase 4a: split every sender dstate that has direct rivals, exactly
-	// as COW would: the sending virtual state moves to the fresh dstate
+	// as COW does: the sending virtual state moves to the fresh dstate
 	// together with copies of all non-rival virtual states. Copies of
 	// virtual targets attach to the receiving original target; copies of
 	// bystander virtual states attach to the same actual state — this is
-	// precisely what avoids duplicating bystanders.
+	// precisely what avoids duplicating bystanders. A split changes no
+	// other sender dstate's buckets, so its rivals read as in phase 1.
 	//
-	// The copies of one split are counted first and carved out of two
-	// allocations — the virtual states and the bucket entries pointing at
-	// them — instead of one object per virtual state and one slice per
-	// node. Every bucket is a sub-slice capped at its own length, so a
-	// later add to it reallocates that bucket alone. The trade: the
-	// virtual states of a fresh dstate live and die as one object, so one
-	// of them still linked into a super-dstate keeps the whole block.
+	// The copies of one split are one allocation, beside the block the
+	// split carves the fresh buckets from, instead of one object per
+	// virtual state. The trade: the virtual states of a fresh dstate live
+	// and die as one object, so one of them still linked into a
+	// super-dstate keeps the whole block.
 	for vs := senderList.first(); vs != nil; vs = senderList.next(vs) {
 		d := vs.ds
-		if !d.rivals {
+		if len(d.byNode[senderNode]) == 1 {
 			continue // virtual delivery in place; nothing to restructure
 		}
-		fresh := m.newDState()
-		d.remove(vs)
-		fresh.add(vs)
-		total := 0
-		for node, bucket := range d.byNode {
-			if node != senderNode {
-				total += len(bucket)
-			}
-		}
+		fresh, total := m.split(d, senderNode, vs)
+		vs.ds = fresh
 		copies := make([]vstate[S], total)
-		ptrs := make([]*vstate[S], total)
-		off := 0
 		for node, bucket := range d.byNode {
 			if node == senderNode {
 				continue // direct rivals stay behind
 			}
-			n := len(bucket)
+			ptrs := fresh.byNode[node]
 			for i, v := range bucket {
-				v2 := &copies[off+i]
+				v2 := &copies[i]
 				v2.ds = fresh
-				ptrs[off+i] = v2
+				ptrs[i] = v2
 				v.list.prepend(v2)
 			}
 			if node == dst {
-				recv = append(recv, ptrs[off:off+n]...) // each of a forked target
+				recv = append(recv, ptrs...) // each of a forked target
 			}
-			fresh.byNode[node] = ptrs[off : off+n : off+n]
-			off += n
+			copies = copies[len(bucket):]
 		}
-		m.dstates = append(m.dstates, fresh)
 	}
 
 	// Phase 4b: hand each forked target's non-receiving virtual states to
@@ -368,31 +311,11 @@ func (m *SDS[S]) ScenarioFor(s S) ([]S, bool) {
 	if l == nil || l.n == 0 {
 		return nil, false
 	}
-	d := l.first().ds
-	out := make([]S, m.k)
-	for node := 0; node < m.k; node++ {
-		if node == s.NodeID() {
-			out[node] = s
-		} else {
-			out[node] = d.byNode[node][0].list.actual
-		}
-	}
-	return out, true
+	return m.scenarioFor(l.first().ds, s), true
 }
 
 // NumStates implements Mapper (actual execution states).
 func (m *SDS[S]) NumStates() int { return m.virtuals.Len() }
-
-// NumVirtualStates returns the number of virtual states, the measure of
-// SDS's bookkeeping overhead.
-func (m *SDS[S]) NumVirtualStates() int {
-	n := 0
-	m.virtuals.Each(func(_ uint64, l *vlist[S]) { n += int(l.n) })
-	return n
-}
-
-// NumGroups implements Mapper.
-func (m *SDS[S]) NumGroups() int { return len(m.dstates) }
 
 // SuperDStateSize returns how many dstates the state belongs to.
 func (m *SDS[S]) SuperDStateSize(s S) int {
@@ -400,34 +323,6 @@ func (m *SDS[S]) SuperDStateSize(s S) int {
 		return int(l.n)
 	}
 	return 0
-}
-
-// DScenarioCount implements Mapper.
-func (m *SDS[S]) DScenarioCount() *big.Int {
-	return scenarioCount(m.dstates, func(d *vDState[S]) [][]*vstate[S] { return d.byNode })
-}
-
-// Explode implements Mapper: the per-node cartesian product of every
-// dstate, projected to actual states.
-func (m *SDS[S]) Explode(limit int) [][]S { return explode(limit, m.ExplodeFunc) }
-
-// ExplodeFunc implements Mapper.
-func (m *SDS[S]) ExplodeFunc(limit int, fn func([]S) bool) {
-	emitted := 0
-	for _, d := range m.dstates {
-		// Project the virtual buckets to actual states once per dstate.
-		byNode := make([][]S, m.k)
-		for node, bucket := range d.byNode {
-			actuals := make([]S, len(bucket))
-			for i, v := range bucket {
-				actuals[i] = v.list.actual
-			}
-			byNode[node] = actuals
-		}
-		if !explodeDState(byNode, limit, &emitted, fn) {
-			return
-		}
-	}
 }
 
 // ForEachState implements Mapper; each actual state is visited once, in
@@ -446,123 +341,83 @@ func (m *SDS[S]) ForEachState(f func(S)) {
 	}
 }
 
-// DStateActuals exposes the dstate structure for tests and diagnostics:
-// one entry per dstate, holding the actual states behind each node's
-// virtual states.
-func (m *SDS[S]) DStateActuals() [][][]S {
-	out := make([][][]S, 0, len(m.dstates))
-	for _, d := range m.dstates {
-		ds := make([][]S, m.k)
-		for node, bucket := range d.byNode {
-			for _, v := range bucket {
-				ds[node] = append(ds[node], v.list.actual)
-			}
-		}
-		out = append(out, ds)
-	}
-	return out
-}
-
-// CheckInvariants implements Mapper: every dstate holds at least one
-// virtual state per node; no two virtual states of one dstate share an
-// actual state (Figure 8a caption); back-pointers are consistent — a
-// virtual state's list is its actual state's super-dstate; every list's
-// links mirror each other and its positions strictly ascend from end[0]
-// to end[1]; every actual state has at least one virtual state; and
-// same-node actual states within a dstate have identical communication
-// histories.
+// CheckInvariants implements Mapper: the bucket invariants of every
+// dstate; no two virtual states of one dstate share an actual state
+// (Figure 8a caption); back-pointers are consistent — a virtual state's
+// dstate is the one it is filed in and its list is its actual state's
+// super-dstate; every list's links mirror each other and its positions
+// strictly ascend from end[0] to end[1]; and every actual state has at
+// least one virtual state.
 func (m *SDS[S]) CheckInvariants() error {
-	if m.nRegister != m.k {
-		return fmt.Errorf("core: SDS: registration incomplete (%d of %d)", m.nRegister, m.k)
-	}
 	attached := make(map[*vstate[S]]bool)
-	for _, d := range m.dstates {
-		for node, bucket := range d.byNode {
-			if len(bucket) == 0 {
-				return fmt.Errorf("core: SDS: dstate %d has no virtual state for node %d", d.id, node)
-			}
-			actuals := make(map[S]bool, len(bucket))
-			for _, v := range bucket {
-				if v.list == nil || m.virtuals.Get(v.list.actual.ID()) != v.list {
-					return fmt.Errorf("core: SDS: virtual state in dstate %d is not on its actual state's super-dstate", d.id)
-				}
-				s := v.list.actual
-				if s.NodeID() != node {
-					return fmt.Errorf("core: SDS: dstate %d node %d holds virtual of node %d",
-						d.id, node, s.NodeID())
-				}
-				if v.ds != d {
-					return fmt.Errorf("core: SDS: virtual state back-pointer stale in dstate %d", d.id)
-				}
-				if actuals[s] {
-					return fmt.Errorf("core: SDS: dstate %d holds two virtuals of state %d", d.id, s.ID())
-				}
-				actuals[s] = true
-				attached[v] = true
-			}
-			first := bucket[0].list.actual
-			for _, v := range bucket[1:] {
-				if s := v.list.actual; s.HistoryHash() != first.HistoryHash() {
-					return fmt.Errorf("core: SDS: dstate %d node %d holds conflicting states %d and %d",
-						d.id, node, first.ID(), s.ID())
-				}
-			}
+	last := make(map[S]*dstate[*vstate[S]]) // the last dstate a state was met in
+	err := m.checkBuckets("SDS", func(d *dstate[*vstate[S]], v *vstate[S]) error {
+		if v.list == nil || m.virtuals.Get(v.list.actual.ID()) != v.list {
+			return fmt.Errorf("core: SDS: virtual state in dstate %d is not on its actual state's super-dstate", d.id)
 		}
-	}
-	// Each list is walked from end[0]; the strictly ascending positions
-	// also stop a walk that a broken link would send round a cycle.
-	total := 0
-	var err error
-	m.virtuals.Each(func(id uint64, l *vlist[S]) {
-		if err == nil {
-			var n int
-			n, err = checkList(id, l, attached)
-			total += n
+		if v.ds != d {
+			return fmt.Errorf("core: SDS: virtual state back-pointer stale in dstate %d", d.id)
 		}
+		s := v.list.actual
+		if last[s] == d {
+			return fmt.Errorf("core: SDS: dstate %d holds two virtuals of state %d", d.id, s.ID())
+		}
+		last[s] = d
+		attached[v] = true
+		return nil
 	})
 	if err != nil {
 		return err
 	}
-	if total != len(attached) {
-		return fmt.Errorf("core: SDS: %d virtuals attached, %d listed", len(attached), total)
+	// Each list is walked from end[0]; the strictly ascending positions
+	// also stop a walk that a broken link would send round a cycle. A
+	// listed virtual state is struck off the attached ones.
+	m.virtuals.Each(func(id uint64, l *vlist[S]) {
+		if err == nil {
+			err = checkList(id, l, attached)
+		}
+	})
+	if err == nil && len(attached) != 0 {
+		err = fmt.Errorf("core: SDS: %d attached virtual states are on no super-dstate", len(attached))
 	}
-	return nil
+	return err
 }
 
 // checkList checks the super-dstate l listed under state id: it belongs to
 // that state, holds at least one virtual state, its links mirror each other,
 // its positions strictly ascend from end[0] and every virtual state on it
-// is attached to a dstate. It returns the list's length.
-func checkList[S StateHandle[S]](id uint64, l *vlist[S], attached map[*vstate[S]]bool) (int, error) {
+// is attached to a dstate, which it strikes off attached.
+func checkList[S StateHandle[S]](id uint64, l *vlist[S], attached map[*vstate[S]]bool) error {
 	if l.actual.ID() != id {
-		return 0, fmt.Errorf("core: SDS: super-dstate of state %d belongs to state %d", id, l.actual.ID())
+		return fmt.Errorf("core: SDS: super-dstate of state %d belongs to state %d", id, l.actual.ID())
 	}
 	if l.n == 0 {
-		return 0, fmt.Errorf("core: SDS: state %d has no virtual states", id)
+		return fmt.Errorf("core: SDS: state %d has no virtual states", id)
 	}
 	count := 0
 	var prev *vstate[S]
 	for v := l.end[0]; v != nil; prev, v = v, v.link[1] {
 		if v.link[0] != prev {
-			return 0, fmt.Errorf("core: SDS: super-dstate of state %d has links that do not mirror", id)
+			return fmt.Errorf("core: SDS: super-dstate of state %d has links that do not mirror", id)
 		}
 		if prev != nil && v.pos <= prev.pos {
-			return 0, fmt.Errorf("core: SDS: super-dstate of state %d has position %d after %d",
+			return fmt.Errorf("core: SDS: super-dstate of state %d has position %d after %d",
 				id, v.pos, prev.pos)
 		}
 		if v.list != l {
-			return 0, fmt.Errorf("core: SDS: virtual of state %d points at another super-dstate", id)
+			return fmt.Errorf("core: SDS: virtual of state %d points at another super-dstate", id)
 		}
 		if !attached[v] {
-			return 0, fmt.Errorf("core: SDS: dangling virtual state of %d", id)
+			return fmt.Errorf("core: SDS: dangling virtual state of %d", id)
 		}
+		delete(attached, v)
 		count++
 	}
 	if prev != l.end[1] {
-		return 0, fmt.Errorf("core: SDS: super-dstate of state %d does not end at its end[1]", id)
+		return fmt.Errorf("core: SDS: super-dstate of state %d does not end at its end[1]", id)
 	}
 	if count != int(l.n) {
-		return 0, fmt.Errorf("core: SDS: state %d list count %d != recorded %d", id, count, l.n)
+		return fmt.Errorf("core: SDS: state %d list count %d != recorded %d", id, count, l.n)
 	}
-	return count, nil
+	return nil
 }

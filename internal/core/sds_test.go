@@ -147,11 +147,11 @@ func TestSDSFigure7(t *testing.T) {
 	// Verify membership via the structure dump: the fork must share a
 	// dstate with the branch sibling (the super-rival side).
 	foundForkWithSibling := false
-	for _, ds := range m.DStateActuals() {
+	for _, d := range m.dstates {
 		has := map[*mockState]bool{}
-		for _, bucket := range ds {
-			for _, s := range bucket {
-				has[s] = true
+		for _, bucket := range d.byNode {
+			for _, v := range bucket {
+				has[v.list.actual] = true
 			}
 		}
 		if has[fork] && !has[net[0]] {
@@ -194,19 +194,18 @@ func buildFigure8() (m *SDS[*mockState], sender *mockState, actual map[string]*m
 	for _, name := range []string{"D1", "D2", "D3"} {
 		actual[name] = mk(3)
 	}
-	m = &SDS[*mockState]{k: 4, nRegister: 4}
+	m = &SDS[*mockState]{dtable: dtable[*mockState, *vstate[*mockState]]{k: 4, nRegister: 4, actual: actualOf[*mockState]}}
 	addDS := func(names ...string) {
-		d := m.newDState()
+		d := m.push()
 		for _, n := range names {
 			s := actual[n]
-			v := &vstate[*mockState]{}
+			v := &vstate[*mockState]{ds: d}
 			if m.virtuals.Get(s.ID()) == nil {
 				m.virtuals.Set(s.ID(), &vlist[*mockState]{actual: s})
 			}
 			m.virtuals.Get(s.ID()).prepend(v)
-			d.add(v)
+			d.add(s.NodeID(), v)
 		}
-		m.dstates = append(m.dstates, d)
 	}
 	// dstate 0: sender A1 + direct rival A2; three targets; bystanders.
 	addDS("A1", "A2", "B1", "B2", "B3", "C1", "D1")
@@ -282,11 +281,11 @@ func TestSDSFigure8(t *testing.T) {
 	// the fork shares a dstate with the super-rivals A4..A6.
 	var b5Fork *mockState
 	for _, f := range del.Forked {
-		for _, ds := range m.DStateActuals() {
+		for _, d := range m.dstates {
 			has := map[*mockState]bool{}
-			for _, bucket := range ds {
-				for _, s := range bucket {
-					has[s] = true
+			for _, bucket := range d.byNode {
+				for _, v := range bucket {
+					has[v.list.actual] = true
 				}
 			}
 			if has[f] && has[actual["A4"]] {
@@ -434,7 +433,8 @@ func TestVirtualStateSizes(t *testing.T) {
 // TestSplitRemovalAllocs: a split takes its sender out of its bucket in
 // place, keeping the order of the rest, so the removal allocates nothing —
 // filing the state back reuses the freed slot. A fresh copy of the rest of
-// the bucket per split made n successive splits of one bucket O(n²).
+// the bucket per split made n successive splits of one bucket O(n²). The
+// dstate type is the same for both entry types; it is checked with each.
 func TestSplitRemovalAllocs(t *testing.T) {
 	const n = 64
 	net := newMockNet(1)
@@ -442,19 +442,19 @@ func TestSplitRemovalAllocs(t *testing.T) {
 	for len(states) < n {
 		states = append(states, net[0].Fork())
 	}
-	cow := newDState[*mockState](1)
-	sds := &vDState[*mockState]{byNode: make([][]*vstate[*mockState], 1)}
+	cow := &dstate[*mockState]{byNode: make([][]*mockState, 1)}
+	sds := &dstate[*vstate[*mockState]]{byNode: make([][]*vstate[*mockState], 1)}
 	virtuals := make([]*vstate[*mockState], n)
 	for i, s := range states {
-		cow.add(s)
+		cow.add(0, s)
 		virtuals[i] = &vstate[*mockState]{list: &vlist[*mockState]{actual: s}}
-		sds.add(virtuals[i])
+		sds.add(0, virtuals[i])
 	}
 	if a := testing.AllocsPerRun(100, func() {
-		cow.remove(states[n/2])
-		cow.add(states[n/2])
-		sds.remove(virtuals[n/2])
-		sds.add(virtuals[n/2])
+		cow.remove(0, states[n/2])
+		cow.add(0, states[n/2])
+		sds.remove(0, virtuals[n/2])
+		sds.add(0, virtuals[n/2])
 	}); a != 0 {
 		t.Errorf("a split's removal allocates %v times", a)
 	}
@@ -462,7 +462,7 @@ func TestSplitRemovalAllocs(t *testing.T) {
 	// rest keeps its order.
 	want := append(append(append([]*mockState(nil), states[:10]...), states[11:n/2]...), states[n/2+1:]...)
 	want = append(want, states[n/2])
-	if !cow.remove(states[10]) || !sds.remove(virtuals[10]) {
+	if !cow.remove(0, states[10]) || !sds.remove(0, virtuals[10]) {
 		t.Fatal("remove missed a state in its bucket")
 	}
 	for i, s := range want {
@@ -503,20 +503,17 @@ func TestDScenarioCountPastUint64(t *testing.T) {
 		sizes(1, 7, 60, 2),    // fits again
 		sizes(64, 2, 16, 255), // overflows by far
 	}
-	cow := &COW[*mockState]{k: k}
-	sds := &SDS[*mockState]{k: k}
+	cow := &COW[*mockState]{dtable: dtable[*mockState, *mockState]{k: k}}
+	sds := &SDS[*mockState]{dtable: dtable[*mockState, *vstate[*mockState]]{k: k}}
 	want := new(big.Int)
 	for i, row := range dstates {
-		d := newDState[*mockState](k)
-		vd := &vDState[*mockState]{byNode: make([][]*vstate[*mockState], k)}
+		d, vd := cow.push(), sds.push()
 		p := big.NewInt(1)
 		for node, n := range row {
 			d.byNode[node] = make([]*mockState, n)
 			vd.byNode[node] = make([]*vstate[*mockState], n)
 			p.Mul(p, big.NewInt(int64(n)))
 		}
-		cow.dstates = append(cow.dstates, d)
-		sds.dstates = append(sds.dstates, vd)
 		want.Add(want, p)
 		if got := cow.DScenarioCount(); got.Cmp(want) != 0 {
 			t.Errorf("COW, %d dstates: %v dscenarios, want %v", i+1, got, want)

@@ -53,63 +53,33 @@ type MapperSnapshot struct {
 // snapshot are carved, each capped at its own length, from one allocation
 // per kind.
 func SnapshotMapper[S StateHandle[S]](m Mapper[S]) (*MapperSnapshot, error) {
+	if r, ok := m.(interface{ registered() bool }); ok && !r.registered() {
+		return nil, fmt.Errorf("core: snapshot of %v mid-registration", m.Algorithm())
+	}
 	switch mm := m.(type) {
 	case *COB[S]:
-		if mm.nRegister != mm.k {
-			return nil, fmt.Errorf("core: snapshot of COB mid-registration")
-		}
-		sp := &MapperSnapshot{Algorithm: COBAlgorithm, K: mm.k, Scenarios: make([][]uint64, len(mm.dstates))}
-		ids := make([]uint64, len(mm.dstates)*mm.k)
-		for i, d := range mm.dstates {
-			row := ids[i*mm.k : (i+1)*mm.k : (i+1)*mm.k]
-			for node, bucket := range d.byNode {
-				row[node] = bucket[0].ID()
-			}
-			sp.Scenarios[i] = row
+		// Every bucket holds one state, so a dscenario's ids are one row.
+		k := mm.k
+		ids := mm.stateIDs()
+		sp := &MapperSnapshot{Algorithm: COBAlgorithm, K: k, Scenarios: make([][]uint64, len(mm.dstates))}
+		for i := range sp.Scenarios {
+			sp.Scenarios[i] = ids[i*k : (i+1)*k : (i+1)*k]
 		}
 		return sp, nil
 	case *COW[S]:
-		if mm.nRegister != mm.k {
-			return nil, fmt.Errorf("core: snapshot of COW mid-registration")
-		}
-		sp := &MapperSnapshot{Algorithm: COWAlgorithm, K: mm.k, DStates: make([][][]uint64, len(mm.dstates))}
-		buckets := make([][]uint64, len(mm.dstates)*mm.k)
-		ids := make([]uint64, 0, mm.index.Len())
-		for i, d := range mm.dstates {
-			ds := buckets[i*mm.k : (i+1)*mm.k : (i+1)*mm.k]
-			for node, bucket := range d.byNode {
-				for _, s := range bucket {
-					ids = append(ids, s.ID())
-				}
-				ds[node] = ids[len(ids)-len(bucket) : len(ids) : len(ids)]
-			}
-			sp.DStates[i] = ds
-		}
-		return sp, nil
+		return &MapperSnapshot{Algorithm: COWAlgorithm, K: mm.k, DStates: mm.bucketIDs(mm.stateIDs())}, nil
 	case *SDS[S]:
-		if mm.nRegister != mm.k {
-			return nil, fmt.Errorf("core: snapshot of SDS mid-registration")
-		}
+		ids := mm.stateIDs()
 		sp := &MapperSnapshot{
-			Algorithm: SDSAlgorithm, K: mm.k, NextDSID: mm.nextDSID,
+			Algorithm: SDSAlgorithm, K: mm.k, NextDSID: len(mm.dstates),
 			VDStates: make([]VDStateImage, len(mm.dstates)),
 			Supers:   make([]SuperImage, 0, mm.virtuals.Len()),
 		}
-		nv := mm.NumVirtualStates()
-		buckets := make([][]uint64, len(mm.dstates)*mm.k)
-		ids := make([]uint64, 0, nv)
-		for i, d := range mm.dstates {
-			img := VDStateImage{ID: d.id, ByNode: buckets[i*mm.k : (i+1)*mm.k : (i+1)*mm.k]}
-			for node, bucket := range d.byNode {
-				for _, v := range bucket {
-					ids = append(ids, v.list.actual.ID())
-				}
-				img.ByNode[node] = ids[len(ids)-len(bucket) : len(ids) : len(ids)]
-			}
-			sp.VDStates[i] = img
+		for i, byNode := range mm.bucketIDs(ids) {
+			sp.VDStates[i] = VDStateImage{ID: i, ByNode: byNode}
 		}
 		// The index walks in state id order, the order Supers is kept in.
-		dsIDs := make([]int, nv)
+		dsIDs := make([]int, len(ids))
 		mm.virtuals.Each(func(_ uint64, l *vlist[S]) {
 			list := dsIDs[:l.n:l.n]
 			dsIDs = dsIDs[l.n:]
@@ -128,7 +98,8 @@ func SnapshotMapper[S StateHandle[S]](m Mapper[S]) (*MapperSnapshot, error) {
 // RestoreMapper rebuilds a mapper from its snapshot. lookup resolves a
 // state id to its restored state; every referenced id must resolve, live
 // on the node its bucket claims, and appear in exactly the positions the
-// algorithm's invariants allow.
+// algorithm's invariants allow. All three fill their dstates through one
+// loop, dtable.restoreBuckets.
 func RestoreMapper[S StateHandle[S]](sp *MapperSnapshot, lookup func(uint64) (S, bool)) (Mapper[S], error) {
 	if sp == nil {
 		return nil, fmt.Errorf("core: nil mapper snapshot")
@@ -156,13 +127,13 @@ func RestoreMapper[S StateHandle[S]](sp *MapperSnapshot, lookup func(uint64) (S,
 			dstates[i] = ds
 		}
 		m := &COB[S]{}
-		if err := restoreDStates(&m.COW, k, dstates, lookup); err != nil {
+		if err := m.restore(k, dstates, lookup); err != nil {
 			return nil, err
 		}
 		return m, nil
 	case COWAlgorithm:
 		m := &COW[S]{}
-		if err := restoreDStates(m, k, sp.DStates, lookup); err != nil {
+		if err := m.restore(k, sp.DStates, lookup); err != nil {
 			return nil, err
 		}
 		return m, nil
@@ -172,92 +143,51 @@ func RestoreMapper[S StateHandle[S]](sp *MapperSnapshot, lookup func(uint64) (S,
 	return nil, fmt.Errorf("core: mapper snapshot with unknown algorithm %d", sp.Algorithm)
 }
 
-// restoreDStates fills m, an empty COW, with the dstates of a snapshot: per
-// dstate, per node, an ordered bucket of state ids. Every id must resolve,
-// to a state of its bucket's node, and appear once; every bucket must hold
-// a state, and its states must share their history (conflict-freedom,
-// §II-B). The buckets are sub-slices of one block, each capped at its own
-// length.
-func restoreDStates[S StateHandle[S]](m *COW[S], k int, dstates [][][]uint64, lookup func(uint64) (S, bool)) error {
-	if len(dstates) == 0 {
-		return fmt.Errorf("core: mapper snapshot with no dstates")
-	}
-	m.k, m.nRegister = k, k
-	n := 0
-	for _, src := range dstates {
-		for _, bucket := range src {
-			n += len(bucket)
-		}
-	}
-	ids := make([]uint64, 0, n)
+// restore fills m, an empty COW, with the dstates of a snapshot, each state
+// in exactly one of them.
+func (m *COW[S]) restore(k int, dstates [][][]uint64, lookup func(uint64) (S, bool)) error {
+	ids := make([]uint64, 0, countIDs(dstates))
 	for _, src := range dstates {
 		for _, bucket := range src {
 			ids = append(ids, bucket...)
 		}
 	}
-	states := make([]S, n)
-	m.index.Restored(sortedDistinct(ids))
-	m.dstates = make([]*dstate[S], 0, len(dstates))
-	for di, src := range dstates {
-		if len(src) != k {
-			return fmt.Errorf("core: dstate %d with %d nodes, want %d", di, len(src), k)
+	ids = sortedDistinct(ids)
+	states := make([]S, len(ids))
+	for j, id := range ids {
+		s, ok := lookup(id)
+		if !ok {
+			return fmt.Errorf("core: mapper snapshot references unknown state %d", id)
 		}
-		d := newDState[S](k)
-		for node, ids := range src {
-			if len(ids) == 0 {
-				return fmt.Errorf("core: dstate %d has no states for node %d", di, node)
-			}
-			bucket := states[:len(ids):len(ids)]
-			states = states[len(ids):]
-			for i, id := range ids {
-				s, ok := lookup(id)
-				if !ok {
-					return fmt.Errorf("core: mapper snapshot references unknown state %d", id)
-				}
-				if s.NodeID() != node {
-					return fmt.Errorf("core: state %d is on node %d, bucket says %d", id, s.NodeID(), node)
-				}
-				if m.index.Get(id) != nil {
-					return fmt.Errorf("core: state %d in two dstates", id)
-				}
-				bucket[i] = s
-				m.index.Set(id, d)
-			}
-			if len(bucket) > 1 {
-				h := bucket[0].HistoryHash()
-				for _, s := range bucket[1:] {
-					if s.HistoryHash() != h {
-						return fmt.Errorf("core: dstate %d node %d holds conflicting states %d and %d",
-							di, node, bucket[0].ID(), s.ID())
-					}
-				}
-			}
-			d.byNode[node] = bucket
-		}
-		m.dstates = append(m.dstates, d)
+		states[j] = s
 	}
-	return nil
+	m.actual = self[S]
+	m.index.Restored(ids)
+	return m.restoreBuckets(k, dstates, ids, states, func(d *dstate[S], j int) (S, error) {
+		if m.index.Get(ids[j]) != nil {
+			var zero S
+			return zero, fmt.Errorf("core: state %d in two dstates", ids[j])
+		}
+		m.index.Set(ids[j], d)
+		return states[j], nil
+	})
 }
 
-// restoreSDS is RestoreMapper for SDS. It makes each dstate's virtual
-// states as one block, as MapSend's splits do, and queues each on a
-// pending list of its actual state. That list is found through the state's
-// super-dstate image, by SearchIDs: the images must be in strictly
-// ascending state id order. It then links each super-dstate in its stored
-// order, through a scratch slot per dstate id. SDS deletes no dstate, so a
-// snapshot must hold every dstate id below NextDSID exactly once; both
-// tables by dstate id are then as long as the dstate list.
+// restoreSDS is RestoreMapper for SDS. The super-dstate images name the
+// restored states: they must be in strictly ascending state id order. The
+// dstates' buckets are filled as COW's are, with the virtual states made
+// from one block and each queued on a pending list of its actual state;
+// each super-dstate is then linked in its stored order, through a scratch
+// slot per dstate id. SDS deletes no dstate, so a snapshot must hold every
+// dstate id below NextDSID exactly once, each at its own position.
 func restoreSDS[S StateHandle[S]](sp *MapperSnapshot, lookup func(uint64) (S, bool)) (Mapper[S], error) {
-	k := sp.K
 	nd := len(sp.VDStates)
-	if nd == 0 {
-		return nil, fmt.Errorf("core: SDS snapshot with no dstates")
-	}
 	if sp.NextDSID != nd {
 		return nil, fmt.Errorf("core: SDS snapshot holds %d dstates, but %d were created (SDS deletes none)",
 			nd, sp.NextDSID)
 	}
 	supers := sp.Supers
+	ids := make([]uint64, len(supers))
 	actual := make([]S, len(supers))
 	for j, si := range supers {
 		if j > 0 && si.StateID <= supers[j-1].StateID {
@@ -270,87 +200,35 @@ func restoreSDS[S StateHandle[S]](sp *MapperSnapshot, lookup func(uint64) (S, bo
 		if !ok {
 			return nil, fmt.Errorf("core: super-dstate of unknown state %d", si.StateID)
 		}
-		actual[j] = s
+		ids[j], actual[j] = si.StateID, s
 	}
-	m := &SDS[S]{k: k, nRegister: k, nextDSID: sp.NextDSID}
-	// The super-dstate images' state ids, ascending: the virtual states'
-	// index, and the list each state id's image is found in (SearchIDs).
-	superIDs := make([]uint64, len(supers))
-	for j, si := range supers {
-		superIDs[j] = si.StateID
+	dstates := make([][][]uint64, nd)
+	for i, img := range sp.VDStates {
+		if img.ID != i {
+			return nil, fmt.Errorf("core: SDS dstate at position %d has id %d", i, img.ID)
+		}
+		dstates[i] = img.ByNode
 	}
-	m.virtuals.Restored(superIDs)
-	m.dstates = make([]*vDState[S], 0, nd)
-	byID := make([]*vDState[S], nd)
+	m := &SDS[S]{dtable: dtable[S, *vstate[S]]{actual: actualOf[S]}}
+	m.virtuals.Restored(ids)
+	block := make([]vstate[S], countIDs(dstates))
 	// pending[j] heads the virtual states of supers[j]'s state made so far,
 	// newest first, linked through link[0] until their list is built.
 	pending := make([]*vstate[S], len(supers))
-	// hist[j] is supers[j]'s state's history hash where hashed[j].
-	hist := make([]uint64, len(supers))
-	hashed := make([]bool, len(supers))
-	for _, img := range sp.VDStates {
-		if img.ID < 0 || img.ID >= nd {
-			return nil, fmt.Errorf("core: SDS dstate id %d outside [0,%d)", img.ID, nd)
+	err := m.restoreBuckets(sp.K, dstates, ids, actual, func(d *dstate[*vstate[S]], j int) (*vstate[S], error) {
+		// A state's entries in one dstate are queued one after another,
+		// so a second one finds the first at the head.
+		if p := pending[j]; p != nil && p.ds == d {
+			return nil, fmt.Errorf("core: state %d twice in SDS dstate %d", ids[j], d.id)
 		}
-		if byID[img.ID] != nil {
-			return nil, fmt.Errorf("core: SDS dstate id %d twice", img.ID)
-		}
-		if len(img.ByNode) != k {
-			return nil, fmt.Errorf("core: SDS dstate %d with %d nodes, want %d", img.ID, len(img.ByNode), k)
-		}
-		total := 0
-		for node, ids := range img.ByNode {
-			if len(ids) == 0 {
-				return nil, fmt.Errorf("core: SDS dstate %d has no states for node %d", img.ID, node)
-			}
-			total += len(ids)
-		}
-		d := &vDState[S]{id: img.ID, byNode: make([][]*vstate[S], k)}
-		block := make([]vstate[S], total)
-		ptrs := make([]*vstate[S], total)
-		off := 0
-		for node, ids := range img.ByNode {
-			var h0 uint64 // the history of the bucket's first state
-			for i, id := range ids {
-				j, ok := SearchIDs(superIDs, id)
-				if !ok {
-					if _, known := lookup(id); !known {
-						return nil, fmt.Errorf("core: mapper snapshot references unknown state %d", id)
-					}
-					return nil, fmt.Errorf("core: state %d in SDS dstate %d not claimed by any super-dstate", id, img.ID)
-				}
-				s := actual[j]
-				if s.NodeID() != node {
-					return nil, fmt.Errorf("core: state %d is on node %d, bucket says %d", id, s.NodeID(), node)
-				}
-				// A state's entries in one dstate are queued one after
-				// another, so a second one finds the first at the head.
-				if p := pending[j]; p != nil && p.ds == d {
-					return nil, fmt.Errorf("core: state %d twice in SDS dstate %d", id, img.ID)
-				}
-				// Conflict-freedom (§II-B), hashing each state's history
-				// once however many buckets it is in.
-				if len(ids) > 1 {
-					if !hashed[j] {
-						hist[j], hashed[j] = s.HistoryHash(), true
-					}
-					if i == 0 {
-						h0 = hist[j]
-					} else if hist[j] != h0 {
-						return nil, fmt.Errorf("core: SDS dstate %d node %d holds conflicting states %d and %d",
-							img.ID, node, ids[0], id)
-					}
-				}
-				v := &block[off+i]
-				v.ds, v.link[0] = d, pending[j]
-				pending[j] = v
-				ptrs[off+i] = v
-			}
-			d.byNode[node] = ptrs[off : off+len(ids) : off+len(ids)]
-			off += len(ids)
-		}
-		byID[img.ID] = d
-		m.dstates = append(m.dstates, d)
+		v := &block[0]
+		block = block[1:]
+		v.ds, v.link[0] = d, pending[j]
+		pending[j] = v
+		return v, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	lists := make([]vlist[S], len(supers))

@@ -255,6 +255,40 @@ func TestRestoreSDSRejectsMalformedSupers(t *testing.T) {
 	}
 }
 
+// TestRestoreSDSRefusesMisplacedDStates: SDS deletes no dstate, so a
+// snapshot holds dstate i at position i; one that does not is refused with
+// an error naming the position, and the honest one restores.
+func TestRestoreSDSRefusesMisplacedDStates(t *testing.T) {
+	m := newRegistered(t, SDSAlgorithm, 4)
+	rng := rand.New(rand.NewSource(3))
+	for op := 0; op < 30; op++ {
+		mapperOp(t, m, 4, rng, uint64(op+1))
+	}
+	byID := map[uint64]*mockState{}
+	m.ForEachState(func(s *mockState) { byID[s.id] = s })
+	lookup := func(id uint64) (*mockState, bool) {
+		s, ok := byID[id]
+		return s, ok
+	}
+	if len(mustSnapshot(t, m).VDStates) < 3 {
+		t.Fatal("fewer than three dstates: the sequence is too short to test with")
+	}
+	for name, corrupt := range map[string]func(sp *MapperSnapshot){
+		"swapped": func(sp *MapperSnapshot) { sp.VDStates[1], sp.VDStates[2] = sp.VDStates[2], sp.VDStates[1] },
+		"renamed": func(sp *MapperSnapshot) { sp.VDStates[1].ID = 7 },
+	} {
+		sp := mustSnapshot(t, m)
+		corrupt(sp)
+		_, err := RestoreMapper[*mockState](sp, lookup)
+		if err == nil || !strings.Contains(err.Error(), "at position 1") {
+			t.Errorf("%s: RestoreMapper error = %v, want one naming position 1", name, err)
+		}
+	}
+	if _, err := RestoreMapper[*mockState](mustSnapshot(t, m), lookup); err != nil {
+		t.Fatalf("honest snapshot: %v", err)
+	}
+}
+
 // TestRestoreSDSSparseIDs: the state ids of a frontier have gaps once it
 // is sliced, and RestoreMapper then finds a state's super-dstate by binary
 // search, the guess at its offset from the first missing. A restore over
