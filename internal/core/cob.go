@@ -60,6 +60,12 @@ func (m *COB[S]) CheckInvariants() error {
 	if err := m.COW.CheckInvariants(); err != nil {
 		return err
 	}
+	return m.checkScenarios()
+}
+
+// checkScenarios checks that every bucket holds exactly one state; a
+// restore refuses a snapshot whose dstates do not.
+func (m *COB[S]) checkScenarios() error {
 	for di, d := range m.dstates {
 		for node, bucket := range d.byNode {
 			if len(bucket) != 1 {

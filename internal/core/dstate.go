@@ -239,41 +239,32 @@ func (t *dtable[S, E]) checkBuckets(name string, entry func(d *dstate[E], e E) e
 	return nil
 }
 
-// stateIDs returns the state id of every entry, in (dstate, node, bucket)
-// order: the ids of a snapshot.
-func (t *dtable[S, E]) stateIDs() []uint64 {
+// image returns k and the dstates as a snapshot holds them: per dstate,
+// per node, the state id of every entry of its bucket. The buckets are
+// carved, each capped at its own length, from one block of ids, and the
+// per-node lists from one block of buckets.
+func (t *dtable[S, E]) image() (int, [][][]uint64) {
 	n := 0
 	for _, d := range t.dstates {
 		for _, bucket := range d.byNode {
 			n += len(bucket)
 		}
 	}
-	ids := make([]uint64, 0, n)
-	for _, d := range t.dstates {
-		for _, bucket := range d.byNode {
-			for _, e := range bucket {
-				ids = append(ids, t.actual(e).ID())
-			}
-		}
-	}
-	return ids
-}
-
-// bucketIDs carves ids, as stateIDs returns them, into the dstates'
-// buckets, each capped at its own length: a snapshot's per-dstate,
-// per-node id lists.
-func (t *dtable[S, E]) bucketIDs(ids []uint64) [][][]uint64 {
+	ids := make([]uint64, n)
 	out := make([][][]uint64, len(t.dstates))
 	buckets := make([][]uint64, len(t.dstates)*t.k)
 	for i, d := range t.dstates {
 		ds := buckets[i*t.k : (i+1)*t.k : (i+1)*t.k]
 		for node, bucket := range d.byNode {
 			ds[node] = ids[:len(bucket):len(bucket)]
+			for j, e := range bucket {
+				ds[node][j] = t.actual(e).ID()
+			}
 			ids = ids[len(bucket):]
 		}
 		out[i] = ds
 	}
-	return out
+	return t.k, out
 }
 
 // restoreBuckets fills t, empty, with the dstates of a snapshot: per dstate, per

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"math/big"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -11,6 +13,14 @@ import (
 func collectStates(m Mapper[*mockState]) []*mockState {
 	var out []*mockState
 	m.ForEachState(func(s *mockState) { out = append(out, s) })
+	return out
+}
+
+// sortedStates returns the mapper's states in ascending id order, as
+// RestoreMapper takes them.
+func sortedStates(m Mapper[*mockState]) []*mockState {
+	out := collectStates(m)
+	slices.SortFunc(out, func(a, b *mockState) int { return cmp.Compare(a.id, b.id) })
 	return out
 }
 
@@ -83,12 +93,7 @@ func fuzzMapper(t testing.TB, algo Algorithm, k, nOps int, seed int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	byID := map[uint64]*mockState{}
-	m.ForEachState(func(s *mockState) { byID[s.id] = s })
-	restored, err := RestoreMapper(sp, func(id uint64) (*mockState, bool) {
-		s, ok := byID[id]
-		return s, ok
-	})
+	restored, err := RestoreMapper(sp, sortedStates(m))
 	if err != nil {
 		t.Fatalf("restore: %v", err)
 	}

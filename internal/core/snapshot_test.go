@@ -62,9 +62,12 @@ func putU64(h hash.Hash64, v uint64) {
 	h.Write(buf[:])
 }
 
-// hashSnapshot feeds every field of sp, with lengths, to h. Orders are
-// hashed as they stand: two snapshots hash equal only if every dscenario,
-// dstate, bucket and super-dstate list is in the same order.
+// hashSnapshot feeds sp to h as the words, with lengths, of the image
+// format 12 kept — COB dstates as rows of one id per node, COW dstates as
+// they are, SDS dstates each after its id and all after their count — so
+// that TestMapperStructureGolden's constants outlive the change to one
+// dstate table. Orders are hashed as they stand: two snapshots hash equal
+// only if every dstate, bucket and super-dstate list is in the same order.
 func hashSnapshot(h hash.Hash64, sp *MapperSnapshot) {
 	ids := func(xs []uint64) {
 		putU64(h, uint64(len(xs)))
@@ -72,26 +75,41 @@ func hashSnapshot(h hash.Hash64, sp *MapperSnapshot) {
 			putU64(h, x)
 		}
 	}
-	putU64(h, uint64(sp.Algorithm))
-	putU64(h, uint64(sp.K))
-	putU64(h, uint64(sp.NextDSID))
-	putU64(h, uint64(len(sp.Scenarios)))
-	for _, row := range sp.Scenarios {
-		ids(row)
+	// section feeds the dstates through each under algo, none otherwise.
+	section := func(algo Algorithm, each func(i int, d [][]uint64)) {
+		if sp.Algorithm != algo {
+			putU64(h, 0)
+			return
+		}
+		putU64(h, uint64(len(sp.DStates)))
+		for i, d := range sp.DStates {
+			each(i, d)
+		}
 	}
-	putU64(h, uint64(len(sp.DStates)))
-	for _, d := range sp.DStates {
+	buckets := func(_ int, d [][]uint64) {
 		for _, bucket := range d {
 			ids(bucket)
 		}
 	}
-	putU64(h, uint64(len(sp.VDStates)))
-	for _, d := range sp.VDStates {
-		putU64(h, uint64(d.ID))
-		for _, bucket := range d.ByNode {
-			ids(bucket)
-		}
+	putU64(h, uint64(sp.Algorithm))
+	putU64(h, uint64(sp.K))
+	nextDSID := 0
+	if sp.Algorithm == SDSAlgorithm {
+		nextDSID = len(sp.DStates)
 	}
+	putU64(h, uint64(nextDSID))
+	section(COBAlgorithm, func(_ int, d [][]uint64) {
+		row := make([]uint64, len(d))
+		for node, bucket := range d {
+			row[node] = bucket[0]
+		}
+		ids(row)
+	})
+	section(COWAlgorithm, buckets)
+	section(SDSAlgorithm, func(i int, d [][]uint64) {
+		putU64(h, uint64(i))
+		buckets(i, d)
+	})
 	putU64(h, uint64(len(sp.Supers)))
 	for _, si := range sp.Supers {
 		putU64(h, si.StateID)
@@ -171,12 +189,7 @@ func TestSnapshotRestoreContinue(t *testing.T) {
 		m := newRegistered(t, algo, k)
 		for op := 0; op < ops; op++ {
 			if op == cut {
-				byID := map[uint64]*mockState{}
-				m.ForEachState(func(s *mockState) { byID[s.id] = s })
-				restored, err := RestoreMapper[*mockState](mustSnapshot(t, m), func(id uint64) (*mockState, bool) {
-					s, ok := byID[id]
-					return s, ok
-				})
+				restored, err := RestoreMapper(mustSnapshot(t, m), sortedStates(m))
 				if err != nil {
 					t.Fatalf("op %d: restore: %v", op, err)
 				}
@@ -216,12 +229,7 @@ func TestRestoreSDSRejectsMalformedSupers(t *testing.T) {
 	for op := 0; op < 30; op++ {
 		mapperOp(t, m, 4, rng, uint64(op+1))
 	}
-	byID := map[uint64]*mockState{}
-	m.ForEachState(func(s *mockState) { byID[s.id] = s })
-	lookup := func(id uint64) (*mockState, bool) {
-		s, ok := byID[id]
-		return s, ok
-	}
+	states := sortedStates(m)
 	// The first state with two or more virtual states is the one to corrupt.
 	wide := -1
 	for i, si := range mustSnapshot(t, m).Supers {
@@ -245,46 +253,36 @@ func TestRestoreSDSRejectsMalformedSupers(t *testing.T) {
 	for _, c := range cases {
 		sp := mustSnapshot(t, m)
 		c.corrupt(&sp.Supers[wide])
-		_, err := RestoreMapper[*mockState](sp, lookup)
+		_, err := RestoreMapper(sp, states)
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: RestoreMapper error = %v, want one containing %q", c.name, err, c.want)
 		}
 	}
-	if _, err := RestoreMapper[*mockState](mustSnapshot(t, m), lookup); err != nil {
+	if _, err := RestoreMapper(mustSnapshot(t, m), states); err != nil {
 		t.Fatalf("uncorrupted snapshot: %v", err)
 	}
 }
 
-// TestRestoreSDSRefusesMisplacedDStates: SDS deletes no dstate, so a
-// snapshot holds dstate i at position i; one that does not is refused with
-// an error naming the position, and the honest one restores.
+// TestRestoreSDSRefusesMisplacedDStates: a dstate's id is its position in
+// the snapshot, so one moved to another position no longer holds the
+// virtual states its super-dstates name there, and is refused; the honest
+// snapshot restores.
 func TestRestoreSDSRefusesMisplacedDStates(t *testing.T) {
 	m := newRegistered(t, SDSAlgorithm, 4)
 	rng := rand.New(rand.NewSource(3))
 	for op := 0; op < 30; op++ {
 		mapperOp(t, m, 4, rng, uint64(op+1))
 	}
-	byID := map[uint64]*mockState{}
-	m.ForEachState(func(s *mockState) { byID[s.id] = s })
-	lookup := func(id uint64) (*mockState, bool) {
-		s, ok := byID[id]
-		return s, ok
-	}
-	if len(mustSnapshot(t, m).VDStates) < 3 {
+	states := sortedStates(m)
+	if len(mustSnapshot(t, m).DStates) < 3 {
 		t.Fatal("fewer than three dstates: the sequence is too short to test with")
 	}
-	for name, corrupt := range map[string]func(sp *MapperSnapshot){
-		"swapped": func(sp *MapperSnapshot) { sp.VDStates[1], sp.VDStates[2] = sp.VDStates[2], sp.VDStates[1] },
-		"renamed": func(sp *MapperSnapshot) { sp.VDStates[1].ID = 7 },
-	} {
-		sp := mustSnapshot(t, m)
-		corrupt(sp)
-		_, err := RestoreMapper[*mockState](sp, lookup)
-		if err == nil || !strings.Contains(err.Error(), "at position 1") {
-			t.Errorf("%s: RestoreMapper error = %v, want one naming position 1", name, err)
-		}
+	sp := mustSnapshot(t, m)
+	sp.DStates[1], sp.DStates[2] = sp.DStates[2], sp.DStates[1]
+	if _, err := RestoreMapper(sp, states); err == nil || !strings.Contains(err.Error(), "it is not in") {
+		t.Errorf("swapped: RestoreMapper error = %v, want one naming a dstate a state is not in", err)
 	}
-	if _, err := RestoreMapper[*mockState](mustSnapshot(t, m), lookup); err != nil {
+	if _, err := RestoreMapper(mustSnapshot(t, m), states); err != nil {
 		t.Fatalf("honest snapshot: %v", err)
 	}
 }
@@ -299,16 +297,9 @@ func TestRestoreSDSSparseIDs(t *testing.T) {
 	for op := 0; op < 40; op++ {
 		mapperOp(t, m, 4, rng, uint64(op+1))
 	}
-	byID := map[uint64]*mockState{}
-	m.ForEachState(func(s *mockState) {
-		s.id = 3*s.id + 7
-		byID[s.id] = s
-	})
+	m.ForEachState(func(s *mockState) { s.id = 3*s.id + 7 })
 	want := mustSnapshot(t, m)
-	restored, err := RestoreMapper[*mockState](want, func(id uint64) (*mockState, bool) {
-		s, ok := byID[id]
-		return s, ok
-	})
+	restored, err := RestoreMapper(want, sortedStates(m))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,18 +327,14 @@ func restoreSparseIDs(t *testing.T, algo Algorithm) {
 	for op := 0; op < 40; op++ {
 		mapperOp(t, m, 4, rng, uint64(op+1))
 	}
-	byID := map[uint64]*mockState{}
 	var alloc *mockAlloc
 	m.ForEachState(func(s *mockState) {
 		s.id = 1000*s.id + 7
-		byID[s.id] = s
 		alloc = s.alloc
 	})
+	states := sortedStates(m)
 	want := mustSnapshot(t, m)
-	restored, err := RestoreMapper[*mockState](want, func(id uint64) (*mockState, bool) {
-		s, ok := byID[id]
-		return s, ok
-	})
+	restored, err := RestoreMapper(want, states)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,26 +349,24 @@ func restoreSparseIDs(t *testing.T, algo Algorithm) {
 		switch r := restored.(type) {
 		case *COB[*mockState]:
 			r.index.Each(func(id uint64, _ *dstate[*mockState]) { x.Set(id, 1) })
-			if len(r.index.ids) != len(byID) || len(r.index.at) != 0 {
+			if len(r.index.ids) != len(states) || len(r.index.at) != 0 {
 				t.Errorf("COB index holds %d restored ids and %d dense slots, want %d and 0",
-					len(r.index.ids), len(r.index.at), len(byID))
+					len(r.index.ids), len(r.index.at), len(states))
 			}
 		case *COW[*mockState]:
 			r.index.Each(func(id uint64, _ *dstate[*mockState]) { x.Set(id, 1) })
-			if len(r.index.ids) != len(byID) || len(r.index.at) != 0 {
+			if len(r.index.ids) != len(states) || len(r.index.at) != 0 {
 				t.Errorf("COW index holds %d restored ids and %d dense slots, want %d and 0",
-					len(r.index.ids), len(r.index.at), len(byID))
+					len(r.index.ids), len(r.index.at), len(states))
 			}
 		}
 		return &x
 	}
-	if x := index(); x.Len() != len(byID) {
-		t.Fatalf("the restored index holds %d states, the snapshot %d", x.Len(), len(byID))
+	if x := index(); x.Len() != len(states) {
+		t.Fatalf("the restored index holds %d states, the snapshot %d", x.Len(), len(states))
 	}
 	// The run goes on: forks draw ids above every restored one.
-	for _, s := range byID {
-		alloc.next = max(alloc.next, s.id)
-	}
+	alloc.next = max(alloc.next, states[len(states)-1].id)
 	first := alloc.next + 1
 	for op := 0; op < 40; op++ {
 		mapperOp(t, restored, 4, rng, uint64(op+41))
@@ -399,6 +384,75 @@ func restoreSparseIDs(t *testing.T, algo Algorithm) {
 		if r.index.base != first || uint64(len(r.index.at)) > alloc.next-first+1 {
 			t.Errorf("COW dense part covers [%d, %d), want within [%d, %d]",
 				r.index.base, r.index.base+uint64(len(r.index.at)), first, alloc.next)
+		}
+	}
+}
+
+// TestRestoreAccountsForEveryState: a restore places every state it is
+// given, and each mapper refuses a snapshot that leaves one out, lists
+// super-dstates that do not match the states one for one, names the states
+// out of id order, or breaks its own shape — with an error saying what is
+// wrong.
+func TestRestoreAccountsForEveryState(t *testing.T) {
+	mapper := func(algo Algorithm) Mapper[*mockState] {
+		m := newRegistered(t, algo, 4)
+		rng := rand.New(rand.NewSource(3))
+		for op := 0; op < 30; op++ {
+			mapperOp(t, m, 4, rng, uint64(op+1))
+		}
+		return m
+	}
+	// orphan adds a state no dstate holds, above every id.
+	orphan := func(states []*mockState) []*mockState {
+		return append(states, states[len(states)-1].Fork())
+	}
+	cases := []struct {
+		name    string
+		algo    Algorithm
+		corrupt func(sp *MapperSnapshot, states []*mockState) []*mockState
+		want    string
+	}{
+		{"COB orphan", COBAlgorithm, func(_ *MapperSnapshot, st []*mockState) []*mockState { return orphan(st) }, "in no dstate"},
+		{"COW orphan", COWAlgorithm, func(_ *MapperSnapshot, st []*mockState) []*mockState { return orphan(st) }, "in no dstate"},
+		{"SDS orphan", SDSAlgorithm, func(_ *MapperSnapshot, st []*mockState) []*mockState { return orphan(st) }, "super-dstates for"},
+		{"SDS orphan with an empty super-dstate", SDSAlgorithm, func(sp *MapperSnapshot, st []*mockState) []*mockState {
+			st = orphan(st)
+			sp.Supers = append(sp.Supers, SuperImage{StateID: st[len(st)-1].id})
+			return st
+		}, "in no dstate"},
+		{"SDS super-dstate missing", SDSAlgorithm, func(sp *MapperSnapshot, st []*mockState) []*mockState {
+			sp.Supers = sp.Supers[1:]
+			return st
+		}, "super-dstates for"},
+		{"SDS super-dstates out of order", SDSAlgorithm, func(sp *MapperSnapshot, st []*mockState) []*mockState {
+			sp.Supers[0], sp.Supers[1] = sp.Supers[1], sp.Supers[0]
+			return st
+		}, "not of state"},
+		{"COW ids descend", COWAlgorithm, func(_ *MapperSnapshot, st []*mockState) []*mockState {
+			st[0], st[1] = st[1], st[0]
+			return st
+		}, "ascend"},
+		{"COW id repeats", COWAlgorithm, func(_ *MapperSnapshot, st []*mockState) []*mockState {
+			return append(st[:1:1], st...)
+		}, "ascend"},
+		{"COB with a COW bucket", COWAlgorithm, func(sp *MapperSnapshot, st []*mockState) []*mockState {
+			sp.Algorithm = COBAlgorithm
+			return st
+		}, "states for node"},
+		{"COW with super-dstates", SDSAlgorithm, func(sp *MapperSnapshot, st []*mockState) []*mockState {
+			sp.Algorithm = COWAlgorithm
+			return st
+		}, "super-dstates"},
+	}
+	for _, c := range cases {
+		m := mapper(c.algo)
+		if _, err := RestoreMapper(mustSnapshot(t, m), sortedStates(m)); err != nil {
+			t.Fatalf("%s: honest snapshot: %v", c.name, err)
+		}
+		sp := mustSnapshot(t, m)
+		states := c.corrupt(sp, sortedStates(m))
+		if _, err := RestoreMapper(sp, states); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: RestoreMapper error = %v, want one containing %q", c.name, err, c.want)
 		}
 	}
 }

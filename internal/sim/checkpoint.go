@@ -133,9 +133,9 @@ func ResumeEngine(cfg Config, data []byte) (*Engine, error) {
 // frontier partitioned `of` ways — the resume half of depth-horizon
 // continuation sharding. The snapshot is decoded whole (interning every
 // variable, so ids stay deterministic across slices) and then cut along
-// dscenario rows: slice seg keeps the COB dscenarios whose creation-order
-// index i satisfies i % of == seg, plus exactly the states they
-// reference. COB's invariant that every state belongs to exactly one
+// dstates: slice seg keeps the COB dstates — each one dscenario — whose
+// creation-order index i satisfies i % of == seg, plus exactly the states
+// they reference. COB's invariant that every state belongs to exactly one
 // dscenario makes the slices disjoint; their union is the whole frontier.
 // COW and SDS frontiers are not sliceable (states share buckets), so for
 // them only of == 1 is accepted. Slice 0 is the carrier: it keeps what the
@@ -179,33 +179,21 @@ func resumeSnapshot(cfg Config, data []byte, seg, of int) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The mapper names states by id: look them up in the states' ids in
-	// ascending order — the order an engine keeps its states in, so
-	// sorting is a pass that finds nothing to do. Nothing is sized by an
-	// id: ids go sparse once a frontier is sliced (core.SearchIDs).
+	// The mapper takes the states in ascending id order — the order an
+	// engine keeps them in, so sorting is a pass that finds nothing to do —
+	// and refuses ids that repeat. Nothing is sized by an id: ids go sparse
+	// once a frontier is sliced (core.SearchIDs).
 	byID := states
 	if !slices.IsSortedFunc(byID, compareIDs) {
 		byID = slices.Clone(states)
 		slices.SortFunc(byID, compareIDs)
 	}
-	ids := make([]uint64, len(byID))
-	for i, s := range byID {
-		ids[i] = s.ID()
-		if i > 0 && ids[i] == ids[i-1] {
-			return nil, fmt.Errorf("sim: checkpoint contains state id %d twice", ids[i])
-		}
-	}
 	// Ids are handed out with Add(1), so the counter equals the highest
 	// id already assigned.
-	if n := len(ids); n > 0 && ids[n-1] > sp.NextStateID {
-		return nil, fmt.Errorf("sim: checkpoint state id %d beyond counter %d", ids[n-1], sp.NextStateID)
+	if n := len(byID); n > 0 && byID[n-1].ID() > sp.NextStateID {
+		return nil, fmt.Errorf("sim: checkpoint state id %d beyond counter %d", byID[n-1].ID(), sp.NextStateID)
 	}
-	mapper, err := core.RestoreMapper[*vm.State](sp.Mapper, func(id uint64) (*vm.State, bool) {
-		if i, ok := core.SearchIDs(ids, id); ok {
-			return byID[i], true
-		}
-		return nil, false
-	})
+	mapper, err := core.RestoreMapper(sp.Mapper, byID)
 	if err != nil {
 		return nil, err
 	}
@@ -225,6 +213,10 @@ func resumeSnapshot(cfg Config, data []byte, seg, of int) (*Engine, error) {
 	e.resumed = true
 	// The same ids are the sorted part of the heap's seq index; the states
 	// forked from here on, all above them, go in its dense part.
+	ids := make([]uint64, len(byID))
+	for i, s := range byID {
+		ids[i] = s.ID()
+	}
 	e.entrySeq.Restored(ids)
 	for _, s := range states {
 		e.scheduleHeap(s)
@@ -233,37 +225,36 @@ func resumeSnapshot(cfg Config, data []byte, seg, of int) (*Engine, error) {
 }
 
 // sliceSnapshot cuts a decoded suspension snapshot down to slice seg of
-// `of`, in place. Only COB frontiers are sliceable — each dscenario row
-// is a disjoint set of states (every state belongs to exactly one
-// dscenario), so keeping rows i with i % of == seg and exactly the
-// states they reference yields a valid, independently resumable
-// sub-frontier. Row order (creation order) is deterministic, so every
-// consumer of the same snapshot cuts identical slices. Pages referenced
-// only by dropped states stay in the table; restoring ignores them.
+// `of`, in place. Only COB frontiers are sliceable — each dstate is one
+// dscenario, a disjoint set of states (every state belongs to exactly one
+// dstate), so keeping dstates i with i % of == seg and exactly the states
+// they reference yields a valid, independently resumable sub-frontier.
+// Dstate order (creation order) is deterministic, so every consumer of the
+// same snapshot cuts identical slices. Pages referenced only by dropped
+// states stay in the table; restoring ignores them.
 func sliceSnapshot(sp *snap.Snapshot, seg, of int) error {
-	if sp.Mapper == nil {
-		return fmt.Errorf("sim: cannot slice a snapshot without a mapper")
-	}
-	if sp.Mapper.Algorithm != core.COBAlgorithm {
+	if sp.Algorithm != core.COBAlgorithm {
 		return fmt.Errorf("sim: %v frontiers are not sliceable (states share grouping structure); use fanout 1",
-			sp.Mapper.Algorithm)
+			sp.Algorithm)
 	}
-	keepRows := make([][]uint64, 0, (len(sp.Mapper.Scenarios)+of-1)/of)
+	all := sp.Mapper.DStates
+	keep := make([][][]uint64, 0, (len(all)+of-1)/of)
 	keepIDs := make(map[uint64]bool)
-	for i, row := range sp.Mapper.Scenarios {
+	for i, d := range all {
 		if i%of != seg {
 			continue
 		}
-		keepRows = append(keepRows, row)
-		for _, id := range row {
-			keepIDs[id] = true
+		keep = append(keep, d)
+		for _, bucket := range d {
+			for _, id := range bucket {
+				keepIDs[id] = true
+			}
 		}
 	}
-	if len(keepRows) == 0 {
-		return fmt.Errorf("sim: slice %d/%d keeps none of the %d dscenarios",
-			seg, of, len(sp.Mapper.Scenarios))
+	if len(keep) == 0 {
+		return fmt.Errorf("sim: slice %d/%d keeps none of the %d dscenarios", seg, of, len(all))
 	}
-	sp.Mapper.Scenarios = keepRows
+	sp.Mapper.DStates = keep
 	kept := sp.States[:0]
 	for _, img := range sp.States {
 		if keepIDs[img.ID] {

@@ -29,12 +29,12 @@ func timeless(sp *snap.Snapshot) {
 // fails here, and must come with a format version bump and new hashes.
 func TestEncodeGolden(t *testing.T) {
 	want := map[string]string{
-		"COB/3":  "6a2d94e0d9ee8afdd9fe280057fdcce597b03dd1651ffa9b3771b413cf0c777e",
-		"COB/60": "68e44671f953c6ae4d506b943277c3e853edef2ad0e6e2fc2bc9b2132a848a7d",
-		"COW/3":  "19c719f3bfaea921679012fd201d9700d231b4450895487c87653d8025be6965",
-		"COW/60": "9b65a601503e644c6b83a1fcd2fe3393d2718bc92c01489b1c6acdec2f75684f",
-		"SDS/3":  "52436ff3077f50c2ca6be9fa3746f03c37f6e33494545073fcd5a957b7f6fc7e",
-		"SDS/60": "72c344125049a820d6cefa0d0bf96a8eff2407a26449f72aa09f105c20c2fff0",
+		"COB/3":  "ba0494db84df5fae697f5b644a85fe5fe7afdb5e85d548ea29dcbb060a2e2aba",
+		"COB/60": "ae79308708e4faff4b63ade3fdfd8dbb669dacaf724fee31c05bdb9086335e38",
+		"COW/3":  "6dcf273f0a7b34d4db2636a0134dd751d178161225b65d00a7acdd2cc8fb6171",
+		"COW/60": "c8ffc5872b01e02be43ffcf91014dd8cba859277e8579b6f0f3541c6ff003acb",
+		"SDS/3":  "4fe5e529087285af6b8e21cd5070cb9da012de1f043e6d0839d5ee71a9d844b9",
+		"SDS/60": "1dfc6ed451e0b89220b2cd3268dbb509cfa461684e0f79e0525c9d6529f3c3d6",
 	}
 	for _, algo := range allAlgorithms {
 		for _, steps := range []int{3, 60} {

@@ -21,11 +21,10 @@ import (
 )
 
 // hostileSnapshots are checksum-valid snapshots of a finished 3×3 SDS
-// collect whose counters lie: NextStateID or NextDSID is 2^40. Nothing may
-// be sized by either — state ids go sparse once a frontier is sliced, and
-// the dstate table is only as long as the dstates read — so a resume
-// either proceeds or refuses with an error, and allocates what an honest
-// snapshot's would.
+// collect that lie: NextStateID is 2^40, or a state's image is in no
+// dstate (an orphan). Nothing may be sized by the counter — state ids go
+// sparse once a frontier is sliced — so a resume either proceeds or
+// refuses with an error, and allocates what an honest snapshot's would.
 func hostileSnapshots(tb testing.TB) (cfg sim.Config, honest []byte, hostile map[string][]byte) {
 	tb.Helper()
 	eng, cfg := collectFrontier(tb, core.SDSAlgorithm, 3, 2)
@@ -39,7 +38,12 @@ func hostileSnapshots(tb testing.TB) (cfg sim.Config, honest []byte, hostile map
 	hostile = make(map[string][]byte)
 	for name, lie := range map[string]func(*snap.Snapshot){
 		"NextStateID": func(sp *snap.Snapshot) { sp.NextStateID = 1 << 40 },
-		"NextDSID":    func(sp *snap.Snapshot) { sp.Mapper.NextDSID = 1 << 40 },
+		"orphan": func(sp *snap.Snapshot) {
+			img := sp.States[len(sp.States)-1]
+			sp.NextStateID++
+			img.ID = sp.NextStateID
+			sp.States = append(sp.States, img)
+		},
 	} {
 		b := expr.NewBuilder()
 		sp, err := snap.Decode(honest, b)
@@ -70,9 +74,9 @@ func resumeAlloc(t *testing.T, cfg sim.Config, data []byte) (uint64, error) {
 	return after.TotalAlloc - before.TotalAlloc, err
 }
 
-// TestHostileCountsStayCheap: a snapshot whose NextStateID or NextDSID is
-// 2^40 resumes or is refused with an error, and allocates no more than an
-// honest resume does plus a few times its own length.
+// TestHostileCountsStayCheap: a snapshot whose NextStateID is 2^40, or
+// that holds an orphan, resumes or is refused with an error, and allocates
+// no more than an honest resume does plus a few times its own length.
 func TestHostileCountsStayCheap(t *testing.T) {
 	cfg, honest, hostile := hostileSnapshots(t)
 	base, err := resumeAlloc(t, cfg, honest)
@@ -81,9 +85,9 @@ func TestHostileCountsStayCheap(t *testing.T) {
 	}
 	for name, data := range hostile {
 		alloc, err := resumeAlloc(t, cfg, data)
-		t.Logf("%s = 2^40: %d bytes, honest %d, snapshot %d bytes: %v", name, alloc, base, len(data), err)
+		t.Logf("%s: %d bytes, honest %d, snapshot %d bytes: %v", name, alloc, base, len(data), err)
 		if alloc > base+4*uint64(len(data)) {
-			t.Errorf("%s = 2^40: resume allocated %d bytes, an honest one %d, the snapshot is %d bytes",
+			t.Errorf("%s: resume allocated %d bytes, an honest one %d, the snapshot is %d bytes",
 				name, alloc, base, len(data))
 		}
 	}
@@ -116,12 +120,12 @@ func TestHostilePeakStatesRefused(t *testing.T) {
 }
 
 // TestRefusedResumeLeavesNoWorker: a resume that refuses its snapshot —
-// corrupt bytes, or a NextDSID that lies — leaves no goroutine of the
+// corrupt bytes, or a state in no dstate — leaves no goroutine of the
 // engine it built behind.
 func TestRefusedResumeLeavesNoWorker(t *testing.T) {
 	cfg, honest, hostile := hostileSnapshots(t)
 	before := runtime.NumGoroutine()
-	for _, data := range [][]byte{honest[:len(honest)/2], hostile["NextDSID"]} {
+	for _, data := range [][]byte{honest[:len(honest)/2], hostile["orphan"]} {
 		if _, err := sim.ResumeEngine(cfg, data); err == nil {
 			t.Fatal("resume accepted a snapshot it must refuse")
 		}
@@ -257,10 +261,8 @@ func TestSmallestElementsDecode(t *testing.T) {
 		"samples":       func(sp *snap.Snapshot) { sp.Samples = make([]metrics.Sample, n) },
 		"violations":    func(sp *snap.Snapshot) { sp.Violations = repeat(n, &vm.Violation{}) },
 		"model":         func(sp *snap.Snapshot) { sp.Violations = []*vm.Violation{{Model: model}} },
-		"COB rows":      mapper(core.MapperSnapshot{Algorithm: core.COBAlgorithm, Scenarios: repeat(n, make([]uint64, 3))}),
-		"COW dstates":   mapper(core.MapperSnapshot{Algorithm: core.COWAlgorithm, DStates: repeat(n, make([][]uint64, 3))}),
+		"dstates":       mapper(core.MapperSnapshot{Algorithm: core.COWAlgorithm, DStates: repeat(n, make([][]uint64, 3))}),
 		"state ids":     mapper(core.MapperSnapshot{Algorithm: core.COWAlgorithm, DStates: [][][]uint64{{make([]uint64, n), nil, nil}}}),
-		"SDS dstates":   mapper(core.MapperSnapshot{Algorithm: core.SDSAlgorithm, VDStates: repeat(n, core.VDStateImage{ByNode: make([][]uint64, 3)})}),
 		"supers":        mapper(core.MapperSnapshot{Algorithm: core.SDSAlgorithm, Supers: make([]core.SuperImage, n)}),
 		"super dstates": mapper(core.MapperSnapshot{Algorithm: core.SDSAlgorithm, Supers: []core.SuperImage{{DStateIDs: make([]int, n)}}}),
 	} {

@@ -1,9 +1,9 @@
 // Package snap implements the durable checkpoint format: a versioned,
 // deterministic binary snapshot of a whole exploration frontier — VM
 // states, COW memory pages (deduplicated), path conditions as a
-// topological encoding of the hash-consed expression DAG, the
-// state-mapping structures of all three algorithms, the event queues, and
-// the virtual clock.
+// topological encoding of the hash-consed expression DAG, the mapper's
+// dstate table (one layout for all three algorithms), the event queues,
+// and the virtual clock.
 //
 // The format is written down once. A coder appends a snapshot's fields
 // when encoding and reads them back into the same fields when decoding,
@@ -61,10 +61,11 @@ var magic = []byte("SDEsnp\x00")
 // version is the one format this build reads and writes; WireVersion
 // tracks it, so bumping it (for a snapshot or a protocol change alike)
 // makes older peers reject the handshake instead of misparsing what they
-// do not know. Version 12 writes the stats section as JSON, counters by
-// name, and ends in a CRC-32C where version 11 wrote a positional list of
-// varints and ended in an FNV-1a sum.
-const version = 12
+// do not know. Version 13 writes every mapper as its dstate table, with
+// the algorithm and k in the header only, where version 12 wrote COB rows,
+// COW dstates or SDS dstates with ids of their own, after a second copy of
+// both; version 12 wrote the stats section as JSON and ended in a CRC-32C.
+const version = 13
 
 // castagnoli is the CRC-32C table of the checksums that end a snapshot and
 // a frame.
@@ -172,8 +173,8 @@ func Decode(data []byte, b *expr.Builder) (*Snapshot, error) {
 // offset it was met at; every later read yields zero and every later count
 // none, so nothing more is allocated, and a check on a value that was never
 // read stays silent. Encoding, a snapshot the format cannot carry — a page
-// out of range, a per-node row of the wrong length, an unknown algorithm —
-// is a plain error, kept the same way.
+// out of range, a per-node row of the wrong length, a mapper of another
+// algorithm or k than the header's — is a plain error, kept the same way.
 type coder struct {
 	dec bool
 	buf []byte // encoding: the bytes so far; decoding: the body to read
@@ -184,6 +185,10 @@ type coder struct {
 	vars  []*expr.Expr // encoding: the builder's variables, in creation order
 	t     *exprTable   // encoding: the expression numbering
 	exprs []*expr.Expr // decoding: the expressions read, by number
+
+	// decoding: where the mapper's buckets and their ids are carved from
+	buckets blocks[[]uint64]
+	idBlock blocks[uint64]
 }
 
 // scratch is what an Encode grows to the size of its snapshot — the
@@ -342,7 +347,7 @@ func (c *coder) count(n, least int) int {
 		return n
 	}
 	v := c.get()
-	// A per-node row's least is the mapper's k, 0 after a failed read.
+	// A dstate's least is the header's k, 0 after a failed read.
 	if v > uint64(c.left()/max(least, 1)) {
 		c.corrupt("count %d of %d-byte elements with %d bytes left", v, least, c.left())
 		return 0
@@ -352,8 +357,8 @@ func (c *coder) count(n, least int) int {
 
 // The smallest encodings of the list elements, in bytes: every field that
 // is coded at all takes at least one byte (a zero, a nil reference, an
-// empty list or string), and a per-node row one per node. A per-node row
-// of a mapper's list is k bytes at least, an SDS dstate 1+k.
+// empty list or string), so a dstate, a bucket per node, is k bytes at
+// least.
 const (
 	minPage  = 3                // one set word: count, slot, expression
 	minWord  = 2                // slot, expression
@@ -392,21 +397,23 @@ func list[T any](c *coder, p *[]T, least int) []T {
 	return *p
 }
 
-// perNode returns *p, a list of one element per node whose length the
-// format leaves out: encoding, it must be k long; decoding, it is made so.
-func perNode[T any](c *coder, p *[]T, k int, what string) []T {
-	if !c.dec {
-		c.reserve()
-		if len(*p) != k {
-			c.fail(fmt.Errorf("snap: %s with %d nodes, want %d", what, len(*p), k))
-			return nil
-		}
-		return *p
+// blocks hands out decoded lists carved, each capped at its own length,
+// from shared blocks rather than made one by one. The blocks double from
+// 64 elements, none longer than limit: the most elements the bytes left
+// can hold.
+type blocks[T any] struct {
+	free []T
+	size int
+}
+
+func (b *blocks[T]) carve(n, limit int) []T {
+	if len(b.free) < n {
+		b.size = min(max(2*b.size, 64), limit)
+		b.free = make([]T, max(n, b.size))
 	}
-	if c.err == nil {
-		*p = make([]T, k)
-	}
-	return *p
+	s := b.free[:n:n]
+	b.free = b.free[n:]
+	return s
 }
 
 // int codes an int as a varint; decoded, it must fit the platform int.
@@ -742,7 +749,7 @@ func (c *coder) snapshot(s *Snapshot) {
 	if c.dec {
 		s.Mapper = &core.MapperSnapshot{}
 	}
-	c.mapper(s.Mapper)
+	c.mapper(s)
 	for i := range list(c, &s.Samples, minSamp) {
 		c.sample(&s.Samples[i])
 	}
@@ -930,53 +937,48 @@ func (c *coder) state(img *vm.StateImage, npages int) {
 	}
 }
 
-// mapper codes the state-mapping structures of the snapshot's algorithm.
-func (c *coder) mapper(m *core.MapperSnapshot) {
-	c.nat((*int)(&m.Algorithm))
-	c.k(&m.K, "mapper with k=%d")
-	switch m.Algorithm {
-	case core.COBAlgorithm:
-		for i := range list(c, &m.Scenarios, m.K) {
-			row := perNode(c, &m.Scenarios[i], m.K, "COB dscenario")
-			for node := range row {
-				c.u64(&row[node])
-			}
+// mapper codes the state-mapping image of s: its dstates, each a bucket of
+// state ids per node, then the super-dstates, which only SDS has. The
+// algorithm and k are the header's; encoding, an image of another
+// algorithm or k is refused.
+func (c *coder) mapper(s *Snapshot) {
+	m := s.Mapper
+	if c.dec {
+		m.Algorithm, m.K = s.Algorithm, s.K
+	} else if m.Algorithm != s.Algorithm || m.K != s.K {
+		c.fail(fmt.Errorf("snap: %v mapper with k=%d in a snapshot of %v with k=%d", m.Algorithm, m.K, s.Algorithm, s.K))
+		return
+	}
+	for i := range list(c, &m.DStates, m.K) {
+		ds := &m.DStates[i]
+		if !c.dec && len(*ds) != m.K {
+			c.fail(fmt.Errorf("snap: dstate with %d nodes, want %d", len(*ds), m.K))
+			return
 		}
-	case core.COWAlgorithm:
-		for i := range list(c, &m.DStates, m.K) {
-			ds := perNode(c, &m.DStates[i], m.K, "COW dstate")
-			for node := range ds {
-				c.ids(&ds[node])
-			}
+		if c.dec && c.err == nil {
+			// A bucket takes a byte at least, its count.
+			*ds = c.buckets.carve(m.K, c.left())
 		}
-	case core.SDSAlgorithm:
-		c.nat(&m.NextDSID)
-		for i := range list(c, &m.VDStates, 1+m.K) {
-			d := &m.VDStates[i]
-			c.nat(&d.ID)
-			for node := range perNode(c, &d.ByNode, m.K, "SDS dstate") {
-				c.ids(&d.ByNode[node])
-			}
+		for node := range *ds {
+			c.ids(&(*ds)[node])
 		}
-		for i := range list(c, &m.Supers, minSuper) {
-			su := &m.Supers[i]
-			c.u64(&su.StateID)
-			for j := range list(c, &su.DStateIDs, minRef) {
-				c.nat(&su.DStateIDs[j])
-			}
-		}
-	default:
-		if c.dec {
-			c.corrupt("mapper algorithm %d", m.Algorithm)
-		} else {
-			c.fail(fmt.Errorf("snap: mapper snapshot with unknown algorithm %d", m.Algorithm))
+	}
+	for i := range list(c, &m.Supers, minSuper) {
+		su := &m.Supers[i]
+		c.u64(&su.StateID)
+		for j := range list(c, &su.DStateIDs, minRef) {
+			c.nat(&su.DStateIDs[j])
 		}
 	}
 }
 
 // ids codes a bucket of state ids.
 func (c *coder) ids(p *[]uint64) {
-	for i := range list(c, p, minRef) {
+	n := c.count(len(*p), minRef)
+	if c.dec {
+		*p = c.idBlock.carve(n, c.left())
+	}
+	for i := range *p {
 		c.u64(&(*p)[i])
 	}
 }

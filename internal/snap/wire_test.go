@@ -53,10 +53,11 @@ func restamp(frame []byte) {
 // stamped with any other version must be rejected with an error that wraps
 // ErrCorrupt and names the offending version — the mixed-fleet diagnosis
 // depends on that number surfacing. A later version's layout is unknown to
-// it, and frames before version 12 end in an 8-byte FNV-1a sum where this
-// one reads a 4-byte CRC-32C.
+// it, frames before version 12 end in an 8-byte FNV-1a sum where this one
+// reads a 4-byte CRC-32C, and version 12 snapshots lay the mapper out
+// another way.
 func TestFrameVersionNegotiation(t *testing.T) {
-	versions := []byte{WireVersion, 255, 0, 8, 9, 10, 11}
+	versions := []byte{WireVersion, 255, 0, 8, 9, 10, 11, 12}
 	for v := byte(WireVersion + 1); v <= WireVersion+7; v++ {
 		versions = append(versions, v)
 	}

@@ -113,7 +113,7 @@ func TestLeaseShipsWhatTheDirectoryHolds(t *testing.T) {
 // count) zeroed. A change to how snapshots are taken, cut or encoded that
 // alters a byte fails here, and must come with a wire version bump.
 func TestLeaseBlobGolden(t *testing.T) {
-	const want = "98001f557523896c4e8413213b43c189d4aea7a99a6e1af4cdbc0d8524e929dd"
+	const want = "db5cfa9ad46d12f5fab78d3f38f82334f5f476e0c1d3776e2532f6fae54a7c9f"
 	scenario := shardScenario(t, sde.SDS)
 	part := shard.Partition{ShardBits: 1, DepthHorizon: horizonFor(sde.SDS)}
 	q, err := shard.New[sde.ShardLeaf](part, scenario.MaxShardBits())
