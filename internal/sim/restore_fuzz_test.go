@@ -163,8 +163,11 @@ func alterHistory(tb testing.TB, sp *snap.Snapshot) {
 // FuzzRestore seeds, per algorithm, honest frontiers at two depths, a bit
 // flip of each, and the deeper one with a state's history altered after the
 // snapshot. The seeds are built here, not stored, so a format version bump
-// leaves them valid. A resume either fails or holds every state it restored
-// in its mapper, with the mapper's invariants intact.
+// leaves them valid. The two inputs stored in testdata/fuzz/FuzzRestore are
+// format-12 checkpoints of the same altered-history cases; they stay as
+// inputs a current decoder must refuse by version. A resume either fails or
+// holds every state it restored in its mapper, with the mapper's invariants
+// intact.
 func FuzzRestore(f *testing.F) {
 	cfgs := make([]sim.Config, len(restoreAlgorithms))
 	for i, algo := range restoreAlgorithms {
